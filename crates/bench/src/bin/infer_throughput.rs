@@ -1,5 +1,6 @@
 //! Inference-plane throughput: graph-free evaluation vs the old
-//! tape-building `Var` path, plus end-to-end engine serving.
+//! tape-building `Var` path, plus end-to-end serving through a 1-replica
+//! cluster.
 //!
 //! Criterion-free. Three experiments, recorded into
 //! `BENCH_infer_throughput.json` in the working directory:
@@ -9,9 +10,9 @@
 //!    batch — what `evaluate` did before the API split).
 //! 2. **`tensor_plane`** — samples/second of `evaluate_counts` on
 //!    `InferForward` (zero autograd nodes, arena-backed intermediates).
-//! 3. **`engine_serving`** — requests/second through a `ttsnn_infer`
-//!    [`Session`] with dynamic micro-batching (per-sample determinism
-//!    contract) on the same checkpoint.
+//! 3. **`cluster_1_replica_serving`** — requests/second through a
+//!    1-replica `ttsnn_infer` [`Cluster`] with dynamic micro-batching
+//!    (per-sample determinism contract) on the same checkpoint.
 //!
 //! ```sh
 //! cargo run -p ttsnn-bench --release --bin infer_throughput
@@ -23,7 +24,7 @@ use ttsnn_autograd::Var;
 use ttsnn_bench::harness::micro::{write_json, BenchRecord};
 use ttsnn_core::TtMode;
 use ttsnn_data::{Batch, StaticImages};
-use ttsnn_infer::{ArchSpec, BatchPolicy, Engine, EngineConfig, Session};
+use ttsnn_infer::{ArchSpec, BatchPolicy, Cluster, ClusterConfig, ClusterSession, EngineConfig};
 use ttsnn_snn::trainer::evaluate_counts;
 use ttsnn_snn::{checkpoint, ConvPolicy, Model, SpikingModel, VggConfig, VggSnn};
 use ttsnn_tensor::runtime::Runtime;
@@ -95,12 +96,13 @@ fn samples_per_sec(total_samples: usize, mut run: impl FnMut()) -> f64 {
     (ITERS * total_samples) as f64 / start.elapsed().as_secs_f64()
 }
 
-fn engine_requests_per_sec(session: &Session, inputs: &[Tensor]) -> f64 {
+fn cluster_requests_per_sec(session: &ClusterSession, inputs: &[Tensor]) -> f64 {
     // Warmup.
     session.infer(inputs[0].clone()).expect("warmup request");
     let start = Instant::now();
     for _ in 0..ITERS {
-        let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone())).collect();
+        let tickets: Vec<_> =
+            inputs.iter().map(|x| session.submit(x.clone()).expect("bench submit")).collect();
         for t in tickets {
             t.wait().expect("bench request");
         }
@@ -131,20 +133,28 @@ fn main() {
     println!("{:<28} {:>12.2} samples/s", "tensor plane (graph-free)", tensor_sps);
     println!("{:<28} {:>12.2}x", "speedup", tensor_sps / var_sps);
 
-    // Engine serving on the same weights.
+    // 1-replica cluster serving on the same weights.
     let mut ckpt = Vec::new();
     checkpoint::save_params(&net.params(), &mut ckpt).expect("serialize checkpoint");
-    let engine = Engine::load(
-        EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::tt(TtMode::Ptt), TIMESTEPS)
-            .with_batching(BatchPolicy { max_batch: 8, max_wait: Duration::from_millis(1) }),
+    let cluster = Cluster::load(
+        ClusterConfig::new(
+            EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::tt(TtMode::Ptt), TIMESTEPS)
+                .with_batching(BatchPolicy { max_batch: 8, max_wait: Duration::from_millis(1) }),
+        )
+        .with_replicas(1),
         ckpt.as_slice(),
     )
-    .expect("engine load");
+    .expect("cluster load");
     let mut rng = Rng::seed_from(7);
     let inputs: Vec<Tensor> =
         (0..BATCH).map(|_| Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng)).collect();
-    let engine_rps = engine_requests_per_sec(&engine.session(), &inputs);
-    println!("{:<28} {:>12.2} requests/s ({})", "engine serving", engine_rps, engine.info().model);
+    let cluster_rps = cluster_requests_per_sec(&cluster.session(), &inputs);
+    println!(
+        "{:<28} {:>12.2} requests/s ({})",
+        "1-replica cluster serving",
+        cluster_rps,
+        cluster.info().model
+    );
 
     let records = vec![
         BenchRecord {
@@ -164,9 +174,9 @@ fn main() {
             ],
         },
         BenchRecord {
-            name: "engine_serving".into(),
+            name: "cluster_1_replica_serving".into(),
             metrics: vec![
-                ("requests_per_sec".into(), engine_rps),
+                ("requests_per_sec".into(), cluster_rps),
                 ("max_batch".into(), 8.0),
                 ("max_wait_ms".into(), 1.0),
             ],

@@ -5,9 +5,9 @@
 //! directory:
 //!
 //! 1. **`f32_plan`** — requests/second through a merged-dense f32
-//!    [`Engine`] plus the plan's weight storage in bytes.
+//!    1-replica [`Cluster`] plus the plan's weight storage in bytes.
 //! 2. **`int8_plan`** — requests/second through the same checkpoint
-//!    frozen with [`Engine::load_quantized`] (calibrate → int8 freeze →
+//!    frozen with [`Cluster::load_quantized`] (calibrate → int8 freeze →
 //!    serve on the i8×i8→i32 kernels), plus int8 weight storage and the
 //!    measured logit drift/argmax agreement against the f32 plan.
 //! 3. **`modeled_accel_energy`** — what one inference of each plan would
@@ -24,7 +24,10 @@ use std::time::{Duration, Instant};
 use ttsnn_accel::{serving_energy, EnergyModel, ServingPrecision};
 use ttsnn_bench::harness::micro::{write_json, BenchRecord};
 use ttsnn_core::TtMode;
-use ttsnn_infer::{plan_drift, ArchSpec, BatchPolicy, Engine, EngineConfig, QuantSpec, Session};
+use ttsnn_infer::{
+    plan_drift, ArchSpec, BatchPolicy, Cluster, ClusterConfig, ClusterSession, EngineConfig,
+    QuantSpec,
+};
 use ttsnn_snn::{checkpoint, ConvPolicy, SpikingModel, VggConfig, VggSnn};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
@@ -37,17 +40,21 @@ fn vgg_cfg() -> VggConfig {
     VggConfig::vgg9(3, 10, (16, 16), 8)
 }
 
-fn engine_cfg() -> EngineConfig {
-    EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::tt(TtMode::Ptt), TIMESTEPS)
-        .merged()
-        .with_batching(BatchPolicy { max_batch: 8, max_wait: Duration::from_millis(1) })
+fn cluster_cfg() -> ClusterConfig {
+    ClusterConfig::new(
+        EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::tt(TtMode::Ptt), TIMESTEPS)
+            .merged()
+            .with_batching(BatchPolicy { max_batch: 8, max_wait: Duration::from_millis(1) }),
+    )
+    .with_replicas(1)
 }
 
-fn requests_per_sec(session: &Session, inputs: &[Tensor]) -> f64 {
+fn requests_per_sec(session: &ClusterSession, inputs: &[Tensor]) -> f64 {
     session.infer(inputs[0].clone()).expect("warmup request");
     let start = Instant::now();
     for _ in 0..ITERS {
-        let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone())).collect();
+        let tickets: Vec<_> =
+            inputs.iter().map(|x| session.submit(x.clone()).expect("bench submit")).collect();
         for t in tickets {
             t.wait().expect("bench request");
         }
@@ -71,10 +78,10 @@ fn main() {
     let inputs: Vec<Tensor> =
         (0..REQUESTS).map(|_| Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng)).collect();
 
-    let f32_engine = Engine::load(engine_cfg(), ckpt.as_slice()).expect("f32 engine");
+    let f32_engine = Cluster::load(cluster_cfg(), ckpt.as_slice()).expect("f32 cluster");
     let int8_engine =
-        Engine::load_quantized(engine_cfg(), QuantSpec::new(calibration), ckpt.as_slice())
-            .expect("int8 engine");
+        Cluster::load_quantized(cluster_cfg(), QuantSpec::new(calibration), ckpt.as_slice())
+            .expect("int8 cluster");
     let qi = int8_engine.info().quant.clone().expect("quant info");
     // The f32 plan stores the same weights the int8 plan froze, at 4
     // bytes each, plus the (float-in-both-plans) norm parameters.

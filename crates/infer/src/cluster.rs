@@ -3,13 +3,15 @@
 //!
 //! # Shape
 //!
-//! [`Cluster::load`] freezes a plan exactly like [`crate::Engine::load`]
-//! — architecture config + checkpoint, optional TT→dense merge — and fans
-//! it out across `N` executor replicas (explicit, or the
+//! [`Cluster::load`] freezes a plan — architecture config + checkpoint,
+//! optional TT→dense merge (Algorithm 1, lines 20–22) — and fans it out
+//! across `N` executor replicas (explicit, or the
 //! `TTSNN_NUM_REPLICAS` environment variable, defaulting to
 //! [`std::thread::available_parallelism`]). In front of the replicas sits
 //! the central priority/deadline scheduler of [`crate::sched`]; behind
 //! them, the [`crate::metrics`] snapshot keeps the whole thing observable.
+//! This is the crate's **one executor family**: a single-executor
+//! deployment is `with_replicas(1)`, not a different type.
 //!
 //! # Weights are loaded once
 //!
@@ -43,8 +45,10 @@ use ttsnn_snn::quant::QuantPlanWeights;
 use ttsnn_snn::{checkpoint, InferStats, Model, ResNetSnn, VggSnn};
 use ttsnn_tensor::{runtime, Rng, Tensor};
 
-use crate::engine::{self, ArchSpec, EngineConfig, InferError, PlanInfo, QuantSpec};
 use crate::metrics::ClusterMetrics;
+use crate::plan::{
+    self, ArchSpec, EngineConfig, InferError, PlanDrift, PlanInfo, QuantSpec, SpikeDensityReport,
+};
 use crate::sched::{FairPolicy, Scheduler, StreamCmd, SubmitError, SubmitOptions, Work};
 use crate::stream::{self, StreamOptions, StreamTable, StreamUpdate};
 use std::time::Duration;
@@ -258,6 +262,63 @@ impl ClusterSession {
     }
 }
 
+/// Serves every input through both plans and reports the logit drift of
+/// `candidate` against `reference` (e.g. an int8 plan against the f32
+/// plan frozen from the same checkpoint). Both clusters stay live: per-
+/// sample determinism makes concurrent traffic irrelevant to the bits.
+///
+/// # Errors
+///
+/// Propagates the first ticket error from either plan
+/// ([`InferError::EngineClosed`] if a cluster has shut down); both plans
+/// must accept the same input shapes.
+pub fn plan_drift(
+    reference: &ClusterSession,
+    candidate: &ClusterSession,
+    inputs: &[Tensor],
+) -> Result<PlanDrift, InferError> {
+    let mut mean_acc = 0.0f64;
+    let mut elems = 0usize;
+    let mut max_abs = 0.0f32;
+    let mut agreed = 0usize;
+    // Submit everything up front so both plans' dynamic batching engages
+    // (per-sample determinism guarantees the answers cannot depend on how
+    // the requests were coalesced); blocking submission keeps the probe
+    // subject to the same backpressure as any client.
+    let submit_all = |session: &ClusterSession| {
+        inputs
+            .iter()
+            .map(|x| session.submit(x.clone()).map_err(|_| InferError::EngineClosed))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let (ref_tickets, cand_tickets) = (submit_all(reference)?, submit_all(candidate)?);
+    for (tr, tc) in ref_tickets.into_iter().zip(cand_tickets) {
+        let (yr, yc) = (tr.wait()?, tc.wait()?);
+        for (a, b) in yr.data().iter().zip(yc.data()) {
+            let d = (a - b).abs();
+            mean_acc += d as f64;
+            max_abs = max_abs.max(d);
+        }
+        elems += yr.len();
+        if yr.argmax() == yc.argmax() {
+            agreed += 1;
+        }
+    }
+    let density = |session: &ClusterSession| {
+        let m = session.sched.metrics();
+        m.mean_spike_density
+            .map(|mean| SpikeDensityReport { per_layer: m.spike_density, mean: Some(mean) })
+    };
+    Ok(PlanDrift {
+        requests: inputs.len(),
+        mean_abs_err: if elems > 0 { mean_acc / elems as f64 } else { 0.0 },
+        max_abs_err: max_abs,
+        agreement: if inputs.is_empty() { 1.0 } else { agreed as f64 / inputs.len() as f64 },
+        reference_density: density(reference),
+        candidate_density: density(candidate),
+    })
+}
+
 /// A handle on one in-flight stream chunk.
 /// [`ClusterStreamTicket::wait`] blocks until the chunk's replica has run
 /// (or skipped) its timesteps. Unlike [`ClusterTicket`], dropping it does
@@ -394,11 +455,10 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds the plan once and fans it out: replica 0 loads the
-    /// checkpoint (and merges, if configured) exactly like
-    /// [`crate::Engine::load`], converts the parameters to shared storage,
-    /// and every other replica rebuilds the architecture locally and
-    /// installs O(1) handles to the same weight buffers. `load` blocks
-    /// until every replica is serving or any of them failed.
+    /// checkpoint (and merges, if configured), converts the parameters to
+    /// shared storage, and every other replica rebuilds the architecture
+    /// locally and installs O(1) handles to the same weight buffers.
+    /// `load` blocks until every replica is serving or any of them failed.
     ///
     /// # Errors
     ///
@@ -410,18 +470,25 @@ impl Cluster {
         Self::load_impl(config, None, checkpoint)
     }
 
-    /// [`Cluster::load`], but the plan is **frozen to int8** (see
-    /// `Engine::load_quantized`): replica 0 loads, merges, calibrates and
-    /// quantizes, then exports the frozen int8 weights — every other
-    /// replica installs O(1) `Arc` handles to the same int8 buffers (plus
-    /// the shared float norm parameters), so per-replica memory stays
-    /// membrane state only. Quantized logits are bit-identical across
-    /// replica counts, thread counts, and scheduling interleavings.
+    /// [`Cluster::load`], but the plan is **frozen to int8**: replica 0
+    /// loads the checkpoint, merges TT cores into dense kernels
+    /// (quantization requires dense kernels, so the merge is implied),
+    /// runs a calibration pass that fixes the static activation scales,
+    /// and quantizes every conv + the classifier per [`QuantSpec`]; it
+    /// then exports the frozen int8 weights — every other replica
+    /// installs O(1) `Arc` handles to the same int8 buffers (plus the
+    /// shared float norm parameters), so per-replica memory stays
+    /// membrane state only. Serving runs through the same
+    /// scheduler/batching machinery, with conv/linear on the int8 kernels
+    /// (`ttsnn_tensor::qkernels`). Integer accumulation is exact, so
+    /// quantized logits are bit-identical across replica counts, thread
+    /// counts, batch compositions and scheduling interleavings.
     ///
     /// # Errors
     ///
     /// As [`Cluster::load`], plus `InvalidInput` for an empty calibration
-    /// set.
+    /// set and `InvalidData` for calibration frames that do not match the
+    /// plan.
     pub fn load_quantized(
         config: ClusterConfig,
         quant: QuantSpec,
@@ -436,9 +503,9 @@ impl Cluster {
         mut checkpoint: impl Read,
     ) -> io::Result<Cluster> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-        engine::validate_config(&config.engine).map_err(invalid)?;
+        plan::validate_config(&config.engine).map_err(invalid)?;
         if let Some(q) = &quant {
-            engine::validate_quant(q).map_err(invalid)?;
+            plan::validate_quant(q).map_err(invalid)?;
             // Quantization freezes dense kernels; merge-back is implied.
             config.engine.merge_into_dense = true;
         }
@@ -467,14 +534,14 @@ impl Cluster {
             let cfg = config.engine.clone();
             let sched = Arc::clone(&sched);
             handles.push(spawn_replica(0, move || {
-                let (mut model, info, qplan) =
-                    match engine::build_plan(&cfg, &bytes, quant.as_ref()) {
-                        Ok(built) => built,
-                        Err(e) => {
-                            let _ = ready_tx.send(Err(e));
-                            return;
-                        }
-                    };
+                let (mut model, info, qplan) = match plan::build_plan(&cfg, &bytes, quant.as_ref())
+                {
+                    Ok(built) => built,
+                    Err(e) => {
+                        let _ = ready_tx.send(Err(e));
+                        return;
+                    }
+                };
                 // For quantized plans the param list is the remaining
                 // float (norm) parameters; the int8 weights travel in
                 // `qplan`.
@@ -739,7 +806,7 @@ fn serve_cluster_batch(
     // own ticket, not its co-travellers'.
     let mut accepted = Vec::with_capacity(batch.len());
     for job in batch {
-        match engine::validate(&job.input, cfg.timesteps, frame_shape) {
+        match plan::validate(&job.input, cfg.timesteps, frame_shape) {
             Ok(()) => accepted.push(job),
             Err(msg) => {
                 let _ = job.reply.send(Err(InferError::Shape(msg)));
@@ -754,10 +821,10 @@ fn serve_cluster_batch(
     let traces: Vec<u64> = accepted.iter().map(|j| j.trace).collect();
     let tracing = traces.iter().any(|&t| t != 0) && ttsnn_obs::enabled();
     let exec_start = if tracing { ttsnn_obs::now_ns() } else { 0 };
-    match engine::forward_requests(model, cfg.timesteps, frame_shape, &inputs, &traces) {
+    match plan::forward_requests(model, cfg.timesteps, frame_shape, &inputs, &traces) {
         Ok(summed) => {
             let batch_size = accepted.len();
-            let density = engine::density_report(model);
+            let density = plan::density_report(model);
             // Record each member's `execute` span (batch size + measured
             // mean spike density as payload) *before* scattering replies,
             // so a client that immediately queries `/trace` sees it.

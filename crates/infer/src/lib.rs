@@ -1,28 +1,39 @@
 //! # ttsnn-infer
 //!
-//! The serving side of the two-plane model API: an [`Engine`] loads a
+//! The serving side of the two-plane model API: a [`Cluster`] loads a
 //! **frozen execution plan** — architecture config + checkpoint,
 //! optionally merged back into dense kernels (Algorithm 1, lines 20–22) —
-//! onto a dedicated executor thread, and [`Session`]s feed it concurrent
-//! single-sample requests. Requests are **coalesced into micro-batches**
-//! under a [`BatchPolicy`] (`max_batch` / `max_wait`) and executed
-//! graph-free on the inference plane (`ttsnn_snn::InferForward`), where
-//! every conv/GEMM fans out over the persistent kernel worker pool.
+//! onto N executor replicas behind one central scheduler, and
+//! [`ClusterSession`]s feed it concurrent single-sample requests.
+//! Requests are **coalesced into micro-batches** under a [`BatchPolicy`]
+//! (`max_batch` / `max_wait`) and executed graph-free on the inference
+//! plane (`ttsnn_snn::InferForward`), where every conv/GEMM fans out over
+//! the persistent kernel worker pool.
+//!
+//! There is one executor family. A single-executor deployment is a
+//! cluster `with_replicas(1)`; more replicas buy per-request latency
+//! under load. Either way the weights are `Arc`-shared (loaded once,
+//! never duplicated), requests carry [`Priority`] classes and optional
+//! deadlines, dropping a [`ClusterTicket`] cancels, the bounded queue
+//! pushes back via [`ClusterSession::try_submit`], and live
+//! [`ClusterMetrics`] keep it observable. See [`cluster`], [`sched`] and
+//! [`metrics`].
 //!
 //! ## Determinism contract
 //!
 //! The plan runs in [`ttsnn_snn::InferStats::PerSample`] mode: every
 //! sample is processed exactly as if it were alone in a batch. A
 //! request's logits are therefore **bit-identical** whatever requests it
-//! happened to be coalesced with, whatever the arrival order, and
-//! whatever `TTSNN_NUM_THREADS` says — and equal, bit for bit, to a
-//! batch-of-1 pass through the training plane. Batching changes
-//! wall-clock only. `crates/infer/tests/engine.rs` pins all of this.
+//! happened to be coalesced with, whatever the arrival order, replica
+//! count, scheduling order or cancellation interleaving, and whatever
+//! `TTSNN_NUM_THREADS` says — and equal, bit for bit, to a batch-of-1
+//! pass through the training plane. Batching and replication change
+//! wall-clock only. `crates/infer/tests/cluster.rs` pins all of this.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use ttsnn_infer::{ArchSpec, BatchPolicy, Engine, EngineConfig};
+//! use ttsnn_infer::{ArchSpec, Cluster, ClusterConfig, EngineConfig};
 //! use ttsnn_snn::{checkpoint, ConvPolicy, SpikingModel, VggConfig, VggSnn};
 //! use ttsnn_tensor::{Rng, Tensor};
 //!
@@ -34,62 +45,46 @@
 //! checkpoint::save_params(&model.params(), &mut ckpt)?;
 //!
 //! // Serve-side: freeze a plan and submit a request.
-//! let engine = Engine::load(
-//!     EngineConfig::new(ArchSpec::Vgg(cfg), ConvPolicy::Baseline, 2),
-//!     ckpt.as_slice(),
-//! )?;
-//! let session = engine.session();
+//! let plan = EngineConfig::new(ArchSpec::Vgg(cfg), ConvPolicy::Baseline, 2);
+//! let cluster = Cluster::load(ClusterConfig::new(plan).with_replicas(1), ckpt.as_slice())?;
+//! let session = cluster.session();
 //! let logits = session.infer(Tensor::zeros(&[3, 8, 8]))?;
 //! assert_eq!(logits.shape(), &[5]);
 //! # Ok(())
 //! # }
 //! ```
-
-//! ## Scaling out: the serving cluster
-//!
-//! One executor thread saturates one machine's kernel pool per batch, but
-//! per-request latency under load wants **replicas**: [`Cluster`] freezes
-//! the same plan once and serves it from N executor replicas behind a
-//! central priority/deadline scheduler — weights `Arc`-shared (loaded
-//! once, never duplicated), requests carrying [`Priority`] classes and
-//! optional deadlines, cancellation by dropping a [`ClusterTicket`],
-//! bounded-queue backpressure via [`ClusterSession::try_submit`], and
-//! live [`ClusterMetrics`]. The determinism contract extends verbatim:
-//! per-sample logits are bit-identical whatever the replica count,
-//! scheduling order, or cancellation interleaving. See [`cluster`],
-//! [`sched`] and [`metrics`].
 //!
 //! ## The quantized plane
 //!
-//! [`Engine::load_quantized`] / [`Cluster::load_quantized`] freeze the
-//! same checkpoint into an **int8 plan**: TT cores merged to dense, a
-//! calibration pass fixes static activation scales ([`QuantSpec`]), and
-//! every conv + the classifier runs on the i8×i8→i32 kernels of
-//! `ttsnn_tensor::qkernels` (per-output-channel scales; optional
-//! accelerator-faithful saturating i16 accumulators — PAPER Table I).
-//! Integer accumulation is exact, so quantized logits are bit-identical
-//! across thread counts, replica counts, and batch compositions; the
-//! int8 plane executes exactly the grid `ttsnn_core::quant`'s fake-quant
-//! simulated during QAT. [`plan_drift`] quotes the int8-vs-f32 logit
-//! drift and prediction agreement on a request set.
-
+//! [`Cluster::load_quantized`] freezes the same checkpoint into an
+//! **int8 plan**: TT cores merged to dense, a calibration pass fixes
+//! static activation scales ([`QuantSpec`]), and every conv + the
+//! classifier runs on the i8×i8→i32 kernels of `ttsnn_tensor::qkernels`
+//! (per-output-channel scales; optional accelerator-faithful saturating
+//! i16 accumulators — PAPER Table I). Integer accumulation is exact, so
+//! quantized logits are bit-identical across thread counts, replica
+//! counts, and batch compositions; the int8 plane executes exactly the
+//! grid `ttsnn_core::quant`'s fake-quant simulated during QAT.
+//! [`plan_drift`] quotes the int8-vs-f32 logit drift and prediction
+//! agreement on a request set.
+//!
 //! ## Streaming sessions
 //!
 //! A live client (an event camera, a sensor) produces its timesteps
-//! incrementally. [`Session::open_stream`] / `ClusterSession::open_stream`
-//! pin a **stateful streaming session** to an executor: the LIF membrane
-//! state stays resident between chunks (moved, never copied), each
-//! [`StreamSession::feed`] advances the session by its chunk's timesteps
-//! at the correct *absolute* `t`, and every update carries the cumulative
-//! logits — an **any-time output**. The headline guarantee: feeding a
-//! `T`-timestep input in chunks of any sizes is **bit-identical, after
-//! every prefix,** to submitting it whole, on both the f32 and int8
-//! planes. An optional [`EarlyExit`] margin readout stops integrating
-//! once the cumulative top-1/top-2 logit gap clears a threshold —
-//! skipped timesteps are banked as MAC savings
-//! ([`StreamUpdate::macs_skipped`]). Cluster sessions are replica-pinned,
-//! count toward queue backpressure, may carry per-chunk deadlines, and
-//! their resident state is bounded (`ClusterConfig::stream_state_bytes` /
+//! incrementally. [`ClusterSession::open_stream`] pins a **stateful
+//! streaming session** to one replica: the LIF membrane state stays
+//! resident between chunks (moved, never copied), each
+//! [`ClusterStreamSession::feed`] advances the session by its chunk's
+//! timesteps at the correct *absolute* `t`, and every update carries the
+//! cumulative logits — an **any-time output**. The headline guarantee:
+//! feeding a `T`-timestep input in chunks of any sizes is
+//! **bit-identical, after every prefix,** to submitting it whole, on
+//! both the f32 and int8 planes. An optional [`EarlyExit`] margin readout
+//! stops integrating once the cumulative top-1/top-2 logit gap clears a
+//! threshold — skipped timesteps are banked as MAC savings
+//! ([`StreamUpdate::macs_skipped`]). Sessions count toward queue
+//! backpressure, may carry per-chunk deadlines, and their resident state
+//! is bounded ([`ClusterConfig::stream_state_bytes`] /
 //! `TTSNN_STREAM_STATE_BYTES`) by LRU eviction that provably never
 //! perturbs a surviving session's bits; [`metrics::SessionMetrics`]
 //! keeps it all observable. `crates/infer/tests/stream.rs` pins the
@@ -97,7 +92,7 @@
 
 #![warn(missing_docs)]
 
-mod engine;
+mod plan;
 mod stream;
 
 pub mod cluster;
@@ -105,14 +100,14 @@ pub mod metrics;
 pub mod sched;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterSession, ClusterStreamSession, ClusterStreamTicket,
+    plan_drift, Cluster, ClusterConfig, ClusterSession, ClusterStreamSession, ClusterStreamTicket,
     ClusterTicket,
 };
-pub use engine::{
-    plan_drift, ArchSpec, BatchPolicy, Engine, EngineConfig, InferError, PlanDrift, PlanInfo,
-    QuantInfo, QuantSpec, Session, SpikeDensityReport, StreamSession, StreamTicket, Ticket,
-};
 pub use metrics::{ClusterMetrics, SessionMetrics, TenantStats, MAX_TRACKED_TENANTS};
+pub use plan::{
+    ArchSpec, BatchPolicy, EngineConfig, InferError, PlanDrift, PlanInfo, QuantSpec,
+    SpikeDensityReport,
+};
 pub use sched::{
     FairPolicy, Priority, RateLimit, RejectInfo, SubmitError, SubmitOptions, TenantId, TenantPolicy,
 };

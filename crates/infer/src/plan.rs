@@ -1,0 +1,428 @@
+//! The frozen execution plan: what a plan is made from ([`EngineConfig`],
+//! [`QuantSpec`]), how it is frozen ([`build_plan`]), and the forward
+//! core every cluster replica runs ([`forward_requests`]).
+//!
+//! The autograd graph handles inside a model (`Var`) are `Rc`-based and
+//! deliberately not `Send`, so — like `ttsnn_snn::ShardedTrainer`'s
+//! replicas — a plan's model is **built on the replica thread that
+//! serves it** from `Send` ingredients (the architecture config and the
+//! raw checkpoint bytes) and never leaves it; see [`crate::cluster`] for
+//! the threads and [`crate::sched`] for how requests are coalesced under
+//! a [`BatchPolicy`]. Because the plan runs in per-sample mode (see the
+//! crate docs), the batching policy is a pure latency/throughput
+//! trade-off: it cannot change any output bit.
+
+use std::time::Duration;
+
+use ttsnn_snn::quant::{QuantConfig, QuantPlanWeights};
+use ttsnn_snn::{
+    checkpoint, ConvPolicy, InferStats, Model, QuantReport, ResNetConfig, ResNetSnn, SpikingModel,
+    VggConfig, VggSnn,
+};
+use ttsnn_tensor::spike;
+use ttsnn_tensor::{runtime, Rng, Tensor};
+
+/// Which architecture a plan instantiates before loading weights.
+#[derive(Debug, Clone)]
+pub enum ArchSpec {
+    /// A spiking VGG (`ttsnn_snn::VggSnn`).
+    Vgg(VggConfig),
+    /// A spiking (MS-)ResNet (`ttsnn_snn::ResNetSnn`).
+    ResNet(ResNetConfig),
+}
+
+impl ArchSpec {
+    /// Expected per-frame input shape `(C, H, W)`.
+    pub(crate) fn frame_shape(&self) -> [usize; 3] {
+        match self {
+            ArchSpec::Vgg(c) => [c.in_channels, c.in_hw.0, c.in_hw.1],
+            ArchSpec::ResNet(c) => [c.in_channels, c.in_hw.0, c.in_hw.1],
+        }
+    }
+}
+
+/// Dynamic micro-batching knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchPolicy {
+    /// Hard cap on requests coalesced into one forward pass (≥ 1).
+    pub max_batch: usize,
+    /// How long an open batch waits for co-travellers before executing.
+    /// `Duration::ZERO` serves every request the moment it arrives.
+    pub max_wait: Duration,
+}
+
+impl Default for BatchPolicy {
+    /// Up to 8 requests per batch, 2 ms collection window.
+    fn default() -> Self {
+        Self { max_batch: 8, max_wait: Duration::from_millis(2) }
+    }
+}
+
+/// Everything needed to freeze an execution plan.
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// Architecture to instantiate.
+    pub arch: ArchSpec,
+    /// Convolution policy the checkpoint was trained under.
+    pub policy: ConvPolicy,
+    /// Timesteps per request (the `T` of the BPTT unrolling).
+    pub timesteps: usize,
+    /// Merge TT cores back into dense kernels after loading (the paper's
+    /// deployment pipeline). No-op for dense checkpoints.
+    pub merge_into_dense: bool,
+    /// Request-coalescing policy.
+    pub batching: BatchPolicy,
+}
+
+impl EngineConfig {
+    /// A config with default batching and no merge-back.
+    pub fn new(arch: ArchSpec, policy: ConvPolicy, timesteps: usize) -> Self {
+        Self { arch, policy, timesteps, merge_into_dense: false, batching: BatchPolicy::default() }
+    }
+
+    /// Enables TT→dense merge-back at load time.
+    pub fn merged(mut self) -> Self {
+        self.merge_into_dense = true;
+        self
+    }
+
+    /// Overrides the batching policy.
+    pub fn with_batching(mut self, batching: BatchPolicy) -> Self {
+        self.batching = batching;
+        self
+    }
+}
+
+/// How to freeze a checkpoint into a **quantized** (int8) plan: the
+/// quantization knobs plus the calibration set whose activation
+/// statistics fix the static scales. Consumed by
+/// `Cluster::load_quantized`.
+#[derive(Debug, Clone)]
+pub struct QuantSpec {
+    /// Scale granularity and accumulator width.
+    pub config: QuantConfig,
+    /// Calibration frames — `(C, H, W)` direct coding or `(T, C, H, W)`
+    /// per-timestep — run through the inference plane before freezing.
+    /// Must be non-empty.
+    pub calibration: Vec<Tensor>,
+}
+
+impl QuantSpec {
+    /// A spec with default quantization (per-channel scales, exact i32
+    /// accumulators) over the given calibration frames.
+    pub fn new(calibration: Vec<Tensor>) -> Self {
+        Self { config: QuantConfig::default(), calibration }
+    }
+
+    /// Overrides the quantization knobs.
+    pub fn with_config(mut self, config: QuantConfig) -> Self {
+        self.config = config;
+        self
+    }
+}
+
+/// What a loaded plan looks like (reported by `Cluster::info`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanInfo {
+    /// Model name, e.g. `"VGG9 [merged-dense]"`.
+    pub model: String,
+    /// Trainable parameter count of the serving model. For quantized
+    /// plans this counts only the float parameters that remain (the norm
+    /// layers) — the frozen int8 weights are reported in [`PlanInfo::quant`].
+    pub num_params: usize,
+    /// TT layers merged into dense kernels at load time.
+    pub merged_layers: usize,
+    /// Classes per logit vector.
+    pub num_classes: usize,
+    /// What `quantize()` froze, when the plan was loaded with
+    /// `Cluster::load_quantized`.
+    pub quant: Option<QuantReport>,
+    /// Sparse-dispatch mode the plan serves under (`"auto"`, `"force"`,
+    /// `"off"` — resolved from `TTSNN_SPARSE_MODE` at load). Because
+    /// sparse and dense kernels are bit-identical, the mode is a
+    /// performance knob, never a semantic one.
+    pub sparse_mode: String,
+}
+
+/// Measured spike density of a serving plan, from the LIF layers'
+/// activity counters — cumulative over all traffic the plan (or one
+/// cluster replica) has served since load. This is the statistic that
+/// tells an operator whether the density-adaptive dispatcher routes their
+/// traffic to the event-driven sparse kernels.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpikeDensityReport {
+    /// Per-LIF-layer spike density (spikes per neuron per timestep),
+    /// network order. Layers that have not run yet report `0.0`.
+    pub per_layer: Vec<f64>,
+    /// Density over all layers pooled (weighted by neuron-steps), or
+    /// `None` before any traffic.
+    pub mean: Option<f64>,
+}
+
+/// Errors surfaced by submission and tickets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InferError {
+    /// The request's input tensor does not match the plan.
+    Shape(String),
+    /// The cluster (its scheduler and replicas) has shut down.
+    EngineClosed,
+    /// The request's deadline passed while it was still queued, so the
+    /// scheduler dropped it without executing (see `ttsnn_infer::sched`).
+    DeadlineExpired,
+    /// The streaming session's resident state was evicted under memory
+    /// pressure (see `TTSNN_STREAM_STATE_BYTES` /
+    /// `ClusterConfig::stream_state_bytes`): its membranes are gone, so
+    /// the stream cannot be resumed — reopen and re-feed from t = 0.
+    SessionEvicted,
+    /// The streaming session does not exist (already closed, or never
+    /// opened on this replica).
+    SessionClosed,
+}
+
+impl std::fmt::Display for InferError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InferError::Shape(msg) => write!(f, "shape error: {msg}"),
+            InferError::EngineClosed => write!(f, "inference engine has shut down"),
+            InferError::DeadlineExpired => {
+                write!(f, "request deadline expired before execution started")
+            }
+            InferError::SessionEvicted => {
+                write!(f, "streaming session state was evicted under memory pressure")
+            }
+            InferError::SessionClosed => write!(f, "streaming session is closed"),
+        }
+    }
+}
+
+impl std::error::Error for InferError {}
+
+/// What `build_plan` freezes: the serving model, its description, and —
+/// for quantized plans — the shared int8 weights for sibling replicas.
+pub(crate) type BuiltPlan = (Box<dyn Model>, PlanInfo, Option<QuantPlanWeights>);
+
+/// Constructs the model on the calling (replica 0) thread and freezes the
+/// plan. Checkpoint loading, TT→dense merge-back, and (for quantized
+/// plans) calibration + int8 freezing all happen here, on the concrete
+/// type, before it is type-erased behind `dyn Model`. `cfg` and `quant`
+/// were validated by `Cluster::load` before any thread was spawned.
+pub(crate) fn build_plan(
+    cfg: &EngineConfig,
+    ckpt: &[u8],
+    quant: Option<&QuantSpec>,
+) -> Result<BuiltPlan, String> {
+    // Weights are overwritten by the checkpoint; the seed is irrelevant.
+    let mut rng = Rng::seed_from(0);
+    let merge = cfg.merge_into_dense;
+    let (model, num_classes, merged_layers, quant_info, quant_weights): (
+        Box<dyn Model>,
+        usize,
+        usize,
+        Option<QuantReport>,
+        Option<QuantPlanWeights>,
+    ) = match &cfg.arch {
+        ArchSpec::Vgg(c) => {
+            let mut m = VggSnn::new(c.clone(), &cfg.policy, &mut rng);
+            checkpoint::load_params(&m.params(), ckpt).map_err(|e| e.to_string())?;
+            let merged = if merge { m.merge_into_dense().map_err(|e| e.to_string())? } else { 0 };
+            let (qi, qw) = match quant {
+                Some(q) => {
+                    let calib =
+                        m.calibrate(&q.calibration, cfg.timesteps).map_err(|e| e.to_string())?;
+                    let report = m.quantize(&calib, &q.config).map_err(|e| e.to_string())?;
+                    (Some(report), m.quant_plan())
+                }
+                None => (None, None),
+            };
+            (Box::new(m), c.num_classes, merged, qi, qw)
+        }
+        ArchSpec::ResNet(c) => {
+            let mut m = ResNetSnn::new(c.clone(), &cfg.policy, &mut rng);
+            checkpoint::load_params(&m.params(), ckpt).map_err(|e| e.to_string())?;
+            let merged = if merge { m.merge_into_dense().map_err(|e| e.to_string())? } else { 0 };
+            let (qi, qw) = match quant {
+                Some(q) => {
+                    let calib =
+                        m.calibrate(&q.calibration, cfg.timesteps).map_err(|e| e.to_string())?;
+                    let report = m.quantize(&calib, &q.config).map_err(|e| e.to_string())?;
+                    (Some(report), m.quant_plan())
+                }
+                None => (None, None),
+            };
+            (Box::new(m), c.num_classes, merged, qi, qw)
+        }
+    };
+    let mut model = model;
+    // The serving contract: per-sample semantics, whatever the batch.
+    model.set_infer_stats(InferStats::PerSample);
+    let info = PlanInfo {
+        model: model.name(),
+        num_params: model.num_params(),
+        merged_layers,
+        num_classes,
+        quant: quant_info,
+        sparse_mode: spike::sparse_mode().name().to_string(),
+    };
+    Ok((model, info, quant_weights))
+}
+
+/// Snapshot of a serving model's measured spike density (what a replica
+/// reports into the cluster metrics after each batch).
+pub(crate) fn density_report(model: &dyn Model) -> SpikeDensityReport {
+    SpikeDensityReport {
+        per_layer: model.layer_spike_densities(),
+        mean: model.mean_spike_activity(),
+    }
+}
+
+/// Rejects quantization specs that cannot fix a scale: with no
+/// calibration frames every activation scale would be a blind guess, and
+/// the plan would silently serve garbage.
+pub(crate) fn validate_quant(quant: &QuantSpec) -> Result<(), String> {
+    if quant.calibration.is_empty() {
+        return Err("QuantSpec.calibration must hold at least one frame (activation scales are \
+             measured, not guessed)"
+            .to_string());
+    }
+    Ok(())
+}
+
+/// Rejects plan configurations that would wedge or never serve: a
+/// `max_batch` of 0 admits no request into any batch, so a replica would
+/// pop requests it can never serve. Checked by `Cluster::load` before any
+/// thread is spawned.
+pub(crate) fn validate_config(cfg: &EngineConfig) -> Result<(), String> {
+    if cfg.timesteps == 0 {
+        return Err("EngineConfig.timesteps must be at least 1".to_string());
+    }
+    if cfg.batching.max_batch == 0 {
+        return Err("BatchPolicy.max_batch must be at least 1 (0 would admit no request into \
+             any batch and wedge the executor)"
+            .to_string());
+    }
+    Ok(())
+}
+
+/// Stacks pre-validated same-plan inputs timestep by timestep, runs the
+/// frozen plan, and returns the time-summed `(B, K)` logits. The forward
+/// core of every cluster replica.
+///
+/// Inputs are `(C, H, W)` direct-coding frames (repeated at each timestep)
+/// or `(T, C, H, W)` per-timestep frames, already [`validate`]d. The only
+/// steady-state allocations are the model's own conv outputs: the stacking
+/// buffer and consumed per-timestep logits ride the runtime arena, and the
+/// returned tensor's buffer should be recycled by the caller once
+/// scattered.
+///
+/// `traces` carries the batch members' request-lifecycle trace ids
+/// (`ttsnn_obs`; empty or all-zero = untraced). When any member is
+/// traced, every timestep becomes a child span under `execute` — with
+/// the timestep index and per-sample MAC count as payload — and the
+/// member traces are installed as the thread's kernel-region context,
+/// so gemm/conv/sparse regions show up nested inside each timestep.
+///
+/// # Errors
+///
+/// Returns the model's own error message if a forward pass rejects the
+/// stacked batch (unreachable for validated inputs); the model's state is
+/// reset before returning.
+pub(crate) fn forward_requests(
+    model: &mut dyn Model,
+    timesteps: usize,
+    frame_shape: [usize; 3],
+    inputs: &[&Tensor],
+    traces: &[u64],
+) -> Result<Tensor, String> {
+    let b = inputs.len();
+    let [c, h, w] = frame_shape;
+    let frame_len = c * h * w;
+    model.reset_state();
+    let tracing = traces.iter().any(|&t| t != 0) && ttsnn_obs::enabled();
+    let _ctx = ttsnn_obs::TraceContext::enter(traces);
+    let mut stack_buf = runtime::take_buffer(b * frame_len);
+    let mut summed: Option<Tensor> = None;
+    for t in 0..timesteps {
+        // Stack each request's frame for timestep t into (B, C, H, W).
+        for (slot, input) in stack_buf.chunks_mut(frame_len).zip(inputs) {
+            let offset = if input.ndim() == 4 { t * frame_len } else { 0 };
+            slot.copy_from_slice(&input.data()[offset..offset + frame_len]);
+        }
+        let batch = Tensor::from_vec(std::mem::take(&mut stack_buf), &[b, c, h, w])
+            .expect("stacked batch shape");
+        let step_start = if tracing { ttsnn_obs::now_ns() } else { 0 };
+        let step = model.forward_timestep_tensor(&batch, t);
+        if tracing {
+            let dur = ttsnn_obs::now_ns().saturating_sub(step_start);
+            let macs = model.macs_at(t) as u64;
+            for &trace in traces {
+                ttsnn_obs::record_span(trace, "timestep", step_start, dur, t as u64, macs);
+            }
+        }
+        stack_buf = batch.into_vec();
+        match step {
+            Ok(logits) => match summed.as_mut() {
+                Some(s) => {
+                    s.add_scaled(&logits, 1.0).expect("logit accumulation shape");
+                    runtime::recycle_buffer(logits.into_vec());
+                }
+                None => summed = Some(logits),
+            },
+            Err(e) => {
+                model.reset_state();
+                runtime::recycle_buffer(stack_buf);
+                return Err(e.to_string());
+            }
+        }
+    }
+    runtime::recycle_buffer(stack_buf);
+    Ok(summed.expect("timesteps >= 1"))
+}
+
+/// `InferStats`-style drift report of one plan against a reference plan
+/// over a request set — the standard way to quote what int8 freezing did
+/// to a checkpoint's serving numbers (see [`crate::plan_drift`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanDrift {
+    /// Requests compared.
+    pub requests: usize,
+    /// Mean |logit difference| across all requests and classes.
+    pub mean_abs_err: f64,
+    /// Largest |logit difference| seen.
+    pub max_abs_err: f32,
+    /// Fraction of requests whose argmax prediction agreed.
+    pub agreement: f64,
+    /// The reference plan's measured spike density after serving the
+    /// comparison traffic (the cluster's cumulative
+    /// [`ClusterMetrics`](crate::ClusterMetrics) densities); `None` before
+    /// its first batch was recorded.
+    pub reference_density: Option<SpikeDensityReport>,
+    /// Same for the candidate plan.
+    pub candidate_density: Option<SpikeDensityReport>,
+}
+
+pub(crate) fn validate(
+    input: &Tensor,
+    timesteps: usize,
+    frame_shape: [usize; 3],
+) -> Result<(), String> {
+    let [c, h, w] = frame_shape;
+    match input.ndim() {
+        3 if input.shape() == [c, h, w] => (),
+        4 if input.shape() == [timesteps, c, h, w] => (),
+        _ => {
+            return Err(format!(
+                "request input {:?} does not match the plan: expected ({c}, {h}, {w}) or \
+                 ({timesteps}, {c}, {h}, {w})",
+                input.shape()
+            ))
+        }
+    }
+    // A NaN/∞ pixel would return NaN logits on the float plane and —
+    // worse — quantize silently to 0 on the int8 plane (confidently
+    // wrong answers). Reject it here so the bad request fails its own
+    // ticket with a clear message instead of poisoning either plane.
+    if let Some(i) = input.data().iter().position(|v| !v.is_finite()) {
+        return Err(format!("request input has a non-finite value at flat index {i}"));
+    }
+    Ok(())
+}

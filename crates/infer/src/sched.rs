@@ -66,8 +66,8 @@ use std::time::{Duration, Instant};
 
 use ttsnn_tensor::Tensor;
 
-use crate::engine::InferError;
 use crate::metrics::ClusterMetrics;
+use crate::plan::InferError;
 use crate::stream::{FeedReport, StreamOptions, StreamUpdate};
 
 /// Identity of the client a request is accounted (and fair-queued)
@@ -696,6 +696,14 @@ impl State {
     }
 }
 
+/// What [`Scheduler::slot`] found when an admission asked for a
+/// backpressure slot. `Free` and `Full` carry the still-held state lock.
+enum Slot<'a> {
+    Free(std::sync::MutexGuard<'a, State>),
+    Full(std::sync::MutexGuard<'a, State>),
+    Closed,
+}
+
 /// The shared scheduler: sessions push, replicas pull batches, metrics
 /// snapshot on demand. All state sits behind one mutex — every transition
 /// is a few pointer moves, so contention is negligible next to a forward
@@ -778,13 +786,51 @@ impl Scheduler {
         }
     }
 
-    fn enqueue_locked(
+    /// Takes the state lock and looks for a free backpressure slot:
+    /// blocks for one when `block`, otherwise reports [`Slot::Full`] with
+    /// the lock still held so the caller can account the rejection.
+    fn slot(&self, block: bool) -> Slot<'_> {
+        let mut st = self.lock();
+        loop {
+            if st.shutdown {
+                return Slot::Closed;
+            }
+            if st.outstanding < self.capacity {
+                return Slot::Free(st);
+            }
+            if !block {
+                return Slot::Full(st);
+            }
+            st = self.space.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// The one admission routine for batch requests. Rate limits fail
+    /// fast even when `block` — a rate-limited tenant must back off, not
+    /// camp on the queue lock.
+    fn admit(
         &self,
-        st: &mut State,
+        block: bool,
         input: Tensor,
         opts: SubmitOptions,
         reply: Sender<Result<Tensor, InferError>>,
-    ) -> Arc<AtomicBool> {
+    ) -> Result<Arc<AtomicBool>, SubmitError> {
+        let reject =
+            |retry_after| RejectInfo { tenant: opts.tenant, priority: opts.priority, retry_after };
+        let mut st = match self.slot(block) {
+            Slot::Closed => return Err(SubmitError::Closed),
+            Slot::Full(mut st) => {
+                st.metrics.tenant_mut(opts.tenant).rejected_saturated += 1;
+                record_rejected(&opts, REJECT_SATURATED);
+                return Err(SubmitError::Saturated(reject(st.saturation_retry_after())));
+            }
+            Slot::Free(st) => st,
+        };
+        if let Err(retry_after) = self.charge_rate_locked(&mut st, opts.tenant) {
+            st.metrics.tenant_mut(opts.tenant).rejected_rate_limited += 1;
+            record_rejected(&opts, REJECT_RATE_LIMITED);
+            return Err(SubmitError::RateLimited(reject(retry_after)));
+        }
         let now = Instant::now();
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -807,37 +853,17 @@ impl Scheduler {
             popped_ns: 0,
         });
         self.work.notify_all();
-        cancelled
+        Ok(cancelled)
     }
 
-    /// Admits a request, blocking while the queue is saturated. Rate
-    /// limits still fail fast — a rate-limited tenant must back off, not
-    /// camp on the queue lock.
+    /// Admits a request, blocking while the queue is saturated.
     pub(crate) fn submit(
         &self,
         input: Tensor,
         opts: SubmitOptions,
         reply: Sender<Result<Tensor, InferError>>,
     ) -> Result<Arc<AtomicBool>, SubmitError> {
-        let mut st = self.lock();
-        loop {
-            if st.shutdown {
-                return Err(SubmitError::Closed);
-            }
-            if st.outstanding < self.capacity {
-                if let Err(retry_after) = self.charge_rate_locked(&mut st, opts.tenant) {
-                    st.metrics.tenant_mut(opts.tenant).rejected_rate_limited += 1;
-                    record_rejected(&opts, REJECT_RATE_LIMITED);
-                    return Err(SubmitError::RateLimited(RejectInfo {
-                        tenant: opts.tenant,
-                        priority: opts.priority,
-                        retry_after,
-                    }));
-                }
-                return Ok(self.enqueue_locked(&mut st, input, opts, reply));
-            }
-            st = self.space.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        self.admit(true, input, opts, reply)
     }
 
     /// Admits a request or fails fast — the backpressure edge.
@@ -847,30 +873,7 @@ impl Scheduler {
         opts: SubmitOptions,
         reply: Sender<Result<Tensor, InferError>>,
     ) -> Result<Arc<AtomicBool>, SubmitError> {
-        let mut st = self.lock();
-        if st.shutdown {
-            return Err(SubmitError::Closed);
-        }
-        if st.outstanding >= self.capacity {
-            st.metrics.tenant_mut(opts.tenant).rejected_saturated += 1;
-            let retry_after = st.saturation_retry_after();
-            record_rejected(&opts, REJECT_SATURATED);
-            return Err(SubmitError::Saturated(RejectInfo {
-                tenant: opts.tenant,
-                priority: opts.priority,
-                retry_after,
-            }));
-        }
-        if let Err(retry_after) = self.charge_rate_locked(&mut st, opts.tenant) {
-            st.metrics.tenant_mut(opts.tenant).rejected_rate_limited += 1;
-            record_rejected(&opts, REJECT_RATE_LIMITED);
-            return Err(SubmitError::RateLimited(RejectInfo {
-                tenant: opts.tenant,
-                priority: opts.priority,
-                retry_after,
-            }));
-        }
-        Ok(self.enqueue_locked(&mut st, input, opts, reply))
+        self.admit(false, input, opts, reply)
     }
 
     /// One request reached a terminal state: free its backpressure slot.
@@ -1063,15 +1066,29 @@ impl Scheduler {
         Ok((id, replica))
     }
 
-    fn enqueue_stream_feed_locked(
+    /// The one admission routine for stream chunks.
+    fn admit_stream_chunk(
         &self,
-        st: &mut State,
+        block: bool,
         replica: usize,
         id: u64,
         chunk: Tensor,
         deadline: Option<Duration>,
         reply: Sender<Result<StreamUpdate, InferError>>,
-    ) {
+    ) -> Result<(), SubmitError> {
+        let mut st = match self.slot(block) {
+            Slot::Closed => return Err(SubmitError::Closed),
+            // Stream chunks carry no tenant (sessions are the accounting
+            // unit there); report the default tenant's context.
+            Slot::Full(st) => {
+                return Err(SubmitError::Saturated(RejectInfo {
+                    tenant: 0,
+                    priority: Priority::Normal,
+                    retry_after: st.saturation_retry_after(),
+                }))
+            }
+            Slot::Free(st) => st,
+        };
         let now = Instant::now();
         st.outstanding += 1;
         st.metrics.sessions.chunks_submitted += 1;
@@ -1087,6 +1104,7 @@ impl Scheduler {
             submit_ns: if trace != 0 { ttsnn_obs::now_ns() } else { 0 },
         });
         self.work.notify_all();
+        Ok(())
     }
 
     /// Admits a stream chunk, blocking while the queue is saturated.
@@ -1098,17 +1116,7 @@ impl Scheduler {
         deadline: Option<Duration>,
         reply: Sender<Result<StreamUpdate, InferError>>,
     ) -> Result<(), SubmitError> {
-        let mut st = self.lock();
-        loop {
-            if st.shutdown {
-                return Err(SubmitError::Closed);
-            }
-            if st.outstanding < self.capacity {
-                self.enqueue_stream_feed_locked(&mut st, replica, id, chunk, deadline, reply);
-                return Ok(());
-            }
-            st = self.space.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        self.admit_stream_chunk(true, replica, id, chunk, deadline, reply)
     }
 
     /// Admits a stream chunk or fails fast — the backpressure edge for
@@ -1121,22 +1129,7 @@ impl Scheduler {
         deadline: Option<Duration>,
         reply: Sender<Result<StreamUpdate, InferError>>,
     ) -> Result<(), SubmitError> {
-        let mut st = self.lock();
-        if st.shutdown {
-            return Err(SubmitError::Closed);
-        }
-        if st.outstanding >= self.capacity {
-            // Stream chunks carry no tenant (sessions are the accounting
-            // unit there); report the default tenant's context.
-            let retry_after = st.saturation_retry_after();
-            return Err(SubmitError::Saturated(RejectInfo {
-                tenant: 0,
-                priority: Priority::Normal,
-                retry_after,
-            }));
-        }
-        self.enqueue_stream_feed_locked(&mut st, replica, id, chunk, deadline, reply);
-        Ok(())
+        self.admit_stream_chunk(false, replica, id, chunk, deadline, reply)
     }
 
     /// Queues a session close (from a `ClusterStreamSession` drop). Not a

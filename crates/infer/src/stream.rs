@@ -1,6 +1,5 @@
-//! Stateful streaming sessions: the shared session-state machinery behind
-//! `Session::open_stream` (single engine) and
-//! `ClusterSession::open_stream` (cluster serving).
+//! Stateful streaming sessions: the per-replica session-state machinery
+//! behind `ClusterSession::open_stream`.
 //!
 //! # Why streaming needs state
 //!
@@ -48,7 +47,7 @@ use std::collections::HashMap;
 use ttsnn_snn::{InferState, Model};
 use ttsnn_tensor::{runtime, Tensor};
 
-use crate::engine::InferError;
+use crate::plan::InferError;
 
 /// Spike-count-margin early-exit policy for streaming sessions: stop
 /// integrating once the cumulative logit margin `top1 − top2` reaches
@@ -169,9 +168,8 @@ pub(crate) struct FeedReport {
     pub(crate) macs_skipped: u64,
 }
 
-/// The executor-side session table: id → state, plus eviction accounting.
-/// One per engine executor / cluster replica; lives on the executor
-/// thread, so no locking.
+/// The replica-side session table: id → state, plus eviction accounting.
+/// One per cluster replica; lives on the replica's thread, so no locking.
 pub(crate) struct StreamTable {
     sessions: HashMap<u64, StreamState>,
     /// Ids evicted under memory pressure — kept to distinguish

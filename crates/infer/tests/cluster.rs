@@ -1,13 +1,14 @@
 //! Serving-cluster determinism, cancellation, deadline and backpressure
 //! tests.
 //!
-//! The headline property extends the engine's contract to replicas: a
-//! request's logits are **bit-identical** whatever the replica count, the
-//! scheduling order, the priority mix, or which other requests were
-//! cancelled mid-flight — and equal to a batch-of-1 pass through the
-//! training plane of the same checkpoint. CI re-runs this suite under
-//! `TTSNN_NUM_THREADS=2` and under `TTSNN_NUM_REPLICAS=1`/`3` (the
-//! env-default test picks the replica count up from the environment).
+//! The headline property: a request's logits are **bit-identical**
+//! whatever batch the dynamic micro-batcher coalesced it into, whatever
+//! the replica count, the scheduling order, the priority mix, or which
+//! other requests were cancelled mid-flight — and equal to a batch-of-1
+//! pass through the *training* plane of the same checkpoint. CI re-runs
+//! this suite under `TTSNN_NUM_THREADS=2`/`8` and under
+//! `TTSNN_NUM_REPLICAS=1`/`3` (every test built with
+//! `ClusterConfig::new` picks the replica count up from the environment).
 
 use std::time::Duration;
 
@@ -17,11 +18,17 @@ use ttsnn_infer::{
     ArchSpec, BatchPolicy, Cluster, ClusterConfig, EngineConfig, InferError, Priority, SubmitError,
     SubmitOptions,
 };
-use ttsnn_snn::{checkpoint, ConvPolicy, SpikingModel, TrainForward, VggConfig, VggSnn};
+use ttsnn_snn::{
+    checkpoint, ConvPolicy, ResNetConfig, ResNetSnn, SpikingModel, TrainForward, VggConfig, VggSnn,
+};
 use ttsnn_tensor::{Rng, Tensor};
 use ttsnn_testutil::{drained_metrics, vgg9_tiny as vgg_cfg, vgg_checkpoint};
 
 const T: usize = 2;
+
+fn resnet_cfg() -> ResNetConfig {
+    ttsnn_testutil::resnet20_tiny(4)
+}
 
 fn samples(seed: u64, n: usize) -> Vec<Tensor> {
     ttsnn_testutil::samples(seed ^ 0x5A5A, n)
@@ -110,6 +117,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Coalescing policy cannot change a single output bit, and serving
+    /// equals the training plane at batch size 1.
+    #[test]
+    fn batching_invariance_and_train_plane_parity(seed in 0u64..500) {
+        let (ckpt, mut reference_model) = vgg_checkpoint(&ConvPolicy::tt(TtMode::Ptt), seed);
+        let inputs = samples(seed, 6);
+        let expected: Vec<Tensor> = inputs
+            .iter()
+            .map(|s| train_plane_reference(&mut reference_model, s))
+            .collect();
+        for (max_batch, max_wait_ms) in [(1usize, 0u64), (3, 40), (6, 40)] {
+            let cluster = Cluster::load(
+                ClusterConfig::new(ttsnn_testutil::vgg_engine_config(
+                    ConvPolicy::tt(TtMode::Ptt),
+                    T,
+                    max_batch,
+                    Duration::from_millis(max_wait_ms),
+                )),
+                ckpt.as_slice(),
+            )
+            .unwrap();
+            let session = cluster.session();
+            // Submit everything first so the batcher actually coalesces.
+            let tickets: Vec<_> =
+                inputs.iter().map(|s| session.submit(s.clone()).unwrap()).collect();
+            for (i, ticket) in tickets.into_iter().enumerate() {
+                let got = ticket.wait().unwrap();
+                prop_assert_eq!(
+                    &got, &expected[i],
+                    "sample {} diverged under max_batch={} (batching must be invisible)",
+                    i, max_batch
+                );
+            }
+        }
+    }
+}
+
 /// Replica count from the environment (the CI matrix sets
 /// `TTSNN_NUM_REPLICAS=1`/`3`): same bits as the training plane.
 #[test]
@@ -131,6 +178,67 @@ fn env_default_replica_count_serves_identically() {
             "request {i} diverged under the env-default replica count"
         );
     }
+}
+
+#[test]
+fn merged_plan_approximates_tt_plan_and_reports_merge() {
+    let (ckpt, _) = vgg_checkpoint(&ConvPolicy::tt(TtMode::Ptt), 5);
+    let base = EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::tt(TtMode::Ptt), T);
+    let tt_engine = Cluster::load(ClusterConfig::new(base.clone()), ckpt.as_slice()).unwrap();
+    let merged_engine = Cluster::load(ClusterConfig::new(base.merged()), ckpt.as_slice()).unwrap();
+    assert_eq!(tt_engine.info().merged_layers, 0);
+    assert_eq!(merged_engine.info().merged_layers, 5); // VGG9: stem stays dense
+    assert!(merged_engine.info().model.contains("merged-dense"));
+    let x = samples(5, 1).remove(0);
+    let tt = tt_engine.session().infer(x.clone()).unwrap();
+    let merged = merged_engine.session().infer(x).unwrap();
+    assert!(
+        tt.max_abs_diff(&merged).unwrap() < 1e-2,
+        "merged-dense serving must reproduce the TT plan"
+    );
+}
+
+#[test]
+fn resnet_event_style_requests_with_per_timestep_frames() {
+    let mut rng = Rng::seed_from(9);
+    let model = ResNetSnn::new(resnet_cfg(), &ConvPolicy::tt(TtMode::Stt), &mut rng);
+    let mut ckpt = Vec::new();
+    checkpoint::save_params(&model.params(), &mut ckpt).unwrap();
+    let engine = Cluster::load(
+        ClusterConfig::new(EngineConfig::new(
+            ArchSpec::ResNet(resnet_cfg()),
+            ConvPolicy::tt(TtMode::Stt),
+            T,
+        )),
+        ckpt.as_slice(),
+    )
+    .unwrap();
+    let session = engine.session();
+    // (T, C, H, W): explicit per-timestep frames.
+    let x = Tensor::rand_uniform(&[T, 3, 8, 8], 0.0, 1.0, &mut rng);
+    let logits = session.infer(x).unwrap();
+    assert_eq!(logits.shape(), &[4]);
+    assert_eq!(engine.info().num_classes, 4);
+}
+
+#[test]
+fn duration_max_means_wait_until_full() {
+    // `max_wait: Duration::MAX` is a natural "hold until max_batch"
+    // sentinel; it must not overflow Instant arithmetic and panic the
+    // executor.
+    let (ckpt, mut reference_model) = vgg_checkpoint(&ConvPolicy::Baseline, 8);
+    // One replica: with more, two replicas could each open a batch on one
+    // of the two requests and both wait forever for a second.
+    let engine =
+        Cluster::load(cluster_config(ConvPolicy::Baseline, 1, 2, Duration::MAX), ckpt.as_slice())
+            .unwrap();
+    let session = engine.session();
+    let inputs = samples(8, 2);
+    // Submit exactly max_batch requests; the batch fills and executes.
+    let t0 = session.submit(inputs[0].clone()).unwrap();
+    let t1 = session.submit(inputs[1].clone()).unwrap();
+    assert_eq!(t0.wait().unwrap(), train_plane_reference(&mut reference_model, &inputs[0]));
+    assert_eq!(t1.wait().unwrap(), train_plane_reference(&mut reference_model, &inputs[1]));
 }
 
 /// The acceptance guarantee for cancellation, constructed deterministically:
@@ -235,8 +343,8 @@ fn try_submit_reports_saturation_and_shutdown_serves_admitted_work() {
         other => panic!("expected Saturated, got {:?}", other.map(|_| ())),
     }
     assert_eq!(cluster.metrics().outstanding, 2);
-    // Shutdown semantics mirror the engine: a batch the replica already
-    // *admitted* is still served; requests still sitting in the queue are
+    // Shutdown semantics: a batch the replica already *admitted* is still
+    // served; requests still sitting in the queue are
     // dropped and their tickets hang up. Which side of that line the two
     // requests land on is a race with the replica's pop — but there is no
     // third outcome: a ticket either resolves with the exact training-plane
@@ -323,14 +431,10 @@ fn load_rejects_invalid_configs() {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 91);
     let engine_cfg = EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::Baseline, T);
 
-    // max_batch == 0 used to be silently clamped; it must now be rejected
-    // up front — by the engine and the cluster alike.
+    // max_batch == 0 would admit no request into any batch; it must be
+    // rejected up front.
     let zero_batch =
         engine_cfg.clone().with_batching(BatchPolicy { max_batch: 0, max_wait: Duration::ZERO });
-    let err =
-        ttsnn_infer::Engine::load(zero_batch.clone(), ckpt.as_slice()).map(|_| ()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("max_batch"), "{err}");
     let err =
         Cluster::load(ClusterConfig::new(zero_batch), ckpt.as_slice()).map(|_| ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
@@ -366,6 +470,12 @@ fn cluster_metrics_surface_spike_density_after_traffic() {
         ckpt.as_slice(),
     )
     .unwrap();
+    // The frozen plan records which dispatch mode it resolved at load.
+    assert!(
+        ["auto", "force", "off"].contains(&cluster.info().sparse_mode.as_str()),
+        "unexpected sparse mode {:?}",
+        cluster.info().sparse_mode
+    );
     assert!(
         cluster.metrics().spike_density.is_empty(),
         "no traffic yet: density summary must be empty"

@@ -3,14 +3,13 @@
 //! * the frozen int8 weights are **exactly** the grid
 //!   `ttsnn_core::quant::fake_quant_int8` simulates (bit-equal
 //!   dequantized weights);
-//! * `Engine::load_quantized` serves bit-identically to an in-process
+//! * `Cluster::load_quantized` serves bit-identically to an in-process
 //!   quantized model on the same checkpoint (re-run in CI under
 //!   `TTSNN_NUM_THREADS` 2/8 — integer kernels cannot depend on the
 //!   thread count);
-//! * `Cluster::load_quantized` serves bit-identically to the
-//!   single-engine plan whatever `TTSNN_NUM_REPLICAS` says (re-run in CI
-//!   at 1 and 3 replicas), with the int8 weights loaded once and
-//!   `Arc`-shared;
+//! * an N-replica quantized cluster serves bit-identically to the
+//!   1-replica plan whatever `TTSNN_NUM_REPLICAS` says (re-run in CI at 1
+//!   and 3 replicas), with the int8 weights loaded once and `Arc`-shared;
 //! * on a trained checkpoint, int8 serving tracks the f32 plan: high
 //!   argmax agreement and a bounded accuracy delta on a synthetic
 //!   dataset ([`ttsnn_infer::plan_drift`]).
@@ -21,7 +20,7 @@ use ttsnn_autograd::Var;
 use ttsnn_core::quant::fake_quant_int8;
 use ttsnn_core::TtMode;
 use ttsnn_data::{Batch, StaticImages};
-use ttsnn_infer::{plan_drift, Cluster, ClusterConfig, Engine, EngineConfig, QuantSpec};
+use ttsnn_infer::{plan_drift, Cluster, ClusterConfig, ClusterSession, EngineConfig, QuantSpec};
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{
     train, ConvPolicy, ConvUnit, InferForward, InferStats, SpikingModel, TrainConfig, VggSnn,
@@ -37,6 +36,12 @@ fn calib_frames(n: usize, seed: u64) -> Vec<Tensor> {
 
 fn engine_cfg() -> EngineConfig {
     engine_cfg_for(ConvPolicy::Baseline)
+}
+
+/// [`engine_cfg`] on the env-default replica count (the CI matrix sets
+/// `TTSNN_NUM_REPLICAS=1`/`3`).
+fn cluster_cfg() -> ClusterConfig {
+    ClusterConfig::new(engine_cfg())
 }
 
 fn engine_cfg_for(policy: ConvPolicy) -> EngineConfig {
@@ -78,7 +83,7 @@ fn frozen_weights_bit_equal_fake_quant_reference() {
     }
 }
 
-/// Engine::load_quantized == in-process calibrate+quantize+forward on
+/// Cluster::load_quantized == in-process calibrate+quantize+forward on
 /// the same checkpoint, bit for bit — and invariant to how requests were
 /// batched. CI re-runs this under TTSNN_NUM_THREADS=2/8.
 #[test]
@@ -93,11 +98,14 @@ fn quantized_engine_bit_equals_in_process_reference() {
     reference.quantize(&calib, &QuantConfig::default()).unwrap();
     reference.set_infer_stats(InferStats::PerSample);
 
-    let engine =
-        Engine::load_quantized(engine_cfg(), QuantSpec::new(calibration.clone()), ckpt.as_slice())
-            .unwrap();
+    let engine = Cluster::load_quantized(
+        cluster_cfg(),
+        QuantSpec::new(calibration.clone()),
+        ckpt.as_slice(),
+    )
+    .unwrap();
     let info = engine.info();
-    let qi = info.quant.as_ref().expect("quantized plan reports QuantInfo");
+    let qi = info.quant.as_ref().expect("quantized plan reports what it froze");
     assert_eq!(qi.quantized_convs, 6);
     assert!(qi.per_channel);
     assert!(qi.int8_bytes * 3 < qi.f32_bytes, "int8 plan must be ~4x smaller");
@@ -108,7 +116,7 @@ fn quantized_engine_bit_equals_in_process_reference() {
         (0..8).map(|_| Tensor::rand_uniform(&[3, 8, 8], 0.0, 1.0, &mut rng)).collect();
     let session = engine.session();
     // Coalesced submission: tickets ride shared batches.
-    let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone())).collect();
+    let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone()).unwrap()).collect();
     for (input, ticket) in inputs.iter().zip(tickets) {
         let served = ticket.wait().unwrap();
         let want = infer_logits(&mut reference, input);
@@ -125,9 +133,9 @@ fn quantized_engine_bit_equals_in_process_reference() {
     }
 }
 
-/// Cluster::load_quantized == Engine::load_quantized bit-for-bit,
-/// whatever the replica count (CI re-runs at TTSNN_NUM_REPLICAS=1/3 ×
-/// TTSNN_NUM_THREADS=2), and the int8 buffers are genuinely shared (the
+/// An N-replica quantized cluster == the 1-replica one bit-for-bit,
+/// whatever N the environment picks (CI re-runs at TTSNN_NUM_REPLICAS=1/3
+/// × TTSNN_NUM_THREADS=2), and the int8 buffers are genuinely shared (the
 /// plan reports one copy of the weights however many replicas serve).
 #[test]
 fn quantized_cluster_bit_equals_engine_across_replicas() {
@@ -137,9 +145,12 @@ fn quantized_cluster_bit_equals_engine_across_replicas() {
     let calibration = calib_frames(3, 8);
 
     let cfg = engine_cfg_for(ConvPolicy::tt(TtMode::Ptt));
-    let engine =
-        Engine::load_quantized(cfg.clone(), QuantSpec::new(calibration.clone()), ckpt.as_slice())
-            .unwrap();
+    let engine = Cluster::load_quantized(
+        ClusterConfig::new(cfg.clone()).with_replicas(1),
+        QuantSpec::new(calibration.clone()),
+        ckpt.as_slice(),
+    )
+    .unwrap();
     let cluster = Cluster::load_quantized(
         ClusterConfig::new(cfg),
         QuantSpec::new(calibration),
@@ -190,8 +201,8 @@ fn requests_from_batches(batches: &[Batch]) -> (Vec<Tensor>, Vec<usize>) {
     (inputs, labels)
 }
 
-fn accuracy(session: &ttsnn_infer::Session, inputs: &[Tensor], labels: &[usize]) -> f64 {
-    let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone())).collect();
+fn accuracy(session: &ClusterSession, inputs: &[Tensor], labels: &[usize]) -> f64 {
+    let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone()).unwrap()).collect();
     let mut correct = 0usize;
     for (ticket, &label) in tickets.into_iter().zip(labels) {
         if ticket.wait().unwrap().argmax() == label {
@@ -220,9 +231,9 @@ fn trained_accuracy_delta_bounded_on_synth_dataset() {
 
     // Calibrate on training frames (never the test set).
     let (calib_inputs, _) = requests_from_batches(&train_b[..1]);
-    let f32_engine = Engine::load(engine_cfg(), ckpt.as_slice()).unwrap();
+    let f32_engine = Cluster::load(cluster_cfg(), ckpt.as_slice()).unwrap();
     let int8_engine =
-        Engine::load_quantized(engine_cfg(), QuantSpec::new(calib_inputs), ckpt.as_slice())
+        Cluster::load_quantized(cluster_cfg(), QuantSpec::new(calib_inputs), ckpt.as_slice())
             .unwrap();
 
     let (inputs, labels) = requests_from_batches(&test_b);
@@ -250,13 +261,13 @@ fn empty_calibration_rejected() {
     let model = VggSnn::new(vgg_cfg(), &ConvPolicy::Baseline, &mut rng);
     let ckpt = checkpoint_bytes(&model);
     let Err(err) =
-        Engine::load_quantized(engine_cfg(), QuantSpec::new(Vec::new()), ckpt.as_slice())
+        Cluster::load_quantized(cluster_cfg(), QuantSpec::new(Vec::new()), ckpt.as_slice())
     else {
         panic!("empty calibration must be rejected")
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("calibration"), "unclear error: {err}");
-    // Cluster path rejects identically.
+    // An explicit replica count rejects identically.
     let Err(err) = Cluster::load_quantized(
         ClusterConfig::new(engine_cfg()).with_replicas(1),
         QuantSpec::new(Vec::new()),
@@ -293,9 +304,9 @@ fn non_finite_requests_fail_their_own_ticket() {
     let model = VggSnn::new(vgg_cfg(), &ConvPolicy::Baseline, &mut rng);
     let ckpt = checkpoint_bytes(&model);
     let calibration = calib_frames(2, 22);
-    let int8 =
-        Engine::load_quantized(engine_cfg(), QuantSpec::new(calibration), ckpt.as_slice()).unwrap();
-    let f32_engine = Engine::load(engine_cfg(), ckpt.as_slice()).unwrap();
+    let int8 = Cluster::load_quantized(cluster_cfg(), QuantSpec::new(calibration), ckpt.as_slice())
+        .unwrap();
+    let f32_engine = Cluster::load(cluster_cfg(), ckpt.as_slice()).unwrap();
 
     let good = Tensor::rand_uniform(&[3, 8, 8], 0.0, 1.0, &mut rng);
     let mut bad = good.clone();
@@ -303,7 +314,8 @@ fn non_finite_requests_fail_their_own_ticket() {
     for engine in [&f32_engine, &int8] {
         let session = engine.session();
         // Submit the bad request co-batched with a good one.
-        let (tb, tg) = (session.submit(bad.clone()), session.submit(good.clone()));
+        let (tb, tg) =
+            (session.submit(bad.clone()).unwrap(), session.submit(good.clone()).unwrap());
         let err = tb.wait().unwrap_err().to_string();
         assert!(err.contains("non-finite"), "unclear error: {err}");
         let logits = tg.wait().unwrap();

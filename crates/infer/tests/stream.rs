@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use ttsnn_core::TtMode;
 use ttsnn_data::stack_frames;
 use ttsnn_infer::{
-    Cluster, ClusterConfig, EarlyExit, Engine, InferError, QuantSpec, StreamOptions, SubmitError,
+    Cluster, ClusterConfig, EarlyExit, InferError, QuantSpec, StreamOptions, SubmitError,
 };
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{ConvPolicy, InferForward, InferStats, SpikingModel, VggSnn};
@@ -53,6 +53,12 @@ fn all_chunk_plans() -> Vec<Vec<usize>> {
         plans.push(plan);
     }
     plans
+}
+
+/// The suite's plan on the env-default replica count (the CI matrix
+/// sets `TTSNN_NUM_REPLICAS=1`/`3`).
+fn cluster_config(policy: ConvPolicy) -> ClusterConfig {
+    ClusterConfig::new(vgg_engine_config(policy, T, 4, Duration::from_millis(1)))
 }
 
 /// Per-timestep `(C, H, W)` frames for one client stream.
@@ -106,8 +112,8 @@ proptest! {
         reference.set_infer_stats(InferStats::PerSample);
         let frames = stream_frames(seed);
         let refs = prefix_references(&mut reference, &frames);
-        let engine = Engine::load(
-            vgg_engine_config(ConvPolicy::tt(TtMode::Ptt), T, 4, Duration::from_millis(1)),
+        let engine = Cluster::load(
+            cluster_config(ConvPolicy::tt(TtMode::Ptt)),
             ckpt.as_slice(),
         )
         .unwrap();
@@ -115,7 +121,7 @@ proptest! {
         let whole = session.infer(stack_frames(&frames).unwrap()).unwrap();
         prop_assert_eq!(&whole, &refs[T - 1], "whole-stream request is the T-prefix");
         for plan in all_chunk_plans() {
-            let stream = session.open_stream(StreamOptions::default());
+            let stream = session.open_stream(StreamOptions::default()).unwrap();
             let last = assert_plan_matches_prefixes(&frames, &plan, &refs, "f32", |chunk| {
                 stream.push(chunk).unwrap()
             });
@@ -137,8 +143,8 @@ fn chunked_equals_whole_after_every_prefix_int8() {
     let frames = stream_frames(43);
     let refs = prefix_references(&mut reference, &frames);
 
-    let engine = Engine::load_quantized(
-        vgg_engine_config(ConvPolicy::Baseline, T, 4, Duration::from_millis(1)),
+    let engine = Cluster::load_quantized(
+        cluster_config(ConvPolicy::Baseline),
         QuantSpec::new(calibration),
         ckpt.as_slice(),
     )
@@ -148,7 +154,7 @@ fn chunked_equals_whole_after_every_prefix_int8() {
     let whole = session.infer(stack_frames(&frames).unwrap()).unwrap();
     assert_bits_eq(&whole, &refs[T - 1], "int8 whole-stream request");
     for plan in all_chunk_plans() {
-        let stream = session.open_stream(StreamOptions::default());
+        let stream = session.open_stream(StreamOptions::default()).unwrap();
         let last = assert_plan_matches_prefixes(&frames, &plan, &refs, "int8", |chunk| {
             stream.push(chunk).unwrap()
         });
@@ -248,14 +254,11 @@ fn early_exit_is_invariant_to_chunk_boundaries() {
     let expected_exit = margins.iter().position(|&m| m >= threshold).unwrap() + 1;
     let expected_skipped_macs: u64 = (expected_exit..T).map(|t| reference.macs_at(t) as u64).sum();
 
-    let engine = Engine::load(
-        vgg_engine_config(ConvPolicy::Baseline, T, 4, Duration::from_millis(1)),
-        ckpt.as_slice(),
-    )
-    .unwrap();
+    let engine = Cluster::load(cluster_config(ConvPolicy::Baseline), ckpt.as_slice()).unwrap();
     let session = engine.session();
     for plan in all_chunk_plans() {
-        let stream = session.open_stream(StreamOptions::early_exit(EarlyExit::margin(threshold)));
+        let stream =
+            session.open_stream(StreamOptions::early_exit(EarlyExit::margin(threshold))).unwrap();
         let mut at = 0usize;
         let mut last = None;
         for &n in &plan {
@@ -280,8 +283,9 @@ fn early_exit_is_invariant_to_chunk_boundaries() {
 
     // An unreachable margin never exits; a co-resident plain stream is
     // never perturbed by its early-exiting neighbours.
-    let never = session.open_stream(StreamOptions::early_exit(EarlyExit::margin(f32::MAX)));
-    let plain = session.open_stream(StreamOptions::default());
+    let never =
+        session.open_stream(StreamOptions::early_exit(EarlyExit::margin(f32::MAX))).unwrap();
+    let plain = session.open_stream(StreamOptions::default()).unwrap();
     for (t, frame) in frames.iter().enumerate() {
         let n = never.push(frame.clone()).unwrap();
         assert_eq!(n.exited_at, None);
@@ -297,15 +301,12 @@ fn early_exit_is_invariant_to_chunk_boundaries() {
 fn early_exit_honours_min_timesteps_and_skips_remaining_chunks() {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 71);
     let frames = stream_frames(71);
-    let engine = Engine::load(
-        vgg_engine_config(ConvPolicy::Baseline, T, 4, Duration::from_millis(1)),
-        ckpt.as_slice(),
-    )
-    .unwrap();
+    let engine = Cluster::load(cluster_config(ConvPolicy::Baseline), ckpt.as_slice()).unwrap();
     let session = engine.session();
     // margin 0.0 is satisfied after any step: the floor decides the exit.
     let stream = session
-        .open_stream(StreamOptions::early_exit(EarlyExit::margin(0.0).with_min_timesteps(2)));
+        .open_stream(StreamOptions::early_exit(EarlyExit::margin(0.0).with_min_timesteps(2)))
+        .unwrap();
     let u1 = stream.push(frames[0].clone()).unwrap();
     assert_eq!(u1.exited_at, None, "floor not reached yet");
     let u2 = stream.push(frames[1].clone()).unwrap();
@@ -333,9 +334,7 @@ fn eviction_reclaims_memory_without_perturbing_survivors() {
     // evicts the colder one (the bound never evicts the session it just
     // served).
     let cluster = Cluster::load(
-        ClusterConfig::new(vgg_engine_config(ConvPolicy::Baseline, T, 4, Duration::from_millis(1)))
-            .with_replicas(1)
-            .with_stream_state_bytes(Some(1)),
+        cluster_config(ConvPolicy::Baseline).with_replicas(1).with_stream_state_bytes(Some(1)),
         ckpt.as_slice(),
     )
     .unwrap();
@@ -443,13 +442,9 @@ fn malformed_chunks_fail_without_perturbing_the_session() {
     reference.set_infer_stats(InferStats::PerSample);
     let frames = stream_frames(113);
     let refs = prefix_references(&mut reference, &frames);
-    let engine = Engine::load(
-        vgg_engine_config(ConvPolicy::Baseline, T, 4, Duration::from_millis(1)),
-        ckpt.as_slice(),
-    )
-    .unwrap();
+    let engine = Cluster::load(cluster_config(ConvPolicy::Baseline), ckpt.as_slice()).unwrap();
     let session = engine.session();
-    let stream = session.open_stream(StreamOptions::default());
+    let stream = session.open_stream(StreamOptions::default()).unwrap();
     stream.push(frames[0].clone()).unwrap();
 
     // Wrong shape.
@@ -478,22 +473,11 @@ fn malformed_chunks_fail_without_perturbing_the_session() {
     }
 }
 
-/// Streams outliving their executor report closure, on both serving
-/// planes.
+/// Streams outliving their cluster report closure.
 #[test]
 fn feeds_after_shutdown_report_closed() {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 127);
     let frame = stream_frames(127).remove(0);
-    let stream = {
-        let engine = Engine::load(
-            vgg_engine_config(ConvPolicy::Baseline, T, 4, Duration::from_millis(1)),
-            ckpt.as_slice(),
-        )
-        .unwrap();
-        engine.session().open_stream(StreamOptions::default())
-    };
-    assert_eq!(stream.push(frame.clone()), Err(InferError::EngineClosed));
-
     let cstream = {
         let cluster = Cluster::load(
             vgg_cluster_config(ConvPolicy::Baseline, T, 1, 4, Duration::from_millis(1)),

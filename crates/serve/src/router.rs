@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 use std::io;
 
 use ttsnn_infer::{
-    Cluster, ClusterConfig, ClusterMetrics, ClusterSession, InferError, PlanDrift, QuantSpec,
-    SpikeDensityReport,
+    plan_drift, Cluster, ClusterConfig, ClusterMetrics, ClusterSession, InferError, PlanDrift,
+    QuantSpec,
 };
 use ttsnn_obs::watchdog::HealthReport;
 use ttsnn_tensor::Tensor;
@@ -115,10 +115,8 @@ impl Router {
     }
 
     /// Measures `candidate`'s logit drift against `reference` **online**:
-    /// both live clusters serve `inputs` (per-sample determinism makes
-    /// concurrent traffic irrelevant to the bits) and the same statistics
-    /// as `ttsnn_infer::plan_drift` are computed from the replies, with
-    /// densities read from each cluster's cumulative metrics.
+    /// [`ttsnn_infer::plan_drift`] on the two live clusters (per-sample
+    /// determinism makes concurrent traffic irrelevant to the bits).
     ///
     /// # Errors
     ///
@@ -130,48 +128,9 @@ impl Router {
         candidate: &str,
         inputs: &[Tensor],
     ) -> Result<PlanDrift, InferError> {
-        let unknown = |name: &str| InferError::Shape(format!("unknown plan {name:?}"));
-        let r = self.plans.get(reference).ok_or_else(|| unknown(reference))?;
-        let c = self.plans.get(candidate).ok_or_else(|| unknown(candidate))?;
-        let mut mean_acc = 0.0f64;
-        let mut elems = 0usize;
-        let mut max_abs = 0.0f32;
-        let mut agreed = 0usize;
-        // Submit everything up front so both plans' micro-batching
-        // engages; blocking submission keeps this probe subject to the
-        // same backpressure as any client.
-        let ref_tickets: Vec<_> = inputs
-            .iter()
-            .map(|x| r.session.submit(x.clone()).map_err(|_| InferError::EngineClosed))
-            .collect::<Result<_, _>>()?;
-        let cand_tickets: Vec<_> = inputs
-            .iter()
-            .map(|x| c.session.submit(x.clone()).map_err(|_| InferError::EngineClosed))
-            .collect::<Result<_, _>>()?;
-        for (tr, tc) in ref_tickets.into_iter().zip(cand_tickets) {
-            let (yr, yc) = (tr.wait()?, tc.wait()?);
-            for (a, b) in yr.data().iter().zip(yc.data()) {
-                let d = (a - b).abs();
-                mean_acc += d as f64;
-                max_abs = max_abs.max(d);
-            }
-            elems += yr.data().len();
-            if yr.argmax() == yc.argmax() {
-                agreed += 1;
-            }
-        }
-        let density = |p: &Plan| {
-            let m = p.cluster.metrics();
-            m.mean_spike_density
-                .map(|mean| SpikeDensityReport { per_layer: m.spike_density, mean: Some(mean) })
+        let session = |name: &str| {
+            self.session(name).ok_or_else(|| InferError::Shape(format!("unknown plan {name:?}")))
         };
-        Ok(PlanDrift {
-            requests: inputs.len(),
-            mean_abs_err: if elems > 0 { mean_acc / elems as f64 } else { 0.0 },
-            max_abs_err: max_abs,
-            agreement: if inputs.is_empty() { 1.0 } else { agreed as f64 / inputs.len() as f64 },
-            reference_density: density(r),
-            candidate_density: density(c),
-        })
+        plan_drift(session(reference)?, session(candidate)?, inputs)
     }
 }

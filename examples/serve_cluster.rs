@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::seed_from(7);
     let timesteps = 2usize;
 
-    // One checkpoint is the whole hand-off, exactly like the single engine.
+    // One checkpoint is the whole hand-off from the training side.
     let cfg = VggConfig::vgg9(3, 4, (8, 8), 16);
     let policy = ConvPolicy::tt(TtMode::Ptt);
     let model = VggSnn::new(cfg.clone(), &policy, &mut rng);

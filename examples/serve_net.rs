@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::seed_from(7);
     let timesteps = 2usize;
 
-    // ---- A frozen plan: random-init here; a real deployment loads a
-    // trained checkpoint (see the serve_requests example).
+    // ---- A frozen plan: random-init here; a real deployment loads
+    // whatever `train`/`ShardedTrainer` checkpointed.
     let cfg = VggConfig::vgg9(3, 4, (8, 8), 16);
     let policy = ConvPolicy::tt(TtMode::Ptt);
     let model = VggSnn::new(cfg.clone(), &policy, &mut rng);

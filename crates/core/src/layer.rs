@@ -256,9 +256,9 @@ impl TtConv {
 
     /// Forward on plain tensors with **no gradient tracking**: runs the
     /// sub-convolution chain directly on the runtime kernels, building no
-    /// autograd graph — the inference path. Intermediates between cores
-    /// come from the runtime's per-thread scratch-arena-backed conv
-    /// pipeline, so a timestep loop allocates only its outputs.
+    /// autograd graph — the inference path. Every intermediate between
+    /// cores is checked out of the thread's arena and recycled as soon as
+    /// the next core has consumed it; the caller recycles the output.
     ///
     /// # Errors
     ///
@@ -276,20 +276,32 @@ impl TtConv {
         let (w1, w2, w3, w4) = (self.w1.value(), self.w2.value(), self.w3.value(), self.w4.value());
         match (&self.mode, self.mode.is_full_at(t)) {
             (TtMode::Stt, _) => {
-                let o = conv::conv2d(x, &w1, &g.g1)?;
-                let o = conv::conv2d(&o, &w2, &g.g2_seq)?;
-                let o = conv::conv2d(&o, &w3, &g.g3_seq)?;
-                conv::conv2d(&o, &w4, &g.g4)
+                let o1 = conv::conv2d(x, &w1, &g.g1)?;
+                let o2 = conv::conv2d(&o1, &w2, &g.g2_seq)?;
+                o1.recycle();
+                let o3 = conv::conv2d(&o2, &w3, &g.g3_seq)?;
+                o2.recycle();
+                let y = conv::conv2d(&o3, &w4, &g.g4);
+                o3.recycle();
+                y
             }
             (TtMode::Ptt, _) | (TtMode::Htt(_), true) => {
                 let o = conv::conv2d(x, &w1, &g.g1)?;
-                let vertical = conv::conv2d(&o, &w2, &g.g2_par)?;
+                let mut vertical = conv::conv2d(&o, &w2, &g.g2_par)?;
                 let horizontal = conv::conv2d(&o, &w3, &g.g3_par)?;
-                conv::conv2d(&vertical.add(&horizontal)?, &w4, &g.g4)
+                o.recycle();
+                // vertical + horizontal in place: `1.0 * h` is `h` exactly.
+                vertical.add_scaled(&horizontal, 1.0)?;
+                horizontal.recycle();
+                let y = conv::conv2d(&vertical, &w4, &g.g4);
+                vertical.recycle();
+                y
             }
             (TtMode::Htt(_), false) => {
                 let o = conv::conv2d(x, &w1, &g.g1_half)?;
-                conv::conv2d(&o, &w4, &g.g4_half)
+                let y = conv::conv2d(&o, &w4, &g.g4_half);
+                o.recycle();
+                y
             }
         }
     }

@@ -38,7 +38,7 @@ pub fn merge_stt(cores: &TtCores) -> Result<Tensor, ShapeError> {
     // merge-back runs once per layer per timestep in HTT ablations, and the
     // arena keeps it allocation-free after the first call.
     let mut out = Tensor::zeros(&[o, i, 3, 3]);
-    with_scratch_zeroed(r * r * 9, |m| {
+    with_scratch_zeroed(r * r * 9, |m: &mut [f32]| {
         for b in 0..r {
             for a in 0..r {
                 for kh in 0..3 {
@@ -54,7 +54,7 @@ pub fn merge_stt(cores: &TtCores) -> Result<Tensor, ShapeError> {
             }
         }
         // t[a, oo, kh, kw]
-        with_scratch_zeroed(r * o * 9, |t| {
+        with_scratch_zeroed(r * o * 9, |t: &mut [f32]| {
             for a in 0..r {
                 for oo in 0..o {
                     let trow = &mut t[(a * o + oo) * 9..(a * o + oo) * 9 + 9];
@@ -105,7 +105,7 @@ pub fn merge_ptt(cores: &TtCores) -> Result<Tensor, ShapeError> {
     // then contract with w4 over b and w1 over a, as in merge_stt. The
     // intermediate lives in the runtime's per-thread scratch arena.
     let mut out = Tensor::zeros(&[o, i, 3, 3]);
-    with_scratch_zeroed(r * o * 9, |t| {
+    with_scratch_zeroed(r * o * 9, |t: &mut [f32]| {
         // t[a, oo, kh, kw]
         for a in 0..r {
             for b in 0..r {

@@ -43,7 +43,7 @@ use std::thread::JoinHandle;
 
 use ttsnn_snn::quant::QuantPlanWeights;
 use ttsnn_snn::{checkpoint, InferStats, Model, ResNetSnn, VggSnn};
-use ttsnn_tensor::{runtime, Rng, Tensor};
+use ttsnn_tensor::{Rng, Tensor};
 
 use crate::metrics::ClusterMetrics;
 use crate::plan::{
@@ -76,6 +76,13 @@ pub struct ClusterConfig {
     /// session's outputs change by a single bit. `None` (the
     /// `TTSNN_STREAM_STATE_BYTES` environment default when unset) is
     /// unbounded.
+    ///
+    /// The bound counts membrane **lengths**. Membrane buffers come from
+    /// the replica thread's arena, which never hands out a capacity above
+    /// twice the requested length, so what a replica really holds for its
+    /// sessions is at most `2 × stream_state_bytes` (and exactly
+    /// `stream_state_bytes` when buffers are reused at their own size,
+    /// the steady state of a fixed plan).
     pub stream_state_bytes: Option<usize>,
     /// Opt-in overload control: per-tenant weighted fair queueing with
     /// token-bucket rate limits (see [`FairPolicy`]). `None` (the
@@ -853,7 +860,7 @@ fn serve_cluster_batch(
                 let _ = job.reply.send(Ok(logits));
                 served.push((job.priority, job.tenant, job.submitted.elapsed()));
             }
-            runtime::recycle_buffer(summed.into_vec());
+            summed.recycle();
             sched.record_batch(&served, batch_size);
             sched.record_density(density.per_layer, density.mean);
         }

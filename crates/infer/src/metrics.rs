@@ -267,6 +267,13 @@ pub struct ClusterMetrics {
     /// The telemetry watchdog's liveness signal: a replica wedged inside
     /// a forward pass — or deadlocked — stops refreshing its slot.
     pub replica_heartbeat_age: Vec<Option<Duration>>,
+    /// Per-replica bytes parked in the replica thread's scratch arena
+    /// (`ttsnn_tensor::runtime::scratch_bytes`) as of its last
+    /// scheduler-loop heartbeat: what the replica holds between requests.
+    /// Flat under steady traffic and never above the arena's 64 MiB
+    /// budget; a climbing value means some caller recycles buffers it
+    /// never takes.
+    pub replica_arena_bytes: Vec<usize>,
 }
 
 impl ClusterMetrics {
@@ -285,6 +292,7 @@ impl ClusterMetrics {
             tenants: BTreeMap::new(),
             tenant_overflow: TenantStats::default(),
             replica_heartbeat_age: vec![None; replicas],
+            replica_arena_bytes: vec![0; replicas],
         }
     }
 

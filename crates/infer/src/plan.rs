@@ -20,7 +20,7 @@ use ttsnn_snn::{
     VggConfig, VggSnn,
 };
 use ttsnn_tensor::spike;
-use ttsnn_tensor::{runtime, Rng, Tensor};
+use ttsnn_tensor::{Rng, Tensor};
 
 /// Which architecture a plan instantiates before loading weights.
 #[derive(Debug, Clone)]
@@ -308,11 +308,9 @@ pub(crate) fn validate_config(cfg: &EngineConfig) -> Result<(), String> {
 /// core of every cluster replica.
 ///
 /// Inputs are `(C, H, W)` direct-coding frames (repeated at each timestep)
-/// or `(T, C, H, W)` per-timestep frames, already [`validate`]d. The only
-/// steady-state allocations are the model's own conv outputs: the stacking
-/// buffer and consumed per-timestep logits ride the runtime arena, and the
-/// returned tensor's buffer should be recycled by the caller once
-/// scattered.
+/// or `(T, C, H, W)` per-timestep frames, already [`validate`]d. The
+/// stacking buffer, every activation and the per-timestep logits ride the
+/// thread's arena; the caller recycles the returned tensor once scattered.
 ///
 /// `traces` carries the batch members' request-lifecycle trace ids
 /// (`ttsnn_obs`; empty or all-zero = untraced). When any member is
@@ -339,16 +337,14 @@ pub(crate) fn forward_requests(
     model.reset_state();
     let tracing = traces.iter().any(|&t| t != 0) && ttsnn_obs::enabled();
     let _ctx = ttsnn_obs::TraceContext::enter(traces);
-    let mut stack_buf = runtime::take_buffer(b * frame_len);
+    let mut batch = Tensor::scratch(&[b, c, h, w]);
     let mut summed: Option<Tensor> = None;
     for t in 0..timesteps {
         // Stack each request's frame for timestep t into (B, C, H, W).
-        for (slot, input) in stack_buf.chunks_mut(frame_len).zip(inputs) {
+        for (slot, input) in batch.data_mut().chunks_mut(frame_len).zip(inputs) {
             let offset = if input.ndim() == 4 { t * frame_len } else { 0 };
             slot.copy_from_slice(&input.data()[offset..offset + frame_len]);
         }
-        let batch = Tensor::from_vec(std::mem::take(&mut stack_buf), &[b, c, h, w])
-            .expect("stacked batch shape");
         let step_start = if tracing { ttsnn_obs::now_ns() } else { 0 };
         let step = model.forward_timestep_tensor(&batch, t);
         if tracing {
@@ -358,23 +354,22 @@ pub(crate) fn forward_requests(
                 ttsnn_obs::record_span(trace, "timestep", step_start, dur, t as u64, macs);
             }
         }
-        stack_buf = batch.into_vec();
         match step {
             Ok(logits) => match summed.as_mut() {
                 Some(s) => {
                     s.add_scaled(&logits, 1.0).expect("logit accumulation shape");
-                    runtime::recycle_buffer(logits.into_vec());
+                    logits.recycle();
                 }
                 None => summed = Some(logits),
             },
             Err(e) => {
                 model.reset_state();
-                runtime::recycle_buffer(stack_buf);
+                batch.recycle();
                 return Err(e.to_string());
             }
         }
     }
-    runtime::recycle_buffer(stack_buf);
+    batch.recycle();
     Ok(summed.expect("timesteps >= 1"))
 }
 

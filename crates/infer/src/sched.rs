@@ -64,7 +64,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ttsnn_tensor::Tensor;
+use ttsnn_tensor::{runtime, Tensor};
 
 use crate::metrics::ClusterMetrics;
 use crate::plan::InferError;
@@ -949,8 +949,10 @@ impl Scheduler {
             let first = loop {
                 // Liveness heartbeat: the replica is provably inside the
                 // scheduler loop (refreshed on every wake, so waiting for
-                // work is not mistaken for being wedged).
+                // work is not mistaken for being wedged). This runs on the
+                // replica's own thread, so its arena gauge rides along.
                 st.seen[replica] = Some(Instant::now());
+                st.metrics.replica_arena_bytes[replica] = runtime::scratch_bytes();
                 if let Some(cmd) = self.pop_stream(&mut st, replica, Instant::now()) {
                     return Some(Work::Stream(cmd));
                 }
@@ -1563,6 +1565,22 @@ mod tests {
         assert_eq!(ages.len(), 1);
         let age = ages[0].expect("replica 0 pulled work");
         assert!(age < Duration::from_secs(5), "fresh heartbeat, got {age:?}");
+    }
+
+    #[test]
+    fn replica_arena_bytes_ride_the_heartbeat() {
+        let s = sched(8);
+        assert_eq!(s.metrics().replica_arena_bytes, vec![0]);
+        // The pulling thread plays replica 0: whatever its arena holds at
+        // the pull is what the gauge reports.
+        Tensor::zeros(&[1000]).recycle();
+        let parked = runtime::scratch_bytes();
+        assert!(parked >= 4000);
+        let (tx, rx) = channel();
+        std::mem::forget(rx);
+        s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
+        let _ = next_batch(&s, 1, Duration::ZERO).unwrap();
+        assert_eq!(s.metrics().replica_arena_bytes, vec![parked]);
     }
 
     #[test]

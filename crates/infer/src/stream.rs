@@ -45,7 +45,7 @@
 use std::collections::HashMap;
 
 use ttsnn_snn::{InferState, Model};
-use ttsnn_tensor::{runtime, Tensor};
+use ttsnn_tensor::Tensor;
 
 use crate::plan::InferError;
 
@@ -309,11 +309,11 @@ impl StreamTable {
 fn recycle_state(st: StreamState) {
     if let Some(state) = st.state {
         for m in state.into_membranes().into_iter().flatten() {
-            runtime::recycle_buffer(m.into_vec());
+            m.recycle();
         }
     }
     if let Some(s) = st.summed {
-        runtime::recycle_buffer(s.into_vec());
+        s.recycle();
     }
 }
 
@@ -337,7 +337,7 @@ fn run_chunk(
             .restore_infer_state(state)
             .map_err(|e| InferError::Shape(format!("stream state restore: {e}")))?;
     }
-    let mut stack_buf = runtime::take_buffer(frame_len);
+    let mut batch = Tensor::scratch(&[1, c, h, w]);
     let mut exited_mid_chunk = false;
     for i in 0..n {
         let t = st.t + i;
@@ -347,18 +347,14 @@ fn run_chunk(
             continue;
         }
         let offset = if chunk.ndim() == 4 { i * frame_len } else { 0 };
-        stack_buf.copy_from_slice(&chunk.data()[offset..offset + frame_len]);
-        let batch = Tensor::from_vec(std::mem::take(&mut stack_buf), &[1, c, h, w])
-            .expect("stream frame shape");
-        let step = model.forward_timestep_tensor(&batch, t);
-        stack_buf = batch.into_vec();
-        let logits = match step {
+        batch.data_mut().copy_from_slice(&chunk.data()[offset..offset + frame_len]);
+        let logits = match model.forward_timestep_tensor(&batch, t) {
             Ok(l) => l,
             Err(e) => {
                 // Unreachable for validated chunks; poison the session
                 // rather than serve from half-advanced state.
                 model.reset_state();
-                runtime::recycle_buffer(stack_buf);
+                batch.recycle();
                 st.state = None;
                 return Err(InferError::Shape(e.to_string()));
             }
@@ -366,7 +362,7 @@ fn run_chunk(
         match st.summed.as_mut() {
             Some(s) => {
                 s.add_scaled(&logits, 1.0).expect("logit accumulation shape");
-                runtime::recycle_buffer(logits.into_vec());
+                logits.recycle();
             }
             None => st.summed = Some(logits),
         }
@@ -382,7 +378,7 @@ fn run_chunk(
             }
         }
     }
-    runtime::recycle_buffer(stack_buf);
+    batch.recycle();
     st.t += n;
     st.executed += report.executed as usize;
     st.macs_executed += report.macs_executed;
@@ -479,5 +475,48 @@ mod tests {
         assert!(table.close(1));
         assert!(!table.close(1));
         assert_eq!(table.active(), 0);
+    }
+
+    /// `stream_state_bytes` budgets `len`; the arena bounds what that can
+    /// under-count: a pinned membrane's capacity is at most twice its
+    /// length, however large the buffers parked on the replica thread.
+    #[test]
+    fn pinned_membranes_hold_at_most_twice_their_length() {
+        use ttsnn_snn::quant::QuantConfig;
+        use ttsnn_snn::{ConvPolicy, InferForward, InferStats, VggConfig, VggSnn};
+        use ttsnn_tensor::spike::SparseMode;
+        use ttsnn_tensor::Rng;
+
+        // An arena full of buffers far larger than any membrane — and just
+        // over twice the size of plausible ones.
+        for k in 4..=18 {
+            for cap in [(2 << k) + 1, 3 << k, 1 << 18] {
+                Tensor::zeros(&[cap]).recycle();
+            }
+        }
+        // Int8 on the dense kernels: every membrane is a `qconv2d` output,
+        // a buffer that has always come from the arena.
+        let cfg = VggConfig::vgg9(2, 5, (8, 8), 16);
+        let mut model = VggSnn::new(cfg, &ConvPolicy::Baseline, &mut Rng::seed_from(5));
+        let chunk = Tensor::full(&[2, 2, 8, 8], 1.0);
+        let calib = model.calibrate(std::slice::from_ref(&chunk), 2).expect("calibrate");
+        model.quantize(&calib, &QuantConfig::default()).expect("quantize");
+        model.set_sparse_mode(Some(SparseMode::Off));
+        model.set_infer_stats(InferStats::PerSample);
+        let mut table = StreamTable::new(None);
+        table.open(1, StreamOptions::default());
+        table.feed(&mut model, 4, [2, 8, 8], 1, &chunk).expect("feed");
+
+        let resident = table.resident_bytes();
+        let state = table.sessions.get_mut(&1).unwrap().state.take().expect("pinned state");
+        assert_eq!(resident, state.bytes());
+        let mut held = 0;
+        for m in state.into_membranes().into_iter().flatten() {
+            let len = m.len();
+            let cap = m.into_vec().capacity();
+            assert!(cap <= 2 * len, "membrane of {len} elements holds {cap}");
+            held += cap * std::mem::size_of::<f32>();
+        }
+        assert!(resident > 0 && held <= 2 * resident, "{held} B held for {resident} B budgeted");
     }
 }

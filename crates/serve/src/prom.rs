@@ -364,6 +364,20 @@ pub fn render(plans: &[(String, ClusterMetrics)]) -> String {
             }
         }
     }
+    {
+        let mut f = Family::new(
+            &mut out,
+            "ttsnn_replica_arena_bytes",
+            "gauge",
+            "Bytes parked in each replica thread's scratch arena at its last scheduler heartbeat.",
+        );
+        for (plan, m) in plans {
+            for (i, &n) in m.replica_arena_bytes.iter().enumerate() {
+                let r = i.to_string();
+                f.sample("ttsnn_replica_arena_bytes", &[("plan", plan), ("replica", &r)], n as f64);
+            }
+        }
+    }
     out
 }
 

@@ -109,6 +109,7 @@ fn live_metrics_scrape_passes_the_promtext_lint() {
         "# TYPE ttsnn_slo_availability gauge",
         "# TYPE ttsnn_slo_error_budget_remaining gauge",
         "# TYPE ttsnn_replica_heartbeat_age_seconds gauge",
+        "# TYPE ttsnn_replica_arena_bytes gauge",
         "ttsnn_health_state{plan=\"vgg\"} 0",
     ] {
         assert!(page.contains(needle), "metrics page missing {needle:?}:\n{page}");
@@ -132,6 +133,13 @@ fn live_metrics_scrape_passes_the_promtext_lint() {
     assert_eq!(series_with("ttsnn_slo_availability{").len(), 1);
     assert_eq!(series_with("ttsnn_slo_error_budget_remaining{").len(), 1);
     assert!(series_with("ttsnn_replica_heartbeat_age_seconds{").len() <= 1, "1 replica mounted");
+    // One arena gauge per (plan, replica); the replica has served and gone
+    // back to the scheduler, so it has parked buffers to report.
+    let arena = series_with("ttsnn_replica_arena_bytes{");
+    assert_eq!(arena, series_with("ttsnn_replica_arena_bytes{plan=\"vgg\",replica=\"0\"}"));
+    assert_eq!(arena.len(), 1, "1 plan x 1 replica:\n{arena:?}");
+    let parked: f64 = arena[0].rsplit(' ').next().unwrap().parse().unwrap();
+    assert!(parked > 0.0 && parked <= 64.0 * 1024.0 * 1024.0, "{arena:?}");
 
     // Pass 1: HELP/TYPE exactly once per family, HELP before TYPE.
     let mut help_count: HashMap<String, usize> = HashMap::new();

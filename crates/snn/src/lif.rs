@@ -12,7 +12,7 @@
 //! reset factor is detached from the graph, the standard STBP treatment.
 
 use ttsnn_autograd::{Surrogate, Var};
-use ttsnn_tensor::{runtime, ShapeError, Tensor};
+use ttsnn_tensor::{ShapeError, Tensor};
 
 /// LIF neuron hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,7 +81,7 @@ impl Lif {
     pub fn reset(&mut self) {
         self.membrane = None;
         if let Some(m) = self.membrane_tensor.take() {
-            runtime::recycle_buffer(m.into_vec());
+            m.recycle();
         }
     }
 
@@ -105,7 +105,7 @@ impl Lif {
     /// recycled to the runtime arena first.
     pub fn restore_state_tensor(&mut self, membrane: Option<Tensor>) {
         if let Some(old) = self.membrane_tensor.take() {
-            runtime::recycle_buffer(old.into_vec());
+            old.recycle();
         }
         self.membrane_tensor = membrane;
     }
@@ -187,18 +187,19 @@ impl Lif {
     /// membrane's (i.e. the caller changed batch shape without
     /// [`Lif::reset`]).
     pub fn step_tensor(&mut self, mut input: Tensor) -> Result<Tensor, ShapeError> {
-        let shape = input.shape().to_vec();
-        // u = τm · u_prev + x, written over `input`; the retired membrane's
-        // buffer becomes the spike output.
-        let mut spike_buf = match self.membrane_tensor.take() {
+        // u = τm · u_prev + x, written over `input`; the retired membrane
+        // (same shape) becomes the spike output.
+        let mut spikes = match self.membrane_tensor.take() {
             Some(prev) => {
-                if prev.shape() != shape.as_slice() {
-                    let prev_shape = prev.shape().to_vec();
+                if prev.shape() != input.shape() {
+                    let err = ShapeError::new(format!(
+                        "Lif::step_tensor: input shape {:?} does not match membrane {:?} \
+                         (missing reset?)",
+                        input.shape(),
+                        prev.shape()
+                    ));
                     self.membrane_tensor = Some(prev);
-                    return Err(ShapeError::new(format!(
-                        "Lif::step_tensor: input shape {shape:?} does not match membrane \
-                         {prev_shape:?} (missing reset?)"
-                    )));
+                    return Err(err);
                 }
                 let tau = self.config.tau;
                 // `p * tau + u`: bit-equal to the Var path (float addition
@@ -206,31 +207,31 @@ impl Lif {
                 for (u, &p) in input.data_mut().iter_mut().zip(prev.data()) {
                     *u += p * tau;
                 }
-                prev.into_vec()
+                prev
             }
             None => {
                 // Mirrors the Var path's `input.add_scalar(0.0)` first step.
                 for u in input.data_mut() {
                     *u += 0.0;
                 }
-                runtime::take_buffer(shape.iter().product())
+                Tensor::scratch(input.shape())
             }
         };
         let vth = self.config.vth;
         let mut fired = 0.0f32;
-        for (s, &u) in spike_buf.iter_mut().zip(input.data()) {
+        for (s, &u) in spikes.data_mut().iter_mut().zip(input.data()) {
             *s = if u >= vth { 1.0 } else { 0.0 };
             fired += *s;
         }
         self.spike_sum += fired as f64;
-        self.neuron_steps += spike_buf.len() as f64;
+        self.neuron_steps += spikes.len() as f64;
         // Hard reset, same value as the Var path's detached gate
         // u · ((s · -1) + 1): negation is an exact sign flip.
-        for (u, &s) in input.data_mut().iter_mut().zip(spike_buf.iter()) {
+        for (u, &s) in input.data_mut().iter_mut().zip(spikes.data()) {
             *u *= -s + 1.0;
         }
         self.membrane_tensor = Some(input);
-        Tensor::from_vec(spike_buf, &shape)
+        Ok(spikes)
     }
 }
 

@@ -159,14 +159,19 @@ impl InferState {
 
 /// The **inference plane**: timestep forward on plain [`Tensor`]s.
 ///
-/// Implementations must allocate **zero autograd nodes** and route their
-/// heavy kernels through `ttsnn_tensor::runtime` (arena-backed
-/// intermediates). The semantics knob is [`InferStats`]: `Batch` is
+/// Implementations must allocate **zero autograd nodes**, route their
+/// heavy kernels through `ttsnn_tensor::runtime`, and recycle every
+/// intermediate they take (`Tensor::scratch` / `Tensor::recycle`), so a
+/// steady-state timestep loop allocates nothing of activation size. The
+/// semantics knob is [`InferStats`]: `Batch` is
 /// bit-faithful to [`TrainForward`] on the same batch, `PerSample` is
 /// batch-composition-invariant for serving.
 pub trait InferForward: SpikingModel {
     /// Processes the input frame at timestep `t`, returning `(B, K)`
-    /// logits, without building any autograd graph.
+    /// logits, without building any autograd graph. The logits' buffer,
+    /// like every intermediate, is checked out of the calling thread's
+    /// arena: [`Tensor::recycle`] it when done (dropping it is correct,
+    /// it just costs the next timestep an allocation).
     ///
     /// # Errors
     ///
@@ -267,7 +272,7 @@ pub(crate) fn linear_tensor_mode(
             match sparse.filter(|sp| mode.routes_sparse(sp.density())) {
                 Some(sp) => spike::sparse_linear(&sp, w)?,
                 None => {
-                    let mut y = Tensor::from_vec(runtime::take_buffer(batch * out), &[batch, out])?;
+                    let mut y = Tensor::scratch(&[batch, out]);
                     let rt = Runtime::global();
                     for s in 0..batch {
                         runtime::gemm_a_bt(

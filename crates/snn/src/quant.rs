@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use ttsnn_core::quant::{quantize_int8, quantize_int8_per_channel};
 use ttsnn_tensor::qkernels::{self, QAccum};
-use ttsnn_tensor::spike::{self, SpikeTensor};
+use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{Conv2dGeometry, ShapeError, Tensor};
 
 use crate::conv_unit::ConvUnit;
@@ -320,6 +320,19 @@ impl QuantLinear {
             )));
         }
         spike::sparse_qlinear(sp, self.x_scale, &w.values, &w.scales, &w.bias, self.accum)
+    }
+
+    /// The classifier under a sparse-dispatch mode: event-driven when `x`
+    /// is binary and `mode` routes its density sparse, dense otherwise.
+    pub(crate) fn forward_mode(&self, x: &Tensor, mode: SparseMode) -> Result<Tensor, ShapeError> {
+        if mode != SparseMode::Off {
+            if let Some(sp) = SpikeTensor::try_pack(x) {
+                if mode.routes_sparse(sp.density()) {
+                    return self.forward_spikes(&sp);
+                }
+            }
+        }
+        self.forward_tensor(x)
     }
 }
 

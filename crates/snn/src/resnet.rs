@@ -14,8 +14,8 @@
 //! whose analytic params/FLOPs live in `ttsnn_core::flops`.
 
 use ttsnn_autograd::Var;
-use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
-use ttsnn_tensor::{pool, runtime, Rng, ShapeError, Tensor};
+use ttsnn_tensor::spike::{self, SparseMode};
+use ttsnn_tensor::{pool, Rng, ShapeError, Tensor};
 
 use crate::conv_unit::{ConvPolicy, ConvUnit};
 use crate::lif::{Lif, LifConfig};
@@ -504,7 +504,7 @@ impl InferForward for ResNetSnn {
             }
             site += 1;
             let mut y = block.conv_b.forward_tensor_mode(&h, t, mode)?;
-            runtime::recycle_buffer(h.into_vec());
+            h.recycle();
             block.norm_b.forward_tensor(&mut y, t, stats)?;
             // y += shortcut, the tensor twin of the Var path's y.add(&sc).
             match &block.shortcut {
@@ -516,34 +516,27 @@ impl InferForward for ResNetSnn {
                     let mut sc = conv.forward_tensor_mode(&spikes, t, mode)?;
                     norm.forward_tensor(&mut sc, t, stats)?;
                     y.add_scaled(&sc, 1.0)?;
-                    runtime::recycle_buffer(sc.into_vec());
+                    sc.recycle();
                 }
                 None => y.add_scaled(&spikes, 1.0)?,
             }
-            runtime::recycle_buffer(spikes.into_vec());
+            spikes.recycle();
             spikes = block.lif_b.step_tensor(y)?;
         }
         let pooled = pool::global_avg_pool(&spikes)?;
-        runtime::recycle_buffer(spikes.into_vec());
+        spikes.recycle();
         if let Some(rec) = calib.as_mut() {
             rec.observe(site, &pooled);
         }
         self.calib = calib;
-        match &self.qfc {
-            Some(q) => {
-                if mode != SparseMode::Off {
-                    if let Some(sp) = SpikeTensor::try_pack(&pooled) {
-                        if mode.routes_sparse(sp.density()) {
-                            return q.forward_spikes(&sp);
-                        }
-                    }
-                }
-                q.forward_tensor(&pooled)
-            }
+        let logits = match &self.qfc {
+            Some(q) => q.forward_mode(&pooled, mode),
             None => {
                 linear_tensor_mode(&pooled, &self.fc_w.value(), &self.fc_b.value(), stats, mode)
             }
-        }
+        };
+        pooled.recycle();
+        logits
     }
 
     fn set_infer_stats(&mut self, stats: InferStats) {

@@ -7,8 +7,8 @@
 //! change.
 
 use ttsnn_autograd::Var;
-use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
-use ttsnn_tensor::{pool, runtime, Rng, ShapeError, Tensor};
+use ttsnn_tensor::spike::{self, SparseMode};
+use ttsnn_tensor::{pool, Rng, ShapeError, Tensor};
 
 use crate::conv_unit::{ConvPolicy, ConvUnit};
 use crate::lif::{Lif, LifConfig};
@@ -390,13 +390,13 @@ impl InferForward for VggSnn {
             site += 1;
             let mut y = layer.conv.forward_tensor_mode(h.as_ref().unwrap_or(x), t, mode)?;
             if let Some(spent) = h.take() {
-                runtime::recycle_buffer(spent.into_vec());
+                spent.recycle();
             }
             layer.norm.forward_tensor(&mut y, t, stats)?;
             let s = layer.lif.step_tensor(y)?;
             h = Some(if layer.pool {
                 let pooled = pool::avg_pool2d(&s, 2)?;
-                runtime::recycle_buffer(s.into_vec());
+                s.recycle();
                 pooled
             } else {
                 s
@@ -407,26 +407,19 @@ impl InferForward for VggSnn {
             None => x.clone(),
         };
         let pooled = pool::global_avg_pool(&feats)?;
-        runtime::recycle_buffer(feats.into_vec());
+        feats.recycle();
         if let Some(rec) = calib.as_mut() {
             rec.observe(site, &pooled);
         }
         self.calib = calib;
-        match &self.qfc {
-            Some(q) => {
-                if mode != SparseMode::Off {
-                    if let Some(sp) = SpikeTensor::try_pack(&pooled) {
-                        if mode.routes_sparse(sp.density()) {
-                            return q.forward_spikes(&sp);
-                        }
-                    }
-                }
-                q.forward_tensor(&pooled)
-            }
+        let logits = match &self.qfc {
+            Some(q) => q.forward_mode(&pooled, mode),
             None => {
                 linear_tensor_mode(&pooled, &self.fc_w.value(), &self.fc_b.value(), stats, mode)
             }
-        }
+        };
+        pooled.recycle();
+        logits
     }
 
     fn set_infer_stats(&mut self, stats: InferStats) {

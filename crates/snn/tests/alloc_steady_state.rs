@@ -1,0 +1,175 @@
+//! Steady-state allocation of the inference plane: once a model has seen
+//! its inputs, serving them again allocates nothing of 1 KiB or more.
+//!
+//! Every activation, membrane, spike word buffer and kernel scratch comes
+//! out of the per-thread arena (`ttsnn_tensor::runtime`) and goes back to
+//! it, so after two warm-up requests a request is served entirely from
+//! parked buffers. What remains are the few-dozen-byte allocations of
+//! shape vectors and small bookkeeping, far under the 1 KiB line; any
+//! activation-sized allocation (the smallest here is 2 KiB) is a buffer
+//! that fell out of the loop.
+//!
+//! One `#[test]` in a binary of its own: the counting allocator is
+//! process-wide, so nothing else may run beside the measured window, and
+//! the counter is armed only for that window. The kernel pool is pinned
+//! to one thread — with more, which worker first meets a given scratch
+//! size is up to the scheduler, and a strict zero would flake.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use ttsnn_snn::quant::QuantConfig;
+use ttsnn_snn::{ConvPolicy, InferForward, InferStats, ResNetConfig, ResNetSnn, VggConfig, VggSnn};
+use ttsnn_tensor::runtime::Runtime;
+use ttsnn_tensor::{Rng, Tensor};
+
+/// Allocations at or above this size are counted.
+const LARGE: usize = 1024;
+const T: usize = 4;
+const HW: usize = 16;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LARGE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting large requests while armed.
+struct Counting;
+
+fn note(size: usize) {
+    if size >= LARGE && ARMED.load(Ordering::Relaxed) {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LARGE_BYTES.fetch_add(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain atomics and
+// never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` and `layout` describe a live `System` block.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` describe a live `System` block.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// One request: `T` frames of `(1, C, H, W)`.
+type Request = Vec<Tensor>;
+
+/// A `(C, H, W)` analog frame, repeated at every timestep.
+fn analog_request(rng: &mut Rng) -> Request {
+    let frame = Tensor::rand_uniform(&[1, 3, HW, HW], 0.0, 1.0, rng);
+    vec![frame; T]
+}
+
+/// `T` binary event frames at roughly 15 % density.
+fn event_request(rng: &mut Rng) -> Request {
+    (0..T)
+        .map(|_| {
+            let data = (0..2 * HW * HW).map(|_| f32::from(rng.uniform() < 0.15)).collect();
+            Tensor::from_vec(data, &[1, 2, HW, HW]).unwrap()
+        })
+        .collect()
+}
+
+/// The event frames as `(T, C, H, W)` calibration samples.
+fn calibration(requests: &[Request]) -> Vec<Tensor> {
+    requests
+        .iter()
+        .map(|frames| {
+            let data: Vec<f32> = frames.iter().flat_map(|f| f.data().iter().copied()).collect();
+            Tensor::from_vec(data, &[T, 2, HW, HW]).unwrap()
+        })
+        .collect()
+}
+
+fn serve(model: &mut dyn InferForward, request: &Request) {
+    model.reset_state();
+    for (t, frame) in request.iter().enumerate() {
+        model.forward_timestep_tensor(frame, t).expect("forward").recycle();
+    }
+}
+
+/// Two warm-up requests, then 32 measured ones over the same inputs;
+/// returns the large allocations (count, bytes) of the measured window.
+fn steady_state(model: &mut dyn InferForward, requests: &[Request; 2]) -> (usize, usize) {
+    model.set_infer_stats(InferStats::PerSample);
+    for request in requests {
+        serve(model, request);
+    }
+    let before = (LARGE_ALLOCS.load(Ordering::Relaxed), LARGE_BYTES.load(Ordering::Relaxed));
+    ARMED.store(true, Ordering::SeqCst);
+    for i in 0..32 {
+        serve(model, &requests[i % 2]);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    (
+        LARGE_ALLOCS.load(Ordering::Relaxed) - before.0,
+        LARGE_BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
+#[test]
+fn steady_state_requests_allocate_nothing_large() {
+    // Before anything touches the kernel runtime (it reads this once).
+    std::env::set_var("TTSNN_NUM_THREADS", "1");
+    assert_eq!(Runtime::global().threads(), 1);
+
+    let mut rng = Rng::seed_from(13);
+    let analog = [analog_request(&mut rng), analog_request(&mut rng)];
+    let events = [event_request(&mut rng), event_request(&mut rng)];
+    let vgg = |in_ch, rng: &mut Rng| {
+        VggSnn::new(VggConfig::vgg9(in_ch, 10, (HW, HW), 8), &ConvPolicy::Baseline, rng)
+    };
+    let resnet = |cfg: ResNetConfig, rng: &mut Rng| ResNetSnn::new(cfg, &ConvPolicy::Baseline, rng);
+
+    let mut vgg_int8 = vgg(2, &mut rng);
+    let calib = vgg_int8.calibrate(&calibration(&events), T).unwrap();
+    vgg_int8.quantize(&calib, &QuantConfig::default()).unwrap();
+    let mut resnet_int8 = resnet(ResNetConfig::resnet18_events(10, (HW, HW), 8), &mut rng);
+    let calib = resnet_int8.calibrate(&calibration(&events), T).unwrap();
+    resnet_int8.quantize(&calib, &QuantConfig::default()).unwrap();
+
+    let mut cases: Vec<(&str, Box<dyn InferForward>, &[Request; 2])> = vec![
+        ("VGG9 analog f32", Box::new(vgg(3, &mut rng)), &analog),
+        ("VGG9 event f32", Box::new(vgg(2, &mut rng)), &events),
+        ("VGG9 event int8", Box::new(vgg_int8), &events),
+        (
+            "MS-ResNet18 analog f32",
+            Box::new(resnet(ResNetConfig::resnet18(10, (HW, HW), 8), &mut rng)),
+            &analog,
+        ),
+        (
+            "MS-ResNet18 event f32",
+            Box::new(resnet(ResNetConfig::resnet18_events(10, (HW, HW), 8), &mut rng)),
+            &events,
+        ),
+        ("MS-ResNet18 event int8", Box::new(resnet_int8), &events),
+    ];
+    let mut leaks = Vec::new();
+    for (name, model, requests) in &mut cases {
+        let (count, bytes) = steady_state(model.as_mut(), requests);
+        println!("{name}: {count} allocations >= {LARGE} B ({bytes} B) in 32 requests");
+        if count > 0 {
+            leaks.push(format!("{name}: {count} ({bytes} B)"));
+        }
+    }
+    assert!(leaks.is_empty(), "steady-state requests allocated large buffers: {leaks:?}");
+}

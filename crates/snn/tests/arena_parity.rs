@@ -1,0 +1,203 @@
+//! Poisoned-arena parity: stale buffer contents never reach an answer.
+//!
+//! The arena hands buffers out **uninitialized** and the producers that
+//! overwrite every element (`conv2d`, the pooling kernels, the int8 and
+//! sparse kernels, LIF spikes, packed spike words, event lists) skip the
+//! zero-fill. Each skipped fill is a place where a missed element would
+//! leak whatever the buffer's last user left. This suite makes that loud:
+//! it parks NaN-filled `f32` buffers in every size class — and garbage in
+//! every typed scratch stack — on the calling thread **and on every
+//! kernel-pool worker**, then serves the `infer_parity` inputs and demands
+//! logits bit-identical to a run on a clean arena.
+//!
+//! CI re-runs it under `TTSNN_NUM_THREADS=2` and `8` so the workers'
+//! arenas are exercised, not just the caller's.
+
+use std::sync::Barrier;
+
+use ttsnn_core::{TtConv, TtMode};
+use ttsnn_snn::quant::QuantConfig;
+use ttsnn_snn::{ConvPolicy, InferForward, InferStats, ResNetConfig, ResNetSnn, VggSnn};
+use ttsnn_tensor::runtime::{with_scratch, Runtime};
+use ttsnn_tensor::spike::{SparseMode, SpikeTensor};
+use ttsnn_tensor::{Rng, Tensor};
+use ttsnn_testutil::vgg9_tiny;
+
+const T: usize = 3;
+const BATCH: usize = 4;
+
+/// Fills this thread's arena with poison: NaN `f32` buffers at two
+/// capacities of every size class up to 2^16 elements, all-ones spike
+/// words, and nested typed scratch left full of NaN / out-of-range
+/// garbage. Anything read before it is written now shows.
+fn poison_this_thread() {
+    for class in 0..=16 {
+        for len in [1usize << class, (1 << class) + (1 << class) / 2] {
+            for _ in 0..3 {
+                Tensor::full(&[len], f32::NAN).recycle();
+            }
+            // Dropping a packed tensor parks its word buffer, every bit set.
+            drop(SpikeTensor::try_pack(&Tensor::ones(&[64 * len.min(1 << 10)])));
+        }
+    }
+    let n = 1 << 16;
+    with_scratch(n, |a: &mut [f32]| {
+        a.fill(f32::NAN);
+        with_scratch(n, |b: &mut [f32]| {
+            b.fill(f32::NAN);
+            with_scratch(n, |c: &mut [f32]| c.fill(f32::NAN));
+        });
+    });
+    with_scratch(n, |a: &mut [i8]| {
+        a.fill(0x55);
+        with_scratch(n, |b: &mut [i8]| b.fill(-0x55));
+    });
+    with_scratch(n, |a: &mut [i32]| a.fill(i32::MIN / 2));
+    with_scratch(n, |a: &mut [u32]| a.fill(u32::MAX));
+    with_scratch(n, |a: &mut [usize]| a.fill(usize::MAX));
+    with_scratch(n, |a: &mut [(u32, u32)]| {
+        a.fill((u32::MAX, u32::MAX));
+        with_scratch(n, |b: &mut [(u32, u32)]| b.fill((u32::MAX, u32::MAX)));
+    });
+}
+
+/// Poisons the calling thread and every worker of the global kernel pool:
+/// one task per pool thread, held at a barrier until all have started, so
+/// each runs on a thread of its own.
+fn poison_all_threads() {
+    let threads = Runtime::global().threads();
+    let barrier = Barrier::new(threads);
+    Runtime::global().parallel_for(threads, 1, |_, _| {
+        barrier.wait();
+        poison_this_thread();
+    });
+}
+
+/// The `infer_parity` inputs: `T` uniform `(B, 3, 8, 8)` frames.
+fn analog_frames(seed: u64) -> Vec<Tensor> {
+    let mut rng = Rng::seed_from(seed ^ 0xF00D);
+    (0..T).map(|_| Tensor::rand_uniform(&[BATCH, 3, 8, 8], 0.0, 1.0, &mut rng)).collect()
+}
+
+/// The same frames thresholded to events (about 15 % ones).
+fn event_frames(seed: u64) -> Vec<Tensor> {
+    analog_frames(seed).iter().map(|f| f.map(|v| f32::from(v < 0.15))).collect()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Per-timestep logit bits of one model over `frames`.
+fn logits(model: &mut dyn InferForward, frames: &[Tensor], stats: InferStats) -> Vec<Vec<u32>> {
+    model.set_infer_stats(stats);
+    model.reset_state();
+    let out = frames
+        .iter()
+        .enumerate()
+        .map(|(t, f)| {
+            let y = model.forward_timestep_tensor(f, t).expect("forward");
+            let b = bits(&y);
+            y.recycle();
+            b
+        })
+        .collect();
+    model.reset_state();
+    out
+}
+
+/// Every case's output bits, computed on a **fresh thread** (a fresh
+/// calling-thread arena), after poisoning all arenas if asked to. Models
+/// are rebuilt from the seed each time, so two calls differ only in what
+/// the arenas held.
+fn run_all(seed: u64, poison: bool) -> Vec<(String, Vec<Vec<u32>>)> {
+    std::thread::spawn(move || {
+        if poison {
+            poison_all_threads();
+        }
+        let mut out = Vec::new();
+        let analog = analog_frames(seed);
+        let events = event_frames(seed);
+
+        let mut rng = Rng::seed_from(seed);
+        let resnet18 = || ResNetConfig::resnet18(5, (8, 8), 16);
+        let mut vgg = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
+        let mut res = ResNetSnn::new(resnet18(), &ConvPolicy::Baseline, &mut rng);
+        let mut vgg_q = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
+        let mut res_q = ResNetSnn::new(resnet18(), &ConvPolicy::Baseline, &mut rng);
+        // Calibration wants (T, C, H, W) samples: sample 0 of each frame.
+        let calib_frames = vec![Tensor::stack(
+            &events.iter().map(|f| f.index_axis0(0).unwrap()).collect::<Vec<_>>(),
+        )
+        .unwrap()];
+        let calib = vgg_q.calibrate(&calib_frames, T).unwrap();
+        vgg_q.quantize(&calib, &QuantConfig::default()).unwrap();
+        let calib = res_q.calibrate(&calib_frames, T).unwrap();
+        res_q.quantize(&calib, &QuantConfig::default()).unwrap();
+
+        for stats in [InferStats::PerSample, InferStats::Batch] {
+            for (plane, mode, frames) in [
+                ("analog f32 dense", SparseMode::Off, &analog),
+                ("event f32 sparse", SparseMode::Force, &events),
+            ] {
+                vgg.set_sparse_mode(Some(mode));
+                out.push((format!("VGG9 {plane} {stats:?}"), logits(&mut vgg, frames, stats)));
+                res.set_sparse_mode(Some(mode));
+                out.push((
+                    format!("MS-ResNet18 {plane} {stats:?}"),
+                    logits(&mut res, frames, stats),
+                ));
+            }
+            for mode in [SparseMode::Off, SparseMode::Force] {
+                vgg_q.set_sparse_mode(Some(mode));
+                out.push((
+                    format!("VGG9 int8 {mode:?} {stats:?}"),
+                    logits(&mut vgg_q, &events, stats),
+                ));
+                res_q.set_sparse_mode(Some(mode));
+                out.push((
+                    format!("MS-ResNet18 int8 {mode:?} {stats:?}"),
+                    logits(&mut res_q, &events, stats),
+                ));
+            }
+        }
+
+        // Un-merged TT convolutions: every intermediate between cores is
+        // an arena buffer. HTT runs its full path at t = 0 and its half
+        // path at t = T - 1.
+        for (mode, stride) in
+            [(TtMode::Stt, (1, 1)), (TtMode::Ptt, (2, 2)), (TtMode::htt_default(T), (1, 1))]
+        {
+            let name = format!("TtConv {}", mode.name());
+            let tt = TtConv::randn_strided(3, 8, 2, mode, stride, &mut rng);
+            let ys = (0..T)
+                .map(|t| {
+                    let y = tt.forward_tensor(&analog[t], t).expect("tt forward");
+                    let b = bits(&y);
+                    y.recycle();
+                    b
+                })
+                .collect();
+            out.push((name, ys));
+        }
+        out
+    })
+    .join()
+    .expect("parity thread panicked")
+}
+
+#[test]
+fn poisoned_arenas_do_not_move_a_bit() {
+    for seed in [3u64, 41] {
+        let clean = run_all(seed, false);
+        let poisoned = run_all(seed, true);
+        assert_eq!(clean.len(), poisoned.len());
+        for ((name, want), (_, got)) in clean.iter().zip(&poisoned) {
+            assert!(
+                want.iter().flatten().all(|&b| !f32::from_bits(b).is_nan()),
+                "{name}: clean run produced NaN"
+            );
+            assert_eq!(want, got, "{name} (seed {seed}): stale arena contents reached the output");
+        }
+    }
+}

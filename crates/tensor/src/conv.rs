@@ -220,7 +220,8 @@ pub fn conv2d_with(
     check_weight(weight, g)?;
     let k = g.in_channels * g.kernel.0 * g.kernel.1;
     let ospatial = oh * ow;
-    let mut out = Tensor::zeros(&[b, g.out_channels, oh, ow]);
+    // No zero-fill: the GEMM overwrites every element of every sample.
+    let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
     let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
     let out_slab = g.out_channels * ospatial;
     if b == 1 {

@@ -29,20 +29,23 @@ pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
         )));
     }
     let (oh, ow) = (h / k, w / k);
-    let mut y = Tensor::zeros(&[b, c, oh, ow]);
+    let mut y = Tensor::scratch(&[b, c, oh, ow]);
+    if y.is_empty() {
+        return Ok(y);
+    }
     let inv = 1.0 / (k * k) as f32;
-    for s in 0..b {
-        for ch in 0..c {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut acc = 0.0;
-                    for di in 0..k {
-                        for dj in 0..k {
-                            acc += x.at(&[s, ch, oi * k + di, oj * k + dj]);
-                        }
+    // Plane by plane; each window summed rows first, then columns.
+    for (xp, yp) in x.data().chunks(h * w).zip(y.data_mut().chunks_mut(oh * ow)) {
+        for (oi, yrow) in yp.chunks_mut(ow).enumerate() {
+            let band = &xp[oi * k * w..(oi + 1) * k * w];
+            for (oj, out) in yrow.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for row in band.chunks(w) {
+                    for &v in &row[oj * k..(oj + 1) * k] {
+                        acc += v;
                     }
-                    *y.at_mut(&[s, ch, oi, oj]) = acc * inv;
                 }
+                *out = acc * inv;
             }
         }
     }
@@ -74,17 +77,19 @@ pub fn avg_pool2d_backward(
             y_grad.shape()
         )));
     }
-    let mut x_grad = Tensor::zeros(&[b, c, in_hw.0, in_hw.1]);
+    let (h, w) = in_hw;
+    let mut x_grad = Tensor::zeros(&[b, c, h, w]);
+    if x_grad.is_empty() {
+        return Ok(x_grad);
+    }
     let inv = 1.0 / (k * k) as f32;
-    for s in 0..b {
-        for ch in 0..c {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let g = y_grad.at(&[s, ch, oi, oj]) * inv;
-                    for di in 0..k {
-                        for dj in 0..k {
-                            *x_grad.at_mut(&[s, ch, oi * k + di, oj * k + dj]) += g;
-                        }
+    for (gp, xp) in y_grad.data().chunks(oh * ow).zip(x_grad.data_mut().chunks_mut(h * w)) {
+        for (grow, band) in gp.chunks(ow).zip(xp.chunks_mut(k * w)) {
+            for row in band.chunks_mut(w) {
+                for (&g, win) in grow.iter().zip(row.chunks_mut(k)) {
+                    let g = g * inv;
+                    for v in win {
+                        *v += g;
                     }
                 }
             }
@@ -106,15 +111,11 @@ pub fn global_avg_pool(x: &Tensor) -> Result<Tensor, ShapeError> {
         )));
     }
     let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let mut y = Tensor::zeros(&[b, c]);
+    let mut y = Tensor::scratch(&[b, c]);
     let inv = 1.0 / (h * w) as f32;
-    let plane = h * w;
-    for s in 0..b {
-        for ch in 0..c {
-            let start = (s * c + ch) * plane;
-            let acc: f32 = x.data()[start..start + plane].iter().sum();
-            *y.at_mut(&[s, ch]) = acc * inv;
-        }
+    let (xd, plane) = (x.data(), h * w);
+    for (i, out) in y.data_mut().iter_mut().enumerate() {
+        *out = xd[i * plane..(i + 1) * plane].iter().sum::<f32>() * inv;
     }
     Ok(y)
 }
@@ -138,12 +139,11 @@ pub fn global_avg_pool_backward(
     let (h, w) = in_hw;
     let inv = 1.0 / (h * w) as f32;
     let mut x_grad = Tensor::zeros(&[b, c, h, w]);
-    for s in 0..b {
-        for ch in 0..c {
-            let g = y_grad.at(&[s, ch]) * inv;
-            let start = (s * c + ch) * h * w;
-            x_grad.data_mut()[start..start + h * w].fill(g);
-        }
+    if x_grad.is_empty() {
+        return Ok(x_grad);
+    }
+    for (plane, &g) in x_grad.data_mut().chunks_mut(h * w).zip(y_grad.data()) {
+        plane.fill(g * inv);
     }
     Ok(x_grad)
 }
@@ -230,6 +230,68 @@ mod tests {
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((analytic.data()[idx] - numeric).abs() < 1e-2);
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The slice loops against the element-indexed loops they replaced
+    /// (same summation order), bit for bit — `-0.0` gradients included.
+    #[test]
+    fn slice_kernels_match_indexed_reference_bitwise() {
+        let mut rng = Rng::seed_from(22);
+        let (b, c, h, w, k) = (2, 3, 6, 4, 2);
+        let (oh, ow) = (h / k, w / k);
+        let x = Tensor::randn(&[b, c, h, w], &mut rng);
+        let mut gy = Tensor::randn(&[b, c, oh, ow], &mut rng);
+        gy.data_mut()[3] = -0.0;
+        let mut gv = Tensor::randn(&[b, c], &mut rng);
+        gv.data_mut()[1] = -0.0;
+
+        let mut y = Tensor::zeros(&[b, c, oh, ow]);
+        let mut dx = Tensor::zeros(&[b, c, h, w]);
+        let mut v = Tensor::zeros(&[b, c]);
+        let mut dv = Tensor::zeros(&[b, c, h, w]);
+        let inv = 1.0 / (k * k) as f32;
+        let ginv = 1.0 / (h * w) as f32;
+        for s in 0..b {
+            for ch in 0..c {
+                let mut plane = 0.0;
+                for i in 0..h {
+                    for j in 0..w {
+                        plane += x.at(&[s, ch, i, j]);
+                        *dv.at_mut(&[s, ch, i, j]) = gv.at(&[s, ch]) * ginv;
+                    }
+                }
+                *v.at_mut(&[s, ch]) = plane * ginv;
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let mut acc = 0.0;
+                        for di in 0..k {
+                            for dj in 0..k {
+                                acc += x.at(&[s, ch, oi * k + di, oj * k + dj]);
+                                *dx.at_mut(&[s, ch, oi * k + di, oj * k + dj]) +=
+                                    gy.at(&[s, ch, oi, oj]) * inv;
+                            }
+                        }
+                        *y.at_mut(&[s, ch, oi, oj]) = acc * inv;
+                    }
+                }
+            }
+        }
+        assert_eq!(bits(&avg_pool2d(&x, k).unwrap()), bits(&y));
+        assert_eq!(bits(&avg_pool2d_backward(&gy, k, (h, w)).unwrap()), bits(&dx));
+        assert_eq!(bits(&global_avg_pool(&x).unwrap()), bits(&v));
+        assert_eq!(bits(&global_avg_pool_backward(&gv, (h, w)).unwrap()), bits(&dv));
+    }
+
+    #[test]
+    fn empty_planes_do_not_panic() {
+        assert!(avg_pool2d(&Tensor::zeros(&[1, 2, 0, 4]), 2).unwrap().is_empty());
+        assert!(avg_pool2d_backward(&Tensor::zeros(&[1, 2, 0, 2]), 2, (0, 4)).unwrap().is_empty());
+        assert!(global_avg_pool_backward(&Tensor::zeros(&[1, 2]), (0, 3)).unwrap().is_empty());
+        assert_eq!(global_avg_pool(&Tensor::zeros(&[0, 2, 3, 3])).unwrap().shape(), &[0, 2]);
     }
 
     #[test]

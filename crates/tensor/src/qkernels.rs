@@ -33,11 +33,9 @@
 //! `x_scale · w_scale[oc]` — one float multiply per output element, after
 //! all accumulation happened exactly.
 
-use std::cell::RefCell;
-
 use crate::conv::{check_input, im2col_sample_t, Conv2dGeometry};
 use crate::error::ShapeError;
-use crate::runtime::{self, Runtime};
+use crate::runtime::{self, with_scratch, Runtime};
 use crate::tensor::Tensor;
 
 /// Accumulator width of the integer kernels.
@@ -80,46 +78,6 @@ pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
     for (d, &v) in dst.iter_mut().zip(src.iter()) {
         *d = (v / scale).round().clamp(-127.0, 127.0) as i8;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Integer scratch arenas (the f32 arena in `runtime` cannot back these).
-
-/// Buffers larger than this are dropped instead of recycled (16 Mi
-/// elements, matching the float arena's per-thread bound).
-const MAX_KEEP: usize = 16 * 1024 * 1024;
-
-thread_local! {
-    static I8_ARENA: RefCell<Vec<Vec<i8>>> = const { RefCell::new(Vec::new()) };
-    static I32_ARENA: RefCell<Vec<Vec<i32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with a recycled thread-local `i8` buffer of exactly `len`
-/// elements (contents unspecified on entry).
-pub fn with_i8_scratch<R>(len: usize, f: impl FnOnce(&mut [i8]) -> R) -> R {
-    let mut buf = I8_ARENA.with(|a| a.borrow_mut().pop()).unwrap_or_default();
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    let result = f(&mut buf[..len]);
-    if buf.len() <= MAX_KEEP {
-        I8_ARENA.with(|a| a.borrow_mut().push(buf));
-    }
-    result
-}
-
-/// Runs `f` with a recycled thread-local `i32` buffer of exactly `len`
-/// elements (contents unspecified on entry).
-pub fn with_i32_scratch<R>(len: usize, f: impl FnOnce(&mut [i32]) -> R) -> R {
-    let mut buf = I32_ARENA.with(|a| a.borrow_mut().pop()).unwrap_or_default();
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    let result = f(&mut buf[..len]);
-    if buf.len() <= MAX_KEEP {
-        I32_ARENA.with(|a| a.borrow_mut().push(buf));
-    }
-    result
 }
 
 // ---------------------------------------------------------------------------
@@ -394,16 +352,15 @@ pub fn qconv2d_with(
     let ospatial = oh * ow;
     let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
     let out_slab = g.out_channels * ospatial;
-    let mut out =
-        Tensor::from_vec(runtime::take_buffer(b * out_slab), &[b, g.out_channels, oh, ow])?;
+    let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
     let xd = x.data();
 
     let run_sample = |gemm_rt: &Runtime, xs: &[f32], out_s: &mut [f32]| {
-        with_i8_scratch(in_slab, |qx| {
+        with_scratch(in_slab, |qx| {
             quantize_to_i8(xs, x_scale, qx);
-            with_i8_scratch(k * ospatial, |qcols| {
+            with_scratch(k * ospatial, |qcols| {
                 im2col_sample_t(qx, g, qcols, 0i8);
-                with_i32_scratch(out_slab, |acc| {
+                with_scratch(out_slab, |acc| {
                     qgemm(gemm_rt, qw, qcols, acc, g.out_channels, k, ospatial, accum);
                     for oc in 0..g.out_channels {
                         let s = x_scale * w_scale_at(w_scales, oc);
@@ -489,14 +446,14 @@ pub fn qlinear_with(
     }
     check_scales(w_scales, out_ch, "qlinear")?;
     check_x_scale(x_scale, "qlinear")?;
-    let mut y = Tensor::from_vec(runtime::take_buffer(b * out_ch), &[b, out_ch])?;
+    let mut y = Tensor::scratch(&[b, out_ch]);
     let xd = x.data();
     let serial = Runtime::new(1);
     let min_rows = (runtime::PAR_THRESHOLD / (2 * feat * out_ch).max(1)).max(1);
     rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
-        with_i8_scratch(feat, |qx| {
+        with_scratch(feat, |qx| {
             quantize_to_i8(&xd[s * feat..(s + 1) * feat], x_scale, qx);
-            with_i32_scratch(out_ch, |acc| {
+            with_scratch(out_ch, |acc| {
                 qgemm_a_bt(&serial, qx, qw, acc, 1, feat, out_ch, accum);
                 for (oc, (o, &a)) in yrow.iter_mut().zip(acc.iter()).enumerate() {
                     *o = a as f32 * (x_scale * w_scale_at(w_scales, oc)) + bias[oc];

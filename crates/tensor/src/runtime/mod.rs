@@ -20,8 +20,12 @@
 //!   autograd backward passes used to make (any transpose staging a
 //!   kernel still wants internally lives in arena scratch — see the
 //!   `gemm` module docs).
-//! * [`with_scratch`] — a per-thread buffer arena so im2col /
-//!   col2im and TT-core intermediates stop allocating per sample.
+//! * [`with_scratch`] and `Tensor::scratch` / `Tensor::recycle` — the
+//!   per-thread arena every temporary comes from and goes back to:
+//!   borrowed scratch of any element type (im2col / col2im, integer and
+//!   event-list scratch) on LIFO stacks, checked-out activation buffers
+//!   in size-classed free lists, one 64 MiB parked-bytes budget over
+//!   both ([`scratch_bytes`] reads it).
 //!
 //! # Determinism
 //!
@@ -44,7 +48,8 @@ mod arena;
 mod gemm;
 mod pool;
 
-pub use arena::{recycle_buffer, scratch_depth, take_buffer, with_scratch, with_scratch_zeroed};
+pub(crate) use arena::{recycle_buffer, take_buffer};
+pub use arena::{scratch_bytes, scratch_depth, with_scratch, with_scratch_zeroed, Scratch};
 pub(crate) use gemm::PAR_THRESHOLD;
 pub use gemm::{gemm, gemm_a_bt, gemm_at_b, reference_gemm};
 pub use pool::Runtime;

@@ -59,8 +59,8 @@ use std::sync::OnceLock;
 
 use crate::conv::Conv2dGeometry;
 use crate::error::ShapeError;
-use crate::qkernels::{check_scales, check_x_scale, w_scale_at, with_i32_scratch, QAccum};
-use crate::runtime::{self, Runtime};
+use crate::qkernels::{check_scales, check_x_scale, w_scale_at, QAccum};
+use crate::runtime::{self, with_scratch, with_scratch_zeroed, Runtime};
 use crate::tensor::Tensor;
 
 // ---------------------------------------------------------------------------
@@ -70,12 +70,19 @@ use crate::tensor::Tensor;
 /// bit `i % 64` of word `i / 64`. Built from an `f32` tensor whose
 /// elements are all exactly `0.0` or `1.0` (the output domain of
 /// `Lif::step_tensor`); packing and density measurement happen in one
-/// pass.
+/// pass. The word buffer is checked out of the thread's arena and goes
+/// back to it when the tensor is dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpikeTensor {
     shape: Vec<usize>,
     words: Vec<u64>,
     ones: usize,
+}
+
+impl Drop for SpikeTensor {
+    fn drop(&mut self) {
+        runtime::recycle_buffer(std::mem::take(&mut self.words));
+    }
 }
 
 impl SpikeTensor {
@@ -84,9 +91,11 @@ impl SpikeTensor {
     /// kernels for non-spike activations). `-0.0` packs as no-spike.
     pub fn try_pack(x: &Tensor) -> Option<Self> {
         let data = x.data();
-        let mut words = vec![0u64; data.len().div_ceil(64)];
-        let mut ones = 0usize;
-        for (word, chunk) in words.iter_mut().zip(data.chunks(64)) {
+        // Every word is written below; a rejected pack drops `packed`,
+        // which hands the buffer straight back.
+        let words = runtime::take_buffer(data.len().div_ceil(64));
+        let mut packed = Self { shape: x.shape().to_vec(), words, ones: 0 };
+        for (word, chunk) in packed.words.iter_mut().zip(data.chunks(64)) {
             let mut w = 0u64;
             for (bit, &v) in chunk.iter().enumerate() {
                 if v == 1.0 {
@@ -95,10 +104,10 @@ impl SpikeTensor {
                     return None;
                 }
             }
-            ones += w.count_ones() as usize;
+            packed.ones += w.count_ones() as usize;
             *word = w;
         }
-        Some(Self { shape: x.shape().to_vec(), words, ones })
+        Some(packed)
     }
 
     /// Logical shape of the packed tensor.
@@ -143,17 +152,18 @@ impl SpikeTensor {
 
     /// Unpacks back to a dense `f32` tensor of `0.0`/`1.0`.
     pub fn unpack(&self) -> Tensor {
-        let n = self.len();
-        let mut data = runtime::take_buffer(n);
-        for (i, v) in data.iter_mut().enumerate() {
+        let mut x = Tensor::scratch(&self.shape);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
             *v = if self.words[i / 64] >> (i % 64) & 1 == 1 { 1.0 } else { 0.0 };
         }
-        Tensor::from_vec(data, &self.shape).expect("shape matches element count")
+        x
     }
 
-    /// Appends the indices of set bits in `start..end`, relative to
-    /// `start`, in ascending order.
-    fn extend_events(&self, start: usize, end: usize, out: &mut Vec<u32>) {
+    /// Writes the indices of set bits in `start..end`, relative to
+    /// `start`, in ascending order, into the front of `out`; returns how
+    /// many there were.
+    fn write_events(&self, start: usize, end: usize, out: &mut [u32]) -> usize {
+        let mut n = 0;
         for wi in start / 64..end.div_ceil(64) {
             let bit_base = wi * 64;
             let mut word = self.words[wi];
@@ -167,25 +177,35 @@ impl SpikeTensor {
             }
             while word != 0 {
                 let b = word.trailing_zeros() as usize;
-                out.push((bit_base + b - start) as u32);
+                out[n] = (bit_base + b - start) as u32;
+                n += 1;
                 word &= word - 1;
             }
         }
+        n
     }
 }
 
-/// Gathers per-sample event lists: returns `(events, offsets)` with
-/// sample `s`'s events (indices within the sample slab, ascending) at
-/// `events[offsets[s]..offsets[s + 1]]`.
-fn gather_events(spikes: &SpikeTensor, slab: usize, b: usize) -> (Vec<u32>, Vec<usize>) {
-    let mut events = Vec::with_capacity(spikes.ones());
-    let mut offsets = Vec::with_capacity(b + 1);
-    offsets.push(0);
-    for s in 0..b {
-        spikes.extend_events(s * slab, (s + 1) * slab, &mut events);
-        offsets.push(events.len());
-    }
-    (events, offsets)
+/// Gathers per-sample event lists into arena scratch and runs
+/// `f(events, offsets)` on them: sample `s`'s events (indices within the
+/// sample slab, ascending) are `events[offsets[s]..offsets[s + 1]]`.
+fn with_events<R>(
+    spikes: &SpikeTensor,
+    slab: usize,
+    b: usize,
+    f: impl FnOnce(&[u32], &[usize]) -> R,
+) -> R {
+    with_scratch(spikes.ones(), |events: &mut [u32]| {
+        with_scratch(b + 1, |offsets: &mut [usize]| {
+            offsets[0] = 0;
+            for s in 0..b {
+                let at = offsets[s];
+                offsets[s + 1] =
+                    at + spikes.write_events(s * slab, (s + 1) * slab, &mut events[at..]);
+            }
+            f(events, offsets)
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -282,13 +302,14 @@ fn check_spike_input(
 /// Valid kernel window positions for one event at input position
 /// `(ii, jj)`: every `(kidx, opos)` with `kidx = ki·Kw + kj` and
 /// `opos = oi·Ow + oj` such that output `(oi, oj)` reads the event
-/// through kernel tap `(ki, kj)`.
-fn event_windows(ii: usize, jj: usize, g: &Conv2dGeometry, wins: &mut Vec<(u32, u32)>) {
+/// through kernel tap `(ki, kj)`. Written to the front of `wins` (at
+/// most `Kh·Kw` of them); returns how many there were.
+fn event_windows(ii: usize, jj: usize, g: &Conv2dGeometry, wins: &mut [(u32, u32)]) -> usize {
     let (kh, kw) = g.kernel;
     let (sh, sw) = g.stride;
     let (ph, pw) = g.padding;
     let (ohh, oww) = g.out_hw();
-    wins.clear();
+    let mut n = 0;
     for ki in 0..kh {
         if ii + ph < ki {
             break;
@@ -313,9 +334,11 @@ fn event_windows(ii: usize, jj: usize, g: &Conv2dGeometry, wins: &mut Vec<(u32, 
             if oj >= oww {
                 continue;
             }
-            wins.push(((ki * kw + kj) as u32, (oi * oww + oj) as u32));
+            wins[n] = ((ki * kw + kj) as u32, (oi * oww + oj) as u32);
+            n += 1;
         }
     }
+    n
 }
 
 /// Minimum output-channel slabs per forked range, from the per-slab
@@ -366,21 +389,24 @@ pub fn sparse_conv2d_with(
             weight.shape()
         )));
     }
-    let mut out = Tensor::zeros(&[b, g.out_channels, oh, ow]);
+    // Zeroed: the scatter accumulates into it.
+    let mut out = Tensor::scratch_zeroed(&[b, g.out_channels, oh, ow]);
     if b == 0 {
         return Ok(out);
     }
     let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
     let ospatial = oh * ow;
-    let (events, offsets) = gather_events(spikes, in_slab, b);
     let wd = weight.data();
     let kdim = g.in_channels * g.kernel.0 * g.kernel.1;
     let taps = g.kernel.0 * g.kernel.1;
-    let min_slabs = slabs_per_fork(events.len(), b, taps);
-    rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
-        for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
-            let flat = flatten_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps);
-            scatter_f32(&flat, wd, kdim, o_lo, ospatial, chans);
+    with_events(spikes, in_slab, b, |events, offsets| {
+        let min_slabs = slabs_per_fork(events.len(), b, taps);
+        rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
+            for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
+                with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
+                    scatter_f32(flat, wd, kdim, o_lo, ospatial, chans);
+                });
+            });
         });
     });
     Ok(out)
@@ -434,21 +460,31 @@ fn scatter_f32(
 /// one tight streaming pass per channel; the list is ordered by event
 /// (then tap), and taps of one event touch distinct outputs, so each
 /// output element still accumulates its events in ascending order — the
-/// dense kernels' order, keeping the bit-identity contract.
-fn flatten_event_taps(evs: &[u32], g: &Conv2dGeometry, taps: usize) -> Vec<(u32, u32)> {
+/// dense kernels' order, keeping the bit-identity contract. The list
+/// lives in arena scratch for the duration of `f`.
+fn with_event_taps<R>(
+    evs: &[u32],
+    g: &Conv2dGeometry,
+    taps: usize,
+    f: impl FnOnce(&[(u32, u32)]) -> R,
+) -> R {
     let hw = g.in_hw.0 * g.in_hw.1;
-    let mut wins = Vec::with_capacity(taps);
-    let mut flat = Vec::with_capacity(evs.len() * taps);
-    for &e in evs {
-        let e = e as usize;
-        let (c, rem) = (e / hw, e % hw);
-        event_windows(rem / g.in_hw.1, rem % g.in_hw.1, g, &mut wins);
-        let wbase = (c * taps) as u32;
-        for &(kidx, opos) in &wins {
-            flat.push((wbase + kidx, opos));
-        }
-    }
-    flat
+    with_scratch(taps, |wins: &mut [(u32, u32)]| {
+        with_scratch(evs.len() * taps, |flat: &mut [(u32, u32)]| {
+            let mut n = 0;
+            for &e in evs {
+                let e = e as usize;
+                let (c, rem) = (e / hw, e % hw);
+                let nwins = event_windows(rem / g.in_hw.1, rem % g.in_hw.1, g, wins);
+                let wbase = (c * taps) as u32;
+                for &(kidx, opos) in &wins[..nwins] {
+                    flat[n] = (wbase + kidx, opos);
+                    n += 1;
+                }
+            }
+            f(&flat[..n])
+        })
+    })
 }
 
 /// Walks a `parallel_over_ranges` run of `(sample, channel)` slabs,
@@ -499,18 +535,19 @@ pub fn sparse_linear_with(
     let _region = ttsnn_obs::region("sparse_linear");
     let (b, feat) = check_linear_shapes(spikes, weight.shape(), "sparse_linear")?;
     let out_ch = weight.shape()[0];
-    let mut y = Tensor::from_vec(runtime::take_buffer(b * out_ch), &[b, out_ch])?;
+    let mut y = Tensor::scratch(&[b, out_ch]);
     if b == 0 {
         return Ok(y);
     }
-    let (events, offsets) = gather_events(spikes, feat, b);
     let wd = weight.data();
     let min_rows = (runtime::PAR_THRESHOLD / (2 * feat * out_ch).max(1)).max(1);
-    rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
-        let evs = &events[offsets[s]..offsets[s + 1]];
-        for (oc, dv) in yrow.iter_mut().enumerate() {
-            *dv = sparse_dot4(evs, &wd[oc * feat..(oc + 1) * feat], feat);
-        }
+    with_events(spikes, feat, b, |events, offsets| {
+        rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
+            let evs = &events[offsets[s]..offsets[s + 1]];
+            for (oc, dv) in yrow.iter_mut().enumerate() {
+                *dv = sparse_dot4(evs, &wd[oc * feat..(oc + 1) * feat], feat);
+            }
+        });
     });
     Ok(y)
 }
@@ -609,50 +646,52 @@ pub fn sparse_qconv2d_with(
     check_scales(w_scales, g.out_channels, "sparse_qconv2d")?;
     check_x_scale(x_scale, "sparse_qconv2d")?;
     let ospatial = oh * ow;
-    let mut out = Tensor::from_vec(
-        runtime::take_buffer(b * g.out_channels * ospatial),
-        &[b, g.out_channels, oh, ow],
-    )?;
+    let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
     if b == 0 {
         return Ok(out);
     }
     let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
-    let (events, offsets) = gather_events(spikes, in_slab, b);
     let taps = g.kernel.0 * g.kernel.1;
     let q1 = spike_q(x_scale);
-    let min_slabs = slabs_per_fork(events.len(), b, taps);
-    rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
-        for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
-            let flat = flatten_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps);
-            let nchans = chans.len() / ospatial;
-            with_i32_scratch(nchans * ospatial, |acc| {
-                acc.fill(0);
-                for (ci, arow) in acc.chunks_mut(ospatial).enumerate() {
-                    let wrow = &qw[(o_lo + ci) * kdim..(o_lo + ci) * kdim + kdim];
-                    match accum {
-                        QAccum::I32 => {
-                            for &(wpos, opos) in &flat {
-                                arow[opos as usize] += wrow[wpos as usize] as i32 * q1 as i32;
-                            }
+    // One sample group: accumulate its channels in integer scratch, then
+    // dequantize every output element.
+    let scatter_group = |flat: &[(u32, u32)], o_lo: usize, chans: &mut [f32]| {
+        with_scratch_zeroed(chans.len(), |acc: &mut [i32]| {
+            for (ci, arow) in acc.chunks_mut(ospatial).enumerate() {
+                let wrow = &qw[(o_lo + ci) * kdim..(o_lo + ci) * kdim + kdim];
+                match accum {
+                    QAccum::I32 => {
+                        for &(wpos, opos) in flat {
+                            arow[opos as usize] += wrow[wpos as usize] as i32 * q1 as i32;
                         }
-                        QAccum::Saturate16 => {
-                            for &(wpos, opos) in &flat {
-                                let dv = &mut arow[opos as usize];
-                                *dv = (*dv as i16)
-                                    .saturating_add(wrow[wpos as usize] as i16 * q1 as i16)
-                                    as i32;
-                            }
+                    }
+                    QAccum::Saturate16 => {
+                        for &(wpos, opos) in flat {
+                            let dv = &mut arow[opos as usize];
+                            *dv = (*dv as i16)
+                                .saturating_add(wrow[wpos as usize] as i16 * q1 as i16)
+                                as i32;
                         }
                     }
                 }
-                for (ci, (arow, orow)) in
-                    acc.chunks(ospatial).zip(chans.chunks_mut(ospatial)).enumerate()
-                {
-                    let scale = x_scale * w_scale_at(w_scales, o_lo + ci);
-                    for (o, &a) in orow.iter_mut().zip(arow.iter()) {
-                        *o = a as f32 * scale;
-                    }
+            }
+            for (ci, (arow, orow)) in
+                acc.chunks(ospatial).zip(chans.chunks_mut(ospatial)).enumerate()
+            {
+                let scale = x_scale * w_scale_at(w_scales, o_lo + ci);
+                for (o, &a) in orow.iter_mut().zip(arow.iter()) {
+                    *o = a as f32 * scale;
                 }
+            }
+        });
+    };
+    with_events(spikes, in_slab, b, |events, offsets| {
+        let min_slabs = slabs_per_fork(events.len(), b, taps);
+        rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
+            for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
+                with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
+                    scatter_group(flat, o_lo, chans);
+                });
             });
         });
     });
@@ -711,26 +750,26 @@ pub fn sparse_qlinear_with(
     }
     check_scales(w_scales, out_ch, "sparse_qlinear")?;
     check_x_scale(x_scale, "sparse_qlinear")?;
-    let mut y = Tensor::from_vec(runtime::take_buffer(b * out_ch), &[b, out_ch])?;
+    let mut y = Tensor::scratch(&[b, out_ch]);
     if b == 0 {
         return Ok(y);
     }
-    let (events, offsets) = gather_events(spikes, feat, b);
     let q1 = spike_q(x_scale);
     let min_rows = (runtime::PAR_THRESHOLD / (2 * feat * out_ch).max(1)).max(1);
-    rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
-        let evs = &events[offsets[s]..offsets[s + 1]];
-        for (oc, dv) in yrow.iter_mut().enumerate() {
-            let wrow = &qw[oc * feat..(oc + 1) * feat];
-            let acc: i32 = match accum {
-                QAccum::I32 => evs.iter().map(|&kk| wrow[kk as usize] as i32 * q1 as i32).sum(),
-                QAccum::Saturate16 => evs
-                    .iter()
-                    .fold(0i16, |acc, &kk| acc.saturating_add(wrow[kk as usize] as i16 * q1 as i16))
-                    as i32,
-            };
-            *dv = acc as f32 * (x_scale * w_scale_at(w_scales, oc)) + bias[oc];
-        }
+    with_events(spikes, feat, b, |events, offsets| {
+        rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
+            let evs = &events[offsets[s]..offsets[s + 1]];
+            for (oc, dv) in yrow.iter_mut().enumerate() {
+                let wrow = &qw[oc * feat..(oc + 1) * feat];
+                let acc: i32 = match accum {
+                    QAccum::I32 => evs.iter().map(|&kk| wrow[kk as usize] as i32 * q1 as i32).sum(),
+                    QAccum::Saturate16 => evs.iter().fold(0i16, |acc, &kk| {
+                        acc.saturating_add(wrow[kk as usize] as i16 * q1 as i16)
+                    }) as i32,
+                };
+                *dv = acc as f32 * (x_scale * w_scale_at(w_scales, oc)) + bias[oc];
+            }
+        });
     });
     Ok(y)
 }
@@ -778,16 +817,18 @@ mod tests {
         let mut rng = Rng::seed_from(2);
         let x = random_spikes(&[3, 130], 0.4, &mut rng);
         let sp = SpikeTensor::try_pack(&x).unwrap();
-        let (events, offsets) = gather_events(&sp, 130, 3);
-        assert_eq!(offsets.len(), 4);
-        assert_eq!(events.len(), sp.ones());
-        for s in 0..3 {
-            let evs = &events[offsets[s]..offsets[s + 1]];
-            assert!(evs.windows(2).all(|w| w[0] < w[1]), "sample {s} not ascending");
-            for &e in evs {
-                assert_eq!(x.data()[s * 130 + e as usize], 1.0);
+        with_events(&sp, 130, 3, |events, offsets| {
+            assert_eq!(offsets.len(), 4);
+            assert_eq!(events.len(), sp.ones());
+            assert_eq!(offsets[3], sp.ones());
+            for s in 0..3 {
+                let evs = &events[offsets[s]..offsets[s + 1]];
+                assert!(evs.windows(2).all(|w| w[0] < w[1]), "sample {s} not ascending");
+                for &e in evs {
+                    assert_eq!(x.data()[s * 130 + e as usize], 1.0);
+                }
             }
-        }
+        });
     }
 
     #[test]

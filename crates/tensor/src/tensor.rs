@@ -107,6 +107,44 @@ impl Tensor {
         Self::owned(vec![0.0; num_elements(shape)], shape.to_vec())
     }
 
+    /// A tensor of the given shape whose buffer is checked out of the
+    /// calling thread's [arena](crate::runtime) — contents **unspecified**
+    /// (whatever the buffer's last user left), so the caller must write
+    /// every element before reading any. The buffer's capacity is below
+    /// twice its length. Pair with [`Tensor::recycle`].
+    ///
+    /// This is what every inference-plane producer (`conv2d`, the pooling
+    /// kernels, the int8 and sparse kernels, the models' own
+    /// intermediates) builds its output from.
+    pub fn scratch(shape: &[usize]) -> Self {
+        Self::owned(runtime::take_buffer(num_elements(shape)), shape.to_vec())
+    }
+
+    /// [`Tensor::scratch`] filled with zeros, for producers that
+    /// accumulate into their output.
+    pub fn scratch_zeroed(shape: &[usize]) -> Self {
+        let mut t = Self::scratch(shape);
+        t.make_owned().fill(0.0);
+        t
+    }
+
+    /// Consumes the tensor and parks its buffer in the calling thread's
+    /// arena for a later [`Tensor::scratch`] of similar size (dropped
+    /// instead once the thread's parked-bytes budget is full). Any owned
+    /// tensor may be recycled, wherever its buffer came from. Shared
+    /// storage is reclaimed only when this is its last handle; a buffer
+    /// someone else still holds is left alone — never copied.
+    pub fn recycle(self) {
+        match self.data {
+            Storage::Owned(v) => runtime::recycle_buffer(v),
+            Storage::Shared(a) => {
+                if let Ok(v) = Arc::try_unwrap(a) {
+                    runtime::recycle_buffer(v);
+                }
+            }
+        }
+    }
+
     /// A tensor of ones with the given shape.
     pub fn ones(shape: &[usize]) -> Self {
         Self::full(shape, 1.0)
@@ -207,13 +245,11 @@ impl Tensor {
 
     /// Consumes the tensor and returns the flat backing buffer.
     ///
-    /// Owned storage is returned as-is (no copy), so the buffer can go
-    /// straight back to the runtime arena
-    /// ([`crate::runtime::recycle_buffer`]) — the serving hot loop's
-    /// recycling pattern. Shared storage is reclaimed without a copy when
-    /// this handle is the last one; otherwise the contents are copied out
-    /// and the shared buffer stays alive for the other handles (recycling
-    /// the *copy* is still valid — it is exclusively ours).
+    /// Owned storage is returned as-is (no copy). Shared storage is
+    /// reclaimed without a copy when this handle is the last one;
+    /// otherwise the contents are copied out and the shared buffer stays
+    /// alive for the other handles. (To hand a spent tensor's buffer back
+    /// to the arena use [`Tensor::recycle`], which never copies.)
     pub fn into_vec(self) -> Vec<f32> {
         match self.data {
             Storage::Owned(v) => v,
@@ -948,6 +984,32 @@ mod tests {
         let b = a.clone();
         assert_eq!(b.into_vec(), vec![7.0]);
         assert_eq!(a.data(), &[7.0]);
+    }
+
+    #[test]
+    fn scratch_and_recycle_close_the_loop() {
+        let depth = runtime::scratch_depth();
+        Tensor::full(&[3, 40], f32::NAN).recycle();
+        assert_eq!(runtime::scratch_depth(), depth + 1);
+        // Same size class: the parked buffer comes back, reshaped and zeroed.
+        let z = Tensor::scratch_zeroed(&[2, 5, 10]);
+        assert_eq!(runtime::scratch_depth(), depth);
+        assert_eq!(z.shape(), &[2, 5, 10]);
+        assert!(z.data().iter().all(|&v| v == 0.0));
+        z.recycle();
+        assert_eq!(Tensor::scratch(&[7, 9]).len(), 63);
+    }
+
+    #[test]
+    fn recycle_leaves_a_shared_buffer_someone_else_holds() {
+        let a = Tensor::from_vec(vec![7.0; 64], &[64]).unwrap().into_shared();
+        let b = a.clone();
+        let depth = runtime::scratch_depth();
+        b.recycle();
+        assert_eq!(runtime::scratch_depth(), depth, "an aliased buffer must not be parked");
+        assert_eq!(a.data(), &[7.0; 64]);
+        a.recycle();
+        assert_eq!(runtime::scratch_depth(), depth + 1, "the last handle reclaims it");
     }
 
     #[test]

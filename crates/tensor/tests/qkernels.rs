@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use ttsnn_tensor::qkernels::{
-    self, qconv2d_with, qgemm, qgemm_a_bt, qlinear_with, reference_qgemm, QAccum,
+    qconv2d_with, qgemm, qgemm_a_bt, qlinear_with, reference_qgemm, QAccum,
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Conv2dGeometry, Rng, Tensor};
@@ -150,14 +150,4 @@ fn accum_names_are_stable() {
     assert_eq!(QAccum::I32.name(), "i32");
     assert_eq!(QAccum::Saturate16.name(), "sat16");
     assert_eq!(QAccum::default(), QAccum::I32);
-}
-
-#[test]
-fn scratch_arenas_recycle() {
-    qkernels::with_i8_scratch(64, |b| b.fill(3));
-    qkernels::with_i8_scratch(32, |b| assert_eq!(b.len(), 32));
-    qkernels::with_i32_scratch(16, |b| {
-        b.fill(-1);
-        assert_eq!(b.len(), 16);
-    });
 }

@@ -5,7 +5,9 @@
 //! its parents. The op set is exactly what the TT-SNN training pipeline
 //! (Algorithm 1 of the paper) needs:
 //!
-//! * elementwise arithmetic and scaling — membrane-potential updates (Eq. 1);
+//! * elementwise arithmetic and scaling — membrane-potential updates (Eq. 1),
+//!   with the LIF step's two fused forms [`Var::scale_add`] (leak +
+//!   integrate) and [`Var::hard_reset`];
 //! * [`Var::conv2d`] — both the baseline 3×3 convolutions and the TT cores'
 //!   1×1 / 3×1 / 1×3 sub-convolutions;
 //! * [`Var::spike`] — the Heaviside firing function with a surrogate
@@ -13,6 +15,14 @@
 //! * [`Var::batch_norm2d`] — tdBN-style normalization;
 //! * [`Var::linear`], pooling, and [`cross_entropy_logits`] — the classifier
 //!   head and loss of Algorithm 1 lines 14–16.
+//!
+//! # What a backward closure may touch
+//!
+//! Every output and every gradient is a `Tensor::scratch` buffer. A closure
+//! owns the gradient it is handed: it rewrites it in place where the
+//! parent's gradient has the same shape, moves it into the (last) parent
+//! that wants it, and recycles it otherwise. Forward inputs are read from
+//! `parents[i].value()` — no closure captures a copy of a tensor.
 
 use ttsnn_tensor::{conv, pool, Conv2dGeometry, ShapeError, Tensor};
 
@@ -48,31 +58,105 @@ impl Default for Surrogate {
     }
 }
 
+#[inline]
+fn rectangle(x: f32, width: f32) -> f32 {
+    if x.abs() < width / 2.0 {
+        1.0 / width
+    } else {
+        0.0
+    }
+}
+
+#[inline]
+fn triangle(x: f32, width: f32) -> f32 {
+    let t = 1.0 - x.abs() / width;
+    if t > 0.0 {
+        t / width
+    } else {
+        0.0
+    }
+}
+
+#[inline]
+fn atan(x: f32, alpha: f32) -> f32 {
+    let s = std::f32::consts::FRAC_PI_2 * alpha * x;
+    alpha / (2.0 * (1.0 + s * s))
+}
+
 impl Surrogate {
     /// Evaluates the surrogate derivative at `x = u - vth`.
     pub fn grad(&self, x: f32) -> f32 {
         match *self {
-            Surrogate::Rectangle { width } => {
-                if x.abs() < width / 2.0 {
-                    1.0 / width
-                } else {
-                    0.0
-                }
-            }
-            Surrogate::Triangle { width } => {
-                let t = 1.0 - x.abs() / width;
-                if t > 0.0 {
-                    t / width
-                } else {
-                    0.0
-                }
-            }
-            Surrogate::Atan { alpha } => {
-                let s = std::f32::consts::FRAC_PI_2 * alpha * x;
-                alpha / (2.0 * (1.0 + s * s))
-            }
+            Surrogate::Rectangle { width } => rectangle(x, width),
+            Surrogate::Triangle { width } => triangle(x, width),
+            Surrogate::Atan { alpha } => atan(x, alpha),
         }
     }
+
+    /// `g[i] *= self.grad(u[i] - vth)` over a whole tensor, the variant
+    /// chosen once outside the element loop.
+    fn scale_grad(&self, g: &mut Tensor, u: &Tensor, vth: f32) {
+        let done = match *self {
+            Surrogate::Rectangle { width } => {
+                g.zip_inplace(u, |gv, uv| gv * rectangle(uv - vth, width))
+            }
+            Surrogate::Triangle { width } => {
+                g.zip_inplace(u, |gv, uv| gv * triangle(uv - vth, width))
+            }
+            Surrogate::Atan { alpha } => g.zip_inplace(u, |gv, uv| gv * atan(uv - vth, alpha)),
+        };
+        done.expect("spike backward shape");
+    }
+}
+
+/// `H(u − V_th)` as `0.0` / `1.0`.
+#[inline]
+fn heaviside(u: f32, vth: f32) -> f32 {
+    if u >= vth {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// The hard-reset gate `1 − H(u − V_th)`, in the arithmetic of the chain it
+/// fuses (`s · −1 + 1`; the negation is an exact sign flip).
+#[inline]
+fn reset_gate(u: f32, vth: f32) -> f32 {
+    -heaviside(u, vth) + 1.0
+}
+
+/// The `(H·W)`-element planes of channel `ch` in a `(B, C, H, W)` buffer,
+/// in sample order.
+fn channel_planes(
+    b: usize,
+    c: usize,
+    ch: usize,
+    plane: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> + Clone {
+    (0..b).map(move |s| (s * c + ch) * plane..(s * c + ch + 1) * plane)
+}
+
+/// A `[1]`-shaped tensor holding `v` (an arena buffer like every other
+/// value on the tape: what a dropped node recycles, an op must have taken).
+fn scalar(v: f32) -> Tensor {
+    let mut t = Tensor::scratch(&[1]);
+    t.data_mut()[0] = v;
+    t
+}
+
+/// Softmax of one row of logits into `probs`; returns the row's maximum
+/// `m` and the normalizer `z = Σ exp(v − m)`.
+fn softmax_row(row: &[f32], probs: &mut [f32]) -> (f32, f32) {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for (p, v) in probs.iter_mut().zip(row) {
+        *p = (v - m).exp();
+    }
+    let z: f32 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= z;
+    }
+    (m, z)
 }
 
 impl Var {
@@ -86,10 +170,11 @@ impl Var {
     pub fn add(&self, other: &Var) -> Result<Var, ShapeError> {
         let value = self.value().add(&other.value())?;
         Ok(Var::from_op(
+            "add",
             value,
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
-                parents[0].accumulate_grad(g);
+                parents[0].accumulate_grad_ref(&g);
                 parents[1].accumulate_grad(g);
             }),
         ))
@@ -103,11 +188,13 @@ impl Var {
     pub fn sub(&self, other: &Var) -> Result<Var, ShapeError> {
         let value = self.value().sub(&other.value())?;
         Ok(Var::from_op(
+            "sub",
             value,
             vec![self.clone(), other.clone()],
-            Box::new(|g, parents| {
-                parents[0].accumulate_grad(g);
-                parents[1].accumulate_grad(&g.scale(-1.0));
+            Box::new(|mut g, parents| {
+                parents[0].accumulate_grad_ref(&g);
+                g.map_inplace(|v| -v);
+                parents[1].accumulate_grad(g);
             }),
         ))
     }
@@ -119,14 +206,20 @@ impl Var {
     /// Returns [`ShapeError`] on shape mismatch.
     pub fn mul(&self, other: &Var) -> Result<Var, ShapeError> {
         let value = self.value().mul(&other.value())?;
-        let a_val = self.to_tensor();
-        let b_val = other.to_tensor();
         Ok(Var::from_op(
+            "mul",
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g, parents| {
-                parents[0].accumulate_grad(&g.mul(&b_val).expect("mul backward shape"));
-                parents[1].accumulate_grad(&g.mul(&a_val).expect("mul backward shape"));
+            Box::new(|mut g, parents| {
+                if parents[0].requires_grad() {
+                    let da = g.mul(&parents[1].value()).expect("mul backward shape");
+                    parents[0].accumulate_grad(da);
+                }
+                if parents[1].requires_grad() {
+                    g.zip_inplace(&parents[0].value(), |gv, av| gv * av)
+                        .expect("mul backward shape");
+                }
+                parents[1].accumulate_grad(g);
             }),
         ))
     }
@@ -135,9 +228,13 @@ impl Var {
     pub fn scale(&self, s: f32) -> Var {
         let value = self.value().scale(s);
         Var::from_op(
+            "scale",
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| parents[0].accumulate_grad(&g.scale(s))),
+            Box::new(move |mut g, parents| {
+                g.map_inplace(|v| v * s);
+                parents[0].accumulate_grad(g);
+            }),
         )
     }
 
@@ -145,10 +242,32 @@ impl Var {
     pub fn add_scalar(&self, s: f32) -> Var {
         let value = self.value().add_scalar(s);
         Var::from_op(
+            "add_scalar",
             value,
             vec![self.clone()],
             Box::new(|g, parents| parents[0].accumulate_grad(g)),
         )
+    }
+
+    /// `self · s + other` in one node — the leak-and-integrate half of the
+    /// LIF update (`u = τ·m + x`), with the float operations of
+    /// `self.scale(s).add(other)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] on shape mismatch.
+    pub fn scale_add(&self, s: f32, other: &Var) -> Result<Var, ShapeError> {
+        let value = self.value().zip(&other.value(), |a, b| a * s + b)?;
+        Ok(Var::from_op(
+            "scale_add",
+            value,
+            vec![self.clone(), other.clone()],
+            Box::new(move |mut g, parents| {
+                parents[1].accumulate_grad_ref(&g);
+                g.map_inplace(|v| v * s);
+                parents[0].accumulate_grad(g);
+            }),
+        ))
     }
 
     /// Multiplies every element by a **learned scalar** (a `Var` holding a
@@ -165,31 +284,32 @@ impl Var {
             )));
         }
         let sv = s.value().data()[0];
-        let x_val = self.to_tensor();
         let value = self.value().scale(sv);
         Ok(Var::from_op(
+            "scale_by",
             value,
             vec![self.clone(), s.clone()],
-            Box::new(move |g, parents| {
-                parents[0].accumulate_grad(&g.scale(sv));
-                let ds: f32 = g.data().iter().zip(x_val.data().iter()).map(|(a, b)| a * b).sum();
-                parents[1].accumulate_grad(&Tensor::from_vec(vec![ds], &[1]).expect("scalar grad"));
+            Box::new(move |mut g, parents| {
+                let ds: f32 =
+                    g.data().iter().zip(parents[0].value().data()).map(|(a, b)| a * b).sum();
+                g.map_inplace(|v| v * sv);
+                parents[0].accumulate_grad(g);
+                parents[1].accumulate_grad(scalar(ds));
             }),
         ))
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        let x_val = self.to_tensor();
         let value = self.value().map(|v| v.max(0.0));
         Var::from_op(
+            "relu",
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| {
-                let masked = g
-                    .zip(&x_val, |gv, xv| if xv > 0.0 { gv } else { 0.0 })
+            Box::new(|mut g, parents| {
+                g.zip_inplace(&parents[0].value(), |gv, xv| if xv > 0.0 { gv } else { 0.0 })
                     .expect("relu backward shape");
-                parents[0].accumulate_grad(&masked);
+                parents[0].accumulate_grad(g);
             }),
         )
     }
@@ -200,16 +320,33 @@ impl Var {
     ///
     /// This is the firing function `H(u − V_th)` of Eq. (1) in the paper.
     pub fn spike(&self, vth: f32, surrogate: Surrogate) -> Var {
-        let u_val = self.to_tensor();
-        let value = self.value().map(|u| if u >= vth { 1.0 } else { 0.0 });
+        let value = self.value().map(|u| heaviside(u, vth));
         Var::from_op(
+            "spike",
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| {
-                let du = g
-                    .zip(&u_val, |gv, uv| gv * surrogate.grad(uv - vth))
-                    .expect("spike backward shape");
-                parents[0].accumulate_grad(&du);
+            Box::new(move |mut g, parents| {
+                surrogate.scale_grad(&mut g, &parents[0].value(), vth);
+                parents[0].accumulate_grad(g);
+            }),
+        )
+    }
+
+    /// Hard reset of a membrane potential: `u · (1 − H(u − V_th))`, zero
+    /// where the neuron fired and `u` elsewhere, with the gate **detached**
+    /// (the STBP convention: no gradient flows through the firing decision
+    /// here, only through `u`). One node, one pass; the float operations of
+    /// `u.mul(&u.spike(..).detach().scale(-1.0).add_scalar(1.0))`.
+    pub fn hard_reset(&self, vth: f32) -> Var {
+        let value = self.value().map(|u| u * reset_gate(u, vth));
+        Var::from_op(
+            "hard_reset",
+            value,
+            vec![self.clone()],
+            Box::new(move |mut g, parents| {
+                g.zip_inplace(&parents[0].value(), |gv, uv| gv * reset_gate(uv, vth))
+                    .expect("hard_reset backward shape");
+                parents[0].accumulate_grad(g);
             }),
         )
     }
@@ -222,13 +359,14 @@ impl Var {
     ///
     /// Returns [`ShapeError`] if the element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Result<Var, ShapeError> {
-        let value = self.value().reshape(shape)?;
+        let value = self.value().scratch_copy().into_reshaped(shape)?;
         let old_shape = self.shape();
         Ok(Var::from_op(
+            "reshape",
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                parents[0].accumulate_grad(&g.reshape(&old_shape).expect("reshape backward"));
+                parents[0].accumulate_grad(g.into_reshaped(&old_shape).expect("reshape backward"));
             }),
         ))
     }
@@ -240,10 +378,14 @@ impl Var {
         let total = self.value().sum();
         let shape = self.shape();
         Var::from_op(
-            Tensor::from_vec(vec![total], &[1]).expect("scalar tensor"),
+            "sum_to_scalar",
+            scalar(total),
             vec![self.clone()],
             Box::new(move |g, parents| {
-                parents[0].accumulate_grad(&Tensor::full(&shape, g.data()[0]));
+                let mut dx = Tensor::scratch(&shape);
+                dx.data_mut().fill(g.data()[0]);
+                g.recycle();
+                parents[0].accumulate_grad(dx);
             }),
         )
     }
@@ -263,20 +405,22 @@ impl Var {
     /// Returns [`ShapeError`] if operands are not 2-D or inner dims disagree.
     pub fn matmul(&self, other: &Var) -> Result<Var, ShapeError> {
         let value = self.value().matmul(&other.value())?;
-        let a_val = self.to_tensor();
-        let b_val = other.to_tensor();
         Ok(Var::from_op(
+            "matmul",
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g, parents| {
+            Box::new(|g, parents| {
                 // dA = g · Bᵀ and dB = Aᵀ · g via the runtime's transpose-
                 // reading kernels — no transpose copies.
                 if parents[0].requires_grad() {
-                    parents[0].accumulate_grad(&g.matmul_a_bt(&b_val).expect("matmul backward da"));
+                    let da = g.matmul_a_bt(&parents[1].value()).expect("matmul backward da");
+                    parents[0].accumulate_grad(da);
                 }
                 if parents[1].requires_grad() {
-                    parents[1].accumulate_grad(&a_val.matmul_at_b(g).expect("matmul backward db"));
+                    let db = parents[0].value().matmul_at_b(&g).expect("matmul backward db");
+                    parents[1].accumulate_grad(db);
                 }
+                g.recycle();
             }),
         ))
     }
@@ -299,7 +443,7 @@ impl Var {
                 b.shape()
             )));
         }
-        let (batch, feat) = (x.shape()[0], x.shape()[1]);
+        let feat = x.shape()[1];
         let (out, feat2) = (w.shape()[0], w.shape()[1]);
         if feat != feat2 || b.shape()[0] != out {
             return Err(ShapeError::new(format!(
@@ -311,30 +455,32 @@ impl Var {
         }
         // y = x · wᵀ read straight from the (O, F) weight layout.
         let mut y = x.matmul_a_bt(&w)?;
-        for i in 0..batch {
-            for j in 0..out {
-                y.data_mut()[i * out + j] += b.data()[j];
+        for row in y.data_mut().chunks_mut(out.max(1)) {
+            for (v, &bv) in row.iter_mut().zip(b.data()) {
+                *v += bv;
             }
         }
         drop((x, w, b));
-        let x_val = self.to_tensor();
-        let w_val = weight.to_tensor();
         Ok(Var::from_op(
+            "linear",
             y,
             vec![self.clone(), weight.clone(), bias.clone()],
-            Box::new(move |g, parents| {
+            Box::new(|g, parents| {
                 // dx = g · w
                 if parents[0].requires_grad() {
-                    parents[0].accumulate_grad(&g.matmul(&w_val).expect("linear backward dx"));
+                    let dx = g.matmul(&parents[1].value()).expect("linear backward dx");
+                    parents[0].accumulate_grad(dx);
                 }
                 // dw = gᵀ · x without materializing gᵀ
                 if parents[1].requires_grad() {
-                    parents[1].accumulate_grad(&g.matmul_at_b(&x_val).expect("linear backward dw"));
+                    let dw = g.matmul_at_b(&parents[0].value()).expect("linear backward dw");
+                    parents[1].accumulate_grad(dw);
                 }
                 // db = column sums of g
                 if parents[2].requires_grad() {
-                    parents[2].accumulate_grad(&g.sum_axis(0).expect("linear backward db"));
+                    parents[2].accumulate_grad(g.sum_axis(0).expect("linear backward db"));
                 }
+                g.recycle();
             }),
         ))
     }
@@ -348,22 +494,22 @@ impl Var {
     /// Returns [`ShapeError`] if input or weight does not match `geometry`.
     pub fn conv2d(&self, weight: &Var, geometry: Conv2dGeometry) -> Result<Var, ShapeError> {
         let value = conv::conv2d(&self.value(), &weight.value(), &geometry)?;
-        let x_val = self.to_tensor();
-        let w_val = weight.to_tensor();
         Ok(Var::from_op(
+            "conv2d",
             value,
             vec![self.clone(), weight.clone()],
             Box::new(move |g, parents| {
                 if parents[0].requires_grad() {
-                    let dx =
-                        conv::conv2d_input_grad(g, &w_val, &geometry).expect("conv2d backward dx");
-                    parents[0].accumulate_grad(&dx);
+                    let dx = conv::conv2d_input_grad(&g, &parents[1].value(), &geometry)
+                        .expect("conv2d backward dx");
+                    parents[0].accumulate_grad(dx);
                 }
                 if parents[1].requires_grad() {
-                    let dw =
-                        conv::conv2d_weight_grad(&x_val, g, &geometry).expect("conv2d backward dw");
-                    parents[1].accumulate_grad(&dw);
+                    let dw = conv::conv2d_weight_grad(&parents[0].value(), &g, &geometry)
+                        .expect("conv2d backward dw");
+                    parents[1].accumulate_grad(dw);
                 }
+                g.recycle();
             }),
         ))
     }
@@ -383,11 +529,13 @@ impl Var {
             (s[2], s[3])
         };
         Ok(Var::from_op(
+            "avg_pool2d",
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let dx = pool::avg_pool2d_backward(g, k, in_hw).expect("avg_pool backward");
-                parents[0].accumulate_grad(&dx);
+                let dx = pool::avg_pool2d_backward(&g, k, in_hw).expect("avg_pool backward");
+                parents[0].accumulate_grad(dx);
+                g.recycle();
             }),
         ))
     }
@@ -404,11 +552,13 @@ impl Var {
             (s[2], s[3])
         };
         Ok(Var::from_op(
+            "global_avg_pool",
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let dx = pool::global_avg_pool_backward(g, in_hw).expect("gap backward");
-                parents[0].accumulate_grad(&dx);
+                let dx = pool::global_avg_pool_backward(&g, in_hw).expect("gap backward");
+                parents[0].accumulate_grad(dx);
+                g.recycle();
             }),
         ))
     }
@@ -420,6 +570,9 @@ impl Var {
     ///
     /// Statistics are computed per channel over `(B, H, W)` of this batch:
     /// `y = γ · k · (x − μ)/√(σ² + eps) + β`.
+    ///
+    /// The node keeps the per-channel `μ` and `1/√(σ² + eps)` only; backward
+    /// recomputes `x̂` from the input it reads off the tape.
     ///
     /// # Errors
     ///
@@ -450,80 +603,71 @@ impl Var {
         let n = (b * h * w) as f32;
         let plane = h * w;
         let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for ch in 0..c {
-            let mut acc = 0.0;
-            for s in 0..b {
-                let start = (s * c + ch) * plane;
-                acc += x.data()[start..start + plane].iter().sum::<f32>();
-            }
-            mean[ch] = acc / n;
-            let mut vacc = 0.0;
-            for s in 0..b {
-                let start = (s * c + ch) * plane;
-                vacc += x.data()[start..start + plane]
-                    .iter()
-                    .map(|v| (v - mean[ch]).powi(2))
-                    .sum::<f32>();
-            }
-            var[ch] = vacc / n;
-        }
-        let g_val = gamma.to_tensor();
-        let mut y = Tensor::zeros(&[b, c, h, w]);
-        let mut xhat = Tensor::zeros(&[b, c, h, w]);
+        let mut inv_std = vec![0.0f32; c];
+        let mut y = Tensor::scratch(&[b, c, h, w]);
         {
-            let bv = beta.value();
-            for s in 0..b {
-                for ch in 0..c {
-                    let inv = 1.0 / (var[ch] + eps).sqrt();
-                    let start = (s * c + ch) * plane;
-                    for i in 0..plane {
-                        let xh = (x.data()[start + i] - mean[ch]) * inv;
-                        xhat.data_mut()[start + i] = xh;
-                        y.data_mut()[start + i] =
-                            g_val.data()[ch] * extra_scale * xh + bv.data()[ch];
+            let (xd, gv, bv) = (x.data(), gamma.value(), beta.value());
+            let yd = y.data_mut();
+            for ch in 0..c {
+                let channel = channel_planes(b, c, ch, plane);
+                let mut acc = 0.0;
+                for r in channel.clone() {
+                    acc += xd[r].iter().sum::<f32>();
+                }
+                let m = acc / n;
+                let mut vacc = 0.0;
+                for r in channel.clone() {
+                    vacc += xd[r].iter().map(|v| (v - m).powi(2)).sum::<f32>();
+                }
+                let inv = 1.0 / (vacc / n + eps).sqrt();
+                let (gk, shift) = (gv.data()[ch] * extra_scale, bv.data()[ch]);
+                for r in channel {
+                    for (o, &v) in yd[r.clone()].iter_mut().zip(&xd[r]) {
+                        *o = gk * ((v - m) * inv) + shift;
                     }
                 }
+                mean[ch] = m;
+                inv_std[ch] = inv;
             }
         }
         drop(x);
-        let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
         Ok(Var::from_op(
+            "batch_norm2d",
             y,
             vec![self.clone(), gamma.clone(), beta.clone()],
-            Box::new(move |g, parents| {
-                let mut dgamma = vec![0.0f32; c];
-                let mut dbeta = vec![0.0f32; c];
-                let mut dx = Tensor::zeros(&[b, c, h, w]);
-                for ch in 0..c {
-                    // Reductions over the channel's (B,H,W) slab.
-                    let mut sum_dy = 0.0f32;
-                    let mut sum_dy_xhat = 0.0f32;
-                    for s in 0..b {
-                        let start = (s * c + ch) * plane;
-                        for i in 0..plane {
-                            let dy = g.data()[start + i];
-                            sum_dy += dy;
-                            sum_dy_xhat += dy * xhat.data()[start + i];
+            Box::new(move |mut g, parents| {
+                let mut dgamma = Tensor::scratch(&[c]);
+                let mut dbeta = Tensor::scratch(&[c]);
+                {
+                    let (x, gv) = (parents[0].value(), parents[1].value());
+                    let (xd, gd) = (x.data(), g.data_mut());
+                    for ch in 0..c {
+                        let channel = channel_planes(b, c, ch, plane);
+                        let (m, inv) = (mean[ch], inv_std[ch]);
+                        // Reductions over the channel's (B,H,W) slab.
+                        let mut sum_dy = 0.0f32;
+                        let mut sum_dy_xhat = 0.0f32;
+                        for r in channel.clone() {
+                            for (&dy, &v) in gd[r.clone()].iter().zip(&xd[r]) {
+                                sum_dy += dy;
+                                sum_dy_xhat += dy * ((v - m) * inv);
+                            }
                         }
-                    }
-                    dbeta[ch] = sum_dy;
-                    dgamma[ch] = sum_dy_xhat * extra_scale;
-                    let gk = g_val.data()[ch] * extra_scale;
-                    let coeff = gk * inv_std[ch] / n;
-                    for s in 0..b {
-                        let start = (s * c + ch) * plane;
-                        for i in 0..plane {
-                            let dy = g.data()[start + i];
-                            let xh = xhat.data()[start + i];
-                            dx.data_mut()[start + i] = coeff * (n * dy - sum_dy - xh * sum_dy_xhat);
+                        dbeta.data_mut()[ch] = sum_dy;
+                        dgamma.data_mut()[ch] = sum_dy_xhat * extra_scale;
+                        let coeff = gv.data()[ch] * extra_scale * inv / n;
+                        // dx over dy, in place: element i needs dy[i] only.
+                        for r in channel {
+                            for (dy, &v) in gd[r.clone()].iter_mut().zip(&xd[r]) {
+                                let xh = (v - m) * inv;
+                                *dy = coeff * (n * *dy - sum_dy - xh * sum_dy_xhat);
+                            }
                         }
                     }
                 }
-                parents[0].accumulate_grad(&dx);
-                parents[1]
-                    .accumulate_grad(&Tensor::from_vec(dgamma, &[c]).expect("bn dgamma shape"));
-                parents[2].accumulate_grad(&Tensor::from_vec(dbeta, &[c]).expect("bn dbeta shape"));
+                parents[0].accumulate_grad(g);
+                parents[1].accumulate_grad(dgamma);
+                parents[2].accumulate_grad(dbeta);
             }),
         ))
     }
@@ -557,30 +701,35 @@ pub fn cross_entropy_logits(logits: &Var, labels: &[usize]) -> Result<Var, Shape
         )));
     }
     let mut loss = 0.0f32;
-    let mut softmax = Tensor::zeros(&[b, k]);
-    for i in 0..b {
-        let row = &x.data()[i * k..(i + 1) * k];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|v| (v - m).exp()).collect();
-        let z: f32 = exps.iter().sum();
-        for (j, &e) in exps.iter().enumerate() {
-            softmax.data_mut()[i * k + j] = e / z;
-        }
-        loss += z.ln() + m - row[labels[i]];
+    let mut probs = Tensor::scratch(&[k]);
+    for (row, &label) in x.data().chunks(k.max(1)).zip(labels) {
+        let (m, z) = softmax_row(row, probs.data_mut());
+        loss += z.ln() + m - row[label];
     }
+    probs.recycle();
     loss /= b as f32;
     drop(x);
     let labels: Vec<usize> = labels.to_vec();
     Ok(Var::from_op(
-        Tensor::from_vec(vec![loss], &[1]).expect("scalar tensor"),
+        "cross_entropy_logits",
+        scalar(loss),
         vec![logits.clone()],
         Box::new(move |g, parents| {
+            // d loss / d logits = (softmax − onehot) · g / B, the softmax
+            // recomputed from the logits on the tape.
             let scale = g.data()[0] / b as f32;
-            let mut dx = softmax.clone();
-            for (i, &l) in labels.iter().enumerate() {
-                dx.data_mut()[i * k + l] -= 1.0;
+            g.recycle();
+            let mut dx = Tensor::scratch(&[b, k]);
+            let x = parents[0].value();
+            for ((row, drow), &l) in
+                x.data().chunks(k.max(1)).zip(dx.data_mut().chunks_mut(k.max(1))).zip(&labels)
+            {
+                softmax_row(row, drow);
+                drow[l] -= 1.0;
             }
-            parents[0].accumulate_grad(&dx.scale(scale));
+            drop(x);
+            dx.map_inplace(|v| v * scale);
+            parents[0].accumulate_grad(dx);
         }),
     ))
 }
@@ -879,5 +1028,73 @@ mod tests {
         total.sum_to_scalar().backward();
         let g = w.grad().unwrap().data()[0];
         assert!(g > 0.0, "temporal gradient should be positive, got {g}");
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fused LIF ops against the chains they replace, bit for bit:
+    /// values, and the gradients reaching both inputs — signs of zero and
+    /// the `u == vth` edge included.
+    #[test]
+    fn scale_add_and_hard_reset_match_their_chains_bitwise() {
+        let mut rng = Rng::seed_from(53);
+        let (tau, vth) = (0.25, 0.5);
+        let mut m0 = Tensor::randn(&[3, 7], &mut rng);
+        let mut x0 = Tensor::randn(&[3, 7], &mut rng);
+        m0.data_mut()[..3].copy_from_slice(&[-0.0, 0.0, 2.0]);
+        x0.data_mut()[..3].copy_from_slice(&[-0.0, -0.0, 0.0]); // u = -0.0, 0.0, vth
+        let seed = Tensor::randn(&[3, 7], &mut rng).map(|v| if v.abs() < 0.2 { -0.0 } else { v });
+        let run = |fused: bool| {
+            let (m, x) = (Var::param(m0.clone()), Var::param(x0.clone()));
+            let (u, next) = if fused {
+                let u = m.scale_add(tau, &x).unwrap();
+                let next = u.hard_reset(vth);
+                (u, next)
+            } else {
+                let u = m.scale(tau).add(&x).unwrap();
+                let gate = u.spike(vth, Surrogate::default()).detach().scale(-1.0).add_scalar(1.0);
+                let next = u.mul(&gate).unwrap();
+                (u, next)
+            };
+            let out = (bits(&u.value()), bits(&next.value()));
+            next.backward_with_seed(&seed);
+            (out, bits(&m.grad().unwrap()), bits(&x.grad().unwrap()))
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn hard_reset_zeroes_fired_neurons_and_blocks_their_gradient() {
+        let u = Var::param(Tensor::from_vec(vec![0.2, 0.5, 1.5, -0.3], &[4]).unwrap());
+        let m = u.hard_reset(0.5);
+        assert_eq!(m.value().data(), &[0.2, 0.0, 0.0, -0.3]);
+        m.sum_to_scalar().backward();
+        assert_eq!(u.grad().unwrap().data(), &[1.0, 0.0, 0.0, 1.0]);
+    }
+
+    /// Every surrogate variant: the hoisted whole-tensor form equals the
+    /// per-element `Surrogate::grad` it replaced.
+    #[test]
+    fn spike_backward_matches_per_element_surrogate_bitwise() {
+        let mut rng = Rng::seed_from(54);
+        let vth = 0.5;
+        for surrogate in [
+            Surrogate::Rectangle { width: 0.8 },
+            Surrogate::Triangle { width: 1.3 },
+            Surrogate::Atan { alpha: 2.0 },
+        ] {
+            let u = Var::param(Tensor::randn(&[40], &mut rng));
+            let seed = Tensor::randn(&[40], &mut rng);
+            u.spike(vth, surrogate).backward_with_seed(&seed);
+            let want: Vec<u32> = seed
+                .data()
+                .iter()
+                .zip(u.value().data())
+                .map(|(g, uv)| (g * surrogate.grad(uv - vth)).to_bits())
+                .collect();
+            assert_eq!(bits(&u.grad().unwrap()), want, "{surrogate:?}");
+        }
     }
 }

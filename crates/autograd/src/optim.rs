@@ -113,21 +113,18 @@ impl Sgd {
     }
 
     /// The shared update arithmetic of [`Sgd::step`] and
-    /// [`Sgd::step_with_grads`]: `v ← μ·v + (g + λ·w)`, `w ← w − lr·v`.
-    /// One code path keeps the two entry points bit-identical.
+    /// [`Sgd::step_with_grads`]: `v ← μ·v + (g + λ·w)`, `w ← w − lr·v`,
+    /// element by element and in place. One code path keeps the two entry
+    /// points bit-identical.
     fn apply_update(config: SgdConfig, p: &Var, v: &mut Tensor, g: &Tensor) {
         let SgdConfig { lr, momentum, weight_decay } = config;
         p.update_value(|w| {
-            // g_eff = g + wd * w
-            let mut g_eff = g.clone();
-            if weight_decay != 0.0 {
-                g_eff.add_scaled(w, weight_decay).expect("weight decay shape");
+            assert_eq!(w.shape(), g.shape(), "gradient shape differs from its parameter's");
+            for ((w, v), &g) in w.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
+                let g_eff = if weight_decay != 0.0 { g + weight_decay * *w } else { g };
+                *v = *v * momentum + g_eff;
+                *w += -lr * *v;
             }
-            // v = momentum * v + g_eff
-            *v = v.scale(momentum);
-            v.add_scaled(&g_eff, 1.0).expect("velocity shape");
-            // w -= lr * v
-            w.add_scaled(v, -lr).expect("param update shape");
         });
     }
 
@@ -136,8 +133,11 @@ impl Sgd {
     /// skipped.
     pub fn step(&mut self) {
         for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let Some(g) = p.grad() else { continue };
-            Self::apply_update(self.config, p, v, &g);
+            p.with_grad(|g| {
+                if let Some(g) = g {
+                    Self::apply_update(self.config, p, v, g);
+                }
+            });
         }
     }
 

@@ -23,7 +23,7 @@ use ttsnn_autograd::SgdConfig;
 use ttsnn_bench::harness::micro::{write_json, BenchRecord};
 use ttsnn_data::{Batch, StaticImages};
 use ttsnn_snn::conv_unit::ConvPolicy;
-use ttsnn_snn::{LossKind, ResNetConfig, ResNetSnn, ShardConfig, ShardedTrainer};
+use ttsnn_snn::{LossKind, ResNetConfig, ResNetSnn, ShardConfig, ShardedTrainer, StepTiming};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Rng;
 
@@ -47,17 +47,33 @@ fn data() -> Vec<Batch> {
         .expect("bench batches")
 }
 
-/// Optimizer steps per second at the given shard count.
-fn steps_per_sec(shards: usize, batches: &[Batch]) -> f64 {
+/// Optimizer steps per second at the given shard count, and the mean
+/// per-step phase split the trainer reports.
+fn steps_per_sec(shards: usize, batches: &[Batch]) -> (f64, StepTiming) {
     let mut trainer = ShardedTrainer::new(ShardConfig::new(shards, MICRO), factory());
     let sgd = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4 };
     // Warmup (first step pays model/arena setup).
     trainer.step(&batches[0], LossKind::SumCe, sgd).expect("warmup step");
     let start = Instant::now();
+    let mut sum = StepTiming::default();
     for s in 0..STEPS {
-        trainer.step(&batches[s % batches.len()], LossKind::SumCe, sgd).expect("bench step");
+        sum +=
+            trainer.step(&batches[s % batches.len()], LossKind::SumCe, sgd).expect("bench step").1;
     }
-    STEPS as f64 / start.elapsed().as_secs_f64()
+    (STEPS as f64 / start.elapsed().as_secs_f64(), sum / STEPS as f64)
+}
+
+/// One `forward / backward / all-reduce / optimizer` line, in ms.
+fn phases(label: &str, t: &StepTiming) {
+    println!(
+        "{:<24} fwd {:.2} / bwd {:.2} / all-reduce {:.3} / opt {:.3} ms of {:.2} ms per step",
+        label,
+        t.forward * 1e3,
+        t.backward * 1e3,
+        t.all_reduce * 1e3,
+        t.optimizer * 1e3,
+        t.total * 1e3
+    );
 }
 
 /// Scoped fork/join region over two ranges — the per-region thread-spawn
@@ -69,6 +85,55 @@ fn scoped_region(n: usize, f: impl Fn(usize, usize) + Sync) {
         s.spawn(move || fref(mid, n));
         fref(0, mid);
     });
+}
+
+/// Microseconds a two-worker region costs over its ideal when the worker
+/// has **parked** between regions — what a kernel pays whenever the caller
+/// ran serial code for longer than a scheduler tick since its last fork,
+/// which is every fork of a training step. Each half of the region is a
+/// fixed spin of a few tens of microseconds (longer than the wake-up, so
+/// the caller cannot finish and take the worker's half back before it
+/// arrives); between timed regions the caller spins until the worker has
+/// blocked on the pool's condvar. Reported: median region time minus one
+/// half's inline time, i.e. what the fork added to the critical path.
+/// `runtime`'s fork grain is sized from this number; [`dispatch_cost`]'s
+/// back-to-back loop measures the hot case, where the caller pops its own
+/// task back before the worker wakes.
+fn parked_region_us() -> f64 {
+    const SPIN: usize = 40_000;
+    let rt = Runtime::new(2);
+    let sink = std::sync::atomic::AtomicUsize::new(0);
+    let body = |start: usize, end: usize| {
+        let mut acc = 0usize;
+        for i in start * SPIN..end * SPIN {
+            acc = acc.wrapping_add(std::hint::black_box(i));
+        }
+        sink.fetch_add(acc, std::sync::atomic::Ordering::Relaxed);
+    };
+    let median = |mut samples: Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    let timed = |f: &dyn Fn()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64() * 1e6
+    };
+    rt.parallel_for(2, 1, body);
+    let half = median((0..200).map(|_| timed(&|| body(0, 1))).collect());
+    let region = median(
+        (0..200)
+            .map(|_| {
+                // Spin, not sleep: only the worker may go idle.
+                let idle = Instant::now();
+                while idle.elapsed() < std::time::Duration::from_micros(300) {
+                    std::hint::spin_loop();
+                }
+                timed(&|| rt.parallel_for(2, 1, body))
+            })
+            .collect(),
+    );
+    region - half
 }
 
 /// Microseconds per two-worker region, persistent pool vs scoped spawn,
@@ -105,14 +170,18 @@ fn main() {
     );
     let batches = data();
 
-    let single = steps_per_sec(1, &batches);
-    let sharded = steps_per_sec(shards, &batches);
+    let (single, single_phases) = steps_per_sec(1, &batches);
+    let (sharded, sharded_phases) = steps_per_sec(shards, &batches);
     println!("{:<24} {:>12.2} steps/s", "1 shard", single);
     println!("{:<24} {:>12.2} steps/s", format!("{shards} shards"), sharded);
     println!("{:<24} {:>12.2}x", "speedup", sharded / single);
+    phases("1 shard", &single_phases);
+    phases(&format!("{shards} shards"), &sharded_phases);
 
     let (pool_us, scoped_us) = dispatch_cost();
+    let parked_us = parked_region_us();
     println!("\n{:<24} {:>12.2} us/region", "persistent pool", pool_us);
+    println!("{:<24} {:>12.2} us/region", "  worker parked", parked_us);
     println!("{:<24} {:>12.2} us/region", "scoped spawn (PR 1)", scoped_us);
     println!("{:<24} {:>12.2}x", "spawn amortization", scoped_us / pool_us);
 
@@ -127,12 +196,17 @@ fn main() {
                 ("micro_batch".into(), MICRO as f64),
                 ("batch".into(), BATCH as f64),
                 ("threads".into(), threads as f64),
+                ("forward_ms_n_shards".into(), sharded_phases.forward * 1e3),
+                ("backward_ms_n_shards".into(), sharded_phases.backward * 1e3),
+                ("all_reduce_ms_n_shards".into(), sharded_phases.all_reduce * 1e3),
+                ("optimizer_ms_n_shards".into(), sharded_phases.optimizer * 1e3),
             ],
         },
         BenchRecord {
             name: "pool_dispatch".into(),
             metrics: vec![
                 ("pool_region_us".into(), pool_us),
+                ("pool_region_parked_us".into(), parked_us),
                 ("scoped_region_us".into(), scoped_us),
                 ("amortization_x".into(), scoped_us / pool_us),
             ],

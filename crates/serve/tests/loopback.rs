@@ -310,7 +310,10 @@ fn expired_deadline_travels_as_status_and_tenant_metric() {
 /// is told so without the queue ever admitting the request.
 #[test]
 fn saturation_and_rate_limit_travel_as_retryable_statuses() {
-    let (ckpt, config, _) = slow_plan(48); // ~40 ms per forward pass
+    // ~40 ms per forward pass: the request in flight has to outlive the
+    // 10 ms head start below by a wide margin (at 48 timesteps it had
+    // come down to 8–10 ms as the kernels got faster).
+    let (ckpt, config, _) = slow_plan(240);
     let inputs = slow_inputs(3, 42);
     let fair = FairPolicy::default()
         .with_tenant(5, TenantPolicy::default().with_rate(RateLimit { per_sec: 1.0, burst: 1.0 }));

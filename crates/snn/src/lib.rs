@@ -64,5 +64,5 @@ pub use norm::{Norm, NormKind};
 pub use quant::{CalibStats, QuantConfig, QuantPlanWeights, QuantReport};
 pub use resnet::{ResNetConfig, ResNetSnn};
 pub use sharded::{ShardConfig, ShardedTrainer};
-pub use trainer::{evaluate, evaluate_counts, train, TrainConfig, TrainReport};
+pub use trainer::{evaluate, evaluate_counts, train, StepTiming, TrainConfig, TrainReport};
 pub use vgg::{VggConfig, VggSnn};

@@ -140,6 +140,9 @@ impl Lif {
     /// next step. Gradients flow through the temporal path (τm·u) and the
     /// surrogate spike; the reset gate uses detached spikes.
     ///
+    /// Three tape nodes per step — `u = τm·m + x`, `s = H(u − V_th)`,
+    /// `m' = u·(1 − s)` — in the arithmetic order of [`Lif::step_tensor`].
+    ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `input`'s shape differs from the stored
@@ -148,14 +151,14 @@ impl Lif {
     pub fn step(&mut self, input: &Var) -> Result<Var, ShapeError> {
         let u = match &self.membrane {
             Some(prev) => {
-                if prev.shape() != input.shape() {
+                if prev.value().shape() != input.value().shape() {
                     return Err(ShapeError::new(format!(
                         "Lif::step: input shape {:?} does not match membrane {:?} (missing reset?)",
                         input.shape(),
                         prev.shape()
                     )));
                 }
-                prev.scale(self.config.tau).add(input)?
+                prev.scale_add(self.config.tau, input)?
             }
             None => input.add_scalar(0.0),
         };
@@ -166,8 +169,7 @@ impl Lif {
             self.neuron_steps += s.len() as f64;
         }
         // Hard reset: u <- u * (1 - s), with s detached (STBP convention).
-        let gate = spikes.detach().scale(-1.0).add_scalar(1.0);
-        self.membrane = Some(u.mul(&gate)?);
+        self.membrane = Some(u.hard_reset(self.config.vth));
         Ok(spikes)
     }
 

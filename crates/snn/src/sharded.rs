@@ -49,13 +49,14 @@ use std::time::Instant;
 
 use ttsnn_autograd::{CosineAnnealing, GradReduce, Sgd, SgdConfig, Var};
 use ttsnn_data::Batch;
-use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{ShapeError, Tensor};
 
 use crate::checkpoint;
 use crate::loss::LossKind;
 use crate::model::Model;
-use crate::trainer::{evaluate_counts, forward_batch, EpochStats, TrainConfig, TrainReport};
+use crate::trainer::{
+    evaluate_counts, forward_backward, StepTiming, StepTotals, TrainConfig, TrainReport,
+};
 
 /// Shape of the data parallelism: how many replicas, and the fixed
 /// gradient-reduction granularity.
@@ -90,10 +91,13 @@ impl ShardConfig {
     }
 }
 
-/// Gradients (plus loss) of one micro-batch, tagged with its global index.
+/// Gradients (plus loss and phase seconds) of one micro-batch, tagged with
+/// its global index.
 struct MicroGrad {
     index: usize,
     loss: f32,
+    forward: f64,
+    backward: f64,
     grads: Vec<Option<Tensor>>,
 }
 
@@ -143,12 +147,15 @@ fn worker_main<M: Model>(mut model: M, rx: &Receiver<Cmd>) {
                     let mut out = Vec::with_capacity(micros.len());
                     for (index, micro) in &micros {
                         opt.zero_grad();
-                        let logits = forward_batch(&mut model, micro)?;
-                        let loss_var = loss.compute(&logits, &micro.labels)?;
-                        let value = loss_var.to_tensor().data()[0];
-                        loss_var.backward();
+                        let (value, forward, backward) = forward_backward(&mut model, micro, loss)?;
                         let grads = opt.params().iter().map(Var::grad).collect();
-                        out.push(MicroGrad { index: *index, loss: value, grads });
+                        out.push(MicroGrad {
+                            index: *index,
+                            loss: value,
+                            forward,
+                            backward,
+                            grads,
+                        });
                     }
                     opt.zero_grad();
                     Ok(out)
@@ -321,7 +328,12 @@ impl ShardedTrainer {
     }
 
     /// One data-parallel optimizer step on `batch` under the given loss
-    /// and hyper-parameters. Returns `(mean micro-batch loss, seconds)`.
+    /// and hyper-parameters. Returns the mean micro-batch loss and the
+    /// step's seconds, in total and by phase: `forward` / `backward` are
+    /// the slowest replica's sums over its micro-batches (replicas run side
+    /// by side, so the slowest one bounds the step), `all_reduce` the
+    /// fixed-order fold on the calling thread, `optimizer` the replicated
+    /// update up to the last replica's acknowledgement.
     ///
     /// The batch is cut into `batch.len() / micro_batch` micro-batches,
     /// distributed round-robin over the replicas; gradients come back
@@ -338,7 +350,7 @@ impl ShardedTrainer {
         batch: &Batch,
         loss: LossKind,
         sgd: SgdConfig,
-    ) -> Result<(f32, f64), ShapeError> {
+    ) -> Result<(f32, StepTiming), ShapeError> {
         let start = Instant::now();
         let micro = self.config.micro_batch;
         let b = batch.len();
@@ -366,16 +378,27 @@ impl ShardedTrainer {
         }
         let mut reduce = GradReduce::new(m);
         let mut losses = vec![0.0f32; m];
+        let mut timing = StepTiming::default();
         for reply in replies {
             let micro_grads = reply.recv().expect("shard worker exited unexpectedly")?;
+            let (mut forward, mut backward) = (0.0, 0.0);
             for mg in micro_grads {
                 losses[mg.index] = mg.loss;
+                forward += mg.forward;
+                backward += mg.backward;
+                let folding = Instant::now();
                 reduce.push(mg.index, mg.grads)?;
+                timing.all_reduce += folding.elapsed().as_secs_f64();
             }
+            timing.forward = timing.forward.max(forward);
+            timing.backward = timing.backward.max(backward);
         }
+        let folding = Instant::now();
         let mean_grads = Arc::new(reduce.finish()?);
+        timing.all_reduce += folding.elapsed().as_secs_f64();
         // Mean of the per-micro-batch losses, summed in fixed index order.
         let loss_value = losses.iter().sum::<f32>() / m as f32;
+        let applying = Instant::now();
         let mut acks = Vec::with_capacity(self.config.num_shards);
         for w in 0..self.config.num_shards {
             let (reply_tx, reply_rx) = channel();
@@ -388,7 +411,9 @@ impl ShardedTrainer {
         for ack in acks {
             ack.recv().expect("shard worker exited unexpectedly")?;
         }
-        Ok((loss_value, start.elapsed().as_secs_f64()))
+        timing.optimizer = applying.elapsed().as_secs_f64();
+        timing.total = start.elapsed().as_secs_f64();
+        Ok((loss_value, timing))
     }
 
     /// Data-parallel evaluation: batches are distributed round-robin over
@@ -453,39 +478,23 @@ impl ShardedTrainer {
         }
         let sched = CosineAnnealing::new(cfg.lr, cfg.epochs);
         let mut epochs = Vec::with_capacity(cfg.epochs);
-        let mut total_time = 0.0f64;
-        let mut total_steps = 0usize;
+        let mut run = StepTotals::default();
         for epoch in 0..cfg.epochs {
             let sgd = SgdConfig {
                 lr: sched.lr_at(epoch),
                 momentum: cfg.momentum,
                 weight_decay: cfg.weight_decay,
             };
-            let mut loss_sum = 0.0f32;
-            let mut time_sum = 0.0f64;
+            let mut steps = StepTotals::default();
             for batch in train_batches {
-                let (loss, secs) = self.step(batch, cfg.loss, sgd)?;
-                loss_sum += loss;
-                time_sum += secs;
+                let (loss, timing) = self.step(batch, cfg.loss, sgd)?;
+                steps.add(loss, timing);
+                run.add(loss, timing);
             }
-            let accuracy = self.evaluate(train_batches)?;
-            let n = train_batches.len().max(1);
-            epochs.push(EpochStats {
-                loss: loss_sum / n as f32,
-                accuracy,
-                step_seconds: time_sum / n as f64,
-            });
-            total_time += time_sum;
-            total_steps += train_batches.len();
+            epochs.push(steps.epoch(self.evaluate(train_batches)?));
         }
         let test_accuracy = self.evaluate(test_batches)?;
-        Ok(TrainReport {
-            epochs,
-            test_accuracy,
-            mean_step_seconds: if total_steps > 0 { total_time / total_steps as f64 } else { 0.0 },
-            threads: Runtime::global().threads(),
-            shards: self.config.num_shards,
-        })
+        Ok(run.report(epochs, test_accuracy, self.config.num_shards))
     }
 
     /// Snapshot of replica `shard`'s parameter tensors, in

@@ -49,6 +49,100 @@ impl Default for TrainConfig {
     }
 }
 
+/// Wall-clock seconds of one optimization step (or the mean over several
+/// steps), in total and by phase. The phases leave out only `zero_grad`
+/// and the bookkeeping between them, so they sum to just under `total`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StepTiming {
+    /// The whole step.
+    pub total: f64,
+    /// Forward over all timesteps, plus the loss.
+    pub forward: f64,
+    /// The BPTT backward sweep.
+    pub backward: f64,
+    /// Folding the micro-batch gradients in fixed order (data-parallel
+    /// steps only; `0.0` for [`train_step`]).
+    pub all_reduce: f64,
+    /// The SGD update.
+    pub optimizer: f64,
+}
+
+impl std::ops::AddAssign for StepTiming {
+    fn add_assign(&mut self, other: Self) {
+        self.total += other.total;
+        self.forward += other.forward;
+        self.backward += other.backward;
+        self.all_reduce += other.all_reduce;
+        self.optimizer += other.optimizer;
+    }
+}
+
+impl std::ops::Div<f64> for StepTiming {
+    type Output = Self;
+
+    /// Every field divided by `n` — the mean of `n` summed steps.
+    fn div(self, n: f64) -> Self {
+        Self {
+            total: self.total / n,
+            forward: self.forward / n,
+            backward: self.backward / n,
+            all_reduce: self.all_reduce / n,
+            optimizer: self.optimizer / n,
+        }
+    }
+}
+
+/// Running totals of a training run's steps, from which [`EpochStats`] and
+/// [`TrainReport`] take their means. Shared by [`train`] and
+/// [`crate::ShardedTrainer::train`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepTotals {
+    loss: f32,
+    timing: StepTiming,
+    steps: usize,
+}
+
+impl StepTotals {
+    pub(crate) fn add(&mut self, loss: f32, timing: StepTiming) {
+        self.loss += loss;
+        self.timing += timing;
+        self.steps += 1;
+    }
+
+    fn mean_timing(&self) -> StepTiming {
+        self.timing / self.steps.max(1) as f64
+    }
+
+    /// The statistics of an epoch whose steps these are.
+    pub(crate) fn epoch(&self, accuracy: f32) -> EpochStats {
+        let step_timing = self.mean_timing();
+        EpochStats {
+            loss: self.loss / self.steps.max(1) as f32,
+            accuracy,
+            step_seconds: step_timing.total,
+            step_timing,
+        }
+    }
+
+    /// The report of a run whose steps these are.
+    pub(crate) fn report(
+        &self,
+        epochs: Vec<EpochStats>,
+        test_accuracy: f32,
+        shards: usize,
+    ) -> TrainReport {
+        let mean_step_timing = self.mean_timing();
+        TrainReport {
+            epochs,
+            test_accuracy,
+            mean_step_seconds: mean_step_timing.total,
+            mean_step_timing,
+            threads: Runtime::global().threads(),
+            shards,
+        }
+    }
+}
+
 /// Per-epoch statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochStats {
@@ -58,6 +152,8 @@ pub struct EpochStats {
     pub accuracy: f32,
     /// Mean seconds per optimization step (forward + backward + update).
     pub step_seconds: f64,
+    /// The same step, by phase (means).
+    pub step_timing: StepTiming,
 }
 
 /// Result of a full training run.
@@ -70,6 +166,9 @@ pub struct TrainReport {
     /// Mean seconds per optimization step across all epochs — the
     /// "training time" column of Table II.
     pub mean_step_seconds: f64,
+    /// Where that time goes: mean forward / backward / all-reduce /
+    /// optimizer seconds per step.
+    pub mean_step_timing: StepTiming,
     /// Worker threads the kernel runtime used for this run.
     pub threads: usize,
     /// Data-parallel model replicas the run used (1 for [`train`]; the
@@ -99,14 +198,34 @@ pub fn forward_batch(model: &mut dyn TrainForward, batch: &Batch) -> Result<Vec<
     model.reset_state();
     let mut logits = Vec::with_capacity(batch.timesteps());
     for (t, frame) in batch.frames.iter().enumerate() {
-        let x = Var::constant(frame.clone());
+        // The tape's copy of the frame lives in the arena like every other
+        // value on it, and goes back there with the tape.
+        let x = Var::constant(frame.scratch_copy());
         logits.push(model.forward_timestep(&x, t)?);
     }
     Ok(logits)
 }
 
+/// Forward over all timesteps, loss, BPTT backward — the part of a step
+/// the classic and the data-parallel trainer share. Leaves the gradients on
+/// the parameters; returns the loss and the two phases' seconds.
+pub(crate) fn forward_backward(
+    model: &mut dyn TrainForward,
+    batch: &Batch,
+    loss_kind: LossKind,
+) -> Result<(f32, f64, f64), ShapeError> {
+    let start = Instant::now();
+    let logits = forward_batch(model, batch)?;
+    let loss = loss_kind.compute(&logits, &batch.labels)?;
+    let loss_value = loss.value().data()[0];
+    let forward = start.elapsed().as_secs_f64();
+    loss.backward();
+    Ok((loss_value, forward, start.elapsed().as_secs_f64() - forward))
+}
+
 /// One timed optimization step: forward over all timesteps, loss, BPTT
-/// backward, SGD update. Returns `(loss, seconds)`.
+/// backward, SGD update. Returns the loss and the step's seconds, in total
+/// and by phase.
 ///
 /// # Errors
 ///
@@ -116,15 +235,15 @@ pub fn train_step(
     batch: &Batch,
     opt: &mut Sgd,
     loss_kind: LossKind,
-) -> Result<(f32, f64), ShapeError> {
+) -> Result<(f32, StepTiming), ShapeError> {
     let start = Instant::now();
     opt.zero_grad();
-    let logits = forward_batch(model, batch)?;
-    let loss = loss_kind.compute(&logits, &batch.labels)?;
-    let loss_value = loss.to_tensor().data()[0];
-    loss.backward();
+    let (loss, forward, backward) = forward_backward(model, batch, loss_kind)?;
+    let stepping = Instant::now();
     opt.step();
-    Ok((loss_value, start.elapsed().as_secs_f64()))
+    let optimizer = stepping.elapsed().as_secs_f64();
+    let total = start.elapsed().as_secs_f64();
+    Ok((loss, StepTiming { total, forward, backward, all_reduce: 0.0, optimizer }))
 }
 
 /// Accuracy of summed-logit predictions over batches, computed on the
@@ -225,35 +344,19 @@ pub fn train(
     );
     let sched = CosineAnnealing::new(cfg.lr, cfg.epochs);
     let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut total_time = 0.0f64;
-    let mut total_steps = 0usize;
+    let mut run = StepTotals::default();
     for epoch in 0..cfg.epochs {
         sched.apply(&mut opt, epoch);
-        let mut loss_sum = 0.0f32;
-        let mut time_sum = 0.0f64;
+        let mut steps = StepTotals::default();
         for batch in train_batches {
-            let (loss, secs) = train_step(&mut *model, batch, &mut opt, cfg.loss)?;
-            loss_sum += loss;
-            time_sum += secs;
+            let (loss, timing) = train_step(&mut *model, batch, &mut opt, cfg.loss)?;
+            steps.add(loss, timing);
+            run.add(loss, timing);
         }
-        let accuracy = evaluate(&mut *model, train_batches)?;
-        let n = train_batches.len().max(1);
-        epochs.push(EpochStats {
-            loss: loss_sum / n as f32,
-            accuracy,
-            step_seconds: time_sum / n as f64,
-        });
-        total_time += time_sum;
-        total_steps += train_batches.len();
+        epochs.push(steps.epoch(evaluate(&mut *model, train_batches)?));
     }
     let test_accuracy = evaluate(&mut *model, test_batches)?;
-    Ok(TrainReport {
-        epochs,
-        test_accuracy,
-        mean_step_seconds: if total_steps > 0 { total_time / total_steps as f64 } else { 0.0 },
-        threads: Runtime::global().threads(),
-        shards: 1,
-    })
+    Ok(run.report(epochs, test_accuracy, 1))
 }
 
 #[cfg(test)]

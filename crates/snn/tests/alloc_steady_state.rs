@@ -1,5 +1,6 @@
-//! Steady-state allocation of the inference plane: once a model has seen
-//! its inputs, serving them again allocates nothing of 1 KiB or more.
+//! Steady-state allocation of both planes: once a model has seen its
+//! inputs, serving them again — or training on them again — allocates
+//! nothing of 1 KiB or more.
 //!
 //! Every activation, membrane, spike word buffer and kernel scratch comes
 //! out of the per-thread arena (`ttsnn_tensor::runtime`) and goes back to
@@ -8,6 +9,13 @@
 //! shape vectors and small bookkeeping, far under the 1 KiB line; any
 //! activation-sized allocation (the smallest here is 2 KiB) is a buffer
 //! that fell out of the loop.
+//!
+//! The training plane closes the same loop: every op output and gradient
+//! of the autograd tape is an arena buffer, gradients are moved rather
+//! than copied, and a tape that is dropped hands its buffers back, so
+//! after two warm-up steps a whole `zero_grad → forward → loss → backward
+//! → step` round runs out of parked memory (as long as the tape fits the
+//! arena's 64 MiB budget, which this one does many times over).
 //!
 //! One `#[test]` in a binary of its own: the counting allocator is
 //! process-wide, so nothing else may run beside the measured window, and
@@ -18,8 +26,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use ttsnn_autograd::{Sgd, SgdConfig};
+use ttsnn_core::TtMode;
+use ttsnn_data::EventStream;
 use ttsnn_snn::quant::QuantConfig;
-use ttsnn_snn::{ConvPolicy, InferForward, InferStats, ResNetConfig, ResNetSnn, VggConfig, VggSnn};
+use ttsnn_snn::trainer::forward_batch;
+use ttsnn_snn::{
+    ConvPolicy, InferForward, InferStats, LossKind, ResNetConfig, ResNetSnn, SpikingModel,
+    VggConfig, VggSnn,
+};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
 
@@ -107,6 +122,18 @@ fn serve(model: &mut dyn InferForward, request: &Request) {
     }
 }
 
+/// The large allocations (count, bytes) made while `window` runs.
+fn large_allocations(window: impl FnOnce()) -> (usize, usize) {
+    let before = (LARGE_ALLOCS.load(Ordering::Relaxed), LARGE_BYTES.load(Ordering::Relaxed));
+    ARMED.store(true, Ordering::SeqCst);
+    window();
+    ARMED.store(false, Ordering::SeqCst);
+    (
+        LARGE_ALLOCS.load(Ordering::Relaxed) - before.0,
+        LARGE_BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
 /// Two warm-up requests, then 32 measured ones over the same inputs;
 /// returns the large allocations (count, bytes) of the measured window.
 fn steady_state(model: &mut dyn InferForward, requests: &[Request; 2]) -> (usize, usize) {
@@ -114,16 +141,31 @@ fn steady_state(model: &mut dyn InferForward, requests: &[Request; 2]) -> (usize
     for request in requests {
         serve(model, request);
     }
-    let before = (LARGE_ALLOCS.load(Ordering::Relaxed), LARGE_BYTES.load(Ordering::Relaxed));
-    ARMED.store(true, Ordering::SeqCst);
-    for i in 0..32 {
-        serve(model, &requests[i % 2]);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    (
-        LARGE_ALLOCS.load(Ordering::Relaxed) - before.0,
-        LARGE_BYTES.load(Ordering::Relaxed) - before.1,
-    )
+    large_allocations(|| {
+        for i in 0..32 {
+            serve(model, &requests[i % 2]);
+        }
+    })
+}
+
+/// The training plane: an HTT MS-ResNet18 (width ÷ 8) on event batches
+/// (B = 8, T = 4). Two warm-up steps, then 4 measured ones over the same
+/// two batches; returns the large allocations of the measured window.
+fn training_steady_state(rng: &mut Rng) -> (usize, usize) {
+    let cfg = ResNetConfig::resnet18_events(10, (HW, HW), 8);
+    let mut model = ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(T)), rng);
+    let mut opt = Sgd::new(model.params(), SgdConfig { lr: 0.05, ..SgdConfig::default() });
+    let batches =
+        EventStream::ncaltech_like(HW, HW, 10, T).dataset(16, rng).batches(8, T, rng).unwrap();
+    let mut step = |i: usize| {
+        opt.zero_grad();
+        let logits = forward_batch(&mut model, &batches[i % 2]).expect("forward");
+        let loss = LossKind::SumCe.compute(&logits, &batches[i % 2].labels).expect("loss");
+        loss.backward();
+        opt.step();
+    };
+    (0..2).for_each(&mut step);
+    large_allocations(|| (2..6).for_each(&mut step))
 }
 
 #[test]
@@ -172,4 +214,8 @@ fn steady_state_requests_allocate_nothing_large() {
         }
     }
     assert!(leaks.is_empty(), "steady-state requests allocated large buffers: {leaks:?}");
+
+    let (count, bytes) = training_steady_state(&mut rng);
+    println!("MS-ResNet18 HTT training: {count} allocations >= {LARGE} B ({bytes} B) in 4 steps");
+    assert_eq!(count, 0, "steady-state training steps allocated {bytes} B in large buffers");
 }

@@ -16,6 +16,13 @@
 //! both ends of the batch-size spectrum use all cores. Every output element
 //! is computed by exactly one thread in a fixed order — results are
 //! bit-identical across thread counts.
+//!
+//! **Pointwise geometry** (1×1 kernel, stride 1, no padding — the `w1` /
+//! `w4` TT cores, two thirds of a TT-SNN training step's conv calls): the
+//! im2col matrix *is* the sample slab and col2im adds it into zeros, so all
+//! three kernels run their GEMM straight on the slab, with the same
+//! operands in the same order as the unfolded path and therefore the same
+//! bits.
 
 use crate::error::ShapeError;
 use crate::runtime::{self, with_scratch, Runtime};
@@ -78,6 +85,11 @@ impl Conv2dGeometry {
     /// Trainable parameter count (no bias, as in the paper's conv layers).
     pub fn params(&self) -> usize {
         self.out_channels * self.in_channels * self.kernel.0 * self.kernel.1
+    }
+
+    /// 1×1 kernel, stride 1, no padding: im2col is the identity.
+    fn is_pointwise(&self) -> bool {
+        self.kernel == (1, 1) && self.stride == (1, 1) && self.padding == (0, 0)
     }
 }
 
@@ -159,6 +171,20 @@ fn im2col_sample(x: &[f32], g: &Conv2dGeometry, cols: &mut [f32]) {
     im2col_sample_t(x, g, cols, 0.0);
 }
 
+/// Runs `f` on the im2col matrix `(C*Kh*Kw, Oh*Ow)` of sample `x`: the
+/// sample itself for a pointwise geometry, an unfolding into arena scratch
+/// otherwise.
+fn with_cols<R>(x: &[f32], g: &Conv2dGeometry, f: impl FnOnce(&[f32]) -> R) -> R {
+    if g.is_pointwise() {
+        return f(x);
+    }
+    let (oh, ow) = g.out_hw();
+    with_scratch(g.in_channels * g.kernel.0 * g.kernel.1 * oh * ow, |cols| {
+        im2col_sample(x, g, cols);
+        f(cols)
+    })
+}
+
 /// Folds an im2col matrix `(C*Kh*Kw, Oh*Ow)` back into a sample gradient
 /// `(C, H, W)`, *accumulating* overlapping contributions (the adjoint of
 /// [`im2col_sample`]).
@@ -224,31 +250,22 @@ pub fn conv2d_with(
     let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
     let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
     let out_slab = g.out_channels * ospatial;
+    let (xd, wd) = (x.data(), weight.data());
     if b == 1 {
         // One sample: parallelize inside the GEMM over output rows.
-        with_scratch(k * ospatial, |cols| {
-            im2col_sample(&x.data()[..in_slab], g, cols);
-            runtime::gemm(rt, weight.data(), cols, out.data_mut(), g.out_channels, k, ospatial);
+        with_cols(xd, g, |cols| {
+            runtime::gemm(rt, wd, cols, out.data_mut(), g.out_channels, k, ospatial);
         });
         return Ok(out);
     }
     let serial = Runtime::new(1);
-    let min_samples = samples_per_fork(2 * g.out_channels * k * ospatial);
-    let (xd, wd) = (x.data(), weight.data());
+    let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
     rt.parallel_over_slabs(out.data_mut(), out_slab, min_samples, |s, out_s| {
-        with_scratch(k * ospatial, |cols| {
-            im2col_sample(&xd[s * in_slab..(s + 1) * in_slab], g, cols);
+        with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
             runtime::gemm(&serial, wd, cols, out_s, g.out_channels, k, ospatial);
         });
     });
     Ok(out)
-}
-
-/// Minimum samples per forked range so each worker gets enough
-/// multiply-adds to amortize its spawn (same threshold as the GEMM row
-/// split).
-fn samples_per_fork(flops_per_sample: usize) -> usize {
-    (runtime::PAR_THRESHOLD / flops_per_sample.max(1)).max(1)
 }
 
 /// Gradient of the convolution with respect to its **input**:
@@ -290,34 +307,37 @@ pub fn conv2d_input_grad_with(
     let b = y_grad.shape()[0];
     let k = g.in_channels * g.kernel.0 * g.kernel.1;
     let ospatial = oh * ow;
-    let mut x_grad = Tensor::zeros(&[b, g.in_channels, g.in_hw.0, g.in_hw.1]);
     let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
     let out_slab = g.out_channels * ospatial;
+    let pointwise = g.is_pointwise();
+    let x_shape = [b, g.in_channels, g.in_hw.0, g.in_hw.1];
+    let mut x_grad =
+        if pointwise { Tensor::scratch(&x_shape) } else { Tensor::scratch_zeroed(&x_shape) };
     // dx_cols = Wᵀ · dy, read directly from the (O, k) weight layout — no
     // transpose copy.
     let (wd, gd) = (weight.data(), y_grad.data());
+    let sample = |rt: &Runtime, gd_s: &[f32], xg_s: &mut [f32]| {
+        if pointwise {
+            // col2im would add these columns into zeros. The GEMM's
+            // accumulators start from +0.0 and a sum that starts there
+            // never lands on −0.0, so `0.0 + v` is `v` bit for bit and
+            // the GEMM can write the slab itself.
+            runtime::gemm_at_b(rt, wd, gd_s, xg_s, k, g.out_channels, ospatial);
+        } else {
+            with_scratch(k * ospatial, |cols| {
+                runtime::gemm_at_b(rt, wd, gd_s, cols, k, g.out_channels, ospatial);
+                col2im_sample(cols, g, xg_s);
+            });
+        }
+    };
     if b == 1 {
-        with_scratch(k * ospatial, |cols| {
-            runtime::gemm_at_b(rt, wd, gd, cols, k, g.out_channels, ospatial);
-            col2im_sample(cols, g, x_grad.data_mut());
-        });
+        sample(rt, gd, x_grad.data_mut());
         return Ok(x_grad);
     }
     let serial = Runtime::new(1);
-    let min_samples = samples_per_fork(2 * g.out_channels * k * ospatial);
+    let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
     rt.parallel_over_slabs(x_grad.data_mut(), in_slab, min_samples, |s, xg_s| {
-        with_scratch(k * ospatial, |cols| {
-            runtime::gemm_at_b(
-                &serial,
-                wd,
-                &gd[s * out_slab..(s + 1) * out_slab],
-                cols,
-                k,
-                g.out_channels,
-                ospatial,
-            );
-            col2im_sample(cols, g, xg_s);
-        });
+        sample(&serial, &gd[s * out_slab..(s + 1) * out_slab], xg_s);
     });
     Ok(x_grad)
 }
@@ -359,21 +379,21 @@ pub fn conv2d_weight_grad_with(
     let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
     let out_slab = g.out_channels * ospatial;
     let wlen = g.out_channels * k;
-    let mut w_grad = Tensor::zeros(&[g.out_channels, g.in_channels, g.kernel.0, g.kernel.1]);
+    let w_shape = [g.out_channels, g.in_channels, g.kernel.0, g.kernel.1];
     let (xd, gd) = (x.data(), y_grad.data());
-    // Per sample: dW_s = dy_s · im2col(x_s)ᵀ (gemm_a_bt — the caller-side
-    // (k, ospatial) → (ospatial, k) transpose copy of the seed
-    // implementation is gone; the kernel stages any transpose it needs in
-    // arena scratch).
-    if b == 1 {
-        with_scratch(k * ospatial, |cols| {
-            im2col_sample(&xd[..in_slab], g, cols);
-            // cols is (k, ospatial); dy · colsᵀ needs B rows contiguous in
-            // the shared dim, i.e. B = cols viewed as (k, ospatial) — rows
-            // of colsᵀ are columns of cols. gemm_a_bt wants `b` as (n, k̂)
-            // with k̂ = ospatial: that is cols itself, n = k rows.
-            runtime::gemm_a_bt(rt, gd, cols, w_grad.data_mut(), g.out_channels, ospatial, k);
+    // Per sample: dW_s = dy_s · colsᵀ with cols `(k, ospatial)` — exactly
+    // the `(n, k̂)` row-major `b` operand `gemm_a_bt` wants (n = k rows,
+    // k̂ = ospatial), so no caller-side transpose; the kernel stages any
+    // transpose it needs in arena scratch.
+    let sample = |rt: &Runtime, s: usize, dw_s: &mut [f32]| {
+        with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
+            let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
+            runtime::gemm_a_bt(rt, gd_s, cols, dw_s, g.out_channels, ospatial, k);
         });
+    };
+    if b == 1 {
+        let mut w_grad = Tensor::scratch(&w_shape);
+        sample(rt, 0, w_grad.data_mut());
         return Ok(w_grad);
     }
     // Batch-parallel: each worker produces per-sample partials in a
@@ -383,35 +403,26 @@ pub fn conv2d_weight_grad_with(
     // wide layers × large batches; chunk boundaries are a constant, never
     // a function of the thread count, preserving determinism.
     let serial = Runtime::new(1);
-    let min_samples = samples_per_fork(2 * g.out_channels * k * ospatial);
+    let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
     const MAX_PARTIAL_ELEMS: usize = 16 * 1024 * 1024;
     let chunk = (MAX_PARTIAL_ELEMS / wlen).clamp(1, b);
-    let mut partials = vec![0.0f32; chunk * wlen];
-    for c0 in (0..b).step_by(chunk) {
-        let cn = chunk.min(b - c0);
-        let part = &mut partials[..cn * wlen];
-        rt.parallel_over_slabs(part, wlen, min_samples, |i, dw_s| {
-            let s = c0 + i;
-            with_scratch(k * ospatial, |cols| {
-                im2col_sample(&xd[s * in_slab..(s + 1) * in_slab], g, cols);
-                runtime::gemm_a_bt(
-                    &serial,
-                    &gd[s * out_slab..(s + 1) * out_slab],
-                    cols,
-                    dw_s,
-                    g.out_channels,
-                    ospatial,
-                    k,
-                );
+    let mut w_grad = Tensor::scratch_zeroed(&w_shape);
+    // The GEMM overwrites every partial it is handed: no zero-fill.
+    with_scratch(chunk * wlen, |partials: &mut [f32]| {
+        for c0 in (0..b).step_by(chunk) {
+            let cn = chunk.min(b - c0);
+            let part = &mut partials[..cn * wlen];
+            rt.parallel_over_slabs(part, wlen, min_samples, |i, dw_s| {
+                sample(&serial, c0 + i, dw_s);
             });
-        });
-        let acc = w_grad.data_mut();
-        for dw_s in part.chunks(wlen) {
-            for (a, &v) in acc.iter_mut().zip(dw_s.iter()) {
-                *a += v;
+            let acc = w_grad.data_mut();
+            for dw_s in part.chunks(wlen) {
+                for (a, &v) in acc.iter_mut().zip(dw_s.iter()) {
+                    *a += v;
+                }
             }
         }
-    }
+    });
     Ok(w_grad)
 }
 
@@ -419,6 +430,113 @@ pub fn conv2d_weight_grad_with(
 mod tests {
     use super::*;
     use crate::rng::Rng;
+    use proptest::prelude::*;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// All three kernels through explicit im2col / col2im, sample by
+    /// sample on one thread — the path every geometry took before the
+    /// pointwise one existed, kept as its bit-level reference. Returns
+    /// `(y, dx, dw)`.
+    fn unfolded(
+        x: &Tensor,
+        w: &Tensor,
+        gy: &Tensor,
+        g: &Conv2dGeometry,
+    ) -> (Tensor, Tensor, Tensor) {
+        let rt = Runtime::new(1);
+        let b = x.shape()[0];
+        let (oh, ow) = g.out_hw();
+        let (o, osp) = (g.out_channels, oh * ow);
+        let k = g.in_channels * g.kernel.0 * g.kernel.1;
+        let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
+        let mut y = Tensor::zeros(&[b, o, oh, ow]);
+        let mut dx = Tensor::zeros(x.shape());
+        let mut dw = Tensor::zeros(w.shape());
+        let mut cols = vec![0.0f32; k * osp];
+        let mut dw_s = vec![0.0f32; o * k];
+        for s in 0..b {
+            let gy_s = &gy.data()[s * o * osp..(s + 1) * o * osp];
+            im2col_sample(&x.data()[s * in_slab..(s + 1) * in_slab], g, &mut cols);
+            let y_s = &mut y.data_mut()[s * o * osp..(s + 1) * o * osp];
+            runtime::gemm(&rt, w.data(), &cols, y_s, o, k, osp);
+            runtime::gemm_a_bt(&rt, gy_s, &cols, &mut dw_s, o, osp, k);
+            for (a, &v) in dw.data_mut().iter_mut().zip(&dw_s) {
+                *a += v;
+            }
+            runtime::gemm_at_b(&rt, w.data(), gy_s, &mut cols, k, o, osp);
+            col2im_sample(&cols, g, &mut dx.data_mut()[s * in_slab..(s + 1) * in_slab]);
+        }
+        (y, dx, dw)
+    }
+
+    /// Pointwise operands with exact zeros of both signs and cancelling
+    /// pairs mixed in, so `0.0 + v` versus `v` would show.
+    fn signed_zero_randn(shape: &[usize], rng: &mut Rng) -> Tensor {
+        let mut t = Tensor::randn(shape, rng);
+        for v in t.data_mut() {
+            let u = rng.uniform();
+            if u < 0.15 {
+                *v = 0.0;
+            } else if u < 0.3 {
+                *v = -0.0;
+            } else if u < 0.45 {
+                *v = v.signum();
+            }
+        }
+        t
+    }
+
+    fn assert_pointwise_matches_unfolded(c: usize, o: usize, hw: (usize, usize), b: usize) {
+        let mut rng = Rng::seed_from((c * 31 + o * 7 + hw.0 * 3 + hw.1 + b) as u64);
+        let g = Conv2dGeometry::new(c, o, hw, (1, 1), (1, 1), (0, 0));
+        let x = signed_zero_randn(&[b, c, hw.0, hw.1], &mut rng);
+        let w = signed_zero_randn(&[o, c, 1, 1], &mut rng);
+        let gy = signed_zero_randn(&[b, o, hw.0, hw.1], &mut rng);
+        let (y, dx, dw) = unfolded(&x, &w, &gy, &g);
+        for threads in 1..=8 {
+            let rt = Runtime::new(threads);
+            let tag = format!("c={c} o={o} hw={hw:?} b={b} threads={threads}");
+            assert_eq!(bits(&conv2d_with(&rt, &x, &w, &g).unwrap()), bits(&y), "y {tag}");
+            assert_eq!(
+                bits(&conv2d_input_grad_with(&rt, &gy, &w, &g).unwrap()),
+                bits(&dx),
+                "dx {tag}"
+            );
+            assert_eq!(
+                bits(&conv2d_weight_grad_with(&rt, &x, &gy, &g).unwrap()),
+                bits(&dw),
+                "dw {tag}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The pointwise path (GEMM straight on the slab) against the
+        /// im2col / col2im path, `to_bits` equal — signs of zero included
+        /// — for forward and both gradients at 1–8 threads.
+        #[test]
+        fn pointwise_matches_unfolded_bitwise(
+            c in 1usize..12,
+            o in 1usize..12,
+            h in 1usize..7,
+            w in 1usize..7,
+            b in 1usize..6,
+        ) {
+            assert_pointwise_matches_unfolded(c, o, (h, w), b);
+        }
+    }
+
+    /// The same at a size whose batch split really forks (each half of the
+    /// batch carries more than the fork grain).
+    #[test]
+    fn pointwise_matches_unfolded_bitwise_when_forked() {
+        assert_pointwise_matches_unfolded(48, 48, (16, 16), 4);
+    }
 
     /// Direct (loop) convolution used as a reference oracle.
     fn conv2d_naive(x: &Tensor, w: &Tensor, g: &Conv2dGeometry) -> Tensor {

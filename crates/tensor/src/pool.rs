@@ -78,7 +78,9 @@ pub fn avg_pool2d_backward(
         )));
     }
     let (h, w) = in_hw;
-    let mut x_grad = Tensor::zeros(&[b, c, h, w]);
+    // Zeroed, then added into: `0.0 + g` keeps the sign of zero the
+    // accumulating form has always produced.
+    let mut x_grad = Tensor::scratch_zeroed(&[b, c, h, w]);
     if x_grad.is_empty() {
         return Ok(x_grad);
     }
@@ -138,7 +140,7 @@ pub fn global_avg_pool_backward(
     let (b, c) = (y_grad.shape()[0], y_grad.shape()[1]);
     let (h, w) = in_hw;
     let inv = 1.0 / (h * w) as f32;
-    let mut x_grad = Tensor::zeros(&[b, c, h, w]);
+    let mut x_grad = Tensor::scratch(&[b, c, h, w]);
     if x_grad.is_empty() {
         return Ok(x_grad);
     }

@@ -83,6 +83,13 @@ pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
 // ---------------------------------------------------------------------------
 // Integer GEMM family.
 
+/// What one integer multiply-add costs in the f32 operations
+/// `runtime::fork_grain` counts in: these kernels run at ≈ 5.7 Gop/s on one
+/// thread against the float GEMM's ≈ 20–25 GFLOP/s (the benchmark's
+/// `tensor.qconv_gops` and `tensor.gemm_gflops`), so the same operation
+/// count is four times the wall time and worth forking four times sooner.
+const OP_COST: usize = 4;
+
 /// Naive triple loop, the oracle for the property tests. Overwrites
 /// `out`. Honors the accumulator mode exactly like the fast kernels.
 pub fn reference_qgemm(
@@ -119,16 +126,6 @@ pub fn reference_qgemm(
     }
 }
 
-/// Minimum rows per forked range — same amortization policy as the float
-/// GEMM row split.
-#[inline]
-fn rows_per_fork(m: usize, k: usize, n: usize) -> usize {
-    match runtime::PAR_THRESHOLD.checked_div(2 * k * n) {
-        Some(rows) => rows.clamp(1, m.max(1)),
-        None => m.max(1),
-    }
-}
-
 /// `out = A·B` with `A (m,k)` i8, `B (k,n)` i8, `out (m,n)` i32, all
 /// row-major — the integer twin of `runtime::gemm`, parallelized over
 /// disjoint output row ranges.
@@ -158,7 +155,7 @@ pub fn qgemm(
         out.fill(0);
         return;
     }
-    rt.parallel_over_ranges(out, n, rows_per_fork(m, k, n), |row0, rows| {
+    rt.parallel_over_ranges(out, n, runtime::fork_grain(OP_COST * 2 * k * n), |row0, rows| {
         qgemm_serial_rows(&a[row0 * k..], b, rows, k, n, accum);
     });
 }
@@ -237,7 +234,7 @@ pub fn qgemm_a_bt(
         out.fill(0);
         return;
     }
-    rt.parallel_over_ranges(out, n, rows_per_fork(m, k, n), |row0, rows| {
+    rt.parallel_over_ranges(out, n, runtime::fork_grain(OP_COST * 2 * k * n), |row0, rows| {
         for (i, orow) in rows.chunks_mut(n).enumerate() {
             let arow = &a[(row0 + i) * k..(row0 + i + 1) * k];
             for (j, dv) in orow.iter_mut().enumerate() {
@@ -381,7 +378,7 @@ pub fn qconv2d_with(
         return Ok(out);
     }
     let serial = Runtime::new(1);
-    let min_samples = (runtime::PAR_THRESHOLD / (2 * g.out_channels * k * ospatial).max(1)).max(1);
+    let min_samples = runtime::fork_grain(OP_COST * 2 * g.out_channels * k * ospatial);
     rt.parallel_over_slabs(out.data_mut(), out_slab, min_samples, |s, out_s| {
         run_sample(&serial, &xd[s * in_slab..(s + 1) * in_slab], out_s);
     });
@@ -449,7 +446,7 @@ pub fn qlinear_with(
     let mut y = Tensor::scratch(&[b, out_ch]);
     let xd = x.data();
     let serial = Runtime::new(1);
-    let min_rows = (runtime::PAR_THRESHOLD / (2 * feat * out_ch).max(1)).max(1);
+    let min_rows = runtime::fork_grain(OP_COST * 2 * feat * out_ch);
     rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
         with_scratch(feat, |qx| {
             quantize_to_i8(&xd[s * feat..(s + 1) * feat], x_scale, qx);

@@ -1,5 +1,5 @@
 //! Per-thread scratch arenas: one closed loop for every temporary buffer
-//! of the kernels and the inference plane.
+//! of the kernels, the inference plane and the training tape.
 //!
 //! Two kinds of buffer live here, per thread and per element type, and
 //! they never draw on each other:
@@ -23,9 +23,10 @@
 //!   logits request can no longer walk off with the largest activation
 //!   buffer of the net.
 //!
-//! Keeping the kinds apart is what lets the training tape — which keeps
-//! every `conv2d` output and never recycles one — run beside the im2col
-//! scratch without draining it.
+//! Keeping the kinds apart is what lets the training tape — which holds
+//! every op output of a step checked out until the step's graph is
+//! dropped, and only then hands them back — run beside the im2col scratch
+//! without draining it.
 //!
 //! # Budget
 //!
@@ -280,8 +281,8 @@ mod tests {
 
     #[test]
     fn borrowed_and_checked_out_buffers_do_not_mix() {
-        // What the training tape does: take and never give back. The
-        // borrowed stack must survive it.
+        // What the training tape does while a step's graph is alive: take
+        // and hold. The borrowed stack must survive it.
         with_scratch(512, |_: &mut [f32]| {});
         let depth = scratch_depth();
         let kept: Vec<Vec<f32>> = (0..4).map(|_| take_buffer(512)).collect();

@@ -24,17 +24,13 @@
 //! No `unsafe`, no SIMD intrinsics — portability and determinism over
 //! the last 20%.
 
-use super::pool::Runtime;
+use super::pool::{fork_grain, Runtime};
 
 /// Rows per register tile in the saxpy-style kernels.
 const MR: usize = 4;
 /// K-panel length: a `KC × n` strip of B streams through L1/L2 while four
 /// A-rows' worth of panel coefficients stay hot.
 const KC: usize = 256;
-/// Below this many scalar multiply-adds per forked work item, spawning a
-/// worker costs more than it saves. Shared by the GEMM row split and the
-/// conv batch split so the two fork policies stay in sync.
-pub(crate) const PAR_THRESHOLD: usize = 64 * 1024;
 
 /// Naive triple loop, kept as the oracle for property tests and the
 /// seed-vs-runtime benchmarks. Overwrites `out`.
@@ -60,16 +56,6 @@ fn check(a: usize, b: usize, o: usize, m: usize, k: usize, n: usize) {
     assert_eq!(o, m * n, "gemm: `out` has wrong length");
 }
 
-/// Minimum rows per forked range so each worker gets ≳ [`PAR_THRESHOLD`]
-/// multiply-adds.
-#[inline]
-fn rows_per_fork(m: usize, k: usize, n: usize) -> usize {
-    match PAR_THRESHOLD.checked_div(2 * k * n) {
-        Some(rows) => rows.clamp(1, m.max(1)),
-        None => m.max(1),
-    }
-}
-
 /// `out = A·B` with `A (m,k)`, `B (k,n)`, `out (m,n)`, all row-major.
 ///
 /// # Panics
@@ -85,7 +71,7 @@ pub fn gemm(rt: &Runtime, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
         out.fill(0.0);
         return;
     }
-    rt.parallel_over_ranges(out, n, rows_per_fork(m, k, n), |row0, rows| {
+    rt.parallel_over_ranges(out, n, fork_grain(2 * k * n), |row0, rows| {
         gemm_serial_rows(&a[row0 * k..], b, rows, k, n);
     });
 }
@@ -168,7 +154,7 @@ pub fn gemm_at_b(
         out.fill(0.0);
         return;
     }
-    rt.parallel_over_ranges(out, n, rows_per_fork(m, k, n), |row0, rows| {
+    rt.parallel_over_ranges(out, n, fork_grain(2 * k * n), |row0, rows| {
         let mrows = rows.len() / n;
         rows.fill(0.0);
         let mut i = 0;
@@ -258,7 +244,7 @@ pub fn gemm_a_bt(
         });
         return;
     }
-    rt.parallel_over_ranges(out, n, rows_per_fork(m, k, n), |row0, rows| {
+    rt.parallel_over_ranges(out, n, fork_grain(2 * k * n), |row0, rows| {
         for (i, orow) in rows.chunks_mut(n).enumerate() {
             let arow = &a[(row0 + i) * k..(row0 + i + 1) * k];
             for (j, dv) in orow.iter_mut().enumerate() {

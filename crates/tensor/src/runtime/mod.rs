@@ -50,6 +50,6 @@ mod pool;
 
 pub(crate) use arena::{recycle_buffer, take_buffer};
 pub use arena::{scratch_bytes, scratch_depth, with_scratch, with_scratch_zeroed, Scratch};
-pub(crate) use gemm::PAR_THRESHOLD;
 pub use gemm::{gemm, gemm_a_bt, gemm_at_b, reference_gemm};
+pub(crate) use pool::fork_grain;
 pub use pool::Runtime;

@@ -5,10 +5,14 @@
 //! runs the first range on the calling thread, then *helps* — executing
 //! queued tasks (its own or other regions') while it waits — so nested
 //! regions can never deadlock. Dispatching a region costs one mutex-guarded
-//! queue push and a condvar wake (hundreds of nanoseconds) instead of the
-//! few microseconds per `std::thread::spawn` the previous scoped fork/join
-//! design paid, which is what makes many small regions — per-sample conv
-//! tiles, per-micro-batch backward passes — worth forking at all.
+//! queue push and a condvar wake: hundreds of nanoseconds while the worker
+//! is still hot (the caller usually pops its own task back before the
+//! worker gets to it), but a futex wake-up each way — tens of microseconds
+//! on a virtual CPU — once the worker has parked, which it has whenever
+//! the caller ran serial code for longer than a scheduler tick. That is
+//! still far below the `std::thread::spawn` per region of the previous
+//! scoped fork/join design, and it is the cost [`fork_grain`] sizes the
+//! smallest forked range from.
 //!
 //! Workers are spawned lazily on the first region that wants more than one
 //! thread, so `Runtime::new(1)` (the serial runtimes the conv gradients
@@ -41,6 +45,28 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
+
+/// Work, in scalar `f32` operations, below which a range is not worth
+/// handing to another thread. A region whose worker has
+/// parked costs two wake-ups on its critical path — the worker's, then the
+/// caller's once its own half is done — measured at ≈ 45 µs on the 2-vCPU
+/// reference container (`train_sharded`'s `pool_region_parked_us`; the hot
+/// case its `pool_region_us` reports is under 1 µs and is not what kernels
+/// inside a training step or a request see). Two megaflops are ≈ 100 µs of
+/// this crate's kernels at ≈ 20 GFLOP/s: a two-way fork then finishes in
+/// about 0.7 of the serial time instead of losing to it.
+const FORK_WORK: usize = 2 << 20;
+
+/// The `min_chunk` / `min_slabs` every kernel passes to the `parallel_*`
+/// methods: how many items of `work_per_item` operations make a range worth
+/// forking. The unit is one streamed `f32` multiply or add; a kernel whose
+/// operations cost more (integer MACs, event scatters) scales its count by
+/// that cost where it calls this. The one place the fork policy lives — it
+/// depends on the call's shape only, never on the thread count, so it
+/// cannot move a result bit.
+pub(crate) fn fork_grain(work_per_item: usize) -> usize {
+    (FORK_WORK / work_per_item.max(1)).max(1)
+}
 
 /// State shared between the pool's workers and region callers.
 struct Shared {

@@ -218,6 +218,16 @@ fn with_events<R>(
 /// `BENCH_spike_sparsity.json`).
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
+/// What scattering one event through one window tap costs in the f32
+/// operations `runtime::fork_grain` counts in. A tap is an indirect
+/// read-modify-write, not a streamed multiply-add: at density 0.13 the
+/// sparse kernels touch 0.13 of the dense kernels' operands and finish in
+/// 1 / 1.7 (f32) to 1 / 3 (int8, itself 4 × the float cost per operation)
+/// of their time (`tensor.sparse_conv_speedup_vs_dense`,
+/// `tensor.sparse_qconv_speedup_vs_dense`), i.e. 10–20 float operations
+/// per tap.
+const TAP_COST: usize = 16;
+
 /// Dispatch policy for the density-adaptive sparse/dense router,
 /// overridable with the `TTSNN_SPARSE_MODE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -341,14 +351,6 @@ fn event_windows(ii: usize, jj: usize, g: &Conv2dGeometry, wins: &mut [(u32, u32
     n
 }
 
-/// Minimum output-channel slabs per forked range, from the per-slab
-/// scatter cost (events × window taps). Depends only on the input, never
-/// the thread count, so determinism is unaffected.
-fn slabs_per_fork(total_events: usize, b: usize, taps: usize) -> usize {
-    let per_slab = 2 * total_events.div_ceil(b.max(1)) * taps;
-    (runtime::PAR_THRESHOLD / per_slab.max(1)).max(1)
-}
-
 // ---------------------------------------------------------------------------
 // f32 kernels
 
@@ -400,7 +402,9 @@ pub fn sparse_conv2d_with(
     let kdim = g.in_channels * g.kernel.0 * g.kernel.1;
     let taps = g.kernel.0 * g.kernel.1;
     with_events(spikes, in_slab, b, |events, offsets| {
-        let min_slabs = slabs_per_fork(events.len(), b, taps);
+        // Per-slab scatter cost: a sample's events × window taps — a
+        // property of the input, never of the thread count.
+        let min_slabs = runtime::fork_grain(TAP_COST * events.len().div_ceil(b.max(1)) * taps);
         rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
             for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
                 with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
@@ -540,7 +544,7 @@ pub fn sparse_linear_with(
         return Ok(y);
     }
     let wd = weight.data();
-    let min_rows = (runtime::PAR_THRESHOLD / (2 * feat * out_ch).max(1)).max(1);
+    let min_rows = runtime::fork_grain(2 * feat * out_ch);
     with_events(spikes, feat, b, |events, offsets| {
         rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
             let evs = &events[offsets[s]..offsets[s + 1]];
@@ -686,7 +690,9 @@ pub fn sparse_qconv2d_with(
         });
     };
     with_events(spikes, in_slab, b, |events, offsets| {
-        let min_slabs = slabs_per_fork(events.len(), b, taps);
+        // Per-slab scatter cost: a sample's events × window taps — a
+        // property of the input, never of the thread count.
+        let min_slabs = runtime::fork_grain(TAP_COST * events.len().div_ceil(b.max(1)) * taps);
         rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
             for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
                 with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
@@ -755,7 +761,7 @@ pub fn sparse_qlinear_with(
         return Ok(y);
     }
     let q1 = spike_q(x_scale);
-    let min_rows = (runtime::PAR_THRESHOLD / (2 * feat * out_ch).max(1)).max(1);
+    let min_rows = runtime::fork_grain(2 * feat * out_ch);
     with_events(spikes, feat, b, |events, offsets| {
         rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
             let evs = &events[offsets[s]..offsets[s + 1]];

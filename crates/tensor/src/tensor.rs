@@ -128,6 +128,14 @@ impl Tensor {
         t
     }
 
+    /// A copy of `self` in a [`Tensor::scratch`] buffer — what the training
+    /// tape uses where a value or gradient has to exist twice.
+    pub fn scratch_copy(&self) -> Self {
+        let mut t = Self::scratch(&self.shape);
+        t.make_owned().copy_from_slice(self.data());
+        t
+    }
+
     /// Consumes the tensor and parks its buffer in the calling thread's
     /// arena for a later [`Tensor::scratch`] of similar size (dropped
     /// instead once the thread's parked-bytes budget is full). Any owned
@@ -312,12 +320,25 @@ impl Tensor {
 
     // ------------------------------------------------------------- reshape
 
-    /// Returns a tensor with the same data and a new shape.
+    /// Returns a tensor with the same data and a new shape. Re-viewing
+    /// shared storage keeps sharing (an O(1) handle clone): replicas
+    /// reshaping frozen weights must not silently duplicate the plan's
+    /// buffer.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if the element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Result<Self, ShapeError> {
+        self.clone().into_reshaped(shape)
+    }
+
+    /// [`Tensor::reshape`] by value: the same buffer under a new shape, no
+    /// copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the element counts differ.
+    pub fn into_reshaped(mut self, shape: &[usize]) -> Result<Self, ShapeError> {
         if num_elements(shape) != self.len() {
             return Err(ShapeError::new(format!(
                 "reshape: cannot view {:?} ({} elems) as {:?} ({} elems)",
@@ -327,14 +348,8 @@ impl Tensor {
                 num_elements(shape)
             )));
         }
-        // Re-viewing shared storage keeps sharing (an O(1) handle clone):
-        // replicas reshaping frozen weights must not silently duplicate
-        // the plan's buffer.
-        let data = match &self.data {
-            Storage::Owned(v) => Storage::Owned(v.clone()),
-            Storage::Shared(a) => Storage::Shared(Arc::clone(a)),
-        };
-        Ok(Self { data, shape: shape.to_vec() })
+        self.shape = shape.to_vec();
+        Ok(self)
     }
 
     /// Permutes the axes (copying into a new contiguous tensor).
@@ -389,9 +404,14 @@ impl Tensor {
 
     // --------------------------------------------------------- elementwise
 
-    /// Applies `f` to every element, producing a new tensor.
+    /// Applies `f` to every element, producing a new tensor (in a
+    /// [`Tensor::scratch`] buffer, like every kernel output).
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self::owned(self.data().iter().map(|&v| f(v)).collect(), self.shape.clone())
+        let mut out = Self::scratch(&self.shape);
+        for (o, &v) in out.make_owned().iter_mut().zip(self.data()) {
+            *o = f(v);
+        }
+        out
     }
 
     /// Applies `f` in place (copy-on-write on shared tensors).
@@ -401,7 +421,8 @@ impl Tensor {
         }
     }
 
-    /// Combines two same-shaped tensors elementwise.
+    /// Combines two same-shaped tensors elementwise (into a
+    /// [`Tensor::scratch`] buffer).
     ///
     /// # Errors
     ///
@@ -413,8 +434,34 @@ impl Tensor {
                 self.shape, other.shape
             )));
         }
-        let data = self.data().iter().zip(other.data().iter()).map(|(&a, &b)| f(a, b)).collect();
-        Ok(Self::owned(data, self.shape.clone()))
+        let mut out = Self::scratch(&self.shape);
+        for ((o, &a), &b) in out.make_owned().iter_mut().zip(self.data()).zip(other.data()) {
+            *o = f(a, b);
+        }
+        Ok(out)
+    }
+
+    /// [`Tensor::zip`] in place: `self[i] = f(self[i], other[i])`
+    /// (copy-on-write on shared tensors).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] on shape mismatch.
+    pub fn zip_inplace(
+        &mut self,
+        other: &Self,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Result<(), ShapeError> {
+        if self.shape != other.shape {
+            return Err(ShapeError::new(format!(
+                "zip_inplace: shape mismatch {:?} vs {:?}",
+                self.shape, other.shape
+            )));
+        }
+        for (a, &b) in self.make_owned().iter_mut().zip(other.data()) {
+            *a = f(*a, b);
+        }
+        Ok(())
     }
 
     /// Elementwise sum.
@@ -607,9 +654,10 @@ impl Tensor {
                 self.shape, other.shape
             )));
         }
-        let mut out = vec![0.0f32; m * n];
-        runtime::gemm(Runtime::global(), self.data(), other.data(), &mut out, m, k, n);
-        Ok(Self::owned(out, vec![m, n]))
+        // No zero-fill: the GEMM overwrites every element.
+        let mut out = Self::scratch(&[m, n]);
+        runtime::gemm(Runtime::global(), self.data(), other.data(), out.make_owned(), m, k, n);
+        Ok(out)
     }
 
     /// `selfᵀ · other` for 2-D tensors (`self [k,m]`, `other [k,n]` →
@@ -635,9 +683,9 @@ impl Tensor {
                 self.shape, other.shape
             )));
         }
-        let mut out = vec![0.0f32; m * n];
-        runtime::gemm_at_b(Runtime::global(), self.data(), other.data(), &mut out, m, k, n);
-        Ok(Self::owned(out, vec![m, n]))
+        let mut out = Self::scratch(&[m, n]);
+        runtime::gemm_at_b(Runtime::global(), self.data(), other.data(), out.make_owned(), m, k, n);
+        Ok(out)
     }
 
     /// `self · otherᵀ` for 2-D tensors (`self [m,k]`, `other [n,k]` →
@@ -663,9 +711,9 @@ impl Tensor {
                 self.shape, other.shape
             )));
         }
-        let mut out = vec![0.0f32; m * n];
-        runtime::gemm_a_bt(Runtime::global(), self.data(), other.data(), &mut out, m, k, n);
-        Ok(Self::owned(out, vec![m, n]))
+        let mut out = Self::scratch(&[m, n]);
+        runtime::gemm_a_bt(Runtime::global(), self.data(), other.data(), out.make_owned(), m, k, n);
+        Ok(out)
     }
 
     /// Sum over the given axis, dropping it.
@@ -682,7 +730,7 @@ impl Tensor {
         }
         let mut new_shape = self.shape.clone();
         new_shape.remove(axis);
-        let mut out = Self::zeros(&new_shape);
+        let mut out = Self::scratch_zeroed(&new_shape);
         let src = self.data.as_slice();
         let dst_data = out.make_owned();
         for (flat, &v) in src.iter().enumerate() {

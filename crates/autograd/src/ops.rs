@@ -24,6 +24,7 @@
 //! that wants it, and recycles it otherwise. Forward inputs are read from
 //! `parents[i].value()` — no closure captures a copy of a tensor.
 
+use ttsnn_tensor::runtime::{fork_grain, with_scratch, Runtime};
 use ttsnn_tensor::{conv, pool, Conv2dGeometry, ShapeError, Tensor};
 
 use crate::var::Var;
@@ -572,7 +573,10 @@ impl Var {
     /// `y = γ · k · (x − μ)/√(σ² + eps) + β`.
     ///
     /// The node keeps the per-channel `μ` and `1/√(σ² + eps)` only; backward
-    /// recomputes `x̂` from the input it reads off the tape.
+    /// recomputes `x̂` from the input it reads off the tape. Both directions
+    /// run on the global kernel pool in two phases — per-channel reductions,
+    /// then per-sample elementwise work — with thread-count-independent
+    /// bits.
     ///
     /// # Errors
     ///
@@ -600,36 +604,13 @@ impl Var {
                 beta.shape()
             )));
         }
-        let n = (b * h * w) as f32;
-        let plane = h * w;
-        let mut mean = vec![0.0f32; c];
-        let mut inv_std = vec![0.0f32; c];
+        let dims = BnDims { b, c, plane: h * w };
         let mut y = Tensor::scratch(&[b, c, h, w]);
-        {
-            let (xd, gv, bv) = (x.data(), gamma.value(), beta.value());
-            let yd = y.data_mut();
-            for ch in 0..c {
-                let channel = channel_planes(b, c, ch, plane);
-                let mut acc = 0.0;
-                for r in channel.clone() {
-                    acc += xd[r].iter().sum::<f32>();
-                }
-                let m = acc / n;
-                let mut vacc = 0.0;
-                for r in channel.clone() {
-                    vacc += xd[r].iter().map(|v| (v - m).powi(2)).sum::<f32>();
-                }
-                let inv = 1.0 / (vacc / n + eps).sqrt();
-                let (gk, shift) = (gv.data()[ch] * extra_scale, bv.data()[ch]);
-                for r in channel {
-                    for (o, &v) in yd[r.clone()].iter_mut().zip(&xd[r]) {
-                        *o = gk * ((v - m) * inv) + shift;
-                    }
-                }
-                mean[ch] = m;
-                inv_std[ch] = inv;
-            }
-        }
+        let stats = {
+            let (gv, bv) = (gamma.value(), beta.value());
+            let affine = (gv.data(), bv.data(), extra_scale);
+            bn_forward(Runtime::global(), dims, x.data(), affine, eps, y.data_mut())
+        };
         drop(x);
         Ok(Var::from_op(
             "batch_norm2d",
@@ -640,30 +621,15 @@ impl Var {
                 let mut dbeta = Tensor::scratch(&[c]);
                 {
                     let (x, gv) = (parents[0].value(), parents[1].value());
-                    let (xd, gd) = (x.data(), g.data_mut());
-                    for ch in 0..c {
-                        let channel = channel_planes(b, c, ch, plane);
-                        let (m, inv) = (mean[ch], inv_std[ch]);
-                        // Reductions over the channel's (B,H,W) slab.
-                        let mut sum_dy = 0.0f32;
-                        let mut sum_dy_xhat = 0.0f32;
-                        for r in channel.clone() {
-                            for (&dy, &v) in gd[r.clone()].iter().zip(&xd[r]) {
-                                sum_dy += dy;
-                                sum_dy_xhat += dy * ((v - m) * inv);
-                            }
+                    let scale = (gv.data(), extra_scale);
+                    with_scratch(2 * c, |sums: &mut [f32]| {
+                        let rt = Runtime::global();
+                        bn_backward(rt, dims, x.data(), &stats, scale, g.data_mut(), sums);
+                        for (ch, s) in sums.chunks(2).enumerate() {
+                            dbeta.data_mut()[ch] = s[0];
+                            dgamma.data_mut()[ch] = s[1] * extra_scale;
                         }
-                        dbeta.data_mut()[ch] = sum_dy;
-                        dgamma.data_mut()[ch] = sum_dy_xhat * extra_scale;
-                        let coeff = gv.data()[ch] * extra_scale * inv / n;
-                        // dx over dy, in place: element i needs dy[i] only.
-                        for r in channel {
-                            for (dy, &v) in gd[r.clone()].iter_mut().zip(&xd[r]) {
-                                let xh = (v - m) * inv;
-                                *dy = coeff * (n * *dy - sum_dy - xh * sum_dy_xhat);
-                            }
-                        }
-                    }
+                    });
                 }
                 parents[0].accumulate_grad(g);
                 parents[1].accumulate_grad(dgamma);
@@ -671,6 +637,116 @@ impl Var {
             }),
         ))
     }
+}
+
+/// Shape of a batch-norm operand: `(B, C, H·W)`.
+#[derive(Clone, Copy)]
+struct BnDims {
+    b: usize,
+    c: usize,
+    plane: usize,
+}
+
+/// What one element of a channel reduction costs in the streamed `f32`
+/// operations `runtime::fork_grain` counts in: the sums below are
+/// sequential by contract (their order is what `train_bits` pins), so each
+/// add waits ≈ 4 cycles for the one before it where a streamed kernel
+/// retires several operations a cycle. Counting them at face value leaves
+/// the statistics passes of the two deepest ResNet stages (4 × 4 and 2 × 2
+/// planes) on one core and the `train_htt_events` step at 29.2 ms; at 8 it
+/// is 28.1 ms, and 16 changes nothing.
+const CHAIN_COST: usize = 8;
+
+/// Batch-norm forward in two pool phases. Phase 1 fills the returned
+/// `[C × 2]` array of per-channel `(μ, 1/√(σ² + eps))`, a channel per slab,
+/// each channel summed by one task in sample order. Phase 2 writes
+/// `y = γ·k·(x − μ)/√(σ² + eps) + β`, a sample per slab. Neither split
+/// changes what an element computes, so the result does not depend on the
+/// thread count. `affine` is `(γ, β, k)`.
+fn bn_forward(
+    rt: &Runtime,
+    BnDims { b, c, plane }: BnDims,
+    xd: &[f32],
+    (gamma, beta, extra_scale): (&[f32], &[f32], f32),
+    eps: f32,
+    yd: &mut [f32],
+) -> Vec<f32> {
+    let n = (b * plane) as f32;
+    let mut stats = vec![0.0f32; 2 * c];
+    rt.parallel_over_slabs(&mut stats, 2, fork_grain(2 * CHAIN_COST * b * plane), |ch, st| {
+        let channel = channel_planes(b, c, ch, plane);
+        let mut acc = 0.0;
+        for r in channel.clone() {
+            acc += xd[r].iter().sum::<f32>();
+        }
+        let m = acc / n;
+        let mut vacc = 0.0;
+        for r in channel {
+            vacc += xd[r].iter().map(|v| (v - m).powi(2)).sum::<f32>();
+        }
+        st[0] = m;
+        st[1] = 1.0 / (vacc / n + eps).sqrt();
+    });
+    let slab = c * plane;
+    rt.parallel_over_slabs(yd, slab, fork_grain(4 * slab), |s, y_s| {
+        let x_s = &xd[s * slab..(s + 1) * slab];
+        for (ch, st) in stats.chunks(2).enumerate() {
+            let (m, inv) = (st[0], st[1]);
+            let (gk, shift) = (gamma[ch] * extra_scale, beta[ch]);
+            let r = ch * plane..(ch + 1) * plane;
+            for (o, &v) in y_s[r.clone()].iter_mut().zip(&x_s[r]) {
+                *o = gk * ((v - m) * inv) + shift;
+            }
+        }
+    });
+    stats
+}
+
+/// Batch-norm backward in the same two phases. Phase 1 fills `sums`, a
+/// `[C × 2]` array, with the per-channel reductions `(Σ dy, Σ dy·x̂)`;
+/// phase 2 rewrites `gd` from `dy` to `dx` in place, a sample per slab
+/// (element `i` needs `dy[i]` and its channel's two sums only). `stats` is
+/// [`bn_forward`]'s result, `scale` is `(γ, k)`.
+fn bn_backward(
+    rt: &Runtime,
+    BnDims { b, c, plane }: BnDims,
+    xd: &[f32],
+    stats: &[f32],
+    (gamma, extra_scale): (&[f32], f32),
+    gd: &mut [f32],
+    sums: &mut [f32],
+) {
+    let n = (b * plane) as f32;
+    {
+        let gd = &*gd;
+        rt.parallel_over_slabs(sums, 2, fork_grain(2 * CHAIN_COST * b * plane), |ch, su| {
+            let (m, inv) = (stats[2 * ch], stats[2 * ch + 1]);
+            let mut sum_dy = 0.0f32;
+            let mut sum_dy_xhat = 0.0f32;
+            for r in channel_planes(b, c, ch, plane) {
+                for (&dy, &v) in gd[r.clone()].iter().zip(&xd[r]) {
+                    sum_dy += dy;
+                    sum_dy_xhat += dy * ((v - m) * inv);
+                }
+            }
+            su[0] = sum_dy;
+            su[1] = sum_dy_xhat;
+        });
+    }
+    let slab = c * plane;
+    rt.parallel_over_slabs(gd, slab, fork_grain(8 * slab), |s, g_s| {
+        let x_s = &xd[s * slab..(s + 1) * slab];
+        for ch in 0..c {
+            let (m, inv) = (stats[2 * ch], stats[2 * ch + 1]);
+            let (sum_dy, sum_dy_xhat) = (sums[2 * ch], sums[2 * ch + 1]);
+            let coeff = gamma[ch] * extra_scale * inv / n;
+            let r = ch * plane..(ch + 1) * plane;
+            for (dy, &v) in g_s[r.clone()].iter_mut().zip(&x_s[r]) {
+                let xh = (v - m) * inv;
+                *dy = coeff * (n * *dy - sum_dy - xh * sum_dy_xhat);
+            }
+        }
+    });
 }
 
 /// Softmax cross-entropy over logits `(B, K)` against integer labels,
@@ -759,6 +835,101 @@ mod tests {
                 (a - numeric).abs() <= tol * (1.0 + a.abs().max(numeric.abs())),
                 "idx {idx}: analytic {a} vs numeric {numeric}"
             );
+        }
+    }
+
+    /// Batch norm forward and backward as one channel-major serial loop —
+    /// how the op was written before it ran on the pool, kept as the
+    /// bit-level reference. Returns `y`, `dx` and the `[C × 2]` array of
+    /// `(Σ dy, Σ dy·x̂)`.
+    fn bn_serial(
+        (b, c, plane): (usize, usize, usize),
+        xd: &[f32],
+        dyd: &[f32],
+        (gamma, beta, extra_scale): (&[f32], &[f32], f32),
+        eps: f32,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let n = (b * plane) as f32;
+        let mut y = vec![0.0f32; xd.len()];
+        let mut dx = dyd.to_vec();
+        let mut sums = vec![0.0f32; 2 * c];
+        for ch in 0..c {
+            let channel = channel_planes(b, c, ch, plane);
+            let mut acc = 0.0;
+            for r in channel.clone() {
+                acc += xd[r].iter().sum::<f32>();
+            }
+            let m = acc / n;
+            let mut vacc = 0.0;
+            for r in channel.clone() {
+                vacc += xd[r].iter().map(|v| (v - m).powi(2)).sum::<f32>();
+            }
+            let inv = 1.0 / (vacc / n + eps).sqrt();
+            let (gk, shift) = (gamma[ch] * extra_scale, beta[ch]);
+            for r in channel.clone() {
+                for (o, &v) in y[r.clone()].iter_mut().zip(&xd[r]) {
+                    *o = gk * ((v - m) * inv) + shift;
+                }
+            }
+            let mut sum_dy = 0.0f32;
+            let mut sum_dy_xhat = 0.0f32;
+            for r in channel.clone() {
+                for (&dy, &v) in dx[r.clone()].iter().zip(&xd[r]) {
+                    sum_dy += dy;
+                    sum_dy_xhat += dy * ((v - m) * inv);
+                }
+            }
+            sums[2 * ch] = sum_dy;
+            sums[2 * ch + 1] = sum_dy_xhat;
+            let coeff = gamma[ch] * extra_scale * inv / n;
+            for r in channel {
+                for (dy, &v) in dx[r.clone()].iter_mut().zip(&xd[r]) {
+                    let xh = (v - m) * inv;
+                    *dy = coeff * (n * *dy - sum_dy - xh * sum_dy_xhat);
+                }
+            }
+        }
+        (y, dx, sums)
+    }
+
+    fn slice_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The two pool phases give the serial loop's bits at every thread
+        /// count, on shapes from one element up to ones where both phases
+        /// fork (channels split once `16·B·H·W·C` passes the fork grain,
+        /// samples once `4·C·H·W·B` does), `B = 1` and `C = 1` included.
+        #[test]
+        fn batch_norm_bit_equal_to_serial_loop_across_threads(
+            seed in 0u64..10_000,
+            b in 1usize..9,
+            c in 1usize..17,
+            h in 1usize..13,
+            w in 1usize..13,
+        ) {
+            let mut rng = Rng::seed_from(seed);
+            let dims = BnDims { b, c, plane: h * w };
+            let x = Tensor::randn(&[b, c, h, w], &mut rng);
+            let dy = Tensor::randn(&[b, c, h, w], &mut rng);
+            let gamma = Tensor::randn(&[c], &mut rng);
+            let beta = Tensor::randn(&[c], &mut rng);
+            let affine = (gamma.data(), beta.data(), 0.7);
+            let (y0, dx0, sums0) = bn_serial((b, c, h * w), x.data(), dy.data(), affine, 1e-5);
+            for threads in 1..=8 {
+                let rt = Runtime::new(threads);
+                let mut y = vec![f32::NAN; x.len()];
+                let stats = bn_forward(&rt, dims, x.data(), affine, 1e-5, &mut y);
+                proptest::prop_assert_eq!(slice_bits(&y), slice_bits(&y0), "y at {} threads", threads);
+                let mut g = dy.data().to_vec();
+                let mut sums = vec![f32::NAN; 2 * c];
+                bn_backward(&rt, dims, x.data(), &stats, (gamma.data(), 0.7), &mut g, &mut sums);
+                proptest::prop_assert_eq!(slice_bits(&g), slice_bits(&dx0), "dx at {} threads", threads);
+                proptest::prop_assert_eq!(slice_bits(&sums), slice_bits(&sums0), "sums at {} threads", threads);
+            }
         }
     }
 

@@ -49,6 +49,7 @@ use std::time::Instant;
 
 use ttsnn_autograd::{CosineAnnealing, GradReduce, Sgd, SgdConfig, Var};
 use ttsnn_data::Batch;
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{ShapeError, Tensor};
 
 use crate::checkpoint;
@@ -351,6 +352,7 @@ impl ShardedTrainer {
         loss: LossKind,
         sgd: SgdConfig,
     ) -> Result<(f32, StepTiming), ShapeError> {
+        let pool_before = Runtime::global().stats();
         let start = Instant::now();
         let micro = self.config.micro_batch;
         let b = batch.len();
@@ -413,7 +415,7 @@ impl ShardedTrainer {
         }
         timing.optimizer = applying.elapsed().as_secs_f64();
         timing.total = start.elapsed().as_secs_f64();
-        Ok((loss_value, timing))
+        Ok((loss_value, timing.with_pool_since(&pool_before)))
     }
 
     /// Data-parallel evaluation: batches are distributed round-robin over

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use ttsnn_tensor::runtime::Runtime;
+use ttsnn_tensor::runtime::{PoolStats, Runtime};
 
 use ttsnn_autograd::{CosineAnnealing, Sgd, SgdConfig, Var};
 use ttsnn_data::Batch;
@@ -50,8 +50,9 @@ impl Default for TrainConfig {
 }
 
 /// Wall-clock seconds of one optimization step (or the mean over several
-/// steps), in total and by phase. The phases leave out only `zero_grad`
-/// and the bookkeeping between them, so they sum to just under `total`.
+/// steps), in total and by phase, and what the kernel pool did meanwhile.
+/// The phases leave out only `zero_grad` and the bookkeeping between them,
+/// so they sum to just under `total`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepTiming {
     /// The whole step.
@@ -65,6 +66,23 @@ pub struct StepTiming {
     pub all_reduce: f64,
     /// The SGD update.
     pub optimizer: f64,
+    /// Kernel ranges the global pool's workers ran during the step
+    /// ([`PoolStats::handoffs`]): zero means the step ran on one core.
+    pub pool_handoffs: f64,
+    /// Times a pool worker or a waiting kernel went to sleep during the
+    /// step ([`PoolStats::parks`]). Each costs a later kernel a wake-up, so
+    /// a slow step with many of these lost its time there.
+    pub pool_parks: f64,
+}
+
+impl StepTiming {
+    /// Records what the global kernel pool did since `before`.
+    pub(crate) fn with_pool_since(mut self, before: &PoolStats) -> Self {
+        let pool = Runtime::global().stats().since(before);
+        self.pool_handoffs = pool.handoffs as f64;
+        self.pool_parks = pool.parks as f64;
+        self
+    }
 }
 
 impl std::ops::AddAssign for StepTiming {
@@ -74,6 +92,8 @@ impl std::ops::AddAssign for StepTiming {
         self.backward += other.backward;
         self.all_reduce += other.all_reduce;
         self.optimizer += other.optimizer;
+        self.pool_handoffs += other.pool_handoffs;
+        self.pool_parks += other.pool_parks;
     }
 }
 
@@ -88,6 +108,8 @@ impl std::ops::Div<f64> for StepTiming {
             backward: self.backward / n,
             all_reduce: self.all_reduce / n,
             optimizer: self.optimizer / n,
+            pool_handoffs: self.pool_handoffs / n,
+            pool_parks: self.pool_parks / n,
         }
     }
 }
@@ -236,6 +258,7 @@ pub fn train_step(
     opt: &mut Sgd,
     loss_kind: LossKind,
 ) -> Result<(f32, StepTiming), ShapeError> {
+    let pool_before = Runtime::global().stats();
     let start = Instant::now();
     opt.zero_grad();
     let (loss, forward, backward) = forward_backward(model, batch, loss_kind)?;
@@ -243,7 +266,8 @@ pub fn train_step(
     opt.step();
     let optimizer = stepping.elapsed().as_secs_f64();
     let total = start.elapsed().as_secs_f64();
-    Ok((loss, StepTiming { total, forward, backward, all_reduce: 0.0, optimizer }))
+    let timing = StepTiming { total, forward, backward, optimizer, ..StepTiming::default() };
+    Ok((loss, timing.with_pool_since(&pool_before)))
 }
 
 /// Accuracy of summed-logit predictions over batches, computed on the

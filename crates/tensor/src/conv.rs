@@ -258,11 +258,11 @@ pub fn conv2d_with(
         });
         return Ok(out);
     }
-    let serial = Runtime::new(1);
+    let serial = Runtime::serial();
     let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
     rt.parallel_over_slabs(out.data_mut(), out_slab, min_samples, |s, out_s| {
         with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
-            runtime::gemm(&serial, wd, cols, out_s, g.out_channels, k, ospatial);
+            runtime::gemm(serial, wd, cols, out_s, g.out_channels, k, ospatial);
         });
     });
     Ok(out)
@@ -334,10 +334,10 @@ pub fn conv2d_input_grad_with(
         sample(rt, gd, x_grad.data_mut());
         return Ok(x_grad);
     }
-    let serial = Runtime::new(1);
+    let serial = Runtime::serial();
     let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
     rt.parallel_over_slabs(x_grad.data_mut(), in_slab, min_samples, |s, xg_s| {
-        sample(&serial, &gd[s * out_slab..(s + 1) * out_slab], xg_s);
+        sample(serial, &gd[s * out_slab..(s + 1) * out_slab], xg_s);
     });
     Ok(x_grad)
 }
@@ -402,7 +402,7 @@ pub fn conv2d_weight_grad_with(
     // fixed-size chunks so partials memory stays bounded (≤ ~64 MiB) on
     // wide layers × large batches; chunk boundaries are a constant, never
     // a function of the thread count, preserving determinism.
-    let serial = Runtime::new(1);
+    let serial = Runtime::serial();
     let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
     const MAX_PARTIAL_ELEMS: usize = 16 * 1024 * 1024;
     let chunk = (MAX_PARTIAL_ELEMS / wlen).clamp(1, b);
@@ -413,7 +413,7 @@ pub fn conv2d_weight_grad_with(
             let cn = chunk.min(b - c0);
             let part = &mut partials[..cn * wlen];
             rt.parallel_over_slabs(part, wlen, min_samples, |i, dw_s| {
-                sample(&serial, c0 + i, dw_s);
+                sample(serial, c0 + i, dw_s);
             });
             let acc = w_grad.data_mut();
             for dw_s in part.chunks(wlen) {

@@ -377,10 +377,10 @@ pub fn qconv2d_with(
         run_sample(rt, &xd[..in_slab], out.data_mut());
         return Ok(out);
     }
-    let serial = Runtime::new(1);
+    let serial = Runtime::serial();
     let min_samples = runtime::fork_grain(OP_COST * 2 * g.out_channels * k * ospatial);
     rt.parallel_over_slabs(out.data_mut(), out_slab, min_samples, |s, out_s| {
-        run_sample(&serial, &xd[s * in_slab..(s + 1) * in_slab], out_s);
+        run_sample(serial, &xd[s * in_slab..(s + 1) * in_slab], out_s);
     });
     Ok(out)
 }
@@ -445,13 +445,13 @@ pub fn qlinear_with(
     check_x_scale(x_scale, "qlinear")?;
     let mut y = Tensor::scratch(&[b, out_ch]);
     let xd = x.data();
-    let serial = Runtime::new(1);
+    let serial = Runtime::serial();
     let min_rows = runtime::fork_grain(OP_COST * 2 * feat * out_ch);
     rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
         with_scratch(feat, |qx| {
             quantize_to_i8(&xd[s * feat..(s + 1) * feat], x_scale, qx);
             with_scratch(out_ch, |acc| {
-                qgemm_a_bt(&serial, qx, qw, acc, 1, feat, out_ch, accum);
+                qgemm_a_bt(serial, qx, qw, acc, 1, feat, out_ch, accum);
                 for (oc, (o, &a)) in yrow.iter_mut().zip(acc.iter()).enumerate() {
                     *o = a as f32 * (x_scale * w_scale_at(w_scales, oc)) + bias[oc];
                 }

@@ -9,9 +9,9 @@
 //!   [`std::thread::available_parallelism`], overridable with the
 //!   `TTSNN_NUM_THREADS` environment variable. Work is split into
 //!   contiguous index ranges and pushed onto a shared injector queue;
-//!   workers are spawned once per runtime (lazily) and parked between
-//!   regions, so dispatching a region costs a queue push instead of a
-//!   thread spawn. Closures still borrow from the caller's stack: the
+//!   workers are spawned once per runtime (lazily) and between regions
+//!   spin — yielding — for a moment before they park, so dispatching a
+//!   region costs a queue push instead of a thread spawn or a wake-up. Closures still borrow from the caller's stack: the
 //!   region does not return until every task has completed.
 //! * [`gemm`](self::gemm())/[`gemm_at_b`]/[`gemm_a_bt`]
 //!   — register-tiled, cache-blocked matrix kernels parallelized over
@@ -51,5 +51,4 @@ mod pool;
 pub(crate) use arena::{recycle_buffer, take_buffer};
 pub use arena::{scratch_bytes, scratch_depth, with_scratch, with_scratch_zeroed, Scratch};
 pub use gemm::{gemm, gemm_a_bt, gemm_at_b, reference_gemm};
-pub(crate) use pool::fork_grain;
-pub use pool::Runtime;
+pub use pool::{fork_grain, PoolStats, Runtime};

@@ -4,20 +4,36 @@
 //! injector queue. A parallel region enqueues one task per index range,
 //! runs the first range on the calling thread, then *helps* — executing
 //! queued tasks (its own or other regions') while it waits — so nested
-//! regions can never deadlock. Dispatching a region costs one mutex-guarded
-//! queue push and a condvar wake: hundreds of nanoseconds while the worker
-//! is still hot (the caller usually pops its own task back before the
-//! worker gets to it), but a futex wake-up each way — tens of microseconds
-//! on a virtual CPU — once the worker has parked, which it has whenever
-//! the caller ran serial code for longer than a scheduler tick. That is
-//! still far below the `std::thread::spawn` per region of the previous
-//! scoped fork/join design, and it is the cost [`fork_grain`] sizes the
-//! smallest forked range from.
+//! regions can never deadlock.
+//!
+//! # Worker states: running → spinning → parked
+//!
+//! A worker that finds the queue empty does not go to sleep at once. It
+//! *spins*: it polls a lock-free count of queued tasks, giving the CPU away
+//! with [`std::thread::yield_now`] after every miss, and parks on the
+//! condvar only after [`SPIN_BUDGET`] without work. A region owner waits
+//! for its latch the same way. Kernels open regions back to back — a
+//! training step opens one every ≈ 20 µs — so the next region almost always
+//! finds its worker still awake, and then a handoff costs a mutex-guarded
+//! queue push on one side and a poll on the other, ≈ 0.8 µs on the region's
+//! critical path (`train_sharded`'s `pool_region_handoff_us`), and no
+//! futex call: a push skips the condvar `notify` when no worker sleeps. A
+//! worker that *has* parked costs a futex wake-up each way, ≈ 28–45 µs on a
+//! 2-vCPU container (`pool_region_parked_us`) — what every fork of a
+//! training step paid when workers parked the moment the queue ran dry.
+//! [`fork_grain`] sizes the smallest forked range from the hot handoff.
+//!
+//! The spin **yields** on every poll because a core is not always free:
+//! with more runnable threads than cores (serving's connection threads, an
+//! oversubscribed `TTSNN_NUM_THREADS`, a process pinned to one CPU) a
+//! busy-waiting worker would hold a core for a whole scheduler slice while
+//! the thread that is about to push the next region waits for it. A
+//! yielding spinner only ever runs on a core nobody else wants.
 //!
 //! Workers are spawned lazily on the first region that wants more than one
-//! thread, so `Runtime::new(1)` (the serial runtimes the conv gradients
-//! construct per call) never starts a thread. Dropping the last clone of a
-//! [`Runtime`] shuts its pool down and joins the workers; the process-wide
+//! thread, so a one-thread runtime ([`Runtime::serial`]) never starts a
+//! thread. Dropping the last clone of a [`Runtime`] shuts its pool down and
+//! joins the workers — spinning or parked; the process-wide
 //! [`Runtime::global`] pool lives for the lifetime of the process.
 //!
 //! # Panic propagation
@@ -43,19 +59,44 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// Work, in scalar `f32` operations, below which a range is not worth
-/// handing to another thread. A region whose worker has
-/// parked costs two wake-ups on its critical path — the worker's, then the
-/// caller's once its own half is done — measured at ≈ 45 µs on the 2-vCPU
-/// reference container (`train_sharded`'s `pool_region_parked_us`; the hot
-/// case its `pool_region_us` reports is under 1 µs and is not what kernels
-/// inside a training step or a request see). Two megaflops are ≈ 100 µs of
-/// this crate's kernels at ≈ 20 GFLOP/s: a two-way fork then finishes in
-/// about 0.7 of the serial time instead of losing to it.
-const FORK_WORK: usize = 2 << 20;
+/// Work, in scalar `f32` operations, above which a region is worth
+/// splitting between two threads (so the smallest forked range carries half
+/// of it). Sized from the **hot** handoff, which is the one kernels see now
+/// that idle workers spin (see [`SPIN_BUDGET`]): `train_sharded`'s
+/// `pool_region_handoff_us` opens two-range regions of real, equal work
+/// back to back on the 2-vCPU reference container and finds a 2 × 12 µs
+/// region done in 12.8 µs (0.53 of its 24.0 µs serial time) and a
+/// 2 × 2.5 µs one in 3.3 µs (0.66 of 5.0), the second range on the worker
+/// every time — a handoff adds ≈ 0.8 µs to the critical path, so a fork
+/// pays once a range is longer than that. 32 Ki operations are ≈ 2.5 µs of
+/// this crate's kernels at the 12–15 GFLOP/s they reach on training-sized
+/// operands: the smallest fork then finishes in ≈ 0.8 of its serial time,
+/// anything larger tends to 0.5, and every per-sample convolution kernel of
+/// a training step (0.1–3 MFLOP a region) forks. On the `train_htt_events`
+/// step the constant is flat from 8 Ki to 32 Ki (27.8–28.3 ms a step),
+/// costs 0.7 ms at 64 Ki and 4.4 ms at 128 Ki; the previous value, 2 Mi,
+/// was sized from the parked round trip and kept all ≈ 1 950 kernel calls
+/// of a step on one core (40.6 ms).
+const FORK_WORK: usize = 32 << 10;
+
+/// How long an idle worker — and a region owner waiting for its latch —
+/// keeps polling before it parks on its condvar. The ski-rental rule gives
+/// the floor: parking costs the next region a wake-up on its critical path,
+/// ≈ 28–45 µs (`pool_region_parked_us`), so never spin for less than that.
+/// It is not the ceiling, because the two costs are in different
+/// currencies: a spin that yields burns time on a core nobody asked for,
+/// a wake-up delays the step. What sets the value is how long the serial
+/// stretches between two forks of a training step are (LIF and other
+/// elementwise ops, tape bookkeeping). Measured on the `train_htt_events`
+/// step, as budget → parks per step → step time: 25 µs → 220 → 32.6 ms,
+/// 50 µs → 116 → 30.7 ms, 100 µs → 23 → 28.7 ms, **200 µs → 3.4 →
+/// 28.1 ms**, 400 µs → 0.3 → 28.0 ms. Past 200 µs there is nothing left to
+/// win, and an idle pool should not poll for longer than it has to.
+const SPIN_BUDGET: Duration = Duration::from_micros(200);
 
 /// The `min_chunk` / `min_slabs` every kernel passes to the `parallel_*`
 /// methods: how many items of `work_per_item` operations make a range worth
@@ -64,19 +105,110 @@ const FORK_WORK: usize = 2 << 20;
 /// that cost where it calls this. The one place the fork policy lives — it
 /// depends on the call's shape only, never on the thread count, so it
 /// cannot move a result bit.
-pub(crate) fn fork_grain(work_per_item: usize) -> usize {
+pub fn fork_grain(work_per_item: usize) -> usize {
     (FORK_WORK / work_per_item.max(1)).max(1)
+}
+
+/// What a pool has done since it started: [`Runtime::stats`]. The counters
+/// live beside the queue and move under its lock, which every event they
+/// count already holds, so a snapshot is exact and counting costs nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Parallel regions opened with more than one range.
+    pub regions: u64,
+    /// Ranges pushed onto the queue (every range but a region's first).
+    pub forked_tasks: u64,
+    /// Queued ranges a pool worker ran. The rest were popped back by a
+    /// caller helping while it waited.
+    pub handoffs: u64,
+    /// Times a worker or a waiting region owner exhausted its spin budget
+    /// and blocked on a condvar. Each one costs a later region a wake-up.
+    pub parks: u64,
+}
+
+impl PoolStats {
+    /// The activity between `earlier` and this snapshot.
+    pub fn since(&self, earlier: &PoolStats) -> PoolStats {
+        PoolStats {
+            regions: self.regions - earlier.regions,
+            forked_tasks: self.forked_tasks - earlier.forked_tasks,
+            handoffs: self.handoffs - earlier.handoffs,
+            parks: self.parks - earlier.parks,
+        }
+    }
+}
+
+/// The injector queue and what must change together with it.
+struct Injector {
+    /// Workers pop from the front (oldest region first); helping callers
+    /// pop from the back (their own tasks first).
+    tasks: VecDeque<Task>,
+    /// Workers blocked on `Shared::work_cv`. A push notifies only when
+    /// this is non-zero.
+    parked_workers: usize,
+    stats: PoolStats,
 }
 
 /// State shared between the pool's workers and region callers.
 struct Shared {
-    /// Injector queue. Workers pop from the front (oldest region first);
-    /// helping callers pop from the back (their own tasks first).
-    queue: Mutex<VecDeque<Task>>,
-    /// Signalled on task push, region completion, and shutdown.
+    injector: Mutex<Injector>,
+    /// `injector.tasks.len()`, stored under the lock after every push and
+    /// pop so spinning threads can poll it without taking the lock. Only a
+    /// hint — tasks are published by the mutex — hence `Relaxed`.
+    pending: AtomicUsize,
+    /// Parked workers wait here for a push or shutdown.
     work_cv: Condvar,
-    /// Set once by [`Pool::drop`]; workers exit when the queue is empty.
+    /// Parked region owners wait here for their latch.
+    done_cv: Condvar,
+    /// Region owners blocked (or about to block) on `done_cv`. `SeqCst`
+    /// against `Latch::remaining`: an owner announces itself here and then
+    /// re-reads its latch, a finishing task decrements the latch and then
+    /// reads this, so one of the two always sees the other.
+    parked_owners: AtomicUsize,
+    /// Set once by [`Pool::drop`]; idle workers exit when they see it.
     shutdown: AtomicBool,
+}
+
+/// Which end of the injector queue to pop: workers take the front, callers
+/// helping while they wait take the back.
+#[derive(Clone, Copy)]
+enum End {
+    Front,
+    Back,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Injector> {
+        self.injector.lock().expect("pool queue lock: tasks run outside it and cannot poison it")
+    }
+
+    fn pop(&self, end: End) -> Option<Task> {
+        let mut injector = self.lock();
+        let task = match end {
+            End::Front => injector.tasks.pop_front(),
+            End::Back => injector.tasks.pop_back(),
+        };
+        if matches!(end, End::Front) && task.is_some() {
+            injector.stats.handoffs += 1;
+        }
+        self.pending.store(injector.tasks.len(), Ordering::Relaxed);
+        task
+    }
+}
+
+/// Polls `ready`, yielding the CPU after every miss, until it holds or
+/// [`SPIN_BUDGET`] has passed. Returns whether it held.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        if ready() {
+            return true;
+        }
+        if start.elapsed() >= SPIN_BUDGET {
+            return false;
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// Countdown latch for one parallel region, living on the region caller's
@@ -119,7 +251,8 @@ unsafe impl Send for Task {}
 
 impl Task {
     /// Runs the task, records any panic in the latch, and counts it done
-    /// (waking waiters if it was the region's last task).
+    /// (waking the region owner if it was the last task and the owner has
+    /// parked).
     fn execute(self, shared: &Shared) {
         // SAFETY: the region caller waits on the latch before returning,
         // so both pointers are live for the duration of this call.
@@ -130,12 +263,14 @@ impl Task {
         if let Err(payload) = result {
             latch.record_panic(payload);
         }
-        if latch.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last task of the region: wake the region owner. Taking the
-            // queue lock orders this notify against the owner's
-            // check-then-wait, so the wakeup cannot be lost.
-            let _guard = shared.queue.lock().unwrap();
-            shared.work_cv.notify_all();
+        // The latch may be gone the moment this lands: only `shared` below.
+        if latch.remaining.fetch_sub(1, Ordering::SeqCst) == 1
+            && shared.parked_owners.load(Ordering::SeqCst) > 0
+        {
+            // Taking the queue lock orders this notify after the owner's
+            // announce-check-wait, which it does under the same lock.
+            let _guard = shared.lock();
+            shared.done_cv.notify_all();
         }
     }
 }
@@ -147,11 +282,18 @@ struct Pool {
 }
 
 impl Pool {
-    /// Spawns `workers` threads parked on the injector queue.
+    /// Spawns `workers` threads polling the injector queue.
     fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            injector: Mutex::new(Injector {
+                tasks: VecDeque::new(),
+                parked_workers: 0,
+                stats: PoolStats::default(),
+            }),
+            pending: AtomicUsize::new(0),
             work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            parked_owners: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         let handles = (0..workers)
@@ -171,9 +313,12 @@ impl Drop for Pool {
     fn drop(&mut self) {
         // No region can be active here: regions borrow the Runtime that
         // (transitively) owns this pool, so the queue is already empty.
+        // Spinning workers see the flag on their next poll; parked ones
+        // need the notify.
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _guard = self.shared.queue.lock().unwrap();
+            // Poisoned or not, the guard is held across the notify.
+            let _guard = self.shared.injector.lock();
             self.shared.work_cv.notify_all();
         }
         for handle in self.workers.drain(..) {
@@ -182,18 +327,27 @@ impl Drop for Pool {
     }
 }
 
-/// Worker main loop: pop oldest task, run it, sleep when idle.
+/// Worker main loop. *Running*: pop the oldest task and run it until the
+/// queue is empty. *Spinning*: poll for a push. *Parked*: sleep until one.
 fn worker_loop(shared: &Shared) {
-    let mut guard = shared.queue.lock().unwrap();
     loop {
-        if let Some(task) = guard.pop_front() {
-            drop(guard);
+        while let Some(task) = shared.pop(End::Front) {
             task.execute(shared);
-            guard = shared.queue.lock().unwrap();
-        } else if shared.shutdown.load(Ordering::Acquire) {
+        }
+        let woken = spin_until(|| {
+            shared.pending.load(Ordering::Relaxed) > 0 || shared.shutdown.load(Ordering::Acquire)
+        });
+        if !woken {
+            let mut injector = shared.lock();
+            while injector.tasks.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
+                injector.stats.parks += 1;
+                injector.parked_workers += 1;
+                injector = shared.work_cv.wait(injector).expect("pool queue lock");
+                injector.parked_workers -= 1;
+            }
+        }
+        if shared.shutdown.load(Ordering::Acquire) {
             return;
-        } else {
-            guard = shared.work_cv.wait(guard).unwrap();
         }
     }
 }
@@ -222,6 +376,7 @@ impl std::fmt::Debug for Runtime {
 }
 
 static GLOBAL: OnceLock<Runtime> = OnceLock::new();
+static SERIAL: OnceLock<Runtime> = OnceLock::new();
 
 impl Runtime {
     /// A runtime that uses exactly `threads` workers (clamped to ≥ 1).
@@ -246,9 +401,23 @@ impl Runtime {
         })
     }
 
+    /// The process-wide one-thread runtime: what a kernel that has already
+    /// forked over samples hands to the kernels it calls per sample.
+    /// Shared, because a [`Runtime`] owns a heap allocation and those
+    /// kernels run a thousand times a training step.
+    pub fn serial() -> &'static Runtime {
+        SERIAL.get_or_init(|| Runtime::new(1))
+    }
+
     /// Number of worker threads parallel regions may use.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// What this runtime's pool has done so far (all zero until its first
+    /// forked region starts the pool).
+    pub fn stats(&self) -> PoolStats {
+        self.pool.get().map_or_else(PoolStats::default, |pool| pool.shared.lock().stats)
     }
 
     /// The pool, spawning its `threads - 1` workers on first use (the
@@ -270,7 +439,8 @@ impl Runtime {
             return;
         }
         let shared = Arc::clone(&self.pool().shared);
-        let latch = Latch { remaining: AtomicUsize::new(tasks - 1), panic: Mutex::new(None) };
+        let forked = tasks - 1;
+        let latch = Latch { remaining: AtomicUsize::new(forked), panic: Mutex::new(None) };
         // Thin pointer to the fat `&dyn` reference on this stack frame.
         let fref: &(dyn Fn(usize) + Sync) = f;
         let data = std::ptr::addr_of!(fref) as *const ();
@@ -282,11 +452,20 @@ impl Runtime {
             fref(index);
         }
         {
-            let mut queue = shared.queue.lock().unwrap();
+            let mut injector = shared.lock();
+            injector.stats.regions += 1;
+            injector.stats.forked_tasks += forked as u64;
             for index in 1..tasks {
-                queue.push_back(Task { data, run: thunk, index, latch: &latch });
+                injector.tasks.push_back(Task { data, run: thunk, index, latch: &latch });
             }
-            shared.work_cv.notify_all();
+            shared.pending.store(injector.tasks.len(), Ordering::Relaxed);
+            // Spinning workers find the tasks by polling; only sleepers
+            // need the futex, and no more of them than there are tasks.
+            if injector.parked_workers > forked {
+                (0..forked).for_each(|_| shared.work_cv.notify_one());
+            } else if injector.parked_workers > 0 {
+                shared.work_cv.notify_all();
+            }
         }
         // The caller is worker 0. Catch its panic so the region still
         // drains before unwinding past the borrowed closure.
@@ -294,20 +473,23 @@ impl Runtime {
             latch.record_panic(payload);
         }
         // Help until every enqueued task has finished: prefer our own most
-        // recently pushed work (back of the queue), sleep only when the
-        // queue is empty. Executing other regions' tasks here is what makes
-        // nested regions deadlock-free.
-        let mut queue = shared.queue.lock().unwrap();
-        while latch.remaining.load(Ordering::Acquire) != 0 {
-            if let Some(task) = queue.pop_back() {
-                drop(queue);
+        // recently pushed work (back of the queue); with the queue empty,
+        // spin on the latch, then park. Executing other regions' tasks here
+        // is what makes nested regions deadlock-free.
+        let done = || latch.remaining.load(Ordering::Acquire) == 0;
+        while !done() {
+            if let Some(task) = shared.pop(End::Back) {
                 task.execute(&shared);
-                queue = shared.queue.lock().unwrap();
-            } else {
-                queue = shared.work_cv.wait(queue).unwrap();
+            } else if !spin_until(|| done() || shared.pending.load(Ordering::Relaxed) > 0) {
+                let mut injector = shared.lock();
+                shared.parked_owners.fetch_add(1, Ordering::SeqCst);
+                while latch.remaining.load(Ordering::SeqCst) != 0 && injector.tasks.is_empty() {
+                    injector.stats.parks += 1;
+                    injector = shared.done_cv.wait(injector).expect("pool queue lock");
+                }
+                shared.parked_owners.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        drop(queue);
         let payload = latch.panic.lock().unwrap().take();
         if let Some(payload) = payload {
             resume_unwind(payload);
@@ -497,23 +679,27 @@ mod tests {
 
     #[test]
     fn panic_in_region_propagates_and_pool_survives() {
-        let rt = Runtime::new(4);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            rt.parallel_for(8, 1, |start, _| {
-                if start >= 4 {
-                    panic!("worker range {start} exploded");
-                }
+        // (threads, ranges): every worker busy, then one worker taking the
+        // panicking range while its sibling has nothing to do but spin.
+        for (threads, ranges) in [(4usize, 8usize), (3, 2)] {
+            let rt = Runtime::new(threads);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                rt.parallel_for(ranges, 1, |start, _| {
+                    if start >= ranges / 2 {
+                        panic!("worker range {start} exploded");
+                    }
+                });
+            }));
+            let payload = result.expect_err("panic must cross the region boundary");
+            let msg = payload.downcast_ref::<String>().expect("panic payload");
+            assert!(msg.contains("exploded"), "unexpected payload: {msg}");
+            // The pool is intact: the next region completes normally.
+            let hits = AtomicUsize::new(0);
+            rt.parallel_for(16, 1, |start, end| {
+                hits.fetch_add(end - start, Ordering::Relaxed);
             });
-        }));
-        let payload = result.expect_err("panic must cross the region boundary");
-        let msg = payload.downcast_ref::<String>().expect("panic payload");
-        assert!(msg.contains("exploded"), "unexpected payload: {msg}");
-        // The pool is intact: the next region completes normally.
-        let hits = AtomicUsize::new(0);
-        rt.parallel_for(16, 1, |start, end| {
-            hits.fetch_add(end - start, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
+            assert_eq!(hits.load(Ordering::Relaxed), 16, "threads={threads}");
+        }
     }
 
     #[test]
@@ -552,23 +738,151 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 32);
     }
 
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned after a minute: a lost wake-up shows as a hang, not as a
+    /// wrong answer.
+    fn within_a_minute(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        if finished.recv_timeout(Duration::from_secs(60)).is_err() && !runner.is_finished() {
+            panic!("{what}: still running after 60 s (lost wake-up?)");
+        }
+        runner.join().expect("watched closure panicked");
+    }
+
+    fn busy_wait(gap: Duration) {
+        let start = Instant::now();
+        while start.elapsed() < gap {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Blocks until some thread of `rt`'s pool has parked since `before`.
+    fn wait_for_park(rt: &Runtime, before: &PoolStats) {
+        while rt.stats().since(before).parks == 0 {
+            std::thread::sleep(SPIN_BUDGET);
+        }
+    }
+
+    /// One region of `n` single-index ranges on `rt`, asserting every
+    /// index ran exactly once.
+    fn exactly_once(rt: &Runtime, n: usize, what: &str) {
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        rt.parallel_for(n, 1, |start, end| {
+            for h in &hits[start..end] {
+                h.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{what}");
+    }
+
+    #[test]
+    fn every_index_runs_once_from_running_spinning_and_parked_workers() {
+        within_a_minute("regions at 0 / 50 us / parked spacing", || {
+            for threads in [2usize, 3] {
+                let rt = Runtime::new(threads);
+                // Back to back: workers are still running the last region
+                // or have only just gone back to polling.
+                for _ in 0..500 {
+                    exactly_once(&rt, 2 * threads, "running");
+                }
+                // Well inside the budget: workers are spinning.
+                for _ in 0..200 {
+                    busy_wait(SPIN_BUDGET / 4);
+                    exactly_once(&rt, 2 * threads, "spinning");
+                }
+                // Past the budget: the region has to wake a parked worker.
+                for _ in 0..20 {
+                    wait_for_park(&rt, &rt.stats());
+                    exactly_once(&rt, 2 * threads, "parked");
+                }
+                let stats = rt.stats();
+                assert_eq!(stats.regions, 720, "threads={threads}");
+                // `threads` ranges a region, the first on the caller.
+                assert_eq!(stats.forked_tasks, 720 * (threads as u64 - 1));
+                assert!(stats.handoffs <= stats.forked_tasks);
+            }
+        });
+    }
+
+    #[test]
+    fn two_callers_and_nested_regions_share_one_pool() {
+        within_a_minute("concurrent callers with nested regions", || {
+            let rt = Runtime::new(3);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..300 {
+                            let total = AtomicUsize::new(0);
+                            rt.parallel_for(3, 1, |outer_start, outer_end| {
+                                for _ in outer_start..outer_end {
+                                    rt.parallel_for(4, 1, |s, e| {
+                                        total.fetch_add(e - s, Ordering::Relaxed);
+                                    });
+                                }
+                            });
+                            assert_eq!(total.load(Ordering::Relaxed), 12);
+                        }
+                    });
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_across_1e5_regions() {
+        // Most regions arrive back to back; every 64th arrives after a
+        // pause that sweeps across the spin budget, so pushes land while a
+        // worker is spinning, deciding to park, parked, and waking.
+        within_a_minute("1e5 regions", || {
+            let rt = Runtime::new(3);
+            let ran = AtomicUsize::new(0);
+            for i in 0..100_000usize {
+                if i % 64 == 0 {
+                    busy_wait(SPIN_BUDGET * (3 + (i / 64 % 5) as u32) / 4);
+                }
+                rt.parallel_for(3, 1, |s, e| {
+                    ran.fetch_add(e - s, Ordering::Relaxed);
+                });
+            }
+            assert_eq!(ran.load(Ordering::Relaxed), 300_000);
+            assert_eq!(rt.stats().regions, 100_000);
+        });
+    }
+
     #[test]
     fn drop_joins_workers() {
         // Dropping the last clone of a runtime shuts the pool down; the
-        // worker threads exit rather than leak. Observable as: a fresh
-        // runtime after the drop still works (no poisoned global state).
-        let rt = Runtime::new(4);
-        rt.parallel_for(8, 1, |_, _| {});
-        let clone = rt.clone();
-        drop(rt);
-        // The clone still owns the pool.
-        let hits = AtomicUsize::new(0);
-        clone.parallel_for(8, 1, |s, e| {
-            hits.fetch_add(e - s, Ordering::Relaxed);
+        // worker threads exit rather than leak. Observable as: the drop
+        // returns, and a fresh runtime after it still works (no poisoned
+        // global state).
+        within_a_minute("drop with workers spinning, then parked", || {
+            let rt = Runtime::new(4);
+            rt.parallel_for(8, 1, |_, _| {});
+            let clone = rt.clone();
+            drop(rt);
+            // The clone still owns the pool.
+            exactly_once(&clone, 8, "clone after drop");
+            drop(clone); // joins here, microseconds after a region: mid-spin
+            let parked = Runtime::new(4);
+            parked.parallel_for(8, 1, |_, _| {});
+            wait_for_park(&parked, &parked.stats());
+            drop(parked);
+            let fresh = Runtime::new(2);
+            fresh.parallel_for(4, 1, |_, _| {});
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        drop(clone); // joins here
-        let fresh = Runtime::new(2);
-        fresh.parallel_for(4, 1, |_, _| {});
+    }
+
+    #[test]
+    fn serial_runtime_is_shared_and_never_starts_a_pool() {
+        assert_eq!(Runtime::serial().threads(), 1);
+        Runtime::serial().parallel_for(64, 1, |_, _| {});
+        assert_eq!(Runtime::serial().stats(), PoolStats::default());
+        assert!(std::ptr::eq(Runtime::serial(), Runtime::serial()));
     }
 }

@@ -882,10 +882,10 @@ mod tests {
             let sp = SpikeTensor::try_pack(&x).unwrap();
             // Dense per-sample path: gemm_a_bt with m = 1 per row.
             let mut want = vec![0.0f32; b * out];
-            let serial = Runtime::new(1);
+            let serial = Runtime::serial();
             for s in 0..b {
                 runtime::gemm_a_bt(
-                    &serial,
+                    serial,
                     &x.data()[s * feat..(s + 1) * feat],
                     w.data(),
                     &mut want[s * out..(s + 1) * out],

@@ -170,14 +170,22 @@ proptest! {
     /// The whole conv pipeline (forward, input grad, weight grad) is
     /// bitwise deterministic across 1–8 threads: the batch-parallel
     /// partition never splits one sample's accumulation, and the batch
-    /// reduction runs in fixed sample order.
+    /// reduction runs in fixed sample order. The narrow geometry stays
+    /// under the fork grain at every batch size here; the wide one (74 K
+    /// operations a sample) forks a range per sample.
     #[test]
-    fn conv_pipeline_deterministic_across_threads(seed in 0u64..10_000, batch in 1usize..6) {
+    fn conv_pipeline_deterministic_across_threads(
+        seed in 0u64..10_000,
+        batch in 1usize..6,
+        wide in 0usize..2,
+    ) {
+        let wide = wide == 1;
         let mut rng = Rng::seed_from(seed);
-        let g = Conv2dGeometry::new(2, 3, (5, 5), (3, 3), (1, 1), (1, 1));
-        let x = Tensor::randn(&[batch, 2, 5, 5], &mut rng);
-        let w = Tensor::randn(&[3, 2, 3, 3], &mut rng);
-        let dy = Tensor::randn(&[batch, 3, 5, 5], &mut rng);
+        let (c, o, hw) = if wide { (8, 8, 8) } else { (2, 3, 5) };
+        let g = Conv2dGeometry::new(c, o, (hw, hw), (3, 3), (1, 1), (1, 1));
+        let x = Tensor::randn(&[batch, c, hw, hw], &mut rng);
+        let w = Tensor::randn(&[o, c, 3, 3], &mut rng);
+        let dy = Tensor::randn(&[batch, o, hw, hw], &mut rng);
         let one = Runtime::new(1);
         let y1 = conv::conv2d_with(&one, &x, &w, &g).unwrap();
         let dx1 = conv::conv2d_input_grad_with(&one, &dy, &w, &g).unwrap();
@@ -190,6 +198,51 @@ proptest! {
             prop_assert_eq!(dx.data(), dx1.data(), "dx bits differ at {} threads", threads);
             let dw = conv::conv2d_weight_grad_with(&rt, &x, &dy, &g).unwrap();
             prop_assert_eq!(dw.data(), dw1.data(), "dw bits differ at {} threads", threads);
+            if wide && batch > 1 {
+                prop_assert!(rt.stats().handoffs + rt.stats().forked_tasks > 0, "wide geometry must fork");
+            }
         }
     }
+}
+
+/// Fastest of `reps` runs of `f`, in seconds.
+fn fastest(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Idle workers spin before they park, and the spin has to *yield*: with
+/// fewer cores than threads (CI re-runs this file under `taskset -c 0`) a
+/// worker that busy-waited would hold the only core for a scheduler slice
+/// per region while the thread that opens the regions waits for it. A
+/// yielding worker costs the caller a context switch at worst, so a
+/// two-thread runtime must stay within ≈ 2 × of the serial one even on a
+/// single CPU; with a core per thread it is simply faster.
+#[test]
+fn two_thread_runtime_makes_progress_on_one_cpu() {
+    let mut rng = Rng::seed_from(7);
+    let g = Conv2dGeometry::new(8, 8, (8, 8), (3, 3), (1, 1), (1, 1));
+    let x = Tensor::randn(&[8, 8, 8, 8], &mut rng);
+    let w = Tensor::randn(&[8, 8, 3, 3], &mut rng);
+    let sweep = |rt: &Runtime| {
+        for _ in 0..200 {
+            conv::conv2d_with(rt, &x, &w, &g).unwrap().recycle();
+        }
+    };
+    let (one, two) = (Runtime::new(1), Runtime::new(2));
+    sweep(&two); // spawn the worker, warm both arenas
+    let serial = fastest(7, || sweep(&one));
+    let forked = fastest(7, || sweep(&two));
+    assert!(two.stats().forked_tasks > 0, "the sweep was meant to fork");
+    assert!(
+        forked <= 2.0 * serial,
+        "200 forked convolutions took {:.2} ms against {:.2} ms serial",
+        forked * 1e3,
+        serial * 1e3
+    );
 }

@@ -5,14 +5,19 @@
 //! its parents. The op set is exactly what the TT-SNN training pipeline
 //! (Algorithm 1 of the paper) needs:
 //!
-//! * elementwise arithmetic and scaling — membrane-potential updates (Eq. 1),
-//!   with the LIF step's two fused forms [`Var::scale_add`] (leak +
-//!   integrate) and [`Var::hard_reset`];
+//! * [`Var::lif_scan`] — the LIF neuron of Eq. (1) over every timestep of a
+//!   layer at once: leak, integrate, fire, hard reset, and the surrogate
+//!   BPTT recurrence, as one tape node;
+//! * elementwise arithmetic and scaling, with [`Var::scale_add`],
+//!   [`Var::spike`] and [`Var::hard_reset`] — the one-timestep chain the
+//!   scan is tested against;
 //! * [`Var::conv2d`] — both the baseline 3×3 convolutions and the TT cores'
 //!   1×1 / 3×1 / 1×3 sub-convolutions;
-//! * [`Var::spike`] — the Heaviside firing function with a surrogate
-//!   gradient for BPTT;
-//! * [`Var::batch_norm2d`] — tdBN-style normalization;
+//! * [`Var::batch_norm2d`] — tdBN-style normalization, with statistics per
+//!   group of rows (one group per timestep), and
+//!   [`Var::scale_by_groups`], TEBN's learned scale per timestep;
+//! * [`Var::rows`] / [`Var::concat_rows`] — cutting a time-major stack
+//!   `[T·B, …]` (row `t·B + s`) into runs of timesteps and joining them;
 //! * [`Var::linear`], pooling, and [`cross_entropy_logits`] — the classifier
 //!   head and loss of Algorithm 1 lines 14–16.
 //!
@@ -22,7 +27,13 @@
 //! owns the gradient it is handed: it rewrites it in place where the
 //! parent's gradient has the same shape, moves it into the (last) parent
 //! that wants it, and recycles it otherwise. Forward inputs are read from
-//! `parents[i].value()` — no closure captures a copy of a tensor.
+//! `parents[i].value()` — no closure captures a copy of a tensor. A forward
+//! by-product only the backward needs (the scan's membranes, batch norm's
+//! statistics) is kept in a private `Saved` wrapper, which returns it to the
+//! arena with the node.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ttsnn_tensor::runtime::{fork_grain, with_scratch, Runtime};
 use ttsnn_tensor::{conv, pool, Conv2dGeometry, ShapeError, Tensor};
@@ -59,54 +70,53 @@ impl Default for Surrogate {
     }
 }
 
-#[inline]
-fn rectangle(x: f32, width: f32) -> f32 {
-    if x.abs() < width / 2.0 {
-        1.0 / width
-    } else {
-        0.0
+/// The three shapes as functions of `x = u − V_th`, each with its constants
+/// worked out once: a division left inside the window test keeps the loop
+/// around it from vectorising (the scan's backward ran 7 × slower for it).
+fn rectangle(width: f32) -> impl Fn(f32) -> f32 + Copy + Sync {
+    let (half, height) = (width / 2.0, 1.0 / width);
+    move |x| if x.abs() < half { height } else { 0.0 }
+}
+
+fn triangle(width: f32) -> impl Fn(f32) -> f32 + Copy + Sync {
+    move |x| {
+        let t = 1.0 - x.abs() / width;
+        if t > 0.0 {
+            t / width
+        } else {
+            0.0
+        }
     }
 }
 
-#[inline]
-fn triangle(x: f32, width: f32) -> f32 {
-    let t = 1.0 - x.abs() / width;
-    if t > 0.0 {
-        t / width
-    } else {
-        0.0
+fn atan(alpha: f32) -> impl Fn(f32) -> f32 + Copy + Sync {
+    move |x| {
+        let s = std::f32::consts::FRAC_PI_2 * alpha * x;
+        alpha / (2.0 * (1.0 + s * s))
     }
-}
-
-#[inline]
-fn atan(x: f32, alpha: f32) -> f32 {
-    let s = std::f32::consts::FRAC_PI_2 * alpha * x;
-    alpha / (2.0 * (1.0 + s * s))
 }
 
 impl Surrogate {
     /// Evaluates the surrogate derivative at `x = u - vth`.
     pub fn grad(&self, x: f32) -> f32 {
         match *self {
-            Surrogate::Rectangle { width } => rectangle(x, width),
-            Surrogate::Triangle { width } => triangle(x, width),
-            Surrogate::Atan { alpha } => atan(x, alpha),
+            Surrogate::Rectangle { width } => rectangle(width)(x),
+            Surrogate::Triangle { width } => triangle(width)(x),
+            Surrogate::Atan { alpha } => atan(alpha)(x),
         }
     }
 
     /// `g[i] *= self.grad(u[i] - vth)` over a whole tensor, the variant
     /// chosen once outside the element loop.
     fn scale_grad(&self, g: &mut Tensor, u: &Tensor, vth: f32) {
-        let done = match *self {
-            Surrogate::Rectangle { width } => {
-                g.zip_inplace(u, |gv, uv| gv * rectangle(uv - vth, width))
-            }
-            Surrogate::Triangle { width } => {
-                g.zip_inplace(u, |gv, uv| gv * triangle(uv - vth, width))
-            }
-            Surrogate::Atan { alpha } => g.zip_inplace(u, |gv, uv| gv * atan(uv - vth, alpha)),
-        };
-        done.expect("spike backward shape");
+        fn scale(g: &mut Tensor, u: &Tensor, vth: f32, sg: impl Fn(f32) -> f32) {
+            g.zip_inplace(u, |gv, uv| gv * sg(uv - vth)).expect("spike backward shape");
+        }
+        match *self {
+            Surrogate::Rectangle { width } => scale(g, u, vth, rectangle(width)),
+            Surrogate::Triangle { width } => scale(g, u, vth, triangle(width)),
+            Surrogate::Atan { alpha } => scale(g, u, vth, atan(alpha)),
+        }
     }
 }
 
@@ -127,23 +137,34 @@ fn reset_gate(u: f32, vth: f32) -> f32 {
     -heaviside(u, vth) + 1.0
 }
 
-/// The `(H·W)`-element planes of channel `ch` in a `(B, C, H, W)` buffer,
-/// in sample order.
-fn channel_planes(
-    b: usize,
-    c: usize,
-    ch: usize,
-    plane: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> + Clone {
-    (0..b).map(move |s| (s * c + ch) * plane..(s * c + ch + 1) * plane)
-}
-
 /// A `[1]`-shaped tensor holding `v` (an arena buffer like every other
 /// value on the tape: what a dropped node recycles, an op must have taken).
 fn scalar(v: f32) -> Tensor {
     let mut t = Tensor::scratch(&[1]);
     t.data_mut()[0] = v;
     t
+}
+
+/// A forward by-product that only a node's backward closure (and whoever
+/// shares it through an `Rc`) reads. An arena buffer like every value on the
+/// tape, so it goes back there when the node that captured it drops.
+struct Saved(Tensor);
+
+impl Drop for Saved {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.0).recycle();
+    }
+}
+
+/// Rows per group when the leading axis of `shape` is cut into `groups`
+/// equal runs (a time-major stack `[T·B, …]` into its `T` timesteps).
+fn rows_per_group(op: &str, shape: &[usize], groups: usize) -> Result<usize, ShapeError> {
+    match shape.first() {
+        Some(&rows) if groups > 0 && rows.is_multiple_of(groups) => Ok(rows / groups),
+        _ => Err(ShapeError::new(format!(
+            "{op}: cannot cut shape {shape:?} into {groups} equal groups of rows"
+        ))),
+    }
 }
 
 /// Softmax of one row of logits into `probs`; returns the row's maximum
@@ -272,30 +293,64 @@ impl Var {
     }
 
     /// Multiplies every element by a **learned scalar** (a `Var` holding a
-    /// single element) — the TEBN per-timestep scale.
+    /// single element): [`Var::scale_by_groups`] with one group.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `s` does not hold exactly one element.
     pub fn scale_by(&self, s: &Var) -> Result<Var, ShapeError> {
-        if s.value().len() != 1 {
+        self.scale_by_groups(std::slice::from_ref(s))
+    }
+
+    /// Cuts the leading axis into `scales.len()` equal groups of rows and
+    /// multiplies group `g` by the **learned scalar** `scales[g]` — TEBN's
+    /// per-timestep scale over a time-major stack, in one node. Each
+    /// scale's gradient is `Σ g·x` over its group, summed in element order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if a scale does not hold exactly one element
+    /// or the leading axis does not divide into `scales.len()` groups.
+    pub fn scale_by_groups(&self, scales: &[Var]) -> Result<Var, ShapeError> {
+        if let Some(bad) = scales.iter().find(|s| s.value().len() != 1) {
             return Err(ShapeError::new(format!(
                 "scale_by: scale must be a single element, got {:?}",
-                s.shape()
+                bad.shape()
             )));
         }
-        let sv = s.value().data()[0];
-        let value = self.value().scale(sv);
+        let x = self.value();
+        let rows = rows_per_group("scale_by", x.shape(), scales.len())?;
+        // Elements per group (at least one, so the chunking below is defined
+        // on an empty tensor too).
+        let group = (rows * x.len() / x.shape()[0].max(1)).max(1);
+        let factors: Vec<f32> = scales.iter().map(|s| s.value().data()[0]).collect();
+        let mut value = Tensor::scratch(x.shape());
+        for ((out, xs), &sv) in
+            value.data_mut().chunks_mut(group).zip(x.data().chunks(group)).zip(&factors)
+        {
+            for (o, &v) in out.iter_mut().zip(xs) {
+                *o = v * sv;
+            }
+        }
+        drop(x);
+        let mut parents = vec![self.clone()];
+        parents.extend(scales.iter().cloned());
         Ok(Var::from_op(
             "scale_by",
             value,
-            vec![self.clone(), s.clone()],
+            parents,
             Box::new(move |mut g, parents| {
-                let ds: f32 =
-                    g.data().iter().zip(parents[0].value().data()).map(|(a, b)| a * b).sum();
-                g.map_inplace(|v| v * sv);
+                let chunks = g.data_mut().chunks_mut(group);
+                for (((gs, xs), &sv), scale) in chunks
+                    .zip(parents[0].value().data().chunks(group))
+                    .zip(&factors)
+                    .zip(&parents[1..])
+                {
+                    let ds: f32 = gs.iter().zip(xs).map(|(a, b)| a * b).sum();
+                    gs.iter_mut().for_each(|v| *v *= sv);
+                    scale.accumulate_grad(scalar(ds));
+                }
                 parents[0].accumulate_grad(g);
-                parents[1].accumulate_grad(scalar(ds));
             }),
         ))
     }
@@ -352,6 +407,83 @@ impl Var {
         )
     }
 
+    /// The LIF neuron of Eq. (1) over `steps` timesteps at once. `self` is
+    /// the synaptic input of a layer as a time-major stack `[steps·B, …]`
+    /// (row `t·B + s`), `carry` the post-reset membrane `[B, …]` an earlier
+    /// scan left behind ([`LifScan::carry`]), if any. Per neuron, in time
+    /// order:
+    ///
+    /// ```text
+    /// u_t = τ · m_{t−1} + x_t      (u_0 = x_0 + 0.0 without a carry)
+    /// s_t = H(u_t − V_th)
+    /// m_t = u_t · (1 − s_t)        (the gate detached: STBP)
+    /// ```
+    ///
+    /// and backward the reverse scan `g_t = dS_t · σ'(u_t − V_th) +
+    /// (τ · g_{t+1}) · (1 − s_t)`, `dx_t = g_t`, with the running value in
+    /// registers. One node, one pass in each direction, on the global
+    /// kernel pool over disjoint ranges of neurons; the float operations
+    /// are those of the per-timestep chain [`Var::scale_add`] →
+    /// [`Var::spike`] → [`Var::hard_reset`], so values and gradients are
+    /// bit-identical to it — whether the timesteps come in one call or
+    /// carried across several.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the leading axis does not divide into
+    /// `steps`, or `carry` is not shaped like one timestep of the input.
+    pub fn lif_scan(
+        &self,
+        carry: Option<&Var>,
+        steps: usize,
+        tau: f32,
+        vth: f32,
+        surrogate: Surrogate,
+    ) -> Result<LifScan, ShapeError> {
+        let x = self.value();
+        let batch = rows_per_group("lif_scan", x.shape(), steps)?;
+        let mut step_shape = x.shape().to_vec();
+        step_shape[0] = batch;
+        if let Some(c) = carry.filter(|c| c.shape() != step_shape) {
+            return Err(ShapeError::new(format!(
+                "lif_scan: carry {:?} is not one timestep {step_shape:?} of the input",
+                c.shape()
+            )));
+        }
+        let mut spikes = Tensor::scratch(x.shape());
+        let mut u = Tensor::scratch(x.shape());
+        let fired = {
+            let carry = carry.map(Var::value);
+            let carry = carry.as_ref().map(|c| c.data());
+            let out = (u.data_mut(), spikes.data_mut());
+            lif_forward(Runtime::global(), steps, (tau, vth), x.data(), carry, out)
+        };
+        drop(x);
+        let tape = Rc::new(ScanTape { u: Saved(u), carry_grad: RefCell::new(None) });
+        let mut parents = vec![self.clone()];
+        parents.extend(carry.cloned());
+        let node = Var::from_op("lif_scan", spikes, parents, {
+            let tape = Rc::clone(&tape);
+            Box::new(move |mut g, parents| {
+                let carry_out = tape.carry_grad.borrow_mut().take();
+                let mut dcarry = parents
+                    .get(1)
+                    .filter(|c| c.requires_grad())
+                    .map(|c| Tensor::scratch(c.value().shape()));
+                let rt = Runtime::global();
+                let neuron = (tau, vth, surrogate);
+                let carries = (carry_out.as_ref().map(Tensor::data), dcarry.as_mut());
+                lif_backward(rt, steps, neuron, tape.u.0.data(), g.data_mut(), carries);
+                carry_out.into_iter().for_each(Tensor::recycle);
+                parents[0].accumulate_grad(g);
+                if let Some(d) = dcarry {
+                    parents[1].accumulate_grad(d);
+                }
+            })
+        });
+        Ok(LifScan { spikes: node, fired, tape, step_shape, vth })
+    }
+
     // ------------------------------------------------------------- reshapes
 
     /// Reshape preserving element count.
@@ -368,6 +500,88 @@ impl Var {
             vec![self.clone()],
             Box::new(move |g, parents| {
                 parents[0].accumulate_grad(g.into_reshaped(&old_shape).expect("reshape backward"));
+            }),
+        ))
+    }
+
+    /// Rows `start..start + len` of the leading axis, as a node of their
+    /// own (the whole range is `self`, no node). On a time-major stack
+    /// `[T·B, …]` this is a run of timesteps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the value is 0-D or the range runs past its
+    /// leading axis.
+    pub fn rows(&self, start: usize, len: usize) -> Result<Var, ShapeError> {
+        let x = self.value();
+        let total = match x.shape().first() {
+            Some(&total) if start + len <= total => total,
+            _ => {
+                return Err(ShapeError::new(format!(
+                    "rows: [{start}, {}) out of range for shape {:?}",
+                    start + len,
+                    x.shape()
+                )))
+            }
+        };
+        if len == total {
+            drop(x);
+            return Ok(self.clone());
+        }
+        let row = x.len() / total;
+        let mut shape = x.shape().to_vec();
+        shape[0] = len;
+        let mut value = Tensor::scratch(&shape);
+        value.data_mut().copy_from_slice(&x.data()[start * row..(start + len) * row]);
+        drop(x);
+        Ok(Var::from_op(
+            "rows",
+            value,
+            vec![self.clone()],
+            Box::new(move |g, parents| parents[0].accumulate_grad_rows(start, g)),
+        ))
+    }
+
+    /// Joins `parts` along their leading axis, in order — the inverse of
+    /// cutting a stack with [`Var::rows`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `parts` is empty, a part is 0-D, or the
+    /// parts disagree past their leading axis.
+    pub fn concat_rows(parts: &[Var]) -> Result<Var, ShapeError> {
+        let mut shape = parts.first().map(Var::shape).unwrap_or_default();
+        let lens: Vec<usize> = parts.iter().map(|p| p.value().len()).collect();
+        if shape.is_empty() || parts.iter().any(|p| p.shape().get(1..) != shape.get(1..)) {
+            return Err(ShapeError::new(format!(
+                "concat_rows: cannot join shapes {:?} along the leading axis",
+                parts.iter().map(Var::shape).collect::<Vec<_>>()
+            )));
+        }
+        shape[0] = parts.iter().map(|p| p.shape()[0]).sum();
+        let mut value = Tensor::scratch(&shape);
+        let mut rest = value.data_mut();
+        for (part, &len) in parts.iter().zip(&lens) {
+            let (head, tail) = rest.split_at_mut(len);
+            head.copy_from_slice(part.value().data());
+            rest = tail;
+        }
+        Ok(Var::from_op(
+            "concat_rows",
+            value,
+            parts.to_vec(),
+            Box::new(move |g, parents| {
+                let mut rest = g.data();
+                for (part, &len) in parents.iter().zip(&lens) {
+                    let (head, tail) = rest.split_at(len);
+                    rest = tail;
+                    if part.requires_grad() {
+                        let mut dpart = Tensor::scratch(part.value().shape());
+                        dpart.data_mut().copy_from_slice(head);
+                        part.accumulate_grad(dpart);
+                    }
+                }
+                g.recycle();
             }),
         ))
     }
@@ -569,25 +783,31 @@ impl Var {
     /// Training-mode 2-D batch normalization with affine parameters and an
     /// extra constant scale (tdBN multiplies by `α·V_th`).
     ///
-    /// Statistics are computed per channel over `(B, H, W)` of this batch:
-    /// `y = γ · k · (x − μ)/√(σ² + eps) + β`.
+    /// The leading axis is cut into `groups` equal runs of samples — the
+    /// timesteps of a time-major stack `[T·B, C, H, W]`, or one group for a
+    /// plain batch — and statistics are computed per group and channel over
+    /// the group's `(B, H, W)`: `y = γ · k · (x − μ)/√(σ² + eps) + β`. Every
+    /// group's output and input gradient are those of a call on that group
+    /// alone, bit for bit; the γ / β gradients add the groups' sums in group
+    /// order.
     ///
-    /// The node keeps the per-channel `μ` and `1/√(σ² + eps)` only; backward
-    /// recomputes `x̂` from the input it reads off the tape. Both directions
-    /// run on the global kernel pool in two phases — per-channel reductions,
-    /// then per-sample elementwise work — with thread-count-independent
-    /// bits.
+    /// The node keeps the per-group, per-channel `μ` and `1/√(σ² + eps)`
+    /// only; backward recomputes `x̂` from the input it reads off the tape.
+    /// Both directions run on the global kernel pool in two phases —
+    /// per-channel reductions, then per-sample elementwise work — with
+    /// thread-count-independent bits.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `x` is not 4-D or `gamma`/`beta` are not
-    /// `[C]`-shaped.
+    /// Returns [`ShapeError`] if `x` is not 4-D, its leading axis does not
+    /// divide into `groups`, or `gamma`/`beta` are not `[C]`-shaped.
     pub fn batch_norm2d(
         &self,
         gamma: &Var,
         beta: &Var,
         eps: f32,
         extra_scale: f32,
+        groups: usize,
     ) -> Result<Var, ShapeError> {
         let x = self.value();
         if x.ndim() != 4 {
@@ -596,7 +816,8 @@ impl Var {
                 x.shape()
             )));
         }
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let (c, h, w) = (x.shape()[1], x.shape()[2], x.shape()[3]);
+        let b = rows_per_group("batch_norm2d", x.shape(), groups)?;
         if gamma.shape() != [c] || beta.shape() != [c] {
             return Err(ShapeError::new(format!(
                 "batch_norm2d: gamma/beta must be [{c}], got {:?}/{:?}",
@@ -605,12 +826,14 @@ impl Var {
             )));
         }
         let dims = BnDims { b, c, plane: h * w };
-        let mut y = Tensor::scratch(&[b, c, h, w]);
-        let stats = {
+        let mut y = Tensor::scratch(x.shape());
+        let mut stats = Saved(Tensor::scratch(&[groups * c, 2]));
+        {
             let (gv, bv) = (gamma.value(), beta.value());
             let affine = (gv.data(), bv.data(), extra_scale);
-            bn_forward(Runtime::global(), dims, x.data(), affine, eps, y.data_mut())
-        };
+            let rt = Runtime::global();
+            bn_forward(rt, dims, x.data(), affine, eps, stats.0.data_mut(), y.data_mut());
+        }
         drop(x);
         Ok(Var::from_op(
             "batch_norm2d",
@@ -622,12 +845,21 @@ impl Var {
                 {
                     let (x, gv) = (parents[0].value(), parents[1].value());
                     let scale = (gv.data(), extra_scale);
-                    with_scratch(2 * c, |sums: &mut [f32]| {
+                    with_scratch(2 * groups * c, |sums: &mut [f32]| {
                         let rt = Runtime::global();
-                        bn_backward(rt, dims, x.data(), &stats, scale, g.data_mut(), sums);
-                        for (ch, s) in sums.chunks(2).enumerate() {
+                        bn_backward(rt, dims, x.data(), stats.0.data(), scale, g.data_mut(), sums);
+                        // Group 0's sums as they are (what a one-group call
+                        // has always returned), later groups added to them.
+                        let (first, later) = sums.split_at(2 * c);
+                        for (ch, s) in first.chunks(2).enumerate() {
                             dbeta.data_mut()[ch] = s[0];
                             dgamma.data_mut()[ch] = s[1] * extra_scale;
+                        }
+                        for group in later.chunks(2 * c) {
+                            for (ch, s) in group.chunks(2).enumerate() {
+                                dbeta.data_mut()[ch] += s[0];
+                                dgamma.data_mut()[ch] += s[1] * extra_scale;
+                            }
                         }
                     });
                 }
@@ -639,12 +871,26 @@ impl Var {
     }
 }
 
-/// Shape of a batch-norm operand: `(B, C, H·W)`.
+/// Shape of a batch-norm operand: runs of `b` samples (the groups), each
+/// sample `(C, H·W)`.
 #[derive(Clone, Copy)]
 struct BnDims {
     b: usize,
     c: usize,
     plane: usize,
+}
+
+impl BnDims {
+    /// The planes of channel `ch` in the samples of group `g`, in sample
+    /// order.
+    fn channel_planes(
+        &self,
+        g: usize,
+        ch: usize,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> + Clone {
+        let (c, plane) = (self.c, self.plane);
+        (g * self.b..(g + 1) * self.b).map(move |s| (s * c + ch) * plane..(s * c + ch + 1) * plane)
+    }
 }
 
 /// What one element of a channel reduction costs in the streamed `f32`
@@ -657,24 +903,25 @@ struct BnDims {
 /// is 28.1 ms, and 16 changes nothing.
 const CHAIN_COST: usize = 8;
 
-/// Batch-norm forward in two pool phases. Phase 1 fills the returned
-/// `[C × 2]` array of per-channel `(μ, 1/√(σ² + eps))`, a channel per slab,
-/// each channel summed by one task in sample order. Phase 2 writes
-/// `y = γ·k·(x − μ)/√(σ² + eps) + β`, a sample per slab. Neither split
-/// changes what an element computes, so the result does not depend on the
-/// thread count. `affine` is `(γ, β, k)`.
+/// Batch-norm forward in two pool phases. Phase 1 fills `stats`, a
+/// `[groups · C × 2]` array of `(μ, 1/√(σ² + eps))` per group and channel, a
+/// (group, channel) pair per slab, each summed by one task in sample order.
+/// Phase 2 writes `y = γ·k·(x − μ)/√(σ² + eps) + β`, a sample per slab.
+/// Neither split changes what an element computes, so the result does not
+/// depend on the thread count. `affine` is `(γ, β, k)`.
 fn bn_forward(
     rt: &Runtime,
-    BnDims { b, c, plane }: BnDims,
+    dims: BnDims,
     xd: &[f32],
     (gamma, beta, extra_scale): (&[f32], &[f32], f32),
     eps: f32,
+    stats: &mut [f32],
     yd: &mut [f32],
-) -> Vec<f32> {
+) {
+    let BnDims { b, c, plane } = dims;
     let n = (b * plane) as f32;
-    let mut stats = vec![0.0f32; 2 * c];
-    rt.parallel_over_slabs(&mut stats, 2, fork_grain(2 * CHAIN_COST * b * plane), |ch, st| {
-        let channel = channel_planes(b, c, ch, plane);
+    rt.parallel_over_slabs(stats, 2, fork_grain(2 * CHAIN_COST * b * plane), |i, st| {
+        let channel = dims.channel_planes(i / c, i % c);
         let mut acc = 0.0;
         for r in channel.clone() {
             acc += xd[r].iter().sum::<f32>();
@@ -687,10 +934,12 @@ fn bn_forward(
         st[0] = m;
         st[1] = 1.0 / (vacc / n + eps).sqrt();
     });
+    let stats = &*stats;
     let slab = c * plane;
     rt.parallel_over_slabs(yd, slab, fork_grain(4 * slab), |s, y_s| {
         let x_s = &xd[s * slab..(s + 1) * slab];
-        for (ch, st) in stats.chunks(2).enumerate() {
+        let group = &stats[s / b * 2 * c..(s / b + 1) * 2 * c];
+        for (ch, st) in group.chunks(2).enumerate() {
             let (m, inv) = (st[0], st[1]);
             let (gk, shift) = (gamma[ch] * extra_scale, beta[ch]);
             let r = ch * plane..(ch + 1) * plane;
@@ -699,31 +948,32 @@ fn bn_forward(
             }
         }
     });
-    stats
 }
 
 /// Batch-norm backward in the same two phases. Phase 1 fills `sums`, a
-/// `[C × 2]` array, with the per-channel reductions `(Σ dy, Σ dy·x̂)`;
-/// phase 2 rewrites `gd` from `dy` to `dx` in place, a sample per slab
-/// (element `i` needs `dy[i]` and its channel's two sums only). `stats` is
-/// [`bn_forward`]'s result, `scale` is `(γ, k)`.
+/// `[groups · C × 2]` array, with the reductions `(Σ dy, Σ dy·x̂)` per group
+/// and channel; phase 2 rewrites `gd` from `dy` to `dx` in place, a sample
+/// per slab (element `i` needs `dy[i]` and the two sums of its group and
+/// channel only). `stats` is what [`bn_forward`] filled, `scale` is
+/// `(γ, k)`.
 fn bn_backward(
     rt: &Runtime,
-    BnDims { b, c, plane }: BnDims,
+    dims: BnDims,
     xd: &[f32],
     stats: &[f32],
     (gamma, extra_scale): (&[f32], f32),
     gd: &mut [f32],
     sums: &mut [f32],
 ) {
+    let BnDims { b, c, plane } = dims;
     let n = (b * plane) as f32;
     {
         let gd = &*gd;
-        rt.parallel_over_slabs(sums, 2, fork_grain(2 * CHAIN_COST * b * plane), |ch, su| {
-            let (m, inv) = (stats[2 * ch], stats[2 * ch + 1]);
+        rt.parallel_over_slabs(sums, 2, fork_grain(2 * CHAIN_COST * b * plane), |i, su| {
+            let (m, inv) = (stats[2 * i], stats[2 * i + 1]);
             let mut sum_dy = 0.0f32;
             let mut sum_dy_xhat = 0.0f32;
-            for r in channel_planes(b, c, ch, plane) {
+            for r in dims.channel_planes(i / c, i % c) {
                 for (&dy, &v) in gd[r.clone()].iter().zip(&xd[r]) {
                     sum_dy += dy;
                     sum_dy_xhat += dy * ((v - m) * inv);
@@ -736,14 +986,254 @@ fn bn_backward(
     let slab = c * plane;
     rt.parallel_over_slabs(gd, slab, fork_grain(8 * slab), |s, g_s| {
         let x_s = &xd[s * slab..(s + 1) * slab];
-        for ch in 0..c {
-            let (m, inv) = (stats[2 * ch], stats[2 * ch + 1]);
-            let (sum_dy, sum_dy_xhat) = (sums[2 * ch], sums[2 * ch + 1]);
-            let coeff = gamma[ch] * extra_scale * inv / n;
+        let group = s / b * 2 * c..(s / b + 1) * 2 * c;
+        let per_channel = stats[group.clone()].chunks(2).zip(sums[group].chunks(2));
+        for (ch, ((st, su), &g)) in per_channel.zip(gamma).enumerate() {
+            let (m, inv) = (st[0], st[1]);
+            let (sum_dy, sum_dy_xhat) = (su[0], su[1]);
+            let coeff = g * extra_scale * inv / n;
             let r = ch * plane..(ch + 1) * plane;
             for (dy, &v) in g_s[r.clone()].iter_mut().zip(&x_s[r]) {
                 let xh = (v - m) * inv;
                 *dy = coeff * (n * *dy - sum_dy - xh * sum_dy_xhat);
+            }
+        }
+    });
+}
+
+/// What a [`Var::lif_scan`] node's backward needs from its forward, shared
+/// with the carry that may be built from it later.
+struct ScanTape {
+    /// The pre-reset membranes `u_t` of every timestep, stacked like the
+    /// input.
+    u: Saved,
+    /// The gradient reaching the membrane this scan left behind, put here by
+    /// the carry's backward for the scan's own to start from.
+    carry_grad: RefCell<Option<Tensor>>,
+}
+
+/// The result of [`Var::lif_scan`].
+pub struct LifScan {
+    /// The binary spikes `s_t`, stacked like the input.
+    pub spikes: Var,
+    /// How many neurons fired, over all timesteps.
+    pub fired: u64,
+    tape: Rc<ScanTape>,
+    step_shape: Vec<usize>,
+    vth: f32,
+}
+
+impl std::fmt::Debug for LifScan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LifScan").field("spikes", &self.spikes).field("fired", &self.fired).finish()
+    }
+}
+
+impl LifScan {
+    /// The shape `[B, …]` of one timestep of the scan.
+    pub fn step_shape(&self) -> &[usize] {
+        &self.step_shape
+    }
+
+    /// The post-reset membrane `m = u · (1 − s)` after the scan's last
+    /// timestep, as the `carry` of the scan that continues it. Built when
+    /// asked for: a scan over a whole sequence never pays for it.
+    ///
+    /// The scan node has one output on the tape, its spikes, so the
+    /// gradient that reaches this membrane is handed to the scan's backward
+    /// directly (which the sweep runs after this node's, being its parent);
+    /// a scan whose spikes nobody used gets a zero `dS` to run on.
+    pub fn carry(&self) -> Var {
+        let u = self.tape.u.0.data();
+        let vth = self.vth;
+        let mut m = Tensor::scratch(&self.step_shape);
+        let last = &u[u.len() - m.len()..];
+        for (m, &uv) in m.data_mut().iter_mut().zip(last) {
+            *m = uv * reset_gate(uv, vth);
+        }
+        let tape = Rc::clone(&self.tape);
+        Var::from_op(
+            "lif_carry",
+            m,
+            vec![self.spikes.clone()],
+            Box::new(move |g, parents| {
+                let mut slot = tape.carry_grad.borrow_mut();
+                match slot.as_mut() {
+                    Some(sum) => {
+                        sum.add_scaled(&g, 1.0).expect("carry gradient shape");
+                        g.recycle();
+                    }
+                    None => *slot = Some(g),
+                }
+                parents[0].ensure_grad();
+            }),
+        )
+    }
+}
+
+/// Neurons a scan task steps through time together: their running values
+/// stay in a block this long (on the stack, in L1) while the task walks the
+/// timesteps, and the loops over a block vectorise.
+const SCAN_BLOCK: usize = 256;
+
+/// One task's share of a time-major buffer `[steps, cols]`: the same range
+/// of columns `first..first + len` out of every timestep's row.
+struct Columns<'a> {
+    first: usize,
+    rows: Vec<&'a mut [f32]>,
+}
+
+/// Cuts the `steps` rows of `data` into the same `tasks` ranges of columns.
+fn column_tasks(data: &mut [f32], steps: usize, tasks: usize) -> Vec<Columns<'_>> {
+    let cols = data.len() / steps;
+    let chunk = cols.div_ceil(tasks).max(1);
+    let mut out: Vec<Columns<'_>> = (0..cols.div_ceil(chunk))
+        .map(|i| Columns { first: i * chunk, rows: Vec::with_capacity(steps) })
+        .collect();
+    for row in data.chunks_mut(cols.max(1)) {
+        for (task, part) in out.iter_mut().zip(row.chunks_mut(chunk)) {
+            task.rows.push(part);
+        }
+    }
+    out
+}
+
+/// How many column tasks a scan of `cols` neurons over `steps` timesteps is
+/// worth on `rt`, at `work` streamed operations per neuron and timestep.
+/// The split never changes what a neuron computes.
+fn scan_tasks(rt: &Runtime, cols: usize, steps: usize, work: usize) -> usize {
+    rt.threads().min(cols.div_ceil(fork_grain(work * steps))).max(1)
+}
+
+/// The forward scan of [`Var::lif_scan`]: fills `u` and `spikes` (both
+/// stacked like `x`), returns how many neurons fired. `neuron` is
+/// `(τ, V_th)`.
+fn lif_forward(
+    rt: &Runtime,
+    steps: usize,
+    (tau, vth): (f32, f32),
+    x: &[f32],
+    carry: Option<&[f32]>,
+    (u, spikes): (&mut [f32], &mut [f32]),
+) -> u64 {
+    let cols = x.len() / steps;
+    let tasks = scan_tasks(rt, cols, steps, 6);
+    // One task per pair of column ranges; the count rides along.
+    let mut work: Vec<_> = column_tasks(u, steps, tasks)
+        .into_iter()
+        .zip(column_tasks(spikes, steps, tasks))
+        .map(|(u, s)| (u, s, 0u64))
+        .collect();
+    rt.parallel_over_slabs(&mut work, 1, 1, |_, task| {
+        let (u, s, fired) = &mut task[0];
+        let len = u.rows[0].len();
+        let mut m = [0.0f32; SCAN_BLOCK];
+        for b0 in (0..len).step_by(SCAN_BLOCK) {
+            let n = SCAN_BLOCK.min(len - b0);
+            let m = &mut m[..n];
+            let at = u.first + b0;
+            for t in 0..steps {
+                let xs = &x[t * cols + at..][..n];
+                let us = &mut u.rows[t][b0..b0 + n];
+                match (t, carry) {
+                    (0, None) => us.iter_mut().zip(xs).for_each(|(u, &x)| *u = x + 0.0),
+                    (0, Some(c)) => {
+                        let prev = &c[at..][..n];
+                        us.iter_mut().zip(prev).zip(xs).for_each(|((u, &m), &x)| *u = m * tau + x);
+                    }
+                    _ => us.iter_mut().zip(&*m).zip(xs).for_each(|((u, &m), &x)| *u = m * tau + x),
+                }
+                let ss = &mut s.rows[t][b0..b0 + n];
+                let mut count = 0u32;
+                for ((s, m), &uv) in ss.iter_mut().zip(m.iter_mut()).zip(&*us) {
+                    *s = heaviside(uv, vth);
+                    *m = uv * reset_gate(uv, vth);
+                    count += u32::from(uv >= vth);
+                }
+                *fired += u64::from(count);
+            }
+        }
+    });
+    work.iter().map(|(_, _, fired)| fired).sum()
+}
+
+/// The reverse scan of [`Var::lif_scan`]: rewrites `g` from `dS` to `dx` in
+/// place. `u` is what [`lif_forward`] filled, `neuron` is `(τ, V_th, σ')`;
+/// `carries` is the gradient reaching the membrane after the last timestep,
+/// if a later scan continued this one, and where to write the gradient of
+/// the carry this scan started from, if it wants one.
+fn lif_backward(
+    rt: &Runtime,
+    steps: usize,
+    (tau, vth, surrogate): (f32, f32, Surrogate),
+    u: &[f32],
+    g: &mut [f32],
+    carries: (Option<&[f32]>, Option<&mut Tensor>),
+) {
+    // One instance of the loops per surrogate, each with its shape inlined.
+    match surrogate {
+        Surrogate::Rectangle { width } => {
+            lif_backward_with(rt, steps, (tau, vth), rectangle(width), u, g, carries);
+        }
+        Surrogate::Triangle { width } => {
+            lif_backward_with(rt, steps, (tau, vth), triangle(width), u, g, carries);
+        }
+        Surrogate::Atan { alpha } => {
+            lif_backward_with(rt, steps, (tau, vth), atan(alpha), u, g, carries);
+        }
+    }
+}
+
+/// [`lif_backward`] for the surrogate derivative `sg`.
+fn lif_backward_with(
+    rt: &Runtime,
+    steps: usize,
+    (tau, vth): (f32, f32),
+    sg: impl Fn(f32) -> f32 + Sync,
+    u: &[f32],
+    g: &mut [f32],
+    (carry_out, dcarry): (Option<&[f32]>, Option<&mut Tensor>),
+) {
+    let cols = u.len() / steps;
+    let tasks = scan_tasks(rt, cols, steps, 8);
+    // A carry's gradient is one more row, cut into the same column ranges.
+    let mut dcarry: Vec<_> = match dcarry {
+        Some(d) => column_tasks(d.data_mut(), 1, tasks).into_iter().map(Some).collect(),
+        None => Vec::new(),
+    };
+    dcarry.resize_with(tasks, || None);
+    let mut work: Vec<_> = column_tasks(g, steps, tasks).into_iter().zip(dcarry).collect();
+    rt.parallel_over_slabs(&mut work, 1, 1, |_, task| {
+        let (g, dcarry) = &mut task[0];
+        let len = g.rows[0].len();
+        // gm: the gradient reaching the post-reset membrane m_t.
+        let mut gm = [0.0f32; SCAN_BLOCK];
+        for b0 in (0..len).step_by(SCAN_BLOCK) {
+            let n = SCAN_BLOCK.min(len - b0);
+            let gm = &mut gm[..n];
+            let at = g.first + b0;
+            let mut have_gm = carry_out.is_some();
+            if let Some(c) = carry_out {
+                gm.copy_from_slice(&c[at..][..n]);
+            }
+            for t in (0..steps).rev() {
+                let us = &u[t * cols + at..][..n];
+                let gs = &mut g.rows[t][b0..b0 + n];
+                if have_gm {
+                    for ((g, gm), &uv) in gs.iter_mut().zip(gm.iter_mut()).zip(us) {
+                        *g = *g * sg(uv - vth) + *gm * reset_gate(uv, vth);
+                        *gm = *g * tau;
+                    }
+                } else {
+                    for ((g, gm), &uv) in gs.iter_mut().zip(gm.iter_mut()).zip(us) {
+                        *g *= sg(uv - vth);
+                        *gm = *g * tau;
+                    }
+                }
+                have_gm = true;
+            }
+            if let Some(d) = dcarry {
+                d.rows[0][b0..b0 + n].copy_from_slice(gm);
             }
         }
     });
@@ -838,10 +1328,10 @@ mod tests {
         }
     }
 
-    /// Batch norm forward and backward as one channel-major serial loop —
-    /// how the op was written before it ran on the pool, kept as the
-    /// bit-level reference. Returns `y`, `dx` and the `[C × 2]` array of
-    /// `(Σ dy, Σ dy·x̂)`.
+    /// Batch norm forward and backward of one group as one channel-major
+    /// serial loop — how the op was written before it ran on the pool, kept
+    /// as the bit-level reference. Returns `y`, `dx` and the `[C × 2]` array
+    /// of `(Σ dy, Σ dy·x̂)`.
     fn bn_serial(
         (b, c, plane): (usize, usize, usize),
         xd: &[f32],
@@ -854,7 +1344,7 @@ mod tests {
         let mut dx = dyd.to_vec();
         let mut sums = vec![0.0f32; 2 * c];
         for ch in 0..c {
-            let channel = channel_planes(b, c, ch, plane);
+            let channel = BnDims { b, c, plane }.channel_planes(0, ch);
             let mut acc = 0.0;
             for r in channel.clone() {
                 acc += xd[r].iter().sum::<f32>();
@@ -899,13 +1389,16 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The two pool phases give the serial loop's bits at every thread
-        /// count, on shapes from one element up to ones where both phases
-        /// fork (channels split once `16·B·H·W·C` passes the fork grain,
-        /// samples once `4·C·H·W·B` does), `B = 1` and `C = 1` included.
+        /// The two pool phases give the serial loop's bits — every group
+        /// those of a loop over that group alone — at every thread count, on
+        /// shapes from one element up to ones where both phases fork
+        /// (channels split once `16·B·H·W·C·G` passes the fork grain,
+        /// samples once `4·C·H·W·B·G` does), `B = 1`, `C = 1` and one group
+        /// included.
         #[test]
         fn batch_norm_bit_equal_to_serial_loop_across_threads(
             seed in 0u64..10_000,
+            groups in 1usize..4,
             b in 1usize..9,
             c in 1usize..17,
             h in 1usize..13,
@@ -913,19 +1406,26 @@ mod tests {
         ) {
             let mut rng = Rng::seed_from(seed);
             let dims = BnDims { b, c, plane: h * w };
-            let x = Tensor::randn(&[b, c, h, w], &mut rng);
-            let dy = Tensor::randn(&[b, c, h, w], &mut rng);
+            let x = Tensor::randn(&[groups * b, c, h, w], &mut rng);
+            let dy = Tensor::randn(&[groups * b, c, h, w], &mut rng);
             let gamma = Tensor::randn(&[c], &mut rng);
             let beta = Tensor::randn(&[c], &mut rng);
             let affine = (gamma.data(), beta.data(), 0.7);
-            let (y0, dx0, sums0) = bn_serial((b, c, h * w), x.data(), dy.data(), affine, 1e-5);
+            let (mut y0, mut dx0, mut sums0) = (Vec::new(), Vec::new(), Vec::new());
+            for (xg, dyg) in x.data().chunks(b * c * h * w).zip(dy.data().chunks(b * c * h * w)) {
+                let (y, dx, sums) = bn_serial((b, c, h * w), xg, dyg, affine, 1e-5);
+                y0.extend(y);
+                dx0.extend(dx);
+                sums0.extend(sums);
+            }
             for threads in 1..=8 {
                 let rt = Runtime::new(threads);
                 let mut y = vec![f32::NAN; x.len()];
-                let stats = bn_forward(&rt, dims, x.data(), affine, 1e-5, &mut y);
+                let mut stats = vec![f32::NAN; 2 * groups * c];
+                bn_forward(&rt, dims, x.data(), affine, 1e-5, &mut stats, &mut y);
                 proptest::prop_assert_eq!(slice_bits(&y), slice_bits(&y0), "y at {} threads", threads);
                 let mut g = dy.data().to_vec();
-                let mut sums = vec![f32::NAN; 2 * c];
+                let mut sums = vec![f32::NAN; 2 * groups * c];
                 bn_backward(&rt, dims, x.data(), &stats, (gamma.data(), 0.7), &mut g, &mut sums);
                 proptest::prop_assert_eq!(slice_bits(&g), slice_bits(&dx0), "dx at {} threads", threads);
                 proptest::prop_assert_eq!(slice_bits(&sums), slice_bits(&sums0), "sums at {} threads", threads);
@@ -1088,7 +1588,7 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[4, 3, 5, 5], &mut rng).scale(3.0).add_scalar(2.0));
         let gamma = Var::param(Tensor::ones(&[3]));
         let beta = Var::param(Tensor::zeros(&[3]));
-        let y = x.batch_norm2d(&gamma, &beta, 1e-5, 1.0).unwrap();
+        let y = x.batch_norm2d(&gamma, &beta, 1e-5, 1.0, 1).unwrap();
         let v = y.to_tensor();
         // per-channel mean ~0, var ~1
         let plane = 25;
@@ -1111,8 +1611,8 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[2, 1, 4, 4], &mut rng));
         let gamma = Var::param(Tensor::ones(&[1]));
         let beta = Var::param(Tensor::zeros(&[1]));
-        let y1 = x.batch_norm2d(&gamma, &beta, 1e-5, 1.0).unwrap().to_tensor();
-        let y2 = x.batch_norm2d(&gamma, &beta, 1e-5, 0.5).unwrap().to_tensor();
+        let y1 = x.batch_norm2d(&gamma, &beta, 1e-5, 1.0, 1).unwrap().to_tensor();
+        let y2 = x.batch_norm2d(&gamma, &beta, 1e-5, 0.5, 1).unwrap().to_tensor();
         assert!(y1.scale(0.5).max_abs_diff(&y2).unwrap() < 1e-6);
     }
 
@@ -1124,8 +1624,9 @@ mod tests {
         let beta = Var::param(Tensor::randn(&[2], &mut rng));
         let m = Tensor::randn(&[2, 2, 3, 3], &mut rng);
         let mc = Var::constant(m);
-        let loss_fn =
-            || x.batch_norm2d(&gamma, &beta, 1e-5, 0.8).unwrap().mul(&mc).unwrap().sum_to_scalar();
+        let loss_fn = || {
+            x.batch_norm2d(&gamma, &beta, 1e-5, 0.8, 1).unwrap().mul(&mc).unwrap().sum_to_scalar()
+        };
         grad_check(&gamma, loss_fn, &[0, 1], 1e-2, 2e-2);
         grad_check(&beta, loss_fn, &[0, 1], 1e-2, 2e-2);
         grad_check(&x, loss_fn, &[0, 8, 17, 35], 1e-2, 5e-2);
@@ -1136,8 +1637,10 @@ mod tests {
         let x = Var::constant(Tensor::zeros(&[2, 3, 4, 4]));
         let ok = Var::constant(Tensor::zeros(&[3]));
         let bad = Var::constant(Tensor::zeros(&[2]));
-        assert!(x.batch_norm2d(&bad, &ok, 1e-5, 1.0).is_err());
-        assert!(Var::constant(Tensor::zeros(&[2, 3])).batch_norm2d(&ok, &ok, 1e-5, 1.0).is_err());
+        assert!(x.batch_norm2d(&bad, &ok, 1e-5, 1.0, 1).is_err());
+        assert!(Var::constant(Tensor::zeros(&[2, 3]))
+            .batch_norm2d(&ok, &ok, 1e-5, 1.0, 1)
+            .is_err());
     }
 
     #[test]
@@ -1267,5 +1770,264 @@ mod tests {
                 .collect();
             assert_eq!(bits(&u.grad().unwrap()), want, "{surrogate:?}");
         }
+    }
+
+    /// A `[rows, 4, 3]` tensor with exact zeros of both signs mixed in.
+    fn signed_zero_randn(rows: usize, rng: &mut Rng) -> Tensor {
+        Tensor::randn(&[rows, 4, 3], rng).map(|v| match v {
+            v if v.abs() < 0.15 => -0.0,
+            v if v.abs() < 0.3 => 0.0,
+            v => v,
+        })
+    }
+
+    /// Spikes, input gradient and carried membrane of `steps` timesteps of
+    /// `B = 3` neurons-by-12, run as the per-timestep chain the scan
+    /// replaces: `scale_add → spike → hard_reset`, a separate input leaf per
+    /// timestep.
+    fn lif_chain(
+        x: &Tensor,
+        seed: &Tensor,
+        steps: usize,
+        (tau, vth, surrogate): (f32, f32, Surrogate),
+    ) -> (Vec<u32>, Vec<u32>) {
+        let step = x.len() / steps;
+        let slab = |t: &Tensor, i: usize| {
+            Tensor::from_vec(t.data()[i * step..(i + 1) * step].to_vec(), &[3, 4, 3]).unwrap()
+        };
+        let inputs: Vec<Var> = (0..steps).map(|t| Var::param(slab(x, t))).collect();
+        let mut membrane: Option<Var> = None;
+        let mut spikes = Vec::new();
+        let mut loss: Option<Var> = None;
+        for (t, x_t) in inputs.iter().enumerate() {
+            let u = match &membrane {
+                Some(m) => m.scale_add(tau, x_t).unwrap(),
+                None => x_t.add_scalar(0.0),
+            };
+            let s = u.spike(vth, surrogate);
+            membrane = Some(u.hard_reset(vth));
+            spikes.extend(bits(&s.value()));
+            let term = s.mul(&Var::constant(slab(seed, t))).unwrap().sum_to_scalar();
+            loss = Some(match loss {
+                Some(l) => l.add(&term).unwrap(),
+                None => term,
+            });
+        }
+        loss.unwrap().backward();
+        (spikes, inputs.iter().flat_map(|x_t| bits(&x_t.grad().unwrap())).collect())
+    }
+
+    /// The same through [`Var::lif_scan`], the timesteps cut into calls of
+    /// `chunks` steps each, every call after the first carrying the
+    /// membrane of the one before.
+    fn lif_scanned(
+        x: &Tensor,
+        seed: &Tensor,
+        chunks: &[usize],
+        (tau, vth, surrogate): (f32, f32, Surrogate),
+    ) -> (Vec<u32>, Vec<u32>, u64) {
+        let steps: usize = chunks.iter().sum();
+        let x = Var::param(x.clone());
+        let rows = x.shape()[0] / steps;
+        let (mut t, mut fired) = (0, 0);
+        let mut prev: Option<LifScan> = None;
+        let mut spikes = Vec::new();
+        for &n in chunks {
+            let carry = prev.as_ref().map(LifScan::carry);
+            let x_n = x.rows(t * rows, n * rows).unwrap();
+            let scan = x_n.lif_scan(carry.as_ref(), n, tau, vth, surrogate).unwrap();
+            fired += scan.fired;
+            spikes.push(scan.spikes.clone());
+            prev = Some(scan);
+            t += n;
+        }
+        let all = Var::concat_rows(&spikes).unwrap();
+        all.mul(&Var::constant(seed.clone())).unwrap().sum_to_scalar().backward();
+        let fired_values = all.value().data().iter().filter(|&&s| s == 1.0).count() as u64;
+        assert_eq!(fired, fired_values, "the scan's count is not the number of ones it wrote");
+        let spike_bits = bits(&all.value());
+        (spike_bits, bits(&x.grad().unwrap()), fired)
+    }
+
+    /// The scan against the three-op chain, bit for bit, for every
+    /// surrogate: spikes and the gradient of every timestep's input — signs
+    /// of zero and the `u == vth` edge included — in one call, in
+    /// single-step calls, and in uneven ones. (A whole-tensor `rows` is the
+    /// tensor itself, so the one-call case has no `0.0 + v` on its way.)
+    #[test]
+    fn lif_scan_matches_the_per_timestep_chain_bitwise() {
+        let mut rng = Rng::seed_from(55);
+        let steps = 5;
+        for surrogate in [
+            Surrogate::Rectangle { width: 1.0 },
+            Surrogate::Triangle { width: 1.3 },
+            Surrogate::Atan { alpha: 2.0 },
+        ] {
+            for (tau, vth) in [(0.25, 0.5), (0.9, 0.3)] {
+                let neuron = (tau, vth, surrogate);
+                let mut x = signed_zero_randn(steps * 3, &mut rng);
+                x.data_mut()[..2].copy_from_slice(&[vth, -0.0]);
+                let seed = signed_zero_randn(steps * 3, &mut rng);
+                let (want_s, want_dx) = lif_chain(&x, &seed, steps, neuron);
+                let (s, dx, fired) = lif_scanned(&x, &seed, &[steps], neuron);
+                assert!(fired > 0 && (fired as usize) < s.len(), "a degenerate input: {fired}");
+                assert_eq!((&s, &dx), (&want_s, &want_dx), "one call, {neuron:?}");
+                for chunks in [&[1, 1, 1, 1, 1][..], &[2, 3], &[4, 1]] {
+                    let (s, dx, _) = lif_scanned(&x, &seed, chunks, neuron);
+                    assert_eq!(s, want_s, "spikes, calls of {chunks:?}, {neuron:?}");
+                    // The input gradient passes a `rows` on its way back:
+                    // equal as numbers, `-0.0` arriving as `0.0`.
+                    let plus_zero = |b: &u32| if *b == (-0.0f32).to_bits() { 0 } else { *b };
+                    assert_eq!(
+                        dx.iter().map(plus_zero).collect::<Vec<_>>(),
+                        want_dx.iter().map(plus_zero).collect::<Vec<_>>(),
+                        "dx, calls of {chunks:?}, {neuron:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A membrane whose own spikes nobody used still carries gradient back
+    /// to the input that charged it.
+    #[test]
+    fn lif_carry_alone_takes_gradient_back_through_an_unused_scan() {
+        let x0 = Var::param(Tensor::full(&[1, 2], 0.2));
+        let first = x0.lif_scan(None, 1, 0.9, 0.5, Surrogate::default()).unwrap();
+        let x1 = Var::constant(Tensor::full(&[1, 2], 0.3));
+        let second = x1.lif_scan(Some(&first.carry()), 1, 0.9, 0.5, Surrogate::default()).unwrap();
+        second.spikes.sum_to_scalar().backward();
+        // u1 = 0.9 · 0.2 + 0.3 = 0.48: inside the window, so dS/du1 = 1 and
+        // du1/dx0 = τ (x0 did not fire).
+        assert_eq!(x0.grad().unwrap().data(), &[0.9, 0.9]);
+    }
+
+    /// Forward and backward of the scan at a size where the column split
+    /// forks: the same bits at every thread count.
+    #[test]
+    fn lif_scan_kernels_are_thread_count_invariant() {
+        let mut rng = Rng::seed_from(56);
+        let (steps, cols) = (5, 4 * 32 * 8 * 8 + 3);
+        let x = Tensor::randn(&[steps * cols], &mut rng);
+        let carry = Tensor::randn(&[cols], &mut rng);
+        let ds = Tensor::randn(&[steps * cols], &mut rng);
+        let carry_grad = Tensor::randn(&[cols], &mut rng);
+        let run = |threads: usize| {
+            let rt = Runtime::new(threads);
+            let (mut u, mut s) = (vec![f32::NAN; x.len()], vec![f32::NAN; x.len()]);
+            let out = (&mut u[..], &mut s[..]);
+            let fired = lif_forward(&rt, steps, (0.25, 0.5), x.data(), Some(carry.data()), out);
+            let mut g = ds.data().to_vec();
+            let mut dcarry = Tensor::full(&[cols], f32::NAN);
+            let neuron = (0.25, 0.5, Surrogate::Triangle { width: 1.0 });
+            let carries = (Some(carry_grad.data()), Some(&mut dcarry));
+            lif_backward(&rt, steps, neuron, &u, &mut g, carries);
+            (fired, slice_bits(&u), slice_bits(&s), slice_bits(&g), bits(&dcarry))
+        };
+        let want = run(1);
+        assert!(want.4.iter().all(|&b| !f32::from_bits(b).is_nan()), "a column was skipped");
+        for threads in [2, 3, 8] {
+            assert!(run(threads) == want, "the scan moved a bit at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn rows_and_concat_rows_are_inverse_and_differentiable() {
+        let mut rng = Rng::seed_from(57);
+        let x = Var::param(Tensor::randn(&[6, 2, 3], &mut rng));
+        let (head, tail) = (x.rows(0, 4).unwrap(), x.rows(4, 2).unwrap());
+        assert_eq!(head.shape(), vec![4, 2, 3]);
+        assert_eq!(tail.value().data(), &x.value().data()[24..]);
+        let joined = Var::concat_rows(&[head, tail]).unwrap();
+        assert_eq!(bits(&joined.value()), bits(&x.value()));
+        assert_eq!(x.rows(0, 6).unwrap().id(), x.id(), "the whole range is the node itself");
+        assert!(x.rows(5, 2).is_err());
+        assert!(Var::concat_rows(&[]).is_err());
+        assert!(Var::concat_rows(&[x.clone(), Var::constant(Tensor::zeros(&[1, 3, 2]))]).is_err());
+        // Overlapping ranges add; rows no range covers get zero.
+        let w = Var::constant(Tensor::randn(&[2, 2, 3], &mut rng));
+        let loss = |x: &Var| {
+            let a = x.rows(1, 2).unwrap().mul(&w).unwrap();
+            let b = x.rows(2, 2).unwrap().mul(&w).unwrap();
+            Var::concat_rows(&[a, b]).unwrap().scale(2.0).sum_to_scalar()
+        };
+        grad_check(&x, || loss(&x), &[0, 7, 13, 17, 22, 35], 1e-2, 1e-2);
+        x.zero_grad();
+        loss(&x).backward();
+        assert!(x.grad().unwrap().data()[..6].iter().all(|&v| v == 0.0));
+    }
+
+    /// Grouped batch norm against one call per group: outputs and input
+    /// gradients bit for bit, γ / β gradients as the groups' partials added
+    /// in group order.
+    #[test]
+    fn grouped_batch_norm_matches_a_call_per_group_bitwise() {
+        let mut rng = Rng::seed_from(58);
+        let (groups, b, c) = (3, 4, 5);
+        let x0 = Tensor::randn(&[groups * b, c, 3, 2], &mut rng);
+        let seed = Tensor::randn(&[groups * b, c, 3, 2], &mut rng);
+        let gamma0 = Tensor::rand_uniform(&[c], 0.5, 1.5, &mut rng);
+        let beta0 = Tensor::randn(&[c], &mut rng);
+        let fresh = || (Var::param(gamma0.clone()), Var::param(beta0.clone()));
+
+        let x = Var::param(x0.clone());
+        let (gamma, beta) = fresh();
+        let y = x.batch_norm2d(&gamma, &beta, 1e-5, 0.5, groups).unwrap();
+        y.backward_with_seed(&seed);
+
+        let slab = b * c * 6;
+        let (mut want_y, mut want_dx) = (Vec::new(), Vec::new());
+        let (mut dgamma, mut dbeta): (Option<Tensor>, Option<Tensor>) = (None, None);
+        for g in 0..groups {
+            let cut = |t: &Tensor| {
+                Tensor::from_vec(t.data()[g * slab..(g + 1) * slab].to_vec(), &[b, c, 3, 2])
+                    .unwrap()
+            };
+            let x_g = Var::param(cut(&x0));
+            let (gamma_g, beta_g) = fresh();
+            let y_g = x_g.batch_norm2d(&gamma_g, &beta_g, 1e-5, 0.5, 1).unwrap();
+            y_g.backward_with_seed(&cut(&seed));
+            want_y.extend(bits(&y_g.value()));
+            want_dx.extend(bits(&x_g.grad().unwrap()));
+            for (sum, part) in [(&mut dgamma, gamma_g.grad()), (&mut dbeta, beta_g.grad())] {
+                match sum {
+                    Some(sum) => sum.add_scaled(&part.unwrap(), 1.0).unwrap(),
+                    None => *sum = part,
+                }
+            }
+        }
+        assert_eq!(bits(&y.value()), want_y);
+        assert_eq!(bits(&x.grad().unwrap()), want_dx);
+        assert_eq!(bits(&gamma.grad().unwrap()), bits(&dgamma.unwrap()));
+        assert_eq!(bits(&beta.grad().unwrap()), bits(&dbeta.unwrap()));
+        assert!(x.batch_norm2d(&gamma, &beta, 1e-5, 0.5, 5).is_err(), "12 rows, 5 groups");
+        assert!(x.batch_norm2d(&gamma, &beta, 1e-5, 0.5, 0).is_err());
+    }
+
+    /// One scale per group against `scale_by` on each group alone.
+    #[test]
+    fn scale_by_groups_matches_scale_by_per_group_bitwise() {
+        let mut rng = Rng::seed_from(59);
+        let x0 = Tensor::randn(&[6, 5], &mut rng);
+        let seed = Tensor::randn(&[6, 5], &mut rng);
+        let factors = [0.7f32, -1.3, 2.0];
+        let scales: Vec<Var> =
+            factors.iter().map(|&f| Var::param(Tensor::from_vec(vec![f], &[1]).unwrap())).collect();
+        let x = Var::param(x0.clone());
+        let y = x.scale_by_groups(&scales).unwrap();
+        y.backward_with_seed(&seed);
+        for (g, scale) in scales.iter().enumerate() {
+            let cut =
+                |t: &Tensor| Tensor::from_vec(t.data()[g * 10..(g + 1) * 10].to_vec(), &[2, 5]);
+            let x_g = Var::param(cut(&x0).unwrap());
+            let s_g = Var::param(Tensor::from_vec(vec![factors[g]], &[1]).unwrap());
+            let y_g = x_g.scale_by(&s_g).unwrap();
+            y_g.backward_with_seed(&cut(&seed).unwrap());
+            assert_eq!(&bits(&y.value())[g * 10..(g + 1) * 10], bits(&y_g.value()));
+            assert_eq!(&bits(&x.grad().unwrap())[g * 10..(g + 1) * 10], bits(&x_g.grad().unwrap()));
+            assert_eq!(bits(&scale.grad().unwrap()), bits(&s_g.grad().unwrap()), "group {g}");
+        }
+        assert!(x.scale_by_groups(&scales[..0]).is_err());
+        assert!(Var::param(Tensor::zeros(&[4, 5])).scale_by_groups(&scales).is_err());
     }
 }

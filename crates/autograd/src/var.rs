@@ -339,6 +339,36 @@ impl Var {
         }
     }
 
+    /// Adds `g` into leading-axis rows `row0..` of this node's gradient —
+    /// how a row range hands its gradient to the tensor it was cut from. The
+    /// gradient starts as zeros, so rows no range covers stay zero, and a
+    /// row's first contribution is `0.0 + v`: `v` bit for bit unless `v` is
+    /// `-0.0`, which no GEMM accumulator or col2im sum (what reaches a
+    /// range on the training tape) can be.
+    pub(crate) fn accumulate_grad_rows(&self, row0: usize, g: Tensor) {
+        if !self.0.requires_grad {
+            return g.recycle();
+        }
+        let mut slot = self.0.grad.borrow_mut();
+        let full = slot.get_or_insert_with(|| Tensor::scratch_zeroed(self.value().shape()));
+        let row = full.len() / full.shape()[0].max(1);
+        let rows = &mut full.data_mut()[row0 * row..row0 * row + g.len()];
+        for (a, &v) in rows.iter_mut().zip(g.data()) {
+            *a += v;
+        }
+        g.recycle();
+    }
+
+    /// Installs a zero gradient if nothing has been accumulated yet, so a
+    /// backward sweep runs this node's closure even when its gradient
+    /// arrives some other way (see [`crate::ops::LifScan::carry`]).
+    pub(crate) fn ensure_grad(&self) {
+        let mut slot = self.0.grad.borrow_mut();
+        if self.0.requires_grad && slot.is_none() {
+            *slot = Some(Tensor::scratch_zeroed(self.value().shape()));
+        }
+    }
+
     /// Debug builds: panics if a parent's value was rewritten after this
     /// node was built on it (its backward closure would read the new one).
     fn assert_parents_unchanged(&self) {

@@ -108,7 +108,7 @@ proptest! {
         );
         let gamma = Var::param(Tensor::ones(&[c]));
         let beta = Var::param(Tensor::zeros(&[c]));
-        let y = x.batch_norm2d(&gamma, &beta, 1e-5, 1.0).unwrap().to_tensor();
+        let y = x.batch_norm2d(&gamma, &beta, 1e-5, 1.0, 1).unwrap().to_tensor();
         let mean = y.mean();
         prop_assert!(mean.abs() < 1e-2, "normalized mean {mean}");
     }

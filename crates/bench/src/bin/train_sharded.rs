@@ -66,19 +66,20 @@ fn steps_per_sec(shards: usize, batches: &[Batch]) -> (f64, StepTiming) {
     (STEPS as f64 / start.elapsed().as_secs_f64(), sum / STEPS as f64)
 }
 
-/// One `forward / backward / all-reduce / optimizer` line, in ms, and the
-/// pool's handoffs / parks per step beside it: parks above zero mean
-/// kernels inside the step paid worker wake-ups.
+/// One `forward / backward / all-reduce / optimizer` line, in ms, with the
+/// tape's nodes and the pool's handoffs / parks per step beside it: parks
+/// above zero mean kernels inside the step paid worker wake-ups.
 fn phases(label: &str, t: &StepTiming) {
     println!(
         "{:<24} fwd {:.2} / bwd {:.2} / all-reduce {:.3} / opt {:.3} ms of {:.2} ms per step; \
-         pool {:.0} handoffs / {:.1} parks per step",
+         {:.0} tape nodes, pool {:.0} handoffs / {:.1} parks per step",
         label,
         t.forward * 1e3,
         t.backward * 1e3,
         t.all_reduce * 1e3,
         t.optimizer * 1e3,
         t.total * 1e3,
+        t.tape_nodes,
         t.pool_handoffs,
         t.pool_parks
     );
@@ -281,6 +282,7 @@ fn main() {
                 ("backward_ms_n_shards".into(), sharded_phases.backward * 1e3),
                 ("all_reduce_ms_n_shards".into(), sharded_phases.all_reduce * 1e3),
                 ("optimizer_ms_n_shards".into(), sharded_phases.optimizer * 1e3),
+                ("tape_nodes_per_step_1_shard".into(), single_phases.tape_nodes),
                 ("pool_handoffs_per_step_1_shard".into(), single_phases.pool_handoffs),
                 ("pool_parks_per_step_1_shard".into(), single_phases.pool_parks),
             ],

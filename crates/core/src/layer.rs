@@ -18,8 +18,9 @@ use crate::ttsvd::{decompose, TtCores};
 /// A TT-decomposed 3×3 convolution layer with trainable cores.
 ///
 /// The layer owns four [`Var`] parameters (the cores `w1..w4` of Fig. 1)
-/// and is timestep-aware: [`TtConv::forward`] takes the current timestep so
-/// the HTT schedule can select the full or half path (Fig. 2).
+/// and is timestep-aware: [`TtConv::forward_sequence`] is told which
+/// timesteps its input holds, so the HTT schedule can select the full or
+/// half path for each (Fig. 2).
 ///
 /// ```
 /// use ttsnn_core::{TtConv, TtMode};
@@ -212,46 +213,85 @@ impl TtConv {
             g2_par: Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, sw), (1, 0)),
             g3_par: Conv2dGeometry::new(r, r, (h, w), (1, 3), (sh, sw), (0, 1)),
             g4: Conv2dGeometry::new(r, self.out_channels, (oh, ow), (1, 1), (1, 1), (0, 0)),
-            // Half path: the 1x1 projection absorbs the stride.
+            // Half path: the 1x1 projection absorbs the stride, so `w4` sees
+            // the full path's geometry.
             g1_half: Conv2dGeometry::new(self.in_channels, r, (h, w), (1, 1), (sh, sw), (0, 0)),
-            g4_half: Conv2dGeometry::new(r, self.out_channels, (oh, ow), (1, 1), (1, 1), (0, 0)),
         }
     }
 
-    /// Runs the layer on an autograd node at timestep `t` (Algorithm 1,
-    /// lines 11–12). Output spatial size is `ceil(H/sh) × ceil(W/sw)` with
-    /// the implicit 3×3/pad-1 geometry.
+    /// Runs the layer on an autograd node holding `steps` timesteps at once
+    /// (Algorithm 1, lines 11–12): `x` is the time-major stack
+    /// `(steps·B, I, H, W)`, row `t·B + s`, of timesteps `t0..t0 + steps`.
+    /// Output spatial size is `ceil(H/sh) × ceil(W/sw)` with the implicit
+    /// 3×3/pad-1 geometry.
+    ///
+    /// STT and PTT run every core once over the whole stack. HTT cuts the
+    /// stack where its schedule changes between full and half: `w2` / `w3`
+    /// run once per run of full timesteps, and the two 1×1 cores once over
+    /// everything — `w4` always, `w1` unless the layer is strided (its half
+    /// path then downsamples in `w1`, its full path after it). The kernels
+    /// work a sample at a time, so every activation is the one a call per
+    /// timestep would produce, bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `x` is not `(B, I, H, W)`.
-    pub fn forward(&self, x: &Var, t: usize) -> Result<Var, ShapeError> {
+    /// Returns [`ShapeError`] if `x` is not `(steps·B, I, H, W)`.
+    pub fn forward_sequence(&self, x: &Var, t0: usize, steps: usize) -> Result<Var, ShapeError> {
         let shape = x.shape();
         if shape.len() != 4 || shape[1] != self.in_channels {
             return Err(ShapeError::new(format!(
-                "TtConv::forward: expected (B, {}, H, W), got {:?}",
+                "TtConv::forward_sequence: expected (steps·B, {}, H, W), got {:?}",
                 self.in_channels, shape
             )));
         }
+        if steps == 0 || !shape[0].is_multiple_of(steps) {
+            return Err(ShapeError::new(format!(
+                "TtConv::forward_sequence: {} rows do not hold {steps} timesteps",
+                shape[0]
+            )));
+        }
         let g = self.geometry_for((shape[2], shape[3]));
-        match (&self.mode, self.mode.is_full_at(t)) {
-            (TtMode::Stt, _) => {
-                let o = x.conv2d(&self.w1, g.g1)?;
-                let o = o.conv2d(&self.w2, g.g2_seq)?;
-                let o = o.conv2d(&self.w3, g.g3_seq)?;
-                o.conv2d(&self.w4, g.g4)
-            }
-            (TtMode::Ptt, _) | (TtMode::Htt(_), true) => {
-                let o = x.conv2d(&self.w1, g.g1)?;
-                let vertical = o.conv2d(&self.w2, g.g2_par)?;
-                let horizontal = o.conv2d(&self.w3, g.g3_par)?;
-                vertical.add(&horizontal)?.conv2d(&self.w4, g.g4)
-            }
-            (TtMode::Htt(_), false) => {
-                let o = x.conv2d(&self.w1, g.g1_half)?;
-                o.conv2d(&self.w4, g.g4_half)
+        if matches!(self.mode, TtMode::Stt) {
+            let o = x.conv2d(&self.w1, g.g1)?;
+            let o = o.conv2d(&self.w2, g.g2_seq)?;
+            let o = o.conv2d(&self.w3, g.g3_seq)?;
+            return o.conv2d(&self.w4, g.g4);
+        }
+        // Maximal runs of timesteps on the same path, as (full, first row,
+        // rows); PTT is one full run.
+        let batch = shape[0] / steps;
+        let mut runs: Vec<(bool, usize, usize)> = Vec::new();
+        for t in 0..steps {
+            let full = self.mode.is_full_at(t0 + t);
+            match runs.last_mut() {
+                Some((last, _, rows)) if *last == full => *rows += batch,
+                _ => runs.push((full, t * batch, batch)),
             }
         }
+        // With stride 1 the two `w1` geometries are the same convolution.
+        let shared_w1 = if g.g1 == g.g1_half { Some(x.conv2d(&self.w1, g.g1)?) } else { None };
+        let mut mixed = Vec::with_capacity(runs.len());
+        for (full, first, rows) in runs {
+            let o = match &shared_w1 {
+                Some(o) => o.rows(first, rows)?,
+                None => {
+                    let g1 = if full { g.g1 } else { g.g1_half };
+                    x.rows(first, rows)?.conv2d(&self.w1, g1)?
+                }
+            };
+            mixed.push(if full {
+                let vertical = o.conv2d(&self.w2, g.g2_par)?;
+                let horizontal = o.conv2d(&self.w3, g.g3_par)?;
+                vertical.add(&horizontal)?
+            } else {
+                o
+            });
+        }
+        let mixed = match mixed.as_slice() {
+            [one] => one.clone(),
+            many => Var::concat_rows(many)?,
+        };
+        mixed.conv2d(&self.w4, g.g4)
     }
 
     /// Forward on plain tensors with **no gradient tracking**: runs the
@@ -263,7 +303,7 @@ impl TtConv {
     /// # Errors
     ///
     /// Returns [`ShapeError`] under the same conditions as
-    /// [`TtConv::forward`].
+    /// [`TtConv::forward_sequence`].
     pub fn forward_tensor(&self, x: &Tensor, t: usize) -> Result<Tensor, ShapeError> {
         let shape = x.shape();
         if shape.len() != 4 || shape[1] != self.in_channels {
@@ -299,7 +339,7 @@ impl TtConv {
             }
             (TtMode::Htt(_), false) => {
                 let o = conv::conv2d(x, &w1, &g.g1_half)?;
-                let y = conv::conv2d(&o, &w4, &g.g4_half);
+                let y = conv::conv2d(&o, &w4, &g.g4);
                 o.recycle();
                 y
             }
@@ -332,7 +372,7 @@ impl TtConv {
             (TtMode::Ptt, _) | (TtMode::Htt(_), true) => {
                 g.g1.macs() + g.g2_par.macs() + g.g3_par.macs() + g.g4.macs()
             }
-            (TtMode::Htt(_), false) => g.g1_half.macs() + g.g4_half.macs(),
+            (TtMode::Htt(_), false) => g.g1_half.macs() + g.g4.macs(),
         }
     }
 }
@@ -345,7 +385,6 @@ struct Geometries {
     g3_par: Conv2dGeometry,
     g4: Conv2dGeometry,
     g1_half: Conv2dGeometry,
-    g4_half: Conv2dGeometry,
 }
 
 #[cfg(test)]
@@ -443,7 +482,7 @@ mod tests {
         for mode in [TtMode::Stt, TtMode::Ptt] {
             let layer = TtConv::randn(3, 4, 2, mode, &mut rng);
             let x = Var::constant(Tensor::randn(&[1, 3, 5, 5], &mut rng));
-            let y = layer.forward(&x, 0).unwrap();
+            let y = layer.forward_sequence(&x, 0, 1).unwrap();
             y.sum_to_scalar().backward();
             for (i, p) in layer.params().iter().enumerate() {
                 let g = p.grad().unwrap_or_else(|| panic!("core w{} got no grad", i + 1));
@@ -457,13 +496,67 @@ mod tests {
         let mut rng = Rng::seed_from(9);
         let layer = TtConv::randn(3, 4, 2, TtMode::htt_default(2), &mut rng);
         let x = Var::constant(Tensor::randn(&[1, 3, 5, 5], &mut rng));
-        let y = layer.forward(&x, 1).unwrap(); // half timestep
+        let y = layer.forward_sequence(&x, 1, 1).unwrap(); // half timestep
         y.sum_to_scalar().backward();
         let params = layer.params();
         assert!(params[0].grad().is_some(), "w1 must receive grad on half path");
         assert!(params[1].grad().is_none(), "w2 unused on half path");
         assert!(params[2].grad().is_none(), "w3 unused on half path");
         assert!(params[3].grad().is_some(), "w4 must receive grad on half path");
+    }
+
+    /// One call over a time-major stack against a call per timestep:
+    /// outputs and input gradients bit for bit, core gradients to rounding
+    /// (they add the timesteps in a different order), on every mode, both
+    /// strides and HTT schedules with one, two and four runs.
+    #[test]
+    fn forward_sequence_matches_a_call_per_timestep() {
+        use crate::modes::HttSchedule;
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let htt = |p: &str| TtMode::Htt(HttSchedule::from_pattern(p).unwrap());
+        let (steps, batch) = (4, 3);
+        let mut rng = Rng::seed_from(14);
+        for mode in [TtMode::Stt, TtMode::Ptt, htt("FFHH"), htt("FHFH"), htt("HHHH")] {
+            for stride in [(1, 1), (2, 2)] {
+                let layer = TtConv::randn_strided(3, 5, 2, mode.clone(), stride, &mut rng);
+                let x0 = Tensor::randn(&[steps * batch, 3, 6, 6], &mut rng);
+                let x = Var::param(x0.clone());
+                let y = layer.forward_sequence(&x, 0, steps).unwrap();
+                let seed = Tensor::randn(&y.shape(), &mut rng);
+                y.backward_with_seed(&seed);
+                let whole: Vec<Option<Tensor>> = layer.params().iter().map(Var::grad).collect();
+                layer.params().iter().for_each(Var::zero_grad);
+
+                let cut = |t: &Tensor, i: usize| {
+                    let n = t.len() / steps;
+                    let mut shape = t.shape().to_vec();
+                    shape[0] = batch;
+                    Tensor::from_vec(t.data()[i * n..(i + 1) * n].to_vec(), &shape).unwrap()
+                };
+                let (mut want_y, mut want_dx) = (Vec::new(), Vec::new());
+                for t in 0..steps {
+                    let x_t = Var::param(cut(&x0, t));
+                    let y_t = layer.forward_sequence(&x_t, t, 1).unwrap();
+                    y_t.backward_with_seed(&cut(&seed, t));
+                    want_y.extend(bits(&y_t.value()));
+                    want_dx.extend(bits(&x_t.grad().unwrap()));
+                }
+                let tag = format!("{mode} stride {stride:?}");
+                assert_eq!(bits(&y.value()), want_y, "y, {tag}");
+                assert_eq!(bits(&x.grad().unwrap()), want_dx, "dx, {tag}");
+                for (i, (p, whole)) in layer.params().iter().zip(&whole).enumerate() {
+                    match (whole, p.grad()) {
+                        (Some(whole), Some(stepwise)) => {
+                            let err = whole.max_abs_diff(&stepwise).unwrap();
+                            assert!(err <= 1e-5 * (1.0 + whole.norm()), "w{} {tag}: {err}", i + 1);
+                        }
+                        (None, None) => {}
+                        _ => panic!("w{} {tag}: only one of the two passes reached it", i + 1),
+                    }
+                }
+                assert!(layer.forward_sequence(&x, 0, 5).is_err(), "12 rows, 5 timesteps");
+            }
+        }
     }
 
     #[test]

@@ -223,19 +223,21 @@ impl ConvUnit {
         }
     }
 
-    /// Runs the convolution at timestep `t` (TT units consult their HTT
-    /// schedule; dense units ignore `t`).
+    /// Runs the convolution over timesteps `t0..t0 + steps` at once: `x` is
+    /// their time-major stack `(steps·B, C, H, W)`. TT units consult their
+    /// HTT schedule for each timestep; dense units convolve the stack as the
+    /// batch it is.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `x`'s shape is incompatible.
-    pub fn forward(&self, x: &Var, t: usize) -> Result<Var, ShapeError> {
+    pub fn forward_sequence(&self, x: &Var, t0: usize, steps: usize) -> Result<Var, ShapeError> {
         match self {
             ConvUnit::Dense { weight, kernel, stride, padding } => {
                 let xs = x.shape();
                 if xs.len() != 4 {
                     return Err(ShapeError::new(format!(
-                        "ConvUnit::forward: expected 4-D input, got {xs:?}"
+                        "ConvUnit::forward_sequence: expected 4-D input, got {xs:?}"
                     )));
                 }
                 let ws = weight.shape();
@@ -243,9 +245,9 @@ impl ConvUnit {
                     Conv2dGeometry::new(ws[1], ws[0], (xs[2], xs[3]), *kernel, *stride, *padding);
                 x.conv2d(weight, geom)
             }
-            ConvUnit::Tt(tt) => tt.forward(x, t),
+            ConvUnit::Tt(tt) => tt.forward_sequence(x, t0, steps),
             ConvUnit::Quantized(_) => Err(ShapeError::new(
-                "ConvUnit::forward: a quantized unit is frozen for serving and has no \
+                "ConvUnit::forward_sequence: a quantized unit is frozen for serving and has no \
                  training (Var) plane"
                     .to_string(),
             )),
@@ -372,7 +374,7 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[2, 6, 8, 8], &mut rng));
         for policy in [ConvPolicy::Baseline, ConvPolicy::tt(TtMode::Ptt)] {
             let unit = ConvUnit::conv3x3(&policy, 0, 6, 12, (2, 2), &mut rng);
-            let y = unit.forward(&x, 0).unwrap();
+            let y = unit.forward_sequence(&x, 0, 1).unwrap();
             assert_eq!(y.shape(), vec![2, 12, 4, 4], "policy {}", policy.name());
         }
     }
@@ -385,7 +387,8 @@ mod tests {
             [ConvPolicy::Baseline, ConvPolicy::tt(TtMode::Ptt), ConvPolicy::tt(TtMode::Stt)]
         {
             let unit = ConvUnit::conv3x3(&policy, 0, 6, 12, (1, 1), &mut rng);
-            let via_var = unit.forward(&Var::constant(x.clone()), 0).unwrap().to_tensor();
+            let via_var =
+                unit.forward_sequence(&Var::constant(x.clone()), 0, 1).unwrap().to_tensor();
             let via_tensor = unit.forward_tensor(&x, 0).unwrap();
             assert!(via_tensor.max_abs_diff(&via_var).unwrap() < 1e-6, "policy {}", policy.name());
         }
@@ -396,7 +399,7 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let unit = ConvUnit::dense(4, 8, (1, 1), (2, 2), (0, 0), &mut rng);
         let x = Var::constant(Tensor::randn(&[1, 4, 8, 8], &mut rng));
-        let y = unit.forward(&x, 0).unwrap();
+        let y = unit.forward_sequence(&x, 0, 1).unwrap();
         assert_eq!(y.shape(), vec![1, 8, 4, 4]);
     }
 

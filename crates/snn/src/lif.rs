@@ -11,6 +11,7 @@
 //! replaced by a surrogate (STBP's rectangular window by default); the
 //! reset factor is detached from the graph, the standard STBP treatment.
 
+use ttsnn_autograd::ops::LifScan;
 use ttsnn_autograd::{Surrogate, Var};
 use ttsnn_tensor::{ShapeError, Tensor};
 
@@ -33,7 +34,8 @@ impl Default for LifConfig {
 }
 
 /// A stateful LIF neuron layer: holds the (post-reset) membrane potential
-/// between timesteps of one BPTT unrolling.
+/// between calls of one BPTT unrolling. The training plane hands it a whole
+/// sequence at once ([`Lif::scan`]); [`Lif::step`] is a sequence of one.
 ///
 /// Call [`Lif::reset`] between batches — membrane state must not leak
 /// across independent samples.
@@ -58,7 +60,9 @@ impl Default for LifConfig {
 #[derive(Debug)]
 pub struct Lif {
     config: LifConfig,
-    membrane: Option<Var>,
+    /// The training plane's last scan; the next one starts from the
+    /// membrane it left, which is only built if a next one comes.
+    last_scan: Option<LifScan>,
     membrane_tensor: Option<Tensor>,
     spike_sum: f64,
     neuron_steps: f64,
@@ -67,7 +71,7 @@ pub struct Lif {
 impl Lif {
     /// A fresh neuron layer with zeroed membrane.
     pub fn new(config: LifConfig) -> Self {
-        Self { config, membrane: None, membrane_tensor: None, spike_sum: 0.0, neuron_steps: 0.0 }
+        Self { config, last_scan: None, membrane_tensor: None, spike_sum: 0.0, neuron_steps: 0.0 }
     }
 
     /// The neuron's configuration.
@@ -79,7 +83,7 @@ impl Lif {
     /// samples). The tensor plane's membrane buffer goes back to the
     /// runtime arena for reuse.
     pub fn reset(&mut self) {
-        self.membrane = None;
+        self.last_scan = None;
         if let Some(m) = self.membrane_tensor.take() {
             m.recycle();
         }
@@ -88,7 +92,7 @@ impl Lif {
     /// Whether the membrane currently holds state from a previous step on
     /// either plane.
     pub fn has_state(&self) -> bool {
-        self.membrane.is_some() || self.membrane_tensor.is_some()
+        self.last_scan.is_some() || self.membrane_tensor.is_some()
     }
 
     /// Moves the **inference-plane** membrane out of the neuron (leaving it
@@ -135,13 +139,52 @@ impl Lif {
         self.neuron_steps = 0.0;
     }
 
-    /// Advances one timestep: integrates `input` into the membrane, emits
-    /// the binary spike tensor, and stores the hard-reset membrane for the
-    /// next step. Gradients flow through the temporal path (τm·u) and the
-    /// surrogate spike; the reset gate uses detached spikes.
+    /// Advances `steps` timesteps at once on the training plane. `input` is
+    /// the layer's synaptic input as a time-major stack `[steps·B, …]` (row
+    /// `t·B + s`); the result is the binary spike stack of the same shape.
+    /// Each neuron integrates its inputs in time order starting from the
+    /// membrane the previous call left (zero after a [`Lif::reset`]), fires
+    /// through the Heaviside step and is hard-reset where it fired.
+    /// Gradients flow through the temporal path (τm·u) and the surrogate
+    /// spike, across calls too; the reset gate is detached.
     ///
-    /// Three tape nodes per step — `u = τm·m + x`, `s = H(u − V_th)`,
-    /// `m' = u·(1 − s)` — in the arithmetic order of [`Lif::step_tensor`].
+    /// One tape node per call ([`Var::lif_scan`]), in the arithmetic order
+    /// of [`Lif::step_tensor`]: cutting a sequence into several calls does
+    /// not move a bit of the spikes or of the input gradients.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `input` does not hold `steps` timesteps, or
+    /// one timestep of it is not shaped like the stored membrane (i.e. the
+    /// caller changed batch shape without [`Lif::reset`]).
+    pub fn scan(&mut self, input: &Var, steps: usize) -> Result<Var, ShapeError> {
+        let carry = match &self.last_scan {
+            Some(prev) => {
+                let mut expected = prev.step_shape().to_vec();
+                expected[0] *= steps;
+                if input.shape() != expected {
+                    return Err(ShapeError::new(format!(
+                        "Lif::scan: {steps} timestep(s) of input shape {:?} do not match \
+                         membrane {:?} (missing reset?)",
+                        input.shape(),
+                        prev.step_shape()
+                    )));
+                }
+                Some(prev.carry())
+            }
+            None => None,
+        };
+        let LifConfig { tau, vth, surrogate } = self.config;
+        let scan = input.lif_scan(carry.as_ref(), steps, tau, vth, surrogate)?;
+        self.spike_sum += scan.fired as f64;
+        self.neuron_steps += scan.spikes.value().len() as f64;
+        let spikes = scan.spikes.clone();
+        self.last_scan = Some(scan);
+        Ok(spikes)
+    }
+
+    /// Advances one timestep on the training plane: [`Lif::scan`] over a
+    /// sequence of one.
     ///
     /// # Errors
     ///
@@ -149,32 +192,11 @@ impl Lif {
     /// membrane's (i.e. the caller changed batch shape without
     /// [`Lif::reset`]).
     pub fn step(&mut self, input: &Var) -> Result<Var, ShapeError> {
-        let u = match &self.membrane {
-            Some(prev) => {
-                if prev.value().shape() != input.value().shape() {
-                    return Err(ShapeError::new(format!(
-                        "Lif::step: input shape {:?} does not match membrane {:?} (missing reset?)",
-                        input.shape(),
-                        prev.shape()
-                    )));
-                }
-                prev.scale_add(self.config.tau, input)?
-            }
-            None => input.add_scalar(0.0),
-        };
-        let spikes = u.spike(self.config.vth, self.config.surrogate);
-        {
-            let s = spikes.value();
-            self.spike_sum += s.sum() as f64;
-            self.neuron_steps += s.len() as f64;
-        }
-        // Hard reset: u <- u * (1 - s), with s detached (STBP convention).
-        self.membrane = Some(u.hard_reset(self.config.vth));
-        Ok(spikes)
+        self.scan(input, 1)
     }
 
     /// Advances one timestep on the **inference plane**: the same
-    /// arithmetic as [`Lif::step`] — integrate, fire, hard-reset —
+    /// arithmetic as [`Lif::scan`] — integrate, fire, hard-reset —
     /// executed on plain tensors with no autograd bookkeeping. Outputs are
     /// bit-identical to the `Var` path on identical inputs.
     ///
@@ -220,10 +242,10 @@ impl Lif {
             }
         };
         let vth = self.config.vth;
-        let mut fired = 0.0f32;
+        let mut fired = 0usize;
         for (s, &u) in spikes.data_mut().iter_mut().zip(input.data()) {
             *s = if u >= vth { 1.0 } else { 0.0 };
-            fired += *s;
+            fired += usize::from(u >= vth);
         }
         self.spike_sum += fired as f64;
         self.neuron_steps += spikes.len() as f64;
@@ -356,6 +378,37 @@ mod tests {
             assert_eq!(via_var, via_tensor);
         }
         assert_eq!(var_lif.activity_counts(), tsr_lif.activity_counts());
+    }
+
+    /// One scan over a stack of timesteps, scans of uneven length and a
+    /// step at a time: the same spikes and the same counters.
+    #[test]
+    fn scan_over_a_stack_equals_steps() {
+        let mut rng = Rng::seed_from(4);
+        let (steps, batch) = (5, 2);
+        let x = Tensor::randn(&[steps * batch, 6], &mut rng);
+        let rows = |t0: usize, n: usize| {
+            let data = x.data()[t0 * batch * 6..(t0 + n) * batch * 6].to_vec();
+            Var::constant(Tensor::from_vec(data, &[n * batch, 6]).unwrap())
+        };
+        let mut whole = Lif::new(LifConfig::default());
+        let want = whole.scan(&Var::constant(x.clone()), steps).unwrap().to_tensor();
+        for cuts in [&[1, 1, 1, 1, 1][..], &[2, 3], &[4, 1]] {
+            let mut lif = Lif::new(LifConfig::default());
+            let mut got = Vec::new();
+            let mut t0 = 0;
+            for &n in cuts {
+                got.extend_from_slice(lif.scan(&rows(t0, n), n).unwrap().value().data());
+                t0 += n;
+            }
+            assert_eq!(got, want.data(), "cuts {cuts:?}");
+            assert_eq!(lif.activity_counts(), whole.activity_counts(), "cuts {cuts:?}");
+        }
+        // Three timesteps of the wrong batch size after two of the right one.
+        let mut lif = Lif::new(LifConfig::default());
+        lif.scan(&rows(0, 2), 2).unwrap();
+        assert!(lif.scan(&Var::constant(Tensor::zeros(&[3 * 3, 6])), 3).is_err());
+        assert!(lif.scan(&rows(2, 3), 2).is_err(), "6 rows are not 2 timesteps of 2");
     }
 
     #[test]

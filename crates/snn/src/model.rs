@@ -3,8 +3,9 @@
 //! * [`SpikingModel`] — the structural trait: parameters, state reset,
 //!   naming and MAC accounting. Everything that is true of a network
 //!   regardless of how it is executed.
-//! * [`TrainForward`] — the training plane: timestep forward on autograd
-//!   [`Var`]s, building the BPTT tape the trainers differentiate
+//! * [`TrainForward`] — the training plane: a **layer-major** forward on
+//!   autograd [`Var`]s — every layer runs once over all the timesteps it is
+//!   given — building the BPTT tape the trainers differentiate
 //!   (Algorithm 1, lines 7–15).
 //! * [`InferForward`] — the inference plane: timestep forward on plain
 //!   [`Tensor`]s. No autograd nodes are allocated (a property
@@ -20,8 +21,9 @@
 //!
 //! The paper's deployment story is train once, serve cheaply (optionally
 //! after merging TT cores back into dense kernels). A `Var` forward
-//! allocates one tape node per op per timestep — pure waste when nothing
-//! will ever call `backward()`. The inference plane runs the identical
+//! allocates a tape node per op — pure waste when nothing will ever call
+//! `backward()` — and wants a whole sequence up front, where serving feeds
+//! timesteps as they arrive and may stop early. The inference plane runs the identical
 //! arithmetic straight on the runtime kernels: in [`InferStats::Batch`]
 //! mode it is **bit-identical** to the training plane on the same batch,
 //! which is what lets [`crate::trainer::evaluate`] route through it
@@ -57,11 +59,12 @@ pub enum InferStats {
 /// consumer — trainer, serving engine, FLOPs accounting — needs regardless
 /// of the execution plane.
 ///
-/// Implementations hold LIF membrane state between timestep calls on
-/// either plane; the driver performs the unrolling: reset, then one
-/// forward per timestep, then (on the training plane) a loss on the
-/// accumulated logits and one `backward()` spanning the whole
-/// spatio-temporal graph.
+/// Implementations hold LIF membrane state between forward calls on
+/// either plane; the driver performs the unrolling: reset, then the
+/// forwards that cover the sequence (one per timestep on the inference
+/// plane, one for all of them on the training plane), then (on the training
+/// plane) a loss on the per-timestep logits and one `backward()` spanning
+/// the whole spatio-temporal graph.
 pub trait SpikingModel {
     /// All trainable parameters.
     fn params(&self) -> Vec<Var>;
@@ -103,16 +106,67 @@ pub trait SpikingModel {
     }
 }
 
-/// The **training plane**: timestep forward on autograd [`Var`]s,
-/// recording the BPTT tape.
+/// The **training plane**: forward on autograd [`Var`]s, recording the BPTT
+/// tape, **layer-major** — each layer sees all the timesteps of a call at
+/// once.
+///
+/// The only recurrence in a feed-forward SNN is each LIF layer's own
+/// membrane, so a layer does not need the layers after it to have seen
+/// timestep `t` before it looks at `t + 1`: convolutions and tdBN run over
+/// the stacked timesteps as one batch (statistics still per timestep), and
+/// only the LIF scans through time, inside one tape node.
 pub trait TrainForward: SpikingModel {
-    /// Processes the input frame at timestep `t`, returning `(B, K)`
-    /// logits for this timestep as a graph node.
+    /// Processes timesteps `t0..t0 + steps` of a batch. `x` is their input
+    /// frames as one time-major stack `(steps·B, C, H, W)`: row `t·B + s` is
+    /// sample `s` at timestep `t0 + t`. Returns the `(B, K)` logits of each
+    /// timestep, in order, as graph nodes. The LIF layers start from the
+    /// membranes the previous call left (see
+    /// [`SpikingModel::reset_state`]), so a sequence may be fed in several
+    /// calls; logits, loss and activation gradients do not depend on how it
+    /// was cut.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the input does not match the architecture
+    /// or does not hold `steps` timesteps.
+    fn forward_sequence(
+        &mut self,
+        x: &Var,
+        t0: usize,
+        steps: usize,
+    ) -> Result<Vec<Var>, ShapeError>;
+
+    /// Processes the `(B, C, H, W)` input frame at timestep `t`, returning
+    /// `(B, K)` logits for this timestep as a graph node: a sequence of one.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if the input does not match the architecture.
-    fn forward_timestep(&mut self, x: &Var, t: usize) -> Result<Var, ShapeError>;
+    fn forward_timestep(&mut self, x: &Var, t: usize) -> Result<Var, ShapeError> {
+        let mut logits = self.forward_sequence(x, t, 1)?;
+        logits.pop().ok_or_else(|| ShapeError::new("forward_sequence returned no logits"))
+    }
+}
+
+/// The classifier head of a layer-major forward: `features` holds `steps`
+/// timesteps of `(B, F)` rows, and each timestep's slab goes through
+/// `Var::linear` on its own — the GEMM behind it picks its kernel by row
+/// count, so only a `B`-row call reproduces a timestep-at-a-time forward
+/// bit for bit.
+pub(crate) fn linear_per_timestep(
+    features: &Var,
+    weight: &Var,
+    bias: &Var,
+    steps: usize,
+) -> Result<Vec<Var>, ShapeError> {
+    let rows = features.shape().first().copied().unwrap_or(0);
+    if steps == 0 || !rows.is_multiple_of(steps) {
+        return Err(ShapeError::new(format!(
+            "forward_sequence: {rows} rows do not hold {steps} timestep(s)"
+        )));
+    }
+    let batch = rows / steps;
+    (0..steps).map(|t| features.rows(t * batch, batch)?.linear(weight, bias)).collect()
 }
 
 /// A snapshot of a model's **inference-plane** recurrent state: every LIF

@@ -11,7 +11,9 @@
 //!
 //! Statistics are computed per timestep over the batch (the paper's
 //! layer-by-layer, timestep-by-timestep training order makes this the
-//! natural formulation).
+//! natural formulation). The training plane normalizes all timesteps of a
+//! layer in one call, each timestep's slab of the time-major stack by its
+//! own statistics.
 
 use ttsnn_autograd::Var;
 use ttsnn_tensor::{ShapeError, Tensor};
@@ -100,22 +102,26 @@ impl Norm {
         p
     }
 
-    /// Applies the normalization at timestep `t`.
+    /// Applies the normalization to timesteps `t0..t0 + steps` at once: `x`
+    /// is their time-major stack `(steps·B, C, H, W)`, and every timestep is
+    /// normalized by its own batch statistics (and, under TEBN, multiplied
+    /// by its own learned scale; timesteps past the schedule reuse the last).
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `x` is not `(B, C, H, W)` with `C` equal to
-    /// the layer's channel count.
-    pub fn forward(&self, x: &Var, t: usize) -> Result<Var, ShapeError> {
+    /// Returns [`ShapeError`] if `x` is not `(steps·B, C, H, W)` with `C`
+    /// equal to the layer's channel count.
+    pub fn forward_sequence(&self, x: &Var, t0: usize, steps: usize) -> Result<Var, ShapeError> {
         match self.kind {
             NormKind::TdBn { alpha, vth } => {
-                x.batch_norm2d(&self.gamma, &self.beta, self.eps, alpha * vth)
+                x.batch_norm2d(&self.gamma, &self.beta, self.eps, alpha * vth, steps)
             }
             NormKind::Tebn { .. } => {
-                let y = x.batch_norm2d(&self.gamma, &self.beta, self.eps, 1.0)?;
-                let scale =
-                    &self.timestep_scales[t.min(self.timestep_scales.len().saturating_sub(1))];
-                y.scale_by(scale)
+                let y = x.batch_norm2d(&self.gamma, &self.beta, self.eps, 1.0, steps)?;
+                let last = self.timestep_scales.len() - 1;
+                let scales: Vec<Var> =
+                    (t0..t0 + steps).map(|t| self.timestep_scales[t.min(last)].clone()).collect();
+                y.scale_by_groups(&scales)
             }
         }
     }
@@ -126,7 +132,7 @@ impl Norm {
     /// With [`InferStats::Batch`] the statistics are computed per channel
     /// over the whole batch in exactly the summation order of
     /// `Var::batch_norm2d`, so the result is bit-identical to
-    /// [`Norm::forward`] on the same input. With [`InferStats::PerSample`]
+    /// [`Norm::forward_sequence`] on that one timestep. With [`InferStats::PerSample`]
     /// each sample is normalized by its own statistics (the serving mode:
     /// invariant to batch composition, and equal to `Batch` at B = 1).
     ///
@@ -218,7 +224,7 @@ mod tests {
         let mut rng = Rng::seed_from(1);
         let x = Var::constant(Tensor::randn(&[4, 2, 5, 5], &mut rng));
         let norm = Norm::td_bn(2);
-        let y = norm.forward(&x, 0).unwrap().to_tensor();
+        let y = norm.forward_sequence(&x, 0, 1).unwrap().to_tensor();
         // per-channel std should be ~ alpha*vth = 0.5
         let plane = 25;
         for ch in 0..2 {
@@ -240,11 +246,11 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[2, 3, 4, 4], &mut rng));
         let norm = Norm::tebn(3, 4);
         // Nudging the t=2 scale changes only the t=2 output.
-        let before_t2 = norm.forward(&x, 2).unwrap().to_tensor();
-        let before_t0 = norm.forward(&x, 0).unwrap().to_tensor();
+        let before_t2 = norm.forward_sequence(&x, 2, 1).unwrap().to_tensor();
+        let before_t0 = norm.forward_sequence(&x, 0, 1).unwrap().to_tensor();
         norm.timestep_scales[2].update_value(|s| s.data_mut()[0] = 2.0);
-        let after_t2 = norm.forward(&x, 2).unwrap().to_tensor();
-        let after_t0 = norm.forward(&x, 0).unwrap().to_tensor();
+        let after_t2 = norm.forward_sequence(&x, 2, 1).unwrap().to_tensor();
+        let after_t0 = norm.forward_sequence(&x, 0, 1).unwrap().to_tensor();
         assert!(before_t2.max_abs_diff(&after_t2).unwrap() > 0.1);
         assert!(before_t0.max_abs_diff(&after_t0).unwrap() < 1e-6);
         assert!(after_t2.max_abs_diff(&before_t2.scale(2.0)).unwrap() < 1e-5);
@@ -262,7 +268,7 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[2, 2, 3, 3], &mut rng));
         let norm = Norm::td_bn(2);
         let m = Var::constant(Tensor::randn(&[2, 2, 3, 3], &mut rng));
-        norm.forward(&x, 0).unwrap().mul(&m).unwrap().sum_to_scalar().backward();
+        norm.forward_sequence(&x, 0, 1).unwrap().mul(&m).unwrap().sum_to_scalar().backward();
         assert!(norm.gamma.grad().is_some());
         assert!(norm.beta.grad().is_some());
     }
@@ -273,7 +279,7 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[2, 2, 3, 3], &mut rng));
         let norm = Norm::tebn(2, 3);
         let m = Var::constant(Tensor::randn(&[2, 2, 3, 3], &mut rng));
-        norm.forward(&x, 1).unwrap().mul(&m).unwrap().sum_to_scalar().backward();
+        norm.forward_sequence(&x, 1, 1).unwrap().mul(&m).unwrap().sum_to_scalar().backward();
         assert!(norm.timestep_scales[1].grad().is_some());
         assert!(norm.timestep_scales[0].grad().is_none());
     }
@@ -287,7 +293,8 @@ mod tests {
             });
             for t in 0..3 {
                 let x = Tensor::randn(&[4, 3, 5, 5], &mut rng);
-                let via_var = norm.forward(&Var::constant(x.clone()), t).unwrap().to_tensor();
+                let via_var =
+                    norm.forward_sequence(&Var::constant(x.clone()), t, 1).unwrap().to_tensor();
                 let mut via_tensor = x;
                 norm.forward_tensor(&mut via_tensor, t, InferStats::Batch).unwrap();
                 assert_eq!(via_var, via_tensor, "t={t}");
@@ -325,7 +332,7 @@ mod tests {
     fn forward_validates_channels() {
         let norm = Norm::td_bn(3);
         let x = Var::constant(Tensor::zeros(&[1, 4, 2, 2]));
-        assert!(norm.forward(&x, 0).is_err());
+        assert!(norm.forward_sequence(&x, 0, 1).is_err());
     }
 
     #[test]
@@ -334,6 +341,6 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[1, 2, 2, 2], &mut rng));
         let norm = Norm::tebn(2, 2);
         // t beyond schedule reuses the last scale rather than panicking.
-        assert!(norm.forward(&x, 10).is_ok());
+        assert!(norm.forward_sequence(&x, 10, 1).is_ok());
     }
 }

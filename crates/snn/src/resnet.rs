@@ -20,7 +20,8 @@ use ttsnn_tensor::{pool, Rng, ShapeError, Tensor};
 use crate::conv_unit::{ConvPolicy, ConvUnit};
 use crate::lif::{Lif, LifConfig};
 use crate::model::{
-    linear_tensor_mode, InferForward, InferState, InferStats, SpikingModel, TrainForward,
+    linear_per_timestep, linear_tensor_mode, InferForward, InferState, InferStats, SpikingModel,
+    TrainForward,
 };
 use crate::norm::{Norm, NormKind};
 use crate::quant::{
@@ -451,27 +452,32 @@ impl ResNetSnn {
 }
 
 impl TrainForward for ResNetSnn {
-    fn forward_timestep(&mut self, x: &Var, t: usize) -> Result<Var, ShapeError> {
-        let y = self.stem.forward(x, t)?;
-        let y = self.stem_norm.forward(&y, t)?;
-        let mut spikes = self.stem_lif.step(&y)?;
+    fn forward_sequence(
+        &mut self,
+        x: &Var,
+        t0: usize,
+        steps: usize,
+    ) -> Result<Vec<Var>, ShapeError> {
+        let y = self.stem.forward_sequence(x, t0, steps)?;
+        let y = self.stem_norm.forward_sequence(&y, t0, steps)?;
+        let mut spikes = self.stem_lif.scan(&y, steps)?;
         for block in &mut self.blocks {
-            let h = block.conv_a.forward(&spikes, t)?;
-            let h = block.norm_a.forward(&h, t)?;
-            let h = block.lif_a.step(&h)?;
-            let y = block.conv_b.forward(&h, t)?;
-            let y = block.norm_b.forward(&y, t)?;
+            let h = block.conv_a.forward_sequence(&spikes, t0, steps)?;
+            let h = block.norm_a.forward_sequence(&h, t0, steps)?;
+            let h = block.lif_a.scan(&h, steps)?;
+            let y = block.conv_b.forward_sequence(&h, t0, steps)?;
+            let y = block.norm_b.forward_sequence(&y, t0, steps)?;
             let sc = match &block.shortcut {
                 Some((conv, norm)) => {
-                    let s = conv.forward(&spikes, t)?;
-                    norm.forward(&s, t)?
+                    let s = conv.forward_sequence(&spikes, t0, steps)?;
+                    norm.forward_sequence(&s, t0, steps)?
                 }
                 None => spikes.clone(),
             };
-            spikes = block.lif_b.step(&y.add(&sc)?)?;
+            spikes = block.lif_b.scan(&y.add(&sc)?, steps)?;
         }
         let pooled = spikes.global_avg_pool()?;
-        pooled.linear(&self.fc_w, &self.fc_b)
+        linear_per_timestep(&pooled, &self.fc_w, &self.fc_b, steps)
     }
 }
 

@@ -92,13 +92,14 @@ impl ShardConfig {
     }
 }
 
-/// Gradients (plus loss and phase seconds) of one micro-batch, tagged with
-/// its global index.
+/// Gradients (plus loss, phase seconds and tape nodes) of one micro-batch,
+/// tagged with its global index.
 struct MicroGrad {
     index: usize,
     loss: f32,
     forward: f64,
     backward: f64,
+    tape_nodes: u64,
     grads: Vec<Option<Tensor>>,
 }
 
@@ -148,13 +149,15 @@ fn worker_main<M: Model>(mut model: M, rx: &Receiver<Cmd>) {
                     let mut out = Vec::with_capacity(micros.len());
                     for (index, micro) in &micros {
                         opt.zero_grad();
-                        let (value, forward, backward) = forward_backward(&mut model, micro, loss)?;
+                        let (value, forward, backward, tape_nodes) =
+                            forward_backward(&mut model, micro, loss)?;
                         let grads = opt.params().iter().map(Var::grad).collect();
                         out.push(MicroGrad {
                             index: *index,
                             loss: value,
                             forward,
                             backward,
+                            tape_nodes,
                             grads,
                         });
                     }
@@ -334,7 +337,8 @@ impl ShardedTrainer {
     /// the slowest replica's sums over its micro-batches (replicas run side
     /// by side, so the slowest one bounds the step), `all_reduce` the
     /// fixed-order fold on the calling thread, `optimizer` the replicated
-    /// update up to the last replica's acknowledgement.
+    /// update up to the last replica's acknowledgement, `tape_nodes` the
+    /// autograd nodes of all micro-batches together.
     ///
     /// The batch is cut into `batch.len() / micro_batch` micro-batches,
     /// distributed round-robin over the replicas; gradients come back
@@ -388,6 +392,7 @@ impl ShardedTrainer {
                 losses[mg.index] = mg.loss;
                 forward += mg.forward;
                 backward += mg.backward;
+                timing.tape_nodes += mg.tape_nodes as f64;
                 let folding = Instant::now();
                 reduce.push(mg.index, mg.grads)?;
                 timing.all_reduce += folding.elapsed().as_secs_f64();

@@ -9,9 +9,9 @@
 //! # Threading
 //!
 //! The loop itself is single-threaded per model (the autograd graph is
-//! `Rc`-based by design), but every conv/matmul it executes — forward over
-//! all timesteps and the whole BPTT backward sweep — is batch- and
-//! row-parallel through [`ttsnn_tensor::runtime`]. Thread count comes from
+//! `Rc`-based by design), but every kernel it executes — each layer once
+//! over all timesteps in the forward, and the whole BPTT backward sweep —
+//! is batch- and row-parallel through [`ttsnn_tensor::runtime`]. Thread count comes from
 //! the machine (override with `TTSNN_NUM_THREADS`); [`TrainReport::threads`]
 //! records what a run actually used so timing numbers are comparable.
 
@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use ttsnn_tensor::runtime::{PoolStats, Runtime};
 
-use ttsnn_autograd::{CosineAnnealing, Sgd, SgdConfig, Var};
+use ttsnn_autograd::{nodes_created, CosineAnnealing, Sgd, SgdConfig, Var};
 use ttsnn_data::Batch;
 use ttsnn_tensor::{ShapeError, Tensor};
 
@@ -73,6 +73,11 @@ pub struct StepTiming {
     /// step ([`PoolStats::parks`]). Each costs a later kernel a wake-up, so
     /// a slow step with many of these lost its time there.
     pub pool_parks: f64,
+    /// Autograd nodes the step put on the tape (the growth of
+    /// [`ttsnn_autograd::nodes_created`] over it; summed over the replicas
+    /// of a data-parallel step). It depends on the model and the number of
+    /// timesteps only, so it repeats exactly from step to step.
+    pub tape_nodes: f64,
 }
 
 impl StepTiming {
@@ -94,6 +99,7 @@ impl std::ops::AddAssign for StepTiming {
         self.optimizer += other.optimizer;
         self.pool_handoffs += other.pool_handoffs;
         self.pool_parks += other.pool_parks;
+        self.tape_nodes += other.tape_nodes;
     }
 }
 
@@ -110,6 +116,7 @@ impl std::ops::Div<f64> for StepTiming {
             optimizer: self.optimizer / n,
             pool_handoffs: self.pool_handoffs / n,
             pool_parks: self.pool_parks / n,
+            tape_nodes: self.tape_nodes / n,
         }
     }
 }
@@ -211,38 +218,68 @@ impl TrainReport {
 }
 
 /// Runs the forward pass over all timesteps of one batch, returning the
-/// per-timestep logits. Resets model state first.
+/// per-timestep logits. Resets model state first, then stacks the frames
+/// once as `(T·B, C, H, W)` and hands the model the whole sequence
+/// ([`TrainForward::forward_sequence`]).
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if the batch does not match the model.
+/// Returns [`ShapeError`] if the batch has no timesteps, a frame's shape
+/// differs from the first timestep's or its batch dimension from the number
+/// of labels (naming the timestep), or the batch does not match the model.
 pub fn forward_batch(model: &mut dyn TrainForward, batch: &Batch) -> Result<Vec<Var>, ShapeError> {
-    model.reset_state();
-    let mut logits = Vec::with_capacity(batch.timesteps());
+    let first = batch
+        .frames
+        .first()
+        .ok_or_else(|| ShapeError::new("forward_batch: the batch has no timesteps"))?;
     for (t, frame) in batch.frames.iter().enumerate() {
-        // The tape's copy of the frame lives in the arena like every other
-        // value on it, and goes back there with the tape.
-        let x = Var::constant(frame.scratch_copy());
-        logits.push(model.forward_timestep(&x, t)?);
+        if frame.shape() != first.shape() {
+            return Err(ShapeError::new(format!(
+                "forward_batch: the frame of timestep {t} has shape {:?}, timestep 0 has {:?}",
+                frame.shape(),
+                first.shape()
+            )));
+        }
+        if frame.shape().first() != Some(&batch.labels.len()) {
+            return Err(ShapeError::new(format!(
+                "forward_batch: the frame of timestep {t} has shape {:?}, which does not lead \
+                 with the batch's {} labels",
+                frame.shape(),
+                batch.labels.len()
+            )));
+        }
     }
-    Ok(logits)
+    model.reset_state();
+    let steps = batch.timesteps();
+    let mut shape = first.shape().to_vec();
+    shape[0] *= steps;
+    // The tape's copy of the frames lives in the arena like every other
+    // value on it, and goes back there with the tape.
+    let mut stacked = Tensor::scratch(&shape);
+    for (rows, frame) in stacked.data_mut().chunks_mut(first.len().max(1)).zip(&batch.frames) {
+        rows.copy_from_slice(frame.data());
+    }
+    model.forward_sequence(&Var::constant(stacked), 0, steps)
 }
 
 /// Forward over all timesteps, loss, BPTT backward — the part of a step
 /// the classic and the data-parallel trainer share. Leaves the gradients on
-/// the parameters; returns the loss and the two phases' seconds.
+/// the parameters; returns the loss, the two phases' seconds and the number
+/// of nodes the tape grew by.
 pub(crate) fn forward_backward(
     model: &mut dyn TrainForward,
     batch: &Batch,
     loss_kind: LossKind,
-) -> Result<(f32, f64, f64), ShapeError> {
+) -> Result<(f32, f64, f64, u64), ShapeError> {
+    let nodes_before = nodes_created();
     let start = Instant::now();
     let logits = forward_batch(model, batch)?;
     let loss = loss_kind.compute(&logits, &batch.labels)?;
     let loss_value = loss.value().data()[0];
     let forward = start.elapsed().as_secs_f64();
     loss.backward();
-    Ok((loss_value, forward, start.elapsed().as_secs_f64() - forward))
+    let backward = start.elapsed().as_secs_f64() - forward;
+    Ok((loss_value, forward, backward, nodes_created() - nodes_before))
 }
 
 /// One timed optimization step: forward over all timesteps, loss, BPTT
@@ -261,12 +298,19 @@ pub fn train_step(
     let pool_before = Runtime::global().stats();
     let start = Instant::now();
     opt.zero_grad();
-    let (loss, forward, backward) = forward_backward(model, batch, loss_kind)?;
+    let (loss, forward, backward, tape_nodes) = forward_backward(model, batch, loss_kind)?;
     let stepping = Instant::now();
     opt.step();
     let optimizer = stepping.elapsed().as_secs_f64();
     let total = start.elapsed().as_secs_f64();
-    let timing = StepTiming { total, forward, backward, optimizer, ..StepTiming::default() };
+    let timing = StepTiming {
+        total,
+        forward,
+        backward,
+        optimizer,
+        tape_nodes: tape_nodes as f64,
+        ..StepTiming::default()
+    };
     Ok((loss, timing.with_pool_since(&pool_before)))
 }
 

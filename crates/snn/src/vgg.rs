@@ -13,7 +13,8 @@ use ttsnn_tensor::{pool, Rng, ShapeError, Tensor};
 use crate::conv_unit::{ConvPolicy, ConvUnit};
 use crate::lif::{Lif, LifConfig};
 use crate::model::{
-    linear_tensor_mode, InferForward, InferState, InferStats, SpikingModel, TrainForward,
+    linear_per_timestep, linear_tensor_mode, InferForward, InferState, InferStats, SpikingModel,
+    TrainForward,
 };
 use crate::norm::{Norm, NormKind};
 use crate::quant::{
@@ -359,18 +360,23 @@ impl VggSnn {
 }
 
 impl TrainForward for VggSnn {
-    fn forward_timestep(&mut self, x: &Var, t: usize) -> Result<Var, ShapeError> {
+    fn forward_sequence(
+        &mut self,
+        x: &Var,
+        t0: usize,
+        steps: usize,
+    ) -> Result<Vec<Var>, ShapeError> {
         let mut h = x.clone();
         for layer in &mut self.layers {
-            let y = layer.conv.forward(&h, t)?;
-            let y = layer.norm.forward(&y, t)?;
-            h = layer.lif.step(&y)?;
+            let y = layer.conv.forward_sequence(&h, t0, steps)?;
+            let y = layer.norm.forward_sequence(&y, t0, steps)?;
+            h = layer.lif.scan(&y, steps)?;
             if layer.pool {
                 h = h.avg_pool2d(2)?;
             }
         }
         let pooled = h.global_avg_pool()?;
-        pooled.linear(&self.fc_w, &self.fc_b)
+        linear_per_timestep(&pooled, &self.fc_w, &self.fc_b, steps)
     }
 }
 

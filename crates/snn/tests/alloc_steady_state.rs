@@ -11,11 +11,13 @@
 //! that fell out of the loop.
 //!
 //! The training plane closes the same loop: every op output and gradient
-//! of the autograd tape is an arena buffer, gradients are moved rather
-//! than copied, and a tape that is dropped hands its buffers back, so
-//! after two warm-up steps a whole `zero_grad → forward → loss → backward
-//! → step` round runs out of parked memory (as long as the tape fits the
-//! arena's 64 MiB budget, which this one does many times over).
+//! of the autograd tape is an arena buffer — the layer-major ops' by-products
+//! too: the LIF scan's membranes, the grouped batch norm's statistics, the
+//! copies behind a row cut or a join — gradients are moved rather than
+//! copied, and a tape that is dropped hands its buffers back, so after two
+//! warm-up steps a whole `zero_grad → forward → loss → backward → step`
+//! round runs out of parked memory (as long as the tape fits the arena's
+//! 64 MiB budget, which these do many times over).
 //!
 //! One `#[test]` in a binary of its own: the counting allocator is
 //! process-wide, so nothing else may run beside the measured window, and
@@ -35,7 +37,7 @@ use ttsnn_data::EventStream;
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::trainer::forward_batch;
 use ttsnn_snn::{
-    ConvPolicy, InferForward, InferStats, LossKind, ResNetConfig, ResNetSnn, SpikingModel,
+    ConvPolicy, InferForward, InferStats, LossKind, Model, NormKind, ResNetConfig, ResNetSnn,
     VggConfig, VggSnn,
 };
 use ttsnn_tensor::runtime::Runtime;
@@ -151,18 +153,16 @@ fn steady_state(model: &mut dyn InferForward, requests: &[Request; 2]) -> (usize
     })
 }
 
-/// The training plane: an HTT MS-ResNet18 (width ÷ 8) on event batches
-/// (B = 8, T = 4). Two warm-up steps, then 4 measured ones over the same
-/// two batches; returns the large allocations of the measured window.
-fn training_steady_state(rng: &mut Rng) -> (usize, usize) {
-    let cfg = ResNetConfig::resnet18_events(10, (HW, HW), 8);
-    let mut model = ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(T)), rng);
+/// The training plane: `model` on event batches (B = 8, T = 4). Two warm-up
+/// steps, then 4 measured ones over the same two batches; returns the large
+/// allocations of the measured window.
+fn training_steady_state(model: &mut dyn Model, rng: &mut Rng) -> (usize, usize) {
     let mut opt = Sgd::new(model.params(), SgdConfig { lr: 0.05, ..SgdConfig::default() });
     let batches =
         EventStream::ncaltech_like(HW, HW, 10, T).dataset(16, rng).batches(8, T, rng).unwrap();
     let mut step = |i: usize| {
         opt.zero_grad();
-        let logits = forward_batch(&mut model, &batches[i % 2]).expect("forward");
+        let logits = forward_batch(&mut *model, &batches[i % 2]).expect("forward");
         let loss = LossKind::SumCe.compute(&logits, &batches[i % 2].labels).expect("loss");
         loss.backward();
         opt.step();
@@ -199,13 +199,25 @@ fn steady_state_requests_allocate_nothing_large() {
     if Runtime::global().threads() == 1 {
         serving_steady_state(&mut rng);
     }
-    let (count, bytes) = training_steady_state(&mut rng);
-    println!(
-        "MS-ResNet18 HTT training, {} kernel thread(s): {count} allocations >= {LARGE} B \
-         ({bytes} B) in 4 steps",
-        Runtime::global().threads()
-    );
-    assert_eq!(count, 0, "steady-state training steps allocated {bytes} B in large buffers");
+    // Between them the two models put every layer-major op on the tape:
+    // the LIF scan and the grouped tdBN in both, HTT's row cuts and joins
+    // in the ResNet, TEBN's per-timestep scales and 2 × 2 pooling in the VGG.
+    let resnet = ResNetConfig::resnet18_events(10, (HW, HW), 8);
+    let mut resnet = ResNetSnn::new(resnet, &ConvPolicy::tt(TtMode::htt_default(T)), &mut rng);
+    let mut vgg = VggConfig::vgg9(2, 10, (HW, HW), 8);
+    vgg.norm = NormKind::Tebn { timesteps: T };
+    let mut vgg = VggSnn::new(vgg, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+    let cases: [(&str, &mut dyn Model); 2] =
+        [("MS-ResNet18 HTT tdBN", &mut resnet), ("VGG9 PTT TEBN", &mut vgg)];
+    for (name, model) in cases {
+        let (count, bytes) = training_steady_state(model, &mut rng);
+        println!(
+            "{name} training, {} kernel thread(s): {count} allocations >= {LARGE} B \
+             ({bytes} B) in 4 steps",
+            Runtime::global().threads()
+        );
+        assert_eq!(count, 0, "{name}: steady-state training steps allocated {bytes} B");
+    }
 }
 
 /// The six serving cases: each model × plane serves its two requests

@@ -8,16 +8,27 @@
 //! it parks NaN-filled `f32` buffers in every size class — and garbage in
 //! every typed scratch stack — on the calling thread **and on every
 //! kernel-pool worker**, then serves the `infer_parity` inputs and demands
-//! logits bit-identical to a run on a clean arena.
+//! logits bit-identical to a run on a clean arena. The training plane takes
+//! the same test: the layer-major ops fill arena buffers they do not zero
+//! first (the LIF scan's spikes and membranes, the grouped batch norm's
+//! output and statistics, the copies behind `rows` / `concat_rows`), so a
+//! forward and backward pass must give the same logits, loss and parameter
+//! gradients over poison.
 //!
 //! CI re-runs it under `TTSNN_NUM_THREADS=2` and `8` so the workers'
 //! arenas are exercised, not just the caller's.
 
 use std::sync::Barrier;
 
+use ttsnn_autograd::Var;
 use ttsnn_core::{TtConv, TtMode};
+use ttsnn_data::Batch;
 use ttsnn_snn::quant::QuantConfig;
-use ttsnn_snn::{ConvPolicy, InferForward, InferStats, ResNetConfig, ResNetSnn, VggSnn};
+use ttsnn_snn::trainer::forward_batch;
+use ttsnn_snn::{
+    ConvPolicy, InferForward, InferStats, LossKind, NormKind, ResNetConfig, ResNetSnn,
+    TrainForward, VggSnn,
+};
 use ttsnn_tensor::runtime::{with_scratch, Runtime};
 use ttsnn_tensor::spike::{SparseMode, SpikeTensor};
 use ttsnn_tensor::{Rng, Tensor};
@@ -106,6 +117,21 @@ fn logits(model: &mut dyn InferForward, frames: &[Tensor], stats: InferStats) ->
     out
 }
 
+/// One training pass over `frames`: the bits of every timestep's logits,
+/// then of the loss, then of every parameter's gradient.
+fn training_pass(model: &mut dyn TrainForward, frames: &[Tensor]) -> Vec<Vec<u32>> {
+    let batch = Batch { frames: frames.to_vec(), labels: (0..BATCH).collect() };
+    model.params().iter().for_each(Var::zero_grad);
+    let logits = forward_batch(model, &batch).expect("forward");
+    let loss = LossKind::SumCe.compute(&logits, &batch.labels).expect("loss");
+    loss.backward();
+    let mut out: Vec<Vec<u32>> = logits.iter().map(|l| bits(&l.value())).collect();
+    out.push(bits(&loss.value()));
+    out.extend(model.params().iter().map(|p| p.grad().map_or_else(Vec::new, |g| bits(&g))));
+    model.reset_state();
+    out
+}
+
 /// Every case's output bits, computed on a **fresh thread** (a fresh
 /// calling-thread arena), after poisoning all arenas if asked to. Models
 /// are rebuilt from the seed each time, so two calls differ only in what
@@ -161,6 +187,15 @@ fn run_all(seed: u64, poison: bool) -> Vec<(String, Vec<Vec<u32>>)> {
                 ));
             }
         }
+
+        // The training plane, layer-major: HTT's row cuts and joins under
+        // tdBN, TEBN's per-timestep scales and 2 × 2 pooling under PTT.
+        let mut htt = ResNetSnn::new(resnet18(), &ConvPolicy::tt(TtMode::htt_default(T)), &mut rng);
+        out.push(("MS-ResNet18 HTT training".to_string(), training_pass(&mut htt, &events)));
+        let mut tebn = vgg9_tiny();
+        tebn.norm = NormKind::Tebn { timesteps: T };
+        let mut tebn = VggSnn::new(tebn, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+        out.push(("VGG9 PTT TEBN training".to_string(), training_pass(&mut tebn, &analog)));
 
         // Un-merged TT convolutions: every intermediate between cores is
         // an arena buffer. HTT runs its full path at t = 0 and its half

@@ -228,3 +228,42 @@ fn merged_dense_models_keep_plane_parity() {
         }
     }
 }
+
+/// The LIF activity counters count spikes as integers on both planes. The
+/// numbers they report did not move when they stopped summing the spike
+/// tensors in `f32`: on a fixed input, `mean_spike_activity` and
+/// `layer_spike_densities` are what the commit before recorded, whichever
+/// plane ran — the inference plane, the training plane a timestep at a
+/// time, or the training plane over the whole sequence.
+#[test]
+fn spike_activity_counters_report_what_they_always_did() {
+    // (mean activity bits, FNV-1a of the per-layer density bits), in
+    // `builds` order, recorded on the parent commit.
+    let recorded: [(u64, u64); 4] = [
+        (0x3fc3986186186186, 0x591b8b6a0ab58c4e), // VGG9 [baseline]
+        (0x3fcd590b21642c86, 0xe03c50e0e3e3f105), // ResNet20 [baseline]
+        (0x3fc24f3cf3cf3cf4, 0x305b131f621adac1), // VGG9 [PTT]
+        (0x3fcccb21642c8591, 0x95d262da429d1c1b), // ResNet20 [PTT]
+    ];
+    let input = frames(21, 4);
+    let batch = ttsnn_data::Batch { frames: input.clone(), labels: vec![0; 4] };
+    type Plane<'a> = (&'a str, &'a dyn Fn(&mut dyn Model));
+    let planes: [Plane<'_>; 3] = [
+        ("inference plane", &|m| drop(tensor_logits(m, &input, InferStats::Batch))),
+        ("training plane, timestep calls", &|m| drop(var_logits(m, &input))),
+        ("training plane, one sequence", &|m| drop(forward_batch(m, &batch).unwrap())),
+    ];
+    for (plane, run) in planes {
+        for ((name, mut model), want) in builds(21).into_iter().zip(recorded) {
+            run(model.as_mut());
+            let mean = model.mean_spike_activity().expect("the model ran").to_bits();
+            let layers =
+                model.layer_spike_densities().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
+                    d.to_bits().to_le_bytes().iter().fold(h, |h, &byte| {
+                        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+                });
+            assert!((mean, layers) == want, "{name}, {plane}: ({mean:#018x}, {layers:#018x})");
+        }
+    }
+}

@@ -38,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = train(&mut model, &train_b, &test_b, &cfg)?;
         println!(
             "{name}: loss {:.3} -> {:.3}, test acc {:.1}%, {:.3} s/batch \
-             (fwd {:.1} / bwd {:.1} / opt {:.2} ms; pool {:.0} handoffs / {:.1} parks per step)",
+             (fwd {:.1} / bwd {:.1} / opt {:.2} ms; {:.0} tape nodes, pool {:.0} handoffs / \
+             {:.1} parks per step)",
             report.first_loss(),
             report.final_loss(),
             report.test_accuracy * 100.0,
@@ -46,6 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.mean_step_timing.forward * 1e3,
             report.mean_step_timing.backward * 1e3,
             report.mean_step_timing.optimizer * 1e3,
+            report.mean_step_timing.tape_nodes,
             report.mean_step_timing.pool_handoffs,
             report.mean_step_timing.pool_parks
         );

@@ -27,7 +27,7 @@ fn decompose_train_merge_pipeline() {
         opt.zero_grad();
         let x = Var::constant(Tensor::randn(&[4, 8, 8, 8], &mut rng));
         let want = Var::constant(conv::conv2d(&x.value(), &target_w, &geom).unwrap());
-        let got = layer.forward(&x, 0).unwrap();
+        let got = layer.forward_sequence(&x, 0, 1).unwrap();
         let err = got.sub(&want).unwrap();
         let loss = err.mul(&err).unwrap().mean_to_scalar();
         last_loss = loss.to_tensor().data()[0];

@@ -42,12 +42,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ttsnn_snn::quant::QuantPlanWeights;
-use ttsnn_snn::{checkpoint, InferStats, Model, ResNetSnn, VggSnn};
-use ttsnn_tensor::{Rng, Tensor};
+use ttsnn_snn::{checkpoint, InferForward, InferStats, Model, SpikingModel};
+use ttsnn_tensor::Tensor;
 
 use crate::metrics::ClusterMetrics;
 use crate::plan::{
-    self, ArchSpec, EngineConfig, InferError, PlanDrift, PlanInfo, QuantSpec, SpikeDensityReport,
+    self, EngineConfig, InferError, PlanDrift, PlanInfo, QuantSpec, SpikeDensityReport,
 };
 use crate::sched::{FairPolicy, Scheduler, StreamCmd, SubmitError, SubmitOptions, Work};
 use crate::stream::{self, StreamOptions, StreamTable, StreamUpdate};
@@ -470,7 +470,9 @@ impl Cluster {
     /// # Errors
     ///
     /// `InvalidInput` for an invalid config (`timesteps == 0`,
-    /// `max_batch == 0`, `num_replicas == 0`, `queue_capacity == 0`);
+    /// `max_batch == 0`, `num_replicas == 0`, `queue_capacity == 0`, or an
+    /// architecture whose geometry cannot be realised — e.g. a 2×2 pool
+    /// meeting an odd feature map);
     /// `InvalidData` if the checkpoint does not match the architecture;
     /// plus any I/O error from reading `checkpoint`.
     pub fn load(config: ClusterConfig, checkpoint: impl Read) -> io::Result<Cluster> {
@@ -535,7 +537,7 @@ impl Cluster {
         // Replica 0: the plan builder. Loads + merges (+ calibrates and
         // quantizes) + shares weights, then serves like any other replica.
         type Ready = (PlanInfo, Vec<Tensor>, Option<QuantPlanWeights>);
-        let (ready_tx, ready_rx) = channel::<Result<Ready, String>>();
+        let (ready_tx, ready_rx) = channel::<io::Result<Ready>>();
         let stream_state_bytes = config.stream_state_bytes;
         {
             let cfg = config.engine.clone();
@@ -561,9 +563,9 @@ impl Cluster {
         }
         let (info, weights, qplan) = match ready_rx.recv() {
             Ok(Ok(ready)) => ready,
-            Ok(Err(msg)) => {
+            Ok(Err(e)) => {
                 let _ = handles.pop().map(JoinHandle::join);
-                return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+                return Err(e);
             }
             Err(_) => {
                 let panic_msg = match handles.pop().map(JoinHandle::join) {
@@ -576,7 +578,7 @@ impl Cluster {
 
         // Replicas 1..N: rebuild the architecture, alias the shared
         // weights. They come up in parallel; load waits for all of them.
-        let (rep_tx, rep_rx) = channel::<Result<(), String>>();
+        let (rep_tx, rep_rx) = channel::<io::Result<()>>();
         for i in 1..replicas {
             let cfg = config.engine.clone();
             let replica_sched = Arc::clone(&sched);
@@ -612,8 +614,7 @@ impl Cluster {
         drop(rep_tx);
         for _ in 1..replicas {
             let up = match rep_rx.recv() {
-                Ok(Ok(())) => Ok(()),
-                Ok(Err(msg)) => Err(io::Error::new(io::ErrorKind::InvalidData, msg)),
+                Ok(up) => up,
                 Err(_) => Err(io::Error::other("a cluster replica died while starting")),
             };
             if let Err(e) = up {
@@ -680,39 +681,21 @@ fn build_replica(
     cfg: &EngineConfig,
     weights: &[Tensor],
     qplan: Option<&QuantPlanWeights>,
-) -> Result<Box<dyn Model>, String> {
-    // Weights are replaced by the shared plan state; the seed is
-    // irrelevant.
-    let mut rng = Rng::seed_from(0);
-    let mut model: Box<dyn Model> = match &cfg.arch {
-        ArchSpec::Vgg(c) => {
-            let mut m = VggSnn::new(c.clone(), &cfg.policy, &mut rng);
-            if cfg.merge_into_dense {
-                m.merge_into_dense().map_err(|e| e.to_string())?;
-            }
-            // Int8 install replaces conv/classifier weights and shrinks
-            // the param list to the float (norm) remainder, so it must
-            // precede `install_params`.
-            if let Some(plan) = qplan {
-                m.install_quant_plan(plan).map_err(|e| e.to_string())?;
-            }
-            Box::new(m)
-        }
-        ArchSpec::ResNet(c) => {
-            let mut m = ResNetSnn::new(c.clone(), &cfg.policy, &mut rng);
-            if cfg.merge_into_dense {
-                m.merge_into_dense().map_err(|e| e.to_string())?;
-            }
-            if let Some(plan) = qplan {
-                m.install_quant_plan(plan).map_err(|e| e.to_string())?;
-            }
-            Box::new(m)
-        }
-    };
-    checkpoint::install_params(&model.params(), weights).map_err(|e| e.to_string())?;
+) -> io::Result<Box<dyn Model>> {
+    let mut model = cfg.arch.instantiate(&cfg.policy)?;
+    if cfg.merge_into_dense {
+        model.merge_into_dense().map_err(plan::invalid_data)?;
+    }
+    // Int8 install replaces conv/classifier weights and shrinks the param
+    // list to the float (norm) remainder, so it must precede
+    // `install_params`.
+    if let Some(plan) = qplan {
+        model.install_quant_plan(plan).map_err(plan::invalid_data)?;
+    }
+    checkpoint::install_params(&model.params(), weights).map_err(plan::invalid_data)?;
     // The serving contract: per-sample semantics, whatever the batch.
     model.set_infer_stats(InferStats::PerSample);
-    Ok(model)
+    Ok(Box::new(model))
 }
 
 /// One replica's serve loop: pull work from the scheduler — a coalesced

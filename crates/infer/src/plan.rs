@@ -12,12 +12,13 @@
 //! crate docs), the batching policy is a pure latency/throughput
 //! trade-off: it cannot change any output bit.
 
+use std::io;
 use std::time::Duration;
 
 use ttsnn_snn::quant::{QuantConfig, QuantPlanWeights};
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, InferStats, Model, QuantReport, ResNetConfig, ResNetSnn, SpikingModel,
-    VggConfig, VggSnn,
+    checkpoint, ConvPolicy, InferForward, InferStats, Model, Network, QuantReport, ResNetConfig,
+    SpikingModel, VggConfig,
 };
 use ttsnn_tensor::spike;
 use ttsnn_tensor::{Rng, Tensor};
@@ -201,69 +202,64 @@ impl std::error::Error for InferError {}
 /// for quantized plans — the shared int8 weights for sibling replicas.
 pub(crate) type BuiltPlan = (Box<dyn Model>, PlanInfo, Option<QuantPlanWeights>);
 
+/// A checkpoint, calibration set or shared plan that does not fit the
+/// architecture: `InvalidData`.
+pub(crate) fn invalid_data(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+impl ArchSpec {
+    /// Instantiates the architecture with throw-away weights (the caller
+    /// overwrites them from a checkpoint or a shared plan, so the seed is
+    /// irrelevant), validating every layer's shape on the way.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for a geometry the architecture cannot realise (a
+    /// 2×2 pool on an odd map, mismatched stage lists, a zero width).
+    pub(crate) fn instantiate(&self, policy: &ConvPolicy) -> io::Result<Network> {
+        let mut rng = Rng::seed_from(0);
+        match self {
+            ArchSpec::Vgg(c) => Network::try_new(c, policy, &mut rng),
+            ArchSpec::ResNet(c) => Network::try_new(c, policy, &mut rng),
+        }
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
+    }
+}
+
 /// Constructs the model on the calling (replica 0) thread and freezes the
-/// plan. Checkpoint loading, TT→dense merge-back, and (for quantized
-/// plans) calibration + int8 freezing all happen here, on the concrete
-/// type, before it is type-erased behind `dyn Model`. `cfg` and `quant`
-/// were validated by `Cluster::load` before any thread was spawned.
+/// plan: checkpoint loading, TT→dense merge-back, and (for quantized plans)
+/// calibration + int8 freezing all happen here, before the model is
+/// type-erased behind `dyn Model`. The rest of `cfg` and `quant` were
+/// validated by `Cluster::load` before any thread was spawned.
 pub(crate) fn build_plan(
     cfg: &EngineConfig,
     ckpt: &[u8],
     quant: Option<&QuantSpec>,
-) -> Result<BuiltPlan, String> {
-    // Weights are overwritten by the checkpoint; the seed is irrelevant.
-    let mut rng = Rng::seed_from(0);
-    let merge = cfg.merge_into_dense;
-    let (model, num_classes, merged_layers, quant_info, quant_weights): (
-        Box<dyn Model>,
-        usize,
-        usize,
-        Option<QuantReport>,
-        Option<QuantPlanWeights>,
-    ) = match &cfg.arch {
-        ArchSpec::Vgg(c) => {
-            let mut m = VggSnn::new(c.clone(), &cfg.policy, &mut rng);
-            checkpoint::load_params(&m.params(), ckpt).map_err(|e| e.to_string())?;
-            let merged = if merge { m.merge_into_dense().map_err(|e| e.to_string())? } else { 0 };
-            let (qi, qw) = match quant {
-                Some(q) => {
-                    let calib =
-                        m.calibrate(&q.calibration, cfg.timesteps).map_err(|e| e.to_string())?;
-                    let report = m.quantize(&calib, &q.config).map_err(|e| e.to_string())?;
-                    (Some(report), m.quant_plan())
-                }
-                None => (None, None),
-            };
-            (Box::new(m), c.num_classes, merged, qi, qw)
+) -> io::Result<BuiltPlan> {
+    let mut model = cfg.arch.instantiate(&cfg.policy)?;
+    checkpoint::load_params(&model.params(), ckpt).map_err(invalid_data)?;
+    let merged_layers =
+        if cfg.merge_into_dense { model.merge_into_dense().map_err(invalid_data)? } else { 0 };
+    let quant_info = match quant {
+        Some(q) => {
+            let calib = model.calibrate(&q.calibration, cfg.timesteps).map_err(invalid_data)?;
+            Some(model.quantize(&calib, &q.config).map_err(invalid_data)?)
         }
-        ArchSpec::ResNet(c) => {
-            let mut m = ResNetSnn::new(c.clone(), &cfg.policy, &mut rng);
-            checkpoint::load_params(&m.params(), ckpt).map_err(|e| e.to_string())?;
-            let merged = if merge { m.merge_into_dense().map_err(|e| e.to_string())? } else { 0 };
-            let (qi, qw) = match quant {
-                Some(q) => {
-                    let calib =
-                        m.calibrate(&q.calibration, cfg.timesteps).map_err(|e| e.to_string())?;
-                    let report = m.quantize(&calib, &q.config).map_err(|e| e.to_string())?;
-                    (Some(report), m.quant_plan())
-                }
-                None => (None, None),
-            };
-            (Box::new(m), c.num_classes, merged, qi, qw)
-        }
+        None => None,
     };
-    let mut model = model;
+    let quant_weights = model.quant_plan();
     // The serving contract: per-sample semantics, whatever the batch.
     model.set_infer_stats(InferStats::PerSample);
     let info = PlanInfo {
         model: model.name(),
         num_params: model.num_params(),
         merged_layers,
-        num_classes,
+        num_classes: model.program().num_classes,
         quant: quant_info,
         sparse_mode: spike::sparse_mode().name().to_string(),
     };
-    Ok((model, info, quant_weights))
+    Ok((Box::new(model), info, quant_weights))
 }
 
 /// Snapshot of a serving model's measured spike density (what a replica

@@ -462,6 +462,44 @@ fn load_rejects_mismatched_checkpoint_on_any_replica_path() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
+/// A geometry the architecture cannot realise is the caller's mistake, not
+/// a replica crash: the layer program is shape-checked once at build, the
+/// failure travels back as `InvalidInput` (a panic on replica 0 would read
+/// `Other`), and the plan-builder thread is joined before `load` returns.
+#[test]
+fn load_rejects_unrealisable_architectures_without_panicking() {
+    let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 91);
+    // 12 -> 6 -> 3, then a 2x2 pool on a 3x3 map.
+    let odd_pool = ArchSpec::Vgg(VggConfig::vgg9(2, 10, (12, 12), 8));
+    let mut misaligned = resnet_cfg();
+    misaligned.widths.pop();
+    let mut zero_width = vgg_cfg();
+    zero_width.conv_widths[2] = 0;
+    let cases = [
+        (odd_pool, "AvgPool2"),
+        (ArchSpec::ResNet(misaligned), "stage/width"),
+        (ArchSpec::Vgg(zero_width), "Conv {"),
+    ];
+    let threads = || std::fs::read_dir("/proc/self/task").map(Iterator::count).ok();
+    let before = threads();
+    const ROUNDS: usize = 24;
+    for _ in 0..ROUNDS {
+        for (arch, needle) in &cases {
+            for policy in [ConvPolicy::Baseline, ConvPolicy::tt(TtMode::Ptt)] {
+                let cfg = ClusterConfig::new(EngineConfig::new(arch.clone(), policy, T));
+                let err = Cluster::load(cfg, ckpt.as_slice()).map(|_| ()).unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+                assert!(err.to_string().contains(needle), "error must name the op: {err}");
+            }
+        }
+    }
+    // 144 failed loads: a leaked replica per load would dwarf whatever the
+    // suite's other tests have running beside this one.
+    if let (Some(before), Some(after)) = (before, threads()) {
+        assert!(after < before + ROUNDS, "threads grew {before} -> {after}");
+    }
+}
+
 #[test]
 fn cluster_metrics_surface_spike_density_after_traffic() {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 91);

@@ -190,16 +190,32 @@ impl ConvUnit {
         }
     }
 
+    /// The full convolution geometry at the given input size (for a TT
+    /// unit, that of the 3×3 kernel its cores factorize).
+    pub fn geometry(&self, in_hw: (usize, usize)) -> Conv2dGeometry {
+        match self {
+            ConvUnit::Dense { weight, kernel, stride, padding } => {
+                let s = weight.shape();
+                Conv2dGeometry::new(s[1], s[0], in_hw, *kernel, *stride, *padding)
+            }
+            ConvUnit::Tt(tt) => Conv2dGeometry::new(
+                tt.in_channels(),
+                tt.out_channels(),
+                in_hw,
+                (3, 3),
+                tt.stride(),
+                (1, 1),
+            ),
+            ConvUnit::Quantized(q) => q.geometry(in_hw),
+        }
+    }
+
     /// Forward MAC count for one sample at the given input size and
     /// timestep.
     pub fn macs(&self, in_hw: (usize, usize), t: usize) -> usize {
         match self {
-            ConvUnit::Dense { weight, kernel, stride, padding } => {
-                let s = weight.shape();
-                Conv2dGeometry::new(s[1], s[0], in_hw, *kernel, *stride, *padding).macs()
-            }
             ConvUnit::Tt(tt) => tt.macs(in_hw, t),
-            ConvUnit::Quantized(q) => q.geometry(in_hw).macs(),
+            _ => self.geometry(in_hw).macs(),
         }
     }
 
@@ -233,17 +249,14 @@ impl ConvUnit {
     /// Returns [`ShapeError`] if `x`'s shape is incompatible.
     pub fn forward_sequence(&self, x: &Var, t0: usize, steps: usize) -> Result<Var, ShapeError> {
         match self {
-            ConvUnit::Dense { weight, kernel, stride, padding } => {
+            ConvUnit::Dense { weight, .. } => {
                 let xs = x.shape();
                 if xs.len() != 4 {
                     return Err(ShapeError::new(format!(
                         "ConvUnit::forward_sequence: expected 4-D input, got {xs:?}"
                     )));
                 }
-                let ws = weight.shape();
-                let geom =
-                    Conv2dGeometry::new(ws[1], ws[0], (xs[2], xs[3]), *kernel, *stride, *padding);
-                x.conv2d(weight, geom)
+                x.conv2d(weight, self.geometry((xs[2], xs[3])))
             }
             ConvUnit::Tt(tt) => tt.forward_sequence(x, t0, steps),
             ConvUnit::Quantized(_) => Err(ShapeError::new(
@@ -292,16 +305,14 @@ impl ConvUnit {
         mode: SparseMode,
     ) -> Result<Tensor, ShapeError> {
         match self {
-            ConvUnit::Dense { weight, kernel, stride, padding } => {
+            ConvUnit::Dense { weight, .. } => {
                 let xs = x.shape();
                 if xs.len() != 4 {
                     return Err(ShapeError::new(format!(
                         "ConvUnit::forward_tensor: expected 4-D input, got {xs:?}"
                     )));
                 }
-                let ws = weight.shape();
-                let geom =
-                    Conv2dGeometry::new(ws[1], ws[0], (xs[2], xs[3]), *kernel, *stride, *padding);
+                let geom = self.geometry((xs[2], xs[3]));
                 if let Some(sp) = pack_for(mode, x) {
                     if mode.routes_sparse(sp.density()) {
                         return spike::sparse_conv2d(&sp, &weight.value(), &geom);

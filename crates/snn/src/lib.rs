@@ -11,9 +11,15 @@
 //! * [`conv_unit`] — a convolution slot that is either a dense kernel or a
 //!   [`ttsnn_core::TtConv`]; [`ConvPolicy`] decides per layer, which is how
 //!   "TT-SNN can be easily and flexibly integrated" (contribution 2).
-//! * [`resnet`] / [`vgg`] — MS-ResNet18/34, ResNet20, VGG9/VGG11 spiking
-//!   architectures (the paper's Table II & III model zoo), width-scalable
-//!   for CPU-feasible training runs.
+//! * [`network`] — the model: one [`Network`] holding a flat layer program
+//!   ([`Layer`]s over two activation slots, closed by a classifier), shape-
+//!   checked once at build and walked by one tape interpreter, one tensor
+//!   interpreter and one accounting / state walk. Program order is the
+//!   order of RNG draws, parameters, conv sites, LIF layers and MACs.
+//! * [`resnet`] / [`vgg`] — MS-ResNet18/34, ResNet20, VGG9/VGG11 (the
+//!   paper's Table II & III model zoo, width-scalable for CPU-feasible
+//!   runs): configuration types that emit that program and nothing else.
+//!   [`ResNetSnn`] and [`VggSnn`] are names for [`Network`].
 //! * [`loss`] — summed-logit cross-entropy (Algorithm 1 line 16) and the
 //!   TET per-timestep loss (Deng et al.).
 //! * [`augment`] — NDA-style event-data augmentation (Li et al.).
@@ -36,8 +42,9 @@
 //! The model API is split ([`model`]): [`SpikingModel`] is the structural
 //! trait, [`TrainForward`] the autograd (`Var`) plane both trainers
 //! drive, and [`InferForward`] the graph-free tensor plane that
-//! [`evaluate`] and the `ttsnn_infer` serving engine run on. A network
-//! implementing both is a [`Model`]. [`InferStats`] selects between
+//! [`evaluate`] and the `ttsnn_infer` serving engine run on. [`Network`]
+//! is the one type that implements them; anything implementing both is a
+//! [`Model`]. [`InferStats`] selects between
 //! batch-faithful statistics (bit-identical to the training plane) and
 //! per-sample statistics (batch-composition-invariant serving).
 
@@ -49,6 +56,7 @@ pub mod conv_unit;
 pub mod lif;
 pub mod loss;
 pub mod model;
+pub mod network;
 pub mod norm;
 pub mod quant;
 pub mod resnet;
@@ -60,6 +68,7 @@ pub use conv_unit::{ConvPolicy, ConvUnit};
 pub use lif::{Lif, LifConfig};
 pub use loss::LossKind;
 pub use model::{InferForward, InferState, InferStats, Model, SpikingModel, TrainForward};
+pub use network::{Architecture, Layer, Network, Program, Slot};
 pub use norm::{Norm, NormKind};
 pub use quant::{CalibStats, QuantConfig, QuantPlanWeights, QuantReport};
 pub use resnet::{ResNetConfig, ResNetSnn};

@@ -9,8 +9,9 @@
 //!
 //! 1. **Calibrate** — run a small batch through the inference plane while
 //!    [`CalibRecorder`] hooks record the max-abs activation entering every
-//!    conv and the classifier (`VggSnn::calibrate` /
-//!    `ResNetSnn::calibrate`). Each site gets a static symmetric scale.
+//!    conv and the classifier ([`crate::Network::calibrate`]: site `i` is
+//!    the `i`-th conv of the layer program, the classifier comes last).
+//!    Each site gets a static symmetric scale.
 //!    Sites whose activations are all integers within ±127 — i.e. **binary
 //!    spike tensors**, which is every conv input after the stem in an SNN —
 //!    snap to scale 1, making their quantization *lossless*.
@@ -500,8 +501,8 @@ pub struct QuantPlanWeights {
 }
 
 /// Quantizes an ordered list of conv sites in place (site `i` uses
-/// `calib` site `i`), returning the report tallies. Shared by the VGG and
-/// ResNet `quantize()` implementations.
+/// `calib` site `i`), returning the report tallies: the conv half of
+/// [`crate::Network::quantize`].
 ///
 /// # Errors
 ///

@@ -8,9 +8,7 @@
 //! * [`Var::lif_scan`] — the LIF neuron of Eq. (1) over every timestep of a
 //!   layer at once: leak, integrate, fire, hard reset, and the surrogate
 //!   BPTT recurrence, as one tape node;
-//! * elementwise arithmetic and scaling, with [`Var::scale_add`],
-//!   [`Var::spike`] and [`Var::hard_reset`] — the one-timestep chain the
-//!   scan is tested against;
+//! * elementwise arithmetic and scaling;
 //! * [`Var::conv2d`] — both the baseline 3×3 convolutions and the TT cores'
 //!   1×1 / 3×1 / 1×3 sub-convolutions;
 //! * [`Var::batch_norm2d`] — tdBN-style normalization, with statistics per
@@ -36,7 +34,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ttsnn_tensor::runtime::{fork_grain, with_scratch, Runtime};
-use ttsnn_tensor::{conv, pool, Conv2dGeometry, ShapeError, Tensor};
+use ttsnn_tensor::{conv, lif, pool, Conv2dGeometry, ShapeError, Tensor};
 
 use crate::var::Var;
 
@@ -105,36 +103,6 @@ impl Surrogate {
             Surrogate::Atan { alpha } => atan(alpha)(x),
         }
     }
-
-    /// `g[i] *= self.grad(u[i] - vth)` over a whole tensor, the variant
-    /// chosen once outside the element loop.
-    fn scale_grad(&self, g: &mut Tensor, u: &Tensor, vth: f32) {
-        fn scale(g: &mut Tensor, u: &Tensor, vth: f32, sg: impl Fn(f32) -> f32) {
-            g.zip_inplace(u, |gv, uv| gv * sg(uv - vth)).expect("spike backward shape");
-        }
-        match *self {
-            Surrogate::Rectangle { width } => scale(g, u, vth, rectangle(width)),
-            Surrogate::Triangle { width } => scale(g, u, vth, triangle(width)),
-            Surrogate::Atan { alpha } => scale(g, u, vth, atan(alpha)),
-        }
-    }
-}
-
-/// `H(u − V_th)` as `0.0` / `1.0`.
-#[inline]
-fn heaviside(u: f32, vth: f32) -> f32 {
-    if u >= vth {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// The hard-reset gate `1 − H(u − V_th)`, in the arithmetic of the chain it
-/// fuses (`s · −1 + 1`; the negation is an exact sign flip).
-#[inline]
-fn reset_gate(u: f32, vth: f32) -> f32 {
-    -heaviside(u, vth) + 1.0
 }
 
 /// A `[1]`-shaped tensor holding `v` (an arena buffer like every other
@@ -271,27 +239,6 @@ impl Var {
         )
     }
 
-    /// `self · s + other` in one node — the leak-and-integrate half of the
-    /// LIF update (`u = τ·m + x`), with the float operations of
-    /// `self.scale(s).add(other)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] on shape mismatch.
-    pub fn scale_add(&self, s: f32, other: &Var) -> Result<Var, ShapeError> {
-        let value = self.value().zip(&other.value(), |a, b| a * s + b)?;
-        Ok(Var::from_op(
-            "scale_add",
-            value,
-            vec![self.clone(), other.clone()],
-            Box::new(move |mut g, parents| {
-                parents[1].accumulate_grad_ref(&g);
-                g.map_inplace(|v| v * s);
-                parents[0].accumulate_grad(g);
-            }),
-        ))
-    }
-
     /// Multiplies every element by a **learned scalar** (a `Var` holding a
     /// single element): [`Var::scale_by_groups`] with one group.
     ///
@@ -370,43 +317,6 @@ impl Var {
         )
     }
 
-    /// Heaviside spike with surrogate gradient: forward emits
-    /// `1.0` where the membrane potential is at or above `vth`, backward
-    /// uses `surrogate.grad(u - vth)`.
-    ///
-    /// This is the firing function `H(u − V_th)` of Eq. (1) in the paper.
-    pub fn spike(&self, vth: f32, surrogate: Surrogate) -> Var {
-        let value = self.value().map(|u| heaviside(u, vth));
-        Var::from_op(
-            "spike",
-            value,
-            vec![self.clone()],
-            Box::new(move |mut g, parents| {
-                surrogate.scale_grad(&mut g, &parents[0].value(), vth);
-                parents[0].accumulate_grad(g);
-            }),
-        )
-    }
-
-    /// Hard reset of a membrane potential: `u · (1 − H(u − V_th))`, zero
-    /// where the neuron fired and `u` elsewhere, with the gate **detached**
-    /// (the STBP convention: no gradient flows through the firing decision
-    /// here, only through `u`). One node, one pass; the float operations of
-    /// `u.mul(&u.spike(..).detach().scale(-1.0).add_scalar(1.0))`.
-    pub fn hard_reset(&self, vth: f32) -> Var {
-        let value = self.value().map(|u| u * reset_gate(u, vth));
-        Var::from_op(
-            "hard_reset",
-            value,
-            vec![self.clone()],
-            Box::new(move |mut g, parents| {
-                g.zip_inplace(&parents[0].value(), |gv, uv| gv * reset_gate(uv, vth))
-                    .expect("hard_reset backward shape");
-                parents[0].accumulate_grad(g);
-            }),
-        )
-    }
-
     /// The LIF neuron of Eq. (1) over `steps` timesteps at once. `self` is
     /// the synaptic input of a layer as a time-major stack `[steps·B, …]`
     /// (row `t·B + s`), `carry` the post-reset membrane `[B, …]` an earlier
@@ -422,11 +332,12 @@ impl Var {
     /// and backward the reverse scan `g_t = dS_t · σ'(u_t − V_th) +
     /// (τ · g_{t+1}) · (1 − s_t)`, `dx_t = g_t`, with the running value in
     /// registers. One node, one pass in each direction, on the global
-    /// kernel pool over disjoint ranges of neurons; the float operations
-    /// are those of the per-timestep chain [`Var::scale_add`] →
-    /// [`Var::spike`] → [`Var::hard_reset`], so values and gradients are
-    /// bit-identical to it — whether the timesteps come in one call or
-    /// carried across several.
+    /// kernel pool over disjoint ranges of neurons
+    /// ([`ttsnn_tensor::lif`], the kernels the inference plane runs too);
+    /// the float operations are those of a per-timestep chain of
+    /// `m.scale(τ).add(x)`, a surrogate spike node and `u · (1 − s)`, so
+    /// values and gradients are bit-identical to it — whether the timesteps
+    /// come in one call or carried across several.
     ///
     /// # Errors
     ///
@@ -450,13 +361,11 @@ impl Var {
                 c.shape()
             )));
         }
-        let mut spikes = Tensor::scratch(x.shape());
         let mut u = Tensor::scratch(x.shape());
-        let fired = {
+        let lif::Scanned { spikes, fired, .. } = {
             let carry = carry.map(Var::value);
-            let carry = carry.as_ref().map(|c| c.data());
-            let out = (u.data_mut(), spikes.data_mut());
-            lif_forward(Runtime::global(), steps, (tau, vth), x.data(), carry, out)
+            let keep = lif::Keep::Every { u: &mut u, carry: carry.as_deref() };
+            lif::scan(Runtime::global(), steps, (tau, vth), &x, keep, false)
         };
         drop(x);
         let tape = Rc::new(ScanTape { u: Saved(u), carry_grad: RefCell::new(None) });
@@ -470,10 +379,9 @@ impl Var {
                     .get(1)
                     .filter(|c| c.requires_grad())
                     .map(|c| Tensor::scratch(c.value().shape()));
-                let rt = Runtime::global();
                 let neuron = (tau, vth, surrogate);
                 let carries = (carry_out.as_ref().map(Tensor::data), dcarry.as_mut());
-                lif_backward(rt, steps, neuron, tape.u.0.data(), g.data_mut(), carries);
+                lif_backward(steps, neuron, tape.u.0.data(), g.data_mut(), carries);
                 carry_out.into_iter().for_each(Tensor::recycle);
                 parents[0].accumulate_grad(g);
                 if let Some(d) = dcarry {
@@ -481,7 +389,7 @@ impl Var {
                 }
             })
         });
-        Ok(LifScan { spikes: node, fired, tape, step_shape, vth })
+        Ok(LifScan { spikes: node, fired, tape, step_shape })
     }
 
     // ------------------------------------------------------------- reshapes
@@ -1020,7 +928,6 @@ pub struct LifScan {
     pub fired: u64,
     tape: Rc<ScanTape>,
     step_shape: Vec<usize>,
-    vth: f32,
 }
 
 impl std::fmt::Debug for LifScan {
@@ -1044,13 +951,14 @@ impl LifScan {
     /// directly (which the sweep runs after this node's, being its parent);
     /// a scan whose spikes nobody used gets a zero `dS` to run on.
     pub fn carry(&self) -> Var {
-        let u = self.tape.u.0.data();
-        let vth = self.vth;
+        let (u, s) = (self.tape.u.0.data(), self.spikes.value());
         let mut m = Tensor::scratch(&self.step_shape);
-        let last = &u[u.len() - m.len()..];
-        for (m, &uv) in m.data_mut().iter_mut().zip(last) {
-            *m = uv * reset_gate(uv, vth);
+        let last = u.len() - m.len();
+        // The reset the scan applied, from the spikes it emitted: `s · −1 + 1`.
+        for ((m, &uv), &sv) in m.data_mut().iter_mut().zip(&u[last..]).zip(&s.data()[last..]) {
+            *m = uv * (-sv + 1.0);
         }
+        drop(s);
         let tape = Rc::clone(&self.tape);
         Var::from_op(
             "lif_carry",
@@ -1071,172 +979,28 @@ impl LifScan {
     }
 }
 
-/// Neurons a scan task steps through time together: their running values
-/// stay in a block this long (on the stack, in L1) while the task walks the
-/// timesteps, and the loops over a block vectorise.
-const SCAN_BLOCK: usize = 256;
-
-/// One task's share of a time-major buffer `[steps, cols]`: the same range
-/// of columns `first..first + len` out of every timestep's row.
-struct Columns<'a> {
-    first: usize,
-    rows: Vec<&'a mut [f32]>,
-}
-
-/// Cuts the `steps` rows of `data` into the same `tasks` ranges of columns.
-fn column_tasks(data: &mut [f32], steps: usize, tasks: usize) -> Vec<Columns<'_>> {
-    let cols = data.len() / steps;
-    let chunk = cols.div_ceil(tasks).max(1);
-    let mut out: Vec<Columns<'_>> = (0..cols.div_ceil(chunk))
-        .map(|i| Columns { first: i * chunk, rows: Vec::with_capacity(steps) })
-        .collect();
-    for row in data.chunks_mut(cols.max(1)) {
-        for (task, part) in out.iter_mut().zip(row.chunks_mut(chunk)) {
-            task.rows.push(part);
-        }
-    }
-    out
-}
-
-/// How many column tasks a scan of `cols` neurons over `steps` timesteps is
-/// worth on `rt`, at `work` streamed operations per neuron and timestep.
-/// The split never changes what a neuron computes.
-fn scan_tasks(rt: &Runtime, cols: usize, steps: usize, work: usize) -> usize {
-    rt.threads().min(cols.div_ceil(fork_grain(work * steps))).max(1)
-}
-
-/// The forward scan of [`Var::lif_scan`]: fills `u` and `spikes` (both
-/// stacked like `x`), returns how many neurons fired. `neuron` is
-/// `(τ, V_th)`.
-fn lif_forward(
-    rt: &Runtime,
-    steps: usize,
-    (tau, vth): (f32, f32),
-    x: &[f32],
-    carry: Option<&[f32]>,
-    (u, spikes): (&mut [f32], &mut [f32]),
-) -> u64 {
-    let cols = x.len() / steps;
-    let tasks = scan_tasks(rt, cols, steps, 6);
-    // One task per pair of column ranges; the count rides along.
-    let mut work: Vec<_> = column_tasks(u, steps, tasks)
-        .into_iter()
-        .zip(column_tasks(spikes, steps, tasks))
-        .map(|(u, s)| (u, s, 0u64))
-        .collect();
-    rt.parallel_over_slabs(&mut work, 1, 1, |_, task| {
-        let (u, s, fired) = &mut task[0];
-        let len = u.rows[0].len();
-        let mut m = [0.0f32; SCAN_BLOCK];
-        for b0 in (0..len).step_by(SCAN_BLOCK) {
-            let n = SCAN_BLOCK.min(len - b0);
-            let m = &mut m[..n];
-            let at = u.first + b0;
-            for t in 0..steps {
-                let xs = &x[t * cols + at..][..n];
-                let us = &mut u.rows[t][b0..b0 + n];
-                match (t, carry) {
-                    (0, None) => us.iter_mut().zip(xs).for_each(|(u, &x)| *u = x + 0.0),
-                    (0, Some(c)) => {
-                        let prev = &c[at..][..n];
-                        us.iter_mut().zip(prev).zip(xs).for_each(|((u, &m), &x)| *u = m * tau + x);
-                    }
-                    _ => us.iter_mut().zip(&*m).zip(xs).for_each(|((u, &m), &x)| *u = m * tau + x),
-                }
-                let ss = &mut s.rows[t][b0..b0 + n];
-                let mut count = 0u32;
-                for ((s, m), &uv) in ss.iter_mut().zip(m.iter_mut()).zip(&*us) {
-                    *s = heaviside(uv, vth);
-                    *m = uv * reset_gate(uv, vth);
-                    count += u32::from(uv >= vth);
-                }
-                *fired += u64::from(count);
-            }
-        }
-    });
-    work.iter().map(|(_, _, fired)| fired).sum()
-}
-
-/// The reverse scan of [`Var::lif_scan`]: rewrites `g` from `dS` to `dx` in
-/// place. `u` is what [`lif_forward`] filled, `neuron` is `(τ, V_th, σ')`;
-/// `carries` is the gradient reaching the membrane after the last timestep,
-/// if a later scan continued this one, and where to write the gradient of
-/// the carry this scan started from, if it wants one.
+/// The reverse scan of [`Var::lif_scan`] ([`lif::scan_backward`]) on the
+/// global kernel pool, one instance of its loops per surrogate, each with
+/// its shape inlined. `neuron` is `(τ, V_th, σ')`.
 fn lif_backward(
-    rt: &Runtime,
     steps: usize,
     (tau, vth, surrogate): (f32, f32, Surrogate),
     u: &[f32],
     g: &mut [f32],
     carries: (Option<&[f32]>, Option<&mut Tensor>),
 ) {
-    // One instance of the loops per surrogate, each with its shape inlined.
+    let (rt, neuron) = (Runtime::global(), (tau, vth));
     match surrogate {
         Surrogate::Rectangle { width } => {
-            lif_backward_with(rt, steps, (tau, vth), rectangle(width), u, g, carries);
+            lif::scan_backward(rt, steps, neuron, rectangle(width), u, g, carries);
         }
         Surrogate::Triangle { width } => {
-            lif_backward_with(rt, steps, (tau, vth), triangle(width), u, g, carries);
+            lif::scan_backward(rt, steps, neuron, triangle(width), u, g, carries);
         }
         Surrogate::Atan { alpha } => {
-            lif_backward_with(rt, steps, (tau, vth), atan(alpha), u, g, carries);
+            lif::scan_backward(rt, steps, neuron, atan(alpha), u, g, carries)
         }
     }
-}
-
-/// [`lif_backward`] for the surrogate derivative `sg`.
-fn lif_backward_with(
-    rt: &Runtime,
-    steps: usize,
-    (tau, vth): (f32, f32),
-    sg: impl Fn(f32) -> f32 + Sync,
-    u: &[f32],
-    g: &mut [f32],
-    (carry_out, dcarry): (Option<&[f32]>, Option<&mut Tensor>),
-) {
-    let cols = u.len() / steps;
-    let tasks = scan_tasks(rt, cols, steps, 8);
-    // A carry's gradient is one more row, cut into the same column ranges.
-    let mut dcarry: Vec<_> = match dcarry {
-        Some(d) => column_tasks(d.data_mut(), 1, tasks).into_iter().map(Some).collect(),
-        None => Vec::new(),
-    };
-    dcarry.resize_with(tasks, || None);
-    let mut work: Vec<_> = column_tasks(g, steps, tasks).into_iter().zip(dcarry).collect();
-    rt.parallel_over_slabs(&mut work, 1, 1, |_, task| {
-        let (g, dcarry) = &mut task[0];
-        let len = g.rows[0].len();
-        // gm: the gradient reaching the post-reset membrane m_t.
-        let mut gm = [0.0f32; SCAN_BLOCK];
-        for b0 in (0..len).step_by(SCAN_BLOCK) {
-            let n = SCAN_BLOCK.min(len - b0);
-            let gm = &mut gm[..n];
-            let at = g.first + b0;
-            let mut have_gm = carry_out.is_some();
-            if let Some(c) = carry_out {
-                gm.copy_from_slice(&c[at..][..n]);
-            }
-            for t in (0..steps).rev() {
-                let us = &u[t * cols + at..][..n];
-                let gs = &mut g.rows[t][b0..b0 + n];
-                if have_gm {
-                    for ((g, gm), &uv) in gs.iter_mut().zip(gm.iter_mut()).zip(us) {
-                        *g = *g * sg(uv - vth) + *gm * reset_gate(uv, vth);
-                        *gm = *g * tau;
-                    }
-                } else {
-                    for ((g, gm), &uv) in gs.iter_mut().zip(gm.iter_mut()).zip(us) {
-                        *g *= sg(uv - vth);
-                        *gm = *g * tau;
-                    }
-                }
-                have_gm = true;
-            }
-            if let Some(d) = dcarry {
-                d.rows[0][b0..b0 + n].copy_from_slice(gm);
-            }
-        }
-    });
 }
 
 /// Softmax cross-entropy over logits `(B, K)` against integer labels,
@@ -1479,17 +1243,34 @@ mod tests {
         assert_eq!(x.grad().unwrap().data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
+    /// The test-only spike node `H(u − V_th)` with a surrogate gradient:
+    /// with `scale`, `add` and `mul`, what the per-timestep chain the scan is
+    /// checked against is built from.
+    fn spike(u: &Var, vth: f32, surrogate: Surrogate) -> Var {
+        let value = u.value().map(|v| if v >= vth { 1.0 } else { 0.0 });
+        Var::from_op(
+            "spike",
+            value,
+            vec![u.clone()],
+            Box::new(move |mut g, parents| {
+                g.zip_inplace(&parents[0].value(), |gv, uv| gv * surrogate.grad(uv - vth))
+                    .expect("spike backward shape");
+                parents[0].accumulate_grad(g);
+            }),
+        )
+    }
+
     #[test]
-    fn spike_forward_is_binary() {
-        let u = Var::constant(Tensor::from_vec(vec![0.1, 0.5, 0.9, -0.2], &[4]).unwrap());
-        let s = u.spike(0.5, Surrogate::default());
+    fn one_step_scan_is_a_binary_spike() {
+        let u = Var::constant(Tensor::from_vec(vec![0.1, 0.5, 0.9, -0.2], &[1, 4]).unwrap());
+        let s = u.lif_scan(None, 1, 0.25, 0.5, Surrogate::default()).unwrap().spikes;
         assert_eq!(s.to_tensor().data(), &[0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
-    fn spike_backward_uses_surrogate() {
-        let u = Var::param(Tensor::from_vec(vec![0.2, 0.5, 1.2], &[3]).unwrap());
-        let s = u.spike(0.5, Surrogate::Rectangle { width: 1.0 });
+    fn one_step_scan_backward_uses_surrogate() {
+        let u = Var::param(Tensor::from_vec(vec![0.2, 0.5, 1.2], &[1, 3]).unwrap());
+        let s = u.lif_scan(None, 1, 0.25, 0.5, Surrogate::Rectangle { width: 1.0 }).unwrap().spikes;
         s.sum_to_scalar().backward();
         // |u-0.5| < 0.5 for 0.2 and 0.5 (and 1.2 is outside: |0.7| >= 0.5)
         assert_eq!(u.grad().unwrap().data(), &[1.0, 1.0, 0.0]);
@@ -1696,7 +1477,7 @@ mod tests {
             let x = Var::constant(Tensor::from_vec(vec![0.5 + 0.1 * t as f32], &[1]).unwrap());
             let i = w.mul(&x).unwrap();
             u = u.scale(0.25).add(&i).unwrap();
-            let s = u.spike(0.5, Surrogate::default());
+            let s = spike(&u, 0.5, Surrogate::default());
             total = total.add(&s).unwrap();
         }
         total.sum_to_scalar().backward();
@@ -1706,70 +1487,6 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// The fused LIF ops against the chains they replace, bit for bit:
-    /// values, and the gradients reaching both inputs — signs of zero and
-    /// the `u == vth` edge included.
-    #[test]
-    fn scale_add_and_hard_reset_match_their_chains_bitwise() {
-        let mut rng = Rng::seed_from(53);
-        let (tau, vth) = (0.25, 0.5);
-        let mut m0 = Tensor::randn(&[3, 7], &mut rng);
-        let mut x0 = Tensor::randn(&[3, 7], &mut rng);
-        m0.data_mut()[..3].copy_from_slice(&[-0.0, 0.0, 2.0]);
-        x0.data_mut()[..3].copy_from_slice(&[-0.0, -0.0, 0.0]); // u = -0.0, 0.0, vth
-        let seed = Tensor::randn(&[3, 7], &mut rng).map(|v| if v.abs() < 0.2 { -0.0 } else { v });
-        let run = |fused: bool| {
-            let (m, x) = (Var::param(m0.clone()), Var::param(x0.clone()));
-            let (u, next) = if fused {
-                let u = m.scale_add(tau, &x).unwrap();
-                let next = u.hard_reset(vth);
-                (u, next)
-            } else {
-                let u = m.scale(tau).add(&x).unwrap();
-                let gate = u.spike(vth, Surrogate::default()).detach().scale(-1.0).add_scalar(1.0);
-                let next = u.mul(&gate).unwrap();
-                (u, next)
-            };
-            let out = (bits(&u.value()), bits(&next.value()));
-            next.backward_with_seed(&seed);
-            (out, bits(&m.grad().unwrap()), bits(&x.grad().unwrap()))
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn hard_reset_zeroes_fired_neurons_and_blocks_their_gradient() {
-        let u = Var::param(Tensor::from_vec(vec![0.2, 0.5, 1.5, -0.3], &[4]).unwrap());
-        let m = u.hard_reset(0.5);
-        assert_eq!(m.value().data(), &[0.2, 0.0, 0.0, -0.3]);
-        m.sum_to_scalar().backward();
-        assert_eq!(u.grad().unwrap().data(), &[1.0, 0.0, 0.0, 1.0]);
-    }
-
-    /// Every surrogate variant: the hoisted whole-tensor form equals the
-    /// per-element `Surrogate::grad` it replaced.
-    #[test]
-    fn spike_backward_matches_per_element_surrogate_bitwise() {
-        let mut rng = Rng::seed_from(54);
-        let vth = 0.5;
-        for surrogate in [
-            Surrogate::Rectangle { width: 0.8 },
-            Surrogate::Triangle { width: 1.3 },
-            Surrogate::Atan { alpha: 2.0 },
-        ] {
-            let u = Var::param(Tensor::randn(&[40], &mut rng));
-            let seed = Tensor::randn(&[40], &mut rng);
-            u.spike(vth, surrogate).backward_with_seed(&seed);
-            let want: Vec<u32> = seed
-                .data()
-                .iter()
-                .zip(u.value().data())
-                .map(|(g, uv)| (g * surrogate.grad(uv - vth)).to_bits())
-                .collect();
-            assert_eq!(bits(&u.grad().unwrap()), want, "{surrogate:?}");
-        }
     }
 
     /// A `[rows, 4, 3]` tensor with exact zeros of both signs mixed in.
@@ -1783,8 +1500,8 @@ mod tests {
 
     /// Spikes, input gradient and carried membrane of `steps` timesteps of
     /// `B = 3` neurons-by-12, run as the per-timestep chain the scan
-    /// replaces: `scale_add → spike → hard_reset`, a separate input leaf per
-    /// timestep.
+    /// replaces — leak and integrate, spike, reset through the detached
+    /// gate — a separate input leaf per timestep.
     fn lif_chain(
         x: &Tensor,
         seed: &Tensor,
@@ -1801,11 +1518,11 @@ mod tests {
         let mut loss: Option<Var> = None;
         for (t, x_t) in inputs.iter().enumerate() {
             let u = match &membrane {
-                Some(m) => m.scale_add(tau, x_t).unwrap(),
+                Some(m) => m.scale(tau).add(x_t).unwrap(),
                 None => x_t.add_scalar(0.0),
             };
-            let s = u.spike(vth, surrogate);
-            membrane = Some(u.hard_reset(vth));
+            let s = spike(&u, vth, surrogate);
+            membrane = Some(u.mul(&s.detach().scale(-1.0).add_scalar(1.0)).unwrap());
             spikes.extend(bits(&s.value()));
             let term = s.mul(&Var::constant(slab(seed, t))).unwrap().sum_to_scalar();
             loss = Some(match loss {
@@ -1900,35 +1617,6 @@ mod tests {
         // u1 = 0.9 · 0.2 + 0.3 = 0.48: inside the window, so dS/du1 = 1 and
         // du1/dx0 = τ (x0 did not fire).
         assert_eq!(x0.grad().unwrap().data(), &[0.9, 0.9]);
-    }
-
-    /// Forward and backward of the scan at a size where the column split
-    /// forks: the same bits at every thread count.
-    #[test]
-    fn lif_scan_kernels_are_thread_count_invariant() {
-        let mut rng = Rng::seed_from(56);
-        let (steps, cols) = (5, 4 * 32 * 8 * 8 + 3);
-        let x = Tensor::randn(&[steps * cols], &mut rng);
-        let carry = Tensor::randn(&[cols], &mut rng);
-        let ds = Tensor::randn(&[steps * cols], &mut rng);
-        let carry_grad = Tensor::randn(&[cols], &mut rng);
-        let run = |threads: usize| {
-            let rt = Runtime::new(threads);
-            let (mut u, mut s) = (vec![f32::NAN; x.len()], vec![f32::NAN; x.len()]);
-            let out = (&mut u[..], &mut s[..]);
-            let fired = lif_forward(&rt, steps, (0.25, 0.5), x.data(), Some(carry.data()), out);
-            let mut g = ds.data().to_vec();
-            let mut dcarry = Tensor::full(&[cols], f32::NAN);
-            let neuron = (0.25, 0.5, Surrogate::Triangle { width: 1.0 });
-            let carries = (Some(carry_grad.data()), Some(&mut dcarry));
-            lif_backward(&rt, steps, neuron, &u, &mut g, carries);
-            (fired, slice_bits(&u), slice_bits(&s), slice_bits(&g), bits(&dcarry))
-        };
-        let want = run(1);
-        assert!(want.4.iter().all(|&b| !f32::from_bits(b).is_nan()), "a column was skipped");
-        for threads in [2, 3, 8] {
-            assert!(run(threads) == want, "the scan moved a bit at {threads} threads");
-        }
     }
 
     #[test]

@@ -80,13 +80,13 @@ proptest! {
     #[test]
     fn spike_forward_always_binary(seed in 0u64..1000, vth in -1.0f32..1.5) {
         let mut rng = Rng::seed_from(seed);
-        let u = Var::constant(Tensor::randn(&[16], &mut rng));
-        let s = u.spike(vth, Surrogate::default());
-        let t = s.to_tensor();
+        let u = Var::constant(Tensor::randn(&[1, 16], &mut rng));
+        // One timestep of a reset neuron: u = x, s = H(x − V_th).
+        let spike = |vth: f32| u.lif_scan(None, 1, 0.25, vth, Surrogate::default()).unwrap().spikes;
+        let t = spike(vth).to_tensor();
         prop_assert!(t.data().iter().all(|&v| v == 0.0 || v == 1.0));
         // monotone in threshold: higher vth never fires more
-        let s_hi = u.spike(vth + 0.5, Surrogate::default());
-        prop_assert!(s_hi.to_tensor().sum() <= t.sum());
+        prop_assert!(spike(vth + 0.5).to_tensor().sum() <= t.sum());
     }
 
     #[test]

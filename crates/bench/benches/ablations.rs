@@ -24,7 +24,9 @@ fn bench_surrogates(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 u.zero_grad();
-                u.spike(0.5, s).sum_to_scalar().backward();
+                // One timestep of a reset neuron: the spike and its surrogate.
+                let scan = u.lif_scan(None, 1, 0.25, 0.5, s).expect("one timestep");
+                scan.spikes.sum_to_scalar().backward();
             })
         });
     }

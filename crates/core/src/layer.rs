@@ -257,17 +257,7 @@ impl TtConv {
             let o = o.conv2d(&self.w3, g.g3_seq)?;
             return o.conv2d(&self.w4, g.g4);
         }
-        // Maximal runs of timesteps on the same path, as (full, first row,
-        // rows); PTT is one full run.
-        let batch = shape[0] / steps;
-        let mut runs: Vec<(bool, usize, usize)> = Vec::new();
-        for t in 0..steps {
-            let full = self.mode.is_full_at(t0 + t);
-            match runs.last_mut() {
-                Some((last, _, rows)) if *last == full => *rows += batch,
-                _ => runs.push((full, t * batch, batch)),
-            }
-        }
+        let runs = self.schedule_runs(t0, steps, shape[0] / steps);
         // With stride 1 the two `w1` geometries are the same convolution.
         let shared_w1 = if g.g1 == g.g1_half { Some(x.conv2d(&self.w1, g.g1)?) } else { None };
         let mut mixed = Vec::with_capacity(runs.len());
@@ -294,56 +284,116 @@ impl TtConv {
         mixed.conv2d(&self.w4, g.g4)
     }
 
-    /// Forward on plain tensors with **no gradient tracking**: runs the
-    /// sub-convolution chain directly on the runtime kernels, building no
-    /// autograd graph — the inference path. Every intermediate between
-    /// cores is checked out of the thread's arena and recycled as soon as
-    /// the next core has consumed it; the caller recycles the output.
+    /// Maximal runs of the timesteps `t0..t0 + steps` that take the same
+    /// path, as `(full, first row, rows)` of a time-major stack with `batch`
+    /// rows a timestep; STT and PTT are one full run.
+    fn schedule_runs(&self, t0: usize, steps: usize, batch: usize) -> Vec<(bool, usize, usize)> {
+        let mut runs: Vec<(bool, usize, usize)> = Vec::new();
+        for t in 0..steps {
+            let full = self.mode.is_full_at(t0 + t);
+            match runs.last_mut() {
+                Some((last, _, rows)) if *last == full => *rows += batch,
+                _ => runs.push((full, t * batch, batch)),
+            }
+        }
+        runs
+    }
+
+    /// Forward on plain tensors at timestep `t`, with **no gradient
+    /// tracking**: [`TtConv::forward_steps_tensor`] over a sequence of one.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] under the same conditions as
     /// [`TtConv::forward_sequence`].
     pub fn forward_tensor(&self, x: &Tensor, t: usize) -> Result<Tensor, ShapeError> {
+        self.forward_steps_tensor(x, t, 1)
+    }
+
+    /// Forward on plain tensors over timesteps `t0..t0 + steps` at once —
+    /// `x` is their time-major stack `(steps·B, I, H, W)` — with **no
+    /// gradient tracking**: runs the sub-convolution chain directly on the
+    /// runtime kernels, building no autograd graph — the inference path. HTT
+    /// cuts the stack where its schedule changes between full and half, as
+    /// [`TtConv::forward_sequence`] does; the kernels work a sample at a
+    /// time, so every row is the one a call per timestep would produce, bit
+    /// for bit. Every intermediate between cores is checked out of the
+    /// thread's arena and recycled as soon as the next core has consumed it;
+    /// the caller recycles the output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] under the same conditions as
+    /// [`TtConv::forward_sequence`].
+    pub fn forward_steps_tensor(
+        &self,
+        x: &Tensor,
+        t0: usize,
+        steps: usize,
+    ) -> Result<Tensor, ShapeError> {
         let shape = x.shape();
         if shape.len() != 4 || shape[1] != self.in_channels {
             return Err(ShapeError::new(format!(
-                "TtConv::forward_tensor: expected (B, {}, H, W), got {:?}",
+                "TtConv::forward_tensor: expected (steps·B, {}, H, W), got {:?}",
                 self.in_channels, shape
+            )));
+        }
+        if steps == 0 || !shape[0].is_multiple_of(steps) {
+            return Err(ShapeError::new(format!(
+                "TtConv::forward_tensor: {} rows do not hold {steps} timesteps",
+                shape[0]
             )));
         }
         let g = self.geometry_for((shape[2], shape[3]));
         let (w1, w2, w3, w4) = (self.w1.value(), self.w2.value(), self.w3.value(), self.w4.value());
-        match (&self.mode, self.mode.is_full_at(t)) {
-            (TtMode::Stt, _) => {
-                let o1 = conv::conv2d(x, &w1, &g.g1)?;
-                let o2 = conv::conv2d(&o1, &w2, &g.g2_seq)?;
-                o1.recycle();
-                let o3 = conv::conv2d(&o2, &w3, &g.g3_seq)?;
-                o2.recycle();
-                let y = conv::conv2d(&o3, &w4, &g.g4);
-                o3.recycle();
-                y
+        // Everything up to `w4`, for a run of rows on one path.
+        let mix = |x: &Tensor, full: bool| -> Result<Tensor, ShapeError> {
+            match (&self.mode, full) {
+                (TtMode::Stt, _) => {
+                    let o1 = conv::conv2d(x, &w1, &g.g1)?;
+                    let o2 = conv::conv2d(&o1, &w2, &g.g2_seq)?;
+                    o1.recycle();
+                    let o3 = conv::conv2d(&o2, &w3, &g.g3_seq);
+                    o2.recycle();
+                    o3
+                }
+                (_, true) => {
+                    let o = conv::conv2d(x, &w1, &g.g1)?;
+                    let mut vertical = conv::conv2d(&o, &w2, &g.g2_par)?;
+                    let horizontal = conv::conv2d(&o, &w3, &g.g3_par)?;
+                    o.recycle();
+                    // vertical + horizontal in place: `1.0 * h` is `h` exactly.
+                    vertical.add_scaled(&horizontal, 1.0)?;
+                    horizontal.recycle();
+                    Ok(vertical)
+                }
+                (_, false) => conv::conv2d(x, &w1, &g.g1_half),
             }
-            (TtMode::Ptt, _) | (TtMode::Htt(_), true) => {
-                let o = conv::conv2d(x, &w1, &g.g1)?;
-                let mut vertical = conv::conv2d(&o, &w2, &g.g2_par)?;
-                let horizontal = conv::conv2d(&o, &w3, &g.g3_par)?;
-                o.recycle();
-                // vertical + horizontal in place: `1.0 * h` is `h` exactly.
-                vertical.add_scaled(&horizontal, 1.0)?;
-                horizontal.recycle();
-                let y = conv::conv2d(&vertical, &w4, &g.g4);
-                vertical.recycle();
-                y
+        };
+        let mixed = match self.schedule_runs(t0, steps, shape[0] / steps).as_slice() {
+            &[(full, ..)] => mix(x, full)?,
+            runs => {
+                let row = x.len() / shape[0];
+                let mut mixed: Option<Tensor> = None;
+                for &(full, first, rows) in runs {
+                    let mut cut = Tensor::scratch(&[rows, shape[1], shape[2], shape[3]]);
+                    cut.data_mut().copy_from_slice(&x.data()[first * row..(first + rows) * row]);
+                    let part = mix(&cut, full)?;
+                    cut.recycle();
+                    let out_row = part.len() / rows;
+                    let whole = mixed.get_or_insert_with(|| {
+                        let ps = part.shape();
+                        Tensor::scratch(&[shape[0], ps[1], ps[2], ps[3]])
+                    });
+                    whole.data_mut()[first * out_row..][..part.len()].copy_from_slice(part.data());
+                    part.recycle();
+                }
+                mixed.expect("steps >= 1 gives at least one run")
             }
-            (TtMode::Htt(_), false) => {
-                let o = conv::conv2d(x, &w1, &g.g1_half)?;
-                let y = conv::conv2d(&o, &w4, &g.g4);
-                o.recycle();
-                y
-            }
-        }
+        };
+        let y = conv::conv2d(&mixed, &w4, &g.g4);
+        mixed.recycle();
+        y
     }
 
     /// Merges the trained cores back into one dense `(O, I, 3, 3)` kernel

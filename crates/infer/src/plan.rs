@@ -299,25 +299,54 @@ pub(crate) fn validate_config(cfg: &EngineConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Stacks pre-validated same-plan inputs timestep by timestep, runs the
-/// frozen plan, and returns the time-summed `(B, K)` logits. The forward
-/// core of every cluster replica.
+/// One call into the model — timesteps `t0..t0 + steps` of the time-major
+/// stack `x`, whatever cut the caller chose — under a `forward` trace span
+/// (steps and `macs`, their summed per-sample MACs, as payload) for every
+/// traced request in the thread's context; the kernel regions nest inside it.
+pub(crate) fn forward_steps(
+    model: &mut dyn Model,
+    x: &Tensor,
+    (t0, steps): (usize, usize),
+    macs: u64,
+) -> Result<Tensor, String> {
+    let _span = ttsnn_obs::region_with("forward", steps as u64, macs);
+    model.forward_steps_tensor(x, t0, steps).map_err(|e| e.to_string())
+}
+
+/// Adds the `(steps·B, K)` logits of a run of timesteps into `summed`
+/// `(B, K)`, timestep by timestep — the additions, in the order, of a
+/// caller that took one timestep's logits at a time — and recycles them.
+pub(crate) fn fold_logits(summed: Option<Tensor>, logits: Tensor, batch: usize) -> Tensor {
+    let k = logits.shape()[1];
+    let mut steps = logits.data().chunks(batch * k);
+    let mut summed = summed.unwrap_or_else(|| {
+        let mut first = Tensor::scratch(&[batch, k]);
+        first.data_mut().copy_from_slice(steps.next().expect("at least one timestep"));
+        first
+    });
+    for step in steps {
+        summed.data_mut().iter_mut().zip(step).for_each(|(a, &l)| *a += l);
+    }
+    logits.recycle();
+    summed
+}
+
+/// Stacks pre-validated same-plan inputs time-major, runs the frozen plan
+/// over the whole sequence in one layer-major walk, and returns the
+/// time-summed `(B, K)` logits. The forward core of every cluster replica:
+/// a whole-sequence request has nothing to decide between timesteps, so its
+/// cut is `steps = T`.
 ///
 /// Inputs are `(C, H, W)` direct-coding frames (repeated at each timestep)
-/// or `(T, C, H, W)` per-timestep frames, already [`validate`]d. The
-/// stacking buffer, every activation and the per-timestep logits ride the
-/// thread's arena; the caller recycles the returned tensor once scattered.
-///
-/// `traces` carries the batch members' request-lifecycle trace ids
-/// (`ttsnn_obs`; empty or all-zero = untraced). When any member is
-/// traced, every timestep becomes a child span under `execute` — with
-/// the timestep index and per-sample MAC count as payload — and the
-/// member traces are installed as the thread's kernel-region context,
-/// so gemm/conv/sparse regions show up nested inside each timestep.
+/// or `(T, C, H, W)` per-timestep frames, already [`validate`]d. The stack,
+/// every activation and the logits ride the thread's arena; the caller
+/// recycles the returned tensor once scattered. `traces` (the members'
+/// `ttsnn_obs` trace ids; empty or all-zero = untraced) becomes the thread's
+/// trace context for the call.
 ///
 /// # Errors
 ///
-/// Returns the model's own error message if a forward pass rejects the
+/// Returns the model's own error message if the forward pass rejects the
 /// stacked batch (unreachable for validated inputs); the model's state is
 /// reset before returning.
 pub(crate) fn forward_requests(
@@ -331,42 +360,19 @@ pub(crate) fn forward_requests(
     let [c, h, w] = frame_shape;
     let frame_len = c * h * w;
     model.reset_state();
-    let tracing = traces.iter().any(|&t| t != 0) && ttsnn_obs::enabled();
     let _ctx = ttsnn_obs::TraceContext::enter(traces);
-    let mut batch = Tensor::scratch(&[b, c, h, w]);
-    let mut summed: Option<Tensor> = None;
-    for t in 0..timesteps {
-        // Stack each request's frame for timestep t into (B, C, H, W).
-        for (slot, input) in batch.data_mut().chunks_mut(frame_len).zip(inputs) {
-            let offset = if input.ndim() == 4 { t * frame_len } else { 0 };
-            slot.copy_from_slice(&input.data()[offset..offset + frame_len]);
-        }
-        let step_start = if tracing { ttsnn_obs::now_ns() } else { 0 };
-        let step = model.forward_timestep_tensor(&batch, t);
-        if tracing {
-            let dur = ttsnn_obs::now_ns().saturating_sub(step_start);
-            let macs = model.macs_at(t) as u64;
-            for &trace in traces {
-                ttsnn_obs::record_span(trace, "timestep", step_start, dur, t as u64, macs);
-            }
-        }
-        match step {
-            Ok(logits) => match summed.as_mut() {
-                Some(s) => {
-                    s.add_scaled(&logits, 1.0).expect("logit accumulation shape");
-                    logits.recycle();
-                }
-                None => summed = Some(logits),
-            },
-            Err(e) => {
-                model.reset_state();
-                batch.recycle();
-                return Err(e.to_string());
-            }
-        }
+    // Row t·B + s: request s's frame for timestep t.
+    let mut stack = Tensor::scratch(&[timesteps * b, c, h, w]);
+    for (row, slot) in stack.data_mut().chunks_mut(frame_len).enumerate() {
+        let input = inputs[row % b];
+        let offset = if input.ndim() == 4 { row / b * frame_len } else { 0 };
+        slot.copy_from_slice(&input.data()[offset..offset + frame_len]);
     }
-    batch.recycle();
-    Ok(summed.expect("timesteps >= 1"))
+    let macs = (0..timesteps).map(|t| model.macs_at(t) as u64).sum();
+    let logits =
+        forward_steps(model, &stack, (0, timesteps), macs).inspect_err(|_| model.reset_state());
+    stack.recycle();
+    Ok(fold_logits(None, logits?, b))
 }
 
 /// `InferStats`-style drift report of one plan against a reference plan

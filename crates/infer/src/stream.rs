@@ -4,8 +4,8 @@
 //! # Why streaming needs state
 //!
 //! A whole-stream request hands the plan all `T` timesteps at once; the
-//! executor resets the LIF membranes, runs `t = 0..T`, and returns the
-//! time-summed logits. A **streaming client** — an event camera, a live
+//! executor resets the LIF membranes, runs them in one layer-major call,
+//! and returns the time-summed logits. A **streaming client** — an event camera, a live
 //! sensor — produces those timesteps incrementally. The only state the
 //! inference plane carries between timesteps is the LIF membrane
 //! potential (`ttsnn_snn::InferState`), so a session is exactly: the
@@ -30,7 +30,10 @@
 //! chunked the stream). Once the margin clears the threshold at
 //! `t ≥ min_timesteps`, the session's readout freezes: remaining
 //! timesteps are skipped, accounted as [`StreamUpdate::macs_skipped`]
-//! via `SpikingModel::macs_at` — the anytime-inference MAC saving.
+//! via `SpikingModel::macs_at` — the anytime-inference MAC saving. That
+//! check is also what decides how a chunk is executed: a stream with an
+//! exit rule calls the model a timestep at a time, a stream without one
+//! hands it the whole chunk (the model gives the same bits either way).
 //!
 //! # Bounded resident state
 //!
@@ -47,7 +50,7 @@ use std::collections::HashMap;
 use ttsnn_snn::{InferState, Model};
 use ttsnn_tensor::Tensor;
 
-use crate::plan::InferError;
+use crate::plan::{self, InferError};
 
 /// Spike-count-margin early-exit policy for streaming sessions: stop
 /// integrating once the cumulative logit margin `top1 − top2` reaches
@@ -317,8 +320,11 @@ fn recycle_state(st: StreamState) {
     }
 }
 
-/// Executes `n` frames of `chunk` at the session's absolute position,
-/// checking the early-exit margin after every step.
+/// Executes `n` frames of `chunk` at the session's absolute position. The
+/// cut follows from what the stream is: with an exit rule the margin has to
+/// be tested after every timestep, so the model is called a timestep at a
+/// time; without one nothing happens between timesteps and the whole chunk
+/// is one layer-major call.
 fn run_chunk(
     model: &mut dyn Model,
     st: &mut StreamState,
@@ -337,37 +343,33 @@ fn run_chunk(
             .restore_infer_state(state)
             .map_err(|e| InferError::Shape(format!("stream state restore: {e}")))?;
     }
-    let mut batch = Tensor::scratch(&[1, c, h, w]);
+    let cut = if st.early_exit.is_some() { 1 } else { n };
+    // A session is a batch of one, so `cut` frames are already a stack.
+    let mut stack = Tensor::scratch(&[cut, c, h, w]);
     let mut exited_mid_chunk = false;
-    for i in 0..n {
+    for i in (0..n).step_by(cut) {
         let t = st.t + i;
+        let macs: u64 = (t..t + cut).map(|t| model.macs_at(t) as u64).sum();
         if exited_mid_chunk {
             report.skipped += 1;
-            report.macs_skipped += model.macs_at(t) as u64;
+            report.macs_skipped += macs;
             continue;
         }
         let offset = if chunk.ndim() == 4 { i * frame_len } else { 0 };
-        batch.data_mut().copy_from_slice(&chunk.data()[offset..offset + frame_len]);
-        let logits = match model.forward_timestep_tensor(&batch, t) {
-            Ok(l) => l,
+        stack.data_mut().copy_from_slice(&chunk.data()[offset..offset + cut * frame_len]);
+        match plan::forward_steps(model, &stack, (t, cut), macs) {
+            Ok(logits) => st.summed = Some(plan::fold_logits(st.summed.take(), logits, 1)),
             Err(e) => {
                 // Unreachable for validated chunks; poison the session
                 // rather than serve from half-advanced state.
                 model.reset_state();
-                batch.recycle();
+                stack.recycle();
                 st.state = None;
-                return Err(InferError::Shape(e.to_string()));
+                return Err(InferError::Shape(e));
             }
-        };
-        match st.summed.as_mut() {
-            Some(s) => {
-                s.add_scaled(&logits, 1.0).expect("logit accumulation shape");
-                logits.recycle();
-            }
-            None => st.summed = Some(logits),
         }
-        report.executed += 1;
-        report.macs_executed += model.macs_at(t) as u64;
+        report.executed += cut as u64;
+        report.macs_executed += macs;
         if let Some(ee) = st.early_exit {
             if t + 1 >= ee.min_timesteps.max(1) {
                 let summed = st.summed.as_ref().expect("summed after a step");
@@ -378,7 +380,7 @@ fn run_chunk(
             }
         }
     }
-    batch.recycle();
+    stack.recycle();
     st.t += n;
     st.executed += report.executed as usize;
     st.macs_executed += report.macs_executed;

@@ -9,8 +9,10 @@
 //! Every served request carries a **trace id** (a nonzero `u64`, minted
 //! by [`next_trace_id`] at wire decode). Each layer of the stack marks
 //! the segment it owns with a **span** — `admit`, `queue_wait`,
-//! `batch_form`, `execute` (with per-timestep children), `serialize`,
-//! `write` — via [`record_span`], and kernel regions under `execute`
+//! `batch_form`, `execute` (with a `forward` child per call into the
+//! model: one for a whole-sequence batch, one per timestep for a stream
+//! that may exit early), `serialize`, `write` — via [`record_span`], and
+//! kernel regions under `execute`
 //! appear automatically through the [`region`] guard plus the
 //! [`TraceContext`] the executing replica installs for the batch.
 //!
@@ -157,14 +159,14 @@ pub enum EventKind {
 }
 
 /// One recorded trace entry — `Copy`, fixed-size, allocation-free. The
-/// `a`/`b` payloads are span-specific (timestep index, MAC count,
+/// `a`/`b` payloads are span-specific (timesteps run, MAC count,
 /// `f64::to_bits` spike density, rejection reason…); the Chrome-trace
 /// renderer names them per span.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The request's trace id (nonzero).
     pub trace: u64,
-    /// Span name (`queue_wait`, `execute`, `timestep`, `gemm`, …).
+    /// Span name (`queue_wait`, `execute`, `forward`, `gemm`, …).
     pub name: &'static str,
     /// Span or instant.
     pub kind: EventKind,
@@ -304,12 +306,19 @@ pub struct Region {
     name: &'static str,
     start_ns: u64,
     active: bool,
+    payload: (u64, u64),
 }
 
 /// Opens a kernel-region guard (see [`Region`]).
 pub fn region(name: &'static str) -> Region {
+    region_with(name, 0, 0)
+}
+
+/// [`region`] for a span that carries the `a` / `b` payload of
+/// [`record_span`] — the executor's `forward` span (steps, MACs).
+pub fn region_with(name: &'static str, a: u64, b: u64) -> Region {
     let active = CONTEXT.with(|c| !c.borrow().is_empty()) && enabled();
-    Region { name, start_ns: if active { now_ns() } else { 0 }, active }
+    Region { name, start_ns: if active { now_ns() } else { 0 }, active, payload: (a, b) }
 }
 
 impl Drop for Region {
@@ -326,8 +335,8 @@ impl Drop for Region {
                     kind: EventKind::Span,
                     start_ns: self.start_ns,
                     dur_ns,
-                    a: 0,
-                    b: 0,
+                    a: self.payload.0,
+                    b: self.payload.1,
                 });
             }
         });
@@ -347,7 +356,7 @@ pub enum Stage {
     QueueWait,
     /// Popped into an open batch, waiting for the batch to close.
     BatchForm,
-    /// The batch's forward pass, timestep loop included.
+    /// The batch's forward pass, stacking and logit fold included.
     Execute,
     /// Encoding the response frame.
     Serialize,

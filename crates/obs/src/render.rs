@@ -19,8 +19,8 @@ fn push_f64(out: &mut String, v: f64) {
 fn push_args(out: &mut String, e: &Event) {
     out.push_str(",\"args\":{");
     match e.name {
-        "timestep" => {
-            out.push_str(&format!("\"t\":{},\"macs\":{}", e.a, e.b));
+        "forward" => {
+            out.push_str(&format!("\"steps\":{},\"macs\":{}", e.a, e.b));
         }
         "execute" => {
             out.push_str(&format!("\"batch\":{},\"mean_spike_density\":", e.a));
@@ -189,7 +189,7 @@ mod tests {
         let events = [
             Event {
                 trace: 9,
-                name: "timestep",
+                name: "forward",
                 kind: EventKind::Span,
                 start_ns: 1_500,
                 dur_ns: 2_000,
@@ -209,8 +209,8 @@ mod tests {
         let json = chrome_trace_json(9, &events);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"timestep\""));
-        assert!(json.contains("\"t\":3,\"macs\":4096"));
+        assert!(json.contains("\"name\":\"forward\""));
+        assert!(json.contains("\"steps\":3,\"macs\":4096"));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"reason\":\"saturated\",\"tenant\":7"));

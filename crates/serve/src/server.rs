@@ -13,7 +13,7 @@
 //! scheduler via `SubmitOptions::with_trace`, and echoed in the
 //! response. The server records the `admit`, `serialize`, and `write`
 //! stage spans itself; `queue_wait`, `batch_form`, and `execute` (with
-//! per-timestep children) come from `ttsnn_infer`. The completed
+//! its `forward` child) come from `ttsnn_infer`. The completed
 //! lifecycle lands in the `ttsnn_obs` flight recorder, browsable at
 //! `GET /debug/requests` and exportable as Chrome trace-event JSON at
 //! `GET /trace?id=<trace>`.

@@ -99,8 +99,14 @@ fn served_request_yields_a_retrievable_trace() {
     for span in ["admit", "queue_wait", "batch_form", "execute", "serialize"] {
         assert!(json.contains(&format!("\"name\":\"{span}\"")), "trace missing {span}:\n{json}");
     }
-    let timesteps = span_durs_us(&json, "timestep");
-    assert!(!timesteps.is_empty(), "execute must carry timestep children:\n{json}");
+    // A whole-sequence request is one layer-major call into the model: one
+    // `forward` child over all of the plan's timesteps, no per-timestep spans.
+    let forwards = span_durs_us(&json, "forward");
+    assert_eq!(forwards.len(), 1, "execute must carry one forward child:\n{json}");
+    assert!(json.contains(&format!("\"steps\":{T},\"macs\":")), "forward payload:\n{json}");
+    assert!(!json.contains("\"name\":\"timestep\""), "a timestep loop is back:\n{json}");
+    let execute: f64 = span_durs_us(&json, "execute").iter().sum();
+    assert!(forwards[0] <= execute, "forward ({}us) outlasts execute ({execute}us)", forwards[0]);
     // Kernel regions surface under execute via the runtime-pool hooks.
     assert!(
         json.contains("\"name\":\"conv2d\"") || json.contains("\"name\":\"gemm\""),

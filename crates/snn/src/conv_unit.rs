@@ -13,18 +13,6 @@ use ttsnn_tensor::{conv, Conv2dGeometry, Rng, ShapeError, Tensor};
 
 use crate::quant::QuantConv;
 
-/// Packs `x` for the sparse path under `mode`: `Off` skips the pack pass
-/// entirely; otherwise a pack attempt measures the site's spike density
-/// as a by-product (`None` for non-binary activations, which always run
-/// dense).
-fn pack_for(mode: SparseMode, x: &Tensor) -> Option<SpikeTensor> {
-    if mode == SparseMode::Off {
-        None
-    } else {
-        SpikeTensor::try_pack(x)
-    }
-}
-
 /// How a network's 3×3 convolutions are realized.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConvPolicy {
@@ -268,27 +256,30 @@ impl ConvUnit {
     }
 
     /// Runs the convolution on plain tensors with **no gradient tracking**
-    /// — the inference path (e.g. merged-deployment evaluation). Goes
-    /// straight to the batch-parallel runtime kernels without building an
-    /// autograd graph.
-    ///
-    /// Density-adaptive dispatch: binary (spike) activations are
-    /// bit-packed, their density measured in the same pass, and the call
-    /// routed to the event-driven sparse kernels when the process-wide
-    /// [`SparseMode`] (the `TTSNN_SPARSE_MODE` environment variable) says
-    /// so. Sparse and dense results are bit-identical, so routing is an
-    /// implementation detail, never a semantic one.
+    /// — the inference path (e.g. merged-deployment evaluation) — at
+    /// timestep `t`, under the process-wide [`SparseMode`]. See
+    /// [`ConvUnit::forward_tensor_mode`].
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `x`'s shape is incompatible.
     pub fn forward_tensor(&self, x: &Tensor, t: usize) -> Result<Tensor, ShapeError> {
-        self.forward_tensor_mode(x, t, spike::sparse_mode())
+        self.forward_tensor_mode(x, None, t, 1, spike::sparse_mode()).map(|(y, _)| y)
     }
 
-    /// [`ConvUnit::forward_tensor`] under an explicit dispatch mode
-    /// (tests pin `auto`/`force`/`off` in-process and assert all three
-    /// produce bit-identical outputs).
+    /// Runs the convolution over timesteps `t0..t0 + steps` at once on the
+    /// inference plane: `x` is their time-major stack `(steps·B, C, H, W)`,
+    /// and the kernels work a sample at a time, so stacking moves no bit.
+    /// Goes straight to the runtime kernels without building an autograd
+    /// graph. Also returns whether the sparse kernels served the call.
+    ///
+    /// Density-adaptive dispatch: if the activations are binary and `mode`
+    /// (the `TTSNN_SPARSE_MODE` environment variable unless a model overrides
+    /// it) routes their density sparse, the event-driven kernels run on the
+    /// packed form — `packed`, when the LIF scan that produced `x` handed its
+    /// spike words over, otherwise a [`SpikeTensor::try_pack`] of `x`. Sparse
+    /// and dense results are bit-identical, so routing is an implementation
+    /// detail, never a semantic one.
     ///
     /// TT units always run dense: their weights live as factorized cores,
     /// so there is no flat kernel for the event scatter to gather from —
@@ -301,35 +292,43 @@ impl ConvUnit {
     pub fn forward_tensor_mode(
         &self,
         x: &Tensor,
-        t: usize,
+        packed: Option<&SpikeTensor>,
+        t0: usize,
+        steps: usize,
         mode: SparseMode,
-    ) -> Result<Tensor, ShapeError> {
-        match self {
-            ConvUnit::Dense { weight, .. } => {
-                let xs = x.shape();
-                if xs.len() != 4 {
-                    return Err(ShapeError::new(format!(
-                        "ConvUnit::forward_tensor: expected 4-D input, got {xs:?}"
-                    )));
-                }
-                let geom = self.geometry((xs[2], xs[3]));
-                if let Some(sp) = pack_for(mode, x) {
-                    if mode.routes_sparse(sp.density()) {
-                        return spike::sparse_conv2d(&sp, &weight.value(), &geom);
-                    }
-                }
-                conv::conv2d(x, &weight.value(), &geom)
-            }
-            ConvUnit::Tt(tt) => tt.forward_tensor(x, t),
-            ConvUnit::Quantized(q) => {
-                if let Some(sp) = pack_for(mode, x) {
-                    if mode.routes_sparse(sp.density()) {
-                        return q.forward_spikes(&sp);
-                    }
-                }
-                q.forward_tensor(x)
+    ) -> Result<(Tensor, bool), ShapeError> {
+        let xs = x.shape();
+        if xs.len() != 4 {
+            return Err(ShapeError::new(format!(
+                "ConvUnit::forward_tensor: expected 4-D input, got {xs:?}"
+            )));
+        }
+        // What the sparse path would read: the scan's words, or — unless the
+        // mode or the unit rules that path out — a pack attempt, which
+        // measures the site's density as a by-product (`None` for non-binary
+        // activations, which always run dense).
+        let own;
+        let sparse = match (mode, self, packed) {
+            (SparseMode::Off, ..) | (_, ConvUnit::Tt(_), _) => None,
+            (.., Some(handed)) => Some(handed),
+            (.., None) => {
+                own = SpikeTensor::try_pack(x);
+                own.as_ref()
             }
         }
+        .filter(|sp| mode.routes_sparse(sp.density()));
+        let y = match (self, sparse) {
+            (ConvUnit::Tt(tt), _) => tt.forward_steps_tensor(x, t0, steps),
+            (ConvUnit::Dense { weight, .. }, Some(sp)) => {
+                spike::sparse_conv2d(sp, &weight.value(), &self.geometry((xs[2], xs[3])))
+            }
+            (ConvUnit::Dense { weight, .. }, None) => {
+                conv::conv2d(x, &weight.value(), &self.geometry((xs[2], xs[3])))
+            }
+            (ConvUnit::Quantized(q), Some(sp)) => q.forward_spikes(sp),
+            (ConvUnit::Quantized(q), None) => q.forward_tensor(x),
+        };
+        Ok((y?, sparse.is_some()))
     }
 }
 

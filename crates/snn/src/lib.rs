@@ -4,7 +4,8 @@
 //! everything Algorithm 1 needs around the TT modules.
 //!
 //! * [`lif`] — the iterative Leaky-Integrate-and-Fire neuron of Eq. (1)
-//!   (τm = 0.25, V_th = 0.5 by default) with surrogate-gradient BPTT.
+//!   (τm = 0.25, V_th = 0.5 by default) with surrogate-gradient BPTT: the
+//!   layer state around the scan kernels of `ttsnn_tensor::lif`.
 //! * [`norm`] — tdBN (threshold-dependent batch norm, Zheng et al.) and
 //!   TEBN (temporal effective batch norm, Duan et al.), the two
 //!   normalizations used by the paper's baselines (Table III).
@@ -44,9 +45,22 @@
 //! drive, and [`InferForward`] the graph-free tensor plane that
 //! [`evaluate`] and the `ttsnn_infer` serving engine run on. [`Network`]
 //! is the one type that implements them; anything implementing both is a
-//! [`Model`]. [`InferStats`] selects between
-//! batch-faithful statistics (bit-identical to the training plane) and
-//! per-sample statistics (batch-composition-invariant serving).
+//! [`Model`].
+//!
+//! | | training plane | inference plane |
+//! |---|---|---|
+//! | required forward | [`TrainForward::forward_sequence`]`(x, t0, steps)` | [`InferForward::forward_steps_tensor`]`(x, t0, steps)` |
+//! | input | `Var`, time-major stack `(steps·B, C, H, W)` | `Tensor`, the same stack |
+//! | output | `steps` logit nodes `(B, K)` | one `(steps·B, K)` tensor |
+//! | one-step case | `forward_timestep(x, t)` | `forward_timestep_tensor(x, t)` |
+//! | LIF | `Lif::scan` → `Var::lif_scan`, keeps every `u_t` for backward | `Lif::scan_tensor`, keeps the last membrane, hands the spike words on |
+//! | who picks the cut | `trainer::forward_batch`: the whole sequence | the executor: `T` for a whole request, 1 while a stream can exit early, the chunk otherwise |
+//!
+//! Both run every layer once over all the timesteps of a call, on the same
+//! LIF kernel (`ttsnn_tensor::lif`); no bit of either plane's output
+//! depends on how a sequence was cut into calls. [`InferStats`] selects
+//! between batch-faithful statistics (bit-identical to the training plane)
+//! and per-sample statistics (batch-composition-invariant serving).
 
 #![warn(missing_docs)]
 

@@ -13,6 +13,9 @@
 
 use ttsnn_autograd::ops::LifScan;
 use ttsnn_autograd::{Surrogate, Var};
+use ttsnn_tensor::lif::{self, Keep};
+use ttsnn_tensor::runtime::Runtime;
+use ttsnn_tensor::spike::SpikeTensor;
 use ttsnn_tensor::{ShapeError, Tensor};
 
 /// LIF neuron hyper-parameters.
@@ -148,8 +151,8 @@ impl Lif {
     /// Gradients flow through the temporal path (τm·u) and the surrogate
     /// spike, across calls too; the reset gate is detached.
     ///
-    /// One tape node per call ([`Var::lif_scan`]), in the arithmetic order
-    /// of [`Lif::step_tensor`]: cutting a sequence into several calls does
+    /// One tape node per call ([`Var::lif_scan`]), on the kernel
+    /// [`Lif::scan_tensor`] runs: cutting a sequence into several calls does
     /// not move a bit of the spikes or of the input gradients.
     ///
     /// # Errors
@@ -195,67 +198,60 @@ impl Lif {
         self.scan(input, 1)
     }
 
-    /// Advances one timestep on the **inference plane**: the same
-    /// arithmetic as [`Lif::scan`] — integrate, fire, hard-reset —
-    /// executed on plain tensors with no autograd bookkeeping. Outputs are
-    /// bit-identical to the `Var` path on identical inputs.
+    /// Advances `steps` timesteps at once on the **inference plane**: the
+    /// scan kernel [`Lif::scan`] runs ([`ttsnn_tensor::lif::scan`]) on plain
+    /// tensors, keeping only the membrane the sequence ends on. `input` is a
+    /// time-major stack `[steps·B, …]`; the spikes are bit-identical to the
+    /// `Var` path's however the sequence is cut into calls. With `pack` they
+    /// also come back bit-packed (when one timestep fills whole 64-bit
+    /// words), for the convolution that reads them next.
     ///
-    /// Takes `input` by value and reuses its buffer as the next membrane;
-    /// the spike output rides the previous membrane's buffer (or an arena
-    /// buffer on the first step), so steady-state timestep loops allocate
+    /// `input`'s buffer goes back to the arena, the spikes come out of it and
+    /// the membrane is rewritten in place, so a steady-state loop allocates
     /// nothing here.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `input`'s shape differs from the stored
-    /// membrane's (i.e. the caller changed batch shape without
-    /// [`Lif::reset`]).
-    pub fn step_tensor(&mut self, mut input: Tensor) -> Result<Tensor, ShapeError> {
-        // u = τm · u_prev + x, written over `input`; the retired membrane
-        // (same shape) becomes the spike output.
-        let mut spikes = match self.membrane_tensor.take() {
-            Some(prev) => {
-                if prev.shape() != input.shape() {
-                    let err = ShapeError::new(format!(
-                        "Lif::step_tensor: input shape {:?} does not match membrane {:?} \
-                         (missing reset?)",
-                        input.shape(),
-                        prev.shape()
-                    ));
-                    self.membrane_tensor = Some(prev);
-                    return Err(err);
-                }
-                let tau = self.config.tau;
-                // `p * tau + u`: bit-equal to the Var path (float addition
-                // is commutative, only associativity is not).
-                for (u, &p) in input.data_mut().iter_mut().zip(prev.data()) {
-                    *u += p * tau;
-                }
-                prev
+    /// Returns [`ShapeError`] if `input` does not hold `steps` timesteps, or
+    /// one timestep of it is not shaped like the stored membrane (i.e. the
+    /// caller changed batch shape without [`Lif::reset`]).
+    pub fn scan_tensor(
+        &mut self,
+        input: Tensor,
+        steps: usize,
+        pack: bool,
+    ) -> Result<(Tensor, Option<SpikeTensor>), ShapeError> {
+        let mut step_shape = input.shape().to_vec();
+        match step_shape.first_mut() {
+            Some(rows) if steps > 0 && rows.is_multiple_of(steps) => *rows /= steps,
+            _ => {
+                return Err(ShapeError::new(format!(
+                    "Lif::scan_tensor: input shape {:?} does not hold {steps} timestep(s)",
+                    input.shape()
+                )))
             }
-            None => {
-                // Mirrors the Var path's `input.add_scalar(0.0)` first step.
-                for u in input.data_mut() {
-                    *u += 0.0;
-                }
-                Tensor::scratch(input.shape())
-            }
-        };
-        let vth = self.config.vth;
-        let mut fired = 0usize;
-        for (s, &u) in spikes.data_mut().iter_mut().zip(input.data()) {
-            *s = if u >= vth { 1.0 } else { 0.0 };
-            fired += usize::from(u >= vth);
         }
-        self.spike_sum += fired as f64;
-        self.neuron_steps += spikes.len() as f64;
-        // Hard reset, same value as the Var path's detached gate
-        // u · ((s · -1) + 1): negation is an exact sign flip.
-        for (u, &s) in input.data_mut().iter_mut().zip(spikes.data()) {
-            *u *= -s + 1.0;
+        let held = self.membrane_tensor.take();
+        if let Some(prev) = held.as_ref().filter(|prev| prev.shape() != step_shape) {
+            let err = ShapeError::new(format!(
+                "Lif::scan_tensor: {steps} timestep(s) of input shape {:?} do not match membrane \
+                 {:?} (missing reset?)",
+                input.shape(),
+                prev.shape()
+            ));
+            self.membrane_tensor = held;
+            return Err(err);
         }
-        self.membrane_tensor = Some(input);
-        Ok(spikes)
+        let fresh = held.is_none();
+        let mut membrane = held.unwrap_or_else(|| Tensor::scratch(&step_shape));
+        let keep = Keep::Last { membrane: &mut membrane, fresh };
+        let neuron = (self.config.tau, self.config.vth);
+        let scanned = lif::scan(Runtime::global(), steps, neuron, &input, keep, pack);
+        self.spike_sum += scanned.fired as f64;
+        self.neuron_steps += input.len() as f64;
+        input.recycle();
+        self.membrane_tensor = Some(membrane);
+        Ok((scanned.spikes, scanned.packed))
     }
 }
 
@@ -266,6 +262,11 @@ mod tests {
 
     fn drive(v: f32) -> Var {
         Var::constant(Tensor::full(&[1, 3], v))
+    }
+
+    /// One inference-plane timestep.
+    fn step_tensor(lif: &mut Lif, x: Tensor) -> Result<Tensor, ShapeError> {
+        lif.scan_tensor(x, 1, false).map(|(spikes, _)| spikes)
     }
 
     #[test]
@@ -374,7 +375,7 @@ mod tests {
         for _ in 0..6 {
             let x = Tensor::randn(&[2, 5], &mut rng);
             let via_var = var_lif.step(&Var::constant(x.clone())).unwrap().to_tensor();
-            let via_tensor = tsr_lif.step_tensor(x).unwrap();
+            let via_tensor = step_tensor(&mut tsr_lif, x).unwrap();
             assert_eq!(via_var, via_tensor);
         }
         assert_eq!(var_lif.activity_counts(), tsr_lif.activity_counts());
@@ -414,19 +415,19 @@ mod tests {
     #[test]
     fn step_tensor_shape_change_without_reset_is_error() {
         let mut lif = Lif::new(LifConfig::default());
-        lif.step_tensor(Tensor::zeros(&[1, 3])).unwrap();
+        step_tensor(&mut lif, Tensor::zeros(&[1, 3])).unwrap();
         assert!(lif.has_state());
-        assert!(lif.step_tensor(Tensor::zeros(&[2, 3])).is_err());
+        assert!(step_tensor(&mut lif, Tensor::zeros(&[2, 3])).is_err());
         lif.reset();
         assert!(!lif.has_state());
-        assert!(lif.step_tensor(Tensor::zeros(&[2, 3])).is_ok());
+        assert!(step_tensor(&mut lif, Tensor::zeros(&[2, 3])).is_ok());
     }
 
     #[test]
     fn planes_hold_independent_state() {
         let mut lif = Lif::new(LifConfig::default());
         lif.step(&drive(0.3)).unwrap();
-        lif.step_tensor(Tensor::full(&[1, 3], 0.3)).unwrap();
+        step_tensor(&mut lif, Tensor::full(&[1, 3], 0.3)).unwrap();
         assert!(lif.has_state());
         lif.reset();
         assert!(!lif.has_state());
@@ -439,13 +440,13 @@ mod tests {
         // Reference: one uninterrupted unrolling.
         let mut whole = Lif::new(LifConfig::default());
         let expected: Vec<Tensor> =
-            frames.iter().map(|f| whole.step_tensor(f.clone()).unwrap()).collect();
+            frames.iter().map(|f| step_tensor(&mut whole, f.clone()).unwrap()).collect();
         // Same unrolling with a take/restore cycle at every boundary.
         let mut chunked = Lif::new(LifConfig::default());
         let mut saved = chunked.take_state_tensor();
         for (f, want) in frames.iter().zip(&expected) {
             chunked.restore_state_tensor(saved.take());
-            let got = chunked.step_tensor(f.clone()).unwrap();
+            let got = step_tensor(&mut chunked, f.clone()).unwrap();
             assert_eq!(&got, want, "take/restore must not perturb a single bit");
             saved = chunked.take_state_tensor();
             assert!(!chunked.has_state(), "take must leave the tensor plane stateless");
@@ -455,14 +456,14 @@ mod tests {
     #[test]
     fn restore_replaces_existing_membrane() {
         let mut lif = Lif::new(LifConfig::default());
-        lif.step_tensor(Tensor::full(&[1, 3], 0.3)).unwrap();
+        step_tensor(&mut lif, Tensor::full(&[1, 3], 0.3)).unwrap();
         let saved = lif.take_state_tensor().unwrap();
         // Drive the neuron to a different membrane, then restore the saved
         // one: the next step must behave as if the detour never happened.
-        lif.step_tensor(Tensor::full(&[1, 3], 0.9)).unwrap();
+        step_tensor(&mut lif, Tensor::full(&[1, 3], 0.9)).unwrap();
         lif.restore_state_tensor(Some(saved));
         // membrane 0.3 -> u = 0.25*0.3 + 0.45 = 0.525 >= 0.5: fires.
-        let s = lif.step_tensor(Tensor::full(&[1, 3], 0.45)).unwrap();
+        let s = step_tensor(&mut lif, Tensor::full(&[1, 3], 0.45)).unwrap();
         assert_eq!(s.sum(), 3.0);
     }
 

@@ -7,8 +7,11 @@
 //!   autograd [`Var`]s — every layer runs once over all the timesteps it is
 //!   given — building the BPTT tape the trainers differentiate
 //!   (Algorithm 1, lines 7–15).
-//! * [`InferForward`] — the inference plane: timestep forward on plain
-//!   [`Tensor`]s. No autograd nodes are allocated (a property
+//! * [`InferForward`] — the inference plane: the same layer-major forward
+//!   on plain [`Tensor`]s, over whatever cut of the sequence the caller has
+//!   — all `T` timesteps of a whole request, a stream's chunk, or one
+//!   timestep when something must be decided between timesteps. No
+//!   autograd nodes are allocated (a property
 //!   `crates/snn/tests/infer_parity.rs` pins with the
 //!   `ttsnn_autograd::nodes_created` counter), intermediates ride the
 //!   runtime's per-thread scratch arenas, and the plane carries the
@@ -22,9 +25,9 @@
 //! The paper's deployment story is train once, serve cheaply (optionally
 //! after merging TT cores back into dense kernels). A `Var` forward
 //! allocates a tape node per op — pure waste when nothing will ever call
-//! `backward()` — and wants a whole sequence up front, where serving feeds
-//! timesteps as they arrive and may stop early. The inference plane runs the identical
-//! arithmetic straight on the runtime kernels: in [`InferStats::Batch`]
+//! `backward()`. The inference plane runs the identical arithmetic straight
+//! on the runtime kernels, and does not care how a sequence is cut into
+//! calls (a stream feeds chunks and may stop early): in [`InferStats::Batch`]
 //! mode it is **bit-identical** to the training plane on the same batch,
 //! which is what lets [`crate::trainer::evaluate`] route through it
 //! without changing a single reported number.
@@ -211,26 +214,51 @@ impl InferState {
     }
 }
 
-/// The **inference plane**: timestep forward on plain [`Tensor`]s.
+/// The **inference plane**: layer-major forward on plain [`Tensor`]s, over
+/// any cut of a sequence.
 ///
 /// Implementations must allocate **zero autograd nodes**, route their
 /// heavy kernels through `ttsnn_tensor::runtime`, and recycle every
 /// intermediate they take (`Tensor::scratch` / `Tensor::recycle`), so a
-/// steady-state timestep loop allocates nothing of activation size. The
+/// steady-state serving loop allocates nothing of activation size. The
 /// semantics knob is [`InferStats`]: `Batch` is
 /// bit-faithful to [`TrainForward`] on the same batch, `PerSample` is
 /// batch-composition-invariant for serving.
 pub trait InferForward: SpikingModel {
-    /// Processes the input frame at timestep `t`, returning `(B, K)`
-    /// logits, without building any autograd graph. The logits' buffer,
-    /// like every intermediate, is checked out of the calling thread's
-    /// arena: [`Tensor::recycle`] it when done (dropping it is correct,
-    /// it just costs the next timestep an allocation).
+    /// Processes timesteps `t0..t0 + steps` of a batch without building any
+    /// autograd graph. `x` is their input frames as one time-major stack
+    /// `(steps·B, C, H, W)` — row `t·B + s` is sample `s` at timestep
+    /// `t0 + t` — and the result is the `(steps·B, K)` logits in the same
+    /// row order. Every layer runs once over the whole stack; the LIF layers
+    /// start from the membranes the previous call left (see
+    /// [`SpikingModel::reset_state`]), so the caller picks the cut — a whole
+    /// request in one call, a stream's chunk, a single timestep when it has
+    /// to look at the logits before the next — and no bit of the logits
+    /// depends on it. The logits' buffer, like every intermediate, is
+    /// checked out of the calling thread's arena: [`Tensor::recycle`] it
+    /// when done (dropping it is correct, it just costs the next call an
+    /// allocation).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the input does not match the architecture
+    /// or does not hold `steps` timesteps.
+    fn forward_steps_tensor(
+        &mut self,
+        x: &Tensor,
+        t0: usize,
+        steps: usize,
+    ) -> Result<Tensor, ShapeError>;
+
+    /// Processes the `(B, C, H, W)` input frame at timestep `t`, returning
+    /// `(B, K)` logits: a sequence of one.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if the input does not match the architecture.
-    fn forward_timestep_tensor(&mut self, x: &Tensor, t: usize) -> Result<Tensor, ShapeError>;
+    fn forward_timestep_tensor(&mut self, x: &Tensor, t: usize) -> Result<Tensor, ShapeError> {
+        self.forward_steps_tensor(x, t, 1)
+    }
 
     /// Selects the inference-plane statistics/batching semantics. Takes
     /// effect immediately — switch only between sequences (i.e. around a
@@ -267,25 +295,17 @@ pub trait Model: TrainForward + InferForward {}
 
 impl<T: TrainForward + InferForward> Model for T {}
 
-/// Tensor-plane fully connected layer `y = x · wᵀ + b` with `x: (B, F)`,
-/// `w: (O, F)`, `b: (O)` — the graph-free twin of `Var::linear`.
+/// Tensor-plane fully connected layer `y = x · wᵀ + b` with `x: (steps·B,
+/// F)`, `w: (O, F)`, `b: (O)` — the graph-free twin of
+/// [`linear_per_timestep`] — under an explicit sparse-dispatch mode (the
+/// models resolve their override once per call). Also returns whether the
+/// sparse kernel served the call.
 ///
-/// In [`InferStats::Batch`] mode the product runs as one batched GEMM
-/// (bit-identical to the `Var` path); in [`InferStats::PerSample`] mode it
-/// runs row by row, so each sample's logits are computed by the exact
-/// kernel a batch-of-1 call would use, whatever the batch size.
-#[cfg(test)]
-pub(crate) fn linear_tensor(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    stats: InferStats,
-) -> Result<Tensor, ShapeError> {
-    linear_tensor_mode(x, w, b, stats, spike::sparse_mode())
-}
-
-/// [`linear_tensor`] under an explicit sparse-dispatch mode (the form
-/// the models call, having resolved their override once per timestep).
+/// In [`InferStats::Batch`] mode every timestep's `B` rows run as one
+/// batched GEMM (bit-identical to the `Var` path, whose kernel is picked by
+/// row count); in [`InferStats::PerSample`] mode the product runs row by
+/// row, so each sample's logits are computed by the exact kernel a
+/// batch-of-1 call would use, whatever the batch size.
 ///
 /// Only the [`InferStats::PerSample`] arm ever routes to the event-driven
 /// [`spike::sparse_linear`]: the sparse kernel replicates the per-row
@@ -297,9 +317,10 @@ pub(crate) fn linear_tensor_mode(
     x: &Tensor,
     w: &Tensor,
     b: &Tensor,
+    steps: usize,
     stats: InferStats,
     mode: SparseMode,
-) -> Result<Tensor, ShapeError> {
+) -> Result<(Tensor, bool), ShapeError> {
     if x.ndim() != 2 || w.ndim() != 2 || b.ndim() != 1 {
         return Err(ShapeError::new(format!(
             "linear_tensor: expected x:(B,F) w:(O,F) b:(O), got {:?} {:?} {:?}",
@@ -308,54 +329,55 @@ pub(crate) fn linear_tensor_mode(
             b.shape()
         )));
     }
-    let (batch, feat) = (x.shape()[0], x.shape()[1]);
+    let (rows, feat) = (x.shape()[0], x.shape()[1]);
     let (out, feat2) = (w.shape()[0], w.shape()[1]);
-    if feat != feat2 || b.shape()[0] != out {
+    if feat != feat2 || b.shape()[0] != out || steps == 0 || !rows.is_multiple_of(steps) {
         return Err(ShapeError::new(format!(
-            "linear_tensor: inconsistent dims x:{:?} w:{:?} b:{:?}",
+            "linear_tensor: inconsistent dims x:{:?} w:{:?} b:{:?} over {steps} timestep(s)",
             x.shape(),
             w.shape(),
             b.shape()
         )));
     }
-    let mut y = match stats {
-        InferStats::Batch => x.matmul_a_bt(w)?,
-        InferStats::PerSample => {
-            let sparse =
-                if mode == SparseMode::Off { None } else { spike::SpikeTensor::try_pack(x) };
-            match sparse.filter(|sp| mode.routes_sparse(sp.density())) {
-                Some(sp) => spike::sparse_linear(&sp, w)?,
-                None => {
-                    let mut y = Tensor::scratch(&[batch, out]);
-                    let rt = Runtime::global();
-                    for s in 0..batch {
-                        runtime::gemm_a_bt(
-                            rt,
-                            &x.data()[s * feat..(s + 1) * feat],
-                            w.data(),
-                            &mut y.data_mut()[s * out..(s + 1) * out],
-                            1,
-                            feat,
-                            out,
-                        );
-                    }
-                    y
-                }
+    let sparse = match (stats, mode) {
+        (InferStats::Batch, _) | (_, SparseMode::Off) => None,
+        _ => spike::SpikeTensor::try_pack(x).filter(|sp| mode.routes_sparse(sp.density())),
+    };
+    let mut y = match &sparse {
+        Some(sp) => spike::sparse_linear(sp, w)?,
+        None => {
+            // Rows per GEMM call: a timestep's batch, or one sample.
+            let m = if stats == InferStats::Batch { (rows / steps).max(1) } else { 1 };
+            let mut y = Tensor::scratch(&[rows, out]);
+            let rt = Runtime::global();
+            for (xs, ys) in x.data().chunks(m * feat).zip(y.data_mut().chunks_mut(m * out)) {
+                runtime::gemm_a_bt(rt, xs, w.data(), ys, m, feat, out);
             }
+            y
         }
     };
-    for i in 0..batch {
-        for j in 0..out {
-            y.data_mut()[i * out + j] += b.data()[j];
+    for row in y.data_mut().chunks_mut(out) {
+        for (v, &bias) in row.iter_mut().zip(b.data()) {
+            *v += bias;
         }
     }
-    Ok(y)
+    Ok((y, sparse.is_some()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ttsnn_tensor::Rng;
+
+    /// One timestep under the process-wide dispatch mode.
+    fn linear_tensor(
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        stats: InferStats,
+    ) -> Result<Tensor, ShapeError> {
+        linear_tensor_mode(x, w, b, 1, stats, spike::sparse_mode()).map(|(y, _)| y)
+    }
 
     #[test]
     fn linear_tensor_matches_var_linear_in_batch_mode() {

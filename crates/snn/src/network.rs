@@ -7,8 +7,9 @@
 //! Everything a consumer does with a model is then one of three walks of
 //! that vector, written once here: the **tape walk**
 //! ([`TrainForward::forward_sequence`], layer-major BPTT), the **tensor
-//! walk** ([`InferForward::forward_timestep_tensor`], one timestep on f32 /
-//! spike-sparse / int8 kernels with calibration hooks), and the
+//! walk** ([`InferForward::forward_steps_tensor`], the same layer-major
+//! forward over any cut of a sequence on f32 / spike-sparse / int8 kernels,
+//! with calibration hooks), and the
 //! **accounting and state walks** (parameters, MACs, TT layers, merge-back,
 //! the conv sites the quantizer freezes, the LIF list behind reset / take /
 //! restore / densities).
@@ -38,7 +39,7 @@
 use ttsnn_autograd::Var;
 use ttsnn_core::flops::{ConvLayerSpec, LayerKind};
 use ttsnn_core::TtConv;
-use ttsnn_tensor::spike::{self, SparseMode};
+use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{pool, Conv2dGeometry, Rng, ShapeError, Tensor};
 
 use crate::conv_unit::{ConvPolicy, ConvUnit};
@@ -180,6 +181,8 @@ pub struct Network {
     infer_stats: InferStats,
     /// Sparse-dispatch override; `None` follows `TTSNN_SPARSE_MODE`.
     sparse_mode: Option<SparseMode>,
+    /// `[sparse, dense]` tensor-walk calls per conv site, classifier last.
+    dispatch: Vec<[u64; 2]>,
 }
 
 /// [`Network::try_new`] checked that every layer's operands are there, so
@@ -302,6 +305,7 @@ impl Network {
         for (i, &layer) in program.layers.iter().enumerate() {
             ops.push(realise(layer).map_err(|why| fail(i, &layer, why))?);
         }
+        let sites = ops.iter().filter(|op| matches!(op, Op::Conv { .. })).count() + 1;
         let classes = program.num_classes;
         let features = match shapes {
             [Some([c, _, _]), None] if c > 0 && classes > 0 => c,
@@ -319,6 +323,7 @@ impl Network {
             calib: None,
             infer_stats: InferStats::default(),
             sparse_mode: None,
+            dispatch: vec![[0; 2]; sites],
             program,
         })
     }
@@ -339,6 +344,22 @@ impl Network {
     /// The sparse-dispatch mode the inference plane currently resolves to.
     pub fn sparse_dispatch_mode(&self) -> SparseMode {
         self.sparse_mode.unwrap_or_else(spike::sparse_mode)
+    }
+
+    /// How often the tensor walk served each site from the event-driven
+    /// sparse kernels and from the dense ones, as `(sparse, dense)` calls per
+    /// convolution in program order, the classifier last, since construction
+    /// or the last [`Network::clear_dispatch_counts`]. A site reads sparse
+    /// only if its input is binary: the average of a 2×2 pool of spikes is
+    /// not, so a conv (or classifier) behind a pool runs dense whatever the
+    /// spike density.
+    pub fn conv_dispatch_counts(&self) -> Vec<(u64, u64)> {
+        self.dispatch.iter().map(|&[sparse, dense]| (sparse, dense)).collect()
+    }
+
+    /// Clears the dispatch counters (nothing else is touched).
+    pub fn clear_dispatch_counts(&mut self) {
+        self.dispatch.fill([0; 2]);
     }
 
     /// Every convolution with its input size, in program order — the
@@ -554,53 +575,66 @@ impl TrainForward for Network {
 }
 
 impl InferForward for Network {
-    fn forward_timestep_tensor(&mut self, x: &Tensor, t: usize) -> Result<Tensor, ShapeError> {
+    fn forward_steps_tensor(
+        &mut self,
+        x: &Tensor,
+        t0: usize,
+        steps: usize,
+    ) -> Result<Tensor, ShapeError> {
         let stats = self.infer_stats;
         let mode = self.sparse_dispatch_mode();
         let mut site = 0usize;
-        // [main, skip], owned buffers that go back to the arena as soon as
-        // they are spent. Main starts empty: until the first conv writes it,
-        // main *is* the caller's frame `x` (`try_new` lets nothing but a
-        // conv read it there).
-        let mut slots: [Option<Tensor>; 2] = [None, None];
+        // [main, skip]: owned buffers that go back to the arena as soon as
+        // they are spent, each with the spike words of the LIF scan that
+        // wrote it riding beside it until something rewrites the slot. Main
+        // starts empty: until the first conv writes it, main *is* the
+        // caller's stack `x` (`try_new` lets nothing but a conv read it
+        // there).
+        let mut slots: [Option<(Tensor, Option<SpikeTensor>)>; 2] = [None, None];
         for op in &mut self.ops {
             match op {
                 Op::Conv { unit, from, to, .. } => {
-                    let src = slots[*from as usize].as_ref().unwrap_or(x);
+                    let (src, packed) = match &slots[*from as usize] {
+                        Some((y, packed)) => (y, packed.as_ref()),
+                        None => (x, None),
+                    };
                     if let Some(rec) = self.calib.as_mut() {
                         rec.observe(site, src);
                     }
+                    let (y, sparse) = unit.forward_tensor_mode(src, packed, t0, steps, mode)?;
+                    self.dispatch[site][usize::from(!sparse)] += 1;
                     site += 1;
-                    let y = unit.forward_tensor_mode(src, t, mode)?;
-                    if let Some(spent) = slots[*to as usize].replace(y) {
+                    if let Some((spent, _)) = slots[*to as usize].replace((y, None)) {
                         spent.recycle();
                     }
                 }
                 Op::Norm { norm, on } => {
-                    let y = slots[*on as usize].as_mut().ok_or_else(|| missing(*on))?;
-                    norm.forward_tensor(y, t, stats)?;
+                    let (y, packed) = slots[*on as usize].as_mut().ok_or_else(|| missing(*on))?;
+                    *packed = None;
+                    norm.forward_tensor(y, t0, steps, stats)?;
                 }
                 Op::Lif(lif) => {
-                    let y = slots[0].take().ok_or_else(|| missing(Slot::Main))?;
-                    slots[0] = Some(lif.step_tensor(y)?);
+                    let (y, _) = slots[0].take().ok_or_else(|| missing(Slot::Main))?;
+                    slots[0] = Some(lif.scan_tensor(y, steps, mode != SparseMode::Off)?);
                 }
                 Op::AvgPool2 => {
-                    let y = slots[0].take().ok_or_else(|| missing(Slot::Main))?;
-                    slots[0] = Some(pool::avg_pool2d(&y, 2)?);
+                    let (y, _) = slots[0].take().ok_or_else(|| missing(Slot::Main))?;
+                    slots[0] = Some((pool::avg_pool2d(&y, 2)?, None));
                     y.recycle();
                 }
                 Op::Stash => slots.swap(0, 1),
                 Op::Add => {
-                    let sc = slots[1].take().ok_or_else(|| missing(Slot::Skip))?;
-                    let y = slots[0].as_mut().ok_or_else(|| missing(Slot::Main))?;
+                    let (sc, _) = slots[1].take().ok_or_else(|| missing(Slot::Skip))?;
+                    let (y, packed) = slots[0].as_mut().ok_or_else(|| missing(Slot::Main))?;
+                    *packed = None;
                     y.add_scaled(&sc, 1.0)?;
                     sc.recycle();
                 }
             }
         }
         let [main, _] = slots;
-        let pooled = pool::global_avg_pool(main.as_ref().unwrap_or(x))?;
-        if let Some(spent) = main {
+        let pooled = pool::global_avg_pool(main.as_ref().map_or(x, |(y, _)| y))?;
+        if let Some((spent, _)) = main {
             spent.recycle();
         }
         if let Some(rec) = self.calib.as_mut() {
@@ -609,11 +643,14 @@ impl InferForward for Network {
         let logits = match &self.qfc {
             Some(q) => q.forward_mode(&pooled, mode),
             None => {
-                linear_tensor_mode(&pooled, &self.fc_w.value(), &self.fc_b.value(), stats, mode)
+                let (w, b) = (self.fc_w.value(), self.fc_b.value());
+                linear_tensor_mode(&pooled, &w, &b, steps, stats, mode)
             }
         };
         pooled.recycle();
-        logits
+        let (logits, sparse) = logits?;
+        self.dispatch[site][usize::from(!sparse)] += 1;
+        Ok(logits)
     }
 
     fn set_infer_stats(&mut self, stats: InferStats) {

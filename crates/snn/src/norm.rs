@@ -16,6 +16,7 @@
 //! own statistics.
 
 use ttsnn_autograd::Var;
+use ttsnn_tensor::runtime::{fork_grain, Runtime};
 use ttsnn_tensor::{ShapeError, Tensor};
 
 use crate::model::InferStats;
@@ -126,93 +127,88 @@ impl Norm {
         }
     }
 
-    /// Applies the normalization at timestep `t` on the **inference
-    /// plane**, in place, with no autograd bookkeeping.
+    /// Applies the normalization to timesteps `t0..t0 + steps` on the
+    /// **inference plane**, in place on their time-major stack `(steps·B, C,
+    /// H, W)`, with no autograd bookkeeping.
     ///
-    /// With [`InferStats::Batch`] the statistics are computed per channel
-    /// over the whole batch in exactly the summation order of
+    /// With [`InferStats::Batch`] every timestep's `B` rows are one
+    /// statistics group, summed per channel in exactly the order of
     /// `Var::batch_norm2d`, so the result is bit-identical to
-    /// [`Norm::forward_sequence`] on that one timestep. With [`InferStats::PerSample`]
-    /// each sample is normalized by its own statistics (the serving mode:
-    /// invariant to batch composition, and equal to `Batch` at B = 1).
+    /// [`Norm::forward_sequence`]. With [`InferStats::PerSample`] every row
+    /// is normalized by its own statistics (the serving mode: invariant to
+    /// batch composition, and equal to `Batch` at B = 1). Groups are
+    /// independent, so they are forked over the kernel pool; TEBN's scale is
+    /// the one of the timestep a group belongs to.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `x` is not `(B, C, H, W)` with `C` equal
-    /// to the layer's channel count.
+    /// Returns [`ShapeError`] if `x` is not `(steps·B, C, H, W)` with `C`
+    /// equal to the layer's channel count.
     pub fn forward_tensor(
         &self,
         x: &mut Tensor,
-        t: usize,
+        t0: usize,
+        steps: usize,
         stats: InferStats,
     ) -> Result<(), ShapeError> {
-        if x.ndim() != 4 {
+        let &[rows, c, h, w] = x.shape() else {
             return Err(ShapeError::new(format!(
                 "Norm::forward_tensor: expected 4-D input, got {:?}",
                 x.shape()
             )));
-        }
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        if c != self.channels {
+        };
+        if c != self.channels || steps == 0 || !rows.is_multiple_of(steps) {
             return Err(ShapeError::new(format!(
-                "Norm::forward_tensor: input has {c} channels, layer expects {}",
+                "Norm::forward_tensor: input {:?} is not {steps} timestep(s) of {} channels",
+                x.shape(),
                 self.channels
             )));
         }
-        // The tdBN extra scale and the TEBN per-timestep scale, exactly as
-        // the Var path composes them: y = (γ · extra · x̂ + β) · sv.
-        let (extra, sv) = match self.kind {
-            NormKind::TdBn { alpha, vth } => (alpha * vth, 1.0f32),
+        // The tdBN extra scale and the TEBN scale of each timestep, exactly
+        // as the Var path composes them: y = (γ · extra · x̂ + β) · sv.
+        let (extra, scales): (f32, Vec<f32>) = match self.kind {
+            NormKind::TdBn { alpha, vth } => (alpha * vth, vec![1.0; steps]),
             NormKind::Tebn { .. } => {
-                let idx = t.min(self.timestep_scales.len().saturating_sub(1));
-                (1.0, self.timestep_scales[idx].value().data()[0])
+                let last = self.timestep_scales.len() - 1;
+                let at = |t: usize| self.timestep_scales[t.min(last)].value().data()[0];
+                (1.0, (t0..t0 + steps).map(at).collect())
             }
         };
-        let plane = h * w;
-        let eps = self.eps;
-        let gamma = self.gamma.value();
-        let beta = self.beta.value();
-        // One (start-offset, sample-count) statistics group per reduction
-        // unit: the whole batch in Batch mode, one sample in PerSample.
-        let groups: Vec<(usize, usize)> = match stats {
-            InferStats::Batch => vec![(0, b)],
-            InferStats::PerSample => (0..b).map(|s| (s, 1)).collect(),
-        };
-        for &(s0, ns) in &groups {
-            let n = (ns * h * w) as f32;
+        let (plane, eps) = (h * w, self.eps);
+        let (gamma, beta) = (self.gamma.value(), self.beta.value());
+        let (gamma, beta) = (gamma.data(), beta.data());
+        // Rows per statistics group: a timestep's batch, or one sample.
+        let (batch, ns) = (rows / steps, if stats == InferStats::Batch { rows / steps } else { 1 });
+        let n = (ns * plane) as f32;
+        let grain = fork_grain(2 * CHAIN_COST * ns * c * plane);
+        Runtime::global().parallel_over_slabs(x.data_mut(), ns * c * plane, grain, |group, xs| {
+            let sv = scales[group * ns / batch.max(1)];
             for ch in 0..c {
                 // Mirrors Var::batch_norm2d: per-plane slab sums folded in
                 // sample order, then a second pass for the variance.
-                let mut acc = 0.0f32;
-                for s in s0..s0 + ns {
-                    let start = (s * c + ch) * plane;
-                    acc += x.data()[start..start + plane].iter().sum::<f32>();
-                }
-                let mean = acc / n;
-                let mut vacc = 0.0f32;
-                for s in s0..s0 + ns {
-                    let start = (s * c + ch) * plane;
-                    vacc += x.data()[start..start + plane]
-                        .iter()
-                        .map(|v| (v - mean).powi(2))
-                        .sum::<f32>();
-                }
-                let var = vacc / n;
+                let planes = || (0..ns).map(|s| (s * c + ch) * plane..(s * c + ch + 1) * plane);
+                let mean = planes().fold(0.0f32, |acc, r| acc + xs[r].iter().sum::<f32>()) / n;
+                let var = planes().fold(0.0f32, |acc, r| {
+                    acc + xs[r].iter().map(|v| (v - mean).powi(2)).sum::<f32>()
+                }) / n;
                 let inv = 1.0 / (var + eps).sqrt();
-                let g = gamma.data()[ch];
-                let bv = beta.data()[ch];
-                for s in s0..s0 + ns {
-                    let start = (s * c + ch) * plane;
-                    for v in &mut x.data_mut()[start..start + plane] {
-                        let xh = (*v - mean) * inv;
-                        *v = (g * extra * xh + bv) * sv;
+                let (g, bv) = (gamma[ch], beta[ch]);
+                for r in planes() {
+                    for v in &mut xs[r] {
+                        *v = (g * extra * ((*v - mean) * inv) + bv) * sv;
                     }
                 }
             }
-        }
+        });
         Ok(())
     }
 }
+
+/// What one element of the statistics sums costs in the streamed `f32`
+/// operations `fork_grain` counts in: they are sequential by contract, each
+/// add waiting for the one before it (the training plane's batch norm
+/// measured the same constant).
+const CHAIN_COST: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -296,7 +292,7 @@ mod tests {
                 let via_var =
                     norm.forward_sequence(&Var::constant(x.clone()), t, 1).unwrap().to_tensor();
                 let mut via_tensor = x;
-                norm.forward_tensor(&mut via_tensor, t, InferStats::Batch).unwrap();
+                norm.forward_tensor(&mut via_tensor, t, 1, InferStats::Batch).unwrap();
                 assert_eq!(via_var, via_tensor, "t={t}");
             }
         }
@@ -308,13 +304,13 @@ mod tests {
         let norm = Norm::td_bn(2);
         let x = Tensor::randn(&[5, 2, 4, 4], &mut rng);
         let mut batched = x.clone();
-        norm.forward_tensor(&mut batched, 0, InferStats::PerSample).unwrap();
+        norm.forward_tensor(&mut batched, 0, 1, InferStats::PerSample).unwrap();
         let slab = 2 * 16;
         for s in 0..5 {
             let mut solo =
                 Tensor::from_vec(x.data()[s * slab..(s + 1) * slab].to_vec(), &[1, 2, 4, 4])
                     .unwrap();
-            norm.forward_tensor(&mut solo, 0, InferStats::PerSample).unwrap();
+            norm.forward_tensor(&mut solo, 0, 1, InferStats::PerSample).unwrap();
             assert_eq!(&batched.data()[s * slab..(s + 1) * slab], solo.data(), "sample {s}");
         }
     }
@@ -323,9 +319,9 @@ mod tests {
     fn forward_tensor_validates_shapes() {
         let norm = Norm::td_bn(3);
         let mut bad_c = Tensor::zeros(&[1, 4, 2, 2]);
-        assert!(norm.forward_tensor(&mut bad_c, 0, InferStats::Batch).is_err());
+        assert!(norm.forward_tensor(&mut bad_c, 0, 1, InferStats::Batch).is_err());
         let mut bad_rank = Tensor::zeros(&[3, 2, 2]);
-        assert!(norm.forward_tensor(&mut bad_rank, 0, InferStats::Batch).is_err());
+        assert!(norm.forward_tensor(&mut bad_rank, 0, 1, InferStats::Batch).is_err());
     }
 
     #[test]

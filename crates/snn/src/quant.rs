@@ -325,15 +325,21 @@ impl QuantLinear {
 
     /// The classifier under a sparse-dispatch mode: event-driven when `x`
     /// is binary and `mode` routes its density sparse, dense otherwise.
-    pub(crate) fn forward_mode(&self, x: &Tensor, mode: SparseMode) -> Result<Tensor, ShapeError> {
-        if mode != SparseMode::Off {
-            if let Some(sp) = SpikeTensor::try_pack(x) {
-                if mode.routes_sparse(sp.density()) {
-                    return self.forward_spikes(&sp);
-                }
-            }
+    /// Also returns whether the sparse kernel served the call.
+    pub(crate) fn forward_mode(
+        &self,
+        x: &Tensor,
+        mode: SparseMode,
+    ) -> Result<(Tensor, bool), ShapeError> {
+        let sparse = match mode {
+            SparseMode::Off => None,
+            _ => SpikeTensor::try_pack(x).filter(|sp| mode.routes_sparse(sp.density())),
+        };
+        match &sparse {
+            Some(sp) => self.forward_spikes(sp),
+            None => self.forward_tensor(x),
         }
-        self.forward_tensor(x)
+        .map(|y| (y, sparse.is_some()))
     }
 }
 
@@ -684,7 +690,9 @@ mod tests {
         let y = ql.forward_tensor(&x).unwrap();
         assert_eq!(y.shape(), &[3, 5]);
         // Against the float layer, error bounded by quantization noise.
-        let yf = crate::model::linear_tensor(&x, &w, &b, crate::InferStats::PerSample).unwrap();
+        let per_sample = crate::InferStats::PerSample;
+        let (yf, _) =
+            crate::model::linear_tensor_mode(&x, &w, &b, 1, per_sample, SparseMode::Off).unwrap();
         assert!(y.max_abs_diff(&yf).unwrap() < 0.5);
     }
 

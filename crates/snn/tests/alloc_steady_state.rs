@@ -120,10 +120,24 @@ fn calibration(requests: &[Request]) -> Vec<Tensor> {
         .collect()
 }
 
-fn serve(model: &mut dyn InferForward, request: &Request) {
+/// A request's `(1, C, H, W)` frames as one time-major `(T, C, H, W)` stack.
+fn time_major(frames: &Request) -> Tensor {
+    let [_, c, h, w] = frames[0].shape() else { panic!("frames are (1, C, H, W)") };
+    Tensor::stack(frames).unwrap().into_reshaped(&[frames.len(), *c, *h, *w]).unwrap()
+}
+
+/// A request served a timestep at a time (`whole` unset: the cut of a
+/// stream with an exit rule) or in one layer-major call over its `T`
+/// frames stacked time-major (the cut of a whole-sequence request).
+fn serve(model: &mut dyn InferForward, request: &Request, whole: Option<&Tensor>) {
     model.reset_state();
-    for (t, frame) in request.iter().enumerate() {
-        model.forward_timestep_tensor(frame, t).expect("forward").recycle();
+    match whole {
+        Some(stack) => model.forward_steps_tensor(stack, 0, T).expect("forward").recycle(),
+        None => {
+            for (t, frame) in request.iter().enumerate() {
+                model.forward_timestep_tensor(frame, t).expect("forward").recycle();
+            }
+        }
     }
 }
 
@@ -139,16 +153,22 @@ fn large_allocations(window: impl FnOnce()) -> (usize, usize) {
     )
 }
 
-/// Two warm-up requests, then 32 measured ones over the same inputs;
-/// returns the large allocations (count, bytes) of the measured window.
-fn steady_state(model: &mut dyn InferForward, requests: &[Request; 2]) -> (usize, usize) {
+/// Two warm-up requests, then 32 measured ones over the same inputs, at
+/// the given cut; returns the large allocations (count, bytes) of the
+/// measured window.
+fn steady_state(
+    model: &mut dyn InferForward,
+    requests: &[Request; 2],
+    whole: bool,
+) -> (usize, usize) {
     model.set_infer_stats(InferStats::PerSample);
-    for request in requests {
-        serve(model, request);
+    let stacks = requests.each_ref().map(|frames| whole.then(|| time_major(frames)));
+    for (request, stack) in requests.iter().zip(&stacks) {
+        serve(model, request, stack.as_ref());
     }
     large_allocations(|| {
         for i in 0..32 {
-            serve(model, &requests[i % 2]);
+            serve(model, &requests[i % 2], stacks[i % 2].as_ref());
         }
     })
 }
@@ -220,8 +240,8 @@ fn steady_state_requests_allocate_nothing_large() {
     }
 }
 
-/// The six serving cases: each model × plane serves its two requests
-/// again and again out of parked buffers.
+/// The six serving cases, at both cuts of a request: each model × plane
+/// serves its two requests again and again out of parked buffers.
 fn serving_steady_state(rng: &mut Rng) {
     let analog = [analog_request(rng), analog_request(rng)];
     let events = [event_request(rng), event_request(rng)];
@@ -255,10 +275,12 @@ fn serving_steady_state(rng: &mut Rng) {
     ];
     let mut leaks = Vec::new();
     for (name, model, requests) in &mut cases {
-        let (count, bytes) = steady_state(model.as_mut(), requests);
-        println!("{name}: {count} allocations >= {LARGE} B ({bytes} B) in 32 requests");
-        if count > 0 {
-            leaks.push(format!("{name}: {count} ({bytes} B)"));
+        for (cut, whole) in [("a call per timestep", false), ("one call per request", true)] {
+            let (count, bytes) = steady_state(model.as_mut(), requests, whole);
+            println!("{name}, {cut}: {count} allocations >= {LARGE} B ({bytes} B) in 32 requests");
+            if count > 0 {
+                leaks.push(format!("{name}, {cut}: {count} ({bytes} B)"));
+            }
         }
     }
     assert!(leaks.is_empty(), "steady-state requests allocated large buffers: {leaks:?}");

@@ -99,11 +99,20 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Per-timestep logit bits of one model over `frames`.
+/// `frames` as one time-major `(T·B, C, H, W)` stack.
+fn time_major(frames: &[Tensor]) -> Tensor {
+    let [b, c, h, w] = frames[0].shape() else { panic!("frames are (B, C, H, W)") };
+    Tensor::stack(frames).unwrap().into_reshaped(&[frames.len() * b, *c, *h, *w]).unwrap()
+}
+
+/// Per-timestep logit bits of one model over `frames`, a call per timestep —
+/// checked against the same sequence in one layer-major call, whose stacked
+/// activations, carried membranes and spike words are arena buffers of their
+/// own sizes.
 fn logits(model: &mut dyn InferForward, frames: &[Tensor], stats: InferStats) -> Vec<Vec<u32>> {
     model.set_infer_stats(stats);
     model.reset_state();
-    let out = frames
+    let out: Vec<Vec<u32>> = frames
         .iter()
         .enumerate()
         .map(|(t, f)| {
@@ -113,6 +122,10 @@ fn logits(model: &mut dyn InferForward, frames: &[Tensor], stats: InferStats) ->
             b
         })
         .collect();
+    model.reset_state();
+    let whole = model.forward_steps_tensor(&time_major(frames), 0, frames.len()).expect("forward");
+    assert_eq!(bits(&whole), out.concat(), "one call over the sequence moved a bit");
+    whole.recycle();
     model.reset_state();
     out
 }
@@ -199,13 +212,14 @@ fn run_all(seed: u64, poison: bool) -> Vec<(String, Vec<Vec<u32>>)> {
 
         // Un-merged TT convolutions: every intermediate between cores is
         // an arena buffer. HTT runs its full path at t = 0 and its half
-        // path at t = T - 1.
+        // path at t = T - 1, and over the whole sequence at once cuts the
+        // stack in two and joins the halves.
         for (mode, stride) in
             [(TtMode::Stt, (1, 1)), (TtMode::Ptt, (2, 2)), (TtMode::htt_default(T), (1, 1))]
         {
             let name = format!("TtConv {}", mode.name());
             let tt = TtConv::randn_strided(3, 8, 2, mode, stride, &mut rng);
-            let ys = (0..T)
+            let ys: Vec<Vec<u32>> = (0..T)
                 .map(|t| {
                     let y = tt.forward_tensor(&analog[t], t).expect("tt forward");
                     let b = bits(&y);
@@ -213,6 +227,9 @@ fn run_all(seed: u64, poison: bool) -> Vec<(String, Vec<Vec<u32>>)> {
                     b
                 })
                 .collect();
+            let whole = tt.forward_steps_tensor(&time_major(&analog), 0, T).expect("tt forward");
+            assert_eq!(bits(&whole), ys.concat(), "{name}: one call over the sequence");
+            whole.recycle();
             out.push((name, ys));
         }
         out

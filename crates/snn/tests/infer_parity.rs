@@ -1,6 +1,6 @@
 //! Train/infer execution-plane parity and serving-determinism properties.
 //!
-//! Three contracts, over VGG9 and ResNet20 under dense and TT policies:
+//! Four contracts, over VGG9 and ResNet20 under dense and TT policies:
 //!
 //! 1. **Batch-mode parity** — [`InferForward::forward_timestep_tensor`] in
 //!    the default [`InferStats::Batch`] mode is **bit-identical** to the
@@ -12,6 +12,13 @@
 //!    serving contract).
 //! 3. **Graph-free evaluation** — `evaluate_counts` allocates **zero**
 //!    autograd nodes (`ttsnn_autograd::nodes_created` does not move).
+//! 4. **Cut invariance** — [`InferForward::forward_steps_tensor`] over a
+//!    whole sequence in one call equals any cut of it into shorter calls
+//!    (down to a timestep at a time, with the membranes taken out and put
+//!    back between calls), logits and spike counters bit for bit, on f32 and
+//!    int8, merged and un-merged HTT, under every sparse-dispatch mode; and
+//!    the spike words a LIF scan hands the next convolution are the ones
+//!    `SpikeTensor::try_pack` would have found.
 //!
 //! The kernel runtime is bit-identical across thread counts (asserted in
 //! `crates/tensor/tests/runtime_kernels.rs`), so CI re-runs this suite
@@ -22,8 +29,13 @@ use proptest::prelude::*;
 use ttsnn_autograd::{nodes_created, Var};
 use ttsnn_core::TtMode;
 use ttsnn_data::StaticImages;
+use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::trainer::{evaluate, evaluate_counts, forward_batch};
-use ttsnn_snn::{ConvPolicy, InferStats, Model, ResNetSnn, SpikingModel, VggSnn};
+use ttsnn_snn::{
+    ConvPolicy, InferForward, InferStats, Lif, LifConfig, Model, Network, ResNetSnn, SpikingModel,
+    VggSnn,
+};
+use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{Rng, Tensor};
 use ttsnn_testutil::{resnet20_tiny, vgg9_tiny};
 
@@ -265,5 +277,143 @@ fn spike_activity_counters_report_what_they_always_did() {
                 });
             assert!((mean, layers) == want, "{name}, {plane}: ({mean:#018x}, {layers:#018x})");
         }
+    }
+}
+
+/// Timesteps of the cut-invariance sequences: long enough for three
+/// different cuts and for HTT's default schedule to change path mid-way.
+const CUT_T: usize = 4;
+const CUT_BATCH: usize = 3;
+
+/// Rows `first..first + rows` of a stack's leading axis.
+fn row_range(x: &Tensor, first: usize, rows: usize) -> Tensor {
+    let row = x.len() / x.shape()[0];
+    let mut shape = x.shape().to_vec();
+    shape[0] = rows;
+    Tensor::from_vec(x.data()[first * row..(first + rows) * row].to_vec(), &shape).unwrap()
+}
+
+/// What a sequence leaves behind: logit bits (time-major), per-layer spike
+/// density bits, mean activity bits.
+type Outcome = (Vec<u32>, Vec<u64>, Option<u64>);
+
+/// Serves the time-major stack `x` in calls of `cuts` timesteps each,
+/// parking the membranes outside the model between calls as a stream does.
+fn serve_in_cuts(net: &mut Network, x: &Tensor, cuts: &[usize]) -> Outcome {
+    net.reset_state();
+    let mut logits = Vec::new();
+    let mut t0 = 0;
+    for &steps in cuts {
+        let state = net.take_infer_state();
+        net.restore_infer_state(state).unwrap();
+        let frames = row_range(x, t0 * CUT_BATCH, steps * CUT_BATCH);
+        let y = net.forward_steps_tensor(&frames, t0, steps).unwrap();
+        assert_eq!(y.shape()[0], steps * CUT_BATCH, "one logit row per sample and timestep");
+        logits.extend(y.data().iter().map(|v| v.to_bits()));
+        t0 += steps;
+    }
+    net.reset_state();
+    let densities = net.layer_spike_densities().iter().map(|d| d.to_bits()).collect();
+    (logits, densities, net.mean_spike_activity().map(f64::to_bits))
+}
+
+/// Contract 4: one `steps = T` call equals every cut of the sequence.
+#[test]
+fn one_call_over_the_sequence_equals_every_cut_of_it() {
+    let mut rng = Rng::seed_from(31);
+    let events = Tensor::rand_uniform(&[CUT_T * CUT_BATCH, 3, 8, 8], 0.0, 1.0, &mut rng)
+        .map(|v| f32::from(v < 0.15));
+    // Calibration wants (T, C, H, W) samples: sample 0 of every timestep.
+    let frame = 3 * 8 * 8;
+    let sample0: Vec<f32> =
+        (0..CUT_T).flat_map(|t| events.data()[t * CUT_BATCH * frame..][..frame].to_vec()).collect();
+    let calibration = [Tensor::from_vec(sample0, &[CUT_T, 3, 8, 8]).unwrap()];
+
+    #[derive(Clone, Copy, Debug)]
+    enum Plane {
+        MergedF32,
+        HttF32,
+        Int8,
+    }
+    let htt = ConvPolicy::tt(TtMode::htt_default(CUT_T));
+    let build = |vgg: bool, plane: Plane| -> Network {
+        let mut rng = Rng::seed_from(32);
+        let mut net = if vgg {
+            VggSnn::new(vgg9_tiny(), &htt, &mut rng)
+        } else {
+            ResNetSnn::new(resnet20_tiny(5), &htt, &mut rng)
+        };
+        if !matches!(plane, Plane::HttF32) {
+            net.merge_into_dense().unwrap();
+        }
+        if matches!(plane, Plane::Int8) {
+            let calib = net.calibrate(&calibration, CUT_T).unwrap();
+            net.quantize(&calib, &QuantConfig::default()).unwrap();
+        }
+        net
+    };
+    // Sites whose input no LIF scan produced, i.e. where a pack attempt is
+    // the only way to learn the input is binary: the first conv and the
+    // classifier, plus VGG9's two convs behind a pool.
+    let unscanned_sites = |vgg: bool| if vgg { 4 } else { 2 };
+    for vgg in [true, false] {
+        for plane in [Plane::MergedF32, Plane::HttF32, Plane::Int8] {
+            for mode in [SparseMode::Auto, SparseMode::Force, SparseMode::Off] {
+                for stats in [InferStats::PerSample, InferStats::Batch] {
+                    let label = format!("vgg={vgg} {plane:?} {mode:?} {stats:?}");
+                    let fresh = || {
+                        let mut net = build(vgg, plane);
+                        net.set_sparse_mode(Some(mode));
+                        net.set_infer_stats(stats);
+                        net.clear_dispatch_counts();
+                        net
+                    };
+                    let mut whole = fresh();
+                    let packs = spike::pack_attempts();
+                    let want = serve_in_cuts(&mut whole, &events, &[CUT_T]);
+                    let packs = spike::pack_attempts() - packs;
+                    let calls = whole.conv_dispatch_counts();
+                    assert!(calls.iter().all(|&(s, d)| s + d == 1), "{label}: {calls:?}");
+                    if !matches!(plane, Plane::HttF32) && stats == InferStats::PerSample {
+                        let expected =
+                            if mode == SparseMode::Off { 0 } else { unscanned_sites(vgg) };
+                        assert_eq!(packs, expected, "{label}: try_pack ran behind a LIF scan");
+                    }
+                    for cuts in [&[1; CUT_T][..], &[2, CUT_T - 2], &[CUT_T - 1, 1]] {
+                        let mut net = fresh();
+                        let got = serve_in_cuts(&mut net, &events, cuts);
+                        assert!(got == want, "{label}: cuts {cuts:?} moved a bit");
+                        let calls = net.conv_dispatch_counts();
+                        let n = cuts.len() as u64;
+                        assert!(calls.iter().all(|&(s, d)| s + d == n), "{label}: {calls:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The spike words a scan hands over are `try_pack` of the spikes it wrote,
+/// whenever a timestep's neurons fill whole words — and absent otherwise
+/// (63 and 65 neurons), however the sequence is cut.
+#[test]
+fn scan_words_equal_try_pack_of_the_spikes() {
+    let mut rng = Rng::seed_from(33);
+    let steps = 3;
+    for (batch, neurons) in [(1, 63), (1, 64), (1, 65), (2, 32), (2, 96), (3, 64), (4, 4 * 8 * 8)] {
+        let x = Tensor::randn(&[steps * batch, neurons], &mut rng);
+        let whole_words = (batch * neurons) % 64 == 0;
+        let mut lif = Lif::new(LifConfig::default());
+        let (spikes, packed) = lif.scan_tensor(x.clone(), steps, true).unwrap();
+        assert_eq!(packed.is_some(), whole_words, "{batch} x {neurons} neurons");
+        assert_eq!(packed, SpikeTensor::try_pack(&spikes).filter(|_| whole_words));
+        let mut lif = Lif::new(LifConfig::default());
+        for t in 0..steps {
+            let (s, p) = lif.scan_tensor(row_range(&x, t * batch, batch), 1, true).unwrap();
+            assert_eq!(s.data(), &spikes.data()[t * batch * neurons..][..batch * neurons]);
+            assert_eq!(p, SpikeTensor::try_pack(&s).filter(|_| whole_words), "t = {t}");
+        }
+        let (_, unasked) = Lif::new(LifConfig::default()).scan_tensor(x, steps, false).unwrap();
+        assert!(unasked.is_none(), "no words unless asked for");
     }
 }

@@ -160,3 +160,36 @@ fn sparse_mode_override_defaults_to_env_resolution() {
     net.set_sparse_mode(None);
     assert_eq!(net.sparse_dispatch_mode(), ttsnn_tensor::spike::sparse_mode());
 }
+
+/// A finding, pinned: "sparse dispatch on every layer" is not what runs.
+/// VGG9's third and fifth convolutions read a 2 × 2 average of spikes —
+/// values in {0, ¼, ½, ¾, 1} — which no dispatch mode can route to the
+/// event-driven kernels, and the classifier reads a pooled map too. Only
+/// the sites a LIF layer (or a binary input) feeds directly run sparse.
+/// (`layer_spike_densities` counts LIF layers under the threshold, not
+/// convolutions routed sparse.)
+#[test]
+fn vgg9_sites_behind_a_pool_run_dense_whatever_the_density() {
+    let mut rng = Rng::seed_from(17);
+    let mut net = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
+    let frames = spike_frames(3, 8, 4, 0.1, 600);
+    for mode in [SparseMode::Auto, SparseMode::Force] {
+        net.set_sparse_mode(Some(mode));
+        net.clear_dispatch_counts();
+        let _ = batch_logits(&mut net, &frames, InferStats::PerSample);
+        let calls = T as u64;
+        let (sparse, dense) = ((calls, 0), (0, calls));
+        assert_eq!(
+            net.conv_dispatch_counts(),
+            [sparse, sparse, dense, sparse, dense, sparse, dense],
+            "{mode:?}: conv sites 0-5, then the classifier; densities {:?}",
+            net.layer_spike_densities()
+        );
+    }
+    net.set_sparse_mode(Some(SparseMode::Off));
+    net.clear_dispatch_counts();
+    let _ = batch_logits(&mut net, &frames, InferStats::PerSample);
+    assert!(net.conv_dispatch_counts().iter().all(|&(sparse, _)| sparse == 0));
+    net.clear_dispatch_counts();
+    assert!(net.conv_dispatch_counts().iter().all(|&calls| calls == (0, 0)));
+}

@@ -19,6 +19,8 @@
 //!   with per-output-channel requantization and an accelerator-faithful
 //!   saturating 16-bit accumulator mode, on the same worker pool.
 //! * [`Tensor::matmul`] — matrix multiplication over the runtime kernels.
+//! * [`lif`] — the LIF neuron's forward and reverse scans over a stack of
+//!   timesteps: the one place the recurrence is written, for both planes.
 //! * [`linalg`] — one-sided Jacobi SVD (used by TT-SVD and VBMF).
 //! * [`pool`] — average pooling and global average pooling with backward.
 //! * [`Rng`] — a small deterministic xoshiro-style RNG so experiments are
@@ -45,6 +47,7 @@ mod shape;
 mod tensor;
 
 pub mod conv;
+pub mod lif;
 pub mod linalg;
 pub mod pool;
 pub mod qkernels;

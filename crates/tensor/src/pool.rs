@@ -6,16 +6,28 @@
 //! Table III.
 
 use crate::error::ShapeError;
+use crate::runtime::{fork_grain, Runtime};
 use crate::tensor::Tensor;
 
 /// Average pooling with a square `k`×`k` window and stride `k`.
 ///
-/// Input `(B, C, H, W)`; `H` and `W` must be divisible by `k`.
+/// Input `(B, C, H, W)`; `H` and `W` must be divisible by `k`. Output planes
+/// are independent and each element is written by one task, so the result
+/// does not depend on the thread count.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] on non-4-D input or indivisible spatial dims.
 pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
+    avg_pool2d_with(Runtime::global(), x, k)
+}
+
+/// [`avg_pool2d`] on an explicit [`Runtime`] (tests pin thread counts).
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] on non-4-D input or indivisible spatial dims.
+pub fn avg_pool2d_with(rt: &Runtime, x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
     if x.ndim() != 4 {
         return Err(ShapeError::new(format!(
             "avg_pool2d: expected 4-D input, got {:?}",
@@ -34,8 +46,11 @@ pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
         return Ok(y);
     }
     let inv = 1.0 / (k * k) as f32;
-    // Plane by plane; each window summed rows first, then columns.
-    for (xp, yp) in x.data().chunks(h * w).zip(y.data_mut().chunks_mut(oh * ow)) {
+    let xd = x.data();
+    // Plane by plane (one add per input element); each window summed rows
+    // first, then columns.
+    rt.parallel_over_slabs(y.data_mut(), oh * ow, fork_grain(h * w), |p, yp| {
+        let xp = &xd[p * h * w..(p + 1) * h * w];
         for (oi, yrow) in yp.chunks_mut(ow).enumerate() {
             let band = &xp[oi * k * w..(oi + 1) * k * w];
             for (oj, out) in yrow.iter_mut().enumerate() {
@@ -48,7 +63,7 @@ pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
                 *out = acc * inv;
             }
         }
-    }
+    });
     Ok(y)
 }
 
@@ -100,12 +115,22 @@ pub fn avg_pool2d_backward(
     Ok(x_grad)
 }
 
-/// Global average pooling: `(B, C, H, W) -> (B, C)`.
+/// Global average pooling: `(B, C, H, W) -> (B, C)`, one task per output
+/// element (thread-count invariant like [`avg_pool2d`]).
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] on non-4-D input.
 pub fn global_avg_pool(x: &Tensor) -> Result<Tensor, ShapeError> {
+    global_avg_pool_with(Runtime::global(), x)
+}
+
+/// [`global_avg_pool`] on an explicit [`Runtime`] (tests pin thread counts).
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] on non-4-D input.
+pub fn global_avg_pool_with(rt: &Runtime, x: &Tensor) -> Result<Tensor, ShapeError> {
     if x.ndim() != 4 {
         return Err(ShapeError::new(format!(
             "global_avg_pool: expected 4-D input, got {:?}",
@@ -116,9 +141,9 @@ pub fn global_avg_pool(x: &Tensor) -> Result<Tensor, ShapeError> {
     let mut y = Tensor::scratch(&[b, c]);
     let inv = 1.0 / (h * w) as f32;
     let (xd, plane) = (x.data(), h * w);
-    for (i, out) in y.data_mut().iter_mut().enumerate() {
-        *out = xd[i * plane..(i + 1) * plane].iter().sum::<f32>() * inv;
-    }
+    rt.parallel_over_slabs(y.data_mut(), 1, fork_grain(plane), |i, out| {
+        out[0] = xd[i * plane..(i + 1) * plane].iter().sum::<f32>() * inv;
+    });
     Ok(y)
 }
 

@@ -171,9 +171,12 @@ fn qgemm_serial_rows(a: &[i8], b: &[i8], rows: &mut [i32], k: usize, n: usize, a
                 for kk in 0..k {
                     let av = a[i * k + kk] as i32;
                     if av == 0 {
-                        // Exact in integers (0·x == 0 always): spike-driven
-                        // activations are mostly zero, so this skip is the
-                        // CPU analogue of the accelerator's spike gating.
+                        // Exact in integers (0·x == 0 always). In `qconv2d`
+                        // `a` is the *weight* matrix, so this skips zero
+                        // weights, not silent activations — and a merged
+                        // PTT / HTT kernel is a cross (Eq. 6: a 3×1 plus a
+                        // 1×3 branch), whose four corner taps, 4 / 9 of
+                        // every row, are exactly zero.
                         continue;
                     }
                     let brow = &b[kk * n..kk * n + n];
@@ -187,7 +190,7 @@ fn qgemm_serial_rows(a: &[i8], b: &[i8], rows: &mut [i32], k: usize, n: usize, a
             // Saturation makes the per-element fold non-linear, so the sum
             // must be built in k-order per element; zero products still
             // cannot change a saturating fold (saturating_add(acc, 0) ==
-            // acc), so the spike-gating skip stays exact.
+            // acc), so the zero-weight skip stays exact.
             rows.fill(0);
             for i in 0..mrows {
                 let orow = &mut rows[i * n..(i + 1) * n];

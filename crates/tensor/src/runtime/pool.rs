@@ -760,7 +760,10 @@ mod tests {
         }
     }
 
-    /// Blocks until some thread of `rt`'s pool has parked since `before`.
+    /// Blocks until some thread of `rt`'s pool has parked since `before` —
+    /// a snapshot from before the region whose workers are to park: one
+    /// taken after it can already include that park (a descheduled caller is
+    /// enough), and then waits for one that never comes.
     fn wait_for_park(rt: &Runtime, before: &PoolStats) {
         while rt.stats().since(before).parks == 0 {
             std::thread::sleep(SPIN_BUDGET);
@@ -795,14 +798,17 @@ mod tests {
                     exactly_once(&rt, 2 * threads, "spinning");
                 }
                 // Past the budget: the region has to wake a parked worker.
+                let mut before = rt.stats();
+                exactly_once(&rt, 2 * threads, "spinning");
                 for _ in 0..20 {
-                    wait_for_park(&rt, &rt.stats());
+                    wait_for_park(&rt, &before);
+                    before = rt.stats();
                     exactly_once(&rt, 2 * threads, "parked");
                 }
                 let stats = rt.stats();
-                assert_eq!(stats.regions, 720, "threads={threads}");
+                assert_eq!(stats.regions, 721, "threads={threads}");
                 // `threads` ranges a region, the first on the caller.
-                assert_eq!(stats.forked_tasks, 720 * (threads as u64 - 1));
+                assert_eq!(stats.forked_tasks, 721 * (threads as u64 - 1));
                 assert!(stats.handoffs <= stats.forked_tasks);
             }
         });
@@ -870,8 +876,9 @@ mod tests {
             exactly_once(&clone, 8, "clone after drop");
             drop(clone); // joins here, microseconds after a region: mid-spin
             let parked = Runtime::new(4);
+            let before = parked.stats();
             parked.parallel_for(8, 1, |_, _| {});
-            wait_for_park(&parked, &parked.stats());
+            wait_for_park(&parked, &before);
             drop(parked);
             let fresh = Runtime::new(2);
             fresh.parallel_for(4, 1, |_, _| {});

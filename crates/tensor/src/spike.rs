@@ -55,12 +55,14 @@
 //! exactly one thread (parallelism splits disjoint output ranges), so
 //! results are bit-identical across thread counts by construction.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use crate::conv::Conv2dGeometry;
 use crate::error::ShapeError;
 use crate::qkernels::{check_scales, check_x_scale, w_scale_at, QAccum};
 use crate::runtime::{self, with_scratch, with_scratch_zeroed, Runtime};
+use crate::shape::num_elements;
 use crate::tensor::Tensor;
 
 // ---------------------------------------------------------------------------
@@ -68,10 +70,11 @@ use crate::tensor::Tensor;
 
 /// A bit-packed binary tensor: 64 elements per `u64` word, element `i` at
 /// bit `i % 64` of word `i / 64`. Built from an `f32` tensor whose
-/// elements are all exactly `0.0` or `1.0` (the output domain of
-/// `Lif::step_tensor`); packing and density measurement happen in one
-/// pass. The word buffer is checked out of the thread's arena and goes
-/// back to it when the tensor is dropped.
+/// elements are all exactly `0.0` or `1.0` — by [`SpikeTensor::try_pack`],
+/// which validates, packs and measures density in one pass, or by the LIF
+/// scan that wrote those elements ([`crate::lif::scan`]), which has no need
+/// to look at them again. The word buffer is checked out of the thread's
+/// arena and goes back to it when the tensor is dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpikeTensor {
     shape: Vec<usize>,
@@ -85,16 +88,41 @@ impl Drop for SpikeTensor {
     }
 }
 
+thread_local! {
+    static PACK_ATTEMPTS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`SpikeTensor::try_pack`] calls ever made on this thread. Monotonic;
+/// tests difference it to show where the float-by-float scan still runs.
+pub fn pack_attempts() -> u64 {
+    PACK_ATTEMPTS.with(Cell::get)
+}
+
 impl SpikeTensor {
+    /// A pack of a `shape` tensor whose producer is about to write every
+    /// word itself and then [`SpikeTensor::set_ones`].
+    pub(crate) fn unfilled(shape: &[usize]) -> Self {
+        let words = runtime::take_buffer(num_elements(shape).div_ceil(64));
+        Self { shape: shape.to_vec(), words, ones: 0 }
+    }
+
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
+    pub(crate) fn set_ones(&mut self, ones: usize) {
+        self.ones = ones;
+    }
+
     /// Packs a binary `f32` tensor, or returns `None` if any element is
     /// not exactly `0.0` or `1.0` (so callers fall back to the dense
     /// kernels for non-spike activations). `-0.0` packs as no-spike.
     pub fn try_pack(x: &Tensor) -> Option<Self> {
+        PACK_ATTEMPTS.with(|c| c.set(c.get() + 1));
         let data = x.data();
         // Every word is written below; a rejected pack drops `packed`,
         // which hands the buffer straight back.
-        let words = runtime::take_buffer(data.len().div_ceil(64));
-        let mut packed = Self { shape: x.shape().to_vec(), words, ones: 0 };
+        let mut packed = Self::unfilled(x.shape());
         for (word, chunk) in packed.words.iter_mut().zip(data.chunks(64)) {
             let mut w = 0u64;
             for (bit, &v) in chunk.iter().enumerate() {

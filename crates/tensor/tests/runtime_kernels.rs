@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use ttsnn_tensor::runtime::{self, Runtime};
-use ttsnn_tensor::{conv, matmul_into, Conv2dGeometry, Rng, Tensor};
+use ttsnn_tensor::{conv, matmul_into, pool, Conv2dGeometry, Rng, Tensor};
 
 /// The ISSUE's shape grid: every m/k/n combination from {1, 3, 17, 64}.
 const DIMS: [usize; 4] = [1, 3, 17, 64];
@@ -201,6 +201,44 @@ proptest! {
             if wide && batch > 1 {
                 prop_assert!(rt.stats().handoffs + rt.stats().forked_tasks > 0, "wide geometry must fork");
             }
+        }
+    }
+}
+
+/// The pooling kernels fork over output planes (2 × 2 pooling) and output
+/// elements (global pooling), one task per element: identical bits at 1, 2
+/// and 8 threads, on a size that stays serial and on one that forks, and the
+/// serial loop's values (each window summed rows first, then columns; a
+/// plane summed in order).
+#[test]
+fn pooling_is_bitwise_identical_across_threads() {
+    let mut rng = Rng::seed_from(77);
+    for (shape, forks) in [([2usize, 3, 4, 6], false), ([8, 32, 16, 16], true)] {
+        let x = Tensor::randn(&shape, &mut rng);
+        let [b, c, h, w] = shape;
+        let window = |p: usize, oi: usize, oj: usize| {
+            let at = |i: usize, j: usize| x.data()[p * h * w + (2 * oi + i) * w + 2 * oj + j];
+            (((0.0 + at(0, 0)) + at(0, 1)) + at(1, 0) + at(1, 1)) * 0.25
+        };
+        let one = Runtime::new(1);
+        let pooled = pool::avg_pool2d_with(&one, &x, 2).unwrap();
+        for (i, &v) in pooled.data().iter().enumerate() {
+            let (p, o) = (i / (h / 2 * (w / 2)), i % (h / 2 * (w / 2)));
+            assert_eq!(v.to_bits(), window(p, o / (w / 2), o % (w / 2)).to_bits(), "element {i}");
+        }
+        let global = pool::global_avg_pool_with(&one, &x).unwrap();
+        for (p, &v) in global.data().iter().enumerate() {
+            let want =
+                x.data()[p * h * w..(p + 1) * h * w].iter().sum::<f32>() * (1.0 / (h * w) as f32);
+            assert_eq!(v.to_bits(), want.to_bits(), "plane {p}");
+        }
+        assert_eq!((pooled.shape(), global.shape()), (&[b, c, h / 2, w / 2][..], &[b, c][..]));
+        for threads in [2, 8] {
+            let rt = Runtime::new(threads);
+            assert_eq!(pool::avg_pool2d_with(&rt, &x, 2).unwrap(), pooled, "{threads} threads");
+            assert_eq!(pool::global_avg_pool_with(&rt, &x).unwrap(), global, "{threads} threads");
+            let forked = rt.stats().forked_tasks > 0;
+            assert_eq!(forked, forks, "{shape:?} at {threads} threads");
         }
     }
 }

@@ -6,16 +6,17 @@
 //! cores of the paper use — are fully supported; padding is specified per
 //! axis so that, e.g., a 3×1 core pads only vertically.
 //!
-//! Parallelization strategy: samples are independent, so the batch
-//! dimension is split across the runtime's workers, each unfolding into its
-//! own per-thread scratch arena buffer ([`crate::runtime::with_scratch`]:
-//! at most one im2col allocation per worker per region, and none at all on
-//! the calling thread once its arena is warm) and running a serial GEMM
-//! per sample.
-//! Single-sample calls fall through to the row-parallel GEMM instead, so
-//! both ends of the batch-size spectrum use all cores. Every output element
-//! is computed by exactly one thread in a fixed order — results are
-//! bit-identical across thread counts.
+//! Every kernel here is a closure over one sample handed to `per_sample`,
+//! the batch driver the int8 convolution ([`crate::qkernels::qconv2d`])
+//! shares: it opens the kernel's trace region and decides the fork. Samples
+//! are independent, so a batch is split across the runtime's workers, each
+//! unfolding into its own per-thread scratch arena buffer
+//! ([`crate::runtime::with_scratch`]: at most one im2col allocation per
+//! worker per region, and none at all on the calling thread once its arena is
+//! warm) and running a serial GEMM per sample; a single sample falls through
+//! to the row-parallel GEMM instead, so both ends of the batch-size spectrum
+//! use all cores. Every output element is computed by exactly one thread in a
+//! fixed order — results are bit-identical across thread counts.
 //!
 //! **Pointwise geometry** (1×1 kernel, stride 1, no padding — the `w1` /
 //! `w4` TT cores, two thirds of a TT-SNN training step's conv calls): the
@@ -87,42 +88,47 @@ impl Conv2dGeometry {
         self.out_channels * self.in_channels * self.kernel.0 * self.kernel.1
     }
 
+    /// Rows of the im2col matrix: `C·Kh·Kw`.
+    pub(crate) fn patch_len(&self) -> usize {
+        self.in_channels * self.kernel.0 * self.kernel.1
+    }
+
+    /// Elements of one input sample: `C·H·W`.
+    pub(crate) fn in_slab(&self) -> usize {
+        self.in_channels * self.in_hw.0 * self.in_hw.1
+    }
+
     /// 1×1 kernel, stride 1, no padding: im2col is the identity.
     fn is_pointwise(&self) -> bool {
         self.kernel == (1, 1) && self.stride == (1, 1) && self.padding == (0, 0)
     }
 }
 
+/// The input check of the whole conv family (dense or packed, f32 or int8):
+/// an NCHW `shape` against `g`. Returns `(B, Oh, Ow)`.
 pub(crate) fn check_input(
-    x: &Tensor,
+    shape: &[usize],
     g: &Conv2dGeometry,
 ) -> Result<(usize, usize, usize), ShapeError> {
-    if x.ndim() != 4 {
-        return Err(ShapeError::new(format!(
-            "conv2d: expected 4-D NCHW input, got {:?}",
-            x.shape()
-        )));
+    if shape.len() != 4 {
+        return Err(ShapeError::new(format!("conv2d: expected 4-D NCHW input, got {shape:?}")));
     }
-    let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    if c != g.in_channels || (h, w) != g.in_hw {
+    if shape[1] != g.in_channels || (shape[2], shape[3]) != g.in_hw {
         return Err(ShapeError::new(format!(
-            "conv2d: input {:?} does not match geometry (C={}, HW={:?})",
-            x.shape(),
-            g.in_channels,
-            g.in_hw
+            "conv2d: input {shape:?} does not match geometry (C={}, HW={:?})",
+            g.in_channels, g.in_hw
         )));
     }
     let (oh, ow) = g.out_hw();
-    Ok((b, oh, ow))
+    Ok((shape[0], oh, ow))
 }
 
-fn check_weight(weight: &Tensor, g: &Conv2dGeometry) -> Result<(), ShapeError> {
+/// The f32 weight check of the conv family: an OIHW `shape` against `g`.
+pub(crate) fn check_weight(shape: &[usize], g: &Conv2dGeometry) -> Result<(), ShapeError> {
     let expect = [g.out_channels, g.in_channels, g.kernel.0, g.kernel.1];
-    if weight.shape() != expect {
+    if shape != expect {
         return Err(ShapeError::new(format!(
-            "conv2d: weight {:?} does not match geometry {:?}",
-            weight.shape(),
-            expect
+            "conv2d: weight {shape:?} does not match geometry {expect:?}"
         )));
     }
     Ok(())
@@ -179,7 +185,7 @@ fn with_cols<R>(x: &[f32], g: &Conv2dGeometry, f: impl FnOnce(&[f32]) -> R) -> R
         return f(x);
     }
     let (oh, ow) = g.out_hw();
-    with_scratch(g.in_channels * g.kernel.0 * g.kernel.1 * oh * ow, |cols| {
+    with_scratch(g.patch_len() * oh * ow, |cols| {
         im2col_sample(x, g, cols);
         f(cols)
     })
@@ -218,6 +224,35 @@ fn col2im_sample(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]) {
     }
 }
 
+/// The batch driver of every per-sample kernel — the three f32 convolutions
+/// and [`crate::qkernels::qconv2d`]: opens the `name` region and runs
+/// `sample(rt, s, out_s)` for each `slab`-long sample of `out`. This is where
+/// the fork is decided: one sample parallelizes *inside* its kernels (it is
+/// handed `rt`); several are split across the pool at
+/// [`fork_grain`](runtime::fork_grain)`(ops_per_sample)`, each running its
+/// kernels on [`Runtime::serial`]. Either way every output element is
+/// computed by one task in an order the split cannot touch.
+pub(crate) fn per_sample<T: Send>(
+    name: &'static str,
+    rt: &Runtime,
+    out: &mut [T],
+    slab: usize,
+    ops_per_sample: usize,
+    sample: impl Fn(&Runtime, usize, &mut [T]) + Sync,
+) {
+    let _region = ttsnn_obs::region(name);
+    if out.is_empty() {
+        return;
+    }
+    if out.len() == slab {
+        return sample(rt, 0, out);
+    }
+    let serial = Runtime::serial();
+    rt.parallel_over_slabs(out, slab, runtime::fork_grain(ops_per_sample), |s, out_s| {
+        sample(serial, s, out_s);
+    });
+}
+
 /// Convolution forward pass: `y = x (*) weight`.
 ///
 /// Input `(B, C, H, W)`, weight `(O, C, Kh, Kw)`, output `(B, O, Oh, Ow)`.
@@ -241,28 +276,16 @@ pub fn conv2d_with(
     weight: &Tensor,
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
-    let _region = ttsnn_obs::region("conv2d");
-    let (b, oh, ow) = check_input(x, g)?;
-    check_weight(weight, g)?;
-    let k = g.in_channels * g.kernel.0 * g.kernel.1;
-    let ospatial = oh * ow;
+    let (b, oh, ow) = check_input(x.shape(), g)?;
+    check_weight(weight.shape(), g)?;
+    let (k, ospatial, in_slab) = (g.patch_len(), oh * ow, g.in_slab());
     // No zero-fill: the GEMM overwrites every element of every sample.
     let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
-    let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
-    let out_slab = g.out_channels * ospatial;
     let (xd, wd) = (x.data(), weight.data());
-    if b == 1 {
-        // One sample: parallelize inside the GEMM over output rows.
-        with_cols(xd, g, |cols| {
-            runtime::gemm(rt, wd, cols, out.data_mut(), g.out_channels, k, ospatial);
-        });
-        return Ok(out);
-    }
-    let serial = Runtime::serial();
-    let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
-    rt.parallel_over_slabs(out.data_mut(), out_slab, min_samples, |s, out_s| {
+    let out_slab = g.out_channels * ospatial;
+    per_sample("conv2d", rt, out.data_mut(), out_slab, 2 * g.macs(), |rt, s, out_s| {
         with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
-            runtime::gemm(serial, wd, cols, out_s, g.out_channels, k, ospatial);
+            runtime::gemm(rt, wd, cols, out_s, g.out_channels, k, ospatial);
         });
     });
     Ok(out)
@@ -293,7 +316,7 @@ pub fn conv2d_input_grad_with(
     weight: &Tensor,
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
-    check_weight(weight, g)?;
+    check_weight(weight.shape(), g)?;
     let (oh, ow) = g.out_hw();
     if y_grad.ndim() != 4
         || y_grad.shape()[1] != g.out_channels
@@ -305,9 +328,7 @@ pub fn conv2d_input_grad_with(
         )));
     }
     let b = y_grad.shape()[0];
-    let k = g.in_channels * g.kernel.0 * g.kernel.1;
-    let ospatial = oh * ow;
-    let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
+    let (k, ospatial) = (g.patch_len(), oh * ow);
     let out_slab = g.out_channels * ospatial;
     let pointwise = g.is_pointwise();
     let x_shape = [b, g.in_channels, g.in_hw.0, g.in_hw.1];
@@ -316,7 +337,8 @@ pub fn conv2d_input_grad_with(
     // dx_cols = Wᵀ · dy, read directly from the (O, k) weight layout — no
     // transpose copy.
     let (wd, gd) = (weight.data(), y_grad.data());
-    let sample = |rt: &Runtime, gd_s: &[f32], xg_s: &mut [f32]| {
+    let sample = |rt: &Runtime, s: usize, xg_s: &mut [f32]| {
+        let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
         if pointwise {
             // col2im would add these columns into zeros. The GEMM's
             // accumulators start from +0.0 and a sum that starts there
@@ -330,15 +352,7 @@ pub fn conv2d_input_grad_with(
             });
         }
     };
-    if b == 1 {
-        sample(rt, gd, x_grad.data_mut());
-        return Ok(x_grad);
-    }
-    let serial = Runtime::serial();
-    let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
-    rt.parallel_over_slabs(x_grad.data_mut(), in_slab, min_samples, |s, xg_s| {
-        sample(serial, &gd[s * out_slab..(s + 1) * out_slab], xg_s);
-    });
+    per_sample("conv2d_input_grad", rt, x_grad.data_mut(), g.in_slab(), 2 * g.macs(), sample);
     Ok(x_grad)
 }
 
@@ -367,53 +381,40 @@ pub fn conv2d_weight_grad_with(
     y_grad: &Tensor,
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
-    let (b, oh, ow) = check_input(x, g)?;
+    let (b, oh, ow) = check_input(x.shape(), g)?;
     if y_grad.shape() != [b, g.out_channels, oh, ow] {
         return Err(ShapeError::new(format!(
             "conv2d_weight_grad: output grad {:?} does not match geometry",
             y_grad.shape()
         )));
     }
-    let k = g.in_channels * g.kernel.0 * g.kernel.1;
-    let ospatial = oh * ow;
-    let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
+    let (k, ospatial, in_slab) = (g.patch_len(), oh * ow, g.in_slab());
     let out_slab = g.out_channels * ospatial;
     let wlen = g.out_channels * k;
-    let w_shape = [g.out_channels, g.in_channels, g.kernel.0, g.kernel.1];
     let (xd, gd) = (x.data(), y_grad.data());
-    // Per sample: dW_s = dy_s · colsᵀ with cols `(k, ospatial)` — exactly
-    // the `(n, k̂)` row-major `b` operand `gemm_a_bt` wants (n = k rows,
-    // k̂ = ospatial), so no caller-side transpose; the kernel stages any
-    // transpose it needs in arena scratch.
-    let sample = |rt: &Runtime, s: usize, dw_s: &mut [f32]| {
-        with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
-            let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
-            runtime::gemm_a_bt(rt, gd_s, cols, dw_s, g.out_channels, ospatial, k);
-        });
-    };
-    if b == 1 {
-        let mut w_grad = Tensor::scratch(&w_shape);
-        sample(rt, 0, w_grad.data_mut());
-        return Ok(w_grad);
-    }
-    // Batch-parallel: each worker produces per-sample partials in a
-    // disjoint slab; the batch reduction then runs in fixed sample order so
-    // results do not depend on the thread count. The batch is processed in
-    // fixed-size chunks so partials memory stays bounded (≤ ~64 MiB) on
-    // wide layers × large batches; chunk boundaries are a constant, never
-    // a function of the thread count, preserving determinism.
-    let serial = Runtime::serial();
-    let min_samples = runtime::fork_grain(2 * g.out_channels * k * ospatial);
+    // Per-sample partials `dW_s = dy_s · colsᵀ` in disjoint slabs, then the
+    // batch reduction in fixed sample order, so results do not depend on the
+    // thread count. `cols` is `(k, ospatial)` — exactly the `(n, k̂)`
+    // row-major `b` operand `gemm_a_bt` wants, so no caller-side transpose.
+    // The batch is processed in fixed-size chunks so partials memory stays
+    // bounded (≤ ~64 MiB) on wide layers × large batches; chunk boundaries
+    // are a constant, never a function of the thread count. A lone sample
+    // folds like any other: its partial comes from accumulators that started
+    // at +0.0, so adding it into zeros returns it bit for bit.
     const MAX_PARTIAL_ELEMS: usize = 16 * 1024 * 1024;
-    let chunk = (MAX_PARTIAL_ELEMS / wlen).clamp(1, b);
-    let mut w_grad = Tensor::scratch_zeroed(&w_shape);
+    let chunk = (MAX_PARTIAL_ELEMS / wlen.max(1)).min(b).max(1);
+    let mut w_grad =
+        Tensor::scratch_zeroed(&[g.out_channels, g.in_channels, g.kernel.0, g.kernel.1]);
     // The GEMM overwrites every partial it is handed: no zero-fill.
     with_scratch(chunk * wlen, |partials: &mut [f32]| {
         for c0 in (0..b).step_by(chunk) {
-            let cn = chunk.min(b - c0);
-            let part = &mut partials[..cn * wlen];
-            rt.parallel_over_slabs(part, wlen, min_samples, |i, dw_s| {
-                sample(serial, c0 + i, dw_s);
+            let part = &mut partials[..chunk.min(b - c0) * wlen];
+            per_sample("conv2d_weight_grad", rt, part, wlen, 2 * g.macs(), |rt, i, dw_s| {
+                let s = c0 + i;
+                with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
+                    let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
+                    runtime::gemm_a_bt(rt, gd_s, cols, dw_s, g.out_channels, ospatial, k);
+                });
             });
             let acc = w_grad.data_mut();
             for dw_s in part.chunks(wlen) {

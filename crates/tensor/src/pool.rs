@@ -28,6 +28,7 @@ pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
 ///
 /// Returns [`ShapeError`] on non-4-D input or indivisible spatial dims.
 pub fn avg_pool2d_with(rt: &Runtime, x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
+    let _region = ttsnn_obs::region("avg_pool2d");
     if x.ndim() != 4 {
         return Err(ShapeError::new(format!(
             "avg_pool2d: expected 4-D input, got {:?}",
@@ -131,6 +132,7 @@ pub fn global_avg_pool(x: &Tensor) -> Result<Tensor, ShapeError> {
 ///
 /// Returns [`ShapeError`] on non-4-D input.
 pub fn global_avg_pool_with(rt: &Runtime, x: &Tensor) -> Result<Tensor, ShapeError> {
+    let _region = ttsnn_obs::region("global_avg_pool");
     if x.ndim() != 4 {
         return Err(ShapeError::new(format!(
             "global_avg_pool: expected 4-D input, got {:?}",

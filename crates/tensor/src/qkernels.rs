@@ -33,9 +33,9 @@
 //! `x_scale · w_scale[oc]` — one float multiply per output element, after
 //! all accumulation happened exactly.
 
-use crate::conv::{check_input, im2col_sample_t, Conv2dGeometry};
+use crate::conv::{check_input, im2col_sample_t, per_sample, Conv2dGeometry};
 use crate::error::ShapeError;
-use crate::runtime::{self, with_scratch, Runtime};
+use crate::runtime::{self, dot_gemm, dot_row, saxpy_gemm, with_scratch, Mac, Runtime};
 use crate::tensor::Tensor;
 
 /// Accumulator width of the integer kernels.
@@ -81,14 +81,152 @@ pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
 }
 
 // ---------------------------------------------------------------------------
-// Integer GEMM family.
+// The integer `Mac`s.
 
 /// What one integer multiply-add costs in the f32 operations
-/// `runtime::fork_grain` counts in: these kernels run at ≈ 5.7 Gop/s on one
-/// thread against the float GEMM's ≈ 20–25 GFLOP/s (the benchmark's
-/// `tensor.qconv_gops` and `tensor.gemm_gflops`), so the same operation
-/// count is four times the wall time and worth forking four times sooner.
+/// `runtime::fork_grain` counts in — [`Mac::COST`] of both integer types, and
+/// through it the grain of every kernel they instantiate (GEMM tile, dot
+/// rows, `qconv2d`'s batch split, the dense and the sparse int8 linear).
+/// These kernels run at ≈ 5.7 Gop/s on one thread against the float GEMM's
+/// ≈ 20–25 GFLOP/s (the benchmark's `tensor.qconv_gops` and
+/// `tensor.gemm_gflops`), so the same operation count is four times the wall
+/// time and worth forking four times sooner.
 const OP_COST: usize = 4;
+
+/// i8 elements accumulated in an `i32` slot: exactly ([`I32`]), or clamped to
+/// the `i16` range after every multiply-add ([`Sat16`]). Both skip zero
+/// coefficients: `0 · x` is `0` always, an exact sum does not notice a zero
+/// term and a saturating fold does not either (`saturating_add(acc, 0)` is
+/// `acc`), as long as the surviving terms keep their ascending-`k` order —
+/// which every driver guarantees. In `qconv2d` the coefficients are the
+/// *weights*, and a merged PTT / HTT kernel is a cross (Eq. 6: a 3×1 plus a
+/// 1×3 branch) whose four corner taps, 4 / 9 of every row, are exactly zero.
+pub(crate) struct Int<const SAT16: bool>;
+/// [`QAccum::I32`] as a [`Mac`].
+pub(crate) type I32 = Int<false>;
+/// [`QAccum::Saturate16`] as a [`Mac`].
+pub(crate) type Sat16 = Int<true>;
+
+/// The integer epilogue: `out = acc · x_scale · w_scale[oc] (+ bias[oc])`,
+/// one float multiply per output element after all accumulation happened in
+/// integers. Holding one means the scales passed the family's checks.
+#[derive(Clone, Copy)]
+pub(crate) struct Requant<'a> {
+    x_scale: f32,
+    w_scales: &'a [f32],
+    bias: Option<&'a [f32]>,
+}
+
+impl<'a> Requant<'a> {
+    /// The scale checks of every int8 kernel, done once: a positive finite
+    /// activation scale, `out_channels` positive finite weight scales (or one
+    /// per tensor) and, when there is one, a bias of `out_channels` entries.
+    pub(crate) fn new(
+        who: &str,
+        x_scale: f32,
+        w_scales: &'a [f32],
+        bias: Option<&'a [f32]>,
+        out_channels: usize,
+    ) -> Result<Self, ShapeError> {
+        if let Some(bias) = bias.filter(|b| b.len() != out_channels) {
+            return Err(ShapeError::new(format!(
+                "{who}: bias has {} entries, weight implies {out_channels} outputs",
+                bias.len()
+            )));
+        }
+        if w_scales.len() != out_channels && w_scales.len() != 1 {
+            return Err(ShapeError::new(format!(
+                "{who}: expected {out_channels} per-channel scales (or 1 per-tensor scale), got {}",
+                w_scales.len()
+            )));
+        }
+        if w_scales.iter().any(|s| !s.is_finite() || *s <= 0.0) {
+            return Err(ShapeError::new(format!(
+                "{who}: weight scales must be positive and finite"
+            )));
+        }
+        if !x_scale.is_finite() || x_scale <= 0.0 {
+            return Err(ShapeError::new(format!(
+                "{who}: activation scale must be positive and finite, got {x_scale}"
+            )));
+        }
+        Ok(Self { x_scale, w_scales, bias })
+    }
+}
+
+impl<const SAT16: bool> Mac for Int<SAT16> {
+    type Elem = i8;
+    type Acc = i32;
+    type Epilogue<'a> = Requant<'a>;
+
+    const ZERO: i32 = 0;
+    const COST: usize = OP_COST;
+
+    #[inline(always)]
+    fn skips(a: i8) -> bool {
+        a == 0
+    }
+
+    #[inline(always)]
+    fn mac(acc: i32, a: i8, b: i8) -> i32 {
+        if SAT16 {
+            (acc as i16).saturating_add(a as i16 * b as i16) as i32
+        } else {
+            acc + a as i32 * b as i32
+        }
+    }
+
+    /// The int8 value a spike quantizes to: `clamp(round(1/scale), ±127)`.
+    /// With the calibration convention for binary sites (`scale = 1`), this
+    /// is exactly `1`.
+    fn spike(ep: Requant<'_>) -> i8 {
+        (1.0f32 / ep.x_scale).round().clamp(-127.0, 127.0) as i8
+    }
+
+    fn with_acc(
+        out: &mut [f32],
+        row_len: usize,
+        first_channel: usize,
+        ep: Requant<'_>,
+        fill: impl FnOnce(&mut [i32]),
+    ) {
+        with_scratch(out.len(), |acc: &mut [i32]| {
+            fill(acc);
+            for (r, (arow, orow)) in acc.chunks(row_len).zip(out.chunks_mut(row_len)).enumerate() {
+                let oc = first_channel + r;
+                let w_scale = if ep.w_scales.len() == 1 { ep.w_scales[0] } else { ep.w_scales[oc] };
+                let (s, bias) = (ep.x_scale * w_scale, ep.bias.map(|b| b[oc]));
+                for (o, &a) in orow.iter_mut().zip(arow.iter()) {
+                    *o = match bias {
+                        Some(bias) => a as f32 * s + bias,
+                        None => a as f32 * s,
+                    };
+                }
+            }
+        });
+    }
+}
+
+/// Evaluates `$body` with `$E` naming the [`Mac`] of `$accum` — the only thing
+/// an accumulator mode ever selects.
+macro_rules! by_accum {
+    ($accum:expr, $E:ident => $body:expr) => {
+        match $accum {
+            QAccum::I32 => {
+                type $E = I32;
+                $body
+            }
+            QAccum::Saturate16 => {
+                type $E = Sat16;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use by_accum;
+
+// ---------------------------------------------------------------------------
+// Integer GEMM family.
 
 /// Naive triple loop, the oracle for the property tests. Overwrites
 /// `out`. Honors the accumulator mode exactly like the fast kernels.
@@ -127,8 +265,8 @@ pub fn reference_qgemm(
 }
 
 /// `out = A·B` with `A (m,k)` i8, `B (k,n)` i8, `out (m,n)` i32, all
-/// row-major — the integer twin of `runtime::gemm`, parallelized over
-/// disjoint output row ranges.
+/// row-major — `runtime::gemm`'s tile at an integer [`Mac`], parallelized
+/// over disjoint output row ranges.
 ///
 /// # Panics
 ///
@@ -144,69 +282,7 @@ pub fn qgemm(
     n: usize,
     accum: QAccum,
 ) {
-    let _region = ttsnn_obs::region("qgemm");
-    assert_eq!(a.len(), m * k, "qgemm: `a` has wrong length");
-    assert_eq!(b.len(), k * n, "qgemm: `b` has wrong length");
-    assert_eq!(out.len(), m * n, "qgemm: `out` has wrong length");
-    if m * n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0);
-        return;
-    }
-    rt.parallel_over_ranges(out, n, runtime::fork_grain(OP_COST * 2 * k * n), |row0, rows| {
-        qgemm_serial_rows(&a[row0 * k..], b, rows, k, n, accum);
-    });
-}
-
-/// Serial core for [`qgemm`] over a row range: `rows = A_range · B`.
-fn qgemm_serial_rows(a: &[i8], b: &[i8], rows: &mut [i32], k: usize, n: usize, accum: QAccum) {
-    let mrows = rows.len() / n;
-    match accum {
-        QAccum::I32 => {
-            rows.fill(0);
-            for i in 0..mrows {
-                let orow = &mut rows[i * n..(i + 1) * n];
-                for kk in 0..k {
-                    let av = a[i * k + kk] as i32;
-                    if av == 0 {
-                        // Exact in integers (0·x == 0 always). In `qconv2d`
-                        // `a` is the *weight* matrix, so this skips zero
-                        // weights, not silent activations — and a merged
-                        // PTT / HTT kernel is a cross (Eq. 6: a 3×1 plus a
-                        // 1×3 branch), whose four corner taps, 4 / 9 of
-                        // every row, are exactly zero.
-                        continue;
-                    }
-                    let brow = &b[kk * n..kk * n + n];
-                    for (dv, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *dv += av * bv as i32;
-                    }
-                }
-            }
-        }
-        QAccum::Saturate16 => {
-            // Saturation makes the per-element fold non-linear, so the sum
-            // must be built in k-order per element; zero products still
-            // cannot change a saturating fold (saturating_add(acc, 0) ==
-            // acc), so the zero-weight skip stays exact.
-            rows.fill(0);
-            for i in 0..mrows {
-                let orow = &mut rows[i * n..(i + 1) * n];
-                for kk in 0..k {
-                    let av = a[i * k + kk] as i16;
-                    if av == 0 {
-                        continue;
-                    }
-                    let brow = &b[kk * n..kk * n + n];
-                    for (dv, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *dv = (*dv as i16).saturating_add(av * bv as i16) as i32;
-                    }
-                }
-            }
-        }
-    }
+    by_accum!(accum, E => saxpy_gemm::<E>("qgemm", rt, a, (k, 1), b, out, (m, k, n)));
 }
 
 /// `out = A·Bᵀ` with `A (m,k)` i8, `B (n,k)` i8, `out (m,n)` i32 — the
@@ -227,70 +303,22 @@ pub fn qgemm_a_bt(
     n: usize,
     accum: QAccum,
 ) {
-    assert_eq!(a.len(), m * k, "qgemm_a_bt: `a` has wrong length");
-    assert_eq!(b.len(), n * k, "qgemm_a_bt: `b` has wrong length");
-    assert_eq!(out.len(), m * n, "qgemm_a_bt: `out` has wrong length");
-    if m * n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0);
-        return;
-    }
-    rt.parallel_over_ranges(out, n, runtime::fork_grain(OP_COST * 2 * k * n), |row0, rows| {
-        for (i, orow) in rows.chunks_mut(n).enumerate() {
-            let arow = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            for (j, dv) in orow.iter_mut().enumerate() {
-                let brow = &b[j * k..(j + 1) * k];
-                *dv = match accum {
-                    QAccum::I32 => arow.iter().zip(brow).map(|(&x, &y)| x as i32 * y as i32).sum(),
-                    QAccum::Saturate16 => arow
-                        .iter()
-                        .zip(brow)
-                        .fold(0i16, |acc, (&x, &y)| acc.saturating_add(x as i16 * y as i16))
-                        as i32,
-                };
-            }
-        }
-    });
+    by_accum!(accum, E => dot_gemm::<E>("qgemm_a_bt", rt, a, b, out, (m, k, n)));
 }
 
 // ---------------------------------------------------------------------------
 // Quantized layer kernels.
 
-pub(crate) fn check_scales(
-    w_scales: &[f32],
-    out_channels: usize,
-    who: &str,
-) -> Result<(), ShapeError> {
-    if w_scales.len() != out_channels && w_scales.len() != 1 {
+/// The int8 weight check of the conv family: `qw` is `(O, C·Kh·Kw)`.
+pub(crate) fn check_qweight(qw: &[i8], g: &Conv2dGeometry) -> Result<(), ShapeError> {
+    if qw.len() != g.params() {
         return Err(ShapeError::new(format!(
-            "{who}: expected {out_channels} per-channel scales (or 1 per-tensor scale), got {}",
-            w_scales.len()
-        )));
-    }
-    if w_scales.iter().any(|s| !s.is_finite() || *s <= 0.0) {
-        return Err(ShapeError::new(format!("{who}: weight scales must be positive and finite")));
-    }
-    Ok(())
-}
-
-pub(crate) fn check_x_scale(x_scale: f32, who: &str) -> Result<(), ShapeError> {
-    if !x_scale.is_finite() || x_scale <= 0.0 {
-        return Err(ShapeError::new(format!(
-            "{who}: activation scale must be positive and finite, got {x_scale}"
+            "qconv2d: quantized weight has {} values, geometry wants {}",
+            qw.len(),
+            g.params()
         )));
     }
     Ok(())
-}
-
-#[inline]
-pub(crate) fn w_scale_at(w_scales: &[f32], oc: usize) -> f32 {
-    if w_scales.len() == 1 {
-        w_scales[0]
-    } else {
-        w_scales[oc]
-    }
 }
 
 /// Quantized 2-D convolution: quantize the input activations with the
@@ -337,55 +365,82 @@ pub fn qconv2d_with(
     g: &Conv2dGeometry,
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    let _region = ttsnn_obs::region("qconv2d");
-    let (b, oh, ow) = check_input(x, g)?;
-    let k = g.in_channels * g.kernel.0 * g.kernel.1;
-    if qw.len() != g.out_channels * k {
-        return Err(ShapeError::new(format!(
-            "qconv2d: quantized weight has {} values, geometry wants {}",
-            qw.len(),
-            g.out_channels * k
-        )));
-    }
-    check_scales(w_scales, g.out_channels, "qconv2d")?;
-    check_x_scale(x_scale, "qconv2d")?;
-    let ospatial = oh * ow;
-    let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
-    let out_slab = g.out_channels * ospatial;
+    let (b, oh, ow) = check_input(x.shape(), g)?;
+    check_qweight(qw, g)?;
+    let ep = Requant::new("qconv2d", x_scale, w_scales, None, g.out_channels)?;
+    let (k, ospatial, in_slab) = (g.patch_len(), oh * ow, g.in_slab());
     let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
     let xd = x.data();
-
-    let run_sample = |gemm_rt: &Runtime, xs: &[f32], out_s: &mut [f32]| {
+    // Per sample: quantize → int8 im2col → the integer tile → epilogue.
+    let sample = |rt: &Runtime, s: usize, out_s: &mut [f32]| {
         with_scratch(in_slab, |qx| {
-            quantize_to_i8(xs, x_scale, qx);
+            quantize_to_i8(&xd[s * in_slab..(s + 1) * in_slab], x_scale, qx);
             with_scratch(k * ospatial, |qcols| {
                 im2col_sample_t(qx, g, qcols, 0i8);
-                with_scratch(out_slab, |acc| {
-                    qgemm(gemm_rt, qw, qcols, acc, g.out_channels, k, ospatial, accum);
-                    for oc in 0..g.out_channels {
-                        let s = x_scale * w_scale_at(w_scales, oc);
-                        let arow = &acc[oc * ospatial..(oc + 1) * ospatial];
-                        let orow = &mut out_s[oc * ospatial..(oc + 1) * ospatial];
-                        for (o, &a) in orow.iter_mut().zip(arow.iter()) {
-                            *o = a as f32 * s;
-                        }
-                    }
-                });
+                let dims = (g.out_channels, k, ospatial);
+                by_accum!(accum, E => E::with_acc(out_s, ospatial, 0, ep, |acc| {
+                    saxpy_gemm::<E>("qgemm", rt, qw, (k, 1), qcols, acc, dims);
+                }));
             });
         });
     };
-
-    if b == 1 {
-        // One sample: parallelize inside the integer GEMM over output rows.
-        run_sample(rt, &xd[..in_slab], out.data_mut());
-        return Ok(out);
-    }
-    let serial = Runtime::serial();
-    let min_samples = runtime::fork_grain(OP_COST * 2 * g.out_channels * k * ospatial);
-    rt.parallel_over_slabs(out.data_mut(), out_slab, min_samples, |s, out_s| {
-        run_sample(serial, &xd[s * in_slab..(s + 1) * in_slab], out_s);
-    });
+    per_sample(
+        "qconv2d",
+        rt,
+        out.data_mut(),
+        g.out_channels * ospatial,
+        OP_COST * 2 * g.macs(),
+        sample,
+    );
     Ok(out)
+}
+
+/// The row driver of the linear kernels ([`qlinear`],
+/// [`crate::spike::sparse_linear`], [`crate::spike::sparse_qlinear`]): opens
+/// the `name` region and has `row(s, acc)` fill the `out_features`
+/// accumulators of every row `s` of `y`, written through `ep`. Rows are
+/// independent and each is produced by one task, so the output is invariant
+/// to batch composition and thread count; they fork at
+/// `fork_grain(E::COST · 2 · macs_per_row)`, `macs_per_row` being what a row
+/// really multiplies — features × outputs dense, its events × outputs sparse.
+pub(crate) fn linear_rows<E: Mac>(
+    name: &'static str,
+    rt: &Runtime,
+    y: &mut Tensor,
+    macs_per_row: usize,
+    ep: E::Epilogue<'_>,
+    row: impl Fn(usize, &mut [E::Acc]) + Sync,
+) {
+    let _region = ttsnn_obs::region(name);
+    let out_features = y.shape()[1];
+    let min_rows = runtime::fork_grain(E::COST * 2 * macs_per_row);
+    rt.parallel_over_slabs(y.data_mut(), out_features, min_rows, |s, yrow| {
+        E::with_acc(yrow, 1, 0, ep, |acc| row(s, acc));
+    });
+}
+
+/// The checks of the int8 linear family: `(B, F)` input shape against an
+/// `(O, F)` weight of `qw_len` values, bias and scales. Returns
+/// `(B, F, O)` and the epilogue.
+pub(crate) fn check_qlinear<'a>(
+    who: &str,
+    shape: &[usize],
+    x_scale: f32,
+    qw_len: usize,
+    w_scales: &'a [f32],
+    bias: &'a [f32],
+) -> Result<((usize, usize, usize), Requant<'a>), ShapeError> {
+    if shape.len() != 2 {
+        return Err(ShapeError::new(format!("{who}: expected (B, F) input, got {shape:?}")));
+    }
+    let (b, feat) = (shape[0], shape[1]);
+    if feat == 0 || !qw_len.is_multiple_of(feat) {
+        return Err(ShapeError::new(format!(
+            "{who}: weight length {qw_len} is not a multiple of feature dim {feat}"
+        )));
+    }
+    let out_ch = qw_len / feat;
+    Ok(((b, feat, out_ch), Requant::new(who, x_scale, w_scales, Some(bias), out_ch)?))
 }
 
 /// Quantized fully connected layer `y = dequant(q(x) · qWᵀ) + bias` with
@@ -424,43 +479,17 @@ pub fn qlinear_with(
     bias: &[f32],
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    if x.ndim() != 2 {
-        return Err(ShapeError::new(format!(
-            "qlinear: expected (B, F) input, got {:?}",
-            x.shape()
-        )));
-    }
-    let (b, feat) = (x.shape()[0], x.shape()[1]);
-    if feat == 0 || !qw.len().is_multiple_of(feat.max(1)) {
-        return Err(ShapeError::new(format!(
-            "qlinear: weight length {} is not a multiple of feature dim {feat}",
-            qw.len()
-        )));
-    }
-    let out_ch = qw.len() / feat;
-    if bias.len() != out_ch {
-        return Err(ShapeError::new(format!(
-            "qlinear: bias has {} entries, weight implies {out_ch} outputs",
-            bias.len()
-        )));
-    }
-    check_scales(w_scales, out_ch, "qlinear")?;
-    check_x_scale(x_scale, "qlinear")?;
+    let ((b, feat, out_ch), ep) =
+        check_qlinear("qlinear", x.shape(), x_scale, qw.len(), w_scales, bias)?;
     let mut y = Tensor::scratch(&[b, out_ch]);
     let xd = x.data();
-    let serial = Runtime::serial();
-    let min_rows = runtime::fork_grain(OP_COST * 2 * feat * out_ch);
-    rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
+    // Per row: quantize → one dot per output.
+    by_accum!(accum, E => linear_rows::<E>("qlinear", rt, &mut y, feat * out_ch, ep, |s, acc| {
         with_scratch(feat, |qx| {
             quantize_to_i8(&xd[s * feat..(s + 1) * feat], x_scale, qx);
-            with_scratch(out_ch, |acc| {
-                qgemm_a_bt(serial, qx, qw, acc, 1, feat, out_ch, accum);
-                for (oc, (o, &a)) in yrow.iter_mut().zip(acc.iter()).enumerate() {
-                    *o = a as f32 * (x_scale * w_scale_at(w_scales, oc)) + bias[oc];
-                }
-            });
+            dot_row::<E>(qx, qw, acc);
         });
-    });
+    }));
     Ok(y)
 }
 

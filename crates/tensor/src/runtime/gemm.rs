@@ -1,7 +1,8 @@
-//! Register-tiled, cache-blocked, thread-parallel GEMM family.
+//! The kernel drivers' core: one register-tiled, cache-blocked,
+//! thread-parallel product family, written once over [`Mac`].
 //!
-//! Three layouts cover every product the training stack needs without
-//! materializing a transpose:
+//! Three layouts cover every product the stack needs without materializing a
+//! transpose:
 //!
 //! | kernel        | computes | `a` layout | `b` layout | used by |
 //! |---------------|----------|------------|------------|---------|
@@ -9,20 +10,37 @@
 //! | [`gemm_at_b`] | `Aᵀ·B`   | `(k, m)`   | `(k, n)`   | conv input-grad (`Wᵀ·dy`), `dB = Aᵀ·g` |
 //! | [`gemm_a_bt`] | `A·Bᵀ`   | `(m, k)`   | `(n, k)`   | linear forward (`x·Wᵀ`), `dA = g·Bᵀ`, conv weight-grad (`dy·colsᵀ`) |
 //!
-//! All kernels **overwrite** `out` (shape `(m, n)`, row-major) and
-//! parallelize over disjoint row ranges of the output, so each element is
-//! produced by exactly one thread with a fixed summation order — results
-//! are bit-identical for every thread count.
+//! and [`crate::qkernels::qgemm`] / [`crate::qkernels::qgemm_a_bt`] are the
+//! same two bodies at an integer [`Mac`].
 //!
-//! The serial core of the saxpy-style kernels is a 4-row register tile
-//! over a k-blocked panel: one streamed row of `B` updates four output
-//! rows per pass (4× B-row reuse, and an inner loop the compiler
-//! auto-vectorizes). `gemm_a_bt` uses per-row dot products for small `m`
-//! and otherwise stages a one-shot transpose of `B` in arena scratch
-//! (O(nk) copies against O(mnk) compute) to reach saxpy-kernel speed —
-//! "no transpose" in this module means *callers* never materialize one.
-//! No `unsafe`, no SIMD intrinsics — portability and determinism over
-//! the last 20%.
+//! # What is written once, and what a type supplies
+//!
+//! * [`Mac`] is one (element, accumulator) pair: [`F32`] (f32 → f32) here,
+//!   `I32` (i8 → i32) and `Sat16` (i8 → saturating i16) in
+//!   [`crate::qkernels`]. It supplies the multiply-accumulate, the dot
+//!   product, whether a zero coefficient may be skipped, what one operation
+//!   costs the fork policy, and the epilogue that turns accumulators into
+//!   `f32` outputs. Nothing else in the crate knows which type it runs on.
+//! * `saxpy_gemm` is the saxpy-style product for every type and both `a`
+//!   layouts (`a` is read through a `(row, k)` stride pair): a 4-row register
+//!   tile over a `KC`-long k-panel, so one streamed row of `B` updates four
+//!   output rows per pass (4× B-row reuse, and an inner loop the compiler
+//!   auto-vectorizes). Coefficients a type may skip are skipped four rows at
+//!   a time — a merged PTT / HTT kernel is a cross whose four corner taps are
+//!   zero in every row.
+//! * `dot_gemm` is the dot-product form for `A·Bᵀ`, both operands read along
+//!   contiguous rows. `gemm_a_bt` uses it for small `m` and otherwise stages
+//!   a one-shot transpose of `B` in arena scratch (O(nk) copies against
+//!   O(mnk) compute) to reach saxpy speed — "no transpose" in this module
+//!   means *callers* never materialize one.
+//!
+//! Both drivers open the kernel's `ttsnn_obs` region, check the operand
+//! lengths, **overwrite** `out` (shape `(m, n)`, row-major) and fork over
+//! disjoint row ranges of it at [`fork_grain`]`(E::COST · 2kn)`, so each
+//! element is produced by exactly one thread with a fixed summation order —
+//! ascending `k` per element — and results are bit-identical for every
+//! thread count. No `unsafe`, no SIMD intrinsics: an explicit-lane
+//! micro-kernel is an edit of one [`Mac`] impl.
 
 use super::pool::{fork_grain, Runtime};
 
@@ -31,6 +49,139 @@ const MR: usize = 4;
 /// K-panel length: a `KC × n` strip of B streams through L1/L2 while four
 /// A-rows' worth of panel coefficients stay hot.
 const KC: usize = 256;
+
+/// One (element, accumulator) pair and everything the kernel drivers need to
+/// know about it. Closed over [`F32`], `I32` and `Sat16`.
+pub(crate) trait Mac {
+    /// What the operands hold.
+    type Elem: Copy + Send + Sync;
+    /// What a sum is kept in.
+    type Acc: Copy + Send + Sync;
+    /// What the epilogue needs besides the accumulators.
+    type Epilogue<'a>: Copy + Send + Sync;
+
+    /// The empty sum.
+    const ZERO: Self::Acc;
+    /// What one multiply-accumulate costs in the streamed `f32` operations
+    /// [`fork_grain`] counts in.
+    const COST: usize;
+
+    /// Whether `a · b` may be left out of a sum whatever `b` is.
+    fn skips(a: Self::Elem) -> bool;
+
+    /// `acc + a · b`.
+    fn mac(acc: Self::Acc, a: Self::Elem, b: Self::Elem) -> Self::Acc;
+
+    /// `Σ x[i] · y[i]` in the type's fixed order.
+    fn dot(x: &[Self::Elem], y: &[Self::Elem]) -> Self::Acc {
+        x.iter().zip(y).fold(Self::ZERO, |acc, (&x, &y)| Self::mac(acc, x, y))
+    }
+
+    /// The element a spike is under `ep`.
+    fn spike(ep: Self::Epilogue<'_>) -> Self::Elem;
+
+    /// `acc + w · spike`.
+    fn add_spike(acc: Self::Acc, w: Self::Elem, spike: Self::Elem) -> Self::Acc {
+        Self::mac(acc, w, spike)
+    }
+
+    /// [`Mac::dot`] of `w` with the binary vector whose ones sit at `events`
+    /// (ascending), bit-equal to the dense dot: the terms left out are the
+    /// ones [`Mac::skips`] allows, or exact zeros that cannot move a lane.
+    fn event_dot(events: &[u32], w: &[Self::Elem], spike: Self::Elem) -> Self::Acc {
+        events.iter().fold(Self::ZERO, |acc, &kk| Self::add_spike(acc, w[kk as usize], spike))
+    }
+
+    /// Runs `fill` on an accumulator block for `out` (contents unspecified;
+    /// `fill` writes every element), then writes `out` from it through the
+    /// epilogue: row `r` of `row_len` accumulators belongs to output channel
+    /// `first_channel + r`.
+    fn with_acc(
+        out: &mut [f32],
+        row_len: usize,
+        first_channel: usize,
+        ep: Self::Epilogue<'_>,
+        fill: impl FnOnce(&mut [Self::Acc]),
+    );
+}
+
+/// f32 elements, f32 sums, no epilogue. Never skips: `0 · NaN` is NaN.
+pub(crate) struct F32;
+
+impl Mac for F32 {
+    type Elem = f32;
+    type Acc = f32;
+    type Epilogue<'a> = ();
+
+    const ZERO: f32 = 0.0;
+    const COST: usize = 1;
+
+    #[inline(always)]
+    fn skips(_: f32) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn mac(acc: f32, a: f32, b: f32) -> f32 {
+        acc + a * b
+    }
+
+    /// Four independent accumulator lanes — vectorizable, and a fixed
+    /// summation order independent of threading.
+    #[inline]
+    fn dot(x: &[f32], y: &[f32]) -> f32 {
+        debug_assert_eq!(x.len(), y.len());
+        let mut lanes = [0.0f32; 4];
+        let chunks = x.len() / 4;
+        for c in 0..chunks {
+            let xs = &x[c * 4..c * 4 + 4];
+            let ys = &y[c * 4..c * 4 + 4];
+            lanes[0] += xs[0] * ys[0];
+            lanes[1] += xs[1] * ys[1];
+            lanes[2] += xs[2] * ys[2];
+            lanes[3] += xs[3] * ys[3];
+        }
+        let mut tail = 0.0f32;
+        for i in chunks * 4..x.len() {
+            tail += x[i] * y[i];
+        }
+        (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]) + tail
+    }
+
+    fn spike((): ()) -> f32 {
+        1.0
+    }
+
+    /// `w · 1.0` is `w` bit for bit.
+    #[inline(always)]
+    fn add_spike(acc: f32, w: f32, _: f32) -> f32 {
+        acc + w
+    }
+
+    /// The lanes of [`F32::dot`] exactly (`kk → lane kk mod 4` below the
+    /// 4-aligned prefix, remainder into the tail, same reduction tree) with
+    /// the zero-spike terms left out: each is an exact `±0.0` for a finite
+    /// weight and cannot change a lane that started at `+0.0`.
+    fn event_dot(events: &[u32], w: &[f32], _: f32) -> f32 {
+        let chunks4 = (w.len() / 4) * 4;
+        let mut lanes = [0.0f32; 4];
+        let mut tail = 0.0f32;
+        for &kk in events {
+            let kk = kk as usize;
+            if kk < chunks4 {
+                lanes[kk & 3] += w[kk];
+            } else {
+                tail += w[kk];
+            }
+        }
+        (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]) + tail
+    }
+
+    /// The output is its own accumulator block.
+    fn with_acc(out: &mut [f32], _: usize, _: usize, (): (), fill: impl FnOnce(&mut [f32])) {
+        fill(out);
+    }
+}
 
 /// Naive triple loop, kept as the oracle for property tests and the
 /// seed-vs-runtime benchmarks. Overwrites `out`.
@@ -49,38 +200,47 @@ pub fn reference_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     }
 }
 
-#[inline]
-fn check(a: usize, b: usize, o: usize, m: usize, k: usize, n: usize) {
-    assert_eq!(a, m * k, "gemm: `a` has wrong length");
-    assert_eq!(b, k * n, "gemm: `b` has wrong length");
-    assert_eq!(o, m * n, "gemm: `out` has wrong length");
-}
-
-/// `out = A·B` with `A (m,k)`, `B (k,n)`, `out (m,n)`, all row-major.
+/// The saxpy-style product `out = A·B` for every [`Mac`] and both layouts of
+/// `A`: element `(i, kk)` of `A` is `a[i · row_stride + kk · k_stride]`, so
+/// `(k, 1)` reads an `(m, k)` operand and `(1, m)` a `(k, m)` one column-wise
+/// in place. Opens the `name` region; forks over output rows.
 ///
 /// # Panics
 ///
 /// Panics if any slice length disagrees with the dimensions.
-pub fn gemm(rt: &Runtime, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let _region = ttsnn_obs::region("gemm");
-    check(a.len(), b.len(), out.len(), m, k, n);
-    if m * n == 0 {
-        return;
-    }
+#[allow(clippy::too_many_arguments)] // kernel signature: operands + dims
+pub(crate) fn saxpy_gemm<E: Mac>(
+    name: &'static str,
+    rt: &Runtime,
+    a: &[E::Elem],
+    a_strides: (usize, usize),
+    b: &[E::Elem],
+    out: &mut [E::Acc],
+    (m, k, n): (usize, usize, usize),
+) {
+    let _region = ttsnn_obs::region(name);
+    check(name, (a.len(), b.len(), out.len()), (m, k, n));
     if k == 0 {
-        out.fill(0.0);
-        return;
+        // No coefficient to read a row range's start from.
+        return out.fill(E::ZERO);
     }
-    rt.parallel_over_ranges(out, n, fork_grain(2 * k * n), |row0, rows| {
-        gemm_serial_rows(&a[row0 * k..], b, rows, k, n);
+    rt.parallel_over_ranges(out, n, fork_grain(E::COST * 2 * k * n), |row0, rows| {
+        saxpy_rows::<E>(&a[row0 * a_strides.0..], a_strides, b, rows, k, n);
     });
 }
 
-/// Serial core for [`gemm`] over a row range: `rows = A_range · B` where
-/// `a` holds the range's rows of A back to back.
-fn gemm_serial_rows(a: &[f32], b: &[f32], rows: &mut [f32], k: usize, n: usize) {
+/// The one 4-row / `KC`-panel tile: `rows = A_range · B`, `a` starting at the
+/// range's first row. Every output element adds its terms in ascending `k`.
+fn saxpy_rows<E: Mac>(
+    a: &[E::Elem],
+    (row_stride, k_stride): (usize, usize),
+    b: &[E::Elem],
+    rows: &mut [E::Acc],
+    k: usize,
+    n: usize,
+) {
     let mrows = rows.len() / n;
-    rows.fill(0.0);
+    rows.fill(E::ZERO);
     let mut i = 0;
     // 4-row register tile: each B row streamed once per tile.
     while i + MR <= mrows {
@@ -91,10 +251,12 @@ fn gemm_serial_rows(a: &[f32], b: &[f32], rows: &mut [f32], k: usize, n: usize) 
         for kb in (0..k).step_by(KC) {
             let kend = (kb + KC).min(k);
             for kk in kb..kend {
-                let a0 = a[i * k + kk];
-                let a1 = a[(i + 1) * k + kk];
-                let a2 = a[(i + 2) * k + kk];
-                let a3 = a[(i + 3) * k + kk];
+                let at = i * row_stride + kk * k_stride;
+                let (a0, a1) = (a[at], a[at + row_stride]);
+                let (a2, a3) = (a[at + 2 * row_stride], a[at + 3 * row_stride]);
+                if E::skips(a0) && E::skips(a1) && E::skips(a2) && E::skips(a3) {
+                    continue;
+                }
                 let brow = &b[kk * n..kk * n + n];
                 for (((dv0, dv1), (dv2, dv3)), &bv) in o0
                     .iter_mut()
@@ -102,10 +264,10 @@ fn gemm_serial_rows(a: &[f32], b: &[f32], rows: &mut [f32], k: usize, n: usize) 
                     .zip(o2.iter_mut().zip(o3.iter_mut()))
                     .zip(brow.iter())
                 {
-                    *dv0 += a0 * bv;
-                    *dv1 += a1 * bv;
-                    *dv2 += a2 * bv;
-                    *dv3 += a3 * bv;
+                    *dv0 = E::mac(*dv0, a0, bv);
+                    *dv1 = E::mac(*dv1, a1, bv);
+                    *dv2 = E::mac(*dv2, a2, bv);
+                    *dv3 = E::mac(*dv3, a3, bv);
                 }
             }
         }
@@ -117,15 +279,65 @@ fn gemm_serial_rows(a: &[f32], b: &[f32], rows: &mut [f32], k: usize, n: usize) 
         for kb in (0..k).step_by(KC) {
             let kend = (kb + KC).min(k);
             for kk in kb..kend {
-                let av = a[i * k + kk];
+                let av = a[i * row_stride + kk * k_stride];
+                if E::skips(av) {
+                    continue;
+                }
                 let brow = &b[kk * n..kk * n + n];
                 for (dv, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *dv += av * bv;
+                    *dv = E::mac(*dv, av, bv);
                 }
             }
         }
         i += 1;
     }
+}
+
+/// The dot-product form `out = A·Bᵀ` with `A (m,k)`, `B (n,k)` for every
+/// [`Mac`]: both operands read along contiguous rows. Opens the `name`
+/// region; forks over output rows.
+///
+/// # Panics
+///
+/// Panics if any slice length disagrees with the dimensions.
+pub(crate) fn dot_gemm<E: Mac>(
+    name: &'static str,
+    rt: &Runtime,
+    a: &[E::Elem],
+    b: &[E::Elem],
+    out: &mut [E::Acc],
+    (m, k, n): (usize, usize, usize),
+) {
+    let _region = ttsnn_obs::region(name);
+    check(name, (a.len(), b.len(), out.len()), (m, k, n));
+    rt.parallel_over_ranges(out, n, fork_grain(E::COST * 2 * k * n), |row0, rows| {
+        for (i, orow) in rows.chunks_mut(n).enumerate() {
+            dot_row::<E>(&a[(row0 + i) * k..(row0 + i + 1) * k], b, orow);
+        }
+    });
+}
+
+/// One output row of [`dot_gemm`]: `orow[j] = arow · b[j]`.
+pub(crate) fn dot_row<E: Mac>(arow: &[E::Elem], b: &[E::Elem], orow: &mut [E::Acc]) {
+    let k = arow.len();
+    for (j, dv) in orow.iter_mut().enumerate() {
+        *dv = E::dot(arow, &b[j * k..(j + 1) * k]);
+    }
+}
+
+fn check(name: &str, (a, b, o): (usize, usize, usize), (m, k, n): (usize, usize, usize)) {
+    assert_eq!(a, m * k, "{name}: `a` has wrong length");
+    assert_eq!(b, k * n, "{name}: `b` has wrong length");
+    assert_eq!(o, m * n, "{name}: `out` has wrong length");
+}
+
+/// `out = A·B` with `A (m,k)`, `B (k,n)`, `out (m,n)`, all row-major.
+///
+/// # Panics
+///
+/// Panics if any slice length disagrees with the dimensions.
+pub fn gemm(rt: &Runtime, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    saxpy_gemm::<F32>("gemm", rt, a, (k, 1), b, out, (m, k, n));
 }
 
 /// `out = Aᵀ·B` with `A (k,m)`, `B (k,n)`, `out (m,n)`: reads `A`
@@ -143,68 +355,12 @@ pub fn gemm_at_b(
     k: usize,
     n: usize,
 ) {
-    let _region = ttsnn_obs::region("gemm_at_b");
-    assert_eq!(a.len(), k * m, "gemm_at_b: `a` has wrong length");
-    assert_eq!(b.len(), k * n, "gemm_at_b: `b` has wrong length");
-    assert_eq!(out.len(), m * n, "gemm_at_b: `out` has wrong length");
-    if m * n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    rt.parallel_over_ranges(out, n, fork_grain(2 * k * n), |row0, rows| {
-        let mrows = rows.len() / n;
-        rows.fill(0.0);
-        let mut i = 0;
-        while i + MR <= mrows {
-            let (o0, rest) = rows[i * n..].split_at_mut(n);
-            let (o1, rest) = rest.split_at_mut(n);
-            let (o2, o3rest) = rest.split_at_mut(n);
-            let o3 = &mut o3rest[..n];
-            for kb in (0..k).step_by(KC) {
-                let kend = (kb + KC).min(k);
-                for kk in kb..kend {
-                    // A column (row0+i .. row0+i+3) at row kk, stride m.
-                    let acol = &a[kk * m + row0 + i..kk * m + row0 + i + MR];
-                    let (a0, a1, a2, a3) = (acol[0], acol[1], acol[2], acol[3]);
-                    let brow = &b[kk * n..kk * n + n];
-                    for (((dv0, dv1), (dv2, dv3)), &bv) in o0
-                        .iter_mut()
-                        .zip(o1.iter_mut())
-                        .zip(o2.iter_mut().zip(o3.iter_mut()))
-                        .zip(brow.iter())
-                    {
-                        *dv0 += a0 * bv;
-                        *dv1 += a1 * bv;
-                        *dv2 += a2 * bv;
-                        *dv3 += a3 * bv;
-                    }
-                }
-            }
-            i += MR;
-        }
-        while i < mrows {
-            let orow = &mut rows[i * n..(i + 1) * n];
-            for kb in (0..k).step_by(KC) {
-                let kend = (kb + KC).min(k);
-                for kk in kb..kend {
-                    let av = a[kk * m + row0 + i];
-                    let brow = &b[kk * n..kk * n + n];
-                    for (dv, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *dv += av * bv;
-                    }
-                }
-            }
-            i += 1;
-        }
-    });
+    saxpy_gemm::<F32>("gemm_at_b", rt, a, (1, m), b, out, (m, k, n));
 }
 
 /// `out = A·Bᵀ` with `A (m,k)`, `B (n,k)`, `out (m,n)`: both operands are
-/// read along contiguous rows (a dot-product kernel), so `y = x·Wᵀ` and
-/// `dA = g·Bᵀ` need no transpose copy.
+/// read along contiguous rows, so `y = x·Wᵀ` and `dA = g·Bᵀ` need no
+/// transpose copy.
 ///
 /// # Panics
 ///
@@ -218,62 +374,23 @@ pub fn gemm_a_bt(
     k: usize,
     n: usize,
 ) {
-    let _region = ttsnn_obs::region("gemm_a_bt");
-    assert_eq!(a.len(), m * k, "gemm_a_bt: `a` has wrong length");
-    assert_eq!(b.len(), n * k, "gemm_a_bt: `b` has wrong length");
-    assert_eq!(out.len(), m * n, "gemm_a_bt: `out` has wrong length");
-    if m * n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
     // With enough output rows to amortize it, transpose B once into arena
     // scratch (O(nk) copies against O(mnk) compute) and run the ~2× faster
     // saxpy kernel. `m` is a property of the call, not the thread count, so
     // determinism across thread counts is unaffected.
-    if m >= 2 * MR {
-        super::arena::with_scratch(k * n, |bt| {
-            for (j, brow) in b.chunks_exact(k).enumerate() {
-                for (kk, &v) in brow.iter().enumerate() {
-                    bt[kk * n + j] = v;
-                }
-            }
-            gemm(rt, a, bt, out, m, k, n);
-        });
-        return;
+    if m < 2 * MR || k * n == 0 {
+        return dot_gemm::<F32>("gemm_a_bt", rt, a, b, out, (m, k, n));
     }
-    rt.parallel_over_ranges(out, n, fork_grain(2 * k * n), |row0, rows| {
-        for (i, orow) in rows.chunks_mut(n).enumerate() {
-            let arow = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            for (j, dv) in orow.iter_mut().enumerate() {
-                *dv = dot4(arow, &b[j * k..(j + 1) * k]);
+    let _region = ttsnn_obs::region("gemm_a_bt");
+    check("gemm_a_bt", (a.len(), b.len(), out.len()), (m, k, n));
+    super::arena::with_scratch(k * n, |bt| {
+        for (j, brow) in b.chunks_exact(k).enumerate() {
+            for (kk, &v) in brow.iter().enumerate() {
+                bt[kk * n + j] = v;
             }
         }
+        gemm(rt, a, bt, out, m, k, n);
     });
-}
-
-/// Dot product with four independent accumulator lanes — vectorizable, and
-/// a fixed summation order independent of threading.
-#[inline]
-fn dot4(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut lanes = [0.0f32; 4];
-    let chunks = x.len() / 4;
-    for c in 0..chunks {
-        let xs = &x[c * 4..c * 4 + 4];
-        let ys = &y[c * 4..c * 4 + 4];
-        lanes[0] += xs[0] * ys[0];
-        lanes[1] += xs[1] * ys[1];
-        lanes[2] += xs[2] * ys[2];
-        lanes[3] += xs[3] * ys[3];
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 4..x.len() {
-        tail += x[i] * y[i];
-    }
-    (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]) + tail
 }
 
 #[cfg(test)]

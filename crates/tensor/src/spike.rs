@@ -10,14 +10,15 @@
 //!   lanes per `u64` word. Packing validates binarity and measures spike
 //!   density (popcount) in the same single pass, so the dispatcher's
 //!   density measurement is a by-product of building the representation.
-//! * [`sparse_conv2d`] / [`sparse_linear`] — event-driven f32 kernels
-//!   that iterate only the firing positions and gather/scatter weight
-//!   values for them.
-//! * [`sparse_qconv2d`] / [`sparse_qlinear`] — the int8 twins (i32 or
-//!   saturating-i16 accumulation, reusing the [`crate::qkernels`] scale
-//!   plumbing). The sparse int8 path skips the quantize + im2col stages
-//!   entirely: a spike quantizes to a known constant, so only the packed
-//!   bits are consulted.
+//! * [`sparse_conv2d`] / [`sparse_qconv2d`] — the event-scatter driver at
+//!   the f32 and the integer `Mac` (see `runtime/gemm.rs`): iterate only the
+//!   firing positions and scatter weight values for them into the type's
+//!   accumulators, then out through its epilogue. [`sparse_linear`] /
+//!   [`sparse_qlinear`] are the event-driven linear layer at the same `Mac`s,
+//!   through the linear row driver they share with `qlinear`. The int8 paths
+//!   skip the quantize + im2col stages entirely: a spike quantizes to a known
+//!   constant, so only the packed bits are consulted. The drivers are written
+//!   once; a `Mac` supplies the add, the dot over events and the epilogue.
 //! * [`SparseMode`] — the `TTSNN_SPARSE_MODE` dispatch override
 //!   (`auto`/`force`/`off`) used by the model-layer dispatcher.
 //!
@@ -42,10 +43,11 @@
 //!   path is only used for inference weights, which are finite by
 //!   construction; the serving engine already rejects non-finite
 //!   inputs.)
-//! * The dense per-sample linear path computes each output with the
-//!   4-lane [`dot4`](crate::runtime::gemm_a_bt) summation; the sparse
-//!   kernel replicates the lane structure exactly (`kk → lane kk mod 4`,
-//!   remainder into the tail, same final reduction tree).
+//! * The dense per-sample linear path computes each output with the f32
+//!   `Mac`'s 4-lane dot ([`gemm_a_bt`](crate::runtime::gemm_a_bt) at
+//!   `m = 1`); its dot over events replicates the lane structure exactly
+//!   (`kk → lane kk mod 4`, remainder into the tail, same final reduction
+//!   tree).
 //! * Int8: i32 accumulation is exact, and a saturating i16 fold is
 //!   unchanged by zero terms (`saturating_add(acc, 0) == acc`) as long
 //!   as the nonzero terms keep their order — which the ascending event
@@ -58,10 +60,12 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use crate::conv::Conv2dGeometry;
+use crate::conv::{check_input, check_weight, Conv2dGeometry};
 use crate::error::ShapeError;
-use crate::qkernels::{check_scales, check_x_scale, w_scale_at, QAccum};
-use crate::runtime::{self, with_scratch, with_scratch_zeroed, Runtime};
+use crate::qkernels::{
+    by_accum, check_qlinear, check_qweight, linear_rows, QAccum, Requant, Sat16, I32,
+};
+use crate::runtime::{self, with_scratch, Mac, Runtime, F32};
 use crate::shape::num_elements;
 use crate::tensor::Tensor;
 
@@ -247,13 +251,16 @@ fn with_events<R>(
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
 /// What scattering one event through one window tap costs in the f32
-/// operations `runtime::fork_grain` counts in. A tap is an indirect
-/// read-modify-write, not a streamed multiply-add: at density 0.13 the
-/// sparse kernels touch 0.13 of the dense kernels' operands and finish in
-/// 1 / 1.7 (f32) to 1 / 3 (int8, itself 4 × the float cost per operation)
-/// of their time (`tensor.sparse_conv_speedup_vs_dense`,
-/// `tensor.sparse_qconv_speedup_vs_dense`), i.e. 10–20 float operations
-/// per tap.
+/// operations `runtime::fork_grain` counts in — the event-scatter driver's
+/// grain, for every `Mac`. A tap is an indirect read-modify-write, not a
+/// streamed multiply-add, and what it costs is the indirection, not the
+/// accumulator type, so `Mac::COST` (the price of a *streamed* operation)
+/// does not scale it: at density 0.13 the sparse kernels touch 0.13 of the
+/// dense kernels' operands and finish in 1 / 1.7 (f32) to 1 / 3 (int8, itself
+/// 4 × the float cost per operation) of their time
+/// (`tensor.sparse_conv_speedup_vs_dense`,
+/// `tensor.sparse_qconv_speedup_vs_dense`), i.e. 10 (f32) to 20 (int8) float
+/// operations per tap.
 const TAP_COST: usize = 16;
 
 /// Dispatch policy for the density-adaptive sparse/dense router,
@@ -315,27 +322,7 @@ pub fn sparse_mode() -> SparseMode {
 }
 
 // ---------------------------------------------------------------------------
-// Shared validation
-
-fn check_spike_input(
-    spikes: &SpikeTensor,
-    g: &Conv2dGeometry,
-) -> Result<(usize, usize, usize), ShapeError> {
-    let sh = spikes.shape();
-    if sh.len() != 4 {
-        return Err(ShapeError::new(format!(
-            "sparse_conv2d: expected 4-D NCHW spikes, got {sh:?}"
-        )));
-    }
-    if sh[1] != g.in_channels || (sh[2], sh[3]) != g.in_hw {
-        return Err(ShapeError::new(format!(
-            "sparse_conv2d: spikes {sh:?} do not match geometry (C={}, HW={:?})",
-            g.in_channels, g.in_hw
-        )));
-    }
-    let (oh, ow) = g.out_hw();
-    Ok((sh[0], oh, ow))
-}
+// The event-scatter driver
 
 /// Valid kernel window positions for one event at input position
 /// `(ii, jj)`: every `(kidx, opos)` with `kidx = ki·Kw + kj` and
@@ -377,112 +364,6 @@ fn event_windows(ii: usize, jj: usize, g: &Conv2dGeometry, wins: &mut [(u32, u32
         }
     }
     n
-}
-
-// ---------------------------------------------------------------------------
-// f32 kernels
-
-/// Event-driven f32 convolution over packed spikes — bit-identical to
-/// [`crate::conv::conv2d`] on the unpacked tensor (see module docs).
-///
-/// Spikes `(B, C, H, W)` packed, weight `(O, C, Kh, Kw)` dense f32,
-/// output `(B, O, Oh, Ow)`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the spikes or weight do not match `g`.
-pub fn sparse_conv2d(
-    spikes: &SpikeTensor,
-    weight: &Tensor,
-    g: &Conv2dGeometry,
-) -> Result<Tensor, ShapeError> {
-    sparse_conv2d_with(Runtime::global(), spikes, weight, g)
-}
-
-/// [`sparse_conv2d`] on an explicit [`Runtime`] (tests pin thread counts).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the spikes or weight do not match `g`.
-pub fn sparse_conv2d_with(
-    rt: &Runtime,
-    spikes: &SpikeTensor,
-    weight: &Tensor,
-    g: &Conv2dGeometry,
-) -> Result<Tensor, ShapeError> {
-    let _region = ttsnn_obs::region("sparse_conv2d");
-    let (b, oh, ow) = check_spike_input(spikes, g)?;
-    let expect = [g.out_channels, g.in_channels, g.kernel.0, g.kernel.1];
-    if weight.shape() != expect {
-        return Err(ShapeError::new(format!(
-            "sparse_conv2d: weight {:?} does not match geometry {expect:?}",
-            weight.shape()
-        )));
-    }
-    // Zeroed: the scatter accumulates into it.
-    let mut out = Tensor::scratch_zeroed(&[b, g.out_channels, oh, ow]);
-    if b == 0 {
-        return Ok(out);
-    }
-    let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
-    let ospatial = oh * ow;
-    let wd = weight.data();
-    let kdim = g.in_channels * g.kernel.0 * g.kernel.1;
-    let taps = g.kernel.0 * g.kernel.1;
-    with_events(spikes, in_slab, b, |events, offsets| {
-        // Per-slab scatter cost: a sample's events × window taps — a
-        // property of the input, never of the thread count.
-        let min_slabs = runtime::fork_grain(TAP_COST * events.len().div_ceil(b.max(1)) * taps);
-        rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
-            for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
-                with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
-                    scatter_f32(flat, wd, kdim, o_lo, ospatial, chans);
-                });
-            });
-        });
-    });
-    Ok(out)
-}
-
-/// Streams a sample's flat event-tap list into a contiguous run of
-/// output-channel slabs, four channels per pass: the `(wpos, opos)`
-/// decode is amortized and the four accumulation chains are independent,
-/// roughly doubling scatter ILP. Channels are disjoint outputs and each
-/// channel still sees the list in order, so bit-identity is untouched.
-fn scatter_f32(
-    flat: &[(u32, u32)],
-    wd: &[f32],
-    kdim: usize,
-    o_lo: usize,
-    ospatial: usize,
-    chans: &mut [f32],
-) {
-    let mut ci = 0;
-    let mut groups = chans.chunks_exact_mut(4 * ospatial);
-    for group in &mut groups {
-        let (c0, rest) = group.split_at_mut(ospatial);
-        let (c1, rest) = rest.split_at_mut(ospatial);
-        let (c2, c3) = rest.split_at_mut(ospatial);
-        let w0 = &wd[(o_lo + ci) * kdim..][..kdim];
-        let w1 = &wd[(o_lo + ci + 1) * kdim..][..kdim];
-        let w2 = &wd[(o_lo + ci + 2) * kdim..][..kdim];
-        let w3 = &wd[(o_lo + ci + 3) * kdim..][..kdim];
-        for &(wpos, opos) in flat {
-            let (w, o) = (wpos as usize, opos as usize);
-            c0[o] += w0[w];
-            c1[o] += w1[w];
-            c2[o] += w2[w];
-            c3[o] += w3[w];
-        }
-        ci += 4;
-    }
-    for chan in groups.into_remainder().chunks_mut(ospatial) {
-        let wrow = &wd[(o_lo + ci) * kdim..][..kdim];
-        for &(wpos, opos) in flat {
-            chan[opos as usize] += wrow[wpos as usize];
-        }
-        ci += 1;
-    }
 }
 
 /// Expands one sample's events into the flat ascending `(wpos, opos)`
@@ -540,9 +421,143 @@ fn for_each_sample_group(
     }
 }
 
+/// The event-scatter convolution for every [`Mac`]: `w` is the kernel as
+/// `(O, C·Kh·Kw)` rows, `ep` the type's epilogue. Checks the spikes against
+/// `g`, opens the `name` region, gathers the events, and forks over
+/// `(sample, channel)` output planes at a grain taken from the input — a
+/// sample's events × window taps × [`TAP_COST`], never the thread count;
+/// each same-sample run of planes then streams the sample's tap list through
+/// [`scatter`] into the type's accumulators and out through its epilogue.
+fn event_conv<E: Mac>(
+    name: &'static str,
+    rt: &Runtime,
+    spikes: &SpikeTensor,
+    w: &[E::Elem],
+    ep: E::Epilogue<'_>,
+    g: &Conv2dGeometry,
+) -> Result<Tensor, ShapeError> {
+    let _region = ttsnn_obs::region(name);
+    let (b, oh, ow) = check_input(spikes.shape(), g)?;
+    let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
+    let (kdim, ospatial, taps) = (g.patch_len(), oh * ow, g.kernel.0 * g.kernel.1);
+    let spike = E::spike(ep);
+    with_events(spikes, g.in_slab(), b, |events, offsets| {
+        let min_slabs = runtime::fork_grain(TAP_COST * events.len().div_ceil(b.max(1)) * taps);
+        rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
+            for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
+                with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
+                    E::with_acc(chans, ospatial, o_lo, ep, |acc| {
+                        acc.fill(E::ZERO);
+                        scatter::<E>(flat, &w[o_lo * kdim..], kdim, spike, acc, ospatial);
+                    });
+                });
+            });
+        });
+    });
+    Ok(out)
+}
+
+/// Streams a sample's flat event-tap list into a contiguous run of
+/// output-channel accumulator planes (`w` starting at the first one's weight
+/// row), four channels per pass: the `(wpos, opos)` decode is amortized and
+/// the four accumulation chains are independent, roughly doubling scatter
+/// ILP. Channels are disjoint outputs and each channel still sees the list in
+/// order, so bit-identity is untouched.
+fn scatter<E: Mac>(
+    flat: &[(u32, u32)],
+    w: &[E::Elem],
+    kdim: usize,
+    spike: E::Elem,
+    acc: &mut [E::Acc],
+    ospatial: usize,
+) {
+    let mut wrows = w.chunks(kdim);
+    let mut groups = acc.chunks_exact_mut(4 * ospatial);
+    for group in &mut groups {
+        let (c0, rest) = group.split_at_mut(ospatial);
+        let (c1, rest) = rest.split_at_mut(ospatial);
+        let (c2, c3) = rest.split_at_mut(ospatial);
+        let mut wrow = || wrows.next().expect("one weight row per channel");
+        let (w0, w1, w2, w3) = (wrow(), wrow(), wrow(), wrow());
+        for &(wpos, opos) in flat {
+            let (wi, o) = (wpos as usize, opos as usize);
+            c0[o] = E::add_spike(c0[o], w0[wi], spike);
+            c1[o] = E::add_spike(c1[o], w1[wi], spike);
+            c2[o] = E::add_spike(c2[o], w2[wi], spike);
+            c3[o] = E::add_spike(c3[o], w3[wi], spike);
+        }
+    }
+    for (chan, wrow) in groups.into_remainder().chunks_mut(ospatial).zip(wrows) {
+        for &(wpos, opos) in flat {
+            let o = opos as usize;
+            chan[o] = E::add_spike(chan[o], wrow[wpos as usize], spike);
+        }
+    }
+}
+
+/// The event-driven linear layer for every [`Mac`]: `w` is `(O, F)` rows.
+/// One [`Mac::event_dot`] per output through the linear row driver, whose
+/// grain is a row's events × outputs.
+fn event_linear<E: Mac>(
+    name: &'static str,
+    rt: &Runtime,
+    spikes: &SpikeTensor,
+    w: &[E::Elem],
+    ep: E::Epilogue<'_>,
+    (b, feat, out_ch): (usize, usize, usize),
+) -> Tensor {
+    let mut y = Tensor::scratch(&[b, out_ch]);
+    let spike = E::spike(ep);
+    with_events(spikes, feat, b, |events, offsets| {
+        let macs_per_row = events.len().div_ceil(b.max(1)) * out_ch;
+        linear_rows::<E>(name, rt, &mut y, macs_per_row, ep, |s, acc| {
+            let evs = &events[offsets[s]..offsets[s + 1]];
+            for (dv, wrow) in acc.iter_mut().zip(w.chunks(feat)) {
+                *dv = E::event_dot(evs, wrow, spike);
+            }
+        });
+    });
+    y
+}
+
+// ---------------------------------------------------------------------------
+// The public kernels: the two drivers at a `Mac`
+
+/// Event-driven f32 convolution over packed spikes — bit-identical to
+/// [`crate::conv::conv2d`] on the unpacked tensor (see module docs).
+///
+/// Spikes `(B, C, H, W)` packed, weight `(O, C, Kh, Kw)` dense f32,
+/// output `(B, O, Oh, Ow)`.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the spikes or weight do not match `g`.
+pub fn sparse_conv2d(
+    spikes: &SpikeTensor,
+    weight: &Tensor,
+    g: &Conv2dGeometry,
+) -> Result<Tensor, ShapeError> {
+    sparse_conv2d_with(Runtime::global(), spikes, weight, g)
+}
+
+/// [`sparse_conv2d`] on an explicit [`Runtime`] (tests pin thread counts).
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the spikes or weight do not match `g`.
+pub fn sparse_conv2d_with(
+    rt: &Runtime,
+    spikes: &SpikeTensor,
+    weight: &Tensor,
+    g: &Conv2dGeometry,
+) -> Result<Tensor, ShapeError> {
+    check_weight(weight.shape(), g)?;
+    event_conv::<F32>("sparse_conv2d", rt, spikes, weight.data(), (), g)
+}
+
 /// Event-driven f32 linear layer over packed spikes — bit-identical to
 /// the per-sample dense path (`gemm_a_bt` with `m = 1`, i.e. the 4-lane
-/// `dot4` summation) on the unpacked tensor.
+/// dot) on the unpacked tensor.
 ///
 /// Spikes `(B, F)` packed, weight `(O, F)` dense f32, output `(B, O)`.
 /// No bias: callers add bias exactly as the dense path does.
@@ -564,71 +579,18 @@ pub fn sparse_linear_with(
     spikes: &SpikeTensor,
     weight: &Tensor,
 ) -> Result<Tensor, ShapeError> {
-    let _region = ttsnn_obs::region("sparse_linear");
-    let (b, feat) = check_linear_shapes(spikes, weight.shape(), "sparse_linear")?;
-    let out_ch = weight.shape()[0];
-    let mut y = Tensor::scratch(&[b, out_ch]);
-    if b == 0 {
-        return Ok(y);
-    }
-    let wd = weight.data();
-    let min_rows = runtime::fork_grain(2 * feat * out_ch);
-    with_events(spikes, feat, b, |events, offsets| {
-        rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
-            let evs = &events[offsets[s]..offsets[s + 1]];
-            for (oc, dv) in yrow.iter_mut().enumerate() {
-                *dv = sparse_dot4(evs, &wd[oc * feat..(oc + 1) * feat], feat);
-            }
-        });
-    });
-    Ok(y)
-}
-
-fn check_linear_shapes(
-    spikes: &SpikeTensor,
-    wshape: &[usize],
-    who: &str,
-) -> Result<(usize, usize), ShapeError> {
-    let sh = spikes.shape();
+    let (sh, wshape) = (spikes.shape(), weight.shape());
     if sh.len() != 2 {
-        return Err(ShapeError::new(format!("{who}: expected (B, F) spikes, got {sh:?}")));
+        return Err(ShapeError::new(format!("sparse_linear: expected (B, F) spikes, got {sh:?}")));
     }
     if wshape.len() != 2 || wshape[1] != sh[1] {
         return Err(ShapeError::new(format!(
-            "{who}: weight {wshape:?} does not match feature dim {}",
+            "sparse_linear: weight {wshape:?} does not match feature dim {}",
             sh[1]
         )));
     }
-    Ok((sh[0], sh[1]))
-}
-
-/// Sparse twin of the runtime's `dot4`: identical lane assignment
-/// (`kk → lane kk mod 4` below the 4-aligned prefix, remainder into the
-/// tail) and identical final reduction tree, with zero-spike terms
-/// skipped (each is an exact `±0.0` that cannot change a lane).
-fn sparse_dot4(evs: &[u32], w: &[f32], feat: usize) -> f32 {
-    let chunks4 = (feat / 4) * 4;
-    let mut lanes = [0.0f32; 4];
-    let mut tail = 0.0f32;
-    for &kk in evs {
-        let kk = kk as usize;
-        if kk < chunks4 {
-            lanes[kk & 3] += w[kk];
-        } else {
-            tail += w[kk];
-        }
-    }
-    (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]) + tail
-}
-
-// ---------------------------------------------------------------------------
-// int8 kernels
-
-/// The int8 value a spike quantizes to: `clamp(round(1/scale), ±127)`.
-/// With the calibration convention for binary sites (`scale = 1`), this
-/// is exactly `1`.
-fn spike_q(x_scale: f32) -> i8 {
-    (1.0f32 / x_scale).round().clamp(-127.0, 127.0) as i8
+    let dims = (sh[0], sh[1], wshape[0]);
+    Ok(event_linear::<F32>("sparse_linear", rt, spikes, weight.data(), (), dims))
 }
 
 /// Event-driven quantized convolution over packed spikes — bit-identical
@@ -666,70 +628,9 @@ pub fn sparse_qconv2d_with(
     g: &Conv2dGeometry,
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    let (b, oh, ow) = check_spike_input(spikes, g)?;
-    let kdim = g.in_channels * g.kernel.0 * g.kernel.1;
-    if qw.len() != g.out_channels * kdim {
-        return Err(ShapeError::new(format!(
-            "sparse_qconv2d: quantized weight has {} values, geometry wants {}",
-            qw.len(),
-            g.out_channels * kdim
-        )));
-    }
-    check_scales(w_scales, g.out_channels, "sparse_qconv2d")?;
-    check_x_scale(x_scale, "sparse_qconv2d")?;
-    let ospatial = oh * ow;
-    let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
-    if b == 0 {
-        return Ok(out);
-    }
-    let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
-    let taps = g.kernel.0 * g.kernel.1;
-    let q1 = spike_q(x_scale);
-    // One sample group: accumulate its channels in integer scratch, then
-    // dequantize every output element.
-    let scatter_group = |flat: &[(u32, u32)], o_lo: usize, chans: &mut [f32]| {
-        with_scratch_zeroed(chans.len(), |acc: &mut [i32]| {
-            for (ci, arow) in acc.chunks_mut(ospatial).enumerate() {
-                let wrow = &qw[(o_lo + ci) * kdim..(o_lo + ci) * kdim + kdim];
-                match accum {
-                    QAccum::I32 => {
-                        for &(wpos, opos) in flat {
-                            arow[opos as usize] += wrow[wpos as usize] as i32 * q1 as i32;
-                        }
-                    }
-                    QAccum::Saturate16 => {
-                        for &(wpos, opos) in flat {
-                            let dv = &mut arow[opos as usize];
-                            *dv = (*dv as i16)
-                                .saturating_add(wrow[wpos as usize] as i16 * q1 as i16)
-                                as i32;
-                        }
-                    }
-                }
-            }
-            for (ci, (arow, orow)) in
-                acc.chunks(ospatial).zip(chans.chunks_mut(ospatial)).enumerate()
-            {
-                let scale = x_scale * w_scale_at(w_scales, o_lo + ci);
-                for (o, &a) in orow.iter_mut().zip(arow.iter()) {
-                    *o = a as f32 * scale;
-                }
-            }
-        });
-    };
-    with_events(spikes, in_slab, b, |events, offsets| {
-        // Per-slab scatter cost: a sample's events × window taps — a
-        // property of the input, never of the thread count.
-        let min_slabs = runtime::fork_grain(TAP_COST * events.len().div_ceil(b.max(1)) * taps);
-        rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
-            for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
-                with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
-                    scatter_group(flat, o_lo, chans);
-                });
-            });
-        });
-    });
-    Ok(out)
+    check_qweight(qw, g)?;
+    let ep = Requant::new("sparse_qconv2d", x_scale, w_scales, None, g.out_channels)?;
+    by_accum!(accum, E => event_conv::<E>("sparse_qconv2d", rt, spikes, qw, ep, g))
 }
 
 /// Event-driven quantized linear layer over packed spikes —
@@ -764,48 +665,9 @@ pub fn sparse_qlinear_with(
     bias: &[f32],
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    let sh = spikes.shape().to_vec();
-    if sh.len() != 2 {
-        return Err(ShapeError::new(format!("sparse_qlinear: expected (B, F) spikes, got {sh:?}")));
-    }
-    let (b, feat) = (sh[0], sh[1]);
-    if feat == 0 || !qw.len().is_multiple_of(feat.max(1)) {
-        return Err(ShapeError::new(format!(
-            "sparse_qlinear: weight length {} is not a multiple of feature dim {feat}",
-            qw.len()
-        )));
-    }
-    let out_ch = qw.len() / feat;
-    if bias.len() != out_ch {
-        return Err(ShapeError::new(format!(
-            "sparse_qlinear: bias has {} entries, weight implies {out_ch} outputs",
-            bias.len()
-        )));
-    }
-    check_scales(w_scales, out_ch, "sparse_qlinear")?;
-    check_x_scale(x_scale, "sparse_qlinear")?;
-    let mut y = Tensor::scratch(&[b, out_ch]);
-    if b == 0 {
-        return Ok(y);
-    }
-    let q1 = spike_q(x_scale);
-    let min_rows = runtime::fork_grain(2 * feat * out_ch);
-    with_events(spikes, feat, b, |events, offsets| {
-        rt.parallel_over_slabs(y.data_mut(), out_ch, min_rows, |s, yrow| {
-            let evs = &events[offsets[s]..offsets[s + 1]];
-            for (oc, dv) in yrow.iter_mut().enumerate() {
-                let wrow = &qw[oc * feat..(oc + 1) * feat];
-                let acc: i32 = match accum {
-                    QAccum::I32 => evs.iter().map(|&kk| wrow[kk as usize] as i32 * q1 as i32).sum(),
-                    QAccum::Saturate16 => evs.iter().fold(0i16, |acc, &kk| {
-                        acc.saturating_add(wrow[kk as usize] as i16 * q1 as i16)
-                    }) as i32,
-                };
-                *dv = acc as f32 * (x_scale * w_scale_at(w_scales, oc)) + bias[oc];
-            }
-        });
-    });
-    Ok(y)
+    let (dims, ep) =
+        check_qlinear("sparse_qlinear", spikes.shape(), x_scale, qw.len(), w_scales, bias)?;
+    Ok(by_accum!(accum, E => event_linear::<E>("sparse_qlinear", rt, spikes, qw, ep, dims)))
 }
 
 #[cfg(test)]

@@ -365,7 +365,7 @@ impl Var {
         let lif::Scanned { spikes, fired, .. } = {
             let carry = carry.map(Var::value);
             let keep = lif::Keep::Every { u: &mut u, carry: carry.as_deref() };
-            lif::scan(Runtime::global(), steps, (tau, vth), &x, keep, false)
+            lif::scan(&Runtime::current(), steps, (tau, vth), &x, keep, false)
         };
         drop(x);
         let tape = Rc::new(ScanTape { u: Saved(u), carry_grad: RefCell::new(None) });
@@ -739,8 +739,8 @@ impl Var {
         {
             let (gv, bv) = (gamma.value(), beta.value());
             let affine = (gv.data(), bv.data(), extra_scale);
-            let rt = Runtime::global();
-            bn_forward(rt, dims, x.data(), affine, eps, stats.0.data_mut(), y.data_mut());
+            let rt = Runtime::current();
+            bn_forward(&rt, dims, x.data(), affine, eps, stats.0.data_mut(), y.data_mut());
         }
         drop(x);
         Ok(Var::from_op(
@@ -754,8 +754,8 @@ impl Var {
                     let (x, gv) = (parents[0].value(), parents[1].value());
                     let scale = (gv.data(), extra_scale);
                     with_scratch(2 * groups * c, |sums: &mut [f32]| {
-                        let rt = Runtime::global();
-                        bn_backward(rt, dims, x.data(), stats.0.data(), scale, g.data_mut(), sums);
+                        let rt = Runtime::current();
+                        bn_backward(&rt, dims, x.data(), stats.0.data(), scale, g.data_mut(), sums);
                         // Group 0's sums as they are (what a one-group call
                         // has always returned), later groups added to them.
                         let (first, later) = sums.split_at(2 * c);
@@ -989,7 +989,7 @@ fn lif_backward(
     g: &mut [f32],
     carries: (Option<&[f32]>, Option<&mut Tensor>),
 ) {
-    let (rt, neuron) = (Runtime::global(), (tau, vth));
+    let (rt, neuron) = (&Runtime::current(), (tau, vth));
     match surrogate {
         Surrogate::Rectangle { width } => {
             lif::scan_backward(rt, steps, neuron, rectangle(width), u, g, carries);

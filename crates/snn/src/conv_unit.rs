@@ -6,12 +6,37 @@
 //! as a dense kernel (the baseline of Table II) or as a
 //! [`ttsnn_core::TtConv`] in the requested mode.
 
+use std::borrow::Cow;
+
 use ttsnn_autograd::Var;
 use ttsnn_core::{TtConv, TtMode};
 use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{conv, Conv2dGeometry, Rng, ShapeError, Tensor};
 
 use crate::quant::QuantConv;
+
+/// The dense-or-events decision of every inference site (convolution,
+/// float and int8 classifier): the packed spikes the event-driven kernels
+/// should read, or `None` to run dense. `handed` is what the LIF scan that
+/// produced `x` packed as it fired, if it did; without it — and unless `mode`
+/// rules the sparse path out — `x` is packed here, which measures the site's
+/// density as a by-product and fails for non-binary activations, which always
+/// run dense. Sparse and dense results are bit-identical, so the answer is a
+/// cost decision, never a semantic one.
+pub(crate) fn route_events<'a>(
+    x: &Tensor,
+    handed: Option<&'a SpikeTensor>,
+    mode: SparseMode,
+) -> Option<Cow<'a, SpikeTensor>> {
+    if mode == SparseMode::Off {
+        return None;
+    }
+    let packed = match handed {
+        Some(handed) => Cow::Borrowed(handed),
+        None => Cow::Owned(SpikeTensor::try_pack(x)?),
+    };
+    mode.routes_sparse(packed.density()).then_some(packed)
+}
 
 /// How a network's 3×3 convolutions are realized.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,13 +298,10 @@ impl ConvUnit {
     /// Goes straight to the runtime kernels without building an autograd
     /// graph. Also returns whether the sparse kernels served the call.
     ///
-    /// Density-adaptive dispatch: if the activations are binary and `mode`
-    /// (the `TTSNN_SPARSE_MODE` environment variable unless a model overrides
-    /// it) routes their density sparse, the event-driven kernels run on the
-    /// packed form — `packed`, when the LIF scan that produced `x` handed its
-    /// spike words over, otherwise a [`SpikeTensor::try_pack`] of `x`. Sparse
-    /// and dense results are bit-identical, so routing is an implementation
-    /// detail, never a semantic one.
+    /// Density-adaptive dispatch: `route_events` decides, from `mode` (the
+    /// `TTSNN_SPARSE_MODE` environment variable unless a model overrides it)
+    /// and `packed` (the spike words of the LIF scan that produced `x`, when
+    /// it handed them over), whether the event-driven kernels serve the call.
     ///
     /// TT units always run dense: their weights live as factorized cores,
     /// so there is no flat kernel for the event scatter to gather from —
@@ -303,21 +325,12 @@ impl ConvUnit {
                 "ConvUnit::forward_tensor: expected 4-D input, got {xs:?}"
             )));
         }
-        // What the sparse path would read: the scan's words, or — unless the
-        // mode or the unit rules that path out — a pack attempt, which
-        // measures the site's density as a by-product (`None` for non-binary
-        // activations, which always run dense).
-        let own;
-        let sparse = match (mode, self, packed) {
-            (SparseMode::Off, ..) | (_, ConvUnit::Tt(_), _) => None,
-            (.., Some(handed)) => Some(handed),
-            (.., None) => {
-                own = SpikeTensor::try_pack(x);
-                own.as_ref()
-            }
-        }
-        .filter(|sp| mode.routes_sparse(sp.density()));
-        let y = match (self, sparse) {
+        // TT units run dense (see above); every other site asks the router.
+        let sparse = match self {
+            ConvUnit::Tt(_) => None,
+            _ => route_events(x, packed, mode),
+        };
+        let y = match (self, sparse.as_deref()) {
             (ConvUnit::Tt(tt), _) => tt.forward_steps_tensor(x, t0, steps),
             (ConvUnit::Dense { weight, .. }, Some(sp)) => {
                 spike::sparse_conv2d(sp, &weight.value(), &self.geometry((xs[2], xs[3])))
@@ -325,8 +338,7 @@ impl ConvUnit {
             (ConvUnit::Dense { weight, .. }, None) => {
                 conv::conv2d(x, &weight.value(), &self.geometry((xs[2], xs[3])))
             }
-            (ConvUnit::Quantized(q), Some(sp)) => q.forward_spikes(sp),
-            (ConvUnit::Quantized(q), None) => q.forward_tensor(x),
+            (ConvUnit::Quantized(q), events) => q.forward(x, events),
         };
         Ok((y?, sparse.is_some()))
     }

@@ -246,7 +246,7 @@ impl Lif {
         let mut membrane = held.unwrap_or_else(|| Tensor::scratch(&step_shape));
         let keep = Keep::Last { membrane: &mut membrane, fresh };
         let neuron = (self.config.tau, self.config.vth);
-        let scanned = lif::scan(Runtime::global(), steps, neuron, &input, keep, pack);
+        let scanned = lif::scan(&Runtime::current(), steps, neuron, &input, keep, pack);
         self.spike_sum += scanned.fired as f64;
         self.neuron_steps += input.len() as f64;
         input.recycle();

@@ -37,6 +37,8 @@ use ttsnn_tensor::runtime::{self, Runtime};
 use ttsnn_tensor::spike::{self, SparseMode};
 use ttsnn_tensor::{ShapeError, Tensor};
 
+use crate::conv_unit::route_events;
+
 /// Which statistics — and which batching semantics — the inference plane
 /// uses. See the variants for the exact contract; both coincide at batch
 /// size 1.
@@ -339,17 +341,17 @@ pub(crate) fn linear_tensor_mode(
             b.shape()
         )));
     }
-    let sparse = match (stats, mode) {
-        (InferStats::Batch, _) | (_, SparseMode::Off) => None,
-        _ => spike::SpikeTensor::try_pack(x).filter(|sp| mode.routes_sparse(sp.density())),
+    let sparse = match stats {
+        InferStats::Batch => None,
+        InferStats::PerSample => route_events(x, None, mode),
     };
-    let mut y = match &sparse {
+    let mut y = match sparse.as_deref() {
         Some(sp) => spike::sparse_linear(sp, w)?,
         None => {
             // Rows per GEMM call: a timestep's batch, or one sample.
             let m = if stats == InferStats::Batch { (rows / steps).max(1) } else { 1 };
             let mut y = Tensor::scratch(&[rows, out]);
-            let rt = Runtime::global();
+            let rt = &Runtime::current();
             for (xs, ys) in x.data().chunks(m * feat).zip(y.data_mut().chunks_mut(m * out)) {
                 runtime::gemm_a_bt(rt, xs, w.data(), ys, m, feat, out);
             }

@@ -181,7 +181,7 @@ impl Norm {
         let (batch, ns) = (rows / steps, if stats == InferStats::Batch { rows / steps } else { 1 });
         let n = (ns * plane) as f32;
         let grain = fork_grain(2 * CHAIN_COST * ns * c * plane);
-        Runtime::global().parallel_over_slabs(x.data_mut(), ns * c * plane, grain, |group, xs| {
+        Runtime::current().parallel_over_slabs(x.data_mut(), ns * c * plane, grain, |group, xs| {
             let sv = scales[group * ns / batch.max(1)];
             for ch in 0..c {
                 // Mirrors Var::batch_norm2d: per-plane slab sums folded in

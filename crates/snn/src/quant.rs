@@ -37,7 +37,7 @@ use ttsnn_tensor::qkernels::{self, QAccum};
 use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{Conv2dGeometry, ShapeError, Tensor};
 
-use crate::conv_unit::ConvUnit;
+use crate::conv_unit::{route_events, ConvUnit};
 
 /// Granularity and accumulator knobs for plan freezing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,43 +155,32 @@ impl QuantConv {
         Conv2dGeometry::new(w.in_channels, w.out_channels, in_hw, w.kernel, w.stride, w.padding)
     }
 
-    /// Runs the int8 convolution on float activations `(B, C, H, W)` —
-    /// quantize → i8×i8→i32 GEMM → per-channel dequantize.
+    /// Runs the int8 convolution on float activations `x` `(B, C, H, W)`:
+    /// quantize → i8×i8→i32 GEMM → per-channel dequantize — or, given the
+    /// `events` the router picked for `x` (its bit-packed spikes), the
+    /// event-driven path that skips quantization and im2col entirely. The two
+    /// are bit-identical (i32 accumulation is exact; saturating-i16
+    /// accumulation sees the identical nonzero-term sequence).
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `x` is incompatible with the kernel.
-    pub fn forward_tensor(&self, x: &Tensor) -> Result<Tensor, ShapeError> {
+    /// Returns [`ShapeError`] if `x` or `events` is incompatible with the
+    /// kernel.
+    pub fn forward(&self, x: &Tensor, events: Option<&SpikeTensor>) -> Result<Tensor, ShapeError> {
         if x.ndim() != 4 {
             return Err(ShapeError::new(format!(
-                "QuantConv::forward_tensor: expected 4-D input, got {:?}",
+                "QuantConv::forward: expected 4-D input, got {:?}",
                 x.shape()
             )));
         }
         let g = self.geometry((x.shape()[2], x.shape()[3]));
         let w = &*self.weights;
-        qkernels::qconv2d(x, self.x_scale, &w.values, &w.scales, &g, self.accum)
-    }
-
-    /// Runs the int8 convolution on a bit-packed spike batch — the
-    /// event-driven path that skips quantization and im2col entirely.
-    /// Bit-identical to [`QuantConv::forward_tensor`] on the unpacked
-    /// spikes (i32 accumulation is exact; saturating-i16 accumulation
-    /// sees the identical nonzero-term sequence).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `sp` is incompatible with the kernel.
-    pub fn forward_spikes(&self, sp: &SpikeTensor) -> Result<Tensor, ShapeError> {
-        let sh = sp.shape();
-        if sh.len() != 4 {
-            return Err(ShapeError::new(format!(
-                "QuantConv::forward_spikes: expected 4-D spikes, got {sh:?}"
-            )));
+        match events {
+            Some(sp) => {
+                spike::sparse_qconv2d(sp, self.x_scale, &w.values, &w.scales, &g, self.accum)
+            }
+            None => qkernels::qconv2d(x, self.x_scale, &w.values, &w.scales, &g, self.accum),
         }
-        let g = self.geometry((sh[2], sh[3]));
-        let w = &*self.weights;
-        spike::sparse_qconv2d(sp, self.x_scale, &w.values, &w.scales, &g, self.accum)
     }
 
     /// The float kernel this layer effectively applies:
@@ -287,40 +276,27 @@ impl QuantLinear {
         })
     }
 
-    /// Runs the int8 classifier on float features `(B, F)`.
+    /// Runs the int8 classifier on float features `x` `(B, F)` — or, given
+    /// the `events` the router picked for `x`, event-driven on its bit-packed
+    /// spikes, bit-identically.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `x` is incompatible.
-    pub fn forward_tensor(&self, x: &Tensor) -> Result<Tensor, ShapeError> {
+    /// Returns [`ShapeError`] if `x` or `events` is incompatible.
+    pub fn forward(&self, x: &Tensor, events: Option<&SpikeTensor>) -> Result<Tensor, ShapeError> {
         let w = &*self.weights;
         if x.ndim() != 2 || x.shape()[1] != w.in_features {
             return Err(ShapeError::new(format!(
-                "QuantLinear::forward_tensor: input {:?} vs (B, {})",
+                "QuantLinear::forward: input {:?} vs (B, {})",
                 x.shape(),
                 w.in_features
             )));
         }
-        qkernels::qlinear(x, self.x_scale, &w.values, &w.scales, &w.bias, self.accum)
-    }
-
-    /// Runs the int8 classifier on bit-packed spike features `(B, F)` —
-    /// event-driven, bit-identical to [`QuantLinear::forward_tensor`] on
-    /// the unpacked spikes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `sp` is incompatible.
-    pub fn forward_spikes(&self, sp: &SpikeTensor) -> Result<Tensor, ShapeError> {
-        let w = &*self.weights;
-        let sh = sp.shape();
-        if sh.len() != 2 || sh[1] != w.in_features {
-            return Err(ShapeError::new(format!(
-                "QuantLinear::forward_spikes: input {sh:?} vs (B, {})",
-                w.in_features
-            )));
+        let (values, scales, bias) = (&w.values[..], &w.scales[..], &w.bias[..]);
+        match events {
+            Some(sp) => spike::sparse_qlinear(sp, self.x_scale, values, scales, bias, self.accum),
+            None => qkernels::qlinear(x, self.x_scale, values, scales, bias, self.accum),
         }
-        spike::sparse_qlinear(sp, self.x_scale, &w.values, &w.scales, &w.bias, self.accum)
     }
 
     /// The classifier under a sparse-dispatch mode: event-driven when `x`
@@ -331,15 +307,8 @@ impl QuantLinear {
         x: &Tensor,
         mode: SparseMode,
     ) -> Result<(Tensor, bool), ShapeError> {
-        let sparse = match mode {
-            SparseMode::Off => None,
-            _ => SpikeTensor::try_pack(x).filter(|sp| mode.routes_sparse(sp.density())),
-        };
-        match &sparse {
-            Some(sp) => self.forward_spikes(sp),
-            None => self.forward_tensor(x),
-        }
-        .map(|y| (y, sparse.is_some()))
+        let events = route_events(x, None, mode);
+        self.forward(x, events.as_deref()).map(|y| (y, events.is_some()))
     }
 }
 
@@ -673,7 +642,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[2, 2, 6, 6], 0.0, 1.0, &mut rng);
         let qc = QuantConv::from_dense(&w, (1, 1), (1, 1), 1.0 / 127.0, &QuantConfig::default())
             .unwrap();
-        let got = qc.forward_tensor(&x).unwrap();
+        let got = qc.forward(&x, None).unwrap();
         let g = qc.geometry((6, 6));
         let want = ttsnn_tensor::conv::conv2d(&x, &w, &g).unwrap();
         assert_eq!(got.shape(), want.shape());
@@ -687,7 +656,7 @@ mod tests {
         let b = Tensor::randn(&[5], &mut rng);
         let x = Tensor::randn(&[3, 8], &mut rng);
         let ql = QuantLinear::from_dense(&w, &b, 0.05, &QuantConfig::default()).unwrap();
-        let y = ql.forward_tensor(&x).unwrap();
+        let y = ql.forward(&x, None).unwrap();
         assert_eq!(y.shape(), &[3, 5]);
         // Against the float layer, error bounded by quantization noise.
         let per_sample = crate::InferStats::PerSample;

@@ -245,6 +245,9 @@ pub struct ShardedTrainer {
     workers: Vec<Worker>,
     config: ShardConfig,
     param_shapes: Vec<Vec<usize>>,
+    /// The kernel runtime every shard runs on: the one current when the
+    /// trainer was built, installed on each worker thread.
+    runtime: Runtime,
 }
 
 impl ShardedTrainer {
@@ -261,28 +264,30 @@ impl ShardedTrainer {
         F: Fn() -> M + Send + Sync + 'static,
     {
         let factory = Arc::new(factory);
+        let runtime = Runtime::current();
         let mut workers = Vec::with_capacity(config.num_shards);
         let mut readies = Vec::with_capacity(config.num_shards);
         for i in 0..config.num_shards {
-            let factory = Arc::clone(&factory);
+            let (factory, runtime) = (Arc::clone(&factory), runtime.clone());
             let (tx, rx) = channel::<Cmd>();
             let (ready_tx, ready_rx) = channel::<Vec<Vec<usize>>>();
             let handle = std::thread::Builder::new()
                 .name(format!("ttsnn-shard-{i}"))
                 .spawn(move || {
-                    let model = factory();
-                    let shapes = model.params().iter().map(Var::shape).collect();
-                    // If the trainer is already gone, just exit quietly.
-                    if ready_tx.send(shapes).is_err() {
-                        return;
-                    }
-                    worker_main(model, &rx);
+                    runtime.install(|| {
+                        let model = factory();
+                        let shapes = model.params().iter().map(Var::shape).collect();
+                        // If the trainer is already gone, just exit quietly.
+                        if ready_tx.send(shapes).is_ok() {
+                            worker_main(model, &rx);
+                        }
+                    })
                 })
                 .expect("spawn shard worker");
             workers.push(Worker { tx: Some(tx), handle: Some(handle) });
             readies.push(ready_rx);
         }
-        let mut trainer = Self { workers, config, param_shapes: Vec::new() };
+        let mut trainer = Self { workers, config, param_shapes: Vec::new(), runtime };
         for (i, ready) in readies.into_iter().enumerate() {
             match ready.recv() {
                 Ok(shapes) => {
@@ -356,7 +361,7 @@ impl ShardedTrainer {
         loss: LossKind,
         sgd: SgdConfig,
     ) -> Result<(f32, StepTiming), ShapeError> {
-        let pool_before = Runtime::global().stats();
+        let pool_before = self.runtime.stats();
         let start = Instant::now();
         let micro = self.config.micro_batch;
         let b = batch.len();
@@ -420,7 +425,7 @@ impl ShardedTrainer {
         }
         timing.optimizer = applying.elapsed().as_secs_f64();
         timing.total = start.elapsed().as_secs_f64();
-        Ok((loss_value, timing.with_pool_since(&pool_before)))
+        Ok((loss_value, timing.with_pool_since(&self.runtime, &pool_before)))
     }
 
     /// Data-parallel evaluation: batches are distributed round-robin over

@@ -81,9 +81,9 @@ pub struct StepTiming {
 }
 
 impl StepTiming {
-    /// Records what the global kernel pool did since `before`.
-    pub(crate) fn with_pool_since(mut self, before: &PoolStats) -> Self {
-        let pool = Runtime::global().stats().since(before);
+    /// Records what `rt`'s kernel pool did since `before`.
+    pub(crate) fn with_pool_since(mut self, rt: &Runtime, before: &PoolStats) -> Self {
+        let pool = rt.stats().since(before);
         self.pool_handoffs = pool.handoffs as f64;
         self.pool_parks = pool.parks as f64;
         self
@@ -166,7 +166,7 @@ impl StepTotals {
             test_accuracy,
             mean_step_seconds: mean_step_timing.total,
             mean_step_timing,
-            threads: Runtime::global().threads(),
+            threads: Runtime::current().threads(),
             shards,
         }
     }
@@ -295,7 +295,8 @@ pub fn train_step(
     opt: &mut Sgd,
     loss_kind: LossKind,
 ) -> Result<(f32, StepTiming), ShapeError> {
-    let pool_before = Runtime::global().stats();
+    let rt = Runtime::current();
+    let pool_before = rt.stats();
     let start = Instant::now();
     opt.zero_grad();
     let (loss, forward, backward, tape_nodes) = forward_backward(model, batch, loss_kind)?;
@@ -311,7 +312,7 @@ pub fn train_step(
         tape_nodes: tape_nodes as f64,
         ..StepTiming::default()
     };
-    Ok((loss, timing.with_pool_since(&pool_before)))
+    Ok((loss, timing.with_pool_since(&rt, &pool_before)))
 }
 
 /// Accuracy of summed-logit predictions over batches, computed on the

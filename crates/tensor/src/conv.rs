@@ -8,15 +8,13 @@
 //!
 //! Every kernel here is a closure over one sample handed to `per_sample`,
 //! the batch driver the int8 convolution ([`crate::qkernels::qconv2d`])
-//! shares: it opens the kernel's trace region and decides the fork. Samples
-//! are independent, so a batch is split across the runtime's workers, each
-//! unfolding into its own per-thread scratch arena buffer
-//! ([`crate::runtime::with_scratch`]: at most one im2col allocation per
-//! worker per region, and none at all on the calling thread once its arena is
-//! warm) and running a serial GEMM per sample; a single sample falls through
-//! to the row-parallel GEMM instead, so both ends of the batch-size spectrum
-//! use all cores. Every output element is computed by exactly one thread in a
-//! fixed order — results are bit-identical across thread counts.
+//! shares: it opens the kernel's trace region and decides the fork. A batch
+//! is split across the runtime's workers, each unfolding into its own
+//! per-thread arena scratch ([`crate::runtime::with_scratch`]: no allocation
+//! once an arena is warm) and running a serial GEMM per sample; a single
+//! sample falls through to the row-parallel GEMM instead, so both ends of the
+//! batch-size spectrum use all cores. Every output element is computed by
+//! exactly one thread in a fixed order — bit-identical across thread counts.
 //!
 //! **Pointwise geometry** (1×1 kernel, stride 1, no padding — the `w1` /
 //! `w4` TT cores, two thirds of a TT-SNN training step's conv calls): the
@@ -226,31 +224,24 @@ fn col2im_sample(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]) {
 
 /// The batch driver of every per-sample kernel — the three f32 convolutions
 /// and [`crate::qkernels::qconv2d`]: opens the `name` region and runs
-/// `sample(rt, s, out_s)` for each `slab`-long sample of `out`. This is where
-/// the fork is decided: one sample parallelizes *inside* its kernels (it is
-/// handed `rt`); several are split across the pool at
-/// [`fork_grain`](runtime::fork_grain)`(ops_per_sample)`, each running its
-/// kernels on [`Runtime::serial`]. Either way every output element is
-/// computed by one task in an order the split cannot touch.
+/// `sample(rt, s, out_s)` for each `slab`-long sample of `out`. The one place
+/// their fork is decided: a lone sample parallelizes *inside* its kernels (it
+/// is handed the current runtime); several are split across the pool by
+/// `ops_per_sample`, each running its kernels on [`Runtime::serial`].
 pub(crate) fn per_sample<T: Send>(
     name: &'static str,
-    rt: &Runtime,
     out: &mut [T],
     slab: usize,
     ops_per_sample: usize,
     sample: impl Fn(&Runtime, usize, &mut [T]) + Sync,
 ) {
     let _region = ttsnn_obs::region(name);
-    if out.is_empty() {
-        return;
+    let rt = Runtime::current();
+    if !out.is_empty() && out.len() == slab {
+        return sample(&rt, 0, out);
     }
-    if out.len() == slab {
-        return sample(rt, 0, out);
-    }
-    let serial = Runtime::serial();
-    rt.parallel_over_slabs(out, slab, runtime::fork_grain(ops_per_sample), |s, out_s| {
-        sample(serial, s, out_s);
-    });
+    let (serial, min_samples) = (Runtime::serial(), runtime::fork_grain(ops_per_sample));
+    rt.parallel_over_slabs(out, slab, min_samples, |s, out_s| sample(serial, s, out_s));
 }
 
 /// Convolution forward pass: `y = x (*) weight`.
@@ -261,21 +252,6 @@ pub(crate) fn per_sample<T: Send>(
 ///
 /// Returns [`ShapeError`] if the input or weight does not match `g`.
 pub fn conv2d(x: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor, ShapeError> {
-    conv2d_with(Runtime::global(), x, weight, g)
-}
-
-/// [`conv2d`] on an explicit [`Runtime`] (tests pin thread counts with
-/// this; production code uses the global runtime wrapper).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the input or weight does not match `g`.
-pub fn conv2d_with(
-    rt: &Runtime,
-    x: &Tensor,
-    weight: &Tensor,
-    g: &Conv2dGeometry,
-) -> Result<Tensor, ShapeError> {
     let (b, oh, ow) = check_input(x.shape(), g)?;
     check_weight(weight.shape(), g)?;
     let (k, ospatial, in_slab) = (g.patch_len(), oh * ow, g.in_slab());
@@ -283,7 +259,7 @@ pub fn conv2d_with(
     let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
     let (xd, wd) = (x.data(), weight.data());
     let out_slab = g.out_channels * ospatial;
-    per_sample("conv2d", rt, out.data_mut(), out_slab, 2 * g.macs(), |rt, s, out_s| {
+    per_sample("conv2d", out.data_mut(), out_slab, 2 * g.macs(), |rt, s, out_s| {
         with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
             runtime::gemm(rt, wd, cols, out_s, g.out_channels, k, ospatial);
         });
@@ -298,20 +274,6 @@ pub fn conv2d_with(
 ///
 /// Returns [`ShapeError`] if `y_grad` or `weight` does not match `g`.
 pub fn conv2d_input_grad(
-    y_grad: &Tensor,
-    weight: &Tensor,
-    g: &Conv2dGeometry,
-) -> Result<Tensor, ShapeError> {
-    conv2d_input_grad_with(Runtime::global(), y_grad, weight, g)
-}
-
-/// [`conv2d_input_grad`] on an explicit [`Runtime`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `y_grad` or `weight` does not match `g`.
-pub fn conv2d_input_grad_with(
-    rt: &Runtime,
     y_grad: &Tensor,
     weight: &Tensor,
     g: &Conv2dGeometry,
@@ -352,7 +314,7 @@ pub fn conv2d_input_grad_with(
             });
         }
     };
-    per_sample("conv2d_input_grad", rt, x_grad.data_mut(), g.in_slab(), 2 * g.macs(), sample);
+    per_sample("conv2d_input_grad", x_grad.data_mut(), g.in_slab(), 2 * g.macs(), sample);
     Ok(x_grad)
 }
 
@@ -367,20 +329,6 @@ pub fn conv2d_weight_grad(
     y_grad: &Tensor,
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
-    conv2d_weight_grad_with(Runtime::global(), x, y_grad, g)
-}
-
-/// [`conv2d_weight_grad`] on an explicit [`Runtime`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `x` or `y_grad` does not match `g`.
-pub fn conv2d_weight_grad_with(
-    rt: &Runtime,
-    x: &Tensor,
-    y_grad: &Tensor,
-    g: &Conv2dGeometry,
-) -> Result<Tensor, ShapeError> {
     let (b, oh, ow) = check_input(x.shape(), g)?;
     if y_grad.shape() != [b, g.out_channels, oh, ow] {
         return Err(ShapeError::new(format!(
@@ -389,18 +337,16 @@ pub fn conv2d_weight_grad_with(
         )));
     }
     let (k, ospatial, in_slab) = (g.patch_len(), oh * ow, g.in_slab());
-    let out_slab = g.out_channels * ospatial;
-    let wlen = g.out_channels * k;
+    let (out_slab, wlen) = (g.out_channels * ospatial, g.params());
     let (xd, gd) = (x.data(), y_grad.data());
     // Per-sample partials `dW_s = dy_s · colsᵀ` in disjoint slabs, then the
     // batch reduction in fixed sample order, so results do not depend on the
     // thread count. `cols` is `(k, ospatial)` — exactly the `(n, k̂)`
     // row-major `b` operand `gemm_a_bt` wants, so no caller-side transpose.
-    // The batch is processed in fixed-size chunks so partials memory stays
-    // bounded (≤ ~64 MiB) on wide layers × large batches; chunk boundaries
-    // are a constant, never a function of the thread count. A lone sample
-    // folds like any other: its partial comes from accumulators that started
-    // at +0.0, so adding it into zeros returns it bit for bit.
+    // Fixed-size chunks (a constant, never a function of the thread count)
+    // bound the partials at ≤ ~64 MiB on wide layers × large batches. A lone
+    // sample folds like any other: its partial was summed up from +0.0, so
+    // adding it into zeros returns it bit for bit.
     const MAX_PARTIAL_ELEMS: usize = 16 * 1024 * 1024;
     let chunk = (MAX_PARTIAL_ELEMS / wlen.max(1)).min(b).max(1);
     let mut w_grad =
@@ -409,7 +355,7 @@ pub fn conv2d_weight_grad_with(
     with_scratch(chunk * wlen, |partials: &mut [f32]| {
         for c0 in (0..b).step_by(chunk) {
             let part = &mut partials[..chunk.min(b - c0) * wlen];
-            per_sample("conv2d_weight_grad", rt, part, wlen, 2 * g.macs(), |rt, i, dw_s| {
+            per_sample("conv2d_weight_grad", part, wlen, 2 * g.macs(), |rt, i, dw_s| {
                 let s = c0 + i;
                 with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
                     let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
@@ -500,14 +446,14 @@ mod tests {
         for threads in 1..=8 {
             let rt = Runtime::new(threads);
             let tag = format!("c={c} o={o} hw={hw:?} b={b} threads={threads}");
-            assert_eq!(bits(&conv2d_with(&rt, &x, &w, &g).unwrap()), bits(&y), "y {tag}");
+            assert_eq!(bits(&rt.install(|| conv2d(&x, &w, &g)).unwrap()), bits(&y), "y {tag}");
             assert_eq!(
-                bits(&conv2d_input_grad_with(&rt, &gy, &w, &g).unwrap()),
+                bits(&rt.install(|| conv2d_input_grad(&gy, &w, &g)).unwrap()),
                 bits(&dx),
                 "dx {tag}"
             );
             assert_eq!(
-                bits(&conv2d_weight_grad_with(&rt, &x, &gy, &g).unwrap()),
+                bits(&rt.install(|| conv2d_weight_grad(&x, &gy, &g)).unwrap()),
                 bits(&dw),
                 "dw {tag}"
             );

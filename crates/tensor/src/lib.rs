@@ -57,7 +57,7 @@ pub mod spike;
 pub use error::ShapeError;
 pub use rng::Rng;
 pub use shape::{num_elements, strides_for};
-pub use tensor::{matmul_into, Tensor};
+pub use tensor::Tensor;
 
 /// Convolution geometry shared by the conv kernels and FLOP accounting.
 pub use conv::Conv2dGeometry;

@@ -19,15 +19,6 @@ use crate::tensor::Tensor;
 ///
 /// Returns [`ShapeError`] on non-4-D input or indivisible spatial dims.
 pub fn avg_pool2d(x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
-    avg_pool2d_with(Runtime::global(), x, k)
-}
-
-/// [`avg_pool2d`] on an explicit [`Runtime`] (tests pin thread counts).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] on non-4-D input or indivisible spatial dims.
-pub fn avg_pool2d_with(rt: &Runtime, x: &Tensor, k: usize) -> Result<Tensor, ShapeError> {
     let _region = ttsnn_obs::region("avg_pool2d");
     if x.ndim() != 4 {
         return Err(ShapeError::new(format!(
@@ -50,7 +41,7 @@ pub fn avg_pool2d_with(rt: &Runtime, x: &Tensor, k: usize) -> Result<Tensor, Sha
     let xd = x.data();
     // Plane by plane (one add per input element); each window summed rows
     // first, then columns.
-    rt.parallel_over_slabs(y.data_mut(), oh * ow, fork_grain(h * w), |p, yp| {
+    Runtime::current().parallel_over_slabs(y.data_mut(), oh * ow, fork_grain(h * w), |p, yp| {
         let xp = &xd[p * h * w..(p + 1) * h * w];
         for (oi, yrow) in yp.chunks_mut(ow).enumerate() {
             let band = &xp[oi * k * w..(oi + 1) * k * w];
@@ -123,15 +114,6 @@ pub fn avg_pool2d_backward(
 ///
 /// Returns [`ShapeError`] on non-4-D input.
 pub fn global_avg_pool(x: &Tensor) -> Result<Tensor, ShapeError> {
-    global_avg_pool_with(Runtime::global(), x)
-}
-
-/// [`global_avg_pool`] on an explicit [`Runtime`] (tests pin thread counts).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] on non-4-D input.
-pub fn global_avg_pool_with(rt: &Runtime, x: &Tensor) -> Result<Tensor, ShapeError> {
     let _region = ttsnn_obs::region("global_avg_pool");
     if x.ndim() != 4 {
         return Err(ShapeError::new(format!(
@@ -143,7 +125,7 @@ pub fn global_avg_pool_with(rt: &Runtime, x: &Tensor) -> Result<Tensor, ShapeErr
     let mut y = Tensor::scratch(&[b, c]);
     let inv = 1.0 / (h * w) as f32;
     let (xd, plane) = (x.data(), h * w);
-    rt.parallel_over_slabs(y.data_mut(), 1, fork_grain(plane), |i, out| {
+    Runtime::current().parallel_over_slabs(y.data_mut(), 1, fork_grain(plane), |i, out| {
         out[0] = xd[i * plane..(i + 1) * plane].iter().sum::<f32>() * inv;
     });
     Ok(y)

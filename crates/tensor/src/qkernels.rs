@@ -1,26 +1,23 @@
 //! Integer kernels for the **quantized inference plane**: i8×i8→i32
-//! GEMM/conv with requantization, routed through the same persistent
-//! worker pool as the float kernels.
+//! GEMM / conv / linear with requantization, on the same persistent worker
+//! pool — and the same kernel bodies — as the float kernels.
 //!
 //! The paper's target accelerator (Table I) computes with **8-bit
 //! multipliers and 16-bit accumulators**; this module is the CPU
-//! realization of that arithmetic. Two accumulator modes are provided:
+//! realization of that arithmetic, as two `Mac`s (see `runtime/gemm.rs`)
+//! that the shared drivers are instantiated at:
 //!
 //! * [`QAccum::I32`] — exact 32-bit accumulation (the mode quantized
-//!   serving plans use by default; every partial sum is exact, so results
-//!   are trivially bit-identical across thread counts).
+//!   serving plans use by default).
 //! * [`QAccum::Saturate16`] — **accelerator-faithful** saturating 16-bit
 //!   accumulation: after every multiply-add the running sum is clamped to
 //!   the `i16` range, exactly what a 16-bit accumulator register does.
-//!   Still deterministic (the summation order is fixed), but lossy on
-//!   layers whose dot products overflow ±32767.
+//!   Lossy on layers whose dot products overflow ±32767.
 //!
-//! # Determinism
-//!
-//! Integer arithmetic has no rounding, and every output element is
-//! produced by exactly one task with a fixed summation order — results
-//! are **bit-identical across thread counts** by construction, a stronger
-//! version of the float kernels' contract.
+//! Integer arithmetic has no rounding, and every output element is produced
+//! by exactly one task in ascending-`k` order — results are **bit-identical
+//! across thread counts** by construction, in both modes. An accumulator
+//! mode only ever picks the `Mac`; no loop here is written per mode.
 //!
 //! # Dataflow
 //!
@@ -83,33 +80,29 @@ pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
 // ---------------------------------------------------------------------------
 // The integer `Mac`s.
 
-/// What one integer multiply-add costs in the f32 operations
-/// `runtime::fork_grain` counts in — [`Mac::COST`] of both integer types, and
-/// through it the grain of every kernel they instantiate (GEMM tile, dot
-/// rows, `qconv2d`'s batch split, the dense and the sparse int8 linear).
-/// These kernels run at ≈ 5.7 Gop/s on one thread against the float GEMM's
-/// ≈ 20–25 GFLOP/s (the benchmark's `tensor.qconv_gops` and
-/// `tensor.gemm_gflops`), so the same operation count is four times the wall
+/// [`Mac::COST`] of both integer types — what one integer multiply-add costs
+/// in the f32 operations `runtime::fork_grain` counts in, and through the
+/// drivers the grain of every int8 kernel (GEMM tile, dot rows, `qconv2d`'s
+/// batch split, the dense and the sparse linear). They run at ≈ 5.7 Gop/s on
+/// one thread against the float GEMM's ≈ 20–25 GFLOP/s (`tensor.qconv_gops`,
+/// `tensor.gemm_gflops`): the same operation count is four times the wall
 /// time and worth forking four times sooner.
 const OP_COST: usize = 4;
 
 /// i8 elements accumulated in an `i32` slot: exactly ([`I32`]), or clamped to
 /// the `i16` range after every multiply-add ([`Sat16`]). Both skip zero
-/// coefficients: `0 · x` is `0` always, an exact sum does not notice a zero
-/// term and a saturating fold does not either (`saturating_add(acc, 0)` is
-/// `acc`), as long as the surviving terms keep their ascending-`k` order —
-/// which every driver guarantees. In `qconv2d` the coefficients are the
-/// *weights*, and a merged PTT / HTT kernel is a cross (Eq. 6: a 3×1 plus a
-/// 1×3 branch) whose four corner taps, 4 / 9 of every row, are exactly zero.
+/// coefficients — neither an exact sum nor a saturating fold
+/// (`saturating_add(acc, 0)` is `acc`) notices a zero term while the others
+/// keep their ascending-`k` order, which every driver guarantees. In `qconv2d`
+/// the coefficients are the *weights*, and a merged PTT / HTT kernel is a cross
+/// (Eq. 6: a 3×1 plus a 1×3 branch): 4 of every 9 taps are exactly zero.
 pub(crate) struct Int<const SAT16: bool>;
-/// [`QAccum::I32`] as a [`Mac`].
 pub(crate) type I32 = Int<false>;
-/// [`QAccum::Saturate16`] as a [`Mac`].
 pub(crate) type Sat16 = Int<true>;
 
 /// The integer epilogue: `out = acc · x_scale · w_scale[oc] (+ bias[oc])`,
-/// one float multiply per output element after all accumulation happened in
-/// integers. Holding one means the scales passed the family's checks.
+/// after all accumulation happened in integers. Holding one means the scales
+/// passed the checks every int8 kernel makes.
 #[derive(Clone, Copy)]
 pub(crate) struct Requant<'a> {
     x_scale: f32,
@@ -118,9 +111,8 @@ pub(crate) struct Requant<'a> {
 }
 
 impl<'a> Requant<'a> {
-    /// The scale checks of every int8 kernel, done once: a positive finite
-    /// activation scale, `out_channels` positive finite weight scales (or one
-    /// per tensor) and, when there is one, a bias of `out_channels` entries.
+    /// A positive finite activation scale, `out_channels` positive finite
+    /// weight scales (or one per tensor) and, if any, as many bias entries.
     pub(crate) fn new(
         who: &str,
         x_scale: f32,
@@ -134,15 +126,13 @@ impl<'a> Requant<'a> {
                 bias.len()
             )));
         }
-        if w_scales.len() != out_channels && w_scales.len() != 1 {
+        if (w_scales.len() != out_channels && w_scales.len() != 1)
+            || w_scales.iter().any(|s| !s.is_finite() || *s <= 0.0)
+        {
             return Err(ShapeError::new(format!(
-                "{who}: expected {out_channels} per-channel scales (or 1 per-tensor scale), got {}",
+                "{who}: expected {out_channels} per-channel weight scales (or 1 per-tensor \
+                 scale), all positive and finite, got {} of them",
                 w_scales.len()
-            )));
-        }
-        if w_scales.iter().any(|s| !s.is_finite() || *s <= 0.0) {
-            return Err(ShapeError::new(format!(
-                "{who}: weight scales must be positive and finite"
             )));
         }
         if !x_scale.is_finite() || x_scale <= 0.0 {
@@ -265,7 +255,7 @@ pub fn reference_qgemm(
 }
 
 /// `out = A·B` with `A (m,k)` i8, `B (k,n)` i8, `out (m,n)` i32, all
-/// row-major — `runtime::gemm`'s tile at an integer [`Mac`], parallelized
+/// row-major — `runtime::gemm`'s tile at an integer `Mac`, parallelized
 /// over disjoint output row ranges.
 ///
 /// # Panics
@@ -348,23 +338,6 @@ pub fn qconv2d(
     g: &Conv2dGeometry,
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    qconv2d_with(Runtime::global(), x, x_scale, qw, w_scales, g, accum)
-}
-
-/// [`qconv2d`] on an explicit [`Runtime`] (tests pin thread counts).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if shapes, scales, or geometry disagree.
-pub fn qconv2d_with(
-    rt: &Runtime,
-    x: &Tensor,
-    x_scale: f32,
-    qw: &[i8],
-    w_scales: &[f32],
-    g: &Conv2dGeometry,
-    accum: QAccum,
-) -> Result<Tensor, ShapeError> {
     let (b, oh, ow) = check_input(x.shape(), g)?;
     check_qweight(qw, g)?;
     let ep = Requant::new("qconv2d", x_scale, w_scales, None, g.out_channels)?;
@@ -384,28 +357,20 @@ pub fn qconv2d_with(
             });
         });
     };
-    per_sample(
-        "qconv2d",
-        rt,
-        out.data_mut(),
-        g.out_channels * ospatial,
-        OP_COST * 2 * g.macs(),
-        sample,
-    );
+    let (out_slab, ops) = (g.out_channels * ospatial, OP_COST * 2 * g.macs());
+    per_sample("qconv2d", out.data_mut(), out_slab, ops, sample);
     Ok(out)
 }
 
 /// The row driver of the linear kernels ([`qlinear`],
 /// [`crate::spike::sparse_linear`], [`crate::spike::sparse_qlinear`]): opens
-/// the `name` region and has `row(s, acc)` fill the `out_features`
-/// accumulators of every row `s` of `y`, written through `ep`. Rows are
-/// independent and each is produced by one task, so the output is invariant
-/// to batch composition and thread count; they fork at
-/// `fork_grain(E::COST · 2 · macs_per_row)`, `macs_per_row` being what a row
-/// really multiplies — features × outputs dense, its events × outputs sparse.
+/// the `name` region and has `row(s, acc)` fill the accumulators of every row
+/// `s` of `y`, written through `ep`. Each row is produced by one task, so the
+/// output is invariant to batch composition and thread count; rows fork at
+/// `E::COST · 2 · macs_per_row` operations each, `macs_per_row` being what a
+/// row really multiplies: features × outputs dense, its events × outputs sparse.
 pub(crate) fn linear_rows<E: Mac>(
     name: &'static str,
-    rt: &Runtime,
     y: &mut Tensor,
     macs_per_row: usize,
     ep: E::Epilogue<'_>,
@@ -414,7 +379,7 @@ pub(crate) fn linear_rows<E: Mac>(
     let _region = ttsnn_obs::region(name);
     let out_features = y.shape()[1];
     let min_rows = runtime::fork_grain(E::COST * 2 * macs_per_row);
-    rt.parallel_over_slabs(y.data_mut(), out_features, min_rows, |s, yrow| {
+    Runtime::current().parallel_over_slabs(y.data_mut(), out_features, min_rows, |s, yrow| {
         E::with_acc(yrow, 1, 0, ep, |acc| row(s, acc));
     });
 }
@@ -462,29 +427,12 @@ pub fn qlinear(
     bias: &[f32],
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    qlinear_with(Runtime::global(), x, x_scale, qw, w_scales, bias, accum)
-}
-
-/// [`qlinear`] on an explicit [`Runtime`] (tests pin thread counts).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if shapes or scales disagree.
-pub fn qlinear_with(
-    rt: &Runtime,
-    x: &Tensor,
-    x_scale: f32,
-    qw: &[i8],
-    w_scales: &[f32],
-    bias: &[f32],
-    accum: QAccum,
-) -> Result<Tensor, ShapeError> {
     let ((b, feat, out_ch), ep) =
         check_qlinear("qlinear", x.shape(), x_scale, qw.len(), w_scales, bias)?;
     let mut y = Tensor::scratch(&[b, out_ch]);
     let xd = x.data();
     // Per row: quantize → one dot per output.
-    by_accum!(accum, E => linear_rows::<E>("qlinear", rt, &mut y, feat * out_ch, ep, |s, acc| {
+    by_accum!(accum, E => linear_rows::<E>("qlinear", &mut y, feat * out_ch, ep, |s, acc| {
         with_scratch(feat, |qx| {
             quantize_to_i8(&xd[s * feat..(s + 1) * feat], x_scale, qx);
             dot_row::<E>(qx, qw, acc);
@@ -612,9 +560,11 @@ mod tests {
         let g = Conv2dGeometry::new(2, 3, (8, 8), (3, 3), (1, 1), (1, 1));
         let x = Tensor::randn(&[4, 2, 8, 8], &mut rng);
         let qw = rand_i8(3 * 2 * 9, &mut rng);
-        let base = qconv2d_with(&Runtime::new(1), &x, 0.1, &qw, &[0.01], &g, QAccum::I32).unwrap();
+        let base =
+            Runtime::new(1).install(|| qconv2d(&x, 0.1, &qw, &[0.01], &g, QAccum::I32)).unwrap();
         for threads in [2usize, 4, 8] {
-            let out = qconv2d_with(&Runtime::new(threads), &x, 0.1, &qw, &[0.01], &g, QAccum::I32)
+            let out = Runtime::new(threads)
+                .install(|| qconv2d(&x, 0.1, &qw, &[0.01], &g, QAccum::I32))
                 .unwrap();
             assert_eq!(out, base, "threads={threads}");
         }
@@ -645,8 +595,9 @@ mod tests {
                 assert_eq!(got.at(&[s, oc]), want, "({s},{oc})");
             }
         }
-        let two =
-            qlinear_with(&Runtime::new(2), &x, 0.04, &qw, &scales, &bias, QAccum::I32).unwrap();
+        let two = Runtime::new(2)
+            .install(|| qlinear(&x, 0.04, &qw, &scales, &bias, QAccum::I32))
+            .unwrap();
         assert_eq!(two, got);
     }
 

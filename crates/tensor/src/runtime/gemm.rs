@@ -10,37 +10,27 @@
 //! | [`gemm_at_b`] | `Aᵀ·B`   | `(k, m)`   | `(k, n)`   | conv input-grad (`Wᵀ·dy`), `dB = Aᵀ·g` |
 //! | [`gemm_a_bt`] | `A·Bᵀ`   | `(m, k)`   | `(n, k)`   | linear forward (`x·Wᵀ`), `dA = g·Bᵀ`, conv weight-grad (`dy·colsᵀ`) |
 //!
-//! and [`crate::qkernels::qgemm`] / [`crate::qkernels::qgemm_a_bt`] are the
-//! same two bodies at an integer [`Mac`].
+//! [`crate::qkernels::qgemm`] / [`crate::qkernels::qgemm_a_bt`] are the first
+//! and the last of them at an integer [`Mac`] — one (element, accumulator)
+//! pair, which is all a kernel body is generic over: [`F32`] here, `I32` and
+//! `Sat16` in [`crate::qkernels`].
 //!
-//! # What is written once, and what a type supplies
+//! Two drivers carry all five. `saxpy_gemm` reads `a` through a `(row, k)`
+//! stride pair, so it serves both `a` layouts: a 4-row register tile over a
+//! `KC`-long k-panel, so one streamed row of `B` updates four output rows per
+//! pass (4× B-row reuse, and an inner loop the compiler auto-vectorizes);
+//! coefficients a type may skip are skipped four rows at a time. `dot_gemm`
+//! is the dot-product form of `A·Bᵀ`; `gemm_a_bt` uses it for small `m` and
+//! otherwise stages a one-shot transpose of `B` in arena scratch (O(nk)
+//! copies against O(mnk) compute) to reach saxpy speed — "no transpose" in
+//! this module means *callers* never materialize one.
 //!
-//! * [`Mac`] is one (element, accumulator) pair: [`F32`] (f32 → f32) here,
-//!   `I32` (i8 → i32) and `Sat16` (i8 → saturating i16) in
-//!   [`crate::qkernels`]. It supplies the multiply-accumulate, the dot
-//!   product, whether a zero coefficient may be skipped, what one operation
-//!   costs the fork policy, and the epilogue that turns accumulators into
-//!   `f32` outputs. Nothing else in the crate knows which type it runs on.
-//! * `saxpy_gemm` is the saxpy-style product for every type and both `a`
-//!   layouts (`a` is read through a `(row, k)` stride pair): a 4-row register
-//!   tile over a `KC`-long k-panel, so one streamed row of `B` updates four
-//!   output rows per pass (4× B-row reuse, and an inner loop the compiler
-//!   auto-vectorizes). Coefficients a type may skip are skipped four rows at
-//!   a time — a merged PTT / HTT kernel is a cross whose four corner taps are
-//!   zero in every row.
-//! * `dot_gemm` is the dot-product form for `A·Bᵀ`, both operands read along
-//!   contiguous rows. `gemm_a_bt` uses it for small `m` and otherwise stages
-//!   a one-shot transpose of `B` in arena scratch (O(nk) copies against
-//!   O(mnk) compute) to reach saxpy speed — "no transpose" in this module
-//!   means *callers* never materialize one.
-//!
-//! Both drivers open the kernel's `ttsnn_obs` region, check the operand
-//! lengths, **overwrite** `out` (shape `(m, n)`, row-major) and fork over
-//! disjoint row ranges of it at [`fork_grain`]`(E::COST · 2kn)`, so each
-//! element is produced by exactly one thread with a fixed summation order —
-//! ascending `k` per element — and results are bit-identical for every
-//! thread count. No `unsafe`, no SIMD intrinsics: an explicit-lane
-//! micro-kernel is an edit of one [`Mac`] impl.
+//! Both open the kernel's `ttsnn_obs` region, check the operand lengths,
+//! **overwrite** `out` (shape `(m, n)`, row-major) and fork over disjoint row
+//! ranges of it at `E::COST · 2kn` operations a row, so each element is
+//! produced by exactly one thread in ascending `k` and results are
+//! bit-identical for every thread count. No `unsafe`, no SIMD intrinsics: an
+//! explicit-lane micro-kernel is an edit of one [`Mac`] impl.
 
 use super::pool::{fork_grain, Runtime};
 
@@ -53,14 +43,11 @@ const KC: usize = 256;
 /// One (element, accumulator) pair and everything the kernel drivers need to
 /// know about it. Closed over [`F32`], `I32` and `Sat16`.
 pub(crate) trait Mac {
-    /// What the operands hold.
     type Elem: Copy + Send + Sync;
-    /// What a sum is kept in.
     type Acc: Copy + Send + Sync;
     /// What the epilogue needs besides the accumulators.
     type Epilogue<'a>: Copy + Send + Sync;
 
-    /// The empty sum.
     const ZERO: Self::Acc;
     /// What one multiply-accumulate costs in the streamed `f32` operations
     /// [`fork_grain`] counts in.
@@ -86,16 +73,14 @@ pub(crate) trait Mac {
     }
 
     /// [`Mac::dot`] of `w` with the binary vector whose ones sit at `events`
-    /// (ascending), bit-equal to the dense dot: the terms left out are the
-    /// ones [`Mac::skips`] allows, or exact zeros that cannot move a lane.
+    /// (ascending), bit-equal to it: the terms left out cannot move a sum.
     fn event_dot(events: &[u32], w: &[Self::Elem], spike: Self::Elem) -> Self::Acc {
         events.iter().fold(Self::ZERO, |acc, &kk| Self::add_spike(acc, w[kk as usize], spike))
     }
 
-    /// Runs `fill` on an accumulator block for `out` (contents unspecified;
-    /// `fill` writes every element), then writes `out` from it through the
-    /// epilogue: row `r` of `row_len` accumulators belongs to output channel
-    /// `first_channel + r`.
+    /// Runs `fill` on an accumulator block for `out` (`fill` writes every
+    /// element), then writes `out` from it through the epilogue: row `r` of
+    /// `row_len` accumulators is output channel `first_channel + r`.
     fn with_acc(
         out: &mut [f32],
         row_len: usize,
@@ -159,9 +144,8 @@ impl Mac for F32 {
     }
 
     /// The lanes of [`F32::dot`] exactly (`kk → lane kk mod 4` below the
-    /// 4-aligned prefix, remainder into the tail, same reduction tree) with
-    /// the zero-spike terms left out: each is an exact `±0.0` for a finite
-    /// weight and cannot change a lane that started at `+0.0`.
+    /// 4-aligned prefix, remainder into the tail, same reduction tree); a
+    /// zero-spike term is an exact `±0.0` and cannot change a `+0.0`-born lane.
     fn event_dot(events: &[u32], w: &[f32], _: f32) -> f32 {
         let chunks4 = (w.len() / 4) * 4;
         let mut lanes = [0.0f32; 4];
@@ -203,12 +187,8 @@ pub fn reference_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
 /// The saxpy-style product `out = A·B` for every [`Mac`] and both layouts of
 /// `A`: element `(i, kk)` of `A` is `a[i · row_stride + kk · k_stride]`, so
 /// `(k, 1)` reads an `(m, k)` operand and `(1, m)` a `(k, m)` one column-wise
-/// in place. Opens the `name` region; forks over output rows.
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the dimensions.
-#[allow(clippy::too_many_arguments)] // kernel signature: operands + dims
+/// in place. Opens the `name` region; panics on a slice length that disagrees
+/// with the dimensions; forks over output rows.
 pub(crate) fn saxpy_gemm<E: Mac>(
     name: &'static str,
     rt: &Runtime,
@@ -294,12 +274,8 @@ fn saxpy_rows<E: Mac>(
 }
 
 /// The dot-product form `out = A·Bᵀ` with `A (m,k)`, `B (n,k)` for every
-/// [`Mac`]: both operands read along contiguous rows. Opens the `name`
-/// region; forks over output rows.
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the dimensions.
+/// [`Mac`]: both operands read along contiguous rows. Region, panics and fork
+/// as [`saxpy_gemm`].
 pub(crate) fn dot_gemm<E: Mac>(
     name: &'static str,
     rt: &Runtime,
@@ -374,10 +350,9 @@ pub fn gemm_a_bt(
     k: usize,
     n: usize,
 ) {
-    // With enough output rows to amortize it, transpose B once into arena
-    // scratch (O(nk) copies against O(mnk) compute) and run the ~2× faster
-    // saxpy kernel. `m` is a property of the call, not the thread count, so
-    // determinism across thread counts is unaffected.
+    // With enough output rows to amortize the transpose, stage it and run the
+    // ~2× faster saxpy kernel. `m` is a property of the call, not the thread
+    // count, so determinism across thread counts is unaffected.
     if m < 2 * MR || k * n == 0 {
         return dot_gemm::<F32>("gemm_a_bt", rt, a, b, out, (m, k, n));
     }

@@ -11,15 +11,19 @@
 //!   contiguous index ranges and pushed onto a shared injector queue;
 //!   workers are spawned once per runtime (lazily) and between regions
 //!   spin — yielding — for a moment before they park, so dispatching a
-//!   region costs a queue push instead of a thread spawn or a wake-up. Closures still borrow from the caller's stack: the
-//!   region does not return until every task has completed.
+//!   region costs a queue push instead of a thread spawn or a wake-up.
+//!   Closures still borrow from the caller's stack: the region does not
+//!   return until every task has completed. Kernels that take no
+//!   `&Runtime` run on [`Runtime::current`]: the global runtime, or the
+//!   one the caller scoped with [`Runtime::install`].
 //! * [`gemm`](self::gemm())/[`gemm_at_b`]/[`gemm_a_bt`]
 //!   — register-tiled, cache-blocked matrix kernels parallelized over
-//!   disjoint output row ranges. The transpose variants take `A`ᵀ or `B`ᵀ
-//!   as stored, eliminating the explicit `.transpose()` copies the
-//!   autograd backward passes used to make (any transpose staging a
-//!   kernel still wants internally lives in arena scratch — see the
-//!   `gemm` module docs).
+//!   disjoint output row ranges, written once over the crate's
+//!   (element, accumulator) trait so the int8 products
+//!   ([`crate::qkernels`]) are the same bodies. The transpose variants take
+//!   `A`ᵀ or `B`ᵀ as stored, eliminating the explicit `.transpose()`
+//!   copies the autograd backward passes used to make (any transpose
+//!   staging a kernel still wants internally lives in arena scratch).
 //! * [`with_scratch`] and `Tensor::scratch` / `Tensor::recycle` — the
 //!   per-thread arena every temporary comes from and goes back to:
 //!   borrowed scratch of any element type (im2col / col2im, integer and

@@ -55,6 +55,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -357,9 +358,11 @@ fn worker_loop(shared: &Shared) {
 ///
 /// The global instance ([`Runtime::global`]) is sized from
 /// `TTSNN_NUM_THREADS` if set (clamped to ≥ 1), otherwise from
-/// [`std::thread::available_parallelism`]. Tests construct explicit
-/// runtimes with [`Runtime::new`] to pin thread counts; clones share one
-/// pool, and dropping the last clone joins its workers.
+/// [`std::thread::available_parallelism`]. Kernels run on
+/// [`Runtime::current`] — the global one unless the caller scoped another
+/// with [`Runtime::install`], which is how tests pin thread counts:
+/// `Runtime::new(n).install(|| conv2d(..))`. Clones share one pool, and
+/// dropping the last clone joins its workers.
 #[derive(Clone)]
 pub struct Runtime {
     threads: usize,
@@ -377,6 +380,11 @@ impl std::fmt::Debug for Runtime {
 
 static GLOBAL: OnceLock<Runtime> = OnceLock::new();
 static SERIAL: OnceLock<Runtime> = OnceLock::new();
+
+thread_local! {
+    /// The runtime [`Runtime::install`] scoped on this thread, if any.
+    static INSTALLED: RefCell<Option<Runtime>> = const { RefCell::new(None) };
+}
 
 impl Runtime {
     /// A runtime that uses exactly `threads` workers (clamped to ≥ 1).
@@ -399,6 +407,30 @@ impl Runtime {
             });
             Runtime::new(threads)
         })
+    }
+
+    /// The runtime the kernels called from this thread run on: the one an
+    /// enclosing [`Runtime::install`] scoped, else [`Runtime::global`]. Every
+    /// kernel entry point that takes no `&Runtime` reads this once per call.
+    pub fn current() -> Runtime {
+        INSTALLED.with(|slot| slot.borrow().clone()).unwrap_or_else(|| Runtime::global().clone())
+    }
+
+    /// Runs `f` with this runtime as the calling thread's
+    /// [`Runtime::current`], so a whole forward / backward written against
+    /// the plain kernel entry points runs at this thread count. Scopes nest;
+    /// the previous runtime comes back when `f` returns or unwinds. Only the
+    /// calling thread is scoped: a thread spawned inside `f` that installs
+    /// nothing sees the global runtime.
+    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Runtime>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.with(|slot| *slot.borrow_mut() = self.0.take());
+            }
+        }
+        let _restore = Restore(INSTALLED.with(|slot| slot.borrow_mut().replace(self.clone())));
+        f()
     }
 
     /// The process-wide one-thread runtime: what a kernel that has already
@@ -609,6 +641,46 @@ mod tests {
         let a = Runtime::global().threads();
         assert!(a >= 1);
         assert_eq!(Runtime::global().threads(), a);
+    }
+
+    /// Whether two handles share one pool.
+    fn same(a: &Runtime, b: &Runtime) -> bool {
+        Arc::ptr_eq(&a.pool, &b.pool)
+    }
+
+    #[test]
+    fn install_scopes_nest_and_restore_the_outer_runtime() {
+        let (outer, inner) = (Runtime::new(3), Runtime::new(5));
+        assert!(same(&Runtime::current(), Runtime::global()));
+        let got = outer.install(|| {
+            assert!(same(&Runtime::current(), &outer));
+            inner.install(|| assert!(same(&Runtime::current(), &inner)));
+            assert!(same(&Runtime::current(), &outer), "the inner scope restores the outer");
+            7
+        });
+        assert_eq!(got, 7);
+        assert!(same(&Runtime::current(), Runtime::global()));
+    }
+
+    #[test]
+    fn install_restores_the_previous_runtime_when_the_scope_panics() {
+        let (outer, inner) = (Runtime::new(3), Runtime::new(5));
+        outer.install(|| {
+            let caught = catch_unwind(AssertUnwindSafe(|| inner.install(|| panic!("inside"))));
+            assert!(caught.is_err());
+            assert!(same(&Runtime::current(), &outer));
+        });
+        assert!(same(&Runtime::current(), Runtime::global()));
+    }
+
+    #[test]
+    fn a_thread_spawned_inside_a_scope_sees_the_global_runtime() {
+        let scoped = Runtime::new(3);
+        scoped.install(|| {
+            let seen = std::thread::scope(|s| s.spawn(Runtime::current).join().expect("join"));
+            assert!(same(&seen, Runtime::global()));
+            assert!(same(&Runtime::current(), &scoped));
+        });
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //!   lanes per `u64` word. Packing validates binarity and measures spike
 //!   density (popcount) in the same single pass, so the dispatcher's
 //!   density measurement is a by-product of building the representation.
-//! * [`sparse_conv2d`] / [`sparse_qconv2d`] — the event-scatter driver at
-//!   the f32 and the integer `Mac` (see `runtime/gemm.rs`): iterate only the
+//! * [`sparse_conv2d`] / [`sparse_qconv2d`] — one event-scatter driver at the
+//!   f32 and the integer `Mac` (see `runtime/gemm.rs`): iterate only the
 //!   firing positions and scatter weight values for them into the type's
 //!   accumulators, then out through its epilogue. [`sparse_linear`] /
-//!   [`sparse_qlinear`] are the event-driven linear layer at the same `Mac`s,
-//!   through the linear row driver they share with `qlinear`. The int8 paths
-//!   skip the quantize + im2col stages entirely: a spike quantizes to a known
-//!   constant, so only the packed bits are consulted. The drivers are written
-//!   once; a `Mac` supplies the add, the dot over events and the epilogue.
+//!   [`sparse_qlinear`] are one event-driven linear layer at the same `Mac`s,
+//!   on the row driver they share with `qlinear`. The int8 paths skip the
+//!   quantize + im2col stages entirely: a spike quantizes to a known
+//!   constant, so only the packed bits are consulted.
 //! * [`SparseMode`] — the `TTSNN_SPARSE_MODE` dispatch override
 //!   (`auto`/`force`/`off`) used by the model-layer dispatcher.
 //!
@@ -252,15 +251,13 @@ pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
 /// What scattering one event through one window tap costs in the f32
 /// operations `runtime::fork_grain` counts in — the event-scatter driver's
-/// grain, for every `Mac`. A tap is an indirect read-modify-write, not a
-/// streamed multiply-add, and what it costs is the indirection, not the
-/// accumulator type, so `Mac::COST` (the price of a *streamed* operation)
-/// does not scale it: at density 0.13 the sparse kernels touch 0.13 of the
-/// dense kernels' operands and finish in 1 / 1.7 (f32) to 1 / 3 (int8, itself
-/// 4 × the float cost per operation) of their time
-/// (`tensor.sparse_conv_speedup_vs_dense`,
-/// `tensor.sparse_qconv_speedup_vs_dense`), i.e. 10 (f32) to 20 (int8) float
-/// operations per tap.
+/// grain for every `Mac`: a tap is an indirect read-modify-write, priced by
+/// its indirection rather than its accumulator type, so `Mac::COST` (a
+/// *streamed* operation) does not scale it. At density 0.13 the sparse
+/// kernels touch 0.13 of the dense kernels' operands and finish in 1 / 1.7
+/// (f32) to 1 / 3 (int8, itself 4 × the float cost per operation) of their
+/// time (`tensor.sparse_conv_speedup_vs_dense`,
+/// `tensor.sparse_qconv_speedup_vs_dense`), i.e. 10–20 float operations per tap.
 const TAP_COST: usize = 16;
 
 /// Dispatch policy for the density-adaptive sparse/dense router,
@@ -423,14 +420,12 @@ fn for_each_sample_group(
 
 /// The event-scatter convolution for every [`Mac`]: `w` is the kernel as
 /// `(O, C·Kh·Kw)` rows, `ep` the type's epilogue. Checks the spikes against
-/// `g`, opens the `name` region, gathers the events, and forks over
-/// `(sample, channel)` output planes at a grain taken from the input — a
-/// sample's events × window taps × [`TAP_COST`], never the thread count;
-/// each same-sample run of planes then streams the sample's tap list through
-/// [`scatter`] into the type's accumulators and out through its epilogue.
+/// `g`, opens the `name` region, gathers the events and forks over `(sample,
+/// channel)` output planes at a grain taken from the input (a sample's events
+/// × window taps × [`TAP_COST`]); each same-sample run of planes streams the
+/// sample's tap list into the type's accumulators and out through `ep`.
 fn event_conv<E: Mac>(
     name: &'static str,
-    rt: &Runtime,
     spikes: &SpikeTensor,
     w: &[E::Elem],
     ep: E::Epilogue<'_>,
@@ -443,6 +438,7 @@ fn event_conv<E: Mac>(
     let spike = E::spike(ep);
     with_events(spikes, g.in_slab(), b, |events, offsets| {
         let min_slabs = runtime::fork_grain(TAP_COST * events.len().div_ceil(b.max(1)) * taps);
+        let rt = Runtime::current();
         rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
             for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
                 with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
@@ -500,7 +496,6 @@ fn scatter<E: Mac>(
 /// grain is a row's events × outputs.
 fn event_linear<E: Mac>(
     name: &'static str,
-    rt: &Runtime,
     spikes: &SpikeTensor,
     w: &[E::Elem],
     ep: E::Epilogue<'_>,
@@ -510,7 +505,7 @@ fn event_linear<E: Mac>(
     let spike = E::spike(ep);
     with_events(spikes, feat, b, |events, offsets| {
         let macs_per_row = events.len().div_ceil(b.max(1)) * out_ch;
-        linear_rows::<E>(name, rt, &mut y, macs_per_row, ep, |s, acc| {
+        linear_rows::<E>(name, &mut y, macs_per_row, ep, |s, acc| {
             let evs = &events[offsets[s]..offsets[s + 1]];
             for (dv, wrow) in acc.iter_mut().zip(w.chunks(feat)) {
                 *dv = E::event_dot(evs, wrow, spike);
@@ -537,22 +532,8 @@ pub fn sparse_conv2d(
     weight: &Tensor,
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
-    sparse_conv2d_with(Runtime::global(), spikes, weight, g)
-}
-
-/// [`sparse_conv2d`] on an explicit [`Runtime`] (tests pin thread counts).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the spikes or weight do not match `g`.
-pub fn sparse_conv2d_with(
-    rt: &Runtime,
-    spikes: &SpikeTensor,
-    weight: &Tensor,
-    g: &Conv2dGeometry,
-) -> Result<Tensor, ShapeError> {
     check_weight(weight.shape(), g)?;
-    event_conv::<F32>("sparse_conv2d", rt, spikes, weight.data(), (), g)
+    event_conv::<F32>("sparse_conv2d", spikes, weight.data(), (), g)
 }
 
 /// Event-driven f32 linear layer over packed spikes — bit-identical to
@@ -566,31 +547,14 @@ pub fn sparse_conv2d_with(
 ///
 /// Returns [`ShapeError`] if shapes disagree.
 pub fn sparse_linear(spikes: &SpikeTensor, weight: &Tensor) -> Result<Tensor, ShapeError> {
-    sparse_linear_with(Runtime::global(), spikes, weight)
-}
-
-/// [`sparse_linear`] on an explicit [`Runtime`] (tests pin thread counts).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if shapes disagree.
-pub fn sparse_linear_with(
-    rt: &Runtime,
-    spikes: &SpikeTensor,
-    weight: &Tensor,
-) -> Result<Tensor, ShapeError> {
     let (sh, wshape) = (spikes.shape(), weight.shape());
-    if sh.len() != 2 {
-        return Err(ShapeError::new(format!("sparse_linear: expected (B, F) spikes, got {sh:?}")));
-    }
-    if wshape.len() != 2 || wshape[1] != sh[1] {
+    if sh.len() != 2 || wshape.len() != 2 || wshape[1] != sh[1] {
         return Err(ShapeError::new(format!(
-            "sparse_linear: weight {wshape:?} does not match feature dim {}",
-            sh[1]
+            "sparse_linear: spikes {sh:?} and weight {wshape:?} are not (B, F) and (O, F)"
         )));
     }
     let dims = (sh[0], sh[1], wshape[0]);
-    Ok(event_linear::<F32>("sparse_linear", rt, spikes, weight.data(), (), dims))
+    Ok(event_linear::<F32>("sparse_linear", spikes, weight.data(), (), dims))
 }
 
 /// Event-driven quantized convolution over packed spikes — bit-identical
@@ -610,27 +574,9 @@ pub fn sparse_qconv2d(
     g: &Conv2dGeometry,
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    sparse_qconv2d_with(Runtime::global(), spikes, x_scale, qw, w_scales, g, accum)
-}
-
-/// [`sparse_qconv2d`] on an explicit [`Runtime`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if shapes, scales, or geometry disagree.
-#[allow(clippy::too_many_arguments)] // kernel signature: dims + accumulator mode
-pub fn sparse_qconv2d_with(
-    rt: &Runtime,
-    spikes: &SpikeTensor,
-    x_scale: f32,
-    qw: &[i8],
-    w_scales: &[f32],
-    g: &Conv2dGeometry,
-    accum: QAccum,
-) -> Result<Tensor, ShapeError> {
     check_qweight(qw, g)?;
     let ep = Requant::new("sparse_qconv2d", x_scale, w_scales, None, g.out_channels)?;
-    by_accum!(accum, E => event_conv::<E>("sparse_qconv2d", rt, spikes, qw, ep, g))
+    by_accum!(accum, E => event_conv::<E>("sparse_qconv2d", spikes, qw, ep, g))
 }
 
 /// Event-driven quantized linear layer over packed spikes —
@@ -647,27 +593,9 @@ pub fn sparse_qlinear(
     bias: &[f32],
     accum: QAccum,
 ) -> Result<Tensor, ShapeError> {
-    sparse_qlinear_with(Runtime::global(), spikes, x_scale, qw, w_scales, bias, accum)
-}
-
-/// [`sparse_qlinear`] on an explicit [`Runtime`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if shapes or scales disagree.
-#[allow(clippy::too_many_arguments)] // kernel signature: dims + accumulator mode
-pub fn sparse_qlinear_with(
-    rt: &Runtime,
-    spikes: &SpikeTensor,
-    x_scale: f32,
-    qw: &[i8],
-    w_scales: &[f32],
-    bias: &[f32],
-    accum: QAccum,
-) -> Result<Tensor, ShapeError> {
     let (dims, ep) =
         check_qlinear("sparse_qlinear", spikes.shape(), x_scale, qw.len(), w_scales, bias)?;
-    Ok(by_accum!(accum, E => event_linear::<E>("sparse_qlinear", rt, spikes, qw, ep, dims)))
+    Ok(by_accum!(accum, E => event_linear::<E>("sparse_qlinear", spikes, qw, ep, dims)))
 }
 
 #[cfg(test)]
@@ -755,7 +683,7 @@ mod tests {
                 let sp = SpikeTensor::try_pack(&x).unwrap();
                 let dense = crate::conv::conv2d(&x, &w, &g).unwrap();
                 for threads in [1usize, 2, 4, 8] {
-                    let got = sparse_conv2d_with(&Runtime::new(threads), &sp, &w, &g).unwrap();
+                    let got = Runtime::new(threads).install(|| sparse_conv2d(&sp, &w, &g)).unwrap();
                     assert_eq!(got, dense, "g={g:?} b={b} density={density} threads={threads}");
                 }
             }
@@ -785,7 +713,7 @@ mod tests {
                 );
             }
             for threads in [1usize, 2, 8] {
-                let got = sparse_linear_with(&Runtime::new(threads), &sp, &w).unwrap();
+                let got = Runtime::new(threads).install(|| sparse_linear(&sp, &w)).unwrap();
                 assert_eq!(got.data(), &want[..], "density={density} threads={threads}");
             }
         }
@@ -804,16 +732,9 @@ mod tests {
                 let sp = SpikeTensor::try_pack(&x).unwrap();
                 let dense = crate::qkernels::qconv2d(&x, 1.0, &qw, &w_scales, &g, accum).unwrap();
                 for threads in [1usize, 2, 8] {
-                    let got = sparse_qconv2d_with(
-                        &Runtime::new(threads),
-                        &sp,
-                        1.0,
-                        &qw,
-                        &w_scales,
-                        &g,
-                        accum,
-                    )
-                    .unwrap();
+                    let got = Runtime::new(threads)
+                        .install(|| sparse_qconv2d(&sp, 1.0, &qw, &w_scales, &g, accum))
+                        .unwrap();
                     assert_eq!(got, dense, "{accum:?} density={density} threads={threads}");
                 }
             }
@@ -853,16 +774,9 @@ mod tests {
                 let sp = SpikeTensor::try_pack(&x).unwrap();
                 let dense = crate::qkernels::qlinear(&x, 1.0, &qw, &scales, &bias, accum).unwrap();
                 for threads in [1usize, 2, 8] {
-                    let got = sparse_qlinear_with(
-                        &Runtime::new(threads),
-                        &sp,
-                        1.0,
-                        &qw,
-                        &scales,
-                        &bias,
-                        accum,
-                    )
-                    .unwrap();
+                    let got = Runtime::new(threads)
+                        .install(|| sparse_qlinear(&sp, 1.0, &qw, &scales, &bias, accum))
+                        .unwrap();
                     assert_eq!(got, dense, "{accum:?} density={density} threads={threads}");
                 }
             }

@@ -656,7 +656,8 @@ impl Tensor {
         }
         // No zero-fill: the GEMM overwrites every element.
         let mut out = Self::scratch(&[m, n]);
-        runtime::gemm(Runtime::global(), self.data(), other.data(), out.make_owned(), m, k, n);
+        let rt = Runtime::current();
+        runtime::gemm(&rt, self.data(), other.data(), out.make_owned(), m, k, n);
         Ok(out)
     }
 
@@ -684,7 +685,8 @@ impl Tensor {
             )));
         }
         let mut out = Self::scratch(&[m, n]);
-        runtime::gemm_at_b(Runtime::global(), self.data(), other.data(), out.make_owned(), m, k, n);
+        let rt = Runtime::current();
+        runtime::gemm_at_b(&rt, self.data(), other.data(), out.make_owned(), m, k, n);
         Ok(out)
     }
 
@@ -712,7 +714,8 @@ impl Tensor {
             )));
         }
         let mut out = Self::scratch(&[m, n]);
-        runtime::gemm_a_bt(Runtime::global(), self.data(), other.data(), out.make_owned(), m, k, n);
+        let rt = Runtime::current();
+        runtime::gemm_a_bt(&rt, self.data(), other.data(), out.make_owned(), m, k, n);
         Ok(out)
     }
 
@@ -740,34 +743,6 @@ impl Tensor {
             dst_data[dst] += v;
         }
         Ok(out)
-    }
-}
-
-/// `out[m,n] += a[m,k] * b[k,n]`, blocked over k for locality. `out` must be
-/// zero-initialized by the caller if a pure product is wanted.
-///
-/// This is the **seed kernel**: single-threaded, kept only as the baseline
-/// for the `gemm_throughput` bench and as a second oracle in tests. All
-/// production paths route through [`crate::runtime`] instead.
-///
-/// (An earlier version skipped `a` coefficients equal to `0.0`, which
-/// silently dropped NaN/Inf propagation — `0.0 * NaN` must stay NaN — and
-/// put a branch in the innermost loop. The skip is gone.)
-pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    const BLOCK: usize = 64;
-    for kb in (0..k).step_by(BLOCK) {
-        let kend = (kb + BLOCK).min(k);
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for kk in kb..kend {
-                let av = arow[kk];
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
     }
 }
 
@@ -963,14 +938,11 @@ mod tests {
 
     #[test]
     fn matmul_propagates_nan_through_zero() {
-        // 0.0 * NaN must be NaN — the seed kernel's zero-skip hid this.
+        // 0.0 * NaN must be NaN: the f32 kernels never skip a coefficient.
         let a = t(&[0.0, 1.0], &[1, 2]);
         let b = t(&[f32::NAN, 2.0], &[2, 1]);
         let c = a.matmul(&b).unwrap();
         assert!(c.data()[0].is_nan());
-        let mut out = [0.0f32; 1];
-        matmul_into(a.data(), b.data(), &mut out, 1, 2, 1);
-        assert!(out[0].is_nan(), "seed matmul_into must also propagate NaN");
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! composition.
 
 use proptest::prelude::*;
-use ttsnn_tensor::qkernels::{
-    qconv2d_with, qgemm, qgemm_a_bt, qlinear_with, reference_qgemm, QAccum,
-};
+use ttsnn_tensor::qkernels::{qconv2d, qgemm, qgemm_a_bt, qlinear, reference_qgemm, QAccum};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Conv2dGeometry, Rng, Tensor};
 
@@ -20,18 +18,33 @@ fn rand_i8(len: usize, rng: &mut Rng) -> Vec<i8> {
 #[test]
 fn qgemm_bit_equals_reference_on_shape_grid_across_threads() {
     let mut rng = Rng::seed_from(1);
+    // 300 is longer than the tile's k-panel (256): the saturating fold has
+    // to carry its order across a panel boundary.
+    let k_dims = [DIMS[0], DIMS[1], DIMS[2], DIMS[3], 300];
     for &m in &DIMS {
-        for &k in &DIMS {
+        for &k in &k_dims {
             for &n in &DIMS {
-                let a = rand_i8(m * k, &mut rng);
+                let dense = rand_i8(m * k, &mut rng);
+                // A merged PTT kernel's rows: taps 0, 2, 6, 8 of every 9
+                // zero in every row, which the tile skips four rows at a time.
+                let cross: Vec<i8> = dense
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if matches!(i % k % 9, 0 | 2 | 6 | 8) { 0 } else { v })
+                    .collect();
                 let b = rand_i8(k * n, &mut rng);
-                for accum in [QAccum::I32, QAccum::Saturate16] {
-                    let mut want = vec![0i32; m * n];
-                    reference_qgemm(&a, &b, &mut want, m, k, n, accum);
-                    for threads in 1..=8 {
-                        let mut got = vec![i32::MIN; m * n];
-                        qgemm(&Runtime::new(threads), &a, &b, &mut got, m, k, n, accum);
-                        assert_eq!(got, want, "({m},{k},{n}) threads={threads} {accum:?}");
+                for (pattern, a) in [("dense", &dense), ("cross", &cross)] {
+                    for accum in [QAccum::I32, QAccum::Saturate16] {
+                        let mut want = vec![0i32; m * n];
+                        reference_qgemm(a, &b, &mut want, m, k, n, accum);
+                        for threads in 1..=8 {
+                            let mut got = vec![i32::MIN; m * n];
+                            qgemm(&Runtime::new(threads), a, &b, &mut got, m, k, n, accum);
+                            assert_eq!(
+                                got, want,
+                                "({m},{k},{n}) {pattern} threads={threads} {accum:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -104,10 +117,12 @@ proptest! {
         let x = Tensor::randn(&[batch, c, hw, hw], &mut rng);
         let qw = rand_i8(o * c * 9, &mut rng);
         let scales: Vec<f32> = (0..o).map(|i| 0.01 + 0.005 * i as f32).collect();
-        let base = qconv2d_with(&Runtime::new(1), &x, 0.03, &qw, &scales, &g, QAccum::I32)
+        let base = Runtime::new(1)
+            .install(|| qconv2d(&x, 0.03, &qw, &scales, &g, QAccum::I32))
             .unwrap();
         for threads in [2usize, 8] {
-            let out = qconv2d_with(&Runtime::new(threads), &x, 0.03, &qw, &scales, &g, QAccum::I32)
+            let out = Runtime::new(threads)
+                .install(|| qconv2d(&x, 0.03, &qw, &scales, &g, QAccum::I32))
                 .unwrap();
             prop_assert_eq!(&out, &base, "threads={}", threads);
         }
@@ -119,7 +134,8 @@ proptest! {
                 &[1, c, hw, hw],
             )
             .unwrap();
-            let alone = qconv2d_with(&Runtime::new(2), &solo, 0.03, &qw, &scales, &g, QAccum::I32)
+            let alone = Runtime::new(2)
+                .install(|| qconv2d(&solo, 0.03, &qw, &scales, &g, QAccum::I32))
                 .unwrap();
             prop_assert_eq!(&base.data()[s * slab..(s + 1) * slab], alone.data());
         }
@@ -135,11 +151,13 @@ proptest! {
         let qw = rand_i8(o * f, &mut rng);
         let scales = vec![0.02f32; 1];
         let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.1).collect();
-        let base = qlinear_with(&Runtime::new(1), &x, 0.05, &qw, &scales, &bias, QAccum::I32)
+        let base = Runtime::new(1)
+            .install(|| qlinear(&x, 0.05, &qw, &scales, &bias, QAccum::I32))
             .unwrap();
         for threads in [2usize, 8] {
-            let out = qlinear_with(&Runtime::new(threads), &x, 0.05, &qw, &scales, &bias,
-                QAccum::I32).unwrap();
+            let out = Runtime::new(threads)
+                .install(|| qlinear(&x, 0.05, &qw, &scales, &bias, QAccum::I32))
+                .unwrap();
             prop_assert_eq!(&out, &base, "threads={}", threads);
         }
     }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use ttsnn_tensor::runtime::{self, Runtime};
-use ttsnn_tensor::{conv, matmul_into, pool, Conv2dGeometry, Rng, Tensor};
+use ttsnn_tensor::{conv, pool, Conv2dGeometry, Rng, Tensor};
 
 /// The ISSUE's shape grid: every m/k/n combination from {1, 3, 17, 64}.
 const DIMS: [usize; 4] = [1, 3, 17, 64];
@@ -28,10 +28,6 @@ fn gemm_matches_reference_on_shape_grid_across_threads() {
                 let b = randv(k * n, &mut rng);
                 let mut want = vec![0.0; m * n];
                 runtime::reference_gemm(&a, &b, &mut want, m, k, n);
-                // The seed kernel is a second, independent oracle.
-                let mut seed = vec![0.0; m * n];
-                matmul_into(&a, &b, &mut seed, m, k, n);
-                assert!(max_diff(&seed, &want) < 1e-4 * k as f32, "seed vs naive ({m},{k},{n})");
                 for threads in 1..=8 {
                     let mut got = vec![f32::NAN; m * n];
                     runtime::gemm(&Runtime::new(threads), &a, &b, &mut got, m, k, n);
@@ -187,16 +183,16 @@ proptest! {
         let w = Tensor::randn(&[o, c, 3, 3], &mut rng);
         let dy = Tensor::randn(&[batch, o, hw, hw], &mut rng);
         let one = Runtime::new(1);
-        let y1 = conv::conv2d_with(&one, &x, &w, &g).unwrap();
-        let dx1 = conv::conv2d_input_grad_with(&one, &dy, &w, &g).unwrap();
-        let dw1 = conv::conv2d_weight_grad_with(&one, &x, &dy, &g).unwrap();
+        let y1 = one.install(|| conv::conv2d(&x, &w, &g)).unwrap();
+        let dx1 = one.install(|| conv::conv2d_input_grad(&dy, &w, &g)).unwrap();
+        let dw1 = one.install(|| conv::conv2d_weight_grad(&x, &dy, &g)).unwrap();
         for threads in 2..=8 {
             let rt = Runtime::new(threads);
-            let y = conv::conv2d_with(&rt, &x, &w, &g).unwrap();
+            let y = rt.install(|| conv::conv2d(&x, &w, &g)).unwrap();
             prop_assert_eq!(y.data(), y1.data(), "forward bits differ at {} threads", threads);
-            let dx = conv::conv2d_input_grad_with(&rt, &dy, &w, &g).unwrap();
+            let dx = rt.install(|| conv::conv2d_input_grad(&dy, &w, &g)).unwrap();
             prop_assert_eq!(dx.data(), dx1.data(), "dx bits differ at {} threads", threads);
-            let dw = conv::conv2d_weight_grad_with(&rt, &x, &dy, &g).unwrap();
+            let dw = rt.install(|| conv::conv2d_weight_grad(&x, &dy, &g)).unwrap();
             prop_assert_eq!(dw.data(), dw1.data(), "dw bits differ at {} threads", threads);
             if wide && batch > 1 {
                 prop_assert!(rt.stats().handoffs + rt.stats().forked_tasks > 0, "wide geometry must fork");
@@ -221,12 +217,12 @@ fn pooling_is_bitwise_identical_across_threads() {
             (((0.0 + at(0, 0)) + at(0, 1)) + at(1, 0) + at(1, 1)) * 0.25
         };
         let one = Runtime::new(1);
-        let pooled = pool::avg_pool2d_with(&one, &x, 2).unwrap();
+        let pooled = one.install(|| pool::avg_pool2d(&x, 2)).unwrap();
         for (i, &v) in pooled.data().iter().enumerate() {
             let (p, o) = (i / (h / 2 * (w / 2)), i % (h / 2 * (w / 2)));
             assert_eq!(v.to_bits(), window(p, o / (w / 2), o % (w / 2)).to_bits(), "element {i}");
         }
-        let global = pool::global_avg_pool_with(&one, &x).unwrap();
+        let global = one.install(|| pool::global_avg_pool(&x)).unwrap();
         for (p, &v) in global.data().iter().enumerate() {
             let want =
                 x.data()[p * h * w..(p + 1) * h * w].iter().sum::<f32>() * (1.0 / (h * w) as f32);
@@ -235,8 +231,16 @@ fn pooling_is_bitwise_identical_across_threads() {
         assert_eq!((pooled.shape(), global.shape()), (&[b, c, h / 2, w / 2][..], &[b, c][..]));
         for threads in [2, 8] {
             let rt = Runtime::new(threads);
-            assert_eq!(pool::avg_pool2d_with(&rt, &x, 2).unwrap(), pooled, "{threads} threads");
-            assert_eq!(pool::global_avg_pool_with(&rt, &x).unwrap(), global, "{threads} threads");
+            assert_eq!(
+                rt.install(|| pool::avg_pool2d(&x, 2)).unwrap(),
+                pooled,
+                "{threads} threads"
+            );
+            assert_eq!(
+                rt.install(|| pool::global_avg_pool(&x)).unwrap(),
+                global,
+                "{threads} threads"
+            );
             let forked = rt.stats().forked_tasks > 0;
             assert_eq!(forked, forks, "{shape:?} at {threads} threads");
         }
@@ -269,7 +273,7 @@ fn two_thread_runtime_makes_progress_on_one_cpu() {
     let w = Tensor::randn(&[8, 8, 3, 3], &mut rng);
     let sweep = |rt: &Runtime| {
         for _ in 0..200 {
-            conv::conv2d_with(rt, &x, &w, &g).unwrap().recycle();
+            rt.install(|| conv::conv2d(&x, &w, &g)).unwrap().recycle();
         }
     };
     let (one, two) = (Runtime::new(1), Runtime::new(2));

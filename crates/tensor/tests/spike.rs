@@ -104,9 +104,9 @@ proptest! {
         let x = random_spikes(&[b, g.in_channels, g.in_hw.0, g.in_hw.1], density, &mut rng);
         let w = Tensor::randn(&[g.out_channels, g.in_channels, g.kernel.0, g.kernel.1], &mut rng);
         let sp = SpikeTensor::try_pack(&x).unwrap();
-        let dense = conv::conv2d_with(&Runtime::new(1), &x, &w, &g).unwrap();
+        let dense = Runtime::new(1).install(|| conv::conv2d(&x, &w, &g)).unwrap();
         for threads in 1..=8 {
-            let y = spike::sparse_conv2d_with(&Runtime::new(threads), &sp, &w, &g).unwrap();
+            let y = Runtime::new(threads).install(|| spike::sparse_conv2d(&sp, &w, &g)).unwrap();
             prop_assert_eq!(
                 y.data(), dense.data(),
                 "sparse conv bits differ from dense at {} threads", threads
@@ -143,7 +143,7 @@ proptest! {
             );
         }
         for threads in 1..=8 {
-            let y = spike::sparse_linear_with(&Runtime::new(threads), &sp, &w).unwrap();
+            let y = Runtime::new(threads).install(|| spike::sparse_linear(&sp, &w)).unwrap();
             prop_assert_eq!(
                 y.data(), dense.as_slice(),
                 "sparse linear bits differ from per-sample dense at {} threads", threads
@@ -176,12 +176,13 @@ proptest! {
         let sp = SpikeTensor::try_pack(&x).unwrap();
         for accum in [QAccum::I32, QAccum::Saturate16] {
             let dense =
-                qkernels::qconv2d_with(&Runtime::new(1), &x, x_scale, &qw, &w_scales, &g, accum)
+                Runtime::new(1)
+                    .install(|| qkernels::qconv2d(&x, x_scale, &qw, &w_scales, &g, accum))
                     .unwrap();
             for threads in [1usize, 2, 4, 8] {
-                let y = spike::sparse_qconv2d_with(
-                    &Runtime::new(threads), &sp, x_scale, &qw, &w_scales, &g, accum,
-                ).unwrap();
+                let y = Runtime::new(threads)
+                    .install(|| spike::sparse_qconv2d(&sp, x_scale, &qw, &w_scales, &g, accum))
+                    .unwrap();
                 prop_assert_eq!(
                     y.data(), dense.data(),
                     "sparse qconv bits differ ({:?}, {} threads)", accum, threads
@@ -204,12 +205,13 @@ proptest! {
         let x_scale = 1.0f32;
         let sp = SpikeTensor::try_pack(&x).unwrap();
         let dense =
-            qkernels::qlinear_with(&Runtime::new(1), &x, x_scale, &qw, &w_scales, &bias, QAccum::I32)
+            Runtime::new(1)
+                .install(|| qkernels::qlinear(&x, x_scale, &qw, &w_scales, &bias, QAccum::I32))
                 .unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let y = spike::sparse_qlinear_with(
-                &Runtime::new(threads), &sp, x_scale, &qw, &w_scales, &bias, QAccum::I32,
-            ).unwrap();
+            let y = Runtime::new(threads)
+                .install(|| spike::sparse_qlinear(&sp, x_scale, &qw, &w_scales, &bias, QAccum::I32))
+                .unwrap();
             prop_assert_eq!(y.data(), dense.data(), "sparse qlinear bits differ at {} threads", threads);
         }
         // Independent integer oracle: i32 accumulation is order-free, so

@@ -700,7 +700,8 @@ fn build_replica(
 
 /// One replica's serve loop: pull work from the scheduler — a coalesced
 /// batch or a stream command for a session pinned here — execute it,
-/// scatter replies, record metrics. Exits when the scheduler shuts down.
+/// record it (metrics, slot release), then reply: a caller holding a reply
+/// finds it in [`Cluster::metrics`]. Exits when the scheduler shuts down.
 fn worker_loop(
     model: &mut dyn Model,
     cfg: &EngineConfig,
@@ -760,7 +761,6 @@ fn serve_stream_cmd(
                     // Never evict the session just fed: its chunk was
                     // admitted and executed.
                     let evicted = streams.evict_to_bound(id) as u64;
-                    let _ = reply.send(Ok(update));
                     sched.record_stream_chunk(report, submitted.elapsed());
                     sched.record_stream_state(
                         replica,
@@ -768,10 +768,11 @@ fn serve_stream_cmd(
                         streams.resident_bytes(),
                         evicted,
                     );
+                    let _ = reply.send(Ok(update));
                 }
                 Err(e) => {
-                    let _ = reply.send(Err(e));
                     sched.record_stream_failed();
+                    let _ = reply.send(Err(e));
                 }
             }
         }
@@ -799,8 +800,8 @@ fn serve_cluster_batch(
         match plan::validate(&job.input, cfg.timesteps, frame_shape) {
             Ok(()) => accepted.push(job),
             Err(msg) => {
-                let _ = job.reply.send(Err(InferError::Shape(msg)));
                 sched.record_failed(job.priority, job.tenant);
+                let _ = job.reply.send(Err(InferError::Shape(msg)));
             }
         }
     }
@@ -835,23 +836,22 @@ fn serve_cluster_batch(
                     }
                 }
             }
-            let k = summed.len() / accepted.len();
-            let mut served = Vec::with_capacity(accepted.len());
+            let served: Vec<_> =
+                accepted.iter().map(|j| (j.priority, j.tenant, j.submitted.elapsed())).collect();
+            sched.record_served(&served, density);
+            let k = summed.len() / batch_size;
             for (i, job) in accepted.iter().enumerate() {
                 let row = summed.data()[i * k..(i + 1) * k].to_vec();
                 let logits = Tensor::from_vec(row, &[k]).expect("logit row shape");
                 let _ = job.reply.send(Ok(logits));
-                served.push((job.priority, job.tenant, job.submitted.elapsed()));
             }
             summed.recycle();
-            sched.record_batch(&served, batch_size);
-            sched.record_density(density.per_layer, density.mean);
         }
         Err(e) => {
             // Should be unreachable after validation; fail the batch.
             for job in accepted {
-                let _ = job.reply.send(Err(InferError::Shape(e.clone())));
                 sched.record_failed(job.priority, job.tenant);
+                let _ = job.reply.send(Err(InferError::Shape(e.clone())));
             }
         }
     }

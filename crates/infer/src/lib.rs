@@ -103,7 +103,7 @@ pub use cluster::{
     plan_drift, Cluster, ClusterConfig, ClusterSession, ClusterStreamSession, ClusterStreamTicket,
     ClusterTicket,
 };
-pub use metrics::{ClusterMetrics, SessionMetrics, TenantStats, MAX_TRACKED_TENANTS};
+pub use metrics::{CloseReason, ClusterMetrics, SessionMetrics, TenantStats, MAX_TRACKED_TENANTS};
 pub use plan::{
     ArchSpec, BatchPolicy, EngineConfig, InferError, PlanDrift, PlanInfo, QuantSpec,
     SpikeDensityReport,

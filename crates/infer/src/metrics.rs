@@ -104,6 +104,55 @@ impl Histogram {
     }
 }
 
+/// Why a batch stopped collecting co-travellers and went to an executor —
+/// the answer of `sched::batch_close`, counted per reason in
+/// [`ClusterMetrics::batches_closed`] and carried by the `batch_form`
+/// trace span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloseReason {
+    /// The batch holds `max_batch` requests.
+    Full,
+    /// Every requester the scheduler has reason to expect already has its
+    /// request in this batch or executing on another replica.
+    Accounted,
+    /// `max_wait` ran out with somebody expected still missing (or, on a
+    /// scheduler that has not closed a batch yet, with nothing known).
+    Window,
+    /// A stream command arrived for the forming replica.
+    Stream,
+    /// The cluster shut down; the batch already admitted still runs.
+    Shutdown,
+}
+
+impl CloseReason {
+    /// Number of reasons (array dimension of
+    /// [`ClusterMetrics::batches_closed`]).
+    pub const COUNT: usize = 5;
+
+    /// Every reason, in [`CloseReason::index`] order.
+    pub const ALL: [CloseReason; CloseReason::COUNT] = [
+        CloseReason::Full,
+        CloseReason::Accounted,
+        CloseReason::Window,
+        CloseReason::Stream,
+        CloseReason::Shutdown,
+    ];
+
+    /// Stable index of this reason, e.g. into
+    /// [`ClusterMetrics::batches_closed`] — also the `batch_form` span's
+    /// second payload.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Stable lowercase label (`full`, `accounted`, `window`, `stream`,
+    /// `shutdown`): the `reason` Prometheus label value, and what a
+    /// `batch_form` span renders its payload as.
+    pub fn name(self) -> &'static str {
+        ttsnn_obs::close_reason(self.index() as u64)
+    }
+}
+
 /// Lifecycle counters for one priority class. Every submitted request ends
 /// in exactly one of the four terminal states, so after a drain
 /// `submitted == served + cancelled + expired + failed`.
@@ -233,6 +282,12 @@ pub struct ClusterMetrics {
     pub replicas: usize,
     /// Forward passes executed across all replicas.
     pub batches_executed: u64,
+    /// Batches formed, by why they closed — indexed by
+    /// [`CloseReason::index`] (see [`ClusterMetrics::closed`]). Counts
+    /// batches handed to an executor, so it can run ahead of
+    /// `batches_executed` by the batches in flight (and by batches whose
+    /// every member failed validation).
+    pub batches_closed: [u64; CloseReason::COUNT],
     /// Lifecycle counters, indexed by [`Priority`] (see
     /// [`ClusterMetrics::priority`]).
     pub per_priority: [PriorityStats; Priority::COUNT],
@@ -283,6 +338,7 @@ impl ClusterMetrics {
             outstanding: 0,
             replicas,
             batches_executed: 0,
+            batches_closed: [0; CloseReason::COUNT],
             per_priority: [PriorityStats::default(); Priority::COUNT],
             batch_sizes: Histogram::new(&BATCH_SIZE_EDGES),
             latency: Histogram::new(&LATENCY_EDGES_SECS),
@@ -303,6 +359,11 @@ impl ClusterMetrics {
 
     pub(crate) fn priority_mut(&mut self, p: Priority) -> &mut PriorityStats {
         &mut self.per_priority[p.index()]
+    }
+
+    /// How many batches closed for `reason`.
+    pub fn closed(&self, reason: CloseReason) -> u64 {
+        self.batches_closed[reason.index()]
     }
 
     /// The lifecycle counters of one tenant (zeros if it never
@@ -377,6 +438,18 @@ mod tests {
         m.tenant_mut(0).served += 1;
         assert_eq!(m.tenant(0).served, 1);
         assert_eq!(m.tenants.len(), MAX_TRACKED_TENANTS);
+    }
+
+    #[test]
+    fn close_reasons_index_their_labels() {
+        let names: Vec<&str> = CloseReason::ALL.iter().map(|r| r.name()).collect();
+        assert_eq!(names, ["full", "accounted", "window", "stream", "shutdown"]);
+        for (i, r) in CloseReason::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i);
+        }
+        let mut m = ClusterMetrics::new(1);
+        m.batches_closed[CloseReason::Window.index()] = 2;
+        assert_eq!((m.closed(CloseReason::Window), m.closed(CloseReason::Full)), (2, 0));
     }
 
     #[test]

@@ -47,13 +47,17 @@ impl ArchSpec {
 pub struct BatchPolicy {
     /// Hard cap on requests coalesced into one forward pass (≥ 1).
     pub max_batch: usize,
-    /// How long an open batch waits for co-travellers before executing.
-    /// `Duration::ZERO` serves every request the moment it arrives.
+    /// Upper bound on how long an open batch waits for co-travellers
+    /// before executing. It binds while the scheduler does not know who to
+    /// expect (its first batch) or somebody it expects stays away; otherwise
+    /// a batch closes as soon as everyone who could join it has
+    /// (`sched::batch_close`). `Duration::ZERO` serves every request the
+    /// moment it arrives; `Duration::MAX` is no bound at all.
     pub max_wait: Duration,
 }
 
 impl Default for BatchPolicy {
-    /// Up to 8 requests per batch, 2 ms collection window.
+    /// Up to 8 requests per batch, open for at most 2 ms.
     fn default() -> Self {
         Self { max_batch: 8, max_wait: Duration::from_millis(2) }
     }

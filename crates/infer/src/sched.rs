@@ -46,7 +46,8 @@
 //! in a terminal state (served / cancelled / expired / failed). Blocking
 //! `submit` waits for space; `try_submit` fails fast with
 //! [`SubmitError::Saturated`] so ingestion layers can shed load instead of
-//! buffering without bound.
+//! buffering without bound. [`batch_close`] reads the same count as the
+//! population of callers.
 //!
 //! # Why not per-replica queues
 //!
@@ -66,8 +67,8 @@ use std::time::{Duration, Instant};
 
 use ttsnn_tensor::{runtime, Tensor};
 
-use crate::metrics::ClusterMetrics;
-use crate::plan::InferError;
+use crate::metrics::{CloseReason, ClusterMetrics};
+use crate::plan::{InferError, SpikeDensityReport};
 use crate::stream::{FeedReport, StreamOptions, StreamUpdate};
 
 /// Identity of the client a request is accounted (and fair-queued)
@@ -419,7 +420,7 @@ pub(crate) struct Job {
     /// Submission time on the obs clock (ns; 0 when untraced) — the
     /// `queue_wait` span's start.
     pub(crate) submit_ns: u64,
-    /// When the job was popped into an open batch (set by `next_work`;
+    /// When the job was popped into an open batch (set by `pop_live`;
     /// splits `queue_wait` from `batch_form`).
     pub(crate) popped_ns: u64,
 }
@@ -657,6 +658,50 @@ pub(crate) enum Work {
     Stream(StreamCmd),
 }
 
+/// What [`batch_close`] tells a replica that holds an open batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchClose<T> {
+    /// Hand the batch to the executor.
+    Close(CloseReason),
+    /// Keep it open and look again at the next arrival or at this time
+    /// (`None`: arrivals only). `Wait(now)` answers a non-empty queue:
+    /// take the next request.
+    Wait(Option<T>),
+}
+
+/// The batch-close rule: a pure function of what the scheduler sees when
+/// it looks at an open batch (`T` is any clock). A batch whose queue is
+/// empty waits only while someone it has reason to expect is missing:
+/// `expected` is the largest `outstanding` seen at an admission in this
+/// batch cycle or the last (`None` before the scheduler's first close),
+/// and once `outstanding` reaches it every known requester has a request
+/// in this batch or executing on another replica. Otherwise the window
+/// `close_at` decides — alone, while `expected` is unknown — so `max_wait`
+/// is an upper bound: knowing more only ever closes a batch earlier.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_close<T: PartialOrd + Copy>(
+    batch_len: usize,
+    max_batch: usize,
+    queue_empty: bool,
+    outstanding: usize,
+    expected: Option<usize>,
+    now: T,
+    close_at: Option<T>,
+    stream_pending: bool,
+    shutdown: bool,
+) -> BatchClose<T> {
+    use BatchClose::{Close, Wait};
+    match () {
+        _ if batch_len >= max_batch => Close(CloseReason::Full),
+        _ if shutdown => Close(CloseReason::Shutdown),
+        _ if stream_pending => Close(CloseReason::Stream),
+        _ if !queue_empty => Wait(Some(now)),
+        _ if expected.is_some_and(|e| outstanding >= e) => Close(CloseReason::Accounted),
+        _ if close_at.is_some_and(|at| now >= at) => Close(CloseReason::Window),
+        _ => Wait(close_at),
+    }
+}
+
 struct State {
     /// The batch-job queue (strict priority or weighted-fair, per
     /// config).
@@ -668,8 +713,17 @@ struct State {
     streams: Vec<VecDeque<StreamCmd>>,
     /// Admitted, not yet terminal — the backpressure quantity. Stream
     /// chunks count here too: a saturated queue pushes back on streaming
-    /// and whole-stream traffic alike.
+    /// and whole-stream traffic alike. A slot is released **before** its
+    /// reply is sent (`record_*`, then `reply.send`): a caller holding a
+    /// reply holds no slot, so its next request is never refused
+    /// `Saturated` by its last, and the count at an admission never exceeds
+    /// the callers there are — [`batch_close`] reads it as the population.
     outstanding: usize,
+    /// Largest `outstanding` seen at an admission in the current batch
+    /// cycle (one ends when a batch closes) and in the previous one
+    /// (`None` until a batch has closed): [`batch_close`]'s `expected`.
+    peak: usize,
+    prev_peak: Option<usize>,
     shutdown: bool,
     next_seq: u64,
     /// Next session id, and the round-robin cursor for replica pinning.
@@ -683,6 +737,12 @@ struct State {
 }
 
 impl State {
+    /// Takes the backpressure slot of a request just admitted.
+    fn admitted(&mut self) {
+        self.outstanding += 1;
+        self.peak = self.peak.max(self.outstanding);
+    }
+
     /// Retry-after hint for a saturation rejection: the measured mean
     /// service latency (one "slot" should free up in about that long),
     /// clamped to a sane band, with a 10 ms cold-start default.
@@ -730,6 +790,8 @@ impl Scheduler {
                 buckets: BTreeMap::new(),
                 streams: (0..replicas).map(|_| VecDeque::new()).collect(),
                 outstanding: 0,
+                peak: 0,
+                prev_peak: None,
                 shutdown: false,
                 next_seq: 0,
                 next_stream_id: 0,
@@ -837,7 +899,7 @@ impl Scheduler {
         let cancelled = Arc::new(AtomicBool::new(false));
         st.metrics.priority_mut(opts.priority).submitted += 1;
         st.metrics.tenant_mut(opts.tenant).submitted += 1;
-        st.outstanding += 1;
+        st.admitted();
         st.queue.push(Job {
             seq,
             input,
@@ -885,7 +947,7 @@ impl Scheduler {
     /// Pops the most urgent **live** job, reaping cancelled and expired
     /// entries on the way (they never reach an executor).
     fn pop_live(&self, st: &mut State, now: Instant) -> Option<Job> {
-        while let Some(job) = st.queue.pop() {
+        while let Some(mut job) = st.queue.pop() {
             if job.cancelled.load(Ordering::SeqCst) {
                 st.metrics.priority_mut(job.priority).cancelled += 1;
                 st.metrics.tenant_mut(job.tenant).cancelled += 1;
@@ -898,6 +960,9 @@ impl Scheduler {
                 let _ = job.reply.send(Err(InferError::DeadlineExpired));
                 self.finish_one(st);
                 continue;
+            }
+            if job.trace != 0 {
+                job.popped_ns = ttsnn_obs::now_ns();
             }
             return Some(job);
         }
@@ -926,13 +991,13 @@ impl Scheduler {
     /// they are replica-pinned, FIFO, and a waiting streaming client is
     /// by definition mid-request. With no stream command pending, forms a
     /// batch: waits for a first live request, then admits co-travellers
-    /// until the batch holds `max_batch` requests, `max_wait` has elapsed
-    /// since it opened (`Duration` values too large for `Instant`
-    /// arithmetic, e.g. `Duration::MAX`, mean "hold until full"), or a
-    /// stream command arrives for this replica (the batch closes early —
-    /// the already-admitted requests execute, then the stream command is
-    /// served). Returns `None` once the cluster shuts down; a shutdown
-    /// mid-collection still returns the batch already admitted.
+    /// until [`batch_close`] says to stop: the batch holds `max_batch`
+    /// requests, everyone expected is accounted for, `max_wait` has
+    /// elapsed since it opened (`Duration` values too large for `Instant`
+    /// arithmetic, e.g. `Duration::MAX`, mean "no window"), a stream
+    /// command arrives for this replica (the batch executes, then the
+    /// command is served), or the cluster shuts down (the batch already
+    /// admitted is still returned; after that, `None`).
     ///
     /// Cancellation is re-checked when the batch closes, so a ticket
     /// dropped while its request sat in an open batch is still a
@@ -944,6 +1009,7 @@ impl Scheduler {
         max_batch: usize,
         max_wait: Duration,
     ) -> Option<Work> {
+        use BatchClose::{Close, Wait};
         let mut st = self.lock();
         loop {
             let first = loop {
@@ -956,10 +1022,7 @@ impl Scheduler {
                 if let Some(cmd) = self.pop_stream(&mut st, replica, Instant::now()) {
                     return Some(Work::Stream(cmd));
                 }
-                if let Some(mut job) = self.pop_live(&mut st, Instant::now()) {
-                    if job.trace != 0 {
-                        job.popped_ns = ttsnn_obs::now_ns();
-                    }
+                if let Some(job) = self.pop_live(&mut st, Instant::now()) {
                     break job;
                 }
                 if st.shutdown {
@@ -969,30 +1032,31 @@ impl Scheduler {
             };
             let mut batch = vec![first];
             let close_at = Instant::now().checked_add(max_wait);
-            while batch.len() < max_batch && !st.shutdown && st.streams[replica].is_empty() {
-                st.seen[replica] = Some(Instant::now());
-                if let Some(mut job) = self.pop_live(&mut st, Instant::now()) {
-                    if job.trace != 0 {
-                        job.popped_ns = ttsnn_obs::now_ns();
+            let reason = loop {
+                let now = Instant::now();
+                st.seen[replica] = Some(now);
+                let queue_empty = st.queue.len() == 0;
+                match batch_close(
+                    batch.len(),
+                    max_batch,
+                    queue_empty,
+                    st.outstanding,
+                    st.prev_peak.map(|prev| prev.max(st.peak)),
+                    now,
+                    close_at,
+                    !st.streams[replica].is_empty(),
+                    st.shutdown,
+                ) {
+                    Close(reason) => break reason,
+                    // Nothing, if all that was queued had been cancelled.
+                    Wait(_) if !queue_empty => batch.extend(self.pop_live(&mut st, now)),
+                    Wait(None) => st = self.work.wait(st).unwrap_or_else(|e| e.into_inner()),
+                    Wait(Some(until)) => {
+                        let left = until.saturating_duration_since(now);
+                        st = self.work.wait_timeout(st, left).unwrap_or_else(|e| e.into_inner()).0;
                     }
-                    batch.push(job);
-                    continue;
                 }
-                match close_at {
-                    None => st = self.work.wait(st).unwrap_or_else(|e| e.into_inner()),
-                    Some(close) => {
-                        let now = Instant::now();
-                        if now >= close {
-                            break;
-                        }
-                        st = self
-                            .work
-                            .wait_timeout(st, close - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
+            };
             // Closing checks: cancellations and expiries that landed while
             // the batch was open must still be honoured — execution has
             // not started yet.
@@ -1014,9 +1078,10 @@ impl Scheduler {
                 true
             });
             if !batch.is_empty() {
-                // Close of batch formation: attribute each traced
-                // member's wait so far to `queue_wait` (submit → pop) and
-                // `batch_form` (pop → close).
+                // The batch closes and its cycle ends; each traced member's wait
+                // is split into `queue_wait` (submit → pop) and `batch_form`.
+                st.metrics.batches_closed[reason.index()] += 1;
+                st.prev_peak = Some(std::mem::take(&mut st.peak));
                 if batch.iter().any(|j| j.trace != 0) {
                     let close_ns = ttsnn_obs::now_ns();
                     let size = batch.len() as u64;
@@ -1041,7 +1106,7 @@ impl Scheduler {
                             job.popped_ns,
                             form_ns,
                             size,
-                            0,
+                            reason.index() as u64,
                         );
                         ttsnn_obs::record_stage(ttsnn_obs::Stage::BatchForm, form_ns);
                     }
@@ -1092,7 +1157,7 @@ impl Scheduler {
             Slot::Free(st) => st,
         };
         let now = Instant::now();
-        st.outstanding += 1;
+        st.admitted();
         st.metrics.sessions.chunks_submitted += 1;
         let trace = if ttsnn_obs::enabled() { ttsnn_obs::next_trace_id() } else { 0 };
         st.streams[replica].push_back(StreamCmd::Feed {
@@ -1146,12 +1211,14 @@ impl Scheduler {
         self.work.notify_all();
     }
 
-    /// Records one executed batch: per-request served counts and
-    /// submit→reply latencies, plus the batch-size sample.
-    pub(crate) fn record_batch(
+    /// Records one executed batch in one lock take, before its replies are
+    /// sent: per-request served counts, submit→reply latencies and slot
+    /// releases, the batch-size sample, and the replica's spike-density
+    /// snapshot (last writer wins: its own cumulative traffic).
+    pub(crate) fn record_served(
         &self,
         served: &[(Priority, TenantId, Duration)],
-        batch_size: usize,
+        density: SpikeDensityReport,
     ) {
         let mut st = self.lock();
         for &(priority, tenant, latency) in served {
@@ -1160,17 +1227,10 @@ impl Scheduler {
             st.metrics.latency.record(latency.as_secs_f64());
             self.finish_one(&mut st);
         }
-        st.metrics.batch_sizes.record(batch_size as f64);
+        st.metrics.batch_sizes.record(served.len() as f64);
         st.metrics.batches_executed += 1;
-    }
-
-    /// Records a replica's measured spike-density snapshot (after a
-    /// completed batch). Last writer wins: the snapshot reflects the
-    /// reporting replica's cumulative traffic.
-    pub(crate) fn record_density(&self, per_layer: Vec<f64>, mean: Option<f64>) {
-        let mut st = self.lock();
-        st.metrics.spike_density = per_layer;
-        st.metrics.mean_spike_density = mean;
+        st.metrics.spike_density = density.per_layer;
+        st.metrics.mean_spike_density = density.mean;
     }
 
     /// Records a request rejected by plan validation (failed its own
@@ -1285,6 +1345,15 @@ mod tests {
 
     fn fair_sched(capacity: usize, fair: FairPolicy) -> Scheduler {
         Scheduler::new(capacity, 1, Some(fair))
+    }
+
+    impl Scheduler {
+        /// `record_served` without a density report, in the call shape the
+        /// queueing tests below use.
+        fn record_batch(&self, served: &[(Priority, TenantId, Duration)], batch_size: usize) {
+            assert_eq!(served.len(), batch_size);
+            self.record_served(served, SpikeDensityReport { per_layer: Vec::new(), mean: None });
+        }
     }
 
     /// Batch-only pull for the pre-streaming tests (replica 0; panics on
@@ -1614,5 +1683,84 @@ mod tests {
             s.submit(job_input(), SubmitOptions::default(), tx).unwrap_err(),
             SubmitError::Closed
         );
+    }
+
+    #[test]
+    fn batch_close_has_one_row_per_reason() {
+        use BatchClose::{Close, Wait};
+        use CloseReason::*;
+        // (batch_len, max_batch, queue_empty, outstanding, expected, now,
+        // close_at, stream_pending, shutdown) on an integer clock.
+        let decide = batch_close::<u64>;
+        let at = Some(10);
+        // Full wins over everything; shutdown and a stream command close
+        // a batch that still has queued company.
+        assert_eq!(decide(4, 4, false, 9, None, 0, at, true, true), Close(Full));
+        assert_eq!(decide(1, 4, false, 9, None, 0, at, true, true), Close(Shutdown));
+        assert_eq!(decide(1, 4, false, 9, None, 0, at, true, false), Close(Stream));
+        // A non-empty queue is taken from, window or no window.
+        assert_eq!(decide(1, 4, false, 9, Some(1), 99, at, false, false), Wait(Some(99)));
+        // Everyone expected is here: close without the window...
+        assert_eq!(decide(2, 4, true, 2, Some(2), 0, at, false, false), Close(Accounted));
+        assert_eq!(decide(1, 4, true, 3, Some(2), 0, None, false, false), Close(Accounted));
+        // ...someone is missing: wait for them, at most until the window.
+        assert_eq!(decide(1, 4, true, 1, Some(2), 0, at, false, false), Wait(at));
+        assert_eq!(decide(1, 4, true, 1, Some(2), 10, at, false, false), Close(Window));
+        // Population unknown: the window alone, as before the rule.
+        assert_eq!(decide(1, 4, true, 1, None, 9, at, false, false), Wait(at));
+        assert_eq!(decide(1, 4, true, 1, None, 10, at, false, false), Close(Window));
+        // No window (`Duration::MAX`): hold until full or accounted.
+        assert_eq!(decide(1, 4, true, 1, None, 10, None, false, false), Wait(None));
+        assert_eq!(decide(1, 4, true, 1, Some(2), 10, None, false, false), Wait(None));
+    }
+
+    #[test]
+    fn expected_follows_admission_peaks_over_two_cycles() {
+        // One scripted caller population: 1, 1, 2, 1, 1 requests per
+        // cycle. A window this long fails the test by timeout arithmetic
+        // if a batch that should close at once waits for it.
+        let long = Duration::from_secs(30);
+        let short = Duration::from_millis(20);
+        let s = sched(8);
+        let peaks = |s: &Scheduler| {
+            let st = s.lock();
+            (st.peak, st.prev_peak)
+        };
+        let cycle = |requests: usize, max_wait: Duration| {
+            for _ in 0..requests {
+                let (tx, rx) = channel();
+                std::mem::forget(rx);
+                s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
+            }
+            let t = Instant::now();
+            let batch = next_batch(&s, 8, max_wait).unwrap();
+            let took = t.elapsed();
+            assert_eq!(batch.len(), requests);
+            let served: Vec<(Priority, TenantId, Duration)> =
+                batch.iter().map(|j| (j.priority, j.tenant, j.submitted.elapsed())).collect();
+            s.record_batch(&served, batch.len());
+            took
+        };
+        let closed = |s: &Scheduler| s.metrics().batches_closed;
+        assert_eq!(peaks(&s), (0, None), "nothing known before the first close");
+
+        // Cold: the first batch of a scheduler's life waits its window.
+        assert!(cycle(1, short) >= short);
+        assert_eq!(peaks(&s), (0, Some(1)));
+        assert_eq!(closed(&s)[CloseReason::Window.index()], 1);
+        // One caller, known: closes at once.
+        assert!(cycle(1, long) < long / 2);
+        assert_eq!(closed(&s)[CloseReason::Accounted.index()], 1);
+        // The population grows to two: both are queued, both accounted.
+        assert!(cycle(2, long) < long / 2);
+        assert_eq!(peaks(&s), (0, Some(2)));
+        // It shrinks to one: the second caller is waited for, once...
+        assert!(cycle(1, short) >= short);
+        assert_eq!(peaks(&s), (0, Some(1)));
+        assert_eq!(closed(&s)[CloseReason::Window.index()], 2);
+        // ...and is forgotten one cycle later.
+        assert!(cycle(1, long) < long / 2);
+        assert_eq!(closed(&s)[CloseReason::Accounted.index()], 3);
+        assert_eq!(closed(&s).iter().sum::<u64>(), s.metrics().batches_executed);
     }
 }

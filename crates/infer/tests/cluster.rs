@@ -530,3 +530,39 @@ fn cluster_metrics_surface_spike_density_after_traffic() {
     let mean = m.mean_spike_density.expect("mean density tracked after traffic");
     assert!((0.0..=1.0).contains(&mean));
 }
+
+/// A request's backpressure slot is released before its reply is sent, so
+/// a caller that holds a reply holds no slot: on a queue of capacity 1, one
+/// closed-loop `try_submit` caller is never refused by its own previous
+/// request. (When the reply went out first, the next `try_submit` raced
+/// the replica's bookkeeping and lost within the first few iterations.)
+#[test]
+fn a_reply_in_hand_never_saturates_the_next_try_submit() {
+    let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 61);
+    let input = samples(61, 1).remove(0);
+    let cluster = Cluster::load(
+        cluster_config(ConvPolicy::Baseline, 1, 1, Duration::ZERO).with_queue_capacity(1),
+        ckpt.as_slice(),
+    )
+    .unwrap();
+    let session = cluster.session();
+    for i in 0..2000 {
+        match session.try_submit(input.clone()) {
+            Ok(ticket) => drop(ticket.wait().unwrap()),
+            Err(e) => panic!("request {i} refused with its predecessor's reply in hand: {e}"),
+        }
+    }
+    // The same for chunks of one stream — served ones (the plan's `T`
+    // timesteps) and failed ones (every chunk past them) alike.
+    let stream = session.open_stream(Default::default()).unwrap();
+    for i in 0..2000 {
+        match stream.try_feed(input.clone()) {
+            Ok(ticket) => assert_eq!(ticket.wait().is_ok(), i < T, "chunk {i}"),
+            Err(e) => panic!("chunk {i} refused with its predecessor's reply in hand: {e}"),
+        }
+    }
+    let m = cluster.metrics();
+    assert_eq!(m.tenant(0).rejected_saturated, 0);
+    assert_eq!((m.totals().served, m.sessions.chunks_served), (2000, T as u64));
+    assert_eq!(m.sessions.chunks_failed, 2000 - T as u64);
+}

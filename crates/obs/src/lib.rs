@@ -18,12 +18,17 @@
 //!
 //! ## Design
 //!
-//! - **Per-thread ring buffers.** Events land in the recording thread's
-//!   own fixed-capacity ring (capacity `TTSNN_TRACE_RING`, default
-//!   4096), registered once in a global registry. The hot path is one
-//!   uncontended mutex lock and one `Event` copy — no allocation, no
-//!   shared cache line. Readers ([`trace_events`]) pay the scan cost at
-//!   debug-endpoint time instead.
+//! - **Per-thread ring buffers.** Events land in a fixed-capacity ring
+//!   (capacity `TTSNN_TRACE_RING`, default 4096) that the recording
+//!   thread leases for its lifetime; every ring is listed once in a
+//!   global registry. The hot path is one uncontended mutex lock and one
+//!   `Event` copy — no allocation, no shared cache line. Readers
+//!   ([`trace_events`]) pay the scan cost at debug-endpoint time instead.
+//!   A ring outlives its thread: an exiting thread hands its ring back,
+//!   the next new thread records into it, and until then (and until
+//!   overwritten) the finished thread's events stay readable — so the
+//!   rings a process holds track the threads it runs at once, not the
+//!   threads it ever ran ([`ring_count`]).
 //! - **Monotonic timestamps.** All times are nanoseconds since a
 //!   process-global epoch ([`now_ns`]), so spans from different threads
 //!   order correctly.
@@ -66,7 +71,7 @@ pub mod slo;
 pub mod timeseries;
 pub mod watchdog;
 
-pub use render::{chrome_trace_json, debug_requests_text, sparkline};
+pub use render::{chrome_trace_json, close_reason, debug_requests_text, sparkline};
 
 // ---------------------------------------------------------------------------
 // Clock, gate, ids
@@ -201,23 +206,57 @@ impl Ring {
     }
 }
 
-/// Every live thread's ring, for reader-side scans.
-static REGISTRY: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
+/// Every ring ever allocated, for reader-side scans (`all`), and the ones
+/// whose thread has exited, waiting for the next new thread (`free`).
+struct Rings {
+    all: Vec<Arc<Mutex<Ring>>>,
+    free: Vec<Arc<Mutex<Ring>>>,
+}
+
+static REGISTRY: Mutex<Rings> = Mutex::new(Rings { all: Vec::new(), free: Vec::new() });
+
+fn registry() -> std::sync::MutexGuard<'static, Rings> {
+    REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// A thread's hold on its ring: taken at its first event, returned to the
+/// free list — events and all — when the thread exits.
+struct Lease(Arc<Mutex<Ring>>);
+
+impl Lease {
+    fn take() -> Lease {
+        let mut rings = registry();
+        let ring = rings.free.pop().unwrap_or_else(|| {
+            let ring = Arc::new(Mutex::new(Ring::new(ring_capacity())));
+            rings.all.push(Arc::clone(&ring));
+            ring
+        });
+        Lease(ring)
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        registry().free.push(Arc::clone(&self.0));
+    }
+}
 
 thread_local! {
-    static LOCAL_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
+    static LOCAL_RING: RefCell<Option<Lease>> = const { RefCell::new(None) };
 }
 
 fn push_event(e: Event) {
     LOCAL_RING.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let arc = slot.get_or_insert_with(|| {
-            let arc = Arc::new(Mutex::new(Ring::new(ring_capacity())));
-            REGISTRY.lock().unwrap_or_else(|p| p.into_inner()).push(Arc::clone(&arc));
-            arc
-        });
-        arc.lock().unwrap_or_else(|p| p.into_inner()).push(e);
+        let lease = slot.get_or_insert_with(Lease::take);
+        lease.0.lock().unwrap_or_else(|p| p.into_inner()).push(e);
     });
+}
+
+/// Event rings this process holds, leased and free: at most the number of
+/// threads that were recording at the same time.
+pub fn ring_count() -> usize {
+    registry().all.len()
 }
 
 /// Records a completed span for `trace`. No-op when tracing is off or
@@ -239,18 +278,18 @@ pub fn record_instant(trace: u64, name: &'static str, at_ns: u64, a: u64, b: u64
 }
 
 /// All events recorded for `trace`, sorted by start time. Scans every
-/// thread's ring; if the ring entries were already overwritten but the
-/// request was pinned as a slow exemplar, the pinned copy is returned
-/// instead (whichever set is larger wins).
+/// ring, a finished thread's included; if the ring entries were already
+/// overwritten but the request was pinned as a slow exemplar, the pinned
+/// copy is returned instead (whichever set is larger wins).
 pub fn trace_events(trace: u64) -> Vec<Event> {
     let mut out = Vec::new();
     if trace != 0 {
-        let registry = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-        for ring in registry.iter() {
+        let rings = registry();
+        for ring in rings.all.iter() {
             let ring = ring.lock().unwrap_or_else(|p| p.into_inner());
             out.extend(ring.buf.iter().filter(|e| e.trace == trace).copied());
         }
-        drop(registry);
+        drop(rings);
         let pinned = slow_exemplar_events(trace);
         if pinned.len() > out.len() {
             out = pinned;

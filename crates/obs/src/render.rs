@@ -30,7 +30,7 @@ fn push_args(out: &mut String, e: &Event) {
             out.push_str(&format!("\"priority\":{},\"tenant\":{}", e.a, e.b));
         }
         "batch_form" => {
-            out.push_str(&format!("\"batch\":{}", e.a));
+            out.push_str(&format!("\"batch\":{},\"closed\":\"{}\"", e.a, close_reason(e.b)));
         }
         "rejected" => {
             out.push_str(&format!("\"reason\":\"{}\",\"tenant\":{}", reject_reason(e.a), e.b));
@@ -47,6 +47,20 @@ pub fn reject_reason(code: u64) -> &'static str {
     match code {
         1 => "saturated",
         2 => "rate_limited",
+        _ => "unknown",
+    }
+}
+
+/// Why the batch closed: the code carried in a `batch_form` span's `b`
+/// payload (the scheduler's close reason, by index) as a stable lowercase
+/// label — also the `reason` label of `ttsnn_batch_close_total`.
+pub fn close_reason(code: u64) -> &'static str {
+    match code {
+        0 => "full",
+        1 => "accounted",
+        2 => "window",
+        3 => "stream",
+        4 => "shutdown",
         _ => "unknown",
     }
 }
@@ -233,6 +247,23 @@ mod tests {
         assert!(json.contains("\"mean_spike_density\":0.25"));
         let json = chrome_trace_json(1, &[mk(f64::NAN.to_bits())]);
         assert!(json.contains("\"mean_spike_density\":null"));
+    }
+
+    #[test]
+    fn batch_form_names_its_close_reason() {
+        let mk = |b: u64| Event {
+            trace: 1,
+            name: "batch_form",
+            kind: EventKind::Span,
+            start_ns: 0,
+            dur_ns: 1,
+            a: 2,
+            b,
+        };
+        let json = chrome_trace_json(1, &[mk(1)]);
+        assert!(json.contains("\"batch\":2,\"closed\":\"accounted\""), "{json}");
+        let labels: Vec<&str> = (0..6).map(close_reason).collect();
+        assert_eq!(labels, ["full", "accounted", "window", "stream", "shutdown", "unknown"]);
     }
 
     #[test]

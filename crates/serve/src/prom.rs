@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use ttsnn_infer::{ClusterMetrics, Priority};
+use ttsnn_infer::{CloseReason, ClusterMetrics, Priority};
 use ttsnn_obs::watchdog::HealthReport;
 
 use crate::telemetry::PlanStatus;
@@ -149,6 +149,23 @@ pub fn render(plans: &[(String, ClusterMetrics)]) -> String {
         );
         for (plan, m) in plans {
             f.sample("ttsnn_batches_executed_total", &[("plan", plan)], m.batches_executed as f64);
+        }
+    }
+    {
+        let mut f = Family::new(
+            &mut out,
+            "ttsnn_batch_close_total",
+            "counter",
+            "Batches formed, by why they stopped collecting (full, accounted, window, stream, shutdown).",
+        );
+        for (plan, m) in plans {
+            for reason in CloseReason::ALL {
+                f.sample(
+                    "ttsnn_batch_close_total",
+                    &[("plan", plan), ("reason", reason.name())],
+                    m.closed(reason) as f64,
+                );
+            }
         }
     }
     {

@@ -33,6 +33,8 @@
 //! - `plan/<name>/served_total` / `expired_total` / `failed_total` /
 //!   `rejected_total` / `batches_total` / `evicted_total` — lifecycle
 //!   counters (stream chunks folded in).
+//! - `plan/<name>/batch_close/<reason>_total` — batches formed, by why
+//!   they closed (`full`, `accounted`, `window`, `stream`, `shutdown`).
 //! - `plan/<name>/queue_depth`, `plan/<name>/outstanding` — gauges.
 //! - `plan/<name>/latency_p50_seconds`, `latency_p99_seconds` —
 //!   histogram-derived quantile gauges.
@@ -362,6 +364,10 @@ fn sample_plan(shared: &TelemetryShared, board: &HealthBoard, plan: &mut PlanSam
     counter(&format!("plan/{name}/failed_total"), failed as f64);
     counter(&format!("plan/{name}/rejected_total"), rejected as f64);
     counter(&format!("plan/{name}/batches_total"), m.batches_executed as f64);
+    for reason in ttsnn_infer::CloseReason::ALL {
+        let series = format!("plan/{name}/batch_close/{}_total", reason.name());
+        counter(&series, m.closed(reason) as f64);
+    }
     counter(&format!("plan/{name}/evicted_total"), sessions.evicted as f64);
     gauge(&format!("plan/{name}/queue_depth"), m.queue_depth as f64);
     gauge(&format!("plan/{name}/outstanding"), m.outstanding as f64);

@@ -211,3 +211,56 @@ fn live_metrics_scrape_passes_the_promtext_lint() {
         .expect("stage histogram for execute");
     assert!(counts[execute] >= 1.0, "execute stage saw no observations");
 }
+
+/// The close-reason counter's label set is fixed: five `reason` values per
+/// plan whatever the traffic, and — because a batch is recorded before its
+/// replies are sent — a client holding every reply finds the reasons
+/// summing to the batches executed.
+#[test]
+fn batch_close_counter_has_five_fixed_reasons_per_plan() {
+    let (ckpt, _) = vgg_checkpoint(&ConvPolicy::tt(TtMode::Ptt), 83);
+    let router = Router::load(vec![PlanSpec {
+        name: "vgg".into(),
+        config: vgg_cluster_config(ConvPolicy::tt(TtMode::Ptt), 2, 1, 2, Duration::from_millis(1)),
+        quant: None,
+        checkpoint: ckpt,
+    }])
+    .unwrap();
+    let server = Server::bind(ServerConfig { workers: 2, ..Default::default() }, router).unwrap();
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    for input in samples(84, 4) {
+        let req = Request {
+            trace: 0,
+            tenant: 1,
+            priority: Priority::Normal,
+            deadline_ms: 0,
+            plan: "vgg".into(),
+            input,
+        };
+        let resp = client.request(&req).unwrap();
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message);
+    }
+    let (code, page) = http_get(addr, "/metrics").unwrap();
+    assert_eq!(code, 200);
+    assert!(page.contains("# TYPE ttsnn_batch_close_total counter"), "{page}");
+    let value = |line: &str| -> f64 { line.rsplit(' ').next().unwrap().parse().unwrap() };
+    let closes: Vec<&str> =
+        page.lines().filter(|l| l.starts_with("ttsnn_batch_close_total{")).collect();
+    let reasons: Vec<String> = closes
+        .iter()
+        .map(|l| parse_series(l.rsplit_once(' ').unwrap().0).1["reason"].clone())
+        .collect();
+    assert_eq!(reasons, ["full", "accounted", "window", "stream", "shutdown"], "{closes:?}");
+    assert!(closes.iter().all(|l| l.contains("plan=\"vgg\"")), "{closes:?}");
+    let executed = page
+        .lines()
+        .find(|l| l.starts_with("ttsnn_batches_executed_total{"))
+        .map(value)
+        .expect("batches executed");
+    // One caller: four batches of one, the first closed by its window
+    // (nothing known yet), the rest the moment their request was in.
+    assert_eq!(executed, 4.0);
+    assert_eq!(closes.iter().map(|l| value(l)).sum::<f64>(), executed, "{closes:?}");
+    assert_eq!(closes.iter().map(|l| value(l)).collect::<Vec<_>>(), [0.0, 3.0, 1.0, 0.0, 0.0]);
+}

@@ -204,3 +204,79 @@ fn rejected_requests_are_traced_and_never_leak() {
     let events = ttsnn_obs::trace_events(last_trace);
     assert!(!events.is_empty() && events.len() < 16, "unexpected event count {}", events.len());
 }
+
+/// The batch-close rule, seen from outside: two closed-loop clients can
+/// never fill a batch of 8, and once the scheduler has seen that there are
+/// two of them it stops waiting for a third — `batch_form` is a small
+/// fraction of `max_wait` and the span says the batch closed `accounted`.
+/// The window is long enough that waiting it out even once per request
+/// would fail the test by arithmetic, not by luck.
+#[test]
+fn two_closed_loop_clients_close_their_batches_accounted() {
+    if !ttsnn_obs::enabled() {
+        return; // nothing to read back
+    }
+    const MAX_WAIT: Duration = Duration::from_millis(400);
+    const REQUESTS: usize = 40;
+    let (ckpt, _) = vgg_checkpoint(&policy(), 95);
+    let input = samples(96, 1).remove(0);
+    let router = Router::load(vec![PlanSpec {
+        name: "vgg".into(),
+        config: vgg_cluster_config(policy(), T, 1, 8, MAX_WAIT),
+        quant: None,
+        checkpoint: ckpt,
+    }])
+    .unwrap();
+    // A worker per client connection and one for the trace fetches.
+    let server = Server::bind(
+        ServerConfig { workers: 3, telemetry: TelemetryOptions::from_env(), ..Default::default() },
+        router,
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    // Each client reads its own trace back right after the reply, mid-run
+    // (past the warm-up, both clients still calling): the replica's event
+    // ring holds every kernel span of every request and wraps long before
+    // the run ends.
+    let started = Instant::now();
+    let traces: Vec<String> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2u32)
+            .map(|tenant| {
+                let input = input.clone();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let mut traces = Vec::new();
+                    for i in 0..REQUESTS {
+                        let resp = client.request(&request("vgg", tenant, input.clone())).unwrap();
+                        assert_eq!(resp.status, Status::Ok, "{}", resp.message);
+                        if (REQUESTS / 4..REQUESTS / 2).contains(&i) {
+                            let path = format!("/trace?id={}", resp.trace);
+                            let (code, json) = http_get(addr, &path).unwrap();
+                            assert_eq!(code, 200, "trace export: {json}");
+                            traces.push(json);
+                        }
+                    }
+                    traces
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+    // The cold first batch waits the window, and so may the slower
+    // client's last requests once the other has left (twice at most).
+    let budget = MAX_WAIT * 4;
+    assert!(started.elapsed() < budget, "{REQUESTS} requests took {:?}", started.elapsed());
+
+    assert_eq!(traces.len(), 2 * (REQUESTS / 4));
+    for json in &traces {
+        let form = span_durs_us(json, "batch_form");
+        assert_eq!(form.len(), 1, "one batch_form span per request:\n{json}");
+        assert!(
+            form[0] < MAX_WAIT.as_secs_f64() * 1e6 / 10.0,
+            "batch_form {}us is not << max_wait {MAX_WAIT:?}:\n{json}",
+            form[0]
+        );
+        assert!(json.contains("\"closed\":\"accounted\""), "close reason:\n{json}");
+    }
+}

@@ -28,6 +28,7 @@ use ttsnn_core::TtMode;
 use ttsnn_infer::{
     ArchSpec, BatchPolicy, Cluster, ClusterConfig, EngineConfig, Priority, SubmitOptions,
 };
+use ttsnn_obs::quantile;
 use ttsnn_snn::{checkpoint, ConvPolicy, SpikingModel, VggConfig, VggSnn};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
@@ -92,12 +93,6 @@ fn drained_metrics(cluster: &Cluster, served_target: u64) -> ttsnn_infer::Cluste
     panic!("cluster did not drain to {served_target} served requests");
 }
 
-/// Exact quantile over the measured sample (nearest-rank).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 fn main() {
     let threads = Runtime::global().threads();
     println!("serve_cluster: {threads} kernel thread(s), VGG9 [PTT], T={TIMESTEPS}");
@@ -129,8 +124,8 @@ fn main() {
         let m = drained_metrics(&cluster, warm.totals().served + REQUESTS as u64);
         lats.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         let rps = REQUESTS as f64 / secs;
-        let p50_ms = quantile(&lats, 0.5) * 1e3;
-        let p99_ms = quantile(&lats, 0.99) * 1e3;
+        let p50_ms = quantile(&lats, 0.5).expect("a measured burst") * 1e3;
+        let p99_ms = quantile(&lats, 0.99).expect("a measured burst") * 1e3;
         let mean_ms = lats.iter().sum::<f64>() / lats.len() as f64 * 1e3;
         // Metrics delta over the measured burst only.
         let served = m.totals().served - warm.totals().served;

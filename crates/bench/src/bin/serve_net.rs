@@ -41,6 +41,7 @@ use ttsnn_core::TtMode;
 use ttsnn_infer::{
     ArchSpec, BatchPolicy, ClusterConfig, EngineConfig, FairPolicy, Priority, TenantPolicy,
 };
+use ttsnn_obs::quantile;
 use ttsnn_serve::wire::{Request, Status};
 use ttsnn_serve::{Client, PlanSpec, Router, Server, ServerConfig};
 use ttsnn_snn::{checkpoint, ConvPolicy, SpikingModel, VggConfig, VggSnn};
@@ -71,14 +72,6 @@ struct StepStats {
     expired: u64,
     rejected: u64,
     per_tenant_ok: [u64; 2],
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 /// Jain fairness index over weight-normalized per-tenant goodput:
@@ -208,11 +201,8 @@ fn main() {
         // Normalize tenant goodput by the 3:1 weights before Jain.
         let normalized = [s.per_tenant_ok[0] as f64 / 3.0, s.per_tenant_ok[1] as f64 / 1.0];
         let fairness = jain(&normalized);
-        let (p50, p99, p999) = (
-            quantile(&s.latencies_ms, 0.50),
-            quantile(&s.latencies_ms, 0.99),
-            quantile(&s.latencies_ms, 0.999),
-        );
+        let p = |q| quantile(&s.latencies_ms, q).unwrap_or(0.0);
+        let (p50, p99, p999) = (p(0.50), p(0.99), p(0.999));
         if knee == 0 && attainment < 0.99 {
             knee = clients;
         }

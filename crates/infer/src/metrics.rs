@@ -6,11 +6,13 @@
 //! already holds it), so metrics cost no extra synchronization on the hot
 //! path and need no external crates. [`crate::Cluster::metrics`] clones a
 //! consistent [`ClusterMetrics`] snapshot; nothing is sampled or averaged
-//! away — histograms keep full fixed-edge bucket counts so p50/p99 can be
-//! read off at any time.
+//! away — histograms ([`ttsnn_obs::Histogram`]) keep full fixed-edge
+//! bucket counts so p50/p99 can be read off at any time.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+use ttsnn_obs::Histogram;
 
 use crate::sched::{Priority, TenantId};
 
@@ -31,78 +33,6 @@ pub const BATCH_SIZE_EDGES: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 12
 /// distinct tenants are tracked, events for *new* tenants fold into
 /// [`ClusterMetrics::tenant_overflow`] instead of creating entries.
 pub const MAX_TRACKED_TENANTS: usize = 256;
-
-/// A fixed-bucket histogram: cumulative-style observability without
-/// external crates. Bucket `i` counts observations `<= edges[i]` (and
-/// `> edges[i-1]`); one extra overflow bucket counts the rest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    edges: &'static [f64],
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    pub(crate) fn new(edges: &'static [f64]) -> Self {
-        Self { edges, counts: vec![0; edges.len() + 1], total: 0, sum: 0.0 }
-    }
-
-    pub(crate) fn record(&mut self, value: f64) {
-        let idx = self.edges.iter().position(|&e| value <= e).unwrap_or(self.edges.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += value;
-    }
-
-    /// Total number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of all recorded observations (the Prometheus `_sum` series).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of all recorded observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Upper bucket edge containing the `q`-quantile (`0.0..=1.0`), i.e.
-    /// an upper bound on the true quantile at bucket resolution. Returns
-    /// `f64::INFINITY` if the quantile falls in the overflow bucket, and
-    /// `0.0` when the histogram is empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return self.edges.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// `(upper_edge, count)` per bucket; the final entry's edge is
-    /// `f64::INFINITY` (the overflow bucket).
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.edges.get(i).copied().unwrap_or(f64::INFINITY), c))
-            .collect()
-    }
-}
 
 /// Why a batch stopped collecting co-travellers and went to an executor —
 /// the answer of `sched::batch_close`, counted per reason in
@@ -403,24 +333,6 @@ impl ClusterMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(&BATCH_SIZE_EDGES);
-        for v in [1.0, 1.0, 2.0, 3.0, 200.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert!((h.mean() - 207.0 / 5.0).abs() < 1e-9);
-        let buckets = h.buckets();
-        assert_eq!(buckets[0], (1.0, 2)); // two 1.0s
-        assert_eq!(buckets[1], (2.0, 1));
-        assert_eq!(buckets[2], (4.0, 1)); // 3.0 lands in (2, 4]
-        assert_eq!(buckets.last().unwrap(), &(f64::INFINITY, 1)); // overflow
-        assert_eq!(h.quantile(0.5), 2.0); // 3rd of 5 observations
-        assert_eq!(h.quantile(0.99), f64::INFINITY); // the overflow sample
-        assert_eq!(Histogram::new(&LATENCY_EDGES_SECS).quantile(0.5), 0.0);
-    }
 
     #[test]
     fn tenant_cardinality_is_capped() {

@@ -29,6 +29,11 @@
 //!   overwritten) the finished thread's events stay readable — so the
 //!   rings a process holds track the threads it runs at once, not the
 //!   threads it ever ran ([`ring_count`]).
+//! - **One histogram, one quantile rule.** [`Histogram`] is the
+//!   workspace's fixed-edge histogram (the cluster's latency and
+//!   batch-size metrics, the six stage latencies behind one mutex), and
+//!   it and the sorted-sample [`quantile`] share the nearest-rank rule
+//!   `ceil(q·n)` clamped to `1..=n`.
 //! - **Monotonic timestamps.** All times are nanoseconds since a
 //!   process-global epoch ([`now_ns`]), so spans from different threads
 //!   order correctly.
@@ -47,8 +52,8 @@
 //!
 //! On top of per-request tracing, the crate carries the service-level
 //! building blocks the serving plane's continuous telemetry sampler is
-//! built from: [`timeseries`] (bounded history rings with rate and
-//! quantile derivation), [`slo`] (multi-window burn-rate objectives),
+//! built from: [`timeseries`] (bounded history rings with reset-aware
+//! counter increases), [`slo`] (multi-window burn-rate objectives),
 //! and [`watchdog`] (the per-plan health state machine). They are pure
 //! data structures — the sampler thread that feeds them lives in
 //! `ttsnn_serve::telemetry`, which also owns the `/debug/slo` and
@@ -383,6 +388,109 @@ impl Drop for Region {
 }
 
 // ---------------------------------------------------------------------------
+// Histograms and quantiles
+// ---------------------------------------------------------------------------
+
+/// The nearest-rank position of the `q`-quantile among `n` ordered values:
+/// `ceil(q·n)` clamped to `1..=n`, `q` clamped to `[0, 1]`; `None` when
+/// `n` is 0. The one quantile rule: [`Histogram::quantile`] and
+/// [`quantile`] both read it.
+fn nearest_rank(q: f64, n: u64) -> Option<u64> {
+    (n > 0).then(|| ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n))
+}
+
+/// The exact nearest-rank `q`-quantile of `sorted` (ascending): the
+/// smallest sample with at least `q·n` of the `n` samples at or below it.
+/// `None` when `sorted` is empty.
+pub fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    nearest_rank(q, sorted.len() as u64).map(|rank| sorted[rank as usize - 1])
+}
+
+/// A fixed-edge histogram: the cluster's latency and batch-size
+/// histograms and the per-stage latencies are all one of these. Bucket `i`
+/// counts observations `<= edges[i]` (and `> edges[i-1]`); one extra
+/// overflow bucket counts the rest.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Histogram {
+    edges: &'static [f64],
+    counts: Vec<u64>,
+    total: u64,
+    sum: f64,
+}
+
+impl Histogram {
+    /// An empty histogram over `edges`, ascending upper bucket edges.
+    pub fn new(edges: &'static [f64]) -> Self {
+        Self { edges, counts: vec![0; edges.len() + 1], total: 0, sum: 0.0 }
+    }
+
+    /// Adds one observation.
+    pub fn record(&mut self, value: f64) {
+        let idx = self.edges.iter().position(|&e| value <= e).unwrap_or(self.edges.len());
+        self.counts[idx] += 1;
+        self.total += 1;
+        self.sum += value;
+    }
+
+    /// Total number of recorded observations.
+    pub fn count(&self) -> u64 {
+        self.total
+    }
+
+    /// Sum of all recorded observations (the Prometheus `_sum` series).
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Mean of all recorded observations (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum / self.total as f64
+        }
+    }
+
+    /// Upper bucket edge containing the nearest-rank `q`-quantile
+    /// (`0.0..=1.0`), i.e. the smallest edge at or above the exact
+    /// quantile of the recorded values. Returns `f64::INFINITY` if the
+    /// quantile falls in the overflow bucket, and `0.0` when the histogram
+    /// is empty.
+    pub fn quantile(&self, q: f64) -> f64 {
+        let Some(rank) = nearest_rank(q, self.total) else {
+            return 0.0;
+        };
+        let mut seen = 0u64;
+        self.bucket_iter()
+            .find(|&(_, c)| {
+                seen += c;
+                seen >= rank
+            })
+            .map_or(f64::INFINITY, |(edge, _)| edge)
+    }
+
+    /// Observations at or under `x` at bucket resolution: the counts of
+    /// every bucket whose edge is `<= x`, with a relative `1e-9` slack so
+    /// an `x` that is an edge up to rounding (25 ms read off a `Duration`)
+    /// counts its own bucket. Exact when `x` is an edge; otherwise an
+    /// undercount to the next lower edge.
+    pub fn count_le(&self, x: f64) -> u64 {
+        let x = x + x.abs() * 1e-9;
+        self.bucket_iter().filter(|&(edge, _)| edge <= x).map(|(_, c)| c).sum()
+    }
+
+    /// `(upper_edge, count)` per bucket, **non-cumulative**; the final
+    /// entry's edge is `f64::INFINITY` (the overflow bucket).
+    pub fn buckets(&self) -> Vec<(f64, u64)> {
+        self.bucket_iter().collect()
+    }
+
+    fn bucket_iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.edges.iter().copied().chain([f64::INFINITY]).zip(self.counts.iter().copied())
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Per-stage latency histograms
 // ---------------------------------------------------------------------------
 
@@ -428,17 +536,6 @@ impl Stage {
             Stage::Write => "write",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Stage::Admit => 0,
-            Stage::QueueWait => 1,
-            Stage::BatchForm => 2,
-            Stage::Execute => 3,
-            Stage::Serialize => 4,
-            Stage::Write => 5,
-        }
-    }
 }
 
 /// Bucket edges (seconds) of the per-stage latency histograms — wide
@@ -446,24 +543,15 @@ impl Stage {
 pub const STAGE_EDGES_SECS: [f64; 12] =
     [25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 100e-3, 1.0];
 
-struct StageHist {
-    /// One counter per edge plus the `+Inf` overflow bucket
-    /// (non-cumulative; readers accumulate).
-    buckets: Vec<AtomicU64>,
-    sum_ns: AtomicU64,
-}
-
-fn stage_hists() -> &'static [StageHist] {
-    static HISTS: OnceLock<Vec<StageHist>> = OnceLock::new();
-    HISTS.get_or_init(|| {
-        Stage::ALL
-            .iter()
-            .map(|_| StageHist {
-                buckets: (0..=STAGE_EDGES_SECS.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum_ns: AtomicU64::new(0),
-            })
-            .collect()
-    })
+/// The six stage histograms (seconds), indexed by `Stage as usize`,
+/// created at first use.
+fn stage_hists() -> std::sync::MutexGuard<'static, Vec<Histogram>> {
+    static HISTS: Mutex<Vec<Histogram>> = Mutex::new(Vec::new());
+    let mut hists = HISTS.lock().unwrap_or_else(|p| p.into_inner());
+    if hists.is_empty() {
+        hists.resize(Stage::COUNT, Histogram::new(&STAGE_EDGES_SECS));
+    }
+    hists
 }
 
 /// Adds one observation to a stage's global latency histogram. No-op
@@ -472,50 +560,12 @@ pub fn record_stage(stage: Stage, dur_ns: u64) {
     if !enabled() {
         return;
     }
-    let h = &stage_hists()[stage.index()];
-    let secs = dur_ns as f64 / 1e9;
-    let idx = STAGE_EDGES_SECS.iter().position(|&e| secs <= e).unwrap_or(STAGE_EDGES_SECS.len());
-    h.buckets[idx].fetch_add(1, Ordering::Relaxed);
-    h.sum_ns.fetch_add(dur_ns, Ordering::Relaxed);
+    stage_hists()[stage as usize].record(dur_ns as f64 / 1e9);
 }
 
-/// One stage's histogram, snapshotted for rendering.
-#[derive(Debug, Clone)]
-pub struct StageSnapshot {
-    /// Stage label (`queue_wait`, …).
-    pub stage: &'static str,
-    /// `(upper_edge_seconds, count)` pairs, **non-cumulative**, ending
-    /// with the `+Inf` bucket (`f64::INFINITY`).
-    pub buckets: Vec<(f64, u64)>,
-    /// Sum of all observations, seconds.
-    pub sum_seconds: f64,
-    /// Total observations.
-    pub count: u64,
-}
-
-/// Snapshots every stage's latency histogram (lifecycle order).
-pub fn stage_snapshot() -> Vec<StageSnapshot> {
-    let hists = stage_hists();
-    Stage::ALL
-        .iter()
-        .map(|s| {
-            let h = &hists[s.index()];
-            let mut buckets: Vec<(f64, u64)> = STAGE_EDGES_SECS
-                .iter()
-                .zip(&h.buckets)
-                .map(|(&e, c)| (e, c.load(Ordering::Relaxed)))
-                .collect();
-            buckets
-                .push((f64::INFINITY, h.buckets[STAGE_EDGES_SECS.len()].load(Ordering::Relaxed)));
-            let count = buckets.iter().map(|&(_, c)| c).sum();
-            StageSnapshot {
-                stage: s.name(),
-                buckets,
-                sum_seconds: h.sum_ns.load(Ordering::Relaxed) as f64 / 1e9,
-                count,
-            }
-        })
-        .collect()
+/// Every stage's latency histogram in seconds, lifecycle order.
+pub fn stage_snapshot() -> Vec<(Stage, Histogram)> {
+    Stage::ALL.into_iter().zip(stage_hists().iter().cloned()).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -825,11 +875,69 @@ mod tests {
         record_stage(Stage::Serialize, 30_000); // 30 µs
         record_stage(Stage::Serialize, 2_000_000_000); // 2 s -> +Inf
         let snap = stage_snapshot();
-        let ser = snap.iter().find(|s| s.stage == "serialize").unwrap();
-        assert_eq!(ser.buckets.last().map(|&(e, _)| e), Some(f64::INFINITY));
-        let total: u64 = ser.buckets.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, ser.count);
-        assert!(ser.count >= 2);
-        assert!(ser.sum_seconds > 2.0);
+        let (_, ser) = snap.iter().find(|(s, _)| s.name() == "serialize").unwrap();
+        let buckets = ser.buckets();
+        assert_eq!(buckets.last().map(|&(e, _)| e), Some(f64::INFINITY));
+        let total: u64 = buckets.iter().map(|&(_, c)| c).sum();
+        assert_eq!(total, ser.count());
+        assert!(ser.count() >= 2);
+        assert!(ser.sum() > 2.0);
+    }
+
+    /// One step of a 64-bit LCG: a deterministic stream, so the sweep
+    /// below needs no crates.
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *x >> 33
+    }
+
+    #[test]
+    fn histogram_and_quantile_match_exact_oracle() {
+        let mut x: u64 = 12345;
+        for case in 0..300 {
+            // Strictly increasing edges, negative ones included; the
+            // histogram borrows them for 'static.
+            let mut edge = -60.0;
+            let edges: Vec<f64> = (0..1 + lcg(&mut x) % 12)
+                .map(|_| {
+                    edge += 1.0 + (lcg(&mut x) % 1000) as f64 / 10.0;
+                    edge
+                })
+                .collect();
+            let edges: &'static [f64] = Box::leak(edges.into_boxed_slice());
+            // 0..64 values: a quarter exactly on an edge, the rest
+            // anywhere from below the first edge to past the last.
+            let values: Vec<f64> = (0..lcg(&mut x) % 64)
+                .map(|_| match lcg(&mut x) % 4 {
+                    0 => edges[(lcg(&mut x) % edges.len() as u64) as usize],
+                    _ => (lcg(&mut x) % 200_000) as f64 / 100.0 - 100.0,
+                })
+                .collect();
+            let mut h = Histogram::new(edges);
+            for &v in &values {
+                h.record(v);
+            }
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+
+            assert_eq!(h.count(), n as u64);
+            assert_eq!(h.buckets().iter().map(|&(_, c)| c).sum::<u64>(), h.count());
+            for &e in edges {
+                let exact = sorted.iter().filter(|&&v| v <= e).count() as u64;
+                assert_eq!(h.count_le(e), exact, "case {case}: count_le({e})");
+            }
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+                if n == 0 {
+                    assert_eq!(h.quantile(q), 0.0);
+                    assert_eq!(quantile(&sorted, q), None);
+                    continue;
+                }
+                let exact = sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+                assert_eq!(quantile(&sorted, q), Some(exact), "case {case} q={q}");
+                let edge = edges.iter().copied().find(|&e| e >= exact).unwrap_or(f64::INFINITY);
+                assert_eq!(h.quantile(q), edge, "case {case} q={q}");
+            }
+        }
     }
 }

@@ -1,6 +1,5 @@
 //! In-process time-series history: fixed-capacity ring windows behind
-//! the telemetry sampler, with Prometheus-style rate derivation and
-//! windowed quantiles.
+//! the telemetry sampler, with Prometheus-style counter increases.
 //!
 //! The serving plane's `/metrics` page is a point-in-time snapshot; this
 //! module is what turns those snapshots into *history* without any
@@ -10,10 +9,12 @@
 //! whole store is bounded at `slots × MAX_SERIES` samples no matter how
 //! long the process runs.
 //!
-//! Rate math follows Prometheus `increase()` semantics: a sample lower
+//! Counter math follows Prometheus `increase()` semantics: a sample lower
 //! than its predecessor marks a **counter reset** (restart), and the
 //! post-reset value counts as the increase since the reset — history is
-//! never negative and never double-counted.
+//! never negative and never double-counted. [`tick_increases`] is that
+//! rule, written once: [`SeriesSnapshot::increase`] sums it and
+//! `/debug/timeline` plots it.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -70,10 +71,10 @@ impl TelemetryConfig {
 /// How a series' samples combine over a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesKind {
-    /// Monotonic cumulative count; reads derive increases and rates
-    /// (counter-reset aware).
+    /// Monotonic cumulative count; reads derive counter-reset-aware
+    /// increases ([`tick_increases`]).
     Counter,
-    /// Instantaneous level; reads derive min/max/mean/quantiles.
+    /// Instantaneous level; reads take the raw values.
     Gauge,
 }
 
@@ -122,9 +123,23 @@ impl Series {
     }
 }
 
+/// The increase of a counter at each tick after the first, oldest →
+/// newest: `next − prev`, or `next` itself where the counter dropped
+/// (a reset — the post-reset value is the increase since it).
+pub fn tick_increases(samples: &[Sample]) -> impl Iterator<Item = f64> + '_ {
+    samples.windows(2).map(|pair| {
+        let (prev, next) = (pair[0].value, pair[1].value);
+        if next >= prev {
+            next - prev
+        } else {
+            next
+        }
+    })
+}
+
 /// A read-side copy of one series: kind plus samples oldest → newest.
-/// All derived statistics (increase, rate, quantiles) are computed on
-/// this snapshot so readers never hold the store lock while crunching.
+/// Derived statistics are computed on this snapshot so readers never
+/// hold the store lock while crunching.
 #[derive(Debug, Clone)]
 pub struct SeriesSnapshot {
     /// Counter or gauge.
@@ -139,90 +154,22 @@ impl SeriesSnapshot {
         self.samples.last().copied()
     }
 
-    /// Samples with `at_ns` in `[now_ns - window, now_ns]`: the index
-    /// range into `self.samples`.
-    fn window_range(&self, window: Duration, now_ns: u64) -> (usize, usize) {
-        let start = now_ns.saturating_sub(window.as_nanos() as u64);
-        let lo = self.samples.partition_point(|s| s.at_ns < start);
-        (lo, self.samples.len())
-    }
-
-    /// The sample range a counter read uses: the in-window samples
-    /// when at least two fall inside, else the single in-window sample
-    /// with the sample just before the window as baseline (sparse
-    /// rings), else `None`.
-    fn counter_range(&self, window: Duration, now_ns: u64) -> Option<(usize, usize)> {
-        let (lo, hi) = self.window_range(window, now_ns);
-        match hi - lo {
-            0 => None,
-            1 if lo == 0 => None,
-            1 => Some((lo - 1, hi)),
-            _ => Some((lo, hi)),
-        }
-    }
-
-    /// Counter increase over the trailing `window` ending at `now_ns`,
-    /// Prometheus-style: consecutive deltas are summed, and a negative
-    /// delta is treated as a counter reset (the new value *is* the
-    /// increase since the reset). `None` when the window holds no
-    /// samples (or a single sample with no earlier baseline).
+    /// Counter increase over the trailing `window` ending at `now_ns`:
+    /// the [`tick_increases`] of the samples with `at_ns` in
+    /// `[now_ns - window, now_ns]`, summed oldest first. A window that
+    /// holds a single sample borrows the one just before it as baseline
+    /// (sparse rings). `None` when the window holds no samples, or a
+    /// single sample with no earlier baseline.
     pub fn increase(&self, window: Duration, now_ns: u64) -> Option<f64> {
-        let (lo, hi) = self.counter_range(window, now_ns)?;
-        let mut total = 0.0;
-        for pair in self.samples[lo..hi].windows(2) {
-            let (prev, next) = (pair[0].value, pair[1].value);
-            total += if next >= prev { next - prev } else { next };
-        }
-        Some(total)
-    }
-
-    /// Per-second rate over the trailing `window`: [`Self::increase`]
-    /// divided by the *observed* span between the first and last sample
-    /// used (not the nominal window), so sparse rings don't
-    /// underestimate. `None` when the increase is undefined or the
-    /// observed span is zero.
-    pub fn rate_per_sec(&self, window: Duration, now_ns: u64) -> Option<f64> {
-        let inc = self.increase(window, now_ns)?;
-        let (lo, hi) = self.counter_range(window, now_ns)?;
-        let w = &self.samples[lo..hi];
-        let span_ns = w.last()?.at_ns.saturating_sub(w.first()?.at_ns);
-        if span_ns == 0 {
-            return None;
-        }
-        Some(inc / (span_ns as f64 / 1e9))
-    }
-
-    /// Exact quantile (nearest-rank on a sorted copy) of the gauge
-    /// values in the trailing `window`. `q` is clamped to `[0, 1]`.
-    /// `None` when the window holds no samples.
-    pub fn quantile(&self, q: f64, window: Duration, now_ns: u64) -> Option<f64> {
-        let (lo, hi) = self.window_range(window, now_ns);
-        let mut vals: Vec<f64> =
-            self.samples[lo..hi].iter().map(|s| s.value).filter(|v| v.is_finite()).collect();
-        if vals.is_empty() {
-            return None;
-        }
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * vals.len() as f64).ceil() as usize).clamp(1, vals.len());
-        Some(vals[rank - 1])
-    }
-
-    /// `(min, max, mean)` of the values in the trailing `window`, or
-    /// `None` when empty.
-    pub fn min_max_mean(&self, window: Duration, now_ns: u64) -> Option<(f64, f64, f64)> {
-        let (lo, hi) = self.window_range(window, now_ns);
-        let w = &self.samples[lo..hi];
-        if w.is_empty() {
-            return None;
-        }
-        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
-        for s in w {
-            min = min.min(s.value);
-            max = max.max(s.value);
-            sum += s.value;
-        }
-        Some((min, max, sum / w.len() as f64))
+        let start = now_ns.saturating_sub(window.as_nanos() as u64);
+        let (lo, hi) = (self.samples.partition_point(|s| s.at_ns < start), self.samples.len());
+        let lo = match hi - lo {
+            0 => return None,
+            1 if lo == 0 => return None,
+            1 => lo - 1,
+            _ => lo,
+        };
+        Some(tick_increases(&self.samples[lo..hi]).fold(0.0, |total, inc| total + inc))
     }
 }
 
@@ -317,9 +264,9 @@ mod tests {
         let snap = st.snapshot("c").unwrap();
         let inc = snap.increase(Duration::from_secs(100), 4 * SEC).unwrap();
         assert!((inc - 34.0).abs() < 1e-9, "increase {inc}");
-        // Rate uses the observed 4 s span.
-        let rate = snap.rate_per_sec(Duration::from_secs(100), 4 * SEC).unwrap();
-        assert!((rate - 34.0 / 4.0).abs() < 1e-9, "rate {rate}");
+        // The per-tick increases the timeline plots, reset included.
+        let ticks: Vec<f64> = tick_increases(&snap.samples).collect();
+        assert_eq!(ticks, [10.0, 15.0, 3.0, 6.0]);
     }
 
     #[test]
@@ -338,38 +285,6 @@ mod tests {
         assert!((inc - 5.0).abs() < 1e-9, "increase {inc}");
         // A window covering nothing yields None.
         assert!(snap.increase(Duration::from_secs(1), 100 * SEC).is_none());
-    }
-
-    #[test]
-    fn quantile_matches_exact_oracle_on_synthetic_series() {
-        let st = store(64);
-        // A deterministic shuffled sequence (LCG) so sorting matters.
-        let mut x: u64 = 12345;
-        let mut raw = Vec::new();
-        for i in 0..200u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = (x >> 33) as f64;
-            raw.push(v);
-            st.record_at("g", SeriesKind::Gauge, v, i * SEC);
-        }
-        // Ring kept the last 64 only; oracle over the same tail.
-        let tail = &raw[raw.len() - 64..];
-        let snap = st.snapshot("g").unwrap();
-        let now = 199 * SEC;
-        let window = Duration::from_secs(10_000);
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            let mut sorted = tail.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            let oracle = sorted[rank - 1];
-            let got = snap.quantile(q, window, now).unwrap();
-            assert_eq!(got, oracle, "q={q}");
-        }
-        let (min, max, mean) = snap.min_max_mean(window, now).unwrap();
-        let oracle_mean = tail.iter().sum::<f64>() / tail.len() as f64;
-        assert_eq!(min, tail.iter().copied().fold(f64::INFINITY, f64::min));
-        assert_eq!(max, tail.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-        assert!((mean - oracle_mean).abs() < 1e-6);
     }
 
     #[test]

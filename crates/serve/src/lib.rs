@@ -18,7 +18,7 @@
 //!   `GET /healthz` (JSON readiness body), `GET /debug/requests`
 //!   (the `ttsnn_obs` flight recorder), and `GET /trace?id=<trace>`
 //!   (one request as Chrome trace-event JSON).
-//! * Request-lifecycle tracing: wire v2 carries a trace id (minted at
+//! * Request-lifecycle tracing: every frame carries a trace id (minted at
 //!   decode when the client sends 0) through the scheduler and back in
 //!   the response; stage spans `admit` / `queue_wait` / `batch_form` /
 //!   `execute` / `serialize` / `write` feed the per-stage latency

@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use ttsnn_infer::{CloseReason, ClusterMetrics, Priority};
 use ttsnn_obs::watchdog::HealthReport;
+use ttsnn_obs::Histogram;
 
 use crate::telemetry::PlanStatus;
 
@@ -84,26 +85,20 @@ impl<'a> Family<'a> {
     }
 }
 
-/// Emits one full histogram family: cumulative `_bucket{le=...}` series
-/// per plan, plus `_sum` and `_count`.
-fn histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    plans: &[(String, ClusterMetrics)],
-    get: impl Fn(&ClusterMetrics) -> &ttsnn_infer::metrics::Histogram,
-) {
+/// Emits one full histogram family — the only histogram writer: per
+/// `(label, histogram)` pair, cumulative `_bucket{label,le=…}` series,
+/// then `_sum` and `_count`.
+fn histogram(out: &mut String, name: &str, help: &str, series: &[((&str, &str), &Histogram)]) {
     let mut f = Family::new(out, name, "histogram", help);
-    for (plan, m) in plans {
-        let h = get(m);
+    for &(label, h) in series {
         let mut cumulative = 0u64;
         for (edge, count) in h.buckets() {
             cumulative += count;
             let le = value(edge);
-            f.sample(&format!("{name}_bucket"), &[("plan", plan), ("le", &le)], cumulative as f64);
+            f.sample(&format!("{name}_bucket"), &[label, ("le", &le)], cumulative as f64);
         }
-        f.sample(&format!("{name}_sum"), &[("plan", plan)], h.sum());
-        f.sample(&format!("{name}_count"), &[("plan", plan)], h.count() as f64);
+        f.sample(&format!("{name}_sum"), &[label], h.sum());
+        f.sample(&format!("{name}_count"), &[label], h.count() as f64);
     }
 }
 
@@ -230,19 +225,20 @@ pub fn render(plans: &[(String, ClusterMetrics)]) -> String {
             }
         }
     }
+    let per_plan = |get: fn(&ClusterMetrics) -> &Histogram| -> Vec<((&str, &str), &Histogram)> {
+        plans.iter().map(|(plan, m)| (("plan", plan.as_str()), get(m))).collect()
+    };
     histogram(
         &mut out,
         "ttsnn_request_latency_seconds",
         "Submit-to-reply latency of served requests.",
-        plans,
-        |m| &m.latency,
+        &per_plan(|m| &m.latency),
     );
     histogram(
         &mut out,
         "ttsnn_batch_size",
         "Requests coalesced per executed forward pass.",
-        plans,
-        |m| &m.batch_sizes,
+        &per_plan(|m| &m.batch_sizes),
     );
     {
         let mut f = Family::new(
@@ -429,31 +425,14 @@ pub fn render_process(uptime: Duration) -> String {
         );
         f.sample("ttsnn_uptime_seconds", &[], uptime.as_secs_f64());
     }
-    {
-        let mut f = Family::new(
-            &mut out,
-            "ttsnn_stage_latency_seconds",
-            "histogram",
-            "Per-request latency attributed to each lifecycle stage.",
-        );
-        for snap in ttsnn_obs::stage_snapshot() {
-            let stage = snap.stage;
-            // The obs snapshot holds raw per-bucket counts; Prometheus
-            // buckets are cumulative.
-            let mut cumulative = 0u64;
-            for (edge, count) in &snap.buckets {
-                cumulative += count;
-                let le = value(*edge);
-                f.sample(
-                    "ttsnn_stage_latency_seconds_bucket",
-                    &[("stage", stage), ("le", &le)],
-                    cumulative as f64,
-                );
-            }
-            f.sample("ttsnn_stage_latency_seconds_sum", &[("stage", stage)], snap.sum_seconds);
-            f.sample("ttsnn_stage_latency_seconds_count", &[("stage", stage)], snap.count as f64);
-        }
-    }
+    let stages = ttsnn_obs::stage_snapshot();
+    let series: Vec<_> = stages.iter().map(|(stage, h)| (("stage", stage.name()), h)).collect();
+    histogram(
+        &mut out,
+        "ttsnn_stage_latency_seconds",
+        "Per-request latency attributed to each lifecycle stage.",
+        &series,
+    );
     out
 }
 
@@ -600,6 +579,37 @@ mod tests {
         );
         // A replica with no heartbeat yet has no series.
         assert!(!page.contains("replica=\"1\""), "{page}");
+    }
+
+    /// The exact exposition of one histogram family: a value on an edge,
+    /// one between edges and one past the last edge.
+    #[test]
+    fn histogram_family_bytes_are_pinned() {
+        let mut h = Histogram::new(&ttsnn_infer::metrics::LATENCY_EDGES_SECS);
+        for v in [0.0001, 0.0025, 0.003, 12.5] {
+            h.record(v);
+        }
+        let mut out = String::new();
+        histogram(&mut out, "x_seconds", "Test.", &[(("plan", "p"), &h)]);
+        assert_eq!(
+            out,
+            "# HELP x_seconds Test.\n# TYPE x_seconds histogram\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.0001\"} 1\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.00025\"} 1\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.0005\"} 1\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.001\"} 1\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.0025\"} 2\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.005\"} 3\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.01\"} 3\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.025\"} 3\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.1\"} 3\n\
+             x_seconds_bucket{plan=\"p\",le=\"0.5\"} 3\n\
+             x_seconds_bucket{plan=\"p\",le=\"2\"} 3\n\
+             x_seconds_bucket{plan=\"p\",le=\"10\"} 3\n\
+             x_seconds_bucket{plan=\"p\",le=\"+Inf\"} 4\n\
+             x_seconds_sum{plan=\"p\"} 12.5056\n\
+             x_seconds_count{plan=\"p\"} 4\n"
+        );
     }
 
     #[test]

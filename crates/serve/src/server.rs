@@ -440,7 +440,6 @@ fn serve_binary(mut stream: TcpStream, router: &Router, shutdown: &AtomicBool, c
         }
         // Per-frame trace bookkeeping; all zero for untraced / malformed
         // frames, which keeps every obs call below a no-op.
-        let mut reply_version = wire::VERSION;
         let mut trace = 0u64;
         let mut tenant = 0u32;
         let mut recv_ns = 0u64;
@@ -448,13 +447,6 @@ fn serve_binary(mut stream: TcpStream, router: &Router, shutdown: &AtomicBool, c
             Ok(None) => return,
             Ok(Some(body)) => match wire::decode_frame(&body, cfg.max_frame_bytes) {
                 Ok(Frame::Request(mut req)) => {
-                    // Answer in the version the request arrived in so v1
-                    // clients keep decoding.
-                    if let Some(v) = wire::frame_version(&body) {
-                        if (wire::MIN_VERSION..=wire::VERSION).contains(&v) {
-                            reply_version = v;
-                        }
-                    }
                     if req.trace == 0 && ttsnn_obs::enabled() {
                         req.trace = ttsnn_obs::next_trace_id();
                     }
@@ -481,7 +473,7 @@ fn serve_binary(mut stream: TcpStream, router: &Router, shutdown: &AtomicBool, c
         };
         let response = response.with_trace(trace);
         let ser_start = if trace != 0 { ttsnn_obs::now_ns() } else { 0 };
-        let frame = wire::encode_response_versioned(&response, reply_version);
+        let frame = wire::encode_response(&response);
         if trace != 0 {
             let dur = ttsnn_obs::now_ns().saturating_sub(ser_start);
             ttsnn_obs::record_span(trace, "serialize", ser_start, dur, frame.len() as u64, 0);

@@ -55,7 +55,9 @@ use std::time::Duration;
 
 use ttsnn_infer::ClusterMetrics;
 use ttsnn_obs::slo::{self, SloSpec, SloStatus};
-use ttsnn_obs::timeseries::{SeriesKind, SeriesSnapshot, SeriesStore, TelemetryConfig};
+use ttsnn_obs::timeseries::{
+    tick_increases, SeriesKind, SeriesSnapshot, SeriesStore, TelemetryConfig,
+};
 use ttsnn_obs::watchdog::{HealthReport, HealthState, Watchdog, WatchdogConfig, WatchdogSample};
 use ttsnn_obs::Severity;
 
@@ -326,15 +328,6 @@ fn sampler_loop(
     }
 }
 
-/// Cumulative count of latency observations at or under `latency` —
-/// the SLO "good" numerator. Exact when the threshold sits on a bucket
-/// edge (the defaults do: 25 ms and 5 ms are both edges); otherwise a
-/// conservative undercount to the next lower edge.
-fn good_within(latency_hist: &ttsnn_infer::metrics::Histogram, latency: Duration) -> u64 {
-    let threshold = latency.as_secs_f64() * (1.0 + 1e-9);
-    latency_hist.buckets().iter().filter(|&&(edge, _)| edge <= threshold).map(|&(_, c)| c).sum()
-}
-
 /// One tick of one plan: snapshot, record, evaluate, publish, alert.
 fn sample_plan(shared: &TelemetryShared, board: &HealthBoard, plan: &mut PlanSampler) {
     let m = (plan.source.metrics)();
@@ -347,7 +340,10 @@ fn sample_plan(shared: &TelemetryShared, board: &HealthBoard, plan: &mut PlanSam
     let served = totals.served + sessions.chunks_served;
     let expired = totals.expired + sessions.chunks_expired;
     let failed = totals.failed + sessions.chunks_failed;
-    let good = good_within(&m.latency, shared.spec.latency);
+    // The SLO numerator: latency observations within the objective —
+    // exact when it sits on a bucket edge (the defaults do: 25 ms and
+    // 5 ms are both edges), else an undercount to the next lower edge.
+    let good = m.latency.count_le(shared.spec.latency.as_secs_f64());
     // The SLO denominator: every request event with an outcome the
     // objective covers — served (fast or slow), expired, failed, or
     // rejected at admission. Cancellations are the client's own doing
@@ -457,20 +453,10 @@ fn sample_plan(shared: &TelemetryShared, board: &HealthBoard, plan: &mut PlanSam
 /// any window.
 fn sample_stages(shared: &TelemetryShared) {
     let now = ttsnn_obs::now_ns();
-    for snap in ttsnn_obs::stage_snapshot() {
-        let stage = snap.stage;
-        shared.store.record_at(
-            &format!("stage/{stage}/count"),
-            SeriesKind::Counter,
-            snap.count as f64,
-            now,
-        );
-        shared.store.record_at(
-            &format!("stage/{stage}/sum_seconds"),
-            SeriesKind::Counter,
-            snap.sum_seconds,
-            now,
-        );
+    let counter = |n: String, v: f64| shared.store.record_at(&n, SeriesKind::Counter, v, now);
+    for (stage, h) in ttsnn_obs::stage_snapshot() {
+        counter(format!("stage/{}/count", stage.name()), h.count() as f64);
+        counter(format!("stage/{}/sum_seconds", stage.name()), h.sum());
     }
 }
 
@@ -578,20 +564,9 @@ pub fn timeline_text(shared: &TelemetryShared, series: Option<&str>) -> Result<S
     // Counters plot per-tick increases (reset-aware); gauges plot raw.
     let (label, values): (&str, Vec<f64>) = match snap.kind {
         SeriesKind::Gauge => ("gauge", snap.samples.iter().map(|s| s.value).collect()),
-        SeriesKind::Counter => (
-            "counter (per-tick increase)",
-            snap.samples
-                .windows(2)
-                .map(|pair| {
-                    let (prev, next) = (pair[0].value, pair[1].value);
-                    if next >= prev {
-                        next - prev
-                    } else {
-                        next
-                    }
-                })
-                .collect(),
-        ),
+        SeriesKind::Counter => {
+            ("counter (per-tick increase)", tick_increases(&snap.samples).collect())
+        }
     };
     let mut out = format!(
         "series {name} ({label}), {} samples, resolution {:?}\n",

@@ -6,7 +6,7 @@
 //!
 //! | request field | encoding |
 //! |---|---|
-//! | trace         | `u64` LE (v2+ only; `0` = let the server mint one) |
+//! | trace         | `u64` LE (`0` = let the server mint one) |
 //! | tenant        | `u32` LE |
 //! | priority      | `u8` ([`Priority::index`]: 0 High, 1 Normal, 2 Low) |
 //! | deadline_ms   | `u32` LE, `0` = no deadline |
@@ -15,17 +15,17 @@
 //!
 //! | response field | encoding |
 //! |---|---|
-//! | trace          | `u64` LE (v2+ only; the request's trace id) |
+//! | trace          | `u64` LE (the request's trace id) |
 //! | status         | `u8` ([`Status`]) |
 //! | retry_after_ms | `u32` LE (0 unless the status is retryable) |
 //! | message        | `u16` LE length + UTF-8 bytes |
 //! | logits         | `u32` LE count + f32 LE payload |
 //!
-//! **Version compatibility:** version 2 added the `trace` field to both
-//! frame kinds. Decoders accept v1 *and* v2 bodies (a v1 frame decodes
-//! with `trace = 0`), and the server answers in the version the request
-//! arrived in, so old clients keep working unchanged. The served trace
-//! id is what `GET /trace?id=` retrieves.
+//! **Versioning:** decoders accept exactly [`VERSION`] (2, the version
+//! that carries `trace`); any other version byte is a [`WireError`]
+//! (`unsupported version N`), which the server answers in-band with
+//! `Status::Malformed` on a surviving connection. The served trace id is
+//! what `GET /trace?id=` retrieves.
 //!
 //! Logits travel as raw f32 bits, so a served response is **bit-identical**
 //! to the in-process answer — the loopback tests in
@@ -45,14 +45,9 @@ use ttsnn_tensor::Tensor;
 /// guard against a non-protocol peer.
 pub const MAGIC: u16 = 0x544E;
 
-/// Current protocol version, carried in every encoded frame. Version 2
-/// added the request-lifecycle `trace` field; decoders also accept
-/// [`MIN_VERSION`] bodies (decoding `trace` as 0) and reject anything
-/// else so the format can evolve without silent misparses.
+/// Protocol version, carried in every encoded frame. Decoders reject any
+/// other version so the format can evolve without silent misparses.
 pub const VERSION: u8 = 2;
-
-/// Oldest protocol version decoders still accept.
-pub const MIN_VERSION: u8 = 1;
 
 /// Default upper bound on a frame's declared body length. Generous for
 /// logits and any sane input tensor; small enough that a garbage length
@@ -113,7 +108,7 @@ impl Status {
 pub struct Request {
     /// Request-lifecycle trace id. `0` (the usual client value) asks the
     /// server to mint one at decode; the response echoes the effective
-    /// id for `GET /trace?id=` retrieval. Decoded as `0` from v1 frames.
+    /// id for `GET /trace?id=` retrieval.
     pub trace: u64,
     /// Tenant the request is accounted against (fair-queue flow and
     /// token bucket under a fair policy).
@@ -133,8 +128,7 @@ pub struct Request {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// The request's effective trace id (server-minted when the request
-    /// carried 0), retrievable at `GET /trace?id=`. Decoded as `0` from
-    /// v1 frames.
+    /// carried 0), retrievable at `GET /trace?id=`.
     pub trace: u64,
     /// Outcome of the request.
     pub status: Status,
@@ -230,14 +224,6 @@ impl From<io::Error> for FrameReadError {
 const KIND_REQUEST: u8 = 0;
 const KIND_RESPONSE: u8 = 1;
 
-/// Peeks the protocol version byte of a raw frame body (the bytes after
-/// the length prefix) without decoding, so a server can answer in the
-/// version the request arrived in. `None` if the body is too short to
-/// carry a header.
-pub fn frame_version(body: &[u8]) -> Option<u8> {
-    body.get(2).copied()
-}
-
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -250,10 +236,10 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn header(version: u8, kind: u8) -> Vec<u8> {
+fn header(kind: u8) -> Vec<u8> {
     let mut body = Vec::new();
     put_u16(&mut body, MAGIC);
-    body.push(version);
+    body.push(VERSION);
     body.push(kind);
     body
 }
@@ -273,7 +259,7 @@ fn finish(body: Vec<u8>) -> Vec<u8> {
 /// Panics if the plan name exceeds `u16::MAX` bytes — callers construct
 /// plan names, they do not receive them from the network.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = header(VERSION, KIND_REQUEST);
+    let mut body = header(KIND_REQUEST);
     put_u64(&mut body, req.trace);
     put_u32(&mut body, req.tenant);
     body.push(req.priority.index() as u8);
@@ -293,30 +279,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     finish(body)
 }
 
-/// Encodes a response as a complete current-version frame (length prefix
-/// included).
+/// Encodes a response as a complete frame (length prefix included).
 ///
 /// # Panics
 ///
 /// Panics if the message exceeds `u16::MAX` bytes.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode_response_versioned(resp, VERSION)
-}
-
-/// Encodes a response in a specific protocol version, so the server can
-/// answer a v1 client with a v1 frame it can decode (the `trace` field is
-/// simply omitted from v1 bodies).
-///
-/// # Panics
-///
-/// Panics if `version` is outside `MIN_VERSION..=VERSION` or the message
-/// exceeds `u16::MAX` bytes.
-pub fn encode_response_versioned(resp: &Response, version: u8) -> Vec<u8> {
-    assert!((MIN_VERSION..=VERSION).contains(&version), "cannot encode protocol version {version}");
-    let mut body = header(version, KIND_RESPONSE);
-    if version >= 2 {
-        put_u64(&mut body, resp.trace);
-    }
+    let mut body = header(KIND_RESPONSE);
+    put_u64(&mut body, resp.trace);
     body.push(resp.status as u8);
     put_u32(&mut body, resp.retry_after_ms);
     let msg = resp.message.as_bytes();
@@ -393,13 +363,13 @@ pub fn decode_frame(body: &[u8], max_bytes: usize) -> Result<Frame, WireError> {
         return Err(WireError(format!("bad magic {magic:#06x}")));
     }
     let version = c.u8("version")?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError(format!("unsupported version {version}")));
     }
     let kind = c.u8("kind")?;
     let frame = match kind {
         KIND_REQUEST => {
-            let trace = if version >= 2 { c.u64("trace")? } else { 0 };
+            let trace = c.u64("trace")?;
             let tenant = c.u32("tenant")?;
             let priority = c.u8("priority")?;
             let priority = *Priority::ALL
@@ -434,7 +404,7 @@ pub fn decode_frame(body: &[u8], max_bytes: usize) -> Result<Frame, WireError> {
             Frame::Request(Request { trace, tenant, priority, deadline_ms, plan, input })
         }
         KIND_RESPONSE => {
-            let trace = if version >= 2 { c.u64("trace")? } else { 0 };
+            let trace = c.u64("trace")?;
             let status = c.u8("status")?;
             let status = Status::from_u8(status)
                 .ok_or_else(|| WireError(format!("unknown status {status}")))?;
@@ -540,75 +510,11 @@ mod tests {
         assert_eq!(out, resp);
     }
 
-    /// Hand-encodes a v1 body (no trace field) for the given kind.
-    fn v1_body(kind: u8, payload: &[u8]) -> Vec<u8> {
-        let mut body = Vec::new();
-        put_u16(&mut body, MAGIC);
-        body.push(1); // version 1
-        body.push(kind);
-        body.extend_from_slice(payload);
-        body
-    }
-
-    #[test]
-    fn v1_request_still_decodes_with_trace_zero() {
-        // tenant=3, priority Normal, deadline 0, plan "p", 3-d [1,1,1] input.
-        let mut p = Vec::new();
-        put_u32(&mut p, 3);
-        p.push(1);
-        put_u32(&mut p, 0);
-        put_u16(&mut p, 1);
-        p.push(b'p');
-        p.push(3);
-        for _ in 0..3 {
-            put_u32(&mut p, 1);
-        }
-        put_u32(&mut p, 1.25f32.to_bits());
-        let body = v1_body(KIND_REQUEST, &p);
-        let Frame::Request(out) = decode_frame(&body, DEFAULT_MAX_FRAME_BYTES).unwrap() else {
-            panic!("expected a request frame")
-        };
-        assert_eq!(out.trace, 0);
-        assert_eq!(out.tenant, 3);
-        assert_eq!(out.plan, "p");
-        assert_eq!(out.input.data(), &[1.25]);
-    }
-
-    #[test]
-    fn v1_response_encoding_round_trips_without_trace() {
-        let resp = Response::ok(vec![2.5, -1.0]).with_trace(42);
-        let frame = encode_response_versioned(&resp, 1);
-        assert_eq!(frame_version(&frame[4..]), Some(1));
-        let Frame::Response(out) = decode_frame(&frame[4..], DEFAULT_MAX_FRAME_BYTES).unwrap()
-        else {
-            panic!("expected a response frame")
-        };
-        // The trace field does not survive a v1 body — by design.
-        assert_eq!(out.trace, 0);
-        assert_eq!(out.status, Status::Ok);
-        assert_eq!(out.logits, vec![2.5, -1.0]);
-    }
-
     #[test]
     fn future_version_is_rejected() {
-        let body = v1_body(KIND_RESPONSE, &[]);
-        let mut bumped = body.clone();
+        let mut bumped = header(KIND_RESPONSE);
         bumped[2] = VERSION + 1;
         assert!(matches!(decode_frame(&bumped, 1024), Err(WireError(_))));
-    }
-
-    #[test]
-    fn frame_version_peeks_the_header() {
-        let frame = encode_request(&Request {
-            trace: 0,
-            tenant: 0,
-            priority: Priority::Normal,
-            deadline_ms: 0,
-            plan: "p".into(),
-            input: Tensor::from_vec(vec![0.0], &[1, 1, 1]).unwrap(),
-        });
-        assert_eq!(frame_version(&frame[4..]), Some(VERSION));
-        assert_eq!(frame_version(&[0, 1]), None);
     }
 
     #[test]

@@ -184,9 +184,9 @@ fn socket_parity_with_in_process_cluster_f32_and_int8() {
     assert_eq!(code, 404);
 }
 
-/// Malformed, oversized, and protocol-violating frames each cost one
-/// error response — the same connection then serves a real request,
-/// bit-identical to in-process.
+/// Malformed, oversized, protocol-violating and old-version frames each
+/// cost one error response — the same connection then serves a real
+/// request, bit-identical to in-process.
 #[test]
 fn bad_frames_do_not_kill_the_connection() {
     let (ckpt, _) = vgg_checkpoint(&policy(), 21);
@@ -231,6 +231,15 @@ fn bad_frames_do_not_kill_the_connection() {
     let stray = ttsnn_serve::wire::encode_response(&ttsnn_serve::wire::Response::ok(vec![1.0]));
     let resp = client.send_raw(&stray).expect("stray response answered in-band");
     assert_eq!(resp.status, Status::Malformed);
+
+    // A well-formed version-1 request (no trace field): refused, not served.
+    let v2 = ttsnn_serve::wire::encode_request(&request("vgg", 0, Priority::Normal, input.clone()));
+    let mut v1 = ((v2.len() - 4 - 8) as u32).to_le_bytes().to_vec();
+    v1.extend_from_slice(&[v2[4], v2[5], 1, v2[7]]); // magic, version 1, kind
+    v1.extend_from_slice(&v2[16..]); // everything after the 8 trace bytes
+    let resp = client.send_raw(&v1).expect("v1 frame answered in-band");
+    assert_eq!(resp.status, Status::Malformed, "{}", resp.message);
+    assert!(resp.message.contains("unsupported version 1"), "{}", resp.message);
 
     // Unknown plan and bad shape are request-level errors, not hangups.
     let resp = client.request(&request("nope", 0, Priority::Normal, input.clone())).unwrap();

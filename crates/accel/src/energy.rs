@@ -104,9 +104,10 @@ impl ServingPrecision {
 /// * DRAM — the plan's weights fetched once per sample (frozen plans
 ///   share weights across timesteps).
 ///
-/// This is the accounting the `quant_throughput` bench quotes next to
-/// the measured CPU numbers: the *measured* speedup is a CPU artifact,
-/// the *modeled* energy is what the paper's accelerator would pay.
+/// The repo benchmark quotes this accounting for the f32 serving plan
+/// (`accel.modeled_energy_nj_per_op`) next to the measured CPU numbers: the
+/// *measured* time is a CPU artifact, the *modeled* energy is what the
+/// paper's accelerator would pay.
 pub fn serving_energy(
     macs_per_timestep: f64,
     weight_params: f64,

@@ -13,12 +13,16 @@
 //! | `fig4`   | Fig. 4 — training energy on the existing vs proposed accelerator |
 //! | `fig5`   | Fig. 5 — accuracy and training time vs timestep |
 //!
-//! Criterion micro-benches (`cargo bench -p ttsnn-bench`) cover the
-//! kernel-level claims: per-batch training-step time by method
-//! (`train_step`), dense-vs-TT convolution forward (`conv_kernels`),
-//! merge-back cost (`merge`), rank sensitivity (`rank_sweep`), timestep
-//! scaling (`timestep_sweep`) and the accelerator model itself
-//! (`energy_model`).
+//! Every other number comes from `benchmark` (`BENCHMARK.json`: four
+//! workloads, end-to-end metrics, per-layer probes; see its README), except
+//! three probes it does not carry yet, each a binary that writes its own
+//! `BENCH_<name>.json`:
+//!
+//! | binary           | measures |
+//! |------------------|----------|
+//! | `train_sharded`  | shards × kernel threads table, pool handoff / parked-region cost |
+//! | `obs_overhead`   | telemetry-sampler and tracing overhead on one cluster |
+//! | `spike_sparsity` | sparse-vs-dense density crossover behind `SPARSE_DENSITY_THRESHOLD` |
 //!
 //! The [`harness`] module holds the shared measured-experiment plumbing;
 //! binaries are thin wrappers.

@@ -326,46 +326,6 @@ impl FairPolicy {
         self.tenants.get(&tenant).copied().unwrap_or(self.default_tenant)
     }
 
-    /// A policy from the environment: `TTSNN_TENANT_WEIGHTS` is a comma
-    /// list of `tenant=weight` pairs (e.g. `"1=4,2=1"`) and
-    /// `TTSNN_TENANT_RATES` a comma list of `tenant=per_sec[:burst]`
-    /// pairs (burst defaults to `2 × per_sec`). Unparseable entries are
-    /// ignored; with neither variable set, every tenant gets the default
-    /// weight 1 and no rate limit.
-    pub fn from_env() -> Self {
-        let mut policy = FairPolicy::default();
-        if let Ok(spec) = std::env::var("TTSNN_TENANT_WEIGHTS") {
-            for entry in spec.split(',') {
-                if let Some((t, w)) = entry.split_once('=') {
-                    if let (Ok(t), Ok(w)) = (t.trim().parse::<TenantId>(), w.trim().parse::<f64>())
-                    {
-                        if w > 0.0 {
-                            policy.tenants.entry(t).or_default().weight = w;
-                        }
-                    }
-                }
-            }
-        }
-        if let Ok(spec) = std::env::var("TTSNN_TENANT_RATES") {
-            for entry in spec.split(',') {
-                if let Some((t, r)) = entry.split_once('=') {
-                    let (per_sec, burst) = match r.split_once(':') {
-                        Some((p, b)) => (p.trim().parse::<f64>(), b.trim().parse::<f64>().ok()),
-                        None => (r.trim().parse::<f64>(), None),
-                    };
-                    if let (Ok(t), Ok(p)) = (t.trim().parse::<TenantId>(), per_sec) {
-                        if p > 0.0 {
-                            let burst = burst.filter(|&b| b >= 1.0).unwrap_or(2.0 * p);
-                            policy.tenants.entry(t).or_default().rate =
-                                Some(RateLimit::new(p, burst));
-                        }
-                    }
-                }
-            }
-        }
-        policy
-    }
-
     /// Validates the policy (all weights positive and finite, rates
     /// positive, bursts ≥ 1).
     pub(crate) fn validate(&self) -> Result<(), String> {

@@ -318,6 +318,9 @@ fn early_exit_honours_min_timesteps_and_skips_remaining_chunks() {
     assert_eq!(u3.executed, 2);
     assert!(u3.macs_skipped > u2.macs_skipped, "skipped chunk must bank savings");
     assert_bits_eq(&u3.logits, &frozen, "readout frozen after exit");
+    // Every chunk is accounted served, the skipped one included.
+    let s = drained_metrics(&engine).sessions;
+    assert_eq!((s.chunks_submitted, s.chunks_served), (3, 3));
 }
 
 /// LRU eviction under the resident-state byte bound: the victim's next

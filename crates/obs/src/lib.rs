@@ -32,8 +32,7 @@
 //! - **One histogram, one quantile rule.** [`Histogram`] is the
 //!   workspace's fixed-edge histogram (the cluster's latency and
 //!   batch-size metrics, the six stage latencies behind one mutex), and
-//!   it and the sorted-sample [`quantile`] share the nearest-rank rule
-//!   `ceil(q·n)` clamped to `1..=n`.
+//!   its quantile is the nearest-rank rule `ceil(q·n)` clamped to `1..=n`.
 //! - **Monotonic timestamps.** All times are nanoseconds since a
 //!   process-global epoch ([`now_ns`]), so spans from different threads
 //!   order correctly.
@@ -393,17 +392,9 @@ impl Drop for Region {
 
 /// The nearest-rank position of the `q`-quantile among `n` ordered values:
 /// `ceil(q·n)` clamped to `1..=n`, `q` clamped to `[0, 1]`; `None` when
-/// `n` is 0. The one quantile rule: [`Histogram::quantile`] and
-/// [`quantile`] both read it.
+/// `n` is 0. The one quantile rule, read by [`Histogram::quantile`].
 fn nearest_rank(q: f64, n: u64) -> Option<u64> {
     (n > 0).then(|| ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n))
-}
-
-/// The exact nearest-rank `q`-quantile of `sorted` (ascending): the
-/// smallest sample with at least `q·n` of the `n` samples at or below it.
-/// `None` when `sorted` is empty.
-pub fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
-    nearest_rank(q, sorted.len() as u64).map(|rank| sorted[rank as usize - 1])
 }
 
 /// A fixed-edge histogram: the cluster's latency and batch-size
@@ -930,11 +921,9 @@ mod tests {
             for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
                 if n == 0 {
                     assert_eq!(h.quantile(q), 0.0);
-                    assert_eq!(quantile(&sorted, q), None);
                     continue;
                 }
                 let exact = sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
-                assert_eq!(quantile(&sorted, q), Some(exact), "case {case} q={q}");
                 let edge = edges.iter().copied().find(|&e| e >= exact).unwrap_or(f64::INFINITY);
                 assert_eq!(h.quantile(q), edge, "case {case} q={q}");
             }

@@ -1,6 +1,6 @@
 //! A minimal blocking client for the binary protocol and the HTTP
-//! endpoints — what the loopback tests, the `serve_net` load generator,
-//! and the examples drive the server with. Real deployments can speak
+//! endpoints — what the loopback tests, the repo benchmark's
+//! `serve_tcp_f32` workload and the examples drive the server with. Real deployments can speak
 //! the protocol from any language; this is the reference implementation.
 
 use std::io::{self, Read, Write};

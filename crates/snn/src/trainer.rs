@@ -217,6 +217,41 @@ impl TrainReport {
     }
 }
 
+/// Checks that a batch's frames share one shape leading with its `B` labels
+/// and stacks them once, time-major, as `(T·B, C, H, W)` (row `t·B + s`) in
+/// an arena buffer — the input both planes take for a whole sequence. Errors
+/// name `caller` and the offending timestep.
+fn stack_frames(batch: &Batch, caller: &str) -> Result<Tensor, ShapeError> {
+    let first = batch
+        .frames
+        .first()
+        .ok_or_else(|| ShapeError::new(format!("{caller}: the batch has no timesteps")))?;
+    for (t, frame) in batch.frames.iter().enumerate() {
+        if frame.shape() != first.shape() {
+            return Err(ShapeError::new(format!(
+                "{caller}: the frame of timestep {t} has shape {:?}, timestep 0 has {:?}",
+                frame.shape(),
+                first.shape()
+            )));
+        }
+        if frame.shape().first() != Some(&batch.labels.len()) {
+            return Err(ShapeError::new(format!(
+                "{caller}: the frame of timestep {t} has shape {:?}, which does not lead \
+                 with the batch's {} labels",
+                frame.shape(),
+                batch.labels.len()
+            )));
+        }
+    }
+    let mut shape = first.shape().to_vec();
+    shape[0] *= batch.timesteps();
+    let mut stacked = Tensor::scratch(&shape);
+    for (rows, frame) in stacked.data_mut().chunks_mut(first.len().max(1)).zip(&batch.frames) {
+        rows.copy_from_slice(frame.data());
+    }
+    Ok(stacked)
+}
+
 /// Runs the forward pass over all timesteps of one batch, returning the
 /// per-timestep logits. Resets model state first, then stacks the frames
 /// once as `(T·B, C, H, W)` and hands the model the whole sequence
@@ -228,38 +263,11 @@ impl TrainReport {
 /// differs from the first timestep's or its batch dimension from the number
 /// of labels (naming the timestep), or the batch does not match the model.
 pub fn forward_batch(model: &mut dyn TrainForward, batch: &Batch) -> Result<Vec<Var>, ShapeError> {
-    let first = batch
-        .frames
-        .first()
-        .ok_or_else(|| ShapeError::new("forward_batch: the batch has no timesteps"))?;
-    for (t, frame) in batch.frames.iter().enumerate() {
-        if frame.shape() != first.shape() {
-            return Err(ShapeError::new(format!(
-                "forward_batch: the frame of timestep {t} has shape {:?}, timestep 0 has {:?}",
-                frame.shape(),
-                first.shape()
-            )));
-        }
-        if frame.shape().first() != Some(&batch.labels.len()) {
-            return Err(ShapeError::new(format!(
-                "forward_batch: the frame of timestep {t} has shape {:?}, which does not lead \
-                 with the batch's {} labels",
-                frame.shape(),
-                batch.labels.len()
-            )));
-        }
-    }
-    model.reset_state();
-    let steps = batch.timesteps();
-    let mut shape = first.shape().to_vec();
-    shape[0] *= steps;
     // The tape's copy of the frames lives in the arena like every other
     // value on it, and goes back there with the tape.
-    let mut stacked = Tensor::scratch(&shape);
-    for (rows, frame) in stacked.data_mut().chunks_mut(first.len().max(1)).zip(&batch.frames) {
-        rows.copy_from_slice(frame.data());
-    }
-    model.forward_sequence(&Var::constant(stacked), 0, steps)
+    let stacked = stack_frames(batch, "forward_batch")?;
+    model.reset_state();
+    model.forward_sequence(&Var::constant(stacked), 0, batch.timesteps())
 }
 
 /// Forward over all timesteps, loss, BPTT backward — the part of a step
@@ -331,14 +339,18 @@ pub fn evaluate(model: &mut dyn InferForward, batches: &[Batch]) -> Result<f32, 
 /// and sums these integer counts — an order-free reduction, so sharded
 /// evaluation is trivially deterministic.
 ///
-/// Runs entirely on the inference plane: **zero autograd nodes** are
-/// allocated (asserted by `crates/snn/tests/infer_parity.rs` via
+/// Runs entirely on the inference plane, one layer-major call per batch:
+/// the frames are stacked once, as [`forward_batch`] stacks them, and
+/// [`InferForward::forward_steps_tensor`] walks all `T` timesteps; the `T`
+/// `(B, K)` logit slabs are then summed in timestep order. **Zero autograd
+/// nodes** are allocated (asserted by `crates/snn/tests/infer_parity.rs` via
 /// `ttsnn_autograd::nodes_created`). The model is pinned to
 /// [`crate::InferStats::Batch`] for the duration of the call (and
-/// restored afterwards), so the per-timestep logits are bit-identical to
+/// restored afterwards). Each timestep's `B` rows stay one statistics group
+/// and one classifier GEMM, so the per-timestep logits are bit-identical to
 /// the `Var` plane's and reported accuracies match the old tape-building
-/// implementation exactly — even for a model that was switched to
-/// serving (`PerSample`) mode in between.
+/// implementation exactly, even for a model that was switched to serving
+/// (`PerSample`) mode in between.
 ///
 /// # Errors
 ///
@@ -362,20 +374,20 @@ fn evaluate_counts_inner(
     let mut correct = 0usize;
     let mut total = 0usize;
     for batch in batches {
+        let stacked = stack_frames(batch, "evaluate_counts")?;
         model.reset_state();
-        let mut preds: Option<Tensor> = None;
-        for (t, frame) in batch.frames.iter().enumerate() {
-            let logits = model.forward_timestep_tensor(frame, t)?;
-            match preds.as_mut() {
-                Some(p) => p.add_scaled(&logits, 1.0)?,
-                None => preds = Some(logits),
-            }
+        let logits = model.forward_steps_tensor(&stacked, 0, batch.timesteps());
+        stacked.recycle();
+        let mut logits = logits?;
+        let k = logits.shape()[1];
+        // Sum the timesteps into the first slab, in order: the additions a
+        // caller taking one timestep's logits at a time makes.
+        let (preds, later) = logits.data_mut().split_at_mut(batch.labels.len() * k);
+        for slab in later.chunks(preds.len().max(1)) {
+            preds.iter_mut().zip(slab).for_each(|(p, &l)| *p += l);
         }
-        let preds =
-            preds.ok_or_else(|| ShapeError::new("evaluate_counts: batch has no timesteps"))?;
-        let k = preds.shape()[1];
         for (i, &label) in batch.labels.iter().enumerate() {
-            let row = &preds.data()[i * k..(i + 1) * k];
+            let row = &preds[i * k..(i + 1) * k];
             let argmax = row
                 .iter()
                 .enumerate()
@@ -387,6 +399,7 @@ fn evaluate_counts_inner(
             }
             total += 1;
         }
+        logits.recycle();
     }
     Ok((correct, total))
 }

@@ -5,9 +5,9 @@
 //! `BENCH_train_sharded.json` in the working directory:
 //!
 //! 1. **`train_sharded`** — optimizer steps/second of a
-//!    [`ShardedTrainer`] at 1 shard vs `TTSNN_NUM_SHARDS` (default 2)
-//!    shards, identical micro-batch size (so the two runs produce
-//!    bit-identical weights — only wall-clock differs).
+//!    [`ShardedTrainer`] at 1 shard vs `SHARDS` (2) shards, identical
+//!    micro-batch size (so the two runs produce bit-identical weights —
+//!    only wall-clock differs).
 //! 2. **`pool_dispatch`** — microseconds per two-thread parallel region
 //!    for the persistent channel-fed pool: empty ranges against an inline
 //!    scoped-spawn-per-region baseline (the PR 1 design), ranges of real
@@ -17,7 +17,7 @@
 //!    what its spin budget is sized from).
 //!
 //! ```sh
-//! TTSNN_NUM_SHARDS=4 cargo run -p ttsnn-bench --release --bin train_sharded
+//! TTSNN_NUM_THREADS=1 cargo run -p ttsnn-bench --release --bin train_sharded
 //! ```
 
 use std::time::Instant;
@@ -34,6 +34,8 @@ const BATCH: usize = 16;
 const MICRO: usize = 4;
 const TIMESTEPS: usize = 2;
 const STEPS: usize = 4;
+/// Shard count compared against one shard.
+const SHARDS: usize = 2;
 
 fn factory() -> impl Fn() -> ResNetSnn + Send + Sync + Clone + 'static {
     || {
@@ -230,20 +232,19 @@ fn dispatch_cost(rt: &Runtime) -> (f64, f64) {
 
 fn main() {
     let threads = Runtime::global().threads();
-    let shards = ShardConfig::from_env(MICRO).num_shards.max(2);
     println!(
-        "train_sharded: {threads} kernel thread(s), comparing 1 vs {shards} shard(s) \
-         (TTSNN_NUM_THREADS / TTSNN_NUM_SHARDS override)\n"
+        "train_sharded: {threads} kernel thread(s) (TTSNN_NUM_THREADS overrides), comparing 1 vs \
+         {SHARDS} shards\n"
     );
     let batches = data();
 
     let (single, single_phases) = steps_per_sec(1, &batches);
-    let (sharded, sharded_phases) = steps_per_sec(shards, &batches);
+    let (sharded, sharded_phases) = steps_per_sec(SHARDS, &batches);
     println!("{:<24} {:>12.2} steps/s", "1 shard", single);
-    println!("{:<24} {:>12.2} steps/s", format!("{shards} shards"), sharded);
+    println!("{:<24} {:>12.2} steps/s", format!("{SHARDS} shards"), sharded);
     println!("{:<24} {:>12.2}x", "speedup", sharded / single);
     phases("1 shard", &single_phases);
-    phases(&format!("{shards} shards"), &sharded_phases);
+    phases(&format!("{SHARDS} shards"), &sharded_phases);
 
     let rt = Runtime::new(2);
     settle(&rt);
@@ -274,7 +275,7 @@ fn main() {
                 ("steps_per_sec_1_shard".into(), single),
                 ("steps_per_sec_n_shards".into(), sharded),
                 ("speedup".into(), sharded / single),
-                ("shards".into(), shards as f64),
+                ("shards".into(), SHARDS as f64),
                 ("micro_batch".into(), MICRO as f64),
                 ("batch".into(), BATCH as f64),
                 ("threads".into(), threads as f64),

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ttsnn_snn::quant::QuantPlanWeights;
-use ttsnn_snn::{checkpoint, InferForward, InferStats, Model, SpikingModel};
+use ttsnn_snn::{checkpoint, InferForward, InferStats, Network, SpikingModel};
 use ttsnn_tensor::Tensor;
 
 use crate::metrics::ClusterMetrics;
@@ -50,7 +50,7 @@ use crate::plan::{
     self, EngineConfig, InferError, PlanDrift, PlanInfo, QuantSpec, SpikeDensityReport,
 };
 use crate::sched::{FairPolicy, Scheduler, StreamCmd, SubmitError, SubmitOptions, Work};
-use crate::stream::{self, StreamOptions, StreamTable, StreamUpdate};
+use crate::stream::{StreamOptions, StreamTable, StreamUpdate};
 use std::time::Duration;
 
 /// Shape of the serving cluster: the frozen-plan config plus the replica
@@ -73,8 +73,7 @@ pub struct ClusterConfig {
     /// (LIF membranes pinned between chunks). When live sessions exceed
     /// it, the least-recently-fed sessions are evicted — their later
     /// feeds fail with [`InferError::SessionEvicted`], and no surviving
-    /// session's outputs change by a single bit. `None` (the
-    /// `TTSNN_STREAM_STATE_BYTES` environment default when unset) is
+    /// session's outputs change by a single bit. `None` (the default) is
     /// unbounded.
     ///
     /// The bound counts membrane **lengths**. Membrane buffers come from
@@ -92,14 +91,15 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster config with the replica count and stream-state bound
-    /// from the environment and a 1024-request queue bound.
+    /// A cluster config with the replica count from
+    /// [`ClusterConfig::replicas_from_env`], a 1024-request queue bound and
+    /// unbounded stream state.
     pub fn new(engine: EngineConfig) -> Self {
         Self {
             engine,
             num_replicas: Self::replicas_from_env(),
             queue_capacity: 1024,
-            stream_state_bytes: stream::state_bytes_from_env(),
+            stream_state_bytes: None,
             fair: None,
         }
     }
@@ -558,7 +558,7 @@ impl Cluster {
                 if ready_tx.send(Ok((info, weights, qplan))).is_err() {
                     return; // loader gave up
                 }
-                worker_loop(model.as_mut(), &cfg, &sched, 0, stream_state_bytes);
+                worker_loop(&mut model, &cfg, &sched, 0, stream_state_bytes);
             })?);
         }
         let (info, weights, qplan) = match ready_rx.recv() {
@@ -596,7 +596,7 @@ impl Cluster {
                 if rep_tx.send(Ok(())).is_err() {
                     return;
                 }
-                worker_loop(model.as_mut(), &cfg, &replica_sched, i, stream_state_bytes);
+                worker_loop(&mut model, &cfg, &replica_sched, i, stream_state_bytes);
             });
             match spawned {
                 Ok(handle) => handles.push(handle),
@@ -681,7 +681,7 @@ fn build_replica(
     cfg: &EngineConfig,
     weights: &[Tensor],
     qplan: Option<&QuantPlanWeights>,
-) -> io::Result<Box<dyn Model>> {
+) -> io::Result<Network> {
     let mut model = cfg.arch.instantiate(&cfg.policy)?;
     if cfg.merge_into_dense {
         model.merge_into_dense().map_err(plan::invalid_data)?;
@@ -695,7 +695,7 @@ fn build_replica(
     checkpoint::install_params(&model.params(), weights).map_err(plan::invalid_data)?;
     // The serving contract: per-sample semantics, whatever the batch.
     model.set_infer_stats(InferStats::PerSample);
-    Ok(Box::new(model))
+    Ok(model)
 }
 
 /// One replica's serve loop: pull work from the scheduler — a coalesced
@@ -703,7 +703,7 @@ fn build_replica(
 /// record it (metrics, slot release), then reply: a caller holding a reply
 /// finds it in [`Cluster::metrics`]. Exits when the scheduler shuts down.
 fn worker_loop(
-    model: &mut dyn Model,
+    model: &mut Network,
     cfg: &EngineConfig,
     sched: &Scheduler,
     replica: usize,
@@ -723,7 +723,7 @@ fn worker_loop(
 
 /// Serves one stream command against this replica's session table.
 fn serve_stream_cmd(
-    model: &mut dyn Model,
+    model: &mut Network,
     cfg: &EngineConfig,
     sched: &Scheduler,
     replica: usize,
@@ -787,7 +787,7 @@ fn serve_stream_cmd(
 /// Validates, forwards and scatters one coalesced batch of whole-stream
 /// requests.
 fn serve_cluster_batch(
-    model: &mut dyn Model,
+    model: &mut Network,
     cfg: &EngineConfig,
     sched: &Scheduler,
     frame_shape: [usize; 3],

@@ -84,8 +84,8 @@
 //! threshold — skipped timesteps are banked as MAC savings
 //! ([`StreamUpdate::macs_skipped`]). Sessions count toward queue
 //! backpressure, may carry per-chunk deadlines, and their resident state
-//! is bounded ([`ClusterConfig::stream_state_bytes`] /
-//! `TTSNN_STREAM_STATE_BYTES`) by LRU eviction that provably never
+//! is bounded ([`ClusterConfig::stream_state_bytes`], unbounded by
+//! default) by LRU eviction that provably never
 //! perturbs a surviving session's bits; [`metrics::SessionMetrics`]
 //! keeps it all observable. `crates/infer/tests/stream.rs` pins the
 //! whole contract.

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use ttsnn_snn::quant::{QuantConfig, QuantPlanWeights};
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, InferForward, InferStats, Model, Network, QuantReport, ResNetConfig,
+    checkpoint, ConvPolicy, InferForward, InferStats, Network, QuantReport, ResNetConfig,
     SpikingModel, VggConfig,
 };
 use ttsnn_tensor::spike;
@@ -175,9 +175,9 @@ pub enum InferError {
     /// scheduler dropped it without executing (see `ttsnn_infer::sched`).
     DeadlineExpired,
     /// The streaming session's resident state was evicted under memory
-    /// pressure (see `TTSNN_STREAM_STATE_BYTES` /
-    /// `ClusterConfig::stream_state_bytes`): its membranes are gone, so
-    /// the stream cannot be resumed — reopen and re-feed from t = 0.
+    /// pressure (see `ClusterConfig::stream_state_bytes`): its membranes
+    /// are gone, so the stream cannot be resumed — reopen and re-feed from
+    /// t = 0.
     SessionEvicted,
     /// The streaming session does not exist (already closed, or never
     /// opened on this replica).
@@ -204,7 +204,7 @@ impl std::error::Error for InferError {}
 
 /// What `build_plan` freezes: the serving model, its description, and —
 /// for quantized plans — the shared int8 weights for sibling replicas.
-pub(crate) type BuiltPlan = (Box<dyn Model>, PlanInfo, Option<QuantPlanWeights>);
+pub(crate) type BuiltPlan = (Network, PlanInfo, Option<QuantPlanWeights>);
 
 /// A checkpoint, calibration set or shared plan that does not fit the
 /// architecture: `InvalidData`.
@@ -233,9 +233,8 @@ impl ArchSpec {
 
 /// Constructs the model on the calling (replica 0) thread and freezes the
 /// plan: checkpoint loading, TT→dense merge-back, and (for quantized plans)
-/// calibration + int8 freezing all happen here, before the model is
-/// type-erased behind `dyn Model`. The rest of `cfg` and `quant` were
-/// validated by `Cluster::load` before any thread was spawned.
+/// calibration + int8 freezing all happen here. The rest of `cfg` and
+/// `quant` were validated by `Cluster::load` before any thread was spawned.
 pub(crate) fn build_plan(
     cfg: &EngineConfig,
     ckpt: &[u8],
@@ -263,12 +262,12 @@ pub(crate) fn build_plan(
         quant: quant_info,
         sparse_mode: spike::sparse_mode().name().to_string(),
     };
-    Ok((Box::new(model), info, quant_weights))
+    Ok((model, info, quant_weights))
 }
 
 /// Snapshot of a serving model's measured spike density (what a replica
 /// reports into the cluster metrics after each batch).
-pub(crate) fn density_report(model: &dyn Model) -> SpikeDensityReport {
+pub(crate) fn density_report(model: &Network) -> SpikeDensityReport {
     SpikeDensityReport {
         per_layer: model.layer_spike_densities(),
         mean: model.mean_spike_activity(),
@@ -308,7 +307,7 @@ pub(crate) fn validate_config(cfg: &EngineConfig) -> Result<(), String> {
 /// (steps and `macs`, their summed per-sample MACs, as payload) for every
 /// traced request in the thread's context; the kernel regions nest inside it.
 pub(crate) fn forward_steps(
-    model: &mut dyn Model,
+    model: &mut Network,
     x: &Tensor,
     (t0, steps): (usize, usize),
     macs: u64,
@@ -354,7 +353,7 @@ pub(crate) fn fold_logits(summed: Option<Tensor>, logits: Tensor, batch: usize) 
 /// stacked batch (unreachable for validated inputs); the model's state is
 /// reset before returning.
 pub(crate) fn forward_requests(
-    model: &mut dyn Model,
+    model: &mut Network,
     timesteps: usize,
     frame_shape: [usize; 3],
     inputs: &[&Tensor],

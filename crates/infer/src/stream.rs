@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 
-use ttsnn_snn::{InferState, Model};
+use ttsnn_snn::{InferForward, InferState, Network, SpikingModel};
 use ttsnn_tensor::Tensor;
 
 use crate::plan::{self, InferError};
@@ -270,7 +270,7 @@ impl StreamTable {
     /// session) is untouched by a rejected chunk.
     pub(crate) fn feed(
         &mut self,
-        model: &mut dyn Model,
+        model: &mut Network,
         timesteps: usize,
         frame_shape: [usize; 3],
         id: u64,
@@ -326,7 +326,7 @@ fn recycle_state(st: StreamState) {
 /// time; without one nothing happens between timesteps and the whole chunk
 /// is one layer-major call.
 fn run_chunk(
-    model: &mut dyn Model,
+    model: &mut Network,
     st: &mut StreamState,
     chunk: &Tensor,
     frame_shape: [usize; 3],
@@ -433,15 +433,6 @@ pub(crate) fn validate_chunk(chunk: &Tensor, frame_shape: [usize; 3]) -> Result<
         return Err(format!("stream chunk has a non-finite value at flat index {i}"));
     }
     Ok(n)
-}
-
-/// Resident-state byte bound from the `TTSNN_STREAM_STATE_BYTES`
-/// environment variable (unset, unparsable or 0 → unbounded).
-pub(crate) fn state_bytes_from_env() -> Option<usize> {
-    std::env::var("TTSNN_STREAM_STATE_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! ## Design
 //!
 //! - **Per-thread ring buffers.** Events land in a fixed-capacity ring
-//!   (capacity `TTSNN_TRACE_RING`, default 4096) that the recording
+//!   ([`RING_CAPACITY`] events) that the recording
 //!   thread leases for its lifetime; every ring is listed once in a
 //!   global registry. The hot path is one uncontended mutex lock and one
 //!   `Event` copy — no allocation, no shared cache line. Readers
@@ -44,7 +44,7 @@
 //! - **Bounded everything.** Event rings overwrite their oldest entry;
 //!   the flight recorder keeps the last [`RECENT_COMPLETIONS`]
 //!   completions and at most [`SLOW_EXEMPLARS`] SLO-violating slow
-//!   traces (threshold `TTSNN_TRACE_SLOW_MS`, default 250). A rejected
+//!   traces (threshold [`SLOW_THRESHOLD_MS`]). A rejected
 //!   or abandoned request can therefore never leak a slot.
 //!
 //! ## Telemetry plane
@@ -129,30 +129,13 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Per-thread event-ring capacity: `TTSNN_TRACE_RING`, default 4096,
-/// clamped to `[64, 1 << 20]`.
-pub fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("TTSNN_TRACE_RING")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(4096, |n| n.clamp(64, 1 << 20))
-    })
-}
+/// Per-thread event-ring capacity, in events.
+pub const RING_CAPACITY: usize = 4096;
 
-/// Slow-exemplar threshold in milliseconds: `TTSNN_TRACE_SLOW_MS`,
-/// default 250. A completed request at least this slow end-to-end is
-/// assembled eagerly and pinned in the flight recorder's slow reservoir.
-pub fn slow_threshold_ms() -> u64 {
-    static MS: OnceLock<u64> = OnceLock::new();
-    *MS.get_or_init(|| {
-        std::env::var("TTSNN_TRACE_SLOW_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(250)
-    })
-}
+/// Slow-exemplar threshold in milliseconds. A completed request at least
+/// this slow end-to-end is assembled eagerly and pinned in the flight
+/// recorder's slow reservoir.
+pub const SLOW_THRESHOLD_MS: u64 = 250;
 
 // ---------------------------------------------------------------------------
 // Events and per-thread rings
@@ -231,7 +214,7 @@ impl Lease {
     fn take() -> Lease {
         let mut rings = registry();
         let ring = rings.free.pop().unwrap_or_else(|| {
-            let ring = Arc::new(Mutex::new(Ring::new(ring_capacity())));
+            let ring = Arc::new(Mutex::new(Ring::new(RING_CAPACITY)));
             rings.all.push(Arc::clone(&ring));
             ring
         });
@@ -650,7 +633,7 @@ fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
 }
 
 /// Records a request's terminal state in the flight recorder. If its
-/// end-to-end latency breaches `TTSNN_TRACE_SLOW_MS`, the full trace is
+/// end-to-end latency reaches [`SLOW_THRESHOLD_MS`], the full trace is
 /// assembled eagerly and pinned in the bounded slow-exemplar reservoir
 /// (the slowest [`SLOW_EXEMPLARS`] survive). No-op when tracing is off
 /// or `trace` is 0.
@@ -660,7 +643,7 @@ pub fn record_completion(trace: u64, tenant: u32, status: &'static str, total_ns
     }
     let end_ns = now_ns();
     let completion = Completion { trace, tenant, status, total_ns, end_ns };
-    let slow = total_ns >= slow_threshold_ms().saturating_mul(1_000_000);
+    let slow = total_ns >= SLOW_THRESHOLD_MS * 1_000_000;
     let events = if slow { trace_events(trace) } else { Vec::new() };
     with_recorder(|rec| {
         if rec.recent.len() >= RECENT_COMPLETIONS {
@@ -778,7 +761,7 @@ mod tests {
     fn ring_overwrites_oldest_beyond_capacity() {
         let _g = locked();
         let trace = next_trace_id();
-        let cap = ring_capacity();
+        let cap = RING_CAPACITY;
         for i in 0..(cap + 10) as u64 {
             record_span(trace, "spin", i, 1, i, 0);
         }
@@ -829,12 +812,12 @@ mod tests {
         let trace = next_trace_id();
         let t0 = now_ns();
         record_span(trace, "execute", t0, 5_000, 0, 0);
-        let slow_ns = slow_threshold_ms() * 1_000_000 + 1;
+        let slow_ns = SLOW_THRESHOLD_MS * 1_000_000 + 1;
         record_completion(trace, 3, "ok", slow_ns);
         assert!(slow_exemplars().iter().any(|c| c.trace == trace));
         // Even with the ring overwritten, the pinned copy answers.
         let filler = next_trace_id();
-        for i in 0..(ring_capacity() as u64 + 8) {
+        for i in 0..(RING_CAPACITY as u64 + 8) {
             record_span(filler, "spin", i, 1, 0, 0);
         }
         let events = trace_events(trace);

@@ -3,7 +3,7 @@
 //! requests listing for `GET /debug/requests`.
 
 use crate::{
-    completions, service_events, slow_exemplars, slow_threshold_ms, Completion, Event, EventKind,
+    completions, service_events, slow_exemplars, Completion, Event, EventKind, SLOW_THRESHOLD_MS,
 };
 
 fn push_f64(out: &mut String, v: f64) {
@@ -138,8 +138,7 @@ pub fn debug_requests_text() -> String {
         completion_line(&mut out, now, c);
     }
     out.push_str(&format!(
-        "slow exemplars (>= {}ms, {} pinned, cap {}):\n",
-        slow_threshold_ms(),
+        "slow exemplars (>= {SLOW_THRESHOLD_MS}ms, {} pinned, cap {}):\n",
         slow.len(),
         crate::SLOW_EXEMPLARS
     ));

@@ -39,7 +39,8 @@ use crate::Severity;
 pub struct SloSpec {
     /// Latency threshold a served request must beat to count as good.
     pub latency: Duration,
-    /// Target good fraction in `(0, 1)`, e.g. `0.99`.
+    /// Target good fraction in `(0, 1)`, e.g. `0.99`
+    /// (`TelemetryPlane::spawn` rejects anything else).
     pub target: f64,
 }
 
@@ -50,22 +51,6 @@ impl Default for SloSpec {
 }
 
 impl SloSpec {
-    /// Reads `TTSNN_SLO_LATENCY_MS` (default 25, clamped to
-    /// `[1, 600_000]`) and `TTSNN_SLO_TARGET` (default 0.99; values
-    /// outside `(0, 1)` fall back to the default).
-    pub fn from_env() -> Self {
-        let ms = std::env::var("TTSNN_SLO_LATENCY_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(25, |n| n.clamp(1, 600_000));
-        let target = std::env::var("TTSNN_SLO_TARGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|t| *t > 0.0 && *t < 1.0)
-            .unwrap_or(0.99);
-        SloSpec { latency: Duration::from_millis(ms), target }
-    }
-
     /// The error budget, `1 − target`.
     pub fn budget(&self) -> f64 {
         1.0 - self.target
@@ -130,11 +115,6 @@ impl SloStatus {
             budget_remaining: 1.0,
             events: 0.0,
         }
-    }
-
-    /// The burn rate for a window label, if present.
-    pub fn burn_for(&self, label: &str) -> Option<f64> {
-        self.burn.iter().find(|(l, _)| *l == label).map(|&(_, b)| b)
     }
 }
 
@@ -289,9 +269,8 @@ mod tests {
     }
 
     #[test]
-    fn env_spec_falls_back_on_nonsense() {
-        // No env set in tests → defaults.
-        let s = SloSpec::from_env();
+    fn default_spec_is_25ms_at_99_percent() {
+        let s = SloSpec::default();
         assert_eq!(s.latency, Duration::from_millis(25));
         assert!((s.target - 0.99).abs() < 1e-12);
         assert!((s.budget() - 0.01).abs() < 1e-12);

@@ -27,10 +27,10 @@ use std::time::Duration;
 /// histograms ~12 more.
 pub const MAX_SERIES: usize = 512;
 
-/// Ring geometry for the telemetry plane, env-tunable. Resolution is
-/// the sampler tick period; `slots` is the per-series ring capacity, so
-/// `resolution × slots` is the retained span (defaults: 5 s × 512 ≈
-/// 42.7 min).
+/// Ring geometry for the telemetry plane. Resolution is the sampler tick
+/// period (nonzero: `TelemetryPlane::spawn` rejects zero); `slots` is the
+/// per-series ring capacity, so `resolution × slots` is the retained span
+/// (defaults: 5 s × 512 ≈ 42.7 min).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Sampler tick period (ring slot width).
@@ -46,22 +46,6 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Reads `TTSNN_TELEMETRY_RESOLUTION_MS` (default 5000, clamped to
-    /// `[10, 600_000]`) and `TTSNN_TELEMETRY_SLOTS` (default 512,
-    /// clamped to `[16, 65_536]`). Read at call time, not cached, so
-    /// tests and embedders can reconfigure per instance.
-    pub fn from_env() -> Self {
-        let ms = std::env::var("TTSNN_TELEMETRY_RESOLUTION_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(5000, |n| n.clamp(10, 600_000));
-        let slots = std::env::var("TTSNN_TELEMETRY_SLOTS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(512, |n| n.clamp(16, 65_536));
-        TelemetryConfig { resolution: Duration::from_millis(ms), slots }
-    }
-
     /// The span of history one full ring covers.
     pub fn span(&self) -> Duration {
         self.resolution.saturating_mul(self.slots as u32)

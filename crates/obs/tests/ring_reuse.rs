@@ -22,7 +22,7 @@ fn dead_threads_rings_are_reused_and_stay_readable() {
     assert!(ttsnn_obs::ring_count() <= 2, "{} rings for 200 threads", ttsnn_obs::ring_count());
     // Every one of those threads is gone; their spans are not (200 events
     // are far below a ring's capacity, so none was overwritten).
-    assert!(ttsnn_obs::ring_capacity() >= 200);
+    const { assert!(ttsnn_obs::RING_CAPACITY >= 200) };
     for (i, &trace) in traces.iter().enumerate() {
         let events = ttsnn_obs::trace_events(trace);
         assert_eq!(events.len(), 1, "thread {i}'s span must outlive the thread");

@@ -12,7 +12,7 @@
 //!   mounted behind one listener, routed by plan name, with online
 //!   int8-vs-f32 drift measurement ([`Router::drift`]).
 //! * [`Server`] — a std-only accept loop plus fixed worker pool
-//!   (`TTSNN_SERVE_ADDR` / `TTSNN_SERVE_CONNS`), speaking the binary
+//!   ([`ServerConfig`]: bind address, worker count), speaking the binary
 //!   protocol and a minimal HTTP/1.1 side for `GET /metrics`
 //!   (Prometheus text exposition, rendered by [`prom`]),
 //!   `GET /healthz` (JSON readiness body), `GET /debug/requests`
@@ -27,14 +27,14 @@
 //!   fair queueing and token-bucket rate limits, surfaced here as
 //!   structured retryable wire statuses with retry-after hints.
 //! * Continuous telemetry ([`telemetry`]): a background sampler thread
-//!   snapshots every plan's metrics into bounded time-series rings
-//!   (`TTSNN_TELEMETRY_RESOLUTION_MS` / `TTSNN_TELEMETRY_SLOTS`),
-//!   evaluates multi-window SLO burn rates (`TTSNN_SLO_LATENCY_MS` /
-//!   `TTSNN_SLO_TARGET`), and runs a per-plan health watchdog whose
-//!   verdict drives `/healthz` (503 + reason when `Unhealthy`). History
-//!   is browsable at `GET /debug/slo` and `GET /debug/timeline`, and
-//!   exported as `ttsnn_slo_*` / `ttsnn_health_state` gauges on
-//!   `/metrics`. Disable with `TTSNN_TELEMETRY=off`.
+//!   snapshots every plan's metrics into bounded time-series rings,
+//!   evaluates multi-window SLO burn rates, and runs a per-plan health
+//!   watchdog whose verdict drives `/healthz` (503 + reason when
+//!   `Unhealthy`). History is browsable at `GET /debug/slo` and
+//!   `GET /debug/timeline`, and exported as `ttsnn_slo_*` /
+//!   `ttsnn_health_state` gauges on `/metrics`. Tick, ring size, SLO and
+//!   watchdog thresholds are [`TelemetryOptions`] fields of
+//!   [`ServerConfig::telemetry`]; `enabled: false` spawns no sampler.
 //!
 //! The determinism contract survives the network hop: scheduling order,
 //! fair-queueing policy, worker count, and replica count change
@@ -62,7 +62,8 @@
 //!     quant: None,
 //!     checkpoint,
 //! }])?;
-//! let server = Server::bind(ServerConfig::from_env(), router)?;
+//! let config = ServerConfig { addr: "127.0.0.1:7878".into(), ..ServerConfig::default() };
+//! let server = Server::bind(config, router)?;
 //! println!("serving on {}", server.addr());
 //! # Ok(())
 //! # }

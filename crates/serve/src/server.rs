@@ -46,14 +46,13 @@ use crate::router::Router;
 use crate::telemetry::{self, PlanSource, TelemetryOptions, TelemetryPlane, TelemetryShared};
 use crate::wire::{self, Frame, FrameReadError, Request, Response, Status};
 
-/// Listener and pool knobs.
+/// Listener and pool knobs, set in code.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bind address (`TTSNN_SERVE_ADDR`; default `127.0.0.1:0` — an
-    /// OS-assigned port, read back via [`Server::addr`]).
+    /// Bind address (default `127.0.0.1:0` — an OS-assigned port, read
+    /// back via [`Server::addr`]).
     pub addr: String,
-    /// Worker threads = concurrently served connections
-    /// (`TTSNN_SERVE_CONNS`; default 4).
+    /// Worker threads = concurrently served connections (default 4).
     pub workers: usize,
     /// Largest accepted frame body; oversized frames are drained and
     /// answered with a [`Status::Malformed`] response.
@@ -62,7 +61,7 @@ pub struct ServerConfig {
     /// connections.
     pub read_timeout: Duration,
     /// The continuous telemetry plane: sampler geometry, SLO, and
-    /// watchdog thresholds (`TTSNN_TELEMETRY*` / `TTSNN_SLO_*`).
+    /// watchdog thresholds.
     pub telemetry: TelemetryOptions,
 }
 
@@ -75,29 +74,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_millis(250),
             telemetry: TelemetryOptions::default(),
         }
-    }
-}
-
-impl ServerConfig {
-    /// Reads `TTSNN_SERVE_ADDR` and `TTSNN_SERVE_CONNS` over the
-    /// defaults (plus the `TTSNN_TELEMETRY*` / `TTSNN_SLO_*` family via
-    /// [`TelemetryOptions::from_env`]); unparsable values are ignored.
-    pub fn from_env() -> Self {
-        let mut cfg =
-            ServerConfig { telemetry: TelemetryOptions::from_env(), ..Default::default() };
-        if let Ok(addr) = std::env::var("TTSNN_SERVE_ADDR") {
-            if !addr.is_empty() {
-                cfg.addr = addr;
-            }
-        }
-        if let Ok(conns) = std::env::var("TTSNN_SERVE_CONNS") {
-            if let Ok(n) = conns.trim().parse::<usize>() {
-                if n > 0 {
-                    cfg.workers = n;
-                }
-            }
-        }
-        cfg
     }
 }
 
@@ -119,7 +95,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind/spawn failures; `InvalidInput` for zero workers.
+    /// Propagates bind/spawn failures; `InvalidInput` for zero workers or
+    /// telemetry options [`TelemetryPlane::spawn`] rejects.
     pub fn bind(config: ServerConfig, router: Router) -> io::Result<Server> {
         if config.workers == 0 {
             return Err(io::Error::new(

@@ -19,9 +19,9 @@
 //!
 //! Nothing here touches the request hot path: the sampler is
 //! pull-based, request threads never wait on it, and with
-//! `TTSNN_TELEMETRY=off` no thread is spawned at all. Telemetry is
-//! deliberately **not** gated on `TTSNN_TRACE` — history and health
-//! should survive with per-request tracing off.
+//! [`TelemetryOptions::enabled`] off no thread is spawned at all.
+//! Telemetry is deliberately **not** gated on `TTSNN_TRACE` — history and
+//! health should survive with per-request tracing off.
 //!
 //! ## Series naming
 //!
@@ -66,21 +66,20 @@ use ttsnn_obs::Severity;
 /// `MAX_SERIES` cap is the backstop).
 pub const TENANT_SERIES: usize = 8;
 
-/// Telemetry-plane configuration: the master switch plus the ring
-/// geometry, SLO, and watchdog knobs.
+/// Telemetry-plane configuration, set in code: the master switch plus the
+/// ring geometry, SLO, and watchdog knobs.
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
-    /// Whether the sampler thread runs at all (`TTSNN_TELEMETRY`;
-    /// default on). Off costs nothing: no thread, empty store, and
-    /// `/healthz` reports every plan healthy.
+    /// Whether the sampler thread runs at all (default on). Off costs
+    /// nothing: no thread, empty store, and `/healthz` reports every plan
+    /// healthy.
     pub enabled: bool,
-    /// Sampler tick period and per-series ring capacity
-    /// (`TTSNN_TELEMETRY_RESOLUTION_MS` / `TTSNN_TELEMETRY_SLOTS`).
+    /// Sampler tick period (nonzero) and per-series ring capacity.
     pub timeseries: TelemetryConfig,
-    /// The serving objective (`TTSNN_SLO_LATENCY_MS` /
-    /// `TTSNN_SLO_TARGET`).
+    /// The serving objective (target in `(0, 1)`).
     pub slo: SloSpec,
-    /// Watchdog thresholds, in sampler ticks.
+    /// Watchdog thresholds, in sampler ticks (the defaults are tuned for
+    /// the default 5 s tick).
     pub watchdog: WatchdogConfig,
 }
 
@@ -90,24 +89,6 @@ impl Default for TelemetryOptions {
             enabled: true,
             timeseries: TelemetryConfig::default(),
             slo: SloSpec::default(),
-            watchdog: WatchdogConfig::default(),
-        }
-    }
-}
-
-impl TelemetryOptions {
-    /// Reads the whole `TTSNN_TELEMETRY_*` / `TTSNN_SLO_*` family:
-    /// `TTSNN_TELEMETRY` = `off` / `0` / `false` disables the plane,
-    /// everything else comes from [`TelemetryConfig::from_env`] and
-    /// [`SloSpec::from_env`]. Watchdog thresholds stay at their
-    /// defaults (tuned for the default 5 s tick).
-    pub fn from_env() -> Self {
-        let off = std::env::var("TTSNN_TELEMETRY")
-            .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "off" | "0" | "false"));
-        TelemetryOptions {
-            enabled: !off,
-            timeseries: TelemetryConfig::from_env(),
-            slo: SloSpec::from_env(),
             watchdog: WatchdogConfig::default(),
         }
     }
@@ -248,12 +229,27 @@ impl TelemetryPlane {
     ///
     /// # Errors
     ///
-    /// Propagates thread-spawn failure.
+    /// `InvalidInput` for a zero `timeseries.resolution` (the sampler
+    /// would re-snapshot every plan in a hot loop) or an `slo.target`
+    /// outside `(0, 1)`, NaN included (a target of 1 leaves no error
+    /// budget, so a single bad request would page); otherwise propagates
+    /// thread-spawn failure.
     pub fn spawn(
         options: TelemetryOptions,
         sources: Vec<PlanSource>,
         board: HealthBoard,
     ) -> io::Result<TelemetryPlane> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if options.timeseries.resolution.is_zero() {
+            return invalid("TelemetryOptions.timeseries.resolution must be nonzero".into());
+        }
+        let target = options.slo.target;
+        let target_in_range = target > 0.0 && target < 1.0;
+        if !target_in_range {
+            return invalid(format!(
+                "TelemetryOptions.slo.target must lie in (0, 1), got {target}"
+            ));
+        }
         let shared = Arc::new(TelemetryShared::new(&options));
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let handle = if options.enabled && !sources.is_empty() {
@@ -613,10 +609,6 @@ mod tests {
         assert_eq!(o.timeseries, TelemetryConfig::default());
         assert_eq!(o.slo, SloSpec::default());
         assert_eq!(o.watchdog, WatchdogConfig::default());
-        // No env set in tests: from_env matches the defaults.
-        let e = TelemetryOptions::from_env();
-        assert!(e.enabled);
-        assert_eq!(e.timeseries, TelemetryConfig::default());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use ttsnn_core::TtMode;
 use ttsnn_infer::{
     ClusterConfig, FairPolicy, Priority, QuantSpec, RateLimit, SubmitOptions, TenantPolicy,
 };
+use ttsnn_obs::timeseries::TelemetryConfig;
 use ttsnn_serve::wire::{Request, Status};
 use ttsnn_serve::{http_get, Client, PlanSpec, Router, Server, ServerConfig, TelemetryOptions};
 use ttsnn_snn::ConvPolicy;
@@ -63,6 +64,15 @@ fn cluster_config(timesteps: usize, max_batch: usize) -> ClusterConfig {
 
 fn request(plan: &str, tenant: u32, priority: Priority, input: ttsnn_tensor::Tensor) -> Request {
     Request { trace: 0, tenant, priority, deadline_ms: 0, plan: plan.into(), input }
+}
+
+/// The telemetry sampler at a hot 25 ms × 256 tick: every test here also
+/// checks that sampling beside the serving threads moves no logit bit.
+fn fast_telemetry() -> TelemetryOptions {
+    TelemetryOptions {
+        timeseries: TelemetryConfig { resolution: Duration::from_millis(25), slots: 256 },
+        ..Default::default()
+    }
 }
 
 /// Socket answers == in-process answers, bit for bit, on both planes.
@@ -116,7 +126,7 @@ fn socket_parity_with_in_process_cluster_f32_and_int8() {
     ])
     .expect("mount plans");
     let server = Server::bind(
-        ServerConfig { workers: 3, telemetry: TelemetryOptions::from_env(), ..Default::default() },
+        ServerConfig { workers: 3, telemetry: fast_telemetry(), ..Default::default() },
         router,
     )
     .expect("bind server");
@@ -206,7 +216,7 @@ fn bad_frames_do_not_kill_the_connection() {
         ServerConfig {
             workers: 2,
             max_frame_bytes: 4096,
-            telemetry: TelemetryOptions::from_env(),
+            telemetry: fast_telemetry(),
             ..Default::default()
         },
         router,
@@ -275,7 +285,7 @@ fn expired_deadline_travels_as_status_and_tenant_metric() {
     }])
     .unwrap();
     let server = Server::bind(
-        ServerConfig { workers: 6, telemetry: TelemetryOptions::from_env(), ..Default::default() },
+        ServerConfig { workers: 6, telemetry: fast_telemetry(), ..Default::default() },
         router,
     )
     .unwrap();
@@ -331,7 +341,7 @@ fn saturation_and_rate_limit_travel_as_retryable_statuses() {
         Router::load(vec![PlanSpec { name: "vgg".into(), config, quant: None, checkpoint: ckpt }])
             .unwrap();
     let server = Server::bind(
-        ServerConfig { workers: 3, telemetry: TelemetryOptions::from_env(), ..Default::default() },
+        ServerConfig { workers: 3, telemetry: fast_telemetry(), ..Default::default() },
         router,
     )
     .unwrap();
@@ -442,7 +452,7 @@ fn stalled_connections_do_not_wedge_workers() {
         ServerConfig {
             workers: 1,
             read_timeout: Duration::from_millis(50),
-            telemetry: TelemetryOptions::from_env(),
+            telemetry: fast_telemetry(),
             ..Default::default()
         },
         router,

@@ -341,3 +341,36 @@ fn timeline_and_verbose_healthz_render() {
     assert!(slo_page.contains("plan vgg: healthy"), "{slo_page}");
     assert!(slo_page.contains("budget remaining"), "{slo_page}");
 }
+
+/// Options the sampler cannot run under are refused at bind, like zero
+/// workers: a zero tick would re-snapshot every plan in a hot loop, and a
+/// target outside (0, 1) leaves no error budget to measure burn against.
+#[test]
+fn bind_rejects_unusable_telemetry_options() {
+    let (ckpt, _) = vgg_checkpoint(&policy(), 93);
+    let target = |target| TelemetryOptions {
+        slo: SloSpec { target, ..SloSpec::default() },
+        ..Default::default()
+    };
+    let zero_tick = TelemetryOptions {
+        timeseries: TelemetryConfig { resolution: Duration::ZERO, slots: 64 },
+        ..Default::default()
+    };
+    for telemetry in
+        [zero_tick, target(0.0), target(1.0), target(-0.5), target(1.5), target(f64::NAN)]
+    {
+        let router = Router::load(vec![PlanSpec {
+            name: "vgg".into(),
+            config: vgg_cluster_config(policy(), T, 1, 2, Duration::from_millis(1)),
+            quant: None,
+            checkpoint: ckpt.clone(),
+        }])
+        .unwrap();
+        let config =
+            ServerConfig { workers: 1, telemetry: telemetry.clone(), ..Default::default() };
+        match Server::bind(config, router) {
+            Ok(_) => panic!("bound with {telemetry:?}"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{telemetry:?}: {e}"),
+        }
+    }
+}

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use ttsnn_core::TtMode;
 use ttsnn_infer::{ClusterConfig, FairPolicy, Priority, RateLimit, TenantPolicy};
+use ttsnn_obs::timeseries::TelemetryConfig;
 use ttsnn_serve::wire::{Request, Status};
 use ttsnn_serve::{http_get, Client, PlanSpec, Router, Server, ServerConfig, TelemetryOptions};
 use ttsnn_snn::ConvPolicy;
@@ -35,6 +36,15 @@ fn request(plan: &str, tenant: u32, input: ttsnn_tensor::Tensor) -> Request {
         deadline_ms: 0,
         plan: plan.into(),
         input,
+    }
+}
+
+/// The telemetry sampler at a hot 25 ms × 256 tick: tracing and sampling
+/// run side by side in every test here.
+fn fast_telemetry() -> TelemetryOptions {
+    TelemetryOptions {
+        timeseries: TelemetryConfig { resolution: Duration::from_millis(25), slots: 256 },
+        ..Default::default()
     }
 }
 
@@ -78,7 +88,7 @@ fn served_request_yields_a_retrievable_trace() {
     }])
     .unwrap();
     let server = Server::bind(
-        ServerConfig { workers: 2, telemetry: TelemetryOptions::from_env(), ..Default::default() },
+        ServerConfig { workers: 2, telemetry: fast_telemetry(), ..Default::default() },
         router,
     )
     .unwrap();
@@ -163,7 +173,7 @@ fn rejected_requests_are_traced_and_never_leak() {
     }])
     .unwrap();
     let server = Server::bind(
-        ServerConfig { workers: 2, telemetry: TelemetryOptions::from_env(), ..Default::default() },
+        ServerConfig { workers: 2, telemetry: fast_telemetry(), ..Default::default() },
         router,
     )
     .unwrap();
@@ -229,7 +239,7 @@ fn two_closed_loop_clients_close_their_batches_accounted() {
     .unwrap();
     // A worker per client connection and one for the trace fetches.
     let server = Server::bind(
-        ServerConfig { workers: 3, telemetry: TelemetryOptions::from_env(), ..Default::default() },
+        ServerConfig { workers: 3, telemetry: fast_telemetry(), ..Default::default() },
         router,
     )
     .unwrap();

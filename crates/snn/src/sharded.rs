@@ -38,8 +38,7 @@
 //! out — tensors are plain `Send` data). Inside each worker every
 //! matmul/conv still fans out across the kernel runtime's persistent
 //! thread pool, so the two parallelism axes compose: shards × kernel
-//! threads. Worker count comes from [`ShardConfig`]; the `TTSNN_NUM_SHARDS`
-//! environment variable seeds [`ShardConfig::from_env`].
+//! threads. Worker count comes from [`ShardConfig`].
 
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -78,17 +77,6 @@ impl ShardConfig {
     /// (both clamped to ≥ 1).
     pub fn new(num_shards: usize, micro_batch: usize) -> Self {
         Self { num_shards: num_shards.max(1), micro_batch: micro_batch.max(1) }
-    }
-
-    /// Shard count from the `TTSNN_NUM_SHARDS` environment variable
-    /// (default 1), with the given micro-batch size.
-    pub fn from_env(micro_batch: usize) -> Self {
-        let shards = std::env::var("TTSNN_NUM_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
-        Self::new(shards, micro_batch)
     }
 }
 

@@ -5,7 +5,7 @@
 //! whole-stream request bit for bit.
 //!
 //! ```sh
-//! TTSNN_STREAM_STATE_BYTES=1048576 cargo run --release --example serve_stream
+//! cargo run --release --example serve_stream
 //! ```
 
 use std::time::Duration;
@@ -29,19 +29,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = VggSnn::new(cfg.clone(), &policy, &mut rng);
     let mut ckpt = Vec::new();
     checkpoint::save_params(&model.params(), &mut ckpt)?;
+    // Resident session state is bounded per replica: past 1 MiB the
+    // least-recently-fed idle session is evicted.
+    let bound = 1usize << 20;
     let cluster = Cluster::load(
         ClusterConfig::new(
             EngineConfig::new(ArchSpec::Vgg(cfg), policy, timesteps)
                 .with_batching(BatchPolicy { max_batch: 4, max_wait: Duration::from_millis(2) }),
         )
-        .with_replicas(2),
+        .with_replicas(2)
+        .with_stream_state_bytes(Some(bound)),
         ckpt.as_slice(),
     )?;
     println!(
-        "serving {} on {} replica(s); resident stream state bound: {:?} bytes\n",
+        "serving {} on {} replica(s); resident stream state bound: {bound} bytes per replica\n",
         cluster.info().model,
         cluster.replicas(),
-        std::env::var("TTSNN_STREAM_STATE_BYTES").ok(),
     );
 
     // A live client: the synthetic DVS gesture stream, produced (and

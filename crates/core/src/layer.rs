@@ -97,7 +97,8 @@ impl TtConv {
         Self::from_cores(decompose(weight, rank)?, mode)
     }
 
-    /// Random (Kaiming) initialization — training TT-SNN from scratch.
+    /// Random (Kaiming) initialization — training TT-SNN from scratch;
+    /// [`TtConv::randn_strided`] at stride 1.
     ///
     /// # Panics
     ///
@@ -109,8 +110,7 @@ impl TtConv {
         mode: TtMode,
         rng: &mut Rng,
     ) -> Self {
-        Self::from_cores(TtCores::randn(in_channels, out_channels, rank, rng), mode)
-            .expect("randn cores are always consistent")
+        Self::randn_strided(in_channels, out_channels, rank, mode, (1, 1), rng)
     }
 
     /// Random initialization with stride (for MS-ResNet downsampling
@@ -452,6 +452,18 @@ mod tests {
                 let y = layer.forward_tensor(&x, t).unwrap();
                 assert_eq!(y.shape(), &[2, 10, 8, 8], "mode {mode} t {t}");
             }
+        }
+    }
+
+    /// Both constructors build every mode at the same scale: PTT / HTT get
+    /// their 3-factor calibration from `randn` too.
+    #[test]
+    fn randn_is_randn_strided_at_stride_one() {
+        for mode in [TtMode::Stt, TtMode::Ptt, TtMode::htt_default(4)] {
+            let plain = TtConv::randn(6, 10, 4, mode.clone(), &mut Rng::seed_from(15));
+            let strided =
+                TtConv::randn_strided(6, 10, 4, mode.clone(), (1, 1), &mut Rng::seed_from(15));
+            assert_eq!(plain.cores(), strided.cores(), "mode {mode}");
         }
     }
 

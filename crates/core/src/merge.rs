@@ -143,28 +143,6 @@ pub fn merge_ptt(cores: &TtCores) -> Result<Tensor, ShapeError> {
     Ok(out)
 }
 
-/// Contracts the HTT *half path* (`w1 → w4` only) into a dense kernel whose
-/// single non-zero tap is the center: a 1×1 convolution embedded in 3×3.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the cores fail [`TtCores::validate`].
-pub fn merge_half(cores: &TtCores) -> Result<Tensor, ShapeError> {
-    cores.validate()?;
-    let (i, o, r) = (cores.in_channels(), cores.out_channels(), cores.rank());
-    let mut out = Tensor::zeros(&[o, i, 3, 3]);
-    for oo in 0..o {
-        for ii in 0..i {
-            let mut acc = 0.0f32;
-            for a in 0..r {
-                acc += cores.w1.at(&[a, ii, 0, 0]) * cores.w4.at(&[oo, a, 0, 0]);
-            }
-            *out.at_mut(&[oo, ii, 1, 1]) = acc;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,35 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn half_merge_is_center_only() {
-        let mut rng = Rng::seed_from(13);
-        let cores = TtCores::randn(3, 5, 2, &mut rng);
-        let merged = merge_half(&cores).unwrap();
-        for o in 0..5 {
-            for i in 0..3 {
-                for kh in 0..3 {
-                    for kw in 0..3 {
-                        if (kh, kw) != (1, 1) {
-                            assert_eq!(merged.at(&[o, i, kh, kw]), 0.0);
-                        }
-                    }
-                }
-            }
-        }
-        // center equals w4·w1 product
-        let expect: f32 =
-            (0..2).map(|a| cores.w1.at(&[a, 0, 0, 0]) * cores.w4.at(&[0, a, 0, 0])).sum();
-        assert!((merged.at(&[0, 0, 1, 1]) - expect).abs() < 1e-6);
-    }
-
-    #[test]
     fn merges_reject_invalid_cores() {
         let mut rng = Rng::seed_from(14);
         let mut cores = TtCores::randn(3, 3, 2, &mut rng);
         cores.w3 = Tensor::zeros(&[2, 2, 3, 1]);
         assert!(merge_stt(&cores).is_err());
         assert!(merge_ptt(&cores).is_err());
-        assert!(merge_half(&cores).is_err());
     }
 
     #[test]

@@ -41,6 +41,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use ttsnn_obs::Stage::Execute;
 use ttsnn_snn::quant::QuantPlanWeights;
 use ttsnn_snn::{checkpoint, InferForward, InferStats, Network, SpikingModel};
 use ttsnn_tensor::Tensor;
@@ -201,7 +202,9 @@ impl ClusterSession {
     ///
     /// # Errors
     ///
-    /// Returns [`SubmitError::Closed`] if the cluster has shut down.
+    /// Returns [`SubmitError::Closed`] if the cluster has shut down, and
+    /// [`SubmitError::RateLimited`] without blocking when the tenant's
+    /// [`FairPolicy`] rate limit is spent.
     pub fn submit_with(
         &self,
         input: Tensor,
@@ -244,12 +247,11 @@ impl ClusterSession {
     ///
     /// # Errors
     ///
-    /// See [`ClusterTicket::wait`].
+    /// See [`ClusterTicket::wait`]; a request refused at admission (a
+    /// [`FairPolicy`] rate limit fails fast even here) is
+    /// [`InferError::Rejected`].
     pub fn infer(&self, input: Tensor) -> Result<Tensor, InferError> {
-        match self.submit(input) {
-            Ok(ticket) => ticket.wait(),
-            Err(_) => Err(InferError::EngineClosed),
-        }
+        self.submit(input)?.wait()
     }
 
     /// Opens a stateful streaming session, pinned round-robin to one
@@ -276,9 +278,10 @@ impl ClusterSession {
 ///
 /// # Errors
 ///
-/// Propagates the first ticket error from either plan
-/// ([`InferError::EngineClosed`] if a cluster has shut down); both plans
-/// must accept the same input shapes.
+/// Propagates the first submission or ticket error from either plan
+/// ([`InferError::EngineClosed`] if a cluster has shut down,
+/// [`InferError::Rejected`] if one refused a request); both plans must
+/// accept the same input shapes.
 pub fn plan_drift(
     reference: &ClusterSession,
     candidate: &ClusterSession,
@@ -295,7 +298,7 @@ pub fn plan_drift(
     let submit_all = |session: &ClusterSession| {
         inputs
             .iter()
-            .map(|x| session.submit(x.clone()).map_err(|_| InferError::EngineClosed))
+            .map(|x| session.submit(x.clone()).map_err(InferError::from))
             .collect::<Result<Vec<_>, _>>()
     };
     let (ref_tickets, cand_tickets) = (submit_all(reference)?, submit_all(candidate)?);
@@ -398,7 +401,7 @@ impl ClusterStreamSession {
         deadline: Option<Duration>,
     ) -> Result<ClusterStreamTicket, SubmitError> {
         let (reply, rx) = channel();
-        self.sched.submit_stream_chunk(self.replica, self.id, chunk, deadline, reply)?;
+        self.sched.admit_stream_chunk(true, self.replica, self.id, chunk, deadline, reply)?;
         Ok(ClusterStreamTicket { rx })
     }
 
@@ -424,7 +427,7 @@ impl ClusterStreamSession {
         deadline: Option<Duration>,
     ) -> Result<ClusterStreamTicket, SubmitError> {
         let (reply, rx) = channel();
-        self.sched.try_submit_stream_chunk(self.replica, self.id, chunk, deadline, reply)?;
+        self.sched.admit_stream_chunk(false, self.replica, self.id, chunk, deadline, reply)?;
         Ok(ClusterStreamTicket { rx })
     }
 
@@ -434,10 +437,7 @@ impl ClusterStreamSession {
     ///
     /// See [`ClusterStreamTicket::wait`].
     pub fn push(&self, chunk: Tensor) -> Result<StreamUpdate, InferError> {
-        match self.feed(chunk) {
-            Ok(ticket) => ticket.wait(),
-            Err(_) => Err(InferError::EngineClosed),
-        }
+        self.feed(chunk)?.wait()
     }
 }
 
@@ -736,27 +736,15 @@ fn serve_stream_cmd(
             streams.open(id, opts);
             sched.record_stream_state(replica, streams.active(), streams.resident_bytes(), 0);
         }
-        StreamCmd::Feed { id, chunk, reply, submitted, trace, submit_ns, .. } => {
+        StreamCmd::Feed { id, chunk, reply, submitted, trace, .. } => {
             let exec_start = if trace != 0 { ttsnn_obs::now_ns() } else { 0 };
-            if trace != 0 {
-                let wait_ns = exec_start.saturating_sub(submit_ns);
-                ttsnn_obs::record_span(trace, "queue_wait", submit_ns, wait_ns, 0, id);
-                ttsnn_obs::record_stage(ttsnn_obs::Stage::QueueWait, wait_ns);
-            }
             let _ctx = ttsnn_obs::TraceContext::enter(&[trace]);
             match streams.feed(model, cfg.timesteps, frame_shape, id, &chunk) {
                 Ok((update, report)) => {
                     if trace != 0 {
                         let dur = ttsnn_obs::now_ns().saturating_sub(exec_start);
-                        ttsnn_obs::record_span(
-                            trace,
-                            "execute",
-                            exec_start,
-                            dur,
-                            report.executed,
-                            id,
-                        );
-                        ttsnn_obs::record_stage(ttsnn_obs::Stage::Execute, dur);
+                        let executed = report.executed;
+                        ttsnn_obs::record_stage_span(trace, Execute, exec_start, dur, executed, id);
                     }
                     // Never evict the session just fed: its chunk was
                     // admitted and executed.
@@ -797,8 +785,8 @@ fn serve_cluster_batch(
     // own ticket, not its co-travellers'.
     let mut accepted = Vec::with_capacity(batch.len());
     for job in batch {
-        match plan::validate(&job.input, cfg.timesteps, frame_shape) {
-            Ok(()) => accepted.push(job),
+        match plan::validate(&job.input, frame_shape, Some(cfg.timesteps)) {
+            Ok(_) => accepted.push(job),
             Err(msg) => {
                 sched.record_failed(job.priority, job.tenant);
                 let _ = job.reply.send(Err(InferError::Shape(msg)));
@@ -821,19 +809,9 @@ fn serve_cluster_batch(
             // so a client that immediately queries `/trace` sees it.
             if tracing {
                 let dur = ttsnn_obs::now_ns().saturating_sub(exec_start);
-                let density_bits = density.mean.unwrap_or(f64::NAN).to_bits();
+                let (size, bits) = (batch_size as u64, density.mean.unwrap_or(f64::NAN).to_bits());
                 for &trace in &traces {
-                    ttsnn_obs::record_span(
-                        trace,
-                        "execute",
-                        exec_start,
-                        dur,
-                        batch_size as u64,
-                        density_bits,
-                    );
-                    if trace != 0 {
-                        ttsnn_obs::record_stage(ttsnn_obs::Stage::Execute, dur);
-                    }
+                    ttsnn_obs::record_stage_span(trace, Execute, exec_start, dur, size, bits);
                 }
             }
             let served: Vec<_> =

@@ -23,6 +23,8 @@ use ttsnn_snn::{
 use ttsnn_tensor::spike;
 use ttsnn_tensor::{Rng, Tensor};
 
+use crate::sched::RejectInfo;
+
 /// Which architecture a plan instantiates before loading weights.
 #[derive(Debug, Clone)]
 pub enum ArchSpec {
@@ -182,6 +184,10 @@ pub enum InferError {
     /// The streaming session does not exist (already closed, or never
     /// opened on this replica).
     SessionClosed,
+    /// A live cluster refused the request at admission — its queue was
+    /// saturated or the tenant's rate limit was spent — so it never ran.
+    /// Retry after [`RejectInfo::retry_after`].
+    Rejected(RejectInfo),
 }
 
 impl std::fmt::Display for InferError {
@@ -196,6 +202,11 @@ impl std::fmt::Display for InferError {
                 write!(f, "streaming session state was evicted under memory pressure")
             }
             InferError::SessionClosed => write!(f, "streaming session is closed"),
+            InferError::Rejected(info) => write!(
+                f,
+                "request rejected at admission (tenant {}, retry after {:?})",
+                info.tenant, info.retry_after
+            ),
         }
     }
 }
@@ -367,9 +378,7 @@ pub(crate) fn forward_requests(
     // Row t·B + s: request s's frame for timestep t.
     let mut stack = Tensor::scratch(&[timesteps * b, c, h, w]);
     for (row, slot) in stack.data_mut().chunks_mut(frame_len).enumerate() {
-        let input = inputs[row % b];
-        let offset = if input.ndim() == 4 { row / b * frame_len } else { 0 };
-        slot.copy_from_slice(&input.data()[offset..offset + frame_len]);
+        copy_frame(inputs[row % b], row / b, slot);
     }
     let macs = (0..timesteps).map(|t| model.macs_at(t) as u64).sum();
     let logits =
@@ -400,29 +409,79 @@ pub struct PlanDrift {
     pub candidate_density: Option<SpikeDensityReport>,
 }
 
+/// Reads the frames of a whole request or a stream chunk against the plan
+/// and returns how many timesteps it holds: `(C, H, W)` is one frame (a
+/// whole request repeats it at every timestep), `(n, C, H, W)` is `n ≥ 1`
+/// timesteps. A whole request (`timesteps = Some(T)`) must hold all `T`; a
+/// chunk (`None`) may hold any `n`, and its session checks the overrun.
+/// Every value must be finite.
 pub(crate) fn validate(
     input: &Tensor,
-    timesteps: usize,
     frame_shape: [usize; 3],
-) -> Result<(), String> {
+    timesteps: Option<usize>,
+) -> Result<usize, String> {
     let [c, h, w] = frame_shape;
-    match input.ndim() {
-        3 if input.shape() == [c, h, w] => (),
-        4 if input.shape() == [timesteps, c, h, w] => (),
-        _ => {
-            return Err(format!(
-                "request input {:?} does not match the plan: expected ({c}, {h}, {w}) or \
-                 ({timesteps}, {c}, {h}, {w})",
-                input.shape()
-            ))
+    let shape = input.shape();
+    let what = if timesteps.is_some() { "request input" } else { "stream chunk" };
+    let n = match shape.len() {
+        3 if shape == [c, h, w] => 1,
+        4 if shape[1..] == [c, h, w]
+            && shape[0] >= 1
+            && timesteps.is_none_or(|t| t == shape[0]) =>
+        {
+            shape[0]
         }
-    }
+        _ => {
+            let run = match timesteps {
+                Some(t) => format!("({t}, {c}, {h}, {w})"),
+                None => format!("(n, {c}, {h}, {w}) with n >= 1"),
+            };
+            return Err(format!(
+                "{what} {shape:?} does not match the plan: expected ({c}, {h}, {w}) or {run}"
+            ));
+        }
+    };
     // A NaN/∞ pixel would return NaN logits on the float plane and —
     // worse — quantize silently to 0 on the int8 plane (confidently
     // wrong answers). Reject it here so the bad request fails its own
     // ticket with a clear message instead of poisoning either plane.
     if let Some(i) = input.data().iter().position(|v| !v.is_finite()) {
-        return Err(format!("request input has a non-finite value at flat index {i}"));
+        return Err(format!("{what} has a non-finite value at flat index {i}"));
     }
-    Ok(())
+    Ok(n)
+}
+
+/// Copies timestep `t`'s frame of a [`validate`]d input into `row`, one
+/// frame long: a `(C, H, W)` input is the same frame at every timestep, an
+/// `(n, C, H, W)` input holds timestep `t` at index `t`.
+pub(crate) fn copy_frame(input: &Tensor, t: usize, row: &mut [f32]) {
+    let len = row.len();
+    let offset = if input.ndim() == 4 { t * len } else { 0 };
+    row.copy_from_slice(&input.data()[offset..offset + len]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chunk_validation() {
+        let fs = [2, 3, 3];
+        assert_eq!(validate(&Tensor::zeros(&[2, 3, 3]), fs, None), Ok(1));
+        assert_eq!(validate(&Tensor::zeros(&[4, 2, 3, 3]), fs, None), Ok(4));
+        assert!(validate(&Tensor::zeros(&[3, 3]), fs, None).is_err());
+        assert!(validate(&Tensor::zeros(&[1, 3, 3]), fs, None).is_err());
+        let mut bad = Tensor::zeros(&[2, 3, 3]);
+        *bad.at_mut(&[0, 1, 1]) = f32::NAN;
+        assert!(validate(&bad, fs, None).unwrap_err().contains("non-finite"));
+    }
+
+    #[test]
+    fn whole_requests_hold_one_frame_or_all_timesteps() {
+        let fs = [2, 3, 3];
+        assert_eq!(validate(&Tensor::zeros(&[2, 3, 3]), fs, Some(4)), Ok(1));
+        assert_eq!(validate(&Tensor::zeros(&[4, 2, 3, 3]), fs, Some(4)), Ok(4));
+        let short = validate(&Tensor::zeros(&[3, 2, 3, 3]), fs, Some(4)).unwrap_err();
+        assert!(short.contains("does not match the plan"), "{short}");
+    }
 }

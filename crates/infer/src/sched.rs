@@ -65,6 +65,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use ttsnn_obs::Stage::{BatchForm, QueueWait};
 use ttsnn_tensor::{runtime, Tensor};
 
 use crate::metrics::{CloseReason, ClusterMetrics};
@@ -216,6 +217,20 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
+
+/// How a submit-and-wait call reports a request that was never admitted:
+/// a shut-down cluster is [`InferError::EngineClosed`]; a saturated queue or
+/// a dry token bucket is [`InferError::Rejected`] with its retry-after.
+impl From<SubmitError> for InferError {
+    fn from(e: SubmitError) -> Self {
+        match e {
+            SubmitError::Saturated(info) | SubmitError::RateLimited(info) => {
+                InferError::Rejected(info)
+            }
+            SubmitError::Closed => InferError::EngineClosed,
+        }
+    }
+}
 
 /// Per-tenant token-bucket rate limit (requests per second plus burst
 /// headroom). A tenant with an empty bucket is rejected at submission
@@ -904,21 +919,33 @@ impl Scheduler {
         self.space.notify_all();
     }
 
+    /// Reaps a job that must not execute, at a pop or at batch close: a
+    /// cancelled job is counted and its slot freed; an expired one is
+    /// counted, its slot freed, and answered [`InferError::DeadlineExpired`].
+    /// Returns `false` — and touches nothing — for a live job.
+    fn reap(&self, st: &mut State, job: &Job, now: Instant) -> bool {
+        let cancelled = job.cancelled.load(Ordering::SeqCst);
+        if cancelled {
+            st.metrics.priority_mut(job.priority).cancelled += 1;
+            st.metrics.tenant_mut(job.tenant).cancelled += 1;
+        } else if job.deadline.is_some_and(|d| now >= d) {
+            st.metrics.priority_mut(job.priority).expired += 1;
+            st.metrics.tenant_mut(job.tenant).expired += 1;
+        } else {
+            return false;
+        }
+        self.finish_one(st);
+        if !cancelled {
+            let _ = job.reply.send(Err(InferError::DeadlineExpired));
+        }
+        true
+    }
+
     /// Pops the most urgent **live** job, reaping cancelled and expired
     /// entries on the way (they never reach an executor).
     fn pop_live(&self, st: &mut State, now: Instant) -> Option<Job> {
         while let Some(mut job) = st.queue.pop() {
-            if job.cancelled.load(Ordering::SeqCst) {
-                st.metrics.priority_mut(job.priority).cancelled += 1;
-                st.metrics.tenant_mut(job.tenant).cancelled += 1;
-                self.finish_one(st);
-                continue;
-            }
-            if job.deadline.is_some_and(|d| now >= d) {
-                st.metrics.priority_mut(job.priority).expired += 1;
-                st.metrics.tenant_mut(job.tenant).expired += 1;
-                let _ = job.reply.send(Err(InferError::DeadlineExpired));
-                self.finish_one(st);
+            if self.reap(st, &job, now) {
                 continue;
             }
             if job.trace != 0 {
@@ -931,15 +958,20 @@ impl Scheduler {
 
     /// Pops the replica's next stream command, dropping expired feed
     /// chunks on the way (their sessions stay intact — an expired chunk
-    /// consumed no timestep).
+    /// consumed no timestep). A traced feed's `queue_wait` ends here, where
+    /// it leaves its lane.
     fn pop_stream(&self, st: &mut State, replica: usize, now: Instant) -> Option<StreamCmd> {
         while let Some(cmd) = st.streams[replica].pop_front() {
-            if let StreamCmd::Feed { deadline, reply, .. } = &cmd {
+            if let StreamCmd::Feed { id, deadline, reply, trace, submit_ns, .. } = &cmd {
                 if deadline.is_some_and(|d| now >= d) {
-                    let _ = reply.send(Err(InferError::DeadlineExpired));
                     st.metrics.sessions.chunks_expired += 1;
                     self.finish_one(st);
+                    let _ = reply.send(Err(InferError::DeadlineExpired));
                     continue;
+                }
+                if *trace != 0 {
+                    let wait = ttsnn_obs::now_ns().saturating_sub(*submit_ns);
+                    ttsnn_obs::record_stage_span(*trace, QueueWait, *submit_ns, wait, 0, *id);
                 }
             }
             return Some(cmd);
@@ -1021,22 +1053,7 @@ impl Scheduler {
             // the batch was open must still be honoured — execution has
             // not started yet.
             let now = Instant::now();
-            batch.retain(|job| {
-                if job.cancelled.load(Ordering::SeqCst) {
-                    st.metrics.priority_mut(job.priority).cancelled += 1;
-                    st.metrics.tenant_mut(job.tenant).cancelled += 1;
-                    self.finish_one(&mut st);
-                    return false;
-                }
-                if job.deadline.is_some_and(|d| now >= d) {
-                    st.metrics.priority_mut(job.priority).expired += 1;
-                    st.metrics.tenant_mut(job.tenant).expired += 1;
-                    let _ = job.reply.send(Err(InferError::DeadlineExpired));
-                    self.finish_one(&mut st);
-                    return false;
-                }
-                true
-            });
+            batch.retain(|job| !self.reap(&mut st, job, now));
             if !batch.is_empty() {
                 // The batch closes and its cycle ends; each traced member's wait
                 // is split into `queue_wait` (submit → pop) and `batch_form`.
@@ -1044,31 +1061,14 @@ impl Scheduler {
                 st.prev_peak = Some(std::mem::take(&mut st.peak));
                 if batch.iter().any(|j| j.trace != 0) {
                     let close_ns = ttsnn_obs::now_ns();
-                    let size = batch.len() as u64;
+                    let (size, why) = (batch.len() as u64, reason.index() as u64);
                     for job in &batch {
-                        if job.trace == 0 {
-                            continue;
-                        }
-                        let wait_ns = job.popped_ns.saturating_sub(job.submit_ns);
-                        ttsnn_obs::record_span(
-                            job.trace,
-                            "queue_wait",
-                            job.submit_ns,
-                            wait_ns,
-                            job.priority.index() as u64,
-                            u64::from(job.tenant),
-                        );
-                        ttsnn_obs::record_stage(ttsnn_obs::Stage::QueueWait, wait_ns);
-                        let form_ns = close_ns.saturating_sub(job.popped_ns);
-                        ttsnn_obs::record_span(
-                            job.trace,
-                            "batch_form",
-                            job.popped_ns,
-                            form_ns,
-                            size,
-                            reason.index() as u64,
-                        );
-                        ttsnn_obs::record_stage(ttsnn_obs::Stage::BatchForm, form_ns);
+                        let (trace, submit, popped) = (job.trace, job.submit_ns, job.popped_ns);
+                        let (prio, tenant) = (job.priority.index() as u64, u64::from(job.tenant));
+                        let wait = popped.saturating_sub(submit);
+                        ttsnn_obs::record_stage_span(trace, QueueWait, submit, wait, prio, tenant);
+                        let form = close_ns.saturating_sub(popped);
+                        ttsnn_obs::record_stage_span(trace, BatchForm, popped, form, size, why);
                     }
                 }
                 return Some(Work::Batch(batch));
@@ -1093,8 +1093,10 @@ impl Scheduler {
         Ok((id, replica))
     }
 
-    /// The one admission routine for stream chunks.
-    fn admit_stream_chunk(
+    /// The one admission routine for stream chunks: blocks while the queue
+    /// is saturated when `block`, otherwise fails fast — the backpressure
+    /// edge for streaming clients.
+    pub(crate) fn admit_stream_chunk(
         &self,
         block: bool,
         replica: usize,
@@ -1132,31 +1134,6 @@ impl Scheduler {
         });
         self.work.notify_all();
         Ok(())
-    }
-
-    /// Admits a stream chunk, blocking while the queue is saturated.
-    pub(crate) fn submit_stream_chunk(
-        &self,
-        replica: usize,
-        id: u64,
-        chunk: Tensor,
-        deadline: Option<Duration>,
-        reply: Sender<Result<StreamUpdate, InferError>>,
-    ) -> Result<(), SubmitError> {
-        self.admit_stream_chunk(true, replica, id, chunk, deadline, reply)
-    }
-
-    /// Admits a stream chunk or fails fast — the backpressure edge for
-    /// streaming clients.
-    pub(crate) fn try_submit_stream_chunk(
-        &self,
-        replica: usize,
-        id: u64,
-        chunk: Tensor,
-        deadline: Option<Duration>,
-        reply: Sender<Result<StreamUpdate, InferError>>,
-    ) -> Result<(), SubmitError> {
-        self.admit_stream_chunk(false, replica, id, chunk, deadline, reply)
     }
 
     /// Queues a session close (from a `ClusterStreamSession` drop). Not a

@@ -282,7 +282,7 @@ impl StreamTable {
         let Some(st) = self.sessions.get_mut(&id) else {
             return Err(InferError::SessionClosed);
         };
-        let n = validate_chunk(chunk, frame_shape).map_err(InferError::Shape)?;
+        let n = plan::validate(chunk, frame_shape, None).map_err(InferError::Shape)?;
         if st.t + n > timesteps {
             return Err(InferError::Shape(format!(
                 "stream chunk of {n} timesteps at position {} overruns the plan's {timesteps} \
@@ -355,8 +355,9 @@ fn run_chunk(
             report.macs_skipped += macs;
             continue;
         }
-        let offset = if chunk.ndim() == 4 { i * frame_len } else { 0 };
-        stack.data_mut().copy_from_slice(&chunk.data()[offset..offset + cut * frame_len]);
+        for (j, row) in stack.data_mut().chunks_mut(frame_len).enumerate() {
+            plan::copy_frame(chunk, i + j, row);
+        }
         match plan::forward_steps(model, &stack, (t, cut), macs) {
             Ok(logits) => st.summed = Some(plan::fold_logits(st.summed.take(), logits, 1)),
             Err(e) => {
@@ -414,27 +415,6 @@ fn margin(logits: &[f32]) -> f32 {
     }
 }
 
-/// Validates a stream chunk — `(C, H, W)` (one frame) or `(n, C, H, W)`,
-/// `n ≥ 1`, all values finite — and returns its frame count.
-pub(crate) fn validate_chunk(chunk: &Tensor, frame_shape: [usize; 3]) -> Result<usize, String> {
-    let [c, h, w] = frame_shape;
-    let n = match chunk.ndim() {
-        3 if chunk.shape() == [c, h, w] => 1,
-        4 if chunk.shape()[1..] == [c, h, w] && chunk.shape()[0] >= 1 => chunk.shape()[0],
-        _ => {
-            return Err(format!(
-                "stream chunk {:?} does not match the plan: expected ({c}, {h}, {w}) or \
-                 (n, {c}, {h}, {w}) with n >= 1",
-                chunk.shape()
-            ))
-        }
-    };
-    if let Some(i) = chunk.data().iter().position(|v| !v.is_finite()) {
-        return Err(format!("stream chunk has a non-finite value at flat index {i}"));
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,18 +425,6 @@ mod tests {
         assert_eq!(margin(&[-1.0, -3.0]), 2.0);
         assert_eq!(margin(&[7.0]), 0.0);
         assert_eq!(margin(&[]), 0.0);
-    }
-
-    #[test]
-    fn chunk_validation() {
-        let fs = [2, 3, 3];
-        assert_eq!(validate_chunk(&Tensor::zeros(&[2, 3, 3]), fs), Ok(1));
-        assert_eq!(validate_chunk(&Tensor::zeros(&[4, 2, 3, 3]), fs), Ok(4));
-        assert!(validate_chunk(&Tensor::zeros(&[3, 3]), fs).is_err());
-        assert!(validate_chunk(&Tensor::zeros(&[1, 3, 3]), fs).is_err());
-        let mut bad = Tensor::zeros(&[2, 3, 3]);
-        *bad.at_mut(&[0, 1, 1]) = f32::NAN;
-        assert!(validate_chunk(&bad, fs).unwrap_err().contains("non-finite"));
     }
 
     #[test]

@@ -191,3 +191,24 @@ fn fair_scheduling_is_bit_transparent() {
         ttsnn_testutil::assert_bits_eq(&a, &b, "fair vs strict logits");
     }
 }
+
+/// A live cluster that refuses a request at admission says so: a blocking
+/// `infer()` over a spent rate limit fails fast with `Rejected` and a
+/// retry-after, not with `EngineClosed`.
+#[test]
+fn rate_limited_infer_is_rejected_not_closed() {
+    let (ckpt, _) = vgg_checkpoint(&policy(), 101);
+    let limit = ttsnn_infer::RateLimit::new(0.001, 1.0);
+    let fair = FairPolicy::default().with_tenant(0, TenantPolicy::weighted(1.0).with_rate(limit));
+    let cluster = fair_cluster(&ckpt, fair);
+    let session = cluster.session();
+    let input = samples(102, 1).remove(0);
+    session.infer(input.clone()).expect("the first request spends the one token");
+    match session.infer(input) {
+        Err(ttsnn_infer::InferError::Rejected(info)) => {
+            assert_eq!(info.tenant, 0);
+            assert!(info.retry_after > Duration::ZERO, "{info:?}");
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+}

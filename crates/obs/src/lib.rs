@@ -8,10 +8,11 @@
 //!
 //! Every served request carries a **trace id** (a nonzero `u64`, minted
 //! by [`next_trace_id`] at wire decode). Each layer of the stack marks
-//! the segment it owns with a **span** — `admit`, `queue_wait`,
-//! `batch_form`, `execute` (with a `forward` child per call into the
-//! model: one for a whole-sequence batch, one per timestep for a stream
-//! that may exit early), `serialize`, `write` — via [`record_span`], and
+//! the [`Stage`] it owns — `admit`, `queue_wait`, `batch_form`, `execute`
+//! (with a `forward` child per call into the model: one for a
+//! whole-sequence batch, one per timestep for a stream that may exit
+//! early), `serialize`, `write` — with one [`record_stage_span`] call,
+//! which records the span and the stage's latency histogram together, and
 //! kernel regions under `execute`
 //! appear automatically through the [`region`] guard plus the
 //! [`TraceContext`] the executing replica installs for the batch.
@@ -528,12 +529,17 @@ fn stage_hists() -> std::sync::MutexGuard<'static, Vec<Histogram>> {
     hists
 }
 
-/// Adds one observation to a stage's global latency histogram. No-op
-/// when tracing is off.
-pub fn record_stage(stage: Stage, dur_ns: u64) {
-    if !enabled() {
+/// Records one lifecycle stage of `trace`: a span named [`Stage::name`]
+/// (payloads as in [`record_span`]) and one observation of `dur_ns` in the
+/// stage's latency histogram. The one way a stage is recorded, so the span
+/// and the `/metrics` family can never disagree. No-op when tracing is off
+/// or `trace` is 0.
+pub fn record_stage_span(trace: u64, stage: Stage, start_ns: u64, dur_ns: u64, a: u64, b: u64) {
+    if trace == 0 || !enabled() {
         return;
     }
+    let name = stage.name();
+    push_event(Event { trace, name, kind: EventKind::Span, start_ns, dur_ns, a, b });
     stage_hists()[stage as usize].record(dur_ns as f64 / 1e9);
 }
 
@@ -846,8 +852,11 @@ mod tests {
     #[test]
     fn stage_histograms_bucket_cumulatively_to_count() {
         let _g = locked();
-        record_stage(Stage::Serialize, 30_000); // 30 µs
-        record_stage(Stage::Serialize, 2_000_000_000); // 2 s -> +Inf
+        let trace = next_trace_id();
+        record_stage_span(trace, Stage::Serialize, 0, 30_000, 0, 0); // 30 µs
+        record_stage_span(trace, Stage::Serialize, 0, 2_000_000_000, 0, 0); // 2 s -> +Inf
+        let names: Vec<&str> = trace_events(trace).iter().map(|e| e.name).collect();
+        assert_eq!(names, ["serialize", "serialize"]);
         let snap = stage_snapshot();
         let (_, ser) = snap.iter().find(|(s, _)| s.name() == "serialize").unwrap();
         let buckets = ser.buckets();

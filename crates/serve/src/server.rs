@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use ttsnn_infer::{InferError, SubmitError, SubmitOptions};
 use ttsnn_obs::watchdog::HealthState;
+use ttsnn_obs::Stage;
 
 use crate::prom;
 use crate::router::Router;
@@ -451,10 +452,10 @@ fn serve_binary(mut stream: TcpStream, router: &Router, shutdown: &AtomicBool, c
         let response = response.with_trace(trace);
         let ser_start = if trace != 0 { ttsnn_obs::now_ns() } else { 0 };
         let frame = wire::encode_response(&response);
+        let bytes = frame.len() as u64;
         if trace != 0 {
             let dur = ttsnn_obs::now_ns().saturating_sub(ser_start);
-            ttsnn_obs::record_span(trace, "serialize", ser_start, dur, frame.len() as u64, 0);
-            ttsnn_obs::record_stage(ttsnn_obs::Stage::Serialize, dur);
+            ttsnn_obs::record_stage_span(trace, Stage::Serialize, ser_start, dur, bytes, 0);
         }
         let write_start = if trace != 0 { ttsnn_obs::now_ns() } else { 0 };
         if stream.write_all(&frame).is_err() {
@@ -463,8 +464,7 @@ fn serve_binary(mut stream: TcpStream, router: &Router, shutdown: &AtomicBool, c
         if trace != 0 {
             let end = ttsnn_obs::now_ns();
             let dur = end.saturating_sub(write_start);
-            ttsnn_obs::record_span(trace, "write", write_start, dur, frame.len() as u64, 0);
-            ttsnn_obs::record_stage(ttsnn_obs::Stage::Write, dur);
+            ttsnn_obs::record_stage_span(trace, Stage::Write, write_start, dur, bytes, 0);
             // Admission rejections already landed in the recorder from
             // the scheduler (with their structured reason); everything
             // else completes here, after the reply bytes are on the wire.
@@ -512,15 +512,8 @@ fn process(req: Request, router: &Router) -> Response {
     let submitted = session.try_submit_with(req.input, opts);
     if trace != 0 {
         let dur = ttsnn_obs::now_ns().saturating_sub(admit_start);
-        ttsnn_obs::record_span(
-            trace,
-            "admit",
-            admit_start,
-            dur,
-            priority.index() as u64,
-            u64::from(req.tenant),
-        );
-        ttsnn_obs::record_stage(ttsnn_obs::Stage::Admit, dur);
+        let (a, b) = (priority.index() as u64, u64::from(req.tenant));
+        ttsnn_obs::record_stage_span(trace, Stage::Admit, admit_start, dur, a, b);
     }
     let ticket = match submitted {
         Ok(t) => t,

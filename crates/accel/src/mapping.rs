@@ -169,7 +169,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttsnn_core::flops::{resnet18_cifar, resnet34_ncaltech};
+    use ttsnn_snn::{resnet18_cifar, resnet34_ncaltech};
 
     fn sim(spec: &NetworkSpec, method: Method, target: Target) -> EnergyBreakdown {
         simulate(spec, method, target, &AcceleratorConfig::paper(), &EnergyModel::nm28())

@@ -1,13 +1,14 @@
 //! Translation of a network spec into per-timestep accelerator workloads.
 //!
 //! Each convolution layer at each timestep becomes a [`LayerOp`] — a short
-//! list of [`SubConv`] stages (one for dense layers; four for full TT
-//! timesteps; two for HTT half timesteps) annotated with MAC counts,
-//! activation volumes and weight sizes. The mapping module then prices
-//! these under a given hardware target.
+//! list of [`SubConv`] stages (one for dense layers; for TT layers the
+//! [`ttsnn_core::tt_stages`] the layer runs: four on full timesteps, two on
+//! HTT half timesteps) annotated with MAC counts, activation volumes and
+//! weight sizes. The mapping module then prices these under a given
+//! hardware target.
 
-use ttsnn_core::flops::{ConvLayerSpec, LayerKind, NetworkSpec};
-use ttsnn_core::{HttSchedule, TtMode};
+use ttsnn_core::flops::{ConvLayerSpec, NetworkSpec};
+use ttsnn_core::{HttSchedule, TtMode, TtStages};
 use ttsnn_tensor::Conv2dGeometry;
 
 /// The training method whose energy is being evaluated (the four bars of
@@ -92,82 +93,42 @@ pub struct NetworkWorkload {
     pub total_params: f64,
 }
 
-fn dense_op(l: &ConvLayerSpec) -> LayerOp {
-    let (oh, ow) = l.geom.out_hw();
+/// One layer at timestep `t`: its TT stages under `mode`, or the layer
+/// itself as one stage when it is dense or no mode is given.
+fn layer_op(l: &ConvLayerSpec, mode: Option<&TtMode>, t: usize) -> LayerOp {
+    let elems = |g: &Conv2dGeometry| {
+        let (oh, ow) = g.out_hw();
+        (g.out_channels * oh * ow) as f64
+    };
+    let tt = mode.and_then(|mode| l.stages(mode, t));
+    let stages = tt.as_ref().map_or(std::slice::from_ref(&l.geom), TtStages::geometries);
     LayerOp {
-        stages: vec![SubConv {
-            macs: l.geom.macs() as f64,
-            out_elems: (l.geom.out_channels * oh * ow) as f64,
-            weight_params: l.geom.params() as f64,
-            spike_input: true,
-        }],
-        parallel_pair: None,
+        // The layer's input is spikes; the stages behind the first read the
+        // cores' non-spike intermediates.
+        stages: stages
+            .iter()
+            .enumerate()
+            .map(|(i, g)| SubConv {
+                macs: g.macs() as f64,
+                out_elems: elems(g),
+                weight_params: g.params() as f64,
+                spike_input: i == 0,
+            })
+            .collect(),
+        parallel_pair: tt.and_then(|tt| tt.parallel_pair()),
         in_elems: (l.geom.in_channels * l.geom.in_hw.0 * l.geom.in_hw.1) as f64,
-        out_elems: (l.geom.out_channels * oh * ow) as f64,
-    }
-}
-
-fn tt_op(l: &ConvLayerSpec, rank: usize, mode: &TtMode, t: usize) -> LayerOp {
-    let g = &l.geom;
-    let r = rank.min(g.in_channels).min(g.out_channels);
-    let (h, w) = g.in_hw;
-    let (sh, sw) = g.stride;
-    let (oh, ow) = g.out_hw();
-    let elems = |gg: &Conv2dGeometry| {
-        let (a, b) = gg.out_hw();
-        (gg.out_channels * a * b) as f64
-    };
-    let stage = |gg: Conv2dGeometry, spike: bool| SubConv {
-        macs: gg.macs() as f64,
-        out_elems: elems(&gg),
-        weight_params: gg.params() as f64,
-        spike_input: spike,
-    };
-    let g1 = Conv2dGeometry::new(g.in_channels, r, (h, w), (1, 1), (1, 1), (0, 0));
-    let g4 = Conv2dGeometry::new(r, g.out_channels, (oh, ow), (1, 1), (1, 1), (0, 0));
-    let (stages, parallel_pair) = match (mode, mode.is_full_at(t)) {
-        (TtMode::Stt, _) => {
-            let g2 = Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, 1), (1, 0));
-            let g3 = Conv2dGeometry::new(r, r, (oh, w), (1, 3), (1, sw), (0, 1));
-            (vec![stage(g1, true), stage(g2, false), stage(g3, false), stage(g4, false)], None)
-        }
-        (TtMode::Ptt, _) | (TtMode::Htt(_), true) => {
-            let g2 = Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, sw), (1, 0));
-            let g3 = Conv2dGeometry::new(r, r, (h, w), (1, 3), (sh, sw), (0, 1));
-            (
-                vec![stage(g1, true), stage(g2, false), stage(g3, false), stage(g4, false)],
-                Some((1, 2)),
-            )
-        }
-        (TtMode::Htt(_), false) => {
-            let g1h = Conv2dGeometry::new(g.in_channels, r, (h, w), (1, 1), (sh, sw), (0, 0));
-            (vec![stage(g1h, true), stage(g4, false)], None)
-        }
-    };
-    LayerOp {
-        stages,
-        parallel_pair,
-        in_elems: (g.in_channels * h * w) as f64,
-        out_elems: (g.out_channels * oh * ow) as f64,
+        out_elems: elems(&l.geom),
     }
 }
 
 impl NetworkWorkload {
     /// Builds the workload for `method` from an analytic network spec
-    /// (e.g. [`ttsnn_core::flops::resnet18_cifar`]).
+    /// (e.g. `ttsnn_snn::resnet18_cifar`).
     pub fn from_spec(spec: &NetworkSpec, method: Method) -> Self {
         let mode = method.tt_mode(spec.timesteps);
         let mut steps = Vec::with_capacity(spec.timesteps);
         for t in 0..spec.timesteps {
-            let mut layers = Vec::with_capacity(spec.conv_layers.len());
-            for l in &spec.conv_layers {
-                let op = match (&mode, l.kind) {
-                    (Some(m), LayerKind::Decomposed { rank }) => tt_op(l, rank, m, t),
-                    _ => dense_op(l),
-                };
-                layers.push(op);
-            }
-            steps.push(layers);
+            steps.push(spec.conv_layers.iter().map(|l| layer_op(l, mode.as_ref(), t)).collect());
         }
         let total_params: f64 = match mode {
             None => spec.baseline_params() as f64,
@@ -191,7 +152,7 @@ impl NetworkWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttsnn_core::flops::resnet18_cifar;
+    use ttsnn_snn::resnet18_cifar;
 
     #[test]
     fn baseline_workload_single_stage_layers() {

@@ -3,18 +3,25 @@
 
 use proptest::prelude::*;
 use ttsnn_accel::{simulate, AcceleratorConfig, EnergyModel, Method, Target};
-use ttsnn_core::flops::ms_resnet_spec;
+use ttsnn_core::flops::NetworkSpec;
+use ttsnn_core::TtMode;
+use ttsnn_snn::{Architecture, ConvPolicy, ResNetConfig};
 
-fn random_spec(seed: u64, timesteps: usize) -> ttsnn_core::flops::NetworkSpec {
+fn random_spec(seed: u64, timesteps: usize) -> NetworkSpec {
     let mut rng = ttsnn_tensor::Rng::seed_from(seed);
     // Paper-regime networks: tens-of-channels widths, two blocks per
     // stage, VBMF-like ranks at a quarter to ~40% of the layer width. For
     // toy single-block nets at rank ≈ width the decomposition genuinely
     // stops paying — that regime is out of scope for the Fig. 4 claims.
     let w0 = 32 + rng.below(32);
-    let widths = [w0, w0 * 2];
+    let config = ResNetConfig {
+        stage_blocks: vec![2, 2],
+        widths: vec![w0, w0 * 2],
+        ..ResNetConfig::resnet18(10, (32, 32), 1)
+    };
     let ranks: Vec<usize> = (0..8).map(|_| (w0 / 4 + rng.below(w0 / 6 + 1)).max(1)).collect();
-    ms_resnet_spec("prop", 3, (32, 32), 10, &[2, 2], &widths, &ranks, timesteps)
+    let policy = ConvPolicy::TtWithRanks { mode: TtMode::Ptt, ranks };
+    config.program().and_then(|program| program.spec(&policy, timesteps)).unwrap()
 }
 
 proptest! {

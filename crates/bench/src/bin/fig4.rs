@@ -3,7 +3,7 @@
 //! proposed multi-cluster design.
 
 use ttsnn_accel::{simulate, AcceleratorConfig, Method, Target};
-use ttsnn_core::flops::{resnet18_cifar, resnet34_ncaltech};
+use ttsnn_snn::{resnet18_cifar, resnet34_ncaltech};
 
 fn main() {
     let cfg = AcceleratorConfig::paper();

@@ -18,10 +18,10 @@
 
 use ttsnn_bench::harness::average_rows;
 use ttsnn_bench::{measured_policies, print_measured_table, train_and_measure, ExperimentConfig};
-use ttsnn_core::flops::{resnet18_cifar, resnet34_ncaltech, NetworkSpec};
+use ttsnn_core::flops::NetworkSpec;
 use ttsnn_core::TtMode;
 use ttsnn_data::{EventStream, StaticImages};
-use ttsnn_snn::{ResNetConfig, ResNetSnn};
+use ttsnn_snn::{resnet18_cifar, resnet34_ncaltech, ResNetConfig, ResNetSnn};
 use ttsnn_tensor::Rng;
 
 fn analytic_block(spec: &NetworkSpec) {

@@ -3,8 +3,12 @@
 //! The paper reports trainable-parameter counts and FLOPs *during training*
 //! for full-size MS-ResNet18 (CIFAR10/100, T=4) and MS-ResNet34
 //! (N-Caltech101, T=6). Those columns are pure arithmetic over the layer
-//! geometry and the published VBMF ranks — no training required — so this
-//! module reproduces them exactly from first principles.
+//! geometry and the published VBMF ranks ([`crate::paper_ranks`]) — no
+//! training required. A [`NetworkSpec`] holds that geometry; it is not
+//! written out here but walked from a layer program (`ttsnn_snn`'s
+//! `Program::spec`; the two Table II specs are `ttsnn_snn::resnet18_cifar`
+//! and `ttsnn_snn::resnet34_ncaltech`), and a decomposed layer's cost is
+//! its [`tt_stages`] — the list [`crate::TtConv`] runs.
 //!
 //! Conventions (matching the paper's numbers):
 //!
@@ -16,8 +20,9 @@
 
 use ttsnn_tensor::Conv2dGeometry;
 
+use crate::layer::{tt_stages, TtStages};
 use crate::modes::TtMode;
-use crate::paper_ranks::{RESNET18_RANKS, RESNET34_RANKS};
+use crate::ttsvd::max_uniform_rank;
 
 /// Whether a convolution layer stays dense or is TT-decomposed at a rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,47 +48,27 @@ pub struct ConvLayerSpec {
 }
 
 impl ConvLayerSpec {
-    /// Trainable parameters of the TT factorization of this layer
-    /// (`r·I + 6r² + r·O`), or the dense count if not decomposed.
+    /// The sub-convolutions this layer runs at timestep `t` under `mode`,
+    /// its rank clamped to `min(I, O)`; `None` if it stays dense.
+    pub fn stages(&self, mode: &TtMode, t: usize) -> Option<TtStages> {
+        let LayerKind::Decomposed { rank } = self.kind else {
+            return None;
+        };
+        let bound = max_uniform_rank(self.geom.in_channels, self.geom.out_channels);
+        Some(tt_stages(&self.geom, rank.min(bound), mode, t))
+    }
+
+    /// Trainable parameters of the TT factorization of this layer (its full
+    /// path's stages, `r·I + 6r² + r·O`), or the dense count if not
+    /// decomposed.
     pub fn tt_params(&self) -> usize {
-        match self.kind {
-            LayerKind::Dense => self.geom.params(),
-            LayerKind::Decomposed { rank } => {
-                let r = rank.min(self.geom.in_channels).min(self.geom.out_channels);
-                r * self.geom.in_channels + 6 * r * r + r * self.geom.out_channels
-            }
-        }
+        self.stages(&TtMode::Ptt, 0).map_or(self.geom.params(), |s| s.params())
     }
 
     /// Forward MACs of this layer for one sample at timestep `t` under the
     /// given mode (dense layers are unaffected by the mode).
     pub fn macs(&self, mode: &TtMode, t: usize) -> usize {
-        let LayerKind::Decomposed { rank } = self.kind else {
-            return self.geom.macs();
-        };
-        let g = &self.geom;
-        let r = rank.min(g.in_channels).min(g.out_channels);
-        let (h, w) = g.in_hw;
-        let (sh, sw) = g.stride;
-        let g1 = Conv2dGeometry::new(g.in_channels, r, (h, w), (1, 1), (1, 1), (0, 0));
-        let (oh, ow) = g.out_hw();
-        let g4 = Conv2dGeometry::new(r, g.out_channels, (oh, ow), (1, 1), (1, 1), (0, 0));
-        match (mode, mode.is_full_at(t)) {
-            (TtMode::Stt, _) => {
-                let g2 = Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, 1), (1, 0));
-                let g3 = Conv2dGeometry::new(r, r, (oh, w), (1, 3), (1, sw), (0, 1));
-                g1.macs() + g2.macs() + g3.macs() + g4.macs()
-            }
-            (TtMode::Ptt, _) | (TtMode::Htt(_), true) => {
-                let g2 = Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, sw), (1, 0));
-                let g3 = Conv2dGeometry::new(r, r, (h, w), (1, 3), (sh, sw), (0, 1));
-                g1.macs() + g2.macs() + g3.macs() + g4.macs()
-            }
-            (TtMode::Htt(_), false) => {
-                let g1h = Conv2dGeometry::new(g.in_channels, r, (h, w), (1, 1), (sh, sw), (0, 0));
-                g1h.macs() + g4.macs()
-            }
-        }
+        self.stages(mode, t).map_or(self.geom.macs(), |s| s.macs())
     }
 }
 
@@ -150,208 +135,9 @@ impl NetworkSpec {
     }
 }
 
-/// Builds an MS-ResNet spec (He-style basic blocks, CIFAR stem: single 3×3
-/// stride-1 conv, no max-pool) with per-layer TT ranks assigned to the
-/// block convolutions in network order.
-///
-/// `stage_blocks` is the block count per stage (ResNet18: `[2,2,2,2]`,
-/// ResNet34: `[3,4,6,3]`), `widths` the channel width per stage.
-///
-/// # Panics
-///
-/// Panics if `ranks.len()` differs from `2 × Σ stage_blocks`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's spec table columns
-pub fn ms_resnet_spec(
-    name: &str,
-    in_channels: usize,
-    in_hw: (usize, usize),
-    num_classes: usize,
-    stage_blocks: &[usize],
-    widths: &[usize],
-    ranks: &[usize],
-    timesteps: usize,
-) -> NetworkSpec {
-    let total_convs: usize = 2 * stage_blocks.iter().sum::<usize>();
-    assert_eq!(
-        ranks.len(),
-        total_convs,
-        "need one rank per decomposed conv ({total_convs}), got {}",
-        ranks.len()
-    );
-    let mut layers = Vec::new();
-    let mut bn_params = 0usize;
-    let mut hw = in_hw;
-    let stem_out = widths[0];
-    layers.push(ConvLayerSpec {
-        geom: Conv2dGeometry::new(in_channels, stem_out, hw, (3, 3), (1, 1), (1, 1)),
-        kind: LayerKind::Dense,
-    });
-    bn_params += 2 * stem_out;
-    let mut c_in = stem_out;
-    let mut rank_iter = ranks.iter();
-    for (stage, (&blocks, &width)) in stage_blocks.iter().zip(widths.iter()).enumerate() {
-        for block in 0..blocks {
-            let downsample = stage > 0 && block == 0;
-            let stride = if downsample { (2, 2) } else { (1, 1) };
-            // conv_a
-            let ra = *rank_iter.next().expect("rank count checked above");
-            layers.push(ConvLayerSpec {
-                geom: Conv2dGeometry::new(c_in, width, hw, (3, 3), stride, (1, 1)),
-                kind: LayerKind::Decomposed { rank: ra },
-            });
-            let out_hw = Conv2dGeometry::new(c_in, width, hw, (3, 3), stride, (1, 1)).out_hw();
-            bn_params += 2 * width;
-            // conv_b
-            let rb = *rank_iter.next().expect("rank count checked above");
-            layers.push(ConvLayerSpec {
-                geom: Conv2dGeometry::new(width, width, out_hw, (3, 3), (1, 1), (1, 1)),
-                kind: LayerKind::Decomposed { rank: rb },
-            });
-            bn_params += 2 * width;
-            // 1x1 projection shortcut where shape changes
-            if c_in != width || downsample {
-                layers.push(ConvLayerSpec {
-                    geom: Conv2dGeometry::new(c_in, width, hw, (1, 1), stride, (0, 0)),
-                    kind: LayerKind::Dense,
-                });
-                bn_params += 2 * width;
-            }
-            hw = out_hw;
-            c_in = width;
-        }
-    }
-    let fc_params = c_in * num_classes + num_classes;
-    NetworkSpec { name: name.to_string(), conv_layers: layers, fc_params, bn_params, timesteps }
-}
-
-/// Full-size MS-ResNet18 on CIFAR (32×32 RGB), T=4, with the paper's
-/// published VBMF ranks — the Table II CIFAR10/CIFAR100 rows.
-pub fn resnet18_cifar(num_classes: usize) -> NetworkSpec {
-    ms_resnet_spec(
-        &format!("MS-ResNet18 / CIFAR{num_classes}"),
-        3,
-        (32, 32),
-        num_classes,
-        &[2, 2, 2, 2],
-        &[64, 128, 256, 512],
-        &RESNET18_RANKS,
-        4,
-    )
-}
-
-/// Full-size MS-ResNet34 on N-Caltech101 (2-polarity event frames at
-/// 48×48), T=6, with the paper's published VBMF ranks — the Table II
-/// N-Caltech101 row.
-pub fn resnet34_ncaltech() -> NetworkSpec {
-    ms_resnet_spec(
-        "MS-ResNet34 / N-Caltech101",
-        2,
-        (48, 48),
-        101,
-        &[3, 4, 6, 3],
-        &[64, 128, 256, 512],
-        &RESNET34_RANKS,
-        6,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modes::HttSchedule;
-
-    #[test]
-    fn resnet18_baseline_params_match_paper() {
-        // Paper Table II: 11.20M (CIFAR10), 11.21M (CIFAR100 — wider FC).
-        let spec = resnet18_cifar(10);
-        let p = spec.baseline_params() as f64 / 1e6;
-        assert!((p - 11.20).abs() < 0.06, "ResNet18 params {p:.3}M vs paper 11.20M");
-        let spec100 = resnet18_cifar(100);
-        assert!(spec100.baseline_params() > spec.baseline_params());
-    }
-
-    #[test]
-    fn resnet34_baseline_params_match_paper() {
-        // Paper Table II: 21.31M.
-        let spec = resnet34_ncaltech();
-        let p = spec.baseline_params() as f64 / 1e6;
-        assert!((p - 21.31).abs() < 0.12, "ResNet34 params {p:.3}M vs paper 21.31M");
-    }
-
-    #[test]
-    fn resnet18_baseline_flops_match_paper() {
-        // Paper Table II: 2.221G FLOPs (MACs over T=4).
-        let spec = resnet18_cifar(10);
-        let g = spec.baseline_macs() as f64 / 1e9;
-        assert!((g - 2.221).abs() < 0.1, "ResNet18 FLOPs {g:.3}G vs paper 2.221G");
-    }
-
-    #[test]
-    fn resnet34_baseline_flops_match_paper() {
-        // Paper Table II: 15.65G FLOPs (MACs over T=6) at 48x48 inputs.
-        let spec = resnet34_ncaltech();
-        let g = spec.baseline_macs() as f64 / 1e9;
-        assert!((g - 15.65).abs() < 1.0, "ResNet34 FLOPs {g:.3}G vs paper 15.65G");
-    }
-
-    #[test]
-    fn resnet18_tt_compression_matches_paper() {
-        // Paper: params 6.13x (1.83M), FLOPs 5.97x for STT/PTT at T=4.
-        let spec = resnet18_cifar(10);
-        let px = spec.param_compression();
-        assert!((px - 6.13).abs() < 0.7, "param compression {px:.2} vs paper 6.13");
-        let fx = spec.flop_compression(&TtMode::Ptt);
-        assert!((fx - 5.97).abs() < 0.9, "FLOP compression {fx:.2} vs paper 5.97");
-    }
-
-    #[test]
-    fn resnet34_tt_compression_matches_paper() {
-        // Paper: params 7.98x (2.67M), FLOPs 9.25x, HTT 10.75x.
-        let spec = resnet34_ncaltech();
-        let px = spec.param_compression();
-        assert!((px - 7.98).abs() < 0.8, "param compression {px:.2} vs paper 7.98");
-        let fx = spec.flop_compression(&TtMode::Ptt);
-        assert!((fx - 9.25).abs() < 1.4, "FLOP compression {fx:.2} vs paper 9.25");
-        let hx = spec.flop_compression(&TtMode::htt_default(6));
-        assert!(hx > fx, "HTT must compress FLOPs more than PTT");
-    }
-
-    #[test]
-    fn htt_flops_below_ptt_flops() {
-        let spec = resnet18_cifar(10);
-        let ptt = spec.mode_macs(&TtMode::Ptt);
-        let htt = spec.mode_macs(&TtMode::htt_default(4));
-        let stt = spec.mode_macs(&TtMode::Stt);
-        assert!(htt < ptt);
-        // STT and PTT MAC counts coincide up to the strided layers, where
-        // STT's sequential striding is marginally more expensive.
-        assert!((stt as f64 - ptt as f64).abs() / (ptt as f64) < 0.03);
-        assert!(stt >= ptt);
-    }
-
-    #[test]
-    fn stt_ptt_same_params() {
-        let spec = resnet18_cifar(10);
-        // Params are mode-independent by construction; the API exposes one
-        // number for all three modes (Table II shows identical "1.83M").
-        let tt = spec.tt_params();
-        assert!(tt < spec.baseline_params());
-        assert_eq!(spec.num_decomposed(), 16);
-    }
-
-    #[test]
-    fn decomposed_layer_count_resnet34() {
-        assert_eq!(resnet34_ncaltech().num_decomposed(), 32);
-    }
-
-    #[test]
-    fn htt_schedule_order_does_not_change_total_macs() {
-        // FFHH and HHFF have the same number of full timesteps -> same MACs.
-        let spec = resnet18_cifar(10);
-        let a = spec.mode_macs(&TtMode::Htt(HttSchedule::from_pattern("FFHH").unwrap()));
-        let b = spec.mode_macs(&TtMode::Htt(HttSchedule::from_pattern("HHFF").unwrap()));
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn dense_layer_macs_ignore_mode() {
@@ -371,11 +157,5 @@ mod tests {
         };
         // clamped to min(I,O)=4
         assert_eq!(l.tt_params(), 4 * 4 + 6 * 16 + 4 * 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank")]
-    fn spec_builder_validates_rank_count() {
-        ms_resnet_spec("bad", 3, (32, 32), 10, &[2, 2], &[16, 32], &[1, 2, 3], 4);
     }
 }

@@ -7,6 +7,11 @@
 //! downsampling convolutions of MS-ResNet) are supported; the stride is
 //! carried by the asymmetric cores so the factorization stays exact for
 //! STT.
+//!
+//! [`tt_stages`] is the one place that decides how a layer splits into
+//! sub-convolutions at a timestep; [`TtConv`]'s forwards and MAC count, the
+//! analytic accounting (`crate::flops`) and the accelerator workload all read
+//! it.
 
 use ttsnn_autograd::Var;
 use ttsnn_tensor::{conv, Conv2dGeometry, Rng, ShapeError, Tensor};
@@ -181,10 +186,23 @@ impl TtConv {
         vec![self.w1.clone(), self.w2.clone(), self.w3.clone(), self.w4.clone()]
     }
 
-    /// Total trainable parameters (`r·I + 6r² + r·O`).
+    /// Total trainable parameters, `r·I + 6r² + r·O`: the full path's
+    /// stages (a count no input size changes, so any will do).
     pub fn num_params(&self) -> usize {
-        let r = self.rank;
-        r * self.in_channels + 6 * r * r + r * self.out_channels
+        tt_stages(&self.geometry((1, 1)), self.rank, &TtMode::Ptt, 0).params()
+    }
+
+    /// The 3×3 / pad-1 convolution the cores factorize, at input size
+    /// `in_hw`.
+    pub fn geometry(&self, in_hw: (usize, usize)) -> Conv2dGeometry {
+        let (i, o) = (self.in_channels, self.out_channels);
+        Conv2dGeometry::new(i, o, in_hw, (3, 3), self.stride, (1, 1))
+    }
+
+    /// The sub-convolutions this layer runs at input size `in_hw` and
+    /// timestep `t` ([`tt_stages`]).
+    fn stages(&self, in_hw: (usize, usize), t: usize) -> TtStages {
+        tt_stages(&self.geometry(in_hw), self.rank, &self.mode, t)
     }
 
     /// Snapshot of the current core values.
@@ -194,28 +212,6 @@ impl TtConv {
             w2: self.w2.to_tensor(),
             w3: self.w3.to_tensor(),
             w4: self.w4.to_tensor(),
-        }
-    }
-
-    fn geometry_for(&self, hw: (usize, usize)) -> Geometries {
-        let (sh, sw) = self.stride;
-        let (h, w) = hw;
-        let r = self.rank;
-        let (oh, ow) = ((h + 2 - 3) / sh + 1, (w + 2 - 3) / sw + 1); // 3x3 pad 1
-        Geometries {
-            g1: Conv2dGeometry::new(self.in_channels, r, (h, w), (1, 1), (1, 1), (0, 0)),
-            // STT: vertical core takes the vertical stride, horizontal core
-            // the horizontal stride.
-            g2_seq: Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, 1), (1, 0)),
-            g3_seq: Conv2dGeometry::new(r, r, (oh, w), (1, 3), (1, sw), (0, 1)),
-            // PTT: both branches consume w1's output and apply the full
-            // stride so their outputs align for the sum of Eq. (5).
-            g2_par: Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, sw), (1, 0)),
-            g3_par: Conv2dGeometry::new(r, r, (h, w), (1, 3), (sh, sw), (0, 1)),
-            g4: Conv2dGeometry::new(r, self.out_channels, (oh, ow), (1, 1), (1, 1), (0, 0)),
-            // Half path: the 1x1 projection absorbs the stride, so `w4` sees
-            // the full path's geometry.
-            g1_half: Conv2dGeometry::new(self.in_channels, r, (h, w), (1, 1), (sh, sw), (0, 0)),
         }
     }
 
@@ -250,50 +246,58 @@ impl TtConv {
                 shape[0]
             )));
         }
-        let g = self.geometry_for((shape[2], shape[3]));
-        if matches!(self.mode, TtMode::Stt) {
-            let o = x.conv2d(&self.w1, g.g1)?;
-            let o = o.conv2d(&self.w2, g.g2_seq)?;
-            let o = o.conv2d(&self.w3, g.g3_seq)?;
-            return o.conv2d(&self.w4, g.g4);
-        }
-        let runs = self.schedule_runs(t0, steps, shape[0] / steps);
-        // With stride 1 the two `w1` geometries are the same convolution.
-        let shared_w1 = if g.g1 == g.g1_half { Some(x.conv2d(&self.w1, g.g1)?) } else { None };
+        let hw = (shape[2], shape[3]);
+        let runs = self.schedule_runs(hw, t0, steps, shape[0] / steps);
+        // Every run opens with the same `w1` convolution unless the layer is
+        // strided HTT (its half path downsamples in `w1`, its full path after
+        // it); then `w1` runs once over the whole stack.
+        let opening = |&(t, ..): &(usize, usize, usize)| self.stages(hw, t).geometries()[0];
+        let shared_w1 = if runs.iter().all(|run| opening(run) == opening(&runs[0])) {
+            Some(x.conv2d(&self.w1, opening(&runs[0]))?)
+        } else {
+            None
+        };
         let mut mixed = Vec::with_capacity(runs.len());
-        for (full, first, rows) in runs {
+        for run @ &(t, first, rows) in &runs {
             let o = match &shared_w1 {
                 Some(o) => o.rows(first, rows)?,
-                None => {
-                    let g1 = if full { g.g1 } else { g.g1_half };
-                    x.rows(first, rows)?.conv2d(&self.w1, g1)?
-                }
+                None => x.rows(first, rows)?.conv2d(&self.w1, opening(run))?,
             };
-            mixed.push(if full {
-                let vertical = o.conv2d(&self.w2, g.g2_par)?;
-                let horizontal = o.conv2d(&self.w3, g.g3_par)?;
-                vertical.add(&horizontal)?
-            } else {
-                o
+            mixed.push(match self.stages(hw, t) {
+                TtStages::Chain([_, g2, g3, _]) => o.conv2d(&self.w2, g2)?.conv2d(&self.w3, g3)?,
+                TtStages::Branches([_, g2, g3, _]) => {
+                    let vertical = o.conv2d(&self.w2, g2)?;
+                    let horizontal = o.conv2d(&self.w3, g3)?;
+                    vertical.add(&horizontal)?
+                }
+                TtStages::Half(_) => o,
             });
         }
         let mixed = match mixed.as_slice() {
             [one] => one.clone(),
             many => Var::concat_rows(many)?,
         };
-        mixed.conv2d(&self.w4, g.g4)
+        mixed.conv2d(&self.w4, self.stages(hw, t0).last())
     }
 
     /// Maximal runs of the timesteps `t0..t0 + steps` that take the same
-    /// path, as `(full, first row, rows)` of a time-major stack with `batch`
-    /// rows a timestep; STT and PTT are one full run.
-    fn schedule_runs(&self, t0: usize, steps: usize, batch: usize) -> Vec<(bool, usize, usize)> {
-        let mut runs: Vec<(bool, usize, usize)> = Vec::new();
+    /// path at input size `in_hw`, as `(first timestep, first row, rows)` of
+    /// a time-major stack with `batch` rows a timestep; STT and PTT are one
+    /// run. (A run names its path by a timestep, not by its stages: a list
+    /// of those would put a training step's runs on the heap.)
+    fn schedule_runs(
+        &self,
+        in_hw: (usize, usize),
+        t0: usize,
+        steps: usize,
+        batch: usize,
+    ) -> Vec<(usize, usize, usize)> {
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
         for t in 0..steps {
-            let full = self.mode.is_full_at(t0 + t);
+            let stages = self.stages(in_hw, t0 + t);
             match runs.last_mut() {
-                Some((last, _, rows)) if *last == full => *rows += batch,
-                _ => runs.push((full, t * batch, batch)),
+                Some((first, _, rows)) if self.stages(in_hw, *first) == stages => *rows += batch,
+                _ => runs.push((t0 + t, t * batch, batch)),
             }
         }
         runs
@@ -344,41 +348,42 @@ impl TtConv {
                 shape[0]
             )));
         }
-        let g = self.geometry_for((shape[2], shape[3]));
+        let hw = (shape[2], shape[3]);
+        let runs = self.schedule_runs(hw, t0, steps, shape[0] / steps);
         let (w1, w2, w3, w4) = (self.w1.value(), self.w2.value(), self.w3.value(), self.w4.value());
         // Everything up to `w4`, for a run of rows on one path.
-        let mix = |x: &Tensor, full: bool| -> Result<Tensor, ShapeError> {
-            match (&self.mode, full) {
-                (TtMode::Stt, _) => {
-                    let o1 = conv::conv2d(x, &w1, &g.g1)?;
-                    let o2 = conv::conv2d(&o1, &w2, &g.g2_seq)?;
+        let mix = |x: &Tensor, stages: TtStages| -> Result<Tensor, ShapeError> {
+            match stages {
+                TtStages::Chain([g1, g2, g3, _]) => {
+                    let o1 = conv::conv2d(x, &w1, &g1)?;
+                    let o2 = conv::conv2d(&o1, &w2, &g2)?;
                     o1.recycle();
-                    let o3 = conv::conv2d(&o2, &w3, &g.g3_seq);
+                    let o3 = conv::conv2d(&o2, &w3, &g3);
                     o2.recycle();
                     o3
                 }
-                (_, true) => {
-                    let o = conv::conv2d(x, &w1, &g.g1)?;
-                    let mut vertical = conv::conv2d(&o, &w2, &g.g2_par)?;
-                    let horizontal = conv::conv2d(&o, &w3, &g.g3_par)?;
+                TtStages::Branches([g1, g2, g3, _]) => {
+                    let o = conv::conv2d(x, &w1, &g1)?;
+                    let mut vertical = conv::conv2d(&o, &w2, &g2)?;
+                    let horizontal = conv::conv2d(&o, &w3, &g3)?;
                     o.recycle();
                     // vertical + horizontal in place: `1.0 * h` is `h` exactly.
                     vertical.add_scaled(&horizontal, 1.0)?;
                     horizontal.recycle();
                     Ok(vertical)
                 }
-                (_, false) => conv::conv2d(x, &w1, &g.g1_half),
+                TtStages::Half([g1, _]) => conv::conv2d(x, &w1, &g1),
             }
         };
-        let mixed = match self.schedule_runs(t0, steps, shape[0] / steps).as_slice() {
-            &[(full, ..)] => mix(x, full)?,
+        let mixed = match runs.as_slice() {
+            &[(t, ..)] => mix(x, self.stages(hw, t))?,
             runs => {
                 let row = x.len() / shape[0];
                 let mut mixed: Option<Tensor> = None;
-                for &(full, first, rows) in runs {
+                for &(t, first, rows) in runs {
                     let mut cut = Tensor::scratch(&[rows, shape[1], shape[2], shape[3]]);
                     cut.data_mut().copy_from_slice(&x.data()[first * row..(first + rows) * row]);
-                    let part = mix(&cut, full)?;
+                    let part = mix(&cut, self.stages(hw, t))?;
                     cut.recycle();
                     let out_row = part.len() / rows;
                     let whole = mixed.get_or_insert_with(|| {
@@ -391,7 +396,7 @@ impl TtConv {
                 mixed.expect("steps >= 1 gives at least one run")
             }
         };
-        let y = conv::conv2d(&mixed, &w4, &g.g4);
+        let y = conv::conv2d(&mixed, &w4, &self.stages(hw, t0).last());
         mixed.recycle();
         y
     }
@@ -416,25 +421,83 @@ impl TtConv {
     /// timestep (used by the FLOPs accounting and by the accelerator
     /// model).
     pub fn macs(&self, in_hw: (usize, usize), t: usize) -> usize {
-        let g = self.geometry_for(in_hw);
-        match (&self.mode, self.mode.is_full_at(t)) {
-            (TtMode::Stt, _) => g.g1.macs() + g.g2_seq.macs() + g.g3_seq.macs() + g.g4.macs(),
-            (TtMode::Ptt, _) | (TtMode::Htt(_), true) => {
-                g.g1.macs() + g.g2_par.macs() + g.g3_par.macs() + g.g4.macs()
-            }
-            (TtMode::Htt(_), false) => g.g1_half.macs() + g.g4.macs(),
-        }
+        self.stages(in_hw, t).macs()
     }
 }
 
-struct Geometries {
-    g1: Conv2dGeometry,
-    g2_seq: Conv2dGeometry,
-    g3_seq: Conv2dGeometry,
-    g2_par: Conv2dGeometry,
-    g3_par: Conv2dGeometry,
-    g4: Conv2dGeometry,
-    g1_half: Conv2dGeometry,
+/// The sub-convolutions a TT layer runs at one timestep, in execution
+/// order: what [`tt_stages`] returns, held inline (no heap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TtStages {
+    /// STT: `w1 → w2 → w3 → w4`, the vertical core taking the vertical
+    /// stride and the horizontal core the horizontal one.
+    Chain([Conv2dGeometry; 4]),
+    /// PTT, and HTT's full timesteps: `w1`, then `w2` and `w3` both on its
+    /// output at the full stride so their outputs align for the sum of
+    /// Eq. (5), then `w4`.
+    Branches([Conv2dGeometry; 4]),
+    /// HTT's half timesteps: `w1` absorbing the stride, then `w4` on the
+    /// full path's geometry.
+    Half([Conv2dGeometry; 2]),
+}
+
+impl TtStages {
+    /// The stage geometries in execution order.
+    pub fn geometries(&self) -> &[Conv2dGeometry] {
+        match self {
+            TtStages::Chain(g) | TtStages::Branches(g) => g,
+            TtStages::Half(g) => g,
+        }
+    }
+
+    /// The two stages that read the same input and are summed (the PTT
+    /// branches, which a multi-cluster design runs concurrently).
+    pub fn parallel_pair(&self) -> Option<(usize, usize)> {
+        matches!(self, TtStages::Branches(_)).then_some((1, 2))
+    }
+
+    /// The last stage, `w4`, which every path ends in.
+    pub(crate) fn last(&self) -> Conv2dGeometry {
+        *self.geometries().last().expect("every path has stages")
+    }
+
+    /// Forward MACs of all stages for one sample.
+    pub(crate) fn macs(&self) -> usize {
+        self.geometries().iter().map(Conv2dGeometry::macs).sum()
+    }
+
+    /// Parameters of all stages (on the full path, every core once).
+    pub(crate) fn params(&self) -> usize {
+        self.geometries().iter().map(Conv2dGeometry::params).sum()
+    }
+}
+
+/// How a rank-`rank` TT layer factorizing the 3×3 / pad-1 convolution `full`
+/// runs at timestep `t` under `mode`: the sub-convolution geometries in
+/// execution order, with the parallel pair. `rank` is taken as given; the
+/// analytic accounting clamps it to `min(I, O)` first, as [`decompose`] does.
+pub fn tt_stages(full: &Conv2dGeometry, rank: usize, mode: &TtMode, t: usize) -> TtStages {
+    let (i, o, r) = (full.in_channels, full.out_channels, rank);
+    let ((h, w), (sh, sw), (oh, ow)) = (full.in_hw, full.stride, full.out_hw());
+    let pointwise =
+        |c_in, c_out, hw, stride| Conv2dGeometry::new(c_in, c_out, hw, (1, 1), stride, (0, 0));
+    let w1 = pointwise(i, r, (h, w), (1, 1));
+    let w4 = pointwise(r, o, (oh, ow), (1, 1));
+    match (mode, mode.is_full_at(t)) {
+        (TtMode::Stt, _) => TtStages::Chain([
+            w1,
+            Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, 1), (1, 0)),
+            Conv2dGeometry::new(r, r, (oh, w), (1, 3), (1, sw), (0, 1)),
+            w4,
+        ]),
+        (TtMode::Ptt, _) | (TtMode::Htt(_), true) => TtStages::Branches([
+            w1,
+            Conv2dGeometry::new(r, r, (h, w), (3, 1), (sh, sw), (1, 0)),
+            Conv2dGeometry::new(r, r, (h, w), (1, 3), (sh, sw), (0, 1)),
+            w4,
+        ]),
+        (TtMode::Htt(_), false) => TtStages::Half([pointwise(i, r, (h, w), (sh, sw)), w4]),
+    }
 }
 
 #[cfg(test)]
@@ -514,6 +577,44 @@ mod tests {
         let g = Conv2dGeometry::new(4, 5, (9, 9), (3, 3), (2, 2), (1, 1));
         let via_dense = conv::conv2d(&x, &dense, &g).unwrap();
         assert!(via_tt.max_abs_diff(&via_dense).unwrap() < 1e-3);
+    }
+
+    /// Every path's stages chain: each reads what the one before wrote (the
+    /// PTT branches both read `w1`'s output and write the same shape), and
+    /// every path ends where the full 3×3 convolution does.
+    #[test]
+    fn stage_lists_chain_into_the_full_convolution() {
+        use crate::modes::HttSchedule;
+        let out = |g: &Conv2dGeometry| (g.out_channels, g.out_hw());
+        let input = |g: &Conv2dGeometry| (g.in_channels, g.in_hw);
+        let htt = TtMode::Htt(HttSchedule::from_pattern("FH").unwrap());
+        for stride in [(1, 1), (2, 2), (2, 1)] {
+            let full = Conv2dGeometry::new(6, 10, (9, 8), (3, 3), stride, (1, 1));
+            for (mode, t) in
+                [(TtMode::Stt, 0), (TtMode::Ptt, 0), (htt.clone(), 0), (htt.clone(), 1)]
+            {
+                let stages = tt_stages(&full, 4, &mode, t);
+                let g = stages.geometries();
+                let tag = format!("{mode} t={t} stride {stride:?}");
+                assert_eq!(input(&g[0]), (6, (9, 8)), "{tag}");
+                assert_eq!(out(&stages.last()), out(&full), "{tag}");
+                match stages.parallel_pair() {
+                    Some((a, b)) => {
+                        assert_eq!((a, b, g.len()), (1, 2, 4), "{tag}");
+                        assert_eq!([input(&g[1]), input(&g[2])], [out(&g[0]); 2], "{tag}");
+                        assert_eq!([out(&g[1]), out(&g[2])], [input(&g[3]); 2], "{tag}");
+                    }
+                    None => {
+                        g.windows(2).for_each(|w| assert_eq!(out(&w[0]), input(&w[1]), "{tag}"))
+                    }
+                }
+                let params = match stages {
+                    TtStages::Half(_) => 4 * 6 + 4 * 10,
+                    _ => 4 * 6 + 6 * 16 + 4 * 10,
+                };
+                assert_eq!(stages.params(), params, "{tag}");
+            }
+        }
     }
 
     #[test]

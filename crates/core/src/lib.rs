@@ -15,12 +15,15 @@
 //! * [`modes`] — the three computation pipelines: Sequential TT (STT),
 //!   the proposed Parallel TT (PTT, Eq. (5)), and Half TT (HTT, Fig. 2)
 //!   with its per-timestep full/half schedule.
-//! * [`layer`] — [`TtConv`], the drop-in TT spiking-convolution module.
+//! * [`layer`] — [`TtConv`], the drop-in TT spiking-convolution module, and
+//!   [`tt_stages`], the one list of the sub-convolutions a TT layer runs at
+//!   a timestep (STT chain, PTT branches, HTT half path).
 //! * [`merge`] — the post-training merge-back of Eq. (6) that reconstructs a
 //!   single dense kernel so inference stays spike-driven.
-//! * [`flops`] — analytic parameter/FLOP accounting, including full-size
-//!   MS-ResNet18/34 network specs and the paper's published VBMF ranks
-//!   ([`paper_ranks`]), which regenerate Table II's compression columns.
+//! * [`flops`] — analytic parameter/FLOP accounting over a network spec
+//!   (every conv's geometry and rank, walked from a layer program in
+//!   `ttsnn_snn`), which with the paper's published VBMF ranks
+//!   ([`paper_ranks`]) regenerates Table II's compression columns.
 //!
 //! ```
 //! use ttsnn_core::{TtConv, TtMode};
@@ -53,6 +56,6 @@ pub mod quant;
 pub mod ttsvd;
 pub mod vbmf;
 
-pub use layer::TtConv;
+pub use layer::{tt_stages, TtConv, TtStages};
 pub use modes::{HttSchedule, TtMode};
 pub use ttsvd::TtCores;

@@ -9,6 +9,7 @@
 use std::borrow::Cow;
 
 use ttsnn_autograd::Var;
+use ttsnn_core::flops::{ConvLayerSpec, LayerKind};
 use ttsnn_core::{TtConv, TtMode};
 use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{conv, Conv2dGeometry, Rng, ShapeError, Tensor};
@@ -58,7 +59,9 @@ pub enum ConvPolicy {
     TtWithRanks {
         /// Pipeline (STT / PTT / HTT).
         mode: TtMode,
-        /// One rank per decomposed layer, in construction order.
+        /// One rank per decomposed layer, in construction order; a list of
+        /// another length is a [`ShapeError`] when a network is built or
+        /// described.
         ranks: Vec<usize>,
     },
 }
@@ -70,7 +73,9 @@ impl ConvPolicy {
     }
 
     /// Resolves the rank for the `index`-th decomposed layer with the given
-    /// channel bounds; `None` for the baseline policy.
+    /// channel bounds; `None` for the baseline policy. Past the end of a
+    /// `TtWithRanks` list it answers the channel bound; a network's shape
+    /// walk rejects such a list before asking.
     pub fn rank_for(&self, index: usize, in_ch: usize, out_ch: usize) -> Option<usize> {
         match self {
             ConvPolicy::Baseline => None,
@@ -158,12 +163,30 @@ impl ConvUnit {
         stride: (usize, usize),
         rng: &mut Rng,
     ) -> Self {
-        match policy.rank_for(index, in_ch, out_ch) {
-            None => Self::dense(in_ch, out_ch, (3, 3), stride, (1, 1), rng),
-            Some(rank) => {
-                let mode = policy.mode().expect("rank implies TT mode").clone();
-                ConvUnit::Tt(TtConv::randn_strided(in_ch, out_ch, rank, mode, stride, rng))
+        let kind = match policy.rank_for(index, in_ch, out_ch) {
+            None => LayerKind::Dense,
+            Some(rank) => LayerKind::Decomposed { rank },
+        };
+        // A unit is shaped by its channels and kernel, not its input size.
+        let geom = Conv2dGeometry::new(in_ch, out_ch, (3, 3), (3, 3), stride, (1, 1));
+        Self::from_spec(&ConvLayerSpec { geom, kind }, policy.mode(), rng)
+    }
+
+    /// Realises one convolution of a described network: a [`TtConv`] at the
+    /// spec's rank when it is decomposed and a `mode` is given, a dense
+    /// Kaiming kernel of its geometry otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any dimension is zero.
+    pub fn from_spec(spec: &ConvLayerSpec, mode: Option<&TtMode>, rng: &mut Rng) -> Self {
+        let g = &spec.geom;
+        match (spec.kind, mode) {
+            (LayerKind::Decomposed { rank }, Some(mode)) => {
+                let (i, o) = (g.in_channels, g.out_channels);
+                ConvUnit::Tt(TtConv::randn_strided(i, o, rank, mode.clone(), g.stride, rng))
             }
+            _ => Self::dense(g.in_channels, g.out_channels, g.kernel, g.stride, g.padding, rng),
         }
     }
 
@@ -211,14 +234,7 @@ impl ConvUnit {
                 let s = weight.shape();
                 Conv2dGeometry::new(s[1], s[0], in_hw, *kernel, *stride, *padding)
             }
-            ConvUnit::Tt(tt) => Conv2dGeometry::new(
-                tt.in_channels(),
-                tt.out_channels(),
-                in_hw,
-                (3, 3),
-                tt.stride(),
-                (1, 1),
-            ),
+            ConvUnit::Tt(tt) => tt.geometry(in_hw),
             ConvUnit::Quantized(q) => q.geometry(in_hw),
         }
     }

@@ -20,7 +20,9 @@
 //! * [`resnet`] / [`vgg`] — MS-ResNet18/34, ResNet20, VGG9/VGG11 (the
 //!   paper's Table II & III model zoo, width-scalable for CPU-feasible
 //!   runs): configuration types that emit that program and nothing else.
-//!   [`ResNetSnn`] and [`VggSnn`] are names for [`Network`].
+//!   [`ResNetSnn`] and [`VggSnn`] are names for [`Network`];
+//!   [`resnet18_cifar`] / [`resnet34_ncaltech`] are the full-size Table II
+//!   specs, walked from the program by [`Program::spec`].
 //! * [`loss`] — summed-logit cross-entropy (Algorithm 1 line 16) and the
 //!   TET per-timestep loss (Deng et al.).
 //! * [`augment`] — NDA-style event-data augmentation (Li et al.).
@@ -85,7 +87,7 @@ pub use model::{InferForward, InferState, InferStats, Model, SpikingModel, Train
 pub use network::{Architecture, Layer, Network, Program, Slot};
 pub use norm::{Norm, NormKind};
 pub use quant::{CalibStats, QuantConfig, QuantPlanWeights, QuantReport};
-pub use resnet::{ResNetConfig, ResNetSnn};
+pub use resnet::{resnet18_cifar, resnet34_ncaltech, ResNetConfig, ResNetSnn};
 pub use sharded::{ShardConfig, ShardedTrainer};
 pub use trainer::{evaluate, evaluate_counts, train, StepTiming, TrainConfig, TrainReport};
 pub use vgg::{VggConfig, VggSnn};

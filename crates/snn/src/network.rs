@@ -2,8 +2,10 @@
 //!
 //! An [`Architecture`] ([`crate::ResNetConfig`], [`crate::VggConfig`]) only
 //! *describes* itself, as a [`Program`]: a flat list of [`Layer`]s over two
-//! activation slots. [`Network::try_new`] checks every layer's shape once and
-//! realises the list as ops holding weights and membrane state.
+//! activation slots. One shape walk checks every layer against what its
+//! slots hold; [`Network::try_new`] realises the checked list as ops holding
+//! weights and membrane state, and [`Program::spec`] counts it, weight-free,
+//! in the vocabulary of the analytic accounting (`ttsnn_core::flops`).
 //! Everything a consumer does with a model is then one of three walks of
 //! that vector, written once here: the **tape walk**
 //! ([`TrainForward::forward_sequence`], layer-major BPTT), the **tensor
@@ -37,7 +39,7 @@
 //! model.
 
 use ttsnn_autograd::Var;
-use ttsnn_core::flops::{ConvLayerSpec, LayerKind};
+use ttsnn_core::flops::{ConvLayerSpec, LayerKind, NetworkSpec};
 use ttsnn_core::TtConv;
 use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{pool, Conv2dGeometry, Rng, ShapeError, Tensor};
@@ -126,6 +128,165 @@ pub trait Architecture {
     fn program(&self) -> Result<Program, ShapeError>;
 }
 
+/// A [`Layer`] the shape walk has met: what realising or counting it needs.
+#[derive(Debug, Clone, Copy)]
+enum Checked {
+    /// A conv's full geometry, and dense or decomposed at the policy's rank.
+    Conv {
+        spec: ConvLayerSpec,
+        from: Slot,
+        to: Slot,
+    },
+    /// A norm over this many channels.
+    Norm {
+        channels: usize,
+        on: Slot,
+    },
+    Lif,
+    AvgPool2,
+    Stash,
+    Add,
+}
+
+impl Program {
+    /// The shape walk, shared by [`Network::try_new`] and [`Program::spec`]:
+    /// every layer checked once, in order, against the `(C, H, W)` its slots
+    /// hold, each decomposable 3×3 given its kind by
+    /// [`ConvPolicy::rank_for`]. Returns the layers one for one and the
+    /// channels the classifier reads.
+    fn check(&self, policy: &ConvPolicy) -> Result<(Vec<Checked>, usize), ShapeError> {
+        let fail = |i: usize, kind: &dyn std::fmt::Debug, why: String| {
+            ShapeError::new(format!("{}: program op {i} ({kind:?}): {why}", self.name))
+        };
+        // The tensor walk borrows the caller's frame until a conv has
+        // written main, so nothing may run in place before that.
+        if !matches!(
+            self.layers.first(),
+            Some(Layer::Conv { from: Slot::Main, to: Slot::Main, .. })
+        ) {
+            let why = "a program starts with a conv from main to main".to_string();
+            return Err(fail(0, &self.layers.first(), why));
+        }
+        // The `(C, H, W)` each slot holds.
+        let mut shapes = [Some(self.input), None];
+        let mut slots_3x3 = 0usize;
+        let mut check = |layer: Layer| -> Result<Checked, String> {
+            let held = |slot: Slot| {
+                shapes[slot as usize].ok_or_else(|| format!("the {slot:?} slot is empty"))
+            };
+            Ok(match layer {
+                Layer::Conv { out, kernel, stride, decompose, from, to } => {
+                    let [c, h, w] = held(from)?;
+                    let square = |n| (n, n);
+                    let (kernel, stride, pad) =
+                        (square(kernel), square(stride), square(kernel / 2));
+                    let geom = Conv2dGeometry::new(c, out, (h, w), kernel, stride, pad);
+                    let empty = [c, h, w, out, kernel.0, stride.0].contains(&0);
+                    if empty || (decompose && kernel.0 != 3) {
+                        return Err(format!("cannot realise {geom:?}"));
+                    }
+                    let rank = decompose.then(|| {
+                        slots_3x3 += 1;
+                        policy.rank_for(slots_3x3 - 1, c, out)
+                    });
+                    let kind = match rank.flatten() {
+                        Some(rank) => LayerKind::Decomposed { rank },
+                        None => LayerKind::Dense,
+                    };
+                    let (oh, ow) = geom.out_hw();
+                    shapes[to as usize] = Some([out, oh, ow]);
+                    Checked::Conv { spec: ConvLayerSpec { geom, kind }, from, to }
+                }
+                Layer::Norm(on) => {
+                    let [channels, ..] = held(on)?;
+                    if matches!(self.norm, NormKind::Tebn { timesteps: 0 }) {
+                        return Err("TEBN needs at least one timestep".to_string());
+                    }
+                    Checked::Norm { channels, on }
+                }
+                Layer::Lif => {
+                    held(Slot::Main)?;
+                    Checked::Lif
+                }
+                Layer::AvgPool2 => {
+                    let [c, h, w] = held(Slot::Main)?;
+                    if h == 0 || w == 0 || !h.is_multiple_of(2) || !w.is_multiple_of(2) {
+                        return Err(format!("2x2 pool needs even spatial dims, got {h}x{w}"));
+                    }
+                    shapes[0] = Some([c, h / 2, w / 2]);
+                    Checked::AvgPool2
+                }
+                Layer::Stash => {
+                    if shapes[1].is_some() {
+                        return Err("the Skip slot is already occupied".to_string());
+                    }
+                    shapes = [None, Some(held(Slot::Main)?)];
+                    Checked::Stash
+                }
+                Layer::Add => {
+                    let (main, skip) = (held(Slot::Main)?, held(Slot::Skip)?);
+                    if main != skip {
+                        return Err(format!("main {main:?} does not match skip {skip:?}"));
+                    }
+                    shapes[1] = None;
+                    Checked::Add
+                }
+            })
+        };
+        let mut checked = Vec::with_capacity(self.layers.len());
+        for (i, &layer) in self.layers.iter().enumerate() {
+            checked.push(check(layer).map_err(|why| fail(i, &layer, why))?);
+        }
+        if let ConvPolicy::TtWithRanks { ranks, .. } = policy {
+            if ranks.len() != slots_3x3 {
+                return Err(ShapeError::new(format!(
+                    "{}: {} TT ranks for {slots_3x3} decomposable 3x3 convs",
+                    self.name,
+                    ranks.len()
+                )));
+            }
+        }
+        let classes = self.num_classes;
+        match shapes {
+            [Some([c, _, _]), None] if c > 0 && classes > 0 => Ok((checked, c)),
+            _ => {
+                let why = format!("{classes} classes over [main, skip] = {shapes:?}");
+                Err(fail(checked.len(), &format_args!("classifier"), why))
+            }
+        }
+    }
+
+    /// The network this program describes under `policy`, trained for
+    /// `timesteps`, as the analytic accounting sees it: every conv's
+    /// geometry and kind (ranks from [`ConvPolicy::rank_for`]), the norm
+    /// parameters per [`NormKind`] and the classifier's. Walks the
+    /// weight-free program, so a full-size ResNet34 costs no weights; a
+    /// [`Network`] built from the same program and policy has exactly these
+    /// convs, parameters and MACs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] where [`Network::try_new`] would.
+    pub fn spec(&self, policy: &ConvPolicy, timesteps: usize) -> Result<NetworkSpec, ShapeError> {
+        let (checked, features) = self.check(policy)?;
+        let mut spec = NetworkSpec {
+            name: self.name.clone(),
+            conv_layers: Vec::new(),
+            fc_params: features * self.num_classes + self.num_classes,
+            bn_params: 0,
+            timesteps,
+        };
+        for layer in checked {
+            match layer {
+                Checked::Conv { spec: conv, .. } => spec.conv_layers.push(conv),
+                Checked::Norm { channels, .. } => spec.bn_params += self.norm.params(channels),
+                _ => {}
+            }
+        }
+        Ok(spec)
+    }
+}
+
 /// A realised [`Layer`]: the same step, holding its weights or state.
 #[derive(Debug)]
 enum Op {
@@ -211,109 +372,42 @@ impl Network {
     }
 
     /// [`Network::new`] for configurations that arrive from outside the
-    /// program (a serving plan). Every layer's shape is checked here, once,
-    /// against what its slots hold; weights are drawn from `rng` for the
-    /// convolutions in program order, then for the classifier.
+    /// program (a serving plan). Every layer's shape is checked first, once,
+    /// against what its slots hold (the walk [`Program::spec`] counts);
+    /// weights are then drawn from `rng` for the convolutions in program
+    /// order, then for the classifier.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] naming the index and kind of the first layer
-    /// that cannot be realised.
+    /// that cannot be realised, or both counts when a
+    /// [`ConvPolicy::TtWithRanks`] list does not cover the decomposable
+    /// convolutions one for one.
     pub fn try_new(
         config: &impl Architecture,
         policy: &ConvPolicy,
         rng: &mut Rng,
     ) -> Result<Self, ShapeError> {
         let program = config.program()?;
-        let fail = |i: usize, kind: &dyn std::fmt::Debug, why: String| {
-            ShapeError::new(format!("{}: program op {i} ({kind:?}): {why}", program.name))
-        };
-        // The tensor walk borrows the caller's frame until a conv has
-        // written main, so nothing may run in place before that.
-        if !matches!(
-            program.layers.first(),
-            Some(Layer::Conv { from: Slot::Main, to: Slot::Main, .. })
-        ) {
-            let why = "a program starts with a conv from main to main".to_string();
-            return Err(fail(0, &program.layers.first(), why));
-        }
-        // The `(C, H, W)` each slot holds.
-        let mut shapes = [Some(program.input), None];
-        let mut slots_3x3 = 0usize;
-        let mut realise = |layer: Layer| -> Result<Op, String> {
-            let held = |slot: Slot| {
-                shapes[slot as usize].ok_or_else(|| format!("the {slot:?} slot is empty"))
-            };
-            Ok(match layer {
-                Layer::Conv { out, kernel, stride, decompose, from, to } => {
-                    let [c, h, w] = held(from)?;
-                    let square = |n| (n, n);
-                    let (kernel, stride, pad) =
-                        (square(kernel), square(stride), square(kernel / 2));
-                    let geom = Conv2dGeometry::new(c, out, (h, w), kernel, stride, pad);
-                    let empty = [c, h, w, out, kernel.0, stride.0].contains(&0);
-                    if empty || (decompose && kernel.0 != 3) {
-                        return Err(format!("cannot realise {geom:?}"));
-                    }
-                    let unit = if decompose {
-                        slots_3x3 += 1;
-                        ConvUnit::conv3x3(policy, slots_3x3 - 1, c, out, stride, rng)
-                    } else {
-                        ConvUnit::dense(c, out, kernel, stride, pad, rng)
-                    };
-                    let (oh, ow) = geom.out_hw();
-                    shapes[to as usize] = Some([out, oh, ow]);
-                    Op::Conv { unit, in_hw: (h, w), from, to }
+        let (checked, features) = program.check(policy)?;
+        let ops: Vec<Op> = checked
+            .into_iter()
+            .map(|layer| match layer {
+                Checked::Conv { spec, from, to } => {
+                    let unit = ConvUnit::from_spec(&spec, policy.mode(), rng);
+                    Op::Conv { unit, in_hw: spec.geom.in_hw, from, to }
                 }
-                Layer::Norm(on) => {
-                    let [channels, ..] = held(on)?;
-                    if matches!(program.norm, NormKind::Tebn { timesteps: 0 }) {
-                        return Err("TEBN needs at least one timestep".to_string());
-                    }
+                Checked::Norm { channels, on } => {
                     Op::Norm { norm: Norm::new(channels, program.norm), on }
                 }
-                Layer::Lif => {
-                    held(Slot::Main)?;
-                    Op::Lif(Lif::new(program.lif))
-                }
-                Layer::AvgPool2 => {
-                    let [c, h, w] = held(Slot::Main)?;
-                    if h == 0 || w == 0 || !h.is_multiple_of(2) || !w.is_multiple_of(2) {
-                        return Err(format!("2x2 pool needs even spatial dims, got {h}x{w}"));
-                    }
-                    shapes[0] = Some([c, h / 2, w / 2]);
-                    Op::AvgPool2
-                }
-                Layer::Stash => {
-                    if shapes[1].is_some() {
-                        return Err("the Skip slot is already occupied".to_string());
-                    }
-                    shapes = [None, Some(held(Slot::Main)?)];
-                    Op::Stash
-                }
-                Layer::Add => {
-                    let (main, skip) = (held(Slot::Main)?, held(Slot::Skip)?);
-                    if main != skip {
-                        return Err(format!("main {main:?} does not match skip {skip:?}"));
-                    }
-                    shapes[1] = None;
-                    Op::Add
-                }
+                Checked::Lif => Op::Lif(Lif::new(program.lif)),
+                Checked::AvgPool2 => Op::AvgPool2,
+                Checked::Stash => Op::Stash,
+                Checked::Add => Op::Add,
             })
-        };
-        let mut ops = Vec::with_capacity(program.layers.len());
-        for (i, &layer) in program.layers.iter().enumerate() {
-            ops.push(realise(layer).map_err(|why| fail(i, &layer, why))?);
-        }
+            .collect();
         let sites = ops.iter().filter(|op| matches!(op, Op::Conv { .. })).count() + 1;
         let classes = program.num_classes;
-        let features = match shapes {
-            [Some([c, _, _]), None] if c > 0 && classes > 0 => c,
-            _ => {
-                let why = format!("{classes} classes over [main, skip] = {shapes:?}");
-                return Err(fail(ops.len(), &format_args!("classifier"), why));
-            }
-        };
         Ok(Self {
             policy_name: policy.name(),
             ops,
@@ -401,9 +495,10 @@ impl Network {
             .collect()
     }
 
-    /// The constructed network in the vocabulary of the analytic paper specs
+    /// The constructed network in the vocabulary of the analytic accounting
     /// (`ttsnn_core::flops`): every convolution's geometry and whether it is
-    /// dense or decomposed at which rank, in network order.
+    /// dense or decomposed at which rank, in network order — what
+    /// [`Program::spec`] describes, read back from the realised units.
     pub fn conv_layer_specs(&self) -> Vec<ConvLayerSpec> {
         let spec = |(unit, in_hw): (&ConvUnit, _)| ConvLayerSpec {
             geom: unit.geometry(in_hw),

@@ -38,6 +38,18 @@ pub enum NormKind {
     },
 }
 
+impl NormKind {
+    /// Trainable parameters of a layer of this kind over `channels` maps:
+    /// γ and β per channel, plus TEBN's scale per timestep.
+    pub fn params(&self, channels: usize) -> usize {
+        let per_timestep = match *self {
+            NormKind::TdBn { .. } => 0,
+            NormKind::Tebn { timesteps } => timesteps,
+        };
+        2 * channels + per_timestep
+    }
+}
+
 /// A trainable normalization layer (γ, β per channel, plus TEBN's
 /// per-timestep scales when selected).
 #[derive(Debug)]
@@ -214,6 +226,14 @@ const CHAIN_COST: usize = 8;
 mod tests {
     use super::*;
     use ttsnn_tensor::Rng;
+
+    #[test]
+    fn kind_counts_the_parameters_a_layer_holds() {
+        for kind in [NormKind::TdBn { alpha: 1.0, vth: 0.5 }, NormKind::Tebn { timesteps: 3 }] {
+            let held: usize = Norm::new(5, kind).params().iter().map(|p| p.value().len()).sum();
+            assert_eq!(kind.params(5), held, "{kind:?}");
+        }
+    }
 
     #[test]
     fn tdbn_scales_to_threshold() {

@@ -10,11 +10,16 @@
 //!
 //! The constructors take a `width_divisor` so the exact full-size topology
 //! can be trained at CPU-feasible width (the substitution documented in
-//! DESIGN.md §3); `width_divisor = 1` reproduces the full-size layer table
-//! whose analytic params/FLOPs live in `ttsnn_core::flops`.
+//! DESIGN.md §3); `width_divisor = 1` is the full-size layer table, and
+//! [`resnet18_cifar`] / [`resnet34_ncaltech`] are its Table II specs: the
+//! same program walked by [`Program::spec`] under the paper's VBMF ranks.
 
+use ttsnn_core::flops::NetworkSpec;
+use ttsnn_core::paper_ranks::{RESNET18_RANKS, RESNET34_RANKS};
+use ttsnn_core::TtMode;
 use ttsnn_tensor::ShapeError;
 
+use crate::conv_unit::ConvPolicy;
 use crate::lif::LifConfig;
 use crate::network::{Architecture, Layer, Network, Program, Slot};
 use crate::norm::NormKind;
@@ -167,10 +172,37 @@ impl Architecture for ResNetConfig {
 /// A spiking residual network: the program [`ResNetConfig`] emits.
 pub type ResNetSnn = Network;
 
+/// The full-size `config` under the paper's `ranks` at `timesteps`, named
+/// `name`. The spec carries ranks, not a mode, so the policy's mode is moot.
+fn paper_spec(
+    config: ResNetConfig,
+    ranks: &[usize],
+    timesteps: usize,
+    name: String,
+) -> NetworkSpec {
+    let policy = ConvPolicy::TtWithRanks { mode: TtMode::Ptt, ranks: ranks.to_vec() };
+    let spec = config.program().and_then(|program| program.spec(&policy, timesteps));
+    NetworkSpec { name, ..spec.expect("the paper's networks are well-formed") }
+}
+
+/// Full-size MS-ResNet18 on CIFAR (32×32 RGB), T=4, with the paper's
+/// published VBMF ranks — the Table II CIFAR10/CIFAR100 rows.
+pub fn resnet18_cifar(num_classes: usize) -> NetworkSpec {
+    let config = ResNetConfig::resnet18(num_classes, (32, 32), 1);
+    paper_spec(config, &RESNET18_RANKS, 4, format!("MS-ResNet18 / CIFAR{num_classes}"))
+}
+
+/// Full-size MS-ResNet34 on N-Caltech101 (2-polarity event frames at
+/// 48×48), T=6, with the paper's published VBMF ranks — the Table II
+/// N-Caltech101 row.
+pub fn resnet34_ncaltech() -> NetworkSpec {
+    let config = ResNetConfig::resnet34_events(101, (48, 48), 1);
+    paper_spec(config, &RESNET34_RANKS, 6, "MS-ResNet34 / N-Caltech101".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv_unit::ConvPolicy;
     use crate::model::{SpikingModel, TrainForward};
     use ttsnn_autograd::Var;
     use ttsnn_core::TtMode;
@@ -304,6 +336,20 @@ mod tests {
         let mut net = ResNetSnn::new(tiny_cfg(), &ConvPolicy::Baseline, &mut rng);
         assert_eq!(net.merge_into_dense().unwrap(), 0);
         assert_eq!(net.name(), "MS-ResNet18 [baseline]");
+    }
+
+    /// A rank list that does not cover the decomposable convs one for one
+    /// is an error naming both counts, from the build and from the spec.
+    #[test]
+    fn spec_builder_validates_rank_count() {
+        let policy = ConvPolicy::TtWithRanks { mode: TtMode::Ptt, ranks: RESNET18_RANKS.to_vec() };
+        let cfg = ResNetConfig::resnet34_events(11, (16, 16), 16);
+        let built = ResNetSnn::try_new(&cfg, &policy, &mut Rng::seed_from(13)).map(drop);
+        let described = cfg.program().unwrap().spec(&policy, 4).map(drop);
+        for result in [built, described] {
+            let message = result.unwrap_err().to_string();
+            assert!(message.contains("16 TT ranks for 32 decomposable"), "{message}");
+        }
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //! `quantize`, `stream_state`); this suite pins the *orders* themselves, so
 //! a builder edit that moves one fails with a readable diff.
 //!
-//! The second half ties the executable ResNet18 to the analytic paper spec
-//! (`ttsnn_core::flops`, the independent description behind Table II)
-//! layer by layer.
+//! The second half ties each realised network to its description: the
+//! full-size MS-ResNet18 behind Table II is pinned conv by conv as a literal,
+//! and for four architectures × three policies the built network has the
+//! convs, parameters and MACs that `Program::spec` counts without weights.
 
-use ttsnn_core::flops::{resnet18_cifar, LayerKind};
-use ttsnn_core::paper_ranks::RESNET18_RANKS;
+use ttsnn_core::flops::LayerKind;
+use ttsnn_core::paper_ranks::{RESNET18_RANKS, RESNET34_RANKS};
 use ttsnn_core::TtMode;
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, InferForward, InferStats, Network, ResNetConfig, SpikingModel,
+    checkpoint, resnet18_cifar, Architecture, ConvPolicy, InferForward, InferStats, Network,
+    ResNetConfig, SpikingModel,
 };
 use ttsnn_tensor::{Rng, Tensor};
 use ttsnn_testutil::{assert_bits_eq, checkpoint_bytes, resnet20_tiny, samples, vgg9_tiny};
@@ -199,39 +201,75 @@ fn vgg9_tiny_orders() {
     );
 }
 
-/// Executable model ≡ paper spec: the full-size MS-ResNet18 built under the
-/// paper's VBMF ranks has, conv for conv, the geometry and the dense /
-/// decomposed-at-rank kind of `resnet18_cifar`, and its accounting walk
-/// sums to the spec's Table II MAC columns.
+/// The full-size MS-ResNet18 of Table II (32×32 input, the paper's VBMF
+/// ranks), conv by conv: `in>out k<kernel> s<stride> @<H>x<W>`, then
+/// `r<rank>` where decomposed.
+const RESNET18_FULL: &str = "3>64 k3 s1 @32x32, 64>64 k3 s1 @32x32 r24, \
+     64>64 k3 s1 @32x32 r27, 64>64 k3 s1 @32x32 r25, 64>64 k3 s1 @32x32 r29, \
+     64>128 k3 s2 @32x32 r37, 128>128 k3 s1 @16x16 r45, 64>128 k1 s2 @32x32, \
+     128>128 k3 s1 @16x16 r43, 128>128 k3 s1 @16x16 r41, 128>256 k3 s2 @16x16 r65, \
+     256>256 k3 s1 @8x8 r74, 128>256 k1 s2 @16x16, 256>256 k3 s1 @8x8 r70, \
+     256>256 k3 s1 @8x8 r63, 256>512 k3 s2 @8x8 r104, 512>512 k3 s1 @4x4 r153, \
+     256>512 k1 s2 @8x8, 512>512 k3 s1 @4x4 r186, 512>512 k3 s1 @4x4 r145";
+
 #[test]
-fn resnet18_accounting_matches_the_paper_spec() {
-    let spec = resnet18_cifar(10);
-    let tt = |mode| ConvPolicy::TtWithRanks { mode, ranks: RESNET18_RANKS.to_vec() };
-    let policies = [
-        ConvPolicy::Baseline,
-        tt(TtMode::Stt),
-        tt(TtMode::Ptt),
-        tt(TtMode::htt_default(spec.timesteps)),
-    ];
-    for policy in policies {
-        let cfg = ResNetConfig::resnet18(10, (32, 32), 1);
-        let net = Network::new(cfg, &policy, &mut Rng::seed_from(1));
-        let layers = net.conv_layer_specs();
-        assert_eq!(layers.len(), spec.conv_layers.len(), "{}: conv count", policy.name());
-        for (i, (built, paper)) in layers.iter().zip(&spec.conv_layers).enumerate() {
-            assert_eq!(built.geom, paper.geom, "{}: geometry of conv {i}", policy.name());
-            let expected_kind = match policy {
-                ConvPolicy::Baseline => LayerKind::Dense,
-                _ => paper.kind,
+fn full_size_resnet18_convs() {
+    let convs: Vec<String> = resnet18_cifar(10)
+        .conv_layers
+        .iter()
+        .map(|l| {
+            let g = &l.geom;
+            let (k, s, (h, w)) = (g.kernel.0, g.stride.0, g.in_hw);
+            let rank = match l.kind {
+                LayerKind::Dense => String::new(),
+                LayerKind::Decomposed { rank } => format!(" r{rank}"),
             };
-            assert_eq!(built.kind, expected_kind, "{}: kind of conv {i}", policy.name());
-        }
-        let classifier = 512 * 10;
-        let walked: usize = (0..spec.timesteps).map(|t| net.macs_at(t) - classifier).sum();
-        let analytic = match policy.mode() {
-            None => spec.baseline_macs(),
-            Some(mode) => spec.mode_macs(mode),
+            format!("{}>{} k{k} s{s} @{h}x{w}{rank}", g.in_channels, g.out_channels)
+        })
+        .collect();
+    assert_eq!(convs.join(", "), RESNET18_FULL);
+}
+
+/// Realised network ≡ its description, under baseline, PTT and HTT: the
+/// network built from `arch` has the convs `Program::spec` lists, the
+/// parameters it counts and — minus the classifier — the MACs it sums over
+/// `timesteps`. TT policies take `ranks` when given, the default rank
+/// fraction otherwise.
+fn realised_matches_description(
+    arch: &impl Architecture,
+    ranks: Option<&[usize]>,
+    timesteps: usize,
+) {
+    let program = arch.program().unwrap();
+    let tt = |mode| match ranks {
+        Some(ranks) => ConvPolicy::TtWithRanks { mode, ranks: ranks.to_vec() },
+        None => ConvPolicy::tt(mode),
+    };
+    for policy in [ConvPolicy::Baseline, tt(TtMode::Ptt), tt(TtMode::htt_default(timesteps))] {
+        let label = format!("{} {}", program.name, policy.name());
+        let spec = program.spec(&policy, timesteps).unwrap();
+        let net = Network::try_new(arch, &policy, &mut Rng::seed_from(1)).unwrap();
+        assert_eq!(net.conv_layer_specs(), spec.conv_layers, "{label}: convs");
+        let (params, macs) = match policy.mode() {
+            None => (spec.baseline_params(), spec.baseline_macs()),
+            Some(mode) => (spec.tt_params(), spec.mode_macs(mode)),
         };
-        assert_eq!(walked, analytic, "{}: MACs over T={}", policy.name(), spec.timesteps);
+        assert_eq!(net.num_params(), params, "{label}: parameters");
+        let classifier = spec.fc_params - program.num_classes;
+        let walked: usize = (0..timesteps).map(|t| net.macs_at(t) - classifier).sum();
+        assert_eq!(walked, macs, "{label}: MACs over T={timesteps}");
     }
+}
+
+#[test]
+fn realised_networks_match_their_description() {
+    realised_matches_description(
+        &ResNetConfig::resnet18(10, (32, 32), 1),
+        Some(&RESNET18_RANKS),
+        4,
+    );
+    let rn34 = ResNetConfig::resnet34_events(101, (48, 48), 8);
+    realised_matches_description(&rn34, Some(&RESNET34_RANKS), 6);
+    realised_matches_description(&vgg9_tiny(), None, 4);
+    realised_matches_description(&resnet20_tiny(5), None, 4);
 }

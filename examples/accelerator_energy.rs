@@ -7,7 +7,7 @@
 //! ```
 
 use tt_snn::accel::{simulate, AcceleratorConfig, EnergyModel, Method, Target};
-use tt_snn::core::flops::resnet18_cifar;
+use tt_snn::snn::resnet18_cifar;
 
 fn main() {
     let spec = resnet18_cifar(10);

@@ -6,8 +6,8 @@
 //! cargo run --release --example compress_resnet
 //! ```
 
-use tt_snn::core::flops::{resnet18_cifar, resnet34_ncaltech};
 use tt_snn::core::TtMode;
+use tt_snn::snn::{resnet18_cifar, resnet34_ncaltech};
 
 fn main() {
     for spec in [resnet18_cifar(10), resnet18_cifar(100), resnet34_ncaltech()] {

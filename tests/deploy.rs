@@ -4,11 +4,10 @@
 //! into the accelerator energy model.
 
 use tt_snn::accel::{simulate, AcceleratorConfig, EnergyModel, Method, Target};
-use tt_snn::core::flops::resnet18_cifar;
 use tt_snn::core::TtMode;
 use tt_snn::data::StaticImages;
 use tt_snn::snn::{
-    evaluate, train, ConvPolicy, ResNetConfig, ResNetSnn, SpikingModel, TrainConfig,
+    evaluate, resnet18_cifar, train, ConvPolicy, ResNetConfig, ResNetSnn, SpikingModel, TrainConfig,
 };
 use tt_snn::tensor::Rng;
 

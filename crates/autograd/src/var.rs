@@ -302,6 +302,13 @@ impl Var {
         Var::constant(self.value().scratch_copy())
     }
 
+    /// How many times the value was rewritten ([`Var::set_value`],
+    /// [`Var::update_value`]): anything derived from the value holds it to
+    /// tell whether it still is.
+    pub fn version(&self) -> u64 {
+        self.0.version.get()
+    }
+
     /// Unique node id (useful for debugging graph structure).
     pub fn id(&self) -> u64 {
         self.0.id

@@ -553,8 +553,13 @@ impl Cluster {
                 };
                 // For quantized plans the param list is the remaining
                 // float (norm) parameters; the int8 weights travel in
-                // `qplan`.
+                // `qplan`. Sharing rewrites every parameter, so the event
+                // layouts are laid out from the shared values, after it.
                 let weights = checkpoint::share_params(&model.params());
+                if let Err(e) = model.freeze_event_layouts() {
+                    let _ = ready_tx.send(Err(plan::invalid_data(e)));
+                    return;
+                }
                 if ready_tx.send(Ok((info, weights, qplan))).is_err() {
                     return; // loader gave up
                 }
@@ -693,6 +698,7 @@ fn build_replica(
         model.install_quant_plan(plan).map_err(plan::invalid_data)?;
     }
     checkpoint::install_params(&model.params(), weights).map_err(plan::invalid_data)?;
+    model.freeze_event_layouts().map_err(plan::invalid_data)?;
     // The serving contract: per-sample semantics, whatever the batch.
     model.set_infer_stats(InferStats::PerSample);
     Ok(model)

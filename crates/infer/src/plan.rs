@@ -257,6 +257,9 @@ pub(crate) fn build_plan(
         if cfg.merge_into_dense { model.merge_into_dense().map_err(invalid_data)? } else { 0 };
     let quant_info = match quant {
         Some(q) => {
+            // Calibration serves the f32 plan; quantizing drops the layouts
+            // of the units it replaces.
+            model.freeze_event_layouts().map_err(invalid_data)?;
             let calib = model.calibrate(&q.calibration, cfg.timesteps).map_err(invalid_data)?;
             Some(model.quantize(&calib, &q.config).map_err(invalid_data)?)
         }

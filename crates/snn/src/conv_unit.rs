@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use ttsnn_autograd::Var;
 use ttsnn_core::flops::{ConvLayerSpec, LayerKind};
 use ttsnn_core::{TtConv, TtMode};
-use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
+use ttsnn_tensor::spike::{self, EventWeights, SparseMode, SpikeTensor, WindowTable};
 use ttsnn_tensor::{conv, Conv2dGeometry, Rng, ShapeError, Tensor};
 
 use crate::quant::QuantConv;
@@ -37,6 +37,18 @@ pub(crate) fn route_events<'a>(
         None => Cow::Owned(SpikeTensor::try_pack(x)?),
     };
     mode.routes_sparse(packed.density()).then_some(packed)
+}
+
+/// What freezing a plan lays out, once, for one convolution site's event
+/// scatter ([`crate::Network::freeze_event_layouts`]): the [`WindowTable`]
+/// of the site's geometry and, beside a dense f32 kernel, that kernel as
+/// [`EventWeights`] (an int8 unit carries its own in `QConvWeights`).
+#[derive(Debug)]
+pub struct EventLayouts {
+    windows: WindowTable,
+    /// The dense kernel laid out, and the weight version it was copied at: a
+    /// weight rewritten since is served from itself, never from a stale copy.
+    kernel: Option<(EventWeights<f32>, u64)>,
 }
 
 /// How a network's 3×3 convolutions are realized.
@@ -296,6 +308,27 @@ impl ConvUnit {
         }
     }
 
+    /// The layouts a frozen plan keeps for this unit's event scatter at
+    /// input size `in_hw`; `None` for a TT unit, which always runs dense.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if a dense kernel is not 4-D (cannot happen
+    /// through this API).
+    pub(crate) fn event_layouts(
+        &self,
+        in_hw: (usize, usize),
+    ) -> Result<Option<EventLayouts>, ShapeError> {
+        let kernel = match self {
+            ConvUnit::Tt(_) => return Ok(None),
+            ConvUnit::Dense { weight, .. } => {
+                Some((EventWeights::new(&weight.value())?, weight.version()))
+            }
+            ConvUnit::Quantized(_) => None,
+        };
+        Ok(Some(EventLayouts { windows: WindowTable::new(&self.geometry(in_hw)), kernel }))
+    }
+
     /// Runs the convolution on plain tensors with **no gradient tracking**
     /// — the inference path (e.g. merged-deployment evaluation) — at
     /// timestep `t`, under the process-wide [`SparseMode`]. See
@@ -305,7 +338,7 @@ impl ConvUnit {
     ///
     /// Returns [`ShapeError`] if `x`'s shape is incompatible.
     pub fn forward_tensor(&self, x: &Tensor, t: usize) -> Result<Tensor, ShapeError> {
-        self.forward_tensor_mode(x, None, t, 1, spike::sparse_mode()).map(|(y, _)| y)
+        self.forward_tensor_mode(x, None, t, 1, spike::sparse_mode(), None).map(|(y, _)| y)
     }
 
     /// Runs the convolution over timesteps `t0..t0 + steps` at once on the
@@ -318,6 +351,9 @@ impl ConvUnit {
     /// `TTSNN_SPARSE_MODE` environment variable unless a model overrides it)
     /// and `packed` (the spike words of the LIF scan that produced `x`, when
     /// it handed them over), whether the event-driven kernels serve the call.
+    /// They read `layouts` when the plan froze some for this unit
+    /// ([`crate::Network::freeze_event_layouts`]) and lay their own out
+    /// otherwise, with the same bits.
     ///
     /// TT units always run dense: their weights live as factorized cores,
     /// so there is no flat kernel for the event scatter to gather from —
@@ -334,6 +370,7 @@ impl ConvUnit {
         t0: usize,
         steps: usize,
         mode: SparseMode,
+        layouts: Option<&EventLayouts>,
     ) -> Result<(Tensor, bool), ShapeError> {
         let xs = x.shape();
         if xs.len() != 4 {
@@ -349,12 +386,22 @@ impl ConvUnit {
         let y = match (self, sparse.as_deref()) {
             (ConvUnit::Tt(tt), _) => tt.forward_steps_tensor(x, t0, steps),
             (ConvUnit::Dense { weight, .. }, Some(sp)) => {
-                spike::sparse_conv2d(sp, &weight.value(), &self.geometry((xs[2], xs[3])))
+                let g = self.geometry((xs[2], xs[3]));
+                match layouts {
+                    Some(EventLayouts { windows, kernel: Some((kernel, version)) })
+                        if *version == weight.version() =>
+                    {
+                        spike::sparse_conv2d_frozen(sp, kernel, windows, &g)
+                    }
+                    _ => spike::sparse_conv2d(sp, &weight.value(), &g),
+                }
             }
             (ConvUnit::Dense { weight, .. }, None) => {
                 conv::conv2d(x, &weight.value(), &self.geometry((xs[2], xs[3])))
             }
-            (ConvUnit::Quantized(q), events) => q.forward(x, events),
+            (ConvUnit::Quantized(q), events) => {
+                q.forward_at(x, events, layouts.map(|l| &l.windows))
+            }
         };
         Ok((y?, sparse.is_some()))
     }
@@ -448,6 +495,24 @@ mod tests {
         let tt = ConvUnit::conv3x3(&ConvPolicy::tt(TtMode::Ptt), 0, 32, 32, (1, 1), &mut rng);
         assert!(tt.macs((16, 16), 0) < dense.macs((16, 16), 0));
         assert!(tt.num_params() < dense.num_params());
+    }
+
+    #[test]
+    fn frozen_layouts_never_serve_a_rewritten_weight() {
+        let mut rng = Rng::seed_from(8);
+        let unit = ConvUnit::dense(4, 6, (3, 3), (1, 1), (1, 1), &mut rng);
+        let x = Tensor::randn(&[2, 4, 6, 6], &mut rng).map(|v| if v > 0.5 { 1.0 } else { 0.0 });
+        let layouts = unit.event_layouts((6, 6)).unwrap();
+        let run = |l: Option<&EventLayouts>| {
+            unit.forward_tensor_mode(&x, None, 0, 1, SparseMode::Force, l).unwrap()
+        };
+        assert_eq!(run(layouts.as_ref()), run(None), "frozen layouts == per-call layouts");
+        let ConvUnit::Dense { weight, .. } = &unit else { unreachable!("a dense unit") };
+        weight.set_value(Tensor::randn(&[6, 4, 3, 3], &mut rng));
+        let (y, sparse) = run(layouts.as_ref());
+        assert!(sparse, "binary input at force routes to the event kernel");
+        let want = conv::conv2d(&x, &weight.value(), &unit.geometry((6, 6))).unwrap();
+        assert_eq!(y, want, "a rewritten weight is served from itself");
     }
 
     #[test]

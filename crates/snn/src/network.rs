@@ -44,7 +44,7 @@ use ttsnn_core::TtConv;
 use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{pool, Conv2dGeometry, Rng, ShapeError, Tensor};
 
-use crate::conv_unit::{ConvPolicy, ConvUnit};
+use crate::conv_unit::{ConvPolicy, ConvUnit, EventLayouts};
 use crate::lif::{Lif, LifConfig};
 use crate::model::{
     linear_per_timestep, linear_tensor_mode, InferForward, InferState, InferStats, SpikingModel,
@@ -290,12 +290,14 @@ impl Program {
 /// A realised [`Layer`]: the same step, holding its weights or state.
 #[derive(Debug)]
 enum Op {
-    /// `in_hw` is the input's spatial size, for MAC accounting.
+    /// `in_hw` is the input's spatial size, for MAC accounting; `events` the
+    /// layouts [`Network::freeze_event_layouts`] made for the unit.
     Conv {
         unit: ConvUnit,
         in_hw: (usize, usize),
         from: Slot,
         to: Slot,
+        events: Option<EventLayouts>,
     },
     Norm {
         norm: Norm,
@@ -395,7 +397,7 @@ impl Network {
             .map(|layer| match layer {
                 Checked::Conv { spec, from, to } => {
                     let unit = ConvUnit::from_spec(&spec, policy.mode(), rng);
-                    Op::Conv { unit, in_hw: spec.geom.in_hw, from, to }
+                    Op::Conv { unit, in_hw: spec.geom.in_hw, from, to, events: None }
                 }
                 Checked::Norm { channels, on } => {
                     Op::Norm { norm: Norm::new(channels, program.norm), on }
@@ -465,9 +467,14 @@ impl Network {
         })
     }
 
+    /// Every convolution, handed out for rewriting: each drops the layouts
+    /// frozen for it.
     fn convs_mut(&mut self) -> impl Iterator<Item = &mut ConvUnit> {
         self.ops.iter_mut().filter_map(|op| match op {
-            Op::Conv { unit, .. } => Some(unit),
+            Op::Conv { unit, events, .. } => {
+                *events = None;
+                Some(unit)
+            }
             _ => None,
         })
     }
@@ -531,6 +538,28 @@ impl Network {
             self.policy_name = "merged-dense";
         }
         Ok(merged)
+    }
+
+    /// Lays out, once, what the event-driven kernels read at every
+    /// convolution the serving plane may route to them (TT units never are):
+    /// the window table of the site's geometry and a dense f32 kernel's
+    /// `[C·Kh·Kw][O]` copy (an int8 unit's is frozen with it). A plan calls
+    /// it once its weights are final: rewriting a unit afterwards drops its
+    /// layouts, and a weight rewritten in place (`Var::set_value`, which
+    /// `checkpoint::share_params` calls too) is served from itself until the
+    /// next freeze. Results are bit-identical with or without it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if a dense kernel is not 4-D (cannot happen
+    /// through this API).
+    pub fn freeze_event_layouts(&mut self) -> Result<(), ShapeError> {
+        for op in &mut self.ops {
+            if let Op::Conv { unit, in_hw, events, .. } = op {
+                *events = unit.event_layouts(*in_hw)?;
+            }
+        }
+        Ok(())
     }
 
     /// Whether the model has been frozen to the int8 serving plane.
@@ -688,7 +717,7 @@ impl InferForward for Network {
         let mut slots: [Option<(Tensor, Option<SpikeTensor>)>; 2] = [None, None];
         for op in &mut self.ops {
             match op {
-                Op::Conv { unit, from, to, .. } => {
+                Op::Conv { unit, from, to, events, .. } => {
                     let (src, packed) = match &slots[*from as usize] {
                         Some((y, packed)) => (y, packed.as_ref()),
                         None => (x, None),
@@ -696,7 +725,8 @@ impl InferForward for Network {
                     if let Some(rec) = self.calib.as_mut() {
                         rec.observe(site, src);
                     }
-                    let (y, sparse) = unit.forward_tensor_mode(src, packed, t0, steps, mode)?;
+                    let (y, sparse) =
+                        unit.forward_tensor_mode(src, packed, t0, steps, mode, events.as_ref())?;
                     self.dispatch[site][usize::from(!sparse)] += 1;
                     site += 1;
                     if let Some((spent, _)) = slots[*to as usize].replace((y, None)) {

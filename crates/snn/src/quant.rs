@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use ttsnn_core::quant::{quantize_int8, quantize_int8_per_channel};
 use ttsnn_tensor::qkernels::{self, QAccum};
-use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
+use ttsnn_tensor::spike::{self, EventWeights, SparseMode, SpikeTensor, WindowTable};
 use ttsnn_tensor::{Conv2dGeometry, ShapeError, Tensor};
 
 use crate::conv_unit::{route_events, ConvUnit};
@@ -90,6 +90,11 @@ pub struct QConvWeights {
     pub stride: (usize, usize),
     /// Padding.
     pub padding: (usize, usize),
+    /// The kernel laid out for the event scatter at the activation scale it
+    /// was frozen with: `[I·Kh·Kw][O]`, each weight times that scale's spike
+    /// value, as i32. A serving layout, not counted by
+    /// [`QConvWeights::storage_bytes`].
+    pub events: EventWeights<i32>,
 }
 
 impl QConvWeights {
@@ -134,8 +139,10 @@ impl QuantConv {
         }
         let s = weight.shape();
         let (values, scales) = quantize_weight(weight, cfg)?;
+        let events = EventWeights::quantized(&values, s[0], x_scale)?;
         Ok(Self {
             weights: Arc::new(QConvWeights {
+                events,
                 values,
                 scales,
                 in_channels: s[1],
@@ -167,6 +174,20 @@ impl QuantConv {
     /// Returns [`ShapeError`] if `x` or `events` is incompatible with the
     /// kernel.
     pub fn forward(&self, x: &Tensor, events: Option<&SpikeTensor>) -> Result<Tensor, ShapeError> {
+        self.forward_at(x, events, None)
+    }
+
+    /// [`QuantConv::forward`], with the event path reading the frozen
+    /// layouts — `windows`, the site's table, and the weights'
+    /// [`QConvWeights::events`] — when both are there and the weights were
+    /// laid out at this layer's activation scale; laying them out for the
+    /// call otherwise. Bit-identical either way.
+    pub(crate) fn forward_at(
+        &self,
+        x: &Tensor,
+        events: Option<&SpikeTensor>,
+        windows: Option<&WindowTable>,
+    ) -> Result<Tensor, ShapeError> {
         if x.ndim() != 4 {
             return Err(ShapeError::new(format!(
                 "QuantConv::forward: expected 4-D input, got {:?}",
@@ -175,11 +196,13 @@ impl QuantConv {
         }
         let g = self.geometry((x.shape()[2], x.shape()[3]));
         let w = &*self.weights;
-        match events {
-            Some(sp) => {
-                spike::sparse_qconv2d(sp, self.x_scale, &w.values, &w.scales, &g, self.accum)
+        let (x_scale, accum) = (self.x_scale, self.accum);
+        match (events, windows) {
+            (Some(sp), Some(table)) if w.events.x_scale() == x_scale => {
+                spike::sparse_qconv2d_frozen(sp, &w.events, &w.scales, table, &g, accum)
             }
-            None => qkernels::qconv2d(x, self.x_scale, &w.values, &w.scales, &g, self.accum),
+            (Some(sp), _) => spike::sparse_qconv2d(sp, x_scale, &w.values, &w.scales, &g, accum),
+            (None, _) => qkernels::qconv2d(x, x_scale, &w.values, &w.scales, &g, accum),
         }
     }
 

@@ -6,20 +6,32 @@
 //! cores of the paper use — are fully supported; padding is specified per
 //! axis so that, e.g., a 3×1 core pads only vertically.
 //!
-//! Every kernel here is a closure over one sample handed to `per_sample`,
-//! the batch driver the int8 convolution ([`crate::qkernels::qconv2d`])
-//! shares: it opens the kernel's trace region and decides the fork. A batch
-//! is split across the runtime's workers, each unfolding into its own
-//! per-thread arena scratch ([`crate::runtime::with_scratch`]: no allocation
-//! once an arena is warm) and running a serial GEMM per sample; a single
-//! sample falls through to the row-parallel GEMM instead, so both ends of the
-//! batch-size spectrum use all cores. Every output element is computed by
-//! exactly one thread in a fixed order — bit-identical across thread counts.
+//! Every kernel here is a closure over a group of consecutive samples handed
+//! to `per_sample`, the batch driver the int8 convolution
+//! ([`crate::qkernels::qconv2d`]) shares: it opens the kernel's trace region,
+//! sizes the groups and decides the fork. A group is one GEMM **panel**: its
+//! samples' im2col columns side by side (`(C·Kh·Kw, n·Oh·Ow)`), one product,
+//! and each sample's block of the result scattered back (or folded, for the
+//! input gradient). A sample whose output plane is wide (≥ 256 columns) is a
+//! panel of its own; shorter planes — the post-pool layers of a served
+//! network, a few dozen columns each — are gathered until the panel is that
+//! wide, so the GEMM streams long rows instead of paying its per-call and
+//! per-row overhead on each sample. The weight gradient keeps one sample per
+//! group: its per-sample partials must stay apart to be summed in sample
+//! order.
+//!
+//! Groups are split across the runtime's workers, each unfolding into its
+//! own per-thread arena scratch ([`crate::runtime::with_scratch`]: no
+//! allocation once an arena is warm) and running a serial GEMM per panel; a
+//! lone group falls through to the row-parallel GEMM instead, so both ends
+//! of the batch-size spectrum use all cores. Every output element is one
+//! GEMM column summed in ascending `k` by exactly one thread, whatever panel
+//! it sits in — bit-identical across thread counts and batch compositions.
 //!
 //! **Pointwise geometry** (1×1 kernel, stride 1, no padding — the `w1` /
 //! `w4` TT cores, two thirds of a TT-SNN training step's conv calls): the
-//! im2col matrix *is* the sample slab and col2im adds it into zeros, so all
-//! three kernels run their GEMM straight on the slab, with the same
+//! im2col matrix *is* the sample slab and col2im adds it into zeros, so a
+//! lone sample runs all three GEMMs straight on its slab, with the same
 //! operands in the same order as the unfolded path and therefore the same
 //! bits.
 
@@ -132,23 +144,30 @@ pub(crate) fn check_weight(shape: &[usize], g: &Conv2dGeometry) -> Result<(), Sh
     Ok(())
 }
 
-/// Unfolds one sample `(C, H, W)` into the im2col matrix
-/// `(C*Kh*Kw, Oh*Ow)`, stored row-major into `cols`. Generic over the
-/// element type so the float kernels and the int8 quantized kernels
-/// ([`crate::qkernels`]) share one unfolding; `zero` is the padding value.
-pub(crate) fn im2col_sample_t<T: Copy>(x: &[T], g: &Conv2dGeometry, cols: &mut [T], zero: T) {
+/// Unfolds one sample `(C, H, W)` into its im2col columns: row `r` of the
+/// `(C*Kh*Kw, Oh*Ow)` matrix goes to `cols[r * ld..][..Oh*Ow]`, so `ld =
+/// Oh*Ow` writes the matrix itself and a wider `ld` one sample's block of a
+/// gathered panel. Generic over the element type so the float kernels and the
+/// int8 quantized kernels ([`crate::qkernels`]) share one unfolding; `zero`
+/// is the padding value.
+pub(crate) fn im2col_sample_t<T: Copy>(
+    x: &[T],
+    g: &Conv2dGeometry,
+    cols: &mut [T],
+    ld: usize,
+    zero: T,
+) {
     let (h, w) = g.in_hw;
     let (kh, kw) = g.kernel;
     let (sh, sw) = g.stride;
     let (ph, pw) = g.padding;
     let (oh, ow) = g.out_hw();
-    let ospatial = oh * ow;
     for c in 0..g.in_channels {
         let plane = &x[c * h * w..(c + 1) * h * w];
         for ki in 0..kh {
             for kj in 0..kw {
                 let row = (c * kh + ki) * kw + kj;
-                let dst = &mut cols[row * ospatial..(row + 1) * ospatial];
+                let dst = &mut cols[row * ld..row * ld + oh * ow];
                 for oi in 0..oh {
                     let src_i = (oi * sh + ki) as isize - ph as isize;
                     if src_i < 0 || src_i >= h as isize {
@@ -170,41 +189,85 @@ pub(crate) fn im2col_sample_t<T: Copy>(x: &[T], g: &Conv2dGeometry, cols: &mut [
     }
 }
 
-/// [`im2col_sample_t`] for `f32` activations.
-fn im2col_sample(x: &[f32], g: &Conv2dGeometry, cols: &mut [f32]) {
-    im2col_sample_t(x, g, cols, 0.0);
-}
-
-/// Runs `f` on the im2col matrix `(C*Kh*Kw, Oh*Ow)` of sample `x`: the
-/// sample itself for a pointwise geometry, an unfolding into arena scratch
-/// otherwise.
-fn with_cols<R>(x: &[f32], g: &Conv2dGeometry, f: impl FnOnce(&[f32]) -> R) -> R {
+/// Runs `f` on the im2col panel `(C*Kh*Kw, n*Oh*Ow)` of the `n` samples `x`
+/// holds, sample `i` in column block `i`: for a pointwise geometry the
+/// samples themselves, gathered ([`with_gathered`]); an unfolding into arena
+/// scratch otherwise.
+fn with_cols<R>(x: &[f32], n: usize, g: &Conv2dGeometry, f: impl FnOnce(&[f32]) -> R) -> R {
+    let ospatial = g.out_hw().0 * g.out_hw().1;
     if g.is_pointwise() {
-        return f(x);
+        return with_gathered(x, n, (g.in_channels, ospatial), f);
     }
-    let (oh, ow) = g.out_hw();
-    with_scratch(g.patch_len() * oh * ow, |cols| {
-        im2col_sample(x, g, cols);
+    let width = n * ospatial;
+    with_scratch(g.patch_len() * width, |cols| {
+        for (i, xs) in x.chunks_exact(g.in_slab()).enumerate() {
+            im2col_sample_t(xs, g, &mut cols[i * ospatial..], width, 0.0);
+        }
         f(cols)
     })
 }
 
-/// Folds an im2col matrix `(C*Kh*Kw, Oh*Ow)` back into a sample gradient
-/// `(C, H, W)`, *accumulating* overlapping contributions (the adjoint of
-/// [`im2col_sample`]).
-fn col2im_sample(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]) {
+/// Runs `f` on the `(rows, n*plane)` panel of the `n` samples `src` holds as
+/// `(rows, plane)` matrices: `src` itself for one sample, a gathered copy in
+/// arena scratch otherwise.
+fn with_gathered<R>(
+    src: &[f32],
+    n: usize,
+    (rows, plane): (usize, usize),
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    if n == 1 {
+        return f(src);
+    }
+    with_scratch(rows * n * plane, |panel: &mut [f32]| {
+        for (i, sample) in src.chunks_exact(rows * plane).enumerate() {
+            for (r, row) in sample.chunks_exact(plane).enumerate() {
+                panel[(r * n + i) * plane..][..plane].copy_from_slice(row);
+            }
+        }
+        f(panel)
+    })
+}
+
+/// Has `f` write the `(rows, n*plane)` panel of the `n` samples `out` holds
+/// as `(rows, plane)` matrices: into `out` itself for one sample, into arena
+/// scratch that is then scattered back otherwise.
+fn with_scattered<R>(
+    out: &mut [f32],
+    n: usize,
+    (rows, plane): (usize, usize),
+    f: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    if n == 1 {
+        return f(out);
+    }
+    with_scratch(rows * n * plane, |panel: &mut [f32]| {
+        let r = f(panel);
+        for (i, sample) in out.chunks_exact_mut(rows * plane).enumerate() {
+            for (row, dst) in sample.chunks_exact_mut(plane).enumerate() {
+                dst.copy_from_slice(&panel[(row * n + i) * plane..][..plane]);
+            }
+        }
+        r
+    })
+}
+
+/// Folds one sample's im2col columns (row `r` at `cols[r * ld..][..Oh*Ow]`,
+/// as [`im2col_sample_t`] lays them out) back into a sample gradient `(C, H,
+/// W)`, *accumulating* overlapping contributions (the adjoint of the
+/// unfolding).
+fn col2im_sample(cols: &[f32], ld: usize, g: &Conv2dGeometry, x_grad: &mut [f32]) {
     let (h, w) = g.in_hw;
     let (kh, kw) = g.kernel;
     let (sh, sw) = g.stride;
     let (ph, pw) = g.padding;
     let (oh, ow) = g.out_hw();
-    let ospatial = oh * ow;
     for c in 0..g.in_channels {
         let plane = &mut x_grad[c * h * w..(c + 1) * h * w];
         for ki in 0..kh {
             for kj in 0..kw {
                 let row = (c * kh + ki) * kw + kj;
-                let src = &cols[row * ospatial..(row + 1) * ospatial];
+                let src = &cols[row * ld..row * ld + oh * ow];
                 for oi in 0..oh {
                     let dst_i = (oi * sh + ki) as isize - ph as isize;
                     if dst_i < 0 || dst_i >= h as isize {
@@ -222,26 +285,52 @@ fn col2im_sample(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]) {
     }
 }
 
+/// Output columns below which a sample's GEMM is too narrow to stream well
+/// on its own: [`per_sample`] gathers samples whose planes are shorter into
+/// one panel of at least this many columns.
+const PANEL_COLUMNS: usize = 256;
+
 /// The batch driver of every per-sample kernel — the three f32 convolutions
 /// and [`crate::qkernels::qconv2d`]: opens the `name` region and runs
-/// `sample(rt, s, out_s)` for each `slab`-long sample of `out`. The one place
-/// their fork is decided: a lone sample parallelizes *inside* its kernels (it
-/// is handed the current runtime); several are split across the pool by
-/// `ops_per_sample`, each running its kernels on [`Runtime::serial`].
+/// `group(rt, s0, out_g)` over consecutive samples `s0..s0 + n` of `out`,
+/// `out_g` being their `n` slabs. The one place their fork is decided.
+///
+/// `plane` is the number of GEMM columns one sample contributes, for the
+/// kernels whose samples may share a panel. A sample whose plane is shorter
+/// than [`PANEL_COLUMNS`] is gathered with its neighbours until a panel
+/// reaches that width; `None` (the weight gradient, whose per-sample partials
+/// must stay apart) keeps every group at one sample. A lone group
+/// parallelizes *inside* its kernels (it is handed the current runtime);
+/// several are split across the pool by `ops_per_sample`, each running its
+/// kernels on [`Runtime::serial`]. Every GEMM column is summed on its own in
+/// ascending `k` whatever panel it sits in, so the grouping moves no bit.
 pub(crate) fn per_sample<T: Send>(
     name: &'static str,
     out: &mut [T],
     slab: usize,
     ops_per_sample: usize,
-    sample: impl Fn(&Runtime, usize, &mut [T]) + Sync,
+    plane: Option<usize>,
+    group: impl Fn(&Runtime, usize, &mut [T]) + Sync,
 ) {
     let _region = ttsnn_obs::region(name);
+    if out.is_empty() {
+        return;
+    }
+    let samples = out.len() / slab;
+    let per_panel = match plane {
+        Some(plane) if plane < PANEL_COLUMNS => PANEL_COLUMNS.div_ceil(plane.max(1)),
+        _ => 1,
+    };
     let rt = Runtime::current();
-    if !out.is_empty() && out.len() == slab {
-        return sample(&rt, 0, out);
+    if samples <= per_panel {
+        return group(&rt, 0, out);
     }
     let (serial, min_samples) = (Runtime::serial(), runtime::fork_grain(ops_per_sample));
-    rt.parallel_over_slabs(out, slab, min_samples, |s, out_s| sample(serial, s, out_s));
+    rt.parallel_over_ranges(out, slab, min_samples, |s0, run| {
+        for (i, out_g) in run.chunks_mut(per_panel * slab).enumerate() {
+            group(serial, s0 + i * per_panel, out_g);
+        }
+    });
 }
 
 /// Convolution forward pass: `y = x (*) weight`.
@@ -258,12 +347,16 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor,
     // No zero-fill: the GEMM overwrites every element of every sample.
     let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
     let (xd, wd) = (x.data(), weight.data());
-    let out_slab = g.out_channels * ospatial;
-    per_sample("conv2d", out.data_mut(), out_slab, 2 * g.macs(), |rt, s, out_s| {
-        with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
-            runtime::gemm(rt, wd, cols, out_s, g.out_channels, k, ospatial);
+    let (o, out_slab) = (g.out_channels, g.out_channels * ospatial);
+    let conv = |rt: &Runtime, s0: usize, out_g: &mut [f32]| {
+        let n = out_g.len() / out_slab;
+        with_cols(&xd[s0 * in_slab..(s0 + n) * in_slab], n, g, |cols| {
+            with_scattered(out_g, n, (o, ospatial), |panel| {
+                runtime::gemm(rt, wd, cols, panel, o, k, n * ospatial);
+            });
         });
-    });
+    };
+    per_sample("conv2d", out.data_mut(), out_slab, 2 * g.macs(), Some(ospatial), conv);
     Ok(out)
 }
 
@@ -298,23 +391,31 @@ pub fn conv2d_input_grad(
         if pointwise { Tensor::scratch(&x_shape) } else { Tensor::scratch_zeroed(&x_shape) };
     // dx_cols = Wᵀ · dy, read directly from the (O, k) weight layout — no
     // transpose copy.
-    let (wd, gd) = (weight.data(), y_grad.data());
-    let sample = |rt: &Runtime, s: usize, xg_s: &mut [f32]| {
-        let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
-        if pointwise {
-            // col2im would add these columns into zeros. The GEMM's
-            // accumulators start from +0.0 and a sum that starts there
-            // never lands on −0.0, so `0.0 + v` is `v` bit for bit and
-            // the GEMM can write the slab itself.
-            runtime::gemm_at_b(rt, wd, gd_s, xg_s, k, g.out_channels, ospatial);
-        } else {
-            with_scratch(k * ospatial, |cols| {
-                runtime::gemm_at_b(rt, wd, gd_s, cols, k, g.out_channels, ospatial);
-                col2im_sample(cols, g, xg_s);
-            });
-        }
+    let (wd, gd, o, in_slab) = (weight.data(), y_grad.data(), g.out_channels, g.in_slab());
+    let sample = |rt: &Runtime, s0: usize, xg_g: &mut [f32]| {
+        let n = xg_g.len() / in_slab;
+        let width = n * ospatial;
+        with_gathered(&gd[s0 * out_slab..(s0 + n) * out_slab], n, (o, ospatial), |dy| {
+            if pointwise {
+                // col2im would add these columns into zeros. The GEMM's
+                // accumulators start from +0.0 and a sum that starts there
+                // never lands on −0.0, so `0.0 + v` is `v` bit for bit and
+                // the GEMM can write the slabs itself.
+                with_scattered(xg_g, n, (k, ospatial), |panel| {
+                    runtime::gemm_at_b(rt, wd, dy, panel, k, o, width);
+                });
+            } else {
+                with_scratch(k * width, |cols| {
+                    runtime::gemm_at_b(rt, wd, dy, cols, k, o, width);
+                    for (i, xg_s) in xg_g.chunks_exact_mut(in_slab).enumerate() {
+                        col2im_sample(&cols[i * ospatial..], width, g, xg_s);
+                    }
+                });
+            }
+        });
     };
-    per_sample("conv2d_input_grad", x_grad.data_mut(), g.in_slab(), 2 * g.macs(), sample);
+    let macs = 2 * g.macs();
+    per_sample("conv2d_input_grad", x_grad.data_mut(), in_slab, macs, Some(ospatial), sample);
     Ok(x_grad)
 }
 
@@ -355,9 +456,9 @@ pub fn conv2d_weight_grad(
     with_scratch(chunk * wlen, |partials: &mut [f32]| {
         for c0 in (0..b).step_by(chunk) {
             let part = &mut partials[..chunk.min(b - c0) * wlen];
-            per_sample("conv2d_weight_grad", part, wlen, 2 * g.macs(), |rt, i, dw_s| {
+            per_sample("conv2d_weight_grad", part, wlen, 2 * g.macs(), None, |rt, i, dw_s| {
                 let s = c0 + i;
-                with_cols(&xd[s * in_slab..(s + 1) * in_slab], g, |cols| {
+                with_cols(&xd[s * in_slab..(s + 1) * in_slab], 1, g, |cols| {
                     let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
                     runtime::gemm_a_bt(rt, gd_s, cols, dw_s, g.out_channels, ospatial, k);
                 });
@@ -406,7 +507,7 @@ mod tests {
         let mut dw_s = vec![0.0f32; o * k];
         for s in 0..b {
             let gy_s = &gy.data()[s * o * osp..(s + 1) * o * osp];
-            im2col_sample(&x.data()[s * in_slab..(s + 1) * in_slab], g, &mut cols);
+            im2col_sample_t(&x.data()[s * in_slab..(s + 1) * in_slab], g, &mut cols, osp, 0.0);
             let y_s = &mut y.data_mut()[s * o * osp..(s + 1) * o * osp];
             runtime::gemm(&rt, w.data(), &cols, y_s, o, k, osp);
             runtime::gemm_a_bt(&rt, gy_s, &cols, &mut dw_s, o, osp, k);
@@ -414,7 +515,7 @@ mod tests {
                 *a += v;
             }
             runtime::gemm_at_b(&rt, w.data(), gy_s, &mut cols, k, o, osp);
-            col2im_sample(&cols, g, &mut dx.data_mut()[s * in_slab..(s + 1) * in_slab]);
+            col2im_sample(&cols, osp, g, &mut dx.data_mut()[s * in_slab..(s + 1) * in_slab]);
         }
         (y, dx, dw)
     }
@@ -670,11 +771,11 @@ mod tests {
         let k = 2 * 3 * 3;
         let (oh, ow) = g.out_hw();
         let mut cols = vec![0.0f32; k * oh * ow];
-        im2col_sample(x.data(), &g, &mut cols);
+        im2col_sample_t(x.data(), &g, &mut cols, oh * ow, 0.0);
         let c = Tensor::randn(&[k * oh * ow], &mut rng);
         let lhs: f32 = cols.iter().zip(c.data().iter()).map(|(a, b)| a * b).sum();
         let mut folded = vec![0.0f32; 2 * 5 * 5];
-        col2im_sample(c.data(), &g, &mut folded);
+        col2im_sample(c.data(), oh * ow, &g, &mut folded);
         let rhs: f32 = folded.iter().zip(x.data().iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
     }

@@ -166,35 +166,36 @@ impl<const SAT16: bool> Mac for Int<SAT16> {
         }
     }
 
-    /// The int8 value a spike quantizes to: `clamp(round(1/scale), ±127)`.
-    /// With the calibration convention for binary sites (`scale = 1`), this
-    /// is exactly `1`.
-    fn spike(ep: Requant<'_>) -> i8 {
-        (1.0f32 / ep.x_scale).round().clamp(-127.0, 127.0) as i8
+    #[inline(always)]
+    fn add_term(acc: i32, term: i32) -> i32 {
+        if SAT16 {
+            (acc as i16).saturating_add(term as i16) as i32
+        } else {
+            acc + term
+        }
     }
 
-    fn with_acc(
-        out: &mut [f32],
-        row_len: usize,
-        first_channel: usize,
-        ep: Requant<'_>,
-        fill: impl FnOnce(&mut [i32]),
-    ) {
-        with_scratch(out.len(), |acc: &mut [i32]| {
-            fill(acc);
-            for (r, (arow, orow)) in acc.chunks(row_len).zip(out.chunks_mut(row_len)).enumerate() {
-                let oc = first_channel + r;
-                let w_scale = if ep.w_scales.len() == 1 { ep.w_scales[0] } else { ep.w_scales[oc] };
-                let (s, bias) = (ep.x_scale * w_scale, ep.bias.map(|b| b[oc]));
-                for (o, &a) in orow.iter_mut().zip(arow.iter()) {
-                    *o = match bias {
-                        Some(bias) => a as f32 * s + bias,
-                        None => a as f32 * s,
-                    };
-                }
-            }
-        });
+    fn spike(ep: Requant<'_>) -> i8 {
+        spike_code(ep.x_scale)
     }
+
+    fn finish(out: &mut [f32], acc: impl Iterator<Item = i32>, oc: usize, ep: Requant<'_>) {
+        let w_scale = if ep.w_scales.len() == 1 { ep.w_scales[0] } else { ep.w_scales[oc] };
+        let (s, bias) = (ep.x_scale * w_scale, ep.bias.map(|b| b[oc]));
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = match bias {
+                Some(bias) => a as f32 * s + bias,
+                None => a as f32 * s,
+            };
+        }
+    }
+}
+
+/// The int8 value a spike quantizes to at activation scale `x_scale`:
+/// `clamp(round(1/x_scale), ±127)`. With the calibration convention for
+/// binary sites (`x_scale = 1`), this is exactly `1`.
+pub(crate) fn spike_code(x_scale: f32) -> i8 {
+    (1.0f32 / x_scale).round().clamp(-127.0, 127.0) as i8
 }
 
 /// Evaluates `$body` with `$E` naming the [`Mac`] of `$accum` — the only thing
@@ -342,23 +343,34 @@ pub fn qconv2d(
     check_qweight(qw, g)?;
     let ep = Requant::new("qconv2d", x_scale, w_scales, None, g.out_channels)?;
     let (k, ospatial, in_slab) = (g.patch_len(), oh * ow, g.in_slab());
-    let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
+    let (o, out_slab) = (g.out_channels, g.out_channels * ospatial);
+    let mut out = Tensor::scratch(&[b, o, oh, ow]);
     let xd = x.data();
-    // Per sample: quantize → int8 im2col → the integer tile → epilogue.
-    let sample = |rt: &Runtime, s: usize, out_s: &mut [f32]| {
+    // Per group of samples: quantize → int8 im2col into the group's panel →
+    // the integer tile → epilogue, sample by sample out of the panel.
+    let group = |rt: &Runtime, s0: usize, out_g: &mut [f32]| {
+        let n = out_g.len() / out_slab;
+        let (x_g, width) = (&xd[s0 * in_slab..(s0 + n) * in_slab], n * ospatial);
         with_scratch(in_slab, |qx| {
-            quantize_to_i8(&xd[s * in_slab..(s + 1) * in_slab], x_scale, qx);
-            with_scratch(k * ospatial, |qcols| {
-                im2col_sample_t(qx, g, qcols, 0i8);
-                let dims = (g.out_channels, k, ospatial);
-                by_accum!(accum, E => E::with_acc(out_s, ospatial, 0, ep, |acc| {
-                    saxpy_gemm::<E>("qgemm", rt, qw, (k, 1), qcols, acc, dims);
+            with_scratch(k * width, |qcols| {
+                for (i, xs) in x_g.chunks_exact(in_slab).enumerate() {
+                    quantize_to_i8(xs, x_scale, qx);
+                    im2col_sample_t(qx, g, &mut qcols[i * ospatial..], width, 0i8);
+                }
+                by_accum!(accum, E => with_scratch(o * width, |acc: &mut [i32]| {
+                    saxpy_gemm::<E>("qgemm", rt, qw, (k, 1), qcols, acc, (o, k, width));
+                    for (i, out_s) in out_g.chunks_exact_mut(out_slab).enumerate() {
+                        for (oc, orow) in out_s.chunks_exact_mut(ospatial).enumerate() {
+                            let arow = &acc[oc * width + i * ospatial..][..ospatial];
+                            E::finish(orow, arow.iter().copied(), oc, ep);
+                        }
+                    }
                 }));
             });
         });
     };
-    let (out_slab, ops) = (g.out_channels * ospatial, OP_COST * 2 * g.macs());
-    per_sample("qconv2d", out.data_mut(), out_slab, ops, sample);
+    let ops = OP_COST * 2 * g.macs();
+    per_sample("qconv2d", out.data_mut(), out_slab, ops, Some(ospatial), group);
     Ok(out)
 }
 
@@ -380,7 +392,12 @@ pub(crate) fn linear_rows<E: Mac>(
     let out_features = y.shape()[1];
     let min_rows = runtime::fork_grain(E::COST * 2 * macs_per_row);
     Runtime::current().parallel_over_slabs(y.data_mut(), out_features, min_rows, |s, yrow| {
-        E::with_acc(yrow, 1, 0, ep, |acc| row(s, acc));
+        with_scratch(out_features, |acc: &mut [E::Acc]| {
+            row(s, acc);
+            for (oc, (y, &a)) in yrow.iter_mut().zip(acc.iter()).enumerate() {
+                E::finish(std::slice::from_mut(y), std::iter::once(a), oc, ep);
+            }
+        });
     });
 }
 

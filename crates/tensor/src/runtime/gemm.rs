@@ -32,6 +32,7 @@
 //! bit-identical for every thread count. No `unsafe`, no SIMD intrinsics: an
 //! explicit-lane micro-kernel is an edit of one [`Mac`] impl.
 
+use super::arena::{with_scratch, Scratch};
 use super::pool::{fork_grain, Runtime};
 
 /// Rows per register tile in the saxpy-style kernels.
@@ -44,7 +45,7 @@ const KC: usize = 256;
 /// know about it. Closed over [`F32`], `I32` and `Sat16`.
 pub(crate) trait Mac {
     type Elem: Copy + Send + Sync;
-    type Acc: Copy + Send + Sync;
+    type Acc: Scratch + Send + Sync;
     /// What the epilogue needs besides the accumulators.
     type Epilogue<'a>: Copy + Send + Sync;
 
@@ -58,6 +59,10 @@ pub(crate) trait Mac {
 
     /// `acc + a · b`.
     fn mac(acc: Self::Acc, a: Self::Elem, b: Self::Elem) -> Self::Acc;
+
+    /// `acc + term`, for a `term` that is already one product
+    /// (`mac(ZERO, a, b)`): `mac(acc, a, b) == add_term(acc, mac(ZERO, a, b))`.
+    fn add_term(acc: Self::Acc, term: Self::Acc) -> Self::Acc;
 
     /// `Σ x[i] · y[i]` in the type's fixed order.
     fn dot(x: &[Self::Elem], y: &[Self::Elem]) -> Self::Acc {
@@ -78,15 +83,14 @@ pub(crate) trait Mac {
         events.iter().fold(Self::ZERO, |acc, &kk| Self::add_spike(acc, w[kk as usize], spike))
     }
 
-    /// Runs `fill` on an accumulator block for `out` (`fill` writes every
-    /// element), then writes `out` from it through the epilogue: row `r` of
-    /// `row_len` accumulators is output channel `first_channel + r`.
-    fn with_acc(
+    /// The epilogue of output channel `channel`: writes `out` from its
+    /// accumulators, in order — whatever order the caller walks its
+    /// accumulator block in (a panel row, a transposed block, one element).
+    fn finish(
         out: &mut [f32],
-        row_len: usize,
-        first_channel: usize,
+        acc: impl Iterator<Item = Self::Acc>,
+        channel: usize,
         ep: Self::Epilogue<'_>,
-        fill: impl FnOnce(&mut [Self::Acc]),
     );
 }
 
@@ -109,6 +113,11 @@ impl Mac for F32 {
     #[inline(always)]
     fn mac(acc: f32, a: f32, b: f32) -> f32 {
         acc + a * b
+    }
+
+    #[inline(always)]
+    fn add_term(acc: f32, term: f32) -> f32 {
+        acc + term
     }
 
     /// Four independent accumulator lanes — vectorizable, and a fixed
@@ -161,9 +170,10 @@ impl Mac for F32 {
         (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]) + tail
     }
 
-    /// The output is its own accumulator block.
-    fn with_acc(out: &mut [f32], _: usize, _: usize, (): (), fill: impl FnOnce(&mut [f32])) {
-        fill(out);
+    fn finish(out: &mut [f32], acc: impl Iterator<Item = f32>, _: usize, (): ()) {
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a;
+        }
     }
 }
 
@@ -358,7 +368,7 @@ pub fn gemm_a_bt(
     }
     let _region = ttsnn_obs::region("gemm_a_bt");
     check("gemm_a_bt", (a.len(), b.len(), out.len()), (m, k, n));
-    super::arena::with_scratch(k * n, |bt| {
+    with_scratch(k * n, |bt: &mut [f32]| {
         for (j, brow) in b.chunks_exact(k).enumerate() {
             for (kk, &v) in brow.iter().enumerate() {
                 bt[kk * n + j] = v;

@@ -3,7 +3,7 @@
 //!
 //! SNN activations are binary spikes, and at serving time most of them are
 //! zero: the dense im2col GEMM pays a full multiply-add per zero. This
-//! module exploits that sparsity without giving up the workspace's
+//! module pays only for the spikes, without giving up the workspace's
 //! bit-determinism contract:
 //!
 //! * [`SpikeTensor`] — a bit-packed view of a binary `f32` tensor, 64
@@ -11,13 +11,24 @@
 //!   density (popcount) in the same single pass, so the dispatcher's
 //!   density measurement is a by-product of building the representation.
 //! * [`sparse_conv2d`] / [`sparse_qconv2d`] — one event-scatter driver at the
-//!   f32 and the integer `Mac` (see `runtime/gemm.rs`): iterate only the
-//!   firing positions and scatter weight values for them into the type's
-//!   accumulators, then out through its epilogue. [`sparse_linear`] /
-//!   [`sparse_qlinear`] are one event-driven linear layer at the same `Mac`s,
-//!   on the row driver they share with `qlinear`. The int8 paths skip the
-//!   quantize + im2col stages entirely: a spike quantizes to a known
-//!   constant, so only the packed bits are consulted.
+//!   f32 and the integer `Mac` (see `runtime/gemm.rs`). Each firing input
+//!   position is looked up in a [`WindowTable`] — for every input position of
+//!   the geometry, the `(kernel tap, output position)` windows that read it —
+//!   and each window adds one row of an [`EventWeights`] kernel, laid out
+//!   `[C·Kh·Kw][O]` and pre-multiplied by the spike value, across the output
+//!   channels of an `(Oh·Ow, O)` accumulator block in one contiguous run; the
+//!   type's epilogue transposes the block out. So a tap costs its arithmetic
+//!   and one table lookup — no window arithmetic, no per-channel pass.
+//! * Both layouts depend only on the site: the geometry for the table, the
+//!   weights (and, for int8, the activation scale) for the kernel. A frozen
+//!   plan builds them once ([`WindowTable::new`], [`EventWeights::new`] /
+//!   [`EventWeights::quantized`]) and serves through
+//!   [`sparse_conv2d_frozen`] / [`sparse_qconv2d_frozen`]; the plain kernels
+//!   lay both out per call in arena scratch. The two are bit-identical.
+//! * [`sparse_linear`] / [`sparse_qlinear`] are one event-driven linear
+//!   layer at the same `Mac`s, on the row driver they share with `qlinear`.
+//!   The int8 paths skip the quantize + im2col stages entirely: a spike
+//!   quantizes to a known constant, so only the packed bits are consulted.
 //! * [`SparseMode`] — the `TTSNN_SPARSE_MODE` dispatch override
 //!   (`auto`/`force`/`off`) used by the model-layer dispatcher.
 //!
@@ -28,20 +39,24 @@
 //!
 //! * Dense `conv2d`/`gemm` accumulate each output element with a single
 //!   accumulator in ascending patch order `kk = (c·Kh + ki)·Kw + kj`.
-//!   Iterating spike events in ascending `(c, ii, jj)` input order
-//!   delivers each output element its contributions in exactly that
-//!   ascending `kk` order, so the surviving floating-point additions are
-//!   the same operations in the same order.
+//!   Iterating spike events in ascending `(c, ii, jj)` input order, each
+//!   event's windows in ascending tap order, delivers each output element
+//!   its contributions in exactly that ascending `kk` order, so the
+//!   surviving additions are the same operations in the same order.
+//! * A pre-multiplied term is the product the dense kernel forms:
+//!   `add_spike(ZERO, w, spike)` added by `Mac::add_term` equals
+//!   `add_spike(acc, w, spike)` — bitwise for the integers; for f32 it is
+//!   `acc + (0.0 + w)`, which differs from `acc + w` only for `w = -0.0`,
+//!   and `acc ± 0.0` is `acc` for every accumulator that starts at `+0.0`
+//!   (such a sum never becomes `-0.0` under round-to-nearest).
 //! * The skipped terms are exact zeros: a spike is exactly `0.0` or
 //!   `1.0`, and for finite weights `w · 0.0` is a signed zero that cannot
-//!   change an accumulator that starts at `+0.0` (a running sum that
-//!   starts at `+0.0` can never become `-0.0` under round-to-nearest),
-//!   while `w · 1.0` is bitwise `w`. Skipping zero-spike terms therefore
-//!   leaves every intermediate bit pattern unchanged. (Non-finite
-//!   *weights* would break this — `0 · NaN` is `NaN` — so the sparse
-//!   path is only used for inference weights, which are finite by
-//!   construction; the serving engine already rejects non-finite
-//!   inputs.)
+//!   change such an accumulator, while `w · 1.0` is bitwise `w`. Skipping
+//!   zero-spike terms therefore leaves every intermediate bit pattern
+//!   unchanged. (Non-finite *weights* would break this — `0 · NaN` is
+//!   `NaN` — so the sparse path is only used for inference weights, which
+//!   are finite by construction; the serving engine already rejects
+//!   non-finite inputs.)
 //! * The dense per-sample linear path computes each output with the f32
 //!   `Mac`'s 4-lane dot ([`gemm_a_bt`](crate::runtime::gemm_a_bt) at
 //!   `m = 1`); its dot over events replicates the lane structure exactly
@@ -62,7 +77,7 @@ use std::sync::OnceLock;
 use crate::conv::{check_input, check_weight, Conv2dGeometry};
 use crate::error::ShapeError;
 use crate::qkernels::{
-    by_accum, check_qlinear, check_qweight, linear_rows, QAccum, Requant, Sat16, I32,
+    by_accum, check_qlinear, check_qweight, linear_rows, spike_code, QAccum, Requant, Sat16, I32,
 };
 use crate::runtime::{self, with_scratch, Mac, Runtime, F32};
 use crate::shape::num_elements;
@@ -243,22 +258,29 @@ fn with_events<R>(
 // Dispatch mode
 
 /// Default spike-density threshold for [`SparseMode::Auto`]: sites at or
-/// below this density route to the sparse kernels. Set from the measured
-/// crossover of the `spike_sparsity` bench on the dev container (the
-/// event-driven kernels win below ~0.3 density; see
-/// `BENCH_spike_sparsity.json`).
+/// below this density route to the sparse kernels. A conservative bound,
+/// not the crossover: on the `spike_sparsity` bench's 32 → 32 3×3 conv at
+/// 16×16 (8 samples, 2 vCPUs, layouts laid out per call) the event-driven
+/// kernel beats the dense one up to a density of ≈ 0.57, and at 0.5 runs
+/// 1.2 × dense (`BENCH_spike_sparsity.json`). Served LIF layers fire at
+/// 0.13–0.16, so the bound does not bind where it matters.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
-/// What scattering one event through one window tap costs in the f32
-/// operations `runtime::fork_grain` counts in — the event-scatter driver's
-/// grain for every `Mac`: a tap is an indirect read-modify-write, priced by
-/// its indirection rather than its accumulator type, so `Mac::COST` (a
-/// *streamed* operation) does not scale it. At density 0.13 the sparse
-/// kernels touch 0.13 of the dense kernels' operands and finish in 1 / 1.7
-/// (f32) to 1 / 3 (int8, itself 4 × the float cost per operation) of their
-/// time (`tensor.sparse_conv_speedup_vs_dense`,
-/// `tensor.sparse_qconv_speedup_vs_dense`), i.e. 10–20 float operations per tap.
-const TAP_COST: usize = 16;
+/// What one tap costs per output channel — adding one pre-multiplied weight
+/// lane into a sample's accumulator block, its share of the table lookup
+/// that found the tap included — in the f32 operations `runtime::fork_grain`
+/// counts in: the event-scatter driver's grain for every `Mac`. It is priced
+/// by the scatter rather than by the accumulator type, so `Mac::COST` does
+/// not scale it. At the probes' spike density (0.13) the sparse kernels do
+/// 0.13 of the dense kernels' multiply-adds as tap lanes and finish in
+/// 1 / 4.1 (f32) and 1 / 8.6 (int8) of their time
+/// (`tensor.sparse_conv_speedup_vs_dense`,
+/// `tensor.sparse_qconv_speedup_vs_dense`: medians of three runs on 2 vCPUs,
+/// layouts laid out per call; 3.6–4.6 and 7.8–10 over six): 2 / (4.1 · 0.13)
+/// ≈ 3.8 float operations a lane against the f32 GEMM's two per
+/// multiply-add, and 4 / (8.6 · 0.13) ≈ 3.6 against the int8 GEMM, which runs
+/// at about half the float rate.
+const TAP_COST: usize = 4;
 
 /// Dispatch policy for the density-adaptive sparse/dense router,
 /// overridable with the `TTSNN_SPARSE_MODE` environment variable.
@@ -319,176 +341,321 @@ pub fn sparse_mode() -> SparseMode {
 }
 
 // ---------------------------------------------------------------------------
-// The event-scatter driver
+// Plan-time layouts
 
-/// Valid kernel window positions for one event at input position
-/// `(ii, jj)`: every `(kidx, opos)` with `kidx = ki·Kw + kj` and
-/// `opos = oi·Ow + oj` such that output `(oi, oj)` reads the event
-/// through kernel tap `(ki, kj)`. Written to the front of `wins` (at
-/// most `Kh·Kw` of them); returns how many there were.
-fn event_windows(ii: usize, jj: usize, g: &Conv2dGeometry, wins: &mut [(u32, u32)]) -> usize {
-    let (kh, kw) = g.kernel;
-    let (sh, sw) = g.stride;
-    let (ph, pw) = g.padding;
-    let (ohh, oww) = g.out_hw();
+/// The windows of one axis through which an input at coordinate `i` is
+/// read: every `(k, o)` with `o·stride + k = i + pad` and `o < out_len`, in
+/// ascending `k`, written to the front of `wins` (at most `kernel` of them);
+/// returns how many there were. A 2-D window is a row window times a column
+/// window.
+fn event_windows(
+    i: usize,
+    (kernel, stride, pad, out_len): (usize, usize, usize, usize),
+    wins: &mut [(u32, u32)],
+) -> usize {
     let mut n = 0;
-    for ki in 0..kh {
-        if ii + ph < ki {
-            break;
-        }
-        let oi_s = ii + ph - ki;
-        if !oi_s.is_multiple_of(sh) {
-            continue;
-        }
-        let oi = oi_s / sh;
-        if oi >= ohh {
-            continue;
-        }
-        for kj in 0..kw {
-            if jj + pw < kj {
-                break;
-            }
-            let oj_s = jj + pw - kj;
-            if !oj_s.is_multiple_of(sw) {
-                continue;
-            }
-            let oj = oj_s / sw;
-            if oj >= oww {
-                continue;
-            }
-            wins[n] = ((ki * kw + kj) as u32, (oi * oww + oj) as u32);
+    for k in 0..kernel.min(i + pad + 1) {
+        let o_s = i + pad - k;
+        if o_s.is_multiple_of(stride) && o_s / stride < out_len {
+            wins[n] = (k as u32, (o_s / stride) as u32);
             n += 1;
         }
     }
     n
 }
 
-/// Expands one sample's events into the flat ascending `(wpos, opos)`
-/// scatter list shared by every output channel: `wpos` indexes into a
-/// channel's `(C·Kh·Kw)` weight row, `opos` into its `(Oh·Ow)` output
-/// slab. Hoisting this out of the channel loop turns the scatter into
-/// one tight streaming pass per channel; the list is ordered by event
-/// (then tap), and taps of one event touch distinct outputs, so each
-/// output element still accumulates its events in ascending order — the
-/// dense kernels' order, keeping the bit-identity contract. The list
-/// lives in arena scratch for the duration of `f`.
-fn with_event_taps<R>(
-    evs: &[u32],
-    g: &Conv2dGeometry,
-    taps: usize,
-    f: impl FnOnce(&[(u32, u32)]) -> R,
-) -> R {
-    let hw = g.in_hw.0 * g.in_hw.1;
-    with_scratch(taps, |wins: &mut [(u32, u32)]| {
-        with_scratch(evs.len() * taps, |flat: &mut [(u32, u32)]| {
+/// Fills `g`'s window table: input position `pos = ii·W + jj` gets the
+/// windows `wins[starts[pos]..starts[pos + 1]]`, each `(kidx, opos)` with
+/// `kidx = ki·Kw + kj` and `opos = oi·Ow + oj`, in ascending `kidx`.
+/// `starts` holds `H·W + 1` entries and `wins` room for `H·W·Kh·Kw`. The
+/// axis windows are worked out once per row and per column, so the table
+/// costs one write per entry.
+fn fill_windows(g: &Conv2dGeometry, starts: &mut [u32], wins: &mut [(u32, u32)]) -> usize {
+    let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+    let row_axis = (kh, g.stride.0, g.padding.0, oh);
+    let col_axis = (kw, g.stride.1, g.padding.1, ow);
+    with_scratch(w * (kw + 1), |cols: &mut [(u32, u32)]| {
+        // Column `jj`'s windows sit at `cols[jj·(Kw + 1) + 1..]`, their count
+        // in front.
+        for (jj, slot) in cols.chunks_exact_mut(kw + 1).enumerate() {
+            slot[0].0 = event_windows(jj, col_axis, &mut slot[1..]) as u32;
+        }
+        with_scratch(kh, |rows: &mut [(u32, u32)]| {
             let mut n = 0;
-            for &e in evs {
-                let e = e as usize;
-                let (c, rem) = (e / hw, e % hw);
-                let nwins = event_windows(rem / g.in_hw.1, rem % g.in_hw.1, g, wins);
-                let wbase = (c * taps) as u32;
-                for &(kidx, opos) in &wins[..nwins] {
-                    flat[n] = (wbase + kidx, opos);
-                    n += 1;
+            for ii in 0..h {
+                let nrows = event_windows(ii, row_axis, rows);
+                for (jj, slot) in cols.chunks_exact(kw + 1).enumerate() {
+                    starts[ii * w + jj] = n as u32;
+                    for &(ki, oi) in &rows[..nrows] {
+                        for &(kj, oj) in &slot[1..=slot[0].0 as usize] {
+                            wins[n] = (ki * kw as u32 + kj, oi * ow as u32 + oj);
+                            n += 1;
+                        }
+                    }
                 }
             }
-            f(&flat[..n])
+            starts[h * w] = n as u32;
+            n
         })
     })
 }
 
-/// Walks a `parallel_over_ranges` run of `(sample, channel)` slabs,
-/// calling `f(sample, first_channel, channels_slice)` once per contiguous
-/// same-sample group.
-fn for_each_sample_group(
-    run: &mut [f32],
-    slab0: usize,
-    ospatial: usize,
-    out_channels: usize,
-    mut f: impl FnMut(usize, usize, &mut [f32]),
-) {
-    let nslabs = run.len() / ospatial;
-    let mut i = 0;
-    while i < nslabs {
-        let slab = slab0 + i;
-        let (s, o_lo) = (slab / out_channels, slab % out_channels);
-        let take = (out_channels - o_lo).min(nslabs - i);
-        f(s, o_lo, &mut run[i * ospatial..(i + take) * ospatial]);
-        i += take;
+/// Where an event lands, for every input position of one convolution
+/// geometry: the `(kidx, opos)` windows through which output `opos` reads
+/// input position `(ii, jj)` with kernel tap `kidx`. Built once, when a plan
+/// freezes; the event scatter only looks entries up. Channel counts play no
+/// part in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowTable {
+    geometry: Conv2dGeometry,
+    starts: Vec<u32>,
+    wins: Vec<(u32, u32)>,
+}
+
+impl WindowTable {
+    /// The table of `g`'s geometry.
+    pub fn new(g: &Conv2dGeometry) -> Self {
+        let hw = g.in_hw.0 * g.in_hw.1;
+        let mut starts = vec![0; hw + 1];
+        let mut wins = vec![(0, 0); hw * g.kernel.0 * g.kernel.1];
+        let n = fill_windows(g, &mut starts, &mut wins);
+        wins.truncate(n);
+        Self { geometry: *g, starts, wins }
+    }
+
+    /// Whether this is the table of `g`'s geometry.
+    fn fits(&self, g: &Conv2dGeometry) -> bool {
+        let t = &self.geometry;
+        (t.in_hw, t.kernel, t.stride, t.padding) == (g.in_hw, g.kernel, g.stride, g.padding)
+    }
+
+    fn view(&self) -> Windows<'_> {
+        Windows { starts: &self.starts, wins: &self.wins }
     }
 }
 
-/// The event-scatter convolution for every [`Mac`]: `w` is the kernel as
-/// `(O, C·Kh·Kw)` rows, `ep` the type's epilogue. Checks the spikes against
-/// `g`, opens the `name` region, gathers the events and forks over `(sample,
-/// channel)` output planes at a grain taken from the input (a sample's events
-/// × window taps × [`TAP_COST`]); each same-sample run of planes streams the
-/// sample's tap list into the type's accumulators and out through `ep`.
+/// A window table as the scatter reads it: a [`WindowTable`]'s storage, or
+/// one call's arena scratch.
+#[derive(Clone, Copy)]
+struct Windows<'a> {
+    starts: &'a [u32],
+    wins: &'a [(u32, u32)],
+}
+
+/// A convolution kernel laid out for the event scatter: `[C·Kh·Kw][O]` — row
+/// `kk` holds every output channel's weight for patch element `kk` — with
+/// each weight already multiplied by the spike value it will meet
+/// (`add_spike(ZERO, w, spike)`), so that a tap is one contiguous add across
+/// the output channels. Built once, when a plan loads: [`EventWeights::new`]
+/// for an f32 kernel, [`EventWeights::quantized`] for an int8 one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventWeights<A> {
+    values: Vec<A>,
+    out_channels: usize,
+    /// The activation scale whose spike value the rows are multiplied by.
+    x_scale: f32,
+}
+
+impl EventWeights<f32> {
+    /// Lays out an f32 `(O, C, Kh, Kw)` kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the kernel is not 4-D.
+    pub fn new(weight: &Tensor) -> Result<Self, ShapeError> {
+        if weight.ndim() != 4 {
+            return Err(ShapeError::new(format!(
+                "EventWeights::new: expected an OIHW kernel, got {:?}",
+                weight.shape()
+            )));
+        }
+        Ok(lay_out_owned::<F32>(weight.data(), weight.shape()[0], 1.0, 1.0))
+    }
+}
+
+impl EventWeights<i32> {
+    /// Lays out an int8 `(O, C·Kh·Kw)` kernel for spikes quantized at
+    /// `x_scale`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `qw` does not split into `out_channels`
+    /// rows or `x_scale` is not positive and finite.
+    pub fn quantized(qw: &[i8], out_channels: usize, x_scale: f32) -> Result<Self, ShapeError> {
+        if out_channels == 0 || !qw.len().is_multiple_of(out_channels) {
+            return Err(ShapeError::new(format!(
+                "EventWeights::quantized: {} weights do not split into {out_channels} rows",
+                qw.len()
+            )));
+        }
+        if !x_scale.is_finite() || x_scale <= 0.0 {
+            return Err(ShapeError::new(format!(
+                "EventWeights::quantized: activation scale must be positive and finite, got \
+                 {x_scale}"
+            )));
+        }
+        Ok(lay_out_owned::<I32>(qw, out_channels, spike_code(x_scale), x_scale))
+    }
+
+    /// The activation scale whose spike value the rows are multiplied by.
+    pub fn x_scale(&self) -> f32 {
+        self.x_scale
+    }
+}
+
+/// [`lay_out`] into storage of its own.
+fn lay_out_owned<E: Mac>(
+    w: &[E::Elem],
+    out_channels: usize,
+    spike: E::Elem,
+    x_scale: f32,
+) -> EventWeights<E::Acc> {
+    let mut values = vec![E::ZERO; w.len()];
+    lay_out::<E>(w, out_channels, spike, &mut values);
+    EventWeights { values, out_channels, x_scale }
+}
+
+/// Writes the `(O, C·Kh·Kw)` kernel `w` into `dst` as [`EventWeights`] lays
+/// it out, an 8 × 8 tile at a time so that reads and writes both stay on a
+/// few cache lines.
+fn lay_out<E: Mac>(w: &[E::Elem], out_channels: usize, spike: E::Elem, dst: &mut [E::Acc]) {
+    const TILE: usize = 8;
+    let kdim = w.len() / out_channels.max(1);
+    for o0 in (0..out_channels).step_by(TILE) {
+        for kk0 in (0..kdim).step_by(TILE) {
+            let kk1 = (kk0 + TILE).min(kdim);
+            for o in o0..(o0 + TILE).min(out_channels) {
+                for (kk, &v) in (kk0..kk1).zip(&w[o * kdim + kk0..o * kdim + kk1]) {
+                    dst[kk * out_channels + o] = E::add_spike(E::ZERO, v, spike);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The event-scatter driver
+
+/// Where the event scatter's two layouts come from.
+enum Layouts<'a, E: Mac> {
+    /// Laid out for this call alone, in arena scratch, from an `(O, C·Kh·Kw)`
+    /// kernel.
+    PerCall(&'a [E::Elem]),
+    /// Laid out when the plan froze.
+    Frozen(&'a EventWeights<E::Acc>, &'a WindowTable),
+}
+
+/// Calls `f(row, opos)` for every tap of one sample's events, looking each
+/// event's windows up in the table: `row` indexes a `[C·Kh·Kw][O]` weight
+/// row, `opos` an output position. Taps come event by event (ascending), and
+/// the taps of one event touch distinct outputs, so each output element
+/// meets its events in ascending order — the dense kernels' order, keeping
+/// the bit-identity contract.
+fn for_each_tap(
+    evs: &[u32],
+    windows: Windows<'_>,
+    g: &Conv2dGeometry,
+    mut f: impl FnMut(usize, usize),
+) {
+    let (hw, taps) = (g.in_hw.0 * g.in_hw.1, g.kernel.0 * g.kernel.1);
+    // Events ascend, so the channel only ever steps forward: no division.
+    let (mut plane, mut row0) = (0, 0);
+    for &e in evs {
+        let e = e as usize;
+        while e >= plane + hw {
+            plane += hw;
+            row0 += taps;
+        }
+        let pos = e - plane;
+        let wins = &windows.wins[windows.starts[pos] as usize..windows.starts[pos + 1] as usize];
+        for &(kidx, opos) in wins {
+            f(row0 + kidx as usize, opos as usize);
+        }
+    }
+}
+
+/// The event-scatter convolution for every [`Mac`], `ep` being the type's
+/// epilogue. Checks the spikes (and frozen layouts) against `g`, opens the
+/// `name` region, lays the layouts out if the call brings none, gathers the
+/// events and forks over samples at a grain taken from the input (a sample's
+/// events × window taps × output channels × [`TAP_COST`]). [`scatter`] takes
+/// each sample whole, on one thread: its taps are walked once and each is one
+/// `O`-lane add.
 fn event_conv<E: Mac>(
     name: &'static str,
     spikes: &SpikeTensor,
-    w: &[E::Elem],
+    layouts: Layouts<'_, E>,
     ep: E::Epilogue<'_>,
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
     let _region = ttsnn_obs::region(name);
     let (b, oh, ow) = check_input(spikes.shape(), g)?;
-    let mut out = Tensor::scratch(&[b, g.out_channels, oh, ow]);
-    let (kdim, ospatial, taps) = (g.patch_len(), oh * ow, g.kernel.0 * g.kernel.1);
-    let spike = E::spike(ep);
-    with_events(spikes, g.in_slab(), b, |events, offsets| {
-        let min_slabs = runtime::fork_grain(TAP_COST * events.len().div_ceil(b.max(1)) * taps);
-        let rt = Runtime::current();
-        rt.parallel_over_ranges(out.data_mut(), ospatial, min_slabs, |slab0, run| {
-            for_each_sample_group(run, slab0, ospatial, g.out_channels, |s, o_lo, chans| {
-                with_event_taps(&events[offsets[s]..offsets[s + 1]], g, taps, |flat| {
-                    E::with_acc(chans, ospatial, o_lo, ep, |acc| {
-                        acc.fill(E::ZERO);
-                        scatter::<E>(flat, &w[o_lo * kdim..], kdim, spike, acc, ospatial);
+    let (o, ospatial, taps) = (g.out_channels, oh * ow, g.kernel.0 * g.kernel.1);
+    let mut out = Tensor::scratch(&[b, o, oh, ow]);
+    let mut run = |windows: Windows<'_>, wt: &[E::Acc]| {
+        with_events(spikes, g.in_slab(), b, |events, offsets| {
+            let taps_per_sample = events.len().div_ceil(b.max(1)) * taps;
+            let min_samples = runtime::fork_grain(TAP_COST * taps_per_sample * o);
+            let rt = Runtime::current();
+            rt.parallel_over_slabs(out.data_mut(), o * ospatial, min_samples, |s, out_s| {
+                scatter::<E>(&events[offsets[s]..offsets[s + 1]], windows, g, wt, out_s, ep);
+            });
+        });
+    };
+    match layouts {
+        Layouts::Frozen(weights, table) => {
+            if !table.fits(g) || weights.out_channels != o || weights.values.len() != g.params() {
+                return Err(ShapeError::new(format!(
+                    "{name}: frozen layouts do not match geometry {g:?}"
+                )));
+            }
+            run(table.view(), &weights.values);
+        }
+        Layouts::PerCall(w) => {
+            let hw = g.in_hw.0 * g.in_hw.1;
+            with_scratch(hw + 1, |starts: &mut [u32]| {
+                with_scratch(hw * taps, |wins: &mut [(u32, u32)]| {
+                    fill_windows(g, starts, wins);
+                    with_scratch(w.len(), |wt: &mut [E::Acc]| {
+                        lay_out::<E>(w, o, E::spike(ep), wt);
+                        run(Windows { starts, wins }, wt);
                     });
                 });
             });
-        });
-    });
+        }
+    }
     Ok(out)
 }
 
-/// Streams a sample's flat event-tap list into a contiguous run of
-/// output-channel accumulator planes (`w` starting at the first one's weight
-/// row), four channels per pass: the `(wpos, opos)` decode is amortized and
-/// the four accumulation chains are independent, roughly doubling scatter
-/// ILP. Channels are disjoint outputs and each channel still sees the list in
-/// order, so bit-identity is untouched.
+/// Scatters one sample's events into its `(Oh·Ow, O)` accumulator block —
+/// per tap ([`for_each_tap`]) one contiguous `O`-lane add of a
+/// `[C·Kh·Kw][O]` weight row of `wt` — then writes the sample's `(O, Oh·Ow)`
+/// output `out_s` from the block through the epilogue, transposing. A
+/// pre-multiplied term `add_spike(ZERO, w, spike)` added with
+/// [`Mac::add_term`] is the `add_spike(acc, w, spike)` of the dense order, so
+/// bit-identity is untouched.
 fn scatter<E: Mac>(
-    flat: &[(u32, u32)],
-    w: &[E::Elem],
-    kdim: usize,
-    spike: E::Elem,
-    acc: &mut [E::Acc],
-    ospatial: usize,
+    evs: &[u32],
+    windows: Windows<'_>,
+    g: &Conv2dGeometry,
+    wt: &[E::Acc],
+    out_s: &mut [f32],
+    ep: E::Epilogue<'_>,
 ) {
-    let mut wrows = w.chunks(kdim);
-    let mut groups = acc.chunks_exact_mut(4 * ospatial);
-    for group in &mut groups {
-        let (c0, rest) = group.split_at_mut(ospatial);
-        let (c1, rest) = rest.split_at_mut(ospatial);
-        let (c2, c3) = rest.split_at_mut(ospatial);
-        let mut wrow = || wrows.next().expect("one weight row per channel");
-        let (w0, w1, w2, w3) = (wrow(), wrow(), wrow(), wrow());
-        for &(wpos, opos) in flat {
-            let (wi, o) = (wpos as usize, opos as usize);
-            c0[o] = E::add_spike(c0[o], w0[wi], spike);
-            c1[o] = E::add_spike(c1[o], w1[wi], spike);
-            c2[o] = E::add_spike(c2[o], w2[wi], spike);
-            c3[o] = E::add_spike(c3[o], w3[wi], spike);
+    let o = g.out_channels;
+    let ospatial = out_s.len() / o;
+    with_scratch(ospatial * o, |acc: &mut [E::Acc]| {
+        acc.fill(E::ZERO);
+        for_each_tap(evs, windows, g, |row, opos| {
+            let (a, w) = (&mut acc[opos * o..][..o], &wt[row * o..][..o]);
+            for (a, &w) in a.iter_mut().zip(w) {
+                *a = E::add_term(*a, w);
+            }
+        });
+        for (oc, plane) in out_s.chunks_exact_mut(ospatial).enumerate() {
+            E::finish(plane, acc[oc..].iter().step_by(o).copied(), oc, ep);
         }
-    }
-    for (chan, wrow) in groups.into_remainder().chunks_mut(ospatial).zip(wrows) {
-        for &(wpos, opos) in flat {
-            let o = opos as usize;
-            chan[o] = E::add_spike(chan[o], wrow[wpos as usize], spike);
-        }
-    }
+    });
 }
 
 /// The event-driven linear layer for every [`Mac`]: `w` is `(O, F)` rows.
@@ -533,7 +700,24 @@ pub fn sparse_conv2d(
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
     check_weight(weight.shape(), g)?;
-    event_conv::<F32>("sparse_conv2d", spikes, weight.data(), (), g)
+    event_conv::<F32>("sparse_conv2d", spikes, Layouts::PerCall(weight.data()), (), g)
+}
+
+/// [`sparse_conv2d`] on the layouts a frozen plan holds — bit-identical to
+/// it: `weights` is the kernel as [`EventWeights::new`] laid it out,
+/// `windows` the [`WindowTable`] of `g`'s geometry.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the spikes, `weights` or `windows` do not match
+/// `g`.
+pub fn sparse_conv2d_frozen(
+    spikes: &SpikeTensor,
+    weights: &EventWeights<f32>,
+    windows: &WindowTable,
+    g: &Conv2dGeometry,
+) -> Result<Tensor, ShapeError> {
+    event_conv::<F32>("sparse_conv2d", spikes, Layouts::Frozen(weights, windows), (), g)
 }
 
 /// Event-driven f32 linear layer over packed spikes — bit-identical to
@@ -576,7 +760,30 @@ pub fn sparse_qconv2d(
 ) -> Result<Tensor, ShapeError> {
     check_qweight(qw, g)?;
     let ep = Requant::new("sparse_qconv2d", x_scale, w_scales, None, g.out_channels)?;
-    by_accum!(accum, E => event_conv::<E>("sparse_qconv2d", spikes, qw, ep, g))
+    by_accum!(accum, E => event_conv::<E>("sparse_qconv2d", spikes, Layouts::PerCall(qw), ep, g))
+}
+
+/// [`sparse_qconv2d`] on the layouts a frozen plan holds — bit-identical to
+/// it at the activation scale `weights` was laid out for
+/// ([`EventWeights::quantized`]); `windows` is the [`WindowTable`] of `g`'s
+/// geometry.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if shapes, scales, `weights` or `windows` disagree
+/// with `g`.
+pub fn sparse_qconv2d_frozen(
+    spikes: &SpikeTensor,
+    weights: &EventWeights<i32>,
+    w_scales: &[f32],
+    windows: &WindowTable,
+    g: &Conv2dGeometry,
+    accum: QAccum,
+) -> Result<Tensor, ShapeError> {
+    let ep = Requant::new("sparse_qconv2d", weights.x_scale, w_scales, None, g.out_channels)?;
+    by_accum!(accum, E => {
+        event_conv::<E>("sparse_qconv2d", spikes, Layouts::Frozen(weights, windows), ep, g)
+    })
 }
 
 /// Event-driven quantized linear layer over packed spikes —

@@ -71,3 +71,49 @@ fn every_forward_kernel_records_one_span_under_its_own_name() {
     one("qgemm", &|| qkernels::qgemm(&rt, &qa, &qb, &mut vec![0; m * n], m, k, n, acc));
     one("qgemm_a_bt", &|| qkernels::qgemm_a_bt(&rt, &qa, &qb, &mut vec![0; m * n], m, k, n, acc));
 }
+
+/// Each convolution kernel, once on many samples of a short plane (the
+/// driver gathers them into shared GEMM panels) and once on a few samples of
+/// a wide one (a panel per sample, forked across the pool) — the frozen event
+/// kernels beside the per-call ones: still exactly one span a call, under
+/// the kernel's own name.
+#[test]
+fn every_conv_kernel_records_one_span_on_either_batch_arm() {
+    ttsnn_obs::set_enabled(true);
+    let mut rng = Rng::seed_from(6);
+    let (c, o) = (3, 5);
+    let w = Tensor::randn(&[o, c, 3, 3], &mut rng);
+    let qw: Vec<i8> = (0..o * c * 9).map(|i| (i % 13) as i8 - 6).collect();
+    let scales = vec![0.02f32; o];
+    let (ew, qew) = (
+        spike::EventWeights::new(&w).expect("OIHW kernel"),
+        spike::EventWeights::quantized(&qw, o, 1.0).expect("int8 kernel"),
+    );
+    // 12 samples of a 4×4 plane (16 columns: one gathered panel), then 3 of
+    // a 16×16 one (256 columns: one panel each).
+    for (b, hw) in [(12, 4), (3, 16)] {
+        let g = Conv2dGeometry::new(c, o, (hw, hw), (3, 3), (1, 1), (1, 1));
+        let x = Tensor::randn(&[b, c, hw, hw], &mut rng);
+        let dy = Tensor::randn(&[b, o, hw, hw], &mut rng);
+        let spikes = x.map(|v| if v > 0.8 { 1.0 } else { 0.0 });
+        let sp = SpikeTensor::try_pack(&spikes).expect("binary");
+        let table = spike::WindowTable::new(&g);
+        let acc = QAccum::Saturate16;
+        let one = |name: &str, kernel: &dyn Fn()| {
+            let spans = Runtime::new(2).install(|| spans_of(name, kernel));
+            assert_eq!(spans, 1, "spans named `{name}` in one call on {b} samples of {hw}x{hw}");
+        };
+        one("conv2d", &|| drop(conv::conv2d(&x, &w, &g).unwrap()));
+        one("conv2d_input_grad", &|| drop(conv::conv2d_input_grad(&dy, &w, &g).unwrap()));
+        one("conv2d_weight_grad", &|| drop(conv::conv2d_weight_grad(&x, &dy, &g).unwrap()));
+        one("qconv2d", &|| drop(qkernels::qconv2d(&x, 0.05, &qw, &scales, &g, acc).unwrap()));
+        one("sparse_conv2d", &|| drop(spike::sparse_conv2d(&sp, &w, &g).unwrap()));
+        one("sparse_conv2d", &|| drop(spike::sparse_conv2d_frozen(&sp, &ew, &table, &g).unwrap()));
+        one("sparse_qconv2d", &|| {
+            drop(spike::sparse_qconv2d(&sp, 1.0, &qw, &scales, &g, acc).unwrap());
+        });
+        one("sparse_qconv2d", &|| {
+            drop(spike::sparse_qconv2d_frozen(&sp, &qew, &scales, &table, &g, acc).unwrap());
+        });
+    }
+}

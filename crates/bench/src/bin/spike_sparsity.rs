@@ -97,7 +97,7 @@ fn model_sps(net: &mut VggSnn, mode: SparseMode, density: f32, seed: u64) -> f64
         data.extend_from_slice(gen.sample(i % gen.num_classes(), &mut rng).frames[0].data());
     }
     let input = Tensor::from_vec(data, &[BATCH, 3, 16, 16]).unwrap();
-    net.set_sparse_mode(Some(mode));
+    net.set_sparse_mode(mode);
     samples_per_sec(MODEL_ITERS, || {
         net.reset_state();
         for t in 0..TIMESTEPS {

@@ -31,9 +31,18 @@
 //! bit-identical across thread counts — so a request's logits are
 //! **bit-identical** whatever the replica count, which replica served it,
 //! how requests were coalesced or prioritized, and which other requests
-//! were cancelled. `crates/infer/tests/cluster.rs` pins this across
-//! `TTSNN_NUM_REPLICAS=1..=3` × thread counts × random
-//! cancellation/priority interleavings.
+//! were cancelled. `crates/infer/tests/cluster.rs` pins this across 1–3
+//! replicas × kernel thread counts × random cancellation/priority
+//! interleavings; `crates/serve/tests/matrix.rs` across threads × replicas
+//! × planes × chunkings × transport.
+//!
+//! # Kernel threads
+//!
+//! Replicas run their kernels on the [`Runtime`] current where
+//! [`Cluster::load`] was called: each replica thread installs it, as the
+//! `ShardedTrainer`'s shards do. So `Runtime::new(n).install(||
+//! Cluster::load(..))` serves on `n` kernel threads, and a cluster loaded
+//! outside any install serves on [`Runtime::global`].
 
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,6 +53,7 @@ use std::thread::JoinHandle;
 use ttsnn_obs::Stage::Execute;
 use ttsnn_snn::quant::QuantPlanWeights;
 use ttsnn_snn::{checkpoint, InferForward, InferStats, Network, SpikingModel};
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
 
 use crate::metrics::ClusterMetrics;
@@ -466,6 +476,8 @@ impl Cluster {
     /// shared storage, and every other replica rebuilds the architecture
     /// locally and installs O(1) handles to the same weight buffers.
     /// `load` blocks until every replica is serving or any of them failed.
+    /// Every replica runs its kernels on the [`Runtime::current`] of the
+    /// calling thread, for the cluster's whole life.
     ///
     /// # Errors
     ///
@@ -670,8 +682,12 @@ impl Drop for Cluster {
     }
 }
 
+/// Spawns replica `index` on the calling thread's [`Runtime::current`].
 fn spawn_replica(index: usize, f: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().name(format!("ttsnn-cluster-replica-{index}")).spawn(f)
+    let runtime = Runtime::current();
+    std::thread::Builder::new()
+        .name(format!("ttsnn-cluster-replica-{index}"))
+        .spawn(move || runtime.install(f))
 }
 
 /// Builds a replica's model object locally and points its parameters at

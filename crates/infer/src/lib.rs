@@ -26,9 +26,11 @@
 //! request's logits are therefore **bit-identical** whatever requests it
 //! happened to be coalesced with, whatever the arrival order, replica
 //! count, scheduling order or cancellation interleaving, and whatever
-//! `TTSNN_NUM_THREADS` says — and equal, bit for bit, to a batch-of-1
-//! pass through the training plane. Batching and replication change
-//! wall-clock only. `crates/infer/tests/cluster.rs` pins all of this.
+//! kernel thread count the replicas run on (the runtime current at
+//! `Cluster::load`) — and equal, bit for bit, to a batch-of-1 pass
+//! through the training plane. Batching and replication change wall-clock
+//! only. `crates/infer/tests/cluster.rs` pins all of this, and
+//! `crates/serve/tests/matrix.rs` across planes, chunkings and transport.
 //!
 //! ## Quickstart
 //!

@@ -20,7 +20,6 @@ use ttsnn_snn::{
     checkpoint, ConvPolicy, InferForward, InferStats, Network, QuantReport, ResNetConfig,
     SpikingModel, VggConfig,
 };
-use ttsnn_tensor::spike;
 use ttsnn_tensor::{Rng, Tensor};
 
 use crate::sched::RejectInfo;
@@ -144,10 +143,10 @@ pub struct PlanInfo {
     /// What `quantize()` froze, when the plan was loaded with
     /// `Cluster::load_quantized`.
     pub quant: Option<QuantReport>,
-    /// Sparse-dispatch mode the plan serves under (`"auto"`, `"force"`,
-    /// `"off"` — resolved from `TTSNN_SPARSE_MODE` at load). Because
+    /// Sparse-dispatch mode the served model runs under (`"auto"`: the
+    /// [`ttsnn_tensor::spike::sparse_mode`] every plan serves with). Because
     /// sparse and dense kernels are bit-identical, the mode is a
-    /// performance knob, never a semantic one.
+    /// performance choice, never a semantic one.
     pub sparse_mode: String,
 }
 
@@ -274,7 +273,7 @@ pub(crate) fn build_plan(
         merged_layers,
         num_classes: model.program().num_classes,
         quant: quant_info,
-        sparse_mode: spike::sparse_mode().name().to_string(),
+        sparse_mode: model.sparse_dispatch_mode().name().to_string(),
     };
     Ok((model, info, quant_weights))
 }

@@ -462,7 +462,7 @@ mod tests {
         let chunk = Tensor::full(&[2, 2, 8, 8], 1.0);
         let calib = model.calibrate(std::slice::from_ref(&chunk), 2).expect("calibrate");
         model.quantize(&calib, &QuantConfig::default()).expect("quantize");
-        model.set_sparse_mode(Some(SparseMode::Off));
+        model.set_sparse_mode(SparseMode::Off);
         model.set_infer_stats(InferStats::PerSample);
         let mut table = StreamTable::new(None);
         table.open(1, StreamOptions::default());

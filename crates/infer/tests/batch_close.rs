@@ -27,16 +27,20 @@ use proptest::prelude::*;
 use ttsnn_infer::sched::{batch_close, BatchClose};
 use ttsnn_infer::{CloseReason, Cluster, ClusterMetrics, ClusterSession};
 use ttsnn_snn::ConvPolicy;
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
 use ttsnn_testutil::{samples, vgg_checkpoint, vgg_cluster_config};
 
 const T: usize = 2;
 const WINDOW: Duration = Duration::from_secs(1);
 
+/// A cluster whose replicas run on a two-thread kernel pool whatever the
+/// host, so under `taskset -c 0` callers, replicas and pool workers all
+/// share one core.
 fn cluster(replicas: usize, max_batch: usize, max_wait: Duration) -> Cluster {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 24);
     let config = vgg_cluster_config(ConvPolicy::Baseline, T, replicas, max_batch, max_wait);
-    Cluster::load(config, ckpt.as_slice()).unwrap()
+    Runtime::new(2).install(|| Cluster::load(config, ckpt.as_slice())).unwrap()
 }
 
 fn input() -> Tensor {

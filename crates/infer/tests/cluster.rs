@@ -5,10 +5,10 @@
 //! whatever batch the dynamic micro-batcher coalesced it into, whatever
 //! the replica count, the scheduling order, the priority mix, or which
 //! other requests were cancelled mid-flight — and equal to a batch-of-1
-//! pass through the *training* plane of the same checkpoint. CI re-runs
-//! this suite under `TTSNN_NUM_THREADS=2`/`8` and under
-//! `TTSNN_NUM_REPLICAS=1`/`3` (every test built with
-//! `ClusterConfig::new` picks the replica count up from the environment).
+//! pass through the *training* plane of the same checkpoint. The headline
+//! property loads 1–3 replicas under each kernel thread count of
+//! [`THREADS`]; every cluster here names its replica count, so nothing
+//! depends on the host's cores or the environment.
 
 use std::time::Duration;
 
@@ -21,8 +21,9 @@ use ttsnn_infer::{
 use ttsnn_snn::{
     checkpoint, ConvPolicy, ResNetConfig, ResNetSnn, SpikingModel, TrainForward, VggConfig, VggSnn,
 };
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::{drained_metrics, vgg9_tiny as vgg_cfg, vgg_checkpoint};
+use ttsnn_testutil::{drained_metrics, vgg9_tiny as vgg_cfg, vgg_checkpoint, THREADS};
 
 const T: usize = 2;
 
@@ -53,8 +54,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// The acceptance property: per-sample outputs are bit-identical
-    /// across 1..=3 replicas × random priority assignment × random
-    /// cancellation interleavings, and every request is accounted for.
+    /// across 1..=3 replicas × kernel thread counts × random priority
+    /// assignment × random cancellation interleavings, and every request
+    /// is accounted for.
     #[test]
     fn replica_priority_and_cancellation_invariance(seed in 0u64..500) {
         let (ckpt, mut reference_model) = vgg_checkpoint(&ConvPolicy::tt(TtMode::Ptt), seed);
@@ -64,12 +66,12 @@ proptest! {
             .map(|s| train_plane_reference(&mut reference_model, s))
             .collect();
         let mut mix = Rng::seed_from(seed ^ 0xC0FFEE);
-        for replicas in 1..=3usize {
-            let cluster = Cluster::load(
-                cluster_config(ConvPolicy::tt(TtMode::Ptt), replicas, 3, Duration::from_millis(10)),
-                ckpt.as_slice(),
-            )
-            .unwrap();
+        let grid = THREADS.into_iter().flat_map(|n| (1..=3usize).map(move |r| (n, r)));
+        for (threads, replicas) in grid {
+            let config =
+                cluster_config(ConvPolicy::tt(TtMode::Ptt), replicas, 3, Duration::from_millis(10));
+            let cluster =
+                Runtime::new(threads).install(|| Cluster::load(config, ckpt.as_slice())).unwrap();
             prop_assert_eq!(cluster.replicas(), replicas);
             let session = cluster.session();
             // Random priorities and (generous, never-expiring) deadlines.
@@ -101,8 +103,9 @@ proptest! {
                 let got = ticket.wait().unwrap();
                 prop_assert_eq!(
                     &got, &expected[i],
-                    "sample {} diverged under {} replicas (scheduling must be invisible)",
-                    i, replicas
+                    "sample {} diverged under {} replicas on {} threads (scheduling must be \
+                     invisible)",
+                    i, replicas, threads
                 );
             }
             let m = drained_metrics(&cluster);
@@ -132,12 +135,12 @@ proptest! {
             .collect();
         for (max_batch, max_wait_ms) in [(1usize, 0u64), (3, 40), (6, 40)] {
             let cluster = Cluster::load(
-                ClusterConfig::new(ttsnn_testutil::vgg_engine_config(
+                cluster_config(
                     ConvPolicy::tt(TtMode::Ptt),
-                    T,
+                    1,
                     max_batch,
                     Duration::from_millis(max_wait_ms),
-                )),
+                ),
                 ckpt.as_slice(),
             )
             .unwrap();
@@ -157,35 +160,13 @@ proptest! {
     }
 }
 
-/// Replica count from the environment (the CI matrix sets
-/// `TTSNN_NUM_REPLICAS=1`/`3`): same bits as the training plane.
-#[test]
-fn env_default_replica_count_serves_identically() {
-    let (ckpt, mut reference_model) = vgg_checkpoint(&ConvPolicy::Baseline, 21);
-    let inputs = samples(21, 6);
-    let config = ClusterConfig::new(
-        EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::Baseline, T)
-            .with_batching(BatchPolicy { max_batch: 4, max_wait: Duration::from_millis(10) }),
-    );
-    assert_eq!(config.num_replicas, ClusterConfig::replicas_from_env());
-    let cluster = Cluster::load(config, ckpt.as_slice()).unwrap();
-    let session = cluster.session();
-    let tickets: Vec<_> = inputs.iter().map(|s| session.submit(s.clone()).unwrap()).collect();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        assert_eq!(
-            ticket.wait().unwrap(),
-            train_plane_reference(&mut reference_model, &inputs[i]),
-            "request {i} diverged under the env-default replica count"
-        );
-    }
-}
-
 #[test]
 fn merged_plan_approximates_tt_plan_and_reports_merge() {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::tt(TtMode::Ptt), 5);
     let base = EngineConfig::new(ArchSpec::Vgg(vgg_cfg()), ConvPolicy::tt(TtMode::Ptt), T);
-    let tt_engine = Cluster::load(ClusterConfig::new(base.clone()), ckpt.as_slice()).unwrap();
-    let merged_engine = Cluster::load(ClusterConfig::new(base.merged()), ckpt.as_slice()).unwrap();
+    let config = |engine| ClusterConfig::new(engine).with_replicas(1);
+    let tt_engine = Cluster::load(config(base.clone()), ckpt.as_slice()).unwrap();
+    let merged_engine = Cluster::load(config(base.merged()), ckpt.as_slice()).unwrap();
     assert_eq!(tt_engine.info().merged_layers, 0);
     assert_eq!(merged_engine.info().merged_layers, 5); // VGG9: stem stays dense
     assert!(merged_engine.info().model.contains("merged-dense"));
@@ -209,7 +190,8 @@ fn resnet_event_style_requests_with_per_timestep_frames() {
             ArchSpec::ResNet(resnet_cfg()),
             ConvPolicy::tt(TtMode::Stt),
             T,
-        )),
+        ))
+        .with_replicas(2),
         ckpt.as_slice(),
     )
     .unwrap();
@@ -435,14 +417,15 @@ fn load_rejects_invalid_configs() {
     // rejected up front.
     let zero_batch =
         engine_cfg.clone().with_batching(BatchPolicy { max_batch: 0, max_wait: Duration::ZERO });
-    let err =
-        Cluster::load(ClusterConfig::new(zero_batch), ckpt.as_slice()).map(|_| ()).unwrap_err();
+    let err = Cluster::load(ClusterConfig::new(zero_batch).with_replicas(1), ckpt.as_slice())
+        .map(|_| ())
+        .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("max_batch"), "{err}");
 
     for bad in [
         ClusterConfig::new(engine_cfg.clone()).with_replicas(0),
-        ClusterConfig::new(engine_cfg).with_queue_capacity(0),
+        ClusterConfig::new(engine_cfg).with_replicas(1).with_queue_capacity(0),
     ] {
         let err = Cluster::load(bad, ckpt.as_slice()).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
@@ -486,7 +469,8 @@ fn load_rejects_unrealisable_architectures_without_panicking() {
     for _ in 0..ROUNDS {
         for (arch, needle) in &cases {
             for policy in [ConvPolicy::Baseline, ConvPolicy::tt(TtMode::Ptt)] {
-                let cfg = ClusterConfig::new(EngineConfig::new(arch.clone(), policy, T));
+                let cfg =
+                    ClusterConfig::new(EngineConfig::new(arch.clone(), policy, T)).with_replicas(2);
                 let err = Cluster::load(cfg, ckpt.as_slice()).map(|_| ()).unwrap_err();
                 assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
                 assert!(err.to_string().contains(needle), "error must name the op: {err}");
@@ -508,12 +492,8 @@ fn cluster_metrics_surface_spike_density_after_traffic() {
         ckpt.as_slice(),
     )
     .unwrap();
-    // The frozen plan records which dispatch mode it resolved at load.
-    assert!(
-        ["auto", "force", "off"].contains(&cluster.info().sparse_mode.as_str()),
-        "unexpected sparse mode {:?}",
-        cluster.info().sparse_mode
-    );
+    // The frozen plan reports the dispatch mode its model serves under.
+    assert_eq!(cluster.info().sparse_mode, "auto");
     assert!(
         cluster.metrics().spike_density.is_empty(),
         "no traffic yet: density summary must be empty"

@@ -4,12 +4,11 @@
 //!   `ttsnn_core::quant::fake_quant_int8` simulates (bit-equal
 //!   dequantized weights);
 //! * `Cluster::load_quantized` serves bit-identically to an in-process
-//!   quantized model on the same checkpoint (re-run in CI under
-//!   `TTSNN_NUM_THREADS` 2/8 — integer kernels cannot depend on the
-//!   thread count);
-//! * an N-replica quantized cluster serves bit-identically to the
-//!   1-replica plan whatever `TTSNN_NUM_REPLICAS` says (re-run in CI at 1
-//!   and 3 replicas), with the int8 weights loaded once and `Arc`-shared;
+//!   quantized model on the same checkpoint, at 1 and 3 replicas under
+//!   every kernel thread count of [`THREADS`] — integer kernels cannot
+//!   depend on the thread count;
+//! * a 3-replica quantized cluster serves bit-identically to the
+//!   1-replica plan, with the int8 weights loaded once and `Arc`-shared;
 //! * on a trained checkpoint, int8 serving tracks the f32 plan: high
 //!   argmax agreement and a bounded accuracy delta on a synthetic
 //!   dataset ([`ttsnn_infer::plan_drift`]).
@@ -25,8 +24,9 @@ use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{
     train, ConvPolicy, ConvUnit, InferForward, InferStats, SpikingModel, TrainConfig, VggSnn,
 };
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::{checkpoint_bytes, samples as calib_samples, vgg9_tiny as vgg_cfg};
+use ttsnn_testutil::{checkpoint_bytes, samples as calib_samples, vgg9_tiny as vgg_cfg, THREADS};
 
 const T: usize = 2;
 
@@ -38,10 +38,9 @@ fn engine_cfg() -> EngineConfig {
     engine_cfg_for(ConvPolicy::Baseline)
 }
 
-/// [`engine_cfg`] on the env-default replica count (the CI matrix sets
-/// `TTSNN_NUM_REPLICAS=1`/`3`).
-fn cluster_cfg() -> ClusterConfig {
-    ClusterConfig::new(engine_cfg())
+/// [`engine_cfg`] on `replicas` replicas.
+fn cluster_cfg(replicas: usize) -> ClusterConfig {
+    ClusterConfig::new(engine_cfg()).with_replicas(replicas)
 }
 
 fn engine_cfg_for(policy: ConvPolicy) -> EngineConfig {
@@ -85,7 +84,7 @@ fn frozen_weights_bit_equal_fake_quant_reference() {
 
 /// Cluster::load_quantized == in-process calibrate+quantize+forward on
 /// the same checkpoint, bit for bit — and invariant to how requests were
-/// batched. CI re-runs this under TTSNN_NUM_THREADS=2/8.
+/// batched, to the replica count and to the kernel thread count.
 #[test]
 fn quantized_engine_bit_equals_in_process_reference() {
     let mut rng = Rng::seed_from(3);
@@ -98,45 +97,50 @@ fn quantized_engine_bit_equals_in_process_reference() {
     reference.quantize(&calib, &QuantConfig::default()).unwrap();
     reference.set_infer_stats(InferStats::PerSample);
 
-    let engine = Cluster::load_quantized(
-        cluster_cfg(),
-        QuantSpec::new(calibration.clone()),
-        ckpt.as_slice(),
-    )
-    .unwrap();
-    let info = engine.info();
-    let qi = info.quant.as_ref().expect("quantized plan reports what it froze");
-    assert_eq!(qi.quantized_convs, 6);
-    assert!(qi.per_channel);
-    assert!(qi.int8_bytes * 3 < qi.f32_bytes, "int8 plan must be ~4x smaller");
-    assert!(info.model.contains("int8"), "plan name: {}", info.model);
-
     let mut rng = Rng::seed_from(5);
     let inputs: Vec<Tensor> =
         (0..8).map(|_| Tensor::rand_uniform(&[3, 8, 8], 0.0, 1.0, &mut rng)).collect();
-    let session = engine.session();
-    // Coalesced submission: tickets ride shared batches.
-    let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone()).unwrap()).collect();
-    for (input, ticket) in inputs.iter().zip(tickets) {
-        let served = ticket.wait().unwrap();
-        let want = infer_logits(&mut reference, input);
-        assert_eq!(
-            served, want,
-            "engine must match the in-process quantized reference bit-for-bit"
-        );
-    }
-    // One-at-a-time submission: identical bits (batch-composition
-    // invariance holds trivially — integer kernels never mix samples).
-    for input in &inputs {
-        let solo = session.infer(input.clone()).unwrap();
-        assert_eq!(solo, infer_logits(&mut reference, input));
+    let want: Vec<Tensor> = inputs.iter().map(|x| infer_logits(&mut reference, x)).collect();
+
+    for (threads, replicas) in THREADS.into_iter().flat_map(|n| [1, 3].map(|r| (n, r))) {
+        let label = format!("{replicas} replica(s) on {threads} thread(s)");
+        let engine = Runtime::new(threads)
+            .install(|| {
+                Cluster::load_quantized(
+                    cluster_cfg(replicas),
+                    QuantSpec::new(calibration.clone()),
+                    ckpt.as_slice(),
+                )
+            })
+            .unwrap();
+        let info = engine.info();
+        let qi = info.quant.as_ref().expect("quantized plan reports what it froze");
+        assert_eq!(qi.quantized_convs, 6);
+        assert!(qi.per_channel);
+        assert!(qi.int8_bytes * 3 < qi.f32_bytes, "int8 plan must be ~4x smaller");
+        assert!(info.model.contains("int8"), "plan name: {}", info.model);
+
+        let session = engine.session();
+        // Coalesced submission: tickets ride shared batches.
+        let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone()).unwrap()).collect();
+        for (want, ticket) in want.iter().zip(tickets) {
+            assert_eq!(
+                &ticket.wait().unwrap(),
+                want,
+                "{label}: engine must match the in-process quantized reference bit-for-bit"
+            );
+        }
+        // One-at-a-time submission: identical bits (batch-composition
+        // invariance holds trivially — integer kernels never mix samples).
+        for (input, want) in inputs.iter().zip(&want) {
+            assert_eq!(&session.infer(input.clone()).unwrap(), want, "{label}");
+        }
     }
 }
 
-/// An N-replica quantized cluster == the 1-replica one bit-for-bit,
-/// whatever N the environment picks (CI re-runs at TTSNN_NUM_REPLICAS=1/3
-/// × TTSNN_NUM_THREADS=2), and the int8 buffers are genuinely shared (the
-/// plan reports one copy of the weights however many replicas serve).
+/// A 3-replica quantized cluster == the 1-replica one bit-for-bit, and
+/// the int8 buffers are genuinely shared (the plan reports one copy of the
+/// weights however many replicas serve).
 #[test]
 fn quantized_cluster_bit_equals_engine_across_replicas() {
     let mut rng = Rng::seed_from(7);
@@ -152,7 +156,7 @@ fn quantized_cluster_bit_equals_engine_across_replicas() {
     )
     .unwrap();
     let cluster = Cluster::load_quantized(
-        ClusterConfig::new(cfg),
+        ClusterConfig::new(cfg).with_replicas(3),
         QuantSpec::new(calibration),
         ckpt.as_slice(),
     )
@@ -231,9 +235,9 @@ fn trained_accuracy_delta_bounded_on_synth_dataset() {
 
     // Calibrate on training frames (never the test set).
     let (calib_inputs, _) = requests_from_batches(&train_b[..1]);
-    let f32_engine = Cluster::load(cluster_cfg(), ckpt.as_slice()).unwrap();
+    let f32_engine = Cluster::load(cluster_cfg(1), ckpt.as_slice()).unwrap();
     let int8_engine =
-        Cluster::load_quantized(cluster_cfg(), QuantSpec::new(calib_inputs), ckpt.as_slice())
+        Cluster::load_quantized(cluster_cfg(1), QuantSpec::new(calib_inputs), ckpt.as_slice())
             .unwrap();
 
     let (inputs, labels) = requests_from_batches(&test_b);
@@ -261,18 +265,16 @@ fn empty_calibration_rejected() {
     let model = VggSnn::new(vgg_cfg(), &ConvPolicy::Baseline, &mut rng);
     let ckpt = checkpoint_bytes(&model);
     let Err(err) =
-        Cluster::load_quantized(cluster_cfg(), QuantSpec::new(Vec::new()), ckpt.as_slice())
+        Cluster::load_quantized(cluster_cfg(3), QuantSpec::new(Vec::new()), ckpt.as_slice())
     else {
         panic!("empty calibration must be rejected")
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("calibration"), "unclear error: {err}");
-    // An explicit replica count rejects identically.
-    let Err(err) = Cluster::load_quantized(
-        ClusterConfig::new(engine_cfg()).with_replicas(1),
-        QuantSpec::new(Vec::new()),
-        ckpt.as_slice(),
-    ) else {
+    // One replica rejects identically.
+    let Err(err) =
+        Cluster::load_quantized(cluster_cfg(1), QuantSpec::new(Vec::new()), ckpt.as_slice())
+    else {
         panic!("empty calibration must be rejected")
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
@@ -304,9 +306,10 @@ fn non_finite_requests_fail_their_own_ticket() {
     let model = VggSnn::new(vgg_cfg(), &ConvPolicy::Baseline, &mut rng);
     let ckpt = checkpoint_bytes(&model);
     let calibration = calib_frames(2, 22);
-    let int8 = Cluster::load_quantized(cluster_cfg(), QuantSpec::new(calibration), ckpt.as_slice())
-        .unwrap();
-    let f32_engine = Cluster::load(cluster_cfg(), ckpt.as_slice()).unwrap();
+    let int8 =
+        Cluster::load_quantized(cluster_cfg(2), QuantSpec::new(calibration), ckpt.as_slice())
+            .unwrap();
+    let f32_engine = Cluster::load(cluster_cfg(1), ckpt.as_slice()).unwrap();
 
     let good = Tensor::rand_uniform(&[3, 8, 8], 0.0, 1.0, &mut rng);
     let mut bad = good.clone();

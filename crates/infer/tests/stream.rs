@@ -12,9 +12,11 @@
 //! bound kills only the victim (`SessionEvicted`) and never perturbs a
 //! surviving session's bits; per-chunk deadline expiry consumes no
 //! timestep; `try_feed` reports saturation without corrupting live
-//! sessions; malformed chunks fail their own feed only. CI re-runs this
-//! suite across `TTSNN_NUM_THREADS` × `TTSNN_NUM_REPLICAS` ×
-//! `TTSNN_SPARSE_MODE`.
+//! sessions; malformed chunks fail their own feed only. Chunked ≡ whole
+//! across kernel threads × 1 and 3 replicas × both planes is the serving
+//! matrix's (`crates/serve/tests/matrix.rs`); membrane take/restore under
+//! every sparse-dispatch mode and thread count is `ttsnn-snn`'s
+//! `stream_state`.
 
 use std::time::Duration;
 
@@ -29,7 +31,7 @@ use ttsnn_snn::{ConvPolicy, InferForward, InferStats, SpikingModel, VggSnn};
 use ttsnn_tensor::Tensor;
 use ttsnn_testutil::{
     assert_bits_eq, drained_metrics, infer_plane_reference, samples, vgg_checkpoint,
-    vgg_cluster_config, vgg_engine_config,
+    vgg_cluster_config,
 };
 
 const T: usize = 4;
@@ -55,10 +57,9 @@ fn all_chunk_plans() -> Vec<Vec<usize>> {
     plans
 }
 
-/// The suite's plan on the env-default replica count (the CI matrix
-/// sets `TTSNN_NUM_REPLICAS=1`/`3`).
+/// The suite's plan on two replicas, so sessions land on different ones.
 fn cluster_config(policy: ConvPolicy) -> ClusterConfig {
-    ClusterConfig::new(vgg_engine_config(policy, T, 4, Duration::from_millis(1)))
+    vgg_cluster_config(policy, T, 2, 4, Duration::from_millis(1))
 }
 
 /// Per-timestep `(C, H, W)` frames for one client stream.

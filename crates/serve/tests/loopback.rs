@@ -3,8 +3,9 @@
 //! The headline property: logits served over TCP are **bit-identical**
 //! to an in-process submission against a separately loaded cluster of
 //! the same checkpoint — across concurrent client connections, worker
-//! threads, plans (f32 **and** int8), and replica counts (CI re-runs
-//! this suite under `TTSNN_NUM_REPLICAS=1` and `3`). On top of that:
+//! threads and plans (f32 **and** int8); the serving matrix
+//! (`matrix.rs`) adds kernel thread counts and 1 and 3 replicas. On top of
+//! that:
 //! malformed, oversized, and protocol-violating frames are answered
 //! in-band without killing the connection; deadline expiry and
 //! saturation/rate-limit rejections travel as structured retryable
@@ -52,14 +53,9 @@ fn slow_inputs(n: usize, seed: u64) -> Vec<ttsnn_tensor::Tensor> {
     (0..n).map(|_| ttsnn_tensor::Tensor::randn(&[3, 32, 32], &mut rng)).collect()
 }
 
+/// The suite's plan on two replicas.
 fn cluster_config(timesteps: usize, max_batch: usize) -> ClusterConfig {
-    vgg_cluster_config(
-        policy(),
-        timesteps,
-        ClusterConfig::replicas_from_env(),
-        max_batch,
-        Duration::from_millis(1),
-    )
+    vgg_cluster_config(policy(), timesteps, 2, max_batch, Duration::from_millis(1))
 }
 
 fn request(plan: &str, tenant: u32, priority: Priority, input: ttsnn_tensor::Tensor) -> Request {

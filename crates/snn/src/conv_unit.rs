@@ -331,7 +331,7 @@ impl ConvUnit {
 
     /// Runs the convolution on plain tensors with **no gradient tracking**
     /// — the inference path (e.g. merged-deployment evaluation) — at
-    /// timestep `t`, under the process-wide [`SparseMode`]. See
+    /// timestep `t`, under [`spike::sparse_mode`]. See
     /// [`ConvUnit::forward_tensor_mode`].
     ///
     /// # Errors
@@ -348,9 +348,9 @@ impl ConvUnit {
     /// graph. Also returns whether the sparse kernels served the call.
     ///
     /// Density-adaptive dispatch: `route_events` decides, from `mode` (the
-    /// `TTSNN_SPARSE_MODE` environment variable unless a model overrides it)
-    /// and `packed` (the spike words of the LIF scan that produced `x`, when
-    /// it handed them over), whether the event-driven kernels serve the call.
+    /// model's [`crate::Network::sparse_dispatch_mode`]) and `packed` (the
+    /// spike words of the LIF scan that produced `x`, when it handed them
+    /// over), whether the event-driven kernels serve the call.
     /// They read `layouts` when the plan froze some for this unit
     /// ([`crate::Network::freeze_event_layouts`]) and lay their own out
     /// otherwise, with the same bits.

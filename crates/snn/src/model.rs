@@ -371,7 +371,7 @@ mod tests {
     use super::*;
     use ttsnn_tensor::Rng;
 
-    /// One timestep under the process-wide dispatch mode.
+    /// One timestep under the default dispatch mode.
     fn linear_tensor(
         x: &Tensor,
         w: &Tensor,

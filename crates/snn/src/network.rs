@@ -342,8 +342,9 @@ pub struct Network {
     /// Live calibration hook (only during [`Network::calibrate`]).
     calib: Option<CalibRecorder>,
     infer_stats: InferStats,
-    /// Sparse-dispatch override; `None` follows `TTSNN_SPARSE_MODE`.
-    sparse_mode: Option<SparseMode>,
+    /// Sparse-dispatch mode of the tensor walk ([`spike::sparse_mode`]
+    /// unless a test pins another).
+    sparse_mode: SparseMode,
     /// `[sparse, dense]` tensor-walk calls per conv site, classifier last.
     dispatch: Vec<[u64; 2]>,
 }
@@ -418,7 +419,7 @@ impl Network {
             qfc: None,
             calib: None,
             infer_stats: InferStats::default(),
-            sparse_mode: None,
+            sparse_mode: spike::sparse_mode(),
             dispatch: vec![[0; 2]; sites],
             program,
         })
@@ -429,17 +430,17 @@ impl Network {
         &self.program
     }
 
-    /// Overrides the inference plane's sparse-dispatch mode for this model
-    /// instance (`None` follows the process-wide `TTSNN_SPARSE_MODE`).
-    /// Sparse and dense kernels are bit-identical, so this changes
-    /// performance only — tests use it to pin exactly that.
-    pub fn set_sparse_mode(&mut self, mode: Option<SparseMode>) {
+    /// Sets the inference plane's sparse-dispatch mode for this model
+    /// instance (default [`spike::sparse_mode`]). Sparse and dense kernels
+    /// are bit-identical, so this changes performance only — tests use it
+    /// to pin exactly that, with [`SparseMode::Off`] as the dense reference.
+    pub fn set_sparse_mode(&mut self, mode: SparseMode) {
         self.sparse_mode = mode;
     }
 
-    /// The sparse-dispatch mode the inference plane currently resolves to.
+    /// The sparse-dispatch mode the inference plane serves under.
     pub fn sparse_dispatch_mode(&self) -> SparseMode {
-        self.sparse_mode.unwrap_or_else(spike::sparse_mode)
+        self.sparse_mode
     }
 
     /// How often the tensor walk served each site from the event-driven

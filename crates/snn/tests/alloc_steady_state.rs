@@ -21,12 +21,13 @@
 //!
 //! One `#[test]` in a binary of its own: the counting allocator is
 //! process-wide, so nothing else may run beside the measured window, and
-//! the counter is armed only for that window. The kernel pool is pinned
-//! to one thread unless `TTSNN_NUM_THREADS` says otherwise. With more
-//! (CI runs 2), only the training case runs, and its warm-up is as long as
-//! the pool's workers need: a worker's arena fills only where the worker —
-//! not the caller helping itself — ran a range, and which of them does is
-//! up to the scheduler.
+//! the counter is armed only for that window. Every case runs under an
+//! installed pool: serving on one kernel thread (with more, which worker
+//! first meets a scratch size is scheduling-dependent and a strict zero
+//! would flake), training on one and on two. With two, the warm-up is as
+//! long as the pool's worker needs: a worker's arena fills only where the
+//! worker — not the caller helping itself — ran a range, and which of them
+//! does is up to the scheduler.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -188,7 +189,8 @@ fn training_steady_state(model: &mut dyn Model, rng: &mut Rng) -> (usize, usize)
         opt.step();
     };
     (0..2).for_each(&mut step);
-    if Runtime::global().threads() > 1 {
+    let runtime = Runtime::current();
+    if runtime.threads() > 1 {
         // Three quiet steps in a row on which the workers ran at least
         // nine in ten forked ranges: by then they have met every scratch
         // size the step has. (With fewer cores than threads they may never
@@ -196,9 +198,9 @@ fn training_steady_state(model: &mut dyn Model, rng: &mut Rng) -> (usize, usize)
         let mut quiet = 0;
         for i in 2.. {
             assert!(i < 400, "worker arenas did not reach a steady state in 400 steps");
-            let before = Runtime::global().stats();
+            let before = runtime.stats();
             let (count, _) = large_allocations(|| step(i));
-            let pool = Runtime::global().stats().since(&before);
+            let pool = runtime.stats().since(&before);
             let on_workers = pool.handoffs * 10 >= pool.forked_tasks * 9 || i >= 100;
             quiet = if count == 0 && on_workers { quiet + 1 } else { 0 };
             if quiet == 3 {
@@ -211,32 +213,36 @@ fn training_steady_state(model: &mut dyn Model, rng: &mut Rng) -> (usize, usize)
 
 #[test]
 fn steady_state_requests_allocate_nothing_large() {
-    // Before anything touches the kernel runtime (it reads this once).
-    if std::env::var_os("TTSNN_NUM_THREADS").is_none() {
-        std::env::set_var("TTSNN_NUM_THREADS", "1");
-    }
     let mut rng = Rng::seed_from(13);
-    if Runtime::global().threads() == 1 {
-        serving_steady_state(&mut rng);
+    Runtime::new(1).install(|| serving_steady_state(&mut rng));
+    for threads in [1, 2] {
+        Runtime::new(threads).install(|| training_cases(threads, &mut rng));
     }
+}
+
+/// The two training cases on the current kernel pool of `threads` threads.
+fn training_cases(threads: usize, rng: &mut Rng) {
     // Between them the two models put every layer-major op on the tape:
     // the LIF scan and the grouped tdBN in both, HTT's row cuts and joins
     // in the ResNet, TEBN's per-timestep scales and 2 × 2 pooling in the VGG.
     let resnet = ResNetConfig::resnet18_events(10, (HW, HW), 8);
-    let mut resnet = ResNetSnn::new(resnet, &ConvPolicy::tt(TtMode::htt_default(T)), &mut rng);
+    let mut resnet = ResNetSnn::new(resnet, &ConvPolicy::tt(TtMode::htt_default(T)), rng);
     let mut vgg = VggConfig::vgg9(2, 10, (HW, HW), 8);
     vgg.norm = NormKind::Tebn { timesteps: T };
-    let mut vgg = VggSnn::new(vgg, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+    let mut vgg = VggSnn::new(vgg, &ConvPolicy::tt(TtMode::Ptt), rng);
     let cases: [(&str, &mut dyn Model); 2] =
         [("MS-ResNet18 HTT tdBN", &mut resnet), ("VGG9 PTT TEBN", &mut vgg)];
     for (name, model) in cases {
-        let (count, bytes) = training_steady_state(model, &mut rng);
+        let (count, bytes) = training_steady_state(model, rng);
         println!(
-            "{name} training, {} kernel thread(s): {count} allocations >= {LARGE} B \
-             ({bytes} B) in 4 steps",
-            Runtime::global().threads()
+            "{name} training, {threads} kernel thread(s): {count} allocations >= {LARGE} B \
+             ({bytes} B) in 4 steps"
         );
-        assert_eq!(count, 0, "{name}: steady-state training steps allocated {bytes} B");
+        assert_eq!(
+            count, 0,
+            "{name} at {threads} threads: steady-state training steps \
+             allocated {bytes} B"
+        );
     }
 }
 

@@ -15,8 +15,9 @@
 //! forward and backward pass must give the same logits, loss and parameter
 //! gradients over poison.
 //!
-//! CI re-runs it under `TTSNN_NUM_THREADS=2` and `8` so the workers'
-//! arenas are exercised, not just the caller's.
+//! Every poisoned run happens under an installed pool of each size in
+//! [`THREADS`], so the workers' arenas are exercised, not just the
+//! caller's, and every size must reproduce the clean one-thread bits.
 
 use std::sync::Barrier;
 
@@ -32,7 +33,7 @@ use ttsnn_snn::{
 use ttsnn_tensor::runtime::{with_scratch, Runtime};
 use ttsnn_tensor::spike::{SparseMode, SpikeTensor};
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::vgg9_tiny;
+use ttsnn_testutil::{vgg9_tiny, THREADS};
 
 const T: usize = 3;
 const BATCH: usize = 4;
@@ -72,13 +73,14 @@ fn poison_this_thread() {
     });
 }
 
-/// Poisons the calling thread and every worker of the global kernel pool:
-/// one task per pool thread, held at a barrier until all have started, so
-/// each runs on a thread of its own.
+/// Poisons the calling thread and every worker of the current kernel
+/// pool: one task per pool thread, held at a barrier until all have
+/// started, so each runs on a thread of its own.
 fn poison_all_threads() {
-    let threads = Runtime::global().threads();
+    let runtime = Runtime::current();
+    let threads = runtime.threads();
     let barrier = Barrier::new(threads);
-    Runtime::global().parallel_for(threads, 1, |_, _| {
+    runtime.parallel_for(threads, 1, |_, _| {
         barrier.wait();
         poison_this_thread();
     });
@@ -146,110 +148,115 @@ fn training_pass(model: &mut dyn TrainForward, frames: &[Tensor]) -> Vec<Vec<u32
 }
 
 /// Every case's output bits, computed on a **fresh thread** (a fresh
-/// calling-thread arena), after poisoning all arenas if asked to. Models
-/// are rebuilt from the seed each time, so two calls differ only in what
-/// the arenas held.
-fn run_all(seed: u64, poison: bool) -> Vec<(String, Vec<Vec<u32>>)> {
-    std::thread::spawn(move || {
-        if poison {
-            poison_all_threads();
+/// calling-thread arena) under a fresh `threads`-thread pool, after
+/// poisoning all their arenas if asked to. Models are rebuilt from the seed
+/// each time, so two calls differ only in what the arenas held and how
+/// many threads ran the kernels.
+fn run_all(seed: u64, threads: usize, poison: bool) -> Vec<(String, Vec<Vec<u32>>)> {
+    std::thread::spawn(move || Runtime::new(threads).install(|| cases(seed, poison)))
+        .join()
+        .expect("parity thread panicked")
+}
+
+/// [`run_all`]'s body, on the thread and pool it set up.
+fn cases(seed: u64, poison: bool) -> Vec<(String, Vec<Vec<u32>>)> {
+    if poison {
+        poison_all_threads();
+    }
+    let mut out = Vec::new();
+    let analog = analog_frames(seed);
+    let events = event_frames(seed);
+
+    let mut rng = Rng::seed_from(seed);
+    let resnet18 = || ResNetConfig::resnet18(5, (8, 8), 16);
+    let mut vgg = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
+    let mut res = ResNetSnn::new(resnet18(), &ConvPolicy::Baseline, &mut rng);
+    let mut vgg_q = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
+    let mut res_q = ResNetSnn::new(resnet18(), &ConvPolicy::Baseline, &mut rng);
+    // Calibration wants (T, C, H, W) samples: sample 0 of each frame.
+    let calib_frames =
+        vec![Tensor::stack(&events.iter().map(|f| f.index_axis0(0).unwrap()).collect::<Vec<_>>())
+            .unwrap()];
+    let calib = vgg_q.calibrate(&calib_frames, T).unwrap();
+    vgg_q.quantize(&calib, &QuantConfig::default()).unwrap();
+    let calib = res_q.calibrate(&calib_frames, T).unwrap();
+    res_q.quantize(&calib, &QuantConfig::default()).unwrap();
+
+    for stats in [InferStats::PerSample, InferStats::Batch] {
+        for (plane, mode, frames) in [
+            ("analog f32 dense", SparseMode::Off, &analog),
+            ("event f32 sparse", SparseMode::Force, &events),
+        ] {
+            vgg.set_sparse_mode(mode);
+            out.push((format!("VGG9 {plane} {stats:?}"), logits(&mut vgg, frames, stats)));
+            res.set_sparse_mode(mode);
+            out.push((format!("MS-ResNet18 {plane} {stats:?}"), logits(&mut res, frames, stats)));
         }
-        let mut out = Vec::new();
-        let analog = analog_frames(seed);
-        let events = event_frames(seed);
-
-        let mut rng = Rng::seed_from(seed);
-        let resnet18 = || ResNetConfig::resnet18(5, (8, 8), 16);
-        let mut vgg = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
-        let mut res = ResNetSnn::new(resnet18(), &ConvPolicy::Baseline, &mut rng);
-        let mut vgg_q = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
-        let mut res_q = ResNetSnn::new(resnet18(), &ConvPolicy::Baseline, &mut rng);
-        // Calibration wants (T, C, H, W) samples: sample 0 of each frame.
-        let calib_frames = vec![Tensor::stack(
-            &events.iter().map(|f| f.index_axis0(0).unwrap()).collect::<Vec<_>>(),
-        )
-        .unwrap()];
-        let calib = vgg_q.calibrate(&calib_frames, T).unwrap();
-        vgg_q.quantize(&calib, &QuantConfig::default()).unwrap();
-        let calib = res_q.calibrate(&calib_frames, T).unwrap();
-        res_q.quantize(&calib, &QuantConfig::default()).unwrap();
-
-        for stats in [InferStats::PerSample, InferStats::Batch] {
-            for (plane, mode, frames) in [
-                ("analog f32 dense", SparseMode::Off, &analog),
-                ("event f32 sparse", SparseMode::Force, &events),
-            ] {
-                vgg.set_sparse_mode(Some(mode));
-                out.push((format!("VGG9 {plane} {stats:?}"), logits(&mut vgg, frames, stats)));
-                res.set_sparse_mode(Some(mode));
-                out.push((
-                    format!("MS-ResNet18 {plane} {stats:?}"),
-                    logits(&mut res, frames, stats),
-                ));
-            }
-            for mode in [SparseMode::Off, SparseMode::Force] {
-                vgg_q.set_sparse_mode(Some(mode));
-                out.push((
-                    format!("VGG9 int8 {mode:?} {stats:?}"),
-                    logits(&mut vgg_q, &events, stats),
-                ));
-                res_q.set_sparse_mode(Some(mode));
-                out.push((
-                    format!("MS-ResNet18 int8 {mode:?} {stats:?}"),
-                    logits(&mut res_q, &events, stats),
-                ));
-            }
+        for mode in [SparseMode::Off, SparseMode::Force] {
+            vgg_q.set_sparse_mode(mode);
+            out.push((format!("VGG9 int8 {mode:?} {stats:?}"), logits(&mut vgg_q, &events, stats)));
+            res_q.set_sparse_mode(mode);
+            out.push((
+                format!("MS-ResNet18 int8 {mode:?} {stats:?}"),
+                logits(&mut res_q, &events, stats),
+            ));
         }
+    }
 
-        // The training plane, layer-major: HTT's row cuts and joins under
-        // tdBN, TEBN's per-timestep scales and 2 × 2 pooling under PTT.
-        let mut htt = ResNetSnn::new(resnet18(), &ConvPolicy::tt(TtMode::htt_default(T)), &mut rng);
-        out.push(("MS-ResNet18 HTT training".to_string(), training_pass(&mut htt, &events)));
-        let mut tebn = vgg9_tiny();
-        tebn.norm = NormKind::Tebn { timesteps: T };
-        let mut tebn = VggSnn::new(tebn, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
-        out.push(("VGG9 PTT TEBN training".to_string(), training_pass(&mut tebn, &analog)));
+    // The training plane, layer-major: HTT's row cuts and joins under
+    // tdBN, TEBN's per-timestep scales and 2 × 2 pooling under PTT.
+    let mut htt = ResNetSnn::new(resnet18(), &ConvPolicy::tt(TtMode::htt_default(T)), &mut rng);
+    out.push(("MS-ResNet18 HTT training".to_string(), training_pass(&mut htt, &events)));
+    let mut tebn = vgg9_tiny();
+    tebn.norm = NormKind::Tebn { timesteps: T };
+    let mut tebn = VggSnn::new(tebn, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+    out.push(("VGG9 PTT TEBN training".to_string(), training_pass(&mut tebn, &analog)));
 
-        // Un-merged TT convolutions: every intermediate between cores is
-        // an arena buffer. HTT runs its full path at t = 0 and its half
-        // path at t = T - 1, and over the whole sequence at once cuts the
-        // stack in two and joins the halves.
-        for (mode, stride) in
-            [(TtMode::Stt, (1, 1)), (TtMode::Ptt, (2, 2)), (TtMode::htt_default(T), (1, 1))]
-        {
-            let name = format!("TtConv {}", mode.name());
-            let tt = TtConv::randn_strided(3, 8, 2, mode, stride, &mut rng);
-            let ys: Vec<Vec<u32>> = (0..T)
-                .map(|t| {
-                    let y = tt.forward_tensor(&analog[t], t).expect("tt forward");
-                    let b = bits(&y);
-                    y.recycle();
-                    b
-                })
-                .collect();
-            let whole = tt.forward_steps_tensor(&time_major(&analog), 0, T).expect("tt forward");
-            assert_eq!(bits(&whole), ys.concat(), "{name}: one call over the sequence");
-            whole.recycle();
-            out.push((name, ys));
-        }
-        out
-    })
-    .join()
-    .expect("parity thread panicked")
+    // Un-merged TT convolutions: every intermediate between cores is
+    // an arena buffer. HTT runs its full path at t = 0 and its half
+    // path at t = T - 1, and over the whole sequence at once cuts the
+    // stack in two and joins the halves.
+    for (mode, stride) in
+        [(TtMode::Stt, (1, 1)), (TtMode::Ptt, (2, 2)), (TtMode::htt_default(T), (1, 1))]
+    {
+        let name = format!("TtConv {}", mode.name());
+        let tt = TtConv::randn_strided(3, 8, 2, mode, stride, &mut rng);
+        let ys: Vec<Vec<u32>> = (0..T)
+            .map(|t| {
+                let y = tt.forward_tensor(&analog[t], t).expect("tt forward");
+                let b = bits(&y);
+                y.recycle();
+                b
+            })
+            .collect();
+        let whole = tt.forward_steps_tensor(&time_major(&analog), 0, T).expect("tt forward");
+        assert_eq!(bits(&whole), ys.concat(), "{name}: one call over the sequence");
+        whole.recycle();
+        out.push((name, ys));
+    }
+    out
 }
 
 #[test]
 fn poisoned_arenas_do_not_move_a_bit() {
     for seed in [3u64, 41] {
-        let clean = run_all(seed, false);
-        let poisoned = run_all(seed, true);
-        assert_eq!(clean.len(), poisoned.len());
-        for ((name, want), (_, got)) in clean.iter().zip(&poisoned) {
+        let clean = run_all(seed, 1, false);
+        for (name, want) in &clean {
             assert!(
                 want.iter().flatten().all(|&b| !f32::from_bits(b).is_nan()),
                 "{name}: clean run produced NaN"
             );
-            assert_eq!(want, got, "{name} (seed {seed}): stale arena contents reached the output");
+        }
+        for threads in THREADS {
+            let poisoned = run_all(seed, threads, true);
+            assert_eq!(clean.len(), poisoned.len());
+            for ((name, want), (_, got)) in clean.iter().zip(&poisoned) {
+                assert_eq!(
+                    want, got,
+                    "{name} (seed {seed}, {threads} threads): stale arena contents reached the \
+                     output"
+                );
+            }
         }
     }
 }

@@ -10,6 +10,9 @@
 //!    sample's logits are independent of the batch it rode in, and equal
 //!    to a batch-of-1 `TrainForward` pass bit for bit (the `ttsnn_infer`
 //!    serving contract).
+//!
+//!    Both hold at every kernel thread count in [`THREADS`] and under
+//!    every sparse-dispatch mode.
 //! 3. **Graph-free evaluation** — `evaluate_counts` allocates **zero**
 //!    autograd nodes (`ttsnn_autograd::nodes_created` does not move).
 //! 4. **Cut invariance** — [`InferForward::forward_steps_tensor`] over a
@@ -18,12 +21,8 @@
 //!    back between calls), logits and spike counters bit for bit, on f32 and
 //!    int8, merged and un-merged HTT, under every sparse-dispatch mode; and
 //!    the spike words a LIF scan hands the next convolution are the ones
-//!    `SpikeTensor::try_pack` would have found.
-//!
-//! The kernel runtime is bit-identical across thread counts (asserted in
-//! `crates/tensor/tests/runtime_kernels.rs`), so CI re-runs this suite
-//! under `TTSNN_NUM_THREADS=2` and `8` to pin the parity × thread-count
-//! matrix, like the sharded suite.
+//!    `SpikeTensor::try_pack` would have found. Each cut runs at a
+//!    different thread count of [`THREADS`].
 
 use proptest::prelude::*;
 use ttsnn_autograd::{nodes_created, Var};
@@ -35,21 +34,24 @@ use ttsnn_snn::{
     ConvPolicy, InferForward, InferStats, Lif, LifConfig, Model, Network, ResNetSnn, SpikingModel,
     VggSnn,
 };
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::{resnet20_tiny, vgg9_tiny};
+use ttsnn_testutil::{resnet20_tiny, vgg9_tiny, THREADS};
 
 const TIMESTEPS: usize = 3;
 
+const MODES: [SparseMode; 3] = [SparseMode::Auto, SparseMode::Force, SparseMode::Off];
+
 /// The two architectures × two policies the acceptance criteria name.
-fn builds(seed: u64) -> Vec<(String, Box<dyn Model>)> {
+fn builds(seed: u64) -> Vec<(String, Network)> {
     let mut rng = Rng::seed_from(seed);
-    let mut out: Vec<(String, Box<dyn Model>)> = Vec::new();
+    let mut out = Vec::new();
     for policy in [ConvPolicy::Baseline, ConvPolicy::tt(TtMode::Ptt)] {
         let vgg = VggSnn::new(vgg9_tiny(), &policy, &mut rng);
-        out.push((vgg.name(), Box::new(vgg)));
+        out.push((vgg.name(), vgg));
         let res = ResNetSnn::new(resnet20_tiny(5), &policy, &mut rng);
-        out.push((res.name(), Box::new(res)));
+        out.push((res.name(), res));
     }
     out
 }
@@ -90,10 +92,18 @@ proptest! {
     fn infer_plane_bit_identical_to_train_plane(seed in 0u64..1000) {
         let input = frames(seed, 4);
         for (name, mut model) in builds(seed) {
-            let via_var = var_logits(model.as_mut(), &input);
-            let via_tensor = tensor_logits(model.as_mut(), &input, InferStats::Batch);
-            for (t, (a, b)) in via_var.iter().zip(&via_tensor).enumerate() {
-                prop_assert_eq!(a, b, "{} t={} diverged between planes", &name, t);
+            let via_var = var_logits(&mut model, &input);
+            for (threads, mode) in THREADS.into_iter().flat_map(|n| MODES.map(|m| (n, m))) {
+                model.set_sparse_mode(mode);
+                let via_tensor = Runtime::new(threads)
+                    .install(|| tensor_logits(&mut model, &input, InferStats::Batch));
+                for (t, (a, b)) in via_var.iter().zip(&via_tensor).enumerate() {
+                    prop_assert_eq!(
+                        a, b,
+                        "{} t={} diverged between planes ({} threads, {:?})",
+                        &name, t, threads, mode
+                    );
+                }
             }
         }
     }
@@ -104,31 +114,39 @@ proptest! {
     fn per_sample_mode_invariant_to_batch_composition(seed in 0u64..1000) {
         let batch = 5usize;
         let input = frames(seed, batch);
-        let k_of = |t: &Tensor| t.shape()[1];
         for (name, mut model) in builds(seed) {
-            let batched = tensor_logits(model.as_mut(), &input, InferStats::PerSample);
-            let k = k_of(&batched[0]);
-            for s in 0..batch {
-                // The same sample alone, through the training plane.
-                let solo: Vec<Tensor> = input
-                    .iter()
-                    .map(|f| {
-                        let slab = f.len() / batch;
-                        Tensor::from_vec(
-                            f.data()[s * slab..(s + 1) * slab].to_vec(),
-                            &[1, 3, 8, 8],
-                        )
-                        .unwrap()
-                    })
-                    .collect();
-                let solo_var = var_logits(model.as_mut(), &solo);
-                for t in 0..TIMESTEPS {
-                    prop_assert_eq!(
-                        &batched[t].data()[s * k..(s + 1) * k],
-                        solo_var[t].data(),
-                        "{} sample {} t={}: serving logits must equal a B=1 train pass",
-                        &name, s, t
-                    );
+            // Each sample alone, through the training plane.
+            let solo_var: Vec<Vec<Tensor>> = (0..batch)
+                .map(|s| {
+                    let solo: Vec<Tensor> = input
+                        .iter()
+                        .map(|f| {
+                            let slab = f.len() / batch;
+                            Tensor::from_vec(
+                                f.data()[s * slab..(s + 1) * slab].to_vec(),
+                                &[1, 3, 8, 8],
+                            )
+                            .unwrap()
+                        })
+                        .collect();
+                    var_logits(&mut model, &solo)
+                })
+                .collect();
+            for (threads, mode) in THREADS.into_iter().flat_map(|n| MODES.map(|m| (n, m))) {
+                model.set_sparse_mode(mode);
+                let batched = Runtime::new(threads)
+                    .install(|| tensor_logits(&mut model, &input, InferStats::PerSample));
+                let k = batched[0].shape()[1];
+                for (s, solo) in solo_var.iter().enumerate() {
+                    for t in 0..TIMESTEPS {
+                        prop_assert_eq!(
+                            &batched[t].data()[s * k..(s + 1) * k],
+                            solo[t].data(),
+                            "{} sample {} t={} ({} threads, {:?}): serving logits must equal \
+                             a B=1 train pass",
+                            &name, s, t, threads, mode
+                        );
+                    }
                 }
             }
         }
@@ -145,9 +163,9 @@ fn evaluate_allocates_zero_autograd_nodes() {
         .unwrap();
     for (name, mut model) in builds(11) {
         // Warm up once (first call may intern nothing, but keep it honest).
-        evaluate_counts(model.as_mut(), &data).unwrap();
+        evaluate_counts(&mut model, &data).unwrap();
         let before = nodes_created();
-        let (correct, total) = evaluate_counts(model.as_mut(), &data).unwrap();
+        let (correct, total) = evaluate_counts(&mut model, &data).unwrap();
         let after = nodes_created();
         assert_eq!(after - before, 0, "{name}: evaluation built {} autograd nodes", after - before);
         assert_eq!(total, 24);
@@ -169,7 +187,7 @@ fn evaluate_matches_tape_building_reference() {
         let mut correct = 0usize;
         let mut total = 0usize;
         for batch in &data {
-            let logits = forward_batch(model.as_mut(), batch).unwrap();
+            let logits = forward_batch(&mut model, batch).unwrap();
             let mut preds = logits[0].to_tensor();
             for l in &logits[1..] {
                 preds.add_scaled(&l.value(), 1.0).unwrap();
@@ -189,9 +207,9 @@ fn evaluate_matches_tape_building_reference() {
                 total += 1;
             }
         }
-        let via_infer = evaluate_counts(model.as_mut(), &data).unwrap();
+        let via_infer = evaluate_counts(&mut model, &data).unwrap();
         assert_eq!(via_infer, (correct, total), "{name}: rerouted evaluate changed counts");
-        let acc = evaluate(model.as_mut(), &data).unwrap();
+        let acc = evaluate(&mut model, &data).unwrap();
         assert_eq!(acc, correct as f32 / total as f32, "{name}");
     }
 }
@@ -207,9 +225,9 @@ fn evaluate_pins_batch_stats_and_restores_mode() {
         .batches(12, 2, &mut rng)
         .unwrap();
     for (name, mut model) in builds(14) {
-        let reference = evaluate_counts(model.as_mut(), &data).unwrap();
+        let reference = evaluate_counts(&mut model, &data).unwrap();
         model.set_infer_stats(InferStats::PerSample);
-        let serving_mode = evaluate_counts(model.as_mut(), &data).unwrap();
+        let serving_mode = evaluate_counts(&mut model, &data).unwrap();
         assert_eq!(serving_mode, reference, "{name}: evaluate must pin Batch statistics");
         assert_eq!(
             model.infer_stats(),
@@ -267,7 +285,7 @@ fn spike_activity_counters_report_what_they_always_did() {
     ];
     for (plane, run) in planes {
         for ((name, mut model), want) in builds(21).into_iter().zip(recorded) {
-            run(model.as_mut());
+            run(&mut model);
             let mean = model.mean_spike_activity().expect("the model ran").to_bits();
             let layers =
                 model.layer_spike_densities().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
@@ -358,12 +376,12 @@ fn one_call_over_the_sequence_equals_every_cut_of_it() {
     let unscanned_sites = |vgg: bool| if vgg { 4 } else { 2 };
     for vgg in [true, false] {
         for plane in [Plane::MergedF32, Plane::HttF32, Plane::Int8] {
-            for mode in [SparseMode::Auto, SparseMode::Force, SparseMode::Off] {
+            for mode in MODES {
                 for stats in [InferStats::PerSample, InferStats::Batch] {
                     let label = format!("vgg={vgg} {plane:?} {mode:?} {stats:?}");
                     let fresh = || {
                         let mut net = build(vgg, plane);
-                        net.set_sparse_mode(Some(mode));
+                        net.set_sparse_mode(mode);
                         net.set_infer_stats(stats);
                         net.clear_dispatch_counts();
                         net
@@ -379,10 +397,15 @@ fn one_call_over_the_sequence_equals_every_cut_of_it() {
                             if mode == SparseMode::Off { 0 } else { unscanned_sites(vgg) };
                         assert_eq!(packs, expected, "{label}: try_pack ran behind a LIF scan");
                     }
-                    for cuts in [&[1; CUT_T][..], &[2, CUT_T - 2], &[CUT_T - 1, 1]] {
+                    let cuts = [&[1; CUT_T][..], &[2, CUT_T - 2], &[CUT_T - 1, 1]];
+                    for (cuts, threads) in cuts.into_iter().zip(THREADS) {
                         let mut net = fresh();
-                        let got = serve_in_cuts(&mut net, &events, cuts);
-                        assert!(got == want, "{label}: cuts {cuts:?} moved a bit");
+                        let got = Runtime::new(threads)
+                            .install(|| serve_in_cuts(&mut net, &events, cuts));
+                        assert!(
+                            got == want,
+                            "{label}: cuts {cuts:?} at {threads} threads moved a bit"
+                        );
                         let calls = net.conv_dispatch_counts();
                         let n = cuts.len() as u64;
                         assert!(calls.iter().all(|&(s, d)| s + d == n), "{label}: {calls:?}");

@@ -16,8 +16,8 @@
 //!
 //! Over MS-ResNet18 {dense, STT, PTT, HTT} and VGG9, tdBN and TEBN,
 //! `B ∈ {1, 3, 8, 16}`, `T ∈ {1, 4, 6}`, HTT schedules with one, two and
-//! four runs. The sequence path's own bits are pinned too, and CI runs this
-//! suite at 1, 2 and 8 kernel threads and on one CPU.
+//! four runs. The sequence path's own bits are pinned too, at every kernel
+//! thread count in [`THREADS`] (CI also runs this suite on one CPU).
 
 use ttsnn_autograd::Var;
 use ttsnn_core::{HttSchedule, TtMode};
@@ -26,7 +26,9 @@ use ttsnn_snn::trainer::forward_batch;
 use ttsnn_snn::{
     ConvPolicy, LossKind, NormKind, ResNetConfig, ResNetSnn, TrainForward, VggConfig, VggSnn,
 };
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
+use ttsnn_testutil::THREADS;
 
 const CLASSES: usize = 5;
 const HW: usize = 8;
@@ -267,19 +269,23 @@ fn checksum(p: &Pass) -> u64 {
 /// The sequence path's own bits — parameter gradients included, whose
 /// summation order is this path's — recorded once at one kernel thread.
 /// The kernels, the grouped tdBN and the LIF scan split their work without
-/// changing what an element computes, so the same constants hold at any
-/// `TTSNN_NUM_THREADS`.
+/// changing what an element computes, so the same constants hold under
+/// every installed thread count.
 #[test]
 fn sequence_path_bits_do_not_depend_on_the_thread_count() {
-    let mut rng = Rng::seed_from(2028);
     let labels: Vec<usize> = (0..16).map(|s| s % CLASSES).collect();
-    let mut got = Vec::new();
-    for (_, norm) in norms(6) {
-        let mut resnet = resnet18(norm, &ConvPolicy::tt(TtMode::htt_default(6)), &mut rng);
-        got.push(checksum(&layer_major(&mut resnet, &frames(2, 16, 6, &mut rng), &labels)));
-        let mut vgg = vgg9(norm, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
-        got.push(checksum(&layer_major(&mut vgg, &frames(3, 16, 6, &mut rng), &labels)));
-    }
     let want = [0xfc49b0c464f96afe, 0x25a096976e1b5ca7, 0xc5bba640e211b47b, 0xd53f22d3374f6b1d_u64];
-    assert!(got == want, "sequence-path bits moved: {got:#018x?}");
+    for threads in THREADS {
+        let mut rng = Rng::seed_from(2028);
+        let mut got = Vec::new();
+        Runtime::new(threads).install(|| {
+            for (_, norm) in norms(6) {
+                let mut resnet = resnet18(norm, &ConvPolicy::tt(TtMode::htt_default(6)), &mut rng);
+                got.push(checksum(&layer_major(&mut resnet, &frames(2, 16, 6, &mut rng), &labels)));
+                let mut vgg = vgg9(norm, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+                got.push(checksum(&layer_major(&mut vgg, &frames(3, 16, 6, &mut rng), &labels)));
+            }
+        });
+        assert!(got == want, "sequence-path bits moved at {threads} threads: {got:#018x?}");
+    }
 }

@@ -23,8 +23,11 @@ use ttsnn_snn::{
     checkpoint, resnet18_cifar, Architecture, ConvPolicy, InferForward, InferStats, Network,
     ResNetConfig, SpikingModel,
 };
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::{assert_bits_eq, checkpoint_bytes, resnet20_tiny, samples, vgg9_tiny};
+use ttsnn_testutil::{
+    assert_bits_eq, checkpoint_bytes, resnet20_tiny, samples, vgg9_tiny, THREADS,
+};
 
 /// What one architecture × policy must look like.
 struct Expected {
@@ -65,8 +68,8 @@ fn check(label: &str, build: impl Fn(u64) -> Network, expected: &Expected) {
     assert_eq!(net.take_infer_state().layers(), expected.lifs, "{label}: InferState layers");
 
     // A checkpoint written by one seeded instance loads into another and
-    // reproduces its inference plane bit for bit: params() order is the
-    // checkpoint layout on both sides.
+    // reproduces its inference plane bit for bit, at every kernel thread
+    // count: params() order is the checkpoint layout on both sides.
     let mut twin = build(8);
     checkpoint::load_params(&twin.params(), &checkpoint_bytes(&net)[..]).unwrap();
     let frame = &samples(11, 1)[0];
@@ -74,12 +77,22 @@ fn check(label: &str, build: impl Fn(u64) -> Network, expected: &Expected) {
     for model in [&mut net, &mut twin] {
         model.set_infer_stats(InferStats::PerSample);
     }
-    for t in 0..3 {
-        let a = net.forward_timestep_tensor(&batch, t).unwrap();
-        let b = twin.forward_timestep_tensor(&batch, t).unwrap();
-        assert_bits_eq(&a, &b, &format!("{label}: checkpointed twin at t={t}"));
-    }
+    let want: Vec<Tensor> =
+        (0..3).map(|t| net.forward_timestep_tensor(&batch, t).unwrap()).collect();
     net.reset_state();
+    for threads in THREADS {
+        Runtime::new(threads).install(|| {
+            for (t, a) in want.iter().enumerate() {
+                let b = twin.forward_timestep_tensor(&batch, t).unwrap();
+                assert_bits_eq(
+                    a,
+                    &b,
+                    &format!("{label}: checkpointed twin at t={t}, {threads} threads"),
+                );
+            }
+        });
+        twin.reset_state();
+    }
 
     assert_eq!(calibrated_sites(&mut net), expected.sites, "{label}: conv-site order");
 }

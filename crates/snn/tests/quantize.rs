@@ -1,6 +1,7 @@
 //! End-to-end tests of the model-side quantized serving plane:
 //! calibrate → quantize → serve on VGG and ResNet, plan export/install
-//! parity, and the merge-first contract.
+//! parity (under every sparse-dispatch mode and kernel thread count in
+//! [`THREADS`]), and the merge-first contract.
 
 use ttsnn_core::TtMode;
 use ttsnn_snn::quant::QuantConfig;
@@ -9,8 +10,10 @@ use ttsnn_snn::{
     VggConfig, VggSnn,
 };
 use ttsnn_tensor::qkernels::QAccum;
+use ttsnn_tensor::runtime::Runtime;
+use ttsnn_tensor::spike::SparseMode;
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::vgg9_tiny;
+use ttsnn_testutil::{vgg9_tiny, THREADS};
 
 const T: usize = 2;
 
@@ -79,10 +82,13 @@ fn vgg_calibrate_quantize_serve() {
         assert!(diff < 0.7 * scale, "quantized drifted too far: {diff} vs |logits| {scale}");
     }
 
-    // Determinism: repeated quantized passes are bit-identical.
+    // Determinism: repeated quantized passes are bit-identical, at every
+    // kernel thread count.
     let a = infer_logits(&mut net, &frames[0]);
-    let b = infer_logits(&mut net, &frames[0]);
-    assert_eq!(a, b);
+    for threads in THREADS {
+        let b = Runtime::new(threads).install(|| infer_logits(&mut net, &frames[0]));
+        assert_eq!(a, b, "{threads} threads");
+    }
 }
 
 #[test]
@@ -157,8 +163,16 @@ fn plan_export_install_is_bit_exact_and_shares_storage() {
     b.set_infer_stats(InferStats::PerSample);
     for f in &frames {
         let ya = infer_logits(&mut a, f);
-        let yb = infer_logits(&mut b, f);
-        assert_eq!(ya, yb, "installed plan must serve bit-identically");
+        for threads in THREADS {
+            for mode in [SparseMode::Auto, SparseMode::Force, SparseMode::Off] {
+                b.set_sparse_mode(mode);
+                let yb = Runtime::new(threads).install(|| infer_logits(&mut b, f));
+                assert_eq!(
+                    ya, yb,
+                    "installed plan must serve bit-identically ({threads} threads, {mode:?})"
+                );
+            }
+        }
     }
 
     // The int8 buffers are aliased, not copied.

@@ -5,9 +5,9 @@
 //! count** (1–4 replicas here), because micro-batch gradients are reduced
 //! in fixed global order regardless of which worker computed them. The
 //! kernel runtime underneath is itself bit-identical across thread counts
-//! (asserted in `crates/tensor/tests/runtime_kernels.rs`), so CI re-runs
-//! this suite under `TTSNN_NUM_THREADS=2` to pin the full
-//! shards × kernel-threads matrix.
+//! (asserted in `crates/tensor/tests/runtime_kernels.rs`), and the shards
+//! run on the runtime installed where the trainer was built, so the
+//! property test sweeps the full shards × [`THREADS`] matrix.
 
 use proptest::prelude::*;
 use ttsnn_autograd::{Sgd, SgdConfig, Var};
@@ -16,7 +16,9 @@ use ttsnn_snn::checkpoint;
 use ttsnn_snn::conv_unit::ConvPolicy;
 use ttsnn_snn::trainer::{evaluate, train_step, TrainConfig};
 use ttsnn_snn::{LossKind, ResNetConfig, ResNetSnn, ShardConfig, ShardedTrainer, SpikingModel};
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
+use ttsnn_testutil::THREADS;
 
 /// A deterministic tiny-model factory: same seed → bit-identical replicas.
 fn factory(seed: u64) -> impl Fn() -> ResNetSnn + Send + Sync + Clone + 'static {
@@ -53,18 +55,22 @@ fn weights_after(seed: u64, shards: usize, steps: usize) -> Vec<Tensor> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// ≥3 optimizer steps, 1–4 shards: identical bits, whatever the seed.
+    /// ≥3 optimizer steps, 1–4 shards, every kernel thread count:
+    /// identical bits, whatever the seed.
     #[test]
     fn sharded_training_is_bit_identical_across_shard_counts(seed in 0u64..100) {
-        let reference = weights_after(seed, 1, 3);
-        for shards in 2..=4usize {
-            let got = weights_after(seed, shards, 3);
-            prop_assert_eq!(reference.len(), got.len());
-            for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
-                prop_assert!(
-                    a == b,
-                    "param {i} differs between 1 and {} shards (seed {})", shards, seed
-                );
+        let reference = Runtime::new(1).install(|| weights_after(seed, 1, 3));
+        for threads in THREADS {
+            for shards in 1..=4usize {
+                let got = Runtime::new(threads).install(|| weights_after(seed, shards, 3));
+                prop_assert_eq!(reference.len(), got.len());
+                for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
+                    prop_assert!(
+                        a == b,
+                        "param {i} differs between 1 shard on 1 thread and {} shards on {} \
+                         threads (seed {})", shards, threads, seed
+                    );
+                }
             }
         }
     }

@@ -1,20 +1,21 @@
 //! Dispatcher-mode invariance for the spike-sparsity execution path.
 //!
-//! The density-adaptive dispatcher is a **performance knob, never a
-//! semantic one**: whatever `TTSNN_SPARSE_MODE` (or the per-model
-//! override) says — route everything sparse, route nothing sparse, or
-//! decide per site from measured density — the logits must be
-//! bit-identical. This suite pins that over VGG9 and ResNet20, on the
-//! f32 and int8 planes, with spiking inputs at densities on both sides
-//! of the routing threshold plus analog (unpackable) inputs, in both
-//! `InferStats` modes. CI re-runs it under `TTSNN_NUM_THREADS=2` and
-//! `8`, extending the invariance across the thread-count matrix.
+//! The density-adaptive dispatcher is a **performance choice, never a
+//! semantic one**: whatever mode a model runs under — route everything
+//! sparse, route nothing sparse, or decide per site from measured density
+//! — the logits must be bit-identical. This suite pins that over VGG9 and
+//! ResNet20, on the f32 and int8 planes, with spiking inputs at densities
+//! on both sides of the routing threshold plus analog (unpackable) inputs,
+//! in both `InferStats` modes, and at every kernel thread count in
+//! [`THREADS`]: each mode at each count must equal the dense walk on one
+//! thread.
 
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{ConvPolicy, InferForward, InferStats, ResNetSnn, SpikingModel, VggSnn};
-use ttsnn_tensor::spike::SparseMode;
+use ttsnn_tensor::runtime::Runtime;
+use ttsnn_tensor::spike::{self, SparseMode};
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::{resnet20_tiny, vgg9_tiny};
+use ttsnn_testutil::{resnet20_tiny, vgg9_tiny, THREADS};
 
 const T: usize = 3;
 
@@ -56,26 +57,30 @@ fn batch_logits(
     out
 }
 
-/// Asserts Off / Auto / Force produce bit-identical logits on `frames`.
+/// Asserts Off / Auto / Force at every count in [`THREADS`] produce the
+/// logits of Off on one thread, bit for bit, on `frames`.
 fn assert_mode_invariant<M, F>(model: &mut M, set_mode: F, frames: &[Tensor], label: &str)
 where
     M: InferForward + ?Sized,
-    F: Fn(&mut M, Option<SparseMode>),
+    F: Fn(&mut M, SparseMode),
 {
     for stats in [InferStats::PerSample, InferStats::Batch] {
-        set_mode(model, Some(SparseMode::Off));
-        let reference = batch_logits(model, frames, stats);
-        for mode in [SparseMode::Auto, SparseMode::Force] {
-            set_mode(model, Some(mode));
-            let got = batch_logits(model, frames, stats);
-            for (t, (a, b)) in reference.iter().zip(got.iter()).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "{label}: {mode:?} logits differ from Off at t={t} under {stats:?}"
-                );
+        set_mode(model, SparseMode::Off);
+        let reference = Runtime::new(1).install(|| batch_logits(model, frames, stats));
+        for threads in THREADS {
+            for mode in [SparseMode::Off, SparseMode::Auto, SparseMode::Force] {
+                set_mode(model, mode);
+                let got = Runtime::new(threads).install(|| batch_logits(model, frames, stats));
+                for (t, (a, b)) in reference.iter().zip(got.iter()).enumerate() {
+                    assert_eq!(
+                        a, b,
+                        "{label}: {mode:?} at {threads} threads differs from Off at t={t} \
+                         under {stats:?}"
+                    );
+                }
             }
         }
-        set_mode(model, None);
+        set_mode(model, spike::sparse_mode());
     }
 }
 
@@ -150,15 +155,13 @@ fn layer_spike_densities_are_measured_and_bounded() {
 }
 
 #[test]
-fn sparse_mode_override_defaults_to_env_resolution() {
+fn sparse_mode_defaults_to_auto() {
     let mut rng = Rng::seed_from(16);
     let mut net = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
-    // No override: resolves from the process environment.
-    assert_eq!(net.sparse_dispatch_mode(), ttsnn_tensor::spike::sparse_mode());
-    net.set_sparse_mode(Some(SparseMode::Force));
+    assert_eq!(net.sparse_dispatch_mode(), SparseMode::Auto);
+    assert_eq!(spike::sparse_mode(), SparseMode::Auto);
+    net.set_sparse_mode(SparseMode::Force);
     assert_eq!(net.sparse_dispatch_mode(), SparseMode::Force);
-    net.set_sparse_mode(None);
-    assert_eq!(net.sparse_dispatch_mode(), ttsnn_tensor::spike::sparse_mode());
 }
 
 /// A finding, pinned: "sparse dispatch on every layer" is not what runs.
@@ -174,7 +177,7 @@ fn vgg9_sites_behind_a_pool_run_dense_whatever_the_density() {
     let mut net = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut rng);
     let frames = spike_frames(3, 8, 4, 0.1, 600);
     for mode in [SparseMode::Auto, SparseMode::Force] {
-        net.set_sparse_mode(Some(mode));
+        net.set_sparse_mode(mode);
         net.clear_dispatch_counts();
         let _ = batch_logits(&mut net, &frames, InferStats::PerSample);
         let calls = T as u64;
@@ -186,7 +189,7 @@ fn vgg9_sites_behind_a_pool_run_dense_whatever_the_density() {
             net.layer_spike_densities()
         );
     }
-    net.set_sparse_mode(Some(SparseMode::Off));
+    net.set_sparse_mode(SparseMode::Off);
     net.clear_dispatch_counts();
     let _ = batch_logits(&mut net, &frames, InferStats::PerSample);
     assert!(net.conv_dispatch_counts().iter().all(|&(sparse, _)| sparse == 0));

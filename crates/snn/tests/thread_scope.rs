@@ -2,11 +2,10 @@
 //! pool a whole training step or a whole served forward runs on, and no
 //! result bit depends on it.
 //!
-//! CI makes the same claim by re-running the parity suites under
-//! `TTSNN_NUM_THREADS` 1 / 2 / 8; here the three runs share one process,
-//! one global runtime and one arena, so a kernel that read the global
-//! runtime past an installed scope, or a scope that leaked into the next
-//! run, would show.
+//! The parity suites make the same claim, each sweeping [`THREADS`]; here
+//! the three runs follow each other on one thread, beside one global
+//! runtime and one arena, so a kernel that read the global runtime past an
+//! installed scope, or a scope that leaked into the next run, would show.
 
 use ttsnn_autograd::{Sgd, SgdConfig};
 use ttsnn_core::TtMode;
@@ -18,9 +17,7 @@ use ttsnn_snn::{
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::vgg9_tiny;
-
-const THREADS: [usize; 3] = [1, 2, 8];
+use ttsnn_testutil::{vgg9_tiny, THREADS};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()

@@ -3,8 +3,8 @@
 //! Eight optimizer steps per case: the loss of every step and a checksum
 //! of every parameter after the last one, compared bit for bit against
 //! recorded values. The kernels are bit-identical across thread counts, so
-//! the same constants hold at any `TTSNN_NUM_THREADS`; CI runs this suite
-//! at 1, 2 and 8, and on one CPU.
+//! every case runs under each installed pool of [`THREADS`] against the
+//! same constants (CI also runs this suite on one CPU).
 //!
 //! A change that reorders one float operation anywhere in forward,
 //! backward or the optimizer fails here, and says in which case and at
@@ -28,7 +28,9 @@ use ttsnn_snn::{
     ConvPolicy, LifConfig, LossKind, NormKind, ResNetConfig, ResNetSnn, ShardConfig,
     ShardedTrainer, SpikingModel, TrainForward, VggConfig, VggSnn,
 };
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
+use ttsnn_testutil::THREADS;
 
 const STEPS: usize = 8;
 const SGD: SgdConfig = SgdConfig { lr: 0.05, momentum: 0.9, weight_decay: 1e-4 };
@@ -78,27 +80,34 @@ fn lif(surrogate: Surrogate) -> LifConfig {
     LifConfig { surrogate, ..LifConfig::default() }
 }
 
+/// Runs `case` under every thread count in [`THREADS`]; each run must
+/// reproduce `want`.
 #[track_caller]
-fn check(case: &str, got: ([u32; STEPS], u64), want: ([u32; STEPS], u64)) {
-    let hex: Vec<String> = got.0.iter().map(|b| format!("{b:#010x}")).collect();
-    assert!(
-        got == want,
-        "{case}: training bits moved, got ([{}], {:#018x})",
-        hex.join(", "),
-        got.1
-    );
+fn check(name: &str, case: impl Fn() -> ([u32; STEPS], u64), want: ([u32; STEPS], u64)) {
+    for threads in THREADS {
+        let got = Runtime::new(threads).install(&case);
+        let hex: Vec<String> = got.0.iter().map(|b| format!("{b:#010x}")).collect();
+        assert!(
+            got == want,
+            "{name} at {threads} threads: training bits moved, got ([{}], {:#018x})",
+            hex.join(", "),
+            got.1
+        );
+    }
 }
 
 #[test]
 fn resnet18_htt_tdbn_rectangle_sum_ce() {
-    let mut rng = Rng::seed_from(101);
-    let t = 4;
-    let cfg = ResNetConfig::resnet18_events(10, (16, 16), 8);
-    let model = ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(t)), &mut rng);
-    let batches = event_batches(t, 8, &mut rng);
     check(
         "resnet18 htt tdbn rectangle sum-ce",
-        run(model, &batches, LossKind::SumCe),
+        || {
+            let mut rng = Rng::seed_from(101);
+            let t = 4;
+            let cfg = ResNetConfig::resnet18_events(10, (16, 16), 8);
+            let model = ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(t)), &mut rng);
+            let batches = event_batches(t, 8, &mut rng);
+            run(model, &batches, LossKind::SumCe)
+        },
         (
             [
                 0x406ac977, 0x4049c598, 0x401a6265, 0x406eb7bb, 0x4017dafd, 0x4064d9c7, 0x400bc7d8,
@@ -111,16 +120,18 @@ fn resnet18_htt_tdbn_rectangle_sum_ce() {
 
 #[test]
 fn resnet18_htt_tebn_triangle_tet() {
-    let mut rng = Rng::seed_from(102);
-    let t = 4;
-    let mut cfg = ResNetConfig::resnet18_events(10, (16, 16), 8);
-    cfg.norm = NormKind::Tebn { timesteps: t };
-    cfg.lif = lif(Surrogate::Triangle { width: 1.0 });
-    let model = ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(t)), &mut rng);
-    let batches = event_batches(t, 8, &mut rng);
     check(
         "resnet18 htt tebn triangle tet",
-        run(model, &batches, LossKind::Tet),
+        || {
+            let mut rng = Rng::seed_from(102);
+            let t = 4;
+            let mut cfg = ResNetConfig::resnet18_events(10, (16, 16), 8);
+            cfg.norm = NormKind::Tebn { timesteps: t };
+            cfg.lif = lif(Surrogate::Triangle { width: 1.0 });
+            let model = ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(t)), &mut rng);
+            let batches = event_batches(t, 8, &mut rng);
+            run(model, &batches, LossKind::Tet)
+        },
         (
             [
                 0x40157bfb, 0x40227c38, 0x4016d2c8, 0x4022c9eb, 0x400da2f5, 0x401aaa42, 0x4016deee,
@@ -133,16 +144,18 @@ fn resnet18_htt_tebn_triangle_tet() {
 
 #[test]
 fn vgg9_ptt_tebn_atan_tet() {
-    let mut rng = Rng::seed_from(103);
-    let t = 3;
-    let mut cfg = VggConfig::vgg9(3, 10, (16, 16), 8);
-    cfg.norm = NormKind::Tebn { timesteps: t };
-    cfg.lif = lif(Surrogate::Atan { alpha: 2.0 });
-    let model = VggSnn::new(cfg, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
-    let batches = image_batches(t, 8, &mut rng);
     check(
         "vgg9 ptt tebn atan tet",
-        run(model, &batches, LossKind::Tet),
+        || {
+            let mut rng = Rng::seed_from(103);
+            let t = 3;
+            let mut cfg = VggConfig::vgg9(3, 10, (16, 16), 8);
+            cfg.norm = NormKind::Tebn { timesteps: t };
+            cfg.lif = lif(Surrogate::Atan { alpha: 2.0 });
+            let model = VggSnn::new(cfg, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+            let batches = image_batches(t, 8, &mut rng);
+            run(model, &batches, LossKind::Tet)
+        },
         (
             [
                 0x4014234e, 0x40100454, 0x40107406, 0x4012d3dc, 0x400db2eb, 0x40115a3d, 0x4008b229,
@@ -155,14 +168,16 @@ fn vgg9_ptt_tebn_atan_tet() {
 
 #[test]
 fn vgg9_ptt_tdbn_rectangle_sum_ce() {
-    let mut rng = Rng::seed_from(104);
-    let t = 3;
-    let cfg = VggConfig::vgg9(3, 10, (16, 16), 8);
-    let model = VggSnn::new(cfg, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
-    let batches = image_batches(t, 8, &mut rng);
     check(
         "vgg9 ptt tdbn rectangle sum-ce",
-        run(model, &batches, LossKind::SumCe),
+        || {
+            let mut rng = Rng::seed_from(104);
+            let t = 3;
+            let cfg = VggConfig::vgg9(3, 10, (16, 16), 8);
+            let model = VggSnn::new(cfg, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+            let batches = image_batches(t, 8, &mut rng);
+            run(model, &batches, LossKind::SumCe)
+        },
         (
             [
                 0x401a1f1b, 0x4039399a, 0x4001ec6d, 0x4023596a, 0x400e078f, 0x40083eb4, 0x4014d27a,
@@ -175,15 +190,17 @@ fn vgg9_ptt_tdbn_rectangle_sum_ce() {
 
 #[test]
 fn resnet20_dense_tdbn_atan_sum_ce() {
-    let mut rng = Rng::seed_from(105);
-    let t = 3;
-    let mut cfg = ResNetConfig::resnet20(10, (16, 16), 4);
-    cfg.lif = lif(Surrogate::Atan { alpha: 2.0 });
-    let model = ResNetSnn::new(cfg, &ConvPolicy::Baseline, &mut rng);
-    let batches = image_batches(t, 8, &mut rng);
     check(
         "resnet20 dense tdbn atan sum-ce",
-        run(model, &batches, LossKind::SumCe),
+        || {
+            let mut rng = Rng::seed_from(105);
+            let t = 3;
+            let mut cfg = ResNetConfig::resnet20(10, (16, 16), 4);
+            cfg.lif = lif(Surrogate::Atan { alpha: 2.0 });
+            let model = ResNetSnn::new(cfg, &ConvPolicy::Baseline, &mut rng);
+            let batches = image_batches(t, 8, &mut rng);
+            run(model, &batches, LossKind::SumCe)
+        },
         (
             [
                 0x4080caa9, 0x404301bd, 0x402b2168, 0x402dfea2, 0x40216832, 0x402484c8, 0x401eef35,
@@ -196,16 +213,18 @@ fn resnet20_dense_tdbn_atan_sum_ce() {
 
 #[test]
 fn vgg9_dense_tebn_triangle_sum_ce() {
-    let mut rng = Rng::seed_from(106);
-    let t = 3;
-    let mut cfg = VggConfig::vgg9(3, 10, (16, 16), 8);
-    cfg.norm = NormKind::Tebn { timesteps: t };
-    cfg.lif = lif(Surrogate::Triangle { width: 1.0 });
-    let model = VggSnn::new(cfg, &ConvPolicy::Baseline, &mut rng);
-    let batches = image_batches(t, 8, &mut rng);
     check(
         "vgg9 dense tebn triangle sum-ce",
-        run(model, &batches, LossKind::SumCe),
+        || {
+            let mut rng = Rng::seed_from(106);
+            let t = 3;
+            let mut cfg = VggConfig::vgg9(3, 10, (16, 16), 8);
+            cfg.norm = NormKind::Tebn { timesteps: t };
+            cfg.lif = lif(Surrogate::Triangle { width: 1.0 });
+            let model = VggSnn::new(cfg, &ConvPolicy::Baseline, &mut rng);
+            let batches = image_batches(t, 8, &mut rng);
+            run(model, &batches, LossKind::SumCe)
+        },
         (
             [
                 0x404be24b, 0x4012dc05, 0x400bf4c6, 0x3ffb00ac, 0x3f952c8f, 0x3fde25b7, 0x3f4f0406,
@@ -227,16 +246,19 @@ fn sharded_two_shards_resnet18_htt() {
         let cfg = ResNetConfig::resnet18_events(10, (16, 16), 8);
         ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(t)), &mut Rng::seed_from(7))
     };
-    let mut trainer = ShardedTrainer::new(ShardConfig::new(2, 4), factory);
-    let mut losses = [0u32; STEPS];
-    for (s, slot) in losses.iter_mut().enumerate() {
-        let (value, _) = trainer.step(&batches[s % batches.len()], LossKind::SumCe, SGD).unwrap();
-        *slot = value.to_bits();
-    }
-    assert!(trainer.replicas_in_sync());
     check(
         "sharded x2 resnet18 htt",
-        (losses, checksum(trainer.params().iter())),
+        || {
+            let mut trainer = ShardedTrainer::new(ShardConfig::new(2, 4), factory);
+            let mut losses = [0u32; STEPS];
+            for (s, slot) in losses.iter_mut().enumerate() {
+                let batch = &batches[s % batches.len()];
+                let (value, _) = trainer.step(batch, LossKind::SumCe, SGD).unwrap();
+                *slot = value.to_bits();
+            }
+            assert!(trainer.replicas_in_sync());
+            (losses, checksum(trainer.params().iter()))
+        },
         (
             [
                 0x405911cd, 0x40567608, 0x402307f0, 0x404c68e1, 0x403ea180, 0x4015e7ea, 0x403d80f2,

@@ -29,8 +29,8 @@
 //!   layer at the same `Mac`s, on the row driver they share with `qlinear`.
 //!   The int8 paths skip the quantize + im2col stages entirely: a spike
 //!   quantizes to a known constant, so only the packed bits are consulted.
-//! * [`SparseMode`] — the `TTSNN_SPARSE_MODE` dispatch override
-//!   (`auto`/`force`/`off`) used by the model-layer dispatcher.
+//! * [`SparseMode`] — the dispatch policy (`auto`/`force`/`off`) the
+//!   model-layer dispatcher routes by; models serve under [`sparse_mode`].
 //!
 //! # Bit-determinism
 //!
@@ -72,7 +72,6 @@
 //! results are bit-identical across thread counts by construction.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 use crate::conv::{check_input, check_weight, Conv2dGeometry};
 use crate::error::ShapeError;
@@ -282,8 +281,9 @@ pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 /// at about half the float rate.
 const TAP_COST: usize = 4;
 
-/// Dispatch policy for the density-adaptive sparse/dense router,
-/// overridable with the `TTSNN_SPARSE_MODE` environment variable.
+/// Dispatch policy for the density-adaptive sparse/dense router. Models
+/// serve under [`sparse_mode`]; tests pin the others per model to show the
+/// two kernel families agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SparseMode {
     /// Measure density per call; route sparse at or below
@@ -298,16 +298,6 @@ pub enum SparseMode {
 }
 
 impl SparseMode {
-    /// Parses `"auto"`/`"force"`/`"off"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(SparseMode::Auto),
-            "force" => Some(SparseMode::Force),
-            "off" => Some(SparseMode::Off),
-            _ => None,
-        }
-    }
-
     /// Short name (`"auto"`/`"force"`/`"off"`).
     pub fn name(self) -> &'static str {
         match self {
@@ -328,16 +318,9 @@ impl SparseMode {
     }
 }
 
-/// The process-wide dispatch mode: `TTSNN_SPARSE_MODE` if set to a valid
-/// mode, otherwise [`SparseMode::Auto`]. Read once and cached.
-pub fn sparse_mode() -> SparseMode {
-    static MODE: OnceLock<SparseMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("TTSNN_SPARSE_MODE")
-            .ok()
-            .and_then(|v| SparseMode::parse(&v))
-            .unwrap_or_default()
-    })
+/// The dispatch mode every model serves under: [`SparseMode::Auto`].
+pub const fn sparse_mode() -> SparseMode {
+    SparseMode::Auto
 }
 
 // ---------------------------------------------------------------------------
@@ -863,11 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing_and_routing() {
-        assert_eq!(SparseMode::parse(" FORCE "), Some(SparseMode::Force));
-        assert_eq!(SparseMode::parse("auto"), Some(SparseMode::Auto));
-        assert_eq!(SparseMode::parse("off"), Some(SparseMode::Off));
-        assert_eq!(SparseMode::parse("banana"), None);
+    fn mode_routing() {
         assert!(SparseMode::Force.routes_sparse(0.99));
         assert!(!SparseMode::Off.routes_sparse(0.0));
         assert!(SparseMode::Auto.routes_sparse(SPARSE_DENSITY_THRESHOLD));

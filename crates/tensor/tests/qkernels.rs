@@ -1,7 +1,7 @@
 //! Property tests for the int8 kernels: the integer GEMM family must be
 //! **bit-identical** to its naive reference across shapes, accumulator
-//! modes, and thread counts (re-run in CI under `TTSNN_NUM_THREADS` 2
-//! and 8), and the quantized conv must be invariant to batch
+//! modes, and thread counts (each property pins its own pools, 1–8
+//! threads), and the quantized conv must be invariant to batch
 //! composition.
 
 use proptest::prelude::*;

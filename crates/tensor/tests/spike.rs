@@ -235,8 +235,5 @@ fn mode_routing_honors_threshold_and_overrides() {
     assert!(SparseMode::Force.routes_sparse(0.99));
     assert!(SparseMode::Auto.routes_sparse(spike::SPARSE_DENSITY_THRESHOLD - 0.01));
     assert!(!SparseMode::Auto.routes_sparse(spike::SPARSE_DENSITY_THRESHOLD + 0.01));
-    assert_eq!(SparseMode::parse("force"), Some(SparseMode::Force));
-    assert_eq!(SparseMode::parse("off"), Some(SparseMode::Off));
-    assert_eq!(SparseMode::parse("auto"), Some(SparseMode::Auto));
-    assert_eq!(SparseMode::parse("banana"), None);
+    assert_eq!(spike::sparse_mode(), SparseMode::Auto);
 }

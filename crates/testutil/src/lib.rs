@@ -26,6 +26,11 @@ use ttsnn_snn::{
 };
 use ttsnn_tensor::{Rng, Tensor};
 
+/// The kernel thread counts every determinism suite sweeps in-process,
+/// each under `Runtime::new(n).install(..)`: serial, the smallest pool
+/// that forks, and an oversubscribed one.
+pub const THREADS: [usize; 3] = [1, 2, 8];
+
 /// The `(C, H, W)` frame shape of all tiny fixtures.
 pub const FRAME_SHAPE: [usize; 3] = [3, 8, 8];
 

@@ -20,8 +20,7 @@ use std::time::{Duration, Instant};
 use ttsnn_core::TtMode;
 use ttsnn_infer::{Cluster, FairPolicy, Priority, SubmitOptions, TenantPolicy};
 use ttsnn_snn::ConvPolicy;
-use ttsnn_tensor::runtime::Runtime;
-use ttsnn_testutil::{samples, vgg_checkpoint, vgg_cluster_config, THREADS};
+use ttsnn_testutil::{samples, vgg_checkpoint, vgg_cluster_config};
 
 const T: usize = 2;
 
@@ -166,36 +165,30 @@ fn tenant_goodput_tracks_weights_under_contention() {
 }
 
 /// Enabling a fair policy never moves a logit bit: the same checkpoint
-/// served strict on one kernel thread and fair on each count of
-/// [`THREADS`] answers bit-identically.
+/// served strict and fair answers bit-identically.
 #[test]
 fn fair_scheduling_is_bit_transparent() {
     let (ckpt, _) = vgg_checkpoint(&policy(), 91);
     let inputs = samples(92, 4);
-    let config = vgg_cluster_config(policy(), T, 1, 2, Duration::from_millis(1));
-    let strict = Runtime::new(1).install(|| Cluster::load(config, ckpt.as_slice())).unwrap();
+    let strict = Cluster::load(
+        vgg_cluster_config(policy(), T, 1, 2, Duration::from_millis(1)),
+        ckpt.as_slice(),
+    )
+    .unwrap();
+    let fair =
+        fair_cluster(&ckpt, FairPolicy::default().with_tenant(3, TenantPolicy::weighted(2.0)));
     let strict_session = strict.session();
-    let expected: Vec<_> =
-        inputs.iter().map(|x| strict_session.infer(x.clone()).unwrap()).collect();
-    for threads in THREADS {
-        let fair = Runtime::new(threads).install(|| {
-            fair_cluster(&ckpt, FairPolicy::default().with_tenant(3, TenantPolicy::weighted(2.0)))
-        });
-        let fair_session = fair.session();
-        for (i, (input, a)) in inputs.iter().zip(&expected).enumerate() {
-            let ticket = fair_session
-                .try_submit_with(
-                    input.clone(),
-                    SubmitOptions::priority(Priority::ALL[i % 3]).with_tenant(3),
-                )
-                .unwrap();
-            let b = ticket.wait().unwrap();
-            ttsnn_testutil::assert_bits_eq(
-                a,
-                &b,
-                &format!("fair vs strict logits, {threads} threads"),
-            );
-        }
+    let fair_session = fair.session();
+    for (i, input) in inputs.iter().enumerate() {
+        let a = strict_session.infer(input.clone()).unwrap();
+        let ticket = fair_session
+            .try_submit_with(
+                input.clone(),
+                SubmitOptions::priority(Priority::ALL[i % 3]).with_tenant(3),
+            )
+            .unwrap();
+        let b = ticket.wait().unwrap();
+        ttsnn_testutil::assert_bits_eq(&a, &b, "fair vs strict logits");
     }
 }
 

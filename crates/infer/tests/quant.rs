@@ -4,9 +4,8 @@
 //!   `ttsnn_core::quant::fake_quant_int8` simulates (bit-equal
 //!   dequantized weights);
 //! * `Cluster::load_quantized` serves bit-identically to an in-process
-//!   quantized model on the same checkpoint, at 1 and 3 replicas under
-//!   every kernel thread count of [`THREADS`] — integer kernels cannot
-//!   depend on the thread count;
+//!   quantized model on the same checkpoint (`crates/serve/tests/matrix.rs`
+//!   serves the int8 plan at every thread × replica count);
 //! * a 3-replica quantized cluster serves bit-identically to the
 //!   1-replica plan, with the int8 weights loaded once and `Arc`-shared;
 //! * on a trained checkpoint, int8 serving tracks the f32 plan: high
@@ -24,9 +23,8 @@ use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{
     train, ConvPolicy, ConvUnit, InferForward, InferStats, SpikingModel, TrainConfig, VggSnn,
 };
-use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::{checkpoint_bytes, samples as calib_samples, vgg9_tiny as vgg_cfg, THREADS};
+use ttsnn_testutil::{checkpoint_bytes, samples as calib_samples, vgg9_tiny as vgg_cfg};
 
 const T: usize = 2;
 
@@ -84,7 +82,7 @@ fn frozen_weights_bit_equal_fake_quant_reference() {
 
 /// Cluster::load_quantized == in-process calibrate+quantize+forward on
 /// the same checkpoint, bit for bit — and invariant to how requests were
-/// batched, to the replica count and to the kernel thread count.
+/// batched.
 #[test]
 fn quantized_engine_bit_equals_in_process_reference() {
     let mut rng = Rng::seed_from(3);
@@ -102,39 +100,30 @@ fn quantized_engine_bit_equals_in_process_reference() {
         (0..8).map(|_| Tensor::rand_uniform(&[3, 8, 8], 0.0, 1.0, &mut rng)).collect();
     let want: Vec<Tensor> = inputs.iter().map(|x| infer_logits(&mut reference, x)).collect();
 
-    for (threads, replicas) in THREADS.into_iter().flat_map(|n| [1, 3].map(|r| (n, r))) {
-        let label = format!("{replicas} replica(s) on {threads} thread(s)");
-        let engine = Runtime::new(threads)
-            .install(|| {
-                Cluster::load_quantized(
-                    cluster_cfg(replicas),
-                    QuantSpec::new(calibration.clone()),
-                    ckpt.as_slice(),
-                )
-            })
+    let engine =
+        Cluster::load_quantized(cluster_cfg(1), QuantSpec::new(calibration), ckpt.as_slice())
             .unwrap();
-        let info = engine.info();
-        let qi = info.quant.as_ref().expect("quantized plan reports what it froze");
-        assert_eq!(qi.quantized_convs, 6);
-        assert!(qi.per_channel);
-        assert!(qi.int8_bytes * 3 < qi.f32_bytes, "int8 plan must be ~4x smaller");
-        assert!(info.model.contains("int8"), "plan name: {}", info.model);
+    let info = engine.info();
+    let qi = info.quant.as_ref().expect("quantized plan reports what it froze");
+    assert_eq!(qi.quantized_convs, 6);
+    assert!(qi.per_channel);
+    assert!(qi.int8_bytes * 3 < qi.f32_bytes, "int8 plan must be ~4x smaller");
+    assert!(info.model.contains("int8"), "plan name: {}", info.model);
 
-        let session = engine.session();
-        // Coalesced submission: tickets ride shared batches.
-        let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone()).unwrap()).collect();
-        for (want, ticket) in want.iter().zip(tickets) {
-            assert_eq!(
-                &ticket.wait().unwrap(),
-                want,
-                "{label}: engine must match the in-process quantized reference bit-for-bit"
-            );
-        }
-        // One-at-a-time submission: identical bits (batch-composition
-        // invariance holds trivially — integer kernels never mix samples).
-        for (input, want) in inputs.iter().zip(&want) {
-            assert_eq!(&session.infer(input.clone()).unwrap(), want, "{label}");
-        }
+    let session = engine.session();
+    // Coalesced submission: tickets ride shared batches.
+    let tickets: Vec<_> = inputs.iter().map(|x| session.submit(x.clone()).unwrap()).collect();
+    for (want, ticket) in want.iter().zip(tickets) {
+        assert_eq!(
+            &ticket.wait().unwrap(),
+            want,
+            "engine must match the in-process quantized reference bit-for-bit"
+        );
+    }
+    // One-at-a-time submission: identical bits (batch-composition
+    // invariance holds trivially — integer kernels never mix samples).
+    for (input, want) in inputs.iter().zip(&want) {
+        assert_eq!(&session.infer(input.clone()).unwrap(), want);
     }
 }
 

@@ -14,7 +14,9 @@
 //!    Both hold at every kernel thread count in [`THREADS`] and under
 //!    every sparse-dispatch mode.
 //! 3. **Graph-free evaluation** — `evaluate_counts` allocates **zero**
-//!    autograd nodes (`ttsnn_autograd::nodes_created` does not move).
+//!    autograd nodes (`ttsnn_autograd::nodes_created` does not move) and
+//!    counts what the tape-building evaluation counted, at every kernel
+//!    thread count in [`THREADS`].
 //! 4. **Cut invariance** — [`InferForward::forward_steps_tensor`] over a
 //!    whole sequence in one call equals any cut of it into shorter calls
 //!    (down to a timestep at a time, with the membranes taken out and put
@@ -161,15 +163,19 @@ fn evaluate_allocates_zero_autograd_nodes() {
         .dataset(24, &mut rng)
         .batches(12, 2, &mut rng)
         .unwrap();
-    for (name, mut model) in builds(11) {
-        // Warm up once (first call may intern nothing, but keep it honest).
-        evaluate_counts(&mut model, &data).unwrap();
-        let before = nodes_created();
-        let (correct, total) = evaluate_counts(&mut model, &data).unwrap();
-        let after = nodes_created();
-        assert_eq!(after - before, 0, "{name}: evaluation built {} autograd nodes", after - before);
-        assert_eq!(total, 24);
-        assert!(correct <= total);
+    for threads in THREADS {
+        Runtime::new(threads).install(|| {
+            for (name, mut model) in builds(11) {
+                // Warm up once (first call may intern nothing, but keep it honest).
+                evaluate_counts(&mut model, &data).unwrap();
+                let before = nodes_created();
+                let (correct, total) = evaluate_counts(&mut model, &data).unwrap();
+                let built = nodes_created() - before;
+                assert_eq!(built, 0, "{name}, {threads} threads: evaluation built {built} nodes");
+                assert_eq!(total, 24);
+                assert!(correct <= total);
+            }
+        });
     }
 }
 
@@ -182,35 +188,39 @@ fn evaluate_matches_tape_building_reference() {
         .dataset(24, &mut rng)
         .batches(12, 2, &mut rng)
         .unwrap();
-    for (name, mut model) in builds(12) {
-        // Reference: the seed implementation of evaluate_counts.
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for batch in &data {
-            let logits = forward_batch(&mut model, batch).unwrap();
-            let mut preds = logits[0].to_tensor();
-            for l in &logits[1..] {
-                preds.add_scaled(&l.value(), 1.0).unwrap();
-            }
-            let k = preds.shape()[1];
-            for (i, &label) in batch.labels.iter().enumerate() {
-                let row = &preds.data()[i * k..(i + 1) * k];
-                let argmax = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0);
-                if argmax == label {
-                    correct += 1;
+    let runs = THREADS.into_iter().flat_map(|n| builds(12).into_iter().map(move |b| (n, b)));
+    for (threads, (name, mut model)) in runs {
+        Runtime::new(threads).install(|| {
+            // Reference: the seed implementation of evaluate_counts.
+            let mut correct = 0usize;
+            let mut total = 0usize;
+            for batch in &data {
+                let logits = forward_batch(&mut model, batch).unwrap();
+                let mut preds = logits[0].to_tensor();
+                for l in &logits[1..] {
+                    preds.add_scaled(&l.value(), 1.0).unwrap();
                 }
-                total += 1;
+                let k = preds.shape()[1];
+                for (i, &label) in batch.labels.iter().enumerate() {
+                    let row = &preds.data()[i * k..(i + 1) * k];
+                    let argmax = row
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                        .map(|(j, _)| j)
+                        .unwrap_or(0);
+                    if argmax == label {
+                        correct += 1;
+                    }
+                    total += 1;
+                }
             }
-        }
-        let via_infer = evaluate_counts(&mut model, &data).unwrap();
-        assert_eq!(via_infer, (correct, total), "{name}: rerouted evaluate changed counts");
-        let acc = evaluate(&mut model, &data).unwrap();
-        assert_eq!(acc, correct as f32 / total as f32, "{name}");
+            let via_infer = evaluate_counts(&mut model, &data).unwrap();
+            let tag = format!("{name}, {threads} threads");
+            assert_eq!(via_infer, (correct, total), "{tag}: rerouted evaluate changed counts");
+            let acc = evaluate(&mut model, &data).unwrap();
+            assert_eq!(acc, correct as f32 / total as f32, "{tag}");
+        });
     }
 }
 
@@ -224,16 +234,20 @@ fn evaluate_pins_batch_stats_and_restores_mode() {
         .dataset(24, &mut rng)
         .batches(12, 2, &mut rng)
         .unwrap();
-    for (name, mut model) in builds(14) {
-        let reference = evaluate_counts(&mut model, &data).unwrap();
-        model.set_infer_stats(InferStats::PerSample);
-        let serving_mode = evaluate_counts(&mut model, &data).unwrap();
-        assert_eq!(serving_mode, reference, "{name}: evaluate must pin Batch statistics");
-        assert_eq!(
-            model.infer_stats(),
-            InferStats::PerSample,
-            "{name}: evaluate must restore the caller's InferStats"
-        );
+    let runs = THREADS.into_iter().flat_map(|n| builds(14).into_iter().map(move |b| (n, b)));
+    for (threads, (name, mut model)) in runs {
+        Runtime::new(threads).install(|| {
+            let reference = evaluate_counts(&mut model, &data).unwrap();
+            model.set_infer_stats(InferStats::PerSample);
+            let serving_mode = evaluate_counts(&mut model, &data).unwrap();
+            let tag = format!("{name}, {threads} threads");
+            assert_eq!(serving_mode, reference, "{tag}: evaluate must pin Batch statistics");
+            assert_eq!(
+                model.infer_stats(),
+                InferStats::PerSample,
+                "{tag}: evaluate must restore the caller's InferStats"
+            );
+        });
     }
 }
 
@@ -251,10 +265,14 @@ fn merged_dense_models_keep_plane_parity() {
     let mut models: Vec<(String, Box<dyn Model>)> =
         vec![(vgg.name(), Box::new(vgg)), (res.name(), Box::new(res))];
     for (name, model) in &mut models {
-        let via_var = var_logits(model.as_mut(), &input);
-        let via_tensor = tensor_logits(model.as_mut(), &input, InferStats::Batch);
-        for (t, (a, b)) in via_var.iter().zip(&via_tensor).enumerate() {
-            assert_eq!(a, b, "{name} t={t} diverged after merge");
+        for threads in THREADS {
+            let (via_var, via_tensor) = Runtime::new(threads).install(|| {
+                let via_var = var_logits(model.as_mut(), &input);
+                (via_var, tensor_logits(model.as_mut(), &input, InferStats::Batch))
+            });
+            for (t, (a, b)) in via_var.iter().zip(&via_tensor).enumerate() {
+                assert_eq!(a, b, "{name} t={t} diverged after merge ({threads} threads)");
+            }
         }
     }
 }
@@ -264,7 +282,8 @@ fn merged_dense_models_keep_plane_parity() {
 /// tensors in `f32`: on a fixed input, `mean_spike_activity` and
 /// `layer_spike_densities` are what the commit before recorded, whichever
 /// plane ran — the inference plane, the training plane a timestep at a
-/// time, or the training plane over the whole sequence.
+/// time, or the training plane over the whole sequence — and whichever
+/// count in [`THREADS`] ran it.
 #[test]
 fn spike_activity_counters_report_what_they_always_did() {
     // (mean activity bits, FNV-1a of the per-layer density bits), in
@@ -283,9 +302,9 @@ fn spike_activity_counters_report_what_they_always_did() {
         ("training plane, timestep calls", &|m| drop(var_logits(m, &input))),
         ("training plane, one sequence", &|m| drop(forward_batch(m, &batch).unwrap())),
     ];
-    for (plane, run) in planes {
+    for (threads, (plane, run)) in THREADS.into_iter().flat_map(|n| planes.map(|p| (n, p))) {
         for ((name, mut model), want) in builds(21).into_iter().zip(recorded) {
-            run(&mut model);
+            Runtime::new(threads).install(|| run(&mut model));
             let mean = model.mean_spike_activity().expect("the model ran").to_bits();
             let layers =
                 model.layer_spike_densities().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, d| {
@@ -293,7 +312,8 @@ fn spike_activity_counters_report_what_they_always_did() {
                         (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
                     })
                 });
-            assert!((mean, layers) == want, "{name}, {plane}: ({mean:#018x}, {layers:#018x})");
+            let tag = format!("{name}, {plane}, {threads} threads");
+            assert!((mean, layers) == want, "{tag}: ({mean:#018x}, {layers:#018x})");
         }
     }
 }
@@ -418,25 +438,33 @@ fn one_call_over_the_sequence_equals_every_cut_of_it() {
 
 /// The spike words a scan hands over are `try_pack` of the spikes it wrote,
 /// whenever a timestep's neurons fill whole words — and absent otherwise
-/// (63 and 65 neurons), however the sequence is cut.
+/// (63 and 65 neurons), however the sequence is cut, at every count in
+/// [`THREADS`].
 #[test]
 fn scan_words_equal_try_pack_of_the_spikes() {
-    let mut rng = Rng::seed_from(33);
     let steps = 3;
-    for (batch, neurons) in [(1, 63), (1, 64), (1, 65), (2, 32), (2, 96), (3, 64), (4, 4 * 8 * 8)] {
-        let x = Tensor::randn(&[steps * batch, neurons], &mut rng);
-        let whole_words = (batch * neurons) % 64 == 0;
-        let mut lif = Lif::new(LifConfig::default());
-        let (spikes, packed) = lif.scan_tensor(x.clone(), steps, true).unwrap();
-        assert_eq!(packed.is_some(), whole_words, "{batch} x {neurons} neurons");
-        assert_eq!(packed, SpikeTensor::try_pack(&spikes).filter(|_| whole_words));
-        let mut lif = Lif::new(LifConfig::default());
-        for t in 0..steps {
-            let (s, p) = lif.scan_tensor(row_range(&x, t * batch, batch), 1, true).unwrap();
-            assert_eq!(s.data(), &spikes.data()[t * batch * neurons..][..batch * neurons]);
-            assert_eq!(p, SpikeTensor::try_pack(&s).filter(|_| whole_words), "t = {t}");
-        }
-        let (_, unasked) = Lif::new(LifConfig::default()).scan_tensor(x, steps, false).unwrap();
-        assert!(unasked.is_none(), "no words unless asked for");
+    let cases = [(1, 63), (1, 64), (1, 65), (2, 32), (2, 96), (3, 64), (4, 4 * 8 * 8)];
+    for threads in THREADS {
+        let mut rng = Rng::seed_from(33);
+        Runtime::new(threads).install(|| {
+            for (batch, neurons) in cases {
+                let tag = format!("{batch} x {neurons} neurons, {threads} threads");
+                let x = Tensor::randn(&[steps * batch, neurons], &mut rng);
+                let whole_words = (batch * neurons) % 64 == 0;
+                let mut lif = Lif::new(LifConfig::default());
+                let (spikes, packed) = lif.scan_tensor(x.clone(), steps, true).unwrap();
+                assert_eq!(packed.is_some(), whole_words, "{tag}");
+                assert_eq!(packed, SpikeTensor::try_pack(&spikes).filter(|_| whole_words), "{tag}");
+                let mut lif = Lif::new(LifConfig::default());
+                for t in 0..steps {
+                    let (s, p) = lif.scan_tensor(row_range(&x, t * batch, batch), 1, true).unwrap();
+                    assert_eq!(s.data(), &spikes.data()[t * batch * neurons..][..batch * neurons]);
+                    assert_eq!(p, SpikeTensor::try_pack(&s).filter(|_| whole_words), "{tag} t={t}");
+                }
+                let (_, unasked) =
+                    Lif::new(LifConfig::default()).scan_tensor(x, steps, false).unwrap();
+                assert!(unasked.is_none(), "{tag}: no words unless asked for");
+            }
+        });
     }
 }

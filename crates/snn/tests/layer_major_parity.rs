@@ -16,8 +16,10 @@
 //!
 //! Over MS-ResNet18 {dense, STT, PTT, HTT} and VGG9, tdBN and TEBN,
 //! `B ∈ {1, 3, 8, 16}`, `T ∈ {1, 4, 6}`, HTT schedules with one, two and
-//! four runs. The sequence path's own bits are pinned too, at every kernel
-//! thread count in [`THREADS`] (CI also runs this suite on one CPU).
+//! four runs. Every oracle test runs under kernel thread counts from
+//! [`THREADS`], each installed with `Runtime::new(n).install`, and the
+//! sequence path's own bits are pinned at every one of them (CI also runs
+//! this suite on one CPU).
 
 use ttsnn_autograd::Var;
 use ttsnn_core::{HttSchedule, TtMode};
@@ -162,9 +164,12 @@ fn norms(t: usize) -> [(&'static str, NormKind); 2] {
     [("tdBN", NormKind::TdBn { alpha: 1.0, vth: 0.5 }), ("TEBN", NormKind::Tebn { timesteps: t })]
 }
 
+/// The `(T, B)` grid runs each cell at one kernel thread count, cycling
+/// through [`THREADS`] so that every `T` and every `B` meets every count.
 #[test]
 fn one_sequence_call_equals_t_timestep_calls() {
     let mut rng = Rng::seed_from(2024);
+    let mut cell = 0;
     for t in [1usize, 4, 6] {
         let policies = [
             ("dense", ConvPolicy::Baseline),
@@ -173,73 +178,94 @@ fn one_sequence_call_equals_t_timestep_calls() {
             ("HTT", ConvPolicy::tt(TtMode::htt_default(t))),
         ];
         for batch in [1usize, 3, 8, 16] {
+            let threads = THREADS[cell % THREADS.len()];
+            cell += 1;
             let labels: Vec<usize> = (0..batch).map(|s| s % CLASSES).collect();
-            for (norm_name, norm) in norms(t) {
-                for (policy_name, policy) in &policies {
-                    let tag = format!("ResNet18 {policy_name} {norm_name} B={batch} T={t}");
-                    let mut model = resnet18(norm, policy, &mut rng);
-                    let x = frames(2, batch, t, &mut rng);
+            Runtime::new(threads).install(|| {
+                for (norm_name, norm) in norms(t) {
+                    for (policy_name, policy) in &policies {
+                        let tag = format!(
+                            "ResNet18 {policy_name} {norm_name} B={batch} T={t} ({threads} threads)"
+                        );
+                        let mut model = resnet18(norm, policy, &mut rng);
+                        let x = frames(2, batch, t, &mut rng);
+                        let seq = layer_major(&mut model, &x, &labels);
+                        assert_same(&tag, &seq, &timestep_major(&mut model, &x, &labels));
+                    }
+                    let tag = format!("VGG9 PTT {norm_name} B={batch} T={t} ({threads} threads)");
+                    let mut model = vgg9(norm, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
+                    let x = frames(3, batch, t, &mut rng);
                     let seq = layer_major(&mut model, &x, &labels);
                     assert_same(&tag, &seq, &timestep_major(&mut model, &x, &labels));
                 }
-                let tag = format!("VGG9 PTT {norm_name} B={batch} T={t}");
-                let mut model = vgg9(norm, &ConvPolicy::tt(TtMode::Ptt), &mut rng);
-                let x = frames(3, batch, t, &mut rng);
-                let seq = layer_major(&mut model, &x, &labels);
-                assert_same(&tag, &seq, &timestep_major(&mut model, &x, &labels));
-            }
+            });
         }
     }
 }
 
 /// HTT schedules whose full and half timesteps come in one, two and four
-/// runs; a schedule shorter than the sequence repeats its last entry.
+/// runs; a schedule shorter than the sequence repeats its last entry. The
+/// same models at every count in [`THREADS`].
 #[test]
 fn htt_schedules_of_any_shape_match_their_oracle() {
-    let mut rng = Rng::seed_from(2025);
     let labels = [0usize, 1, 2];
-    for pattern in ["FFHH", "FHFH", "HHHH", "HFFH", "FH"] {
-        for (norm_name, norm) in norms(4) {
-            let mut model = resnet18(norm, &htt(pattern), &mut rng);
-            let x = frames(2, 3, 4, &mut rng);
-            let seq = layer_major(&mut model, &x, &labels);
-            let tag = format!("ResNet18 HTT[{pattern}] {norm_name}");
-            assert_same(&tag, &seq, &timestep_major(&mut model, &x, &labels));
-        }
+    for threads in THREADS {
+        let mut rng = Rng::seed_from(2025);
+        Runtime::new(threads).install(|| {
+            for pattern in ["FFHH", "FHFH", "HHHH", "HFFH", "FH"] {
+                for (norm_name, norm) in norms(4) {
+                    let mut model = resnet18(norm, &htt(pattern), &mut rng);
+                    let x = frames(2, 3, 4, &mut rng);
+                    let seq = layer_major(&mut model, &x, &labels);
+                    let tag = format!("ResNet18 HTT[{pattern}] {norm_name} ({threads} threads)");
+                    assert_same(&tag, &seq, &timestep_major(&mut model, &x, &labels));
+                }
+            }
+        });
     }
 }
 
 /// A sequence fed in calls of uneven length: the same logits, loss and
-/// input gradients as one call.
+/// input gradients as one call; the same model at every count in
+/// [`THREADS`].
 #[test]
 fn a_sequence_cut_into_uneven_calls_gives_the_same_logits() {
-    let mut rng = Rng::seed_from(2026);
     let labels = [3usize, 1, 4, 0];
-    let mut model = resnet18(NormKind::Tebn { timesteps: 6 }, &htt("FFHHFH"), &mut rng);
-    let x = frames(2, 4, 6, &mut rng);
-    let whole = layer_major(&mut model, &x, &labels);
-    let cut = pass(&mut model, &labels, LossKind::SumCe, |m| {
-        let head = Var::param(stack(&x[..4]));
-        let tail = Var::param(stack(&x[4..]));
-        let mut logits = m.forward_sequence(&head, 0, 4).unwrap();
-        logits.extend(m.forward_sequence(&tail, 4, 2).unwrap());
-        (logits, vec![head, tail])
-    });
-    assert_eq!(whole.logits, cut.logits);
-    assert_eq!(whole.loss, cut.loss);
-    assert_eq!(whole.input_grad, cut.input_grad);
+    for threads in THREADS {
+        let mut rng = Rng::seed_from(2026);
+        Runtime::new(threads).install(|| {
+            let mut model = resnet18(NormKind::Tebn { timesteps: 6 }, &htt("FFHHFH"), &mut rng);
+            let x = frames(2, 4, 6, &mut rng);
+            let whole = layer_major(&mut model, &x, &labels);
+            let cut = pass(&mut model, &labels, LossKind::SumCe, |m| {
+                let head = Var::param(stack(&x[..4]));
+                let tail = Var::param(stack(&x[4..]));
+                let mut logits = m.forward_sequence(&head, 0, 4).unwrap();
+                logits.extend(m.forward_sequence(&tail, 4, 2).unwrap());
+                (logits, vec![head, tail])
+            });
+            assert_eq!(whole.logits, cut.logits, "{threads} threads");
+            assert_eq!(whole.loss, cut.loss, "{threads} threads");
+            assert_eq!(whole.input_grad, cut.input_grad, "{threads} threads");
+        });
+    }
 }
 
 /// `forward_batch` is the sequence path: stacking the frames itself changes
-/// nothing, and what it rejects it rejects by timestep.
+/// nothing, on any count in [`THREADS`], and what it rejects it rejects by
+/// timestep.
 #[test]
 fn forward_batch_stacks_and_validates() {
     let mut rng = Rng::seed_from(2027);
     let mut model = resnet18(NormKind::TdBn { alpha: 1.0, vth: 0.5 }, &htt("FFHH"), &mut rng);
     let batch = Batch { frames: frames(2, 3, 4, &mut rng), labels: vec![0, 1, 2] };
-    let via_batch: Vec<Vec<u32>> =
-        forward_batch(&mut model, &batch).unwrap().iter().map(|l| bits(&l.value())).collect();
-    assert_eq!(via_batch, layer_major(&mut model, &batch.frames, &batch.labels).logits);
+    let want = layer_major(&mut model, &batch.frames, &batch.labels).logits;
+    for threads in THREADS {
+        let via_batch: Vec<Vec<u32>> = Runtime::new(threads).install(|| {
+            forward_batch(&mut model, &batch).unwrap().iter().map(|l| bits(&l.value())).collect()
+        });
+        assert_eq!(via_batch, want, "{threads} threads");
+    }
 
     let error = |batch: &Batch, model: &mut ResNetSnn| {
         forward_batch(model, batch).expect_err("a malformed batch").to_string()

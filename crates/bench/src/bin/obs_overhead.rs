@@ -37,7 +37,7 @@ use ttsnn_core::TtMode;
 use ttsnn_infer::{ArchSpec, BatchPolicy, ClusterConfig, EngineConfig, SubmitOptions};
 use ttsnn_obs::timeseries::TelemetryConfig;
 use ttsnn_serve::telemetry::PlanSource;
-use ttsnn_serve::{HealthBoard, TelemetryOptions, TelemetryPlane};
+use ttsnn_serve::{TelemetryOptions, TelemetryPlane};
 use ttsnn_snn::{checkpoint, ConvPolicy, SpikingModel, VggConfig, VggSnn};
 use ttsnn_tensor::{Rng, Tensor};
 
@@ -145,8 +145,8 @@ fn main() {
                 move || cluster.metrics()
             }),
         };
-        let plane = TelemetryPlane::spawn(telemetry(), vec![source], HealthBoard::default())
-            .expect("spawn telemetry plane");
+        let plane =
+            TelemetryPlane::spawn(telemetry(), vec![source]).expect("spawn telemetry plane");
         let (dt, bits) = run_round(&session, &inputs, false);
         sampled_secs += dt.as_secs_f64();
         assert_eq!(&reference, &bits, "the sampler must not change a single logit bit");

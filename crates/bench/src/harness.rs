@@ -148,7 +148,7 @@ pub fn train_and_measure(
         method: method.to_string(),
         test_accuracy: test_accuracy * 100.0,
         train_accuracy: report.epochs.last().map(|e| e.accuracy * 100.0).unwrap_or(0.0),
-        step_seconds: report.mean_step_seconds,
+        step_seconds: report.mean_step_timing.total,
         params: model.num_params(),
         macs,
     }

@@ -13,16 +13,19 @@
 //! This is the crate's **one executor family**: a single-executor
 //! deployment is `with_replicas(1)`, not a different type.
 //!
-//! # Weights are loaded once
+//! # The plan is frozen once
 //!
-//! Autograd handles are not `Send`, so each replica's *model object* is
-//! built on its own thread (the `ShardedTrainer` pattern) — but the
-//! **weights** are not duplicated: replica 0 loads the checkpoint (and
-//! merges, if configured), converts every parameter to `Arc`-shared
-//! tensor storage ([`ttsnn_snn::checkpoint::share_params`]), and ships
-//! O(1) handles to the other replicas, which install them with
-//! [`ttsnn_snn::checkpoint::install_params`]. Steady-state memory is one
-//! copy of the plan plus per-replica membrane state, whatever `N` is.
+//! [`Cluster::load`] freezes the plan once — checkpoint, merge, and for
+//! int8 plans calibration and quantization — on a short-lived thread
+//! running the caller's [`Runtime`], converts every parameter to
+//! `Arc`-shared tensor storage ([`ttsnn_snn::checkpoint::share_params`])
+//! and drops the model it froze, with that thread's arena. Autograd
+//! handles are not `Send`, so each replica then builds its own *model
+//! object* on its own thread (the `ShardedTrainer` pattern), all N of them
+//! by one function, and installs O(1) handles to the shared weights
+//! ([`ttsnn_snn::checkpoint::install_params`]). Steady-state memory is one
+//! copy of the plan plus per-replica membrane state, whatever `N` is, and
+//! every replica starts with empty activity counters.
 //!
 //! # Determinism contract
 //!
@@ -51,14 +54,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ttsnn_obs::Stage::Execute;
-use ttsnn_snn::quant::QuantPlanWeights;
 use ttsnn_snn::{checkpoint, InferForward, InferStats, Network, SpikingModel};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
 
 use crate::metrics::ClusterMetrics;
 use crate::plan::{
-    self, EngineConfig, InferError, PlanDrift, PlanInfo, QuantSpec, SpikeDensityReport,
+    self, EngineConfig, FrozenPlan, InferError, PlanDrift, PlanInfo, QuantSpec, SpikeDensityReport,
 };
 use crate::sched::{FairPolicy, Scheduler, StreamCmd, SubmitError, SubmitOptions, Work};
 use crate::stream::{StreamOptions, StreamTable, StreamUpdate};
@@ -471,13 +473,14 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds the plan once and fans it out: replica 0 loads the
-    /// checkpoint (and merges, if configured), converts the parameters to
-    /// shared storage, and every other replica rebuilds the architecture
-    /// locally and installs O(1) handles to the same weight buffers.
-    /// `load` blocks until every replica is serving or any of them failed.
-    /// Every replica runs its kernels on the [`Runtime::current`] of the
-    /// calling thread, for the cluster's whole life.
+    /// Freezes the plan once — loads the checkpoint, merges if
+    /// configured, and shares the weights — then starts `num_replicas`
+    /// identical replicas, each of which builds its model on its own
+    /// thread and installs O(1) handles to the same weight buffers. `load`
+    /// blocks until every replica is serving or any of them failed; a
+    /// failed load leaves no thread behind. The freeze and every replica
+    /// run their kernels on the [`Runtime::current`] of the calling
+    /// thread, replicas for the cluster's whole life.
     ///
     /// # Errors
     ///
@@ -491,15 +494,15 @@ impl Cluster {
         Self::load_impl(config, None, checkpoint)
     }
 
-    /// [`Cluster::load`], but the plan is **frozen to int8**: replica 0
+    /// [`Cluster::load`], but the plan is **frozen to int8**: the freeze
     /// loads the checkpoint, merges TT cores into dense kernels
     /// (quantization requires dense kernels, so the merge is implied),
     /// runs a calibration pass that fixes the static activation scales,
-    /// and quantizes every conv + the classifier per [`QuantSpec`]; it
-    /// then exports the frozen int8 weights — every other replica
-    /// installs O(1) `Arc` handles to the same int8 buffers (plus the
-    /// shared float norm parameters), so per-replica memory stays
-    /// membrane state only. Serving runs through the same
+    /// and quantizes every conv + the classifier per [`QuantSpec`]. Every
+    /// replica installs O(1) `Arc` handles to the frozen int8 buffers
+    /// (plus the shared float norm parameters), so per-replica memory
+    /// stays membrane state only, and no replica's activity counters
+    /// include the calibration frames. Serving runs through the same
     /// scheduler/batching machinery, with conv/linear on the int8 kernels
     /// (`ttsnn_tensor::qkernels`). Integer accumulation is exact, so
     /// quantized logits are bit-identical across replica counts, thread
@@ -542,108 +545,62 @@ impl Cluster {
         let mut bytes = Vec::new();
         checkpoint.read_to_end(&mut bytes)?;
 
+        // Freeze once, on a scoped thread running this thread's runtime
+        // (the one every replica inherits): the buffers the freeze parks
+        // in its arena die with it instead of idling beside the replicas.
+        // A panic while freezing fails the load.
+        let runtime = Runtime::current();
+        let freeze =
+            || runtime.install(|| plan::build_plan(&config.engine, &bytes, quant.as_ref()));
+        let frozen = std::thread::scope(|s| {
+            let freezer = std::thread::Builder::new().name("ttsnn-cluster-freeze".into());
+            freezer.spawn_scoped(s, freeze).map(|h| h.join())
+        })?
+        .unwrap_or_else(|_| Err(io::Error::other("cluster plan construction panicked")))?;
+        let frozen = Arc::new(frozen);
+
         let replicas = config.num_replicas;
         let sched = Arc::new(Scheduler::new(config.queue_capacity, replicas, config.fair.clone()));
-        let mut handles = Vec::with_capacity(replicas);
-
-        // Replica 0: the plan builder. Loads + merges (+ calibrates and
-        // quantizes) + shares weights, then serves like any other replica.
-        type Ready = (PlanInfo, Vec<Tensor>, Option<QuantPlanWeights>);
-        let (ready_tx, ready_rx) = channel::<io::Result<Ready>>();
         let stream_state_bytes = config.stream_state_bytes;
-        {
+        let mut handles = Vec::with_capacity(replicas);
+        let (up_tx, up_rx) = channel::<io::Result<()>>();
+        let spawned = (0..replicas).try_for_each(|i| {
             let cfg = config.engine.clone();
-            let sched = Arc::clone(&sched);
-            handles.push(spawn_replica(0, move || {
-                let (mut model, info, qplan) = match plan::build_plan(&cfg, &bytes, quant.as_ref())
-                {
-                    Ok(built) => built,
-                    Err(e) => {
-                        let _ = ready_tx.send(Err(e));
-                        return;
-                    }
-                };
-                // For quantized plans the param list is the remaining
-                // float (norm) parameters; the int8 weights travel in
-                // `qplan`. Sharing rewrites every parameter, so the event
-                // layouts are laid out from the shared values, after it.
-                let weights = checkpoint::share_params(&model.params());
-                if let Err(e) = model.freeze_event_layouts() {
-                    let _ = ready_tx.send(Err(plan::invalid_data(e)));
-                    return;
-                }
-                if ready_tx.send(Ok((info, weights, qplan))).is_err() {
-                    return; // loader gave up
-                }
-                worker_loop(&mut model, &cfg, &sched, 0, stream_state_bytes);
-            })?);
-        }
-        let (info, weights, qplan) = match ready_rx.recv() {
-            Ok(Ok(ready)) => ready,
-            Ok(Err(e)) => {
-                let _ = handles.pop().map(JoinHandle::join);
-                return Err(e);
-            }
-            Err(_) => {
-                let panic_msg = match handles.pop().map(JoinHandle::join) {
-                    Some(Err(_)) => "cluster replica 0 panicked during plan construction",
-                    _ => "cluster replica 0 exited during plan construction",
-                };
-                return Err(io::Error::other(panic_msg));
-            }
-        };
-
-        // Replicas 1..N: rebuild the architecture, alias the shared
-        // weights. They come up in parallel; load waits for all of them.
-        let (rep_tx, rep_rx) = channel::<io::Result<()>>();
-        for i in 1..replicas {
-            let cfg = config.engine.clone();
-            let replica_sched = Arc::clone(&sched);
-            let weights = weights.clone(); // O(1) Arc handles per tensor
-            let qplan = qplan.clone(); // O(1) Arc handles per int8 layer
-            let rep_tx = rep_tx.clone();
-            let spawned = spawn_replica(i, move || {
-                let mut model = match build_replica(&cfg, &weights, qplan.as_ref()) {
+            let (sched, frozen, up_tx) = (Arc::clone(&sched), Arc::clone(&frozen), up_tx.clone());
+            handles.push(spawn_replica(i, runtime.clone(), move || {
+                let mut model = match build_replica(&cfg, &frozen) {
                     Ok(model) => model,
                     Err(e) => {
-                        let _ = rep_tx.send(Err(e));
+                        let _ = up_tx.send(Err(e));
                         return;
                     }
                 };
-                if rep_tx.send(Ok(())).is_err() {
-                    return;
-                }
-                worker_loop(&mut model, &cfg, &replica_sched, i, stream_state_bytes);
-            });
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    // Earlier replicas are already serving; without a
-                    // shutdown they would park in the scheduler forever.
-                    sched.shutdown();
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                    return Err(e);
-                }
+                // Hang up once acked: a replica that dies before its ack
+                // then reads as a closed channel.
+                let _ = up_tx.send(Ok(()));
+                drop(up_tx);
+                worker_loop(&mut model, &cfg, &sched, i, stream_state_bytes);
+            })?);
+            Ok(())
+        });
+        drop(up_tx);
+        let up = spawned.and_then(|()| {
+            (0..replicas).try_for_each(|_| {
+                up_rx.recv().unwrap_or_else(|_| {
+                    Err(io::Error::other("a cluster replica died while starting"))
+                })
+            })
+        });
+        if let Err(e) = up {
+            // Replicas already up would park in the scheduler forever.
+            sched.shutdown();
+            for h in handles {
+                let _ = h.join();
             }
-        }
-        drop(rep_tx);
-        for _ in 1..replicas {
-            let up = match rep_rx.recv() {
-                Ok(up) => up,
-                Err(_) => Err(io::Error::other("a cluster replica died while starting")),
-            };
-            if let Err(e) = up {
-                sched.shutdown();
-                for h in handles {
-                    let _ = h.join();
-                }
-                return Err(e);
-            }
+            return Err(e);
         }
 
-        Ok(Cluster { sched, handles, info, replicas })
+        Ok(Cluster { sched, handles, info: frozen.info.clone(), replicas })
     }
 
     /// What the loaded plan looks like (identical on every replica).
@@ -682,27 +639,26 @@ impl Drop for Cluster {
     }
 }
 
-/// Spawns replica `index` on the calling thread's [`Runtime::current`].
-fn spawn_replica(index: usize, f: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
-    let runtime = Runtime::current();
+/// Spawns replica `index`, its kernels on `runtime`.
+fn spawn_replica(
+    index: usize,
+    runtime: Runtime,
+    f: impl FnOnce() + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(format!("ttsnn-cluster-replica-{index}"))
         .spawn(move || runtime.install(f))
 }
 
-/// Builds a replica's model object locally and points its parameters at
-/// the plan's shared weight buffers — float tensors via
-/// `checkpoint::install_params`, and (for quantized plans) the frozen
-/// int8 layers via `install_quant_plan`. The architecture (including the
-/// merged-dense structure, when configured) must match the plan
-/// builder's so the parameter lists line up; the randomly initialized —
-/// or, after a structural merge, garbage — local values are discarded by
-/// the installs.
-fn build_replica(
-    cfg: &EngineConfig,
-    weights: &[Tensor],
-    qplan: Option<&QuantPlanWeights>,
-) -> io::Result<Network> {
+/// Builds one replica's serving model from the frozen plan; every
+/// replica, the first included, is built here and nowhere else. The
+/// architecture is instantiated (and merged to dense kernels, when
+/// configured, so its parameter lists line up with the plan's); the
+/// plan's int8 layers and float tensors then replace the local values as
+/// O(1) `Arc` handles, the event layouts are laid out from them, and the
+/// model switches to per-sample statistics. A replica starts with the
+/// plan's weights and no traffic on its counters.
+fn build_replica(cfg: &EngineConfig, frozen: &FrozenPlan) -> io::Result<Network> {
     let mut model = cfg.arch.instantiate(&cfg.policy)?;
     if cfg.merge_into_dense {
         model.merge_into_dense().map_err(plan::invalid_data)?;
@@ -710,10 +666,10 @@ fn build_replica(
     // Int8 install replaces conv/classifier weights and shrinks the param
     // list to the float (norm) remainder, so it must precede
     // `install_params`.
-    if let Some(plan) = qplan {
-        model.install_quant_plan(plan).map_err(plan::invalid_data)?;
+    if let Some(quant) = &frozen.quant {
+        model.install_quant_plan(quant).map_err(plan::invalid_data)?;
     }
-    checkpoint::install_params(&model.params(), weights).map_err(plan::invalid_data)?;
+    checkpoint::install_params(&model.params(), &frozen.weights).map_err(plan::invalid_data)?;
     model.freeze_event_layouts().map_err(plan::invalid_data)?;
     // The serving contract: per-sample semantics, whatever the batch.
     model.set_infer_stats(InferStats::PerSample);

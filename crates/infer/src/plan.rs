@@ -2,23 +2,25 @@
 //! [`QuantSpec`]), how it is frozen ([`build_plan`]), and the forward
 //! core every cluster replica runs ([`forward_requests`]).
 //!
-//! The autograd graph handles inside a model (`Var`) are `Rc`-based and
-//! deliberately not `Send`, so — like `ttsnn_snn::ShardedTrainer`'s
-//! replicas — a plan's model is **built on the replica thread that
-//! serves it** from `Send` ingredients (the architecture config and the
-//! raw checkpoint bytes) and never leaves it; see [`crate::cluster`] for
-//! the threads and [`crate::sched`] for how requests are coalesced under
-//! a [`BatchPolicy`]. Because the plan runs in per-sample mode (see the
-//! crate docs), the batching policy is a pure latency/throughput
-//! trade-off: it cannot change any output bit.
+//! A plan is frozen once, before any replica starts: [`build_plan`]
+//! loads the checkpoint, merges, calibrates and quantizes a model, keeps
+//! the `Send` result — a [`FrozenPlan`]: the description plus `Arc`-shared
+//! weights — and drops the model. The autograd graph handles inside a
+//! model (`Var`) are `Rc`-based and deliberately not `Send`, so — like
+//! `ttsnn_snn::ShardedTrainer`'s shards — every replica builds its own
+//! serving model from the frozen plan on the thread that serves it; see
+//! [`crate::cluster`] for the threads and [`crate::sched`] for how
+//! requests are coalesced under a [`BatchPolicy`]. Because the plan runs
+//! in per-sample mode (see the crate docs), the batching policy is a pure
+//! latency/throughput trade-off: it cannot change any output bit.
 
 use std::io;
 use std::time::Duration;
 
 use ttsnn_snn::quant::{QuantConfig, QuantPlanWeights};
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, InferForward, InferStats, Network, QuantReport, ResNetConfig,
-    SpikingModel, VggConfig,
+    checkpoint, ConvPolicy, InferForward, Network, QuantReport, ResNetConfig, SpikingModel,
+    VggConfig,
 };
 use ttsnn_tensor::{Rng, Tensor};
 
@@ -212,10 +214,6 @@ impl std::fmt::Display for InferError {
 
 impl std::error::Error for InferError {}
 
-/// What `build_plan` freezes: the serving model, its description, and —
-/// for quantized plans — the shared int8 weights for sibling replicas.
-pub(crate) type BuiltPlan = (Network, PlanInfo, Option<QuantPlanWeights>);
-
 /// A checkpoint, calibration set or shared plan that does not fit the
 /// architecture: `InvalidData`.
 pub(crate) fn invalid_data(e: impl std::fmt::Display) -> io::Error {
@@ -241,32 +239,37 @@ impl ArchSpec {
     }
 }
 
-/// Constructs the model on the calling (replica 0) thread and freezes the
-/// plan: checkpoint loading, TT→dense merge-back, and (for quantized plans)
-/// calibration + int8 freezing all happen here. The rest of `cfg` and
-/// `quant` were validated by `Cluster::load` before any thread was spawned.
+/// What [`build_plan`] freezes, all of it `Send`: the plan's description,
+/// its float parameters as `Arc`-shared tensors (for quantized plans, the
+/// norm parameters that remain), and — for quantized plans — the frozen
+/// int8 layers. Every replica builds its serving model from these.
+pub(crate) struct FrozenPlan {
+    pub(crate) info: PlanInfo,
+    pub(crate) weights: Vec<Tensor>,
+    pub(crate) quant: Option<QuantPlanWeights>,
+}
+
+/// Freezes the plan on the calling thread: checkpoint loading, TT→dense
+/// merge-back, and (for quantized plans) calibration + int8 freezing all
+/// happen here, once. The model it freezes is dropped; what survives is
+/// the `Send` [`FrozenPlan`] the replicas install. `cfg` and `quant` were
+/// validated by `Cluster::load` first.
 pub(crate) fn build_plan(
     cfg: &EngineConfig,
     ckpt: &[u8],
     quant: Option<&QuantSpec>,
-) -> io::Result<BuiltPlan> {
+) -> io::Result<FrozenPlan> {
     let mut model = cfg.arch.instantiate(&cfg.policy)?;
     checkpoint::load_params(&model.params(), ckpt).map_err(invalid_data)?;
     let merged_layers =
         if cfg.merge_into_dense { model.merge_into_dense().map_err(invalid_data)? } else { 0 };
     let quant_info = match quant {
         Some(q) => {
-            // Calibration serves the f32 plan; quantizing drops the layouts
-            // of the units it replaces.
-            model.freeze_event_layouts().map_err(invalid_data)?;
             let calib = model.calibrate(&q.calibration, cfg.timesteps).map_err(invalid_data)?;
             Some(model.quantize(&calib, &q.config).map_err(invalid_data)?)
         }
         None => None,
     };
-    let quant_weights = model.quant_plan();
-    // The serving contract: per-sample semantics, whatever the batch.
-    model.set_infer_stats(InferStats::PerSample);
     let info = PlanInfo {
         model: model.name(),
         num_params: model.num_params(),
@@ -275,7 +278,11 @@ pub(crate) fn build_plan(
         quant: quant_info,
         sparse_mode: model.sparse_dispatch_mode().name().to_string(),
     };
-    Ok((model, info, quant_weights))
+    Ok(FrozenPlan {
+        info,
+        weights: checkpoint::share_params(&model.params()),
+        quant: model.quant_plan(),
+    })
 }
 
 /// Snapshot of a serving model's measured spike density (what a replica

@@ -447,8 +447,8 @@ fn load_rejects_mismatched_checkpoint_on_any_replica_path() {
 
 /// A geometry the architecture cannot realise is the caller's mistake, not
 /// a replica crash: the layer program is shape-checked once at build, the
-/// failure travels back as `InvalidInput` (a panic on replica 0 would read
-/// `Other`), and the plan-builder thread is joined before `load` returns.
+/// failure travels back as `InvalidInput` (a panic while freezing would
+/// read `Other`), and a failed load leaves no thread behind.
 #[test]
 fn load_rejects_unrealisable_architectures_without_panicking() {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 91);

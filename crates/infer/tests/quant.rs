@@ -12,19 +12,24 @@
 //!   argmax agreement and a bounded accuracy delta on a synthetic
 //!   dataset ([`ttsnn_infer::plan_drift`]).
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use ttsnn_autograd::Var;
 use ttsnn_core::quant::fake_quant_int8;
 use ttsnn_core::TtMode;
 use ttsnn_data::{Batch, StaticImages};
-use ttsnn_infer::{plan_drift, Cluster, ClusterConfig, ClusterSession, EngineConfig, QuantSpec};
+use ttsnn_infer::{
+    plan_drift, BatchPolicy, Cluster, ClusterConfig, ClusterSession, EngineConfig, QuantSpec,
+};
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{
     train, ConvPolicy, ConvUnit, InferForward, InferStats, SpikingModel, TrainConfig, VggSnn,
 };
 use ttsnn_tensor::{Rng, Tensor};
-use ttsnn_testutil::{checkpoint_bytes, samples as calib_samples, vgg9_tiny as vgg_cfg};
+use ttsnn_testutil::{
+    checkpoint_bytes, drained_metrics, samples as calib_samples, vgg9_tiny as vgg_cfg,
+};
 
 const T: usize = 2;
 
@@ -316,4 +321,30 @@ fn non_finite_requests_fail_their_own_ticket() {
             "co-batched request must be unaffected"
         );
     }
+}
+
+/// Calibration is not traffic: every replica of an int8 plan starts with
+/// empty activity counters, so one request answered again and again
+/// reports one spike density, whichever replica served it.
+#[test]
+fn calibration_frames_never_reach_the_served_density() {
+    let mut rng = Rng::seed_from(23);
+    let model = VggSnn::new(vgg_cfg(), &ConvPolicy::Baseline, &mut rng);
+    let ckpt = checkpoint_bytes(&model);
+    let one_at_a_time = BatchPolicy { max_batch: 1, max_wait: Duration::ZERO };
+    let config = ClusterConfig::new(engine_cfg().with_batching(one_at_a_time)).with_replicas(2);
+    let cluster =
+        Cluster::load_quantized(config, QuantSpec::new(calib_frames(8, 24)), ckpt.as_slice())
+            .unwrap();
+    let session = cluster.session();
+    let request = Tensor::rand_uniform(&[3, 8, 8], 0.0, 1.0, &mut rng);
+    let (mut means, mut layers) = (BTreeSet::new(), BTreeSet::new());
+    for _ in 0..64 {
+        session.infer(request.clone()).unwrap();
+        let m = drained_metrics(&cluster);
+        means.insert(m.mean_spike_density.expect("a served batch").to_bits());
+        layers.insert(m.spike_density.iter().map(|d| d.to_bits()).collect::<Vec<_>>());
+    }
+    assert_eq!(means.len(), 1, "mean spike density moved across identical requests");
+    assert_eq!(layers.len(), 1, "per-layer spike density moved across identical requests");
 }

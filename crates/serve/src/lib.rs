@@ -81,4 +81,4 @@ pub mod wire;
 pub use client::{http_get, Client};
 pub use router::{PlanSpec, Router};
 pub use server::{Server, ServerConfig};
-pub use telemetry::{HealthBoard, TelemetryOptions, TelemetryPlane, TelemetryShared};
+pub use telemetry::{TelemetryOptions, TelemetryPlane, TelemetryShared};

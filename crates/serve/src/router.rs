@@ -16,10 +16,7 @@ use ttsnn_infer::{
     plan_drift, Cluster, ClusterConfig, ClusterMetrics, ClusterSession, InferError, PlanDrift,
     QuantSpec,
 };
-use ttsnn_obs::watchdog::HealthReport;
 use ttsnn_tensor::Tensor;
-
-use crate::telemetry::HealthBoard;
 
 /// One plan to mount: a name, a serving config, an optional quantization
 /// spec (present = freeze an int8 plan), and the checkpoint bytes.
@@ -43,7 +40,6 @@ struct Plan {
 /// A set of mounted plans, routed by name.
 pub struct Router {
     plans: BTreeMap<String, Plan>,
-    health: HealthBoard,
 }
 
 impl Router {
@@ -71,25 +67,7 @@ impl Router {
             let session = cluster.session();
             plans.insert(spec.name, Plan { cluster, session });
         }
-        Ok(Router { plans, health: HealthBoard::default() })
-    }
-
-    /// The health board the telemetry sampler publishes per-plan
-    /// watchdog verdicts to (and `/healthz` reads from). Cloning shares
-    /// the same board.
-    pub fn health_board(&self) -> HealthBoard {
-        self.health.clone()
-    }
-
-    /// A plan's current watchdog verdict — `Healthy` before the first
-    /// sampler tick, or when telemetry is off.
-    pub fn health(&self, plan: &str) -> HealthReport {
-        self.health.get(plan)
-    }
-
-    /// Every mounted plan's current health, plan-name order.
-    pub fn health_all(&self) -> Vec<(String, HealthReport)> {
-        self.plans.keys().map(|name| (name.clone(), self.health.get(name))).collect()
+        Ok(Router { plans })
     }
 
     /// Mounted plan names, sorted.

@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ttsnn_infer::{InferError, SubmitError, SubmitOptions};
-use ttsnn_obs::watchdog::HealthState;
+use ttsnn_obs::watchdog::{HealthReport, HealthState};
 use ttsnn_obs::Stage;
 
 use crate::prom;
@@ -126,8 +126,7 @@ impl Server {
                 }
             })
             .collect();
-        let plane =
-            TelemetryPlane::spawn(config.telemetry.clone(), sources, router.health_board())?;
+        let plane = TelemetryPlane::spawn(config.telemetry.clone(), sources)?;
         let telemetry_shared = plane.shared();
         let (tx, rx) = channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
@@ -302,15 +301,17 @@ fn serve_http(mut stream: TcpStream, router: &Router, started: Instant, tele: &T
         "/metrics" => {
             let mut page = prom::render(&router.metrics());
             page.push_str(&prom::render_process(started.elapsed()));
-            page.push_str(&prom::render_telemetry(&router.health_all(), &tele.plan_status()));
+            page.push_str(&prom::render_telemetry(&plan_health(router, tele), &tele.plan_status()));
             ("200 OK", "text/plain; version=0.0.4; charset=utf-8", page)
         }
         "/healthz" => {
-            let (status, body) = healthz_body(router, started, query);
+            let (status, body) = healthz_body(router, tele, started, query);
             (status, JSON, body)
         }
         "/debug/requests" => ("200 OK", TEXT, ttsnn_obs::debug_requests_text()),
-        "/debug/slo" => ("200 OK", TEXT, telemetry::debug_slo_text(tele, &router.health_all())),
+        "/debug/slo" => {
+            ("200 OK", TEXT, telemetry::debug_slo_text(tele, &plan_health(router, tele)))
+        }
         "/debug/timeline" => {
             let series = query.split('&').find_map(|kv| kv.strip_prefix("series="));
             match telemetry::timeline_text(tele, series) {
@@ -344,9 +345,14 @@ fn serve_http(mut stream: TcpStream, router: &Router, started: Instant, tele: &T
 /// body; `Degraded` keeps answering 200 (the plan still serves) with
 /// `"status":"degraded"`. `?verbose=1` adds each plan's reason and
 /// health detail.
-fn healthz_body(router: &Router, started: Instant, query: &str) -> (&'static str, String) {
+fn healthz_body(
+    router: &Router,
+    tele: &TelemetryShared,
+    started: Instant,
+    query: &str,
+) -> (&'static str, String) {
     let verbose = query.split('&').any(|kv| kv == "verbose=1" || kv == "verbose");
-    let health = router.health_all();
+    let health = plan_health(router, tele);
     let worst = health.iter().map(|(_, r)| r.state).max().unwrap_or(HealthState::Healthy);
     let status = match worst {
         HealthState::Healthy => "ok",
@@ -369,7 +375,7 @@ fn healthz_body(router: &Router, started: Instant, query: &str) -> (&'static str
         if i > 0 {
             body.push(',');
         }
-        let report = router.health(plan);
+        let report = tele.health(plan);
         body.push_str(&format!(
             "{{\"name\":\"{}\",\"replicas\":{},\"queue_depth\":{},\"health\":\"{}\"",
             prom::escape_label(plan),
@@ -389,6 +395,12 @@ fn healthz_body(router: &Router, started: Instant, query: &str) -> (&'static str
     body.push_str("]}\n");
     let code = if worst == HealthState::Unhealthy { "503 Service Unavailable" } else { "200 OK" };
     (code, body)
+}
+
+/// Every mounted plan's current watchdog verdict, plan-name order — one
+/// per plan from the first request on, whether or not the sampler ticked.
+fn plan_health(router: &Router, tele: &TelemetryShared) -> Vec<(String, HealthReport)> {
+    router.plan_names().into_iter().map(|name| (name.to_string(), tele.health(name))).collect()
 }
 
 /// Resolves a `/trace?id=<trace>` query to its Chrome trace-event JSON

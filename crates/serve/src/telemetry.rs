@@ -12,10 +12,10 @@
 //! derives the SLO good/total counters from the latency histogram,
 //! records everything into the [`SeriesStore`] rings, evaluates
 //! [`ttsnn_obs::slo::evaluate`] and [`Watchdog::observe`], publishes
-//! the verdict on the [`HealthBoard`] the [`crate::Router`] shares with
-//! `/healthz`, and emits **edge-triggered** service events (health
-//! transitions, burn-severity crossings) into the `ttsnn_obs` flight
-//! recorder.
+//! the verdict in [`TelemetryShared`], where `/healthz` reads it
+//! ([`TelemetryShared::health`]), and emits **edge-triggered** service
+//! events (health transitions, burn-severity crossings) into the
+//! `ttsnn_obs` flight recorder.
 //!
 //! Nothing here touches the request hot path: the sampler is
 //! pull-based, request threads never wait on it, and with
@@ -104,35 +104,6 @@ pub struct PlanSource {
     pub metrics: Box<dyn Fn() -> ClusterMetrics + Send>,
 }
 
-/// The shared per-plan health verdicts: written by the sampler,
-/// read by `/healthz` through [`crate::Router::health`]. Cloning
-/// shares the same board.
-#[derive(Clone, Default)]
-pub struct HealthBoard {
-    inner: Arc<Mutex<BTreeMap<String, HealthReport>>>,
-}
-
-impl HealthBoard {
-    /// Publishes a plan's verdict.
-    pub fn set(&self, plan: &str, report: HealthReport) {
-        let mut map = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        map.insert(plan.to_string(), report);
-    }
-
-    /// A plan's current verdict — `Healthy` before the first sampler
-    /// tick (or with telemetry off), so probes never fail closed.
-    pub fn get(&self, plan: &str) -> HealthReport {
-        let map = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        map.get(plan).cloned().unwrap_or_else(HealthReport::healthy)
-    }
-
-    /// Every published verdict, plan-name order.
-    pub fn all(&self) -> Vec<(String, HealthReport)> {
-        let map = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        map.iter().map(|(n, r)| (n.clone(), r.clone())).collect()
-    }
-}
-
 /// One plan's latest sampler outputs, as read by `/debug/slo` and the
 /// Prometheus telemetry families.
 #[derive(Debug, Clone)]
@@ -190,6 +161,14 @@ impl TelemetryShared {
         &self.store
     }
 
+    /// A plan's latest watchdog verdict — `Healthy` before the first
+    /// sampler tick, with telemetry off, or for a plan nobody samples,
+    /// so probes never fail closed.
+    pub fn health(&self, plan: &str) -> HealthReport {
+        let map = self.plans.lock().unwrap_or_else(|p| p.into_inner());
+        map.get(plan).map_or_else(HealthReport::healthy, |s| s.health.clone())
+    }
+
     /// Every plan's latest sampler output, plan-name order. Empty
     /// before the first tick or with telemetry off.
     pub fn plan_status(&self) -> Vec<(String, PlanStatus)> {
@@ -222,10 +201,9 @@ pub struct TelemetryPlane {
 }
 
 impl TelemetryPlane {
-    /// Spawns the sampler over `sources`, publishing health verdicts to
-    /// `board`. With `options.enabled == false` (or no sources) no
-    /// thread starts; the shared state stays empty and every plan reads
-    /// healthy.
+    /// Spawns the sampler over `sources`. With `options.enabled == false`
+    /// (or no sources) no thread starts; the shared state stays empty and
+    /// every plan reads healthy.
     ///
     /// # Errors
     ///
@@ -237,7 +215,6 @@ impl TelemetryPlane {
     pub fn spawn(
         options: TelemetryOptions,
         sources: Vec<PlanSource>,
-        board: HealthBoard,
     ) -> io::Result<TelemetryPlane> {
         let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         if options.timeseries.resolution.is_zero() {
@@ -258,7 +235,7 @@ impl TelemetryPlane {
             Some(
                 std::thread::Builder::new()
                     .name("ttsnn-telemetry".into())
-                    .spawn(move || sampler_loop(&shared2, &stop2, sources, &board, &options))?,
+                    .spawn(move || sampler_loop(&shared2, &stop2, sources, &options))?,
             )
         } else {
             None
@@ -287,7 +264,6 @@ fn sampler_loop(
     shared: &TelemetryShared,
     stop: &(Mutex<bool>, Condvar),
     sources: Vec<PlanSource>,
-    board: &HealthBoard,
     options: &TelemetryOptions,
 ) {
     let mut plans: Vec<PlanSampler> = sources
@@ -301,7 +277,7 @@ fn sampler_loop(
         .collect();
     loop {
         for plan in &mut plans {
-            sample_plan(shared, board, plan);
+            sample_plan(shared, plan);
         }
         sample_stages(shared);
         shared.ticks.fetch_add(1, Ordering::Release);
@@ -325,7 +301,7 @@ fn sampler_loop(
 }
 
 /// One tick of one plan: snapshot, record, evaluate, publish, alert.
-fn sample_plan(shared: &TelemetryShared, board: &HealthBoard, plan: &mut PlanSampler) {
+fn sample_plan(shared: &TelemetryShared, plan: &mut PlanSampler) {
     let m = (plan.source.metrics)();
     let name = plan.source.name.clone();
     let now = ttsnn_obs::now_ns();
@@ -436,7 +412,6 @@ fn sample_plan(shared: &TelemetryShared, board: &HealthBoard, plan: &mut PlanSam
         plan.last_burn = burn_sev;
     }
 
-    board.set(&name, report.clone());
     let mut plans = shared.plans.lock().unwrap_or_else(|p| p.into_inner());
     plans.insert(
         name,
@@ -590,19 +565,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn health_board_defaults_healthy_and_shares_state() {
-        let board = HealthBoard::default();
-        assert_eq!(board.get("anything").state, HealthState::Healthy);
-        assert!(board.all().is_empty());
-        let clone = board.clone();
-        clone.set("p", HealthReport { state: HealthState::Unhealthy, reason: "stall".into() });
-        assert_eq!(board.get("p").state, HealthState::Unhealthy);
-        assert_eq!(board.all().len(), 1);
-        // Unknown plans still read healthy.
-        assert_eq!(board.get("other").state, HealthState::Healthy);
-    }
-
-    #[test]
     fn options_default_on_with_lib_defaults() {
         let o = TelemetryOptions::default();
         assert!(o.enabled);
@@ -614,12 +576,14 @@ mod tests {
     #[test]
     fn disabled_plane_spawns_no_thread_and_reads_empty() {
         let options = TelemetryOptions { enabled: false, ..Default::default() };
-        let plane = TelemetryPlane::spawn(options, Vec::new(), HealthBoard::default()).unwrap();
+        let plane = TelemetryPlane::spawn(options, Vec::new()).unwrap();
         let shared = plane.shared();
         assert!(!shared.enabled());
         assert_eq!(shared.ticks(), 0);
         assert!(shared.store().is_empty());
         assert!(shared.plan_status().is_empty());
+        // With no verdict published, every plan reads healthy.
+        assert_eq!(shared.health("anything").state, HealthState::Healthy);
         drop(plane);
         assert_eq!(shared.ticks(), 0);
     }
@@ -627,7 +591,7 @@ mod tests {
     #[test]
     fn timeline_lists_and_404s() {
         let options = TelemetryOptions { enabled: false, ..Default::default() };
-        let plane = TelemetryPlane::spawn(options, Vec::new(), HealthBoard::default()).unwrap();
+        let plane = TelemetryPlane::spawn(options, Vec::new()).unwrap();
         let shared = plane.shared();
         shared.store().record("plan/x/queue_depth", SeriesKind::Gauge, 3.0);
         let listing = timeline_text(&shared, None).unwrap();

@@ -144,12 +144,10 @@ impl StepTotals {
 
     /// The statistics of an epoch whose steps these are.
     pub(crate) fn epoch(&self, accuracy: f32) -> EpochStats {
-        let step_timing = self.mean_timing();
         EpochStats {
             loss: self.loss / self.steps.max(1) as f32,
             accuracy,
-            step_seconds: step_timing.total,
-            step_timing,
+            step_timing: self.mean_timing(),
         }
     }
 
@@ -160,12 +158,10 @@ impl StepTotals {
         test_accuracy: f32,
         shards: usize,
     ) -> TrainReport {
-        let mean_step_timing = self.mean_timing();
         TrainReport {
             epochs,
             test_accuracy,
-            mean_step_seconds: mean_step_timing.total,
-            mean_step_timing,
+            mean_step_timing: self.mean_timing(),
             threads: Runtime::current().threads(),
             shards,
         }
@@ -179,9 +175,8 @@ pub struct EpochStats {
     pub loss: f32,
     /// Training accuracy over the epoch's batches.
     pub accuracy: f32,
-    /// Mean seconds per optimization step (forward + backward + update).
-    pub step_seconds: f64,
-    /// The same step, by phase (means).
+    /// Mean seconds per optimization step, in total and by phase
+    /// (forward + backward + update).
     pub step_timing: StepTiming,
 }
 
@@ -192,11 +187,9 @@ pub struct TrainReport {
     pub epochs: Vec<EpochStats>,
     /// Accuracy on the held-out batches after the final epoch.
     pub test_accuracy: f32,
-    /// Mean seconds per optimization step across all epochs — the
-    /// "training time" column of Table II.
-    pub mean_step_seconds: f64,
-    /// Where that time goes: mean forward / backward / all-reduce /
-    /// optimizer seconds per step.
+    /// Mean seconds per optimization step across all epochs — its
+    /// `total` is the "training time" column of Table II — and where that
+    /// time goes: forward / backward / all-reduce / optimizer.
     pub mean_step_timing: StepTiming,
     /// Worker threads the kernel runtime used for this run.
     pub threads: usize,
@@ -473,7 +466,7 @@ mod tests {
             report.first_loss(),
             report.final_loss()
         );
-        assert!(report.mean_step_seconds > 0.0);
+        assert!(report.mean_step_timing.total > 0.0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.first_loss(),
             report.final_loss(),
             report.test_accuracy * 100.0,
-            report.mean_step_seconds,
+            report.mean_step_timing.total,
             report.mean_step_timing.forward * 1e3,
             report.mean_step_timing.backward * 1e3,
             report.mean_step_timing.optimizer * 1e3,

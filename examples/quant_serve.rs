@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The same spec freezes N replicas: the int8 weights are quantized
-    // once on replica 0 and Arc-shared — N replicas, one copy.
+    // once, at load, and Arc-shared — N replicas, one copy.
     let cluster = Cluster::load_quantized(
         ClusterConfig::new(engine_cfg).with_queue_capacity(64),
         QuantSpec::new(calibration),

@@ -51,7 +51,7 @@ fn tt_methods_train_faster_per_batch_than_baseline() {
     let time_of = |policy: &ConvPolicy| {
         let mut rng = Rng::seed_from(4);
         let mut model = ResNetSnn::new(ResNetConfig::resnet18(4, (8, 8), 4), policy, &mut rng);
-        train(&mut model, &train_b, &test_b, &cfg).unwrap().mean_step_seconds
+        train(&mut model, &train_b, &test_b, &cfg).unwrap().mean_step_timing.total
     };
     let t_base = time_of(&ConvPolicy::Baseline);
     let t_ptt = time_of(&ConvPolicy::tt(TtMode::Ptt));

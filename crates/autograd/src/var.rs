@@ -33,9 +33,16 @@ pub(crate) struct VarInner {
 
 impl Drop for VarInner {
     /// A node that leaves the tape hands its value and gradient back to the
-    /// thread's arena, where the next step's ops find them.
+    /// thread's arena, where the next step's ops find them. A parameter's
+    /// value is freed instead: it came from an initialiser or a checkpoint,
+    /// not from an op, and a model drops one only when it leaves for good
+    /// (TT cores merged to dense, f32 kernels frozen to int8), so no op is
+    /// waiting for a buffer of its size.
     fn drop(&mut self) {
-        std::mem::take(self.value.get_mut()).recycle();
+        let value = std::mem::take(self.value.get_mut());
+        if !(self.requires_grad && self.parents.is_empty()) {
+            value.recycle();
+        }
         if let Some(g) = self.grad.get_mut().take() {
             g.recycle();
         }
@@ -626,5 +633,21 @@ mod tests {
         // `loss` held the `scale(3.0)` node alive; its 64-element value is
         // back in the arena (the `[1]` scalar too).
         assert!(scratch_depth() > depth, "a dropped node's value was not recycled");
+    }
+
+    #[test]
+    fn dropped_parameters_are_freed_not_parked() {
+        use ttsnn_tensor::runtime::scratch_depth;
+        // A thread of its own: an arena no other test touches.
+        std::thread::spawn(|| {
+            let p = Var::param(Tensor::ones(&[64]));
+            let c = Var::constant(Tensor::ones(&[64]));
+            drop(p);
+            assert_eq!(scratch_depth(), 0, "a dropped parameter was parked");
+            drop(c);
+            assert_eq!(scratch_depth(), 1, "a dropped constant was not recycled");
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -10,7 +10,7 @@ use ttsnn_bench::{train_and_measure, ExperimentConfig, MeasuredRow};
 use ttsnn_core::TtMode;
 use ttsnn_data::{Dataset, GestureStream, StaticImages};
 use ttsnn_snn::augment::nda_augment;
-use ttsnn_snn::{ConvPolicy, LossKind, Model, ResNetConfig, ResNetSnn, VggConfig, VggSnn};
+use ttsnn_snn::{ConvPolicy, LossKind, Network, ResNetConfig, VggConfig};
 use ttsnn_tensor::Rng;
 
 enum Arch {
@@ -20,17 +20,15 @@ enum Arch {
     Vgg11,
 }
 
-fn build(arch: &Arch, policy: &ConvPolicy, t: usize, rng: &mut Rng) -> Box<dyn Model> {
+fn build(arch: &Arch, policy: &ConvPolicy, t: usize, rng: &mut Rng) -> Network {
     match arch {
-        Arch::ResNet20 => {
-            Box::new(ResNetSnn::new(ResNetConfig::resnet20(10, (16, 16), 2), policy, rng))
-        }
+        Arch::ResNet20 => Network::new(ResNetConfig::resnet20(10, (16, 16), 2), policy, rng),
         Arch::Vgg9Tebn => {
-            Box::new(VggSnn::new(VggConfig::vgg9(3, 10, (16, 16), 8).with_tebn(t), policy, rng))
+            Network::new(VggConfig::vgg9(3, 10, (16, 16), 8).with_tebn(t), policy, rng)
         }
-        Arch::Vgg9 => Box::new(VggSnn::new(VggConfig::vgg9(2, 6, (16, 16), 8), policy, rng)),
+        Arch::Vgg9 => Network::new(VggConfig::vgg9(2, 6, (16, 16), 8), policy, rng),
         // VGG11 pools five times, so it needs a 32x32 input.
-        Arch::Vgg11 => Box::new(VggSnn::new(VggConfig::vgg11(2, 6, (32, 32), 16), policy, rng)),
+        Arch::Vgg11 => Network::new(VggConfig::vgg11(2, 6, (32, 32), 16), policy, rng),
     }
 }
 
@@ -74,7 +72,7 @@ fn main() {
         {
             let mut rng = Rng::seed_from(cfg.seed);
             let mut model = build(&arch, &policy, t, &mut rng);
-            measured.push(train_and_measure(model.as_mut(), name, ds, &cfg));
+            measured.push(train_and_measure(&mut model, name, ds, &cfg));
         }
         let (b, p) = (&measured[0], &measured[1]);
         println!(

@@ -7,7 +7,7 @@
 
 use ttsnn_core::TtMode;
 use ttsnn_data::Dataset;
-use ttsnn_snn::{evaluate, train, ConvPolicy, LossKind, Model, TrainConfig};
+use ttsnn_snn::{evaluate, train, ConvPolicy, LossKind, Network, SpikingModel, TrainConfig};
 use ttsnn_tensor::Rng;
 
 /// One measured row of a results table.
@@ -117,7 +117,7 @@ pub fn measured_policies(timesteps: usize) -> Vec<(&'static str, ConvPolicy)> {
 /// Panics if the dataset is too small to form a single batch, or on
 /// internal shape errors (which indicate a bug, not bad input).
 pub fn train_and_measure(
-    model: &mut dyn Model,
+    model: &mut Network,
     method: &str,
     dataset: &Dataset,
     cfg: &ExperimentConfig,

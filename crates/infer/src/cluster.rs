@@ -54,6 +54,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ttsnn_obs::Stage::Execute;
+use ttsnn_snn::model::validate_frames;
 use ttsnn_snn::{checkpoint, InferForward, InferStats, Network, SpikingModel};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
@@ -687,14 +688,11 @@ fn worker_loop(
     replica: usize,
     stream_state_bytes: Option<usize>,
 ) {
-    let frame_shape = cfg.arch.frame_shape();
     let mut streams = StreamTable::new(stream_state_bytes);
     while let Some(work) = sched.next_work(replica, cfg.batching.max_batch, cfg.batching.max_wait) {
         match work {
-            Work::Batch(batch) => serve_cluster_batch(model, cfg, sched, frame_shape, batch),
-            Work::Stream(cmd) => {
-                serve_stream_cmd(model, cfg, sched, replica, frame_shape, &mut streams, cmd)
-            }
+            Work::Batch(batch) => serve_cluster_batch(model, cfg, sched, batch),
+            Work::Stream(cmd) => serve_stream_cmd(model, cfg, sched, replica, &mut streams, cmd),
         }
     }
 }
@@ -705,7 +703,6 @@ fn serve_stream_cmd(
     cfg: &EngineConfig,
     sched: &Scheduler,
     replica: usize,
-    frame_shape: [usize; 3],
     streams: &mut StreamTable,
     cmd: StreamCmd,
 ) {
@@ -717,7 +714,7 @@ fn serve_stream_cmd(
         StreamCmd::Feed { id, chunk, reply, submitted, trace, .. } => {
             let exec_start = if trace != 0 { ttsnn_obs::now_ns() } else { 0 };
             let _ctx = ttsnn_obs::TraceContext::enter(&[trace]);
-            match streams.feed(model, cfg.timesteps, frame_shape, id, &chunk) {
+            match streams.feed(model, cfg.timesteps, id, &chunk) {
                 Ok((update, report)) => {
                     if trace != 0 {
                         let dur = ttsnn_obs::now_ns().saturating_sub(exec_start);
@@ -756,14 +753,14 @@ fn serve_cluster_batch(
     model: &mut Network,
     cfg: &EngineConfig,
     sched: &Scheduler,
-    frame_shape: [usize; 3],
     batch: Vec<crate::sched::Job>,
 ) {
     // Validate each request independently: a malformed input fails its
     // own ticket, not its co-travellers'.
+    let frame = model.program().input;
     let mut accepted = Vec::with_capacity(batch.len());
     for job in batch {
-        match plan::validate(&job.input, frame_shape, Some(cfg.timesteps)) {
+        match validate_frames(&job.input, frame, Some(cfg.timesteps), "request input") {
             Ok(_) => accepted.push(job),
             Err(msg) => {
                 sched.record_failed(job.priority, job.tenant);
@@ -778,7 +775,7 @@ fn serve_cluster_batch(
     let traces: Vec<u64> = accepted.iter().map(|j| j.trace).collect();
     let tracing = traces.iter().any(|&t| t != 0) && ttsnn_obs::enabled();
     let exec_start = if tracing { ttsnn_obs::now_ns() } else { 0 };
-    match plan::forward_requests(model, cfg.timesteps, frame_shape, &inputs, &traces) {
+    match plan::forward_requests(model, cfg.timesteps, &inputs, &traces) {
         Ok(summed) => {
             let batch_size = accepted.len();
             let density = plan::density_report(model);

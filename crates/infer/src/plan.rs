@@ -17,6 +17,7 @@
 use std::io;
 use std::time::Duration;
 
+use ttsnn_snn::model::copy_frame;
 use ttsnn_snn::quant::{QuantConfig, QuantPlanWeights};
 use ttsnn_snn::{
     checkpoint, ConvPolicy, InferForward, Network, QuantReport, ResNetConfig, SpikingModel,
@@ -33,16 +34,6 @@ pub enum ArchSpec {
     Vgg(VggConfig),
     /// A spiking (MS-)ResNet (`ttsnn_snn::ResNetSnn`).
     ResNet(ResNetConfig),
-}
-
-impl ArchSpec {
-    /// Expected per-frame input shape `(C, H, W)`.
-    pub(crate) fn frame_shape(&self) -> [usize; 3] {
-        match self {
-            ArchSpec::Vgg(c) => [c.in_channels, c.in_hw.0, c.in_hw.1],
-            ArchSpec::ResNet(c) => [c.in_channels, c.in_hw.0, c.in_hw.1],
-        }
-    }
 }
 
 /// Dynamic micro-batching knobs.
@@ -145,11 +136,6 @@ pub struct PlanInfo {
     /// What `quantize()` froze, when the plan was loaded with
     /// `Cluster::load_quantized`.
     pub quant: Option<QuantReport>,
-    /// Sparse-dispatch mode the served model runs under (`"auto"`: the
-    /// [`ttsnn_tensor::spike::sparse_mode`] every plan serves with). Because
-    /// sparse and dense kernels are bit-identical, the mode is a
-    /// performance choice, never a semantic one.
-    pub sparse_mode: String,
 }
 
 /// Measured spike density of a serving plan, from the LIF layers'
@@ -276,7 +262,6 @@ pub(crate) fn build_plan(
         merged_layers,
         num_classes: model.program().num_classes,
         quant: quant_info,
-        sparse_mode: model.sparse_dispatch_mode().name().to_string(),
     };
     Ok(FrozenPlan {
         info,
@@ -361,9 +346,10 @@ pub(crate) fn fold_logits(summed: Option<Tensor>, logits: Tensor, batch: usize) 
 /// cut is `steps = T`.
 ///
 /// Inputs are `(C, H, W)` direct-coding frames (repeated at each timestep)
-/// or `(T, C, H, W)` per-timestep frames, already [`validate`]d. The stack,
-/// every activation and the logits ride the thread's arena; the caller
-/// recycles the returned tensor once scattered. `traces` (the members'
+/// or `(T, C, H, W)` per-timestep frames, already checked by
+/// [`validate_frames`](ttsnn_snn::model::validate_frames). The stack, every
+/// activation and the logits ride the thread's arena; the caller recycles
+/// the returned tensor once scattered. `traces` (the members'
 /// `ttsnn_obs` trace ids; empty or all-zero = untraced) becomes the thread's
 /// trace context for the call.
 ///
@@ -375,12 +361,11 @@ pub(crate) fn fold_logits(summed: Option<Tensor>, logits: Tensor, batch: usize) 
 pub(crate) fn forward_requests(
     model: &mut Network,
     timesteps: usize,
-    frame_shape: [usize; 3],
     inputs: &[&Tensor],
     traces: &[u64],
 ) -> Result<Tensor, String> {
     let b = inputs.len();
-    let [c, h, w] = frame_shape;
+    let [c, h, w] = model.program().input;
     let frame_len = c * h * w;
     model.reset_state();
     let _ctx = ttsnn_obs::TraceContext::enter(traces);
@@ -416,81 +401,4 @@ pub struct PlanDrift {
     pub reference_density: Option<SpikeDensityReport>,
     /// Same for the candidate plan.
     pub candidate_density: Option<SpikeDensityReport>,
-}
-
-/// Reads the frames of a whole request or a stream chunk against the plan
-/// and returns how many timesteps it holds: `(C, H, W)` is one frame (a
-/// whole request repeats it at every timestep), `(n, C, H, W)` is `n ≥ 1`
-/// timesteps. A whole request (`timesteps = Some(T)`) must hold all `T`; a
-/// chunk (`None`) may hold any `n`, and its session checks the overrun.
-/// Every value must be finite.
-pub(crate) fn validate(
-    input: &Tensor,
-    frame_shape: [usize; 3],
-    timesteps: Option<usize>,
-) -> Result<usize, String> {
-    let [c, h, w] = frame_shape;
-    let shape = input.shape();
-    let what = if timesteps.is_some() { "request input" } else { "stream chunk" };
-    let n = match shape.len() {
-        3 if shape == [c, h, w] => 1,
-        4 if shape[1..] == [c, h, w]
-            && shape[0] >= 1
-            && timesteps.is_none_or(|t| t == shape[0]) =>
-        {
-            shape[0]
-        }
-        _ => {
-            let run = match timesteps {
-                Some(t) => format!("({t}, {c}, {h}, {w})"),
-                None => format!("(n, {c}, {h}, {w}) with n >= 1"),
-            };
-            return Err(format!(
-                "{what} {shape:?} does not match the plan: expected ({c}, {h}, {w}) or {run}"
-            ));
-        }
-    };
-    // A NaN/∞ pixel would return NaN logits on the float plane and —
-    // worse — quantize silently to 0 on the int8 plane (confidently
-    // wrong answers). Reject it here so the bad request fails its own
-    // ticket with a clear message instead of poisoning either plane.
-    if let Some(i) = input.data().iter().position(|v| !v.is_finite()) {
-        return Err(format!("{what} has a non-finite value at flat index {i}"));
-    }
-    Ok(n)
-}
-
-/// Copies timestep `t`'s frame of a [`validate`]d input into `row`, one
-/// frame long: a `(C, H, W)` input is the same frame at every timestep, an
-/// `(n, C, H, W)` input holds timestep `t` at index `t`.
-pub(crate) fn copy_frame(input: &Tensor, t: usize, row: &mut [f32]) {
-    let len = row.len();
-    let offset = if input.ndim() == 4 { t * len } else { 0 };
-    row.copy_from_slice(&input.data()[offset..offset + len]);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunk_validation() {
-        let fs = [2, 3, 3];
-        assert_eq!(validate(&Tensor::zeros(&[2, 3, 3]), fs, None), Ok(1));
-        assert_eq!(validate(&Tensor::zeros(&[4, 2, 3, 3]), fs, None), Ok(4));
-        assert!(validate(&Tensor::zeros(&[3, 3]), fs, None).is_err());
-        assert!(validate(&Tensor::zeros(&[1, 3, 3]), fs, None).is_err());
-        let mut bad = Tensor::zeros(&[2, 3, 3]);
-        *bad.at_mut(&[0, 1, 1]) = f32::NAN;
-        assert!(validate(&bad, fs, None).unwrap_err().contains("non-finite"));
-    }
-
-    #[test]
-    fn whole_requests_hold_one_frame_or_all_timesteps() {
-        let fs = [2, 3, 3];
-        assert_eq!(validate(&Tensor::zeros(&[2, 3, 3]), fs, Some(4)), Ok(1));
-        assert_eq!(validate(&Tensor::zeros(&[4, 2, 3, 3]), fs, Some(4)), Ok(4));
-        let short = validate(&Tensor::zeros(&[3, 2, 3, 3]), fs, Some(4)).unwrap_err();
-        assert!(short.contains("does not match the plan"), "{short}");
-    }
 }

@@ -47,6 +47,7 @@
 
 use std::collections::HashMap;
 
+use ttsnn_snn::model::{copy_frame, validate_frames};
 use ttsnn_snn::{InferForward, InferState, Network, SpikingModel};
 use ttsnn_tensor::Tensor;
 
@@ -272,7 +273,6 @@ impl StreamTable {
         &mut self,
         model: &mut Network,
         timesteps: usize,
-        frame_shape: [usize; 3],
         id: u64,
         chunk: &Tensor,
     ) -> Result<(StreamUpdate, FeedReport), InferError> {
@@ -282,7 +282,8 @@ impl StreamTable {
         let Some(st) = self.sessions.get_mut(&id) else {
             return Err(InferError::SessionClosed);
         };
-        let n = plan::validate(chunk, frame_shape, None).map_err(InferError::Shape)?;
+        let n = validate_frames(chunk, model.program().input, None, "stream chunk")
+            .map_err(InferError::Shape)?;
         if st.t + n > timesteps {
             return Err(InferError::Shape(format!(
                 "stream chunk of {n} timesteps at position {} overruns the plan's {timesteps} \
@@ -303,7 +304,7 @@ impl StreamTable {
             st.macs_skipped += report.macs_skipped;
             return Ok((st.update(), report));
         }
-        run_chunk(model, st, chunk, frame_shape, n, &mut report)?;
+        run_chunk(model, st, chunk, n, &mut report)?;
         Ok((st.update(), report))
     }
 }
@@ -329,11 +330,10 @@ fn run_chunk(
     model: &mut Network,
     st: &mut StreamState,
     chunk: &Tensor,
-    frame_shape: [usize; 3],
     n: usize,
     report: &mut FeedReport,
 ) -> Result<(), InferError> {
-    let [c, h, w] = frame_shape;
+    let [c, h, w] = model.program().input;
     let frame_len = c * h * w;
     // Install this session's membranes (a fresh session starts from the
     // reset state, exactly like a whole-stream request's t = 0).
@@ -356,7 +356,7 @@ fn run_chunk(
             continue;
         }
         for (j, row) in stack.data_mut().chunks_mut(frame_len).enumerate() {
-            plan::copy_frame(chunk, i + j, row);
+            copy_frame(chunk, i + j, row);
         }
         match plan::forward_steps(model, &stack, (t, cut), macs) {
             Ok(logits) => st.summed = Some(plan::fold_logits(st.summed.take(), logits, 1)),
@@ -466,7 +466,7 @@ mod tests {
         model.set_infer_stats(InferStats::PerSample);
         let mut table = StreamTable::new(None);
         table.open(1, StreamOptions::default());
-        table.feed(&mut model, 4, [2, 8, 8], 1, &chunk).expect("feed");
+        table.feed(&mut model, 4, 1, &chunk).expect("feed");
 
         let resident = table.resident_bytes();
         let state = table.sessions.get_mut(&1).unwrap().state.take().expect("pinned state");

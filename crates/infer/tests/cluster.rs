@@ -19,7 +19,7 @@ use ttsnn_infer::{
     SubmitOptions,
 };
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, ResNetConfig, ResNetSnn, SpikingModel, TrainForward, VggConfig, VggSnn,
+    checkpoint, ConvPolicy, Network, ResNetConfig, ResNetSnn, SpikingModel, VggConfig, VggSnn,
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
@@ -37,7 +37,7 @@ fn samples(seed: u64, n: usize) -> Vec<Tensor> {
 
 /// Reference: the training plane on a batch of one — per-sample summed
 /// logits under direct coding.
-fn train_plane_reference(model: &mut impl TrainForward, sample: &Tensor) -> Tensor {
+fn train_plane_reference(model: &mut Network, sample: &Tensor) -> Tensor {
     ttsnn_testutil::train_plane_reference(model, sample, T)
 }
 
@@ -492,8 +492,6 @@ fn cluster_metrics_surface_spike_density_after_traffic() {
         ckpt.as_slice(),
     )
     .unwrap();
-    // The frozen plan reports the dispatch mode its model serves under.
-    assert_eq!(cluster.info().sparse_mode, "auto");
     assert!(
         cluster.metrics().spike_density.is_empty(),
         "no traffic yet: density summary must be empty"

@@ -285,7 +285,6 @@ fn quantized_unit_has_no_training_plane() {
     // Reach a quantized unit directly through the public ConvUnit API.
     let unit = ConvUnit::conv3x3(&ConvPolicy::Baseline, 0, 3, 4, (1, 1), &mut rng);
     drop(unit);
-    use ttsnn_snn::TrainForward;
     let x = Var::constant(Tensor::zeros(&[1, 3, 8, 8]));
     let err = model.forward_timestep(&x, 0).unwrap_err().to_string();
     assert!(err.contains("training"), "unclear error: {err}");

@@ -254,7 +254,7 @@ pub fn install_params(params: &[Var], tensors: &[Tensor]) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::conv_unit::ConvPolicy;
-    use crate::model::{SpikingModel, TrainForward};
+    use crate::model::SpikingModel;
     use crate::resnet::{ResNetConfig, ResNetSnn};
     use ttsnn_tensor::Rng;
 

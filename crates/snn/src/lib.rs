@@ -42,21 +42,20 @@
 //!
 //! # The two execution planes
 //!
-//! The model API is split ([`model`]): [`SpikingModel`] is the structural
-//! trait, [`TrainForward`] the autograd (`Var`) plane both trainers
-//! drive, and [`InferForward`] the graph-free tensor plane that
-//! [`evaluate`] and the `ttsnn_infer` serving engine run on. [`Network`]
-//! is the one type that implements them; anything implementing both is a
-//! [`Model`].
+//! The model API has two traits ([`model`]): [`SpikingModel`] is the
+//! structural one and [`InferForward`] the graph-free tensor plane that
+//! [`evaluate`], calibration and the `ttsnn_infer` serving engine run on.
+//! The training plane is [`Network`]'s inherent tape walk, which both
+//! trainers drive on the concrete type. [`Network`] is the one model type.
 //!
 //! | | training plane | inference plane |
 //! |---|---|---|
-//! | required forward | [`TrainForward::forward_sequence`]`(x, t0, steps)` | [`InferForward::forward_steps_tensor`]`(x, t0, steps)` |
+//! | forward | [`Network::forward_sequence`]`(x, t0, steps)` | [`InferForward::forward_steps_tensor`]`(x, t0, steps)` |
 //! | input | `Var`, time-major stack `(steps·B, C, H, W)` | `Tensor`, the same stack |
 //! | output | `steps` logit nodes `(B, K)` | one `(steps·B, K)` tensor |
-//! | one-step case | `forward_timestep(x, t)` | `forward_timestep_tensor(x, t)` |
+//! | one-step case (tests, oracles) | `forward_timestep(x, t)` | `forward_timestep_tensor(x, t)` |
 //! | LIF | `Lif::scan` → `Var::lif_scan`, keeps every `u_t` for backward | `Lif::scan_tensor`, keeps the last membrane, hands the spike words on |
-//! | who picks the cut | `trainer::forward_batch`: the whole sequence | the executor: `T` for a whole request, 1 while a stream can exit early, the chunk otherwise |
+//! | who picks the cut | `trainer::forward_batch`: the whole sequence | the caller: `T` for a whole request or a calibration frame, 1 while a stream can exit early, the chunk otherwise |
 //!
 //! Both run every layer once over all the timesteps of a call, on the same
 //! LIF kernel (`ttsnn_tensor::lif`); no bit of either plane's output
@@ -83,7 +82,7 @@ pub mod vgg;
 pub use conv_unit::{ConvPolicy, ConvUnit};
 pub use lif::{Lif, LifConfig};
 pub use loss::LossKind;
-pub use model::{InferForward, InferState, InferStats, Model, SpikingModel, TrainForward};
+pub use model::{InferForward, InferState, InferStats, SpikingModel};
 pub use network::{Architecture, Layer, Network, Program, Slot};
 pub use norm::{Norm, NormKind};
 pub use quant::{CalibStats, QuantConfig, QuantPlanWeights, QuantReport};

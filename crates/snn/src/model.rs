@@ -1,14 +1,11 @@
-//! The model API, split into two **execution planes**.
+//! The model API: the two traits every consumer of a [`crate::Network`]
+//! may hold it by.
 //!
 //! * [`SpikingModel`] — the structural trait: parameters, state reset,
-//!   naming and MAC accounting. Everything that is true of a network
-//!   regardless of how it is executed.
-//! * [`TrainForward`] — the training plane: a **layer-major** forward on
-//!   autograd [`Var`]s — every layer runs once over all the timesteps it is
-//!   given — building the BPTT tape the trainers differentiate
-//!   (Algorithm 1, lines 7–15).
-//! * [`InferForward`] — the inference plane: the same layer-major forward
-//!   on plain [`Tensor`]s, over whatever cut of the sequence the caller has
+//!   naming, MAC accounting and spike activity. Everything that is true of
+//!   a network regardless of how it is executed.
+//! * [`InferForward`] — the inference plane: a **layer-major** forward on
+//!   plain [`Tensor`]s, over whatever cut of the sequence the caller has
 //!   — all `T` timesteps of a whole request, a stream's chunk, or one
 //!   timestep when something must be decided between timesteps. No
 //!   autograd nodes are allocated (a property
@@ -16,9 +13,11 @@
 //!   `ttsnn_autograd::nodes_created` counter), intermediates ride the
 //!   runtime's per-thread scratch arenas, and the plane carries the
 //!   serving-side determinism contract via [`InferStats`].
-//! * [`Model`] — the blanket-implemented combination of both planes; the
-//!   trainers take `&mut dyn Model` so one network object can train and
-//!   then serve.
+//!
+//! The training plane is no trait: the trainers take a [`crate::Network`]
+//! and call its inherent tape walk, [`crate::Network::forward_sequence`]
+//! (Algorithm 1, lines 7–15), which builds the BPTT tape on autograd
+//! [`Var`]s with the same layer-major order.
 //!
 //! # Why two planes
 //!
@@ -47,7 +46,7 @@ pub enum InferStats {
     /// Faithful to the training plane: normalization statistics are
     /// computed per channel over the **whole batch** (exactly like
     /// `Var::batch_norm2d`) and the classifier GEMM runs batched. Output
-    /// logits are bit-identical to [`TrainForward`] on the same batch —
+    /// logits are bit-identical to the training plane on the same batch —
     /// the mode [`crate::trainer::evaluate`] uses.
     #[default]
     Batch,
@@ -56,7 +55,7 @@ pub enum InferStats {
     /// classifier GEMM row by row. Per-sample outputs are therefore
     /// invariant to how requests were coalesced into batches (the
     /// `ttsnn_infer` engine's determinism contract) and bit-identical to a
-    /// batch-size-1 [`TrainForward`] pass on that sample.
+    /// batch-size-1 training-plane pass on that sample.
     PerSample,
 }
 
@@ -66,8 +65,8 @@ pub enum InferStats {
 ///
 /// Implementations hold LIF membrane state between forward calls on
 /// either plane; the driver performs the unrolling: reset, then the
-/// forwards that cover the sequence (one per timestep on the inference
-/// plane, one for all of them on the training plane), then (on the training
+/// forwards that cover the sequence (any cut of it on the inference plane,
+/// all of it in one call on the training plane), then (on the training
 /// plane) a loss on the per-timestep logits and one `backward()` spanning
 /// the whole spatio-temporal graph.
 pub trait SpikingModel {
@@ -93,64 +92,17 @@ pub trait SpikingModel {
 
     /// Mean spike activity observed across all LIF layers since training
     /// started (spikes per neuron per timestep), or `None` if the model
-    /// has not run. Default: not tracked.
-    fn mean_spike_activity(&self) -> Option<f64> {
-        None
-    }
+    /// has not run.
+    fn mean_spike_activity(&self) -> Option<f64>;
 
     /// Measured spike density of every LIF layer in network order
     /// (spikes per neuron per timestep, from the layers' activity
-    /// counters), or an empty vector if the model does not track
-    /// activity. Layers that have not fired a single step yet report
+    /// counters). Layers that have not fired a single step yet report
     /// `0.0`. This is the per-layer statistic the serving plane surfaces
     /// so operators can see how sparse traffic actually is — and whether
     /// the density-adaptive dispatcher will route it to the event-driven
-    /// kernels. Default: not tracked.
-    fn layer_spike_densities(&self) -> Vec<f64> {
-        Vec::new()
-    }
-}
-
-/// The **training plane**: forward on autograd [`Var`]s, recording the BPTT
-/// tape, **layer-major** — each layer sees all the timesteps of a call at
-/// once.
-///
-/// The only recurrence in a feed-forward SNN is each LIF layer's own
-/// membrane, so a layer does not need the layers after it to have seen
-/// timestep `t` before it looks at `t + 1`: convolutions and tdBN run over
-/// the stacked timesteps as one batch (statistics still per timestep), and
-/// only the LIF scans through time, inside one tape node.
-pub trait TrainForward: SpikingModel {
-    /// Processes timesteps `t0..t0 + steps` of a batch. `x` is their input
-    /// frames as one time-major stack `(steps·B, C, H, W)`: row `t·B + s` is
-    /// sample `s` at timestep `t0 + t`. Returns the `(B, K)` logits of each
-    /// timestep, in order, as graph nodes. The LIF layers start from the
-    /// membranes the previous call left (see
-    /// [`SpikingModel::reset_state`]), so a sequence may be fed in several
-    /// calls; logits, loss and activation gradients do not depend on how it
-    /// was cut.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the input does not match the architecture
-    /// or does not hold `steps` timesteps.
-    fn forward_sequence(
-        &mut self,
-        x: &Var,
-        t0: usize,
-        steps: usize,
-    ) -> Result<Vec<Var>, ShapeError>;
-
-    /// Processes the `(B, C, H, W)` input frame at timestep `t`, returning
-    /// `(B, K)` logits for this timestep as a graph node: a sequence of one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the input does not match the architecture.
-    fn forward_timestep(&mut self, x: &Var, t: usize) -> Result<Var, ShapeError> {
-        let mut logits = self.forward_sequence(x, t, 1)?;
-        logits.pop().ok_or_else(|| ShapeError::new("forward_sequence returned no logits"))
-    }
+    /// kernels.
+    fn layer_spike_densities(&self) -> Vec<f64>;
 }
 
 /// The classifier head of a layer-major forward: `features` holds `steps`
@@ -224,7 +176,7 @@ impl InferState {
 /// intermediate they take (`Tensor::scratch` / `Tensor::recycle`), so a
 /// steady-state serving loop allocates nothing of activation size. The
 /// semantics knob is [`InferStats`]: `Batch` is
-/// bit-faithful to [`TrainForward`] on the same batch, `PerSample` is
+/// bit-faithful to the training plane on the same batch, `PerSample` is
 /// batch-composition-invariant for serving.
 pub trait InferForward: SpikingModel {
     /// Processes timesteps `t0..t0 + steps` of a batch without building any
@@ -290,12 +242,67 @@ pub trait InferForward: SpikingModel {
     fn restore_infer_state(&mut self, state: InferState) -> Result<(), ShapeError>;
 }
 
-/// A network usable on **both** execution planes — what the trainers
-/// require, since they train on the `Var` plane and evaluate on the
-/// tensor plane. Blanket-implemented; never implement it manually.
-pub trait Model: TrainForward + InferForward {}
+/// Reads an input against a model whose frames are `frame` `(C, H, W)`
+/// (its `Program::input`) and returns how many timesteps it holds:
+/// `(C, H, W)` is one frame (a whole sequence repeats it at every
+/// timestep), `(n, C, H, W)` is `n ≥ 1` timesteps. A whole sequence
+/// (`timesteps = Some(T)`) must hold all `T`; a stream chunk (`None`) may
+/// hold any `n`, and its session checks the overrun. Every value must be
+/// finite. The one check in front of [`copy_frame`], for requests, stream
+/// chunks and calibration frames alike; `what` names the input in the
+/// error.
+///
+/// # Errors
+///
+/// Returns the message for another shape or a non-finite value.
+pub fn validate_frames(
+    input: &Tensor,
+    frame: [usize; 3],
+    timesteps: Option<usize>,
+    what: &str,
+) -> Result<usize, String> {
+    let [c, h, w] = frame;
+    let shape = input.shape();
+    let n = match shape.len() {
+        3 if shape == frame => 1,
+        4 if shape[1..] == frame && shape[0] >= 1 && timesteps.is_none_or(|t| t == shape[0]) => {
+            shape[0]
+        }
+        _ => {
+            let run = match timesteps {
+                Some(t) => format!("({t}, C, H, W)"),
+                None => "(n, C, H, W) with n >= 1".to_string(),
+            };
+            return Err(format!(
+                "{what} {shape:?} does not match the plan: must be (C, H, W) or {run}, where \
+                 (C, H, W) = ({c}, {h}, {w})"
+            ));
+        }
+    };
+    // A NaN/∞ pixel would return NaN logits on the float plane and —
+    // worse — quantize silently to 0 on the int8 plane (confidently
+    // wrong answers), or set an activation scale no frame can use.
+    if let Some(i) = input.data().iter().position(|v| !v.is_finite()) {
+        return Err(format!("{what} has a non-finite value at flat index {i}"));
+    }
+    Ok(n)
+}
 
-impl<T: TrainForward + InferForward> Model for T {}
+/// Copies timestep `t`'s frame of an input into `row`, one frame long: a
+/// `(C, H, W)` input is the same frame at every timestep (direct coding),
+/// an `(n, C, H, W)` input holds timestep `t` at index `t`. The one reader
+/// that stacks requests, stream chunks and calibration frames time-major
+/// for [`InferForward::forward_steps_tensor`]; callers
+/// [validate](validate_frames) the input first.
+///
+/// # Panics
+///
+/// Panics if the input holds no frame `t` of `row.len()` values.
+pub fn copy_frame(input: &Tensor, t: usize, row: &mut [f32]) {
+    let len = row.len();
+    let offset = if input.ndim() == 4 { t * len } else { 0 };
+    row.copy_from_slice(&input.data()[offset..offset + len]);
+}
 
 /// Tensor-plane fully connected layer `y = x · wᵀ + b` with `x: (steps·B,
 /// F)`, `w: (O, F)`, `b: (O)` — the graph-free twin of
@@ -379,6 +386,29 @@ mod tests {
         stats: InferStats,
     ) -> Result<Tensor, ShapeError> {
         linear_tensor_mode(x, w, b, 1, stats, spike::sparse_mode()).map(|(y, _)| y)
+    }
+
+    #[test]
+    fn chunk_validation() {
+        let (fs, what) = ([2, 3, 3], "stream chunk");
+        assert_eq!(validate_frames(&Tensor::zeros(&[2, 3, 3]), fs, None, what), Ok(1));
+        assert_eq!(validate_frames(&Tensor::zeros(&[4, 2, 3, 3]), fs, None, what), Ok(4));
+        assert!(validate_frames(&Tensor::zeros(&[3, 3]), fs, None, what).is_err());
+        assert!(validate_frames(&Tensor::zeros(&[1, 3, 3]), fs, None, what).is_err());
+        assert!(validate_frames(&Tensor::zeros(&[0, 2, 3, 3]), fs, None, what).is_err());
+        let mut bad = Tensor::zeros(&[2, 3, 3]);
+        *bad.at_mut(&[0, 1, 1]) = f32::NAN;
+        assert!(validate_frames(&bad, fs, None, what).unwrap_err().contains("non-finite"));
+    }
+
+    #[test]
+    fn whole_requests_hold_one_frame_or_all_timesteps() {
+        let (fs, what) = ([2, 3, 3], "request input");
+        assert_eq!(validate_frames(&Tensor::zeros(&[2, 3, 3]), fs, Some(4), what), Ok(1));
+        assert_eq!(validate_frames(&Tensor::zeros(&[4, 2, 3, 3]), fs, Some(4), what), Ok(4));
+        let short = validate_frames(&Tensor::zeros(&[3, 2, 3, 3]), fs, Some(4), what).unwrap_err();
+        assert!(short.contains("does not match the plan"), "{short}");
+        assert!(short.starts_with("request input [3, 2, 3, 3]"), "{short}");
     }
 
     #[test]

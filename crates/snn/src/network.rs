@@ -8,7 +8,7 @@
 //! in the vocabulary of the analytic accounting (`ttsnn_core::flops`).
 //! Everything a consumer does with a model is then one of three walks of
 //! that vector, written once here: the **tape walk**
-//! ([`TrainForward::forward_sequence`], layer-major BPTT), the **tensor
+//! ([`Network::forward_sequence`], layer-major BPTT), the **tensor
 //! walk** ([`InferForward::forward_steps_tensor`], the same layer-major
 //! forward over any cut of a sequence on f32 / spike-sparse / int8 kernels,
 //! with calibration hooks), and the
@@ -47,13 +47,12 @@ use ttsnn_tensor::{pool, Conv2dGeometry, Rng, ShapeError, Tensor};
 use crate::conv_unit::{ConvPolicy, ConvUnit, EventLayouts};
 use crate::lif::{Lif, LifConfig};
 use crate::model::{
-    linear_per_timestep, linear_tensor_mode, InferForward, InferState, InferStats, SpikingModel,
-    TrainForward,
+    copy_frame, linear_per_timestep, linear_tensor_mode, validate_frames, InferForward, InferState,
+    InferStats, SpikingModel,
 };
 use crate::norm::{Norm, NormKind};
 use crate::quant::{
-    self, calibration_frame_at, CalibRecorder, CalibStats, QuantConfig, QuantLinear,
-    QuantPlanWeights, QuantReport,
+    self, CalibRecorder, CalibStats, QuantConfig, QuantLinear, QuantPlanWeights, QuantReport,
 };
 
 /// One of the two activation slots a program's layers read and write.
@@ -315,7 +314,7 @@ enum Op {
 /// (Algorithm 1 line 14).
 ///
 /// ```
-/// use ttsnn_snn::{ConvPolicy, Network, ResNetConfig, SpikingModel, TrainForward};
+/// use ttsnn_snn::{ConvPolicy, Network, ResNetConfig};
 /// use ttsnn_core::TtMode;
 /// use ttsnn_autograd::Var;
 /// use ttsnn_tensor::{Rng, Tensor};
@@ -569,31 +568,47 @@ impl Network {
     }
 
     /// Runs a calibration pass on the inference plane: each frame —
-    /// `(C, H, W)` direct coding or `(T, C, H, W)` event frames — is
-    /// unrolled for `timesteps` while hooks record the activation range
-    /// entering every convolution (site `i` is the `i`-th conv of the
-    /// program) and the classifier (the last site). The returned
-    /// [`CalibStats`] feed [`Network::quantize`].
+    /// `(C, H, W)` direct coding or `(T, C, H, W)` event frames — is stacked
+    /// time-major over `timesteps` and walked in one
+    /// [`InferForward::forward_steps_tensor`] call while hooks record the
+    /// activation range entering every convolution (site `i` is the `i`-th
+    /// conv of the program) and the classifier (the last site). Every frame
+    /// runs alone, at batch 1, where [`InferStats::Batch`] and
+    /// [`InferStats::PerSample`] agree, so the model's mode is left as it
+    /// is. The returned [`CalibStats`] feed [`Network::quantize`].
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if a frame does not match the architecture.
+    /// Returns [`ShapeError`] if there is no frame or no timestep (nothing
+    /// to measure), or if a frame fails [`validate_frames`]: another rank,
+    /// another leading length than `timesteps`, another `(C, H, W)` than
+    /// the program's input, or a non-finite value.
     pub fn calibrate(
         &mut self,
         frames: &[Tensor],
         timesteps: usize,
     ) -> Result<CalibStats, ShapeError> {
-        let prev = std::mem::replace(&mut self.infer_stats, InferStats::PerSample);
+        if frames.is_empty() || timesteps == 0 {
+            return Err(ShapeError::new(format!(
+                "calibrate: {} frame(s) over {timesteps} timestep(s) measure no activation range",
+                frames.len()
+            )));
+        }
+        let [c, h, w] = self.program.input;
         self.calib = Some(CalibRecorder::default());
         let run = frames.iter().try_for_each(|frame| {
+            validate_frames(frame, self.program.input, Some(timesteps), "calibration frame")
+                .map_err(ShapeError::new)?;
+            let mut stack = Tensor::scratch(&[timesteps, c, h, w]);
+            for (t, row) in stack.data_mut().chunks_mut(c * h * w).enumerate() {
+                copy_frame(frame, t, row);
+            }
             self.reset_state();
-            (0..timesteps).try_for_each(|t| {
-                let input = calibration_frame_at(frame, t, timesteps)?;
-                self.forward_timestep_tensor(&input, t).map(drop)
-            })
+            let logits = self.forward_steps_tensor(&stack, 0, timesteps);
+            stack.recycle();
+            logits.map(Tensor::recycle)
         });
         self.reset_state();
-        self.infer_stats = prev;
         let recorder = self.calib.take().unwrap_or_default();
         run.map(|()| recorder.into_stats(frames.len(), timesteps))
     }
@@ -663,10 +678,29 @@ impl Network {
         self.policy_name = "int8";
         Ok(())
     }
-}
 
-impl TrainForward for Network {
-    fn forward_sequence(
+    /// The **tape walk**: processes timesteps `t0..t0 + steps` of a batch
+    /// on autograd [`Var`]s, recording the BPTT tape, layer-major — every
+    /// layer sees all the timesteps of the call at once. `x` is their input
+    /// frames as one time-major stack `(steps·B, C, H, W)`: row `t·B + s` is
+    /// sample `s` at timestep `t0 + t`. Returns the `(B, K)` logits of each
+    /// timestep, in order, as graph nodes.
+    ///
+    /// The only recurrence in a feed-forward SNN is each LIF layer's own
+    /// membrane, so a layer does not need the layers after it to have seen
+    /// timestep `t` before it looks at `t + 1`: convolutions and tdBN run
+    /// over the stacked timesteps as one batch (statistics still per
+    /// timestep), and only the LIF scans through time, inside one tape
+    /// node. The LIF layers start from the membranes the previous call left
+    /// (see [`SpikingModel::reset_state`]), so a sequence may be fed in
+    /// several calls; logits, loss and activation gradients do not depend
+    /// on how it was cut.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the input does not match the architecture
+    /// or does not hold `steps` timesteps.
+    pub fn forward_sequence(
         &mut self,
         x: &Var,
         t0: usize,
@@ -696,6 +730,18 @@ impl TrainForward for Network {
         }
         let pooled = held(&slots, Slot::Main)?.global_avg_pool()?;
         linear_per_timestep(&pooled, &self.fc_w, &self.fc_b, steps)
+    }
+
+    /// Processes the `(B, C, H, W)` input frame at timestep `t`, returning
+    /// `(B, K)` logits for this timestep as a graph node: a sequence of one,
+    /// and the oracle the layer-major walk is checked against.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the input does not match the architecture.
+    pub fn forward_timestep(&mut self, x: &Var, t: usize) -> Result<Var, ShapeError> {
+        let mut logits = self.forward_sequence(x, t, 1)?;
+        logits.pop().ok_or_else(|| ShapeError::new("forward_sequence returned no logits"))
     }
 }
 

@@ -7,7 +7,8 @@
 //! Deployment follows the accelerator's arithmetic (PAPER Table I: 8-bit
 //! multipliers, 16-bit accumulators):
 //!
-//! 1. **Calibrate** — run a small batch through the inference plane while
+//! 1. **Calibrate** — run each calibration frame alone through the
+//!    inference plane, all `T` timesteps in one call, while
 //!    [`CalibRecorder`] hooks record the max-abs activation entering every
 //!    conv and the classifier ([`crate::Network::calibrate`]: site `i` is
 //!    the `i`-th conv of the layer program, the classifier comes last).
@@ -431,42 +432,6 @@ impl CalibStats {
     }
 }
 
-/// Slices timestep `t` out of a calibration frame — `(C, H, W)` direct
-/// coding (same frame every timestep) or `(T, C, H, W)` per-timestep
-/// frames — as a `(1, C, H, W)` batch.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] for other ranks or an out-of-range `t`.
-pub fn calibration_frame_at(
-    frame: &Tensor,
-    t: usize,
-    timesteps: usize,
-) -> Result<Tensor, ShapeError> {
-    if t >= timesteps {
-        return Err(ShapeError::new(format!(
-            "calibration_frame_at: timestep {t} out of range (timesteps = {timesteps})"
-        )));
-    }
-    match frame.ndim() {
-        3 => {
-            let mut shape = vec![1];
-            shape.extend_from_slice(frame.shape());
-            Tensor::from_vec(frame.data().to_vec(), &shape)
-        }
-        4 if frame.shape()[0] == timesteps => {
-            let slab = frame.len() / timesteps;
-            let mut shape = vec![1];
-            shape.extend_from_slice(&frame.shape()[1..]);
-            Tensor::from_vec(frame.data()[t * slab..(t + 1) * slab].to_vec(), &shape)
-        }
-        _ => Err(ShapeError::new(format!(
-            "calibration frame {:?} must be (C, H, W) or ({timesteps}, C, H, W)",
-            frame.shape()
-        ))),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Plan-level reporting and replica sharing.
 
@@ -686,19 +651,6 @@ mod tests {
         let (yf, _) =
             crate::model::linear_tensor_mode(&x, &w, &b, 1, per_sample, SparseMode::Off).unwrap();
         assert!(y.max_abs_diff(&yf).unwrap() < 0.5);
-    }
-
-    #[test]
-    fn calibration_frame_slicing() {
-        let direct = Tensor::zeros(&[3, 4, 4]);
-        assert_eq!(calibration_frame_at(&direct, 1, 2).unwrap().shape(), &[1, 3, 4, 4]);
-        let mut rng = Rng::seed_from(4);
-        let event = Tensor::randn(&[2, 3, 4, 4], &mut rng);
-        let t1 = calibration_frame_at(&event, 1, 2).unwrap();
-        assert_eq!(t1.shape(), &[1, 3, 4, 4]);
-        assert_eq!(t1.data(), &event.data()[48..96]);
-        assert!(calibration_frame_at(&Tensor::zeros(&[4, 4]), 0, 2).is_err());
-        assert!(calibration_frame_at(&Tensor::zeros(&[3, 3, 4, 4]), 0, 2).is_err());
     }
 
     #[test]

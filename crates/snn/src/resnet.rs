@@ -203,7 +203,7 @@ pub fn resnet34_ncaltech() -> NetworkSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{SpikingModel, TrainForward};
+    use crate::model::SpikingModel;
     use ttsnn_autograd::Var;
     use ttsnn_core::TtMode;
     use ttsnn_tensor::{Rng, Tensor};

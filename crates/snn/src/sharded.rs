@@ -1,6 +1,6 @@
 //! Data-parallel training over persistent model-replica workers.
 //!
-//! [`ShardedTrainer`] runs `N` replicas of a [`crate::SpikingModel`] on `N`
+//! [`ShardedTrainer`] runs `N` replicas of a [`crate::Network`] on `N`
 //! long-lived worker threads. Each optimizer step cuts the batch into
 //! fixed-size **micro-batches**, farms them out to the replicas
 //! (round-robin), runs forward + BPTT backward per micro-batch, and
@@ -53,7 +53,8 @@ use ttsnn_tensor::{ShapeError, Tensor};
 
 use crate::checkpoint;
 use crate::loss::LossKind;
-use crate::model::Model;
+use crate::model::SpikingModel;
+use crate::network::Network;
 use crate::trainer::{
     evaluate_counts, forward_backward, StepTiming, StepTotals, TrainConfig, TrainReport,
 };
@@ -128,7 +129,7 @@ struct Worker {
 
 /// The replica worker's event loop: owns the (non-`Send`) model and its
 /// replicated optimizer, exits when the trainer drops the command channel.
-fn worker_main<M: Model>(mut model: M, rx: &Receiver<Cmd>) {
+fn worker_main(mut model: Network, rx: &Receiver<Cmd>) {
     let mut opt = Sgd::new(model.params(), SgdConfig::default());
     while let Ok(cmd) = rx.recv() {
         match cmd {
@@ -246,10 +247,9 @@ impl ShardedTrainer {
     ///
     /// Panics if a worker's factory panics, or if the replicas disagree on
     /// parameter shapes (a non-deterministic factory).
-    pub fn new<M, F>(config: ShardConfig, factory: F) -> Self
+    pub fn new<F>(config: ShardConfig, factory: F) -> Self
     where
-        M: Model + 'static,
-        F: Fn() -> M + Send + Sync + 'static,
+        F: Fn() -> Network + Send + Sync + 'static,
     {
         let factory = Arc::new(factory);
         let runtime = Runtime::current();

@@ -24,7 +24,8 @@ use ttsnn_data::Batch;
 use ttsnn_tensor::{ShapeError, Tensor};
 
 use crate::loss::LossKind;
-use crate::model::{InferForward, InferStats, Model, TrainForward};
+use crate::model::{InferForward, InferStats, SpikingModel};
+use crate::network::Network;
 
 /// Hyper-parameters for a training run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -248,14 +249,14 @@ fn stack_frames(batch: &Batch, caller: &str) -> Result<Tensor, ShapeError> {
 /// Runs the forward pass over all timesteps of one batch, returning the
 /// per-timestep logits. Resets model state first, then stacks the frames
 /// once as `(T·B, C, H, W)` and hands the model the whole sequence
-/// ([`TrainForward::forward_sequence`]).
+/// ([`Network::forward_sequence`]).
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if the batch has no timesteps, a frame's shape
 /// differs from the first timestep's or its batch dimension from the number
 /// of labels (naming the timestep), or the batch does not match the model.
-pub fn forward_batch(model: &mut dyn TrainForward, batch: &Batch) -> Result<Vec<Var>, ShapeError> {
+pub fn forward_batch(model: &mut Network, batch: &Batch) -> Result<Vec<Var>, ShapeError> {
     // The tape's copy of the frames lives in the arena like every other
     // value on it, and goes back there with the tape.
     let stacked = stack_frames(batch, "forward_batch")?;
@@ -268,7 +269,7 @@ pub fn forward_batch(model: &mut dyn TrainForward, batch: &Batch) -> Result<Vec<
 /// the parameters; returns the loss, the two phases' seconds and the number
 /// of nodes the tape grew by.
 pub(crate) fn forward_backward(
-    model: &mut dyn TrainForward,
+    model: &mut Network,
     batch: &Batch,
     loss_kind: LossKind,
 ) -> Result<(f32, f64, f64, u64), ShapeError> {
@@ -291,7 +292,7 @@ pub(crate) fn forward_backward(
 ///
 /// Returns [`ShapeError`] if shapes are inconsistent.
 pub fn train_step(
-    model: &mut dyn TrainForward,
+    model: &mut Network,
     batch: &Batch,
     opt: &mut Sgd,
     loss_kind: LossKind,
@@ -400,15 +401,14 @@ fn evaluate_counts_inner(
 /// Trains a model with SGD + cosine annealing (Algorithm 1, lines 6–19) and
 /// reports loss/accuracy curves plus mean per-step wall-clock time.
 ///
-/// Takes a [`Model`] — both execution planes — because optimization steps
-/// run on the training plane while the per-epoch accuracy evaluation runs
-/// graph-free on the inference plane.
+/// Optimization steps run on the training plane; the per-epoch accuracy
+/// evaluation runs graph-free on the inference plane.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if any batch does not match the model.
 pub fn train(
-    model: &mut dyn Model,
+    model: &mut Network,
     train_batches: &[Batch],
     test_batches: &[Batch],
     cfg: &TrainConfig,

@@ -124,7 +124,7 @@ pub type VggSnn = Network;
 mod tests {
     use super::*;
     use crate::conv_unit::ConvPolicy;
-    use crate::model::{SpikingModel, TrainForward};
+    use crate::model::SpikingModel;
     use ttsnn_autograd::Var;
     use ttsnn_core::TtMode;
     use ttsnn_tensor::{Rng, Tensor};

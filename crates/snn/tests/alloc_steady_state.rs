@@ -38,8 +38,8 @@ use ttsnn_data::EventStream;
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::trainer::forward_batch;
 use ttsnn_snn::{
-    ConvPolicy, InferForward, InferStats, LossKind, Model, NormKind, ResNetConfig, ResNetSnn,
-    VggConfig, VggSnn,
+    ConvPolicy, InferForward, InferStats, LossKind, Network, NormKind, ResNetConfig, ResNetSnn,
+    SpikingModel, VggConfig, VggSnn,
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
@@ -177,7 +177,7 @@ fn steady_state(
 /// The training plane: `model` on event batches (B = 8, T = 4). Two warm-up
 /// steps, then 4 measured ones over the same two batches; returns the large
 /// allocations of the measured window.
-fn training_steady_state(model: &mut dyn Model, rng: &mut Rng) -> (usize, usize) {
+fn training_steady_state(model: &mut Network, rng: &mut Rng) -> (usize, usize) {
     let mut opt = Sgd::new(model.params(), SgdConfig { lr: 0.05, ..SgdConfig::default() });
     let batches =
         EventStream::ncaltech_like(HW, HW, 10, T).dataset(16, rng).batches(8, T, rng).unwrap();
@@ -230,7 +230,7 @@ fn training_cases(threads: usize, rng: &mut Rng) {
     let mut vgg = VggConfig::vgg9(2, 10, (HW, HW), 8);
     vgg.norm = NormKind::Tebn { timesteps: T };
     let mut vgg = VggSnn::new(vgg, &ConvPolicy::tt(TtMode::Ptt), rng);
-    let cases: [(&str, &mut dyn Model); 2] =
+    let cases: [(&str, &mut Network); 2] =
         [("MS-ResNet18 HTT tdBN", &mut resnet), ("VGG9 PTT TEBN", &mut vgg)];
     for (name, model) in cases {
         let (count, bytes) = training_steady_state(model, rng);

@@ -27,8 +27,8 @@ use ttsnn_data::Batch;
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::trainer::forward_batch;
 use ttsnn_snn::{
-    ConvPolicy, InferForward, InferStats, LossKind, NormKind, ResNetConfig, ResNetSnn,
-    TrainForward, VggSnn,
+    ConvPolicy, InferForward, InferStats, LossKind, Network, NormKind, ResNetConfig, ResNetSnn,
+    SpikingModel, VggSnn,
 };
 use ttsnn_tensor::runtime::{with_scratch, Runtime};
 use ttsnn_tensor::spike::{SparseMode, SpikeTensor};
@@ -134,7 +134,7 @@ fn logits(model: &mut dyn InferForward, frames: &[Tensor], stats: InferStats) ->
 
 /// One training pass over `frames`: the bits of every timestep's logits,
 /// then of the loss, then of every parameter's gradient.
-fn training_pass(model: &mut dyn TrainForward, frames: &[Tensor]) -> Vec<Vec<u32>> {
+fn training_pass(model: &mut Network, frames: &[Tensor]) -> Vec<Vec<u32>> {
     let batch = Batch { frames: frames.to_vec(), labels: (0..BATCH).collect() };
     model.params().iter().for_each(Var::zero_grad);
     let logits = forward_batch(model, &batch).expect("forward");

@@ -4,11 +4,11 @@
 //!
 //! 1. **Batch-mode parity** — [`InferForward::forward_timestep_tensor`] in
 //!    the default [`InferStats::Batch`] mode is **bit-identical** to the
-//!    autograd plane's [`TrainForward::forward_timestep`] on the same
+//!    autograd plane's [`Network::forward_timestep`] on the same
 //!    batch, timestep by timestep.
 //! 2. **Per-sample invariance** — in [`InferStats::PerSample`] mode every
 //!    sample's logits are independent of the batch it rode in, and equal
-//!    to a batch-of-1 `TrainForward` pass bit for bit (the `ttsnn_infer`
+//!    to a batch-of-1 training-plane pass bit for bit (the `ttsnn_infer`
 //!    serving contract).
 //!
 //!    Both hold at every kernel thread count in [`THREADS`] and under
@@ -33,8 +33,7 @@ use ttsnn_data::StaticImages;
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::trainer::{evaluate, evaluate_counts, forward_batch};
 use ttsnn_snn::{
-    ConvPolicy, InferForward, InferStats, Lif, LifConfig, Model, Network, ResNetSnn, SpikingModel,
-    VggSnn,
+    ConvPolicy, InferForward, InferStats, Lif, LifConfig, Network, ResNetSnn, SpikingModel, VggSnn,
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::spike::{self, SparseMode, SpikeTensor};
@@ -64,7 +63,7 @@ fn frames(seed: u64, batch: usize) -> Vec<Tensor> {
 }
 
 /// Per-timestep logits on the training (Var) plane.
-fn var_logits(model: &mut dyn Model, frames: &[Tensor]) -> Vec<Tensor> {
+fn var_logits(model: &mut Network, frames: &[Tensor]) -> Vec<Tensor> {
     model.reset_state();
     frames
         .iter()
@@ -76,7 +75,7 @@ fn var_logits(model: &mut dyn Model, frames: &[Tensor]) -> Vec<Tensor> {
 }
 
 /// Per-timestep logits on the inference (tensor) plane.
-fn tensor_logits(model: &mut dyn Model, frames: &[Tensor], stats: InferStats) -> Vec<Tensor> {
+fn tensor_logits(model: &mut Network, frames: &[Tensor], stats: InferStats) -> Vec<Tensor> {
     model.set_infer_stats(stats);
     model.reset_state();
     frames
@@ -262,13 +261,12 @@ fn merged_dense_models_keep_plane_parity() {
     vgg.merge_into_dense().unwrap();
     let mut res = ResNetSnn::new(resnet20_tiny(5), &ConvPolicy::tt(TtMode::Stt), &mut rng);
     res.merge_into_dense().unwrap();
-    let mut models: Vec<(String, Box<dyn Model>)> =
-        vec![(vgg.name(), Box::new(vgg)), (res.name(), Box::new(res))];
+    let mut models: Vec<(String, Network)> = vec![(vgg.name(), vgg), (res.name(), res)];
     for (name, model) in &mut models {
         for threads in THREADS {
             let (via_var, via_tensor) = Runtime::new(threads).install(|| {
-                let via_var = var_logits(model.as_mut(), &input);
-                (via_var, tensor_logits(model.as_mut(), &input, InferStats::Batch))
+                let via_var = var_logits(model, &input);
+                (via_var, tensor_logits(model, &input, InferStats::Batch))
             });
             for (t, (a, b)) in via_var.iter().zip(&via_tensor).enumerate() {
                 assert_eq!(a, b, "{name} t={t} diverged after merge ({threads} threads)");
@@ -296,7 +294,7 @@ fn spike_activity_counters_report_what_they_always_did() {
     ];
     let input = frames(21, 4);
     let batch = ttsnn_data::Batch { frames: input.clone(), labels: vec![0; 4] };
-    type Plane<'a> = (&'a str, &'a dyn Fn(&mut dyn Model));
+    type Plane<'a> = (&'a str, &'a dyn Fn(&mut Network));
     let planes: [Plane<'_>; 3] = [
         ("inference plane", &|m| drop(tensor_logits(m, &input, InferStats::Batch))),
         ("training plane, timestep calls", &|m| drop(var_logits(m, &input))),

@@ -1,8 +1,8 @@
 //! Layer-major training against its timestep-major oracle.
 //!
 //! The training plane runs every layer once over all `T` timesteps
-//! ([`TrainForward::forward_sequence`]). The same models can still be fed a
-//! timestep at a time ([`TrainForward::forward_timestep`], a sequence of
+//! ([`Network::forward_sequence`]). The same models can still be fed a
+//! timestep at a time ([`Network::forward_timestep`], a sequence of
 //! one, the LIF layers carrying their membranes from call to call), which
 //! is how they were trained before and is the oracle here: one call over
 //! `T` timesteps against `T` calls must give
@@ -26,7 +26,8 @@ use ttsnn_core::{HttSchedule, TtMode};
 use ttsnn_data::Batch;
 use ttsnn_snn::trainer::forward_batch;
 use ttsnn_snn::{
-    ConvPolicy, LossKind, NormKind, ResNetConfig, ResNetSnn, TrainForward, VggConfig, VggSnn,
+    ConvPolicy, LossKind, Network, NormKind, ResNetConfig, ResNetSnn, SpikingModel, VggConfig,
+    VggSnn,
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
@@ -51,10 +52,10 @@ struct Pass {
 /// leaves, in time order), the loss and the backward sweep on a freshly
 /// reset model with zeroed gradients.
 fn pass(
-    model: &mut dyn TrainForward,
+    model: &mut Network,
     labels: &[usize],
     loss: LossKind,
-    forward: impl FnOnce(&mut dyn TrainForward) -> (Vec<Var>, Vec<Var>),
+    forward: impl FnOnce(&mut Network) -> (Vec<Var>, Vec<Var>),
 ) -> Pass {
     model.params().iter().for_each(Var::zero_grad);
     model.reset_state();
@@ -74,7 +75,7 @@ fn pass(
 }
 
 /// One `forward_sequence` over the stacked frames.
-fn layer_major(model: &mut dyn TrainForward, frames: &[Tensor], labels: &[usize]) -> Pass {
+fn layer_major(model: &mut Network, frames: &[Tensor], labels: &[usize]) -> Pass {
     let stacked = Var::param(stack(frames));
     pass(model, labels, LossKind::SumCe, |m| {
         let logits = m.forward_sequence(&stacked, 0, frames.len()).expect("sequence forward");
@@ -83,7 +84,7 @@ fn layer_major(model: &mut dyn TrainForward, frames: &[Tensor], labels: &[usize]
 }
 
 /// `T` `forward_timestep` calls.
-fn timestep_major(model: &mut dyn TrainForward, frames: &[Tensor], labels: &[usize]) -> Pass {
+fn timestep_major(model: &mut Network, frames: &[Tensor], labels: &[usize]) -> Pass {
     pass(model, labels, LossKind::SumCe, |m| {
         let inputs: Vec<Var> = frames.iter().map(|f| Var::param(f.clone())).collect();
         let logits = inputs

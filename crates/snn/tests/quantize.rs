@@ -6,8 +6,8 @@
 use ttsnn_core::TtMode;
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, InferForward, InferStats, ResNetConfig, ResNetSnn, SpikingModel,
-    VggConfig, VggSnn,
+    checkpoint, CalibStats, ConvPolicy, InferForward, InferStats, ResNetConfig, ResNetSnn,
+    SpikingModel, VggConfig, VggSnn,
 };
 use ttsnn_tensor::qkernels::QAccum;
 use ttsnn_tensor::runtime::Runtime;
@@ -246,12 +246,116 @@ fn mismatched_plan_install_leaves_model_untouched() {
     assert_eq!(y.len(), 7);
 }
 
+/// Calibration refuses what it cannot measure — no frame, no timestep, a
+/// frame of another rank, another leading length, another `(C, H, W)` or
+/// a non-finite value — with an error, not a panic, and the model
+/// calibrates on afterwards.
 #[test]
-fn calibration_frame_rejects_out_of_range_timestep() {
-    use ttsnn_snn::quant::calibration_frame_at;
-    let event = Tensor::zeros(&[2, 3, 4, 4]);
-    assert!(calibration_frame_at(&event, 1, 2).is_ok());
-    let err = calibration_frame_at(&event, 2, 2).unwrap_err().to_string();
-    assert!(err.contains("out of range"), "unclear error: {err}");
-    assert!(calibration_frame_at(&event, 0, 0).is_err(), "timesteps = 0 must error, not panic");
+fn calibrate_rejects_what_it_cannot_use() {
+    let mut net = VggSnn::new(vgg9_tiny(), &ConvPolicy::Baseline, &mut Rng::seed_from(19));
+    let frames = calib_frames(3, 8, 2, 20);
+    let event = Tensor::zeros(&[T, 3, 8, 8]);
+    let err = |net: &mut VggSnn, frames: &[Tensor], steps: usize| {
+        net.calibrate(frames, steps).expect_err("calibration must be refused").to_string()
+    };
+    assert!(err(&mut net, &[], T).contains("0 frame(s)"));
+    assert!(err(&mut net, &frames, 0).contains("0 timestep(s)"));
+    assert!(err(&mut net, std::slice::from_ref(&event), 0).contains("0 timestep(s)"));
+    let wrong_t = err(&mut net, std::slice::from_ref(&event), T + 1);
+    assert!(wrong_t.contains("must be (C, H, W) or (3, C, H, W)"), "unclear error: {wrong_t}");
+    assert!(err(&mut net, &[Tensor::zeros(&[8, 8])], T).contains("must be (C, H, W)"));
+    assert!(err(&mut net, &[Tensor::zeros(&[1, T, 3, 8, 8])], T).contains("must be (C, H, W)"));
+    assert!(err(&mut net, &[Tensor::zeros(&[2, 8, 8])], T).contains("(C, H, W) = (3, 8, 8)"));
+    assert!(err(&mut net, &[Tensor::zeros(&[0, 8, 8])], T).contains("does not match the plan"));
+    let mut nan = frames[0].clone();
+    nan.data_mut()[5] = f32::NAN;
+    assert!(err(&mut net, &[frames[0].clone(), nan], T).contains("non-finite"));
+    // The refused calls left nothing behind.
+    let calib = net.calibrate(&[frames[0].clone(), event], T).unwrap();
+    assert_eq!((calib.frames, calib.timesteps), (2, T));
+    net.quantize(&calib, &QuantConfig::default()).unwrap();
+}
+
+/// FNV-1a over every site's `(max_abs bits, integral, seen)`, site order.
+fn calib_checksum(calib: &CalibStats) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for s in &calib.sites {
+        let flags = [u8::from(s.integral), u8::from(s.seen)];
+        for byte in s.max_abs.to_bits().to_le_bytes().into_iter().chain(flags) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Calibration frames mixing direct coding `(C, 16, 16)` and per-timestep
+/// `(steps, C, 16, 16)`: binary events, or analog pixels whose range grows
+/// with the timestep, so the input site's maximum comes from the last one.
+fn mixed_frames(c: usize, steps: usize, events: bool, seed: u64) -> Vec<Tensor> {
+    let mut rng = Rng::seed_from(seed);
+    (0..4)
+        .map(|i| {
+            let shape = if i % 2 == 0 { vec![steps, c, 16, 16] } else { vec![c, 16, 16] };
+            let mut x = Tensor::rand_uniform(&shape, 0.0, 1.0, &mut rng);
+            let frame = c * 16 * 16;
+            for (t, slab) in x.data_mut().chunks_mut(frame).enumerate() {
+                for v in slab {
+                    *v = if events { f32::from(u8::from(*v < 0.3)) } else { *v * (t + 1) as f32 };
+                }
+            }
+            x
+        })
+        .collect()
+}
+
+/// The activation ranges calibration records, pinned bit for bit on a
+/// seeded 2-channel event VGG9 and a 3-channel analog MS-ResNet18 under
+/// every convolution policy, at every kernel thread count: the int8 scales
+/// a plan freezes cannot move unnoticed.
+#[test]
+fn calibration_stats_are_pinned() {
+    const STEPS: usize = 4;
+    let policies = [
+        ("baseline", ConvPolicy::Baseline),
+        ("PTT", ConvPolicy::tt(TtMode::Ptt)),
+        ("HTT", ConvPolicy::tt(TtMode::htt_default(STEPS))),
+    ];
+    // (VGG9 events, MS-ResNet18 analog) per policy.
+    let pinned: [u64; 6] = [
+        0xaef1_3e66_6ae9_c174,
+        0xe5d2_6868_78c6_c4ee,
+        0x8a1f_3492_a7ec_0b54,
+        0xe5d2_6868_78c6_c4ee,
+        0xb528_7389_1b34_23f4,
+        0xe5d2_6868_78c6_c4ee,
+    ];
+    let mut got = Vec::new();
+    for (name, policy) in &policies {
+        for arch in ["VGG9 events", "MS-ResNet18 analog"] {
+            let mut rng = Rng::seed_from(23);
+            let (mut net, frames) = if arch == "VGG9 events" {
+                let net = VggSnn::new(VggConfig::vgg9(2, 5, (16, 16), 16), policy, &mut rng);
+                (net, mixed_frames(2, STEPS, true, 24))
+            } else {
+                let net = ResNetSnn::new(ResNetConfig::resnet18(5, (16, 16), 16), policy, &mut rng);
+                (net, mixed_frames(3, STEPS, false, 25))
+            };
+            let sums: Vec<u64> = THREADS
+                .iter()
+                .map(|&threads| {
+                    let calib =
+                        Runtime::new(threads).install(|| net.calibrate(&frames, STEPS)).unwrap();
+                    assert_eq!((calib.frames, calib.timesteps), (frames.len(), STEPS));
+                    assert_eq!(calib.sites.len(), net.conv_layer_specs().len() + 1);
+                    calib_checksum(&calib)
+                })
+                .collect();
+            assert!(
+                sums.iter().all(|&s| s == sums[0]),
+                "{arch} {name}: {sums:#x?} by thread count"
+            );
+            got.push(sums[0]);
+        }
+    }
+    assert_eq!(got, pinned, "calibration checksums moved: {got:#x?}");
 }

@@ -25,8 +25,8 @@ use ttsnn_core::TtMode;
 use ttsnn_data::{Batch, EventStream, StaticImages};
 use ttsnn_snn::trainer::train_step;
 use ttsnn_snn::{
-    ConvPolicy, LifConfig, LossKind, NormKind, ResNetConfig, ResNetSnn, ShardConfig,
-    ShardedTrainer, SpikingModel, TrainForward, VggConfig, VggSnn,
+    ConvPolicy, LifConfig, LossKind, Network, NormKind, ResNetConfig, ResNetSnn, ShardConfig,
+    ShardedTrainer, SpikingModel, VggConfig, VggSnn,
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
@@ -60,11 +60,7 @@ fn image_batches(t: usize, batch: usize, rng: &mut Rng) -> Vec<Batch> {
 }
 
 /// `STEPS` classic steps; the loss bits and the final parameter checksum.
-fn run<M: TrainForward + SpikingModel>(
-    mut model: M,
-    batches: &[Batch],
-    loss: LossKind,
-) -> ([u32; STEPS], u64) {
+fn run(mut model: Network, batches: &[Batch], loss: LossKind) -> ([u32; STEPS], u64) {
     let mut opt = Sgd::new(model.params(), SGD);
     let mut losses = [0u32; STEPS];
     for (s, slot) in losses.iter_mut().enumerate() {

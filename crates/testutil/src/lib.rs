@@ -21,8 +21,8 @@ use std::time::Duration;
 use ttsnn_autograd::Var;
 use ttsnn_infer::{ArchSpec, BatchPolicy, Cluster, ClusterConfig, ClusterMetrics, EngineConfig};
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, InferForward, Model, ResNetConfig, ResNetSnn, SpikingModel,
-    TrainForward, VggConfig, VggSnn,
+    checkpoint, ConvPolicy, InferForward, Network, ResNetConfig, ResNetSnn, SpikingModel,
+    VggConfig, VggSnn,
 };
 use ttsnn_tensor::{Rng, Tensor};
 
@@ -86,11 +86,7 @@ pub fn samples(seed: u64, n: usize) -> Vec<Tensor> {
 /// per-sample summed logits over `timesteps` under direct coding (the
 /// `(C, H, W)` frame repeated every timestep). What a served request must
 /// equal bit for bit.
-pub fn train_plane_reference(
-    model: &mut (impl TrainForward + ?Sized),
-    sample: &Tensor,
-    timesteps: usize,
-) -> Tensor {
+pub fn train_plane_reference(model: &mut Network, sample: &Tensor, timesteps: usize) -> Tensor {
     model.reset_state();
     let mut batched_shape = vec![1usize];
     batched_shape.extend_from_slice(sample.shape());
@@ -201,16 +197,6 @@ pub fn assert_bits_eq(a: &Tensor, b: &Tensor, context: &str) {
             "{context}: bit mismatch at flat index {i}: {x:?} vs {y:?}"
         );
     }
-}
-
-/// A dyn-friendly wrapper for [`train_plane_reference`] over boxed
-/// models.
-pub fn train_plane_reference_dyn(
-    model: &mut dyn Model,
-    sample: &Tensor,
-    timesteps: usize,
-) -> Tensor {
-    train_plane_reference(model, sample, timesteps)
 }
 
 #[cfg(test)]

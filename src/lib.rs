@@ -12,9 +12,9 @@
 //!   and analytic params/FLOPs accounting.
 //! * [`snn`] — the SNN training substrate: LIF neurons, surrogate gradients,
 //!   direct coding, tdBN/TEBN, MS-ResNet/VGG architectures, TET loss, NDA
-//!   augmentation, and the BPTT trainer — with the model API split into a
-//!   training plane (`TrainForward`, autograd) and an inference plane
-//!   (`InferForward`, graph-free tensors).
+//!   augmentation, and the BPTT trainer — with one model type, `Network`,
+//!   whose training plane is its inherent autograd tape walk and whose
+//!   inference plane is the `InferForward` trait (graph-free tensors).
 //! * [`infer`] — the batched serving engine: frozen plans from
 //!   architecture config + checkpoint (optionally merged into dense
 //!   kernels), dynamic request micro-batching, per-sample determinism.

@@ -59,6 +59,7 @@ use ttsnn_snn::{checkpoint, InferForward, InferStats, Network, SpikingModel};
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
 
+use crate::clock::{Clock, RealClock};
 use crate::metrics::ClusterMetrics;
 use crate::plan::{
     self, EngineConfig, FrozenPlan, InferError, PlanDrift, PlanInfo, QuantSpec, SpikeDensityReport,
@@ -492,7 +493,25 @@ impl Cluster {
     /// `InvalidData` if the checkpoint does not match the architecture;
     /// plus any I/O error from reading `checkpoint`.
     pub fn load(config: ClusterConfig, checkpoint: impl Read) -> io::Result<Cluster> {
-        Self::load_impl(config, None, checkpoint)
+        Self::load_impl(config, None, Arc::new(RealClock), checkpoint)
+    }
+
+    /// [`Cluster::load`] on the given clock: every scheduling timestamp
+    /// and timed wait — the `max_wait` window, deadlines, token refills,
+    /// heartbeats, latencies and the spans the cluster records — reads it
+    /// instead of the real one. Tests pass a
+    /// [`ManualClock`](crate::ManualClock) to assert timing behaviour
+    /// exactly.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::load`].
+    pub fn load_with_clock(
+        config: ClusterConfig,
+        clock: Arc<dyn Clock>,
+        checkpoint: impl Read,
+    ) -> io::Result<Cluster> {
+        Self::load_impl(config, None, clock, checkpoint)
     }
 
     /// [`Cluster::load`], but the plan is **frozen to int8**: the freeze
@@ -519,12 +538,13 @@ impl Cluster {
         quant: QuantSpec,
         checkpoint: impl Read,
     ) -> io::Result<Cluster> {
-        Self::load_impl(config, Some(quant), checkpoint)
+        Self::load_impl(config, Some(quant), Arc::new(RealClock), checkpoint)
     }
 
     fn load_impl(
         mut config: ClusterConfig,
         quant: Option<QuantSpec>,
+        clock: Arc<dyn Clock>,
         mut checkpoint: impl Read,
     ) -> io::Result<Cluster> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
@@ -561,7 +581,7 @@ impl Cluster {
         let frozen = Arc::new(frozen);
 
         let replicas = config.num_replicas;
-        let sched = Arc::new(Scheduler::new(config.queue_capacity, replicas, config.fair.clone()));
+        let sched = Scheduler::new(config.queue_capacity, replicas, config.fair.clone(), clock);
         let stream_state_bytes = config.stream_state_bytes;
         let mut handles = Vec::with_capacity(replicas);
         let (up_tx, up_rx) = channel::<io::Result<()>>();
@@ -712,19 +732,19 @@ fn serve_stream_cmd(
             sched.record_stream_state(replica, streams.active(), streams.resident_bytes(), 0);
         }
         StreamCmd::Feed { id, chunk, reply, submitted, trace, .. } => {
-            let exec_start = if trace != 0 { ttsnn_obs::now_ns() } else { 0 };
+            let exec_start = if trace != 0 { sched.now_ns() } else { 0 };
             let _ctx = ttsnn_obs::TraceContext::enter(&[trace]);
             match streams.feed(model, cfg.timesteps, id, &chunk) {
                 Ok((update, report)) => {
                     if trace != 0 {
-                        let dur = ttsnn_obs::now_ns().saturating_sub(exec_start);
+                        let dur = sched.now_ns().saturating_sub(exec_start);
                         let executed = report.executed;
                         ttsnn_obs::record_stage_span(trace, Execute, exec_start, dur, executed, id);
                     }
                     // Never evict the session just fed: its chunk was
                     // admitted and executed.
                     let evicted = streams.evict_to_bound(id) as u64;
-                    sched.record_stream_chunk(report, submitted.elapsed());
+                    sched.record_stream_chunk(report, submitted);
                     sched.record_stream_state(
                         replica,
                         streams.active(),
@@ -774,7 +794,7 @@ fn serve_cluster_batch(
     let inputs: Vec<&Tensor> = accepted.iter().map(|j| &j.input).collect();
     let traces: Vec<u64> = accepted.iter().map(|j| j.trace).collect();
     let tracing = traces.iter().any(|&t| t != 0) && ttsnn_obs::enabled();
-    let exec_start = if tracing { ttsnn_obs::now_ns() } else { 0 };
+    let exec_start = if tracing { sched.now_ns() } else { 0 };
     match plan::forward_requests(model, cfg.timesteps, &inputs, &traces) {
         Ok(summed) => {
             let batch_size = accepted.len();
@@ -783,14 +803,14 @@ fn serve_cluster_batch(
             // mean spike density as payload) *before* scattering replies,
             // so a client that immediately queries `/trace` sees it.
             if tracing {
-                let dur = ttsnn_obs::now_ns().saturating_sub(exec_start);
+                let dur = sched.now_ns().saturating_sub(exec_start);
                 let (size, bits) = (batch_size as u64, density.mean.unwrap_or(f64::NAN).to_bits());
                 for &trace in &traces {
                     ttsnn_obs::record_stage_span(trace, Execute, exec_start, dur, size, bits);
                 }
             }
             let served: Vec<_> =
-                accepted.iter().map(|j| (j.priority, j.tenant, j.submitted.elapsed())).collect();
+                accepted.iter().map(|j| (j.priority, j.tenant, j.submitted)).collect();
             sched.record_served(&served, density);
             let k = summed.len() / batch_size;
             for (i, job) in accepted.iter().enumerate() {

@@ -17,7 +17,9 @@
 //! deadlines, dropping a [`ClusterTicket`] cancels, the bounded queue
 //! pushes back via [`ClusterSession::try_submit`], and live
 //! [`ClusterMetrics`] keep it observable. See [`cluster`], [`sched`] and
-//! [`metrics`].
+//! [`metrics`]. The scheduler reads all of its time from one [`Clock`]
+//! ([`clock`]): [`RealClock`] in service, a [`ManualClock`] the test moves
+//! when timing behaviour is under test.
 //!
 //! ## Determinism contract
 //!
@@ -97,10 +99,12 @@
 mod plan;
 mod stream;
 
+pub mod clock;
 pub mod cluster;
 pub mod metrics;
 pub mod sched;
 
+pub use clock::{Clock, ManualClock, RealClock};
 pub use cluster::{
     plan_drift, Cluster, ClusterConfig, ClusterSession, ClusterStreamSession, ClusterStreamTicket,
     ClusterTicket,

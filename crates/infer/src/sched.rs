@@ -62,12 +62,13 @@ use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::time::Duration;
 
 use ttsnn_obs::Stage::{BatchForm, QueueWait};
 use ttsnn_tensor::{runtime, Tensor};
 
+use crate::clock::{Clock, Wake};
 use crate::metrics::{CloseReason, ClusterMetrics};
 use crate::plan::{InferError, SpikeDensityReport};
 use crate::stream::{FeedReport, StreamOptions, StreamUpdate};
@@ -116,8 +117,9 @@ pub struct SubmitOptions {
     /// Optional **relative** deadline: if the request is still queued this
     /// long after submission, the scheduler drops it with
     /// [`InferError::DeadlineExpired`] instead of executing stale work.
-    /// `None` (default) never expires. Values too large to represent as an
-    /// absolute instant (e.g. `Duration::MAX`) behave like `None`.
+    /// `None` (default) never expires. A deadline whose absolute time does
+    /// not fit the scheduler's `u64` nanosecond clock (e.g.
+    /// `Duration::MAX`) behaves like `None`.
     pub deadline: Option<Duration>,
     /// Which tenant the request is accounted against (`0` by default).
     /// Under a [`FairPolicy`] the tenant selects the request's fair-queue
@@ -382,19 +384,17 @@ pub(crate) struct Job {
     pub(crate) priority: Priority,
     /// Tenant the request is accounted (and fair-queued) against.
     pub(crate) tenant: TenantId,
-    /// Absolute queueing deadline, if any.
-    pub(crate) deadline: Option<Instant>,
+    /// Absolute queueing deadline on the scheduler's clock (ns), if any.
+    pub(crate) deadline: Option<u64>,
     /// Set by `ClusterTicket::drop`; checked at pop and at batch close.
     pub(crate) cancelled: Arc<AtomicBool>,
     /// Where the logits (or the error) go.
     pub(crate) reply: Sender<Result<Tensor, InferError>>,
-    /// Submission instant, for the latency histogram.
-    pub(crate) submitted: Instant,
+    /// Admission time on the scheduler's clock (ns): where the latency
+    /// histogram's sample and the `queue_wait` span start.
+    pub(crate) submitted: u64,
     /// Request-lifecycle trace id (`0` = untraced).
     pub(crate) trace: u64,
-    /// Submission time on the obs clock (ns; 0 when untraced) — the
-    /// `queue_wait` span's start.
-    pub(crate) submit_ns: u64,
     /// When the job was popped into an open batch (set by `pop_live`;
     /// splits `queue_wait` from `batch_form`).
     pub(crate) popped_ns: u64,
@@ -403,7 +403,7 @@ pub(crate) struct Job {
 impl Job {
     /// Urgency key: priority class, then deadline (deadline-less last),
     /// then admission order. Smaller = more urgent.
-    fn key(&self) -> (usize, Option<Instant>, u64) {
+    fn key(&self) -> (usize, Option<u64>, u64) {
         (self.priority.index(), self.deadline, self.seq)
     }
 
@@ -559,17 +559,11 @@ const REJECT_RATE_LIMITED: u64 = 2;
 /// both records land in bounded rings (the per-thread event ring and the
 /// flight recorder's completion ring), so rejections can never leak
 /// ring-buffer slots however many arrive.
-fn record_rejected(opts: &SubmitOptions, reason: u64) {
+fn record_rejected(opts: &SubmitOptions, reason: u64, now: u64) {
     if opts.trace == 0 {
         return;
     }
-    ttsnn_obs::record_instant(
-        opts.trace,
-        "rejected",
-        ttsnn_obs::now_ns(),
-        reason,
-        u64::from(opts.tenant),
-    );
+    ttsnn_obs::record_instant(opts.trace, "rejected", now, reason, u64::from(opts.tenant));
     let status =
         if reason == REJECT_SATURATED { "rejected_saturated" } else { "rejected_rate_limited" };
     ttsnn_obs::record_completion(opts.trace, opts.tenant, status, 0);
@@ -578,7 +572,19 @@ fn record_rejected(opts: &SubmitOptions, reason: u64) {
 /// One tenant's token bucket, refilled lazily at admission time.
 struct TokenBucket {
     tokens: f64,
-    refilled: Instant,
+    /// When `tokens` was last brought up to date (scheduler clock, ns).
+    refilled: u64,
+}
+
+/// `now + d` on the scheduler's clock, or `None` — never — when that time
+/// does not fit a `u64` of nanoseconds (e.g. `d` is `Duration::MAX`).
+fn after(now: u64, d: Duration) -> Option<u64> {
+    u64::try_from(d.as_nanos()).ok().and_then(|d| now.checked_add(d))
+}
+
+/// Seconds in `ns` nanoseconds, as `Duration::as_secs_f64` computes them.
+fn secs(ns: u64) -> f64 {
+    Duration::from_nanos(ns).as_secs_f64()
 }
 
 /// One replica-pinned streaming command. Unlike batch jobs (any replica
@@ -600,20 +606,19 @@ pub(crate) enum StreamCmd {
         id: u64,
         /// `(C, H, W)` or `(n, C, H, W)` frames.
         chunk: Tensor,
-        /// Absolute queueing deadline, if any: an expired chunk is
-        /// dropped with `DeadlineExpired` and **the session is
-        /// untouched** (no timestep was consumed).
-        deadline: Option<Instant>,
+        /// Absolute queueing deadline on the scheduler's clock (ns), if
+        /// any: an expired chunk is dropped with `DeadlineExpired` and
+        /// **the session is untouched** (no timestep was consumed).
+        deadline: Option<u64>,
         /// Where the any-time update (or the error) goes.
         reply: Sender<Result<StreamUpdate, InferError>>,
-        /// Submission instant, for the latency histogram.
-        submitted: Instant,
+        /// Admission time on the scheduler's clock (ns): where the latency
+        /// histogram's sample and the `queue_wait` span start.
+        submitted: u64,
         /// Per-chunk trace id, minted at enqueue when tracing is on
         /// (`0` = untraced). Stream chunks are requests, so each gets
         /// `queue_wait` and `execute` spans like a batch member.
         trace: u64,
-        /// Enqueue time on the obs clock (ns; 0 when untraced).
-        submit_ns: u64,
     },
     /// Drop the session's resident state.
     Close {
@@ -704,10 +709,10 @@ struct State {
     /// Next session id, and the round-robin cursor for replica pinning.
     next_stream_id: u64,
     /// Per-replica liveness heartbeat: when the replica last touched the
-    /// scheduler loop (`None` before its first pull). Updated under the
-    /// already-held state mutex, so the telemetry watchdog costs the hot
-    /// path one `Instant` store.
-    seen: Vec<Option<Instant>>,
+    /// scheduler loop (scheduler clock, ns; `None` before its first pull).
+    /// Updated under the already-held state mutex, so the telemetry
+    /// watchdog costs the hot path one stored clock reading.
+    seen: Vec<Option<u64>>,
     metrics: ClusterMetrics,
 }
 
@@ -734,8 +739,8 @@ impl State {
 /// What [`Scheduler::slot`] found when an admission asked for a
 /// backpressure slot. `Free` and `Full` carry the still-held state lock.
 enum Slot<'a> {
-    Free(std::sync::MutexGuard<'a, State>),
-    Full(std::sync::MutexGuard<'a, State>),
+    Free(MutexGuard<'a, State>),
+    Full(MutexGuard<'a, State>),
     Closed,
 }
 
@@ -753,43 +758,94 @@ pub(crate) struct Scheduler {
     work: Condvar,
     /// Signalled when outstanding drops (and on shutdown).
     space: Condvar,
+    /// Every timestamp and every timed wait ([`crate::clock`]).
+    clock: Arc<dyn Clock>,
+    /// Wakes the replicas parked on `work`, for a clock that moves by
+    /// command.
+    wake: Wake,
 }
 
 impl Scheduler {
-    pub(crate) fn new(capacity: usize, replicas: usize, fair: Option<FairPolicy>) -> Self {
-        Self {
-            capacity,
-            fair: fair.clone(),
-            state: Mutex::new(State {
-                queue: JobQueue::new(fair),
-                buckets: BTreeMap::new(),
-                streams: (0..replicas).map(|_| VecDeque::new()).collect(),
-                outstanding: 0,
-                peak: 0,
-                prev_peak: None,
-                shutdown: false,
-                next_seq: 0,
-                next_stream_id: 0,
-                seen: vec![None; replicas],
-                metrics: ClusterMetrics::new(replicas),
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-        }
+    pub(crate) fn new(
+        capacity: usize,
+        replicas: usize,
+        fair: Option<FairPolicy>,
+        clock: Arc<dyn Clock>,
+    ) -> Arc<Self> {
+        Arc::new_cyclic(|me: &Weak<Self>| {
+            let me = Weak::clone(me);
+            let wake: Wake = Arc::new(move || {
+                if let Some(sched) = me.upgrade() {
+                    let _st = sched.lock();
+                    sched.work.notify_all();
+                }
+            });
+            Self {
+                capacity,
+                fair: fair.clone(),
+                state: Mutex::new(State {
+                    queue: JobQueue::new(fair),
+                    buckets: BTreeMap::new(),
+                    streams: (0..replicas).map(|_| VecDeque::new()).collect(),
+                    outstanding: 0,
+                    peak: 0,
+                    prev_peak: None,
+                    shutdown: false,
+                    next_seq: 0,
+                    next_stream_id: 0,
+                    seen: vec![None; replicas],
+                    metrics: ClusterMetrics::new(replicas),
+                }),
+                work: Condvar::new(),
+                space: Condvar::new(),
+                clock,
+                wake,
+            }
+        })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The scheduler's clock, in ns: what replicas time their spans with.
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.clock.now_ns()
+    }
+
+    /// Parks a replica on `work` until an arrival (or any other wake-up)
+    /// or until the clock reads `until` (`None`: arrivals only).
+    fn park<'a>(&'a self, st: MutexGuard<'a, State>, until: Option<u64>) -> MutexGuard<'a, State> {
+        let mut st = Some(st);
+        self.clock.park_until(until, &self.wake, &mut |timeout| {
+            let guard = st.take().expect("the scheduler lock is held between parks");
+            st = Some(match timeout {
+                None => self.work.wait(guard).unwrap_or_else(|e| e.into_inner()),
+                Some(t) => self.work.wait_timeout(guard, t).unwrap_or_else(|e| e.into_inner()).0,
+            });
+        });
+        st.expect("the scheduler lock is held after a park")
+    }
+
+    /// Wakes every replica parked in [`Scheduler::next_work`]: there is work,
+    /// a stream command, or a shutdown to look at.
+    fn wake_replicas(&self) {
+        self.clock.waking();
+        self.work.notify_all();
     }
 
     /// Charges one token from the tenant's bucket, or reports how long
     /// until the next token if the bucket is empty. No-op without a fair
     /// policy or without a rate limit for this tenant.
-    fn charge_rate_locked(&self, st: &mut State, tenant: TenantId) -> Result<(), Duration> {
+    fn charge_rate_locked(
+        &self,
+        st: &mut State,
+        tenant: TenantId,
+        now: u64,
+    ) -> Result<(), Duration> {
         let Some(limit) = self.fair.as_ref().and_then(|f| f.tenant(tenant).rate) else {
             return Ok(());
         };
-        let now = Instant::now();
         // Tenant ids come off the wire: before growing the map for an
         // unseen tenant, drop buckets that have refilled to full burst —
         // a full bucket is indistinguishable from a fresh one, so this
@@ -802,8 +858,7 @@ impl Scheduler {
                 st.buckets.retain(|&t, b| match fair.tenant(t).rate {
                     None => false,
                     Some(r) => {
-                        let elapsed = now.saturating_duration_since(b.refilled).as_secs_f64();
-                        b.tokens + elapsed * r.per_sec < r.burst
+                        b.tokens + secs(now.saturating_sub(b.refilled)) * r.per_sec < r.burst
                     }
                 });
             }
@@ -812,7 +867,7 @@ impl Scheduler {
             .buckets
             .entry(tenant)
             .or_insert_with(|| TokenBucket { tokens: limit.burst, refilled: now });
-        let elapsed = now.saturating_duration_since(bucket.refilled).as_secs_f64();
+        let elapsed = secs(now.saturating_sub(bucket.refilled));
         bucket.tokens = (bucket.tokens + elapsed * limit.per_sec).min(limit.burst);
         bucket.refilled = now;
         if bucket.tokens >= 1.0 {
@@ -858,17 +913,17 @@ impl Scheduler {
             Slot::Closed => return Err(SubmitError::Closed),
             Slot::Full(mut st) => {
                 st.metrics.tenant_mut(opts.tenant).rejected_saturated += 1;
-                record_rejected(&opts, REJECT_SATURATED);
+                record_rejected(&opts, REJECT_SATURATED, self.clock.now_ns());
                 return Err(SubmitError::Saturated(reject(st.saturation_retry_after())));
             }
             Slot::Free(st) => st,
         };
-        if let Err(retry_after) = self.charge_rate_locked(&mut st, opts.tenant) {
+        let now = self.clock.now_ns();
+        if let Err(retry_after) = self.charge_rate_locked(&mut st, opts.tenant, now) {
             st.metrics.tenant_mut(opts.tenant).rejected_rate_limited += 1;
-            record_rejected(&opts, REJECT_RATE_LIMITED);
+            record_rejected(&opts, REJECT_RATE_LIMITED, now);
             return Err(SubmitError::RateLimited(reject(retry_after)));
         }
-        let now = Instant::now();
         let seq = st.next_seq;
         st.next_seq += 1;
         let cancelled = Arc::new(AtomicBool::new(false));
@@ -880,16 +935,14 @@ impl Scheduler {
             input,
             priority: opts.priority,
             tenant: opts.tenant,
-            // Unrepresentable deadlines (`Duration::MAX`) mean "never".
-            deadline: opts.deadline.and_then(|d| now.checked_add(d)),
+            deadline: opts.deadline.and_then(|d| after(now, d)),
             cancelled: cancelled.clone(),
             reply,
             submitted: now,
             trace: opts.trace,
-            submit_ns: if opts.trace != 0 { ttsnn_obs::now_ns() } else { 0 },
             popped_ns: 0,
         });
-        self.work.notify_all();
+        self.wake_replicas();
         Ok(cancelled)
     }
 
@@ -923,7 +976,7 @@ impl Scheduler {
     /// cancelled job is counted and its slot freed; an expired one is
     /// counted, its slot freed, and answered [`InferError::DeadlineExpired`].
     /// Returns `false` — and touches nothing — for a live job.
-    fn reap(&self, st: &mut State, job: &Job, now: Instant) -> bool {
+    fn reap(&self, st: &mut State, job: &Job, now: u64) -> bool {
         let cancelled = job.cancelled.load(Ordering::SeqCst);
         if cancelled {
             st.metrics.priority_mut(job.priority).cancelled += 1;
@@ -943,13 +996,13 @@ impl Scheduler {
 
     /// Pops the most urgent **live** job, reaping cancelled and expired
     /// entries on the way (they never reach an executor).
-    fn pop_live(&self, st: &mut State, now: Instant) -> Option<Job> {
+    fn pop_live(&self, st: &mut State, now: u64) -> Option<Job> {
         while let Some(mut job) = st.queue.pop() {
             if self.reap(st, &job, now) {
                 continue;
             }
             if job.trace != 0 {
-                job.popped_ns = ttsnn_obs::now_ns();
+                job.popped_ns = now;
             }
             return Some(job);
         }
@@ -960,9 +1013,9 @@ impl Scheduler {
     /// chunks on the way (their sessions stay intact — an expired chunk
     /// consumed no timestep). A traced feed's `queue_wait` ends here, where
     /// it leaves its lane.
-    fn pop_stream(&self, st: &mut State, replica: usize, now: Instant) -> Option<StreamCmd> {
+    fn pop_stream(&self, st: &mut State, replica: usize, now: u64) -> Option<StreamCmd> {
         while let Some(cmd) = st.streams[replica].pop_front() {
-            if let StreamCmd::Feed { id, deadline, reply, trace, submit_ns, .. } = &cmd {
+            if let StreamCmd::Feed { id, deadline, reply, trace, submitted, .. } = &cmd {
                 if deadline.is_some_and(|d| now >= d) {
                     st.metrics.sessions.chunks_expired += 1;
                     self.finish_one(st);
@@ -970,8 +1023,8 @@ impl Scheduler {
                     continue;
                 }
                 if *trace != 0 {
-                    let wait = ttsnn_obs::now_ns().saturating_sub(*submit_ns);
-                    ttsnn_obs::record_stage_span(*trace, QueueWait, *submit_ns, wait, 0, *id);
+                    let wait = now.saturating_sub(*submitted);
+                    ttsnn_obs::record_stage_span(*trace, QueueWait, *submitted, wait, 0, *id);
                 }
             }
             return Some(cmd);
@@ -985,8 +1038,9 @@ impl Scheduler {
     /// batch: waits for a first live request, then admits co-travellers
     /// until [`batch_close`] says to stop: the batch holds `max_batch`
     /// requests, everyone expected is accounted for, `max_wait` has
-    /// elapsed since it opened (`Duration` values too large for `Instant`
-    /// arithmetic, e.g. `Duration::MAX`, mean "no window"), a stream
+    /// elapsed since it opened on the scheduler's clock (a `max_wait` whose
+    /// end does not fit the clock's `u64` nanoseconds, e.g.
+    /// `Duration::MAX`, means "no window"), a stream
     /// command arrives for this replica (the batch executes, then the
     /// command is served), or the cluster shuts down (the batch already
     /// admitted is still returned; after that, `None`).
@@ -1004,28 +1058,29 @@ impl Scheduler {
         use BatchClose::{Close, Wait};
         let mut st = self.lock();
         loop {
-            let first = loop {
+            let (first, opened) = loop {
                 // Liveness heartbeat: the replica is provably inside the
                 // scheduler loop (refreshed on every wake, so waiting for
                 // work is not mistaken for being wedged). This runs on the
                 // replica's own thread, so its arena gauge rides along.
-                st.seen[replica] = Some(Instant::now());
+                let now = self.clock.now_ns();
+                st.seen[replica] = Some(now);
                 st.metrics.replica_arena_bytes[replica] = runtime::scratch_bytes();
-                if let Some(cmd) = self.pop_stream(&mut st, replica, Instant::now()) {
+                if let Some(cmd) = self.pop_stream(&mut st, replica, now) {
                     return Some(Work::Stream(cmd));
                 }
-                if let Some(job) = self.pop_live(&mut st, Instant::now()) {
-                    break job;
+                if let Some(job) = self.pop_live(&mut st, now) {
+                    break (job, now);
                 }
                 if st.shutdown {
                     return None;
                 }
-                st = self.work.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = self.park(st, None);
             };
             let mut batch = vec![first];
-            let close_at = Instant::now().checked_add(max_wait);
-            let reason = loop {
-                let now = Instant::now();
+            let close_at = after(opened, max_wait);
+            let (reason, now) = loop {
+                let now = self.clock.now_ns();
                 st.seen[replica] = Some(now);
                 let queue_empty = st.queue.len() == 0;
                 match batch_close(
@@ -1039,20 +1094,15 @@ impl Scheduler {
                     !st.streams[replica].is_empty(),
                     st.shutdown,
                 ) {
-                    Close(reason) => break reason,
+                    Close(reason) => break (reason, now),
                     // Nothing, if all that was queued had been cancelled.
                     Wait(_) if !queue_empty => batch.extend(self.pop_live(&mut st, now)),
-                    Wait(None) => st = self.work.wait(st).unwrap_or_else(|e| e.into_inner()),
-                    Wait(Some(until)) => {
-                        let left = until.saturating_duration_since(now);
-                        st = self.work.wait_timeout(st, left).unwrap_or_else(|e| e.into_inner()).0;
-                    }
+                    Wait(until) => st = self.park(st, until),
                 }
             };
             // Closing checks: cancellations and expiries that landed while
             // the batch was open must still be honoured — execution has
             // not started yet.
-            let now = Instant::now();
             batch.retain(|job| !self.reap(&mut st, job, now));
             if !batch.is_empty() {
                 // The batch closes and its cycle ends; each traced member's wait
@@ -1060,14 +1110,13 @@ impl Scheduler {
                 st.metrics.batches_closed[reason.index()] += 1;
                 st.prev_peak = Some(std::mem::take(&mut st.peak));
                 if batch.iter().any(|j| j.trace != 0) {
-                    let close_ns = ttsnn_obs::now_ns();
                     let (size, why) = (batch.len() as u64, reason.index() as u64);
                     for job in &batch {
-                        let (trace, submit, popped) = (job.trace, job.submit_ns, job.popped_ns);
+                        let (trace, submit, popped) = (job.trace, job.submitted, job.popped_ns);
                         let (prio, tenant) = (job.priority.index() as u64, u64::from(job.tenant));
                         let wait = popped.saturating_sub(submit);
                         ttsnn_obs::record_stage_span(trace, QueueWait, submit, wait, prio, tenant);
-                        let form = close_ns.saturating_sub(popped);
+                        let form = now.saturating_sub(popped);
                         ttsnn_obs::record_stage_span(trace, BatchForm, popped, form, size, why);
                     }
                 }
@@ -1089,7 +1138,7 @@ impl Scheduler {
         let replica = (id % st.streams.len() as u64) as usize;
         st.streams[replica].push_back(StreamCmd::Open { id, opts });
         st.metrics.sessions.opened += 1;
-        self.work.notify_all();
+        self.wake_replicas();
         Ok((id, replica))
     }
 
@@ -1118,21 +1167,19 @@ impl Scheduler {
             }
             Slot::Free(st) => st,
         };
-        let now = Instant::now();
+        let now = self.clock.now_ns();
         st.admitted();
         st.metrics.sessions.chunks_submitted += 1;
         let trace = if ttsnn_obs::enabled() { ttsnn_obs::next_trace_id() } else { 0 };
         st.streams[replica].push_back(StreamCmd::Feed {
             id,
             chunk,
-            // Unrepresentable deadlines (`Duration::MAX`) mean "never".
-            deadline: deadline.and_then(|d| now.checked_add(d)),
+            deadline: deadline.and_then(|d| after(now, d)),
             reply,
             submitted: now,
             trace,
-            submit_ns: if trace != 0 { ttsnn_obs::now_ns() } else { 0 },
         });
-        self.work.notify_all();
+        self.wake_replicas();
         Ok(())
     }
 
@@ -1145,23 +1192,25 @@ impl Scheduler {
             return;
         }
         st.streams[replica].push_back(StreamCmd::Close { id });
-        self.work.notify_all();
+        self.wake_replicas();
     }
 
     /// Records one executed batch in one lock take, before its replies are
-    /// sent: per-request served counts, submit→reply latencies and slot
-    /// releases, the batch-size sample, and the replica's spike-density
-    /// snapshot (last writer wins: its own cumulative traffic).
+    /// sent: per-request served counts, submit→reply latencies (from each
+    /// request's admission time) and slot releases, the batch-size sample,
+    /// and the replica's spike-density snapshot (last writer wins: its own
+    /// cumulative traffic).
     pub(crate) fn record_served(
         &self,
-        served: &[(Priority, TenantId, Duration)],
+        served: &[(Priority, TenantId, u64)],
         density: SpikeDensityReport,
     ) {
         let mut st = self.lock();
-        for &(priority, tenant, latency) in served {
+        let now = self.clock.now_ns();
+        for &(priority, tenant, submitted) in served {
             st.metrics.priority_mut(priority).served += 1;
             st.metrics.tenant_mut(tenant).served += 1;
-            st.metrics.latency.record(latency.as_secs_f64());
+            st.metrics.latency.record(secs(now.saturating_sub(submitted)));
             self.finish_one(&mut st);
         }
         st.metrics.batch_sizes.record(served.len() as f64);
@@ -1180,17 +1229,19 @@ impl Scheduler {
     }
 
     /// Records one served stream chunk: execution/skip accounting plus
-    /// the submit→reply latency (stream chunks share the request latency
-    /// histogram — they are requests).
-    pub(crate) fn record_stream_chunk(&self, report: FeedReport, latency: Duration) {
+    /// the submit→reply latency from its admission time `submitted`
+    /// (stream chunks share the request latency histogram — they are
+    /// requests).
+    pub(crate) fn record_stream_chunk(&self, report: FeedReport, submitted: u64) {
         let mut st = self.lock();
+        let latency = secs(self.clock.now_ns().saturating_sub(submitted));
         let s = &mut st.metrics.sessions;
         s.chunks_served += 1;
         s.timesteps_executed += report.executed;
         s.timesteps_skipped += report.skipped;
         s.macs_executed += report.macs_executed;
         s.macs_skipped += report.macs_skipped;
-        st.metrics.latency.record(latency.as_secs_f64());
+        st.metrics.latency.record(latency);
         self.finish_one(&mut st);
     }
 
@@ -1235,7 +1286,12 @@ impl Scheduler {
         let mut m = st.metrics.clone();
         m.queue_depth = st.queue.len();
         m.outstanding = st.outstanding;
-        m.replica_heartbeat_age = st.seen.iter().map(|s| s.map(|at| at.elapsed())).collect();
+        let now = self.clock.now_ns();
+        m.replica_heartbeat_age = st
+            .seen
+            .iter()
+            .map(|s| s.map(|at| Duration::from_nanos(now.saturating_sub(at))))
+            .collect();
         m
     }
 
@@ -1262,7 +1318,7 @@ impl Scheduler {
             }
         }
         st.streams = streams;
-        self.work.notify_all();
+        self.wake_replicas();
         self.space.notify_all();
     }
 }
@@ -1270,27 +1326,57 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use crate::clock::ManualClock;
+    use std::sync::mpsc::{channel, Receiver, TryRecvError};
+    use std::thread::JoinHandle;
 
     fn job_input() -> Tensor {
         Tensor::zeros(&[1])
     }
 
-    fn sched(capacity: usize) -> Scheduler {
-        Scheduler::new(capacity, 1, None)
+    /// A one-replica scheduler on a clock that moves only when the test
+    /// advances it.
+    fn sched_on(capacity: usize, fair: Option<FairPolicy>) -> (Arc<Scheduler>, Arc<ManualClock>) {
+        let clock = ManualClock::new();
+        (Scheduler::new(capacity, 1, fair, clock.clone()), clock)
     }
 
-    fn fair_sched(capacity: usize, fair: FairPolicy) -> Scheduler {
-        Scheduler::new(capacity, 1, Some(fair))
+    fn sched(capacity: usize) -> Arc<Scheduler> {
+        sched_on(capacity, None).0
+    }
+
+    fn fair_sched(capacity: usize, fair: FairPolicy) -> Arc<Scheduler> {
+        sched_on(capacity, Some(fair)).0
     }
 
     impl Scheduler {
-        /// `record_served` without a density report, in the call shape the
-        /// queueing tests below use.
-        fn record_batch(&self, served: &[(Priority, TenantId, Duration)], batch_size: usize) {
-            assert_eq!(served.len(), batch_size);
-            self.record_served(served, SpikeDensityReport { per_layer: Vec::new(), mean: None });
+        /// Records `batch` served, as a replica does after its forward (no
+        /// density report).
+        fn record_batch(&self, batch: &[Job]) {
+            let served: Vec<_> =
+                batch.iter().map(|j| (j.priority, j.tenant, j.submitted)).collect();
+            self.record_served(&served, SpikeDensityReport { per_layer: Vec::new(), mean: None });
         }
+    }
+
+    /// Replica 0 on its own thread: every batch it closes arrives on the
+    /// channel, and it exits when the scheduler shuts down. Once the test's
+    /// `ManualClock::wait_parked(1)` returns, a batch the replica closed is
+    /// already on the channel, and an empty channel means it holds its
+    /// batch open.
+    fn spawn_replica(
+        s: &Arc<Scheduler>,
+        max_batch: usize,
+        max_wait: Duration,
+    ) -> (JoinHandle<()>, Receiver<Vec<Job>>) {
+        let (tx, rx) = channel();
+        let s = Arc::clone(s);
+        let replica = std::thread::spawn(move || {
+            while let Some(batch) = next_batch(&s, max_batch, max_wait) {
+                tx.send(batch).unwrap();
+            }
+        });
+        (replica, rx)
     }
 
     /// Batch-only pull for the pre-streaming tests (replica 0; panics on
@@ -1348,9 +1434,7 @@ mod tests {
             SubmitError::Saturated(_)
         ));
         // ...serving it does.
-        let served: Vec<(Priority, TenantId, Duration)> =
-            batch.iter().map(|j| (j.priority, j.tenant, j.submitted.elapsed())).collect();
-        s.record_batch(&served, batch.len());
+        s.record_batch(&batch);
         let (tx, _rx5) = channel();
         s.try_submit(job_input(), SubmitOptions::default(), tx).unwrap();
     }
@@ -1372,17 +1456,35 @@ mod tests {
 
     #[test]
     fn expired_jobs_reply_deadline_expired() {
-        let s = sched(8);
-        let (tx, rx) = channel();
-        let opts = SubmitOptions::default().with_deadline(Duration::ZERO);
-        let _c = s.submit(job_input(), opts, tx).unwrap();
-        let (tx, _rx2) = channel();
-        let _ = s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
+        // A deadline expires when the clock reaches it, not one tick before
+        // or after; one the clock cannot represent (`Duration::MAX`) never
+        // does.
+        let (s, clock) = sched_on(8, None);
+        let submit = |deadline: Duration| {
+            let (tx, rx) = channel();
+            let opts = SubmitOptions::default().with_deadline(deadline);
+            let cancel = s.submit(job_input(), opts, tx).unwrap();
+            (rx, cancel)
+        };
+        let tick = Duration::from_nanos(1);
+        let (due, _c0) = submit(Duration::ZERO);
+        let (_rx1, _c1) = submit(tick);
+        let (_rx2, _c2) = submit(Duration::MAX);
         let batch = next_batch(&s, 8, Duration::ZERO).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(rx.recv().unwrap(), Err(InferError::DeadlineExpired));
+        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(due.recv().unwrap(), Err(InferError::DeadlineExpired));
         assert_eq!(s.metrics().priority(Priority::Normal).expired, 1);
+        s.record_batch(&batch);
+        // One tick later the same deadline is due; five centuries later the
+        // unrepresentable one still is not.
+        let (due, _c3) = submit(tick);
+        let (_rx4, _c4) = submit(Duration::MAX);
+        clock.advance(tick);
+        clock.advance(Duration::from_secs(500 * 365 * 86_400));
+        let batch = next_batch(&s, 8, Duration::ZERO).unwrap();
+        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), vec![4]);
+        assert_eq!(due.recv().unwrap(), Err(InferError::DeadlineExpired));
+        assert_eq!(s.metrics().priority(Priority::Normal).expired, 2);
     }
 
     /// Pops jobs one at a time (batch size 1) until the queue is empty,
@@ -1398,9 +1500,7 @@ mod tests {
             for j in &batch {
                 order.push((j.priority, j.tenant));
             }
-            let served: Vec<(Priority, TenantId, Duration)> =
-                batch.iter().map(|j| (j.priority, j.tenant, j.submitted.elapsed())).collect();
-            s.record_batch(&served, batch.len());
+            s.record_batch(&batch);
         }
         order
     }
@@ -1493,36 +1593,37 @@ mod tests {
 
     #[test]
     fn rate_limit_rejects_when_bucket_empty_and_refills() {
-        let policy = FairPolicy::default()
-            .with_tenant(7, TenantPolicy::weighted(1.0).with_rate(RateLimit::new(50.0, 2.0)));
-        let s = fair_sched(64, policy);
-        // Burst of 2 admits; the third is rejected with a retry hint.
-        for _ in 0..2 {
+        // 50/s is one token per 20 ms; tenants 7 and 9 each get that limit.
+        let limited = TenantPolicy::weighted(1.0).with_rate(RateLimit::new(50.0, 2.0));
+        let policy = FairPolicy::default().with_tenant(7, limited).with_tenant(9, limited);
+        let (s, clock) = sched_on(64, Some(policy));
+        let submit = |tenant| {
             let (tx, rx) = channel();
             std::mem::forget(rx);
-            s.submit(job_input(), SubmitOptions::default().with_tenant(7), tx).unwrap();
+            s.submit(job_input(), SubmitOptions::default().with_tenant(tenant), tx).map(drop)
+        };
+        // Bursts of 2 admit; the third is told exactly when a token refills.
+        for tenant in [7, 9, 7, 9] {
+            submit(tenant).unwrap();
         }
-        let (tx, _rx) = channel();
-        let err = s.submit(job_input(), SubmitOptions::default().with_tenant(7), tx).unwrap_err();
-        let info = match err {
+        let info = match submit(7).unwrap_err() {
             SubmitError::RateLimited(info) => info,
             other => panic!("expected RateLimited, got {other:?}"),
         };
         assert_eq!(info.tenant, 7);
-        assert!(info.retry_after > Duration::ZERO && info.retry_after <= Duration::from_millis(25));
+        assert_eq!(info.retry_after, Duration::from_millis(20));
         // Other tenants are unaffected.
-        let (tx, rx) = channel();
-        std::mem::forget(rx);
-        s.submit(job_input(), SubmitOptions::default().with_tenant(8), tx).unwrap();
-        // After the bucket refills (50/s ⇒ 20 ms per token), tenant 7
-        // admits again.
-        std::thread::sleep(Duration::from_millis(25));
-        let (tx, rx) = channel();
-        std::mem::forget(rx);
-        s.submit(job_input(), SubmitOptions::default().with_tenant(7), tx).unwrap();
+        submit(8).unwrap();
+        // One tick short of the retry-after a drained bucket still refuses;
+        // at exactly the retry-after it admits (tenant 9's bucket has not
+        // been touched since its burst).
+        clock.advance(info.retry_after - Duration::from_nanos(1));
+        assert!(matches!(submit(7), Err(SubmitError::RateLimited(_))));
+        clock.advance(Duration::from_nanos(1));
+        submit(9).unwrap();
         let m = s.metrics();
-        assert_eq!(m.tenant(7).submitted, 3);
-        assert_eq!(m.tenant(7).rejected_rate_limited, 1);
+        assert_eq!((m.tenant(7).submitted, m.tenant(7).rejected_rate_limited), (2, 2));
+        assert_eq!((m.tenant(9).submitted, m.tenant(9).rejected_rate_limited), (3, 0));
         assert_eq!(m.tenant(8).submitted, 1);
     }
 
@@ -1542,7 +1643,7 @@ mod tests {
     }
 
     #[test]
-    fn fair_policy_env_parsing_and_validation() {
+    fn fair_policy_validation() {
         let policy = FairPolicy::default()
             .with_tenant(1, TenantPolicy::weighted(4.0))
             .with_tenant(2, TenantPolicy::weighted(1.0).with_rate(RateLimit::new(100.0, 200.0)));
@@ -1560,17 +1661,23 @@ mod tests {
 
     #[test]
     fn replica_heartbeats_surface_in_metrics() {
-        let s = sched(8);
+        let (s, clock) = sched_on(8, None);
         // Before any pull: no heartbeat recorded.
         assert_eq!(s.metrics().replica_heartbeat_age, vec![None]);
-        let (tx, rx) = channel();
-        std::mem::forget(rx);
-        s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
-        let _ = next_batch(&s, 1, Duration::ZERO).unwrap();
-        let ages = s.metrics().replica_heartbeat_age;
-        assert_eq!(ages.len(), 1);
-        let age = ages[0].expect("replica 0 pulled work");
-        assert!(age < Duration::from_secs(5), "fresh heartbeat, got {age:?}");
+        // A replica waiting for work refreshes its heartbeat every time it
+        // wakes (here, on each advance of the clock): waiting is not being
+        // wedged.
+        let (replica, _batches) = spawn_replica(&s, 1, Duration::ZERO);
+        clock.wait_parked(1);
+        clock.advance(Duration::from_millis(3));
+        clock.wait_parked(1);
+        assert_eq!(s.metrics().replica_heartbeat_age, vec![Some(Duration::ZERO)]);
+        // Once it stops looking, its heartbeat ages with the clock, to the
+        // nanosecond.
+        s.shutdown();
+        replica.join().unwrap();
+        clock.advance(Duration::from_nanos(7_000_001));
+        assert_eq!(s.metrics().replica_heartbeat_age, vec![Some(Duration::from_nanos(7_000_001))]);
     }
 
     #[test]
@@ -1591,35 +1698,39 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queue_and_wakes_workers() {
-        let s = Arc::new(sched(8));
+        // A request admitted while no replica looks is dropped at shutdown:
+        // its ticket sees a hang-up.
+        let s = sched(8);
         let (tx, rx) = channel();
         let _c = s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
-        let worker = {
-            let s = Arc::clone(&s);
-            // A worker asleep waiting for work (queue drained below before
-            // it can look): must wake and exit on shutdown.
-            std::thread::spawn(move || next_batch(&s, 8, Duration::from_secs(60)))
-        };
-        std::thread::sleep(Duration::from_millis(10));
         s.shutdown();
-        // The sleeping worker either grabbed the job first (and must then
-        // serve + record it, shutdown or not) or the shutdown drained it
-        // (ticket sees a hang-up).
-        match worker.join().unwrap() {
-            None => assert!(rx.recv().is_err(), "drained job must hang up its ticket"),
-            Some(batch) => {
-                assert_eq!(batch.len(), 1);
-                let served: Vec<(Priority, TenantId, Duration)> =
-                    batch.iter().map(|j| (j.priority, j.tenant, j.submitted.elapsed())).collect();
-                s.record_batch(&served, batch.len());
-            }
-        }
+        assert!(rx.recv().is_err(), "drained job must hang up its ticket");
         assert_eq!(s.metrics().outstanding, 0);
         let (tx, _rx2) = channel();
         assert_eq!(
             s.submit(job_input(), SubmitOptions::default(), tx).unwrap_err(),
             SubmitError::Closed
         );
+
+        // A parked replica is woken by an admission, opens a batch on it and
+        // parks on the 60 s window; shutdown wakes it again, and the batch it
+        // had admitted is still handed out before it exits.
+        let (s, clock) = sched_on(8, None);
+        let (replica, batches) = spawn_replica(&s, 8, Duration::from_secs(60));
+        clock.wait_parked(1);
+        let (tx, _rx) = channel();
+        let _c = s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
+        clock.wait_parked(1);
+        assert_eq!(s.metrics().queue_depth, 0, "the admission did not wake the parked replica");
+        assert!(matches!(batches.try_recv(), Err(TryRecvError::Empty)));
+        s.shutdown();
+        replica.join().unwrap();
+        let batch = batches.recv().unwrap();
+        assert_eq!(batch.len(), 1);
+        s.record_batch(&batch);
+        let m = s.metrics();
+        assert_eq!(m.closed(CloseReason::Shutdown), 1);
+        assert_eq!(m.outstanding, 0);
     }
 
     #[test]
@@ -1653,51 +1764,68 @@ mod tests {
 
     #[test]
     fn expected_follows_admission_peaks_over_two_cycles() {
-        // One scripted caller population: 1, 1, 2, 1, 1 requests per
-        // cycle. A window this long fails the test by timeout arithmetic
-        // if a batch that should close at once waits for it.
-        let long = Duration::from_secs(30);
-        let short = Duration::from_millis(20);
-        let s = sched(8);
+        // One scripted caller population: 1, 1, 2, 1, 1 callers per cycle.
+        // A batch closes by the window at exactly `max_wait` after it
+        // opened, not one tick before, or at once when everyone expected
+        // is in.
+        let max_wait = Duration::from_millis(20);
+        let tick = Duration::from_nanos(1);
+        let (s, clock) = sched_on(8, None);
+        let (replica, batches) = spawn_replica(&s, 8, max_wait);
         let peaks = |s: &Scheduler| {
             let st = s.lock();
             (st.peak, st.prev_peak)
         };
-        let cycle = |requests: usize, max_wait: Duration| {
-            for _ in 0..requests {
-                let (tx, rx) = channel();
-                std::mem::forget(rx);
-                s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
+        // Admits one request and returns the batch the replica closes on
+        // it, having checked that it closed exactly `waited` later.
+        let next = |waited: Duration| {
+            let opened = clock.now_ns();
+            let (tx, rx) = channel();
+            std::mem::forget(rx);
+            s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
+            clock.wait_parked(1);
+            if waited > Duration::ZERO {
+                assert!(matches!(batches.try_recv(), Err(TryRecvError::Empty)), "closed early");
+                clock.advance(waited - tick);
+                clock.wait_parked(1);
+                assert!(matches!(batches.try_recv(), Err(TryRecvError::Empty)), "closed early");
+                clock.advance(tick);
+                clock.wait_parked(1);
             }
-            let t = Instant::now();
-            let batch = next_batch(&s, 8, max_wait).unwrap();
-            let took = t.elapsed();
-            assert_eq!(batch.len(), requests);
-            let served: Vec<(Priority, TenantId, Duration)> =
-                batch.iter().map(|j| (j.priority, j.tenant, j.submitted.elapsed())).collect();
-            s.record_batch(&served, batch.len());
-            took
+            let batch = batches.try_recv().expect("the batch is still open");
+            assert_eq!(batch.len(), 1);
+            assert_eq!(Duration::from_nanos(clock.now_ns() - opened), waited);
+            batch
         };
-        let closed = |s: &Scheduler| s.metrics().batches_closed;
+        // Batches closed so far by the window and by accounting.
+        let closed = |s: &Scheduler| {
+            let m = s.metrics();
+            (m.closed(CloseReason::Window), m.closed(CloseReason::Accounted))
+        };
         assert_eq!(peaks(&s), (0, None), "nothing known before the first close");
 
         // Cold: the first batch of a scheduler's life waits its window.
-        assert!(cycle(1, short) >= short);
-        assert_eq!(peaks(&s), (0, Some(1)));
-        assert_eq!(closed(&s)[CloseReason::Window.index()], 1);
+        s.record_batch(&next(max_wait));
+        assert_eq!((peaks(&s), closed(&s)), ((0, Some(1)), (1, 0)));
         // One caller, known: closes at once.
-        assert!(cycle(1, long) < long / 2);
-        assert_eq!(closed(&s)[CloseReason::Accounted.index()], 1);
-        // The population grows to two: both are queued, both accounted.
-        assert!(cycle(2, long) < long / 2);
-        assert_eq!(peaks(&s), (0, Some(2)));
+        s.record_batch(&next(Duration::ZERO));
+        assert_eq!(closed(&s), (1, 1));
+        // The population grows to two: the second caller's request arrives
+        // while the first one's batch executes, and is accounted at once.
+        let first = next(Duration::ZERO);
+        let second = next(Duration::ZERO);
+        assert_eq!((peaks(&s), closed(&s)), ((0, Some(2)), (1, 3)));
+        s.record_batch(&first);
+        s.record_batch(&second);
         // It shrinks to one: the second caller is waited for, once...
-        assert!(cycle(1, short) >= short);
-        assert_eq!(peaks(&s), (0, Some(1)));
-        assert_eq!(closed(&s)[CloseReason::Window.index()], 2);
+        s.record_batch(&next(max_wait));
+        assert_eq!((peaks(&s), closed(&s)), ((0, Some(1)), (2, 3)));
         // ...and is forgotten one cycle later.
-        assert!(cycle(1, long) < long / 2);
-        assert_eq!(closed(&s)[CloseReason::Accounted.index()], 3);
-        assert_eq!(closed(&s).iter().sum::<u64>(), s.metrics().batches_executed);
+        s.record_batch(&next(Duration::ZERO));
+        assert_eq!(closed(&s), (2, 4));
+        let m = s.metrics();
+        assert_eq!(m.batches_closed.iter().sum::<u64>(), m.batches_executed);
+        s.shutdown();
+        replica.join().unwrap();
     }
 }

@@ -1,11 +1,16 @@
 //! The batch-close rule, from outside: a batch closes when everyone who
 //! could join it already has.
 //!
-//! Every cluster here runs with `max_wait` = 1 s — far longer than a
-//! forward of the tiny VGG9 — so a test that waits a window out where it
-//! should not fails by arithmetic (its time budget is a fraction of one
-//! window), not by luck, and `batches_closed{window}` says how often the
-//! window was what closed a batch. The rule itself is the pure function
+//! Every cluster here runs on a [`ManualClock`]: time moves only when a
+//! test advances it, so the `max_wait` window closes a batch only where a
+//! test says so, at exactly `max_wait`, and `batches_closed{window}` counts
+//! those closes exactly. The scripted tests let the replicas settle after
+//! every admission (`ManualClock::wait_parked`) and then assert what they
+//! did; a batch held open that should have closed fails an assertion
+//! instead of waiting. In the closed-loop tests, whose callers are threads,
+//! time stands still after the window the test runs out, so a caller slow
+//! to resubmit is waited for, as the rule says, however the host schedules
+//! it. The rule itself is the pure function
 //! [`ttsnn_infer::sched::batch_close`]; the last test replays random
 //! arrival scripts through it against a transcription of the loop it
 //! replaced.
@@ -15,32 +20,36 @@
 //! (`dropped_queued_ticket_is_cancelled_and_never_executed`,
 //! `queued_deadline_expiry_is_observable_and_skips_execution`,
 //! `try_submit_reports_saturation_and_shutdown_serves_admitted_work` in
-//! `cluster.rs` — all three act on a scheduler's first batch, where the
-//! window applies as it always did), and that batching never moves a bit
+//! `cluster.rs`), and that batching never moves a bit
 //! (`batching_invariance_and_train_plane_parity`).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use ttsnn_infer::sched::{batch_close, BatchClose};
-use ttsnn_infer::{CloseReason, Cluster, ClusterMetrics, ClusterSession};
+use ttsnn_infer::{CloseReason, Cluster, ClusterMetrics, ClusterSession, ClusterTicket};
 use ttsnn_snn::ConvPolicy;
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
-use ttsnn_testutil::{samples, vgg_checkpoint, vgg_cluster_config};
+use ttsnn_testutil::{samples, vgg_checkpoint, vgg_cluster_config, ManualClock};
 
 const T: usize = 2;
 const WINDOW: Duration = Duration::from_secs(1);
+const TICK: Duration = Duration::from_nanos(1);
 
-/// A cluster whose replicas run on a two-thread kernel pool whatever the
-/// host, so under `taskset -c 0` callers, replicas and pool workers all
-/// share one core.
-fn cluster(replicas: usize, max_batch: usize, max_wait: Duration) -> Cluster {
+/// A cluster on a fresh [`ManualClock`], its replicas on a two-thread
+/// kernel pool whatever the host.
+fn cluster(replicas: usize, max_batch: usize, max_wait: Duration) -> (Cluster, Arc<ManualClock>) {
     let (ckpt, _) = vgg_checkpoint(&ConvPolicy::Baseline, 24);
     let config = vgg_cluster_config(ConvPolicy::Baseline, T, replicas, max_batch, max_wait);
-    Runtime::new(2).install(|| Cluster::load(config, ckpt.as_slice())).unwrap()
+    let clock = ManualClock::new();
+    let cluster = Runtime::new(2)
+        .install(|| Cluster::load_with_clock(config, clock.clone(), ckpt.as_slice()))
+        .unwrap();
+    (cluster, clock)
 }
 
 fn input() -> Tensor {
@@ -52,95 +61,93 @@ fn batches_of_one(m: &ClusterMetrics) -> u64 {
     m.batch_sizes.buckets()[0].1
 }
 
-/// Spins until `done` callers have reported in (they keep calling
-/// meanwhile, so nobody's absence is mistaken for a smaller population).
-fn wait_for(done: &AtomicUsize, callers: usize) {
-    while done.load(Ordering::SeqCst) < callers {
-        std::thread::sleep(Duration::from_millis(1));
+/// Requests served so far.
+fn served(cluster: &Cluster) -> u64 {
+    cluster.metrics().totals().served
+}
+
+/// Submits one request and lets every replica look at it: on return, a
+/// replica has taken it, and the replicas have closed and executed
+/// whatever batch the admission let them close, and hold open the rest.
+fn admit(cluster: &Cluster, clock: &ManualClock) -> ClusterTicket {
+    let ticket = cluster.session().submit(input()).unwrap();
+    clock.wait_parked(cluster.replicas());
+    assert_eq!(cluster.metrics().queue_depth, 0, "no replica looked at the admission");
+    ticket
+}
+
+/// A scheduler's first batch waits its window out (no population is known
+/// yet): `callers` requests ride it (on one replica; more replicas may each
+/// open one), closed by the window at exactly `max_wait`, which makes
+/// `callers` the population the next batches expect.
+fn first_batch(cluster: &Cluster, clock: &ManualClock, callers: usize, max_wait: Duration) {
+    let replicas = cluster.replicas();
+    let tickets: Vec<_> = (0..callers).map(|_| admit(cluster, clock)).collect();
+    clock.advance(max_wait - TICK);
+    clock.wait_parked(replicas);
+    assert_eq!(served(cluster), 0, "the first batch closed before its window");
+    clock.advance(TICK);
+    for ticket in tickets {
+        ticket.wait().unwrap();
     }
-}
-
-/// Warm-up done: everyone meets, the test's own thread reads the metrics
-/// its deltas start from, everyone meets again and goes.
-fn rendezvous(start: &Barrier) {
-    start.wait();
-    start.wait();
-}
-
-/// [`rendezvous`] from the test's own thread.
-fn snapshot_at_rendezvous(start: &Barrier, cluster: &Cluster) -> ClusterMetrics {
-    start.wait();
     let m = cluster.metrics();
-    start.wait();
-    m
+    assert_eq!(m.totals().served, callers as u64);
+    // Once one of them has closed, the population is known to the rest.
+    let (window, accounted) = (m.closed(CloseReason::Window), m.closed(CloseReason::Accounted));
+    assert!(window >= 1 && window + accounted == m.batches_closed.iter().sum::<u64>());
 }
 
-/// One closed-loop caller: two warm-up requests, a rendezvous, then
-/// `requests` timed requests — and more after those until `stop`, so every
-/// caller's timed stretch runs against the full population. Returns how
-/// long the timed requests took.
+/// One closed-loop caller: `requests` requests, then more until `stop`, so
+/// every caller's counted stretch runs against the full population. Reports
+/// on `done` when the counted requests are served.
 fn closed_loop_caller(
     session: &ClusterSession,
-    x: &Tensor,
     requests: usize,
-    start: &Barrier,
-    done: &AtomicUsize,
+    done: &Sender<()>,
     stop: &AtomicBool,
-) -> Duration {
-    for _ in 0..2 {
-        session.infer(x.clone()).unwrap();
-    }
-    rendezvous(start);
-    let t = Instant::now();
+) {
+    let x = input();
     for _ in 0..requests {
         session.infer(x.clone()).unwrap();
     }
-    let took = t.elapsed();
-    done.fetch_add(1, Ordering::SeqCst);
+    done.send(()).unwrap();
     // The cluster is dropped under the stragglers: a hang-up ends them.
     while !stop.load(Ordering::SeqCst) && session.infer(x.clone()).is_ok() {}
-    took
 }
 
 /// (a) One to three closed-loop callers can never fill a batch of 8. Once
-/// the scheduler has closed its first batches it knows how many callers
-/// there are and stops waiting for more: 200 requests per caller take a
-/// fraction of one window, and the window closes no further batch.
+/// the scheduler has closed its first batch it knows how many callers there
+/// are and stops waiting for more: with the clock standing still after
+/// that first window, 200 requests per caller are served by batches that
+/// close by accounting. (A rule that waited for a caller who never comes
+/// would hang here, not fail: the clock never runs that window out.)
 #[test]
 fn closed_loop_callers_stop_paying_the_window() {
     const REQUESTS: usize = 200;
-    let x = input();
     for replicas in [1, 2] {
         for callers in 1..=3 {
-            let cluster = cluster(replicas, 8, WINDOW);
+            let (cluster, clock) = cluster(replicas, 8, WINDOW);
+            first_batch(&cluster, &clock, callers, WINDOW);
+            let warm = cluster.metrics();
             let session = cluster.session();
-            let (start, done, stop) =
-                (Barrier::new(callers + 1), AtomicUsize::new(0), AtomicBool::new(false));
+            let (done_tx, done) = channel();
+            let stop = AtomicBool::new(false);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..callers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            closed_loop_caller(&session, &x, REQUESTS, &start, &done, &stop)
-                        })
-                    })
-                    .collect();
-                let warm = snapshot_at_rendezvous(&start, &cluster);
-                wait_for(&done, callers);
+                for _ in 0..callers {
+                    let (session, done_tx, stop) = (&session, done_tx.clone(), &stop);
+                    scope.spawn(move || closed_loop_caller(session, REQUESTS, &done_tx, stop));
+                }
+                for _ in 0..callers {
+                    done.recv().unwrap();
+                }
                 let end = cluster.metrics();
                 stop.store(true, Ordering::SeqCst);
                 drop(cluster);
                 let context = format!("{callers} callers on {replicas} replicas");
-                for handle in handles {
-                    let took = handle.join().unwrap();
-                    assert!(
-                        took < WINDOW / 2,
-                        "{context}: {REQUESTS} requests took {took:?}, the window is {WINDOW:?}"
-                    );
-                }
                 assert_eq!(
                     end.closed(CloseReason::Window),
                     warm.closed(CloseReason::Window),
-                    "{context}: the window closed batches after the warm-up: {:?} -> {:?}",
+                    "{context}: {:?} -> {:?}",
                     warm.batches_closed,
                     end.batches_closed
                 );
@@ -158,95 +165,80 @@ fn closed_loop_callers_stop_paying_the_window() {
 }
 
 /// (b) The rule must not trade full batches for early ones. Two callers
-/// submit bursts of 8 tickets against `max_batch` 8: a batch that opens on
-/// the first ticket of a burst waits for the other seven (closing the
-/// moment the queue runs dry — what `max_wait = 0` does — would run every
-/// burst as `[1, 7]`).
+/// take turns submitting bursts of 8 tickets against `max_batch` 8: a
+/// batch that opens on the first ticket of a burst, seen alone, waits for
+/// the other seven (closing the moment the queue runs dry — what
+/// `max_wait = 0` does — would run every burst as `[1, 7]`). The clock
+/// never moves, so no batch closes by the window.
 #[test]
 fn bursts_still_fill_their_batches() {
     const BURSTS: usize = 30;
-    let cluster = cluster(1, 8, WINDOW);
-    let session = cluster.session();
-    let x = input();
-    let start = Barrier::new(3);
-    let burst = || {
-        let tickets: Vec<_> = (0..8).map(|_| session.submit(x.clone()).unwrap()).collect();
-        for ticket in tickets {
+    let (cluster, clock) = cluster(1, 8, WINDOW);
+    let burst = |b: usize| {
+        let before = served(&cluster);
+        let lone = admit(&cluster, &clock);
+        assert_eq!(served(&cluster), before, "burst {b}: its first ticket ran alone");
+        let rest: Vec<_> = (1..8).map(|_| admit(&cluster, &clock)).collect();
+        for ticket in std::iter::once(lone).chain(rest) {
             ticket.wait().unwrap();
         }
     };
-    std::thread::scope(|scope| {
-        let callers: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(|| {
-                    burst();
-                    rendezvous(&start);
-                    let t = Instant::now();
-                    for _ in 0..BURSTS {
-                        burst();
-                    }
-                    t.elapsed()
-                })
-            })
-            .collect();
-        let first = snapshot_at_rendezvous(&start, &cluster);
-        let took: Vec<Duration> = callers.into_iter().map(|c| c.join().unwrap()).collect();
-        let end = cluster.metrics();
-        assert!(took.iter().all(|&t| t < WINDOW), "a burst waited a window out: {took:?}");
-        let batches = end.batch_sizes.count() - first.batch_sizes.count();
-        let requests = end.batch_sizes.sum() - first.batch_sizes.sum();
-        assert_eq!(requests, (2 * 8 * BURSTS) as f64);
-        let mean = requests / batches as f64;
-        assert!(mean >= 7.5, "mean batch size {mean} over {batches} batches");
-        assert_eq!(
-            batches_of_one(&end),
-            batches_of_one(&first),
-            "a burst was split into a batch of one and the rest: {:?}",
-            end.batch_sizes.buckets()
-        );
-    });
+    // One warm-up burst per caller.
+    (0..2).for_each(burst);
+    let first = cluster.metrics();
+    (0..2 * BURSTS).for_each(burst);
+    let end = cluster.metrics();
+    let batches = end.batch_sizes.count() - first.batch_sizes.count();
+    let requests = end.batch_sizes.sum() - first.batch_sizes.sum();
+    assert_eq!((batches, requests), ((2 * BURSTS) as u64, (2 * 8 * BURSTS) as f64));
+    let full = end.closed(CloseReason::Full) - first.closed(CloseReason::Full);
+    assert_eq!(full, (2 * BURSTS) as u64, "{:?}", end.batches_closed);
+    assert_eq!(end.closed(CloseReason::Window), 0, "{:?}", end.batches_closed);
 }
 
-/// Two closed-loop callers run in step; one of them then sleeps about a
-/// forward's length, once. Returns how many batches of one and how many
-/// batches in all the next 100 requests per caller took, and how long.
-fn out_of_step_once(max_wait: Duration) -> (u64, u64, Duration) {
+/// Two closed-loop callers start in step, their first requests in one
+/// batch; then one falls out of step once: its request is held for the
+/// other's until the clock runs the window out — the batch closes alone, at
+/// exactly `max_wait` — and the other's request comes only after that batch
+/// ran. The first caller's next request, seen alone, closes at once; the
+/// late one, admitted right behind it, finds it executing, so both are
+/// expected again, and from there the two run closed-loop. Returns how many
+/// batches of one, and how many batches in all, the next 100 requests per
+/// caller took.
+fn out_of_step_once(max_wait: Duration) -> (u64, u64) {
     const REQUESTS: usize = 100;
-    let cluster = cluster(1, 8, max_wait);
+    let (cluster, clock) = cluster(1, 8, max_wait);
+    first_batch(&cluster, &clock, 2, max_wait);
+    let before = cluster.metrics();
     let session = cluster.session();
-    let x = input();
-    let start = Barrier::new(3);
+    let lone = session.submit(input()).unwrap();
+    clock.wait_parked(1);
+    clock.advance(max_wait - TICK);
+    clock.wait_parked(1);
+    assert_eq!(served(&cluster), before.totals().served, "closed before its window");
+    clock.advance(TICK);
+    lone.wait().unwrap();
+    let (first, late) = (input(), input());
+    let tickets = [session.submit(first).unwrap(), session.submit(late).unwrap()];
+    let (done_tx, done) = channel();
+    let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let callers: Vec<_> = [false, true]
-            .into_iter()
-            .map(|sleeper| {
-                let (session, x, start) = (&session, &x, &start);
-                scope.spawn(move || {
-                    let mut forward = Duration::ZERO;
-                    for _ in 0..20 {
-                        let t = Instant::now();
-                        session.infer(x.clone()).unwrap();
-                        forward = t.elapsed();
-                    }
-                    rendezvous(start);
-                    let t = Instant::now();
-                    if sleeper {
-                        std::thread::sleep(forward);
-                    }
-                    for _ in 0..REQUESTS {
-                        session.infer(x.clone()).unwrap();
-                    }
-                    t.elapsed()
-                })
-            })
-            .collect();
-        let before = snapshot_at_rendezvous(&start, &cluster);
-        let took = callers.into_iter().map(|c| c.join().unwrap()).max().unwrap();
+        for ticket in tickets {
+            let (session, done_tx, stop) = (&session, done_tx.clone(), &stop);
+            scope.spawn(move || {
+                ticket.wait().unwrap();
+                closed_loop_caller(session, REQUESTS, &done_tx, stop);
+            });
+        }
+        done.recv().unwrap();
+        done.recv().unwrap();
         let after = cluster.metrics();
+        stop.store(true, Ordering::SeqCst);
+        drop(cluster);
+        assert_eq!(after.closed(CloseReason::Window) - before.closed(CloseReason::Window), 1);
         (
             batches_of_one(&after) - batches_of_one(&before),
             after.batch_sizes.count() - before.batch_sizes.count(),
-            took,
         )
     })
 }
@@ -255,57 +247,55 @@ fn out_of_step_once(max_wait: Duration) -> (u64, u64, Duration) {
 /// waited for (it is expected), so the two are back in one batch within
 /// two cycles — under the long window, and under the 1 ms window that had
 /// two stable phases when a batch always waited its window out and no
-/// longer. The lone tail of whichever caller finishes last may add two.
+/// longer.
 #[test]
 fn out_of_step_callers_rejoin_within_two_cycles() {
-    let (ones, batches, took) = out_of_step_once(WINDOW);
+    let (ones, batches) = out_of_step_once(WINDOW);
     assert!(ones <= 4, "{ones} batches of one in {batches} under a {WINDOW:?} window");
-    assert!(took < WINDOW * 3, "rejoining took {took:?}");
-    let (ones, batches, _) = out_of_step_once(Duration::from_millis(1));
+    let (ones, batches) = out_of_step_once(Duration::from_millis(1));
     assert!(ones <= 4, "{ones} batches of one in {batches} under a 1 ms window");
 }
 
-/// (d) A population that shrinks is forgotten after two batch cycles: the
-/// caller left over from three waits the window at most twice, then every
-/// batch of one closes at once.
+/// (d) A population that shrinks is forgotten after two batch cycles:
+/// three callers run in step, then one carries on alone. Its first batch
+/// waits for the other two until the window runs out — at exactly the
+/// window — and every later one closes at once.
 #[test]
 fn a_shrunken_population_is_forgotten_after_two_cycles() {
     const ALONE: usize = 50;
-    let cluster = cluster(1, 8, WINDOW);
-    let session = cluster.session();
-    let x = input();
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                while !stop.load(Ordering::SeqCst) {
-                    session.infer(x.clone()).unwrap();
-                }
-            });
+    let (cluster, clock) = cluster(1, 8, WINDOW);
+    first_batch(&cluster, &clock, 3, WINDOW);
+    for _ in 0..40 {
+        let tickets: Vec<_> = (0..3).map(|_| admit(&cluster, &clock)).collect();
+        for ticket in tickets {
+            ticket.wait().unwrap();
         }
-        // The third caller is this thread, and it is the one that stays.
-        for _ in 0..40 {
-            session.infer(x.clone()).unwrap();
+    }
+    let three = cluster.metrics();
+    let mut waited = 0;
+    for _ in 0..ALONE {
+        let before = served(&cluster);
+        let ticket = admit(&cluster, &clock);
+        if served(&cluster) == before {
+            clock.advance(WINDOW - TICK);
+            clock.wait_parked(1);
+            assert_eq!(served(&cluster), before, "closed before its window");
+            clock.advance(TICK);
+            waited += 1;
         }
-        stop.store(true, Ordering::SeqCst);
-        let three = cluster.metrics();
-        let t = Instant::now();
-        for _ in 0..ALONE {
-            session.infer(x.clone()).unwrap();
-        }
-        let took = t.elapsed();
-        let one = cluster.metrics();
-        let waited = one.closed(CloseReason::Window) - three.closed(CloseReason::Window);
-        assert!(waited <= 2, "the window closed {waited} batches after the population shrank");
-        assert!(took < WINDOW * 2 + WINDOW / 2, "{ALONE} requests alone took {took:?}");
-        let at_once = one.closed(CloseReason::Accounted) - three.closed(CloseReason::Accounted);
-        assert!(
-            at_once >= (ALONE - 2) as u64,
-            "{:?} -> {:?}",
-            three.batches_closed,
-            one.batches_closed
-        );
-    });
+        ticket.wait().unwrap();
+    }
+    let one = cluster.metrics();
+    assert_eq!(one.closed(CloseReason::Window) - three.closed(CloseReason::Window), waited);
+    assert_eq!(waited, 1, "the window closed {waited} batches after the population shrank");
+    let at_once = one.closed(CloseReason::Accounted) - three.closed(CloseReason::Accounted);
+    assert_eq!(
+        at_once,
+        (ALONE - 1) as u64,
+        "{:?} -> {:?}",
+        three.batches_closed,
+        one.batches_closed
+    );
 }
 
 /// A batch's bookkeeping — served counts, the batch, its density, the
@@ -314,7 +304,7 @@ fn a_shrunken_population_is_forgotten_after_two_cycles() {
 /// polling for the ledger to catch up.
 #[test]
 fn a_reply_in_hand_is_already_in_the_metrics() {
-    let cluster = cluster(2, 1, Duration::ZERO);
+    let (cluster, _clock) = cluster(2, 1, Duration::ZERO);
     let session = cluster.session();
     let x = input();
     for served in 1..=100u64 {

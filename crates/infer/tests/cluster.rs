@@ -15,8 +15,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 use ttsnn_core::TtMode;
 use ttsnn_infer::{
-    ArchSpec, BatchPolicy, Cluster, ClusterConfig, EngineConfig, InferError, Priority, SubmitError,
-    SubmitOptions,
+    ArchSpec, BatchPolicy, Cluster, ClusterConfig, ClusterTicket, EngineConfig, InferError,
+    ManualClock, Priority, SubmitError, SubmitOptions,
 };
 use ttsnn_snn::{
     checkpoint, ConvPolicy, Network, ResNetConfig, ResNetSnn, SpikingModel, VggConfig, VggSnn,
@@ -206,8 +206,8 @@ fn resnet_event_style_requests_with_per_timestep_frames() {
 #[test]
 fn duration_max_means_wait_until_full() {
     // `max_wait: Duration::MAX` is a natural "hold until max_batch"
-    // sentinel; it must not overflow Instant arithmetic and panic the
-    // executor.
+    // sentinel; it must not overflow the scheduler's clock arithmetic and
+    // panic the executor.
     let (ckpt, mut reference_model) = vgg_checkpoint(&ConvPolicy::Baseline, 8);
     // One replica: with more, two replicas could each open a batch on one
     // of the two requests and both wait forever for a second.
@@ -270,39 +270,57 @@ fn dropped_queued_ticket_is_cancelled_and_never_executed() {
 
 /// A deadline bounds queueing delay: a request still waiting in an open
 /// batch when its deadline passes is dropped with `DeadlineExpired` and
-/// never executed; its co-travellers are unaffected.
+/// never executed — from exactly its deadline on, not a tick before — and
+/// its co-travellers are unaffected. A deadline the clock cannot represent
+/// (`Duration::MAX`) never expires.
 #[test]
 fn queued_deadline_expiry_is_observable_and_skips_execution() {
     let (ckpt, mut reference_model) = vgg_checkpoint(&ConvPolicy::Baseline, 41);
     let inputs = samples(41, 3);
-    let cluster = Cluster::load(
+    let clock = ManualClock::new();
+    let cluster = Cluster::load_with_clock(
         cluster_config(ConvPolicy::Baseline, 1, 3, Duration::from_millis(500)),
+        clock.clone(),
         ckpt.as_slice(),
     )
     .unwrap();
     let session = cluster.session();
-    let t0 = session.submit(inputs[0].clone()).unwrap();
-    let doomed = session
-        .submit_with(
-            inputs[1].clone(),
-            SubmitOptions::priority(Priority::High).with_deadline(Duration::from_millis(15)),
-        )
-        .unwrap();
-    // Hold the batch open past the deadline, then close it.
-    std::thread::sleep(Duration::from_millis(30));
-    let t2 = session.submit(inputs[2].clone()).unwrap();
+    let deadline = Duration::from_millis(15);
+    let tick = Duration::from_nanos(1);
+    let mut expect = |i: usize, ticket: ClusterTicket| {
+        let want = train_plane_reference(&mut reference_model, &inputs[i]);
+        assert_eq!(ticket.wait().unwrap(), want, "request {i} diverged beside a deadline");
+    };
+    // Each round holds a batch open on a plain request and a High one with
+    // `deadline`, moves the clock by `wait`, then fills the batch (or, in
+    // the last round, lets its 500 ms window run out).
+    let round = |deadline: Duration, wait: Duration, fill: bool| {
+        let t0 = session.submit(inputs[0].clone()).unwrap();
+        let opts = SubmitOptions::priority(Priority::High).with_deadline(deadline);
+        let doomed = session.submit_with(inputs[1].clone(), opts).unwrap();
+        clock.wait_parked(1);
+        clock.advance(wait);
+        let t2 = fill.then(|| session.submit(inputs[2].clone()).unwrap());
+        (t0, doomed, t2)
+    };
+    // One tick before its deadline the request still rides its batch...
+    let (t0, doomed, t2) = round(deadline, deadline - tick, true);
+    expect(0, t0);
+    expect(1, doomed);
+    expect(2, t2.unwrap());
+    // ...at its deadline it is dropped when the batch closes.
+    let (t0, doomed, t2) = round(deadline, deadline, true);
     assert_eq!(doomed.wait(), Err(InferError::DeadlineExpired));
-    for (i, ticket) in [(0usize, t0), (2, t2)] {
-        assert_eq!(
-            ticket.wait().unwrap(),
-            train_plane_reference(&mut reference_model, &inputs[i]),
-            "survivor {i} diverged after a co-traveller expired"
-        );
-    }
+    expect(0, t0);
+    expect(2, t2.unwrap());
+    // A century later, `Duration::MAX` has not come.
+    let (t0, doomed, _) = round(Duration::MAX, Duration::from_secs(100 * 365 * 86_400), false);
+    expect(0, t0);
+    expect(1, doomed);
     let m = drained_metrics(&cluster);
     assert_eq!(m.priority(Priority::High).expired, 1);
-    assert_eq!(m.totals().served, 2);
-    assert_eq!(m.batches_executed, 1);
+    assert_eq!(m.totals().served, 7);
+    assert_eq!(m.batches_executed, 3);
 }
 
 /// The bounded queue pushes back: outstanding (not-yet-finished) requests

@@ -14,8 +14,9 @@
 //! policy changes wall-clock only — logits served under a fair policy
 //! are bit-identical to the strict-priority cluster's.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::channel;
+use std::time::Duration;
 
 use ttsnn_core::TtMode;
 use ttsnn_infer::{Cluster, FairPolicy, Priority, SubmitOptions, TenantPolicy};
@@ -35,37 +36,39 @@ fn fair_cluster(ckpt: &[u8], fair: FairPolicy) -> Cluster {
     Cluster::load(config, ckpt).expect("load fair cluster")
 }
 
-/// A sustained High flood cannot starve a Low trickle: every Low
-/// request completes within a bounded wait (its weighted share is 1/9
-/// of the slots — a few service times — while the flood alone would
-/// hold it for the whole flood duration).
+/// A sustained High flood cannot starve a Low trickle: the flood keeps 8
+/// High requests outstanding until the trickle is done or it has sent
+/// `FLOOD` of them, and every Low request is served long before that —
+/// under strict priority the first one would wait for the whole flood.
+/// (How many High requests the weights let ahead of a Low one is pinned
+/// exactly by the scheduler's `fair_queue_shares_slots_across_priorities`.)
 #[test]
 fn high_flood_cannot_starve_low_trickle() {
+    const FLOOD: usize = 2000;
     let (ckpt, _) = vgg_checkpoint(&policy(), 71);
     let cluster = fair_cluster(&ckpt, FairPolicy::default());
     let inputs = samples(72, 8);
     let stop = AtomicBool::new(false);
+    let (built_tx, built) = channel();
 
-    std::thread::scope(|scope| {
-        // The flood: keep ~8 High requests outstanding until told to stop.
+    let waited: Vec<u64> = std::thread::scope(|scope| {
         let flood_session = cluster.session();
         let flood_inputs = inputs.clone();
         let stop_ref = &stop;
         scope.spawn(move || {
             let mut pending = std::collections::VecDeque::new();
-            let mut i = 0usize;
-            while !stop_ref.load(Ordering::Relaxed) {
-                while pending.len() < 8 {
-                    let input = flood_inputs[i % flood_inputs.len()].clone();
-                    i += 1;
-                    match flood_session.submit_with(input, SubmitOptions::priority(Priority::High))
-                    {
-                        Ok(t) => pending.push_back(t),
-                        Err(_) => return,
-                    }
+            for i in 0..FLOOD {
+                if stop_ref.load(Ordering::Relaxed) {
+                    break;
                 }
-                if let Some(t) = pending.pop_front() {
-                    let _ = t.wait();
+                let input = flood_inputs[i % flood_inputs.len()].clone();
+                match flood_session.submit_with(input, SubmitOptions::priority(Priority::High)) {
+                    Ok(t) => pending.push_back(t),
+                    Err(_) => return,
+                }
+                if pending.len() == 8 {
+                    let _ = built_tx.send(());
+                    let _ = pending.pop_front().map(|t| t.wait());
                 }
             }
             for t in pending {
@@ -73,27 +76,26 @@ fn high_flood_cannot_starve_low_trickle() {
             }
         });
 
-        // The trickle: five sequential Low requests, each timed.
+        // The trickle: five sequential Low requests, each noting how many
+        // High requests had been served by the time it was.
         let session = cluster.session();
-        std::thread::sleep(Duration::from_millis(20)); // let the flood build
-        for k in 0..5 {
-            let t0 = Instant::now();
-            let ticket = session
-                .submit_with(
-                    inputs[k % inputs.len()].clone(),
-                    SubmitOptions::priority(Priority::Low),
-                )
-                .expect("submit low");
-            ticket.wait().expect("low request served");
-            let waited = t0.elapsed();
-            assert!(
-                waited < Duration::from_millis(500),
-                "low request {k} starved for {waited:?} under a High flood"
-            );
-        }
+        built.recv().unwrap();
+        let waited = (0..5)
+            .map(|k| {
+                let input = inputs[k % inputs.len()].clone();
+                let ticket =
+                    session.submit_with(input, SubmitOptions::priority(Priority::Low)).unwrap();
+                ticket.wait().expect("low request served");
+                cluster.metrics().priority(Priority::High).served
+            })
+            .collect();
         stop.store(true, Ordering::Relaxed);
+        waited
     });
 
+    for (k, &high) in waited.iter().enumerate() {
+        assert!(high < FLOOD as u64, "low request {k} waited for the whole flood ({high} High)");
+    }
     let m = ttsnn_testutil::drained_metrics(&cluster);
     assert_eq!(m.priority(Priority::Low).served, 5, "every Low request was served");
     assert!(m.priority(Priority::High).served > 0, "the flood actually ran");
@@ -104,13 +106,16 @@ fn high_flood_cannot_starve_low_trickle() {
 /// other out, and the light tenant cannot invert the ratio.
 #[test]
 fn tenant_goodput_tracks_weights_under_contention() {
+    const REQUESTS: u64 = 2000;
     let (ckpt, _) = vgg_checkpoint(&policy(), 81);
     let fair = FairPolicy::default()
         .with_tenant(1, TenantPolicy::weighted(3.0))
         .with_tenant(2, TenantPolicy::weighted(1.0));
     let cluster = fair_cluster(&ckpt, fair);
     let inputs = samples(82, 8);
-    let deadline = Instant::now() + Duration::from_millis(600);
+    // Both tenants stay backlogged until this many requests are served
+    // between them.
+    let total = AtomicU64::new(0);
 
     let mut served = [0u64; 2];
     std::thread::scope(|scope| {
@@ -119,14 +124,15 @@ fn tenant_goodput_tracks_weights_under_contention() {
             .map(|tenant| {
                 let session = cluster.session();
                 let inputs = inputs.clone();
+                let total = &total;
                 scope.spawn(move || {
                     // Closed loop: keep 6 outstanding so the tenant's flow
-                    // stays backlogged the whole window.
+                    // stays backlogged the whole time.
                     let mut pending = std::collections::VecDeque::new();
                     let mut count = 0u64;
                     let mut i = 0usize;
                     let opts = SubmitOptions::default().with_tenant(tenant);
-                    while Instant::now() < deadline {
+                    while total.load(Ordering::SeqCst) < REQUESTS {
                         while pending.len() < 6 {
                             let input = inputs[i % inputs.len()].clone();
                             i += 1;
@@ -135,6 +141,7 @@ fn tenant_goodput_tracks_weights_under_contention() {
                         if let Some(t) = pending.pop_front() {
                             if t.wait().is_ok() {
                                 count += 1;
+                                total.fetch_add(1, Ordering::SeqCst);
                             }
                         }
                     }

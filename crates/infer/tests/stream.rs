@@ -24,7 +24,8 @@ use proptest::prelude::*;
 use ttsnn_core::TtMode;
 use ttsnn_data::stack_frames;
 use ttsnn_infer::{
-    Cluster, ClusterConfig, EarlyExit, InferError, QuantSpec, StreamOptions, SubmitError,
+    Cluster, ClusterConfig, EarlyExit, InferError, ManualClock, QuantSpec, StreamOptions,
+    SubmitError,
 };
 use ttsnn_snn::quant::QuantConfig;
 use ttsnn_snn::{ConvPolicy, InferForward, InferStats, SpikingModel, VggSnn};
@@ -220,16 +221,21 @@ fn cluster_streams_interleaved_across_sessions_match_prefixes() {
     assert!(m.sessions.active_total() > 0, "state resident while sessions live");
     assert!(m.sessions.resident_bytes_total() > 0);
     drop(streams);
-    // Close commands land asynchronously on the replicas.
-    for _ in 0..1000 {
-        let s = cluster.metrics().sessions;
-        if s.closed == plans.len() as u64 && s.active_total() == 0 {
-            assert_eq!(s.resident_bytes_total(), 0, "closing must release resident state");
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    panic!("sessions did not close: {:?}", cluster.metrics().sessions);
+    // Close commands land asynchronously on the replicas, in each replica's
+    // FIFO lane: a fence session per replica (round-robin pinning), fed a
+    // malformed chunk that leaves no state, is answered after every close
+    // queued before it.
+    let fences: Vec<_> = (0..2)
+        .map(|_| {
+            let fence = session.open_stream(StreamOptions::default()).unwrap();
+            assert!(matches!(fence.push(Tensor::zeros(&[2, 8, 8])), Err(InferError::Shape(_))));
+            fence
+        })
+        .collect();
+    assert_eq!(fences.iter().map(|f| f.replica()).collect::<Vec<_>>(), vec![0, 1]);
+    let s = cluster.metrics().sessions;
+    assert_eq!((s.closed, s.active_total()), (plans.len() as u64, 2), "only the fences are live");
+    assert_eq!(s.resident_bytes_total(), 0, "closing must release resident state");
 }
 
 /// Early exit fires at a timestep determined only by the cumulative
@@ -367,15 +373,18 @@ fn eviction_reclaims_memory_without_perturbing_survivors() {
 /// A chunk whose deadline expires in the queue is dropped with
 /// `DeadlineExpired` and consumes **no** timestep: the session's position
 /// is unchanged and the same frames can be re-fed, landing on the exact
-/// prefix bits.
+/// prefix bits. The clock stands still, so a chunk is popped at the time it
+/// was fed: it expires at exactly its deadline, not a tick before, and a
+/// deadline the clock cannot represent (`Duration::MAX`) never expires.
 #[test]
 fn chunk_deadline_expiry_leaves_the_session_feedable() {
     let (ckpt, mut reference) = vgg_checkpoint(&ConvPolicy::Baseline, 97);
     reference.set_infer_stats(InferStats::PerSample);
     let frames = stream_frames(97);
     let refs = prefix_references(&mut reference, &frames);
-    let cluster = Cluster::load(
+    let cluster = Cluster::load_with_clock(
         vgg_cluster_config(ConvPolicy::Baseline, T, 1, 4, Duration::from_millis(1)),
+        ManualClock::new(),
         ckpt.as_slice(),
     )
     .unwrap();
@@ -383,16 +392,20 @@ fn chunk_deadline_expiry_leaves_the_session_feedable() {
     let stream = session.open_stream(StreamOptions::default()).unwrap();
     let u1 = stream.push(frames[0].clone()).unwrap();
     assert_bits_eq(&u1.logits, &refs[0], "t=1 before the expiry");
-    // A zero deadline is already expired when the replica pops it.
+    // A zero deadline has come when the replica pops the chunk.
     let doomed = stream.feed_with(frames[1].clone(), Some(Duration::ZERO)).unwrap();
     assert_eq!(doomed.wait(), Err(InferError::DeadlineExpired));
-    // Same frame again, no deadline: the session never advanced.
-    let u2 = stream.push(frames[1].clone()).unwrap();
+    // Same frame again, one tick before its deadline: the session never
+    // advanced.
+    let u2 = stream.feed_with(frames[1].clone(), Some(Duration::from_nanos(1))).unwrap();
+    let u2 = u2.wait().unwrap();
     assert_eq!(u2.timesteps, 2, "the expired chunk consumed no timestep");
     assert_bits_eq(&u2.logits, &refs[1], "t=2 after re-feeding the expired frame");
+    let u3 = stream.feed_with(frames[2].clone(), Some(Duration::MAX)).unwrap().wait().unwrap();
+    assert_bits_eq(&u3.logits, &refs[2], "t=3 under a deadline that never comes");
     let m = drained_metrics(&cluster);
     assert_eq!(m.sessions.chunks_expired, 1);
-    assert_eq!(m.sessions.chunks_served, 2);
+    assert_eq!(m.sessions.chunks_served, 3);
 }
 
 /// Backpressure counts stream chunks and batch requests against the same
@@ -417,11 +430,8 @@ fn try_feed_reports_saturation_with_live_sessions() {
     // The stream serves normally while there is capacity.
     let u1 = stream.push(frames[0].clone()).unwrap();
     assert_bits_eq(&u1.logits, &refs[0], "pre-saturation chunk");
-    // The chunk's reply lands a hair before its queue slot frees; wait
-    // for the drain so the parked submissions see the full capacity.
-    while cluster.metrics().outstanding > 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // A chunk's slot is free before its reply is sent.
+    assert_eq!(cluster.metrics().outstanding, 0);
     let _parked0 = session.try_submit(samples(104, 1).remove(0)).unwrap();
     let _parked1 = session.try_submit(samples(105, 1).remove(0)).unwrap();
     match stream.try_feed(frames[1].clone()) {

@@ -20,6 +20,10 @@ use std::time::Duration;
 
 use ttsnn_autograd::Var;
 use ttsnn_infer::{ArchSpec, BatchPolicy, Cluster, ClusterConfig, ClusterMetrics, EngineConfig};
+
+/// The clock scheduling tests run the serving core on: it moves only when
+/// the test advances it (see [`ttsnn_infer::clock`]).
+pub use ttsnn_infer::ManualClock;
 use ttsnn_snn::{
     checkpoint, ConvPolicy, InferForward, Network, ResNetConfig, ResNetSnn, SpikingModel,
     VggConfig, VggSnn,
@@ -160,10 +164,11 @@ pub fn vgg_cluster_config(
         .with_replicas(replicas)
 }
 
-/// Spins until every submitted request reached a terminal state (replies
-/// land a hair before the metrics record), then returns the snapshot.
-/// Stream chunks drain too: chunk replies likewise precede their
-/// metrics.
+/// Polls until every submitted request reached a terminal state, then
+/// returns the snapshot. A served, failed or expired request is in the
+/// metrics before its reply is sent; what lands later is a cancellation,
+/// counted when a replica reaps the dropped ticket's request. Stream chunks
+/// drain too.
 ///
 /// # Panics
 ///

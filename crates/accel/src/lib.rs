@@ -29,6 +29,7 @@
 //!   design, Fig. 4(b)).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod energy;

@@ -28,6 +28,7 @@
 //! binaries are thin wrappers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod harness;
 

@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod flops;
 pub mod layer;

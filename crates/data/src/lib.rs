@@ -24,6 +24,7 @@
 //! tensors ready for the BPTT trainer in `ttsnn-snn`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod batch;
 mod events;

@@ -95,6 +95,7 @@
 //! whole contract.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod plan;
 mod stream;

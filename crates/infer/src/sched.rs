@@ -1364,7 +1364,7 @@ mod tests {
     /// `ManualClock::wait_parked(1)` returns, a batch the replica closed is
     /// already on the channel, and an empty channel means it holds its
     /// batch open.
-    fn spawn_replica(
+    fn replica_thread(
         s: &Arc<Scheduler>,
         max_batch: usize,
         max_wait: Duration,
@@ -1667,7 +1667,7 @@ mod tests {
         // A replica waiting for work refreshes its heartbeat every time it
         // wakes (here, on each advance of the clock): waiting is not being
         // wedged.
-        let (replica, _batches) = spawn_replica(&s, 1, Duration::ZERO);
+        let (replica, _batches) = replica_thread(&s, 1, Duration::ZERO);
         clock.wait_parked(1);
         clock.advance(Duration::from_millis(3));
         clock.wait_parked(1);
@@ -1716,7 +1716,7 @@ mod tests {
         // parks on the 60 s window; shutdown wakes it again, and the batch it
         // had admitted is still handed out before it exits.
         let (s, clock) = sched_on(8, None);
-        let (replica, batches) = spawn_replica(&s, 8, Duration::from_secs(60));
+        let (replica, batches) = replica_thread(&s, 8, Duration::from_secs(60));
         clock.wait_parked(1);
         let (tx, _rx) = channel();
         let _c = s.submit(job_input(), SubmitOptions::default(), tx).unwrap();
@@ -1771,7 +1771,7 @@ mod tests {
         let max_wait = Duration::from_millis(20);
         let tick = Duration::from_nanos(1);
         let (s, clock) = sched_on(8, None);
-        let (replica, batches) = spawn_replica(&s, 8, max_wait);
+        let (replica, batches) = replica_thread(&s, 8, max_wait);
         let peaks = |s: &Scheduler| {
             let st = s.lock();
             (st.peak, st.prev_peak)

@@ -64,6 +64,7 @@
 //! (`ttsnn_tensor`'s kernel runtime) can hook into it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -70,6 +70,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod prom;

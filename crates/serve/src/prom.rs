@@ -395,7 +395,8 @@ pub fn render(plans: &[(String, ClusterMetrics)]) -> String {
 }
 
 /// Renders the process-level families the `/metrics` page appends after
-/// the per-plan snapshot: the build-info gauge, the uptime counter, and
+/// the per-plan snapshot: the build-info gauge (with the int8 kernel lane
+/// set the process resolved as `kernel_lanes`), the uptime counter, and
 /// the request-lifecycle per-stage latency histograms maintained by
 /// `ttsnn_obs` (the stage attribution half of the tracing tentpole —
 /// `admit` / `queue_wait` / `batch_form` / `execute` / `serialize` /
@@ -410,11 +411,12 @@ pub fn render_process(uptime: Duration) -> String {
             "Build metadata as labels; the value is always 1.",
         );
         let git_sha = option_env!("TTSNN_GIT_SHA").unwrap_or("unknown");
-        f.sample(
-            "ttsnn_build_info",
-            &[("version", env!("CARGO_PKG_VERSION")), ("git_sha", git_sha)],
-            1.0,
-        );
+        let labels = [
+            ("version", env!("CARGO_PKG_VERSION")),
+            ("git_sha", git_sha),
+            ("kernel_lanes", ttsnn_tensor::runtime::int8_lanes()),
+        ];
+        f.sample("ttsnn_build_info", &labels, 1.0);
     }
     {
         let mut f = Family::new(

@@ -64,6 +64,7 @@
 //! and per-sample statistics (batch-composition-invariant serving).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod augment;
 pub mod checkpoint;

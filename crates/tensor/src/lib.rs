@@ -40,6 +40,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod error;
 mod rng;

@@ -19,6 +19,20 @@
 //! across thread counts** by construction, in both modes. An accumulator
 //! mode only ever picks the `Mac`; no loop here is written per mode.
 //!
+//! # Lanes
+//!
+//! The inner loops — the GEMM tile, the dot, quantization, the int8
+//! unfolding, the requantizing epilogue and the event scatter — run on the
+//! int8 lane set the process resolved once from its CPU
+//! ([`runtime::int8_lanes`]: explicit AVX2 kernels where the CPU has AVX2,
+//! the portable bodies elsewhere). A kernel takes its set when it is called
+//! (`by_accum!` picks the `Mac` for the mode *and* the set), so its pool
+//! workers run the same one. The sets are bit-identical: `I32` sums are
+//! exact whatever their grouping, and `Sat16` keeps every element's
+//! ascending-`k` saturating fold in `i16` lanes across output columns
+//! (`crates/tensor/tests/int8_lanes.rs` checks every kernel under both sets
+//! against `reference_qgemm`).
+//!
 //! # Dataflow
 //!
 //! Weights are quantized offline (per output channel or per tensor, see
@@ -30,9 +44,10 @@
 //! `x_scale · w_scale[oc]` — one float multiply per output element, after
 //! all accumulation happened exactly.
 
-use crate::conv::{check_input, im2col_sample_t, per_sample, Conv2dGeometry};
+use crate::conv::{check_input, per_sample, Conv2dGeometry};
 use crate::error::ShapeError;
-use crate::runtime::{self, dot_gemm, dot_row, saxpy_gemm, with_scratch, Mac, Runtime};
+use crate::runtime::{self, dot_gemm, dot_row, saxpy_gemm, with_scratch, Int8Lanes, Mac, Runtime};
+use crate::spike::Taps;
 use crate::tensor::Tensor;
 
 /// Accumulator width of the integer kernels.
@@ -72,9 +87,7 @@ impl QAccum {
 pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
     assert!(scale.is_finite() && scale > 0.0, "quantize_to_i8: bad scale {scale}");
     assert!(dst.len() >= src.len(), "quantize_to_i8: dst too short");
-    for (d, &v) in dst.iter_mut().zip(src.iter()) {
-        *d = (v / scale).round().clamp(-127.0, 127.0) as i8;
-    }
+    Int8Lanes::current().quantize(src, scale, dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -83,22 +96,40 @@ pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
 /// [`Mac::COST`] of both integer types — what one integer multiply-add costs
 /// in the f32 operations `runtime::fork_grain` counts in, and through the
 /// drivers the grain of every int8 kernel (GEMM tile, dot rows, `qconv2d`'s
-/// batch split, the dense and the sparse linear). They run at ≈ 5.7 Gop/s on
-/// one thread against the float GEMM's ≈ 20–25 GFLOP/s (`tensor.qconv_gops`,
-/// `tensor.gemm_gflops`): the same operation count is four times the wall
-/// time and worth forking four times sooner.
-const OP_COST: usize = 4;
+/// batch split, the dense and the sparse linear). On the avx2 lanes
+/// (`runtime::int8_lanes`) they run at ≈ 31–33 Gop/s on one thread against
+/// the float GEMM's ≈ 19–20 GFLOP/s (the shapes of the `tensor.qconv_gops`
+/// and `tensor.gemm_gflops` probes on one kernel thread, 2-vCPU host): an
+/// integer operation costs no more wall time than a float one, and one is
+/// the least a cost can be. The portable lanes run at ≈ 6 Gop/s, so there
+/// the int8 kernels fork later than their cost would ask — a grain moves no
+/// bit.
+const OP_COST: usize = 1;
 
-/// i8 elements accumulated in an `i32` slot: exactly ([`I32`]), or clamped to
-/// the `i16` range after every multiply-add ([`Sat16`]). Both skip zero
+/// i8 elements accumulated in an `i32` slot: exactly (`I32`), or clamped to
+/// the `i16` range after every multiply-add (`Sat16`). Both skip zero
 /// coefficients — neither an exact sum nor a saturating fold
 /// (`saturating_add(acc, 0)` is `acc`) notices a zero term while the others
 /// keep their ascending-`k` order, which every driver guarantees. In `qconv2d`
 /// the coefficients are the *weights*, and a merged PTT / HTT kernel is a cross
 /// (Eq. 6: a 3×1 plus a 1×3 branch): 4 of every 9 taps are exactly zero.
-pub(crate) struct Int<const SAT16: bool>;
-pub(crate) type I32 = Int<false>;
-pub(crate) type Sat16 = Int<true>;
+///
+/// `NATIVE` picks the lane set the tile, dot and scatter run on:
+/// [`Int8Lanes::resolved`], or the portable one. It is a type parameter so
+/// that the set a kernel was called with reaches its pool workers.
+pub(crate) struct Int<const SAT16: bool, const NATIVE: bool>;
+pub(crate) type I32 = Int<false, true>;
+
+impl<const SAT16: bool, const NATIVE: bool> Int<SAT16, NATIVE> {
+    /// The lane set this type's kernels run on.
+    pub(crate) fn lanes() -> Int8Lanes {
+        if NATIVE {
+            Int8Lanes::resolved()
+        } else {
+            Int8Lanes::portable()
+        }
+    }
+}
 
 /// The integer epilogue: `out = acc · x_scale · w_scale[oc] (+ bias[oc])`,
 /// after all accumulation happened in integers. Holding one means the scales
@@ -142,9 +173,21 @@ impl<'a> Requant<'a> {
         }
         Ok(Self { x_scale, w_scales, bias })
     }
+
+    /// Output channel `oc`'s combined scale `x_scale · w_scale[oc]`.
+    #[inline]
+    pub(crate) fn scale(&self, oc: usize) -> f32 {
+        self.x_scale * if self.w_scales.len() == 1 { self.w_scales[0] } else { self.w_scales[oc] }
+    }
+
+    /// Output channel `oc`'s bias, if the layer has one.
+    #[inline]
+    pub(crate) fn bias(&self, oc: usize) -> Option<f32> {
+        self.bias.map(|b| b[oc])
+    }
 }
 
-impl<const SAT16: bool> Mac for Int<SAT16> {
+impl<const SAT16: bool, const NATIVE: bool> Mac for Int<SAT16, NATIVE> {
     type Elem = i8;
     type Acc = i32;
     type Epilogue<'a> = Requant<'a>;
@@ -175,19 +218,30 @@ impl<const SAT16: bool> Mac for Int<SAT16> {
         }
     }
 
+    fn dot(x: &[i8], y: &[i8]) -> i32 {
+        Self::lanes().dot::<SAT16>(x, y)
+    }
+
     fn spike(ep: Requant<'_>) -> i8 {
         spike_code(ep.x_scale)
     }
 
     fn finish(out: &mut [f32], acc: impl Iterator<Item = i32>, oc: usize, ep: Requant<'_>) {
-        let w_scale = if ep.w_scales.len() == 1 { ep.w_scales[0] } else { ep.w_scales[oc] };
-        let (s, bias) = (ep.x_scale * w_scale, ep.bias.map(|b| b[oc]));
+        let (s, bias) = (ep.scale(oc), ep.bias(oc));
         for (o, a) in out.iter_mut().zip(acc) {
             *o = match bias {
                 Some(bias) => a as f32 * s + bias,
                 None => a as f32 * s,
             };
         }
+    }
+
+    fn tile(a: &[i8], a_strides: (usize, usize), b: &[i8], rows: &mut [i32], k: usize, n: usize) {
+        Self::lanes().qgemm_rows::<SAT16>(a, a_strides, b, rows, (k, n));
+    }
+
+    fn scatter(taps: Taps<'_>, wt: &[i32], out_s: &mut [f32], o: usize, ep: Requant<'_>) {
+        Self::lanes().scatter::<SAT16>(taps, wt, out_s, o, ep);
     }
 }
 
@@ -198,21 +252,32 @@ pub(crate) fn spike_code(x_scale: f32) -> i8 {
     (1.0f32 / x_scale).round().clamp(-127.0, 127.0) as i8
 }
 
-/// Evaluates `$body` with `$E` naming the [`Mac`] of `$accum` — the only thing
-/// an accumulator mode ever selects.
+/// Evaluates `$body` with `$E` naming the [`Mac`] of `$accum` on the lane set
+/// of the calling thread ([`Int8Lanes::current`]) — the only things an int8
+/// kernel ever selects.
 macro_rules! by_accum {
-    ($accum:expr, $E:ident => $body:expr) => {
-        match $accum {
-            QAccum::I32 => {
-                type $E = I32;
+    ($accum:expr, $E:ident => $body:expr) => {{
+        let native =
+            $crate::runtime::Int8Lanes::current() == $crate::runtime::Int8Lanes::resolved();
+        match ($accum, native) {
+            (QAccum::I32, true) => {
+                type $E = Int<false, true>;
                 $body
             }
-            QAccum::Saturate16 => {
-                type $E = Sat16;
+            (QAccum::I32, false) => {
+                type $E = Int<false, false>;
+                $body
+            }
+            (QAccum::Saturate16, true) => {
+                type $E = Int<true, true>;
+                $body
+            }
+            (QAccum::Saturate16, false) => {
+                type $E = Int<true, false>;
                 $body
             }
         }
-    };
+    }};
 }
 pub(crate) use by_accum;
 
@@ -346,31 +411,34 @@ pub fn qconv2d(
     let (o, out_slab) = (g.out_channels, g.out_channels * ospatial);
     let mut out = Tensor::scratch(&[b, o, oh, ow]);
     let xd = x.data();
-    // Per group of samples: quantize → int8 im2col into the group's panel →
-    // the integer tile → epilogue, sample by sample out of the panel.
-    let group = |rt: &Runtime, s0: usize, out_g: &mut [f32]| {
-        let n = out_g.len() / out_slab;
-        let (x_g, width) = (&xd[s0 * in_slab..(s0 + n) * in_slab], n * ospatial);
-        with_scratch(in_slab, |qx| {
-            with_scratch(k * width, |qcols| {
-                for (i, xs) in x_g.chunks_exact(in_slab).enumerate() {
-                    quantize_to_i8(xs, x_scale, qx);
-                    im2col_sample_t(qx, g, &mut qcols[i * ospatial..], width, 0i8);
-                }
-                by_accum!(accum, E => with_scratch(o * width, |acc: &mut [i32]| {
-                    saxpy_gemm::<E>("qgemm", rt, qw, (k, 1), qcols, acc, (o, k, width));
-                    for (i, out_s) in out_g.chunks_exact_mut(out_slab).enumerate() {
-                        for (oc, orow) in out_s.chunks_exact_mut(ospatial).enumerate() {
-                            let arow = &acc[oc * width + i * ospatial..][..ospatial];
-                            E::finish(orow, arow.iter().copied(), oc, ep);
-                        }
+    by_accum!(accum, E => {
+        // Per group of samples: quantize → int8 im2col into the group's panel
+        // → the integer tile → epilogue, sample by sample out of the panel.
+        let lanes = E::lanes();
+        let group = |rt: &Runtime, s0: usize, out_g: &mut [f32]| {
+            let n = out_g.len() / out_slab;
+            let (x_g, width) = (&xd[s0 * in_slab..(s0 + n) * in_slab], n * ospatial);
+            with_scratch(in_slab, |qx| {
+                with_scratch(k * width, |qcols| {
+                    for (i, xs) in x_g.chunks_exact(in_slab).enumerate() {
+                        lanes.quantize(xs, x_scale, qx);
+                        lanes.unfold(qx, g, &mut qcols[i * ospatial..], width);
                     }
-                }));
+                    with_scratch(o * width, |acc: &mut [i32]| {
+                        saxpy_gemm::<E>("qgemm", rt, qw, (k, 1), qcols, acc, (o, k, width));
+                        for (i, out_s) in out_g.chunks_exact_mut(out_slab).enumerate() {
+                            for (oc, orow) in out_s.chunks_exact_mut(ospatial).enumerate() {
+                                let arow = &acc[oc * width + i * ospatial..][..ospatial];
+                                lanes.requant_row(orow, arow, oc, ep);
+                            }
+                        }
+                    });
+                });
             });
-        });
-    };
-    let ops = OP_COST * 2 * g.macs();
-    per_sample("qconv2d", out.data_mut(), out_slab, ops, Some(ospatial), group);
+        };
+        let ops = OP_COST * 2 * g.macs();
+        per_sample("qconv2d", out.data_mut(), out_slab, ops, Some(ospatial), group);
+    });
     Ok(out)
 }
 
@@ -451,7 +519,7 @@ pub fn qlinear(
     // Per row: quantize → one dot per output.
     by_accum!(accum, E => linear_rows::<E>("qlinear", &mut y, feat * out_ch, ep, |s, acc| {
         with_scratch(feat, |qx| {
-            quantize_to_i8(&xd[s * feat..(s + 1) * feat], x_scale, qx);
+            E::lanes().quantize(&xd[s * feat..(s + 1) * feat], x_scale, qx);
             dot_row::<E>(qx, qw, acc);
         });
     }));

@@ -29,11 +29,16 @@
 //! **overwrite** `out` (shape `(m, n)`, row-major) and fork over disjoint row
 //! ranges of it at `E::COST · 2kn` operations a row, so each element is
 //! produced by exactly one thread in ascending `k` and results are
-//! bit-identical for every thread count. No `unsafe`, no SIMD intrinsics: an
-//! explicit-lane micro-kernel is an edit of one [`Mac`] impl.
+//! bit-identical for every thread count. This module has no `unsafe` and no
+//! SIMD intrinsics; the f32 kernels are what the compiler makes of them for
+//! the target baseline. An explicit-lane micro-kernel is an override of one
+//! [`Mac`] hook — [`Mac::tile`], [`Mac::dot`], [`Mac::scatter`] — and the
+//! integer types override all three with the int8 lane set the process
+//! resolved (`runtime::lanes`: AVX2 where the CPU has it).
 
 use super::arena::{with_scratch, Scratch};
 use super::pool::{fork_grain, Runtime};
+use crate::spike::Taps;
 
 /// Rows per register tile in the saxpy-style kernels.
 const MR: usize = 4;
@@ -43,7 +48,7 @@ const KC: usize = 256;
 
 /// One (element, accumulator) pair and everything the kernel drivers need to
 /// know about it. Closed over [`F32`], `I32` and `Sat16`.
-pub(crate) trait Mac {
+pub(crate) trait Mac: Sized {
     type Elem: Copy + Send + Sync;
     type Acc: Scratch + Send + Sync;
     /// What the epilogue needs besides the accumulators.
@@ -92,6 +97,32 @@ pub(crate) trait Mac {
         channel: usize,
         ep: Self::Epilogue<'_>,
     );
+
+    /// The tile [`saxpy_gemm`] forks: `rows = A_range · B`, every element in
+    /// ascending `k`. The integer types run it on their lane set.
+    fn tile(
+        a: &[Self::Elem],
+        a_strides: (usize, usize),
+        b: &[Self::Elem],
+        rows: &mut [Self::Acc],
+        k: usize,
+        n: usize,
+    ) {
+        saxpy_rows::<Self>(a, a_strides, b, rows, k, n);
+    }
+
+    /// One sample of the event scatter ([`crate::spike::scatter`]): its taps
+    /// into an `(Oh·Ow, O)` accumulator block, then the transposing epilogue
+    /// into `out_s`. The integer types run it on their lane set.
+    fn scatter(
+        taps: Taps<'_>,
+        wt: &[Self::Acc],
+        out_s: &mut [f32],
+        o: usize,
+        ep: Self::Epilogue<'_>,
+    ) {
+        crate::spike::scatter::<Self>(taps, wt, out_s, o, ep);
+    }
 }
 
 /// f32 elements, f32 sums, no epilogue. Never skips: `0 · NaN` is NaN.
@@ -215,13 +246,13 @@ pub(crate) fn saxpy_gemm<E: Mac>(
         return out.fill(E::ZERO);
     }
     rt.parallel_over_ranges(out, n, fork_grain(E::COST * 2 * k * n), |row0, rows| {
-        saxpy_rows::<E>(&a[row0 * a_strides.0..], a_strides, b, rows, k, n);
+        E::tile(&a[row0 * a_strides.0..], a_strides, b, rows, k, n);
     });
 }
 
 /// The one 4-row / `KC`-panel tile: `rows = A_range · B`, `a` starting at the
 /// range's first row. Every output element adds its terms in ascending `k`.
-fn saxpy_rows<E: Mac>(
+pub(crate) fn saxpy_rows<E: Mac>(
     a: &[E::Elem],
     (row_stride, k_stride): (usize, usize),
     b: &[E::Elem],

@@ -1,0 +1,708 @@
+//! The machine lanes the int8 kernels run on, resolved once per process.
+//!
+//! Every int8 kernel — the `qgemm` tile, the dot behind `qlinear` /
+//! `qgemm_a_bt`, `qconv2d`'s quantization and unfolding, the requantizing
+//! epilogue and the event scatter of `sparse_qconv2d` — asks an
+//! [`Int8Lanes`] for its inner loop. There are two sets:
+//!
+//! * **portable** — the generic bodies every other `Mac` runs, compiled for
+//!   the target's baseline (SSE2 on `x86_64`, which has no packed 32-bit
+//!   multiply);
+//! * **avx2** — explicit 256-bit kernels, chosen where
+//!   `is_x86_feature_detected!("avx2")` says the CPU has them.
+//!
+//! [`Int8Lanes::resolved`] makes that choice once; nothing else selects a
+//! path, and [`int8_lanes`] reports it. [`with_int8_lanes`] pins the kernels
+//! a thread calls to a given set, which is how tests run the portable lanes
+//! beside the resolved ones.
+//!
+//! # Bit identity
+//!
+//! Both sets compute the same integers. `I32` sums are exact, so the avx2
+//! tile and dot may regroup them (`vpmaddwd` adds two products before the
+//! accumulator does). `Sat16` is a saturating fold in ascending `k`, and no
+//! regrouping of it is exact: its avx2 tile keeps one `i16` lane per output
+//! column and adds every product with `vpaddsw`, one `k` at a time, and its
+//! dot (whose `k` runs along a row) stays the portable fold. The avx2
+//! scatter adds the same pre-multiplied rows in the same event order — in
+//! `i32` lanes, clamped after every add for `Sat16`. Quantization and the
+//! epilogue are elementwise: the same IEEE divide, round, clamp, convert,
+//! multiply and add per element, with no fused multiply-add. The training
+//! plane and the f32 kernels never come here.
+//!
+//! # Safety
+//!
+//! The avx2 kernels are `#[target_feature(enable = "avx2")]` functions, which
+//! are undefined behaviour to call on a CPU without AVX2. An [`Int8Lanes`]
+//! naming the avx2 set exists only after detection returned true: its field
+//! is private to this module and [`Int8Lanes::resolved`] is its only
+//! constructor, so every call into the avx2 kernels (in [`Int8Lanes`]'s
+//! methods) is guarded by the value itself. The kernels' own `unsafe` is
+//! confined to the load / store helpers of the `avx2` submodule, each of
+//! which takes a reference to exactly the bytes it touches.
+
+use std::cell::Cell;
+use std::sync::OnceLock;
+
+use super::gemm::{saxpy_rows, Mac};
+use crate::conv::{im2col_sample_t, Conv2dGeometry};
+use crate::qkernels::{Int, Requant};
+use crate::spike::{scatter, Taps};
+
+/// A set of machine lanes for the int8 kernels: [`Int8Lanes::portable`], or
+/// the set this CPU supports, [`Int8Lanes::resolved`]. A set the CPU lacks
+/// cannot be named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Int8Lanes(Kind);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+static RESOLVED: OnceLock<Int8Lanes> = OnceLock::new();
+
+thread_local! {
+    static PINNED: Cell<Option<Int8Lanes>> = const { Cell::new(None) };
+}
+
+impl Int8Lanes {
+    /// The baseline lanes, on every target.
+    pub const fn portable() -> Self {
+        Int8Lanes(Kind::Portable)
+    }
+
+    /// The widest set this CPU supports, detected on first use and fixed for
+    /// the life of the process.
+    pub fn resolved() -> Self {
+        *RESOLVED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Int8Lanes(Kind::Avx2);
+            }
+            Int8Lanes::portable()
+        })
+    }
+
+    /// `"avx2"` or `"portable"`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Kind::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx2 => "avx2",
+        }
+    }
+
+    /// The set an int8 kernel called on this thread runs on: the pinned one
+    /// inside [`with_int8_lanes`], the resolved one otherwise.
+    pub(crate) fn current() -> Self {
+        PINNED.with(Cell::get).unwrap_or_else(Self::resolved)
+    }
+
+    /// `dst[i] = clamp(round(src[i] / scale), ±127)`, `NaN` to 0.
+    pub(crate) fn quantize(self, src: &[f32], scale: f32, dst: &mut [i8]) {
+        let dst = &mut dst[..src.len()];
+        match self.0 {
+            Kind::Portable => quantize_portable(src, scale, dst),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::quantize(src, scale, dst) },
+        }
+    }
+
+    /// One sample's int8 unfolding: patch row `r` of `x` at `cols[r · ld..]`,
+    /// as `conv::im2col_sample_t` lays it out.
+    pub(crate) fn unfold(self, x: &[i8], g: &Conv2dGeometry, cols: &mut [i8], ld: usize) {
+        match self.0 {
+            Kind::Portable => im2col_sample_t(x, g, cols, ld, 0),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::unfold(x, g, cols, ld) },
+        }
+    }
+
+    /// The `qgemm` tile: `rows = A_range · B` (see `gemm::saxpy_rows`).
+    pub(crate) fn qgemm_rows<const SAT16: bool>(
+        self,
+        a: &[i8],
+        a_strides: (usize, usize),
+        b: &[i8],
+        rows: &mut [i32],
+        (k, n): (usize, usize),
+    ) {
+        match self.0 {
+            Kind::Portable => saxpy_rows::<Int<SAT16, false>>(a, a_strides, b, rows, k, n),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::qgemm_rows::<SAT16>(a, a_strides, b, rows, (k, n)) },
+        }
+    }
+
+    /// `Σ x[i] · y[i]` in the accumulator mode's fold.
+    pub(crate) fn dot<const SAT16: bool>(self, x: &[i8], y: &[i8]) -> i32 {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 if !SAT16 => unsafe { avx2::dot(x, y) },
+            _ => x.iter().zip(y).fold(0, |acc, (&x, &y)| Int::<SAT16, false>::mac(acc, x, y)),
+        }
+    }
+
+    /// The epilogue of one output channel's contiguous accumulators.
+    pub(crate) fn requant_row(self, out: &mut [f32], acc: &[i32], oc: usize, ep: Requant<'_>) {
+        match self.0 {
+            Kind::Portable => {
+                Int::<false, false>::finish(out, acc.iter().copied(), oc, ep);
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::requant_row(out, acc, oc, ep) },
+        }
+    }
+
+    /// One sample's event scatter and transposing epilogue (see
+    /// `spike::scatter`).
+    pub(crate) fn scatter<const SAT16: bool>(
+        self,
+        taps: Taps<'_>,
+        wt: &[i32],
+        out_s: &mut [f32],
+        o: usize,
+        ep: Requant<'_>,
+    ) {
+        match self.0 {
+            Kind::Portable => scatter::<Int<SAT16, false>>(taps, wt, out_s, o, ep),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::scatter::<SAT16>(taps, wt, out_s, o, ep) },
+        }
+    }
+}
+
+/// The int8 lane set this process resolved: `"avx2"` or `"portable"`.
+pub fn int8_lanes() -> &'static str {
+    Int8Lanes::resolved().name()
+}
+
+/// Runs `f` with every int8 kernel it calls on this thread on `lanes` —
+/// the kernels take their set when they are called and hand it to their
+/// pool workers, so `f`'s whole kernels run on it. Outside, the kernels run
+/// on [`Int8Lanes::resolved`]. Both sets compute the same bits; this exists
+/// so a test can show it.
+pub fn with_int8_lanes<R>(lanes: Int8Lanes, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Int8Lanes>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PINNED.with(|p| p.set(self.0));
+        }
+    }
+    let _restore = Restore(PINNED.with(|p| p.replace(Some(lanes))));
+    f()
+}
+
+/// The portable quantizer — `ttsnn_core::quant::quantize_int8`'s grid.
+fn quantize_portable(src: &[f32], scale: f32, dst: &mut [i8]) {
+    for (d, &v) in dst.iter_mut().zip(src.iter()) {
+        *d = (v / scale).round().clamp(-127.0, 127.0) as i8;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    //! The avx2 set. Only [`Int8Lanes`](super::Int8Lanes)'s methods call in
+    //! here; every function is compiled for AVX2 and is sound to call only
+    //! on a CPU that has it.
+
+    use std::arch::x86_64::*;
+
+    use crate::conv::{im2col_sample_t, Conv2dGeometry};
+    use crate::qkernels::Requant;
+    use crate::runtime::with_scratch;
+    use crate::spike::Taps;
+
+    /// Rows per `qgemm` register tile.
+    const MR: usize = 4;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_i8x16(src: &[i8; 16]) -> __m128i {
+        // SAFETY: `src` is 16 readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_si128(src.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_i32x8(src: &[i32; 8]) -> __m256i {
+        // SAFETY: `src` is 32 readable bytes; the load is unaligned.
+        unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_i32x8(dst: &mut [i32; 8], v: __m256i) {
+        // SAFETY: `dst` is 32 writable bytes; the store is unaligned.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_f32x8(src: &[f32; 8]) -> __m256 {
+        // SAFETY: `src` is 32 readable bytes; the load is unaligned.
+        unsafe { _mm256_loadu_ps(src.as_ptr()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_f32x8(dst: &mut [f32; 8], v: __m256) {
+        // SAFETY: `dst` is 32 writable bytes; the store is unaligned.
+        unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_i8x32(dst: &mut [i8; 32], v: __m256i) {
+        // SAFETY: `dst` is 32 writable bytes; the store is unaligned.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
+    }
+
+    /// The first `N` elements of `s`, as an array.
+    #[inline(always)]
+    fn head<T, const N: usize>(s: &[T]) -> &[T; N] {
+        s.first_chunk().expect("lane block within its slice")
+    }
+
+    #[inline(always)]
+    fn head_mut<T, const N: usize>(s: &mut [T]) -> &mut [T; N] {
+        s.first_chunk_mut().expect("lane block within its slice")
+    }
+
+    /// Eight quantized lanes: the portable `round().clamp(-127, 127) as i8`
+    /// of `v / scale`, as `i32`. `round` is half away from zero:
+    /// `trunc(q) ± 1` where `|q - trunc(q)| ≥ 0.5` (an exact difference).
+    /// `NaN` clamps to `-127` here and is masked to 0, as `NaN as i8` is.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn quantize8(v: __m256, scale: __m256) -> __m256i {
+        let sign = _mm256_set1_ps(-0.0);
+        let q = _mm256_div_ps(v, scale);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
+        let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(q, t));
+        let away = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5));
+        let step = _mm256_and_ps(away, _mm256_or_ps(_mm256_set1_ps(1.0), _mm256_and_ps(q, sign)));
+        let r = _mm256_add_ps(t, step);
+        let r = _mm256_min_ps(_mm256_max_ps(r, _mm256_set1_ps(-127.0)), _mm256_set1_ps(127.0));
+        let ordered = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_ORD_Q>(q, q));
+        _mm256_and_si256(_mm256_cvttps_epi32(r), ordered)
+    }
+
+    /// `dst = quantize(src)`, 32 elements a step; `dst.len() == src.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn quantize(src: &[f32], scale: f32, dst: &mut [i8]) {
+        let vs = _mm256_set1_ps(scale);
+        let (blocks, tail) = src.as_chunks::<32>();
+        let (dblocks, dtail) = dst.as_chunks_mut::<32>();
+        for (s, d) in blocks.iter().zip(dblocks) {
+            let q = |i: usize| quantize8(load_f32x8(head(&s[i * 8..])), vs);
+            // Packing interleaves the 128-bit halves; the permute undoes it.
+            let words = _mm256_packs_epi32(q(0), q(1));
+            let bytes = _mm256_packs_epi16(words, _mm256_packs_epi32(q(2), q(3)));
+            let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+            store_i8x32(d, _mm256_permutevar8x32_epi32(bytes, order));
+        }
+        super::quantize_portable(tail, scale, dtail);
+    }
+
+    /// The unfolding through a zero-padded copy of the sample's planes: a
+    /// patch row is then `Oh` plain `Ow`-byte copies, one fixed-size move
+    /// each at the common widths, instead of a bounds test per element.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn unfold(x: &[i8], g: &Conv2dGeometry, cols: &mut [i8], ld: usize) {
+        let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+        let ((sh, sw), (ph, pw)) = (g.stride, g.padding);
+        if sw != 1 || oh * ow * h * w == 0 {
+            return im2col_sample_t(x, g, cols, ld, 0);
+        }
+        let (hp, wp) = (h + 2 * ph, w + 2 * pw);
+        with_scratch(g.in_channels * hp * wp, |padded: &mut [i8]| {
+            padded.fill(0);
+            for c in 0..g.in_channels {
+                let (to, from) = (|i| (c * hp + ph + i) * wp + pw, |i| (c * h + i) * w);
+                copy_rows((h, w), (padded, to), (x, from));
+                for ki in 0..kh {
+                    for kj in 0..kw {
+                        let block = &mut cols[((c * kh + ki) * kw + kj) * ld..][..oh * ow];
+                        let from = |oi| (c * hp + oi * sh + ki) * wp + kj;
+                        copy_rows((oh, ow), (block, |oi| oi * ow), (padded, from));
+                    }
+                }
+            }
+        });
+    }
+
+    /// Copies `rows` rows of `width` bytes, row `r` from `src[from(r)..]` to
+    /// `dst[to(r)..]`: one fixed-size move per row at widths 4, 8, 16, 32
+    /// (a `memcpy` call per row would cost more than the row).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn copy_rows(
+        (rows, width): (usize, usize),
+        (dst, to): (&mut [i8], impl Fn(usize) -> usize),
+        (src, from): (&[i8], impl Fn(usize) -> usize),
+    ) {
+        #[inline(always)]
+        fn fixed<const N: usize>(
+            rows: usize,
+            (dst, to): (&mut [i8], impl Fn(usize) -> usize),
+            (src, from): (&[i8], impl Fn(usize) -> usize),
+        ) {
+            for r in 0..rows {
+                *head_mut::<i8, N>(&mut dst[to(r)..]) = *head::<i8, N>(&src[from(r)..]);
+            }
+        }
+        match width {
+            4 => fixed::<4>(rows, (dst, to), (src, from)),
+            8 => fixed::<8>(rows, (dst, to), (src, from)),
+            16 => fixed::<16>(rows, (dst, to), (src, from)),
+            32 => fixed::<32>(rows, (dst, to), (src, from)),
+            _ => {
+                for r in 0..rows {
+                    dst[to(r)..][..width].copy_from_slice(&src[from(r)..][..width]);
+                }
+            }
+        }
+    }
+
+    /// The `I32` / `Sat16` tile over output rows `rows = A_range · B`.
+    ///
+    /// Output columns go 16 (`I32`) or 32 (`Sat16`) at a time, and each
+    /// [`MR`]-row tile keeps its accumulators in registers over the whole of
+    /// `k`, streaming one column block of `B` that stays in L1 across tiles.
+    /// A tile reads only the `k` at which one of its rows has a nonzero
+    /// coefficient, in ascending order — the terms skipped are exact zeros.
+    /// Column tails fold element by element over the same `k`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn qgemm_rows<const SAT16: bool>(
+        a: &[i8],
+        (row_stride, k_stride): (usize, usize),
+        b: &[i8],
+        rows: &mut [i32],
+        (k, n): (usize, usize),
+    ) {
+        if n == 0 {
+            return;
+        }
+        let m = rows.len() / n;
+        let tiles = m.div_ceil(MR);
+        // Per tile, its nonzero `k` (`nz[t·k..][..counts[t]]`) and the tile's
+        // coefficients at each, `MR` to a `k` (rows past `m` are zero).
+        with_scratch(tiles * k, |nz: &mut [u32]| {
+            with_scratch(tiles * k * MR, |coef: &mut [i8]| {
+                with_scratch(tiles, |counts: &mut [usize]| {
+                    for (t, count) in counts.iter_mut().enumerate() {
+                        let (nz, coef) = (&mut nz[t * k..][..k], &mut coef[t * k * MR..][..k * MR]);
+                        *count = 0;
+                        for kk in 0..k {
+                            let column = std::array::from_fn::<i8, MR, _>(|r| {
+                                let i = t * MR + r;
+                                if i < m {
+                                    a[i * row_stride + kk * k_stride]
+                                } else {
+                                    0
+                                }
+                            });
+                            if column != [0; MR] {
+                                nz[*count] = kk as u32;
+                                coef[*count * MR..][..MR].copy_from_slice(&column);
+                                *count += 1;
+                            }
+                        }
+                    }
+                    let tile = |t: usize| {
+                        let count = counts[t];
+                        (&nz[t * k..][..count], &coef[t * k * MR..][..count * MR])
+                    };
+                    let width = if SAT16 { 32 } else { 16 };
+                    let blocked = n - n % width;
+                    for j0 in (0..blocked).step_by(width) {
+                        for (t, out) in rows.chunks_mut(MR * n).enumerate() {
+                            let (nz, coef) = tile(t);
+                            if SAT16 {
+                                block_sat16(nz, coef, b, n, j0, out);
+                            } else {
+                                block_i32(nz, coef, b, n, j0, out);
+                            }
+                        }
+                    }
+                    for (t, out) in rows.chunks_mut(MR * n).enumerate() {
+                        let (nz, coef) = tile(t);
+                        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
+                            for (j, o) in orow.iter_mut().enumerate().skip(blocked) {
+                                *o = fold_column::<SAT16>(nz, coef, r, b, n, j);
+                            }
+                        }
+                    }
+                });
+            });
+        });
+    }
+
+    /// Element `(r, j)` of a tile: its terms over `nz` in ascending order.
+    #[inline]
+    fn fold_column<const SAT16: bool>(
+        nz: &[u32],
+        coef: &[i8],
+        r: usize,
+        b: &[i8],
+        n: usize,
+        j: usize,
+    ) -> i32 {
+        let terms = nz.iter().zip(coef.chunks_exact(MR));
+        terms.fold(0i32, |acc, (&kk, c)| {
+            let p = c[r] as i16 * b[kk as usize * n + j] as i16;
+            if SAT16 {
+                (acc as i16).saturating_add(p) as i32
+            } else {
+                acc + p as i32
+            }
+        })
+    }
+
+    /// 16 columns from `j0` of one `I32` tile: `k` in pairs, one `vpmaddwd`
+    /// per row and 8 columns adding two exact products.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn block_i32(nz: &[u32], coef: &[i8], b: &[i8], n: usize, j0: usize, out: &mut [i32]) {
+        let zero = _mm256_setzero_si256();
+        let mut acc = [[zero; 2]; MR];
+        let row = |kk: u32| load_i8x16(head(&b[kk as usize * n + j0..]));
+        let (pairs, odd) = nz.as_chunks::<2>();
+        let (cpairs, codd) = coef.as_chunks::<{ 2 * MR }>();
+        // `c` holds the tile's coefficients at `k0`, then at `k1`.
+        let mut add = |x0: __m128i, x1: __m128i, c: &[i8; 2 * MR]| {
+            // Columns interleaved as (k0, k1) pairs of i16.
+            let lo = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(x0, x1));
+            let hi = _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(x0, x1));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let (a0, a1) = (c[r] as i16 as u16 as u32, c[MR + r] as i16 as u16 as u32);
+                let pair = _mm256_set1_epi32((a0 | a1 << 16) as i32);
+                acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(lo, pair));
+                acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(hi, pair));
+            }
+        };
+        for (&[k0, k1], c) in pairs.iter().zip(cpairs) {
+            add(row(k0), row(k1), c);
+        }
+        if let [k0] = *odd {
+            let mut c = [0; 2 * MR];
+            c[..MR].copy_from_slice(codd);
+            add(row(k0), _mm_setzero_si128(), &c);
+        }
+        for (acc, orow) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            store_i32x8(head_mut(&mut orow[j0..]), acc[0]);
+            store_i32x8(head_mut(&mut orow[j0 + 8..]), acc[1]);
+        }
+    }
+
+    /// 32 columns from `j0` of one `Sat16` tile: one `i16` lane per column,
+    /// one `k` at a time, each product (exact in `i16`) added saturating.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn block_sat16(nz: &[u32], coef: &[i8], b: &[i8], n: usize, j0: usize, out: &mut [i32]) {
+        let zero = _mm256_setzero_si256();
+        let mut acc = [[zero; 2]; MR];
+        for (&kk, c) in nz.iter().zip(coef.chunks_exact(MR)) {
+            let at = kk as usize * n + j0;
+            let lo = _mm256_cvtepi8_epi16(load_i8x16(head(&b[at..])));
+            let hi = _mm256_cvtepi8_epi16(load_i8x16(head(&b[at + 16..])));
+            for (acc, &c) in acc.iter_mut().zip(c) {
+                let c = _mm256_set1_epi16(c as i16);
+                acc[0] = _mm256_adds_epi16(acc[0], _mm256_mullo_epi16(lo, c));
+                acc[1] = _mm256_adds_epi16(acc[1], _mm256_mullo_epi16(hi, c));
+            }
+        }
+        for (acc, orow) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            for (h, &v) in acc.iter().enumerate() {
+                let at = j0 + 16 * h;
+                let (v0, v1) = (_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+                store_i32x8(head_mut(&mut orow[at..]), _mm256_cvtepi16_epi32(v0));
+                store_i32x8(head_mut(&mut orow[at + 8..]), _mm256_cvtepi16_epi32(v1));
+            }
+        }
+    }
+
+    /// The exact `I32` dot, 16 elements a step through `vpmaddwd`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dot(x: &[i8], y: &[i8]) -> i32 {
+        let (xb, xt) = x.as_chunks::<16>();
+        let (yb, yt) = y[..x.len()].as_chunks::<16>();
+        let mut acc = _mm256_setzero_si256();
+        for (x, y) in xb.iter().zip(yb) {
+            let (x, y) = (_mm256_cvtepi8_epi16(load_i8x16(x)), _mm256_cvtepi8_epi16(load_i8x16(y)));
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(x, y));
+        }
+        let mut lanes = [0i32; 8];
+        store_i32x8(&mut lanes, acc);
+        let tail: i32 = xt.iter().zip(yt).map(|(&x, &y)| x as i32 * y as i32).sum();
+        lanes.iter().sum::<i32>() + tail
+    }
+
+    /// `out[i] = acc[i] · scale (+ bias)` for channel `oc`, 8 lanes a step.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn requant_row(out: &mut [f32], acc: &[i32], oc: usize, ep: Requant<'_>) {
+        let (scale, bias) = (ep.scale(oc), ep.bias(oc));
+        let (vs, vb) = (_mm256_set1_ps(scale), _mm256_set1_ps(bias.unwrap_or(0.0)));
+        let (ob, ot) = out.as_chunks_mut::<8>();
+        let (ab, at) = acc[..ob.len() * 8 + ot.len()].as_chunks::<8>();
+        for (o, a) in ob.iter_mut().zip(ab) {
+            let v = _mm256_mul_ps(_mm256_cvtepi32_ps(load_i32x8(a)), vs);
+            store_f32x8(o, if bias.is_some() { _mm256_add_ps(v, vb) } else { v });
+        }
+        for (o, &a) in ot.iter_mut().zip(at) {
+            *o = requant(a, scale, bias);
+        }
+    }
+
+    /// The scalar epilogue, exactly as the portable `finish` writes it.
+    #[inline(always)]
+    fn requant(a: i32, scale: f32, bias: Option<f32>) -> f32 {
+        match bias {
+            Some(bias) => a as f32 * scale + bias,
+            None => a as f32 * scale,
+        }
+    }
+
+    /// One sample's event scatter into its `(Oh·Ow, O)` accumulator block —
+    /// per tap, the weight row added 8 lanes at a time (clamped to `i16` for
+    /// `Sat16`), the taps in the portable order — then the transposing
+    /// epilogue into the sample's `(O, Oh·Ow)` output, 8 × 8 lanes a step.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scatter<const SAT16: bool>(
+        taps: Taps<'_>,
+        wt: &[i32],
+        out_s: &mut [f32],
+        o: usize,
+        ep: Requant<'_>,
+    ) {
+        let ospatial = out_s.len() / o;
+        with_scratch(ospatial * o, |acc: &mut [i32]| {
+            acc.fill(0);
+            match o {
+                8 => add_taps::<SAT16, 1>(taps, wt, acc),
+                16 => add_taps::<SAT16, 2>(taps, wt, acc),
+                32 => add_taps::<SAT16, 4>(taps, wt, acc),
+                64 => add_taps::<SAT16, 8>(taps, wt, acc),
+                _ => taps.for_each(|row, opos| {
+                    add_row::<SAT16>(&mut acc[opos * o..][..o], &wt[row * o..][..o]);
+                }),
+            }
+            requant_transposed(out_s, acc, o, ep);
+        });
+    }
+
+    /// The taps at `O = 8 · NB`: rows of `NB` fixed 8-lane blocks, so a tap
+    /// is `NB` unrolled adds with no per-tap slicing.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_taps<const SAT16: bool, const NB: usize>(taps: Taps<'_>, wt: &[i32], acc: &mut [i32]) {
+        let (acc, wt) = (acc.as_chunks_mut::<8>().0, wt.as_chunks::<8>().0);
+        let (lo, hi) = (_mm256_set1_epi32(i16::MIN as i32), _mm256_set1_epi32(i16::MAX as i32));
+        taps.for_each(|row, opos| {
+            for b in 0..NB {
+                let (a, w) = (&mut acc[opos * NB + b], &wt[row * NB + b]);
+                let s = _mm256_add_epi32(load_i32x8(a), load_i32x8(w));
+                store_i32x8(
+                    a,
+                    if SAT16 { _mm256_min_epi32(_mm256_max_epi32(s, lo), hi) } else { s },
+                );
+            }
+        });
+    }
+
+    /// `acc += w` lane for lane, clamped to the `i16` range for `Sat16`
+    /// (`saturating_add` of two in-range values is the clamped exact sum).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_row<const SAT16: bool>(acc: &mut [i32], w: &[i32]) {
+        let (ab, at) = acc.as_chunks_mut::<8>();
+        let (wb, wt) = w.as_chunks::<8>();
+        let (lo, hi) = (_mm256_set1_epi32(i16::MIN as i32), _mm256_set1_epi32(i16::MAX as i32));
+        for (a, w) in ab.iter_mut().zip(wb) {
+            let s = _mm256_add_epi32(load_i32x8(a), load_i32x8(w));
+            store_i32x8(a, if SAT16 { _mm256_min_epi32(_mm256_max_epi32(s, lo), hi) } else { s });
+        }
+        for (a, &w) in at.iter_mut().zip(wt) {
+            *a = if SAT16 { (*a as i16).saturating_add(w as i16) as i32 } else { *a + w };
+        }
+    }
+
+    /// `out (O, P)` from `acc (P, O)` through the epilogue: 8 positions × 8
+    /// channels are converted, transposed in registers and scaled per
+    /// channel; the edges go element by element.
+    #[target_feature(enable = "avx2")]
+    fn requant_transposed(out: &mut [f32], acc: &[i32], o: usize, ep: Requant<'_>) {
+        let p = out.len() / o;
+        let (o8, p8) = (o - o % 8, p - p % 8);
+        for oc0 in (0..o8).step_by(8) {
+            let scale: [f32; 8] = std::array::from_fn(|c| ep.scale(oc0 + c));
+            let bias: [Option<f32>; 8] = std::array::from_fn(|c| ep.bias(oc0 + c));
+            for p0 in (0..p8).step_by(8) {
+                let r: [__m256; 8] = std::array::from_fn(|i| {
+                    _mm256_cvtepi32_ps(load_i32x8(head(&acc[(p0 + i) * o + oc0..])))
+                });
+                for (c, col) in transpose8(r).into_iter().enumerate() {
+                    let v = _mm256_mul_ps(col, _mm256_set1_ps(scale[c]));
+                    let v = match bias[c] {
+                        Some(b) => _mm256_add_ps(v, _mm256_set1_ps(b)),
+                        None => v,
+                    };
+                    store_f32x8(head_mut(&mut out[(oc0 + c) * p + p0..]), v);
+                }
+            }
+            for c in 0..8 {
+                for q in p8..p {
+                    out[(oc0 + c) * p + q] = requant(acc[q * o + oc0 + c], scale[c], bias[c]);
+                }
+            }
+        }
+        for oc in o8..o {
+            let (scale, bias) = (ep.scale(oc), ep.bias(oc));
+            for (q, v) in out[oc * p..][..p].iter_mut().enumerate() {
+                *v = requant(acc[q * o + oc], scale, bias);
+            }
+        }
+    }
+
+    /// The 8 × 8 transpose: lane `j` of row `i` becomes lane `i` of row `j`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t: [__m256; 8] = std::array::from_fn(|i| {
+            let (x, y) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+            if i % 2 == 0 {
+                _mm256_unpacklo_ps(x, y)
+            } else {
+                _mm256_unpackhi_ps(x, y)
+            }
+        });
+        // u[4h + 0..4]: rows 4h..4h+4 at lanes {0, 1, 2, 3} (+ 4 in the high half).
+        let u: [__m256; 8] = std::array::from_fn(|i| {
+            let (h, j) = (i / 4, i % 4);
+            let (x, y) = (t[4 * h + j / 2], t[4 * h + 2 + j / 2]);
+            if j % 2 == 0 {
+                _mm256_shuffle_ps::<0x44>(x, y)
+            } else {
+                _mm256_shuffle_ps::<0xEE>(x, y)
+            }
+        });
+        std::array::from_fn(|c| {
+            let (x, y) = (u[c % 4], u[4 + c % 4]);
+            if c < 4 {
+                _mm256_permute2f128_ps::<0x20>(x, y)
+            } else {
+                _mm256_permute2f128_ps::<0x31>(x, y)
+            }
+        })
+    }
+}

@@ -50,10 +50,14 @@
 
 mod arena;
 mod gemm;
+#[allow(unsafe_code)]
+mod lanes;
+#[allow(unsafe_code)]
 mod pool;
 
 pub(crate) use arena::{recycle_buffer, take_buffer};
 pub use arena::{scratch_bytes, scratch_depth, with_scratch, with_scratch_zeroed, Scratch};
 pub(crate) use gemm::{dot_gemm, dot_row, saxpy_gemm, Mac, F32};
 pub use gemm::{gemm, gemm_a_bt, gemm_at_b, reference_gemm};
+pub use lanes::{int8_lanes, with_int8_lanes, Int8Lanes};
 pub use pool::{fork_grain, PoolStats, Runtime};

@@ -45,8 +45,11 @@
 //!
 //! # Safety
 //!
-//! The single `unsafe` surface of the workspace lives here: a region's
-//! closure is lent to the queue as a type-erased pointer. This is sound
+//! One of the two modules of the workspace the compiler lets use `unsafe`
+//! (every other crate root forbids it, `ttsnn-tensor` denies it, and only
+//! this module and `runtime::lanes` — the int8 SIMD kernels — are allowed
+//! it): a region's closure is lent to the queue as a type-erased pointer.
+//! This is sound
 //! because [`Runtime::run_region`] does not return until the region's
 //! latch counts every enqueued task as finished, so the closure (and the
 //! latch, which lives in the same stack frame) strictly outlive every
@@ -260,6 +263,8 @@ impl Task {
         let latch = unsafe { &*self.latch };
         let run = self.run;
         let data = self.data;
+        // SAFETY: `run` is the thunk enqueued with `data`, which points at the
+        // region's closure reference and lives as long as the latch does.
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { run(data, self.index) }));
         if let Err(payload) = result {
             latch.record_panic(payload);

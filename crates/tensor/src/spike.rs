@@ -76,7 +76,7 @@ use std::cell::Cell;
 use crate::conv::{check_input, check_weight, Conv2dGeometry};
 use crate::error::ShapeError;
 use crate::qkernels::{
-    by_accum, check_qlinear, check_qweight, linear_rows, spike_code, QAccum, Requant, Sat16, I32,
+    by_accum, check_qlinear, check_qweight, linear_rows, spike_code, Int, QAccum, Requant, I32,
 };
 use crate::runtime::{self, with_scratch, Mac, Runtime, F32};
 use crate::shape::num_elements;
@@ -272,13 +272,13 @@ pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 /// by the scatter rather than by the accumulator type, so `Mac::COST` does
 /// not scale it. At the probes' spike density (0.13) the sparse kernels do
 /// 0.13 of the dense kernels' multiply-adds as tap lanes and finish in
-/// 1 / 4.1 (f32) and 1 / 8.6 (int8) of their time
+/// 1 / 4.1 (f32) and 1 / 2.7 (int8, on the avx2 lanes) of their time
 /// (`tensor.sparse_conv_speedup_vs_dense`,
-/// `tensor.sparse_qconv_speedup_vs_dense`: medians of three runs on 2 vCPUs,
-/// layouts laid out per call; 3.6–4.6 and 7.8–10 over six): 2 / (4.1 · 0.13)
-/// ≈ 3.8 float operations a lane against the f32 GEMM's two per
-/// multiply-add, and 4 / (8.6 · 0.13) ≈ 3.6 against the int8 GEMM, which runs
-/// at about half the float rate.
+/// `tensor.sparse_qconv_speedup_vs_dense`, 2 vCPUs, layouts laid out per
+/// call): 2 / (4.1 · 0.13) ≈ 3.8 float operations a lane against the f32
+/// GEMM's two per multiply-add, and 2 / (2.7 · 0.13) ≈ 5.7 against the int8
+/// GEMM, which on those lanes runs at the float rate (`OP_COST` = 1). Four
+/// sits between the two; a grain moves no bit.
 const TAP_COST: usize = 4;
 
 /// Dispatch policy for the density-adaptive sparse/dense router. Models
@@ -528,31 +528,41 @@ enum Layouts<'a, E: Mac> {
     Frozen(&'a EventWeights<E::Acc>, &'a WindowTable),
 }
 
-/// Calls `f(row, opos)` for every tap of one sample's events, looking each
-/// event's windows up in the table: `row` indexes a `[C·Kh·Kw][O]` weight
-/// row, `opos` an output position. Taps come event by event (ascending), and
-/// the taps of one event touch distinct outputs, so each output element
-/// meets its events in ascending order — the dense kernels' order, keeping
-/// the bit-identity contract.
-fn for_each_tap(
-    evs: &[u32],
-    windows: Windows<'_>,
-    g: &Conv2dGeometry,
-    mut f: impl FnMut(usize, usize),
-) {
-    let (hw, taps) = (g.in_hw.0 * g.in_hw.1, g.kernel.0 * g.kernel.1);
-    // Events ascend, so the channel only ever steps forward: no division.
-    let (mut plane, mut row0) = (0, 0);
-    for &e in evs {
-        let e = e as usize;
-        while e >= plane + hw {
-            plane += hw;
-            row0 += taps;
-        }
-        let pos = e - plane;
-        let wins = &windows.wins[windows.starts[pos] as usize..windows.starts[pos + 1] as usize];
-        for &(kidx, opos) in wins {
-            f(row0 + kidx as usize, opos as usize);
+/// One sample's events (ascending, within its `(C, H, W)` slab) and the
+/// window table of the geometry they are looked up in.
+#[derive(Clone, Copy)]
+pub(crate) struct Taps<'a> {
+    evs: &'a [u32],
+    windows: Windows<'a>,
+    /// `H·W` and `Kh·Kw`.
+    plane: usize,
+    taps: usize,
+}
+
+impl Taps<'_> {
+    /// Calls `f(row, opos)` for every tap, looking each event's windows up in
+    /// the table: `row` indexes a `[C·Kh·Kw][O]` weight row, `opos` an output
+    /// position. Taps come event by event (ascending), and the taps of one
+    /// event touch distinct outputs, so each output element meets its events
+    /// in ascending order — the dense kernels' order, keeping the
+    /// bit-identity contract.
+    #[inline(always)]
+    pub(crate) fn for_each(self, mut f: impl FnMut(usize, usize)) {
+        let (hw, windows) = (self.plane, self.windows);
+        // Events ascend, so the channel only ever steps forward: no division.
+        let (mut plane, mut row0) = (0, 0);
+        for &e in self.evs {
+            let e = e as usize;
+            while e >= plane + hw {
+                plane += hw;
+                row0 += self.taps;
+            }
+            let pos = e - plane;
+            let wins =
+                &windows.wins[windows.starts[pos] as usize..windows.starts[pos + 1] as usize];
+            for &(kidx, opos) in wins {
+                f(row0 + kidx as usize, opos as usize);
+            }
         }
     }
 }
@@ -561,9 +571,9 @@ fn for_each_tap(
 /// epilogue. Checks the spikes (and frozen layouts) against `g`, opens the
 /// `name` region, lays the layouts out if the call brings none, gathers the
 /// events and forks over samples at a grain taken from the input (a sample's
-/// events × window taps × output channels × [`TAP_COST`]). [`scatter`] takes
-/// each sample whole, on one thread: its taps are walked once and each is one
-/// `O`-lane add.
+/// events × window taps × output channels × [`TAP_COST`]). [`Mac::scatter`]
+/// takes each sample whole, on one thread: its taps are walked once and each
+/// is one `O`-lane add.
 fn event_conv<E: Mac>(
     name: &'static str,
     spikes: &SpikeTensor,
@@ -575,13 +585,15 @@ fn event_conv<E: Mac>(
     let (b, oh, ow) = check_input(spikes.shape(), g)?;
     let (o, ospatial, taps) = (g.out_channels, oh * ow, g.kernel.0 * g.kernel.1);
     let mut out = Tensor::scratch(&[b, o, oh, ow]);
+    let plane = g.in_hw.0 * g.in_hw.1;
     let mut run = |windows: Windows<'_>, wt: &[E::Acc]| {
         with_events(spikes, g.in_slab(), b, |events, offsets| {
             let taps_per_sample = events.len().div_ceil(b.max(1)) * taps;
             let min_samples = runtime::fork_grain(TAP_COST * taps_per_sample * o);
             let rt = Runtime::current();
             rt.parallel_over_slabs(out.data_mut(), o * ospatial, min_samples, |s, out_s| {
-                scatter::<E>(&events[offsets[s]..offsets[s + 1]], windows, g, wt, out_s, ep);
+                let evs = &events[offsets[s]..offsets[s + 1]];
+                E::scatter(Taps { evs, windows, plane, taps }, wt, out_s, o, ep);
             });
         });
     };
@@ -611,25 +623,23 @@ fn event_conv<E: Mac>(
 }
 
 /// Scatters one sample's events into its `(Oh·Ow, O)` accumulator block —
-/// per tap ([`for_each_tap`]) one contiguous `O`-lane add of a
+/// per tap ([`Taps::for_each`]) one contiguous `O`-lane add of a
 /// `[C·Kh·Kw][O]` weight row of `wt` — then writes the sample's `(O, Oh·Ow)`
 /// output `out_s` from the block through the epilogue, transposing. A
 /// pre-multiplied term `add_spike(ZERO, w, spike)` added with
 /// [`Mac::add_term`] is the `add_spike(acc, w, spike)` of the dense order, so
-/// bit-identity is untouched.
-fn scatter<E: Mac>(
-    evs: &[u32],
-    windows: Windows<'_>,
-    g: &Conv2dGeometry,
+/// bit-identity is untouched. The portable body of [`Mac::scatter`].
+pub(crate) fn scatter<E: Mac>(
+    taps: Taps<'_>,
     wt: &[E::Acc],
     out_s: &mut [f32],
+    o: usize,
     ep: E::Epilogue<'_>,
 ) {
-    let o = g.out_channels;
     let ospatial = out_s.len() / o;
     with_scratch(ospatial * o, |acc: &mut [E::Acc]| {
         acc.fill(E::ZERO);
-        for_each_tap(evs, windows, g, |row, opos| {
+        taps.for_each(|row, opos| {
             let (a, w) = (&mut acc[opos * o..][..o], &wt[row * o..][..o]);
             for (a, &w) in a.iter_mut().zip(w) {
                 *a = E::add_term(*a, w);

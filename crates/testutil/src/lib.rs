@@ -15,6 +15,7 @@
 //! Everything here is deterministic: same seed, same bytes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::Duration;
 

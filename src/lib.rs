@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ttsnn_accel as accel;
 pub use ttsnn_autograd as autograd;
 pub use ttsnn_core as core;

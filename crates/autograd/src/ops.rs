@@ -808,7 +808,10 @@ impl BnDims {
 /// retires several operations a cycle. Counting them at face value leaves
 /// the statistics passes of the two deepest ResNet stages (4 × 4 and 2 × 2
 /// planes) on one core and the `train_htt_events` step at 29.2 ms; at 8 it
-/// is 28.1 ms, and 16 changes nothing.
+/// is 28.1 ms, and 16 changes nothing. (Measured before the f32 GEMM tile
+/// ran on AVX2, which took the step to ≈ 20–25 ms by speeding the
+/// convolutions up; the per-element chain this prices did not change, and
+/// the comparison has not been re-run.)
 const CHAIN_COST: usize = 8;
 
 /// Batch-norm forward in two pool phases. Phase 1 fills `stats`, a

@@ -395,7 +395,7 @@ pub fn render(plans: &[(String, ClusterMetrics)]) -> String {
 }
 
 /// Renders the process-level families the `/metrics` page appends after
-/// the per-plan snapshot: the build-info gauge (with the int8 kernel lane
+/// the per-plan snapshot: the build-info gauge (with the kernel lane
 /// set the process resolved as `kernel_lanes`), the uptime counter, and
 /// the request-lifecycle per-stage latency histograms maintained by
 /// `ttsnn_obs` (the stage attribution half of the tracing tentpole —
@@ -414,7 +414,7 @@ pub fn render_process(uptime: Duration) -> String {
         let labels = [
             ("version", env!("CARGO_PKG_VERSION")),
             ("git_sha", git_sha),
-            ("kernel_lanes", ttsnn_tensor::runtime::int8_lanes()),
+            ("kernel_lanes", ttsnn_tensor::runtime::lanes()),
         ];
         f.sample("ttsnn_build_info", &labels, 1.0);
     }

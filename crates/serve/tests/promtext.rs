@@ -115,8 +115,8 @@ fn live_metrics_scrape_passes_the_promtext_lint() {
         assert!(page.contains(needle), "metrics page missing {needle:?}:\n{page}");
     }
 
-    // The build-info series names the int8 lane set the process resolved.
-    let lanes = ttsnn_tensor::runtime::int8_lanes();
+    // The build-info series names the kernel lane set the process resolved.
+    let lanes = ttsnn_tensor::runtime::lanes();
     let build: Vec<&str> = page.lines().filter(|l| l.starts_with("ttsnn_build_info{")).collect();
     assert_eq!(build.len(), 1, "{build:?}");
     assert!(build[0].contains(&format!("kernel_lanes=\"{lanes}\"")), "{build:?}");

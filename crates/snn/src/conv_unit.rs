@@ -313,8 +313,9 @@ impl ConvUnit {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if a dense kernel is not 4-D (cannot happen
-    /// through this API).
+    /// Returns [`ShapeError`] if a dense kernel is not 4-D or the geometry at
+    /// `in_hw` describes no convolution (neither can happen through this
+    /// API).
     pub(crate) fn event_layouts(
         &self,
         in_hw: (usize, usize),
@@ -326,7 +327,7 @@ impl ConvUnit {
             }
             ConvUnit::Quantized(_) => None,
         };
-        Ok(Some(EventLayouts { windows: WindowTable::new(&self.geometry(in_hw)), kernel }))
+        Ok(Some(EventLayouts { windows: WindowTable::new(&self.geometry(in_hw))?, kernel }))
     }
 
     /// Runs the convolution on plain tensors with **no gradient tracking**

@@ -35,6 +35,8 @@
 //! operands in the same order as the unfolded path and therefore the same
 //! bits.
 
+use std::ops::Range;
+
 use crate::error::ShapeError;
 use crate::runtime::{self, with_scratch, Runtime};
 use crate::tensor::Tensor;
@@ -78,7 +80,11 @@ impl Conv2dGeometry {
         Self { in_channels, out_channels, in_hw, kernel, stride, padding }
     }
 
-    /// Output spatial size `(Oh, Ow)`.
+    /// Output spatial size `(Oh, Ow)`, for a geometry that describes a
+    /// convolution: a stride of at least 1 and a kernel that fits its padded
+    /// input on each axis, which every kernel of the conv family checks
+    /// before it asks. On any other geometry the subtraction below
+    /// underflows.
     pub fn out_hw(&self) -> (usize, usize) {
         let (h, w) = self.in_hw;
         let (kh, kw) = self.kernel;
@@ -108,6 +114,29 @@ impl Conv2dGeometry {
         self.in_channels * self.in_hw.0 * self.in_hw.1
     }
 
+    /// The check every conv-family kernel makes of its geometry before it
+    /// reads `out_hw`: a stride of 0, an input plane with no rows or no
+    /// columns, or a kernel longer than its padded input on either axis
+    /// describes no convolution.
+    pub(crate) fn check(&self) -> Result<(), ShapeError> {
+        let ((h, w), (kh, kw)) = (self.in_hw, self.kernel);
+        let ((sh, sw), (ph, pw)) = (self.stride, self.padding);
+        if sh == 0 || sw == 0 {
+            return Err(ShapeError::new(format!("conv2d: stride {:?} has a 0", self.stride)));
+        }
+        if h == 0 || w == 0 {
+            return Err(ShapeError::new(format!("conv2d: input plane {:?} is empty", self.in_hw)));
+        }
+        if kh > h + 2 * ph || kw > w + 2 * pw {
+            return Err(ShapeError::new(format!(
+                "conv2d: kernel {:?} exceeds the padded input {:?}",
+                self.kernel,
+                (h + 2 * ph, w + 2 * pw)
+            )));
+        }
+        Ok(())
+    }
+
     /// 1×1 kernel, stride 1, no padding: im2col is the identity.
     fn is_pointwise(&self) -> bool {
         self.kernel == (1, 1) && self.stride == (1, 1) && self.padding == (0, 0)
@@ -115,11 +144,13 @@ impl Conv2dGeometry {
 }
 
 /// The input check of the whole conv family (dense or packed, f32 or int8):
-/// an NCHW `shape` against `g`. Returns `(B, Oh, Ow)`.
+/// `g` itself ([`Conv2dGeometry::check`]), then an NCHW `shape` against it.
+/// Returns `(B, Oh, Ow)`.
 pub(crate) fn check_input(
     shape: &[usize],
     g: &Conv2dGeometry,
 ) -> Result<(usize, usize, usize), ShapeError> {
+    g.check()?;
     if shape.len() != 4 {
         return Err(ShapeError::new(format!("conv2d: expected 4-D NCHW input, got {shape:?}")));
     }
@@ -144,12 +175,30 @@ pub(crate) fn check_weight(shape: &[usize], g: &Conv2dGeometry) -> Result<(), Sh
     Ok(())
 }
 
+/// The outputs `o` in `0..out_len` whose tap at kernel offset `k` reads
+/// inside an axis of `len` inputs — `0 ≤ o·stride + k − pad < len` — as one
+/// run, with the first input the run reads (`len` at most, for an empty run).
+/// Needs a checked geometry ([`Conv2dGeometry::check`]).
+fn tap_run(
+    (out_len, stride, pad, len): (usize, usize, usize, usize),
+    k: usize,
+) -> (Range<usize>, usize) {
+    let end = (len + pad).checked_sub(k + 1).map_or(0, |last| last / stride + 1).min(out_len);
+    let start = pad.saturating_sub(k).div_ceil(stride).min(end);
+    (start..end, (start * stride + k).saturating_sub(pad).min(len))
+}
+
 /// Unfolds one sample `(C, H, W)` into its im2col columns: row `r` of the
 /// `(C*Kh*Kw, Oh*Ow)` matrix goes to `cols[r * ld..][..Oh*Ow]`, so `ld =
 /// Oh*Ow` writes the matrix itself and a wider `ld` one sample's block of a
 /// gathered panel. Generic over the element type so the float kernels and the
 /// int8 quantized kernels ([`crate::qkernels`]) share one unfolding; `zero`
 /// is the padding value.
+///
+/// Per tap, the output rows and columns that read inside the plane are one
+/// run each ([`tap_run`], worked out once for every channel): the tap's row
+/// is zero-filled, then each output row's run is copied in whole — one
+/// `copy_from_slice` at stride 1.
 pub(crate) fn im2col_sample_t<T: Copy>(
     x: &[T],
     g: &Conv2dGeometry,
@@ -157,31 +206,26 @@ pub(crate) fn im2col_sample_t<T: Copy>(
     ld: usize,
     zero: T,
 ) {
-    let (h, w) = g.in_hw;
-    let (kh, kw) = g.kernel;
-    let (sh, sw) = g.stride;
-    let (ph, pw) = g.padding;
-    let (oh, ow) = g.out_hw();
-    for c in 0..g.in_channels {
-        let plane = &x[c * h * w..(c + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
+    let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+    let ((sh, sw), (ph, pw)) = (g.stride, g.padding);
+    for ki in 0..kh {
+        let (rows, i0) = tap_run((oh, sh, ph, h), ki);
+        for kj in 0..kw {
+            let (run, j0) = tap_run((ow, sw, pw, w), kj);
+            for c in 0..g.in_channels {
+                let plane = &x[c * h * w..][..h * w];
                 let row = (c * kh + ki) * kw + kj;
                 let dst = &mut cols[row * ld..row * ld + oh * ow];
-                for oi in 0..oh {
-                    let src_i = (oi * sh + ki) as isize - ph as isize;
-                    if src_i < 0 || src_i >= h as isize {
-                        dst[oi * ow..(oi + 1) * ow].fill(zero);
-                        continue;
-                    }
-                    let src_row = &plane[src_i as usize * w..(src_i as usize + 1) * w];
-                    for oj in 0..ow {
-                        let src_j = (oj * sw + kj) as isize - pw as isize;
-                        dst[oi * ow + oj] = if src_j < 0 || src_j >= w as isize {
-                            zero
-                        } else {
-                            src_row[src_j as usize]
-                        };
+                dst.fill(zero);
+                for (t, oi) in rows.clone().enumerate() {
+                    let src = &plane[(i0 + t * sh) * w..][..w];
+                    let dst = &mut dst[oi * ow..(oi + 1) * ow][run.clone()];
+                    if sw == 1 {
+                        dst.copy_from_slice(&src[j0..j0 + dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src[j0..].iter().step_by(sw)) {
+                            *d = v;
+                        }
                     }
                 }
             }
@@ -255,28 +299,34 @@ fn with_scattered<R>(
 /// Folds one sample's im2col columns (row `r` at `cols[r * ld..][..Oh*Ow]`,
 /// as [`im2col_sample_t`] lays them out) back into a sample gradient `(C, H,
 /// W)`, *accumulating* overlapping contributions (the adjoint of the
-/// unfolding).
+/// unfolding). Each tap's in-plane runs ([`tap_run`]) are worked out once
+/// for every channel and added whole. A channel's terms land in its own
+/// plane only, so each element still receives its terms in the `(c, ki, kj,
+/// oi, oj)` order of the per-element fold.
 fn col2im_sample(cols: &[f32], ld: usize, g: &Conv2dGeometry, x_grad: &mut [f32]) {
-    let (h, w) = g.in_hw;
-    let (kh, kw) = g.kernel;
-    let (sh, sw) = g.stride;
-    let (ph, pw) = g.padding;
-    let (oh, ow) = g.out_hw();
-    for c in 0..g.in_channels {
-        let plane = &mut x_grad[c * h * w..(c + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
+    let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+    let ((sh, sw), (ph, pw)) = (g.stride, g.padding);
+    for ki in 0..kh {
+        let (rows, i0) = tap_run((oh, sh, ph, h), ki);
+        for kj in 0..kw {
+            let (run, j0) = tap_run((ow, sw, pw, w), kj);
+            for c in 0..g.in_channels {
+                let plane = &mut x_grad[c * h * w..][..h * w];
                 let row = (c * kh + ki) * kw + kj;
                 let src = &cols[row * ld..row * ld + oh * ow];
-                for oi in 0..oh {
-                    let dst_i = (oi * sh + ki) as isize - ph as isize;
-                    if dst_i < 0 || dst_i >= h as isize {
-                        continue;
-                    }
-                    for oj in 0..ow {
-                        let dst_j = (oj * sw + kj) as isize - pw as isize;
-                        if dst_j >= 0 && dst_j < w as isize {
-                            plane[dst_i as usize * w + dst_j as usize] += src[oi * ow + oj];
+                for (t, oi) in rows.clone().enumerate() {
+                    let dst = &mut plane[(i0 + t * sh) * w..][..w];
+                    let src = &src[oi * ow..(oi + 1) * ow][run.clone()];
+                    // `step_by` with a run-time step does not vectorize: one
+                    // loop for both strides made `conv2d_input_grad` 1.2–3.2 ×
+                    // slower on training-sized stride-1 geometries.
+                    if sw == 1 {
+                        for (d, &v) in dst[j0..].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst[j0..].iter_mut().step_by(sw).zip(src) {
+                            *d += v;
                         }
                     }
                 }
@@ -339,7 +389,8 @@ pub(crate) fn per_sample<T: Send>(
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if the input or weight does not match `g`.
+/// Returns [`ShapeError`] if `g` describes no convolution, or the input or
+/// weight does not match it.
 pub fn conv2d(x: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor, ShapeError> {
     let (b, oh, ow) = check_input(x.shape(), g)?;
     check_weight(weight.shape(), g)?;
@@ -365,12 +416,14 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor,
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if `y_grad` or `weight` does not match `g`.
+/// Returns [`ShapeError`] if `g` describes no convolution, or `y_grad` or
+/// `weight` does not match it.
 pub fn conv2d_input_grad(
     y_grad: &Tensor,
     weight: &Tensor,
     g: &Conv2dGeometry,
 ) -> Result<Tensor, ShapeError> {
+    g.check()?;
     check_weight(weight.shape(), g)?;
     let (oh, ow) = g.out_hw();
     if y_grad.ndim() != 4
@@ -424,7 +477,8 @@ pub fn conv2d_input_grad(
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if `x` or `y_grad` does not match `g`.
+/// Returns [`ShapeError`] if `g` describes no convolution, or `x` or
+/// `y_grad` does not match it.
 pub fn conv2d_weight_grad(
     x: &Tensor,
     y_grad: &Tensor,
@@ -477,7 +531,9 @@ pub fn conv2d_weight_grad(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qkernels::{qconv2d, QAccum};
     use crate::rng::Rng;
+    use crate::spike::{self, EventWeights, SpikeTensor, WindowTable};
     use proptest::prelude::*;
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -584,6 +640,201 @@ mod tests {
     #[test]
     fn pointwise_matches_unfolded_bitwise_when_forked() {
         assert_pointwise_matches_unfolded(48, 48, (16, 16), 4);
+    }
+
+    /// The per-element unfolding every geometry took before the row runs —
+    /// a branch and a bounds-checked load per element — kept as the oracle
+    /// of [`im2col_sample_t`].
+    fn im2col_oracle<T: Copy>(x: &[T], g: &Conv2dGeometry, cols: &mut [T], ld: usize, zero: T) {
+        let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+        let ((sh, sw), (ph, pw)) = (g.stride, g.padding);
+        for c in 0..g.in_channels {
+            let plane = &x[c * h * w..(c + 1) * h * w];
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    let row = (c * kh + ki) * kw + kj;
+                    let dst = &mut cols[row * ld..row * ld + oh * ow];
+                    for oi in 0..oh {
+                        let src_i = (oi * sh + ki) as isize - ph as isize;
+                        if src_i < 0 || src_i >= h as isize {
+                            dst[oi * ow..(oi + 1) * ow].fill(zero);
+                            continue;
+                        }
+                        let src_row = &plane[src_i as usize * w..(src_i as usize + 1) * w];
+                        for oj in 0..ow {
+                            let src_j = (oj * sw + kj) as isize - pw as isize;
+                            dst[oi * ow + oj] = if src_j < 0 || src_j >= w as isize {
+                                zero
+                            } else {
+                                src_row[src_j as usize]
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-element fold, kept as the oracle of [`col2im_sample`].
+    fn col2im_oracle(cols: &[f32], ld: usize, g: &Conv2dGeometry, x_grad: &mut [f32]) {
+        let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+        let ((sh, sw), (ph, pw)) = (g.stride, g.padding);
+        for c in 0..g.in_channels {
+            let plane = &mut x_grad[c * h * w..(c + 1) * h * w];
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    let row = (c * kh + ki) * kw + kj;
+                    let src = &cols[row * ld..row * ld + oh * ow];
+                    for oi in 0..oh {
+                        let dst_i = (oi * sh + ki) as isize - ph as isize;
+                        if dst_i < 0 || dst_i >= h as isize {
+                            continue;
+                        }
+                        for oj in 0..ow {
+                            let dst_j = (oj * sw + kj) as isize - pw as isize;
+                            if dst_j >= 0 && dst_j < w as isize {
+                                plane[dst_i as usize * w + dst_j as usize] += src[oi * ow + oj];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`im2col_sample_t`] (f32 and i8) and [`col2im_sample`] against their
+    /// oracles on `g`, bit for bit, into a block of a wider panel (`ld >
+    /// Oh·Ow`) whose gaps must stay untouched.
+    fn assert_unfold_and_fold_match_oracles(g: &Conv2dGeometry, rng: &mut Rng) {
+        let (oh, ow) = g.out_hw();
+        let (k, ld) = (g.patch_len(), oh * ow + 1 + rng.below(4));
+        let x: Vec<f32> = (0..g.in_slab()).map(|_| rng.normal()).collect();
+        let mut want = vec![f32::NAN; k * ld];
+        let mut got = want.clone();
+        im2col_oracle(&x, g, &mut want, ld, 0.0);
+        im2col_sample_t(&x, g, &mut got, ld, 0.0);
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "f32 unfold {g:?} ld={ld}");
+        let xi: Vec<i8> = x.iter().map(|&v| (v * 40.0) as i8).collect();
+        let (mut want, mut got) = (vec![99i8; k * ld], vec![99i8; k * ld]);
+        im2col_oracle(&xi, g, &mut want, ld, 0);
+        im2col_sample_t(&xi, g, &mut got, ld, 0);
+        assert_eq!(got, want, "i8 unfold {g:?} ld={ld}");
+        let cols: Vec<f32> = (0..k * ld).map(|_| rng.normal()).collect();
+        let mut want: Vec<f32> = (0..g.in_slab()).map(|_| rng.normal()).collect();
+        let mut got = want.clone();
+        col2im_oracle(&cols, ld, g, &mut want);
+        col2im_sample(&cols, ld, g, &mut got);
+        assert_eq!(bits(&got), bits(&want), "fold {g:?} ld={ld}");
+    }
+
+    /// The row-run unfolding and fold against their oracles on random
+    /// geometries: kernels 1–5, strides 1–3, padding 0–3 (as wide as the
+    /// kernel and wider), inputs 1–9 on a side.
+    #[test]
+    fn row_run_unfold_and_fold_match_their_per_element_oracles() {
+        let mut rng = Rng::seed_from(17);
+        let mut checked = 0;
+        while checked < 600 {
+            let mut pick = |lo: usize, hi: usize| lo + rng.below(hi - lo + 1);
+            let g = Conv2dGeometry::new(
+                pick(1, 3),
+                1,
+                (pick(1, 9), pick(1, 9)),
+                (pick(1, 5), pick(1, 5)),
+                (pick(1, 3), pick(1, 3)),
+                (pick(0, 3), pick(0, 3)),
+            );
+            if g.check().is_err() {
+                continue;
+            }
+            checked += 1;
+            assert_unfold_and_fold_match_oracles(&g, &mut rng);
+        }
+    }
+
+    /// Geometries that describe no convolution: a kernel longer than the
+    /// padded input on either axis, a stride of 0 on either, and an input
+    /// plane with no rows or no columns (even where padding makes room for
+    /// the kernel). Each has one input channel and one output channel.
+    fn degenerate_geometries() -> [Conv2dGeometry; 7] {
+        let g = |in_hw, kernel, stride, padding| {
+            Conv2dGeometry::new(1, 1, in_hw, kernel, stride, padding)
+        };
+        [
+            g((2, 2), (3, 3), (1, 1), (0, 0)),
+            g((2, 2), (1, 5), (2, 2), (1, 1)),
+            g((2, 2), (1, 1), (0, 1), (0, 0)),
+            g((2, 2), (3, 3), (1, 0), (1, 1)),
+            g((0, 4), (1, 1), (1, 1), (1, 0)),
+            g((3, 0), (1, 3), (2, 1), (0, 2)),
+            g((0, 0), (2, 2), (1, 2), (1, 1)),
+        ]
+    }
+
+    /// A zero input of `g`'s shape, one sample.
+    fn input_of(g: &Conv2dGeometry) -> Tensor {
+        Tensor::zeros(&[1, g.in_channels, g.in_hw.0, g.in_hw.1])
+    }
+
+    #[test]
+    fn conv2d_rejects_degenerate_geometries() {
+        for g in degenerate_geometries() {
+            let w = Tensor::zeros(&[1, 1, g.kernel.0, g.kernel.1]);
+            assert!(conv2d(&input_of(&g), &w, &g).is_err(), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn conv2d_input_grad_rejects_degenerate_geometries() {
+        for g in degenerate_geometries() {
+            let (gy, w) =
+                (Tensor::zeros(&[1, 1, 1, 1]), Tensor::zeros(&[1, 1, g.kernel.0, g.kernel.1]));
+            assert!(conv2d_input_grad(&gy, &w, &g).is_err(), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn conv2d_weight_grad_rejects_degenerate_geometries() {
+        for g in degenerate_geometries() {
+            let gy = Tensor::zeros(&[1, 1, 1, 1]);
+            assert!(conv2d_weight_grad(&input_of(&g), &gy, &g).is_err(), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn qconv2d_rejects_degenerate_geometries() {
+        for g in degenerate_geometries() {
+            let (x, qw) = (input_of(&g), vec![1i8; g.params()]);
+            for accum in [QAccum::I32, QAccum::Saturate16] {
+                assert!(qconv2d(&x, 1.0, &qw, &[1.0], &g, accum).is_err(), "{g:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn event_convolutions_reject_degenerate_geometries() {
+        // Layouts of a geometry that is one, handed in beside one that is not.
+        let valid = Conv2dGeometry::new(1, 1, (2, 2), (1, 1), (1, 1), (0, 0));
+        let table = WindowTable::new(&valid).unwrap();
+        let w = Tensor::zeros(&[1, 1, 1, 1]);
+        let (weights, qweights) =
+            (EventWeights::new(&w).unwrap(), EventWeights::quantized(&[1], 1, 1.0).unwrap());
+        for g in degenerate_geometries() {
+            let spikes = SpikeTensor::try_pack(&input_of(&g)).unwrap();
+            let w = Tensor::zeros(&[1, 1, g.kernel.0, g.kernel.1]);
+            let qw = vec![1i8; g.params()];
+            assert!(WindowTable::new(&g).is_err(), "{g:?}");
+            assert!(spike::sparse_conv2d(&spikes, &w, &g).is_err(), "{g:?}");
+            assert!(spike::sparse_conv2d_frozen(&spikes, &weights, &table, &g).is_err(), "{g:?}");
+            for accum in [QAccum::I32, QAccum::Saturate16] {
+                let frozen =
+                    spike::sparse_qconv2d_frozen(&spikes, &qweights, &[1.0], &table, &g, accum);
+                assert!(frozen.is_err(), "{g:?}");
+                let per_call = spike::sparse_qconv2d(&spikes, 1.0, &qw, &[1.0], &g, accum);
+                assert!(per_call.is_err(), "{g:?}");
+            }
+        }
     }
 
     /// Direct (loop) convolution used as a reference oracle.

@@ -23,14 +23,15 @@
 //!
 //! The inner loops — the GEMM tile, the dot, quantization, the int8
 //! unfolding, the requantizing epilogue and the event scatter — run on the
-//! int8 lane set the process resolved once from its CPU
-//! ([`runtime::int8_lanes`]: explicit AVX2 kernels where the CPU has AVX2,
-//! the portable bodies elsewhere). A kernel takes its set when it is called
-//! (`by_accum!` picks the `Mac` for the mode *and* the set), so its pool
-//! workers run the same one. The sets are bit-identical: `I32` sums are
+//! lane set the process resolved once from its CPU
+//! ([`runtime::lanes`]: explicit AVX2 kernels where the CPU has AVX2,
+//! the portable bodies elsewhere). Each hook asks for the set on the thread
+//! it runs on (`Lanes::current`), and a parallel region hands its caller's
+//! pinned set to its pool workers, so a kernel's workers run the set it was
+//! called with. The sets are bit-identical: `I32` sums are
 //! exact whatever their grouping, and `Sat16` keeps every element's
 //! ascending-`k` saturating fold in `i16` lanes across output columns
-//! (`crates/tensor/tests/int8_lanes.rs` checks every kernel under both sets
+//! (`crates/tensor/tests/lanes.rs` checks every kernel under both sets
 //! against `reference_qgemm`).
 //!
 //! # Dataflow
@@ -46,7 +47,7 @@
 
 use crate::conv::{check_input, per_sample, Conv2dGeometry};
 use crate::error::ShapeError;
-use crate::runtime::{self, dot_gemm, dot_row, saxpy_gemm, with_scratch, Int8Lanes, Mac, Runtime};
+use crate::runtime::{self, dot_gemm, dot_row, saxpy_gemm, with_scratch, Lanes, Mac, Runtime};
 use crate::spike::Taps;
 use crate::tensor::Tensor;
 
@@ -87,7 +88,7 @@ impl QAccum {
 pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
     assert!(scale.is_finite() && scale > 0.0, "quantize_to_i8: bad scale {scale}");
     assert!(dst.len() >= src.len(), "quantize_to_i8: dst too short");
-    Int8Lanes::current().quantize(src, scale, dst);
+    Lanes::current().quantize(src, scale, dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -97,10 +98,11 @@ pub fn quantize_to_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
 /// in the f32 operations `runtime::fork_grain` counts in, and through the
 /// drivers the grain of every int8 kernel (GEMM tile, dot rows, `qconv2d`'s
 /// batch split, the dense and the sparse linear). On the avx2 lanes
-/// (`runtime::int8_lanes`) they run at ≈ 31–33 Gop/s on one thread against
-/// the float GEMM's ≈ 19–20 GFLOP/s (the shapes of the `tensor.qconv_gops`
-/// and `tensor.gemm_gflops` probes on one kernel thread, 2-vCPU host): an
-/// integer operation costs no more wall time than a float one, and one is
+/// (`runtime::lanes`) they run at ≈ 31–33 Gop/s on one thread against
+/// the float GEMM's ≈ 30–37 GFLOP/s on the same lanes (≈ 19–20 on the
+/// portable ones; the shapes of the `tensor.qconv_gops` and
+/// `tensor.gemm_gflops` probes on one kernel thread, 2-vCPU host): an
+/// integer operation costs about the wall time of a float one, and one is
 /// the least a cost can be. The portable lanes run at ≈ 6 Gop/s, so there
 /// the int8 kernels fork later than their cost would ask — a grain moves no
 /// bit.
@@ -113,23 +115,8 @@ const OP_COST: usize = 1;
 /// keep their ascending-`k` order, which every driver guarantees. In `qconv2d`
 /// the coefficients are the *weights*, and a merged PTT / HTT kernel is a cross
 /// (Eq. 6: a 3×1 plus a 1×3 branch): 4 of every 9 taps are exactly zero.
-///
-/// `NATIVE` picks the lane set the tile, dot and scatter run on:
-/// [`Int8Lanes::resolved`], or the portable one. It is a type parameter so
-/// that the set a kernel was called with reaches its pool workers.
-pub(crate) struct Int<const SAT16: bool, const NATIVE: bool>;
-pub(crate) type I32 = Int<false, true>;
-
-impl<const SAT16: bool, const NATIVE: bool> Int<SAT16, NATIVE> {
-    /// The lane set this type's kernels run on.
-    pub(crate) fn lanes() -> Int8Lanes {
-        if NATIVE {
-            Int8Lanes::resolved()
-        } else {
-            Int8Lanes::portable()
-        }
-    }
-}
+pub(crate) struct Int<const SAT16: bool>;
+pub(crate) type I32 = Int<false>;
 
 /// The integer epilogue: `out = acc · x_scale · w_scale[oc] (+ bias[oc])`,
 /// after all accumulation happened in integers. Holding one means the scales
@@ -187,7 +174,7 @@ impl<'a> Requant<'a> {
     }
 }
 
-impl<const SAT16: bool, const NATIVE: bool> Mac for Int<SAT16, NATIVE> {
+impl<const SAT16: bool> Mac for Int<SAT16> {
     type Elem = i8;
     type Acc = i32;
     type Epilogue<'a> = Requant<'a>;
@@ -219,7 +206,7 @@ impl<const SAT16: bool, const NATIVE: bool> Mac for Int<SAT16, NATIVE> {
     }
 
     fn dot(x: &[i8], y: &[i8]) -> i32 {
-        Self::lanes().dot::<SAT16>(x, y)
+        Lanes::current().dot::<SAT16>(x, y)
     }
 
     fn spike(ep: Requant<'_>) -> i8 {
@@ -237,11 +224,11 @@ impl<const SAT16: bool, const NATIVE: bool> Mac for Int<SAT16, NATIVE> {
     }
 
     fn tile(a: &[i8], a_strides: (usize, usize), b: &[i8], rows: &mut [i32], k: usize, n: usize) {
-        Self::lanes().qgemm_rows::<SAT16>(a, a_strides, b, rows, (k, n));
+        Lanes::current().qgemm_rows::<SAT16>(a, a_strides, b, rows, (k, n));
     }
 
     fn scatter(taps: Taps<'_>, wt: &[i32], out_s: &mut [f32], o: usize, ep: Requant<'_>) {
-        Self::lanes().scatter::<SAT16>(taps, wt, out_s, o, ep);
+        Lanes::current().scatter::<SAT16>(taps, wt, out_s, o, ep);
     }
 }
 
@@ -252,28 +239,17 @@ pub(crate) fn spike_code(x_scale: f32) -> i8 {
     (1.0f32 / x_scale).round().clamp(-127.0, 127.0) as i8
 }
 
-/// Evaluates `$body` with `$E` naming the [`Mac`] of `$accum` on the lane set
-/// of the calling thread ([`Int8Lanes::current`]) — the only things an int8
-/// kernel ever selects.
+/// Evaluates `$body` with `$E` naming the [`Mac`] of `$accum` — the only
+/// thing an int8 kernel ever selects.
 macro_rules! by_accum {
     ($accum:expr, $E:ident => $body:expr) => {{
-        let native =
-            $crate::runtime::Int8Lanes::current() == $crate::runtime::Int8Lanes::resolved();
-        match ($accum, native) {
-            (QAccum::I32, true) => {
-                type $E = Int<false, true>;
+        match $accum {
+            QAccum::I32 => {
+                type $E = Int<false>;
                 $body
             }
-            (QAccum::I32, false) => {
-                type $E = Int<false, false>;
-                $body
-            }
-            (QAccum::Saturate16, true) => {
-                type $E = Int<true, true>;
-                $body
-            }
-            (QAccum::Saturate16, false) => {
-                type $E = Int<true, false>;
+            QAccum::Saturate16 => {
+                type $E = Int<true>;
                 $body
             }
         }
@@ -414,7 +390,7 @@ pub fn qconv2d(
     by_accum!(accum, E => {
         // Per group of samples: quantize → int8 im2col into the group's panel
         // → the integer tile → epilogue, sample by sample out of the panel.
-        let lanes = E::lanes();
+        let lanes = Lanes::current();
         let group = |rt: &Runtime, s0: usize, out_g: &mut [f32]| {
             let n = out_g.len() / out_slab;
             let (x_g, width) = (&xd[s0 * in_slab..(s0 + n) * in_slab], n * ospatial);
@@ -519,7 +495,7 @@ pub fn qlinear(
     // Per row: quantize → one dot per output.
     by_accum!(accum, E => linear_rows::<E>("qlinear", &mut y, feat * out_ch, ep, |s, acc| {
         with_scratch(feat, |qx| {
-            E::lanes().quantize(&xd[s * feat..(s + 1) * feat], x_scale, qx);
+            Lanes::current().quantize(&xd[s * feat..(s + 1) * feat], x_scale, qx);
             dot_row::<E>(qx, qw, acc);
         });
     }));

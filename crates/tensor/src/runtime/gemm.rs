@@ -30,13 +30,19 @@
 //! ranges of it at `E::COST · 2kn` operations a row, so each element is
 //! produced by exactly one thread in ascending `k` and results are
 //! bit-identical for every thread count. This module has no `unsafe` and no
-//! SIMD intrinsics; the f32 kernels are what the compiler makes of them for
-//! the target baseline. An explicit-lane micro-kernel is an override of one
-//! [`Mac`] hook — [`Mac::tile`], [`Mac::dot`], [`Mac::scatter`] — and the
-//! integer types override all three with the int8 lane set the process
-//! resolved (`runtime::lanes`: AVX2 where the CPU has it).
+//! SIMD intrinsics: the generic bodies are what the compiler makes of them
+//! for the target baseline, and an explicit-lane micro-kernel is an override
+//! of one [`Mac`] hook — [`Mac::tile`], [`Mac::dot`], [`Mac::scatter`] — that
+//! asks the lane set the process resolved (`runtime::lanes`: AVX2 where the
+//! CPU has it). [`F32`] overrides the tile, so every f32 product but the
+//! small-`m` dot runs on it; the integer types override all three.
+//!
+//! A hook asks for the set on the thread it runs on ([`Lanes::current`]);
+//! a parallel region hands its caller's pinned set to the workers that run
+//! its tasks, so a pinned kernel runs on that set wherever its tiles land.
 
 use super::arena::{with_scratch, Scratch};
+use super::lanes::Lanes;
 use super::pool::{fork_grain, Runtime};
 use crate::spike::Taps;
 
@@ -99,7 +105,7 @@ pub(crate) trait Mac: Sized {
     );
 
     /// The tile [`saxpy_gemm`] forks: `rows = A_range · B`, every element in
-    /// ascending `k`. The integer types run it on their lane set.
+    /// ascending `k`. Every type runs it on its lane set.
     fn tile(
         a: &[Self::Elem],
         a_strides: (usize, usize),
@@ -205,6 +211,10 @@ impl Mac for F32 {
         for (o, a) in out.iter_mut().zip(acc) {
             *o = a;
         }
+    }
+
+    fn tile(a: &[f32], a_strides: (usize, usize), b: &[f32], rows: &mut [f32], k: usize, n: usize) {
+        Lanes::current().f32_rows(a, a_strides, b, rows, (k, n));
     }
 }
 
@@ -392,21 +402,26 @@ pub fn gemm_a_bt(
     n: usize,
 ) {
     // With enough output rows to amortize the transpose, stage it and run the
-    // ~2× faster saxpy kernel. `m` is a property of the call, not the thread
-    // count, so determinism across thread counts is unaffected.
+    // saxpy tile. `m` is a property of the call, not the thread count, so
+    // determinism across thread counts is unaffected.
     if m < 2 * MR || k * n == 0 {
         return dot_gemm::<F32>("gemm_a_bt", rt, a, b, out, (m, k, n));
     }
     let _region = ttsnn_obs::region("gemm_a_bt");
     check("gemm_a_bt", (a.len(), b.len(), out.len()), (m, k, n));
     with_scratch(k * n, |bt: &mut [f32]| {
-        for (j, brow) in b.chunks_exact(k).enumerate() {
-            for (kk, &v) in brow.iter().enumerate() {
-                bt[kk * n + j] = v;
-            }
-        }
+        Lanes::current().transpose(b, (n, k), bt);
         gemm(rt, a, bt, out, m, k, n);
     });
+}
+
+/// `bt (k, n)` from `b (n, k)`: the transpose [`gemm_a_bt`] stages.
+pub(crate) fn transpose(b: &[f32], (n, k): (usize, usize), bt: &mut [f32]) {
+    for (j, brow) in b.chunks_exact(k).enumerate() {
+        for (kk, &v) in brow.iter().enumerate() {
+            bt[kk * n + j] = v;
+        }
+    }
 }
 
 #[cfg(test)]

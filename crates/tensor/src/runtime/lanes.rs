@@ -1,42 +1,50 @@
-//! The machine lanes the int8 kernels run on, resolved once per process.
+//! The machine lanes the kernels run on, resolved once per process.
 //!
-//! Every int8 kernel — the `qgemm` tile, the dot behind `qlinear` /
-//! `qgemm_a_bt`, `qconv2d`'s quantization and unfolding, the requantizing
-//! epilogue and the event scatter of `sparse_qconv2d` — asks an
-//! [`Int8Lanes`] for its inner loop. There are two sets:
+//! The f32 GEMM tile behind `gemm`, `gemm_at_b` and `gemm_a_bt` (and so the
+//! three f32 convolutions), and every int8 kernel — the `qgemm` tile, the
+//! dot behind `qlinear` / `qgemm_a_bt`, `qconv2d`'s quantization and
+//! unfolding, the requantizing epilogue and the event scatter of
+//! `sparse_qconv2d` — ask a [`Lanes`] for their inner loop. There are two
+//! sets:
 //!
-//! * **portable** — the generic bodies every other `Mac` runs, compiled for
-//!   the target's baseline (SSE2 on `x86_64`, which has no packed 32-bit
-//!   multiply);
+//! * **portable** — the generic bodies every `Mac` runs, compiled for the
+//!   target's baseline (SSE2 on `x86_64`: 128-bit float lanes and no packed
+//!   32-bit multiply);
 //! * **avx2** — explicit 256-bit kernels, chosen where
 //!   `is_x86_feature_detected!("avx2")` says the CPU has them.
 //!
-//! [`Int8Lanes::resolved`] makes that choice once; nothing else selects a
-//! path, and [`int8_lanes`] reports it. [`with_int8_lanes`] pins the kernels
-//! a thread calls to a given set, which is how tests run the portable lanes
-//! beside the resolved ones.
+//! [`Lanes::resolved`] makes that choice once, for both element types;
+//! nothing else selects a path, and [`lanes`] reports it. [`with_lanes`]
+//! pins the kernels a thread calls to a given set, which is how tests run
+//! the portable lanes beside the resolved ones.
 //!
 //! # Bit identity
 //!
-//! Both sets compute the same integers. `I32` sums are exact, so the avx2
-//! tile and dot may regroup them (`vpmaddwd` adds two products before the
-//! accumulator does). `Sat16` is a saturating fold in ascending `k`, and no
-//! regrouping of it is exact: its avx2 tile keeps one `i16` lane per output
-//! column and adds every product with `vpaddsw`, one `k` at a time, and its
-//! dot (whose `k` runs along a row) stays the portable fold. The avx2
-//! scatter adds the same pre-multiplied rows in the same event order — in
-//! `i32` lanes, clamped after every add for `Sat16`. Quantization and the
-//! epilogue are elementwise: the same IEEE divide, round, clamp, convert,
-//! multiply and add per element, with no fused multiply-add. The training
-//! plane and the f32 kernels never come here.
+//! Both sets compute the same bits. The f32 tile keeps every output
+//! element's own sum: it starts at `+0.0` and adds `a · b` in ascending `k`,
+//! a separate multiply and add per term (`vmulps` then `vaddps`, never a
+//! fused multiply-add, which rounds once instead of twice) — it only holds
+//! 4 rows × 16 columns of those sums in registers at a time. Integer `I32`
+//! sums are exact, so the avx2 int8 tile and dot may regroup them
+//! (`vpmaddwd` adds two products before the accumulator does). `Sat16` is a
+//! saturating fold in ascending `k`, and no regrouping of it is exact: its
+//! avx2 tile keeps one `i16` lane per output column and adds every product
+//! with `vpaddsw`, one `k` at a time, and its dot (whose `k` runs along a
+//! row) stays the portable fold. The avx2 scatter adds the same
+//! pre-multiplied rows in the same event order — in `i32` lanes, clamped
+//! after every add for `Sat16`. Quantization and the epilogue are
+//! elementwise: the same IEEE divide, round, clamp, convert, multiply and
+//! add per element, with no fused multiply-add. The f32 dot (`gemm_a_bt`
+//! below 8 rows), the f32 event scatter and every elementwise training op
+//! never come here.
 //!
 //! # Safety
 //!
 //! The avx2 kernels are `#[target_feature(enable = "avx2")]` functions, which
-//! are undefined behaviour to call on a CPU without AVX2. An [`Int8Lanes`]
+//! are undefined behaviour to call on a CPU without AVX2. A [`Lanes`]
 //! naming the avx2 set exists only after detection returned true: its field
-//! is private to this module and [`Int8Lanes::resolved`] is its only
-//! constructor, so every call into the avx2 kernels (in [`Int8Lanes`]'s
+//! is private to this module and [`Lanes::resolved`] is its only
+//! constructor, so every call into the avx2 kernels (in [`Lanes`]'s
 //! methods) is guarded by the value itself. The kernels' own `unsafe` is
 //! confined to the load / store helpers of the `avx2` submodule, each of
 //! which takes a reference to exactly the bytes it touches.
@@ -44,16 +52,16 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use super::gemm::{saxpy_rows, Mac};
+use super::gemm::{saxpy_rows, transpose, Mac, F32};
 use crate::conv::{im2col_sample_t, Conv2dGeometry};
 use crate::qkernels::{Int, Requant};
 use crate::spike::{scatter, Taps};
 
-/// A set of machine lanes for the int8 kernels: [`Int8Lanes::portable`], or
-/// the set this CPU supports, [`Int8Lanes::resolved`]. A set the CPU lacks
-/// cannot be named.
+/// A set of machine lanes for the f32 tile and the int8 kernels:
+/// [`Lanes::portable`], or the set this CPU supports, [`Lanes::resolved`].
+/// A set the CPU lacks cannot be named.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Int8Lanes(Kind);
+pub struct Lanes(Kind);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -62,16 +70,16 @@ enum Kind {
     Avx2,
 }
 
-static RESOLVED: OnceLock<Int8Lanes> = OnceLock::new();
+static RESOLVED: OnceLock<Lanes> = OnceLock::new();
 
 thread_local! {
-    static PINNED: Cell<Option<Int8Lanes>> = const { Cell::new(None) };
+    static PINNED: Cell<Option<Lanes>> = const { Cell::new(None) };
 }
 
-impl Int8Lanes {
+impl Lanes {
     /// The baseline lanes, on every target.
     pub const fn portable() -> Self {
-        Int8Lanes(Kind::Portable)
+        Lanes(Kind::Portable)
     }
 
     /// The widest set this CPU supports, detected on first use and fixed for
@@ -80,9 +88,9 @@ impl Int8Lanes {
         *RESOLVED.get_or_init(|| {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
-                return Int8Lanes(Kind::Avx2);
+                return Lanes(Kind::Avx2);
             }
-            Int8Lanes::portable()
+            Lanes::portable()
         })
     }
 
@@ -95,10 +103,10 @@ impl Int8Lanes {
         }
     }
 
-    /// The set an int8 kernel called on this thread runs on: the pinned one
-    /// inside [`with_int8_lanes`], the resolved one otherwise.
+    /// The set a kernel called on this thread runs on: the pinned one inside
+    /// [`with_lanes`], the resolved one otherwise.
     pub(crate) fn current() -> Self {
-        PINNED.with(Cell::get).unwrap_or_else(Self::resolved)
+        pinned().unwrap_or_else(Self::resolved)
     }
 
     /// `dst[i] = clamp(round(src[i] / scale), ±127)`, `NaN` to 0.
@@ -133,10 +141,37 @@ impl Int8Lanes {
         (k, n): (usize, usize),
     ) {
         match self.0 {
-            Kind::Portable => saxpy_rows::<Int<SAT16, false>>(a, a_strides, b, rows, k, n),
+            Kind::Portable => saxpy_rows::<Int<SAT16>>(a, a_strides, b, rows, k, n),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Avx2` set exists only once AVX2 was detected.
             Kind::Avx2 => unsafe { avx2::qgemm_rows::<SAT16>(a, a_strides, b, rows, (k, n)) },
+        }
+    }
+
+    /// The f32 tile: `rows = A_range · B` (see `gemm::saxpy_rows`).
+    pub(crate) fn f32_rows(
+        self,
+        a: &[f32],
+        a_strides: (usize, usize),
+        b: &[f32],
+        rows: &mut [f32],
+        (k, n): (usize, usize),
+    ) {
+        match self.0 {
+            Kind::Portable => saxpy_rows::<F32>(a, a_strides, b, rows, k, n),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::f32_rows(a, a_strides, b, rows, (k, n)) },
+        }
+    }
+
+    /// `bt (k, n)` from `b (n, k)`, a copy on either set.
+    pub(crate) fn transpose(self, b: &[f32], (n, k): (usize, usize), bt: &mut [f32]) {
+        match self.0 {
+            Kind::Portable => transpose(b, (n, k), bt),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::transpose(b, (n, k), bt) },
         }
     }
 
@@ -146,7 +181,7 @@ impl Int8Lanes {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Avx2` set exists only once AVX2 was detected.
             Kind::Avx2 if !SAT16 => unsafe { avx2::dot(x, y) },
-            _ => x.iter().zip(y).fold(0, |acc, (&x, &y)| Int::<SAT16, false>::mac(acc, x, y)),
+            _ => x.iter().zip(y).fold(0, |acc, (&x, &y)| Int::<SAT16>::mac(acc, x, y)),
         }
     }
 
@@ -154,7 +189,7 @@ impl Int8Lanes {
     pub(crate) fn requant_row(self, out: &mut [f32], acc: &[i32], oc: usize, ep: Requant<'_>) {
         match self.0 {
             Kind::Portable => {
-                Int::<false, false>::finish(out, acc.iter().copied(), oc, ep);
+                Int::<false>::finish(out, acc.iter().copied(), oc, ep);
             }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Avx2` set exists only once AVX2 was detected.
@@ -173,7 +208,7 @@ impl Int8Lanes {
         ep: Requant<'_>,
     ) {
         match self.0 {
-            Kind::Portable => scatter::<Int<SAT16, false>>(taps, wt, out_s, o, ep),
+            Kind::Portable => scatter::<Int<SAT16>>(taps, wt, out_s, o, ep),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Avx2` set exists only once AVX2 was detected.
             Kind::Avx2 => unsafe { avx2::scatter::<SAT16>(taps, wt, out_s, o, ep) },
@@ -181,24 +216,35 @@ impl Int8Lanes {
     }
 }
 
-/// The int8 lane set this process resolved: `"avx2"` or `"portable"`.
-pub fn int8_lanes() -> &'static str {
-    Int8Lanes::resolved().name()
+/// The lane set this process resolved: `"avx2"` or `"portable"`.
+pub fn lanes() -> &'static str {
+    Lanes::resolved().name()
 }
 
-/// Runs `f` with every int8 kernel it calls on this thread on `lanes` —
-/// the kernels take their set when they are called and hand it to their
-/// pool workers, so `f`'s whole kernels run on it. Outside, the kernels run
-/// on [`Int8Lanes::resolved`]. Both sets compute the same bits; this exists
-/// so a test can show it.
-pub fn with_int8_lanes<R>(lanes: Int8Lanes, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Int8Lanes>);
+/// Runs `f` with every lane-dispatched kernel it calls on this thread on
+/// `lanes`. A parallel region hands its caller's pinned set to the pool
+/// workers that run its tasks, so `f`'s whole kernels run on it. Outside,
+/// they run on [`Lanes::resolved`]. Both sets compute the same bits; this
+/// exists so a test can show it.
+pub fn with_lanes<R>(lanes: Lanes, f: impl FnOnce() -> R) -> R {
+    with_pinned(Some(lanes), f)
+}
+
+/// The set [`with_lanes`] pinned on this thread, if any.
+pub(super) fn pinned() -> Option<Lanes> {
+    PINNED.with(Cell::get)
+}
+
+/// Runs `f` with this thread's pinned set replaced by `pinned` (`None`:
+/// none), restoring the previous one afterwards, also when `f` panics.
+pub(super) fn with_pinned<R>(pinned: Option<Lanes>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Lanes>);
     impl Drop for Restore {
         fn drop(&mut self) {
             PINNED.with(|p| p.set(self.0));
         }
     }
-    let _restore = Restore(PINNED.with(|p| p.replace(Some(lanes))));
+    let _restore = Restore(PINNED.with(|p| p.replace(pinned)));
     f()
 }
 
@@ -211,7 +257,7 @@ fn quantize_portable(src: &[f32], scale: f32, dst: &mut [i8]) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! The avx2 set. Only [`Int8Lanes`](super::Int8Lanes)'s methods call in
+    //! The avx2 set. Only [`Lanes`](super::Lanes)'s methods call in
     //! here; every function is compiled for AVX2 and is sound to call only
     //! on a CPU that has it.
 
@@ -222,7 +268,7 @@ mod avx2 {
     use crate::runtime::with_scratch;
     use crate::spike::Taps;
 
-    /// Rows per `qgemm` register tile.
+    /// Rows per register tile, f32 and `qgemm`.
     const MR: usize = 4;
 
     #[inline]
@@ -258,6 +304,37 @@ mod avx2 {
     fn store_f32x8(dst: &mut [f32; 8], v: __m256) {
         // SAFETY: `dst` is 32 writable bytes; the store is unaligned.
         unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) }
+    }
+
+    /// The first `src.len()` lanes (all 8 if longer) from `src`, zero in
+    /// the rest.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_f32x8_partial(src: &[f32]) -> __m256 {
+        let mask = lanes_below(src.len());
+        // SAFETY: the mask enables lane `i` only for `i < src.len()`, and a
+        // masked load reads only the lanes it enables: every byte read is
+        // inside `src`.
+        unsafe { _mm256_maskload_ps(src.as_ptr(), mask) }
+    }
+
+    /// Lanes `0..dst.len()` (all 8 if longer) of `v` into `dst`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_f32x8_partial(dst: &mut [f32], v: __m256) {
+        let mask = lanes_below(dst.len());
+        // SAFETY: the mask enables lane `i` only for `i < dst.len()`, and a
+        // masked store writes only the lanes it enables: every byte written
+        // is inside `dst`.
+        unsafe { _mm256_maskstore_ps(dst.as_mut_ptr(), mask, v) }
+    }
+
+    /// A lane mask whose lanes `i < len` are set.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lanes_below(len: usize) -> __m256i {
+        let len = _mm256_set1_epi32(len.min(8) as i32);
+        _mm256_cmpgt_epi32(len, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
     }
 
     #[inline]
@@ -370,6 +447,174 @@ mod avx2 {
                 for r in 0..rows {
                     dst[to(r)..][..width].copy_from_slice(&src[from(r)..][..width]);
                 }
+            }
+        }
+    }
+
+    /// The f32 tile over output rows `rows = A_range · B`, `a`'s element
+    /// `(i, kk)` at `a[i · row_stride + kk · k_stride]`.
+    ///
+    /// `A`'s rows are first packed `k`-major into scratch, [`MR`] rows to a
+    /// tile and the 1–3 remainder rows as one group, so the loop over `k`
+    /// reads its coefficients in order whatever `A`'s layout. Output columns
+    /// then go 16 at a time, then one block of 8, then the last `n mod 8`
+    /// through masked loads and stores; per column block every row group
+    /// keeps its sums in registers over the whole of `k`. Every element
+    /// starts at `+0.0` and adds `a · b` in ascending `k`, a multiply then an
+    /// add, as the portable tile does.
+    ///
+    /// `B` is read in place. Packing each 16-column block of it into a
+    /// contiguous panel first was measured and left out (time packed / in
+    /// place, one thread, 2-vCPU AVX2 host): 0.9–1.6 on the tile shapes the
+    /// benchmark's training and serving steps run (≤ 64 rows, `n` ≤ 256;
+    /// weighted by calls, a training step's tiles took 6–10 % longer packed),
+    /// 0.7–1.0 on the probes' `(32, 288, 256)` conv tile, and 0.4–1.0 only at
+    /// 16–64 rows with `n` of 1024 or 2048, shapes no workload runs.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn f32_rows(
+        a: &[f32],
+        a_strides: (usize, usize),
+        b: &[f32],
+        rows: &mut [f32],
+        (k, n): (usize, usize),
+    ) {
+        if n == 0 || k == 0 {
+            return rows.fill(0.0);
+        }
+        let m = rows.len() / n;
+        let tiled = m - m % MR;
+        with_scratch(m * k, |coef: &mut [f32]| {
+            let (tiles, rest) = coef.split_at_mut(tiled * k);
+            for (t, tile) in tiles.chunks_exact_mut(MR * k).enumerate() {
+                pack_rows::<MR>(a, a_strides, t * MR, tile);
+            }
+            match m - tiled {
+                1 => pack_rows::<1>(a, a_strides, tiled, rest),
+                2 => pack_rows::<2>(a, a_strides, tiled, rest),
+                3 => pack_rows::<3>(a, a_strides, tiled, rest),
+                _ => {}
+            }
+            let coef = &*coef;
+            let (wide, narrow) = (n - n % 16, n - n % 8);
+            for j0 in (0..wide).step_by(16) {
+                f32_columns::<2, false>(coef, b, (k, n, j0), rows);
+            }
+            if narrow > wide {
+                f32_columns::<1, false>(coef, b, (k, n, wide), rows);
+            }
+            if n > narrow {
+                f32_columns::<1, true>(coef, b, (k, n, narrow), rows);
+            }
+        });
+    }
+
+    /// Rows `i0..i0 + R` of `A` (element `(i, kk)` at `a[i · row_stride +
+    /// kk · k_stride]`) into `dst`, `k`-major: `dst[kk · R + r] = A(i0 + r,
+    /// kk)`.
+    #[inline]
+    fn pack_rows<const R: usize>(
+        a: &[f32],
+        (row_stride, k_stride): (usize, usize),
+        i0: usize,
+        dst: &mut [f32],
+    ) {
+        let dst = dst.as_chunks_mut::<R>().0;
+        if k_stride == 1 {
+            for r in 0..R {
+                let row = &a[(i0 + r) * row_stride..][..dst.len()];
+                for (c, &v) in dst.iter_mut().zip(row) {
+                    c[r] = v;
+                }
+            }
+        } else {
+            for (kk, c) in dst.iter_mut().enumerate() {
+                for (r, c) in c.iter_mut().enumerate() {
+                    *c = a[(i0 + r) * row_stride + kk * k_stride];
+                }
+            }
+        }
+    }
+
+    /// Columns `j0..` of every row group — `8 · H` of them, or with
+    /// `MASKED` (`H` = 1) the `n − j0 < 8` left — from `B` (`n` wide).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn f32_columns<const H: usize, const MASKED: bool>(
+        coef: &[f32],
+        b: &[f32],
+        (k, n, j0): (usize, usize, usize),
+        rows: &mut [f32],
+    ) {
+        let m = rows.len() / n;
+        let tiled = m - m % MR;
+        let (tiles, rest) = coef.split_at(tiled * k);
+        let (out_tiles, out_rest) = rows.split_at_mut(tiled * n);
+        for (out, c) in out_tiles.chunks_exact_mut(MR * n).zip(tiles.chunks_exact(MR * k)) {
+            f32_group::<MR, H, MASKED>(c, b, out, (n, j0));
+        }
+        match m - tiled {
+            1 => f32_group::<1, H, MASKED>(rest, b, out_rest, (n, j0)),
+            2 => f32_group::<2, H, MASKED>(rest, b, out_rest, (n, j0)),
+            3 => f32_group::<3, H, MASKED>(rest, b, out_rest, (n, j0)),
+            _ => {}
+        }
+    }
+
+    /// One `R`-row group's columns into its output rows `out` from column
+    /// `j0`: `coef` `k`-major, `R` to a `k`; `R · H` sums that stay in
+    /// registers over the whole of `k`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn f32_group<const R: usize, const H: usize, const MASKED: bool>(
+        coef: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        (n, j0): (usize, usize),
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); H]; R];
+        for (c, brow) in coef.as_chunks::<R>().0.iter().zip(b.chunks_exact(n)) {
+            let bv: [__m256; H] = std::array::from_fn(|h| {
+                if MASKED {
+                    load_f32x8_partial(&brow[j0..])
+                } else {
+                    load_f32x8(head(&brow[j0 + 8 * h..]))
+                }
+            });
+            for (acc, &c) in acc.iter_mut().zip(c) {
+                let c = _mm256_set1_ps(c);
+                for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(c, bv));
+                }
+            }
+        }
+        for (acc, orow) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            for (h, &v) in acc.iter().enumerate() {
+                if MASKED {
+                    store_f32x8_partial(&mut orow[j0..], v);
+                } else {
+                    store_f32x8(head_mut(&mut orow[j0 + 8 * h..]), v);
+                }
+            }
+        }
+    }
+
+    /// `bt (k, n)` from `b (n, k)`: 8 × 8 blocks through registers
+    /// ([`transpose8`]), the edges element by element.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn transpose(b: &[f32], (n, k): (usize, usize), bt: &mut [f32]) {
+        let (n8, k8) = (n - n % 8, k - k % 8);
+        for j0 in (0..n8).step_by(8) {
+            for k0 in (0..k8).step_by(8) {
+                let r = std::array::from_fn(|i| load_f32x8(head(&b[(j0 + i) * k + k0..])));
+                for (i, v) in transpose8(r).into_iter().enumerate() {
+                    store_f32x8(head_mut(&mut bt[(k0 + i) * n + j0..]), v);
+                }
+            }
+        }
+        for (j, brow) in b.chunks_exact(k).enumerate() {
+            let from = if j < n8 { k8 } else { 0 };
+            for (kk, &v) in brow.iter().enumerate().skip(from) {
+                bt[kk * n + j] = v;
             }
         }
     }

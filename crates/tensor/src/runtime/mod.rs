@@ -23,7 +23,9 @@
 //!   ([`crate::qkernels`]) are the same bodies. The transpose variants take
 //!   `A`ᵀ or `B`ᵀ as stored, eliminating the explicit `.transpose()`
 //!   copies the autograd backward passes used to make (any transpose
-//!   staging a kernel still wants internally lives in arena scratch).
+//!   staging a kernel still wants internally lives in arena scratch). Their
+//!   tile runs on the [`Lanes`] the process resolved once ([`lanes()`]:
+//!   explicit AVX2 where the CPU has it), as the int8 kernels do.
 //! * [`with_scratch`] and `Tensor::scratch` / `Tensor::recycle` — the
 //!   per-thread arena every temporary comes from and goes back to:
 //!   borrowed scratch of any element type (im2col / col2im, integer and
@@ -59,5 +61,5 @@ pub(crate) use arena::{recycle_buffer, take_buffer};
 pub use arena::{scratch_bytes, scratch_depth, with_scratch, with_scratch_zeroed, Scratch};
 pub(crate) use gemm::{dot_gemm, dot_row, saxpy_gemm, Mac, F32};
 pub use gemm::{gemm, gemm_a_bt, gemm_at_b, reference_gemm};
-pub use lanes::{int8_lanes, with_int8_lanes, Int8Lanes};
+pub use lanes::{lanes, with_lanes, Lanes};
 pub use pool::{fork_grain, PoolStats, Runtime};

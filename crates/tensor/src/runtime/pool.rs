@@ -47,7 +47,7 @@
 //!
 //! One of the two modules of the workspace the compiler lets use `unsafe`
 //! (every other crate root forbids it, `ttsnn-tensor` denies it, and only
-//! this module and `runtime::lanes` — the int8 SIMD kernels — are allowed
+//! this module and `runtime::lanes` — the SIMD kernels — are allowed
 //! it): a region's closure is lent to the queue as a type-erased pointer.
 //! This is sound
 //! because [`Runtime::run_region`] does not return until the region's
@@ -67,6 +67,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use super::lanes::{pinned, with_pinned, Lanes};
+
 /// Work, in scalar `f32` operations, above which a region is worth
 /// splitting between two threads (so the smallest forked range carries half
 /// of it). Sized from the **hot** handoff, which is the one kernels see now
@@ -76,15 +78,20 @@ use std::time::{Duration, Instant};
 /// region done in 12.8 µs (0.53 of its 24.0 µs serial time) and a
 /// 2 × 2.5 µs one in 3.3 µs (0.66 of 5.0), the second range on the worker
 /// every time — a handoff adds ≈ 0.8 µs to the critical path, so a fork
-/// pays once a range is longer than that. 32 Ki operations are ≈ 2.5 µs of
-/// this crate's kernels at the 12–15 GFLOP/s they reach on training-sized
-/// operands: the smallest fork then finishes in ≈ 0.8 of its serial time,
-/// anything larger tends to 0.5, and every per-sample convolution kernel of
-/// a training step (0.1–3 MFLOP a region) forks. On the `train_htt_events`
-/// step the constant is flat from 8 Ki to 32 Ki (27.8–28.3 ms a step),
-/// costs 0.7 ms at 64 Ki and 4.4 ms at 128 Ki; the previous value, 2 Mi,
-/// was sized from the parked round trip and kept all ≈ 1 950 kernel calls
-/// of a step on one core (40.6 ms).
+/// pays once a range is longer than that. 32 Ki operations are ≈ 1 µs of
+/// the AVX2 f32 tile at the ≈ 30–36 GFLOP/s it reaches on one thread
+/// (≈ 2.5 µs of the portable kernels' 12–15): the smallest fork finishes in
+/// ≈ 0.9 of its serial time, anything larger tends to 0.5, and every
+/// per-sample convolution kernel of a training step (0.1–3 MFLOP a region)
+/// forks. Re-measured once the f32 tile ran on AVX2 (4 alternated rounds of
+/// 25 s `train_htt_events` runs, 2 vCPUs): 16 Ki, 32 Ki and 64 Ki read a
+/// median 681, 606 and 632 samples/s, a step of 20–28 ms at each; per
+/// round 16 Ki led 32 Ki by 1–3 % three times and by 35 % once, on a host
+/// that drifted by 35 % between rounds. That is no measured win, so the
+/// value stays. Before the AVX2 tile the step was flat from 8 Ki to 32 Ki
+/// (27.8–28.3 ms) and cost 0.7 ms more at 64 Ki and 4.4 ms at 128 Ki; the
+/// value before that, 2 Mi, was sized from the parked round trip and kept
+/// all ≈ 1 950 kernel calls of a step on one core (40.6 ms).
 const FORK_WORK: usize = 32 << 10;
 
 /// How long an idle worker — and a region owner waiting for its latch —
@@ -246,6 +253,9 @@ struct Task {
     /// The region's latch (valid until the region returns — see module
     /// safety notes).
     latch: *const Latch,
+    /// The lane set the region's caller pinned ([`super::with_lanes`]),
+    /// pinned on whichever thread runs the task.
+    lanes: Option<Lanes>,
 }
 
 // SAFETY: `data` and `latch` point into the stack frame of a caller that
@@ -263,9 +273,14 @@ impl Task {
         let latch = unsafe { &*self.latch };
         let run = self.run;
         let data = self.data;
-        // SAFETY: `run` is the thunk enqueued with `data`, which points at the
-        // region's closure reference and lives as long as the latch does.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { run(data, self.index) }));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            with_pinned(self.lanes, || {
+                // SAFETY: `run` is the thunk enqueued with `data`, which
+                // points at the region's closure reference and lives as long
+                // as the latch does.
+                unsafe { run(data, self.index) }
+            })
+        }));
         if let Err(payload) = result {
             latch.record_panic(payload);
         }
@@ -476,7 +491,7 @@ impl Runtime {
             return;
         }
         let shared = Arc::clone(&self.pool().shared);
-        let forked = tasks - 1;
+        let (forked, lanes) = (tasks - 1, pinned());
         let latch = Latch { remaining: AtomicUsize::new(forked), panic: Mutex::new(None) };
         // Thin pointer to the fat `&dyn` reference on this stack frame.
         let fref: &(dyn Fn(usize) + Sync) = f;
@@ -493,7 +508,7 @@ impl Runtime {
             injector.stats.regions += 1;
             injector.stats.forked_tasks += forked as u64;
             for index in 1..tasks {
-                injector.tasks.push_back(Task { data, run: thunk, index, latch: &latch });
+                injector.tasks.push_back(Task { data, run: thunk, index, latch: &latch, lanes });
             }
             shared.pending.store(injector.tasks.len(), Ordering::Relaxed);
             // Spinning workers find the tasks by polling; only sleepers
@@ -857,6 +872,35 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{what}");
+    }
+
+    /// One two-task region on `rt` whose second task must run on the pool
+    /// worker (the caller holds the first until it has): the lane set that
+    /// task saw pinned.
+    fn pinned_on_the_worker(rt: &Runtime) -> Option<Lanes> {
+        let (ran, seen) = (AtomicBool::new(false), Mutex::new(None));
+        rt.run_region(2, &|index| {
+            if index == 0 {
+                while !ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            } else {
+                *seen.lock().unwrap() = Some(pinned());
+                ran.store(true, Ordering::Release);
+            }
+        });
+        seen.into_inner().unwrap().expect("the second task ran")
+    }
+
+    #[test]
+    fn region_tasks_run_on_their_callers_pinned_lanes() {
+        within_a_minute("pinned lanes on a worker", || {
+            let rt = Runtime::new(2);
+            let portable = Lanes::portable();
+            let pinned = crate::runtime::with_lanes(portable, || pinned_on_the_worker(&rt));
+            assert_eq!(pinned, Some(portable), "the caller's pin reaches the worker");
+            assert_eq!(pinned_on_the_worker(&rt), None, "and is gone after its task");
+        });
     }
 
     #[test]

@@ -257,12 +257,15 @@ fn with_events<R>(
 // Dispatch mode
 
 /// Default spike-density threshold for [`SparseMode::Auto`]: sites at or
-/// below this density route to the sparse kernels. A conservative bound,
-/// not the crossover: on the `spike_sparsity` bench's 32 → 32 3×3 conv at
-/// 16×16 (8 samples, 2 vCPUs, layouts laid out per call) the event-driven
-/// kernel beats the dense one up to a density of ≈ 0.57, and at 0.5 runs
-/// 1.2 × dense (`BENCH_spike_sparsity.json`). Served LIF layers fire at
-/// 0.13–0.16, so the bound does not bind where it matters.
+/// below this density route to the sparse kernels. On the `spike_sparsity`
+/// bench's 32 → 32 3×3 conv at 16×16 (8 samples, 2 vCPUs, layouts laid out
+/// per call) the f32 event-driven kernel beat the dense one up to a density
+/// of ≈ 0.57–0.68 (`BENCH_spike_sparsity.json`), which made this a
+/// conservative bound, until the f32 GEMM tile ran on AVX2. Its crossover is
+/// now ≈ 0.175, below the bound: the dense f32 conv got ≈ 3.5 × faster and
+/// the f32 scatter did not (the bench's whole VGG9 f32 plane reads
+/// 4.6–12.5 % slower under `Auto` than dense), which the f32 event path's
+/// future has to settle. Served LIF layers fire at 0.13–0.16.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
 /// What one tap costs per output channel — adding one pre-multiplied weight
@@ -272,13 +275,14 @@ pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 /// by the scatter rather than by the accumulator type, so `Mac::COST` does
 /// not scale it. At the probes' spike density (0.13) the sparse kernels do
 /// 0.13 of the dense kernels' multiply-adds as tap lanes and finish in
-/// 1 / 4.1 (f32) and 1 / 2.7 (int8, on the avx2 lanes) of their time
-/// (`tensor.sparse_conv_speedup_vs_dense`,
-/// `tensor.sparse_qconv_speedup_vs_dense`, 2 vCPUs, layouts laid out per
-/// call): 2 / (4.1 · 0.13) ≈ 3.8 float operations a lane against the f32
-/// GEMM's two per multiply-add, and 2 / (2.7 · 0.13) ≈ 5.7 against the int8
-/// GEMM, which on those lanes runs at the float rate (`OP_COST` = 1). Four
-/// sits between the two; a grain moves no bit.
+/// 1 / 2.5 (int8, on the avx2 lanes) and, since the f32 GEMM tile runs on
+/// the avx2 lanes too, 1 / 1.3 (f32; 1 / 4.1 before) of their time
+/// (`tensor.sparse_qconv_speedup_vs_dense`,
+/// `tensor.sparse_conv_speedup_vs_dense`, 2 vCPUs, layouts laid out per
+/// call): 2 / (2.5 · 0.13) ≈ 6 float operations a lane against the int8
+/// GEMM's two per multiply-add (it runs at the float rate, `OP_COST` = 1),
+/// and ≈ 12 against the f32 GEMM (≈ 3.8 before). Four is below both, so
+/// the scatter forks later than its cost would ask; a grain moves no bit.
 const TAP_COST: usize = 4;
 
 /// Dispatch policy for the density-adaptive sparse/dense router. Models
@@ -397,13 +401,18 @@ pub struct WindowTable {
 
 impl WindowTable {
     /// The table of `g`'s geometry.
-    pub fn new(g: &Conv2dGeometry) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `g` describes no convolution.
+    pub fn new(g: &Conv2dGeometry) -> Result<Self, ShapeError> {
+        g.check()?;
         let hw = g.in_hw.0 * g.in_hw.1;
         let mut starts = vec![0; hw + 1];
         let mut wins = vec![(0, 0); hw * g.kernel.0 * g.kernel.1];
         let n = fill_windows(g, &mut starts, &mut wins);
         wins.truncate(n);
-        Self { geometry: *g, starts, wins }
+        Ok(Self { geometry: *g, starts, wins })
     }
 
     /// Whether this is the table of `g`'s geometry.

@@ -120,7 +120,7 @@ fn check_frozen(g: &Conv2dGeometry, b: usize, density: f64, seed: u64) {
     let x = random_spikes(&input_shape(b, g), density, &mut rng);
     let sp = SpikeTensor::try_pack(&x).unwrap();
     let w = Tensor::randn(&[g.out_channels, g.in_channels, g.kernel.0, g.kernel.1], &mut rng);
-    let (table, ew) = (WindowTable::new(g), EventWeights::new(&w).unwrap());
+    let (table, ew) = (WindowTable::new(g).unwrap(), EventWeights::new(&w).unwrap());
     let tag = format!("g={g:?} b={b} density={density}");
 
     let want = bits(&conv::conv2d(&x, &w, g).unwrap());
@@ -217,7 +217,7 @@ fn sat16_sums_saturate_alike_on_every_path() {
     let x = random_spikes(&[4, 6, 5, 5], 0.6, &mut rng);
     let sp = SpikeTensor::try_pack(&x).unwrap();
     let (table, qew) =
-        (WindowTable::new(&g), EventWeights::quantized(&qw, 8, 1.0 / 127.0).unwrap());
+        (WindowTable::new(&g).unwrap(), EventWeights::quantized(&qw, 8, 1.0 / 127.0).unwrap());
     let exact = qkernels::qconv2d(&x, 1.0 / 127.0, &qw, &sc, &g, QAccum::I32).unwrap();
     let sat = qkernels::qconv2d(&x, 1.0 / 127.0, &qw, &sc, &g, QAccum::Saturate16).unwrap();
     let clamped = exact.data().iter().zip(sat.data()).filter(|(e, s)| e != s).count();

@@ -97,7 +97,7 @@ fn every_conv_kernel_records_one_span_on_either_batch_arm() {
         let dy = Tensor::randn(&[b, o, hw, hw], &mut rng);
         let spikes = x.map(|v| if v > 0.8 { 1.0 } else { 0.0 });
         let sp = SpikeTensor::try_pack(&spikes).expect("binary");
-        let table = spike::WindowTable::new(&g);
+        let table = spike::WindowTable::new(&g).unwrap();
         let acc = QAccum::Saturate16;
         let one = |name: &str, kernel: &dyn Fn()| {
             let spans = Runtime::new(2).install(|| spans_of(name, kernel));

@@ -1,19 +1,32 @@
-//! Every int8 kernel computes the same bits on every lane set: the portable
-//! lanes, the set this CPU resolved (`runtime::int8_lanes()`), and the naive
-//! `reference_qgemm` oracle, in both accumulator modes. Shapes put `k`, `n`
-//! and `O` off every lane width (8, 16, 32), operands include `-128`, and
-//! `Sat16` sums overflow ±32767. On a CPU without AVX2 both sets are the
-//! portable one and the test still checks the kernels against the oracle.
+//! Every lane-dispatched kernel computes the same bits on every lane set:
+//! the portable lanes, the set this CPU resolved (`runtime::lanes()`), and a
+//! naive oracle. On a CPU without AVX2 both sets are the portable one and the
+//! suite still checks the kernels against the oracles.
+//!
+//! **f32.** `gemm`, `gemm_at_b`, `gemm_a_bt` (its dot branch below 8 rows
+//! and its transpose + tile branch) and the three convolutions, at 1 and 3
+//! threads, against oracles that add `a · b` to a `+0.0` in ascending `k`
+//! (the 4-lane dot for the dot branch). Widths `n` run 1–17, 31 and 33, so
+//! every 16-column block, 8-column tail and scalar tail of the avx2 tile
+//! shows up, with row counts that leave 1–3 remainder rows; operands mix in
+//! `NaN`, `±∞` and `−0.0`. Among the mutants this kills: a fused
+//! multiply-add in the tile, a dropped 8-column or scalar column tail, a
+//! skipped remainder row, and a wrong `a` stride in the tile's packing (the
+//! `gemm_at_b` layout).
+//!
+//! **int8.** Every int8 kernel in both accumulator modes against
+//! `reference_qgemm`. Shapes put `k`, `n` and `O` off every lane width (8,
+//! 16, 32), operands include `-128`, and `Sat16` sums overflow ±32767.
 
 use ttsnn_tensor::qkernels::{self, QAccum};
-use ttsnn_tensor::runtime::{self, with_int8_lanes, Int8Lanes, Runtime};
+use ttsnn_tensor::runtime::{self, with_lanes, Lanes, Runtime};
 use ttsnn_tensor::spike::{self, EventWeights, SpikeTensor, WindowTable};
-use ttsnn_tensor::{Conv2dGeometry, Rng, Tensor};
+use ttsnn_tensor::{conv, Conv2dGeometry, Rng, Tensor};
 
 const MODES: [QAccum; 2] = [QAccum::I32, QAccum::Saturate16];
 
-fn lane_sets() -> [Int8Lanes; 2] {
-    [Int8Lanes::portable(), Int8Lanes::resolved()]
+fn lane_sets() -> [Lanes; 2] {
+    [Lanes::portable(), Lanes::resolved()]
 }
 
 /// `len` int8 values: a third extreme (`-128`, `-127`, `127`), a third zero,
@@ -38,8 +51,8 @@ fn binary(shape: &[usize], density: f32, rng: &mut Rng) -> Tensor {
 /// Runs `kernel` on every lane set, asserts they agree bit for bit and
 /// returns the answer.
 fn same_on_every_lane_set<T: PartialEq + std::fmt::Debug>(what: &str, kernel: impl Fn() -> T) -> T {
-    let [portable, resolved] = lane_sets().map(|lanes| with_int8_lanes(lanes, &kernel));
-    assert_eq!(portable, resolved, "{what}: {} lanes differ from portable", runtime::int8_lanes());
+    let [portable, resolved] = lane_sets().map(|lanes| with_lanes(lanes, &kernel));
+    assert_eq!(portable, resolved, "{what}: {} lanes differ from portable", runtime::lanes());
     portable
 }
 
@@ -49,12 +62,208 @@ fn f32_bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn resolved_lanes_are_named() {
-    assert!(["avx2", "portable"].contains(&runtime::int8_lanes()));
-    assert_eq!(Int8Lanes::resolved().name(), runtime::int8_lanes());
-    assert_eq!(Int8Lanes::portable().name(), "portable");
+    assert!(["avx2", "portable"].contains(&runtime::lanes()));
+    assert_eq!(Lanes::resolved().name(), runtime::lanes());
+    assert_eq!(Lanes::portable().name(), "portable");
     // The pin is scoped: it ends with the closure.
-    with_int8_lanes(Int8Lanes::portable(), || {});
-    assert_eq!(Int8Lanes::resolved().name(), runtime::int8_lanes());
+    with_lanes(Lanes::portable(), || {});
+    assert_eq!(Lanes::resolved().name(), runtime::lanes());
+}
+
+/// An f32 as the suite compares it: its bits, every `NaN` counted as one
+/// value — IEEE fixes no `NaN` payload, and x86 makes `∞ · 0` a negative one.
+fn canon(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// `len` f32 values, normal draws over five decades (so a reordered sum
+/// rounds differently) with one in 40 a special: `NaN`, `±∞` or `−0.0`.
+fn f32_operands(len: usize, rng: &mut Rng) -> Vec<f32> {
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+    (0..len)
+        .map(|_| match rng.below(40) {
+            0 => specials[rng.below(4)],
+            _ => rng.normal() * [1e-2, 1.0, 1e3][rng.below(3)],
+        })
+        .collect()
+}
+
+fn f32_tensor(shape: &[usize], rng: &mut Rng) -> Tensor {
+    Tensor::from_vec(f32_operands(shape.iter().product(), rng), shape).unwrap()
+}
+
+/// Element `(i, kk)` of `a` at `a[i · row_stride + kk · k_stride]`: `A · B`
+/// with every element a `+0.0` plus its terms in ascending `k`.
+fn ascending_k(
+    a: &[f32],
+    (row_stride, k_stride): (usize, usize),
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for kk in 0..k {
+                out[i * n + j] += a[i * row_stride + kk * k_stride] * b[kk * n + j];
+            }
+        }
+    }
+    out
+}
+
+/// `gemm_a_bt`'s dot branch: four lanes by `kk mod 4`, then a tail.
+fn lane_dot(x: &[f32], y: &[f32]) -> f32 {
+    let (mut lanes, body) = ([0.0f32; 4], x.len() / 4 * 4);
+    for i in 0..body {
+        lanes[i % 4] += x[i] * y[i];
+    }
+    let tail = (body..x.len()).fold(0.0f32, |t, i| t + x[i] * y[i]);
+    (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]) + tail
+}
+
+/// `A · Bᵀ` with `B` stored `(n, k)`, as `gemm_a_bt` computes it: the lane
+/// dot below 8 rows, ascending `k` above.
+fn a_bt_oracle(a: &[f32], bt: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+    if m < 8 {
+        let dot = |i: usize, j: usize| lane_dot(&a[i * k..][..k], &bt[j * k..][..k]);
+        return (0..m * n).map(|e| dot(e / n, e % n)).collect();
+    }
+    let b: Vec<f32> = (0..k * n).map(|e| bt[(e % n) * k + e / n]).collect();
+    ascending_k(a, (k, 1), &b, (m, k, n))
+}
+
+/// Fills the three arena buffers the calling thread's next kernel takes
+/// first with `NaN`, so that a value a kernel fails to write cannot be
+/// stood in for by what an earlier call (on the other lane set) left there.
+fn poison_scratch() {
+    let poison = |s: &mut [f32]| s.fill(f32::NAN);
+    runtime::with_scratch(1 << 16, |a: &mut [f32]| {
+        poison(a);
+        runtime::with_scratch(1 << 16, |b: &mut [f32]| {
+            poison(b);
+            runtime::with_scratch(1 << 16, poison);
+        });
+    });
+}
+
+/// Runs `kernel` on every lane set, asserting that each answer matches
+/// `want` as [`canon`] compares them.
+fn f32_on_every_lane_set(what: &str, want: &[f32], kernel: impl Fn() -> Vec<f32>) {
+    let want = canon(want);
+    for lanes in lane_sets() {
+        poison_scratch();
+        let got = canon(&with_lanes(lanes, &kernel));
+        assert!(got == want, "{what}: {} lanes differ from the oracle", lanes.name());
+    }
+}
+
+#[test]
+fn f32_gemm_family_matches_ascending_k_on_every_lane_set() {
+    let mut rng = Rng::seed_from(35);
+    let widths = (1..=17).chain([31, 33]);
+    let small = widths.flat_map(|n| [1, 4, 6, 9, 13].map(|m| [1, 5, 33].map(|k| (m, k, n))));
+    // Shapes whose row range forks at 3 threads.
+    let forked = [(67, 300, 33), (29, 513, 47), (130, 64, 100)];
+    for (m, k, n) in small.flatten().chain(forked) {
+        let (a, b) = (f32_operands(m * k, &mut rng), f32_operands(k * n, &mut rng));
+        // `A` stored `(k, m)` for `gemm_at_b`, `B` stored `(n, k)` for `gemm_a_bt`.
+        let at: Vec<f32> = (0..k * m).map(|e| a[(e % m) * k + e / m]).collect();
+        let bt: Vec<f32> = (0..n * k).map(|e| b[(e % k) * n + e / k]).collect();
+        let want = ascending_k(&a, (k, 1), &b, (m, k, n));
+        let want_a_bt = a_bt_oracle(&a, &bt, (m, k, n));
+        for threads in [1, 3] {
+            let rt = Runtime::new(threads);
+            let what = |kernel| format!("{kernel} ({m},{k},{n}) threads={threads}");
+            let run = |f: &dyn Fn(&mut [f32])| {
+                let mut out = vec![f32::NAN; m * n];
+                f(&mut out);
+                out
+            };
+            f32_on_every_lane_set(&what("gemm"), &want, || {
+                run(&|out| runtime::gemm(&rt, &a, &b, out, m, k, n))
+            });
+            f32_on_every_lane_set(&what("gemm_at_b"), &want, || {
+                run(&|out| runtime::gemm_at_b(&rt, &at, &b, out, m, k, n))
+            });
+            f32_on_every_lane_set(&what("gemm_a_bt"), &want_a_bt, || {
+                run(&|out| runtime::gemm_a_bt(&rt, &a, &bt, out, m, k, n))
+            });
+        }
+    }
+}
+
+/// The per-element unfolding, row `(c, ki, kj)` of `(C·Kh·Kw, Oh·Ow)`.
+fn unfold_oracle(x: &[f32], g: &Conv2dGeometry) -> Vec<f32> {
+    let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+    let mut cols = vec![0.0f32; g.in_channels * kh * kw * oh * ow];
+    for (e, v) in cols.iter_mut().enumerate() {
+        let (row, p) = (e / (oh * ow), e % (oh * ow));
+        let (c, ki, kj) = (row / (kh * kw), row / kw % kh, row % kw);
+        let i = (p / ow * g.stride.0 + ki).checked_sub(g.padding.0).filter(|&i| i < h);
+        let j = (p % ow * g.stride.1 + kj).checked_sub(g.padding.1).filter(|&j| j < w);
+        if let (Some(i), Some(j)) = (i, j) {
+            *v = x[(c * h + i) * w + j];
+        }
+    }
+    cols
+}
+
+/// Adds `cols` back into a zeroed `(C, H, W)` in `(c, ki, kj, oi, oj)` order.
+fn fold_oracle(cols: &[f32], g: &Conv2dGeometry) -> Vec<f32> {
+    let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+    let mut x = vec![0.0f32; g.in_channels * h * w];
+    for (e, &v) in cols.iter().enumerate() {
+        let (row, p) = (e / (oh * ow), e % (oh * ow));
+        let (c, ki, kj) = (row / (kh * kw), row / kw % kh, row % kw);
+        let i = (p / ow * g.stride.0 + ki).checked_sub(g.padding.0).filter(|&i| i < h);
+        let j = (p % ow * g.stride.1 + kj).checked_sub(g.padding.1).filter(|&j| j < w);
+        if let (Some(i), Some(j)) = (i, j) {
+            x[(c * h + i) * w + j] += v;
+        }
+    }
+    x
+}
+
+#[test]
+fn f32_convolutions_match_ascending_k_on_every_lane_set() {
+    let mut rng = Rng::seed_from(36);
+    let mut geometries = geometries();
+    // Planes under the panel width, gathered: several samples per GEMM.
+    geometries.push(Conv2dGeometry::new(6, 9, (4, 3), (1, 1), (1, 1), (0, 0)));
+    // `O` and `C·Kh·Kw` of 8 and up: the weight gradient's transpose + tile.
+    geometries.push(Conv2dGeometry::new(5, 11, (9, 7), (3, 3), (1, 1), (1, 1)));
+    for g in geometries {
+        let b = 3;
+        let ((oh, ow), o) = (g.out_hw(), g.out_channels);
+        let (k, osp) = (g.in_channels * g.kernel.0 * g.kernel.1, oh * ow);
+        let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
+        let x = f32_tensor(&[b, g.in_channels, g.in_hw.0, g.in_hw.1], &mut rng);
+        let w = f32_tensor(&[o, g.in_channels, g.kernel.0, g.kernel.1], &mut rng);
+        let gy = f32_tensor(&[b, o, oh, ow], &mut rng);
+        let (mut y, mut dx, mut dw) = (Vec::new(), Vec::new(), vec![0.0f32; o * k]);
+        let samples = x.data().chunks_exact(in_slab).zip(gy.data().chunks_exact(o * osp));
+        for (xs, gys) in samples {
+            let cols = unfold_oracle(xs, &g);
+            y.extend(ascending_k(w.data(), (k, 1), &cols, (o, k, osp)));
+            dx.extend(fold_oracle(&ascending_k(w.data(), (1, k), gys, (k, o, osp)), &g));
+            for (acc, v) in dw.iter_mut().zip(a_bt_oracle(gys, &cols, (o, osp, k))) {
+                *acc += v;
+            }
+        }
+        for threads in [1, 3] {
+            let rt = Runtime::new(threads);
+            let what = |kernel| format!("{kernel} {g:?} threads={threads}");
+            f32_on_every_lane_set(&what("conv2d"), &y, || {
+                rt.install(|| conv::conv2d(&x, &w, &g)).unwrap().data().to_vec()
+            });
+            f32_on_every_lane_set(&what("conv2d_input_grad"), &dx, || {
+                rt.install(|| conv::conv2d_input_grad(&gy, &w, &g)).unwrap().data().to_vec()
+            });
+            f32_on_every_lane_set(&what("conv2d_weight_grad"), &dw, || {
+                rt.install(|| conv::conv2d_weight_grad(&x, &gy, &g)).unwrap().data().to_vec()
+            });
+        }
+    }
 }
 
 #[test]
@@ -185,7 +394,7 @@ fn conv_kernels_match_the_reference_on_every_lane_set() {
         let qw = operands(o * g.in_channels * g.kernel.0 * g.kernel.1, &mut rng);
         let w_scales: Vec<f32> = (0..o).map(|i| 0.01 + 0.003 * i as f32).collect();
         let shape = [b, g.in_channels, g.in_hw.0, g.in_hw.1];
-        let table = WindowTable::new(&g);
+        let table = WindowTable::new(&g).unwrap();
         for accum in MODES {
             // Analog activations through the dense kernel.
             let x = Tensor::randn(&shape, &mut rng);

@@ -33,6 +33,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use ttsnn_tensor::norm::{self, NormDims};
 use ttsnn_tensor::runtime::{fork_grain, with_scratch, Runtime};
 use ttsnn_tensor::{conv, lif, pool, Conv2dGeometry, ShapeError, Tensor};
 
@@ -733,7 +734,7 @@ impl Var {
                 beta.shape()
             )));
         }
-        let dims = BnDims { b, c, plane: h * w };
+        let dims = NormDims { b, c, plane: h * w };
         let mut y = Tensor::scratch(x.shape());
         let mut stats = Saved(Tensor::scratch(&[groups * c, 2]));
         {
@@ -779,72 +780,23 @@ impl Var {
     }
 }
 
-/// Shape of a batch-norm operand: runs of `b` samples (the groups), each
-/// sample `(C, H·W)`.
-#[derive(Clone, Copy)]
-struct BnDims {
-    b: usize,
-    c: usize,
-    plane: usize,
-}
-
-impl BnDims {
-    /// The planes of channel `ch` in the samples of group `g`, in sample
-    /// order.
-    fn channel_planes(
-        &self,
-        g: usize,
-        ch: usize,
-    ) -> impl Iterator<Item = std::ops::Range<usize>> + Clone {
-        let (c, plane) = (self.c, self.plane);
-        (g * self.b..(g + 1) * self.b).map(move |s| (s * c + ch) * plane..(s * c + ch + 1) * plane)
-    }
-}
-
-/// What one element of a channel reduction costs in the streamed `f32`
-/// operations `runtime::fork_grain` counts in: the sums below are
-/// sequential by contract (their order is what `train_bits` pins), so each
-/// add waits ≈ 4 cycles for the one before it where a streamed kernel
-/// retires several operations a cycle. Counting them at face value leaves
-/// the statistics passes of the two deepest ResNet stages (4 × 4 and 2 × 2
-/// planes) on one core and the `train_htt_events` step at 29.2 ms; at 8 it
-/// is 28.1 ms, and 16 changes nothing. (Measured before the f32 GEMM tile
-/// ran on AVX2, which took the step to ≈ 20–25 ms by speeding the
-/// convolutions up; the per-element chain this prices did not change, and
-/// the comparison has not been re-run.)
-const CHAIN_COST: usize = 8;
-
 /// Batch-norm forward in two pool phases. Phase 1 fills `stats`, a
-/// `[groups · C × 2]` array of `(μ, 1/√(σ² + eps))` per group and channel, a
-/// (group, channel) pair per slab, each summed by one task in sample order.
-/// Phase 2 writes `y = γ·k·(x − μ)/√(σ² + eps) + β`, a sample per slab.
-/// Neither split changes what an element computes, so the result does not
-/// depend on the thread count. `affine` is `(γ, β, k)`.
+/// `[groups · C × 2]` array of `(μ, 1/√(σ² + eps))` per group and channel,
+/// through `norm::channel_stats`, the kernel the inference plane's
+/// normalization calls too. Phase 2 writes `y = γ·k·(x − μ)/√(σ² + eps) + β`,
+/// a sample per slab. Neither split changes what an element computes, so the
+/// result does not depend on the thread count. `affine` is `(γ, β, k)`.
 fn bn_forward(
     rt: &Runtime,
-    dims: BnDims,
+    dims: NormDims,
     xd: &[f32],
     (gamma, beta, extra_scale): (&[f32], &[f32], f32),
     eps: f32,
     stats: &mut [f32],
     yd: &mut [f32],
 ) {
-    let BnDims { b, c, plane } = dims;
-    let n = (b * plane) as f32;
-    rt.parallel_over_slabs(stats, 2, fork_grain(2 * CHAIN_COST * b * plane), |i, st| {
-        let channel = dims.channel_planes(i / c, i % c);
-        let mut acc = 0.0;
-        for r in channel.clone() {
-            acc += xd[r].iter().sum::<f32>();
-        }
-        let m = acc / n;
-        let mut vacc = 0.0;
-        for r in channel {
-            vacc += xd[r].iter().map(|v| (v - m).powi(2)).sum::<f32>();
-        }
-        st[0] = m;
-        st[1] = 1.0 / (vacc / n + eps).sqrt();
-    });
+    let NormDims { b, c, plane } = dims;
+    norm::channel_stats(rt, dims, xd, eps, stats);
     let stats = &*stats;
     let slab = c * plane;
     rt.parallel_over_slabs(yd, slab, fork_grain(4 * slab), |s, y_s| {
@@ -863,37 +815,22 @@ fn bn_forward(
 
 /// Batch-norm backward in the same two phases. Phase 1 fills `sums`, a
 /// `[groups · C × 2]` array, with the reductions `(Σ dy, Σ dy·x̂)` per group
-/// and channel; phase 2 rewrites `gd` from `dy` to `dx` in place, a sample
-/// per slab (element `i` needs `dy[i]` and the two sums of its group and
-/// channel only). `stats` is what [`bn_forward`] filled, `scale` is
-/// `(γ, k)`.
+/// and channel (`norm::channel_grad_sums`); phase 2 rewrites `gd` from `dy`
+/// to `dx` in place, a sample per slab (element `i` needs `dy[i]` and the
+/// two sums of its group and channel only). `stats` is what [`bn_forward`]
+/// filled, `scale` is `(γ, k)`.
 fn bn_backward(
     rt: &Runtime,
-    dims: BnDims,
+    dims: NormDims,
     xd: &[f32],
     stats: &[f32],
     (gamma, extra_scale): (&[f32], f32),
     gd: &mut [f32],
     sums: &mut [f32],
 ) {
-    let BnDims { b, c, plane } = dims;
+    let NormDims { b, c, plane } = dims;
     let n = (b * plane) as f32;
-    {
-        let gd = &*gd;
-        rt.parallel_over_slabs(sums, 2, fork_grain(2 * CHAIN_COST * b * plane), |i, su| {
-            let (m, inv) = (stats[2 * i], stats[2 * i + 1]);
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for r in dims.channel_planes(i / c, i % c) {
-                for (&dy, &v) in gd[r.clone()].iter().zip(&xd[r]) {
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * ((v - m) * inv);
-                }
-            }
-            su[0] = sum_dy;
-            su[1] = sum_dy_xhat;
-        });
-    }
+    norm::channel_grad_sums(rt, dims, xd, gd, stats, sums);
     let slab = c * plane;
     rt.parallel_over_slabs(gd, slab, fork_grain(8 * slab), |s, g_s| {
         let x_s = &xd[s * slab..(s + 1) * slab];
@@ -1111,7 +1048,7 @@ mod tests {
         let mut dx = dyd.to_vec();
         let mut sums = vec![0.0f32; 2 * c];
         for ch in 0..c {
-            let channel = BnDims { b, c, plane }.channel_planes(0, ch);
+            let channel = (0..b).map(|s| (s * c + ch) * plane..(s * c + ch + 1) * plane);
             let mut acc = 0.0;
             for r in channel.clone() {
                 acc += xd[r].iter().sum::<f32>();
@@ -1159,9 +1096,8 @@ mod tests {
         /// The two pool phases give the serial loop's bits — every group
         /// those of a loop over that group alone — at every thread count, on
         /// shapes from one element up to ones where both phases fork
-        /// (channels split once `16·B·H·W·C·G` passes the fork grain,
-        /// samples once `4·C·H·W·B·G` does), `B = 1`, `C = 1` and one group
-        /// included.
+        /// (each splits once `4·B·C·H·W·G` passes the fork grain), `B = 1`,
+        /// `C = 1` and one group included.
         #[test]
         fn batch_norm_bit_equal_to_serial_loop_across_threads(
             seed in 0u64..10_000,
@@ -1172,7 +1108,7 @@ mod tests {
             w in 1usize..13,
         ) {
             let mut rng = Rng::seed_from(seed);
-            let dims = BnDims { b, c, plane: h * w };
+            let dims = NormDims { b, c, plane: h * w };
             let x = Tensor::randn(&[groups * b, c, h, w], &mut rng);
             let dy = Tensor::randn(&[groups * b, c, h, w], &mut rng);
             let gamma = Tensor::randn(&[c], &mut rng);

@@ -30,8 +30,9 @@ fn policy() -> ConvPolicy {
     ConvPolicy::tt(TtMode::Ptt)
 }
 
-/// A deliberately *slow* plan (~5 ms per forward pass per timestep
-/// block on a dev container): big enough frames that a handful of
+/// A deliberately *slow* plan, its cost set by `timesteps` (one forward
+/// pass in this suite's test build on a 2-vCPU AVX2 host: ≈ 2 ms at 12,
+/// ≈ 14 ms at 96, ≈ 35 ms at 240): big enough frames that a handful of
 /// queued requests reliably outlive the millisecond-scale deadlines and
 /// sleeps the overload tests race against.
 fn slow_plan(timesteps: usize) -> (Vec<u8>, ClusterConfig, [usize; 3]) {
@@ -270,8 +271,11 @@ fn bad_frames_do_not_kill_the_connection() {
 fn expired_deadline_travels_as_status_and_tenant_metric() {
     // Strict priority (no fair policy), one replica, batch-of-1: High
     // blockers provably run before the Low request, whose 1 ms deadline
-    // expires while it waits (~10 ms per blocker on this plan).
-    let (ckpt, config, _) = slow_plan(12);
+    // expires while it waits. ≈ 14 ms per blocker at 96 timesteps, so the
+    // five hold the replica for ≈ 70 ms against the 5 ms head start below;
+    // at 12 they took ≈ 2 ms each once the kernels got faster (≈ 10 ms when
+    // the plan was sized), and the race was lost under a loaded host.
+    let (ckpt, config, _) = slow_plan(96);
     let inputs = slow_inputs(6, 32);
     let router = Router::load(vec![PlanSpec {
         name: "vgg-slow".into(),

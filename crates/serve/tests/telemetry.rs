@@ -28,8 +28,9 @@ fn policy() -> ConvPolicy {
     ConvPolicy::tt(TtMode::Ptt)
 }
 
-/// A deliberately slow plan (~10 ms per forward pass on a dev
-/// container): queued 1 ms deadlines reliably expire behind it.
+/// A deliberately slow plan, its cost set by `timesteps` (one forward pass
+/// in this suite's test build on a 2-vCPU AVX2 host: ≈ 2 ms at 12, ≈ 14 ms
+/// at 96): queued 1 ms deadlines reliably expire behind it.
 fn slow_plan(timesteps: usize) -> (Vec<u8>, ClusterConfig) {
     use ttsnn_snn::{checkpoint, SpikingModel, VggConfig, VggSnn};
     let cfg = VggConfig::vgg9(3, 10, (32, 32), 16);
@@ -85,7 +86,11 @@ fn poll_healthz(addr: std::net::SocketAddr, want: u16, timeout: Duration) -> Opt
 /// Healthy → unhealthy → recovered, observed via HTTP alone.
 #[test]
 fn health_arc_is_visible_over_http() {
-    let (ckpt, config) = slow_plan(12);
+    // 96 timesteps (≈ 14 ms a pass): a queued flood request waits far
+    // longer than its 1 ms deadline, and no pass fits the 5 ms objective.
+    // At 12 a pass had come down to ≈ 2 ms (≈ 10 ms when the plan was
+    // sized), inside the objective the flood is meant to miss.
+    let (ckpt, config) = slow_plan(96);
     let mut rng = ttsnn_tensor::Rng::seed_from(91);
     let inputs: Vec<ttsnn_tensor::Tensor> =
         (0..4).map(|_| ttsnn_tensor::Tensor::randn(&[3, 32, 32], &mut rng)).collect();

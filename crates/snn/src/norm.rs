@@ -16,7 +16,8 @@
 //! own statistics.
 
 use ttsnn_autograd::Var;
-use ttsnn_tensor::runtime::{fork_grain, Runtime};
+use ttsnn_tensor::norm::{self, NormDims};
+use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{ShapeError, Tensor};
 
 use crate::model::InferStats;
@@ -144,13 +145,13 @@ impl Norm {
     /// H, W)`, with no autograd bookkeeping.
     ///
     /// With [`InferStats::Batch`] every timestep's `B` rows are one
-    /// statistics group, summed per channel in exactly the order of
-    /// `Var::batch_norm2d`, so the result is bit-identical to
-    /// [`Norm::forward_sequence`]. With [`InferStats::PerSample`] every row
-    /// is normalized by its own statistics (the serving mode: invariant to
-    /// batch composition, and equal to `Batch` at B = 1). Groups are
-    /// independent, so they are forked over the kernel pool; TEBN's scale is
-    /// the one of the timestep a group belongs to.
+    /// statistics group; with [`InferStats::PerSample`] every row is
+    /// normalized by its own statistics (the serving mode: invariant to
+    /// batch composition, and equal to `Batch` at B = 1). Either way it is
+    /// one `norm::normalize` call, whose statistics are the ones
+    /// `Var::batch_norm2d` takes from `norm::channel_stats`, computed by the
+    /// same code, so `Batch` is bit-identical to [`Norm::forward_sequence`].
+    /// TEBN's scale is the one of the group's timestep.
     ///
     /// # Errors
     ///
@@ -186,41 +187,16 @@ impl Norm {
                 (1.0, (t0..t0 + steps).map(at).collect())
             }
         };
-        let (plane, eps) = (h * w, self.eps);
         let (gamma, beta) = (self.gamma.value(), self.beta.value());
-        let (gamma, beta) = (gamma.data(), beta.data());
         // Rows per statistics group: a timestep's batch, or one sample.
         let (batch, ns) = (rows / steps, if stats == InferStats::Batch { rows / steps } else { 1 });
-        let n = (ns * plane) as f32;
-        let grain = fork_grain(2 * CHAIN_COST * ns * c * plane);
-        Runtime::current().parallel_over_slabs(x.data_mut(), ns * c * plane, grain, |group, xs| {
-            let sv = scales[group * ns / batch.max(1)];
-            for ch in 0..c {
-                // Mirrors Var::batch_norm2d: per-plane slab sums folded in
-                // sample order, then a second pass for the variance.
-                let planes = || (0..ns).map(|s| (s * c + ch) * plane..(s * c + ch + 1) * plane);
-                let mean = planes().fold(0.0f32, |acc, r| acc + xs[r].iter().sum::<f32>()) / n;
-                let var = planes().fold(0.0f32, |acc, r| {
-                    acc + xs[r].iter().map(|v| (v - mean).powi(2)).sum::<f32>()
-                }) / n;
-                let inv = 1.0 / (var + eps).sqrt();
-                let (g, bv) = (gamma[ch], beta[ch]);
-                for r in planes() {
-                    for v in &mut xs[r] {
-                        *v = (g * extra * ((*v - mean) * inv) + bv) * sv;
-                    }
-                }
-            }
-        });
+        let dims = NormDims { b: ns, c, plane: h * w };
+        let affine = (gamma.data(), beta.data(), extra);
+        let scale = |group: usize| scales[group * ns / batch];
+        norm::normalize(&Runtime::current(), dims, x.data_mut(), self.eps, affine, scale);
         Ok(())
     }
 }
-
-/// What one element of the statistics sums costs in the streamed `f32`
-/// operations `fork_grain` counts in: they are sequential by contract, each
-/// add waiting for the one before it (the training plane's batch norm
-/// measured the same constant).
-const CHAIN_COST: usize = 8;
 
 #[cfg(test)]
 mod tests {

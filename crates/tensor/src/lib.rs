@@ -22,6 +22,9 @@
 //! * [`lif`] — the LIF neuron's forward and reverse scans over a stack of
 //!   timesteps: the one place the recurrence is written, for both planes.
 //! * [`linalg`] — one-sided Jacobi SVD (used by TT-SVD and VBMF).
+//! * [`norm`] — batch normalization's ordered per-channel statistics and
+//!   backward sums, channels side by side on lanes: the one copy both
+//!   planes call.
 //! * [`pool`] — average pooling and global average pooling with backward.
 //! * [`Rng`] — a small deterministic xoshiro-style RNG so experiments are
 //!   reproducible without threading `rand` generics through every API.
@@ -51,6 +54,7 @@ mod tensor;
 pub mod conv;
 pub mod lif;
 pub mod linalg;
+pub mod norm;
 pub mod pool;
 pub mod qkernels;
 pub mod runtime;

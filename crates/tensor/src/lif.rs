@@ -172,6 +172,7 @@ pub fn scan(
     keep: Keep<'_>,
     pack: bool,
 ) -> Scanned {
+    let _region = ttsnn_obs::region("lif_scan");
     assert!(
         steps > 0 && x.len().is_multiple_of(steps),
         "lif scan: input does not hold {steps} steps"

@@ -54,6 +54,7 @@ use std::sync::OnceLock;
 
 use super::gemm::{saxpy_rows, transpose, Mac, F32};
 use crate::conv::{im2col_sample_t, Conv2dGeometry};
+use crate::norm::{grad_sums_portable, plane_sums_portable, LaneBlock, LANES};
 use crate::qkernels::{Int, Requant};
 use crate::spike::{scatter, Taps};
 
@@ -197,6 +198,42 @@ impl Lanes {
         }
     }
 
+    /// A lane block's norm statistics sums (see `norm::plane_sums_portable`).
+    pub(crate) fn plane_sums(
+        self,
+        x: &[f32],
+        block: LaneBlock,
+        mean: Option<&[f32; LANES]>,
+    ) -> [f32; LANES] {
+        match self.0 {
+            Kind::Portable => plane_sums_portable(x, block, mean),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe {
+                match mean {
+                    None => avx2::plane_sums::<false>(x, block, &[0.0; LANES]),
+                    Some(mean) => avx2::plane_sums::<true>(x, block, mean),
+                }
+            },
+        }
+    }
+
+    /// A lane block's norm backward sums (see `norm::grad_sums_portable`).
+    pub(crate) fn grad_sums(
+        self,
+        dy: &[f32],
+        x: &[f32],
+        block: LaneBlock,
+        stats: (&[f32; LANES], &[f32; LANES]),
+    ) -> [[f32; LANES]; 2] {
+        match self.0 {
+            Kind::Portable => grad_sums_portable(dy, x, block, stats),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::grad_sums(dy, x, block, stats) },
+        }
+    }
+
     /// One sample's event scatter and transposing epilogue (see
     /// `spike::scatter`).
     pub(crate) fn scatter<const SAT16: bool>(
@@ -264,6 +301,7 @@ mod avx2 {
     use std::arch::x86_64::*;
 
     use crate::conv::{im2col_sample_t, Conv2dGeometry};
+    use crate::norm::LaneBlock;
     use crate::qkernels::Requant;
     use crate::runtime::with_scratch;
     use crate::spike::Taps;
@@ -917,6 +955,115 @@ mod avx2 {
                 *v = requant(acc[q * o + oc], scale, bias);
             }
         }
+    }
+
+    /// Positions `p..p + 8` of a norm lane block's run, position-major:
+    /// lane `j` of register `i` is `run[off[j] + p + i]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_rows(run: &[f32], off: &[usize; 8], p: usize) -> [__m256; 8] {
+        transpose8(std::array::from_fn(|j| load_f32x8(head(&run[off[j] + p..]))))
+    }
+
+    /// Position `p` of a norm lane block's run: lane `j` is `run[off[j] +
+    /// p]`, `off` ascending from 0 to `last`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_column(run: &[f32], off: __m256i, last: usize, p: usize) -> __m256 {
+        assert!(last + p < run.len(), "lane column past its run");
+        // SAFETY: lane `j` reads `run[off[j] + p]`, and `off[j] ≤ last` with
+        // `last + p` inside `run` (asserted): every element read is in it.
+        unsafe { _mm256_i32gather_ps::<4>(run.as_ptr().add(p), off) }
+    }
+
+    /// A norm lane block's offsets (`LaneBlock::offsets`), as gather
+    /// indices, and the last of them.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gather_offsets(off: &[usize; 8]) -> (__m256i, usize) {
+        let idx: [i32; 8] = off.map(|o| i32::try_from(o).expect("norm plane offset fits i32"));
+        (load_i32x8(&idx), off[7])
+    }
+
+    /// The avx2 norm statistics: each sample's 8 channel planes
+    /// position-major through [`transpose8`] (the last `plane mod 8`
+    /// positions through a gather), one lane per channel; each lane adds its
+    /// values (or with `DEV` their squared deviations from `mean`) to a
+    /// `−0.0` in ascending position, and that partial to a `+0.0` fold in
+    /// sample order, as the portable body does.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn plane_sums<const DEV: bool>(
+        x: &[f32],
+        block: LaneBlock,
+        mean: &[f32; 8],
+    ) -> [f32; 8] {
+        let (off, plane) = (block.offsets(), block.plane);
+        let m = load_f32x8(mean);
+        let term = |v: __m256| {
+            if DEV {
+                let d = _mm256_sub_ps(v, m);
+                _mm256_mul_ps(d, d)
+            } else {
+                v
+            }
+        };
+        let p8 = plane - plane % 8;
+        let mut acc = _mm256_setzero_ps();
+        for s in 0..block.samples {
+            let run = block.run(x, s);
+            let mut part = _mm256_set1_ps(-0.0);
+            for p0 in (0..p8).step_by(8) {
+                for v in lane_rows(run, &off, p0) {
+                    part = _mm256_add_ps(part, term(v));
+                }
+            }
+            if p8 < plane {
+                let (idx, last) = gather_offsets(&off);
+                for p in p8..plane {
+                    part = _mm256_add_ps(part, term(lane_column(run, idx, last, p)));
+                }
+            }
+            acc = _mm256_add_ps(acc, part);
+        }
+        let mut sums = [0.0f32; 8];
+        store_f32x8(&mut sums, acc);
+        sums
+    }
+
+    /// The avx2 norm backward: `dy` and `x` position-major as in
+    /// [`plane_sums`], the two chains of every lane in registers, a multiply
+    /// then an add per term (no fused multiply-add).
+    #[target_feature(enable = "avx2")]
+    pub(super) fn grad_sums(
+        dy: &[f32],
+        x: &[f32],
+        block: LaneBlock,
+        (mean, inv): (&[f32; 8], &[f32; 8]),
+    ) -> [[f32; 8]; 2] {
+        let (off, plane) = (block.offsets(), block.plane);
+        let (idx, last) = gather_offsets(&off);
+        let (m, inv) = (load_f32x8(mean), load_f32x8(inv));
+        let (mut sdy, mut sdx) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+        let mut step = |g: __m256, v: __m256| {
+            sdy = _mm256_add_ps(sdy, g);
+            sdx = _mm256_add_ps(sdx, _mm256_mul_ps(g, _mm256_mul_ps(_mm256_sub_ps(v, m), inv)));
+        };
+        let p8 = plane - plane % 8;
+        for s in 0..block.samples {
+            let (gs, xs) = (block.run(dy, s), block.run(x, s));
+            for p0 in (0..p8).step_by(8) {
+                for (g, v) in lane_rows(gs, &off, p0).into_iter().zip(lane_rows(xs, &off, p0)) {
+                    step(g, v);
+                }
+            }
+            for p in p8..plane {
+                step(lane_column(gs, idx, last, p), lane_column(xs, idx, last, p));
+            }
+        }
+        let mut sums = [[0.0f32; 8]; 2];
+        store_f32x8(&mut sums[0], sdy);
+        store_f32x8(&mut sums[1], sdx);
+        sums
     }
 
     /// The 8 × 8 transpose: lane `j` of row `i` becomes lane `i` of row `j`.

@@ -1,7 +1,10 @@
 //! Every public forward kernel shows up in a request trace as exactly one
 //! span under its own name: the drivers open the region, so no kernel —
-//! dense or sparse, f32 or int8 — can forget to.
+//! dense or sparse, f32 or int8, convolution, norm, pool or LIF scan — can
+//! forget to.
 
+use ttsnn_tensor::lif::{self, Keep};
+use ttsnn_tensor::norm::{self, NormDims};
 use ttsnn_tensor::qkernels::{self, QAccum};
 use ttsnn_tensor::runtime::{self, Runtime};
 use ttsnn_tensor::spike::{self, SpikeTensor};
@@ -63,6 +66,24 @@ fn every_forward_kernel_records_one_span_under_its_own_name() {
     });
     one("avg_pool2d", &|| drop(pool::avg_pool2d(&x, 2).unwrap()));
     one("global_avg_pool", &|| drop(pool::global_avg_pool(&x).unwrap()));
+    // Statistics per sample, over all of `x` (8 pairs fork at 2 threads).
+    let dims = NormDims { b: 1, c, plane: hw * hw };
+    let mut stats = vec![0.0; 2 * b * c];
+    one("norm_stats", &|| norm::channel_stats(&rt, dims, x.data(), 1e-5, &mut stats.clone()));
+    norm::channel_stats(&rt, dims, x.data(), 1e-5, &mut stats);
+    one("norm_grad_sums", &|| {
+        let mut sums = vec![0.0; 2 * b * c];
+        norm::channel_grad_sums(&rt, dims, x.data(), x.data(), &stats, &mut sums);
+    });
+    one("normalize", &|| {
+        let mut y = x.clone();
+        norm::normalize(&rt, dims, y.data_mut(), 1e-5, (&[1.0; 4], &[0.0; 4], 0.5), |_| 1.0);
+    });
+    one("lif_scan", &|| {
+        let mut membrane = Tensor::zeros(&[1, c, hw, hw]);
+        let keep = Keep::Last { membrane: &mut membrane, fresh: true };
+        drop(lif::scan(&rt, b, (0.5, 0.5), &x, keep, false));
+    });
     // `a` read as (m, k), as (k, m) and against a (n, k) `b` in turn.
     let (a, bm) = (a.data(), bm.data());
     one("gemm", &|| runtime::gemm(&rt, a, bm, &mut vec![0.0; m * n], m, k, n));

@@ -14,6 +14,9 @@
 //! skipped remainder row, and a wrong `a` stride in the tile's packing (the
 //! `gemm_at_b` layout).
 //!
+//! **norm and pool.** tdBN's statistics and backward sums (`norm`) and
+//! `avg_pool2d` against the loops they replaced, kept verbatim as oracles.
+//!
 //! **int8.** Every int8 kernel in both accumulator modes against
 //! `reference_qgemm`. Shapes put `k`, `n` and `O` off every lane width (8,
 //! 16, 32), operands include `-128`, and `Sat16` sums overflow ±32767.
@@ -21,7 +24,7 @@
 use ttsnn_tensor::qkernels::{self, QAccum};
 use ttsnn_tensor::runtime::{self, with_lanes, Lanes, Runtime};
 use ttsnn_tensor::spike::{self, EventWeights, SpikeTensor, WindowTable};
-use ttsnn_tensor::{conv, Conv2dGeometry, Rng, Tensor};
+use ttsnn_tensor::{conv, norm, pool, Conv2dGeometry, Rng, Tensor};
 
 const MODES: [QAccum; 2] = [QAccum::I32, QAccum::Saturate16];
 
@@ -486,6 +489,175 @@ fn linear_kernels_match_the_reference_on_every_lane_set() {
                     });
                     assert_eq!(sparse, want, "sparse_qlinear {what}");
                 }
+            }
+        }
+    }
+}
+
+/// A normalization operand's channel planes: most normal draws over five
+/// decades (so a reordered sum rounds differently), some with one `NaN`,
+/// `±∞` or `±0.0` mixed in, some all `−0.0`, some all `+0.0` — one kind per
+/// plane, so most statistics stay finite and their bits say something.
+fn norm_operand(planes: usize, plane: usize, rng: &mut Rng) -> Vec<f32> {
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+    let mut out = Vec::with_capacity(planes * plane);
+    for _ in 0..planes {
+        let kind = rng.below(12);
+        let scale = [1e-2, 1.0, 1e3][rng.below(3)];
+        let special = rng.below(plane);
+        out.extend((0..plane).map(|p| match kind {
+            0 => -0.0,
+            1 => 0.0,
+            2 | 3 if p == special => specials[rng.below(specials.len())],
+            _ => rng.normal() * scale + 0.5 * scale,
+        }));
+    }
+    out
+}
+
+/// The statistics as the two planes computed them before they shared a
+/// kernel: per channel, plane sums folded into `+0.0` in sample order, then
+/// the same over the squared deviations.
+fn norm_stats_oracle(x: &[f32], (b, c, plane): (usize, usize, usize), eps: f32) -> Vec<f32> {
+    let n = (b * plane) as f32;
+    let mut stats = Vec::new();
+    for g in 0..x.len() / (b * c * plane) {
+        for ch in 0..c {
+            let channel =
+                (g * b..(g + 1) * b).map(|s| (s * c + ch) * plane..(s * c + ch + 1) * plane);
+            let mut acc = 0.0;
+            for r in channel.clone() {
+                acc += x[r].iter().sum::<f32>();
+            }
+            let m = acc / n;
+            let mut vacc = 0.0;
+            for r in channel {
+                vacc += x[r].iter().map(|v| (v - m).powi(2)).sum::<f32>();
+            }
+            stats.extend([m, 1.0 / (vacc / n + eps).sqrt()]);
+        }
+    }
+    stats
+}
+
+/// The backward's sums as the training plane computed them: two chains from
+/// `+0.0` through the samples and positions in order.
+fn norm_grad_sums_oracle(
+    x: &[f32],
+    dy: &[f32],
+    stats: &[f32],
+    (b, c, plane): (usize, usize, usize),
+) -> Vec<f32> {
+    let mut sums = Vec::new();
+    for (i, st) in stats.chunks(2).enumerate() {
+        let (g, ch, m, inv) = (i / c, i % c, st[0], st[1]);
+        let mut sum_dy = 0.0f32;
+        let mut sum_dy_xhat = 0.0f32;
+        for s in g * b..(g + 1) * b {
+            let r = (s * c + ch) * plane..(s * c + ch + 1) * plane;
+            for (&dy, &v) in dy[r.clone()].iter().zip(&x[r]) {
+                sum_dy += dy;
+                sum_dy_xhat += dy * ((v - m) * inv);
+            }
+        }
+        sums.extend([sum_dy, sum_dy_xhat]);
+    }
+    sums
+}
+
+/// The norm kernels against the loops they replaced, bit for bit, on every
+/// lane set at 1 and 3 threads: channel counts on, off and across the
+/// 8-lane blocks, planes from one position to more than the transposed
+/// 8-position steps, groups of 1, 3 and 16 samples (two groups a call, so a
+/// lane block never reads across one). Among the mutants this kills: a plane
+/// partial added straight into the group sum, the samples folded in another
+/// order, a fused multiply-add in the backward, a backward chain started at
+/// `−0.0` (a channel whose `dy` is all `−0.0` sums to `+0.0`), a dropped
+/// position tail and a lane block that crosses a group. Starting a plane
+/// partial at `+0.0` instead of `−0.0` is not among them: the partial then
+/// differs only in the sign of a zero, which adding it to the `+0.0` fold
+/// erases, so the two are the same kernel.
+#[test]
+fn norm_kernels_match_the_ordered_loops_on_every_lane_set() {
+    let mut rng = Rng::seed_from(37);
+    let eps = 1e-5;
+    for c in [1, 7, 8, 9, 17, 64] {
+        for plane in [1, 4, 16, 64, 256] {
+            for b in [1, 3, 16] {
+                let (groups, dims) = (2, norm::NormDims { b, c, plane });
+                let planes = groups * b * c;
+                let x = norm_operand(planes, plane, &mut rng);
+                let dy = norm_operand(planes, plane, &mut rng);
+                let stats = norm_stats_oracle(&x, (b, c, plane), eps);
+                let sums = norm_grad_sums_oracle(&x, &dy, &stats, (b, c, plane));
+                // The inference plane's in-place form: TEBN-style group
+                // scales, tdBN's extra scale `k`.
+                let (gamma, beta, k) =
+                    (norm_operand(1, c, &mut rng), norm_operand(1, c, &mut rng), 0.5);
+                let scale = |g: usize| 1.0 + 0.25 * g as f32;
+                let mut y = x.clone();
+                for (i, v) in y.iter_mut().enumerate() {
+                    let (g, ch) = (i / (b * c * plane), i / plane % c);
+                    let (m, inv) = (stats[2 * (g * c + ch)], stats[2 * (g * c + ch) + 1]);
+                    *v = (gamma[ch] * k * ((*v - m) * inv) + beta[ch]) * scale(g);
+                }
+                for threads in [1, 3] {
+                    let rt = Runtime::new(threads);
+                    let what = |kernel| format!("{kernel} c={c} plane={plane} b={b} t={threads}");
+                    f32_on_every_lane_set(&what("channel_stats"), &stats, || {
+                        let mut out = vec![f32::NAN; 2 * groups * c];
+                        norm::channel_stats(&rt, dims, &x, eps, &mut out);
+                        out
+                    });
+                    f32_on_every_lane_set(&what("channel_grad_sums"), &sums, || {
+                        let mut out = vec![f32::NAN; 2 * groups * c];
+                        norm::channel_grad_sums(&rt, dims, &x, &dy, &stats, &mut out);
+                        out
+                    });
+                    f32_on_every_lane_set(&what("normalize"), &y, || {
+                        let mut out = x.clone();
+                        norm::normalize(&rt, dims, &mut out, eps, (&gamma, &beta, k), scale);
+                        out
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// `avg_pool2d` against the window loop it ran before its `k = 2` path:
+/// every window summed from `+0.0`, rows first, then scaled by `1/k²`. At
+/// `k = 2` (the side-by-side path, odd and even output widths) and `k = 3`
+/// (the general loop), with `NaN`, `±∞` and `±0.0` among the inputs and
+/// planes that are all `−0.0` (a window summed from `−0.0` would keep it).
+#[test]
+fn avg_pool2d_matches_the_window_loop_on_every_lane_set() {
+    let mut rng = Rng::seed_from(38);
+    for k in [2, 3] {
+        for (oh, ow) in [(1, 1), (2, 3), (4, 4), (3, 9), (5, 16), (2, 17)] {
+            let (b, c, h, w) = (2, 5, oh * k, ow * k);
+            let x = norm_operand(b * c, h * w, &mut rng);
+            let mut want = Vec::new();
+            for xp in x.chunks(h * w) {
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let mut acc = 0.0;
+                        for row in xp[oi * k * w..(oi + 1) * k * w].chunks(w) {
+                            for &v in &row[oj * k..(oj + 1) * k] {
+                                acc += v;
+                            }
+                        }
+                        want.push(acc * (1.0 / (k * k) as f32));
+                    }
+                }
+            }
+            let x = Tensor::from_vec(x, &[b, c, h, w]).unwrap();
+            for threads in [1, 3] {
+                let what = format!("avg_pool2d k={k} out=({oh},{ow}) threads={threads}");
+                f32_on_every_lane_set(&what, &want, || {
+                    let y = Runtime::new(threads).install(|| pool::avg_pool2d(&x, k));
+                    y.unwrap().data().to_vec()
+                });
             }
         }
     }

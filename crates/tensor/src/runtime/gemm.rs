@@ -34,8 +34,9 @@
 //! for the target baseline, and an explicit-lane micro-kernel is an override
 //! of one [`Mac`] hook — [`Mac::tile`], [`Mac::dot`], [`Mac::scatter`] — that
 //! asks the lane set the process resolved (`runtime::lanes`: AVX2 where the
-//! CPU has it). [`F32`] overrides the tile, so every f32 product but the
-//! small-`m` dot runs on it; the integer types override all three.
+//! CPU has it). [`F32`] overrides the tile (so every f32 product but the
+//! small-`m` dot runs on it) and the scatter; the integer types override all
+//! three.
 //!
 //! A hook asks for the set on the thread it runs on ([`Lanes::current`]);
 //! a parallel region hands its caller's pinned set to the workers that run
@@ -117,18 +118,17 @@ pub(crate) trait Mac: Sized {
         saxpy_rows::<Self>(a, a_strides, b, rows, k, n);
     }
 
-    /// One sample of the event scatter ([`crate::spike::scatter`]): its taps
-    /// into an `(Oh·Ow, O)` accumulator block, then the transposing epilogue
-    /// into `out_s`. The integer types run it on their lane set.
+    /// One sample of the event scatter ([`crate::spike::scatter`] on the
+    /// portable lanes): its taps into an `(Oh·Ow, O)` accumulator block, then
+    /// the transposing epilogue into `out_s`. Every type runs it on its lane
+    /// set.
     fn scatter(
         taps: Taps<'_>,
         wt: &[Self::Acc],
         out_s: &mut [f32],
         o: usize,
         ep: Self::Epilogue<'_>,
-    ) {
-        crate::spike::scatter::<Self>(taps, wt, out_s, o, ep);
-    }
+    );
 }
 
 /// f32 elements, f32 sums, no epilogue. Never skips: `0 · NaN` is NaN.
@@ -215,6 +215,10 @@ impl Mac for F32 {
 
     fn tile(a: &[f32], a_strides: (usize, usize), b: &[f32], rows: &mut [f32], k: usize, n: usize) {
         Lanes::current().f32_rows(a, a_strides, b, rows, (k, n));
+    }
+
+    fn scatter(taps: Taps<'_>, wt: &[f32], out_s: &mut [f32], o: usize, (): ()) {
+        Lanes::current().f32_scatter(taps, wt, out_s, o);
     }
 }
 

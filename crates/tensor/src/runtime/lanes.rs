@@ -1,11 +1,11 @@
 //! The machine lanes the kernels run on, resolved once per process.
 //!
 //! The f32 GEMM tile behind `gemm`, `gemm_at_b` and `gemm_a_bt` (and so the
-//! three f32 convolutions), and every int8 kernel — the `qgemm` tile, the
-//! dot behind `qlinear` / `qgemm_a_bt`, `qconv2d`'s quantization and
-//! unfolding, the requantizing epilogue and the event scatter of
-//! `sparse_qconv2d` — ask a [`Lanes`] for their inner loop. There are two
-//! sets:
+//! three f32 convolutions), the event scatter of `sparse_conv2d`, and every
+//! int8 kernel — the `qgemm` tile, the dot behind `qlinear` / `qgemm_a_bt`,
+//! `qconv2d`'s quantization and unfolding, the requantizing epilogue and the
+//! event scatter of `sparse_qconv2d` — ask a [`Lanes`] for their inner loop.
+//! There are two sets:
 //!
 //! * **portable** — the generic bodies every `Mac` runs, compiled for the
 //!   target's baseline (SSE2 on `x86_64`: 128-bit float lanes and no packed
@@ -30,13 +30,14 @@
 //! saturating fold in ascending `k`, and no regrouping of it is exact: its
 //! avx2 tile keeps one `i16` lane per output column and adds every product
 //! with `vpaddsw`, one `k` at a time, and its dot (whose `k` runs along a
-//! row) stays the portable fold. The avx2 scatter adds the same
-//! pre-multiplied rows in the same event order — in `i32` lanes, clamped
-//! after every add for `Sat16`. Quantization and the epilogue are
+//! row) stays the portable fold. The avx2 event scatter is one tap walk for
+//! every element type: it adds the same pre-multiplied rows in the same event
+//! order, each output element's sum on a lane of its own — `i32` lanes,
+//! clamped after every add for `Sat16`, and `f32` lanes adding to a `+0.0`
+//! as the portable `F32::add_term` does. Quantization and the epilogue are
 //! elementwise: the same IEEE divide, round, clamp, convert, multiply and
 //! add per element, with no fused multiply-add. The f32 dot (`gemm_a_bt`
-//! below 8 rows), the f32 event scatter and every elementwise training op
-//! never come here.
+//! below 8 rows) and every elementwise training op never come here.
 //!
 //! # Safety
 //!
@@ -234,8 +235,8 @@ impl Lanes {
         }
     }
 
-    /// One sample's event scatter and transposing epilogue (see
-    /// `spike::scatter`).
+    /// One sample's int8 event scatter and requantizing, transposing
+    /// epilogue (see `spike::scatter`).
     pub(crate) fn scatter<const SAT16: bool>(
         self,
         taps: Taps<'_>,
@@ -249,6 +250,17 @@ impl Lanes {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Avx2` set exists only once AVX2 was detected.
             Kind::Avx2 => unsafe { avx2::scatter::<SAT16>(taps, wt, out_s, o, ep) },
+        }
+    }
+
+    /// One sample's f32 event scatter and transposing epilogue (see
+    /// `spike::scatter`).
+    pub(crate) fn f32_scatter(self, taps: Taps<'_>, wt: &[f32], out_s: &mut [f32], o: usize) {
+        match self.0 {
+            Kind::Portable => scatter::<F32>(taps, wt, out_s, o, ()),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::f32_scatter(taps, wt, out_s, o) },
         }
     }
 }
@@ -303,7 +315,7 @@ mod avx2 {
     use crate::conv::{im2col_sample_t, Conv2dGeometry};
     use crate::norm::LaneBlock;
     use crate::qkernels::Requant;
-    use crate::runtime::with_scratch;
+    use crate::runtime::{with_scratch, with_scratch_zeroed, Scratch};
     use crate::spike::Taps;
 
     /// Rows per register tile, f32 and `qgemm`.
@@ -856,10 +868,10 @@ mod avx2 {
         }
     }
 
-    /// One sample's event scatter into its `(Oh·Ow, O)` accumulator block —
-    /// per tap, the weight row added 8 lanes at a time (clamped to `i16` for
-    /// `Sat16`), the taps in the portable order — then the transposing
-    /// epilogue into the sample's `(O, Oh·Ow)` output, 8 × 8 lanes a step.
+    /// One sample's int8 event scatter: the shared tap walk ([`walk_taps`])
+    /// in `i32` lanes, clamped to the `i16` range after every add for `Sat16`
+    /// (`saturating_add` of two in-range values is the clamped exact sum),
+    /// then the requantizing transpose into the sample's `(O, Oh·Ow)` output.
     #[target_feature(enable = "avx2")]
     pub(super) fn scatter<const SAT16: bool>(
         taps: Taps<'_>,
@@ -868,55 +880,103 @@ mod avx2 {
         o: usize,
         ep: Requant<'_>,
     ) {
-        let ospatial = out_s.len() / o;
-        with_scratch(ospatial * o, |acc: &mut [i32]| {
-            acc.fill(0);
-            match o {
-                8 => add_taps::<SAT16, 1>(taps, wt, acc),
-                16 => add_taps::<SAT16, 2>(taps, wt, acc),
-                32 => add_taps::<SAT16, 4>(taps, wt, acc),
-                64 => add_taps::<SAT16, 8>(taps, wt, acc),
-                _ => taps.for_each(|row, opos| {
-                    add_row::<SAT16>(&mut acc[opos * o..][..o], &wt[row * o..][..o]);
-                }),
-            }
-            requant_transposed(out_s, acc, o, ep);
-        });
-    }
-
-    /// The taps at `O = 8 · NB`: rows of `NB` fixed 8-lane blocks, so a tap
-    /// is `NB` unrolled adds with no per-tap slicing.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn add_taps<const SAT16: bool, const NB: usize>(taps: Taps<'_>, wt: &[i32], acc: &mut [i32]) {
-        let (acc, wt) = (acc.as_chunks_mut::<8>().0, wt.as_chunks::<8>().0);
         let (lo, hi) = (_mm256_set1_epi32(i16::MIN as i32), _mm256_set1_epi32(i16::MAX as i32));
-        taps.for_each(|row, opos| {
-            for b in 0..NB {
-                let (a, w) = (&mut acc[opos * NB + b], &wt[row * NB + b]);
-                let s = _mm256_add_epi32(load_i32x8(a), load_i32x8(w));
-                store_i32x8(
-                    a,
-                    if SAT16 { _mm256_min_epi32(_mm256_max_epi32(s, lo), hi) } else { s },
-                );
-            }
-        });
-    }
-
-    /// `acc += w` lane for lane, clamped to the `i16` range for `Sat16`
-    /// (`saturating_add` of two in-range values is the clamped exact sum).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn add_row<const SAT16: bool>(acc: &mut [i32], w: &[i32]) {
-        let (ab, at) = acc.as_chunks_mut::<8>();
-        let (wb, wt) = w.as_chunks::<8>();
-        let (lo, hi) = (_mm256_set1_epi32(i16::MIN as i32), _mm256_set1_epi32(i16::MAX as i32));
-        for (a, w) in ab.iter_mut().zip(wb) {
+        let block = |a: &mut [i32; 8], w: &[i32; 8]| {
             let s = _mm256_add_epi32(load_i32x8(a), load_i32x8(w));
             store_i32x8(a, if SAT16 { _mm256_min_epi32(_mm256_max_epi32(s, lo), hi) } else { s });
+        };
+        let lane = |a: i32, w: i32| {
+            if SAT16 {
+                (a as i16).saturating_add(w as i16) as i32
+            } else {
+                a + w
+            }
+        };
+        walk_taps(taps, wt, out_s, o, (block, lane), |out, acc| {
+            requant_transposed(out, acc, o, ep)
+        });
+    }
+
+    /// One sample's f32 event scatter: the shared tap walk ([`walk_taps`])
+    /// with one `vaddps` per 8 lanes — each lane the `a + w` of the portable
+    /// `F32::add_term`, on a `+0.0`-born sum in the same tap order — then the
+    /// sample's `(O, Oh·Ow)` output through the register [`transpose`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn f32_scatter(taps: Taps<'_>, wt: &[f32], out_s: &mut [f32], o: usize) {
+        let block = |a: &mut [f32; 8], w: &[f32; 8]| {
+            store_f32x8(a, _mm256_add_ps(load_f32x8(a), load_f32x8(w)));
+        };
+        let lane = |a: f32, w: f32| a + w;
+        walk_taps(taps, wt, out_s, o, (block, lane), |out, acc| {
+            transpose(acc, (out.len() / o, o), out);
+        });
+    }
+
+    /// The tap walk both scatters share: one sample's taps into its zeroed
+    /// `(Oh·Ow, O)` accumulator block, then `epilogue(out_s, block)`. Per tap
+    /// ([`Taps::for_each`], so each element meets its events in the portable
+    /// order) the `[C·Kh·Kw][O]` weight row of `wt` is added with `add.0`, 8
+    /// lanes at a time, and the last `O mod 8` lanes with `add.1`. At `O` = 8,
+    /// 16, 32 and 64 a row is a fixed number of 8-lane blocks
+    /// ([`add_taps`]), so a tap is that many unrolled adds with no per-tap
+    /// slicing; any other `O` goes through [`add_row`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn walk_taps<T: Scratch>(
+        taps: Taps<'_>,
+        wt: &[T],
+        out_s: &mut [f32],
+        o: usize,
+        add: (impl Fn(&mut [T; 8], &[T; 8]) + Copy, impl Fn(T, T) -> T + Copy),
+        epilogue: impl FnOnce(&mut [f32], &[T]),
+    ) {
+        with_scratch_zeroed(out_s.len(), |acc: &mut [T]| {
+            match o {
+                8 => add_taps::<T, 1>(taps, wt, acc, add.0),
+                16 => add_taps::<T, 2>(taps, wt, acc, add.0),
+                32 => add_taps::<T, 4>(taps, wt, acc, add.0),
+                64 => add_taps::<T, 8>(taps, wt, acc, add.0),
+                _ => taps.for_each(|row, opos| {
+                    add_row(&mut acc[opos * o..][..o], &wt[row * o..][..o], add);
+                }),
+            }
+            epilogue(out_s, acc);
+        });
+    }
+
+    /// The taps at `O = 8 · NB`: `NB` fixed 8-lane blocks a row.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_taps<T: Copy, const NB: usize>(
+        taps: Taps<'_>,
+        wt: &[T],
+        acc: &mut [T],
+        block: impl Fn(&mut [T; 8], &[T; 8]),
+    ) {
+        let acc = acc.as_chunks_mut::<8>().0.as_chunks_mut::<NB>().0;
+        let wt = wt.as_chunks::<8>().0.as_chunks::<NB>().0;
+        taps.for_each(|row, opos| {
+            for (a, w) in acc[opos].iter_mut().zip(&wt[row]) {
+                block(a, w);
+            }
+        });
+    }
+
+    /// `acc += w` lane for lane: `add.0` 8 lanes at a time, `add.1` the rest.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_row<T: Copy>(
+        acc: &mut [T],
+        w: &[T],
+        (block, lane): (impl Fn(&mut [T; 8], &[T; 8]), impl Fn(T, T) -> T),
+    ) {
+        let (ab, at) = acc.as_chunks_mut::<8>();
+        let (wb, wt) = w.as_chunks::<8>();
+        for (a, w) in ab.iter_mut().zip(wb) {
+            block(a, w);
         }
         for (a, &w) in at.iter_mut().zip(wt) {
-            *a = if SAT16 { (*a as i16).saturating_add(w as i16) as i32 } else { *a + w };
+            *a = lane(*a, w);
         }
     }
 

@@ -257,32 +257,33 @@ fn with_events<R>(
 // Dispatch mode
 
 /// Default spike-density threshold for [`SparseMode::Auto`]: sites at or
-/// below this density route to the sparse kernels. On the `spike_sparsity`
-/// bench's 32 → 32 3×3 conv at 16×16 (8 samples, 2 vCPUs, layouts laid out
-/// per call) the f32 event-driven kernel beat the dense one up to a density
-/// of ≈ 0.57–0.68 (`BENCH_spike_sparsity.json`), which made this a
-/// conservative bound, until the f32 GEMM tile ran on AVX2. Its crossover is
-/// now ≈ 0.175, below the bound: the dense f32 conv got ≈ 3.5 × faster and
-/// the f32 scatter did not (the bench's whole VGG9 f32 plane reads
-/// 4.6–12.5 % slower under `Auto` than dense), which the f32 event path's
-/// future has to settle. Served LIF layers fire at 0.13–0.16.
+/// below this density route to the sparse kernels. One bound for both element
+/// types, held below the density where the f32 event kernel stops paying. On
+/// the `spike_sparsity` bench's 32 → 32 3×3 conv at 16×16 (8 samples, 2
+/// vCPUs, layouts laid out per call) the f32 event scatter beats the dense
+/// conv up to a density of ≈ 0.475–0.525 (`BENCH_spike_sparsity.json`) since it
+/// runs on the avx2 tap walk the int8 scatter uses; it crossed at
+/// ≈ 0.175–0.225 while it ran on the portable lanes beside the avx2 GEMM tile,
+/// and at ≈ 0.57–0.68 before that tile. Served LIF layers fire at 0.13–0.16,
+/// so a bound nearer the f32 crossover would route no served site otherwise.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
 /// What one tap costs per output channel — adding one pre-multiplied weight
 /// lane into a sample's accumulator block, its share of the table lookup
 /// that found the tap included — in the f32 operations `runtime::fork_grain`
-/// counts in: the event-scatter driver's grain for every `Mac`. It is priced
-/// by the scatter rather than by the accumulator type, so `Mac::COST` does
-/// not scale it. At the probes' spike density (0.13) the sparse kernels do
-/// 0.13 of the dense kernels' multiply-adds as tap lanes and finish in
-/// 1 / 2.5 (int8, on the avx2 lanes) and, since the f32 GEMM tile runs on
-/// the avx2 lanes too, 1 / 1.3 (f32; 1 / 4.1 before) of their time
-/// (`tensor.sparse_qconv_speedup_vs_dense`,
-/// `tensor.sparse_conv_speedup_vs_dense`, 2 vCPUs, layouts laid out per
-/// call): 2 / (2.5 · 0.13) ≈ 6 float operations a lane against the int8
-/// GEMM's two per multiply-add (it runs at the float rate, `OP_COST` = 1),
-/// and ≈ 12 against the f32 GEMM (≈ 3.8 before). Four is below both, so
-/// the scatter forks later than its cost would ask; a grain moves no bit.
+/// counts in: the event-scatter driver's grain for every `Mac`. Measured on
+/// the avx2 lanes, where every type's scatter runs one tap walk, as the slope
+/// of a frozen call's time over its tap lanes between densities 0.05 and 0.3,
+/// against the probe conv's f32 tile (28–32 GFLOP/s) as the unit: one thread
+/// on a 2-vCPU AVX2 host, three runs over the served VGG9 ÷ 8's 8 → 8 at
+/// 16×16, 16 → 16 at 8×8 and 32 → 32 at 4×4 with 2 samples, the probe's
+/// 32 → 32 at 16×16 with 8 and a 16 → 64 at 8×8 with 4. An f32 lane costs
+/// 2.2–7.1 operations (median 4.0), an `I32` lane 1.9–10.4 (4.2) and a
+/// `Sat16` lane 2.3–11.9 (4.7): the types do not differ beyond the host's
+/// spread, so one constant serves them. At this grain every layer of the
+/// served VGG9 ÷ 8 forks a stream chunk's 2-sample call across the pool at
+/// the served densities (0.13–0.16); at 0.05 the three layers with the fewest
+/// taps a sample stay on one thread (`Runtime::stats`). A grain moves no bit.
 const TAP_COST: usize = 4;
 
 /// Dispatch policy for the density-adaptive sparse/dense router. Models

@@ -14,6 +14,10 @@
 //! skipped remainder row, and a wrong `a` stride in the tile's packing (the
 //! `gemm_at_b` layout).
 //!
+//! **f32 events.** `sparse_conv2d` and `sparse_conv2d_frozen` against the
+//! dense `conv2d`'s bits (and, for non-finite weights, the event sum) at every
+//! width of the avx2 tap walk.
+//!
 //! **norm and pool.** tdBN's statistics and backward sums (`norm`) and
 //! `avg_pool2d` against the loops they replaced, kept verbatim as oracles.
 //!
@@ -333,7 +337,9 @@ fn quantize_to_i8_matches_the_scalar_grid_on_every_lane_set() {
 /// The geometries of the conv tests: `O` and `Oh·Ow` off the lane widths,
 /// padding wider than the kernel's reach, stride 2, a 1×1 and an asymmetric
 /// kernel, and 81 taps a position into an `O` of one lane block plus a tail
-/// (so `Sat16` event sums saturate there too).
+/// (so `Sat16` event sums saturate there too). `O` = 8, 16, 32 and 64 are the
+/// event scatter's fixed-block widths (the served VGG9 ÷ 8 runs 8, 16 and
+/// 32); 5, 12, 13 and 19 take its per-row path, with and without a block.
 fn geometries() -> Vec<Conv2dGeometry> {
     vec![
         Conv2dGeometry::new(3, 5, (7, 6), (3, 3), (1, 1), (1, 1)),
@@ -342,6 +348,8 @@ fn geometries() -> Vec<Conv2dGeometry> {
         Conv2dGeometry::new(3, 19, (5, 4), (1, 1), (1, 1), (0, 0)),
         Conv2dGeometry::new(9, 16, (4, 4), (3, 3), (1, 1), (3, 3)),
         Conv2dGeometry::new(9, 12, (5, 5), (3, 3), (1, 1), (1, 1)),
+        Conv2dGeometry::new(4, 32, (5, 5), (3, 3), (1, 1), (1, 1)),
+        Conv2dGeometry::new(3, 64, (5, 3), (3, 3), (1, 1), (1, 1)),
     ]
 }
 
@@ -438,6 +446,84 @@ fn conv_kernels_match_the_reference_on_every_lane_set() {
                         f32_bits(&y.unwrap())
                     });
                     assert_eq!(frozen, want, "sparse_qconv2d_frozen {what}");
+                }
+            }
+        }
+    }
+}
+
+/// `sparse_conv2d`'s oracle: per output, its weights at the firing inputs
+/// added to a `+0.0` in ascending patch order `(c, ki, kj)`, the zero-spike
+/// terms left out. With finite weights that is the dense kernel's sum.
+fn event_oracle(x: &Tensor, w: &[f32], g: &Conv2dGeometry) -> Vec<f32> {
+    let ((h, wd), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+    let kdim = g.in_channels * kh * kw;
+    let mut out = Vec::new();
+    for xs in x.data().chunks_exact(g.in_channels * h * wd) {
+        for (oc, p) in (0..g.out_channels).flat_map(|oc| (0..oh * ow).map(move |p| (oc, p))) {
+            let mut acc = 0.0f32;
+            for kk in 0..kdim {
+                let (c, ki, kj) = (kk / (kh * kw), kk / kw % kh, kk % kw);
+                let i = (p / ow * g.stride.0 + ki).checked_sub(g.padding.0).filter(|&i| i < h);
+                let j = (p % ow * g.stride.1 + kj).checked_sub(g.padding.1).filter(|&j| j < wd);
+                if let (Some(i), Some(j)) = (i, j) {
+                    if xs[(c * h + i) * wd + j] == 1.0 {
+                        acc += w[oc * kdim + kk];
+                    }
+                }
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+/// The f32 event kernels, per call and frozen, on every lane set at 1 and 3
+/// threads: against the dense `conv2d`'s bits for finite weights (with
+/// `−0.0` among them), and against the event sum for weights with `NaN` and
+/// `±∞` too, where a left-out `0 · ∞` is not the dense kernel's `NaN`. `O`
+/// runs every fixed block of the avx2 tap walk and its per-row path
+/// ([`geometries`]); densities 0, 0.13 and 1. Among the mutants this kills:
+/// a dropped `O mod 8` remainder lane in the per-row path, a block left
+/// unzeroed (the arena is poisoned first), the wrong block count at `O` = 32
+/// or 64, and a dropped position edge of the transposing epilogue.
+#[test]
+fn f32_event_kernels_match_the_dense_bits_on_every_lane_set() {
+    let mut rng = Rng::seed_from(39);
+    for g in geometries() {
+        let (b, o) = (3, g.out_channels);
+        let shape = [b, g.in_channels, g.in_hw.0, g.in_hw.1];
+        let wshape = [o, g.in_channels, g.kernel.0, g.kernel.1];
+        let finite = f32_operands(wshape.iter().product(), &mut rng)
+            .into_iter()
+            .map(|v| if v.is_finite() { v } else { -0.0 })
+            .collect();
+        let finite = Tensor::from_vec(finite, &wshape).unwrap();
+        let special = f32_tensor(&wshape, &mut rng);
+        let table = WindowTable::new(&g).unwrap();
+        for density in [0.0, 0.13, 1.0] {
+            let x = binary(&shape, density, &mut rng);
+            let sp = SpikeTensor::try_pack(&x).unwrap();
+            let dense = canon(conv::conv2d(&x, &finite, &g).unwrap().data());
+            assert_eq!(canon(&event_oracle(&x, finite.data(), &g)), dense, "oracle {g:?}");
+            let want_special = canon(&event_oracle(&x, special.data(), &g));
+            for (w, want) in [(&finite, &dense), (&special, &want_special)] {
+                let weights = EventWeights::new(w).unwrap();
+                for threads in [1, 3] {
+                    let rt = Runtime::new(threads);
+                    let what = |kernel| format!("{kernel} {g:?} density={density} t={threads}");
+                    let sparse = same_on_every_lane_set(&what("sparse_conv2d"), || {
+                        poison_scratch();
+                        canon(rt.install(|| spike::sparse_conv2d(&sp, w, &g)).unwrap().data())
+                    });
+                    assert_eq!(&sparse, want, "{}", what("sparse_conv2d"));
+                    let frozen = same_on_every_lane_set(&what("sparse_conv2d_frozen"), || {
+                        poison_scratch();
+                        let y =
+                            rt.install(|| spike::sparse_conv2d_frozen(&sp, &weights, &table, &g));
+                        canon(y.unwrap().data())
+                    });
+                    assert_eq!(&frozen, want, "{}", what("sparse_conv2d_frozen"));
                 }
             }
         }

@@ -38,6 +38,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Tests read values out with `Var::to_tensor`; the library may not
+// (`clippy.toml`), and the non-test build is linted for it.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod optim;
 mod var;

@@ -34,7 +34,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ttsnn_tensor::norm::{self, NormDims};
-use ttsnn_tensor::runtime::{fork_grain, with_scratch, Runtime};
+use ttsnn_tensor::runtime::{with_scratch, Runtime};
 use ttsnn_tensor::{conv, lif, pool, Conv2dGeometry, ShapeError, Tensor};
 
 use crate::var::Var;
@@ -741,7 +741,7 @@ impl Var {
             let (gv, bv) = (gamma.value(), beta.value());
             let affine = (gv.data(), bv.data(), extra_scale);
             let rt = Runtime::current();
-            bn_forward(&rt, dims, x.data(), affine, eps, stats.0.data_mut(), y.data_mut());
+            norm::batch_norm(&rt, dims, x.data(), affine, eps, stats.0.data_mut(), y.data_mut());
         }
         drop(x);
         Ok(Var::from_op(
@@ -755,8 +755,16 @@ impl Var {
                     let (x, gv) = (parents[0].value(), parents[1].value());
                     let scale = (gv.data(), extra_scale);
                     with_scratch(2 * groups * c, |sums: &mut [f32]| {
-                        let rt = Runtime::current();
-                        bn_backward(&rt, dims, x.data(), stats.0.data(), scale, g.data_mut(), sums);
+                        let (rt, st) = (Runtime::current(), stats.0.data());
+                        norm::batch_norm_backward(
+                            &rt,
+                            dims,
+                            x.data(),
+                            st,
+                            scale,
+                            g.data_mut(),
+                            sums,
+                        );
                         // Group 0's sums as they are (what a one-group call
                         // has always returned), later groups added to them.
                         let (first, later) = sums.split_at(2 * c);
@@ -778,75 +786,6 @@ impl Var {
             }),
         ))
     }
-}
-
-/// Batch-norm forward in two pool phases. Phase 1 fills `stats`, a
-/// `[groups · C × 2]` array of `(μ, 1/√(σ² + eps))` per group and channel,
-/// through `norm::channel_stats`, the kernel the inference plane's
-/// normalization calls too. Phase 2 writes `y = γ·k·(x − μ)/√(σ² + eps) + β`,
-/// a sample per slab. Neither split changes what an element computes, so the
-/// result does not depend on the thread count. `affine` is `(γ, β, k)`.
-fn bn_forward(
-    rt: &Runtime,
-    dims: NormDims,
-    xd: &[f32],
-    (gamma, beta, extra_scale): (&[f32], &[f32], f32),
-    eps: f32,
-    stats: &mut [f32],
-    yd: &mut [f32],
-) {
-    let NormDims { b, c, plane } = dims;
-    norm::channel_stats(rt, dims, xd, eps, stats);
-    let stats = &*stats;
-    let slab = c * plane;
-    rt.parallel_over_slabs(yd, slab, fork_grain(4 * slab), |s, y_s| {
-        let x_s = &xd[s * slab..(s + 1) * slab];
-        let group = &stats[s / b * 2 * c..(s / b + 1) * 2 * c];
-        for (ch, st) in group.chunks(2).enumerate() {
-            let (m, inv) = (st[0], st[1]);
-            let (gk, shift) = (gamma[ch] * extra_scale, beta[ch]);
-            let r = ch * plane..(ch + 1) * plane;
-            for (o, &v) in y_s[r.clone()].iter_mut().zip(&x_s[r]) {
-                *o = gk * ((v - m) * inv) + shift;
-            }
-        }
-    });
-}
-
-/// Batch-norm backward in the same two phases. Phase 1 fills `sums`, a
-/// `[groups · C × 2]` array, with the reductions `(Σ dy, Σ dy·x̂)` per group
-/// and channel (`norm::channel_grad_sums`); phase 2 rewrites `gd` from `dy`
-/// to `dx` in place, a sample per slab (element `i` needs `dy[i]` and the
-/// two sums of its group and channel only). `stats` is what [`bn_forward`]
-/// filled, `scale` is `(γ, k)`.
-fn bn_backward(
-    rt: &Runtime,
-    dims: NormDims,
-    xd: &[f32],
-    stats: &[f32],
-    (gamma, extra_scale): (&[f32], f32),
-    gd: &mut [f32],
-    sums: &mut [f32],
-) {
-    let NormDims { b, c, plane } = dims;
-    let n = (b * plane) as f32;
-    norm::channel_grad_sums(rt, dims, xd, gd, stats, sums);
-    let slab = c * plane;
-    rt.parallel_over_slabs(gd, slab, fork_grain(8 * slab), |s, g_s| {
-        let x_s = &xd[s * slab..(s + 1) * slab];
-        let group = s / b * 2 * c..(s / b + 1) * 2 * c;
-        let per_channel = stats[group.clone()].chunks(2).zip(sums[group].chunks(2));
-        for (ch, ((st, su), &g)) in per_channel.zip(gamma).enumerate() {
-            let (m, inv) = (st[0], st[1]);
-            let (sum_dy, sum_dy_xhat) = (su[0], su[1]);
-            let coeff = g * extra_scale * inv / n;
-            let r = ch * plane..(ch + 1) * plane;
-            for (dy, &v) in g_s[r.clone()].iter_mut().zip(&x_s[r]) {
-                let xh = (v - m) * inv;
-                *dy = coeff * (n * *dy - sum_dy - xh * sum_dy_xhat);
-            }
-        }
-    });
 }
 
 /// What a [`Var::lif_scan`] node's backward needs from its forward, shared
@@ -1125,11 +1064,11 @@ mod tests {
                 let rt = Runtime::new(threads);
                 let mut y = vec![f32::NAN; x.len()];
                 let mut stats = vec![f32::NAN; 2 * groups * c];
-                bn_forward(&rt, dims, x.data(), affine, 1e-5, &mut stats, &mut y);
+                norm::batch_norm(&rt, dims, x.data(), affine, 1e-5, &mut stats, &mut y);
                 proptest::prop_assert_eq!(slice_bits(&y), slice_bits(&y0), "y at {} threads", threads);
                 let mut g = dy.data().to_vec();
                 let mut sums = vec![f32::NAN; 2 * groups * c];
-                bn_backward(&rt, dims, x.data(), &stats, (gamma.data(), 0.7), &mut g, &mut sums);
+                norm::batch_norm_backward(&rt, dims, x.data(), &stats, (gamma.data(), 0.7), &mut g, &mut sums);
                 proptest::prop_assert_eq!(slice_bits(&g), slice_bits(&dx0), "dx at {} threads", threads);
                 proptest::prop_assert_eq!(slice_bits(&sums), slice_bits(&sums0), "sums at {} threads", threads);
             }

@@ -1,5 +1,6 @@
 //! Property-based gradient checks: for random small graphs, the autograd
 //! gradient must match central differences.
+#![allow(clippy::disallowed_methods)] // `Var::to_tensor` is for tests (`clippy.toml`).
 
 use proptest::prelude::*;
 use ttsnn_autograd::ops::cross_entropy_logits;

@@ -23,7 +23,7 @@
 //! handles are not `Send`, so each replica then builds its own *model
 //! object* on its own thread (the `ShardedTrainer` pattern), all N of them
 //! by one function, and installs O(1) handles to the shared weights
-//! ([`ttsnn_snn::checkpoint::install_params`]). Steady-state memory is one
+//! ([`ttsnn_snn::Network::install_frozen`]). Steady-state memory is one
 //! copy of the plan plus per-replica membrane state, whatever `N` is, and
 //! every replica starts with empty activity counters.
 //!
@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 
 use ttsnn_obs::Stage::Execute;
 use ttsnn_snn::model::validate_frames;
-use ttsnn_snn::{checkpoint, InferForward, InferStats, Network, SpikingModel};
+use ttsnn_snn::Network;
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
 
@@ -588,19 +588,23 @@ impl Cluster {
         let spawned = (0..replicas).try_for_each(|i| {
             let cfg = config.engine.clone();
             let (sched, frozen, up_tx) = (Arc::clone(&sched), Arc::clone(&frozen), up_tx.clone());
-            handles.push(spawn_replica(i, runtime.clone(), move || {
-                let mut model = match build_replica(&cfg, &frozen) {
-                    Ok(model) => model,
-                    Err(e) => {
-                        let _ = up_tx.send(Err(e));
-                        return;
-                    }
-                };
-                // Hang up once acked: a replica that dies before its ack
-                // then reads as a closed channel.
-                let _ = up_tx.send(Ok(()));
-                drop(up_tx);
-                worker_loop(&mut model, &cfg, &sched, i, stream_state_bytes);
+            let runtime = runtime.clone();
+            let replica = std::thread::Builder::new().name(format!("ttsnn-cluster-replica-{i}"));
+            handles.push(replica.spawn(move || {
+                runtime.install(|| {
+                    let mut model = match build_replica(&cfg, &frozen) {
+                        Ok(model) => model,
+                        Err(e) => {
+                            let _ = up_tx.send(Err(e));
+                            return;
+                        }
+                    };
+                    // Hang up once acked: a replica that dies before its ack
+                    // then reads as a closed channel.
+                    let _ = up_tx.send(Ok(()));
+                    drop(up_tx);
+                    worker_loop(&mut model, &cfg, &sched, i, stream_state_bytes);
+                })
             })?);
             Ok(())
         });
@@ -660,40 +664,17 @@ impl Drop for Cluster {
     }
 }
 
-/// Spawns replica `index`, its kernels on `runtime`.
-fn spawn_replica(
-    index: usize,
-    runtime: Runtime,
-    f: impl FnOnce() + Send + 'static,
-) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name(format!("ttsnn-cluster-replica-{index}"))
-        .spawn(move || runtime.install(f))
-}
-
 /// Builds one replica's serving model from the frozen plan; every
-/// replica, the first included, is built here and nowhere else. The
-/// architecture is instantiated (and merged to dense kernels, when
-/// configured, so its parameter lists line up with the plan's); the
-/// plan's int8 layers and float tensors then replace the local values as
-/// O(1) `Arc` handles, the event layouts are laid out from them, and the
-/// model switches to per-sample statistics. A replica starts with the
-/// plan's weights and no traffic on its counters.
+/// replica, the first included, is built here. The architecture is
+/// instantiated (and merged to dense kernels, when configured, so its
+/// parameter lists line up with the plan's), then
+/// [`Network::install_frozen`] makes it a replica of the plan.
 fn build_replica(cfg: &EngineConfig, frozen: &FrozenPlan) -> io::Result<Network> {
     let mut model = cfg.arch.instantiate(&cfg.policy)?;
     if cfg.merge_into_dense {
         model.merge_into_dense().map_err(plan::invalid_data)?;
     }
-    // Int8 install replaces conv/classifier weights and shrinks the param
-    // list to the float (norm) remainder, so it must precede
-    // `install_params`.
-    if let Some(quant) = &frozen.quant {
-        model.install_quant_plan(quant).map_err(plan::invalid_data)?;
-    }
-    checkpoint::install_params(&model.params(), &frozen.weights).map_err(plan::invalid_data)?;
-    model.freeze_event_layouts().map_err(plan::invalid_data)?;
-    // The serving contract: per-sample semantics, whatever the batch.
-    model.set_infer_stats(InferStats::PerSample);
+    model.install_frozen(&frozen.weights, frozen.quant.as_ref()).map_err(plan::invalid_data)?;
     Ok(model)
 }
 
@@ -744,19 +725,11 @@ fn serve_stream_cmd(
                     // Never evict the session just fed: its chunk was
                     // admitted and executed.
                     let evicted = streams.evict_to_bound(id) as u64;
-                    sched.record_stream_chunk(report, submitted);
-                    sched.record_stream_state(
-                        replica,
-                        streams.active(),
-                        streams.resident_bytes(),
-                        evicted,
-                    );
-                    let _ = reply.send(Ok(update));
+                    let (active, resident) = (streams.active(), streams.resident_bytes());
+                    sched.record_stream_state(replica, active, resident, evicted);
+                    sched.record_stream_chunk(report, submitted, &reply, update);
                 }
-                Err(e) => {
-                    sched.record_stream_failed();
-                    let _ = reply.send(Err(e));
-                }
+                Err(e) => sched.record_stream_failed(&reply, e),
             }
         }
         StreamCmd::Close { id } => {
@@ -782,10 +755,7 @@ fn serve_cluster_batch(
     for job in batch {
         match validate_frames(&job.input, frame, Some(cfg.timesteps), "request input") {
             Ok(_) => accepted.push(job),
-            Err(msg) => {
-                sched.record_failed(job.priority, job.tenant);
-                let _ = job.reply.send(Err(InferError::Shape(msg)));
-            }
+            Err(msg) => sched.record_failed(&job, InferError::Shape(msg)),
         }
     }
     if accepted.is_empty() {
@@ -809,22 +779,16 @@ fn serve_cluster_batch(
                     ttsnn_obs::record_stage_span(trace, Execute, exec_start, dur, size, bits);
                 }
             }
-            let served: Vec<_> =
-                accepted.iter().map(|j| (j.priority, j.tenant, j.submitted)).collect();
-            sched.record_served(&served, density);
             let k = summed.len() / batch_size;
-            for (i, job) in accepted.iter().enumerate() {
-                let row = summed.data()[i * k..(i + 1) * k].to_vec();
-                let logits = Tensor::from_vec(row, &[k]).expect("logit row shape");
-                let _ = job.reply.send(Ok(logits));
-            }
+            let row = |r: &[f32]| Tensor::from_vec(r.to_vec(), &[k]).expect("logit row shape");
+            let logits = summed.data().chunks_exact(k).map(row).collect();
             summed.recycle();
+            sched.record_served(&accepted, logits, density);
         }
         Err(e) => {
             // Should be unreachable after validation; fail the batch.
-            for job in accepted {
-                sched.record_failed(job.priority, job.tenant);
-                let _ = job.reply.send(Err(InferError::Shape(e.clone())));
+            for job in &accepted {
+                sched.record_failed(job, InferError::Shape(e.clone()));
             }
         }
     }

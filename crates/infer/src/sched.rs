@@ -126,10 +126,11 @@ pub struct SubmitOptions {
     /// flow and token bucket; without one it only labels the per-tenant
     /// metrics.
     pub tenant: TenantId,
-    /// Request-lifecycle trace id (`ttsnn_obs`; minted at wire decode by
-    /// the serving plane). `0` (the default) means untraced: the
-    /// scheduler records no spans for the request. Tracing never affects
-    /// scheduling order or any request's logits.
+    /// Request-lifecycle trace id (`ttsnn_obs`). `0` (the default) asks
+    /// for a fresh one at admission while tracing is on
+    /// ([`ttsnn_obs::enabled`]); with tracing off the request stays
+    /// untraced and the scheduler records no spans for it. Tracing never
+    /// affects scheduling order or any request's logits.
     pub trace: u64,
 }
 
@@ -373,6 +374,25 @@ impl FairPolicy {
     }
 }
 
+/// Where a request's answer goes. Only this module sends on it, and only
+/// with the [`Released`] its bookkeeping — counts, latency, slot — hands
+/// back: the executor returns a `Reply` through a `record_*` method and
+/// cannot send on one itself. So a caller holding its answer holds no
+/// slot and finds its request in the metrics.
+pub(crate) struct Reply<T>(Sender<Result<T, InferError>>);
+
+impl<T> Reply<T> {
+    fn send(&self, answer: Result<T, InferError>, _done: Released) {
+        // A caller that hung up no longer wants the answer.
+        let _ = self.0.send(answer);
+    }
+}
+
+/// A request's slot is free and its bookkeeping done:
+/// [`Scheduler::finish_one`] returns one, and [`Reply::send`] takes one.
+#[must_use]
+struct Released(());
+
 /// One admitted request, owned by the queue until popped into a batch.
 pub(crate) struct Job {
     /// Global admission number — the FIFO tie-breaker.
@@ -389,7 +409,7 @@ pub(crate) struct Job {
     /// Set by `ClusterTicket::drop`; checked at pop and at batch close.
     pub(crate) cancelled: Arc<AtomicBool>,
     /// Where the logits (or the error) go.
-    pub(crate) reply: Sender<Result<Tensor, InferError>>,
+    pub(crate) reply: Reply<Tensor>,
     /// Admission time on the scheduler's clock (ns): where the latency
     /// histogram's sample and the `queue_wait` span start.
     pub(crate) submitted: u64,
@@ -611,7 +631,7 @@ pub(crate) enum StreamCmd {
         /// **the session is untouched** (no timestep was consumed).
         deadline: Option<u64>,
         /// Where the any-time update (or the error) goes.
-        reply: Sender<Result<StreamUpdate, InferError>>,
+        reply: Reply<StreamUpdate>,
         /// Admission time on the scheduler's clock (ns): where the latency
         /// histogram's sample and the `queue_wait` span start.
         submitted: u64,
@@ -694,8 +714,8 @@ struct State {
     /// Admitted, not yet terminal — the backpressure quantity. Stream
     /// chunks count here too: a saturated queue pushes back on streaming
     /// and whole-stream traffic alike. A slot is released **before** its
-    /// reply is sent (`record_*`, then `reply.send`): a caller holding a
-    /// reply holds no slot, so its next request is never refused
+    /// reply is sent (a [`Reply`] takes the [`Released`] token): a caller
+    /// holding a reply holds no slot, so its next request is never refused
     /// `Saturated` by its last, and the count at an admission never exceeds
     /// the callers there are — [`batch_close`] reads it as the population.
     outstanding: usize,
@@ -899,14 +919,18 @@ impl Scheduler {
 
     /// The one admission routine for batch requests. Rate limits fail
     /// fast even when `block` — a rate-limited tenant must back off, not
-    /// camp on the queue lock.
+    /// camp on the queue lock. An untraced request gets a trace id while
+    /// tracing is on, as a wire request and a stream chunk do.
     fn admit(
         &self,
         block: bool,
         input: Tensor,
-        opts: SubmitOptions,
+        mut opts: SubmitOptions,
         reply: Sender<Result<Tensor, InferError>>,
     ) -> Result<Arc<AtomicBool>, SubmitError> {
+        if opts.trace == 0 && ttsnn_obs::enabled() {
+            opts.trace = ttsnn_obs::next_trace_id();
+        }
         let reject =
             |retry_after| RejectInfo { tenant: opts.tenant, priority: opts.priority, retry_after };
         let mut st = match self.slot(block) {
@@ -937,7 +961,7 @@ impl Scheduler {
             tenant: opts.tenant,
             deadline: opts.deadline.and_then(|d| after(now, d)),
             cancelled: cancelled.clone(),
-            reply,
+            reply: Reply(reply),
             submitted: now,
             trace: opts.trace,
             popped_ns: 0,
@@ -967,9 +991,10 @@ impl Scheduler {
     }
 
     /// One request reached a terminal state: free its backpressure slot.
-    fn finish_one(&self, st: &mut State) {
+    fn finish_one(&self, st: &mut State) -> Released {
         st.outstanding -= 1;
         self.space.notify_all();
+        Released(())
     }
 
     /// Reaps a job that must not execute, at a pop or at batch close: a
@@ -987,9 +1012,9 @@ impl Scheduler {
         } else {
             return false;
         }
-        self.finish_one(st);
+        let released = self.finish_one(st);
         if !cancelled {
-            let _ = job.reply.send(Err(InferError::DeadlineExpired));
+            job.reply.send(Err(InferError::DeadlineExpired), released);
         }
         true
     }
@@ -1018,8 +1043,8 @@ impl Scheduler {
             if let StreamCmd::Feed { id, deadline, reply, trace, submitted, .. } = &cmd {
                 if deadline.is_some_and(|d| now >= d) {
                     st.metrics.sessions.chunks_expired += 1;
-                    self.finish_one(st);
-                    let _ = reply.send(Err(InferError::DeadlineExpired));
+                    let released = self.finish_one(st);
+                    reply.send(Err(InferError::DeadlineExpired), released);
                     continue;
                 }
                 if *trace != 0 {
@@ -1175,7 +1200,7 @@ impl Scheduler {
             id,
             chunk,
             deadline: deadline.and_then(|d| after(now, d)),
-            reply,
+            reply: Reply(reply),
             submitted: now,
             trace,
         });
@@ -1195,62 +1220,87 @@ impl Scheduler {
         self.wake_replicas();
     }
 
-    /// Records one executed batch in one lock take, before its replies are
-    /// sent: per-request served counts, submit→reply latencies (from each
-    /// request's admission time) and slot releases, the batch-size sample,
-    /// and the replica's spike-density snapshot (last writer wins: its own
-    /// cumulative traffic).
+    /// Records one executed batch in one lock take, then answers each job
+    /// with its row of `logits`: per-request served counts, submit→reply
+    /// latencies (from each request's admission time) and slot releases,
+    /// the batch-size sample, and the replica's spike-density snapshot
+    /// (last writer wins: its own cumulative traffic).
     pub(crate) fn record_served(
         &self,
-        served: &[(Priority, TenantId, u64)],
+        batch: &[Job],
+        logits: Vec<Tensor>,
         density: SpikeDensityReport,
     ) {
-        let mut st = self.lock();
-        let now = self.clock.now_ns();
-        for &(priority, tenant, submitted) in served {
-            st.metrics.priority_mut(priority).served += 1;
-            st.metrics.tenant_mut(tenant).served += 1;
-            st.metrics.latency.record(secs(now.saturating_sub(submitted)));
-            self.finish_one(&mut st);
+        let released: Vec<Released> = {
+            let mut st = self.lock();
+            let now = self.clock.now_ns();
+            let released = batch
+                .iter()
+                .map(|job| {
+                    st.metrics.priority_mut(job.priority).served += 1;
+                    st.metrics.tenant_mut(job.tenant).served += 1;
+                    st.metrics.latency.record(secs(now.saturating_sub(job.submitted)));
+                    self.finish_one(&mut st)
+                })
+                .collect();
+            st.metrics.batch_sizes.record(batch.len() as f64);
+            st.metrics.batches_executed += 1;
+            st.metrics.spike_density = density.per_layer;
+            st.metrics.mean_spike_density = density.mean;
+            released
+        };
+        for ((job, row), done) in batch.iter().zip(logits).zip(released) {
+            job.reply.send(Ok(row), done);
         }
-        st.metrics.batch_sizes.record(served.len() as f64);
-        st.metrics.batches_executed += 1;
-        st.metrics.spike_density = density.per_layer;
-        st.metrics.mean_spike_density = density.mean;
     }
 
     /// Records a request rejected by plan validation (failed its own
-    /// ticket inside an otherwise healthy batch).
-    pub(crate) fn record_failed(&self, priority: Priority, tenant: TenantId) {
-        let mut st = self.lock();
-        st.metrics.priority_mut(priority).failed += 1;
-        st.metrics.tenant_mut(tenant).failed += 1;
-        self.finish_one(&mut st);
+    /// ticket inside an otherwise healthy batch), then answers it `error`.
+    pub(crate) fn record_failed(&self, job: &Job, error: InferError) {
+        let released = {
+            let mut st = self.lock();
+            st.metrics.priority_mut(job.priority).failed += 1;
+            st.metrics.tenant_mut(job.tenant).failed += 1;
+            self.finish_one(&mut st)
+        };
+        job.reply.send(Err(error), released);
     }
 
-    /// Records one served stream chunk: execution/skip accounting plus
-    /// the submit→reply latency from its admission time `submitted`
-    /// (stream chunks share the request latency histogram — they are
-    /// requests).
-    pub(crate) fn record_stream_chunk(&self, report: FeedReport, submitted: u64) {
-        let mut st = self.lock();
-        let latency = secs(self.clock.now_ns().saturating_sub(submitted));
-        let s = &mut st.metrics.sessions;
-        s.chunks_served += 1;
-        s.timesteps_executed += report.executed;
-        s.timesteps_skipped += report.skipped;
-        s.macs_executed += report.macs_executed;
-        s.macs_skipped += report.macs_skipped;
-        st.metrics.latency.record(latency);
-        self.finish_one(&mut st);
+    /// Records one served stream chunk, then answers it `update`:
+    /// execution/skip accounting plus the submit→reply latency from its
+    /// admission time `submitted` (stream chunks share the request latency
+    /// histogram — they are requests).
+    pub(crate) fn record_stream_chunk(
+        &self,
+        report: FeedReport,
+        submitted: u64,
+        reply: &Reply<StreamUpdate>,
+        update: StreamUpdate,
+    ) {
+        let released = {
+            let mut st = self.lock();
+            let latency = secs(self.clock.now_ns().saturating_sub(submitted));
+            let s = &mut st.metrics.sessions;
+            s.chunks_served += 1;
+            s.timesteps_executed += report.executed;
+            s.timesteps_skipped += report.skipped;
+            s.macs_executed += report.macs_executed;
+            s.macs_skipped += report.macs_skipped;
+            st.metrics.latency.record(latency);
+            self.finish_one(&mut st)
+        };
+        reply.send(Ok(update), released);
     }
 
     /// Records a rejected stream chunk (malformed, overrun, or dead
-    /// session).
-    pub(crate) fn record_stream_failed(&self) {
-        let mut st = self.lock();
-        st.metrics.sessions.chunks_failed += 1;
-        self.finish_one(&mut st);
+    /// session), then answers it `error`.
+    pub(crate) fn record_stream_failed(&self, reply: &Reply<StreamUpdate>, error: InferError) {
+        let released = {
+            let mut st = self.lock();
+            st.metrics.sessions.chunks_failed += 1;
+            self.finish_one(&mut st)
+        };
+        reply.send(Err(error), released);
     }
 
     /// Records a replica's session-table state after it changed: live
@@ -1351,11 +1401,14 @@ mod tests {
 
     impl Scheduler {
         /// Records `batch` served, as a replica does after its forward (no
-        /// density report).
+        /// density report, no answers).
         fn record_batch(&self, batch: &[Job]) {
-            let served: Vec<_> =
-                batch.iter().map(|j| (j.priority, j.tenant, j.submitted)).collect();
-            self.record_served(&served, SpikeDensityReport { per_layer: Vec::new(), mean: None });
+            // No logits: each job is counted served and answered nothing.
+            self.record_served(
+                batch,
+                Vec::new(),
+                SpikeDensityReport { per_layer: Vec::new(), mean: None },
+            );
         }
     }
 

@@ -30,7 +30,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use ttsnn_infer::sched::{batch_close, BatchClose};
-use ttsnn_infer::{CloseReason, Cluster, ClusterMetrics, ClusterSession, ClusterTicket};
+use ttsnn_infer::{
+    CloseReason, Cluster, ClusterMetrics, ClusterSession, ClusterTicket, InferError,
+};
 use ttsnn_snn::ConvPolicy;
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::Tensor;
@@ -324,6 +326,22 @@ fn a_reply_in_hand_is_already_in_the_metrics() {
         let m = cluster.metrics();
         assert_eq!((m.sessions.chunks_served, m.outstanding), (chunk, 0));
         assert_eq!(m.sessions.timesteps_executed, chunk);
+    }
+}
+
+/// The same for a request the replica refuses (its input is not the
+/// plan's frame): it is counted failed, and its slot released, before its
+/// error is sent.
+#[test]
+fn a_failed_reply_in_hand_is_already_in_the_metrics() {
+    let (cluster, _clock) = cluster(1, 1, Duration::ZERO);
+    let session = cluster.session();
+    let misshapen = Tensor::zeros(&[1, 2, 3]);
+    for failed in 1..=100u64 {
+        assert!(matches!(session.infer(misshapen.clone()), Err(InferError::Shape(_))));
+        let m = cluster.metrics();
+        assert_eq!((m.totals().failed, m.totals().served), (failed, 0));
+        assert_eq!((m.outstanding, m.queue_depth), (0, 0), "request {failed} still holds a slot");
     }
 }
 

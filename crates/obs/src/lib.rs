@@ -249,8 +249,28 @@ pub fn ring_count() -> usize {
 }
 
 /// Records a completed span for `trace`. No-op when tracing is off or
-/// `trace` is 0, so call sites can record unconditionally.
-pub fn record_span(trace: u64, name: &'static str, start_ns: u64, dur_ns: u64, a: u64, b: u64) {
+/// `trace` is 0, so call sites can record unconditionally. Crate-private:
+/// a lifecycle stage is recorded outside this crate by
+/// [`record_stage_span`] alone, which names the span and feeds the stage's
+/// histogram with it.
+///
+/// ```
+/// let trace = ttsnn_obs::next_trace_id();
+/// ttsnn_obs::record_stage_span(trace, ttsnn_obs::Stage::Execute, 0, 1, 0, 0);
+/// ```
+///
+/// ```compile_fail,E0603
+/// let trace = ttsnn_obs::next_trace_id();
+/// ttsnn_obs::record_span(trace, "execute", 0, 1, 0, 0);
+/// ```
+pub(crate) fn record_span(
+    trace: u64,
+    name: &'static str,
+    start_ns: u64,
+    dur_ns: u64,
+    a: u64,
+    b: u64,
+) {
     if trace == 0 || !enabled() {
         return;
     }
@@ -342,8 +362,8 @@ pub fn region(name: &'static str) -> Region {
     region_with(name, 0, 0)
 }
 
-/// [`region`] for a span that carries the `a` / `b` payload of
-/// [`record_span`] — the executor's `forward` span (steps, MACs).
+/// [`region`] for a span that carries an `a` / `b` payload — the
+/// executor's `forward` span (steps, MACs).
 pub fn region_with(name: &'static str, a: u64, b: u64) -> Region {
     let active = CONTEXT.with(|c| !c.borrow().is_empty()) && enabled();
     Region { name, start_ns: if active { now_ns() } else { 0 }, active, payload: (a, b) }
@@ -531,7 +551,7 @@ fn stage_hists() -> std::sync::MutexGuard<'static, Vec<Histogram>> {
 }
 
 /// Records one lifecycle stage of `trace`: a span named [`Stage::name`]
-/// (payloads as in [`record_span`]) and one observation of `dur_ns` in the
+/// (with its `a` / `b` payload) and one observation of `dur_ns` in the
 /// stage's latency histogram. The one way a stage is recorded, so the span
 /// and the `/metrics` family can never disagree. No-op when tracing is off
 /// or `trace` is 0.
@@ -539,8 +559,7 @@ pub fn record_stage_span(trace: u64, stage: Stage, start_ns: u64, dur_ns: u64, a
     if trace == 0 || !enabled() {
         return;
     }
-    let name = stage.name();
-    push_event(Event { trace, name, kind: EventKind::Span, start_ns, dur_ns, a, b });
+    record_span(trace, stage.name(), start_ns, dur_ns, a, b);
     stage_hists()[stage as usize].record(dur_ns as f64 / 1e9);
 }
 

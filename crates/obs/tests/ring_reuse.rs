@@ -4,6 +4,8 @@
 //! has threads recording at once. One test, so the process's ring count
 //! is this test's alone.
 
+use ttsnn_obs::{record_stage_span, Stage::Execute};
+
 #[test]
 fn dead_threads_rings_are_reused_and_stay_readable() {
     ttsnn_obs::set_enabled(true);
@@ -11,9 +13,7 @@ fn dead_threads_rings_are_reused_and_stay_readable() {
     for i in 0..200u64 {
         let trace = ttsnn_obs::next_trace_id();
         traces.push(trace);
-        std::thread::spawn(move || ttsnn_obs::record_span(trace, "short_lived", i, 1, i, 0))
-            .join()
-            .unwrap();
+        std::thread::spawn(move || record_stage_span(trace, Execute, i, 1, i, 0)).join().unwrap();
     }
     // One ring serves all 200 threads in turn (a second only if a thread's
     // exit had not yet returned its ring when the next one started —
@@ -26,18 +26,18 @@ fn dead_threads_rings_are_reused_and_stay_readable() {
     for (i, &trace) in traces.iter().enumerate() {
         let events = ttsnn_obs::trace_events(trace);
         assert_eq!(events.len(), 1, "thread {i}'s span must outlive the thread");
-        assert_eq!((events[0].name, events[0].a), ("short_lived", i as u64));
+        assert_eq!((events[0].name, events[0].a), ("execute", i as u64));
     }
     // A thread that records while another still holds a lease gets a ring
     // of its own: reuse never shares a ring between two live threads.
     let before = ttsnn_obs::ring_count();
     let held = ttsnn_obs::next_trace_id();
-    ttsnn_obs::record_span(held, "main", 0, 1, 0, 0);
+    record_stage_span(held, Execute, 0, 1, 0, 0);
     let all_recorded = std::sync::Barrier::new(3);
     std::thread::scope(|scope| {
         for _ in 0..3 {
             scope.spawn(|| {
-                ttsnn_obs::record_span(ttsnn_obs::next_trace_id(), "concurrent", 0, 1, 0, 0);
+                record_stage_span(ttsnn_obs::next_trace_id(), Execute, 0, 1, 0, 0);
                 all_recorded.wait();
             });
         }

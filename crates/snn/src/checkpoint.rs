@@ -197,7 +197,7 @@ pub fn load_params<R: Read>(params: &[Var], mut r: R) -> io::Result<()> {
 /// builder calls it after [`load_params`] (and any TT→dense merge), ships
 /// the returned handles to the other executor replicas (they are `Send` —
 /// plain data, no autograd), and each replica installs them with
-/// [`install_params`]. Afterwards **all** replicas' parameters alias one
+/// [`Network::install_frozen`](crate::Network::install_frozen). Afterwards **all** replicas' parameters alias one
 /// buffer per tensor ([`Tensor::shares_storage_with`]); per-replica memory
 /// is just membrane state. The calling model's own parameters are switched
 /// to the shared storage too, so it serves from the same single copy.
@@ -227,7 +227,7 @@ pub fn share_params(params: &[Var]) -> Vec<Tensor> {
 ///
 /// Returns an `InvalidData` error if the tensor count or any tensor's
 /// shape disagrees with the destination parameters.
-pub fn install_params(params: &[Var], tensors: &[Tensor]) -> io::Result<()> {
+pub(crate) fn install_params(params: &[Var], tensors: &[Tensor]) -> io::Result<()> {
     if tensors.len() != params.len() {
         return Err(bad(format!(
             "plan holds {} tensors but the model has {} parameters",

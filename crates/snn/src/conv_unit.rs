@@ -40,7 +40,7 @@ pub(crate) fn route_events<'a>(
 }
 
 /// What freezing a plan lays out, once, for one convolution site's event
-/// scatter ([`crate::Network::freeze_event_layouts`]): the [`WindowTable`]
+/// scatter ([`crate::Network::install_frozen`]): the [`WindowTable`]
 /// of the site's geometry and, beside a dense f32 kernel, that kernel as
 /// [`EventWeights`] (an int8 unit carries its own in `QConvWeights`).
 #[derive(Debug)]
@@ -353,7 +353,7 @@ impl ConvUnit {
     /// spike words of the LIF scan that produced `x`, when it handed them
     /// over), whether the event-driven kernels serve the call.
     /// They read `layouts` when the plan froze some for this unit
-    /// ([`crate::Network::freeze_event_layouts`]) and lay their own out
+    /// ([`crate::Network::install_frozen`]) and lay their own out
     /// otherwise, with the same bits.
     ///
     /// TT units always run dense: their weights live as factorized cores,

@@ -69,7 +69,38 @@ pub enum InferStats {
 /// all of it in one call on the training plane), then (on the training
 /// plane) a loss on the per-timestep logits and one `backward()` spanning
 /// the whole spatio-temporal graph.
-pub trait SpikingModel {
+///
+/// Sealed: [`Network`](crate::Network) is the one implementor, so a model
+/// is one layer program walked by one tape interpreter, one tensor
+/// interpreter and one accounting walk. Another type cannot implement this
+/// trait or [`InferForward`], in this crate or outside it:
+///
+/// ```
+/// # use ttsnn_autograd::Var;
+/// struct Mine;
+/// impl Mine {
+///     fn params(&self) -> Vec<Var> { Vec::new() }
+///     fn reset_state(&mut self) {}
+///     fn name(&self) -> String { "mine".into() }
+///     fn macs_at(&self, _t: usize) -> usize { 0 }
+///     fn mean_spike_activity(&self) -> Option<f64> { None }
+///     fn layer_spike_densities(&self) -> Vec<f64> { Vec::new() }
+/// }
+/// ```
+///
+/// ```compile_fail,E0277
+/// # use ttsnn_autograd::Var;
+/// struct Mine;
+/// impl ttsnn_snn::SpikingModel for Mine {
+///     fn params(&self) -> Vec<Var> { Vec::new() }
+///     fn reset_state(&mut self) {}
+///     fn name(&self) -> String { "mine".into() }
+///     fn macs_at(&self, _t: usize) -> usize { 0 }
+///     fn mean_spike_activity(&self) -> Option<f64> { None }
+///     fn layer_spike_densities(&self) -> Vec<f64> { Vec::new() }
+/// }
+/// ```
+pub trait SpikingModel: sealed::Plane {
     /// All trainable parameters.
     fn params(&self) -> Vec<Var>;
 
@@ -168,8 +199,16 @@ impl InferState {
     }
 }
 
+mod sealed {
+    /// The seal on the two plane traits, implemented for `Network` alone.
+    pub trait Plane {}
+
+    impl Plane for crate::Network {}
+}
+
 /// The **inference plane**: layer-major forward on plain [`Tensor`]s, over
-/// any cut of a sequence.
+/// any cut of a sequence. Sealed, as [`SpikingModel`] is: `Network` is
+/// the one implementor, and `&mut dyn InferForward` takes one.
 ///
 /// Implementations must allocate **zero autograd nodes**, route their
 /// heavy kernels through `ttsnn_tensor::runtime`, and recycle every

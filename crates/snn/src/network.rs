@@ -290,7 +290,7 @@ impl Program {
 #[derive(Debug)]
 enum Op {
     /// `in_hw` is the input's spatial size, for MAC accounting; `events` the
-    /// layouts [`Network::freeze_event_layouts`] made for the unit.
+    /// layouts [`Network::install_frozen`] made for the unit.
     Conv {
         unit: ConvUnit,
         in_hw: (usize, usize),
@@ -540,6 +540,73 @@ impl Network {
         Ok(merged)
     }
 
+    /// Turns this freshly built model into a serving replica of a frozen
+    /// plan — the one way a model is brought up to serve. In this order:
+    ///
+    /// 1. `quant`'s shared int8 conv and classifier weights replace the
+    ///    model's float ones ([`Network::quant_plan`] exports them), which
+    ///    shrinks [`SpikingModel::params`] to the float (norm) remainder;
+    /// 2. `weights` — [`checkpoint::share_params`](crate::checkpoint::share_params)
+    ///    of the plan, in `params()` order — are installed as O(1) handles,
+    ///    so every replica aliases one copy;
+    /// 3. the event layouts are laid out from the final weights;
+    /// 4. the model switches to [`InferStats::PerSample`], the serving
+    ///    contract.
+    ///
+    /// The model starts with the plan's weights and no traffic on its
+    /// activity counters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `quant` or `weights` does not match the
+    /// architecture. A mismatched `quant` leaves the model untouched; a
+    /// mismatched `weights` list is found after `quant` is installed.
+    ///
+    /// The steps it runs are not public, so a replica cannot be assembled
+    /// any other way:
+    ///
+    /// ```
+    /// # use ttsnn_snn::{checkpoint, ConvPolicy, Network, SpikingModel, VggConfig};
+    /// # let mut net = Network::new(VggConfig::vgg9(3, 5, (8, 8), 16), &ConvPolicy::Baseline, &mut ttsnn_tensor::Rng::seed_from(1));
+    /// let weights = checkpoint::share_params(&net.params());
+    /// net.install_frozen(&weights, None).unwrap();
+    /// ```
+    ///
+    /// ```compile_fail,E0624
+    /// # use ttsnn_snn::{checkpoint, ConvPolicy, Network, SpikingModel, VggConfig};
+    /// # let mut net = Network::new(VggConfig::vgg9(3, 5, (8, 8), 16), &ConvPolicy::Baseline, &mut ttsnn_tensor::Rng::seed_from(1));
+    /// let weights = checkpoint::share_params(&net.params());
+    /// net.freeze_event_layouts().unwrap();
+    /// ```
+    ///
+    /// ```compile_fail,E0624
+    /// # use ttsnn_snn::{checkpoint, ConvPolicy, Network, SpikingModel, VggConfig};
+    /// # let mut net = Network::new(VggConfig::vgg9(3, 5, (8, 8), 16), &ConvPolicy::Baseline, &mut ttsnn_tensor::Rng::seed_from(1));
+    /// let weights = checkpoint::share_params(&net.params());
+    /// net.install_quant_plan(&net.quant_plan().unwrap()).unwrap();
+    /// ```
+    ///
+    /// ```compile_fail,E0603
+    /// # use ttsnn_snn::{checkpoint, ConvPolicy, Network, SpikingModel, VggConfig};
+    /// # let mut net = Network::new(VggConfig::vgg9(3, 5, (8, 8), 16), &ConvPolicy::Baseline, &mut ttsnn_tensor::Rng::seed_from(1));
+    /// let weights = checkpoint::share_params(&net.params());
+    /// checkpoint::install_params(&net.params(), &weights).unwrap();
+    /// ```
+    pub fn install_frozen(
+        &mut self,
+        weights: &[Tensor],
+        quant: Option<&QuantPlanWeights>,
+    ) -> Result<(), ShapeError> {
+        if let Some(quant) = quant {
+            self.install_quant_plan(quant)?;
+        }
+        crate::checkpoint::install_params(&self.params(), weights)
+            .map_err(|e| ShapeError::new(e.to_string()))?;
+        self.freeze_event_layouts()?;
+        self.set_infer_stats(InferStats::PerSample);
+        Ok(())
+    }
+
     /// Lays out, once, what the event-driven kernels read at every
     /// convolution the serving plane may route to them (TT units never are):
     /// the window table of the site's geometry and a dense f32 kernel's
@@ -553,7 +620,7 @@ impl Network {
     ///
     /// Returns [`ShapeError`] if a dense kernel is not 4-D (cannot happen
     /// through this API).
-    pub fn freeze_event_layouts(&mut self) -> Result<(), ShapeError> {
+    pub(crate) fn freeze_event_layouts(&mut self) -> Result<(), ShapeError> {
         for op in &mut self.ops {
             if let Op::Conv { unit, in_hw, events, .. } = op {
                 *events = unit.event_layouts(*in_hw)?;
@@ -665,7 +732,7 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if the plan does not match the architecture.
-    pub fn install_quant_plan(&mut self, plan: &QuantPlanWeights) -> Result<(), ShapeError> {
+    pub(crate) fn install_quant_plan(&mut self, plan: &QuantPlanWeights) -> Result<(), ShapeError> {
         // Validate the classifier BEFORE mutating any conv site, so a
         // mismatched plan cannot leave the model half-installed.
         let (fc, x_scale) = &plan.fc;

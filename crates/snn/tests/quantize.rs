@@ -145,18 +145,15 @@ fn plan_export_install_is_bit_exact_and_shares_storage() {
     let mut rng = Rng::seed_from(9);
     let cfg = vgg9_tiny();
     let mut a = VggSnn::new(cfg.clone(), &ConvPolicy::Baseline, &mut rng);
-    let mut ckpt = Vec::new();
-    checkpoint::save_params(&a.params(), &mut ckpt).unwrap();
     let frames = calib_frames(3, 8, 3, 10);
     let calib = a.calibrate(&frames, T).unwrap();
     a.quantize(&calib, &QuantConfig::default()).unwrap();
     let plan = a.quant_plan().expect("quantized model exports a plan");
 
-    // Replica: fresh weights (loaded from the same checkpoint for the
-    // norm params), then the shared int8 plan.
+    // Replica: fresh weights, then the shared int8 plan and the float
+    // (norm) remainder, installed as a serving replica is.
     let mut b = VggSnn::new(cfg, &ConvPolicy::Baseline, &mut Rng::seed_from(999));
-    checkpoint::load_params(&b.params(), ckpt.as_slice()).unwrap();
-    b.install_quant_plan(&plan).unwrap();
+    b.install_frozen(&checkpoint::share_params(&a.params()), Some(&plan)).unwrap();
     assert!(b.is_quantized());
 
     a.set_infer_stats(InferStats::PerSample);
@@ -236,7 +233,7 @@ fn mismatched_plan_install_leaves_model_untouched() {
     let cfg7 = VggConfig::vgg9(3, 7, (8, 8), 16);
     let mut b = VggSnn::new(cfg7, &ConvPolicy::Baseline, &mut rng);
     let before_params = b.num_params();
-    let err = b.install_quant_plan(&plan).unwrap_err().to_string();
+    let err = b.install_frozen(&[], Some(&plan)).unwrap_err().to_string();
     assert!(err.contains("classifier"), "unclear error: {err}");
     assert!(!b.is_quantized());
     assert_eq!(b.num_params(), before_params, "rejected install must not mutate the model");

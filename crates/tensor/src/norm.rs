@@ -1,14 +1,16 @@
-//! The per-channel reductions of batch normalization (tdBN, Zheng et al.,
-//! AAAI 2021), for both execution planes: the statistics `(μ, 1/√(σ² + eps))`
-//! of every (group, channel) and the backward's sums `(Σ dy, Σ dy·x̂)`.
+//! Batch normalization (tdBN, Zheng et al., AAAI 2021) for both execution
+//! planes: the per-channel reductions — the statistics `(μ, 1/√(σ² + eps))`
+//! of every (group, channel) and the backward's sums `(Σ dy, Σ dy·x̂)` — and
+//! the elementwise passes that apply them.
 //!
 //! An operand is `groups` runs of `b` samples, each sample `(C, H·W)`
 //! ([`NormDims`]); a group's statistics are taken over its `b` samples.
-//! The training plane (`Var::batch_norm2d`) takes them from
-//! [`channel_stats`] and normalizes out of place; the inference plane
-//! (`Norm::forward_tensor`) normalizes in place through [`normalize`],
-//! which computes them with the same code. So the planes agree bit for bit
-//! by construction, not by a mirrored loop.
+//! The training plane (`Var::batch_norm2d`) runs [`batch_norm`] and
+//! [`batch_norm_backward`], out of place; the inference plane
+//! (`Norm::forward_tensor`) normalizes in place through [`normalize`].
+//! Both forwards take their statistics from the same code and apply them
+//! with the same elementwise body, so the planes agree bit for bit by
+//! construction, not by a mirrored loop.
 //!
 //! # Reduction order
 //!
@@ -45,6 +47,14 @@ pub(crate) const LANES: usize = 8;
 /// 16–1024 (≈ 0.8–1 ns at 4), the backward sums ≈ 0.45–0.6 ns, where an
 /// elementwise pass spends ≈ 0.1 ns on each of its operations.
 const ELEMENT_COST: usize = 4;
+
+/// What one element of the forward's elementwise pass costs, in the same
+/// operations: `γk · ((v − μ) · inv) + β` is four of them.
+const AFFINE_COST: usize = 4;
+
+/// What one element of the backward's `dx` pass costs, in the same
+/// operations: `x̂` and `coeff · (n · dy − Σ dy − x̂ · Σ dy·x̂)` are eight.
+const GRAD_COST: usize = 8;
 
 /// Shape of a normalization operand: runs of `b` samples (the statistics
 /// groups), each sample `(c, plane)`.
@@ -161,23 +171,117 @@ pub fn normalize(
     check(dims, x.len(), 2 * c * (x.len() / group));
     assert!(gamma.len() == c && beta.len() == c, "norm: γ / β are not one per channel");
     let lanes = Lanes::current();
-    // The statistics, then one more streamed pass of ≈ 4 operations.
-    let grain = fork_grain((ELEMENT_COST + 4) * group);
+    // The statistics, then one more streamed pass.
+    let grain = fork_grain((ELEMENT_COST + AFFINE_COST) * group);
     rt.parallel_over_slabs(x, group, grain, |g, xs| {
         let sv = scale(g);
         with_scratch(2 * c, |stats: &mut [f32]| {
             fill_stats(lanes, dims, xs, eps, 0, stats);
             for sample in xs.chunks_exact_mut(c * plane) {
-                let channels = sample.chunks_exact_mut(plane).zip(stats.chunks_exact(2));
-                for (ch, (xc, st)) in channels.enumerate() {
-                    let (mean, inv, gk, shift) = (st[0], st[1], gamma[ch] * k, beta[ch]);
-                    for v in xc {
-                        *v = (gk * ((*v - mean) * inv) + shift) * sv;
-                    }
-                }
+                affine_sample(sample, None, plane, stats, (gamma, beta, k), sv);
             }
         });
     });
+}
+
+/// The training forward, in two pool phases. Phase 1 fills `stats`, a
+/// `[groups · C × 2]` array of `(μ, 1/√(σ² + eps))` per group and channel,
+/// through [`channel_stats`]. Phase 2 writes `y = γ·k·(x − μ)/√(σ² + eps) +
+/// β`, a sample per slab, with [`normalize`]'s elementwise body. Neither
+/// split changes what an element computes, so the result does not depend on
+/// the thread count. `affine` is `(γ, β, k)`.
+///
+/// # Panics
+///
+/// Panics unless `x` and `y` are a whole number of groups of `dims` and
+/// `stats` holds two values per (group, channel) of them.
+pub fn batch_norm(
+    rt: &Runtime,
+    dims: NormDims,
+    x: &[f32],
+    affine: (&[f32], &[f32], f32),
+    eps: f32,
+    stats: &mut [f32],
+    y: &mut [f32],
+) {
+    let NormDims { b, c, plane } = dims;
+    channel_stats(rt, dims, x, eps, stats);
+    assert!(y.len() == x.len(), "norm: y is not shaped like x");
+    let stats = &*stats;
+    let slab = c * plane;
+    rt.parallel_over_slabs(y, slab, fork_grain(AFFINE_COST * slab), |s, y_s| {
+        let x_s = &x[s * slab..(s + 1) * slab];
+        let group = &stats[s / b * 2 * c..(s / b + 1) * 2 * c];
+        affine_sample(y_s, Some(x_s), plane, group, affine, 1.0);
+    });
+}
+
+/// The training backward, in the same two phases. Phase 1 fills `sums`, a
+/// `[groups · C × 2]` array, with the reductions `(Σ dy, Σ dy·x̂)` per group
+/// and channel ([`channel_grad_sums`]); phase 2 rewrites `g` from `dy` to
+/// `dx` in place, a sample per slab (element `i` needs `dy[i]` and the two
+/// sums of its group and channel only). `stats` is what [`batch_norm`]
+/// filled, `scale` is `(γ, k)`.
+///
+/// # Panics
+///
+/// Panics under [`channel_grad_sums`]'s conditions.
+pub fn batch_norm_backward(
+    rt: &Runtime,
+    dims: NormDims,
+    x: &[f32],
+    stats: &[f32],
+    (gamma, k): (&[f32], f32),
+    g: &mut [f32],
+    sums: &mut [f32],
+) {
+    let NormDims { b, c, plane } = dims;
+    let n = (b * plane) as f32;
+    channel_grad_sums(rt, dims, x, g, stats, sums);
+    let slab = c * plane;
+    rt.parallel_over_slabs(g, slab, fork_grain(GRAD_COST * slab), |s, g_s| {
+        let x_s = &x[s * slab..(s + 1) * slab];
+        let group = s / b * 2 * c..(s / b + 1) * 2 * c;
+        let per_channel = stats[group.clone()].chunks(2).zip(sums[group].chunks(2));
+        for (ch, ((st, su), &gm)) in per_channel.zip(gamma).enumerate() {
+            let (m, inv) = (st[0], st[1]);
+            let (sum_dy, sum_dy_xhat) = (su[0], su[1]);
+            let coeff = gm * k * inv / n;
+            let r = ch * plane..(ch + 1) * plane;
+            for (dy, &v) in g_s[r.clone()].iter_mut().zip(&x_s[r]) {
+                let xh = (v - m) * inv;
+                *dy = coeff * (n * *dy - sum_dy - xh * sum_dy_xhat);
+            }
+        }
+    });
+}
+
+/// The forward's one elementwise body: every element `v` of one `(C,
+/// plane)` sample becomes `(γ[ch] · k · ((v − μ) · inv) + β[ch]) · sv` by
+/// its channel's `stats`, read from `src` (or from `dst` itself when `src`
+/// is `None`) and written to `dst`.
+#[inline(always)]
+fn affine_sample(
+    dst: &mut [f32],
+    src: Option<&[f32]>,
+    plane: usize,
+    stats: &[f32],
+    (gamma, beta, k): (&[f32], &[f32], f32),
+    sv: f32,
+) {
+    let channels = dst.chunks_exact_mut(plane).zip(stats.chunks_exact(2));
+    for (ch, (out, st)) in channels.enumerate() {
+        let (mean, inv, gk, shift) = (st[0], st[1], gamma[ch] * k, beta[ch]);
+        let f = |v: f32| (gk * ((v - mean) * inv) + shift) * sv;
+        match src {
+            None => out.iter_mut().for_each(|v| *v = f(*v)),
+            Some(src) => {
+                for (o, &v) in out.iter_mut().zip(&src[ch * plane..(ch + 1) * plane]) {
+                    *o = f(v);
+                }
+            }
+        }
+    }
 }
 
 /// The statistics of the (group, channel) pairs `first..` into `out`, two

@@ -49,6 +49,32 @@
 //! runtime::gemm(Runtime::global(), &a, &b, &mut out, 2, 3, 4);
 //! assert_eq!(out, vec![6.0f32; 8]);
 //! ```
+//!
+//! # What stays inside the crate
+//!
+//! How big a forked range is (`fork_grain`) is decided by this crate's
+//! kernels, and the arena's escaping buffers (`take_buffer` /
+//! `recycle_buffer`) are paired by `Tensor::scratch` / `Tensor::recycle`
+//! alone: none of the three is public. A caller outside the crate sizes
+//! nothing and borrows its scratch:
+//!
+//! ```
+//! use ttsnn_tensor::runtime;
+//! let _ = runtime::scratch_bytes();
+//! let _ = runtime::with_scratch(4, |b: &mut [f32]| b.len());
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use ttsnn_tensor::runtime;
+//! let _ = runtime::fork_grain(4);
+//! let _ = runtime::with_scratch(4, |b: &mut [f32]| b.len());
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use ttsnn_tensor::runtime;
+//! let _ = runtime::scratch_bytes();
+//! runtime::recycle_buffer(runtime::take_buffer::<f32>(4));
+//! ```
 
 mod arena;
 mod gemm;
@@ -62,4 +88,5 @@ pub use arena::{scratch_bytes, scratch_depth, with_scratch, with_scratch_zeroed,
 pub(crate) use gemm::{dot_gemm, dot_row, saxpy_gemm, Mac, F32};
 pub use gemm::{gemm, gemm_a_bt, gemm_at_b, reference_gemm};
 pub use lanes::{lanes, with_lanes, Lanes};
-pub use pool::{fork_grain, PoolStats, Runtime};
+pub(crate) use pool::fork_grain;
+pub use pool::{PoolStats, Runtime};

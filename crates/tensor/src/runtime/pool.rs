@@ -116,7 +116,7 @@ const SPIN_BUDGET: Duration = Duration::from_micros(200);
 /// that cost where it calls this. The one place the fork policy lives — it
 /// depends on the call's shape only, never on the thread count, so it
 /// cannot move a result bit.
-pub fn fork_grain(work_per_item: usize) -> usize {
+pub(crate) fn fork_grain(work_per_item: usize) -> usize {
     (FORK_WORK / work_per_item.max(1)).max(1)
 }
 

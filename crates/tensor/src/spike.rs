@@ -331,27 +331,6 @@ pub const fn sparse_mode() -> SparseMode {
 // ---------------------------------------------------------------------------
 // Plan-time layouts
 
-/// The windows of one axis through which an input at coordinate `i` is
-/// read: every `(k, o)` with `o·stride + k = i + pad` and `o < out_len`, in
-/// ascending `k`, written to the front of `wins` (at most `kernel` of them);
-/// returns how many there were. A 2-D window is a row window times a column
-/// window.
-fn event_windows(
-    i: usize,
-    (kernel, stride, pad, out_len): (usize, usize, usize, usize),
-    wins: &mut [(u32, u32)],
-) -> usize {
-    let mut n = 0;
-    for k in 0..kernel.min(i + pad + 1) {
-        let o_s = i + pad - k;
-        if o_s.is_multiple_of(stride) && o_s / stride < out_len {
-            wins[n] = (k as u32, (o_s / stride) as u32);
-            n += 1;
-        }
-    }
-    n
-}
-
 /// Fills `g`'s window table: input position `pos = ii·W + jj` gets the
 /// windows `wins[starts[pos]..starts[pos + 1]]`, each `(kidx, opos)` with
 /// `kidx = ki·Kw + kj` and `opos = oi·Ow + oj`, in ascending `kidx`.
@@ -359,6 +338,27 @@ fn event_windows(
 /// axis windows are worked out once per row and per column, so the table
 /// costs one write per entry.
 fn fill_windows(g: &Conv2dGeometry, starts: &mut [u32], wins: &mut [(u32, u32)]) -> usize {
+    /// The windows of one axis through which an input at coordinate `i` is
+    /// read: every `(k, o)` with `o·stride + k = i + pad` and `o < out_len`, in
+    /// ascending `k`, written to the front of `wins` (at most `kernel` of them);
+    /// returns how many there were. A 2-D window is a row window times a column
+    /// window. Nested here, so the table builder is its one caller.
+    fn event_windows(
+        i: usize,
+        (kernel, stride, pad, out_len): (usize, usize, usize, usize),
+        wins: &mut [(u32, u32)],
+    ) -> usize {
+        let mut n = 0;
+        for k in 0..kernel.min(i + pad + 1) {
+            let o_s = i + pad - k;
+            if o_s.is_multiple_of(stride) && o_s / stride < out_len {
+                wins[n] = (k as u32, (o_s / stride) as u32);
+                n += 1;
+            }
+        }
+        n
+    }
+
     let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
     let row_axis = (kh, g.stride.0, g.padding.0, oh);
     let col_axis = (kw, g.stride.1, g.padding.1, ow);

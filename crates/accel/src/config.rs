@@ -1,9 +1,7 @@
 //! Hardware implementation parameters (Table I of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// The accelerator configuration of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcceleratorConfig {
     /// Process technology in nanometres (paper: 28 nm CMOS).
     pub technology_nm: u32,
@@ -90,11 +88,5 @@ mod tests {
     #[test]
     fn default_is_paper() {
         assert_eq!(AcceleratorConfig::default(), AcceleratorConfig::paper());
-    }
-
-    #[test]
-    fn config_is_serializable() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<AcceleratorConfig>();
     }
 }

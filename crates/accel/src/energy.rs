@@ -6,10 +6,8 @@
 //! than their *ratios* — multiplier vs accumulate-only PEs, SRAM vs DRAM —
 //! which drive every effect in Fig. 4. All values are picojoules.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-op energy constants (pJ) and modeling factors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One 8-bit multiply + 16-bit accumulate (the MAC of clusters 2–4,
     /// which process non-spike activations).
@@ -64,7 +62,7 @@ impl EnergyModel {
 }
 
 /// Numeric precision of a frozen serving plan, for [`serving_energy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingPrecision {
     /// Float plan: fp32 MACs, 4-byte weights and activations.
     F32,
@@ -140,7 +138,7 @@ impl Default for EnergyModel {
 
 /// Energy report for one training pass of one image (forward + backward
 /// across all timesteps), in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Arithmetic (MAC/accumulate) energy.
     pub compute_pj: f64,

@@ -303,21 +303,6 @@ impl Var {
         ))
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Var {
-        let value = self.value().map(|v| v.max(0.0));
-        Var::from_op(
-            "relu",
-            value,
-            vec![self.clone()],
-            Box::new(|mut g, parents| {
-                g.zip_inplace(&parents[0].value(), |gv, xv| if xv > 0.0 { gv } else { 0.0 })
-                    .expect("relu backward shape");
-                parents[0].accumulate_grad(g);
-            }),
-        )
-    }
-
     /// The LIF neuron of Eq. (1) over `steps` timesteps at once. `self` is
     /// the synaptic input of a layer as a time-major stack `[steps·B, …]`
     /// (row `t·B + s`), `carry` the post-reset membrane `[B, …]` an earlier
@@ -1112,13 +1097,6 @@ mod tests {
         );
         grad_check(&x, || x.scale_by(&s).unwrap().sum_to_scalar(), &[0, 2], 1e-2, 1e-2);
         assert!(x.scale_by(&x).is_err());
-    }
-
-    #[test]
-    fn relu_grad_masks_negatives() {
-        let x = Var::param(Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[4]).unwrap());
-        x.relu().sum_to_scalar().backward();
-        assert_eq!(x.grad().unwrap().data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
     /// The test-only spike node `H(u − V_th)` with a surrogate gradient:

@@ -1,5 +1,5 @@
-//! Data-parallel training throughput: sharded vs single-shard, plus the
-//! persistent pool's region-dispatch cost vs the old scoped-spawn design.
+//! Data-parallel training throughput: sharded vs single-shard, plus what
+//! the persistent pool's region handoff costs.
 //!
 //! Criterion-free. Two experiments, both recorded into
 //! `BENCH_train_sharded.json` in the working directory:
@@ -9,12 +9,11 @@
 //!    micro-batch size (so the two runs produce bit-identical weights —
 //!    only wall-clock differs).
 //! 2. **`pool_dispatch`** — microseconds per two-thread parallel region
-//!    for the persistent channel-fed pool: empty ranges against an inline
-//!    scoped-spawn-per-region baseline (the PR 1 design), ranges of real
-//!    work handed to a worker that is still spinning
-//!    (`pool_region_handoff_*`, what `runtime`'s fork grain is sized
-//!    from), and the same with the worker parked (`pool_region_parked_us`,
-//!    what its spin budget is sized from).
+//!    for the persistent pool: ranges of real work handed to a worker
+//!    that is still spinning (`pool_region_handoff_*`, what `runtime`'s
+//!    fork grain is sized from), and the same with the worker parked
+//!    (`pool_region_parked_us`, what its spin budget is sized from). The
+//!    empty-range region is the benchmark's `tensor.pool_region_us`.
 //!
 //! ```sh
 //! TTSNN_NUM_THREADS=1 cargo run -p ttsnn-bench --release --bin train_sharded
@@ -87,17 +86,6 @@ fn phases(label: &str, t: &StepTiming) {
     );
 }
 
-/// Scoped fork/join region over two ranges — the per-region thread-spawn
-/// design this pool replaced, reproduced inline as the baseline.
-fn scoped_region(n: usize, f: impl Fn(usize, usize) + Sync) {
-    let mid = n / 2;
-    std::thread::scope(|s| {
-        let fref = &f;
-        s.spawn(move || fref(mid, n));
-        fref(0, mid);
-    });
-}
-
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
@@ -154,8 +142,8 @@ fn settle(rt: &Runtime) {
 /// opened back to back, the way kernels inside a training step open them:
 /// the worker is still spinning from the last region when the next arrives,
 /// so this is the **hot handoff** `runtime`'s fork grain is sized from.
-/// ([`dispatch_cost`]'s empty ranges measure something else: the caller
-/// pops most of them back before any worker sees them.)
+/// (Empty ranges measure something else: the caller pops most of them back
+/// before any worker sees them.)
 fn handoff_region(rt: &Runtime, half_us: f64) -> Handoff {
     const REGIONS: usize = 2000;
     // Calibrate on the loop that is timed below: two ranges, run inline.
@@ -208,28 +196,6 @@ fn parked_region_us(rt: &Runtime) -> f64 {
     region - half
 }
 
-/// Microseconds per two-worker region, persistent pool vs scoped spawn,
-/// on a deliberately tiny region (the dispatch overhead dominates).
-fn dispatch_cost(rt: &Runtime) -> (f64, f64) {
-    let sink = std::sync::atomic::AtomicUsize::new(0);
-    let body = |start: usize, end: usize| {
-        sink.fetch_add(end - start, std::sync::atomic::Ordering::Relaxed);
-    };
-    let iters = 2000u32;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rt.parallel_for(2, 1, body);
-    }
-    let pool_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    scoped_region(2, body);
-    let t1 = Instant::now();
-    for _ in 0..iters {
-        scoped_region(2, body);
-    }
-    let scoped_us = t1.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    (pool_us, scoped_us)
-}
-
 fn main() {
     let threads = Runtime::global().threads();
     println!(
@@ -248,11 +214,10 @@ fn main() {
 
     let rt = Runtime::new(2);
     settle(&rt);
-    let (pool_us, scoped_us) = dispatch_cost(&rt);
     let handoff = handoff_region(&rt, 12.0);
     let small = handoff_region(&rt, 2.5);
     let parked_us = parked_region_us(&rt);
-    println!("\n{:<24} {:>12.2} us/region (empty ranges)", "persistent pool", pool_us);
+    println!("\npersistent pool, two-range regions");
     for (label, h) in [("  2 x 12 us, worker hot", &handoff), ("  2 x 2.5 us, worker hot", &small)]
     {
         println!(
@@ -265,8 +230,6 @@ fn main() {
         );
     }
     println!("{:<24} {:>12.2} us/region over its ideal", "  worker parked", parked_us);
-    println!("{:<24} {:>12.2} us/region", "scoped spawn (PR 1)", scoped_us);
-    println!("{:<24} {:>12.2}x", "spawn amortization", scoped_us / pool_us);
 
     let records = vec![
         BenchRecord {
@@ -291,15 +254,12 @@ fn main() {
         BenchRecord {
             name: "pool_dispatch".into(),
             metrics: vec![
-                ("pool_region_us".into(), pool_us),
                 ("pool_region_handoff_us".into(), handoff.region_us),
                 ("pool_region_handoff_serial_us".into(), handoff.serial_us),
                 ("pool_region_handoff_on_worker_share".into(), handoff.on_worker_share),
                 ("pool_region_handoff_small_us".into(), small.region_us),
                 ("pool_region_handoff_small_serial_us".into(), small.serial_us),
                 ("pool_region_parked_us".into(), parked_us),
-                ("scoped_region_us".into(), scoped_us),
-                ("amortization_x".into(), scoped_us / pool_us),
             ],
         },
     ];

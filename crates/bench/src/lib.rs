@@ -15,13 +15,12 @@
 //!
 //! Every other number comes from `benchmark` (`BENCHMARK.json`: four
 //! workloads, end-to-end metrics, per-layer probes; see its README), except
-//! three probes it does not carry yet, each a binary that writes its own
+//! two probes it does not carry yet, each a binary that writes its own
 //! `BENCH_<name>.json`:
 //!
 //! | binary           | measures |
 //! |------------------|----------|
 //! | `train_sharded`  | shards × kernel threads table, pool handoff / parked-region cost |
-//! | `obs_overhead`   | telemetry-sampler and tracing overhead on one cluster |
 //! | `spike_sparsity` | sparse-vs-dense density crossover behind `SPARSE_DENSITY_THRESHOLD` |
 //!
 //! The [`harness`] module holds the shared measured-experiment plumbing;

@@ -22,6 +22,7 @@
 //! whole tensor to garbage.
 
 use ttsnn_autograd::Var;
+use ttsnn_tensor::qkernels::quantize_to_i8;
 use ttsnn_tensor::{ShapeError, Tensor};
 
 /// Why a tensor could not be quantized.
@@ -56,19 +57,15 @@ fn check_finite(t: &Tensor) -> Result<(), QuantError> {
 }
 
 /// Scale for one symmetric int8 group: `max|x| / 127`, and 1 for all-zero
-/// groups so dequantization stays exact.
+/// groups (or a max-abs so small the quotient underflows to zero) so
+/// dequantization stays exact.
 fn group_scale(xs: &[f32]) -> f32 {
-    let max_abs = xs.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    if max_abs > 0.0 {
-        max_abs / 127.0
+    let scale = xs.iter().fold(0.0f32, |m, &v| m.max(v.abs())) / 127.0;
+    if scale > 0.0 {
+        scale
     } else {
         1.0
     }
-}
-
-#[inline]
-fn to_grid(v: f32, scale: f32) -> i8 {
-    (v / scale).round().clamp(-127.0, 127.0) as i8
 }
 
 /// A tensor quantized to symmetric int8: `value ≈ scale × q`.
@@ -142,7 +139,8 @@ impl QuantizedPerChannel {
     }
 }
 
-/// Quantizes a tensor to symmetric int8 with one scale `max|x| / 127`.
+/// Quantizes a tensor to symmetric int8 with one scale `max|x| / 127`, on
+/// the grid of `ttsnn_tensor::qkernels::quantize_to_i8`.
 ///
 /// All-zero tensors quantize to all-zero values with scale 1.
 ///
@@ -154,7 +152,8 @@ impl QuantizedPerChannel {
 pub fn quantize_int8(t: &Tensor) -> Result<Quantized, QuantError> {
     check_finite(t)?;
     let scale = group_scale(t.data());
-    let values = t.data().iter().map(|&v| to_grid(v, scale)).collect();
+    let mut values = vec![0; t.len()];
+    quantize_to_i8(t.data(), scale, &mut values);
     Ok(Quantized { values, scale, shape: t.shape().to_vec() })
 }
 
@@ -181,12 +180,12 @@ pub fn quantize_int8_per_channel(t: &Tensor) -> Result<QuantizedPerChannel, Quan
     check_finite(t)?;
     let channels = t.shape()[0];
     let chunk = t.len() / channels;
-    let mut values = Vec::with_capacity(t.len());
+    let mut values = vec![0; t.len()];
     let mut scales = Vec::with_capacity(channels);
-    for slice in t.data().chunks(chunk) {
+    for (slice, q) in t.data().chunks(chunk).zip(values.chunks_mut(chunk)) {
         let scale = group_scale(slice);
         scales.push(scale);
-        values.extend(slice.iter().map(|&v| to_grid(v, scale)));
+        quantize_to_i8(slice, scale, q);
     }
     Ok(QuantizedPerChannel { values, scales, shape: t.shape().to_vec() })
 }

@@ -116,9 +116,9 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Overrides the `TTSNN_TRACE` gate at runtime (used by the
-/// `obs_overhead` bench to measure both modes in one process, and by
-/// tests). Takes effect immediately on all threads.
+/// Overrides the `TTSNN_TRACE` gate at runtime (used by the benchmark to
+/// measure both modes in one process, and by tests). Takes effect
+/// immediately on all threads.
 pub fn set_enabled(on: bool) {
     MODE.store(if on { MODE_ON } else { MODE_OFF }, Ordering::Relaxed);
 }

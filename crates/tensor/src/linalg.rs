@@ -180,21 +180,6 @@ fn jacobi_tall(a: &Tensor) -> Svd {
     Svd { u, s, vt }
 }
 
-/// Squared Frobenius norm of a 2-D tensor.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a` is not 2-D.
-pub fn frobenius_sq(a: &Tensor) -> Result<f32, ShapeError> {
-    if a.ndim() != 2 {
-        return Err(ShapeError::new(format!(
-            "frobenius_sq: expected 2-D tensor, got {:?}",
-            a.shape()
-        )));
-    }
-    Ok(a.data().iter().map(|v| v * v).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +287,6 @@ mod tests {
     fn svd_rejects_bad_input() {
         assert!(svd(&Tensor::zeros(&[3])).is_err());
         assert!(svd(&Tensor::zeros(&[0, 3])).is_err());
-        assert!(frobenius_sq(&Tensor::zeros(&[2, 2, 2])).is_err());
     }
 
     #[test]

@@ -349,26 +349,20 @@ fn check(dims: NormDims, x_len: usize, out_len: usize) {
     );
 }
 
-/// Calls `step` with each position of `K` lane blocks' rows in ascending
-/// order, lane `j` of block `k` from `rows[k][j]`. Eight positions at a time
-/// are copied out of the rows first, so the lanes' arithmetic is on plain
-/// arrays.
+/// Calls `step` with each position of a lane block's rows in ascending
+/// order, lane `j` from `rows[j]`. Eight positions at a time are copied out
+/// of the rows first, so the lanes' arithmetic is on plain arrays.
 #[inline(always)]
-fn each_position<const K: usize>(
-    rows: [[&[f32]; LANES]; K],
-    plane: usize,
-    mut step: impl FnMut([[f32; LANES]; K]),
-) {
+fn each_position(rows: [&[f32]; LANES], plane: usize, mut step: impl FnMut([f32; LANES])) {
     let p8 = plane - plane % 8;
     for p0 in (0..p8).step_by(8) {
-        let block: [[&[f32; 8]; LANES]; K] =
-            rows.map(|row| row.map(|r| r[p0..].first_chunk().expect("8 positions")));
+        let block: [&[f32; 8]; LANES] = rows.map(|r| r[p0..].first_chunk().expect("8 positions"));
         for i in 0..8 {
-            step(block.map(|b| b.map(|r| r[i])));
+            step(block.map(|r| r[i]));
         }
     }
     for p in p8..plane {
-        step(rows.map(|row| row.map(|r| r[p])));
+        step(rows.map(|r| r[p]));
     }
 }
 
@@ -386,12 +380,12 @@ pub(crate) fn plane_sums_portable(
         let row = block.rows(x, s);
         let mut part = [-0.0f32; LANES];
         match mean {
-            None => each_position([row], block.plane, |[v]| {
+            None => each_position(row, block.plane, |v| {
                 for (sum, v) in part.iter_mut().zip(v) {
                     *sum += v;
                 }
             }),
-            Some(mean) => each_position([row], block.plane, |[v]| {
+            Some(mean) => each_position(row, block.plane, |v| {
                 for ((sum, v), &m) in part.iter_mut().zip(v).zip(mean) {
                     // `(v − m)²` as `powi(2)` computes it: one multiply.
                     let d = v - m;
@@ -407,7 +401,8 @@ pub(crate) fn plane_sums_portable(
 }
 
 /// The portable backward body: per lane, `Σ dy` and `Σ dy · ((v − mean[j])
-/// · inv[j])`, each from `+0.0` through the samples and positions in order.
+/// · inv[j])`, each from `+0.0` through the samples and positions in order —
+/// one channel at a time, a plain chain per sum. Lanes past `width` stay 0.
 pub(crate) fn grad_sums_portable(
     dy: &[f32],
     x: &[f32],
@@ -415,14 +410,15 @@ pub(crate) fn grad_sums_portable(
     (mean, inv): (&[f32; LANES], &[f32; LANES]),
 ) -> [[f32; LANES]; 2] {
     let [mut sdy, mut sdx] = [[0.0f32; LANES]; 2];
-    for s in 0..block.samples {
-        let rows = [block.rows(dy, s), block.rows(x, s)];
-        each_position(rows, block.plane, |[g, v]| {
-            for j in 0..LANES {
-                sdy[j] += g[j];
-                sdx[j] += g[j] * ((v[j] - mean[j]) * inv[j]);
+    for j in 0..block.width {
+        let plane = j * block.plane..(j + 1) * block.plane;
+        for s in 0..block.samples {
+            let (g, v) = (&block.run(dy, s)[plane.clone()], &block.run(x, s)[plane.clone()]);
+            for (&g, &v) in g.iter().zip(v) {
+                sdy[j] += g;
+                sdx[j] += g * ((v - mean[j]) * inv[j]);
             }
-        });
+        }
     }
     [sdy, sdx]
 }

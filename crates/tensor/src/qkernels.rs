@@ -73,13 +73,13 @@ impl QAccum {
 }
 
 /// Quantizes `src` onto the symmetric int8 grid of `scale`:
-/// `q = clamp(round(src / scale), -127, 127)` — element-for-element the
-/// same mapping as `ttsnn_core::quant::quantize_int8`, so the integer
+/// `q = clamp(round(src / scale), -127, 127)`, half away from zero. The
+/// weight quantizers of `ttsnn_core::quant` are this call, so the integer
 /// plane executes exactly the grid that fake-quant training simulated.
 ///
-/// Non-finite values saturating-cast to 0 (`NaN as i8`); callers that
-/// must not silently swallow NaNs (the serving engine does) reject them
-/// before quantizing.
+/// NaN maps to 0 and ±∞ to ±127; callers that must not silently swallow
+/// them (the serving engine, `ttsnn_core::quant`) reject them before
+/// quantizing.
 ///
 /// # Panics
 ///

@@ -26,8 +26,7 @@ use ttsnn_infer::{ArchSpec, BatchPolicy, Cluster, ClusterConfig, ClusterMetrics,
 /// the test advances it (see [`ttsnn_infer::clock`]).
 pub use ttsnn_infer::ManualClock;
 use ttsnn_snn::{
-    checkpoint, ConvPolicy, InferForward, Network, ResNetConfig, ResNetSnn, SpikingModel,
-    VggConfig, VggSnn,
+    checkpoint, ConvPolicy, InferForward, Network, ResNetConfig, SpikingModel, VggConfig, VggSnn,
 };
 use ttsnn_tensor::{Rng, Tensor};
 
@@ -64,17 +63,6 @@ pub fn checkpoint_bytes(model: &(impl SpikingModel + ?Sized)) -> Vec<u8> {
 pub fn vgg_checkpoint(policy: &ConvPolicy, seed: u64) -> (Vec<u8>, VggSnn) {
     let mut rng = Rng::seed_from(seed);
     let model = VggSnn::new(vgg9_tiny(), policy, &mut rng);
-    (checkpoint_bytes(&model), model)
-}
-
-/// [`vgg_checkpoint`] for the tiny ResNet20.
-pub fn resnet_checkpoint(
-    policy: &ConvPolicy,
-    num_classes: usize,
-    seed: u64,
-) -> (Vec<u8>, ResNetSnn) {
-    let mut rng = Rng::seed_from(seed);
-    let model = ResNetSnn::new(resnet20_tiny(num_classes), policy, &mut rng);
     (checkpoint_bytes(&model), model)
 }
 

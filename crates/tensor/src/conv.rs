@@ -6,39 +6,38 @@
 //! cores of the paper use — are fully supported; padding is specified per
 //! axis so that, e.g., a 3×1 core pads only vertically.
 //!
-//! Every kernel here is a closure over a group of consecutive samples handed
-//! to `per_sample`, the batch driver the int8 convolution
-//! ([`crate::qkernels::qconv2d`]) shares: it opens the kernel's trace region,
-//! sizes the groups and decides the fork. A group is one GEMM **panel**: its
-//! samples' im2col columns side by side (`(C·Kh·Kw, n·Oh·Ow)`), one product,
-//! and each sample's block of the result scattered back (or folded, for the
-//! input gradient). A sample whose output plane is wide (≥ 256 columns) is a
-//! panel of its own; shorter planes — the post-pool layers of a served
-//! network, a few dozen columns each — are gathered until the panel is that
-//! wide, so the GEMM streams long rows instead of paying its per-call and
-//! per-row overhead on each sample. The weight gradient keeps one sample per
-//! group: its per-sample partials must stay apart to be summed in sample
-//! order.
+//! The forward and the input gradient are closures over a fork range of
+//! consecutive samples handed to `per_sample`, the batch driver the int8
+//! convolution ([`crate::qkernels::qconv2d`]) shares: it opens the kernel's
+//! trace region and decides the fork. A range goes through **one lane call**
+//! ([`crate::runtime::Lanes`]) that packs the weight once and runs every
+//! sample's product against it, reading each sample's im2col columns and
+//! writing its output in place — no per-sample GEMM call, no gathered panel.
+//! Columns are unfolded a run of samples at a time into per-thread arena
+//! scratch ([`crate::runtime::with_scratch`]: no allocation once an arena is
+//! warm); a lone sample runs the row-parallel GEMM instead, so both ends of
+//! the batch-size spectrum use all cores. Every output element is one GEMM
+//! column summed in ascending `k` by exactly one thread — bit-identical
+//! across thread counts and batch compositions.
 //!
-//! Groups are split across the runtime's workers, each unfolding into its
-//! own per-thread arena scratch ([`crate::runtime::with_scratch`]: no
-//! allocation once an arena is warm) and running a serial GEMM per panel; a
-//! lone group falls through to the row-parallel GEMM instead, so both ends
-//! of the batch-size spectrum use all cores. Every output element is one
-//! GEMM column summed in ascending `k` by exactly one thread, whatever panel
-//! it sits in — bit-identical across thread counts and batch compositions.
+//! The weight gradient splits its *output* across threads instead — whole
+//! input channels' rows of `dWᵀ` per task — and each task walks every sample
+//! in order: a sample's partial for an element is summed in registers from
+//! `+0.0` (ascending `p` at `O ≥ 8`, `F32::dot`'s four-lane tree below, as
+//! `gemm_a_bt` sums it) and added into the element's `+0.0`-born sum in
+//! sample order. No partial is stored and no task splits the samples.
 //!
 //! **Pointwise geometry** (1×1 kernel, stride 1, no padding — the `w1` /
 //! `w4` TT cores, two thirds of a TT-SNN training step's conv calls): the
-//! im2col matrix *is* the sample slab and col2im adds it into zeros, so a
-//! lone sample runs all three GEMMs straight on its slab, with the same
-//! operands in the same order as the unfolded path and therefore the same
-//! bits.
+//! im2col matrix *is* the sample slab and col2im adds it into zeros, so all
+//! three kernels read (and the input gradient writes) the slabs themselves,
+//! with the same operands in the same order as the unfolded path and
+//! therefore the same bits.
 
 use std::ops::Range;
 
 use crate::error::ShapeError;
-use crate::runtime::{self, with_scratch, Runtime};
+use crate::runtime::{self, fork_grain, with_scratch, with_scratch_zeroed, Lanes, Runtime};
 use crate::tensor::Tensor;
 
 /// Static geometry of a 2-D convolution: everything needed to derive output
@@ -233,67 +232,66 @@ pub(crate) fn im2col_sample_t<T: Copy>(
     }
 }
 
-/// Runs `f` on the im2col panel `(C*Kh*Kw, n*Oh*Ow)` of the `n` samples `x`
-/// holds, sample `i` in column block `i`: for a pointwise geometry the
-/// samples themselves, gathered ([`with_gathered`]); an unfolding into arena
-/// scratch otherwise.
-fn with_cols<R>(x: &[f32], n: usize, g: &Conv2dGeometry, f: impl FnOnce(&[f32]) -> R) -> R {
-    let ospatial = g.out_hw().0 * g.out_hw().1;
+/// The portable unfolding of `samples` samples (`x` at stride `in_slab`):
+/// sample `s`'s im2col matrix at `cols[s · C·Kh·Kw·Oh·Ow..]`.
+pub(crate) fn unfold_portable(
+    x: &[f32],
+    (samples, in_slab): (usize, usize),
+    g: &Conv2dGeometry,
+    cols: &mut [f32],
+) {
+    let p = g.out_hw().0 * g.out_hw().1;
+    for (s, cols) in cols.chunks_exact_mut(g.patch_len() * p).take(samples).enumerate() {
+        im2col_sample_t(&x[s * in_slab..], g, cols, p, 0.0);
+    }
+}
+
+/// The portable fold: each `x_grad` slab becomes its sample's im2col matrix
+/// in `cols` added into zeros (see [`col2im_sample`]).
+pub(crate) fn fold_portable(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]) {
+    let p = g.out_hw().0 * g.out_hw().1;
+    for (cols, xg) in cols.chunks_exact(g.patch_len() * p).zip(x_grad.chunks_exact_mut(g.in_slab()))
+    {
+        xg.fill(0.0);
+        col2im_sample(cols, p, g, xg);
+    }
+}
+
+/// Floats of im2col columns unfolded at a time: samples are unfolded in
+/// runs that fit this (at least one sample a run), so the product reads them
+/// while they are still in cache.
+const UNFOLD_FLOATS: usize = 8 * 1024;
+
+/// Samples in one unfolded run of `g`.
+fn unfold_run(g: &Conv2dGeometry) -> usize {
+    (UNFOLD_FLOATS / (g.patch_len() * g.out_hw().0 * g.out_hw().1).max(1)).max(1)
+}
+
+/// Runs `f(s0, n, cols, stride)` over runs of the `samples` samples `x`
+/// holds at stride `in_slab` (each `g.in_channels` planes long): sample `s0 +
+/// i`'s im2col matrix `(C·Kh·Kw, Oh·Ow)` at `cols[i · stride..]`, `n` samples
+/// a run. A pointwise geometry lends `x` itself, one run at stride
+/// `in_slab`; any other unfolds [`unfold_run`] samples at a time into arena
+/// scratch.
+fn unfolded(
+    x: &[f32],
+    (samples, in_slab): (usize, usize),
+    g: &Conv2dGeometry,
+    mut f: impl FnMut(usize, usize, &[f32], usize),
+) {
     if g.is_pointwise() {
-        return with_gathered(x, n, (g.in_channels, ospatial), f);
+        return f(0, samples, x, in_slab);
     }
-    let width = n * ospatial;
-    with_scratch(g.patch_len() * width, |cols| {
-        for (i, xs) in x.chunks_exact(g.in_slab()).enumerate() {
-            im2col_sample_t(xs, g, &mut cols[i * ospatial..], width, 0.0);
+    let (oh, ow) = g.out_hw();
+    let (len, run) = (g.patch_len() * oh * ow, unfold_run(g).min(samples));
+    let lanes = Lanes::current();
+    with_scratch(run * len, |cols: &mut [f32]| {
+        for s0 in (0..samples).step_by(run.max(1)) {
+            let n = run.min(samples - s0);
+            lanes.unfold_f32(&x[s0 * in_slab..], (n, in_slab), g, &mut cols[..n * len]);
+            f(s0, n, &cols[..n * len], len);
         }
-        f(cols)
-    })
-}
-
-/// Runs `f` on the `(rows, n*plane)` panel of the `n` samples `src` holds as
-/// `(rows, plane)` matrices: `src` itself for one sample, a gathered copy in
-/// arena scratch otherwise.
-fn with_gathered<R>(
-    src: &[f32],
-    n: usize,
-    (rows, plane): (usize, usize),
-    f: impl FnOnce(&[f32]) -> R,
-) -> R {
-    if n == 1 {
-        return f(src);
-    }
-    with_scratch(rows * n * plane, |panel: &mut [f32]| {
-        for (i, sample) in src.chunks_exact(rows * plane).enumerate() {
-            for (r, row) in sample.chunks_exact(plane).enumerate() {
-                panel[(r * n + i) * plane..][..plane].copy_from_slice(row);
-            }
-        }
-        f(panel)
-    })
-}
-
-/// Has `f` write the `(rows, n*plane)` panel of the `n` samples `out` holds
-/// as `(rows, plane)` matrices: into `out` itself for one sample, into arena
-/// scratch that is then scattered back otherwise.
-fn with_scattered<R>(
-    out: &mut [f32],
-    n: usize,
-    (rows, plane): (usize, usize),
-    f: impl FnOnce(&mut [f32]) -> R,
-) -> R {
-    if n == 1 {
-        return f(out);
-    }
-    with_scratch(rows * n * plane, |panel: &mut [f32]| {
-        let r = f(panel);
-        for (i, sample) in out.chunks_exact_mut(rows * plane).enumerate() {
-            for (row, dst) in sample.chunks_exact_mut(plane).enumerate() {
-                dst.copy_from_slice(&panel[(row * n + i) * plane..][..plane]);
-            }
-        }
-        r
-    })
+    });
 }
 
 /// Folds one sample's im2col columns (row `r` at `cols[r * ld..][..Oh*Ow]`,
@@ -303,7 +301,7 @@ fn with_scattered<R>(
 /// for every channel and added whole. A channel's terms land in its own
 /// plane only, so each element still receives its terms in the `(c, ki, kj,
 /// oi, oj)` order of the per-element fold.
-fn col2im_sample(cols: &[f32], ld: usize, g: &Conv2dGeometry, x_grad: &mut [f32]) {
+pub(crate) fn col2im_sample(cols: &[f32], ld: usize, g: &Conv2dGeometry, x_grad: &mut [f32]) {
     let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
     let ((sh, sw), (ph, pw)) = (g.stride, g.padding);
     for ki in 0..kh {
@@ -335,25 +333,27 @@ fn col2im_sample(cols: &[f32], ld: usize, g: &Conv2dGeometry, x_grad: &mut [f32]
     }
 }
 
-/// Output columns below which a sample's GEMM is too narrow to stream well
-/// on its own: [`per_sample`] gathers samples whose planes are shorter into
-/// one panel of at least this many columns.
+/// Output columns below which a sample's int8 GEMM is too narrow to stream
+/// well on its own: [`per_sample`] gathers samples whose planes are shorter
+/// into one panel of at least this many columns.
 const PANEL_COLUMNS: usize = 256;
 
-/// The batch driver of every per-sample kernel — the three f32 convolutions
-/// and [`crate::qkernels::qconv2d`]: opens the `name` region and runs
-/// `group(rt, s0, out_g)` over consecutive samples `s0..s0 + n` of `out`,
-/// `out_g` being their `n` slabs. The one place their fork is decided.
+/// The batch driver of the per-sample kernels — the f32 forward and input
+/// gradient and [`crate::qkernels::qconv2d`]: opens the `name` region and
+/// runs `group(rt, s0, out_g)` over consecutive samples `s0..s0 + n` of
+/// `out`, `out_g` being their `n` slabs. The one place their fork is decided.
 ///
-/// `plane` is the number of GEMM columns one sample contributes, for the
-/// kernels whose samples may share a panel. A sample whose plane is shorter
-/// than [`PANEL_COLUMNS`] is gathered with its neighbours until a panel
-/// reaches that width; `None` (the weight gradient, whose per-sample partials
-/// must stay apart) keeps every group at one sample. A lone group
-/// parallelizes *inside* its kernels (it is handed the current runtime);
-/// several are split across the pool by `ops_per_sample`, each running its
-/// kernels on [`Runtime::serial`]. Every GEMM column is summed on its own in
-/// ascending `k` whatever panel it sits in, so the grouping moves no bit.
+/// With `plane: None` (the f32 kernels) a group is a whole fork range, which
+/// the kernel passes through one lane call; a batch of one sample is one
+/// group that parallelizes *inside* its kernel (it is handed the current
+/// runtime). `plane` is otherwise the number of GEMM columns a sample
+/// contributes to `qconv2d`'s gathered panels: samples whose plane is shorter
+/// than [`PANEL_COLUMNS`] are gathered with their neighbours until a panel
+/// reaches that width, and a batch that fits one panel is that lone group.
+/// Several groups are split across the pool by `ops_per_sample`, each running
+/// its kernels on [`Runtime::serial`]. Every output element is summed on its
+/// own in ascending `k` whatever group it sits in, so the grouping moves no
+/// bit.
 pub(crate) fn per_sample<T: Send>(
     name: &'static str,
     out: &mut [T],
@@ -367,18 +367,22 @@ pub(crate) fn per_sample<T: Send>(
         return;
     }
     let samples = out.len() / slab;
-    let per_panel = match plane {
-        Some(plane) if plane < PANEL_COLUMNS => PANEL_COLUMNS.div_ceil(plane.max(1)),
-        _ => 1,
+    let (lone, per_group) = match plane {
+        None => (1, samples),
+        Some(plane) if plane < PANEL_COLUMNS => {
+            let n = PANEL_COLUMNS.div_ceil(plane.max(1));
+            (n, n)
+        }
+        Some(_) => (1, 1),
     };
     let rt = Runtime::current();
-    if samples <= per_panel {
+    if samples <= lone {
         return group(&rt, 0, out);
     }
     let (serial, min_samples) = (Runtime::serial(), runtime::fork_grain(ops_per_sample));
     rt.parallel_over_ranges(out, slab, min_samples, |s0, run| {
-        for (i, out_g) in run.chunks_mut(per_panel * slab).enumerate() {
-            group(serial, s0 + i * per_panel, out_g);
+        for (i, out_g) in run.chunks_mut(per_group * slab).enumerate() {
+            group(serial, s0 + i * per_group, out_g);
         }
     });
 }
@@ -401,13 +405,13 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor,
     let (o, out_slab) = (g.out_channels, g.out_channels * ospatial);
     let conv = |rt: &Runtime, s0: usize, out_g: &mut [f32]| {
         let n = out_g.len() / out_slab;
-        with_cols(&xd[s0 * in_slab..(s0 + n) * in_slab], n, g, |cols| {
-            with_scattered(out_g, n, (o, ospatial), |panel| {
-                runtime::gemm(rt, wd, cols, panel, o, k, n * ospatial);
-            });
+        let x_g = &xd[s0 * in_slab..(s0 + n) * in_slab];
+        unfolded(x_g, (n, in_slab), g, |i0, m, cols, _| {
+            let out = &mut out_g[i0 * out_slab..(i0 + m) * out_slab];
+            runtime::gemm_samples("gemm", rt, wd, (k, 1), cols, out, (o, k, ospatial));
         });
     };
-    per_sample("conv2d", out.data_mut(), out_slab, 2 * g.macs(), Some(ospatial), conv);
+    per_sample("conv2d", out.data_mut(), out_slab, 2 * g.macs(), None, conv);
     Ok(out)
 }
 
@@ -440,35 +444,35 @@ pub fn conv2d_input_grad(
     let out_slab = g.out_channels * ospatial;
     let pointwise = g.is_pointwise();
     let x_shape = [b, g.in_channels, g.in_hw.0, g.in_hw.1];
-    let mut x_grad =
-        if pointwise { Tensor::scratch(&x_shape) } else { Tensor::scratch_zeroed(&x_shape) };
+    // No zero-fill: the GEMM (pointwise) or the fold writes every element.
+    let mut x_grad = Tensor::scratch(&x_shape);
     // dx_cols = Wᵀ · dy, read directly from the (O, k) weight layout — no
     // transpose copy.
     let (wd, gd, o, in_slab) = (weight.data(), y_grad.data(), g.out_channels, g.in_slab());
     let sample = |rt: &Runtime, s0: usize, xg_g: &mut [f32]| {
         let n = xg_g.len() / in_slab;
-        let width = n * ospatial;
-        with_gathered(&gd[s0 * out_slab..(s0 + n) * out_slab], n, (o, ospatial), |dy| {
-            if pointwise {
-                // col2im would add these columns into zeros. The GEMM's
-                // accumulators start from +0.0 and a sum that starts there
-                // never lands on −0.0, so `0.0 + v` is `v` bit for bit and
-                // the GEMM can write the slabs itself.
-                with_scattered(xg_g, n, (k, ospatial), |panel| {
-                    runtime::gemm_at_b(rt, wd, dy, panel, k, o, width);
-                });
-            } else {
-                with_scratch(k * width, |cols| {
-                    runtime::gemm_at_b(rt, wd, dy, cols, k, o, width);
-                    for (i, xg_s) in xg_g.chunks_exact_mut(in_slab).enumerate() {
-                        col2im_sample(&cols[i * ospatial..], width, g, xg_s);
-                    }
-                });
+        let dy = &gd[s0 * out_slab..(s0 + n) * out_slab];
+        let dx_cols = |dy: &[f32], cols: &mut [f32]| {
+            runtime::gemm_samples("gemm_at_b", rt, wd, (1, k), dy, cols, (k, o, ospatial));
+        };
+        if pointwise {
+            // col2im would add these columns into zeros. The GEMM's
+            // accumulators start from +0.0 and a sum that starts there
+            // never lands on −0.0, so `0.0 + v` is `v` bit for bit and
+            // the GEMM can write the slabs itself.
+            return dx_cols(dy, xg_g);
+        }
+        let (len, run) = (k * ospatial, unfold_run(g).min(n));
+        with_scratch(run * len, |cols: &mut [f32]| {
+            for (dy, xg) in dy.chunks(run * out_slab).zip(xg_g.chunks_mut(run * in_slab)) {
+                let cols = &mut cols[..dy.len() / out_slab * len];
+                dx_cols(dy, cols);
+                Lanes::current().fold_f32(cols, g, xg);
             }
         });
     };
     let macs = 2 * g.macs();
-    per_sample("conv2d_input_grad", x_grad.data_mut(), in_slab, macs, Some(ospatial), sample);
+    per_sample("conv2d_input_grad", x_grad.data_mut(), in_slab, macs, None, sample);
     Ok(x_grad)
 }
 
@@ -491,38 +495,38 @@ pub fn conv2d_weight_grad(
             y_grad.shape()
         )));
     }
+    let _region = ttsnn_obs::region("conv2d_weight_grad");
     let (k, ospatial, in_slab) = (g.patch_len(), oh * ow, g.in_slab());
-    let (out_slab, wlen) = (g.out_channels * ospatial, g.params());
+    let (o, taps, plane) = (g.out_channels, g.kernel.0 * g.kernel.1, g.in_hw.0 * g.in_hw.1);
     let (xd, gd) = (x.data(), y_grad.data());
-    // Per-sample partials `dW_s = dy_s · colsᵀ` in disjoint slabs, then the
-    // batch reduction in fixed sample order, so results do not depend on the
-    // thread count. `cols` is `(k, ospatial)` — exactly the `(n, k̂)`
-    // row-major `b` operand `gemm_a_bt` wants, so no caller-side transpose.
-    // Fixed-size chunks (a constant, never a function of the thread count)
-    // bound the partials at ≤ ~64 MiB on wide layers × large batches. A lone
-    // sample folds like any other: its partial was summed up from +0.0, so
-    // adding it into zeros returns it bit for bit.
-    const MAX_PARTIAL_ELEMS: usize = 16 * 1024 * 1024;
-    let chunk = (MAX_PARTIAL_ELEMS / wlen.max(1)).min(b).max(1);
-    let mut w_grad =
-        Tensor::scratch_zeroed(&[g.out_channels, g.in_channels, g.kernel.0, g.kernel.1]);
-    // The GEMM overwrites every partial it is handed: no zero-fill.
-    with_scratch(chunk * wlen, |partials: &mut [f32]| {
-        for c0 in (0..b).step_by(chunk) {
-            let part = &mut partials[..chunk.min(b - c0) * wlen];
-            per_sample("conv2d_weight_grad", part, wlen, 2 * g.macs(), None, |rt, i, dw_s| {
-                let s = c0 + i;
-                with_cols(&xd[s * in_slab..(s + 1) * in_slab], 1, g, |cols| {
-                    let gd_s = &gd[s * out_slab..(s + 1) * out_slab];
-                    runtime::gemm_a_bt(rt, gd_s, cols, dw_s, g.out_channels, ospatial, k);
+    let mut w_grad = Tensor::scratch(&[o, g.in_channels, g.kernel.0, g.kernel.1]);
+    // `dWᵀ (C·Kh·Kw, O)`. Each task owns whole input channels' rows of it and
+    // walks every sample in order through one lane call per unfolded run:
+    // each element's per-sample partial, summed from +0.0 as `gemm_a_bt`
+    // sums it, is added in sample order into the +0.0 the rows start from.
+    // No task splits the samples, so the thread count moves no bit.
+    let per_channel = 2 * b * (g.macs() / g.in_channels.max(1));
+    with_scratch(k * o, |acc: &mut [f32]| {
+        // A task folds into rows of its own arena, not the shared ones, which
+        // neighbouring tasks would otherwise keep stealing cache lines of.
+        let tasks = |c0: usize, rows: &mut [f32]| {
+            let sub = Conv2dGeometry { in_channels: rows.len() / (taps * o), ..*g };
+            with_scratch_zeroed(rows.len(), |acc: &mut [f32]| {
+                let x = &xd[(c0 * plane).min(xd.len())..];
+                unfolded(x, (b, in_slab), &sub, |s0, n, cols, sc| {
+                    let dy = &gd[s0 * o * ospatial..(s0 + n) * o * ospatial];
+                    Lanes::current().f32_weight_grad(dy, (cols, sc), acc, (o, ospatial));
                 });
+                rows.copy_from_slice(acc);
             });
-            let acc = w_grad.data_mut();
-            for dw_s in part.chunks(wlen) {
-                for (a, &v) in acc.iter_mut().zip(dw_s.iter()) {
-                    *a += v;
-                }
-            }
+        };
+        // At `O ≥ 8` every task transposes every sample's `dy` itself: give
+        // each at least 8 rows to spread that over.
+        let rows = if o < 8 { 1 } else { 8usize.div_ceil(taps) };
+        let min_channels = fork_grain(per_channel).max(rows);
+        Runtime::current().parallel_over_ranges(acc, taps * o, min_channels, tasks);
+        if !acc.is_empty() {
+            Lanes::current().transpose(acc, (k, o), w_grad.data_mut());
         }
     });
     Ok(w_grad)

@@ -8,7 +8,7 @@
 //! |---------------|----------|------------|------------|---------|
 //! | [`gemm`]      | `A·B`    | `(m, k)`   | `(k, n)`   | forward matmul, conv forward |
 //! | [`gemm_at_b`] | `Aᵀ·B`   | `(k, m)`   | `(k, n)`   | conv input-grad (`Wᵀ·dy`), `dB = Aᵀ·g` |
-//! | [`gemm_a_bt`] | `A·Bᵀ`   | `(m, k)`   | `(n, k)`   | linear forward (`x·Wᵀ`), `dA = g·Bᵀ`, conv weight-grad (`dy·colsᵀ`) |
+//! | [`gemm_a_bt`] | `A·Bᵀ`   | `(m, k)`   | `(n, k)`   | linear forward (`x·Wᵀ`), `dA = g·Bᵀ` |
 //!
 //! [`crate::qkernels::qgemm`] / [`crate::qkernels::qgemm_a_bt`] are the first
 //! and the last of them at an integer [`Mac`] — one (element, accumulator)
@@ -24,6 +24,12 @@
 //! otherwise stages a one-shot transpose of `B` in arena scratch (O(nk)
 //! copies against O(mnk) compute) to reach saxpy speed — "no transpose" in
 //! this module means *callers* never materialize one.
+//!
+//! The convolutions batch the first two over samples (`gemm_samples`: one
+//! lane call packs `A` once for a run of samples) and sum their weight
+//! gradient `dy·colsᵀ` sample by sample in one lane call
+//! (`weight_grad_portable` is its portable body), each partial summed as
+//! [`gemm_a_bt`] would sum it.
 //!
 //! Both open the kernel's `ttsnn_obs` region, check the operand lengths,
 //! **overwrite** `out` (shape `(m, n)`, row-major) and fork over disjoint row
@@ -325,6 +331,77 @@ pub(crate) fn saxpy_rows<E: Mac>(
             }
         }
         i += 1;
+    }
+}
+
+/// The portable batched f32 tile: [`saxpy_rows`] on each `(k, n)` block of
+/// `b` and `(m, n)` block of `rows` in turn.
+pub(crate) fn f32_rows_portable(
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    rows: &mut [f32],
+    (k, n): (usize, usize),
+) {
+    if k * n == 0 || rows.is_empty() {
+        return rows.fill(0.0);
+    }
+    let per = rows.len() / (b.len() / (k * n));
+    for (b, out) in b.chunks_exact(k * n).zip(rows.chunks_exact_mut(per)) {
+        saxpy_rows::<F32>(a, a_strides, b, out, k, n);
+    }
+}
+
+/// `out_s = A · B_s` for every sample `s` of a batch: `B_s` the `(k, n)`
+/// block `b[s·k·n..]`, `out_s` the `(m, n)` block `out[s·m·n..]`, `A` read
+/// as [`saxpy_gemm`] reads it. A lone sample is [`saxpy_gemm`] on `rt` under
+/// `name` (its rows fork); more go through one lane call on this thread,
+/// which packs `A` once for all of them. Every element adds its terms to a
+/// `+0.0` in ascending `k` either way.
+pub(crate) fn gemm_samples(
+    name: &'static str,
+    rt: &Runtime,
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    if k * n == 0 {
+        return out.fill(0.0);
+    }
+    if out.len() <= m * n {
+        return saxpy_gemm::<F32>(name, rt, a, a_strides, b, out, (m, k, n));
+    }
+    assert_eq!(b.len() / (k * n).max(1), out.len() / (m * n), "gemm_samples: sample counts");
+    Lanes::current().f32_rows(a, a_strides, b, out, (k, n));
+}
+
+/// The convolution weight gradient's fold, portable: for every sample `s` of
+/// `dy` (`(O, P)` blocks) in order, each element `(kk, o)` of `acc (rows, O)`
+/// adds `Σ_p dy_s[o][p] · cols_s[kk][p]`, sample `s`'s rows of `cols` at
+/// `cols[s · stride..]`. The partial is summed from `+0.0` as `gemm_a_bt`
+/// sums one: in ascending `p` at `O ≥ 8`, as [`F32::dot`] below.
+pub(crate) fn weight_grad_portable(
+    dy: &[f32],
+    (cols, stride): (&[f32], usize),
+    acc: &mut [f32],
+    (o, p): (usize, usize),
+) {
+    if o * p == 0 {
+        return;
+    }
+    for (s, dy_s) in dy.chunks_exact(o * p).enumerate() {
+        for (kk, acc) in acc.chunks_exact_mut(o).enumerate() {
+            let c = &cols[s * stride + kk * p..][..p];
+            for (a, d) in acc.iter_mut().zip(dy_s.chunks_exact(p)) {
+                *a += if o < 2 * MR {
+                    F32::dot(d, c)
+                } else {
+                    d.iter().zip(c).fold(0.0, |t, (&d, &c)| t + d * c)
+                };
+            }
+        }
     }
 }
 

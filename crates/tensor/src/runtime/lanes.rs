@@ -1,7 +1,9 @@
 //! The machine lanes the kernels run on, resolved once per process.
 //!
-//! The f32 GEMM tile behind `gemm`, `gemm_at_b` and `gemm_a_bt` (and so the
-//! three f32 convolutions), the event scatter of `sparse_conv2d`, and every
+//! The f32 GEMM tile behind `gemm`, `gemm_at_b` and `gemm_a_bt`, the three
+//! f32 convolutions (the tile over a batch of samples, their unfolding and
+//! fold, the weight gradient's per-sample partials), the event scatter of
+//! `sparse_conv2d`, and every
 //! int8 kernel — the `qgemm` tile, the dot behind `qlinear` / `qgemm_a_bt`,
 //! `qconv2d`'s quantization and unfolding, the requantizing epilogue and the
 //! event scatter of `sparse_qconv2d` — ask a [`Lanes`] for their inner loop.
@@ -36,8 +38,11 @@
 //! clamped after every add for `Sat16`, and `f32` lanes adding to a `+0.0`
 //! as the portable `F32::add_term` does. Quantization and the epilogue are
 //! elementwise: the same IEEE divide, round, clamp, convert, multiply and
-//! add per element, with no fused multiply-add. The f32 dot (`gemm_a_bt`
-//! below 8 rows) and every elementwise training op never come here.
+//! add per element, with no fused multiply-add. The weight gradient's dot
+//! form keeps `F32::dot`'s four lanes per partial (two partials to a
+//! register) and its reduction tree. Unfolding and folding move values
+//! without arithmetic, but for the fold's adds, each in the portable order.
+//! `gemm_a_bt`'s dot rows and every elementwise training op never come here.
 //!
 //! # Safety
 //!
@@ -53,8 +58,8 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use super::gemm::{saxpy_rows, transpose, Mac, F32};
-use crate::conv::{im2col_sample_t, Conv2dGeometry};
+use super::gemm::{f32_rows_portable, saxpy_rows, transpose, weight_grad_portable, Mac, F32};
+use crate::conv::{fold_portable, im2col_sample_t, unfold_portable, Conv2dGeometry};
 use crate::norm::{grad_sums_portable, plane_sums_portable, LaneBlock, LANES};
 use crate::qkernels::{Int, Requant};
 use crate::spike::{scatter, Taps};
@@ -150,7 +155,37 @@ impl Lanes {
         }
     }
 
-    /// The f32 tile: `rows = A_range · B` (see `gemm::saxpy_rows`).
+    /// The f32 unfolding of `samples` samples (`x` at stride `in_slab`) into
+    /// `cols`, sample `s`'s im2col matrix at `cols[s · C·Kh·Kw·Oh·Ow..]`.
+    pub(crate) fn unfold_f32(
+        self,
+        x: &[f32],
+        samples: (usize, usize),
+        g: &Conv2dGeometry,
+        cols: &mut [f32],
+    ) {
+        match self.0 {
+            Kind::Portable => unfold_portable(x, samples, g, cols),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::unfold_f32(x, samples, g, cols) },
+        }
+    }
+
+    /// Each slab of `x_grad` as its sample's im2col matrix in `cols` added
+    /// into zeros (see `conv::col2im_sample`).
+    pub(crate) fn fold_f32(self, cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]) {
+        match self.0 {
+            Kind::Portable => fold_portable(cols, g, x_grad),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::fold_f32(cols, g, x_grad) },
+        }
+    }
+
+    /// The f32 tile: `rows = A_range · B` (see `gemm::saxpy_rows`), or over
+    /// a batch, `A · B_s` into each `(m, n)` block of `rows` from each
+    /// `(k, n)` block of `b` (see `gemm::gemm_samples`).
     pub(crate) fn f32_rows(
         self,
         a: &[f32],
@@ -160,10 +195,27 @@ impl Lanes {
         (k, n): (usize, usize),
     ) {
         match self.0 {
-            Kind::Portable => saxpy_rows::<F32>(a, a_strides, b, rows, k, n),
+            Kind::Portable => f32_rows_portable(a, a_strides, b, rows, (k, n)),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Avx2` set exists only once AVX2 was detected.
             Kind::Avx2 => unsafe { avx2::f32_rows(a, a_strides, b, rows, (k, n)) },
+        }
+    }
+
+    /// The convolution weight gradient's fold into `acc (rows, O)`, every
+    /// sample of `dy` in order (see `gemm::weight_grad_portable`).
+    pub(crate) fn f32_weight_grad(
+        self,
+        dy: &[f32],
+        cols: (&[f32], usize),
+        acc: &mut [f32],
+        (o, p): (usize, usize),
+    ) {
+        match self.0 {
+            Kind::Portable => weight_grad_portable(dy, cols, acc, (o, p)),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+            Kind::Avx2 => unsafe { avx2::f32_weight_grad(dy, cols, acc, (o, p)) },
         }
     }
 
@@ -356,6 +408,20 @@ mod avx2 {
         unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) }
     }
 
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_f32x4(src: &[f32; 4]) -> __m128 {
+        // SAFETY: `src` is 16 readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_ps(src.as_ptr()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store_f32x4(dst: &mut [f32; 4], v: __m128) {
+        // SAFETY: `dst` is 16 writable bytes; the store is unaligned.
+        unsafe { _mm_storeu_ps(dst.as_mut_ptr(), v) }
+    }
+
     /// The first `src.len()` lanes (all 8 if longer) from `src`, zero in
     /// the rest.
     #[inline]
@@ -442,18 +508,19 @@ mod avx2 {
     }
 
     /// The unfolding through a zero-padded copy of the sample's planes: a
-    /// patch row is then `Oh` plain `Ow`-byte copies, one fixed-size move
-    /// each at the common widths, instead of a bounds test per element.
+    /// patch row is then `Oh` plain `Ow`-element copies, one fixed-size move
+    /// each at the common widths, instead of a bounds test per element or a
+    /// `memcpy` call per run.
     #[target_feature(enable = "avx2")]
-    pub(super) fn unfold(x: &[i8], g: &Conv2dGeometry, cols: &mut [i8], ld: usize) {
+    pub(super) fn unfold<T: Scratch>(x: &[T], g: &Conv2dGeometry, cols: &mut [T], ld: usize) {
         let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
         let ((sh, sw), (ph, pw)) = (g.stride, g.padding);
         if sw != 1 || oh * ow * h * w == 0 {
-            return im2col_sample_t(x, g, cols, ld, 0);
+            return im2col_sample_t(x, g, cols, ld, T::default());
         }
         let (hp, wp) = (h + 2 * ph, w + 2 * pw);
-        with_scratch(g.in_channels * hp * wp, |padded: &mut [i8]| {
-            padded.fill(0);
+        with_scratch(g.in_channels * hp * wp, |padded: &mut [T]| {
+            padded.fill(T::default());
             for c in 0..g.in_channels {
                 let (to, from) = (|i| (c * hp + ph + i) * wp + pw, |i| (c * h + i) * w);
                 copy_rows((h, w), (padded, to), (x, from));
@@ -468,31 +535,215 @@ mod avx2 {
         });
     }
 
-    /// Copies `rows` rows of `width` bytes, row `r` from `src[from(r)..]` to
-    /// `dst[to(r)..]`: one fixed-size move per row at widths 4, 8, 16, 32
-    /// (a `memcpy` call per row would cost more than the row).
+    /// Whether `g` keeps its plane: stride 1 and an output the input's size,
+    /// so patch row `(c, ki, kj)` is channel `c`'s plane shifted by `(ki −
+    /// ph, kj − pw)` with the columns that leave the plane zeroed.
+    fn keeps_plane(g: &Conv2dGeometry) -> bool {
+        g.stride == (1, 1) && g.out_hw() == g.in_hw
+    }
+
+    /// `masks[kj · P + p]`: all ones where output position `p`'s tap `kj`
+    /// reads inside its row, `+0.0` where it reads padding.
+    fn column_masks(g: &Conv2dGeometry, masks: &mut [f32]) {
+        let (w, pw, p) = (g.in_hw.1, g.padding.1, g.in_hw.0 * g.in_hw.1);
+        for (kj, plane) in masks.chunks_exact_mut(p).enumerate() {
+            for row in plane.chunks_exact_mut(w) {
+                for (j, m) in row.iter_mut().enumerate() {
+                    let inside = (pw..w + pw).contains(&(j + kj));
+                    *m = if inside { f32::from_bits(!0) } else { 0.0 };
+                }
+            }
+        }
+    }
+
+    /// The f32 unfolding of `samples` samples (`x` at stride `in_slab`).
+    /// A geometry that keeps its plane ([`keeps_plane`]) copies each channel
+    /// once into a zero-margined buffer and writes each patch row as one
+    /// shifted run of it, 8 lanes at a time through [`column_masks`]; a 1×1
+    /// kernel at stride 2 takes every other input of every other row, 8 lanes
+    /// from 16 by a shuffle. Any other geometry unfolds sample by sample.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn unfold_f32(
+        x: &[f32],
+        (samples, in_slab): (usize, usize),
+        g: &Conv2dGeometry,
+        cols: &mut [f32],
+    ) {
+        let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+        let p = oh * ow;
+        let cols = cols.chunks_exact_mut((g.patch_len() * p).max(1)).take(samples).enumerate();
+        if g.stride == (2, 2) && g.kernel == (1, 1) && g.padding == (0, 0) {
+            for (s, cols) in cols {
+                for (c, plane) in cols.chunks_exact_mut(p).enumerate() {
+                    for (oi, row) in plane.chunks_exact_mut(ow).enumerate() {
+                        evens(&x[s * in_slab + c * h * w + 2 * oi * w..][..w], row);
+                    }
+                }
+            }
+            return;
+        }
+        if !keeps_plane(g) {
+            for (s, cols) in cols {
+                unfold(&x[s * in_slab..], g, cols, p);
+            }
+            return;
+        }
+        let margin = g.padding.0 * w + g.padding.1;
+        with_scratch(kw * p, |masks: &mut [f32]| {
+            column_masks(g, masks);
+            with_scratch_zeroed(p + 2 * margin, |plane: &mut [f32]| {
+                for (s, cols) in cols {
+                    for (c, cols) in cols.chunks_exact_mut(kh * kw * p).enumerate() {
+                        plane[margin..][..p].copy_from_slice(&x[s * in_slab + c * p..][..p]);
+                        for (tap, row) in cols.chunks_exact_mut(p).enumerate() {
+                            let (ki, kj) = (tap / kw, tap % kw);
+                            masked::<false>(&plane[ki * w + kj..][..p], &masks[kj * p..][..p], row);
+                        }
+                    }
+                }
+            });
+        });
+    }
+
+    /// `dst = src & mask` (or with `ADD`, `dst += src & mask`), lane for
+    /// lane.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn copy_rows(
+    fn masked<const ADD: bool>(src: &[f32], mask: &[f32], dst: &mut [f32]) {
+        let (db, dt) = dst.as_chunks_mut::<8>();
+        let (sb, mb) = (src.as_chunks::<8>().0, mask.as_chunks::<8>().0);
+        for ((d, s), m) in db.iter_mut().zip(sb).zip(mb) {
+            let v = _mm256_and_ps(load_f32x8(s), load_f32x8(m));
+            store_f32x8(d, if ADD { _mm256_add_ps(load_f32x8(d), v) } else { v });
+        }
+        if !dt.is_empty() {
+            let at = db.len() * 8;
+            let v = _mm256_and_ps(load_f32x8_partial(&src[at..]), load_f32x8_partial(&mask[at..]));
+            let v = if ADD { _mm256_add_ps(load_f32x8_partial(dt), v) } else { v };
+            store_f32x8_partial(dt, v);
+        }
+    }
+
+    /// `dst[j] = src[2j]`: 8 lanes from 16 inputs by a shuffle, the rest one
+    /// by one.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn evens(src: &[f32], dst: &mut [f32]) {
+        let mut j = 0;
+        while j + 8 <= dst.len() && 2 * j + 16 <= src.len() {
+            let (a, b) = (load_f32x8(head(&src[2 * j..])), load_f32x8(head(&src[2 * j + 8..])));
+            let e = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
+            store_f32x8(
+                head_mut(&mut dst[j..]),
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(e)),
+            );
+            j += 8;
+        }
+        for (j, d) in dst.iter_mut().enumerate().skip(j) {
+            *d = src[2 * j];
+        }
+    }
+
+    /// The f32 fold: each slab of `x_grad` as its sample's im2col matrix in
+    /// `cols` added into zeros, one sample at a time so the slab is written
+    /// while it is in cache. A geometry that keeps its plane adds each
+    /// patch row, masked ([`column_masks`]), as one shifted run into a
+    /// zero-margined copy of the channel's plane — each element still meets
+    /// its terms in `(ki, kj)` order, and a masked lane adds a `+0.0` that
+    /// no sum born at `+0.0` can notice — then copies the plane out; a 1×1
+    /// kernel at stride 2 adds 8 inputs to every other lane of 16. Any other
+    /// geometry, or a plane under 8 positions, folds sample by sample.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn fold_f32(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]) {
+        let ((h, w), (kh, kw)) = (g.in_hw, g.kernel);
+        let p = h * w;
+        if g.stride == (2, 2) && g.kernel == (1, 1) && g.padding == (0, 0) {
+            let (oh, ow) = g.out_hw();
+            let samples = cols.chunks_exact((g.in_channels * oh * ow).max(1));
+            for (cols, xg) in samples.zip(x_grad.chunks_exact_mut(g.in_slab())) {
+                xg.fill(0.0);
+                for (rows, plane) in cols.chunks_exact(oh * ow).zip(xg.chunks_exact_mut(p)) {
+                    for (row, dst) in rows.chunks_exact(ow).zip(plane.chunks_mut(2 * w)) {
+                        add_evens(row, &mut dst[..w]);
+                    }
+                }
+            }
+            return;
+        }
+        // Below 8 positions a plane's runs are a lane or two: the copies in
+        // and out would cost more than the fold.
+        if !keeps_plane(g) || p < 8 {
+            return super::fold_portable(cols, g, x_grad);
+        }
+        let margin = g.padding.0 * w + g.padding.1;
+        let samples = cols.chunks_exact((g.patch_len() * p).max(1));
+        with_scratch(kw * p, |masks: &mut [f32]| {
+            column_masks(g, masks);
+            with_scratch(p + 2 * margin, |plane: &mut [f32]| {
+                for (cols, xg) in samples.zip(x_grad.chunks_exact_mut(g.in_slab())) {
+                    for (cols, xg) in cols.chunks_exact(kh * kw * p).zip(xg.chunks_exact_mut(p)) {
+                        plane[margin..][..p].fill(0.0);
+                        for (tap, row) in cols.chunks_exact(p).enumerate() {
+                            let (ki, kj) = (tap / kw, tap % kw);
+                            let dst = &mut plane[ki * w + kj..][..p];
+                            masked::<true>(row, &masks[kj * p..][..p], dst);
+                        }
+                        xg.copy_from_slice(&plane[margin..][..p]);
+                    }
+                }
+            });
+        });
+    }
+
+    /// `dst[2j] += src[j]`: 8 inputs to 16 lanes by a shuffle (the odd ones
+    /// adding `+0.0`, which no sum born at `+0.0` can notice), the rest one
+    /// by one.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_evens(src: &[f32], dst: &mut [f32]) {
+        let (zero, mut j) = (_mm256_setzero_ps(), 0);
+        while j + 8 <= src.len() && 2 * j + 16 <= dst.len() {
+            let v = load_f32x8(head(&src[j..]));
+            let (lo, hi) = (_mm256_unpacklo_ps(v, zero), _mm256_unpackhi_ps(v, zero));
+            let halves =
+                [_mm256_permute2f128_ps::<0x20>(lo, hi), _mm256_permute2f128_ps::<0x31>(lo, hi)];
+            for (i, v) in halves.into_iter().enumerate() {
+                let d = head_mut(&mut dst[2 * j + 8 * i..]);
+                store_f32x8(d, _mm256_add_ps(load_f32x8(d), v));
+            }
+            j += 8;
+        }
+        for (j, &v) in src.iter().enumerate().skip(j) {
+            dst[2 * j] += v;
+        }
+    }
+
+    /// Copies `rows` rows of `width` elements, row `r` from `src[from(r)..]`
+    /// to `dst[to(r)..]`: one fixed-size move per row at widths 2, 4, 8, 16,
+    /// 32 (a `memcpy` call per row would cost more than the row).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn copy_rows<T: Copy>(
         (rows, width): (usize, usize),
-        (dst, to): (&mut [i8], impl Fn(usize) -> usize),
-        (src, from): (&[i8], impl Fn(usize) -> usize),
+        (dst, to): (&mut [T], impl Fn(usize) -> usize),
+        (src, from): (&[T], impl Fn(usize) -> usize),
     ) {
         #[inline(always)]
-        fn fixed<const N: usize>(
+        fn fixed<T: Copy, const N: usize>(
             rows: usize,
-            (dst, to): (&mut [i8], impl Fn(usize) -> usize),
-            (src, from): (&[i8], impl Fn(usize) -> usize),
+            (dst, to): (&mut [T], impl Fn(usize) -> usize),
+            (src, from): (&[T], impl Fn(usize) -> usize),
         ) {
             for r in 0..rows {
-                *head_mut::<i8, N>(&mut dst[to(r)..]) = *head::<i8, N>(&src[from(r)..]);
+                *head_mut::<T, N>(&mut dst[to(r)..]) = *head::<T, N>(&src[from(r)..]);
             }
         }
         match width {
-            4 => fixed::<4>(rows, (dst, to), (src, from)),
-            8 => fixed::<8>(rows, (dst, to), (src, from)),
-            16 => fixed::<16>(rows, (dst, to), (src, from)),
-            32 => fixed::<32>(rows, (dst, to), (src, from)),
+            2 => fixed::<T, 2>(rows, (dst, to), (src, from)),
+            4 => fixed::<T, 4>(rows, (dst, to), (src, from)),
+            8 => fixed::<T, 8>(rows, (dst, to), (src, from)),
+            16 => fixed::<T, 16>(rows, (dst, to), (src, from)),
+            32 => fixed::<T, 32>(rows, (dst, to), (src, from)),
             _ => {
                 for r in 0..rows {
                     dst[to(r)..][..width].copy_from_slice(&src[from(r)..][..width]);
@@ -501,17 +752,21 @@ mod avx2 {
         }
     }
 
-    /// The f32 tile over output rows `rows = A_range · B`, `a`'s element
-    /// `(i, kk)` at `a[i · row_stride + kk · k_stride]`.
+    /// The f32 tile over a batch: `out_s = A · B_s` for every `(k, n)` block
+    /// `B_s` of `b` and `(m, n)` block `out_s` of `rows` (one of each for a
+    /// plain product), `A`'s element `(i, kk)` at `a[i · row_stride + kk ·
+    /// k_stride]`.
     ///
-    /// `A`'s rows are first packed `k`-major into scratch, [`MR`] rows to a
-    /// tile and the 1–3 remainder rows as one group, so the loop over `k`
-    /// reads its coefficients in order whatever `A`'s layout. Output columns
-    /// then go 16 at a time, then one block of 8, then the last `n mod 8`
-    /// through masked loads and stores; per column block every row group
-    /// keeps its sums in registers over the whole of `k`. Every element
-    /// starts at `+0.0` and adds `a · b` in ascending `k`, a multiply then an
-    /// add, as the portable tile does.
+    /// `A`'s rows are first packed `k`-major into scratch, once for every
+    /// sample: [`MR`] rows to a tile and the 1–3 remainder rows as one group,
+    /// so the loop over `k` reads its coefficients in order whatever `A`'s
+    /// layout ([`row_groups`]). Per sample, output columns then go 16 at a
+    /// time, then one block of 8, then the last `n mod 8` through masked
+    /// loads and stores ([`columns`]); at `n` = 4 two samples share a
+    /// register instead, four in two ([`paired_columns`]). Per column block
+    /// every row group keeps its sums in registers over the whole of `k`.
+    /// Every element starts at `+0.0` and adds `a · b` in ascending `k`, a
+    /// multiply then an add, as the portable tile does.
     ///
     /// `B` is read in place. Packing each 16-column block of it into a
     /// contiguous panel first was measured and left out (time packed / in
@@ -531,7 +786,8 @@ mod avx2 {
         if n == 0 || k == 0 {
             return rows.fill(0.0);
         }
-        let m = rows.len() / n;
+        let samples = b.len() / (k * n);
+        let m = rows.len() / (samples * n).max(1);
         let tiled = m - m % MR;
         with_scratch(m * k, |coef: &mut [f32]| {
             let (tiles, rest) = coef.split_at_mut(tiled * k);
@@ -545,15 +801,20 @@ mod avx2 {
                 _ => {}
             }
             let coef = &*coef;
-            let (wide, narrow) = (n - n % 16, n - n % 8);
-            for j0 in (0..wide).step_by(16) {
-                f32_columns::<2, false>(coef, b, (k, n, j0), rows);
+            let mut s = 0;
+            if n == 4 {
+                for _ in 0..samples / 4 {
+                    paired::<2>(coef, b, rows, s, (m, k));
+                    s += 4;
+                }
+                if samples - s >= 2 {
+                    paired::<1>(coef, b, rows, s, (m, k));
+                    s += 2;
+                }
             }
-            if narrow > wide {
-                f32_columns::<1, false>(coef, b, (k, n, wide), rows);
-            }
-            if n > narrow {
-                f32_columns::<1, true>(coef, b, (k, n, narrow), rows);
+            let (bs, os) = (k * n, m * n);
+            for s in s..samples {
+                columns(coef, &b[s * bs..][..bs], &mut rows[s * os..][..os], (m, k, n));
             }
         });
     }
@@ -585,51 +846,93 @@ mod avx2 {
         }
     }
 
-    /// Columns `j0..` of every row group — `8 · H` of them, or with
-    /// `MASKED` (`H` = 1) the `n − j0 < 8` left — from `B` (`n` wide).
+    /// One sample's output `out (m, n)` from its `b (k, n)`: columns 16 at a
+    /// time, then a block of 8, then the last `n mod 8` masked.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn f32_columns<const H: usize, const MASKED: bool>(
+    fn columns(coef: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize)) {
+        let (wide, narrow) = (n - n % 16, n - n % 8);
+        for j0 in (0..wide).step_by(16) {
+            let load = |kk: usize, h| load_f32x8(head(&b[kk * n + j0 + 8 * h..]));
+            let store = |i: usize, h, v| store_f32x8(head_mut(&mut out[i * n + j0 + 8 * h..]), v);
+            row_groups::<2>(coef, (m, k), load, store);
+        }
+        if narrow > wide {
+            let load = |kk: usize, _| load_f32x8(head(&b[kk * n + wide..]));
+            let store = |i: usize, _, v| store_f32x8(head_mut(&mut out[i * n + wide..]), v);
+            row_groups::<1>(coef, (m, k), load, store);
+        }
+        if n > narrow {
+            let load = |kk: usize, _| load_f32x8_partial(&b[kk * n + narrow..(kk + 1) * n]);
+            let store =
+                |i: usize, _, v| store_f32x8_partial(&mut out[i * n + narrow..][..n - narrow], v);
+            row_groups::<1>(coef, (m, k), load, store);
+        }
+    }
+
+    /// Samples `s..s + 2H` of a 4-column plane (a 2×2 output), two to a
+    /// register: lane `j` of register `h` is column `j mod 4` of sample
+    /// `s + 2h + j / 4`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn paired<const H: usize>(
         coef: &[f32],
         b: &[f32],
-        (k, n, j0): (usize, usize, usize),
         rows: &mut [f32],
+        s: usize,
+        (m, k): (usize, usize),
     ) {
-        let m = rows.len() / n;
+        let (bs, os) = (k * 4, m * 4);
+        let load = |kk: usize, h: usize| {
+            let at = (s + 2 * h) * bs + kk * 4;
+            let (lo, hi) = (load_f32x4(head(&b[at..])), load_f32x4(head(&b[at + bs..])));
+            _mm256_set_m128(hi, lo)
+        };
+        let store = |i: usize, h: usize, v: __m256| {
+            let at = (s + 2 * h) * os + i * 4;
+            store_f32x4(head_mut(&mut rows[at..]), _mm256_castps256_ps128(v));
+            store_f32x4(head_mut(&mut rows[at + os..]), _mm256_extractf128_ps::<1>(v));
+        };
+        row_groups::<H>(coef, (m, k), load, store);
+    }
+
+    /// Every row group of the packed `A` (`coef`: [`MR`]-row tiles, then the
+    /// 1–3 remainder rows as one group) against one block of `8 · H`
+    /// columns: `load(kk, h)` gives 8 columns of `B`'s row `kk`, and
+    /// `store(i, h, sums)` takes output row `i`'s.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn row_groups<const H: usize>(
+        coef: &[f32],
+        (m, k): (usize, usize),
+        load: impl Fn(usize, usize) -> __m256 + Copy,
+        mut store: impl FnMut(usize, usize, __m256),
+    ) {
         let tiled = m - m % MR;
         let (tiles, rest) = coef.split_at(tiled * k);
-        let (out_tiles, out_rest) = rows.split_at_mut(tiled * n);
-        for (out, c) in out_tiles.chunks_exact_mut(MR * n).zip(tiles.chunks_exact(MR * k)) {
-            f32_group::<MR, H, MASKED>(c, b, out, (n, j0));
+        for (t, c) in tiles.chunks_exact(MR * k).enumerate() {
+            f32_group::<MR, H>(c, load, |r, h, v| store(t * MR + r, h, v));
         }
         match m - tiled {
-            1 => f32_group::<1, H, MASKED>(rest, b, out_rest, (n, j0)),
-            2 => f32_group::<2, H, MASKED>(rest, b, out_rest, (n, j0)),
-            3 => f32_group::<3, H, MASKED>(rest, b, out_rest, (n, j0)),
+            1 => f32_group::<1, H>(rest, load, |r, h, v| store(tiled + r, h, v)),
+            2 => f32_group::<2, H>(rest, load, |r, h, v| store(tiled + r, h, v)),
+            3 => f32_group::<3, H>(rest, load, |r, h, v| store(tiled + r, h, v)),
             _ => {}
         }
     }
 
-    /// One `R`-row group's columns into its output rows `out` from column
-    /// `j0`: `coef` `k`-major, `R` to a `k`; `R · H` sums that stay in
-    /// registers over the whole of `k`.
+    /// One `R`-row group against one column block: `coef` `k`-major, `R` to
+    /// a `k`; `R · H` sums that stay in registers over the whole of `k`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn f32_group<const R: usize, const H: usize, const MASKED: bool>(
+    fn f32_group<const R: usize, const H: usize>(
         coef: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        (n, j0): (usize, usize),
+        load: impl Fn(usize, usize) -> __m256,
+        mut store: impl FnMut(usize, usize, __m256),
     ) {
         let mut acc = [[_mm256_setzero_ps(); H]; R];
-        for (c, brow) in coef.as_chunks::<R>().0.iter().zip(b.chunks_exact(n)) {
-            let bv: [__m256; H] = std::array::from_fn(|h| {
-                if MASKED {
-                    load_f32x8_partial(&brow[j0..])
-                } else {
-                    load_f32x8(head(&brow[j0 + 8 * h..]))
-                }
-            });
+        for (kk, c) in coef.as_chunks::<R>().0.iter().enumerate() {
+            let bv: [__m256; H] = std::array::from_fn(|h| load(kk, h));
             for (acc, &c) in acc.iter_mut().zip(c) {
                 let c = _mm256_set1_ps(c);
                 for (acc, &bv) in acc.iter_mut().zip(&bv) {
@@ -637,12 +940,232 @@ mod avx2 {
                 }
             }
         }
-        for (acc, orow) in acc.iter().zip(out.chunks_exact_mut(n)) {
+        for (r, acc) in acc.iter().enumerate() {
             for (h, &v) in acc.iter().enumerate() {
-                if MASKED {
-                    store_f32x8_partial(&mut orow[j0..], v);
-                } else {
-                    store_f32x8(head_mut(&mut orow[j0 + 8 * h..]), v);
+                store(r, h, v);
+            }
+        }
+    }
+
+    /// The convolution weight gradient's fold (see
+    /// `gemm::weight_grad_portable`): per sample, in order, each element's
+    /// partial is summed in registers from `+0.0` and added into `acc`.
+    ///
+    /// At `O ≥ 8` the partials run as a tile ([`dw_tiles`]), `p` ascending:
+    /// lanes over `o` (the sample's `dy` transposed) with [`MR`] rows of
+    /// `kk` broadcast from `cols`, or the other way round where
+    /// [`lane_cost`] says so — a product is the same either way round. Below 8 every
+    /// partial is a [`dot`](super::F32) tree, two to a register: lanes 0–3
+    /// hold `kk`'s four dot lanes and 4–7 those of `kk + 1`, so `(l0 + l2) +
+    /// (l1 + l3)` of each half, plus the scalar tail, is that dot's sum.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn f32_weight_grad(
+        dy: &[f32],
+        (cols, sc): (&[f32], usize),
+        acc: &mut [f32],
+        (o, p): (usize, usize),
+    ) {
+        let kr = acc.len() / o.max(1);
+        if o * p * kr == 0 {
+            return;
+        }
+        let samples = dy.chunks_exact(o * p).enumerate();
+        match o {
+            1 => samples.for_each(|(s, d)| dw_dots::<1>(d, &cols[s * sc..], acc, p)),
+            2 => samples.for_each(|(s, d)| dw_dots::<2>(d, &cols[s * sc..], acc, p)),
+            3 => samples.for_each(|(s, d)| dw_dots::<3>(d, &cols[s * sc..], acc, p)),
+            4 => samples.for_each(|(s, d)| dw_dots::<4>(d, &cols[s * sc..], acc, p)),
+            5 => samples.for_each(|(s, d)| dw_dots::<5>(d, &cols[s * sc..], acc, p)),
+            6 => samples.for_each(|(s, d)| dw_dots::<6>(d, &cols[s * sc..], acc, p)),
+            7 => samples.for_each(|(s, d)| dw_dots::<7>(d, &cols[s * sc..], acc, p)),
+            // Lanes over whichever of `o` and `kk` costs less: its operand is
+            // transposed (≈ 2 units an element) and its count rounds up to
+            // whole registers (one unit a lane block per broadcast row).
+            _ if lane_cost(kr, o) < lane_cost(o, kr) => {
+                with_scratch(o * kr, |acc_t: &mut [f32]| {
+                    transpose(acc, (kr, o), acc_t);
+                    let rows = |s: usize| &cols[s * sc..][..kr * p];
+                    dw_tiles(samples.map(|(s, d)| (rows(s), d)), acc_t, (kr, p));
+                    transpose(acc_t, (o, kr), acc);
+                })
+            }
+            _ => dw_tiles(samples.map(|(s, d)| (d, &cols[s * sc..][..kr * p])), acc, (o, p)),
+        }
+    }
+
+    /// What lanes over `x` cost a step against `y` broadcast rows.
+    fn lane_cost(x: usize, y: usize) -> usize {
+        2 * x + x.next_multiple_of(8) * y
+    }
+
+    /// The tile form of the partials: per sample `(lanes, rows)`, `lanes`
+    /// (`X` rows of `P`) is transposed into 8-lane blocks
+    /// ([`transpose_blocks`]) and [`MR`] of `rows` at a time are broadcast
+    /// against it, `p` ascending; each sum is added into `acc (rows, X)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dw_tiles<'a>(
+        samples: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+        acc: &mut [f32],
+        (x, p): (usize, usize),
+    ) {
+        let y = acc.len() / x;
+        with_scratch(x.div_ceil(8) * p * 8, |xt: &mut [f32]| {
+            let xt = xt.as_chunks_mut::<8>().0;
+            for (lanes, rows) in samples {
+                transpose_blocks(lanes, (x, p), xt);
+                for r0 in (0..y).step_by(MR) {
+                    let (c, a) = (&rows[r0 * p..], &mut acc[r0 * x..]);
+                    match y - r0 {
+                        1 => dw_tile::<1>(xt, c, a, (x, p)),
+                        2 => dw_tile::<2>(xt, c, a, (x, p)),
+                        3 => dw_tile::<3>(xt, c, a, (x, p)),
+                        _ => dw_tile::<MR>(xt, c, a, (x, p)),
+                    }
+                }
+            }
+        });
+    }
+
+    /// `X` rows of `P` as 8-lane blocks: `dyt[ob · P + pp]` holds row `8 ·
+    /// ob + l` at `pp` in lane `l`, zero past `X`. Whole blocks go 8 × 8
+    /// through registers ([`transpose8_rows`]).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose_blocks(dy: &[f32], (o, p): (usize, usize), dyt: &mut [[f32; 8]]) {
+        let p8 = p - p % 8;
+        for (ob, out) in dyt.chunks_exact_mut(p).take(o.div_ceil(8)).enumerate() {
+            let rows = &dy[8 * ob * p..];
+            if 8 * ob + 8 <= o {
+                for q in (0..p8).step_by(8) {
+                    let r = std::array::from_fn(|l| head(&rows[l * p + q..]));
+                    for (d, v) in out[q..q + 8].iter_mut().zip(transpose8_rows(r)) {
+                        store_f32x8(d, v);
+                    }
+                }
+            }
+            let full = if 8 * ob + 8 <= o { p8 } else { 0 };
+            for (pp, d) in out.iter_mut().enumerate().skip(full) {
+                *d = std::array::from_fn(|l| if 8 * ob + l < o { rows[l * p + pp] } else { 0.0 });
+            }
+        }
+    }
+
+    /// `R` broadcast rows (`cols` at stride `p`) against every lane row of
+    /// one sample's transposed `dyt` ([`transpose_blocks`]), each partial
+    /// added into its `acc` element (rows of `o` lanes): 16 lanes at a time,
+    /// then the last 8 or fewer.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dw_tile<const R: usize>(
+        dyt: &[[f32; 8]],
+        cols: &[f32],
+        acc: &mut [f32],
+        (o, p): (usize, usize),
+    ) {
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &cols[r * p..][..p]);
+        let block = |ob: usize| &dyt[ob * p..][..p];
+        let mut fold = |r: usize, ob: usize, v: __m256| {
+            let a = &mut acc[r * o + 8 * ob..(r * o + 8 * ob + 8).min((r + 1) * o)];
+            store_f32x8_partial(a, _mm256_add_ps(load_f32x8_partial(a), v));
+        };
+        let blocks = o.div_ceil(8);
+        for ob in (0..blocks - blocks % 2).step_by(2) {
+            dw_block::<R, 2>(&rows, [block(ob), block(ob + 1)], |r, h, v| fold(r, ob + h, v));
+        }
+        if blocks % 2 == 1 {
+            dw_block::<R, 1>(&rows, [block(blocks - 1)], |r, _, v| fold(r, blocks - 1, v));
+        }
+    }
+
+    /// One `R × 8H` block of partials over ascending `p`: `d[h][p]` is `dy`
+    /// at `p` for 8 `o`, times the broadcast `rows[r][p]`; 8 `p` a step, so
+    /// the step's bounds are checked once.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dw_block<const R: usize, const H: usize>(
+        rows: &[&[f32]; R],
+        d: [&[[f32; 8]]; H],
+        mut fold: impl FnMut(usize, usize, __m256),
+    ) {
+        let mut part = [[_mm256_setzero_ps(); H]; R];
+        let mut step = |c: [f32; R], dv: [__m256; H]| {
+            for (part, &c) in part.iter_mut().zip(&c) {
+                let c = _mm256_set1_ps(c);
+                for (part, &dv) in part.iter_mut().zip(&dv) {
+                    *part = _mm256_add_ps(*part, _mm256_mul_ps(dv, c));
+                }
+            }
+        };
+        let p = rows[0].len();
+        let p8 = p - p % 8;
+        for q in (0..p8).step_by(8) {
+            let c: [&[f32; 8]; R] = std::array::from_fn(|r| head(&rows[r][q..]));
+            let dq: [&[[f32; 8]; 8]; H] = std::array::from_fn(|h| head(&d[h][q..]));
+            for i in 0..8 {
+                step(
+                    std::array::from_fn(|r| c[r][i]),
+                    std::array::from_fn(|h| load_f32x8(&dq[h][i])),
+                );
+            }
+        }
+        for pp in p8..p {
+            step(
+                std::array::from_fn(|r| rows[r][pp]),
+                std::array::from_fn(|h| load_f32x8(&d[h][pp])),
+            );
+        }
+        for (r, part) in part.iter().enumerate() {
+            for (h, &v) in part.iter().enumerate() {
+                fold(r, h, v);
+            }
+        }
+    }
+
+    /// One sample's partials at `O < 8`: `kk` in pairs, one register per
+    /// `o` holding both dot trees; 8 `p` a step, so the step's bounds are
+    /// checked once.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dw_dots<const O: usize>(dy: &[f32], cols: &[f32], acc: &mut [f32], p: usize) {
+        let kr = acc.len() / O;
+        let (p8, p4) = (p - p % 8, p - p % 4);
+        let d: [&[f32]; O] = std::array::from_fn(|oc| &dy[oc * p..][..p]);
+        for kk in (0..kr).step_by(2) {
+            let pair = kk + 1 < kr;
+            let c0 = &cols[kk * p..][..p];
+            let c1 = if pair { &cols[(kk + 1) * p..][..p] } else { c0 };
+            let mut v = [_mm256_setzero_ps(); O];
+            // Four `p` of both rows: each `dy` row broadcast to both halves.
+            let mut step = |c0: &[f32; 4], c1: &[f32; 4], d: [&[f32; 4]; O]| {
+                let c = _mm256_set_m128(load_f32x4(c1), load_f32x4(c0));
+                for (v, d) in v.iter_mut().zip(d) {
+                    let x = load_f32x4(d);
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set_m128(x, x), c));
+                }
+            };
+            for q in (0..p8).step_by(8) {
+                let (a0, a1) = (head::<f32, 8>(&c0[q..]), head::<f32, 8>(&c1[q..]));
+                let dq: [&[f32; 8]; O] = std::array::from_fn(|oc| head(&d[oc][q..]));
+                step(head(a0), head(a1), std::array::from_fn(|oc| head(dq[oc])));
+                step(head(&a0[4..]), head(&a1[4..]), std::array::from_fn(|oc| head(&dq[oc][4..])));
+            }
+            if p4 > p8 {
+                step(
+                    head(&c0[p8..]),
+                    head(&c1[p8..]),
+                    std::array::from_fn(|oc| head(&d[oc][p8..])),
+                );
+            }
+            for (oc, (&v, d)) in v.iter().zip(&d).enumerate() {
+                let tail = |c: &[f32]| (p4..p).fold(0.0f32, |t, i| t + d[i] * c[i]);
+                // Per half: lanes (l0 + l2, l1 + l3), then their sum.
+                let t = _mm256_add_ps(v, _mm256_permute_ps::<0b01_00_11_10>(v));
+                let t = _mm256_add_ps(t, _mm256_permute_ps::<0b01>(t));
+                acc[kk * O + oc] += _mm256_cvtss_f32(t) + tail(c0);
+                if pair {
+                    let hi = _mm_cvtss_f32(_mm256_extractf128_ps::<1>(t));
+                    acc[(kk + 1) * O + oc] += hi + tail(c1);
                 }
             }
         }
@@ -655,8 +1178,8 @@ mod avx2 {
         let (n8, k8) = (n - n % 8, k - k % 8);
         for j0 in (0..n8).step_by(8) {
             for k0 in (0..k8).step_by(8) {
-                let r = std::array::from_fn(|i| load_f32x8(head(&b[(j0 + i) * k + k0..])));
-                for (i, v) in transpose8(r).into_iter().enumerate() {
+                let r = std::array::from_fn(|i| head(&b[(j0 + i) * k + k0..]));
+                for (i, v) in transpose8_rows(r).into_iter().enumerate() {
                     store_f32x8(head_mut(&mut bt[(k0 + i) * n + j0..]), v);
                 }
             }
@@ -1124,6 +1647,37 @@ mod avx2 {
         store_f32x8(&mut sums[0], sdy);
         store_f32x8(&mut sums[1], sdx);
         sums
+    }
+
+    /// The 8 × 8 transpose of eight rows in memory: lane `j` of the result's
+    /// vector `i` is `rows[j][i]`. Each register is loaded as the matching
+    /// halves of rows `r` and `r + 4` (the lane-crossing step, done by the
+    /// loads), leaving 16 in-lane shuffles where [`transpose8`] takes 24.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose8_rows(rows: [&[f32; 8]; 8]) -> [__m256; 8] {
+        let t: [__m256; 8] = std::array::from_fn(|i| {
+            let (r, half) = (i % 4, 4 * (i / 4));
+            let lo = _mm256_castps128_ps256(load_f32x4(head(&rows[r][half..])));
+            _mm256_insertf128_ps::<1>(lo, load_f32x4(head(&rows[r + 4][half..])))
+        });
+        let u: [__m256; 8] = std::array::from_fn(|i| {
+            let (a, b) = (t[i / 2 / 2 * 4 + i / 2 % 2 * 2], t[i / 2 / 2 * 4 + i / 2 % 2 * 2 + 1]);
+            if i % 2 == 0 {
+                _mm256_unpacklo_ps(a, b)
+            } else {
+                _mm256_unpackhi_ps(a, b)
+            }
+        });
+        std::array::from_fn(|c| {
+            let (g, j) = (c / 4, c % 4);
+            let (a, b) = (u[4 * g + j / 2], u[4 * g + 2 + j / 2]);
+            if j % 2 == 0 {
+                _mm256_shuffle_ps::<0x44>(a, b)
+            } else {
+                _mm256_shuffle_ps::<0xEE>(a, b)
+            }
+        })
     }
 
     /// The 8 × 8 transpose: lane `j` of row `i` becomes lane `i` of row `j`.

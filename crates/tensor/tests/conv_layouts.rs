@@ -11,14 +11,21 @@
 //!    `sparse_qconv2d_frozen` read a `WindowTable` and `[C·Kh·Kw][O]`
 //!    `EventWeights` built once; they must equal the per-call event kernels
 //!    and the dense kernels.
+//! 3. **One fold for the weight gradient** — `conv2d_weight_grad` splits the
+//!    output elements across threads and walks every sample in one lane
+//!    call, each per-sample partial summed in registers; it must equal
+//!    unfolding each sample, one `gemm_a_bt` per sample and adding the
+//!    partials into `+0.0` in sample order. Batches of 1, 3, 8, 9 and 17
+//!    fill lane-packed sample blocks and leave remainders.
 //!
 //! Kernels 1×1, 3×1, 1×3 and 3×3 at stride 1 and 2, padding 0 and 1, output
-//! channels 1, 3, 8, 19 and 64, both accumulator modes (with Sat16 sums that
-//! really saturate), at 1, 2 and 8 threads.
+//! channels 1, 3, 8, 19 and 64 (either side of the weight gradient's `O < 8`
+//! dot form), both accumulator modes (with Sat16 sums that really saturate),
+//! at 1, 2 and 8 threads.
 
 use proptest::prelude::*;
 use ttsnn_tensor::qkernels::{self, QAccum};
-use ttsnn_tensor::runtime::Runtime;
+use ttsnn_tensor::runtime::{self, Runtime};
 use ttsnn_tensor::spike::{self, EventWeights, SpikeTensor, WindowTable};
 use ttsnn_tensor::{conv, Conv2dGeometry, Rng, Tensor};
 
@@ -144,6 +151,70 @@ fn check_frozen(g: &Conv2dGeometry, b: usize, density: f64, seed: u64) {
             at_every_thread_count(&want, &format!("sparse_qconv2d_frozen {tag}"), || {
                 spike::sparse_qconv2d_frozen(&sp, &qew, &sc, &table, g, accum).unwrap()
             });
+        }
+    }
+}
+
+/// Sample `s`'s im2col matrix `(C·Kh·Kw, Oh·Ow)`, element by element.
+fn unfold(x: &Tensor, s: usize, g: &Conv2dGeometry) -> Vec<f32> {
+    let ((h, w), (kh, kw), (oh, ow)) = (g.in_hw, g.kernel, g.out_hw());
+    let plane = |c: usize| &x.data()[(s * g.in_channels + c) * h * w..][..h * w];
+    let mut cols = vec![0.0f32; g.in_channels * kh * kw * oh * ow];
+    for (e, v) in cols.iter_mut().enumerate() {
+        let (row, p) = (e / (oh * ow), e % (oh * ow));
+        let (c, ki, kj) = (row / (kh * kw), row / kw % kh, row % kw);
+        let i = (p / ow * g.stride.0 + ki).checked_sub(g.padding.0).filter(|&i| i < h);
+        let j = (p % ow * g.stride.1 + kj).checked_sub(g.padding.1).filter(|&j| j < w);
+        if let (Some(i), Some(j)) = (i, j) {
+            *v = plane(c)[i * w + j];
+        }
+    }
+    cols
+}
+
+/// The weight gradient sample by sample: each sample's partial `dy_s ·
+/// colsᵀ` from its own `gemm_a_bt` call, added into `+0.0` in sample order.
+fn per_sample_weight_grad(x: &Tensor, gy: &Tensor, g: &Conv2dGeometry) -> Vec<u32> {
+    let rt = Runtime::new(1);
+    let (b, (oh, ow)) = (x.shape()[0], g.out_hw());
+    let (o, p, k) = (g.out_channels, oh * ow, g.in_channels * g.kernel.0 * g.kernel.1);
+    let (mut dw, mut part) = (vec![0.0f32; o * k], vec![0.0f32; o * k]);
+    for s in 0..b {
+        let dy = &gy.data()[s * o * p..][..o * p];
+        runtime::gemm_a_bt(&rt, dy, &unfold(x, s, g), &mut part, o, p, k);
+        for (a, v) in dw.iter_mut().zip(&part) {
+            *a += v;
+        }
+    }
+    dw.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `conv2d_weight_grad` against [`per_sample_weight_grad`] on every kernel
+/// shape, stride, output width and thread count, at padding 0 and at the
+/// padding that keeps the plane, on planes whose positions leave every lane
+/// tail (7 × 9 is 63 positions, 20 at stride 2).
+#[test]
+fn weight_grad_matches_the_per_sample_fold() {
+    for (ki, &kernel) in KERNELS.iter().enumerate() {
+        for stride in [1, 2] {
+            for pad in [(0, 0), (kernel.0 / 2, kernel.1 / 2)] {
+                for (oi, &o) in OUT_CHANNELS.iter().enumerate() {
+                    for b in [1, 3, 8, 9, 17] {
+                        let seed = (ki * 1000 + stride * 100 + pad.0 * 20 + pad.1 * 10 + oi) as u64;
+                        let mut rng = Rng::seed_from(seed * 31 + b as u64);
+                        let g = Conv2dGeometry::new(3, o, (7, 9), kernel, (stride, stride), pad);
+                        let (oh, ow) = g.out_hw();
+                        let x = Tensor::randn(&input_shape(b, &g), &mut rng);
+                        let gy = Tensor::randn(&[b, o, oh, ow], &mut rng);
+                        let want = per_sample_weight_grad(&x, &gy, &g);
+                        at_every_thread_count(
+                            &want,
+                            &format!("conv2d_weight_grad {g:?} b={b}"),
+                            || conv::conv2d_weight_grad(&x, &gy, &g).unwrap(),
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -12,7 +12,11 @@
 //! `NaN`, `±∞` and `−0.0`. Among the mutants this kills: a fused
 //! multiply-add in the tile, a dropped 8-column or scalar column tail, a
 //! skipped remainder row, and a wrong `a` stride in the tile's packing (the
-//! `gemm_at_b` layout).
+//! `gemm_at_b` layout). The convolutions also run the TT cores of a training
+//! step (rank-2 1×1, 3×1 and 1×3 cores, the strided 1×1 of HTT's half path,
+//! cores with 2×2 output planes) at 1, 3 and 9 samples: a lone sample, a
+//! pair of 2×2 planes sharing a register with one left over, and four-sample
+//! blocks with a remainder.
 //!
 //! **f32 events.** `sparse_conv2d` and `sparse_conv2d_frozen` against the
 //! dense `conv2d`'s bits (and, for non-finite weights, the event sum) at every
@@ -239,8 +243,20 @@ fn f32_convolutions_match_ascending_k_on_every_lane_set() {
     geometries.push(Conv2dGeometry::new(6, 9, (4, 3), (1, 1), (1, 1), (0, 0)));
     // `O` and `C·Kh·Kw` of 8 and up: the weight gradient's transpose + tile.
     geometries.push(Conv2dGeometry::new(5, 11, (9, 7), (3, 3), (1, 1), (1, 1)));
-    for g in geometries {
-        let b = 3;
+    // The TT cores of a training step: rank-2 1×1 cores both ways, the 3×1
+    // and 1×3 cores at rank 2, and the strided 1×1 of HTT's half path.
+    geometries.extend([
+        Conv2dGeometry::new(8, 2, (16, 16), (1, 1), (1, 1), (0, 0)),
+        Conv2dGeometry::new(2, 8, (16, 16), (1, 1), (1, 1), (0, 0)),
+        Conv2dGeometry::new(2, 2, (16, 16), (3, 1), (1, 1), (1, 0)),
+        Conv2dGeometry::new(2, 2, (16, 16), (1, 3), (1, 1), (0, 1)),
+        Conv2dGeometry::new(8, 2, (16, 16), (1, 1), (2, 2), (0, 0)),
+        Conv2dGeometry::new(16, 5, (8, 8), (1, 1), (2, 2), (0, 0)),
+        // 2×2 output planes, two samples to a register.
+        Conv2dGeometry::new(19, 64, (2, 2), (1, 1), (1, 1), (0, 0)),
+        Conv2dGeometry::new(10, 10, (4, 4), (3, 1), (2, 2), (1, 0)),
+    ]);
+    for (g, b) in geometries.into_iter().flat_map(|g| [1, 3, 9].map(|b| (g, b))) {
         let ((oh, ow), o) = (g.out_hw(), g.out_channels);
         let (k, osp) = (g.in_channels * g.kernel.0 * g.kernel.1, oh * ow);
         let in_slab = g.in_channels * g.in_hw.0 * g.in_hw.1;
@@ -259,7 +275,7 @@ fn f32_convolutions_match_ascending_k_on_every_lane_set() {
         }
         for threads in [1, 3] {
             let rt = Runtime::new(threads);
-            let what = |kernel| format!("{kernel} {g:?} threads={threads}");
+            let what = |kernel| format!("{kernel} {g:?} b={b} threads={threads}");
             f32_on_every_lane_set(&what("conv2d"), &y, || {
                 rt.install(|| conv::conv2d(&x, &w, &g)).unwrap().data().to_vec()
             });

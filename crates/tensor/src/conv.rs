@@ -406,9 +406,10 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, g: &Conv2dGeometry) -> Result<Tensor,
     let conv = |rt: &Runtime, s0: usize, out_g: &mut [f32]| {
         let n = out_g.len() / out_slab;
         let x_g = &xd[s0 * in_slab..(s0 + n) * in_slab];
-        unfolded(x_g, (n, in_slab), g, |i0, m, cols, _| {
-            let out = &mut out_g[i0 * out_slab..(i0 + m) * out_slab];
-            runtime::gemm_samples("gemm", rt, wd, (k, 1), cols, out, (o, k, ospatial));
+        runtime::with_gemm_samples("gemm", rt, (wd, (k, 1)), (o, k, ospatial), n, |gemm| {
+            unfolded(x_g, (n, in_slab), g, |i0, m, cols, _| {
+                gemm(cols, &mut out_g[i0 * out_slab..(i0 + m) * out_slab]);
+            });
         });
     };
     per_sample("conv2d", out.data_mut(), out_slab, 2 * g.macs(), None, conv);
@@ -452,23 +453,22 @@ pub fn conv2d_input_grad(
     let sample = |rt: &Runtime, s0: usize, xg_g: &mut [f32]| {
         let n = xg_g.len() / in_slab;
         let dy = &gd[s0 * out_slab..(s0 + n) * out_slab];
-        let dx_cols = |dy: &[f32], cols: &mut [f32]| {
-            runtime::gemm_samples("gemm_at_b", rt, wd, (1, k), dy, cols, (k, o, ospatial));
-        };
-        if pointwise {
-            // col2im would add these columns into zeros. The GEMM's
-            // accumulators start from +0.0 and a sum that starts there
-            // never lands on −0.0, so `0.0 + v` is `v` bit for bit and
-            // the GEMM can write the slabs itself.
-            return dx_cols(dy, xg_g);
-        }
-        let (len, run) = (k * ospatial, unfold_run(g).min(n));
-        with_scratch(run * len, |cols: &mut [f32]| {
-            for (dy, xg) in dy.chunks(run * out_slab).zip(xg_g.chunks_mut(run * in_slab)) {
-                let cols = &mut cols[..dy.len() / out_slab * len];
-                dx_cols(dy, cols);
-                Lanes::current().fold_f32(cols, g, xg);
+        runtime::with_gemm_samples("gemm_at_b", rt, (wd, (1, k)), (k, o, ospatial), n, |dx_cols| {
+            if pointwise {
+                // col2im would add these columns into zeros. The GEMM's
+                // accumulators start from +0.0 and a sum that starts there
+                // never lands on −0.0, so `0.0 + v` is `v` bit for bit and
+                // the GEMM can write the slabs itself.
+                return dx_cols(dy, xg_g);
             }
+            let (len, run) = (k * ospatial, unfold_run(g).min(n));
+            with_scratch(run * len, |cols: &mut [f32]| {
+                for (dy, xg) in dy.chunks(run * out_slab).zip(xg_g.chunks_mut(run * in_slab)) {
+                    let cols = &mut cols[..dy.len() / out_slab * len];
+                    dx_cols(dy, cols);
+                    Lanes::current().fold_f32(cols, g, xg);
+                }
+            });
         });
     };
     let macs = 2 * g.macs();

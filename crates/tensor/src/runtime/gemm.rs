@@ -25,8 +25,8 @@
 //! copies against O(mnk) compute) to reach saxpy speed — "no transpose" in
 //! this module means *callers* never materialize one.
 //!
-//! The convolutions batch the first two over samples (`gemm_samples`: one
-//! lane call packs `A` once for a run of samples) and sum their weight
+//! The convolutions batch the first two over samples (`with_gemm_samples`:
+//! `A` packed once for a fork range, one lane call a run of samples) and sum their weight
 //! gradient `dy·colsᵀ` sample by sample in one lane call
 //! (`weight_grad_portable` is its portable body), each partial summed as
 //! [`gemm_a_bt`] would sum it.
@@ -220,7 +220,8 @@ impl Mac for F32 {
     }
 
     fn tile(a: &[f32], a_strides: (usize, usize), b: &[f32], rows: &mut [f32], k: usize, n: usize) {
-        Lanes::current().f32_rows(a, a_strides, b, rows, (k, n));
+        let m = rows.len() / n.max(1);
+        Lanes::current().with_f32_tile(a, a_strides, (m, k, n), |tile| tile(b, rows));
     }
 
     fn scatter(taps: Taps<'_>, wt: &[f32], out_s: &mut [f32], o: usize, (): ()) {
@@ -352,29 +353,30 @@ pub(crate) fn f32_rows_portable(
     }
 }
 
-/// `out_s = A · B_s` for every sample `s` of a batch: `B_s` the `(k, n)`
-/// block `b[s·k·n..]`, `out_s` the `(m, n)` block `out[s·m·n..]`, `A` read
-/// as [`saxpy_gemm`] reads it. A lone sample is [`saxpy_gemm`] on `rt` under
-/// `name` (its rows fork); more go through one lane call on this thread,
-/// which packs `A` once for all of them. Every element adds its terms to a
-/// `+0.0` in ascending `k` either way.
-pub(crate) fn gemm_samples(
+/// Runs `f(gemm)` over a range of `samples` samples: `gemm(b, out)` is
+/// `out_s = A · B_s` for every sample `s` of a run of them, `B_s` the `(k,
+/// n)` block `b[s·k·n..]`, `out_s` the `(m, n)` block `out[s·m·n..]`, `A`
+/// read as [`saxpy_gemm`] reads it. A lone sample is [`saxpy_gemm`] on `rt`
+/// under `name` (its rows fork); more go through one lane call a run on
+/// this thread, `A` packed once for every run. Every element adds its terms
+/// to a `+0.0` in ascending `k` either way.
+pub(crate) fn with_gemm_samples<R>(
     name: &'static str,
     rt: &Runtime,
-    a: &[f32],
-    a_strides: (usize, usize),
-    b: &[f32],
-    out: &mut [f32],
+    (a, a_strides): (&[f32], (usize, usize)),
     (m, k, n): (usize, usize, usize),
-) {
-    if k * n == 0 {
-        return out.fill(0.0);
+    samples: usize,
+    f: impl FnOnce(&mut dyn FnMut(&[f32], &mut [f32])) -> R,
+) -> R {
+    if samples <= 1 {
+        return f(&mut |b, out| saxpy_gemm::<F32>(name, rt, a, a_strides, b, out, (m, k, n)));
     }
-    if out.len() <= m * n {
-        return saxpy_gemm::<F32>(name, rt, a, a_strides, b, out, (m, k, n));
-    }
-    assert_eq!(b.len() / (k * n).max(1), out.len() / (m * n), "gemm_samples: sample counts");
-    Lanes::current().f32_rows(a, a_strides, b, out, (k, n));
+    Lanes::current().with_f32_tile(a, a_strides, (m, k, n), |tile| {
+        f(&mut |b, out| {
+            assert_eq!(b.len() * m, out.len() * k, "with_gemm_samples: sample counts");
+            tile(b, out);
+        })
+    })
 }
 
 /// The convolution weight gradient's fold, portable: for every sample `s` of

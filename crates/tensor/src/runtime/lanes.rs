@@ -3,11 +3,10 @@
 //! The f32 GEMM tile behind `gemm`, `gemm_at_b` and `gemm_a_bt`, the three
 //! f32 convolutions (the tile over a batch of samples, their unfolding and
 //! fold, the weight gradient's per-sample partials), the event scatter of
-//! `sparse_conv2d`, and every
-//! int8 kernel — the `qgemm` tile, the dot behind `qlinear` / `qgemm_a_bt`,
-//! `qconv2d`'s quantization and unfolding, the requantizing epilogue and the
-//! event scatter of `sparse_qconv2d` — ask a [`Lanes`] for their inner loop.
-//! There are two sets:
+//! `sparse_conv2d`, and every int8 kernel — the `qgemm` tile, the dot behind
+//! `qlinear` / `qgemm_a_bt`, `qconv2d`'s quantization and unfolding, the
+//! requantizing epilogue and the event scatter of `sparse_qconv2d` — ask a
+//! [`Lanes`] for their inner loop. There are two sets:
 //!
 //! * **portable** — the generic bodies every `Mac` runs, compiled for the
 //!   target's baseline (SSE2 on `x86_64`: 128-bit float lanes and no packed
@@ -183,22 +182,26 @@ impl Lanes {
         }
     }
 
-    /// The f32 tile: `rows = A_range · B` (see `gemm::saxpy_rows`), or over
-    /// a batch, `A · B_s` into each `(m, n)` block of `rows` from each
-    /// `(k, n)` block of `b` (see `gemm::gemm_samples`).
-    pub(crate) fn f32_rows(
+    /// Runs `f(tile)`: `tile(b, rows)` is the f32 tile `A · B_s` (see
+    /// `gemm::saxpy_rows`) into each `(m, n)` block of `rows` from each `(k,
+    /// n)` block of `b`, `A` (`m` rows of `k`) packed once for every call.
+    pub(crate) fn with_f32_tile<R>(
         self,
         a: &[f32],
         a_strides: (usize, usize),
-        b: &[f32],
-        rows: &mut [f32],
-        (k, n): (usize, usize),
-    ) {
+        (m, k, n): (usize, usize, usize),
+        f: impl FnOnce(&mut dyn FnMut(&[f32], &mut [f32])) -> R,
+    ) -> R {
         match self.0 {
-            Kind::Portable => f32_rows_portable(a, a_strides, b, rows, (k, n)),
+            _ if k * n == 0 => f(&mut |_, rows| rows.fill(0.0)),
+            Kind::Portable => f(&mut |b, rows| f32_rows_portable(a, a_strides, b, rows, (k, n))),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Avx2` set exists only once AVX2 was detected.
-            Kind::Avx2 => unsafe { avx2::f32_rows(a, a_strides, b, rows, (k, n)) },
+            Kind::Avx2 => super::with_scratch(m * k, |coef: &mut [f32]| {
+                // SAFETY: an `Avx2` set exists only once AVX2 was detected.
+                unsafe { avx2::pack(a, a_strides, (m, k), coef) };
+                // SAFETY: as above.
+                f(&mut |b, rows| unsafe { avx2::f32_rows(coef, b, rows, (m, k, n)) })
+            }),
         }
     }
 
@@ -752,18 +755,36 @@ mod avx2 {
         }
     }
 
+    /// `A`'s `m` rows of `k` into `coef`, `k`-major: [`MR`] rows to a tile,
+    /// the 1–3 remainder rows as one group.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn pack(
+        a: &[f32],
+        a_strides: (usize, usize),
+        (m, k): (usize, usize),
+        coef: &mut [f32],
+    ) {
+        let tiled = m - m % MR;
+        let (tiles, rest) = coef[..m * k].split_at_mut(tiled * k);
+        for (t, tile) in tiles.chunks_exact_mut(MR * k).enumerate() {
+            pack_rows::<MR>(a, a_strides, t * MR, tile);
+        }
+        match m - tiled {
+            1 => pack_rows::<1>(a, a_strides, tiled, rest),
+            2 => pack_rows::<2>(a, a_strides, tiled, rest),
+            3 => pack_rows::<3>(a, a_strides, tiled, rest),
+            _ => {}
+        }
+    }
+
     /// The f32 tile over a batch: `out_s = A · B_s` for every `(k, n)` block
     /// `B_s` of `b` and `(m, n)` block `out_s` of `rows` (one of each for a
-    /// plain product), `A`'s element `(i, kk)` at `a[i · row_stride + kk ·
-    /// k_stride]`.
-    ///
-    /// `A`'s rows are first packed `k`-major into scratch, once for every
-    /// sample: [`MR`] rows to a tile and the 1–3 remainder rows as one group,
-    /// so the loop over `k` reads its coefficients in order whatever `A`'s
-    /// layout ([`row_groups`]). Per sample, output columns then go 16 at a
+    /// plain product), `A` as [`pack`] lays it out in `coef`, so the loop
+    /// over `k` reads its coefficients in order whatever `A`'s layout
+    /// ([`row_groups`]). Per sample, output columns go 16 at a
     /// time, then one block of 8, then the last `n mod 8` through masked
     /// loads and stores ([`columns`]); at `n` = 4 two samples share a
-    /// register instead, four in two ([`paired_columns`]). Per column block
+    /// register instead, four in two ([`paired`]). Per column block
     /// every row group keeps its sums in registers over the whole of `k`.
     /// Every element starts at `+0.0` and adds `a · b` in ascending `k`, a
     /// multiply then an add, as the portable tile does.
@@ -777,46 +798,26 @@ mod avx2 {
     /// 16–64 rows with `n` of 1024 or 2048, shapes no workload runs.
     #[target_feature(enable = "avx2")]
     pub(super) fn f32_rows(
-        a: &[f32],
-        a_strides: (usize, usize),
+        coef: &[f32],
         b: &[f32],
         rows: &mut [f32],
-        (k, n): (usize, usize),
+        (m, k, n): (usize, usize, usize),
     ) {
-        if n == 0 || k == 0 {
-            return rows.fill(0.0);
-        }
         let samples = b.len() / (k * n);
-        let m = rows.len() / (samples * n).max(1);
-        let tiled = m - m % MR;
-        with_scratch(m * k, |coef: &mut [f32]| {
-            let (tiles, rest) = coef.split_at_mut(tiled * k);
-            for (t, tile) in tiles.chunks_exact_mut(MR * k).enumerate() {
-                pack_rows::<MR>(a, a_strides, t * MR, tile);
+        let mut s = 0;
+        if n == 4 {
+            // Four at a time only: two samples in one register ran 3.7 ×
+            // slower than both through `columns` (576 → 64 on 2 × 2, one
+            // thread, not diagnosed).
+            for _ in 0..samples / 4 {
+                paired(coef, b, rows, s, (m, k));
+                s += 4;
             }
-            match m - tiled {
-                1 => pack_rows::<1>(a, a_strides, tiled, rest),
-                2 => pack_rows::<2>(a, a_strides, tiled, rest),
-                3 => pack_rows::<3>(a, a_strides, tiled, rest),
-                _ => {}
-            }
-            let coef = &*coef;
-            let mut s = 0;
-            if n == 4 {
-                for _ in 0..samples / 4 {
-                    paired::<2>(coef, b, rows, s, (m, k));
-                    s += 4;
-                }
-                if samples - s >= 2 {
-                    paired::<1>(coef, b, rows, s, (m, k));
-                    s += 2;
-                }
-            }
-            let (bs, os) = (k * n, m * n);
-            for s in s..samples {
-                columns(coef, &b[s * bs..][..bs], &mut rows[s * os..][..os], (m, k, n));
-            }
-        });
+        }
+        let (bs, os) = (k * n, m * n);
+        for s in s..samples {
+            columns(coef, &b[s * bs..][..bs], &mut rows[s * os..][..os], (m, k, n));
+        }
     }
 
     /// Rows `i0..i0 + R` of `A` (element `(i, kk)` at `a[i · row_stride +
@@ -870,18 +871,12 @@ mod avx2 {
         }
     }
 
-    /// Samples `s..s + 2H` of a 4-column plane (a 2×2 output), two to a
+    /// Samples `s..s + 4` of a 4-column plane (a 2×2 output), two to a
     /// register: lane `j` of register `h` is column `j mod 4` of sample
     /// `s + 2h + j / 4`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn paired<const H: usize>(
-        coef: &[f32],
-        b: &[f32],
-        rows: &mut [f32],
-        s: usize,
-        (m, k): (usize, usize),
-    ) {
+    fn paired(coef: &[f32], b: &[f32], rows: &mut [f32], s: usize, (m, k): (usize, usize)) {
         let (bs, os) = (k * 4, m * 4);
         let load = |kk: usize, h: usize| {
             let at = (s + 2 * h) * bs + kk * 4;
@@ -893,7 +888,7 @@ mod avx2 {
             store_f32x4(head_mut(&mut rows[at..]), _mm256_castps256_ps128(v));
             store_f32x4(head_mut(&mut rows[at + os..]), _mm256_extractf128_ps::<1>(v));
         };
-        row_groups::<H>(coef, (m, k), load, store);
+        row_groups::<2>(coef, (m, k), load, store);
     }
 
     /// Every row group of the packed `A` (`coef`: [`MR`]-row tiles, then the

@@ -85,7 +85,7 @@ mod pool;
 
 pub(crate) use arena::{recycle_buffer, take_buffer};
 pub use arena::{scratch_bytes, scratch_depth, with_scratch, with_scratch_zeroed, Scratch};
-pub(crate) use gemm::{dot_gemm, dot_row, gemm_samples, saxpy_gemm, Mac, F32};
+pub(crate) use gemm::{dot_gemm, dot_row, saxpy_gemm, with_gemm_samples, Mac, F32};
 pub use gemm::{gemm, gemm_a_bt, gemm_at_b, reference_gemm};
 pub use lanes::{lanes, with_lanes, Lanes};
 pub(crate) use pool::fork_grain;

@@ -9,9 +9,9 @@
 //! The forward and the input gradient are closures over a fork range of
 //! consecutive samples handed to `per_sample`, the batch driver the int8
 //! convolution ([`crate::qkernels::qconv2d`]) shares: it opens the kernel's
-//! trace region and decides the fork. A range goes through **one lane call**
-//! ([`crate::runtime::Lanes`]) that packs the weight once and runs every
-//! sample's product against it, reading each sample's im2col columns and
+//! trace region and decides the fork. A range packs the weight once and
+//! runs each run of samples through **one lane call**
+//! ([`crate::runtime::Lanes`]), reading each sample's im2col columns and
 //! writing its output in place — no per-sample GEMM call, no gathered panel.
 //! Columns are unfolded a run of samples at a time into per-thread arena
 //! scratch ([`crate::runtime::with_scratch`]: no allocation once an arena is
@@ -262,9 +262,16 @@ pub(crate) fn fold_portable(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]
 /// while they are still in cache.
 const UNFOLD_FLOATS: usize = 8 * 1024;
 
-/// Samples in one unfolded run of `g`.
+/// Samples in one unfolded run of `g`: a multiple of four on a 4-position
+/// plane, which the tile runs four samples at a time.
 fn unfold_run(g: &Conv2dGeometry) -> usize {
-    (UNFOLD_FLOATS / (g.patch_len() * g.out_hw().0 * g.out_hw().1).max(1)).max(1)
+    let p = g.out_hw().0 * g.out_hw().1;
+    let run = (UNFOLD_FLOATS / (g.patch_len() * p).max(1)).max(1);
+    if p == 4 {
+        run.next_multiple_of(4)
+    } else {
+        run
+    }
 }
 
 /// Runs `f(s0, n, cols, stride)` over runs of the `samples` samples `x`

@@ -1031,6 +1031,21 @@ mod avx2 {
         let p8 = p - p % 8;
         for (ob, out) in dyt.chunks_exact_mut(p).take(o.div_ceil(8)).enumerate() {
             let rows = &dy[8 * ob * p..];
+            if 8 * ob + 8 <= o && p == 4 {
+                // A 2 × 2 plane: rows `j` and `j + 4` to a register, then one
+                // in-lane 4 × 4 transpose.
+                let a: [__m256; 4] = std::array::from_fn(|j| {
+                    let (lo, hi) = (head(&rows[4 * j..]), head(&rows[4 * j + 16..]));
+                    _mm256_set_m128(load_f32x4(hi), load_f32x4(lo))
+                });
+                let (t0, t1) = (_mm256_unpacklo_ps(a[0], a[1]), _mm256_unpacklo_ps(a[2], a[3]));
+                let (t2, t3) = (_mm256_unpackhi_ps(a[0], a[1]), _mm256_unpackhi_ps(a[2], a[3]));
+                store_f32x8(&mut out[0], _mm256_shuffle_ps::<0x44>(t0, t1));
+                store_f32x8(&mut out[1], _mm256_shuffle_ps::<0xEE>(t0, t1));
+                store_f32x8(&mut out[2], _mm256_shuffle_ps::<0x44>(t2, t3));
+                store_f32x8(&mut out[3], _mm256_shuffle_ps::<0xEE>(t2, t3));
+                continue;
+            }
             if 8 * ob + 8 <= o {
                 for q in (0..p8).step_by(8) {
                     let r = std::array::from_fn(|l| head(&rows[l * p + q..]));

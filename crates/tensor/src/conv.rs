@@ -262,16 +262,10 @@ pub(crate) fn fold_portable(cols: &[f32], g: &Conv2dGeometry, x_grad: &mut [f32]
 /// while they are still in cache.
 const UNFOLD_FLOATS: usize = 8 * 1024;
 
-/// Samples in one unfolded run of `g`: a multiple of four on a 4-position
-/// plane, which the tile runs four samples at a time.
+/// Samples in one unfolded run of `g`.
 fn unfold_run(g: &Conv2dGeometry) -> usize {
     let p = g.out_hw().0 * g.out_hw().1;
-    let run = (UNFOLD_FLOATS / (g.patch_len() * p).max(1)).max(1);
-    if p == 4 {
-        run.next_multiple_of(4)
-    } else {
-        run
-    }
+    (UNFOLD_FLOATS / (g.patch_len() * p).max(1)).max(1)
 }
 
 /// Runs `f(s0, n, cols, stride)` over runs of the `samples` samples `x`

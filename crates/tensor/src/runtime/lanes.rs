@@ -418,13 +418,6 @@ mod avx2 {
         unsafe { _mm_loadu_ps(src.as_ptr()) }
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store_f32x4(dst: &mut [f32; 4], v: __m128) {
-        // SAFETY: `dst` is 16 writable bytes; the store is unaligned.
-        unsafe { _mm_storeu_ps(dst.as_mut_ptr(), v) }
-    }
-
     /// The first `src.len()` lanes (all 8 if longer) from `src`, zero in
     /// the rest.
     #[inline]
@@ -565,6 +558,13 @@ mod avx2 {
     /// shifted run of it, 8 lanes at a time through [`column_masks`]; a 1×1
     /// kernel at stride 2 takes every other input of every other row, 8 lanes
     /// from 16 by a shuffle. Any other geometry unfolds sample by sample.
+    ///
+    /// Against sample-by-sample [`unfold`] and `fold_portable` (one thread,
+    /// 2-vCPU AVX2 host, per kernel call over the benchmark's training
+    /// step), the plane shift ran the stride-1 3×1 / 1×3 / 3×3 cores 1.07–1.85
+    /// × faster forward, 1.08–1.52 × on the input gradient and 1.05–1.54 ×
+    /// on the weight gradient; the shuffle ran the strided 1×1 cores 1.2–2.0
+    /// ×, 1.37–2.04 × and 1.15–2.13 ×.
     #[target_feature(enable = "avx2")]
     pub(super) fn unfold_f32(
         x: &[f32],
@@ -783,9 +783,8 @@ mod avx2 {
     /// over `k` reads its coefficients in order whatever `A`'s layout
     /// ([`row_groups`]). Per sample, output columns go 16 at a
     /// time, then one block of 8, then the last `n mod 8` through masked
-    /// loads and stores ([`columns`]); at `n` = 4 two samples share a
-    /// register instead, four in two ([`paired`]). Per column block
-    /// every row group keeps its sums in registers over the whole of `k`.
+    /// loads and stores ([`columns`]). Per column block every row group
+    /// keeps its sums in registers over the whole of `k`.
     /// Every element starts at `+0.0` and adds `a · b` in ascending `k`, a
     /// multiply then an add, as the portable tile does.
     ///
@@ -804,18 +803,8 @@ mod avx2 {
         (m, k, n): (usize, usize, usize),
     ) {
         let samples = b.len() / (k * n);
-        let mut s = 0;
-        if n == 4 {
-            // Four at a time only: two samples in one register ran 3.7 ×
-            // slower than both through `columns` (576 → 64 on 2 × 2, one
-            // thread, not diagnosed).
-            for _ in 0..samples / 4 {
-                paired(coef, b, rows, s, (m, k));
-                s += 4;
-            }
-        }
         let (bs, os) = (k * n, m * n);
-        for s in s..samples {
+        for s in 0..samples {
             columns(coef, &b[s * bs..][..bs], &mut rows[s * os..][..os], (m, k, n));
         }
     }
@@ -869,26 +858,6 @@ mod avx2 {
                 |i: usize, _, v| store_f32x8_partial(&mut out[i * n + narrow..][..n - narrow], v);
             row_groups::<1>(coef, (m, k), load, store);
         }
-    }
-
-    /// Samples `s..s + 4` of a 4-column plane (a 2×2 output), two to a
-    /// register: lane `j` of register `h` is column `j mod 4` of sample
-    /// `s + 2h + j / 4`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn paired(coef: &[f32], b: &[f32], rows: &mut [f32], s: usize, (m, k): (usize, usize)) {
-        let (bs, os) = (k * 4, m * 4);
-        let load = |kk: usize, h: usize| {
-            let at = (s + 2 * h) * bs + kk * 4;
-            let (lo, hi) = (load_f32x4(head(&b[at..])), load_f32x4(head(&b[at + bs..])));
-            _mm256_set_m128(hi, lo)
-        };
-        let store = |i: usize, h: usize, v: __m256| {
-            let at = (s + 2 * h) * os + i * 4;
-            store_f32x4(head_mut(&mut rows[at..]), _mm256_castps256_ps128(v));
-            store_f32x4(head_mut(&mut rows[at + os..]), _mm256_extractf128_ps::<1>(v));
-        };
-        row_groups::<2>(coef, (m, k), load, store);
     }
 
     /// Every row group of the packed `A` (`coef`: [`MR`]-row tiles, then the
@@ -973,9 +942,8 @@ mod avx2 {
             5 => samples.for_each(|(s, d)| dw_dots::<5>(d, &cols[s * sc..], acc, p)),
             6 => samples.for_each(|(s, d)| dw_dots::<6>(d, &cols[s * sc..], acc, p)),
             7 => samples.for_each(|(s, d)| dw_dots::<7>(d, &cols[s * sc..], acc, p)),
-            // Lanes over whichever of `o` and `kk` costs less: its operand is
-            // transposed (≈ 2 units an element) and its count rounds up to
-            // whole registers (one unit a lane block per broadcast row).
+            // Lanes over `kk` only where they leave fewer lanes empty; on a
+            // tie over `o`, which needs no transpose of `acc`.
             _ if lane_cost(kr, o) < lane_cost(o, kr) => {
                 with_scratch(o * kr, |acc_t: &mut [f32]| {
                     transpose(acc, (kr, o), acc_t);
@@ -988,9 +956,14 @@ mod avx2 {
         }
     }
 
-    /// What lanes over `x` cost a step against `y` broadcast rows.
+    /// What lanes over `x` cost against `y` broadcast rows: the products
+    /// the tile runs, empty lanes included. Per shape (one thread, 2-vCPU
+    /// AVX2 host), lanes over `kk` ran 1.14–1.73 × faster where `o` is 10 or
+    /// 19 and `kk` fills its lanes better (`10 → 10`, `19 → 19`, `32 → 10`,
+    /// `64 → 19`) and 1.5–3.1 × slower where `o` fills them better; with
+    /// both multiples of 8, `o` ties or leads (1.0–1.13 ×).
     fn lane_cost(x: usize, y: usize) -> usize {
-        2 * x + x.next_multiple_of(8) * y
+        x.next_multiple_of(8) * y
     }
 
     /// The tile form of the partials: per sample `(lanes, rows)`, `lanes`
@@ -1033,7 +1006,8 @@ mod avx2 {
             let rows = &dy[8 * ob * p..];
             if 8 * ob + 8 <= o && p == 4 {
                 // A 2 × 2 plane: rows `j` and `j + 4` to a register, then one
-                // in-lane 4 × 4 transpose.
+                // in-lane 4 × 4 transpose (1.05–1.33 × the element-by-element
+                // edge path on the step's 2 × 2 weight gradients).
                 let a: [__m256; 4] = std::array::from_fn(|j| {
                     let (lo, hi) = (head(&rows[4 * j..]), head(&rows[4 * j + 16..]));
                     _mm256_set_m128(load_f32x4(hi), load_f32x4(lo))

@@ -14,9 +14,9 @@
 //! skipped remainder row, and a wrong `a` stride in the tile's packing (the
 //! `gemm_at_b` layout). The convolutions also run the TT cores of a training
 //! step (rank-2 1×1, 3×1 and 1×3 cores, the strided 1×1 of HTT's half path,
-//! cores with 2×2 output planes) at 1, 3 and 9 samples: a lone sample, a
-//! pair of 2×2 planes sharing a register with one left over, and four-sample
-//! blocks with a remainder.
+//! cores with 2×2 output planes) at 1, 3 and 9 samples: a lone sample and
+//! runs of samples through one lane call, the weight gradient's 2×2
+//! transpose included.
 //!
 //! **f32 events.** `sparse_conv2d` and `sparse_conv2d_frozen` against the
 //! dense `conv2d`'s bits (and, for non-finite weights, the event sum) at every
@@ -252,7 +252,7 @@ fn f32_convolutions_match_ascending_k_on_every_lane_set() {
         Conv2dGeometry::new(2, 2, (16, 16), (1, 3), (1, 1), (0, 1)),
         Conv2dGeometry::new(8, 2, (16, 16), (1, 1), (2, 2), (0, 0)),
         Conv2dGeometry::new(16, 5, (8, 8), (1, 1), (2, 2), (0, 0)),
-        // 2×2 output planes, two samples to a register.
+        // 2×2 output planes: masked 4-column tiles, the 4-position transpose.
         Conv2dGeometry::new(19, 64, (2, 2), (1, 1), (1, 1), (0, 0)),
         Conv2dGeometry::new(10, 10, (4, 4), (3, 1), (2, 2), (1, 0)),
     ]);

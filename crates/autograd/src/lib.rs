@@ -15,13 +15,8 @@
 //!   conv2d (including the asymmetric TT-core kernels), batch norm,
 //!   average/global pooling, the Heaviside spike with surrogate gradient,
 //!   and softmax cross-entropy.
-//! * [`Sgd`] — SGD with momentum and weight decay (the paper's optimizer),
-//!   including [`Sgd::step_with_grads`] for replicated data-parallel
-//!   optimizers.
+//! * [`Sgd`] — SGD with momentum and weight decay (the paper's optimizer).
 //! * [`CosineAnnealing`] — the paper's learning-rate schedule.
-//! * [`GradReduce`] — the fixed-order (bit-deterministic, shard- and
-//!   thread-count-invariant) gradient all-reduce behind data-parallel
-//!   training.
 //!
 //! ```
 //! use ttsnn_autograd::Var;
@@ -47,7 +42,7 @@ mod var;
 
 pub mod ops;
 
-pub use optim::{CosineAnnealing, GradReduce, Sgd, SgdConfig};
+pub use optim::{CosineAnnealing, Sgd, SgdConfig};
 pub use var::{nodes_created, BackwardFn, Var};
 
 /// Surrogate-gradient shapes for the spiking nonlinearity (see [`ops`]).

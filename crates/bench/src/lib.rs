@@ -20,7 +20,7 @@
 //!
 //! | binary           | measures |
 //! |------------------|----------|
-//! | `train_sharded`  | shards × kernel threads table, pool handoff / parked-region cost |
+//! | `pool_dispatch`  | pool handoff / parked-region cost behind `FORK_WORK` and `SPIN_BUDGET` |
 //! | `spike_sparsity` | sparse-vs-dense density crossover behind `SPARSE_DENSITY_THRESHOLD` |
 //!
 //! The [`harness`] module holds the shared measured-experiment plumbing;

@@ -78,42 +78,6 @@ impl Batch {
     pub fn timesteps(&self) -> usize {
         self.frames.len()
     }
-
-    /// The contiguous sub-batch of `len` samples starting at sample
-    /// `start`: every per-timestep frame is sliced along its leading
-    /// (batch) dimension, labels likewise. This is how the data-parallel
-    /// trainer cuts a batch into micro-batches — slicing depends only on
-    /// `(start, len)`, never on the worker the slice is destined for, so
-    /// micro-batch contents are invariant to the shard count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `start + len` exceeds the batch size, any
-    /// frame is not at least 2-dimensional, or `len == 0`.
-    pub fn shard(&self, start: usize, len: usize) -> Result<Batch, ShapeError> {
-        let b = self.len();
-        if len == 0 || start + len > b {
-            return Err(ShapeError::new(format!(
-                "shard: samples [{start}, {}) out of range for batch of {b}",
-                start + len
-            )));
-        }
-        let mut frames = Vec::with_capacity(self.frames.len());
-        for frame in &self.frames {
-            let shape = frame.shape();
-            if shape.len() < 2 || shape[0] != b {
-                return Err(ShapeError::new(format!(
-                    "shard: frame shape {shape:?} does not lead with batch size {b}"
-                )));
-            }
-            let stride: usize = shape[1..].iter().product();
-            let data = frame.data()[start * stride..(start + len) * stride].to_vec();
-            let mut sub_shape = shape.to_vec();
-            sub_shape[0] = len;
-            frames.push(Tensor::from_vec(data, &sub_shape)?);
-        }
-        Ok(Batch { frames, labels: self.labels[start..start + len].to_vec() })
-    }
 }
 
 /// A finite, in-memory dataset of [`Sample`]s with batching helpers.
@@ -293,46 +257,6 @@ mod tests {
         assert_eq!(train.len(), 8);
         assert_eq!(test.len(), 2);
         assert_eq!(train.num_classes(), 3);
-    }
-
-    #[test]
-    fn shard_slices_frames_and_labels() {
-        let ds = toy_dataset(8, 1);
-        let mut rng = Rng::seed_from(5);
-        let batch = &ds.batches(8, 2, &mut rng).unwrap()[0];
-        let micro = batch.shard(2, 3).unwrap();
-        assert_eq!(micro.len(), 3);
-        assert_eq!(micro.timesteps(), 2);
-        assert_eq!(micro.frames[0].shape(), &[3, 1, 2, 2]);
-        assert_eq!(&micro.labels[..], &batch.labels[2..5]);
-        let stride = 4; // 1*2*2
-        assert_eq!(micro.frames[1].data(), &batch.frames[1].data()[2 * stride..5 * stride]);
-    }
-
-    #[test]
-    fn shard_concatenation_covers_batch() {
-        // Micro-batches tile the batch exactly: shard(0,2)+shard(2,2) ==
-        // the original 4-sample batch, frame for frame.
-        let ds = toy_dataset(4, 2);
-        let mut rng = Rng::seed_from(6);
-        let batch = &ds.batches(4, 2, &mut rng).unwrap()[0];
-        let a = batch.shard(0, 2).unwrap();
-        let b = batch.shard(2, 2).unwrap();
-        for t in 0..batch.timesteps() {
-            let mut joined = a.frames[t].data().to_vec();
-            joined.extend_from_slice(b.frames[t].data());
-            assert_eq!(&joined[..], batch.frames[t].data());
-        }
-    }
-
-    #[test]
-    fn shard_rejects_out_of_range() {
-        let ds = toy_dataset(4, 1);
-        let mut rng = Rng::seed_from(7);
-        let batch = &ds.batches(4, 1, &mut rng).unwrap()[0];
-        assert!(batch.shard(3, 2).is_err());
-        assert!(batch.shard(0, 0).is_err());
-        assert!(batch.shard(0, 4).is_ok());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! `Arc`-shared tensor storage ([`ttsnn_snn::checkpoint::share_params`])
 //! and drops the model it froze, with that thread's arena. Autograd
 //! handles are not `Send`, so each replica then builds its own *model
-//! object* on its own thread (the `ShardedTrainer` pattern), all N of them
-//! by one function, and installs O(1) handles to the shared weights
+//! object* on its own thread, all N of them by one function, and installs
+//! O(1) handles to the shared weights
 //! ([`ttsnn_snn::Network::install_frozen`]). Steady-state memory is one
 //! copy of the plan plus per-replica membrane state, whatever `N` is, and
 //! every replica starts with empty activity counters.
@@ -42,10 +42,10 @@
 //! # Kernel threads
 //!
 //! Replicas run their kernels on the [`Runtime`] current where
-//! [`Cluster::load`] was called: each replica thread installs it, as the
-//! `ShardedTrainer`'s shards do. So `Runtime::new(n).install(||
-//! Cluster::load(..))` serves on `n` kernel threads, and a cluster loaded
-//! outside any install serves on [`Runtime::global`].
+//! [`Cluster::load`] was called: each replica thread installs it. So
+//! `Runtime::new(n).install(|| Cluster::load(..))` serves on `n` kernel
+//! threads, and a cluster loaded outside any install serves on
+//! [`Runtime::global`].
 
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -6,9 +6,9 @@
 //! loads the checkpoint, merges, calibrates and quantizes a model, keeps
 //! the `Send` result — a [`FrozenPlan`]: the description plus `Arc`-shared
 //! weights — and drops the model. The autograd graph handles inside a
-//! model (`Var`) are `Rc`-based and deliberately not `Send`, so — like
-//! `ttsnn_snn::ShardedTrainer`'s shards — every replica builds its own
-//! serving model from the frozen plan on the thread that serves it; see
+//! model (`Var`) are `Rc`-based and deliberately not `Send`, so every
+//! replica builds its own serving model from the frozen plan on the thread
+//! that serves it; see
 //! [`crate::cluster`] for the threads and [`crate::sched`] for how
 //! requests are coalesced under a [`BatchPolicy`]. Because the plan runs
 //! in per-sample mode (see the crate docs), the batching policy is a pure

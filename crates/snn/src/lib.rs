@@ -28,12 +28,8 @@
 //! * [`augment`] — NDA-style event-data augmentation (Li et al.).
 //! * [`trainer`] — the BPTT training loop with per-step wall-clock timing
 //!   (the "training time" column of Table II).
-//! * [`sharded`] — data-parallel training: N model replicas on persistent
-//!   worker threads, micro-batch gradient accumulation, and a fixed-order
-//!   all-reduce that keeps results bit-identical across shard counts.
 //! * [`checkpoint`] — binary save/load of model parameters (the hand-off
-//!   between pre-training, TT training and merged deployment), shared by
-//!   the classic and sharded trainers.
+//!   between pre-training, TT training and merged deployment).
 //! * [`quant`] — the **quantized serving plane**: activation calibration
 //!   hooks on the inference plane, int8 freezing of conv/classifier
 //!   weights (per-output-channel scales, accelerator-faithful saturating
@@ -45,8 +41,8 @@
 //! The model API has two traits ([`model`]): [`SpikingModel`] is the
 //! structural one and [`InferForward`] the graph-free tensor plane that
 //! [`evaluate`], calibration and the `ttsnn_infer` serving engine run on.
-//! The training plane is [`Network`]'s inherent tape walk, which both
-//! trainers drive on the concrete type. [`Network`] is the one model type.
+//! The training plane is [`Network`]'s inherent tape walk, which the
+//! trainer drives on the concrete type. [`Network`] is the one model type.
 //!
 //! | | training plane | inference plane |
 //! |---|---|---|
@@ -76,7 +72,6 @@ pub mod network;
 pub mod norm;
 pub mod quant;
 pub mod resnet;
-pub mod sharded;
 pub mod trainer;
 pub mod vgg;
 
@@ -88,6 +83,5 @@ pub use network::{Architecture, Layer, Network, Program, Slot};
 pub use norm::{Norm, NormKind};
 pub use quant::{CalibStats, QuantConfig, QuantPlanWeights, QuantReport};
 pub use resnet::{resnet18_cifar, resnet34_ncaltech, ResNetConfig, ResNetSnn};
-pub use sharded::{ShardConfig, ShardedTrainer};
 pub use trainer::{evaluate, evaluate_counts, train, StepTiming, TrainConfig, TrainReport};
 pub use vgg::{VggConfig, VggSnn};

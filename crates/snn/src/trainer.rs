@@ -62,9 +62,6 @@ pub struct StepTiming {
     pub forward: f64,
     /// The BPTT backward sweep.
     pub backward: f64,
-    /// Folding the micro-batch gradients in fixed order (data-parallel
-    /// steps only; `0.0` for [`train_step`]).
-    pub all_reduce: f64,
     /// The SGD update.
     pub optimizer: f64,
     /// Kernel ranges the global pool's workers ran during the step
@@ -75,15 +72,15 @@ pub struct StepTiming {
     /// a slow step with many of these lost its time there.
     pub pool_parks: f64,
     /// Autograd nodes the step put on the tape (the growth of
-    /// [`ttsnn_autograd::nodes_created`] over it; summed over the replicas
-    /// of a data-parallel step). It depends on the model and the number of
-    /// timesteps only, so it repeats exactly from step to step.
+    /// [`ttsnn_autograd::nodes_created`] over it). It depends on the model
+    /// and the number of timesteps only, so it repeats exactly from step to
+    /// step.
     pub tape_nodes: f64,
 }
 
 impl StepTiming {
     /// Records what `rt`'s kernel pool did since `before`.
-    pub(crate) fn with_pool_since(mut self, rt: &Runtime, before: &PoolStats) -> Self {
+    fn with_pool_since(mut self, rt: &Runtime, before: &PoolStats) -> Self {
         let pool = rt.stats().since(before);
         self.pool_handoffs = pool.handoffs as f64;
         self.pool_parks = pool.parks as f64;
@@ -96,7 +93,6 @@ impl std::ops::AddAssign for StepTiming {
         self.total += other.total;
         self.forward += other.forward;
         self.backward += other.backward;
-        self.all_reduce += other.all_reduce;
         self.optimizer += other.optimizer;
         self.pool_handoffs += other.pool_handoffs;
         self.pool_parks += other.pool_parks;
@@ -113,7 +109,6 @@ impl std::ops::Div<f64> for StepTiming {
             total: self.total / n,
             forward: self.forward / n,
             backward: self.backward / n,
-            all_reduce: self.all_reduce / n,
             optimizer: self.optimizer / n,
             pool_handoffs: self.pool_handoffs / n,
             pool_parks: self.pool_parks / n,
@@ -123,17 +118,16 @@ impl std::ops::Div<f64> for StepTiming {
 }
 
 /// Running totals of a training run's steps, from which [`EpochStats`] and
-/// [`TrainReport`] take their means. Shared by [`train`] and
-/// [`crate::ShardedTrainer::train`].
+/// [`TrainReport`] take their means.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StepTotals {
+struct StepTotals {
     loss: f32,
     timing: StepTiming,
     steps: usize,
 }
 
 impl StepTotals {
-    pub(crate) fn add(&mut self, loss: f32, timing: StepTiming) {
+    fn add(&mut self, loss: f32, timing: StepTiming) {
         self.loss += loss;
         self.timing += timing;
         self.steps += 1;
@@ -144,7 +138,7 @@ impl StepTotals {
     }
 
     /// The statistics of an epoch whose steps these are.
-    pub(crate) fn epoch(&self, accuracy: f32) -> EpochStats {
+    fn epoch(&self, accuracy: f32) -> EpochStats {
         EpochStats {
             loss: self.loss / self.steps.max(1) as f32,
             accuracy,
@@ -153,18 +147,12 @@ impl StepTotals {
     }
 
     /// The report of a run whose steps these are.
-    pub(crate) fn report(
-        &self,
-        epochs: Vec<EpochStats>,
-        test_accuracy: f32,
-        shards: usize,
-    ) -> TrainReport {
+    fn report(&self, epochs: Vec<EpochStats>, test_accuracy: f32) -> TrainReport {
         TrainReport {
             epochs,
             test_accuracy,
             mean_step_timing: self.mean_timing(),
             threads: Runtime::current().threads(),
-            shards,
         }
     }
 }
@@ -190,13 +178,10 @@ pub struct TrainReport {
     pub test_accuracy: f32,
     /// Mean seconds per optimization step across all epochs — its
     /// `total` is the "training time" column of Table II — and where that
-    /// time goes: forward / backward / all-reduce / optimizer.
+    /// time goes: forward / backward / optimizer.
     pub mean_step_timing: StepTiming,
     /// Worker threads the kernel runtime used for this run.
     pub threads: usize,
-    /// Data-parallel model replicas the run used (1 for [`train`]; the
-    /// shard count for [`crate::ShardedTrainer::train`]).
-    pub shards: usize,
 }
 
 impl TrainReport {
@@ -264,11 +249,11 @@ pub fn forward_batch(model: &mut Network, batch: &Batch) -> Result<Vec<Var>, Sha
     model.forward_sequence(&Var::constant(stacked), 0, batch.timesteps())
 }
 
-/// Forward over all timesteps, loss, BPTT backward — the part of a step
-/// the classic and the data-parallel trainer share. Leaves the gradients on
-/// the parameters; returns the loss, the two phases' seconds and the number
-/// of nodes the tape grew by.
-pub(crate) fn forward_backward(
+/// Forward over all timesteps, loss, BPTT backward. Leaves the gradients on
+/// the parameters and drops the tape before [`train_step`] updates them;
+/// returns the loss, the two phases' seconds and the number of nodes the
+/// tape grew by.
+fn forward_backward(
     model: &mut Network,
     batch: &Batch,
     loss_kind: LossKind,
@@ -328,10 +313,7 @@ pub fn evaluate(model: &mut dyn InferForward, batches: &[Batch]) -> Result<f32, 
     Ok(if total == 0 { 0.0 } else { correct as f32 / total as f32 })
 }
 
-/// Raw `(correct, total)` prediction counts behind [`evaluate`]. The
-/// data-parallel trainer evaluates disjoint batch subsets on each replica
-/// and sums these integer counts — an order-free reduction, so sharded
-/// evaluation is trivially deterministic.
+/// Raw `(correct, total)` prediction counts behind [`evaluate`].
 ///
 /// Runs entirely on the inference plane, one layer-major call per batch:
 /// the frames are stacked once, as [`forward_batch`] stacks them, and
@@ -431,7 +413,7 @@ pub fn train(
         epochs.push(steps.epoch(evaluate(&mut *model, train_batches)?));
     }
     let test_accuracy = evaluate(&mut *model, test_batches)?;
-    Ok(run.report(epochs, test_accuracy, 1))
+    Ok(run.report(epochs, test_accuracy))
 }
 
 #[cfg(test)]

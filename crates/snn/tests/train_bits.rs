@@ -25,8 +25,8 @@ use ttsnn_core::TtMode;
 use ttsnn_data::{Batch, EventStream, StaticImages};
 use ttsnn_snn::trainer::train_step;
 use ttsnn_snn::{
-    ConvPolicy, LifConfig, LossKind, Network, NormKind, ResNetConfig, ResNetSnn, ShardConfig,
-    ShardedTrainer, SpikingModel, VggConfig, VggSnn,
+    ConvPolicy, LifConfig, LossKind, Network, NormKind, ResNetConfig, ResNetSnn, SpikingModel,
+    VggConfig, VggSnn,
 };
 use ttsnn_tensor::runtime::Runtime;
 use ttsnn_tensor::{Rng, Tensor};
@@ -227,40 +227,6 @@ fn vgg9_dense_tebn_triangle_sum_ce() {
                 0x3fcd31d2,
             ],
             0x4b579f81796a840c,
-        ),
-    );
-}
-
-/// Two replicas, micro-batches of 4: the all-reduce and the replicated
-/// optimizers sit on the same bits as the classic step.
-#[test]
-fn sharded_two_shards_resnet18_htt() {
-    let t = 4;
-    let mut rng = Rng::seed_from(107);
-    let batches = event_batches(t, 8, &mut rng);
-    let factory = move || {
-        let cfg = ResNetConfig::resnet18_events(10, (16, 16), 8);
-        ResNetSnn::new(cfg, &ConvPolicy::tt(TtMode::htt_default(t)), &mut Rng::seed_from(7))
-    };
-    check(
-        "sharded x2 resnet18 htt",
-        || {
-            let mut trainer = ShardedTrainer::new(ShardConfig::new(2, 4), factory);
-            let mut losses = [0u32; STEPS];
-            for (s, slot) in losses.iter_mut().enumerate() {
-                let batch = &batches[s % batches.len()];
-                let (value, _) = trainer.step(batch, LossKind::SumCe, SGD).unwrap();
-                *slot = value.to_bits();
-            }
-            assert!(trainer.replicas_in_sync());
-            (losses, checksum(trainer.params().iter()))
-        },
-        (
-            [
-                0x405911cd, 0x40567608, 0x402307f0, 0x404c68e1, 0x403ea180, 0x4015e7ea, 0x403d80f2,
-                0x402c85c8,
-            ],
-            0x5e86bb71e3c35098,
         ),
     );
 }

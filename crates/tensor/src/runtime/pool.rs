@@ -16,7 +16,7 @@
 //! training step opens one every ≈ 20 µs — so the next region almost always
 //! finds its worker still awake, and then a handoff costs a mutex-guarded
 //! queue push on one side and a poll on the other, ≈ 0.8 µs on the region's
-//! critical path (`train_sharded`'s `pool_region_handoff_us`), and no
+//! critical path (`pool_dispatch`'s `pool_region_handoff_us`), and no
 //! futex call: a push skips the condvar `notify` when no worker sleeps. A
 //! worker that *has* parked costs a futex wake-up each way, ≈ 28–45 µs on a
 //! 2-vCPU container (`pool_region_parked_us`) — what every fork of a
@@ -72,7 +72,7 @@ use super::lanes::{pinned, with_pinned, Lanes};
 /// Work, in scalar `f32` operations, above which a region is worth
 /// splitting between two threads (so the smallest forked range carries half
 /// of it). Sized from the **hot** handoff, which is the one kernels see now
-/// that idle workers spin (see [`SPIN_BUDGET`]): `train_sharded`'s
+/// that idle workers spin (see [`SPIN_BUDGET`]): `pool_dispatch`'s
 /// `pool_region_handoff_us` opens two-range regions of real, equal work
 /// back to back on the 2-vCPU reference container and finds a 2 × 12 µs
 /// region done in 12.8 µs (0.53 of its 24.0 µs serial time) and a

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let timesteps = 2usize;
 
     // Train-side hand-off: one checkpoint (here: untrained weights; in a
-    // real pipeline, whatever `train`/`ShardedTrainer` produced).
+    // real pipeline, whatever `train` produced).
     let cfg = VggConfig::vgg9(3, 4, (8, 8), 16);
     let policy = ConvPolicy::tt(TtMode::Ptt);
     let model = VggSnn::new(cfg.clone(), &policy, &mut rng);

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let timesteps = 2usize;
 
     // ---- A frozen plan: random-init here; a real deployment loads
-    // whatever `train`/`ShardedTrainer` checkpointed.
+    // whatever `train` checkpointed.
     let cfg = VggConfig::vgg9(3, 4, (8, 8), 16);
     let policy = ConvPolicy::tt(TtMode::Ptt);
     let model = VggSnn::new(cfg.clone(), &policy, &mut rng);

@@ -1,9 +1,10 @@
 //! The docs point only at what exists. Every file a doc names (`*.rs`,
 //! `*.toml`, `*.json`, `*.yml`, matched by path suffix outside `target/`
 //! and `vendor/`) is in the repo, every `file:N` line is within that
-//! file, and every `ttsnn_<crate>::…::<name>` is an item defined in
-//! `crates/<crate>/src`. A deleted file or item fails here, not in a
-//! reader's hands.
+//! file, every `ttsnn_<crate>::…::<name>` is an item defined in
+//! `crates/<crate>/src`, and every backticked `Type::item` names a type and
+//! an item defined under `crates/*/src`. A deleted file or item fails here,
+//! not in a reader's hands.
 
 use std::collections::HashMap;
 use std::fs;
@@ -14,6 +15,9 @@ const DOCS: [&str; 3] = ["ARCHITECTURE.md", "README.md", ".claude/skills/verify/
 
 /// What makes a token a file name.
 const EXTENSIONS: [&str; 4] = [".rs", ".toml", ".json", ".yml"];
+
+/// The std types the docs name as `Type::item`, which no crate defines.
+const STD_TYPES: [&str; 4] = ["Condvar", "Duration", "Instant", "Iterator"];
 
 /// Keywords an item's name follows where it is defined.
 const DEFINERS: [&str; 11] = [
@@ -126,6 +130,28 @@ fn item_refs(text: &str) -> Vec<(&str, &str)> {
     out
 }
 
+/// The `(Type, item)` pairs of every `Type::item` inside a doc's backticks:
+/// a path segment that starts with a capital letter, and the one after it.
+fn type_item_refs(text: &str) -> Vec<(&str, &str)> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let mut out = Vec::new();
+    for code in text.split('`').skip(1).step_by(2) {
+        for (before, token, _) in runs(code, is_path) {
+            if before.is_ascii_alphanumeric() || before == '_' {
+                continue;
+            }
+            let segments: Vec<&str> = token.split("::").collect();
+            for pair in segments.windows(2) {
+                let (ty, item) = (pair[0], pair[1]);
+                if ty.starts_with(|c: char| c.is_ascii_uppercase()) && !item.is_empty() {
+                    out.push((ty, item));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Whether `src` defines `name`: after an item keyword, as a field, or as
 /// an enum variant or a re-exported name at the start of a line.
 fn defines(src: &str, name: &str) -> bool {
@@ -149,15 +175,17 @@ fn defines(src: &str, name: &str) -> bool {
     })
 }
 
+/// Every `.rs` file under `dir`, concatenated.
+fn rust_source(dir: &Path) -> String {
+    let mut paths = Vec::new();
+    files(dir, &mut paths);
+    paths.iter().filter(|p| p.ends_with(".rs")).map(|p| read(p)).collect()
+}
+
 /// Every `.rs` file under `crates/<krate>/src`, concatenated.
 fn crate_source(krate: &str) -> Option<String> {
     let dir = root().join("crates").join(krate).join("src");
-    if !dir.is_dir() {
-        return None;
-    }
-    let mut paths = Vec::new();
-    files(&dir, &mut paths);
-    Some(paths.iter().filter(|p| p.ends_with(".rs")).map(|p| read(p)).collect())
+    dir.is_dir().then(|| rust_source(&dir))
 }
 
 #[test]
@@ -196,6 +224,31 @@ fn doc_crate_paths_name_defined_items() {
                     missing.push(format!("{doc}: `ttsnn_{krate}::…::{name}` is defined nowhere"))
                 }
                 Some(_) => {}
+            }
+        }
+    }
+    assert!(missing.is_empty(), "{}", missing.join("\n"));
+}
+
+#[test]
+fn doc_type_items_name_defined_items() {
+    let mut src = String::new();
+    for krate in fs::read_dir(root().join("crates")).unwrap() {
+        let dir = krate.unwrap().path().join("src");
+        if dir.is_dir() {
+            src.push_str(&rust_source(&dir));
+        }
+    }
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        for (ty, item) in type_item_refs(&read(doc)) {
+            if STD_TYPES.contains(&ty) {
+                continue;
+            }
+            for name in [ty, item] {
+                if !defines(&src, name) {
+                    missing.push(format!("{doc}: `{ty}::{item}`: `{name}` is defined nowhere"));
+                }
             }
         }
     }
